@@ -8,7 +8,7 @@
 use std::collections::BTreeMap;
 
 use sigsim::SigAuthority;
-use simnet::{ActorId, DelayModel, Duration, Metrics, ParSimulation, Simulation, Time};
+use simnet::{Actor, ActorId, DelayModel, Duration, Metrics, ParSimulation, Simulation, Time};
 
 use crate::adversary::LogEquivocator;
 use crate::aligned::{self, AlignedPaxosActor, MemoryMode};
@@ -24,7 +24,7 @@ use crate::sharded::{
     self, GroupMode, GroupTopology, RebalanceConfig, RebalancePolicy, RouterActor, RoutingTable,
     ScriptedMigration, WorkloadSpec,
 };
-use crate::smr::{byz_memory_actor, ByzSmrNode, SmrNode};
+use crate::smr::{byz_memory_actor, ByzSmrNode, ReplicaState, SmrNode};
 use crate::types::{Instance, Msg, Pid, Value};
 
 /// A scripted run: cluster shape, failures, leadership and timing.
@@ -830,18 +830,22 @@ pub fn run_sharded(scenario: &ShardedScenario) -> ShardedRunReport {
 pub fn run_sharded_with_events(
     scenario: &ShardedScenario,
 ) -> (ShardedRunReport, Vec<simnet::obs::Event>) {
-    let topo = scenario.topology();
-    let workload = validated_workload(scenario);
-    let (mut report, events) = if scenario.partitions > 1 {
-        run_sharded_partitioned(scenario, &topo, workload)
-    } else {
-        run_sharded_monolithic(scenario, &topo, workload, None::<fn(&mut Simulation<Msg>)>)
-    };
-    if scenario.record_spans {
-        report.span_stats =
-            crate::spans::aggregate_spans(&events, scenario.groups, scenario.total_cmds);
+    if scenario.partitions <= 1 {
+        return run_sharded_instrumented(scenario, |_| {});
     }
-    (report, events)
+    let lookahead = scenario.delay.min_delay();
+    assert!(
+        lookahead > Duration::ZERO,
+        "partitioned execution needs links with a positive minimum delay"
+    );
+    let parts = scenario.partitions.clamp(1, scenario.groups.max(1));
+    let mut sim: ParSimulation<Msg> = ParSimulation::new(scenario.seed, parts, lookahead);
+    sim.set_threads(scenario.threads);
+    sim.set_default_delay(scenario.delay.clone());
+    if scenario.obs_enabled() {
+        sim.enable_obs();
+    }
+    run_sharded_on(sim, parts, scenario, |_| {})
 }
 
 /// [`run_sharded_with_events`] on the monolithic kernel, with pre-run
@@ -857,14 +861,12 @@ pub fn run_sharded_instrumented(
         scenario.partitions <= 1,
         "instrumented runs use the monolithic kernel (partitions must be 1)"
     );
-    let topo = scenario.topology();
-    let workload = validated_workload(scenario);
-    let (mut report, events) = run_sharded_monolithic(scenario, &topo, workload, Some(setup));
-    if scenario.record_spans {
-        report.span_stats =
-            crate::spans::aggregate_spans(&events, scenario.groups, scenario.total_cmds);
+    let mut sim: Simulation<Msg> = Simulation::new(scenario.seed);
+    sim.set_default_delay(scenario.delay.clone());
+    if scenario.obs_enabled() {
+        sim.enable_obs();
     }
-    (report, events)
+    run_sharded_on(sim, 1, scenario, setup)
 }
 
 /// Validates a scenario's adversary placements and builds its per-group
@@ -940,34 +942,15 @@ fn build_router(
         / scenario.arrival_rate_per_delay.max(f64::MIN_POSITIVE))
     .round()
     .max(1.0) as u64;
-    if !scenario.dynamic_routing() {
-        let mut router = RouterActor::new(*topo, workload, scenario.window);
-        if scenario.has_byzantine() {
-            router = router.with_group_modes(scenario.group_modes.clone(), scenario.n);
-            if scenario.byz_fast_path {
-                router = router.with_byz_fast_path();
-            }
-        }
-        if paced {
-            router = router.with_paced_arrivals(interval_ticks);
-        }
-        return router;
+    let keys = (scenario.dynamic_routing()).then(|| workload.keys.clone());
+    let mut router = RouterActor::new(*topo, workload, scenario.window);
+    if let Some(keys) = keys {
+        let table = RoutingTable::even(scenario.workload.key_space(), scenario.groups);
+        let policy = scenario
+            .rebalance
+            .map(|cfg| RebalancePolicy::new(cfg, scenario.groups));
+        router = router.with_rebalance(table, keys, policy, scenario.migrations.clone());
     }
-    assert!(
-        scenario.window > 0,
-        "rebalancing needs a closed-loop window (router-mediated submission)"
-    );
-    let table = RoutingTable::even(scenario.workload.key_space(), scenario.groups);
-    let keys = workload.keys.clone();
-    let policy = scenario
-        .rebalance
-        .map(|cfg| RebalancePolicy::new(cfg, scenario.groups));
-    let mut router = RouterActor::new(*topo, workload, scenario.window).with_rebalance(
-        table,
-        keys,
-        policy,
-        scenario.migrations.clone(),
-    );
     if scenario.has_byzantine() {
         router = router.with_group_modes(scenario.group_modes.clone(), scenario.n);
         if scenario.byz_fast_path {
@@ -1010,8 +993,8 @@ fn byz_auth(scenario: &ShardedScenario, topo: &GroupTopology) -> Option<ByzAuth>
     Some(ByzAuth { auth, signers })
 }
 
-/// One replica slot of a sharded deployment, ready to add to either
-/// kernel: the group's protocol node, or an injected adversary.
+/// One replica slot of a sharded deployment, ready to place on a kernel:
+/// the group's protocol node, or an injected adversary.
 enum ReplicaBuild {
     Crash(Box<SmrNode>),
     Byz(Box<ByzSmrNode>),
@@ -1020,9 +1003,9 @@ enum ReplicaBuild {
     Forger(Box<crate::adversary::ReceiptForger>),
 }
 
-/// Builds one replica of group `g` for a sharded run (both kernel
-/// paths): the scenario's adversary placements first, then the group's
-/// [`GroupMode`] protocol node.
+/// Builds one replica of group `g` for a sharded run: the scenario's
+/// adversary placements first, then the group's [`GroupMode`] protocol
+/// node.
 fn sharded_replica(
     scenario: &ShardedScenario,
     topo: &GroupTopology,
@@ -1134,168 +1117,110 @@ fn sharded_memory(
     }
 }
 
-/// Collects every replica's post-run state for the report reduction:
-/// per-group replica logs plus the total dedup-suppression and
-/// equivocation-block counts. One implementation for both kernel paths —
-/// `node` resolves a `(replica id, group mode)` on whichever view
-/// (monolithic `Simulation` or partitioned `ParActors`) the run finished
-/// on, so a new report field only needs wiring once. Adversary-occupied
-/// slots report an empty log and zero counters.
-fn collect_replica_state(
-    scenario: &ShardedScenario,
-    topo: &GroupTopology,
-    node: impl Fn(Pid, GroupMode) -> (Vec<Value>, u64, u64, u64, u64),
-) -> (Vec<Vec<Vec<Value>>>, u64, u64, u64, u64) {
-    let mut duplicates_suppressed = 0u64;
-    let mut equivocations_blocked = 0u64;
-    let mut receipts_rejected = 0u64;
-    let mut fast_commits = 0u64;
-    let logs = (0..scenario.groups)
-        .map(|g| {
-            topo.procs(g)
-                .iter()
-                .map(|&p| {
-                    let (log, dups, equivs, forged, fast) = node(p, scenario.mode_of(g));
-                    duplicates_suppressed += dups;
-                    equivocations_blocked += equivs;
-                    receipts_rejected += forged;
-                    fast_commits += fast;
-                    log
-                })
-                .collect()
-        })
-        .collect();
-    (
-        logs,
-        duplicates_suppressed,
-        equivocations_blocked,
-        receipts_rejected,
-        fast_commits,
-    )
+/// A finished run's kernel-side numbers, as [`reduce_sharded`] reads them.
+struct KernelTotals {
+    elapsed: Time,
+    events_dispatched: u64,
+    messages: u64,
+    mem_ops: u64,
+    /// Peak event-queue depth of each partition (one entry on the
+    /// monolithic kernel).
+    partition_peak_queue_lens: Vec<u64>,
 }
 
-/// Resolves one replica's post-run state by downcasting to its mode's
-/// node type on any actor view. Adversary slots (and crashed actors the
-/// view no longer exposes) read as empty.
-fn replica_state_of(
-    log_dups: Option<(Vec<Value>, u64, u64, u64, u64)>,
-) -> (Vec<Value>, u64, u64, u64, u64) {
-    log_dups.unwrap_or((Vec::new(), 0, 0, 0, 0))
-}
-
-/// The classic single-kernel path (`partitions == 1`). `setup`, when
-/// present, runs on the fully-built kernel after the scripted crashes and
-/// announcements but before the first dispatch (see
-/// [`run_sharded_instrumented`]).
-fn run_sharded_monolithic(
-    scenario: &ShardedScenario,
-    topo: &GroupTopology,
-    workload: sharded::PartitionedWorkload,
-    setup: Option<impl FnOnce(&mut Simulation<Msg>)>,
-) -> (ShardedRunReport, Vec<simnet::obs::Event>) {
-    let mut sim: Simulation<Msg> = Simulation::new(scenario.seed);
-    sim.set_default_delay(scenario.delay.clone());
-    if scenario.obs_enabled() {
-        sim.enable_obs();
-    }
-    let byz = byz_auth(scenario, topo);
-    for g in 0..scenario.groups {
-        for i in 0..scenario.n {
-            let expect = topo.procs(g)[i];
-            let id =
-                match sharded_replica(scenario, topo, byz.as_ref(), &workload.backlogs[g], g, i) {
-                    ReplicaBuild::Crash(node) => sim.add(*node),
-                    ReplicaBuild::Byz(node) => sim.add(*node),
-                    ReplicaBuild::Silent => sim.add(crate::adversary::SilentActor),
-                    ReplicaBuild::Equivocator(adv) => sim.add(*adv),
-                    ReplicaBuild::Forger(adv) => sim.add(*adv),
-                };
-            debug_assert_eq!(id, expect);
-        }
-        for &mem in &topo.mems(g) {
-            let id = sim.add(sharded_memory(scenario, topo, g));
-            debug_assert_eq!(id, mem);
+impl KernelTotals {
+    fn new(elapsed: Time, metrics: &Metrics, partition_peak_queue_lens: Vec<u64>) -> KernelTotals {
+        KernelTotals {
+            elapsed,
+            events_dispatched: metrics.events_dispatched,
+            messages: metrics.messages_sent,
+            mem_ops: metrics.mem_ops(),
+            partition_peak_queue_lens,
         }
     }
-    let router_id = sim.add(build_router(scenario, topo, workload));
-    assert_eq!(router_id, topo.router(), "router must be the last actor");
-
-    for &(g, t) in &scenario.crash_leaders {
-        sim.crash_at(topo.initial_leader(g), Time::from_delays(t));
-    }
-    for &(g, i, t) in &scenario.announce {
-        let mut targets = topo.procs(g);
-        targets.push(topo.router());
-        sim.announce_leader(Time::from_delays(t), &targets, topo.procs(g)[i]);
-    }
-    if let Some(setup) = setup {
-        setup(&mut sim);
-    }
-
-    let deadline = Time::from_delays(scenario.max_delays);
-    sim.run_until(deadline, |s| {
-        s.actor_as::<RouterActor>(router_id)
-            .is_some_and(RouterActor::done)
-    });
-
-    let events = sim.take_obs_events();
-    let (logs, duplicates_suppressed, equivocations_blocked, receipts_rejected, fast_commits) =
-        collect_replica_state(scenario, topo, |p, mode| {
-            replica_state_of(match mode {
-                GroupMode::CrashPmp => sim
-                    .actor_as::<SmrNode>(p)
-                    .map(|n| (n.log(), n.duplicates_suppressed(), 0, 0, 0)),
-                GroupMode::Byzantine => sim.actor_as::<ByzSmrNode>(p).map(|n| {
-                    (
-                        n.log(),
-                        n.duplicates_suppressed(),
-                        n.equivocations_blocked(),
-                        n.receipts_rejected(),
-                        n.fast_commits(),
-                    )
-                }),
-            })
-        });
-    let router = sim
-        .actor_as::<RouterActor>(router_id)
-        .expect("router exists");
-    let peak = sim.metrics().peak_queue_len;
-    let report = reduce_sharded(
-        scenario,
-        router,
-        &logs,
-        duplicates_suppressed,
-        equivocations_blocked,
-        receipts_rejected,
-        fast_commits,
-        sim.now(),
-        sim.metrics(),
-        vec![peak],
-    );
-    (report, events)
 }
 
-/// The partitioned parallel path (`partitions > 1`): groups in contiguous
-/// partition blocks, router on partition 0, conservative-window execution
-/// on [`ShardedScenario::threads`] worker threads. Same seed + partition
-/// count ⇒ bit-identical reports for any thread count.
-fn run_sharded_partitioned(
-    scenario: &ShardedScenario,
-    topo: &GroupTopology,
-    workload: sharded::PartitionedWorkload,
-) -> (ShardedRunReport, Vec<simnet::obs::Event>) {
-    let lookahead = scenario.delay.min_delay();
-    assert!(
-        lookahead > Duration::ZERO,
-        "partitioned execution needs links with a positive minimum delay"
-    );
-    let parts = scenario.partitions.clamp(1, scenario.groups.max(1));
-    let mut sim: ParSimulation<Msg> = ParSimulation::new(scenario.seed, parts, lookahead);
-    sim.set_threads(scenario.threads);
-    sim.set_default_delay(scenario.delay.clone());
-    if scenario.obs_enabled() {
-        sim.enable_obs();
+/// What [`run_sharded_on`] needs of a kernel; implemented for the
+/// monolithic [`Simulation`] (one partition, whatever index is asked for)
+/// and the partitioned [`ParSimulation`].
+trait ShardedKernel {
+    /// Registers `actor` on `partition`; ids are dense in call order.
+    fn place<T: Actor<Msg> + Send>(&mut self, partition: usize, actor: T) -> ActorId;
+    fn crash_at(&mut self, actor: ActorId, at: Time);
+    fn announce_leader(&mut self, at: Time, targets: &[ActorId], leader: ActorId);
+    /// Runs until the router reports every command committed or virtual
+    /// time passes `max`.
+    fn run_until_done(&mut self, max: Time, router: ActorId);
+    fn take_obs_events(&mut self) -> Vec<simnet::obs::Event>;
+    /// Reads actor `id` as a `T` (`None`: no such actor, or another type).
+    fn read<T: 'static, R>(&mut self, id: ActorId, f: impl FnOnce(&T) -> R) -> Option<R>;
+    fn totals(&mut self) -> KernelTotals;
+}
+
+impl ShardedKernel for Simulation<Msg> {
+    fn place<T: Actor<Msg> + Send>(&mut self, _partition: usize, actor: T) -> ActorId {
+        self.add(actor)
     }
+    fn crash_at(&mut self, actor: ActorId, at: Time) {
+        Simulation::crash_at(self, actor, at);
+    }
+    fn announce_leader(&mut self, at: Time, targets: &[ActorId], leader: ActorId) {
+        Simulation::announce_leader(self, at, targets, leader);
+    }
+    fn run_until_done(&mut self, max: Time, router: ActorId) {
+        self.run_until(max, |k| k.actor_as(router).is_some_and(RouterActor::done));
+    }
+    fn take_obs_events(&mut self) -> Vec<simnet::obs::Event> {
+        Simulation::take_obs_events(self)
+    }
+    fn read<T: 'static, R>(&mut self, id: ActorId, f: impl FnOnce(&T) -> R) -> Option<R> {
+        self.actor_as(id).map(f)
+    }
+    fn totals(&mut self) -> KernelTotals {
+        let peak = self.metrics().peak_queue_len;
+        KernelTotals::new(self.now(), self.metrics(), vec![peak])
+    }
+}
+
+impl ShardedKernel for ParSimulation<Msg> {
+    fn place<T: Actor<Msg> + Send>(&mut self, partition: usize, actor: T) -> ActorId {
+        self.add_to(partition, actor)
+    }
+    fn crash_at(&mut self, actor: ActorId, at: Time) {
+        ParSimulation::crash_at(self, actor, at);
+    }
+    fn announce_leader(&mut self, at: Time, targets: &[ActorId], leader: ActorId) {
+        ParSimulation::announce_leader(self, at, targets, leader);
+    }
+    fn run_until_done(&mut self, max: Time, router: ActorId) {
+        self.run_until(max, |k| k.actor_as(router).is_some_and(RouterActor::done));
+    }
+    fn take_obs_events(&mut self) -> Vec<simnet::obs::Event> {
+        ParSimulation::take_obs_events(self)
+    }
+    fn read<T: 'static, R>(&mut self, id: ActorId, f: impl FnOnce(&T) -> R) -> Option<R> {
+        self.with_actors(|view| view.actor_as(id).map(f))
+    }
+    fn totals(&mut self) -> KernelTotals {
+        let peaks = self.partition_peak_queue_lens();
+        KernelTotals::new(self.now(), &self.merged_metrics(), peaks)
+    }
+}
+
+/// The one sharded run path: builds the deployment on `kernel` (each
+/// group's replicas and memories on the partition
+/// [`GroupTopology::partition_of_group`] assigns it out of `parts`, the
+/// router on partition 0), scripts the leader crashes and Ω
+/// announcements, lets `setup` instrument the built kernel before the
+/// first dispatch, runs until the router is done, and reduces.
+fn run_sharded_on<K: ShardedKernel>(
+    mut kernel: K,
+    parts: usize,
+    scenario: &ShardedScenario,
+    setup: impl FnOnce(&mut K),
+) -> (ShardedRunReport, Vec<simnet::obs::Event>) {
+    let topo = &scenario.topology();
+    let workload = validated_workload(scenario);
     let byz = byz_auth(scenario, topo);
     for g in 0..scenario.groups {
         let part = topo.partition_of_group(g, parts);
@@ -1303,93 +1228,67 @@ fn run_sharded_partitioned(
             let expect = topo.procs(g)[i];
             let id =
                 match sharded_replica(scenario, topo, byz.as_ref(), &workload.backlogs[g], g, i) {
-                    ReplicaBuild::Crash(node) => sim.add_to(part, *node),
-                    ReplicaBuild::Byz(node) => sim.add_to(part, *node),
-                    ReplicaBuild::Silent => sim.add_to(part, crate::adversary::SilentActor),
-                    ReplicaBuild::Equivocator(adv) => sim.add_to(part, *adv),
-                    ReplicaBuild::Forger(adv) => sim.add_to(part, *adv),
+                    ReplicaBuild::Crash(node) => kernel.place(part, *node),
+                    ReplicaBuild::Byz(node) => kernel.place(part, *node),
+                    ReplicaBuild::Silent => kernel.place(part, crate::adversary::SilentActor),
+                    ReplicaBuild::Equivocator(adv) => kernel.place(part, *adv),
+                    ReplicaBuild::Forger(adv) => kernel.place(part, *adv),
                 };
             debug_assert_eq!(id, expect);
         }
         for &mem in &topo.mems(g) {
-            let id = sim.add_to(part, sharded_memory(scenario, topo, g));
+            let id = kernel.place(part, sharded_memory(scenario, topo, g));
             debug_assert_eq!(id, mem);
         }
     }
-    let router_id = sim.add_to(0, build_router(scenario, topo, workload));
+    let router_id = kernel.place(0, build_router(scenario, topo, workload));
     assert_eq!(router_id, topo.router(), "router must be the last actor");
 
     for &(g, t) in &scenario.crash_leaders {
-        sim.crash_at(topo.initial_leader(g), Time::from_delays(t));
+        kernel.crash_at(topo.initial_leader(g), Time::from_delays(t));
     }
     for &(g, i, t) in &scenario.announce {
         let mut targets = topo.procs(g);
         targets.push(topo.router());
-        sim.announce_leader(Time::from_delays(t), &targets, topo.procs(g)[i]);
+        kernel.announce_leader(Time::from_delays(t), &targets, topo.procs(g)[i]);
     }
+    setup(&mut kernel);
 
-    let deadline = Time::from_delays(scenario.max_delays);
-    sim.run_until(deadline, |view| {
-        view.actor_as::<RouterActor>(router_id)
-            .is_some_and(RouterActor::done)
-    });
+    kernel.run_until_done(Time::from_delays(scenario.max_delays), router_id);
 
-    let elapsed = sim.now();
-    let metrics = sim.merged_metrics();
-    let partition_peaks = sim.partition_peak_queue_lens();
-    let events = sim.take_obs_events();
-    let report = sim.with_actors(|view| {
-        let (logs, duplicates_suppressed, equivocations_blocked, receipts_rejected, fast_commits) =
-            collect_replica_state(scenario, topo, |p, mode| {
-                replica_state_of(match mode {
-                    GroupMode::CrashPmp => view
-                        .actor_as::<SmrNode>(p)
-                        .map(|n| (n.log(), n.duplicates_suppressed(), 0, 0, 0)),
-                    GroupMode::Byzantine => view.actor_as::<ByzSmrNode>(p).map(|n| {
-                        (
-                            n.log(),
-                            n.duplicates_suppressed(),
-                            n.equivocations_blocked(),
-                            n.receipts_rejected(),
-                            n.fast_commits(),
-                        )
-                    }),
-                })
-            });
-        let router = view
-            .actor_as::<RouterActor>(router_id)
-            .expect("router exists");
-        reduce_sharded(
-            scenario,
-            router,
-            &logs,
-            duplicates_suppressed,
-            equivocations_blocked,
-            receipts_rejected,
-            fast_commits,
-            elapsed,
-            &metrics,
-            partition_peaks,
-        )
-    });
+    let events = kernel.take_obs_events();
+    // Per group, per replica; adversary-occupied slots read as empty.
+    let replicas: Vec<Vec<ReplicaState>> = (0..scenario.groups)
+        .map(|g| {
+            let state_of = |&p: &Pid| match scenario.mode_of(g) {
+                GroupMode::CrashPmp => kernel.read(p, SmrNode::replica_state),
+                GroupMode::Byzantine => kernel.read(p, ByzSmrNode::replica_state),
+            };
+            (topo.procs(g).iter().map(state_of))
+                .map(Option::unwrap_or_default)
+                .collect()
+        })
+        .collect();
+    let totals = kernel.totals();
+    let mut report = kernel
+        .read(router_id, |router| {
+            reduce_sharded(scenario, router, &replicas, totals)
+        })
+        .expect("router exists");
+    if scenario.record_spans {
+        report.span_stats =
+            crate::spans::aggregate_spans(&events, scenario.groups, scenario.total_cmds);
+    }
     (report, events)
 }
 
-/// Reduces one sharded run's raw outcome (per-replica logs + the router's
-/// observations + merged kernel metrics) to a [`ShardedRunReport`]; shared
-/// by the monolithic and partitioned kernel paths.
-#[allow(clippy::too_many_arguments)]
+/// Reduces one sharded run's raw outcome (per-group replica states + the
+/// router's observations + the kernel's totals) to a [`ShardedRunReport`].
 fn reduce_sharded(
     scenario: &ShardedScenario,
     router: &RouterActor,
-    replica_logs: &[Vec<Vec<Value>>],
-    duplicates_suppressed: u64,
-    equivocations_blocked: u64,
-    byz_receipts_rejected: u64,
-    byz_fast_commits: u64,
-    elapsed: Time,
-    metrics: &Metrics,
-    partition_peak_queue_lens: Vec<u64>,
+    replicas: &[Vec<ReplicaState>],
+    kernel: KernelTotals,
 ) -> ShardedRunReport {
     // The router's *final* assignment: migrated ids point at their
     // destination group, everything else at its workload partition. A
@@ -1403,13 +1302,10 @@ fn reduce_sharded(
     let mut groups = Vec::with_capacity(scenario.groups);
     let mut assignment_mismatches = 0u64;
     let mut all_latencies: Vec<Vec<u64>> = Vec::with_capacity(scenario.groups);
-    for (g, logs) in replica_logs.iter().enumerate() {
-        let longest = logs
-            .iter()
-            .max_by_key(|l| l.len())
-            .cloned()
-            .unwrap_or_default();
-        let logs_agree = logs.iter().all(|l| longest[..l.len()] == l[..]);
+    for (g, group) in replicas.iter().enumerate() {
+        let logs = || group.iter().map(|r| &r.log);
+        let longest = logs().max_by_key(|l| l.len()).cloned().unwrap_or_default();
+        let logs_agree = logs().all(|l| longest[..l.len()] == l[..]);
         for v in &longest {
             let id = v.0 as usize;
             if sharded::rebalance::decode_ctrl(*v).is_some() {
@@ -1435,6 +1331,9 @@ fn reduce_sharded(
     }
     let service = sharded::metrics::merged_sorted_ticks(&all_latencies);
     let committed = router.committed_total();
+    let sum_over_replicas =
+        |counter: fn(&ReplicaState) -> u64| replicas.iter().flatten().map(counter).sum::<u64>();
+    let elapsed = kernel.elapsed;
     let elapsed_delays = elapsed.as_delays();
     // Last-quartile throughput: commits observed after 3/4 of the run's
     // virtual time, over the remaining quarter.
@@ -1456,12 +1355,12 @@ fn reduce_sharded(
         elapsed_delays,
         committed_per_delay: committed as f64 / elapsed_delays.max(f64::MIN_POSITIVE),
         tail_committed_per_delay,
-        events_dispatched: metrics.events_dispatched,
-        messages: metrics.messages_sent,
-        mem_ops: metrics.mem_ops(),
-        peak_queue_len: partition_peak_queue_lens.iter().copied().max().unwrap_or(0),
-        partition_peak_queue_lens,
-        duplicates_suppressed,
+        events_dispatched: kernel.events_dispatched,
+        messages: kernel.messages,
+        mem_ops: kernel.mem_ops,
+        peak_queue_len: (kernel.partition_peak_queue_lens.iter().copied().max()).unwrap_or(0),
+        partition_peak_queue_lens: kernel.partition_peak_queue_lens,
+        duplicates_suppressed: sum_over_replicas(|r| r.duplicates_suppressed),
         service_p50_latency_ticks: sharded::metrics::percentile_sorted_ticks(&service, 50.0),
         service_p99_latency_ticks: sharded::metrics::percentile_sorted_ticks(&service, 99.0),
         migrations_completed: router.migrations_completed(),
@@ -1469,14 +1368,14 @@ fn reduce_sharded(
         routing_table_version: router.routing_version(),
         rerouted_commands: router.rerouted_commands(),
         cross_epoch_commits: router.cross_epoch_commits(),
-        equivocations_blocked,
-        byz_receipts_rejected,
+        equivocations_blocked: sum_over_replicas(|r| r.equivocations_blocked),
+        byz_receipts_rejected: sum_over_replicas(|r| r.receipts_rejected),
         byz_unconfirmed_claims: router.byz_unconfirmed_claims(),
         byz_withheld_reports: router.byz_withheld_reports(),
-        byz_fast_commits,
+        byz_fast_commits: sum_over_replicas(|r| r.fast_commits),
         byz_fast_confirms: router.byz_fast_confirms(),
-        // Filled by `run_sharded_with_events` when the scenario records
-        // spans (aggregation needs the merged event stream).
+        // Filled by `run_sharded_on` when the scenario records spans
+        // (aggregation needs the merged event stream).
         span_stats: Vec::new(),
         groups,
     }

@@ -97,7 +97,7 @@ use crate::nebcast::{self, NebEngine, RECEIPT_BIT};
 use crate::trusted::RbPayload;
 use crate::types::{Instance, Msg, Pid, RegVal, Value};
 
-use super::core::LogCore;
+use super::core::{LogCore, ReplicaState};
 #[allow(unused_imports)] // rustdoc link target
 use super::SmrNode;
 
@@ -333,6 +333,17 @@ impl ByzSmrNode {
     /// The contiguous decided prefix of the log.
     pub fn log(&self) -> Vec<Value> {
         self.core.log()
+    }
+
+    /// This replica's state for a run report.
+    pub fn replica_state(&self) -> ReplicaState {
+        ReplicaState {
+            log: self.log(),
+            duplicates_suppressed: self.duplicates_suppressed(),
+            equivocations_blocked: self.equivocations_blocked(),
+            receipts_rejected: self.receipts_rejected(),
+            fast_commits: self.fast_commits(),
+        }
     }
 
     /// Length of the contiguous decided prefix (O(1)).

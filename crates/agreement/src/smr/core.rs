@@ -19,6 +19,25 @@ use simnet::Time;
 
 use crate::types::Value;
 
+/// One replica's post-run state as run reports read it: the decided log
+/// and the suppression counters, filled by the `replica_state` method of
+/// [`SmrNode`](super::SmrNode) and [`ByzSmrNode`](super::ByzSmrNode).
+/// The `Default` is what a slot occupied by an adversary reports;
+/// counters a protocol does not have stay 0.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct ReplicaState {
+    /// The contiguous decided prefix of the log.
+    pub log: Vec<Value>,
+    /// Duplicate proposals suppressed by client-session dedup.
+    pub duplicates_suppressed: u64,
+    /// Peers caught equivocating and blocked (Byzantine mode).
+    pub equivocations_blocked: u64,
+    /// Receipts that failed the takeover provenance check (Byzantine mode).
+    pub receipts_rejected: u64,
+    /// Batches settled at the fast path's write ack (Byzantine mode).
+    pub fast_commits: u64,
+}
+
 /// The log + workload state machine shared by every SMR protocol.
 ///
 /// Nothing here touches the network: the owning node calls

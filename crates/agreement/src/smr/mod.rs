@@ -66,7 +66,7 @@ pub mod byz;
 pub mod core;
 
 pub use byz::{byz_memory_actor, ByzSmrNode};
-pub use core::LogCore;
+pub use core::{LogCore, ReplicaState};
 
 const RETRY_TAG: u64 = 50;
 
@@ -257,6 +257,16 @@ impl SmrNode {
     /// The contiguous decided prefix of the log.
     pub fn log(&self) -> Vec<Value> {
         self.core.log()
+    }
+
+    /// This replica's state for a run report (the Byzantine-only
+    /// counters stay 0).
+    pub fn replica_state(&self) -> ReplicaState {
+        ReplicaState {
+            log: self.log(),
+            duplicates_suppressed: self.duplicates_suppressed(),
+            ..ReplicaState::default()
+        }
     }
 
     /// Length of the contiguous decided prefix (O(1)).

@@ -2,7 +2,7 @@
 //! replicated-log workload, the sharded multi-group log service at
 //! G ∈ {1, 4, 16, 64}, the RDMA cost-model sweep (verb-cost grid ×
 //! doorbell batch size), and a kernel queue-stress microbench, then writes
-//! machine-readable `BENCH_PR10.json` at the repo root — and gates against
+//! machine-readable `BENCH_PR14.json` at the repo root — and gates against
 //! the newest prior `BENCH_PR*.json` (same workload size): >10% worsening
 //! of a deterministic virtual-time metric or >50% wall-clock entries/sec
 //! drop exits non-zero; wall-clock drops of 10–50% warn in every mode
@@ -50,7 +50,7 @@ use simnet::{
 };
 
 /// This snapshot's PR number (names the output file and anchors the gate).
-const PR: u32 = 10;
+const PR: u32 = 14;
 
 /// Allocation-counting wrapper around the system allocator.
 struct CountingAlloc;
@@ -149,7 +149,10 @@ struct MeasuredShard {
     groups: usize,
     threads: usize,
     report: ShardedRunReport,
+    /// Fastest trial (the noise floor the cross-snapshot gate compares).
     wall_secs: f64,
+    /// Median trial: what same-run ratios between configurations use.
+    median_wall_secs: f64,
     allocs: u64,
 }
 
@@ -166,6 +169,7 @@ impl MeasuredShard {
 /// trial completed safely before reporting it.
 fn measure_scenario(label: String, sc: &ShardedScenario) -> MeasuredShard {
     let mut best: Option<MeasuredShard> = None;
+    let mut walls = Vec::new();
     for _ in 0..trials() {
         let before = ALLOCS.load(Ordering::Relaxed);
         let start = Instant::now();
@@ -175,6 +179,7 @@ fn measure_scenario(label: String, sc: &ShardedScenario) -> MeasuredShard {
         assert!(report.all_committed, "{label}: workload did not complete");
         assert!(report.all_logs_agree, "{label}: replica logs diverged");
         assert!(report.no_cross_group_leak, "{label}: partition violated");
+        walls.push(wall_secs);
         if best.as_ref().is_none_or(|b| wall_secs < b.wall_secs) {
             best = Some(MeasuredShard {
                 label: label.clone(),
@@ -182,11 +187,15 @@ fn measure_scenario(label: String, sc: &ShardedScenario) -> MeasuredShard {
                 threads: sc.threads,
                 report,
                 wall_secs,
+                median_wall_secs: wall_secs,
                 allocs,
             });
         }
     }
-    best.expect("at least one trial")
+    let mut best = best.expect("at least one trial");
+    walls.sort_by(f64::total_cmp);
+    best.median_wall_secs = walls[walls.len() / 2];
+    best
 }
 
 /// Runs the sharded service (n=3, m=3 per group) and asserts the run was
@@ -493,8 +502,22 @@ fn main() {
         "\nperf_snapshot: partitioned kernel thread sweep, {cmds} commands \
          (8 partitions, host has {cores} cpus)"
     );
+    // Each G is also run on the monolithic kernel (`mono_g*`): the sweep's
+    // own t1 row already pays the partitioning tax (windows, outboxes,
+    // per-partition locks), so only the monolithic baseline shows whether
+    // threads buy wall-clock time over not partitioning at all.
     let mut sweep: Vec<MeasuredShard> = Vec::new();
     for &groups in &[8usize, 16] {
+        sweep.push(measure_sharded(
+            format!("mono_g{groups}"),
+            groups,
+            8,
+            0,
+            WorkloadSpec::uniform(),
+            cmds,
+            1,
+            1,
+        ));
         for &threads in &[1usize, 2, 4] {
             sweep.push(measure_sharded(
                 format!("par_g{groups}_p8_t{threads}"),
@@ -518,11 +541,14 @@ fn main() {
             m.wall_secs,
         );
     }
-    let sweep_of = |groups: usize, threads: usize| {
-        sweep
-            .iter()
-            .find(|m| m.label == format!("par_g{groups}_p8_t{threads}"))
-            .expect("measured")
+    let sweep_labeled = |label: String| sweep.iter().find(|m| m.label == label).expect("measured");
+    let sweep_of =
+        |groups: usize, threads: usize| sweep_labeled(format!("par_g{groups}_p8_t{threads}"));
+    // Same-run ratio of median trials: > 1 means the partitioned kernel at
+    // `threads` finished sooner than the monolithic one.
+    let vs_mono = |groups: usize, threads: usize| {
+        sweep_labeled(format!("mono_g{groups}")).median_wall_secs
+            / sweep_of(groups, threads).median_wall_secs
     };
     let mut sweep_gate_failed = false;
     for &groups in &[8usize, 16] {
@@ -552,7 +578,12 @@ fn main() {
         let s4 = sweep_of(groups, 4).entries_per_sec() / t1.entries_per_sec();
         println!(
             "  G={groups:<2} virtual-time metrics thread-invariant; wall speedup \
-             2t {s2:.2}x, 4t {s4:.2}x"
+             2t {s2:.2}x, 4t {s4:.2}x vs t1-partitioned; \
+             t1 {:.2}x, 2t {:.2}x, 4t {:.2}x vs monolithic (median of {} trials)",
+            vs_mono(groups, 1),
+            vs_mono(groups, 2),
+            vs_mono(groups, 4),
+            trials(),
         );
         if s4 < 1.5 {
             if cores >= 4 {
@@ -1224,8 +1255,18 @@ fn main() {
         .collect();
     let _ = writeln!(
         json,
-        "    \"wall_speedup_vs_1_thread\": {{ {} }}",
+        "    \"wall_speedup_vs_1_thread\": {{ {} }},",
         sweep_speedups.join(", ")
+    );
+    let mono_speedups: Vec<String> = [8usize, 16]
+        .iter()
+        .flat_map(|&g| [1usize, 2, 4].map(|t| format!("\"g{g}_{t}t\": {:.3}", vs_mono(g, t))))
+        .collect();
+    let _ = writeln!(json, "    \"wall_speedup_trials\": {},", trials());
+    let _ = writeln!(
+        json,
+        "    \"wall_speedup_vs_monolithic\": {{ {} }}",
+        mono_speedups.join(", ")
     );
     json.push_str("  },\n");
     json.push_str("  \"rebalance\": {\n");

@@ -102,6 +102,7 @@
 
 mod actor;
 mod delay;
+mod engine;
 mod event;
 mod ids;
 mod metrics;

@@ -11,10 +11,11 @@
 //! # Synchronization protocol (conservative windows)
 //!
 //! Actors are placed onto `P` partitions (the [`Partitioning`] map). Each
-//! partition is a complete sub-kernel: its own bucketed calendar queue, its
-//! own scheduling-sequence counter, its own generation-stamped timer table,
-//! its own metrics and trace, and its own RNG stream (split from the run
-//! seed by partition index). The run alternates two phases:
+//! partition is a complete sub-kernel — an instance of the same dispatch
+//! engine [`Simulation`] runs on (`engine.rs`): its own bucketed calendar
+//! queue, its own scheduling-sequence counter, its own generation-stamped
+//! timer table, its own metrics and trace, and its own RNG stream (split
+//! from the run seed by partition index). The run alternates two phases:
 //!
 //! 1. **Window execution.** Let `T` be the minimum next-event time across
 //!    all partitions and `L` the *lookahead* — a lower bound on every
@@ -84,16 +85,14 @@ use rand::SeedableRng;
 
 use crate::actor::{Actor, AnyActor};
 use crate::delay::DelayModel;
+use crate::engine::{Emitted, Engine};
 use crate::event::EventKind;
 use crate::ids::ActorId;
 use crate::metrics::Metrics;
-use crate::obs::{self, EventBody};
-use crate::queue::{Payload, Scheduled, WheelQueue};
-use crate::sim::{Context, Core, RunOutcome};
+use crate::obs;
+use crate::queue::{Payload, WheelQueue};
+use crate::sim::RunOutcome;
 use crate::time::{Duration, Time};
-
-/// An event staged for another partition: `(arrival time, target, event)`.
-type StagedEvent<M> = (Time, ActorId, EventKind<M>);
 
 /// The actor → partition placement of a [`ParSimulation`].
 ///
@@ -152,195 +151,54 @@ impl Partitioning {
     }
 }
 
-/// One partition's complete sub-kernel: queue, sequence counter, timers,
-/// RNG stream, metrics, trace, actors, and per-destination outboxes.
+/// One partition: a complete dispatch [`Engine`] (queue, sequence counter,
+/// timers, RNG stream, metrics, trace, actors) plus the per-destination
+/// outboxes its cross-partition sends are staged into.
 struct SubKernel<M> {
-    part: u32,
-    core: Core<M>,
-    queue: WheelQueue<M>,
-    seq: u64,
-    now: Time,
-    /// Actor storage, indexed by *global* actor id; `Some` only for actors
-    /// placed on this partition.
-    actors: Vec<Option<Box<dyn AnyActor<M> + Send>>>,
-    /// Crash flags for this partition's actors, global-id indexed.
-    crashed: Vec<bool>,
+    part: usize,
+    engine: Engine<M, dyn AnyActor<M> + Send>,
     /// Events staged for other partitions during the current window, in
     /// emission order, one queue per destination partition.
-    outbox: Vec<Vec<StagedEvent<M>>>,
-    /// Recycled pending-drain buffer (as in the monolithic kernel).
-    pending_scratch: Vec<StagedEvent<M>>,
+    outbox: Vec<Vec<Emitted<M>>>,
 }
 
 impl<M: 'static> SubKernel<M> {
-    fn new(part: u32, parts: usize, rng: StdRng) -> SubKernel<M> {
-        let mut core = Core::new(rng);
+    fn new(part: usize, parts: usize, rng: StdRng) -> SubKernel<M> {
+        let mut engine = Engine::new(rng);
         // Events this sub-kernel records carry its partition index, so a
         // merged stream stays attributable (and deterministically ordered).
-        core.obs.set_partition(part);
+        engine.core.obs.set_partition(part as u32);
         SubKernel {
             part,
-            core,
-            queue: WheelQueue::new(),
-            seq: 0,
-            now: Time::ZERO,
-            actors: Vec::new(),
-            crashed: Vec::new(),
+            engine,
             outbox: (0..parts).map(|_| Vec::new()).collect(),
-            pending_scratch: Vec::new(),
         }
     }
 
-    fn push(&mut self, at: Time, to: ActorId, payload: Payload<M>) {
-        self.seq += 1;
-        self.queue.push(Scheduled {
-            at,
-            seq: self.seq,
-            to,
-            payload,
-        });
-    }
-
-    fn is_crashed(&self, a: ActorId) -> bool {
-        self.crashed.get(a.index()).copied().unwrap_or(false)
-    }
-
-    fn mark_crashed(&mut self, a: ActorId) {
-        if self.crashed.len() <= a.index() {
-            self.crashed.resize(a.index() + 1, false);
-        }
-        self.crashed[a.index()] = true;
-    }
-
-    /// Dispatches every queued event with time `< window_end`, staging
-    /// cross-partition sends into the outboxes. The heart of a window's
-    /// parallel phase; mirrors `Simulation::step`'s optimized path.
+    /// Dispatches every queued event with time `< window_end` — the heart
+    /// of a window's parallel phase. Local sends re-enter the queue,
+    /// remote sends are staged for the barrier merge.
     fn step_window(&mut self, window_end: Time, placement: &[u32], lookahead: Duration) {
-        loop {
-            match self.queue.next_time() {
-                Some(t) if t < window_end => {}
-                _ => return,
-            }
-            let depth = self.queue.len() as u64;
-            if depth > self.core.metrics.peak_queue_len {
-                self.core.metrics.peak_queue_len = depth;
-            }
-            let sched = self.queue.pop().expect("peeked non-empty");
-            debug_assert!(sched.at >= self.now, "partition queue went backwards");
-            self.now = sched.at;
-            self.core.metrics.events_dispatched += 1;
-            self.core.metrics.sample_queue_depth(self.now, depth);
-            match sched.payload {
-                Payload::Crash => {
-                    self.mark_crashed(sched.to);
-                    self.core.metrics.dispatches.crash += 1;
-                    let (now, to) = (self.now, sched.to);
-                    self.core.trace.push(now, to, "CRASH");
-                    self.core.obs.record(now, to, || EventBody::Crash);
-                }
-                Payload::Deliver(ev) => {
-                    if self.is_crashed(sched.to) {
-                        self.core.metrics.dispatches.dropped += 1;
-                        let (now, to) = (self.now, sched.to);
-                        let kind = ev.kind_name();
-                        self.core
-                            .trace
-                            .push_with(now, to, || format!("dropped {kind} (crashed)"));
-                        self.core
-                            .obs
-                            .record(now, to, || EventBody::Dropped { kind });
-                        if let EventKind::Timer { id, .. } = ev {
-                            self.core.retire_timer(id);
-                        }
-                        continue;
-                    }
-                    match &ev {
-                        EventKind::Start => self.core.metrics.dispatches.start += 1,
-                        EventKind::Msg { .. } => self.core.metrics.dispatches.msg += 1,
-                        EventKind::Timer { .. } => self.core.metrics.dispatches.timer += 1,
-                        EventKind::LeaderChange { .. } => self.core.metrics.dispatches.leader += 1,
-                    }
-                    if let EventKind::Timer { id, .. } = ev {
-                        if !self.core.retire_timer(id) {
-                            continue; // cancelled
-                        }
-                        self.core.metrics.timers_fired += 1;
-                    }
-                    if let EventKind::Msg { .. } = ev {
-                        self.core.metrics.messages_delivered += 1;
-                    }
-                    if self.core.trace.is_enabled() {
-                        let line: &'static str = match &ev {
-                            EventKind::Start => "deliver start",
-                            EventKind::Msg { .. } => "deliver msg",
-                            EventKind::Timer { .. } => "deliver timer",
-                            EventKind::LeaderChange { .. } => "deliver leader",
-                        };
-                        let (now, to) = (self.now, sched.to);
-                        self.core.trace.push(now, to, line);
-                    }
-                    if self.core.obs.is_enabled() {
-                        let (now, to) = (self.now, sched.to);
-                        match &ev {
-                            EventKind::Start => self
-                                .core
-                                .obs
-                                .record(now, to, || EventBody::Dispatch { kind: "start" }),
-                            EventKind::Msg { from, .. } => {
-                                let from = *from;
-                                self.core
-                                    .obs
-                                    .record(now, to, || EventBody::Deliver { from });
-                            }
-                            EventKind::Timer { tag, .. } => {
-                                let tag = *tag;
-                                self.core
-                                    .obs
-                                    .record(now, to, || EventBody::TimerFired { tag });
-                            }
-                            EventKind::LeaderChange { leader } => {
-                                let leader = *leader;
-                                self.core
-                                    .obs
-                                    .record(now, to, || EventBody::LeaderChange { leader });
-                            }
-                        }
-                    }
-                    let mut actor = self.actors[sched.to.index()]
-                        .take()
-                        .expect("actor dispatched on wrong partition or re-entrantly");
-                    {
-                        let mut ctx = Context::new(sched.to, self.now, &mut self.core);
-                        actor.on_event(&mut ctx, ev);
-                    }
-                    self.actors[sched.to.index()] = Some(actor);
-                    // Drain effects: local sends re-enter the queue, remote
-                    // sends are staged for the barrier merge.
-                    let mut batch = std::mem::replace(
-                        &mut self.core.pending,
-                        std::mem::take(&mut self.pending_scratch),
+        let SubKernel {
+            part,
+            engine,
+            outbox,
+        } = self;
+        while engine.next_time().is_some_and(|t| t < window_end) {
+            engine.step(WheelQueue::pop, |engine, from, (at, to, ev)| {
+                let dest = placement[to.index()] as usize;
+                if dest == *part {
+                    engine.push(at, to, Payload::Deliver(ev));
+                } else {
+                    assert!(
+                        at >= engine.now() + lookahead,
+                        "cross-partition send {from} -> {to} at {at:?} beats the \
+                         lookahead {lookahead:?}: the partitioning is unsound for \
+                         this delay model",
                     );
-                    for (at, to, ev) in batch.drain(..) {
-                        let dest = placement[to.index()] as usize;
-                        if dest == self.part as usize {
-                            self.push(at, to, Payload::Deliver(ev));
-                        } else {
-                            assert!(
-                                at >= self.now + lookahead,
-                                "cross-partition send {} -> {} at {:?} beats the \
-                                 lookahead {:?}: the partitioning is unsound for \
-                                 this delay model",
-                                sched.to,
-                                to,
-                                at,
-                                lookahead,
-                            );
-                            self.outbox[dest].push((at, to, ev));
-                        }
-                    }
-                    self.pending_scratch = batch;
+                    outbox[dest].push((at, to, ev));
                 }
-            }
+            });
         }
     }
 }
@@ -352,26 +210,40 @@ pub struct ParActors<'a, M> {
     of: &'a [u32],
 }
 
-impl<M: 'static> ParActors<'_, M> {
+impl<'a, M: 'static> ParActors<'a, M> {
+    /// Locks every partition (callers hold no partition lock).
+    fn lock_all(parts: &'a [Mutex<SubKernel<M>>], of: &'a [u32]) -> ParActors<'a, M> {
+        let guards = parts.iter().map(|m| m.lock().expect(UNPOISONED)).collect();
+        ParActors { guards, of }
+    }
+
     /// Downcasts actor `id` to its concrete type for inspection.
     pub fn actor_as<T: 'static>(&self, id: ActorId) -> Option<&T> {
         let part = *self.of.get(id.index())? as usize;
-        self.guards[part]
-            .actors
-            .get(id.index())?
-            .as_ref()?
-            .as_any()
-            .downcast_ref::<T>()
+        self.guards[part].engine.actor_as(id)
     }
 }
+
+/// Why locking a partition cannot fail: a panic inside a window poisons
+/// its partition's mutex, but it also propagates out of
+/// [`ParSimulation::run_until`] before anything locks that partition again.
+const UNPOISONED: &str = "no partition lock is taken after a panicking window";
 
 /// Reusable hybrid barrier: spins briefly (multi-core fast path), then
 /// yields (so oversubscribed runs — more threads than cores — stay
 /// correct, merely slower). Sense-reversing via a generation counter.
+///
+/// A participant that panics never arrives, which would strand the others
+/// forever; each participant therefore holds a [`PoisonOnPanic`] guard,
+/// and [`SpinBarrier::wait`] gives up as soon as the barrier is poisoned.
 struct SpinBarrier {
     n: usize,
     count: AtomicUsize,
     generation: AtomicUsize,
+    /// Set once by a panicking participant. Publishes no data (the panic
+    /// payload travels through the thread join), so any ordering works;
+    /// it rides the Release/Acquire pair the spin loop already uses.
+    poisoned: AtomicBool,
 }
 
 impl SpinBarrier {
@@ -380,24 +252,45 @@ impl SpinBarrier {
             n,
             count: AtomicUsize::new(0),
             generation: AtomicUsize::new(0),
+            poisoned: AtomicBool::new(false),
         }
     }
 
-    fn wait(&self) {
+    /// Waits for all `n` participants; `false` means one of them panicked
+    /// and the caller must stop using the barrier and unwind the run.
+    #[must_use]
+    fn wait(&self) -> bool {
         let generation = self.generation.load(Ordering::Acquire);
         if self.count.fetch_add(1, Ordering::AcqRel) + 1 == self.n {
             self.count.store(0, Ordering::Relaxed);
             self.generation.fetch_add(1, Ordering::Release);
-            return;
+            return true;
         }
         let mut spins = 0u32;
         while self.generation.load(Ordering::Acquire) == generation {
+            if self.poisoned.load(Ordering::Acquire) {
+                return false;
+            }
             spins = spins.saturating_add(1);
             if spins < 128 {
                 std::hint::spin_loop();
             } else {
                 std::thread::yield_now();
             }
+        }
+        true
+    }
+}
+
+/// Held by every barrier participant for as long as it takes part:
+/// unwinding through it poisons the barrier, releasing the other
+/// participants from [`SpinBarrier::wait`].
+struct PoisonOnPanic<'a>(&'a SpinBarrier);
+
+impl Drop for PoisonOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.poisoned.store(true, Ordering::Release);
         }
     }
 }
@@ -429,7 +322,9 @@ enum Ctl {
 ///   monolithic kernel's for the same seed. What is guaranteed is
 ///   invariance in the thread count: for a fixed seed and partitioning,
 ///   runs with 1, 2, or any number of worker threads are bit-identical.
-/// * Delay hooks are unsupported (they could undercut the lookahead).
+/// * Delay hooks are unsupported (they could undercut the lookahead);
+///   the string trace and the schedule-choice hook are likewise
+///   monolithic-kernel instruments with no counterpart here.
 pub struct ParSimulation<M> {
     parts: Vec<Mutex<SubKernel<M>>>,
     plan: Partitioning,
@@ -438,7 +333,7 @@ pub struct ParSimulation<M> {
     started: bool,
     reached: Time,
     /// Merge scratch: staged events collected per destination partition.
-    inbound: Vec<Vec<StagedEvent<M>>>,
+    inbound: Vec<Vec<Emitted<M>>>,
 }
 
 impl<M: Send + 'static> ParSimulation<M> {
@@ -458,11 +353,7 @@ impl<M: Send + 'static> ParSimulation<M> {
                 // SplitMix-style stream separation: partition p's stream is
                 // a function of (seed, p) only, never of the thread count.
                 let stream = seed.wrapping_add((p as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-                Mutex::new(SubKernel::new(
-                    p as u32,
-                    parts,
-                    StdRng::seed_from_u64(stream),
-                ))
+                Mutex::new(SubKernel::new(p, parts, StdRng::seed_from_u64(stream)))
             })
             .collect();
         ParSimulation {
@@ -474,6 +365,17 @@ impl<M: Send + 'static> ParSimulation<M> {
             reached: Time::ZERO,
             inbound: (0..parts).map(|_| Vec::new()).collect(),
         }
+    }
+
+    /// Every partition's engine, in partition order (no run in progress).
+    fn engines(&mut self) -> impl Iterator<Item = &mut Engine<M, dyn AnyActor<M> + Send>> {
+        (self.parts.iter_mut()).map(|k| &mut k.get_mut().expect(UNPOISONED).engine)
+    }
+
+    /// The engine `actor` is placed on.
+    fn engine_of(&mut self, actor: ActorId) -> &mut Engine<M, dyn AnyActor<M> + Send> {
+        let p = self.plan.partition_of(actor);
+        &mut self.parts[p].get_mut().expect(UNPOISONED).engine
     }
 
     /// Sets how many OS threads execute windows (clamped to
@@ -507,11 +409,8 @@ impl<M: Send + 'static> ParSimulation<M> {
         assert!(!self.started, "cannot add actors after the run started");
         let id = self.plan.place(partition);
         let mut boxed: Option<Box<dyn AnyActor<M> + Send>> = Some(Box::new(actor));
-        for (p, kernel) in self.parts.iter_mut().enumerate() {
-            let k = kernel.get_mut().expect("unpoisoned");
-            k.actors
-                .push(if p == partition { boxed.take() } else { None });
-            k.crashed.push(false);
+        for (p, engine) in self.engines().enumerate() {
+            engine.add_slot(if p == partition { boxed.take() } else { None });
         }
         id
     }
@@ -525,32 +424,23 @@ impl<M: Send + 'static> ParSimulation<M> {
     /// every partition. Cross-partition links must never sample below the
     /// lookahead; that is checked per message at staging time.
     pub fn set_default_delay(&mut self, model: DelayModel) {
-        for kernel in &mut self.parts {
-            kernel.get_mut().expect("unpoisoned").core.default_delay = model.clone();
+        for engine in self.engines() {
+            engine.core.default_delay = model.clone();
         }
     }
 
     /// Overrides the delay model of the directed link `from -> to` (the
     /// model is sampled by the *sender's* partition).
     pub fn set_link_delay(&mut self, from: ActorId, to: ActorId, model: DelayModel) {
-        let p = self.plan.partition_of(from);
-        self.parts[p]
-            .get_mut()
-            .expect("unpoisoned")
-            .core
-            .link_overrides
-            .insert((from, to), model);
+        let overrides = &mut self.engine_of(from).core.link_overrides;
+        overrides.insert((from, to), model);
     }
 
     /// Schedules an event for delivery to `to` at `at` (clamped to the
     /// time the run has reached), e.g. scripted Ω announcements.
     pub fn schedule(&mut self, at: Time, to: ActorId, ev: EventKind<M>) {
         let at = at.max(self.reached);
-        let p = self.plan.partition_of(to);
-        self.parts[p]
-            .get_mut()
-            .expect("unpoisoned")
-            .push(at, to, Payload::Deliver(ev));
+        self.engine_of(to).push(at, to, Payload::Deliver(ev));
     }
 
     /// Schedules `actor` to crash at `at`: from that instant it receives
@@ -558,11 +448,7 @@ impl<M: Send + 'static> ParSimulation<M> {
     /// [`crate::Simulation::crash_at`]).
     pub fn crash_at(&mut self, actor: ActorId, at: Time) {
         let at = at.max(self.reached);
-        let p = self.plan.partition_of(actor);
-        self.parts[p]
-            .get_mut()
-            .expect("unpoisoned")
-            .push(at, actor, Payload::Crash);
+        self.engine_of(actor).push(at, actor, Payload::Crash);
     }
 
     /// Announces `leader` to every actor in `targets` at time `at`,
@@ -582,8 +468,8 @@ impl<M: Send + 'static> ParSimulation<M> {
     /// queue peaks maxed, decision/abort instants unioned (earliest wins).
     pub fn merged_metrics(&mut self) -> Metrics {
         let mut merged = Metrics::new();
-        for kernel in &mut self.parts {
-            merged.absorb(&kernel.get_mut().expect("unpoisoned").core.metrics);
+        for engine in self.engines() {
+            merged.absorb(&engine.core.metrics);
         }
         merged
     }
@@ -591,8 +477,8 @@ impl<M: Send + 'static> ParSimulation<M> {
     /// Enables structured event recording (see [`crate::obs`]) on every
     /// partition. Strictly read-only: recording never perturbs the run.
     pub fn enable_obs(&mut self) {
-        for kernel in &mut self.parts {
-            kernel.get_mut().expect("unpoisoned").core.obs.enable();
+        for engine in self.engines() {
+            engine.core.obs.enable();
         }
     }
 
@@ -600,12 +486,7 @@ impl<M: Send + 'static> ParSimulation<M> {
     /// by `(time, partition, per-partition seq)` — identical for any
     /// worker-thread count, since each partition's stream is.
     pub fn take_obs_events(&mut self) -> Vec<obs::Event> {
-        let buffers = self
-            .parts
-            .iter_mut()
-            .map(|k| k.get_mut().expect("unpoisoned").core.obs.take())
-            .collect();
-        obs::merge_events(buffers)
+        obs::merge_events(self.engines().map(|e| e.core.obs.take()).collect())
     }
 
     /// Per-partition peak event-queue depths, indexed by partition. Under
@@ -614,34 +495,18 @@ impl<M: Send + 'static> ParSimulation<M> {
     /// [`ParSimulation::merged_metrics`]' `peak_queue_len` reporting their
     /// max.
     pub fn partition_peak_queue_lens(&mut self) -> Vec<u64> {
-        self.parts
-            .iter_mut()
-            .map(|k| k.get_mut().expect("unpoisoned").core.metrics.peak_queue_len)
-            .collect()
+        (self.engines().map(|e| e.core.metrics.peak_queue_len)).collect()
     }
 
     /// Locks every partition and hands the caller a read view of all
     /// actors (post-run state extraction).
     pub fn with_actors<R>(&mut self, f: impl FnOnce(&ParActors<'_, M>) -> R) -> R {
-        let guards: Vec<MutexGuard<'_, SubKernel<M>>> = self
-            .parts
-            .iter()
-            .map(|m| m.lock().expect("unpoisoned"))
-            .collect();
-        let view = ParActors {
-            guards,
-            of: self.plan.map(),
-        };
-        f(&view)
+        f(&ParActors::lock_all(&self.parts, self.plan.map()))
     }
 
     /// Whether `actor` has crashed.
     pub fn is_crashed(&mut self, actor: ActorId) -> bool {
-        let p = self.plan.partition_of(actor);
-        self.parts[p]
-            .get_mut()
-            .expect("unpoisoned")
-            .is_crashed(actor)
+        self.engine_of(actor).is_crashed(actor)
     }
 
     fn ensure_started(&mut self) {
@@ -651,18 +516,18 @@ impl<M: Send + 'static> ParSimulation<M> {
         self.started = true;
         for i in 0..self.plan.len() {
             let to = ActorId(i as u32);
-            let p = self.plan.partition_of(to);
-            self.parts[p].get_mut().expect("unpoisoned").push(
-                Time::ZERO,
-                to,
-                Payload::Deliver(EventKind::Start),
-            );
+            self.engine_of(to)
+                .push(Time::ZERO, to, Payload::Deliver(EventKind::Start));
         }
     }
 
     /// Runs until the predicate holds (checked at window barriers), every
     /// queue drains, or virtual time passes `max`. The outcome — and every
     /// bit of kernel and actor state — is identical for any thread count.
+    ///
+    /// A panic inside any window (an actor's `assert!`, an undercut
+    /// lookahead) propagates to the caller with its original payload,
+    /// whichever thread it happened on.
     pub fn run_until<F>(&mut self, max: Time, mut pred: F) -> RunOutcome
     where
         F: FnMut(&ParActors<'_, M>) -> bool,
@@ -676,79 +541,71 @@ impl<M: Send + 'static> ParSimulation<M> {
         let plan_of = self.plan.map();
         let inbound = &mut self.inbound;
         let reached = &mut self.reached;
-
-        if threads == 1 {
-            // Same control flow without thread machinery: the parallel
-            // phase degenerates to a partition-order loop, which is
-            // exactly what each worker would do — hence bit-identical.
-            loop {
-                match Self::control(parts, plan_of, inbound, reached, max, lookahead, &mut pred) {
-                    Ctl::Stop(outcome) => return outcome,
-                    Ctl::Window(end) => {
-                        for kernel in parts {
-                            kernel
-                                .lock()
-                                .expect("unpoisoned")
-                                .step_window(end, plan_of, lookahead);
-                        }
-                    }
-                }
-            }
-        }
-
         let ctl = RoundCtl {
             window_end: AtomicU64::new(0),
             stop: AtomicBool::new(false),
             barrier: SpinBarrier::new(threads),
         };
-        std::thread::scope(|scope| {
-            for w in 1..threads {
-                let ctl = &ctl;
-                scope.spawn(move || loop {
-                    // Round start: the coordinator has published the
-                    // window (or the stop flag) before releasing this.
-                    ctl.barrier.wait();
-                    if ctl.stop.load(Ordering::Acquire) {
-                        return;
-                    }
-                    let end = Time(ctl.window_end.load(Ordering::Acquire));
-                    let mut p = w;
-                    while p < parts.len() {
-                        parts[p]
-                            .lock()
-                            .expect("unpoisoned")
-                            .step_window(end, plan_of, lookahead);
-                        p += threads;
-                    }
-                    // Round end: hand the partitions back to the
-                    // coordinator for the barrier merge.
-                    ctl.barrier.wait();
-                });
+        // Worker `w`'s share of one window: partitions w, w + threads, …
+        // Which thread runs a partition is unobservable, so any thread
+        // count (one included: the barrier then never waits) is the same
+        // run.
+        let run_window = |w: usize, end: Time| {
+            for kernel in parts.iter().skip(w).step_by(threads) {
+                let mut k = kernel.lock().expect(UNPOISONED);
+                k.step_window(end, plan_of, lookahead);
             }
+        };
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = (1..threads)
+                .map(|w| {
+                    let (ctl, run_window) = (&ctl, &run_window);
+                    scope.spawn(move || {
+                        let _poison = PoisonOnPanic(&ctl.barrier);
+                        // Round start: the coordinator has published the
+                        // window (or the stop flag) before releasing this.
+                        while ctl.barrier.wait() && !ctl.stop.load(Ordering::Acquire) {
+                            run_window(w, Time(ctl.window_end.load(Ordering::Acquire)));
+                            // Round end: hand the partitions back to the
+                            // coordinator for the barrier merge.
+                            if !ctl.barrier.wait() {
+                                return;
+                            }
+                        }
+                    })
+                })
+                .collect();
             // Coordinator (doubles as worker 0). Workers are parked at the
             // round-start barrier whenever control runs, so locks are free.
-            loop {
+            let poison = PoisonOnPanic(&ctl.barrier);
+            let outcome = loop {
                 match Self::control(parts, plan_of, inbound, reached, max, lookahead, &mut pred) {
                     Ctl::Stop(outcome) => {
                         ctl.stop.store(true, Ordering::Release);
-                        ctl.barrier.wait(); // release workers into their exit
-                        return outcome;
+                        // Release the workers into their exit.
+                        break ctl.barrier.wait().then_some(outcome);
                     }
                     Ctl::Window(end) => {
                         ctl.window_end.store(end.0, Ordering::Release);
-                        ctl.barrier.wait(); // start the round
-                        let mut p = 0;
-                        while p < parts.len() {
-                            parts[p]
-                                .lock()
-                                .expect("unpoisoned")
-                                .step_window(end, plan_of, lookahead);
-                            p += threads;
+                        if !ctl.barrier.wait() {
+                            break None;
                         }
-                        ctl.barrier.wait(); // wait for the round to finish
+                        run_window(0, end);
+                        if !ctl.barrier.wait() {
+                            break None;
+                        }
                     }
                 }
+            };
+            drop(poison);
+            // Joining by hand (rather than letting the scope do it) keeps a
+            // worker's own panic payload instead of the scope's generic one.
+            for worker in workers {
+                if let Err(panic) = worker.join() {
+                    std::panic::resume_unwind(panic);
+                }
             }
+            outcome.expect("the barrier is only poisoned by a panicking worker")
         })
     }
 
@@ -766,7 +623,7 @@ impl<M: Send + 'static> ParSimulation<M> {
     fn control<F>(
         parts: &[Mutex<SubKernel<M>>],
         plan_of: &[u32],
-        inbound: &mut [Vec<StagedEvent<M>>],
+        inbound: &mut [Vec<Emitted<M>>],
         reached: &mut Time,
         max: Time,
         lookahead: Duration,
@@ -778,7 +635,7 @@ impl<M: Send + 'static> ParSimulation<M> {
         // Pass 1: collect every partition's staged events, per destination,
         // in source-partition order (append preserves emission order).
         for kernel in parts {
-            let mut k = kernel.lock().expect("unpoisoned");
+            let mut k = kernel.lock().expect(UNPOISONED);
             for (dest, staged) in inbound.iter_mut().enumerate() {
                 if !k.outbox[dest].is_empty() {
                     staged.append(&mut k.outbox[dest]);
@@ -790,29 +647,19 @@ impl<M: Send + 'static> ParSimulation<M> {
         // minimum next-event time, and advance the reached clock.
         let mut next: Option<Time> = None;
         for (dest, kernel) in parts.iter().enumerate() {
-            let mut k = kernel.lock().expect("unpoisoned");
+            let engine = &mut kernel.lock().expect(UNPOISONED).engine;
             for (at, to, ev) in inbound[dest].drain(..) {
-                k.push(at, to, Payload::Deliver(ev));
+                engine.push(at, to, Payload::Deliver(ev));
             }
-            if let Some(t) = k.queue.next_time() {
+            if let Some(t) = engine.next_time() {
                 next = Some(next.map_or(t, |n: Time| n.min(t)));
             }
-            *reached = (*reached).max(k.now);
+            *reached = (*reached).max(engine.now());
         }
         // Stop checks, in the same order as `Simulation::run_until`:
         // predicate first, then quiescence, then the time budget.
-        {
-            let guards: Vec<MutexGuard<'_, SubKernel<M>>> = parts
-                .iter()
-                .map(|m| m.lock().expect("unpoisoned"))
-                .collect();
-            let view = ParActors {
-                guards,
-                of: plan_of,
-            };
-            if pred(&view) {
-                return Ctl::Stop(RunOutcome::Predicate);
-            }
+        if pred(&ParActors::lock_all(parts, plan_of)) {
+            return Ctl::Stop(RunOutcome::Predicate);
         }
         match next {
             None => Ctl::Stop(RunOutcome::Quiescent),
@@ -839,6 +686,7 @@ impl<M: Send + 'static> std::fmt::Debug for ParSimulation<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sim::Context;
 
     #[derive(Debug, Clone)]
     enum TMsg {
@@ -1082,23 +930,82 @@ mod tests {
         assert!(sim.now() <= Time::from_delays(7));
     }
 
+    /// Runs `sim` on a watchdog thread and returns the message it panicked
+    /// with; a run that neither returns nor panics within five seconds
+    /// (the bug this guards: a panicking window stranding the other
+    /// threads at the barrier) fails the test instead of hanging it.
+    fn panic_message_of(mut sim: ParSimulation<TMsg>) -> String {
+        let (done, finished) = std::sync::mpsc::channel::<()>();
+        let run = std::thread::spawn(move || {
+            let _signal_on_exit = done; // dropped on return *and* on unwind
+            sim.run_to_quiescence(Time::from_delays(100));
+        });
+        let waited = finished.recv_timeout(std::time::Duration::from_secs(5));
+        assert_ne!(
+            waited,
+            Err(std::sync::mpsc::RecvTimeoutError::Timeout),
+            "a panicking window hung the run"
+        );
+        let panic = run.join().expect_err("the run must panic");
+        match panic.downcast::<String>() {
+            Ok(text) => *text,
+            Err(panic) => panic.downcast::<&str>().map_or_else(
+                |_| String::from("<non-string panic>"),
+                |text| (*text).to_string(),
+            ),
+        }
+    }
+
     #[test]
-    #[should_panic(expected = "beats the lookahead")]
     fn undercutting_the_lookahead_is_detected() {
         // Links sample 1 delay but the caller claims a 2-delay lookahead:
-        // the first cross-partition send must panic, not reorder silently.
-        let mut sim: ParSimulation<TMsg> = ParSimulation::new(3, 2, Duration::from_delays(2));
-        let ponger = sim.add_to(1, Ponger { seen: Vec::new() });
+        // the first cross-partition send must panic, not reorder silently
+        // — on the coordinator's own partition here, at any thread count.
+        for threads in [1, 2] {
+            let mut sim: ParSimulation<TMsg> = ParSimulation::new(3, 2, Duration::from_delays(2));
+            let ponger = sim.add_to(1, Ponger { seen: Vec::new() });
+            sim.add_to(
+                0,
+                Pinger {
+                    target: ponger,
+                    rounds: 1,
+                    pongs: Vec::new(),
+                    done_at: None,
+                },
+            );
+            sim.set_threads(threads);
+            let message = panic_message_of(sim);
+            assert!(message.contains("beats the lookahead"), "{message}");
+        }
+    }
+
+    struct Bomb;
+    impl Actor<TMsg> for Bomb {
+        fn on_event(&mut self, _ctx: &mut Context<'_, TMsg>, ev: EventKind<TMsg>) {
+            if let EventKind::Msg { .. } = ev {
+                panic!("bomb went off");
+            }
+        }
+    }
+
+    #[test]
+    fn a_panicking_actor_on_a_worker_partition_fails_the_run() {
+        // Partition 1 runs on the spawned worker at 2 threads, so the
+        // panic starts off the coordinator and must still surface, with
+        // the actor's own message, on the thread that called `run_*`.
+        let mut sim: ParSimulation<TMsg> = ParSimulation::new(3, 2, Duration::DELAY);
+        let bomb = sim.add_to(1, Bomb);
         sim.add_to(
             0,
             Pinger {
-                target: ponger,
+                target: bomb,
                 rounds: 1,
                 pongs: Vec::new(),
                 done_at: None,
             },
         );
-        sim.run_to_quiescence(Time::from_delays(100));
+        sim.set_threads(2);
+        assert_eq!(panic_message_of(sim), "bomb went off");
     }
 
     #[test]

@@ -8,6 +8,7 @@ use rand::SeedableRng;
 
 use crate::actor::{Actor, AnyActor};
 use crate::delay::{CostClass, DelayModel};
+use crate::engine::{Emitted, Engine};
 use crate::event::EventKind;
 use crate::ids::{ActorId, TimerId};
 use crate::metrics::Metrics;
@@ -103,7 +104,7 @@ impl TimerTable {
     }
 
     /// Retires a timer id if it is still live; returns whether it was.
-    fn retire(&mut self, id: TimerId) -> bool {
+    pub(crate) fn retire(&mut self, id: TimerId) -> bool {
         let (slot, gen) = Self::decode(id);
         match self.gens.get_mut(slot as usize) {
             Some(g) if *g == gen => {
@@ -135,7 +136,7 @@ pub(crate) struct Core<M> {
     pub(crate) delay_hook: Option<DelayHook<M>>,
     pub(crate) timers: TimerTable,
     /// Events emitted by the currently-dispatching actor, applied afterwards.
-    pub(crate) pending: Vec<(Time, ActorId, EventKind<M>)>,
+    pub(crate) pending: Vec<Emitted<M>>,
 }
 
 impl<M> Core<M> {
@@ -153,12 +154,6 @@ impl<M> Core<M> {
             pending: Vec::new(),
         }
     }
-
-    /// Retires a timer slot (used by partitioned dispatch when dropping
-    /// events to crashed actors).
-    pub(crate) fn retire_timer(&mut self, id: TimerId) -> bool {
-        self.timers.retire(id)
-    }
 }
 
 /// The handle through which an actor affects the simulated world during one
@@ -170,8 +165,8 @@ pub struct Context<'a, M> {
 }
 
 impl<'a, M> Context<'a, M> {
-    /// Builds the dispatch handle for one event delivery (kernel-internal;
-    /// both the monolithic and the partitioned kernel construct these).
+    /// Builds the dispatch handle for one event delivery (kernel-internal:
+    /// only the dispatch engine constructs these).
     pub(crate) fn new(me: ActorId, now: Time, core: &'a mut Core<M>) -> Context<'a, M> {
         Context { me, now, core }
     }
@@ -391,21 +386,12 @@ pub enum RunOutcome {
 /// assert_eq!(sim.now(), Time::from_delays(2));
 /// ```
 pub struct Simulation<M> {
-    actors: Vec<Option<Box<dyn AnyActor<M>>>>,
-    /// Crash flags, indexed densely by actor.
-    crashed: Vec<bool>,
-    queue: WheelQueue<M>,
-    seq: u64,
-    now: Time,
+    engine: Engine<M, dyn AnyActor<M>>,
     started: bool,
-    /// Recycled buffer that `pending` swaps with during dispatch, so
-    /// dispatch never reallocates it.
-    pending_scratch: Vec<(Time, ActorId, EventKind<M>)>,
     /// Recycled buffer holding the current tick's ripe events while a
     /// choice hook picks among them.
     ripe_scratch: Vec<Scheduled<M>>,
     choice_hook: Option<ChoiceHook<M>>,
-    core: Core<M>,
 }
 
 impl<M: 'static> Simulation<M> {
@@ -413,16 +399,10 @@ impl<M: 'static> Simulation<M> {
     /// synchronous (one-delay) links.
     pub fn new(seed: u64) -> Simulation<M> {
         Simulation {
-            actors: Vec::new(),
-            crashed: Vec::new(),
-            queue: WheelQueue::new(),
-            seq: 0,
-            now: Time::ZERO,
+            engine: Engine::new(StdRng::seed_from_u64(seed)),
             started: false,
-            pending_scratch: Vec::new(),
             ripe_scratch: Vec::new(),
             choice_hook: None,
-            core: Core::new(StdRng::seed_from_u64(seed)),
         }
     }
 
@@ -438,30 +418,29 @@ impl<M: 'static> Simulation<M> {
             !self.started,
             "cannot add actors after the simulation started"
         );
-        let id = ActorId(self.actors.len() as u32);
-        self.actors.push(Some(actor));
-        self.crashed.push(false);
+        let id = ActorId(self.engine.slots() as u32);
+        self.engine.add_slot(Some(actor));
         id
     }
 
     /// Number of registered actors.
     pub fn actor_count(&self) -> usize {
-        self.actors.len()
+        self.engine.slots()
     }
 
     /// Sets the delay model used by links with no per-link override.
     pub fn set_default_delay(&mut self, model: DelayModel) {
-        self.core.default_delay = model;
+        self.engine.core.default_delay = model;
     }
 
     /// Overrides the delay model of the directed link `from -> to`.
     pub fn set_link_delay(&mut self, from: ActorId, to: ActorId, model: DelayModel) {
-        self.core.link_overrides.insert((from, to), model);
+        self.engine.core.link_overrides.insert((from, to), model);
     }
 
     /// Installs a per-message delay override hook (see [`DelayHook`]).
     pub fn set_delay_hook(&mut self, hook: DelayHook<M>) {
-        self.core.delay_hook = Some(hook);
+        self.engine.core.delay_hook = Some(hook);
     }
 
     /// Installs a schedule-choice hook (see [`ChoiceHook`]): on each
@@ -481,43 +460,37 @@ impl<M: 'static> Simulation<M> {
 
     /// Enables event tracing with the given entry cap.
     pub fn enable_trace(&mut self, cap: usize) {
-        self.core.trace.enable(cap);
+        self.engine.core.trace.enable(cap);
     }
 
     /// The recorded trace.
     pub fn trace(&self) -> &Trace {
-        &self.core.trace
+        &self.engine.core.trace
     }
 
     /// Enables structured event recording (see [`crate::obs`]). Strictly
     /// read-only: a recording run is bit-identical to a non-recording one.
     pub fn enable_obs(&mut self) {
-        self.core.obs.enable();
+        self.engine.core.obs.enable();
     }
 
     /// Enables structured recording and streams every event into `sink`
     /// as it is recorded (the in-kernel buffer still fills too).
     pub fn attach_obs_sink(&mut self, sink: Box<dyn TraceSink>) {
-        self.core.obs.attach_sink(sink);
+        self.engine.core.obs.attach_sink(sink);
     }
 
     /// Drains the structured events recorded so far, in recording order.
     pub fn take_obs_events(&mut self) -> Vec<Event> {
-        self.core.obs.take()
+        self.engine.core.obs.take()
     }
 
     /// Schedules an event for delivery to `to` at `at` (clamped to now).
     /// This is how harnesses inject leader-oracle announcements or any
     /// scripted stimulus.
     pub fn schedule(&mut self, at: Time, to: ActorId, ev: EventKind<M>) {
-        let at = at.max(self.now);
-        self.seq += 1;
-        self.queue.push(Scheduled {
-            at,
-            seq: self.seq,
-            to,
-            payload: Payload::Deliver(ev),
-        });
+        let at = at.max(self.now());
+        self.engine.push(at, to, Payload::Deliver(ev));
     }
 
     /// Schedules `actor` to crash at `at`. From that instant the actor
@@ -525,14 +498,8 @@ impl<M: 'static> Simulation<M> {
     /// crashed memory hangs (its clients' outstanding operations never
     /// complete) — exactly the paper's failure semantics.
     pub fn crash_at(&mut self, actor: ActorId, at: Time) {
-        let at = at.max(self.now);
-        self.seq += 1;
-        self.queue.push(Scheduled {
-            at,
-            seq: self.seq,
-            to: actor,
-            payload: Payload::Crash,
-        });
+        let at = at.max(self.now());
+        self.engine.push(at, actor, Payload::Crash);
     }
 
     /// Announces `leader` to every actor in `targets` at time `at`,
@@ -545,40 +512,32 @@ impl<M: 'static> Simulation<M> {
 
     /// Whether `actor` has crashed.
     pub fn is_crashed(&self, actor: ActorId) -> bool {
-        self.crashed.get(actor.index()).copied().unwrap_or(false)
+        self.engine.is_crashed(actor)
     }
 
     /// Current virtual time.
     pub fn now(&self) -> Time {
-        self.now
+        self.engine.now()
     }
 
     /// Run metrics so far.
     pub fn metrics(&self) -> &Metrics {
-        &self.core.metrics
+        &self.engine.core.metrics
     }
 
     /// Live (armed, not yet fired or cancelled) timers, for leak tests.
     pub fn live_timers(&self) -> usize {
-        self.core.timers.live()
+        self.engine.core.timers.live()
     }
 
     /// Downcasts actor `id` to its concrete type for inspection.
     pub fn actor_as<T: 'static>(&self, id: ActorId) -> Option<&T> {
-        self.actors
-            .get(id.index())?
-            .as_ref()?
-            .as_any()
-            .downcast_ref::<T>()
+        self.engine.actor_as(id)
     }
 
     /// Mutable variant of [`Simulation::actor_as`].
     pub fn actor_as_mut<T: 'static>(&mut self, id: ActorId) -> Option<&mut T> {
-        self.actors
-            .get_mut(id.index())?
-            .as_mut()?
-            .as_any_mut()
-            .downcast_mut::<T>()
+        self.engine.actor_as_mut(id)
     }
 
     fn ensure_started(&mut self) {
@@ -586,202 +545,29 @@ impl<M: 'static> Simulation<M> {
             return;
         }
         self.started = true;
-        for i in 0..self.actors.len() {
-            let to = ActorId(i as u32);
-            self.seq += 1;
-            self.queue.push(Scheduled {
-                at: self.now,
-                seq: self.seq,
-                to,
-                payload: Payload::Deliver(EventKind::Start),
-            });
-        }
-    }
-
-    fn mark_crashed(&mut self, actor: ActorId) {
-        if let Some(flag) = self.crashed.get_mut(actor.index()) {
-            *flag = true;
-        } else {
-            // Crash scheduled for an unregistered id: remember it anyway.
-            self.crashed.resize(actor.index() + 1, false);
-            self.crashed[actor.index()] = true;
+        for i in 0..self.engine.slots() {
+            let now = self.now();
+            self.engine
+                .push(now, ActorId(i as u32), Payload::Deliver(EventKind::Start));
         }
     }
 
     /// Dispatches the next event. Returns false if the queue is empty.
     pub fn step(&mut self) -> bool {
         self.ensure_started();
-        let depth = self.queue.len() as u64;
-        if depth > self.core.metrics.peak_queue_len {
-            self.core.metrics.peak_queue_len = depth;
-        }
-        let sched = if self.choice_hook.is_some() {
-            match self.pop_chosen() {
-                Some(s) => s,
-                None => return false,
-            }
-        } else {
-            match self.queue.pop() {
-                Some(s) => s,
-                None => return false,
-            }
-        };
-        self.dispatch(sched, depth);
-        true
-    }
-
-    /// Pops the event a [`ChoiceHook`] selects among everything ripe at
-    /// the next tick. Unchosen alternatives are pushed straight back:
-    /// their bucket is empty, the cursor has already arrived, and they are
-    /// re-inserted in ascending `seq` order, so the bucket stays sorted
-    /// and future pops (and any same-tick events the dispatch emits, which
-    /// get strictly larger seqs) keep the canonical order.
-    fn pop_chosen(&mut self) -> Option<Scheduled<M>> {
-        let t = self.queue.next_time()?;
-        let mut ripe = std::mem::take(&mut self.ripe_scratch);
-        debug_assert!(ripe.is_empty());
-        while self.queue.next_time() == Some(t) {
-            ripe.push(self.queue.pop().expect("next_time promised an event"));
-        }
-        let choices: Vec<Choice<'_, M>> = ripe
-            .iter()
-            .map(|s| Choice {
-                at: s.at,
-                seq: s.seq,
-                to: s.to,
-                payload: match &s.payload {
-                    Payload::Deliver(ev) => ChoicePayload::Deliver(ev),
-                    Payload::Crash => ChoicePayload::Crash,
-                },
-            })
-            .collect();
-        let hook = self.choice_hook.as_mut().expect("pop_chosen without hook");
-        let idx = hook(t, &choices).min(ripe.len() - 1);
-        drop(choices);
-        let chosen = ripe.remove(idx);
-        for rest in ripe.drain(..) {
-            self.queue.push(rest);
-        }
-        self.ripe_scratch = ripe;
-        Some(chosen)
-    }
-
-    /// Applies one popped queue entry: advances time, accounts metrics,
-    /// and runs the crash/deliver logic. `depth` is the queue length
-    /// sampled before the pop.
-    fn dispatch(&mut self, sched: Scheduled<M>, depth: u64) {
-        debug_assert!(sched.at >= self.now, "event queue went backwards");
-        self.now = sched.at;
-        self.core.metrics.events_dispatched += 1;
-        self.core.metrics.sample_queue_depth(self.now, depth);
-        match sched.payload {
-            Payload::Crash => {
-                self.mark_crashed(sched.to);
-                self.core.metrics.dispatches.crash += 1;
-                let (now, to) = (self.now, sched.to);
-                self.core.trace.push(now, to, "CRASH");
-                self.core.obs.record(now, to, || EventBody::Crash);
-            }
-            Payload::Deliver(ev) => {
-                if self.is_crashed(sched.to) {
-                    self.core.metrics.dispatches.dropped += 1;
-                    let (now, to) = (self.now, sched.to);
-                    let kind = ev.kind_name();
-                    self.core
-                        .trace
-                        .push_with(now, to, || format!("dropped {kind} (crashed)"));
-                    self.core
-                        .obs
-                        .record(now, to, || EventBody::Dropped { kind });
-                    // Never-delivered timers still release their slot.
-                    if let EventKind::Timer { id, .. } = ev {
-                        self.core.timers.retire(id);
-                    }
-                    return;
-                }
-                match &ev {
-                    EventKind::Start => self.core.metrics.dispatches.start += 1,
-                    EventKind::Msg { .. } => self.core.metrics.dispatches.msg += 1,
-                    EventKind::Timer { .. } => self.core.metrics.dispatches.timer += 1,
-                    EventKind::LeaderChange { .. } => self.core.metrics.dispatches.leader += 1,
-                }
-                if let EventKind::Timer { id, .. } = ev {
-                    if !self.core.timers.retire(id) {
-                        return;
-                    }
-                    self.core.metrics.timers_fired += 1;
-                }
-                if let EventKind::Msg { .. } = ev {
-                    self.core.metrics.messages_delivered += 1;
-                }
-                if self.core.trace.is_enabled() {
-                    let (now, to) = (self.now, sched.to);
-                    // Static text per event kind: no allocation.
-                    let line: &'static str = match &ev {
-                        EventKind::Start => "deliver start",
-                        EventKind::Msg { .. } => "deliver msg",
-                        EventKind::Timer { .. } => "deliver timer",
-                        EventKind::LeaderChange { .. } => "deliver leader",
-                    };
-                    self.core.trace.push(now, to, line);
-                }
-                if self.core.obs.is_enabled() {
-                    let (now, to) = (self.now, sched.to);
-                    match &ev {
-                        EventKind::Start => self
-                            .core
-                            .obs
-                            .record(now, to, || EventBody::Dispatch { kind: "start" }),
-                        EventKind::Msg { from, .. } => {
-                            let from = *from;
-                            self.core
-                                .obs
-                                .record(now, to, || EventBody::Deliver { from });
-                        }
-                        EventKind::Timer { tag, .. } => {
-                            let tag = *tag;
-                            self.core
-                                .obs
-                                .record(now, to, || EventBody::TimerFired { tag });
-                        }
-                        EventKind::LeaderChange { leader } => {
-                            let leader = *leader;
-                            self.core
-                                .obs
-                                .record(now, to, || EventBody::LeaderChange { leader });
-                        }
-                    }
-                }
-                let mut actor = self.actors[sched.to.index()]
-                    .take()
-                    .expect("actor is being dispatched re-entrantly");
-                {
-                    let mut ctx = Context {
-                        me: sched.to,
-                        now: self.now,
-                        core: &mut self.core,
-                    };
-                    actor.on_event(&mut ctx, ev);
-                }
-                self.actors[sched.to.index()] = Some(actor);
-                // Swap the pending buffer out, drain it, swap it back:
-                // its capacity is reused across every dispatch.
-                let mut batch = std::mem::replace(
-                    &mut self.core.pending,
-                    std::mem::take(&mut self.pending_scratch),
-                );
-                for (at, to, ev) in batch.drain(..) {
-                    self.seq += 1;
-                    self.queue.push(Scheduled {
-                        at,
-                        seq: self.seq,
-                        to,
-                        payload: Payload::Deliver(ev),
-                    });
-                }
-                self.pending_scratch = batch;
-            }
-        }
+        let Simulation {
+            engine,
+            ripe_scratch,
+            choice_hook,
+            ..
+        } = self;
+        engine.step(
+            |queue| match choice_hook {
+                Some(hook) => pop_chosen(queue, ripe_scratch, hook),
+                None => queue.pop(),
+            },
+            |engine, _, (at, to, ev)| engine.push(at, to, Payload::Deliver(ev)),
+        )
     }
 
     /// Runs until the predicate holds (checked between events), the queue
@@ -796,7 +582,7 @@ impl<M: 'static> Simulation<M> {
             if pred(self) {
                 return RunOutcome::Predicate;
             }
-            match self.queue.next_time() {
+            match self.engine.next_time() {
                 None => return RunOutcome::Quiescent,
                 Some(next) if next > max => return RunOutcome::TimeLimit,
                 Some(_) => {
@@ -812,22 +598,50 @@ impl<M: 'static> Simulation<M> {
     }
 }
 
+/// Pops the event a [`ChoiceHook`] selects among everything ripe at the
+/// next tick. Unchosen alternatives are pushed straight back: their
+/// bucket is empty, the cursor has already arrived, and they are
+/// re-inserted in ascending `seq` order, so the bucket stays sorted and
+/// future pops (and any same-tick events the dispatch emits, which get
+/// strictly larger seqs) keep the canonical order.
+fn pop_chosen<M>(
+    queue: &mut WheelQueue<M>,
+    ripe: &mut Vec<Scheduled<M>>,
+    hook: &mut ChoiceHook<M>,
+) -> Option<Scheduled<M>> {
+    let t = queue.next_time()?;
+    debug_assert!(ripe.is_empty());
+    while queue.next_time() == Some(t) {
+        ripe.push(queue.pop().expect("next_time promised an event"));
+    }
+    let choices: Vec<Choice<'_, M>> = ripe
+        .iter()
+        .map(|s| Choice {
+            at: s.at,
+            seq: s.seq,
+            to: s.to,
+            payload: match &s.payload {
+                Payload::Deliver(ev) => ChoicePayload::Deliver(ev),
+                Payload::Crash => ChoicePayload::Crash,
+            },
+        })
+        .collect();
+    let idx = hook(t, &choices).min(ripe.len() - 1);
+    drop(choices);
+    let chosen = ripe.remove(idx);
+    for rest in ripe.drain(..) {
+        queue.push(rest);
+    }
+    Some(chosen)
+}
+
 impl<M: 'static> std::fmt::Debug for Simulation<M> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Simulation")
-            .field("now", &self.now)
-            .field("actors", &self.actors.len())
-            .field(
-                "crashed",
-                &self
-                    .crashed
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &c)| c)
-                    .map(|(i, _)| ActorId(i as u32))
-                    .collect::<Vec<_>>(),
-            )
-            .field("queued", &self.queue.len())
+            .field("now", &self.now())
+            .field("actors", &self.engine.slots())
+            .field("crashed", &self.engine.crashed_ids().collect::<Vec<_>>())
+            .field("queued", &self.engine.queued())
             .finish()
     }
 }
