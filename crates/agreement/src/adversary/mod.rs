@@ -17,6 +17,10 @@
 //! * [`BadHistoryActor`] — speaks the trusted-channel protocol but sends a
 //!   Paxos message its history cannot justify (an `Accept` with no promise
 //!   quorum). The conformance checker must reject it everywhere.
+//! * [`FarFutureLeader`] — a sharded-service group leader that signs a
+//!   batch for a log position 2^40 entries away. Nothing is forged and
+//!   nothing equivocated, so every audit passes; the replicas' density
+//!   bounds must keep one wire from sizing anybody's log.
 //! * [`CqEquivocatingLeader`] — a Byzantine Cheap Quorum leader that writes
 //!   *different signed values* to different replicas of the leader region,
 //!   trying to make followers decide differently. Unanimity (all `n`
@@ -38,6 +42,25 @@ pub struct SilentActor;
 
 impl Actor<Msg> for SilentActor {
     fn on_event(&mut self, _ctx: &mut Context<'_, Msg>, _ev: EventKind<Msg>) {}
+}
+
+/// Signs `wire` as `me`'s `k`-th broadcast and writes it to `me`'s own
+/// slot on every memory — what an adversary that broadcasts *honestly
+/// formatted* wires does, unreplicated-engine style.
+fn broadcast_signed(
+    ctx: &mut Context<'_, Msg>,
+    client: &mut MemoryClient<RegVal, Msg>,
+    signer: &Signer,
+    (me, mems): (Pid, &[ActorId]),
+    k: u64,
+    wire: TWire,
+) {
+    let sig = signer.sign(&wire.sign_view(k));
+    let slot = RegVal::Neb(NebSlot { k, wire, sig });
+    let reg = nebcast::slot_reg(me, k, me);
+    for &mem in mems {
+        client.write(ctx, mem, nebcast::row_region(me), reg, slot.clone());
+    }
 }
 
 /// Tries to equivocate at the broadcast layer: writes signed value `a` to
@@ -300,13 +323,8 @@ impl HistoryRewriter {
     }
 
     fn broadcast(&mut self, ctx: &mut Context<'_, Msg>, k: u64, wire: TWire) {
-        let sig = self.signer.sign(&wire.sign_view(k));
-        let slot = RegVal::Neb(NebSlot { k, wire, sig });
-        let reg = nebcast::slot_reg(self.me, k, self.me);
-        let region = nebcast::row_region(self.me);
-        for mem in self.mems.clone() {
-            self.client.write(ctx, mem, region, reg, slot.clone());
-        }
+        let to = (self.me, &self.mems[..]);
+        broadcast_signed(ctx, &mut self.client, &self.signer, to, k, wire);
     }
 }
 
@@ -496,6 +514,91 @@ impl Actor<Msg> for LogEquivocator {
 impl std::fmt::Debug for LogEquivocator {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "LogEquivocator({})", self.me)
+    }
+}
+
+/// A Byzantine *group leader* that equivocates nothing and forges
+/// nothing: it signs `LogEntries` batches for log positions no dense log
+/// can reach — one at `first = 2^40`, one at `first = u64::MAX` (whose end
+/// does not even fit the instance space) — and claims the first decided
+/// to the router. Both wires pass every broadcast audit, so every correct
+/// follower *delivers* them; a replica that sized its log by the
+/// delivered `first` would allocate terabytes (or overflow) on one wire.
+/// [`crate::smr::ByzSmrNode`] instead ignores any batch that starts
+/// beyond its settled frontier, and its takeover scan ignores wires
+/// beyond what the scan itself could make dense — both counted as
+/// `byz_entries_rejected` in the sharded report. The claim never reaches
+/// the router's `f + 1` quorum, and since it commits nothing real,
+/// scripted Ω failover restores the group's liveness.
+pub struct FarFutureLeader {
+    me: Pid,
+    mems: Vec<ActorId>,
+    /// The router it claims the bogus batch to.
+    router: ActorId,
+    /// The value its bogus batches carry.
+    junk: Value,
+    signer: Signer,
+    client: MemoryClient<RegVal, Msg>,
+}
+
+/// Where [`FarFutureLeader`]'s first bogus batch claims to start: 2^40
+/// eight-byte log slots are 16 TiB.
+pub const FAR_FUTURE_FIRST: u64 = 1 << 40;
+
+impl FarFutureLeader {
+    /// Creates the adversary (install it as its group's initial leader).
+    pub fn new(
+        me: Pid,
+        mems: Vec<ActorId>,
+        router: ActorId,
+        junk: Value,
+        signer: Signer,
+    ) -> FarFutureLeader {
+        FarFutureLeader {
+            me,
+            mems,
+            router,
+            junk,
+            signer,
+            client: MemoryClient::new(),
+        }
+    }
+
+    fn broadcast(&mut self, ctx: &mut Context<'_, Msg>, k: u64, first: u64, values: Vec<Value>) {
+        let wire = crate::smr::byz::log_entries_wire(first, 0, values);
+        let to = (self.me, &self.mems[..]);
+        broadcast_signed(ctx, &mut self.client, &self.signer, to, k, wire);
+    }
+}
+
+impl Actor<Msg> for FarFutureLeader {
+    fn on_event(&mut self, ctx: &mut Context<'_, Msg>, ev: EventKind<Msg>) {
+        match ev {
+            EventKind::Start => {
+                self.broadcast(ctx, 1, FAR_FUTURE_FIRST, vec![self.junk]);
+                self.broadcast(ctx, 2, u64::MAX, vec![self.junk, self.junk]);
+                ctx.send(
+                    self.router,
+                    Msg::Decided {
+                        instance: crate::types::Instance(FAR_FUTURE_FIRST),
+                        value: self.junk,
+                    },
+                );
+            }
+            EventKind::Msg {
+                from,
+                msg: Msg::Mem(wire),
+            } => {
+                let _ = self.client.on_wire(ctx, from, wire);
+            }
+            _ => {}
+        }
+    }
+}
+
+impl std::fmt::Debug for FarFutureLeader {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "FarFutureLeader({})", self.me)
     }
 }
 

@@ -26,6 +26,7 @@ use std::collections::BTreeMap;
 
 use rdma_sim::{
     LegalChange, MemResponse, MemoryActor, MemoryClient, Permission, RegId, RegionId, RegionSpec,
+    Window,
 };
 use simnet::{Actor, ActorId, Context, Duration, EventKind, Time};
 
@@ -114,7 +115,7 @@ pub fn memory_actor(
                     RegionSpec::Pattern {
                         space: spaces::ALN,
                         a: None,
-                        b: Some(p.0 as u64),
+                        b: Some(Window::exact(p.0 as u64)),
                         c: None,
                     },
                     Permission::exclusive_writer(p),

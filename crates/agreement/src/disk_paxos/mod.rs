@@ -23,7 +23,9 @@
 
 use std::collections::BTreeMap;
 
-use rdma_sim::{LegalChange, MemoryActor, MemoryClient, Permission, RegId, RegionId, RegionSpec};
+use rdma_sim::{
+    LegalChange, MemoryActor, MemoryClient, Permission, RegId, RegionId, RegionSpec, Window,
+};
 use simnet::{Actor, ActorId, Context, Duration, EventKind, Time};
 
 use crate::types::{spaces, Ballot, DiskBlock, Instance, Msg, Pid, RegVal, Value};
@@ -50,7 +52,7 @@ pub fn configure_disk(mem: &mut MemoryActor<RegVal, Msg>, procs: &[Pid]) {
             RegionSpec::Pattern {
                 space: spaces::DISK,
                 a: None,
-                b: Some(p.0 as u64),
+                b: Some(Window::exact(p.0 as u64)),
                 c: None,
             },
             Permission::exclusive_writer(p),

@@ -26,7 +26,9 @@
 //!
 //! Footprints over-approximate: a `ReadRange` reads its whole `within`
 //! pattern (the region's own spec is memory-side configuration the wire
-//! does not carry), and `ChangePerm` conflicts with everything on that
+//! does not carry) — for a window-bounded read that is the window, so it
+//! commutes with writes outside it and with reads of disjoint windows —
+//! and `ChangePerm` conflicts with everything on that
 //! memory — permissions gate every other request's Nak-or-apply
 //! outcome.
 //!
@@ -34,7 +36,7 @@
 
 use std::collections::BTreeSet;
 
-use rdma_sim::{MemRequest, MemWire, RegId, RegionSpec};
+use rdma_sim::{MemRequest, MemWire, RegId, RegionSpec, Window};
 use simnet::{ActorId, Choice, ChoicePayload, EventKind};
 
 use crate::types::{Msg, RegVal};
@@ -192,13 +194,17 @@ pub fn may_overlap(a: RegAccess, b: RegAccess) -> bool {
     }
 }
 
-/// Whether two region specs can share a register. Distinct namespaces
-/// and incompatible fixed coordinates are provably disjoint; everything
-/// else is assumed to overlap.
+/// Whether two region specs can share a register. Distinct namespaces,
+/// incompatible fixed coordinates and disjoint `b` windows are provably
+/// disjoint; everything else is assumed to overlap.
 fn specs_may_overlap(p: RegionSpec, q: RegionSpec) -> bool {
     use RegionSpec::*;
     let coord = |x: Option<u64>, y: Option<u64>| match (x, y) {
         (Some(a), Some(b)) => a == b,
+        _ => true,
+    };
+    let window = |x: Option<Window>, y: Option<Window>| match (x, y) {
+        (Some(v), Some(w)) => v.overlaps(&w),
         _ => true,
     };
     match (p, q) {
@@ -219,7 +225,7 @@ fn specs_may_overlap(p: RegionSpec, q: RegionSpec) -> bool {
                 b: b2,
                 c: c2,
             },
-        ) => s1 == s2 && coord(a1, a2) && coord(b1, b2) && coord(c1, c2),
+        ) => s1 == s2 && coord(a1, a2) && window(b1, b2) && coord(c1, c2),
     }
 }
 
@@ -326,6 +332,65 @@ mod tests {
             },
         );
         assert!(!independent(&full, &miss_space));
+    }
+
+    #[test]
+    fn windowed_range_read_conflicts_inside_its_window_only() {
+        let windowed = |start, len| RegionSpec::Pattern {
+            space: 2,
+            a: None,
+            b: Some(Window::span(start, len)),
+            c: Some(1),
+        };
+        let scan = mem_req(
+            1,
+            7,
+            &MemRequest::ReadRange {
+                region: MR,
+                within: Some(windowed(10, 4)),
+            },
+        );
+        assert!(!independent(
+            &scan,
+            &mem_req(2, 7, &write(RegId::new(2, 0, 13, 1)))
+        ));
+        assert!(independent(
+            &scan,
+            &mem_req(3, 7, &write(RegId::new(2, 0, 14, 1)))
+        ));
+        assert!(independent(
+            &scan,
+            &mem_req(4, 7, &write(RegId::new(2, 0, 9, 1)))
+        ));
+        assert!(independent(
+            &scan,
+            &mem_req(5, 7, &write(RegId::new(2, 0, 12, 0)))
+        ));
+        // Receipts carry the high bit: outside every slot window.
+        assert!(independent(
+            &scan,
+            &mem_req(6, 7, &write(RegId::new(2, 0, 12 | 1 << 63, 1)))
+        ));
+        // Pattern against pattern: disjoint windows are provably disjoint,
+        // touching ones are not, and a wildcard `b` overlaps any window.
+        use RegAccess::Pattern;
+        assert!(!may_overlap(
+            Pattern(windowed(10, 4)),
+            Pattern(windowed(14, 4))
+        ));
+        assert!(may_overlap(
+            Pattern(windowed(10, 4)),
+            Pattern(windowed(13, 4))
+        ));
+        assert!(may_overlap(
+            Pattern(windowed(10, 4)),
+            Pattern(RegionSpec::Pattern {
+                space: 2,
+                a: Some(0),
+                b: None,
+                c: None,
+            })
+        ));
     }
 
     #[test]

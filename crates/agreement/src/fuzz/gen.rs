@@ -178,6 +178,7 @@ pub fn budget(sc: &ShardedScenario) -> u64 {
         + sc.byz_silent.len()
         + sc.byz_equivocators.len()
         + sc.byz_receipt_forgers.len()
+        + sc.byz_far_future_leaders.len()
         + sc.migrations.len()
         + usize::from(sc.rebalance.is_some());
     let pacing = if sc.arrival_rate_per_delay > 0.0 {
@@ -216,6 +217,7 @@ mod tests {
                 .iter()
                 .chain(&sc.byz_equivocators)
                 .chain(&sc.byz_receipt_forgers)
+                .chain(&sc.byz_far_future_leaders)
             {
                 assert_eq!(sc.group_modes[g], GroupMode::Byzantine, "seed {seed}");
                 assert!(i < sc.n, "seed {seed}");

@@ -194,7 +194,8 @@ pub fn run_campaign(cfg: &FuzzConfig) -> CampaignReport {
         report.adversary_cases += u64::from(
             !sc.byz_silent.is_empty()
                 || !sc.byz_equivocators.is_empty()
-                || !sc.byz_receipt_forgers.is_empty(),
+                || !sc.byz_receipt_forgers.is_empty()
+                || !sc.byz_far_future_leaders.is_empty(),
         );
         report.migration_cases += u64::from(!sc.migrations.is_empty());
         report.rebalance_cases += u64::from(sc.rebalance.is_some());

@@ -214,6 +214,7 @@ pub fn audit_report(sc: &ShardedScenario, r: &ShardedRunReport) -> Result<(), Vi
     if sc.group_modes.iter().all(|&m| m == GroupMode::CrashPmp)
         && (r.equivocations_blocked != 0
             || r.byz_receipts_rejected != 0
+            || r.byz_entries_rejected != 0
             || r.byz_unconfirmed_claims != 0
             || r.byz_fast_commits != 0
             || r.byz_fast_confirms != 0)

@@ -92,6 +92,13 @@ pub fn to_literal(sc: &ShardedScenario) -> String {
             sc.byz_receipt_forgers
         );
     }
+    if sc.byz_far_future_leaders != d.byz_far_future_leaders {
+        let _ = writeln!(
+            s,
+            "    sc.byz_far_future_leaders = vec!{:?};",
+            sc.byz_far_future_leaders
+        );
+    }
     if sc.byz_pipeline_window != d.byz_pipeline_window {
         let _ = writeln!(
             s,

@@ -27,6 +27,7 @@ pub fn fault_count(sc: &ShardedScenario) -> usize {
         + sc.byz_silent.len()
         + sc.byz_equivocators.len()
         + sc.byz_receipt_forgers.len()
+        + sc.byz_far_future_leaders.len()
         + sc.migrations.len()
         + usize::from(sc.rebalance.is_some())
         + usize::from(sc.disable_session_dedup)
@@ -134,13 +135,22 @@ fn candidates(sc: &ShardedScenario) -> Vec<ShardedScenario> {
         c.announce.retain(|&(ag, _, _)| ag != g);
         out.push(c);
     }
+    for i in 0..sc.byz_far_future_leaders.len() {
+        // Likewise a lying leader of the far-future kind.
+        let mut c = sc.clone();
+        let (g, _) = c.byz_far_future_leaders.remove(i);
+        c.announce.retain(|&(ag, _, _)| ag != g);
+        out.push(c);
+    }
     for i in 0..sc.crash_leaders.len() {
         let mut c = sc.clone();
         let (g, _) = c.crash_leaders.remove(i);
         // Drop the paired announcement unless another fault in the
         // group still needs it.
         if !c.crash_leaders.iter().any(|&(cg, _)| cg == g)
-            && !c.byz_equivocators.iter().any(|&(eg, _)| eg == g)
+            && !(c.byz_equivocators.iter())
+                .chain(&c.byz_far_future_leaders)
+                .any(|&(eg, _)| eg == g)
         {
             c.announce.retain(|&(ag, _, _)| ag != g);
         }

@@ -581,6 +581,14 @@ pub struct ShardedScenario {
     /// [`ShardedRunReport::byz_receipts_rejected`]. Placements must land
     /// in Byzantine-mode groups, not at the initial-leader slot.
     pub byz_receipt_forgers: Vec<(usize, usize)>,
+    /// Adversary injection: `(group, replica index)` slots replaced by a
+    /// leader that signs batches for far-future log positions
+    /// ([`crate::adversary::FarFutureLeader`]). Every audit passes; the
+    /// replicas' density bounds ignore the batches and count them in
+    /// [`ShardedRunReport::byz_entries_rejected`]. Install it at a group's
+    /// initial-leader slot (index 0) and script an Ω announcement to a
+    /// correct replica. Placements must land in Byzantine-mode groups.
+    pub byz_far_future_leaders: Vec<(usize, usize)>,
     /// Record typed observability events ([`simnet::obs::Event`]) during
     /// the run: [`run_sharded_with_events`] returns the merged,
     /// deterministically ordered stream (ready for the exporters in
@@ -644,6 +652,7 @@ impl ShardedScenario {
             byz_silent: Vec::new(),
             byz_equivocators: Vec::new(),
             byz_receipt_forgers: Vec::new(),
+            byz_far_future_leaders: Vec::new(),
             byz_pipeline_window: 1,
             byz_fast_path: false,
             record_events: false,
@@ -743,6 +752,11 @@ pub struct ShardedRunReport {
     pub messages: u64,
     /// Memory operations issued.
     pub mem_ops: u64,
+    /// Rows returned by range reads, summed over every memory's
+    /// responses ([`Metrics::mem_range_rows`]). Divided by the commands
+    /// committed it is exact and flat in the log length when range reads
+    /// are window-bounded — the strict-gateable proxy for scan cost.
+    pub mem_range_rows: u64,
     /// Deepest any kernel event queue got during the run (on the
     /// partitioned kernel: the max across partitions — there is no single
     /// global queue; see `partition_peak_queue_lens` for the breakdown).
@@ -784,6 +798,12 @@ pub struct ShardedRunReport {
     /// summed over every Byzantine-mode replica (0 without a
     /// receipt-forging adversary).
     pub byz_receipts_rejected: u64,
+    /// Byzantine suppression: validly signed batches ignored because they
+    /// started beyond any dense log — deliveries past the receiving
+    /// replica's settled frontier and scanned wires past the takeover
+    /// scan's own size — summed over every Byzantine-mode replica (0
+    /// unless a leader signs a far-future `first`).
+    pub byz_entries_rejected: u64,
     /// Byzantine suppression: commit claims from Byzantine-mode groups
     /// that *never* reached the router's `f + 1` confirmation quorum by
     /// the end of the run — a lying leader's wholly invented commands
@@ -877,6 +897,7 @@ fn validated_workload(scenario: &ShardedScenario) -> sharded::PartitionedWorkloa
         .iter()
         .chain(&scenario.byz_equivocators)
         .chain(&scenario.byz_receipt_forgers)
+        .chain(&scenario.byz_far_future_leaders)
     {
         assert_eq!(
             scenario.mode_of(g),
@@ -1001,6 +1022,7 @@ enum ReplicaBuild {
     Silent,
     Equivocator(Box<LogEquivocator>),
     Forger(Box<crate::adversary::ReceiptForger>),
+    FarFuture(Box<crate::adversary::FarFutureLeader>),
 }
 
 /// Builds one replica of group `g` for a sharded run: the scenario's
@@ -1047,6 +1069,18 @@ fn sharded_replica(
             Value(junk | 1),
             Value(junk | 2),
             Duration::from_delays(4),
+            byz.signers[&procs[i]].clone(),
+        )));
+    }
+    if scenario.byz_far_future_leaders.contains(&(g, i)) {
+        let byz = byz.expect("far-future leader outside a Byzantine deployment");
+        // Junk id in its own band above the client ids (see above).
+        let junk = 1u64 << 42 | (g as u64) << 8;
+        return ReplicaBuild::FarFuture(Box::new(crate::adversary::FarFutureLeader::new(
+            procs[i],
+            mems,
+            topo.router(),
+            Value(junk | 1),
             byz.signers[&procs[i]].clone(),
         )));
     }
@@ -1123,6 +1157,7 @@ struct KernelTotals {
     events_dispatched: u64,
     messages: u64,
     mem_ops: u64,
+    mem_range_rows: u64,
     /// Peak event-queue depth of each partition (one entry on the
     /// monolithic kernel).
     partition_peak_queue_lens: Vec<u64>,
@@ -1135,6 +1170,7 @@ impl KernelTotals {
             events_dispatched: metrics.events_dispatched,
             messages: metrics.messages_sent,
             mem_ops: metrics.mem_ops(),
+            mem_range_rows: metrics.mem_range_rows,
             partition_peak_queue_lens,
         }
     }
@@ -1233,6 +1269,7 @@ fn run_sharded_on<K: ShardedKernel>(
                     ReplicaBuild::Silent => kernel.place(part, crate::adversary::SilentActor),
                     ReplicaBuild::Equivocator(adv) => kernel.place(part, *adv),
                     ReplicaBuild::Forger(adv) => kernel.place(part, *adv),
+                    ReplicaBuild::FarFuture(adv) => kernel.place(part, *adv),
                 };
             debug_assert_eq!(id, expect);
         }
@@ -1358,6 +1395,7 @@ fn reduce_sharded(
         events_dispatched: kernel.events_dispatched,
         messages: kernel.messages,
         mem_ops: kernel.mem_ops,
+        mem_range_rows: kernel.mem_range_rows,
         peak_queue_len: (kernel.partition_peak_queue_lens.iter().copied().max()).unwrap_or(0),
         partition_peak_queue_lens: kernel.partition_peak_queue_lens,
         duplicates_suppressed: sum_over_replicas(|r| r.duplicates_suppressed),
@@ -1370,6 +1408,7 @@ fn reduce_sharded(
         cross_epoch_commits: router.cross_epoch_commits(),
         equivocations_blocked: sum_over_replicas(|r| r.equivocations_blocked),
         byz_receipts_rejected: sum_over_replicas(|r| r.receipts_rejected),
+        byz_entries_rejected: sum_over_replicas(|r| r.entries_rejected),
         byz_unconfirmed_claims: router.byz_unconfirmed_claims(),
         byz_withheld_reports: router.byz_withheld_reports(),
         byz_fast_commits: sum_over_replicas(|r| r.fast_commits),

@@ -43,21 +43,35 @@
 //! (`depth > 1`) the engine therefore spends ops only where they pay:
 //!
 //! * **Row-probe discovery** — the focused sender's row is scanned with a
-//!   single strided range read (one op discovers every written slot, and
-//!   the returned values skip the per-slot read entirely, going straight
-//!   to the copy step).
-//! * **Shared column audit** — one range read over all the sender's
-//!   columns audits every pending copy at once, amortizing the audit
-//!   across the window (the copy-before-audit order each slot needs is
-//!   preserved: a slot is only covered by an audit read issued after its
-//!   copy completed).
+//!   single strided range read (one op discovers every written slot in
+//!   the window, and the returned values skip the per-slot read entirely,
+//!   going straight to the copy step).
+//! * **Shared column audit** — one range read over the sender's columns
+//!   audits every pending copy at once, amortizing the audit across the
+//!   window (the copy-before-audit order each slot needs is preserved: a
+//!   slot is only covered by an audit read issued after its copy
+//!   completed).
+//! * **Window-bounded reads** — both range reads ask for the `k` window
+//!   `[Last[q], Last[q] + 2·depth)` only (an RDMA READ names an address
+//!   and a length, and its cost follows the bytes fetched), never the
+//!   sender's whole history. That is everything the engine can use: every
+//!   slot in flight for `q` lies in `[Last[q], Last[q] + depth)` (slots
+//!   are adopted inside that range and `Last[q]` only grows), so every
+//!   covered `k` is inside the window; a read releases at most those
+//!   `depth` slots before its result is folded in, so the range
+//!   `adopt_row` may admit at completion, `[Last'[q], Last'[q] + depth)`,
+//!   ends by `Last[q] + 2·depth`; and receipts ([`RECEIPT_BIT`]) lie
+//!   outside any such window, as they were skipped before. Detection
+//!   power is unchanged — an audit still reads every process's copy of
+//!   every `(k, q)` column it covers — and a delivery costs the same
+//!   operations whether the log holds ten entries or ten million.
 //! * **Idle-row backoff** — rows that read ⊥ are re-probed with
 //!   exponential backoff (capped), so rows that are idle in steady state
 //!   (followers never broadcast) stop consuming FIFO slots.
 
 use std::collections::{BTreeMap, VecDeque};
 
-use rdma_sim::{MemoryClient, Permission, RegId, RegionId, RegionSpec};
+use rdma_sim::{MemoryClient, Permission, RegId, RegionId, RegionSpec, Window};
 use sigsim::{SigVerifier, Signature, Signer};
 use simnet::Context;
 use swmr::{RepEngine, RepEvent, RepId, RepResult};
@@ -136,6 +150,16 @@ pub struct Delivery {
     pub sig: Signature,
 }
 
+/// One in-flight shared column audit.
+struct ColAudit {
+    rep: RepId,
+    /// `Last[q]` when the read was issued: where its `k` window starts.
+    head: u64,
+    /// The slots it covers; each one's copy completed before the read
+    /// was issued, preserving Algorithm 2's copy-then-audit order.
+    covered: Vec<(u64, NebSlot)>,
+}
+
 enum Attempt {
     ReadSlot(RepId),
     Copy { slot: NebSlot, rep: RepId },
@@ -184,16 +208,14 @@ pub struct NebEngine {
     ready: BTreeMap<(Pid, u64), Delivery>,
     /// Poll ticks seen (the idle-row backoff clock).
     polls: u64,
-    /// Pipelined discovery: at most one in-flight whole-row range read
-    /// per focused sender, replacing per-slot probes.
-    row_probe: BTreeMap<Pid, RepId>,
+    /// Pipelined discovery: at most one in-flight windowed row read per
+    /// focused sender, replacing per-slot probes (with the `Last[q]` its
+    /// window started at).
+    row_probe: BTreeMap<Pid, (RepId, u64)>,
     /// Completed copies awaiting the next shared column audit.
     await_audit: BTreeMap<(Pid, u64), NebSlot>,
-    /// At most one in-flight shared column audit per sender: the read id
-    /// and the slots it covers (each covered slot's copy completed before
-    /// the read was issued, preserving Algorithm 2's copy-then-audit
-    /// order).
-    col_audit: BTreeMap<Pid, (RepId, Vec<(u64, NebSlot)>)>,
+    /// At most one in-flight shared column audit per sender.
+    col_audit: BTreeMap<Pid, ColAudit>,
     /// Idle-row backoff (pipelined mode only): earliest poll tick at
     /// which a sender's row may be probed again, and the current backoff.
     idle_until: BTreeMap<Pid, u64>,
@@ -345,8 +367,8 @@ impl NebEngine {
     /// `while true` loop, paced by the caller's timer).
     pub fn poll(&mut self, ctx: &mut Context<'_, Msg>, client: &mut MemoryClient<RegVal, Msg>) {
         self.polls += 1;
-        for q in self.procs.clone() {
-            self.launch_attempts(ctx, client, q);
+        for i in 0..self.procs.len() {
+            self.launch_attempts(ctx, client, self.procs[i]);
         }
     }
 
@@ -376,6 +398,7 @@ impl NebEngine {
                     .next()
                     .is_some();
             if !busy && !self.row_probe.contains_key(&q) {
+                let head = self.last[&q];
                 let rep = self.rep.read_range(
                     ctx,
                     client,
@@ -383,11 +406,11 @@ impl NebEngine {
                     Some(RegionSpec::Pattern {
                         space: spaces::NEB,
                         a: Some(q.0 as u64),
-                        b: None,
+                        b: Some(self.read_window(head)),
                         c: Some(q.0 as u64),
                     }),
                 );
-                self.row_probe.insert(q, rep);
+                self.row_probe.insert(q, (rep, head));
             }
             self.maybe_launch_audit(ctx, client, q);
             return;
@@ -412,15 +435,23 @@ impl NebEngine {
         self.attempts.insert((q, head), Attempt::ReadSlot(rep));
     }
 
-    /// Adopts the slots returned by a row probe of `q`: every validly
-    /// signed, in-window, not-yet-attempted slot goes straight to the
-    /// copy step (the probe already read its value).
+    /// The `k` window a pipelined range read issued at `Last[q] = head`
+    /// asks for (see the module docs for why `2·depth` slots suffice).
+    fn read_window(&self, head: u64) -> Window {
+        Window::span(head, (self.depth as u64).saturating_mul(2))
+    }
+
+    /// Adopts the slots of `q`'s own row returned by a range read whose
+    /// window started at `issued_head`: every validly signed, in-window,
+    /// not-yet-attempted slot goes straight to the copy step (the read
+    /// already fetched its value).
     fn adopt_row(
         &mut self,
         ctx: &mut Context<'_, Msg>,
         client: &mut MemoryClient<RegVal, Msg>,
         q: Pid,
-        rows: BTreeMap<RegId, RegVal>,
+        issued_head: u64,
+        rows: impl IntoIterator<Item = (RegId, RegVal)>,
     ) {
         if self.blocked.contains_key(&q) {
             return;
@@ -431,10 +462,15 @@ impl NebEngine {
             1
         };
         let head = self.last[&q];
+        debug_assert!(
+            issued_head <= head && head - issued_head <= self.depth as u64,
+            "the read's window [{issued_head}, +2·{}) no longer covers Last[{q}] = {head}",
+            self.depth
+        );
         let covered = |s: &Self, k: u64| {
             s.col_audit
                 .get(&q)
-                .is_some_and(|(_, cov)| cov.iter().any(|&(ck, _)| ck == k))
+                .is_some_and(|audit| audit.covered.iter().any(|&(ck, _)| ck == k))
         };
         for (reg, val) in rows {
             if reg.b & RECEIPT_BIT != 0 {
@@ -470,8 +506,8 @@ impl NebEngine {
     }
 
     /// Issues the shared column audit for `q` if none is in flight and
-    /// copies are waiting: one range read over all of `q`'s columns covers
-    /// every pending slot at once.
+    /// copies are waiting: one range read over the window of `q`'s columns
+    /// covers every pending slot at once.
     fn maybe_launch_audit(
         &mut self,
         ctx: &mut Context<'_, Msg>,
@@ -493,6 +529,7 @@ impl NebEngine {
             .into_iter()
             .map(|k| (k, self.await_audit.remove(&(q, k)).expect("listed above")))
             .collect();
+        let head = self.last[&q];
         let rep = self.rep.read_range(
             ctx,
             client,
@@ -500,11 +537,11 @@ impl NebEngine {
             Some(RegionSpec::Pattern {
                 space: spaces::NEB,
                 a: None,
-                b: None,
+                b: Some(self.read_window(head)),
                 c: Some(q.0 as u64),
             }),
         );
-        self.col_audit.insert(q, (rep, covered));
+        self.col_audit.insert(q, ColAudit { rep, head, covered });
     }
 
     /// Drops every in-flight structure for `q` after it was caught
@@ -569,17 +606,17 @@ impl NebEngine {
             return;
         }
         // Row-probe completions (pipelined discovery).
-        if let Some((&q, _)) = self.row_probe.iter().find(|(_, &r)| r == ev.id) {
+        if let Some((&q, &(_, head))) = self.row_probe.iter().find(|(_, &(r, _))| r == ev.id) {
             self.row_probe.remove(&q);
             if let RepResult::RangeOk(rows) = ev.result {
-                self.adopt_row(ctx, client, q, rows);
+                self.adopt_row(ctx, client, q, head, rows);
             }
             return; // the next poll tick relaunches the probe
         }
         // Shared column-audit completions.
-        if let Some((&q, _)) = self.col_audit.iter().find(|(_, (r, _))| *r == ev.id) {
-            let (_, covered) = self.col_audit.remove(&q).expect("found above");
-            self.on_col_audit(ctx, client, q, covered, ev.result);
+        if let Some((&q, _)) = self.col_audit.iter().find(|(_, a)| a.rep == ev.id) {
+            let audit = self.col_audit.remove(&q).expect("found above");
+            self.on_col_audit(ctx, client, q, audit, ev.result);
             return;
         }
         // Find which delivery attempt this event advances.
@@ -637,7 +674,7 @@ impl NebEngine {
                     Some(RegionSpec::Pattern {
                         space: spaces::NEB,
                         a: None,
-                        b: Some(k),
+                        b: Some(Window::exact(k)),
                         c: Some(q.0 as u64),
                     }),
                 );
@@ -686,17 +723,18 @@ impl NebEngine {
         }
     }
 
-    /// Resolves a completed shared column audit: checks every covered
-    /// slot's column for a validly signed conflicting copy, then releases
-    /// the survivors in sequence order.
+    /// Resolves a completed shared column audit (issued at `Last[q] =
+    /// head`): checks every covered slot's column for a validly signed
+    /// conflicting copy, then releases the survivors in sequence order.
     fn on_col_audit(
         &mut self,
         ctx: &mut Context<'_, Msg>,
         client: &mut MemoryClient<RegVal, Msg>,
         q: Pid,
-        covered: Vec<(u64, NebSlot)>,
+        audit: ColAudit,
         result: RepResult<RegVal>,
     ) {
+        let ColAudit { head, covered, .. } = audit;
         let RepResult::RangeOk(all) = result else {
             // Audit read failed: the covered slots rejoin the queue and
             // the next poll retries.
@@ -709,11 +747,11 @@ impl NebEngine {
             return;
         }
         for (k, slot) in covered {
-            for (reg, other) in &all {
-                if reg.b != k {
-                    continue; // other columns and receipts (RECEIPT_BIT)
-                }
-                let RegVal::Neb(other) = other else { continue };
+            // The `(k, q)` column: one register per process's row.
+            for &i in &self.procs {
+                let Some(RegVal::Neb(other)) = all.get(&slot_reg(i, k, q)) else {
+                    continue;
+                };
                 if other.k == k
                     && other.wire != slot.wire
                     && self
@@ -737,14 +775,12 @@ impl NebEngine {
             );
         }
         self.release_ready(q);
-        // The audit read covered q's whole column space, including q's
-        // own row — adopt any newly written in-window slots from it
-        // directly (audit doubles as discovery).
-        let fresh: BTreeMap<RegId, RegVal> = all
-            .into_iter()
-            .filter(|(reg, _)| reg.a == q.0 as u64 && reg.c == q.0 as u64)
-            .collect();
-        self.adopt_row(ctx, client, q, fresh);
+        // The audit read covered the window of q's whole column space,
+        // including q's own row — adopt any newly written in-window slots
+        // from it directly (audit doubles as discovery).
+        let own_row =
+            (all.into_iter()).filter(|(reg, _)| reg.a == q.0 as u64 && reg.c == q.0 as u64);
+        self.adopt_row(ctx, client, q, head, own_row);
         // Chain the next round of work for q (the row probe if the
         // pipeline drained, and an audit for any copies that completed
         // while this one was in flight).

@@ -85,6 +85,19 @@
 //! for its own broadcasts are ignored outright, and provenance failures
 //! are demoted to unreceipted candidates and counted
 //! ([`ByzSmrNode::receipts_rejected`]).
+//!
+//! A fourth one needs no forgery at all: a **far-future leader**
+//! ([`crate::adversary::FarFutureLeader`]) signs one `LogEntries` wire
+//! whose `first` is astronomically large. It equivocated nothing, so the
+//! broadcast audit passes and every follower delivers it; taken at face
+//! value it would size the log (and a successor's dense recovery plan) by
+//! an attacker-chosen number. The protocol's own shape closes it — **a
+//! correct leader's wires are dense and delivered in per-sender order**,
+//! so a genuine batch never starts beyond the settled frontier of the
+//! replica settling it (`first ≤ slots.len()`), and no instance a dense
+//! log can reach lies beyond the number of values a takeover scan
+//! returned. Batches outside those bounds are ignored — no receipt, no
+//! settle, no allocation — and counted ([`ByzSmrNode::entries_rejected`]).
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -231,6 +244,10 @@ pub struct ByzSmrNode {
     /// receipt crediting a broadcast the claimed broadcaster's self-slot
     /// never made — forged, or racing an equivocation rewrite).
     receipts_rejected: u64,
+    /// Validly signed batches ignored because they started beyond any
+    /// dense log: deliveries past this replica's settled frontier, and
+    /// scanned wires past the scan's own size (see the module docs).
+    entries_rejected: u64,
 }
 
 impl std::fmt::Debug for ByzSmrNode {
@@ -283,6 +300,7 @@ impl ByzSmrNode {
             recover: BTreeMap::new(),
             parked: Vec::new(),
             receipts_rejected: 0,
+            entries_rejected: 0,
         }
     }
 
@@ -342,6 +360,7 @@ impl ByzSmrNode {
             duplicates_suppressed: self.duplicates_suppressed(),
             equivocations_blocked: self.equivocations_blocked(),
             receipts_rejected: self.receipts_rejected(),
+            entries_rejected: self.entries_rejected(),
             fast_commits: self.fast_commits(),
         }
     }
@@ -376,6 +395,13 @@ impl ByzSmrNode {
     /// equivocation rewrite racing a scan).
     pub fn receipts_rejected(&self) -> u64 {
         self.receipts_rejected
+    }
+
+    /// Validly signed batches this replica ignored because they started
+    /// beyond any dense log (see the module docs; 0 unless a Byzantine
+    /// leader signs a far-future `first`).
+    pub fn entries_rejected(&self) -> u64 {
+        self.entries_rejected
     }
 
     /// Batches this node settled via the fast path's write ack (0 unless
@@ -420,9 +446,34 @@ impl ByzSmrNode {
         }
     }
 
+    /// Settles one delivered batch from the Ω-current leader and
+    /// acknowledges it with a receipt — the durable mark a correct process
+    /// *accepted* the wire. A batch starting beyond this replica's settled
+    /// frontier is neither: every correct leader's wires are dense and
+    /// reach here in per-sender order, so only a Byzantine leader signs
+    /// one, and settling it would size the log by a number the attacker
+    /// chose. It is counted and otherwise ignored. Returns whether the
+    /// batch was accepted.
+    fn accept(
+        &mut self,
+        ctx: &mut Context<'_, Msg>,
+        d: &nebcast::Delivery,
+        first: u64,
+        values: &[Value],
+    ) -> bool {
+        if first > self.core.slots.len() as u64 {
+            debug_assert!(d.from != self.me, "own wire k={} is not dense", d.k);
+            self.entries_rejected += 1;
+            ctx.note_with(|| format!("byz-smr: ignored {}'s batch at far-future {first}", d.from));
+            return false;
+        }
+        self.neb.acknowledge(ctx, &mut self.client, d);
+        self.apply_entries(ctx, first, values);
+        true
+    }
+
     /// Handles one broadcast delivery: entries from the Ω-current leader
-    /// settle (and are acknowledged with a receipt — the durable mark a
-    /// correct process *accepted* the wire); everything else is parked
+    /// settle (see [`ByzSmrNode::accept`]); everything else is parked
     /// unacknowledged (a deposed leader's stragglers, or a new leader's
     /// wires arriving before its announcement).
     fn on_delivery(&mut self, ctx: &mut Context<'_, Msg>, d: nebcast::Delivery) {
@@ -436,7 +487,6 @@ impl ByzSmrNode {
             self.parked.push(d);
             return;
         }
-        let values = values.clone();
         if d.from == self.me {
             // The pipeline's overlap, per stage: the leader's own wire
             // came back around (read-only mark; see `crate::spans`).
@@ -444,8 +494,9 @@ impl ByzSmrNode {
                 ctx.obs_mark(v.0, crate::spans::STAGE_DELIVER, first + j as u64);
             }
         }
-        self.neb.acknowledge(ctx, &mut self.client, &d);
-        self.apply_entries(ctx, first, &values);
+        if !self.accept(ctx, &d, first, values) {
+            return;
+        }
         // Self-delivery completes the slot's proposal: the batch is
         // committed (any correct replica's audit now intersects ours).
         // Retirement stays in broadcast order behind earlier slots.
@@ -504,6 +555,10 @@ impl ByzSmrNode {
         };
         slot.delivered = true;
         let (first, values) = (slot.first, slot.values.clone());
+        debug_assert!(
+            first <= self.core.slots.len() as u64,
+            "own wire k={k} is not dense"
+        );
         self.fast_commits += 1;
         for (j, v) in values.iter().enumerate() {
             ctx.obs_mark(v.0, crate::spans::STAGE_DELIVER, first + j as u64);
@@ -525,9 +580,7 @@ impl ByzSmrNode {
                 else {
                     continue;
                 };
-                let values = values.clone();
-                self.neb.acknowledge(ctx, &mut self.client, &d);
-                self.apply_entries(ctx, first, &values);
+                self.accept(ctx, &d, first, values);
             } else {
                 self.parked.push(d);
             }
@@ -622,8 +675,21 @@ impl ByzSmrNode {
         // forging receipts with a colluding leader's double-signature:
         // the signature verifies, but no matching self-slot exists.
         let mut self_slots: BTreeMap<(u32, u64), nebcast::NebSlot> = BTreeMap::new();
+        // The same pass bounds how far a dense log can reach: every
+        // instance below a genuine wire's `first` was settled by a correct
+        // replica (this one, or one whose majority-written audit copy or
+        // own broadcast the scan's quorum intersects) or broadcast earlier
+        // by the same correct leader, so it is carried by a scanned row —
+        // `first` cannot exceed the values the scan returned plus what is
+        // settled here. A Byzantine leader's far-future `first` does, and
+        // would otherwise size the recovery plan below.
+        let settled_top = self.core.slots.len() as u64;
+        let mut dense_cap = settled_top;
         for (reg, val) in &rows {
             let RegVal::Neb(slot) = val else { continue };
+            if let RbPayload::LogEntries { values, .. } = &slot.wire.payload {
+                dense_cap = dense_cap.saturating_add(values.len() as u64);
+            }
             if reg.b & RECEIPT_BIT != 0 || reg.a != reg.c {
                 continue;
             }
@@ -680,6 +746,10 @@ impl ByzSmrNode {
             else {
                 continue;
             };
+            if *first > dense_cap || first.checked_add(values.len() as u64).is_none() {
+                self.entries_rejected += 1;
+                continue;
+            }
             max_epoch = max_epoch.max(*epoch);
             for (j, &v) in values.iter().enumerate() {
                 let cand = Candidate {
@@ -704,7 +774,6 @@ impl ByzSmrNode {
         // other correct settle); scan candidates fill the rest; holes
         // below the frontier become explicit no-op fillers so follower
         // prefixes can always close.
-        let settled_top = self.core.slots.len() as u64;
         let scanned_top = best.keys().next_back().map_or(0, |&i| i + 1);
         let top = settled_top.max(scanned_top);
         self.recover.clear();
@@ -717,7 +786,8 @@ impl ByzSmrNode {
             self.recover.insert(i, v);
         }
         self.next_instance = top;
-        self.epoch = max_epoch + 1;
+        // Saturating: a scanned wire may carry any epoch its signer chose.
+        self.epoch = max_epoch.saturating_add(1);
     }
 }
 
@@ -983,6 +1053,56 @@ mod tests {
             node.recover.get(&0),
             Some(&Value(100)),
             "the genuinely receipted value must keep instance 0"
+        );
+    }
+
+    /// The takeover scan's density bound, pinned directly: validly signed
+    /// wires that start beyond anything the scan could make dense — or
+    /// whose end overflows the instance space — are counted and ignored,
+    /// so the recovery plan is sized by the genuine wires alone; and an
+    /// epoch at the top of its range cannot overflow the new one.
+    #[test]
+    fn far_future_scanned_wires_are_rejected_and_cannot_size_the_plan() {
+        let procs: Vec<Pid> = (0..3).map(ActorId).collect();
+        let mems: Vec<ActorId> = (3..6).map(ActorId).collect();
+        let mut auth = SigAuthority::new(13 ^ 0xB12A);
+        let s0 = auth.register(ActorId(0));
+        let _s1 = auth.register(ActorId(1));
+        let s2 = auth.register(ActorId(2));
+        let mut node = ByzSmrNode::new(
+            ActorId(2),
+            procs,
+            mems,
+            ActorId(0),
+            Vec::new(),
+            s2,
+            auth.verifier(),
+            Duration::from_delays(1),
+        );
+        let mut rows = BTreeMap::new();
+        let mut put = |k, first, epoch, values: Vec<u64>| {
+            let values = values.into_iter().map(Value).collect();
+            rows.insert(
+                nebcast::slot_reg(ActorId(0), k, ActorId(0)),
+                log_wire(&s0, k, first, epoch, values),
+            );
+        };
+        put(1, 0, 0, vec![100, 101]);
+        put(2, 1 << 40, 0, vec![666]);
+        put(3, u64::MAX, 0, vec![666, 667]);
+        put(4, 2, u64::MAX, vec![102]);
+        node.adopt(rows);
+        assert_eq!(node.entries_rejected(), 2, "exactly the two bogus wires");
+        let plan: Vec<(u64, Value)> = node.recover.iter().map(|(&i, &v)| (i, v)).collect();
+        assert_eq!(
+            plan,
+            vec![(0, Value(100)), (1, Value(101)), (2, Value(102))]
+        );
+        assert_eq!(node.next_instance, 3);
+        assert_eq!(
+            node.epoch,
+            u64::MAX,
+            "epoch saturates instead of overflowing"
         );
     }
 

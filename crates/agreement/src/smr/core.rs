@@ -34,6 +34,9 @@ pub struct ReplicaState {
     pub equivocations_blocked: u64,
     /// Receipts that failed the takeover provenance check (Byzantine mode).
     pub receipts_rejected: u64,
+    /// Validly signed batches ignored because they started beyond any
+    /// dense log (Byzantine mode; see `ByzSmrNode::entries_rejected`).
+    pub entries_rejected: u64,
     /// Batches settled at the fast path's write ack (Byzantine mode).
     pub fast_commits: u64,
 }
@@ -241,9 +244,15 @@ impl LogCore {
     /// Applies a contiguous decided run `first .. first + values.len()`
     /// in one pass: one log resize, one decided-prefix walk for the whole
     /// batch. Slots already decided are skipped, exactly as per-entry
-    /// [`LogCore::settle`] would. Returns true if anything was new.
+    /// [`LogCore::settle`] would. Returns true if anything was new. A run
+    /// whose end is not a representable index settles nothing (`first`
+    /// may come off the wire; Byzantine-mode callers bound it before they
+    /// get here, see [`ByzSmrNode`](super::ByzSmrNode)).
     pub fn settle_many(&mut self, now: Time, first: u64, values: &[Value]) -> bool {
-        let end = first as usize + values.len();
+        let Some(end) = (usize::try_from(first).ok()).and_then(|f| f.checked_add(values.len()))
+        else {
+            return false;
+        };
         if end > self.slots.len() {
             self.slots.resize(end, None);
         }
@@ -285,6 +294,15 @@ mod tests {
         // First decision wins.
         assert!(!c.settle(Time(4), 1, Value(99)));
         assert_eq!(c.decided(1), Some(Value(20)));
+    }
+
+    #[test]
+    fn settle_many_refuses_an_unrepresentable_run() {
+        let mut c = LogCore::new(Vec::new());
+        assert!(!c.settle_many(Time(1), u64::MAX, &[Value(1), Value(2)]));
+        assert!(c.slots.is_empty() && c.decided_at.is_empty());
+        assert!(c.settle_many(Time(2), 0, &[Value(1), Value(2)]));
+        assert_eq!(c.log(), vec![Value(1), Value(2)]);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! replicated-log workload, the sharded multi-group log service at
 //! G ∈ {1, 4, 16, 64}, the RDMA cost-model sweep (verb-cost grid ×
 //! doorbell batch size), and a kernel queue-stress microbench, then writes
-//! machine-readable `BENCH_PR14.json` at the repo root — and gates against
+//! machine-readable `BENCH_PR15.json` at the repo root — and gates against
 //! the newest prior `BENCH_PR*.json` (same workload size): >10% worsening
 //! of a deterministic virtual-time metric or >50% wall-clock entries/sec
 //! drop exits non-zero; wall-clock drops of 10–50% warn in every mode
@@ -24,6 +24,10 @@
 //!   queue-stress gossip where tens of thousands of events are in flight.
 //! * **allocs/event** — global allocations per dispatched event, the
 //!   zero-alloc-dispatch proxy.
+//! * **range rows/cmd** — rows returned by range reads per committed
+//!   command (`byz_log_scaling`): exact, machine-independent, and flat in
+//!   the log length as long as the Byzantine engine's reads stay
+//!   window-bounded — gated like a virtual-time metric.
 //!
 //! (Earlier snapshots also measured the retired pre-overhaul `Legacy`
 //! kernel profile; its labels simply stop appearing from PR 6 on, which
@@ -50,7 +54,7 @@ use simnet::{
 };
 
 /// This snapshot's PR number (names the output file and anchors the gate).
-const PR: u32 = 14;
+const PR: u32 = 15;
 
 /// Allocation-counting wrapper around the system allocator.
 struct CountingAlloc;
@@ -929,6 +933,48 @@ fn main() {
         "byz_pipeline: the fast path never engaged in the headline config"
     );
 
+    // Log-length independence of the Byzantine steady state (new in
+    // PR 15): the repository benchmark's `byz_pipeline` shape at three log
+    // lengths. Every range read of the pipelined engine is bounded to the
+    // `k` window it can use, so allocations and range rows *per command*
+    // must not grow with the log (they grew ~linearly — 423 / 827 / 1356
+    // allocations per command at 1 500 / 3 000 / 5 000 — while audits
+    // fetched the sender's whole history). Exact counts, no wall clock.
+    println!(
+        "\nperf_snapshot: Byzantine log scaling (G=1, batch=8, window=64, pipeline 8 + fast path)"
+    );
+    let log_scaling: Vec<MeasuredShard> = [1_500usize, 3_000, 6_000]
+        .iter()
+        .map(|&n| {
+            let mut sc = ShardedScenario::common_case(1, 3, 3, 5);
+            sc.total_cmds = n;
+            sc.batch = 8;
+            sc.window = 64;
+            sc.group_modes = vec![GroupMode::Byzantine];
+            sc.byz_pipeline_window = 8;
+            sc.byz_fast_path = true;
+            sc.max_delays = 40 * n as u64 + 10_000;
+            measure_scenario(format!("byz_log_scaling_{n}"), &sc)
+        })
+        .collect();
+    let per_cmd = |count: u64, m: &MeasuredShard| count as f64 / m.report.committed as f64;
+    for m in &log_scaling {
+        println!(
+            "  {:<22} {:>8.2} allocs/cmd {:>7.3} range rows/cmd {:>7.3} cmds/delay",
+            m.label,
+            per_cmd(m.allocs, m),
+            per_cmd(m.report.mem_range_rows, m),
+            m.report.committed_per_delay,
+        );
+    }
+    let scaling_ratio = per_cmd(log_scaling[2].allocs, &log_scaling[2])
+        / per_cmd(log_scaling[0].allocs, &log_scaling[0]);
+    println!("  allocs/cmd at 6000 over 1500 commands: {scaling_ratio:.3}x (target ≤1.25x)");
+    assert!(
+        scaling_ratio <= 1.25,
+        "byz_log_scaling: allocations per command grow with the log ({scaling_ratio:.3}x from 1500 to 6000 commands)"
+    );
+
     // Observability (new in PR 7): the same G=4 crash and Byzantine
     // services with command-lifecycle span recording switched on. Two
     // quantities: the per-stage latency histograms (where the Byzantine
@@ -1357,6 +1403,36 @@ fn main() {
         json,
         "    \"w1_conservative_gap_vs_crash\": {:.3}",
         pipe_gap(&pipe[0])
+    );
+    json.push_str("  },\n");
+    json.push_str("  \"byz_log_scaling\": {\n");
+    json.push_str(
+        "    \"shape\": \"G=1 Byzantine, n=3, m=3, batch 8, router window 64, pipeline window 8, fast path\",\n",
+    );
+    json.push_str("    \"configs\": [\n");
+    let rows: Vec<String> = log_scaling
+        .iter()
+        .map(|m| {
+            format!(
+                "      {{ \"label\": \"{}\", \"entries\": {}, \"committed_per_delay\": {:.3}, \"elapsed_delays\": {:.1}, \"events_dispatched\": {}, \"mem_ops\": {}, \"allocations\": {}, \"allocs_per_cmd\": {:.3}, \"range_rows\": {}, \"range_rows_per_cmd\": {:.3} }}",
+                m.label,
+                m.report.committed,
+                m.report.committed_per_delay,
+                m.report.elapsed_delays,
+                m.report.events_dispatched,
+                m.report.mem_ops,
+                m.allocs,
+                per_cmd(m.allocs, m),
+                m.report.mem_range_rows,
+                per_cmd(m.report.mem_range_rows, m),
+            )
+        })
+        .collect();
+    json.push_str(&rows.join(",\n"));
+    json.push_str("\n    ],\n");
+    let _ = writeln!(
+        json,
+        "    \"allocs_per_cmd_6000_over_1500\": {scaling_ratio:.3}"
     );
     json.push_str("  },\n");
     json.push_str("  \"observability\": {\n");

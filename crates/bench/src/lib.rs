@@ -126,11 +126,14 @@ pub mod gate {
     /// best-of-N trial to compare noise floors). `committed_per_delay` and
     /// `delays_per_entry` are *virtual-time* quantities — deterministic
     /// per seed and identical on every machine — so any change there is a
-    /// real schedule regression, never noise.
-    const GATED_METRICS: [(&str, bool); 3] = [
+    /// real schedule regression, never noise. `range_rows_per_cmd` (rows
+    /// returned by range reads per committed command) is an exact count
+    /// of the same kind: it moves only when a read starts fetching more.
+    const GATED_METRICS: [(&str, bool); 4] = [
         ("entries_per_sec", true),
         ("committed_per_delay", true),
         ("delays_per_entry", false),
+        ("range_rows_per_cmd", false),
     ];
 
     /// Labels present in `prior` but missing from `current`: measured

@@ -40,5 +40,5 @@ pub use client::{Completion, MemoryClient};
 pub use memory::MemoryActor;
 pub use perm::{LegalChange, LegalChangeFn, PermSet, Permission};
 pub use reg::RegId;
-pub use region::{RegionId, RegionSpec};
+pub use region::{RegionId, RegionSpec, Window};
 pub use wire::{MemEmbed, MemRequest, MemResponse, MemWire, OpId};

@@ -9,7 +9,7 @@
 //!
 //! [`Simulation::crash_at`]: simnet::Simulation::crash_at
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::marker::PhantomData;
 
@@ -17,7 +17,7 @@ use simnet::{Actor, ActorId, Context, EventKind};
 
 use crate::perm::{LegalChange, Permission};
 use crate::reg::RegId;
-use crate::region::{RegionId, RegionSpec};
+use crate::region::{RegionId, RegionSpec, Window};
 use crate::wire::{MemEmbed, MemRequest, MemResponse, MemWire};
 
 /// A simulated memory with registers, regions and permissions.
@@ -27,16 +27,20 @@ use crate::wire::{MemEmbed, MemRequest, MemResponse, MemWire};
 pub struct MemoryActor<V, M> {
     regions: BTreeMap<RegionId, (RegionSpec, Permission)>,
     /// Hash-indexed register store: writes are the per-log-entry hot path,
-    /// so O(1) insert beats ordered storage. Range reads (rare: takeover
-    /// scans) sort their rows, preserving the deterministic RegId-ordered
-    /// responses an ordered map used to give.
+    /// so O(1) insert beats ordered storage (an ordered store costs the
+    /// crash path a node allocation every few writes; ARCHITECTURE.md has
+    /// the numbers). Un-windowed range reads (takeover scans, the
+    /// single-shot protocols' instance scans) filter the whole map, clone
+    /// each matching row once and sort, so responses come back in `RegId`
+    /// order.
     registers: HashMap<RegId, V>,
-    /// Scratch buffer for assembling range-read rows (the swmr
-    /// scratch-pool pattern): matching rows are collected and sorted here,
-    /// whose capacity persists across scans, then cloned once into the
-    /// wire payload — a single exact-size allocation per scan instead of
-    /// the collect-and-grow churn of building the payload directly.
-    row_scratch: Vec<(RegId, V)>,
+    /// Ordered index of the written keys, serving *windowed* range reads
+    /// (`within` pins a `b` window) in O(matches · log n) instead of a
+    /// full-table scan. Absent until this memory answers its first
+    /// windowed read, which builds it from `registers`; every write after
+    /// that keeps it current. A memory that is never asked (the crash
+    /// path) never pays for it.
+    index: Option<BTreeSet<RegId>>,
     legal: LegalChange,
     _msg: PhantomData<M>,
 }
@@ -62,7 +66,7 @@ where
         MemoryActor {
             regions: BTreeMap::new(),
             registers: HashMap::new(),
-            row_scratch: Vec::new(),
+            index: None,
             legal,
             _msg: PhantomData,
         }
@@ -102,6 +106,9 @@ where
             },
             MemRequest::Write { region, reg, value } => match self.regions.get(&region) {
                 Some((spec, perm)) if spec.contains(reg) && perm.allows_write(from) => {
+                    if let Some(index) = &mut self.index {
+                        index.insert(reg);
+                    }
                     self.registers.insert(reg, value);
                     MemResponse::Ack
                 }
@@ -111,6 +118,12 @@ where
                 Some((spec, perm))
                     if perm.allows_write(from) && writes.iter().all(|(r, _)| spec.contains(*r)) =>
                 {
+                    // The index is brought up to date before the insert
+                    // loop, not inside it: a branch in that loop costs the
+                    // crash path's batched writes ~15 % of a whole run.
+                    if let Some(index) = &mut self.index {
+                        index.extend(writes.iter().map(|(reg, _)| *reg));
+                    }
                     for (reg, value) in writes {
                         self.registers.insert(reg, value);
                     }
@@ -120,20 +133,37 @@ where
             },
             MemRequest::ReadRange { region, within } => match self.regions.get(&region) {
                 Some((spec, perm)) if perm.allows_read(from) => {
-                    let rows = &mut self.row_scratch;
-                    rows.clear();
-                    rows.extend(
-                        self.registers
-                            .iter()
-                            .filter(|(r, _)| {
-                                spec.contains(**r) && within.is_none_or(|w| w.contains(**r))
-                            })
-                            .map(|(r, v)| (*r, v.clone())),
-                    );
-                    // RegId order, as the ordered register store used to
-                    // produce: responses stay deterministic.
-                    rows.sort_unstable_by_key(|(r, _)| *r);
-                    MemResponse::Range(rows.clone())
+                    let hit = |r: RegId| spec.contains(r) && within.is_none_or(|w| w.contains(r));
+                    let rows = match within {
+                        Some(RegionSpec::Pattern {
+                            space,
+                            a,
+                            b: Some(window),
+                            ..
+                        }) => {
+                            let registers = &self.registers;
+                            let index = self
+                                .index
+                                .get_or_insert_with(|| registers.keys().copied().collect());
+                            // Index order is `RegId` order: no sort.
+                            let mut rows = Vec::new();
+                            scan_window(index, space, a, window, |r| {
+                                if hit(r) {
+                                    rows.push((r, registers[&r].clone()));
+                                }
+                            });
+                            rows
+                        }
+                        _ => {
+                            let mut rows: Vec<(RegId, V)> = (self.registers.iter())
+                                .filter(|(r, _)| hit(**r))
+                                .map(|(r, v)| (*r, v.clone()))
+                                .collect();
+                            rows.sort_unstable_by_key(|(r, _)| *r);
+                            rows
+                        }
+                    };
+                    MemResponse::Range(rows)
                 }
                 _ => MemResponse::Nak,
             },
@@ -152,6 +182,43 @@ where
     }
 }
 
+/// Visits the keys of `index` in `space` whose `b` lies in `window` and
+/// whose `a` is the given one (every `a` when `None`), in `RegId` order —
+/// a skip-scan: one seek per distinct `a`, then a walk over that row's
+/// window, so the cost is O((rows + matches) · log n) however many
+/// registers lie outside the window.
+fn scan_window(
+    index: &BTreeSet<RegId>,
+    space: u16,
+    a: Option<u64>,
+    window: Window,
+    mut visit: impl FnMut(RegId),
+) {
+    let mut row = a.unwrap_or(0);
+    loop {
+        // Where the walk leaves this row decides the next seek.
+        let mut next_row = None;
+        for &r in index.range(RegId::new(space, row, window.start(), 0)..) {
+            if r.space != space {
+                break;
+            }
+            if r.a != row {
+                next_row = Some(r.a);
+                break;
+            }
+            if !window.contains(r.b) {
+                next_row = row.checked_add(1);
+                break;
+            }
+            visit(r);
+        }
+        match next_row {
+            Some(next) if a.is_none() => row = next,
+            _ => return,
+        }
+    }
+}
+
 impl<V, M> Actor<M> for MemoryActor<V, M>
 where
     V: Clone + fmt::Debug + 'static,
@@ -165,6 +232,9 @@ where
             return;
         };
         let resp = self.handle(from, req);
+        if let MemResponse::Range(rows) = &resp {
+            ctx.metrics().mem_range_rows += rows.len() as u64;
+        }
         let class = resp.cost_class();
         ctx.send_classed(from, M::from_wire(MemWire::Resp { op, resp }), class);
     }

@@ -20,6 +20,47 @@ impl fmt::Debug for RegionId {
     }
 }
 
+/// A half-open window `[start, start + len)` on one register coordinate.
+///
+/// The one form a [`RegionSpec::Pattern`] pins its `b` coordinate with:
+/// an exact coordinate `k` is the width-1 window `[k, k + 1)`
+/// ([`Window::exact`]). Stored as start and length, so a window reaching
+/// the top of the coordinate space needs no `u64::MAX + 1` end point.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct Window {
+    start: u64,
+    len: u64,
+}
+
+impl Window {
+    /// The width-1 window holding exactly `k`.
+    pub fn exact(k: u64) -> Window {
+        Window { start: k, len: 1 }
+    }
+
+    /// The window `[start, start + len)` (empty when `len` is 0; clipped
+    /// at the top of the coordinate space).
+    pub fn span(start: u64, len: u64) -> Window {
+        Window { start, len }
+    }
+
+    /// The window's first coordinate.
+    pub fn start(&self) -> u64 {
+        self.start
+    }
+
+    /// Membership test.
+    pub fn contains(&self, x: u64) -> bool {
+        x.checked_sub(self.start).is_some_and(|d| d < self.len)
+    }
+
+    /// Whether the two windows share a coordinate: two intervals
+    /// intersect exactly when one holds the other's first point.
+    pub fn overlaps(&self, other: &Window) -> bool {
+        self.len > 0 && other.len > 0 && (self.contains(other.start) || other.contains(self.start))
+    }
+}
+
 /// Which registers a region contains.
 ///
 /// Regions must describe unbounded register sets (e.g. "all broadcast slots
@@ -41,8 +82,8 @@ pub enum RegionSpec {
         space: u16,
         /// Required first coordinate, or wildcard.
         a: Option<u64>,
-        /// Required second coordinate, or wildcard.
-        b: Option<u64>,
+        /// Required window of the second coordinate, or wildcard.
+        b: Option<Window>,
         /// Required third coordinate, or wildcard.
         c: Option<u64>,
     },
@@ -69,7 +110,7 @@ impl RegionSpec {
             RegionSpec::Pattern { space, a, b, c } => {
                 space == reg.space
                     && a.is_none_or(|v| v == reg.a)
-                    && b.is_none_or(|v| v == reg.b)
+                    && b.is_none_or(|w| w.contains(reg.b))
                     && c.is_none_or(|v| v == reg.c)
             }
         }
@@ -106,6 +147,38 @@ mod tests {
         assert!(spec.contains(RegId::new(2, 7, 123, 456)));
         assert!(!spec.contains(RegId::new(2, 8, 0, 0)));
         assert!(!spec.contains(RegId::new(3, 7, 0, 0)));
+    }
+
+    #[test]
+    fn windows_are_half_open_and_clip_at_the_top() {
+        let w = Window::span(4, 3);
+        assert!(!w.contains(3) && w.contains(4) && w.contains(6) && !w.contains(7));
+        assert!(!Window::span(4, 0).contains(4));
+        assert!(Window::exact(u64::MAX).contains(u64::MAX));
+        let top = Window::span(u64::MAX - 1, 10);
+        assert!(top.contains(u64::MAX) && !top.contains(0));
+        assert!(w.overlaps(&Window::span(6, 9)) && Window::span(6, 9).overlaps(&w));
+        assert!(!w.overlaps(&Window::span(7, 9)));
+        assert!(
+            !w.overlaps(&Window::span(5, 0)),
+            "an empty window matches nothing"
+        );
+    }
+
+    #[test]
+    fn windowed_pattern_matches_its_span_only() {
+        let spec = RegionSpec::Pattern {
+            space: 1,
+            a: None,
+            b: Some(Window::span(10, 4)),
+            c: Some(2),
+        };
+        assert!(spec.contains(RegId::new(1, 7, 10, 2)));
+        assert!(spec.contains(RegId::new(1, 0, 13, 2)));
+        assert!(!spec.contains(RegId::new(1, 0, 14, 2)));
+        assert!(!spec.contains(RegId::new(1, 0, 9, 2)));
+        assert!(!spec.contains(RegId::new(1, 0, 10, 3)));
+        assert!(!spec.contains(RegId::new(1, 0, 10 | 1 << 63, 2)));
     }
 
     #[test]

@@ -66,7 +66,11 @@ pub enum MemRequest<V> {
     /// whole slot array — or a strided column of it — as §7 describes: "the
     /// process can register the two dimensional array of values in read-only
     /// mode"). Registers never written (still ⊥) are absent from the
-    /// response.
+    /// response, which lists the rest in `RegId` order. A `within`
+    /// pattern that pins a `b` window is the (address, length) form of
+    /// the read: the memory answers it from an ordered key index in time
+    /// proportional to the window, not to the table
+    /// ([`MemoryActor`](crate::MemoryActor)).
     ReadRange {
         /// Region to scan (permission is checked against this region).
         region: RegionId,

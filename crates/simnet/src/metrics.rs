@@ -65,6 +65,11 @@ pub struct Metrics {
     pub mem_range_reads: u64,
     /// Permission-change operations submitted.
     pub perm_changes: u64,
+    /// Rows returned by range reads, summed over every memory's responses
+    /// (counted by the memory actor). Per command it says how much each
+    /// range read fetched — the deterministic proxy for the bytes a scan
+    /// moves, flat in the log length when reads are window-bounded.
+    pub mem_range_rows: u64,
     /// Deepest the kernel event queue ever got, in scheduled events. Large
     /// multi-group workloads (many actors, many in-flight messages) are
     /// where queue depth — and the calendar queue's O(1) advantage over the
@@ -187,6 +192,7 @@ impl Metrics {
         self.mem_writes += other.mem_writes;
         self.mem_range_reads += other.mem_range_reads;
         self.perm_changes += other.perm_changes;
+        self.mem_range_rows += other.mem_range_rows;
         self.peak_queue_len = self.peak_queue_len.max(other.peak_queue_len);
         // Queue-depth series: merge-sort by time (each series is already
         // time-ordered; partition index is immaterial after the merge)

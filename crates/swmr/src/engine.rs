@@ -16,6 +16,7 @@
 //! feed it every memory completion, and receive [`RepEvent`]s when logical
 //! operations finish.
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -284,7 +285,9 @@ where
                 MemResponse::Range(rows) => {
                     snapshots.push(rows);
                     match tracker.vote_yes() {
-                        QuorumStatus::Reached => Some(RepResult::RangeOk(merge_ranges(snapshots))),
+                        QuorumStatus::Reached => {
+                            Some(RepResult::RangeOk(merge_ranges(snapshots.drain(..))))
+                        }
                         QuorumStatus::Impossible => Some(RepResult::RangeFailed),
                         QuorumStatus::Pending => None,
                     }
@@ -315,9 +318,10 @@ where
             }
             Pending::Range { mut snapshots, .. } => {
                 if self.spare_snapshots.len() < SCRATCH_POOL_CAP {
-                    // The per-replica row vectors came off the wire and are
-                    // dropped; the outer buffer's capacity is what recurs
-                    // every slot.
+                    // The per-replica row vectors came off the wire and
+                    // were consumed by the merge (or are dropped here on
+                    // failure); the outer buffer's capacity is what
+                    // recurs every slot.
                     snapshots.clear();
                     self.spare_snapshots.push(snapshots);
                 }
@@ -344,23 +348,21 @@ fn unique_value<V: Eq>(values: impl Iterator<Item = Option<V>>) -> Option<V> {
     unique
 }
 
-/// Applies the unique-value rule per register across replica snapshots.
-/// A register absent from a snapshot counts as ⊥ there (and ⊥ never
-/// conflicts); a register with two distinct replica values is dropped.
-fn merge_ranges<V: Clone + Eq>(snapshots: &[Vec<(RegId, V)>]) -> BTreeMap<RegId, V> {
+/// Applies the unique-value rule per register across replica snapshots,
+/// consuming them: each value is moved off the wire into the result, never
+/// cloned. A register absent from a snapshot counts as ⊥ there (and ⊥
+/// never conflicts); a register with two distinct replica values is
+/// dropped.
+fn merge_ranges<V: Eq>(snapshots: impl Iterator<Item = Vec<(RegId, V)>>) -> BTreeMap<RegId, V> {
     let mut out: BTreeMap<RegId, Option<V>> = BTreeMap::new();
-    for snap in snapshots {
-        for (reg, v) in snap {
-            match out.get_mut(reg) {
-                None => {
-                    out.insert(*reg, Some(v.clone()));
-                }
-                Some(slot) => {
-                    if let Some(u) = slot {
-                        if u != v {
-                            *slot = None; // conflicting replicas: reads as ⊥
-                        }
-                    }
+    for (reg, v) in snapshots.flatten() {
+        match out.entry(reg) {
+            Entry::Vacant(slot) => {
+                slot.insert(Some(v));
+            }
+            Entry::Occupied(mut slot) => {
+                if slot.get().as_ref().is_some_and(|u| *u != v) {
+                    slot.insert(None); // conflicting replicas: reads as ⊥
                 }
             }
         }
@@ -391,8 +393,38 @@ mod tests {
             vec![(r1, 10)],
             vec![(r1, 11), (r2, 20)], // r1 conflicts here
         ];
-        let merged = merge_ranges(&snaps);
+        let merged = merge_ranges(snaps.into_iter());
         assert_eq!(merged.get(&r1), None);
         assert_eq!(merged.get(&r2), Some(&20));
+    }
+
+    /// The merge takes the snapshots by value, so it works for values
+    /// that cannot be cloned at all — and a conflict still reads ⊥ even
+    /// when later replicas agree with the first again.
+    #[test]
+    fn merge_ranges_moves_values_and_conflicts_stay_bot() {
+        #[derive(PartialEq, Eq, Debug)]
+        struct NoClone(u8);
+        let r1 = RegId::one(1, 1);
+        let r2 = RegId::one(1, 2);
+        let r3 = RegId::one(1, 3);
+        let snaps = vec![
+            vec![(r1, NoClone(1)), (r3, NoClone(3))],
+            vec![(r1, NoClone(9)), (r2, NoClone(2))],
+            vec![(r1, NoClone(1)), (r3, NoClone(3))],
+        ];
+        let merged = merge_ranges(snaps.into_iter());
+        assert_eq!(
+            merged.get(&r1),
+            None,
+            "9 conflicted; a third vote cannot revive it"
+        );
+        assert_eq!(
+            merged.get(&r2),
+            Some(&NoClone(2)),
+            "absent replicas are ⊥, never a conflict"
+        );
+        assert_eq!(merged.get(&r3), Some(&NoClone(3)));
+        assert_eq!(merged.len(), 2);
     }
 }

@@ -273,3 +273,60 @@ fn windowed_takeover_adopts_receipted_prefix_exactly_once() {
         }
     }
 }
+
+/// The hostile-`first` drill: group 0's initial leader signs one batch
+/// for log position 2^40 and one for `u64::MAX`, and claims the first
+/// decided. Nothing was equivocated, so every follower *delivers* both —
+/// and must ignore them: no receipt, no settle, no log sized by the
+/// attacker's number (a replica that trusted `first` would try to
+/// allocate 16 TiB here, or overflow). The router never confirms the
+/// claim, Ω fails over, the successor's scan ignores the same wires, and
+/// the group's log comes out dense and exactly-once — at the classic
+/// window and out of a deep fast-path pipeline alike.
+#[test]
+fn far_future_first_is_ignored_counted_and_failed_over() {
+    for (window, fast) in [(1, false), (4, true)] {
+        let mut sc = ShardedScenario::common_case(2, 3, 3, 71);
+        sc.group_modes = vec![GroupMode::Byzantine; 2];
+        sc.total_cmds = 80;
+        sc.window = 4;
+        sc.batch = 2;
+        sc.max_delays = 40_000;
+        sc.byz_pipeline_window = window;
+        sc.byz_fast_path = fast;
+        sc.byz_far_future_leaders = vec![(0, 0)];
+        sc.announce = vec![(0, 1, 80)];
+        let r = run_sharded(&sc);
+        assert!(r.all_committed, "window {window}: {r:?}");
+        assert!(r.all_logs_agree, "window {window}: replica logs diverged");
+        assert!(r.no_cross_group_leak);
+        assert_exactly_once(&sc, &r);
+        // Both followers turned both deliveries away, and the scan the
+        // same wires (self-slots and audit copies) again.
+        assert!(
+            r.byz_entries_rejected >= 4,
+            "window {window}: bogus batches were not counted: {r:?}"
+        );
+        assert!(
+            r.byz_unconfirmed_claims >= 1,
+            "window {window}: the router confirmed the bogus claim: {r:?}"
+        );
+        // Dense: the log holds the group's commands and the odd no-op
+        // filler — nothing of the adversary's, and no 2^40-slot gap.
+        let log = &r.groups[0].log;
+        assert!(
+            log.len() <= 2 * sc.total_cmds,
+            "log sized by the wire: {}",
+            log.len()
+        );
+        assert!(
+            log.iter().all(|&v| is_client_id(v) || v.0 == u64::MAX),
+            "window {window}: junk settled: {log:?}"
+        );
+        assert_eq!(
+            run_sharded(&sc),
+            r,
+            "window {window}: drill is not deterministic"
+        );
+    }
+}

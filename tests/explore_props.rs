@@ -15,18 +15,24 @@
 //!    any pair the swap *can* distinguish must be classified as a
 //!    conflict, i.e. never pruned.
 //!
+//! 3. **Provably disjoint ⇒ disjoint answers**: for generated pattern
+//!    pairs — windowed `b` coordinates included — whenever the relation
+//!    calls two patterns disjoint, range reads of a fully populated
+//!    memory through them share no register (and patterns differing only
+//!    in their windows are called disjoint exactly when the answers are).
+//!
 //! Plus direct classification pins for the pairs the relation must
 //! never prune: same-register write/write and write/read, permission
 //! changes against everything on the memory.
 
 use agreement::explore::independence::{
-    conflicts, footprint, independent, EventClass, ExploredEvent,
+    conflicts, footprint, independent, may_overlap, EventClass, ExploredEvent, RegAccess,
 };
 use agreement::types::{RegVal, Value};
 use proptest::prelude::*;
 use rdma_sim::{
     LegalChange, MemEmbed, MemRequest, MemResponse, MemWire, MemoryActor, OpId, Permission, RegId,
-    RegionId, RegionSpec,
+    RegionId, RegionSpec, Window,
 };
 use simnet::{Actor, ActorId, Context, EventKind, Simulation, Time};
 
@@ -45,18 +51,20 @@ impl MemEmbed<RegVal> for TMsg {
     }
 }
 
-/// Fires one scripted request at the memory and records the response.
+/// Fires its scripted requests at the memory (in order, ops numbered
+/// from 0) and records the responses.
 struct Driver {
     mem: ActorId,
-    script: Option<MemRequest<RegVal>>,
+    script: Vec<MemRequest<RegVal>>,
     responses: Vec<(OpId, MemResponse<RegVal>)>,
 }
 impl Actor<TMsg> for Driver {
     fn on_event(&mut self, ctx: &mut Context<'_, TMsg>, ev: EventKind<TMsg>) {
         match ev {
             EventKind::Start => {
-                if let Some(req) = self.script.take() {
-                    ctx.send(self.mem, TMsg::Mem(MemWire::Req { op: OpId(0), req }));
+                for (i, req) in self.script.drain(..).enumerate() {
+                    let op = OpId(i as u64);
+                    ctx.send(self.mem, TMsg::Mem(MemWire::Req { op, req }));
                 }
             }
             EventKind::Msg {
@@ -96,12 +104,12 @@ fn run_pair(a_req: &MemRequest<RegVal>, b_req: &MemRequest<RegVal>, swapped: boo
     );
     let a = sim.add(Driver {
         mem: mem_id,
-        script: Some(a_req.clone()),
+        script: vec![a_req.clone()],
         responses: Vec::new(),
     });
     let b = sim.add(Driver {
         mem: mem_id,
-        script: Some(b_req.clone()),
+        script: vec![b_req.clone()],
         responses: Vec::new(),
     });
     // Choice points: two from the 3-way Start slate, then the request
@@ -175,11 +183,15 @@ fn decode(kind: usize, space: u16, x: u64, y: u64, z: u64, val: u64) -> MemReque
         },
         3 => MemRequest::ReadRange {
             region: REGION,
-            within: match val % 4 {
+            within: match val % 6 {
                 0 => None,
                 1 => Some(RegionSpec::All),
                 2 => Some(RegionSpec::Space(space)),
-                _ => Some(RegionSpec::row(space, x)),
+                3 => Some(RegionSpec::row(space, x)),
+                // Window-bounded reads: a column window over every row,
+                // and one row's window (`z` widths include the empty one).
+                4 => Some(windowed(space, None, y, z + 1, Some(z))),
+                _ => Some(windowed(space, Some(x), y, z, None)),
             },
         },
         _ => MemRequest::ChangePerm {
@@ -191,6 +203,58 @@ fn decode(kind: usize, space: u16, x: u64, y: u64, z: u64, val: u64) -> MemReque
             },
         },
     }
+}
+
+/// A pattern whose `b` coordinate is the window `[start, start + len)`.
+fn windowed(space: u16, a: Option<u64>, start: u64, len: u64, c: Option<u64>) -> RegionSpec {
+    RegionSpec::Pattern {
+        space,
+        a,
+        b: Some(Window::span(start, len)),
+        c,
+    }
+}
+
+/// The registers a range read through `within` returns from a memory
+/// holding the whole [`universe`], as the real actor answers it (the
+/// first windowed read builds the key index, later ones reuse it).
+fn range_answers(withins: &[RegionSpec]) -> Vec<Vec<RegId>> {
+    let mut sim: Simulation<TMsg> = Simulation::new(5);
+    let mem = sim.add(
+        MemoryActor::<RegVal, TMsg>::new(LegalChange::Static).with_region(
+            REGION,
+            RegionSpec::All,
+            Permission::open(),
+        ),
+    );
+    let fill = MemRequest::WriteMany {
+        region: REGION,
+        writes: (universe().into_iter())
+            .map(|r| (r, RegVal::LbFlag(Value(r.b))))
+            .collect(),
+    };
+    let reads = withins.iter().map(|&w| MemRequest::ReadRange {
+        region: REGION,
+        within: Some(w),
+    });
+    let driver = sim.add(Driver {
+        mem,
+        script: std::iter::once(fill).chain(reads).collect(),
+        responses: Vec::new(),
+    });
+    sim.run_to_quiescence(Time::from_delays(50));
+    let mut responses = sim
+        .actor_as::<Driver>(driver)
+        .expect("driver")
+        .responses
+        .clone();
+    responses.sort_by_key(|(op, _)| *op);
+    (responses.into_iter().skip(1))
+        .map(|(_, resp)| match resp {
+            MemResponse::Range(rows) => rows.into_iter().map(|(r, _)| r).collect(),
+            other => panic!("range read answered {other:?}"),
+        })
+        .collect()
 }
 
 /// Wraps a request as the explorer's event summary: a memory request
@@ -248,6 +312,40 @@ proptest! {
                  a = {a_req:?}\n  b = {b_req:?}"
             );
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The pattern-against-pattern arm, windows included, against the
+    /// real memory's answers: "provably disjoint" must mean the two
+    /// reads share no register, and when only the windows differ the
+    /// verdict is exact.
+    #[test]
+    fn disjoint_patterns_read_disjoint_registers(
+        space in 1u16..3,
+        p_a in 0u64..4, p_start in 0u64..3, p_len in 0u64..4, p_c in 0u64..4,
+        q_a in 0u64..4, q_start in 0u64..3, q_len in 0u64..4, q_c in 0u64..4,
+        q_other_space in any::<bool>(),
+    ) {
+        // 3 decodes to the wildcard, 0..3 to that fixed coordinate.
+        let opt = |v: u64| (v < 3).then_some(v);
+        let p = windowed(space, opt(p_a), p_start, p_len, opt(p_c));
+        let q_space = if q_other_space { 3 - space } else { space };
+        let q = windowed(q_space, opt(q_a), q_start, q_len, opt(q_c));
+        // Same rows and columns, different windows: nothing left to
+        // over-approximate, so the verdict is the answer.
+        let same_but_window = windowed(space, opt(p_a), q_start, q_len, opt(p_c));
+        let answers = range_answers(&[p, q, same_but_window]);
+        let shares = |other: usize| answers[0].iter().any(|r| answers[other].contains(r));
+        let verdict = may_overlap(RegAccess::Pattern(p), RegAccess::Pattern(q));
+        prop_assert!(
+            verdict || !shares(1),
+            "called disjoint, both read a register:\n  {p:?}\n  {q:?}"
+        );
+        let verdict = may_overlap(RegAccess::Pattern(p), RegAccess::Pattern(same_but_window));
+        prop_assert_eq!(verdict, shares(2), "window verdict is not exact:\n  {:?}\n  {:?}", p, same_but_window);
     }
 }
 
