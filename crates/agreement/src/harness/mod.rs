@@ -421,6 +421,23 @@ pub struct SmrRunReport {
     pub decided_at_delays: Vec<f64>,
 }
 
+/// Builds crash-mode replica `i` of the group `procs` over `mems`, led
+/// by `procs[0]` — the one constructor path of [`run_smr`] and the
+/// sharded crash arm.
+fn crash_replica(procs: &[Pid], mems: &[ActorId], i: usize, workload: Vec<Value>) -> SmrNode {
+    let f_m = (mems.len().max(1) - 1) / 2;
+    let retry = Duration::from_delays(20);
+    SmrNode::new(
+        procs[i],
+        procs.to_vec(),
+        mems.to_vec(),
+        procs[0],
+        workload,
+        f_m,
+        retry,
+    )
+}
+
 /// Runs the replicated log (SMR over Protected Memory Paxos): every node
 /// wants `cmds_per_node` commands committed; process 0 leads. Honours
 /// [`Scenario::batch`].
@@ -428,24 +445,13 @@ pub fn run_smr(scenario: &Scenario, cmds_per_node: usize) -> SmrRunReport {
     let mut sim = scenario.simulation();
     let procs = scenario.procs();
     let mems = scenario.mems();
-    let f_m = (scenario.m.max(1) - 1) / 2;
     for i in 0..scenario.n {
         let workload: Vec<Value> = (0..cmds_per_node)
             .map(|c| Value(1000 * (i as u64 + 1) + c as u64))
             .collect();
-        let mut node = SmrNode::new(
-            ActorId(i as u32),
-            procs.clone(),
-            mems.clone(),
-            ActorId(0),
-            workload,
-            f_m,
-            Duration::from_delays(20),
-        )
-        .with_batch(scenario.batch);
-        if scenario.adaptive_batch > 0 {
-            node = node.with_adaptive_batch(scenario.adaptive_batch);
-        }
+        let node = crash_replica(&procs, &mems, i, workload)
+            .with_batch(scenario.batch)
+            .with_adaptive_batch(scenario.adaptive_batch);
         sim.add(node);
     }
     for _ in 0..scenario.m {
@@ -1014,47 +1020,40 @@ fn byz_auth(scenario: &ShardedScenario, topo: &GroupTopology) -> Option<ByzAuth>
     Some(ByzAuth { auth, signers })
 }
 
-/// One replica slot of a sharded deployment, ready to place on a kernel:
-/// the group's protocol node, or an injected adversary.
-enum ReplicaBuild {
-    Crash(Box<SmrNode>),
-    Byz(Box<ByzSmrNode>),
-    Silent,
-    Equivocator(Box<LogEquivocator>),
-    Forger(Box<crate::adversary::ReceiptForger>),
-    FarFuture(Box<crate::adversary::FarFutureLeader>),
-}
-
-/// Builds one replica of group `g` for a sharded run: the scenario's
+/// Builds one replica of group `g` for a sharded run — the scenario's
 /// adversary placements first, then the group's [`GroupMode`] protocol
-/// node.
-fn sharded_replica(
+/// node — and places it on `kernel`'s partition `part`.
+#[allow(clippy::too_many_arguments)]
+fn place_sharded_replica<K: ShardedKernel>(
+    kernel: &mut K,
+    part: usize,
     scenario: &ShardedScenario,
     topo: &GroupTopology,
     byz: Option<&ByzAuth>,
     backlog: &[Value],
     g: usize,
     i: usize,
-) -> ReplicaBuild {
+) -> ActorId {
     let procs = topo.procs(g);
     let mems = topo.mems(g);
     let leader = topo.initial_leader(g);
     if scenario.byz_silent.contains(&(g, i)) {
-        return ReplicaBuild::Silent;
+        return kernel.place(part, crate::adversary::SilentActor);
     }
     if scenario.byz_receipt_forgers.contains(&(g, i)) {
         let byz = byz.expect("receipt forger outside a Byzantine deployment");
         // Forged value: junk id above any client command id, distinct
         // from the equivocator band so a leaked forgery is attributable.
         let junk = 1u64 << 41 | (g as u64) << 8;
-        return ReplicaBuild::Forger(Box::new(crate::adversary::ReceiptForger::new(
+        let forger = crate::adversary::ReceiptForger::new(
             procs[i],
             mems,
             Value(junk | 1),
             Duration::from_delays(3),
             byz.signers[&leader].clone(),
             leader,
-        )));
+        );
+        return kernel.place(part, forger);
     }
     if scenario.byz_equivocators.contains(&(g, i)) {
         let byz = byz.expect("equivocator outside a Byzantine deployment");
@@ -1062,7 +1061,7 @@ fn sharded_replica(
         // control-entry bit): visibly not a client command, so a group
         // that settles one corrupts nobody's accounting.
         let junk = 1u64 << 40 | (g as u64) << 8;
-        return ReplicaBuild::Equivocator(Box::new(LogEquivocator::new(
+        let equivocator = LogEquivocator::new(
             procs[i],
             mems,
             topo.router(),
@@ -1070,19 +1069,21 @@ fn sharded_replica(
             Value(junk | 2),
             Duration::from_delays(4),
             byz.signers[&procs[i]].clone(),
-        )));
+        );
+        return kernel.place(part, equivocator);
     }
     if scenario.byz_far_future_leaders.contains(&(g, i)) {
         let byz = byz.expect("far-future leader outside a Byzantine deployment");
         // Junk id in its own band above the client ids (see above).
         let junk = 1u64 << 42 | (g as u64) << 8;
-        return ReplicaBuild::FarFuture(Box::new(crate::adversary::FarFutureLeader::new(
+        let far_future = crate::adversary::FarFutureLeader::new(
             procs[i],
             mems,
             topo.router(),
             Value(junk | 1),
             byz.signers[&procs[i]].clone(),
-        )));
+        );
+        return kernel.place(part, far_future);
     }
     // Open loop preloads the whole backlog into the initial leader;
     // closed loop starts everyone empty and the router submits.
@@ -1093,25 +1094,14 @@ fn sharded_replica(
     };
     match scenario.mode_of(g) {
         GroupMode::CrashPmp => {
-            let f_m = (scenario.m.max(1) - 1) / 2;
-            let mut node = SmrNode::new(
-                procs[i],
-                procs.clone(),
-                mems,
-                leader,
-                preload,
-                f_m,
-                Duration::from_delays(20),
-            )
-            .with_batch(scenario.batch)
-            .with_observer(topo.router());
-            if scenario.adaptive_batch > 0 {
-                node = node.with_adaptive_batch(scenario.adaptive_batch);
-            }
+            let mut node = crash_replica(&procs, &mems, i, preload)
+                .with_batch(scenario.batch)
+                .with_adaptive_batch(scenario.adaptive_batch)
+                .with_observer(topo.router());
             if !scenario.disable_session_dedup {
                 node = node.with_session_dedup();
             }
-            ReplicaBuild::Crash(Box::new(node))
+            kernel.place(part, node)
         }
         GroupMode::Byzantine => {
             let byz = byz.expect("Byzantine group without an authority");
@@ -1132,7 +1122,7 @@ fn sharded_replica(
             if !scenario.disable_session_dedup {
                 node = node.with_session_dedup();
             }
-            ReplicaBuild::Byz(Box::new(node))
+            kernel.place(part, node)
         }
     }
 }
@@ -1262,15 +1252,17 @@ fn run_sharded_on<K: ShardedKernel>(
         let part = topo.partition_of_group(g, parts);
         for i in 0..scenario.n {
             let expect = topo.procs(g)[i];
-            let id =
-                match sharded_replica(scenario, topo, byz.as_ref(), &workload.backlogs[g], g, i) {
-                    ReplicaBuild::Crash(node) => kernel.place(part, *node),
-                    ReplicaBuild::Byz(node) => kernel.place(part, *node),
-                    ReplicaBuild::Silent => kernel.place(part, crate::adversary::SilentActor),
-                    ReplicaBuild::Equivocator(adv) => kernel.place(part, *adv),
-                    ReplicaBuild::Forger(adv) => kernel.place(part, *adv),
-                    ReplicaBuild::FarFuture(adv) => kernel.place(part, *adv),
-                };
+            let backlog = &workload.backlogs[g];
+            let id = place_sharded_replica(
+                &mut kernel,
+                part,
+                scenario,
+                topo,
+                byz.as_ref(),
+                backlog,
+                g,
+                i,
+            );
             debug_assert_eq!(id, expect);
         }
         for &mem in &topo.mems(g) {

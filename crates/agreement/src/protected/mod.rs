@@ -16,11 +16,24 @@
 //! The `legalChange` policy admits only the acquire-exclusive shape, and
 //! each memory grants write access to the *most recent* acquirer (Lemma
 //! D.3's premise).
-
-use std::collections::BTreeMap;
+//!
+//! # One proposer, two drivers
+//!
+//! `PmpProposer` is Algorithm 7's proposer and nothing else: the
+//! three-step acquisition (permission grab, ballot write, slot scan), the
+//! phase-1 quorum rule, the phase-2 write (or one `WriteMany` burst) and
+//! the phase-2 quorum rule, driven in the repo's `(ctx, client)` engine
+//! idiom and reporting a `PmpOutcome` per memory completion. It knows
+//! neither what is being decided nor who leads. [`ProtectedPaxosActor`]
+//! drives it for one instance (instance-pattern scan, one value); the
+//! crash-mode replicated log ([`crate::smr::SmrNode`]) drives the same
+//! proposer over the whole log (whole-region scan, batched writes) — the
+//! paper's closing remark that "the leader terminates one instance and
+//! becomes the default leader in the next" is one proposer, not two.
 
 use rdma_sim::{
-    LegalChange, MemResponse, MemoryActor, MemoryClient, Permission, RegId, RegionId, RegionSpec,
+    Completion, LegalChange, MemResponse, MemoryActor, MemoryClient, OpId, Permission, RegId,
+    RegionId, RegionSpec,
 };
 use simnet::{Actor, ActorId, Context, Duration, EventKind, Time};
 
@@ -57,20 +70,13 @@ pub fn memory_actor(initial_leader: Pid) -> MemoryActor<RegVal, Msg> {
 
 const RETRY_TAG: u64 = 1;
 
+/// The tracked operations of a proposal (a permission grab's outcome
+/// shows in the writes queued behind it, so it is not).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum StepKind {
-    Perm,
     Write1,
     Scan,
     Write2,
-}
-
-#[derive(Clone, Debug, Default)]
-struct MemIter {
-    perm_ok: bool,
-    write1: Option<bool>,
-    slots: Option<Vec<PaxSlot>>,
-    write2: Option<bool>,
 }
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -80,29 +86,248 @@ enum Phase {
     Two,
 }
 
-/// A Protected Memory Paxos process.
+/// What a memory completion meant for the proposal in flight.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum PmpOutcome {
+    /// Phase 1 passed its quorum rule: the driver picks what to propose
+    /// (the scan's accepted values were handed to it as they arrived) and
+    /// calls [`PmpProposer::accept`].
+    Acquired,
+    /// Phase 2 passed its quorum rule: the proposed values are decided.
+    Accepted,
+    /// A write was refused or a higher ballot was seen: the proposal is
+    /// dead and the proposer idle; the driver retries with
+    /// [`PmpProposer::acquire`] when it still leads.
+    Abandoned,
+}
+
+/// Algorithm 7's proposer (see the module docs): one proposal in flight
+/// over `mems`, acks counted in place.
+#[derive(Debug)]
+pub(crate) struct PmpProposer {
+    me: Pid,
+    mems: Vec<ActorId>,
+    /// Tolerated memory crashes (quorum is `m - f_M` completed memories).
+    f_m: usize,
+    /// Bumped per phase started; completions of older ones are stale.
+    attempt: u64,
+    phase: Phase,
+    /// Whether this process holds the write permission as far as it
+    /// knows: it owned it from the start or acquired it, and no write of
+    /// its own has been refused since. Holding it, a driver may
+    /// [`PmpProposer::accept`] without acquiring — a successful write
+    /// proves nobody took over.
+    holds_permission: bool,
+    /// The current ballot `(round, me)`; one round per acquisition, so a
+    /// deposed leader's in-flight writes sit below every later term.
+    ballot: Ballot,
+    max_round_seen: u64,
+    /// Memories that completed the current phase, and whether any of
+    /// them refused a write.
+    done: usize,
+    nack: bool,
+    /// Phase 1, over the memories counted in `done`: the highest
+    /// `minProp` scanned (starting from our own ballot).
+    seen: Ballot,
+    /// Phase 1: memories that refused the ballot write, remembered until
+    /// the scan queued behind it on the same memory completes the memory.
+    refused: Vec<ActorId>,
+    /// In-flight op → (attempt, memory, step). Linear small-vec: a few
+    /// entries per memory, capacity kept across rounds.
+    op_map: Vec<(OpId, (u64, ActorId, StepKind))>,
+}
+
+impl PmpProposer {
+    /// A proposer for `me` over `mems`, idle, at ballot `(0, me)` — the
+    /// lowest possible, which is why the process that owns the permission
+    /// from the start (`holds_permission`) needs no phase 1.
+    pub(crate) fn new(
+        me: Pid,
+        mems: Vec<ActorId>,
+        f_m: usize,
+        holds_permission: bool,
+    ) -> PmpProposer {
+        PmpProposer {
+            me,
+            mems,
+            f_m,
+            attempt: 0,
+            phase: Phase::Idle,
+            holds_permission,
+            ballot: Ballot::initial(me),
+            max_round_seen: 0,
+            done: 0,
+            nack: false,
+            seen: Ballot::initial(me),
+            refused: Vec::new(),
+            op_map: Vec::new(),
+        }
+    }
+
+    /// Whether no proposal is in flight.
+    pub(crate) fn is_idle(&self) -> bool {
+        self.phase == Phase::Idle
+    }
+
+    /// Whether phase 1 can be skipped (see the field).
+    pub(crate) fn holds_permission(&self) -> bool {
+        self.holds_permission
+    }
+
+    /// A new leadership term: drops the proposal in flight (its
+    /// completions become stale) and, conservatively, the permission.
+    pub(crate) fn reset(&mut self) {
+        self.phase = Phase::Idle;
+        self.holds_permission = false;
+    }
+
+    fn begin(&mut self, phase: Phase) {
+        self.attempt += 1;
+        self.phase = phase;
+        self.done = 0;
+        self.nack = false;
+        self.seen = self.ballot;
+        self.refused.clear();
+    }
+
+    /// Starts phase 1 under a fresh ballot: on every memory, acquire the
+    /// exclusive write permission, stamp the ballot into `instance`'s
+    /// slot, and scan the registers `within` the region (`None`: all of
+    /// it) for what earlier leaders accepted.
+    pub(crate) fn acquire(
+        &mut self,
+        ctx: &mut Context<'_, Msg>,
+        client: &mut MemoryClient<RegVal, Msg>,
+        instance: Instance,
+        within: Option<RegionSpec>,
+    ) {
+        self.ballot.round = self.ballot.round.max(self.max_round_seen) + 1;
+        self.begin(Phase::One);
+        let slot = RegVal::Slot(PaxSlot::phase1(self.ballot));
+        let reg = slot_reg(instance, self.me);
+        for i in 0..self.mems.len() {
+            let mem = self.mems[i];
+            client.change_perm(ctx, mem, REGION, Permission::exclusive_writer(self.me));
+            let w = client.write(ctx, mem, REGION, reg, slot.clone());
+            let r = client.read_range(ctx, mem, REGION, within);
+            self.op_map.push((w, (self.attempt, mem, StepKind::Write1)));
+            self.op_map.push((r, (self.attempt, mem, StepKind::Scan)));
+        }
+    }
+
+    /// Starts phase 2 under the current ballot: `values[j]` into instance
+    /// `first + j`, one write per memory — a plain `Write` for a single
+    /// value (the paper's wire), one scatter-gather `WriteMany` otherwise.
+    pub(crate) fn accept(
+        &mut self,
+        ctx: &mut Context<'_, Msg>,
+        client: &mut MemoryClient<RegVal, Msg>,
+        first: u64,
+        values: &[Value],
+    ) {
+        assert!(!values.is_empty(), "phase 2 without values");
+        self.begin(Phase::Two);
+        let b = self.ballot;
+        let write = |j: usize, v: Value| {
+            let reg = slot_reg(Instance(first + j as u64), self.me);
+            (reg, RegVal::Slot(PaxSlot::phase2(b, v)))
+        };
+        for i in 0..self.mems.len() {
+            let mem = self.mems[i];
+            let w = if let [v] = values {
+                let (reg, slot) = write(0, *v);
+                client.write(ctx, mem, REGION, reg, slot)
+            } else {
+                let writes = values.iter().enumerate().map(|(j, &v)| write(j, v));
+                client.write_many(ctx, mem, REGION, writes.collect())
+            };
+            self.op_map.push((w, (self.attempt, mem, StepKind::Write2)));
+        }
+    }
+
+    /// Feeds one memory completion to the proposal in flight. A phase-1
+    /// scan hands every accepted `(instance, ballot, value)` it returned
+    /// to `accepted` as it arrives — the driver folds them by highest
+    /// ballot and discards the fold unless this phase ends
+    /// [`PmpOutcome::Acquired`]. Each phase is judged once, when the
+    /// `m - f_M`-th memory completes it.
+    pub(crate) fn on_completion(
+        &mut self,
+        c: Completion<RegVal>,
+        mut accepted: impl FnMut(u64, Ballot, Value),
+    ) -> Option<PmpOutcome> {
+        let ix = self.op_map.iter().position(|&(op, _)| op == c.op)?;
+        let (_, (attempt, mem, step)) = self.op_map.swap_remove(ix);
+        if attempt != self.attempt || self.phase == Phase::Idle {
+            return None; // stale: belongs to an abandoned proposal
+        }
+        let acked = matches!(c.resp, MemResponse::Ack);
+        match step {
+            StepKind::Write1 => {
+                if !acked {
+                    self.refused.push(mem);
+                }
+                return None;
+            }
+            StepKind::Scan => {
+                // The client runs one operation per memory at a time, in
+                // order: this memory's ballot write has already answered.
+                let wrote = !self.refused.contains(&mem);
+                self.nack |= !wrote;
+                if let (true, MemResponse::Range(rows)) = (wrote, c.resp) {
+                    for (reg, v) in rows {
+                        let RegVal::Slot(s) = v else { continue };
+                        self.seen = self.seen.max(s.min_prop);
+                        if let (Some(ap), Some(v)) = (s.acc_prop, s.value) {
+                            accepted(reg.a, ap, v);
+                        }
+                    }
+                }
+            }
+            StepKind::Write2 => self.nack |= !acked,
+        }
+        self.done += 1;
+        if self.done < self.mems.len() - self.f_m {
+            return None;
+        }
+        let phase = std::mem::replace(&mut self.phase, Phase::Idle);
+        if phase == Phase::One && !self.nack {
+            self.max_round_seen = self.max_round_seen.max(self.seen.round);
+        }
+        // "if (!writeSuccess[i] for some i) then continue"; "if
+        // (localInfo[i,q].minProp > propNr for some i,q) continue".
+        // Either way be conservative: re-acquire.
+        if self.nack || self.seen > self.ballot {
+            self.holds_permission = false;
+            return Some(PmpOutcome::Abandoned);
+        }
+        // A quorum took the acquisition; the phase-2 writes will tell if
+        // anyone raced us.
+        self.holds_permission = true;
+        Some(match phase {
+            Phase::One => PmpOutcome::Acquired,
+            _ => PmpOutcome::Accepted,
+        })
+    }
+}
+
+/// A Protected Memory Paxos process: one instance, one input.
 #[derive(Debug)]
 pub struct ProtectedPaxosActor {
     me: Pid,
     procs: Vec<Pid>,
-    mems: Vec<ActorId>,
     instance: Instance,
     input: Value,
     initial_leader: Pid,
-    /// Tolerated memory crashes (quorum is `m - f_M` completed iterations).
-    f_m: usize,
     retry_every: Duration,
     client: MemoryClient<RegVal, Msg>,
+    pmp: PmpProposer,
     is_leader: bool,
-    used_initial: bool,
-    attempt: u64,
-    round: u64,
-    max_round_seen: u64,
-    ballot: Option<Ballot>,
-    phase: Phase,
+    /// The accepted value of the highest `accProp` the phase-1 scan in
+    /// flight has returned so far.
+    adopted: Option<(Ballot, Value)>,
+    /// The value phase 2 is writing.
     value: Option<Value>,
-    iters: BTreeMap<ActorId, MemIter>,
-    op_map: BTreeMap<rdma_sim::OpId, (u64, ActorId, StepKind)>,
     decided: Option<Value>,
     /// When this process decided, if it has.
     pub decided_at: Option<Time>,
@@ -126,23 +351,15 @@ impl ProtectedPaxosActor {
         ProtectedPaxosActor {
             me,
             procs,
-            mems,
             instance,
             input,
             initial_leader,
-            f_m,
             retry_every,
             client: MemoryClient::new(),
+            pmp: PmpProposer::new(me, mems, f_m, me == initial_leader),
             is_leader: false,
-            used_initial: false,
-            attempt: 0,
-            round: 0,
-            max_round_seen: 0,
-            ballot: None,
-            phase: Phase::Idle,
+            adopted: None,
             value: None,
-            iters: BTreeMap::new(),
-            op_map: BTreeMap::new(),
             decided: None,
             decided_at: None,
         }
@@ -153,145 +370,38 @@ impl ProtectedPaxosActor {
         self.decided
     }
 
-    fn quorum(&self) -> usize {
-        self.mems.len() - self.f_m
-    }
-
     fn start_attempt(&mut self, ctx: &mut Context<'_, Msg>) {
         if !self.is_leader || self.decided.is_some() {
             return;
         }
-        self.attempt += 1;
-        self.iters.clear();
-        if self.me == self.initial_leader && !self.used_initial {
-            // Fast path: permission is pre-owned and ballot (0, me) is the
-            // lowest possible, so phase 1 is unnecessary — write and decide.
-            self.used_initial = true;
-            self.ballot = Some(Ballot::initial(self.me));
-            self.value = Some(self.input);
-            self.phase = Phase::Two;
-            self.send_phase2(ctx);
+        if self.pmp.holds_permission() {
+            // Fast path (the initial leader's first attempt): permission
+            // is pre-owned and ballot (0, me) is the lowest possible, so
+            // phase 1 is unnecessary — write and decide.
+            self.propose(ctx, self.input);
             return;
         }
-        self.round = self.round.max(self.max_round_seen) + 1;
-        let b = Ballot {
-            round: self.round,
-            pid: self.me,
+        self.adopted = None;
+        let this_instance = RegionSpec::Pattern {
+            space: spaces::PMP,
+            a: Some(self.instance.0),
+            b: None,
+            c: None,
         };
-        self.ballot = Some(b);
-        self.phase = Phase::One;
-        let reg = slot_reg(self.instance, self.me);
-        for &mem in &self.mems.clone() {
-            self.iters.insert(mem, MemIter::default());
-            let p =
-                self.client
-                    .change_perm(ctx, mem, REGION, Permission::exclusive_writer(self.me));
-            self.op_map.insert(p, (self.attempt, mem, StepKind::Perm));
-            let w = self
-                .client
-                .write(ctx, mem, REGION, reg, RegVal::Slot(PaxSlot::phase1(b)));
-            self.op_map.insert(w, (self.attempt, mem, StepKind::Write1));
-            let r = self.client.read_range(
-                ctx,
-                mem,
-                REGION,
-                Some(RegionSpec::Pattern {
-                    space: spaces::PMP,
-                    a: Some(self.instance.0),
-                    b: None,
-                    c: None,
-                }),
-            );
-            self.op_map.insert(r, (self.attempt, mem, StepKind::Scan));
-        }
+        self.pmp
+            .acquire(ctx, &mut self.client, self.instance, Some(this_instance));
     }
 
-    fn send_phase2(&mut self, ctx: &mut Context<'_, Msg>) {
-        let b = self.ballot.expect("phase 2 without ballot");
-        let v = self.value.expect("phase 2 without value");
-        let reg = slot_reg(self.instance, self.me);
-        self.iters.clear();
-        for &mem in &self.mems.clone() {
-            self.iters.insert(mem, MemIter::default());
-            let w = self
-                .client
-                .write(ctx, mem, REGION, reg, RegVal::Slot(PaxSlot::phase2(b, v)));
-            self.op_map.insert(w, (self.attempt, mem, StepKind::Write2));
-        }
+    fn propose(&mut self, ctx: &mut Context<'_, Msg>, v: Value) {
+        self.value = Some(v);
+        self.pmp
+            .accept(ctx, &mut self.client, self.instance.0, &[v]);
     }
 
-    fn abandon(&mut self) {
-        // Retry (with a higher ballot) happens on the next retry timer,
-        // provided Ω still nominates us.
-        self.phase = Phase::Idle;
-    }
-
-    fn phase1_step(&mut self, ctx: &mut Context<'_, Msg>) {
-        let complete: Vec<&MemIter> = self
-            .iters
-            .values()
-            .filter(|i| i.write1.is_some() && i.slots.is_some())
-            .collect();
-        if complete.len() < self.quorum() {
-            return;
-        }
-        let ballot = self.ballot.expect("phase 1 without ballot");
-        // "if (!write1Success[i] for some i) then continue"
-        if complete.iter().any(|i| i.write1 == Some(false)) {
-            self.abandon();
-            return;
-        }
-        let mut slots: Vec<PaxSlot> = Vec::new();
-        for it in &complete {
-            slots.extend(it.slots.as_ref().expect("filtered above").iter().copied());
-        }
-        for s in &slots {
-            self.max_round_seen = self.max_round_seen.max(s.min_prop.round);
-        }
-        // "if (localInfo[i,q].minProp > propNr for some i,q) continue"
-        if slots.iter().any(|s| s.min_prop > ballot) {
-            self.abandon();
-            return;
-        }
-        // Adopt the accepted value of the highest accProp, else our input.
-        let adopted = slots
-            .iter()
-            .filter_map(|s| s.acc_prop.map(|ap| (ap, s.value)))
-            .max_by_key(|(ap, _)| *ap)
-            .and_then(|(_, v)| v)
-            .unwrap_or(self.input);
-        self.value = Some(adopted);
-        self.phase = Phase::Two;
-        self.attempt += 1;
-        self.send_phase2(ctx);
-    }
-
-    fn phase2_step(&mut self, ctx: &mut Context<'_, Msg>) {
-        let complete: Vec<&MemIter> = self.iters.values().filter(|i| i.write2.is_some()).collect();
-        if complete.len() < self.quorum() {
-            return;
-        }
-        // "if !write2Success[j] for some j then continue"
-        if complete.iter().any(|i| i.write2 == Some(false)) {
-            self.abandon();
-            return;
-        }
-        let v = self.value.expect("phase 2 without value");
+    fn decide(&mut self, ctx: &mut Context<'_, Msg>, v: Value) {
         self.decided = Some(v);
         self.decided_at = Some(ctx.now());
-        self.phase = Phase::Idle;
         ctx.mark_decided();
-        for &q in &self.procs.clone() {
-            if q != self.me {
-                ctx.send(
-                    q,
-                    Msg::Decided {
-                        instance: self.instance,
-                        value: v,
-                    },
-                );
-            }
-        }
     }
 }
 
@@ -307,7 +417,9 @@ impl Actor<Msg> for ProtectedPaxosActor {
             }
             EventKind::Timer { tag: RETRY_TAG, .. } => {
                 if self.decided.is_none() {
-                    if self.is_leader && self.phase == Phase::Idle {
+                    // An abandoned proposal retries here (with a higher
+                    // ballot), provided Ω still nominates us.
+                    if self.is_leader && self.pmp.is_idle() {
                         self.start_attempt(ctx);
                     }
                     ctx.set_timer(self.retry_every, RETRY_TAG);
@@ -317,7 +429,7 @@ impl Actor<Msg> for ProtectedPaxosActor {
             EventKind::LeaderChange { leader } => {
                 let was = self.is_leader;
                 self.is_leader = leader == self.me;
-                if self.is_leader && !was && self.phase == Phase::Idle {
+                if self.is_leader && !was && self.pmp.is_idle() {
                     self.start_attempt(ctx);
                 }
             }
@@ -328,38 +440,30 @@ impl Actor<Msg> for ProtectedPaxosActor {
                 let Some(c) = self.client.on_wire(ctx, from, wire) else {
                     return;
                 };
-                let Some((attempt, mem, step)) = self.op_map.remove(&c.op) else {
-                    return;
-                };
-                if attempt != self.attempt || self.phase == Phase::Idle {
-                    return; // stale: belongs to an abandoned attempt
-                }
-                let Some(iter) = self.iters.get_mut(&mem) else {
-                    return;
-                };
-                match (step, c.resp) {
-                    (StepKind::Perm, MemResponse::PermAck) => iter.perm_ok = true,
-                    (StepKind::Perm, _) => iter.perm_ok = false,
-                    (StepKind::Write1, MemResponse::Ack) => iter.write1 = Some(true),
-                    (StepKind::Write1, _) => iter.write1 = Some(false),
-                    (StepKind::Scan, MemResponse::Range(rows)) => {
-                        iter.slots = Some(
-                            rows.into_iter()
-                                .filter_map(|(_, v)| match v {
-                                    RegVal::Slot(s) => Some(s),
-                                    _ => None,
-                                })
-                                .collect(),
-                        );
+                let adopted = &mut self.adopted;
+                let outcome = self.pmp.on_completion(c, |_, ap, v| {
+                    if adopted.is_none_or(|(best, _)| ap > best) {
+                        *adopted = Some((ap, v));
                     }
-                    (StepKind::Scan, _) => iter.slots = Some(Vec::new()),
-                    (StepKind::Write2, MemResponse::Ack) => iter.write2 = Some(true),
-                    (StepKind::Write2, _) => iter.write2 = Some(false),
-                }
-                match self.phase {
-                    Phase::One => self.phase1_step(ctx),
-                    Phase::Two => self.phase2_step(ctx),
-                    Phase::Idle => {}
+                });
+                match outcome {
+                    // Adopt the accepted value of the highest accProp,
+                    // else our input.
+                    Some(PmpOutcome::Acquired) => {
+                        let v = self.adopted.map_or(self.input, |(_, v)| v);
+                        self.propose(ctx, v);
+                    }
+                    Some(PmpOutcome::Accepted) => {
+                        let v = self.value.expect("phase 2 without value");
+                        self.decide(ctx, v);
+                        for &q in &self.procs {
+                            if q != self.me {
+                                let instance = self.instance;
+                                ctx.send(q, Msg::Decided { instance, value: v });
+                            }
+                        }
+                    }
+                    Some(PmpOutcome::Abandoned) | None => {}
                 }
             }
             EventKind::Msg {
@@ -367,9 +471,7 @@ impl Actor<Msg> for ProtectedPaxosActor {
                 ..
             } => {
                 if instance == self.instance && self.decided.is_none() {
-                    self.decided = Some(value);
-                    self.decided_at = Some(ctx.now());
-                    ctx.mark_decided();
+                    self.decide(ctx, value);
                 }
             }
             EventKind::Msg { .. } => {}

@@ -1,11 +1,11 @@
 //! Byzantine-mode state machine replication over non-equivocating
 //! broadcast.
 //!
-//! [`ByzSmrNode`] is the Byzantine counterpart of [`SmrNode`]: the same
-//! [`LogCore`] log/workload state machine (batching, session dedup,
-//! observers, migration snapshots — the sharded service cannot tell the
-//! two apart), but the *decision* path runs through the paper's headline
-//! Byzantine machinery instead of crash PMP:
+//! [`NebLog`] is the Byzantine-mode [`Engine`] under
+//! [`ByzSmrNode`]: the same replica shell as crash mode (batching,
+//! session dedup, observers, migration snapshots — the sharded service
+//! cannot tell the two apart), but the *decision* path runs through the
+//! paper's headline Byzantine machinery instead of crash PMP:
 //!
 //! * The leader of the current epoch **broadcasts** each batch of log
 //!   entries through [`crate::nebcast`] (Algorithm 2): one signed
@@ -84,7 +84,7 @@
 //! can touch — holds exactly the receipted slot; receipts a sender wrote
 //! for its own broadcasts are ignored outright, and provenance failures
 //! are demoted to unreceipted candidates and counted
-//! ([`ByzSmrNode::receipts_rejected`]).
+//! ([`ReplicaState::receipts_rejected`]).
 //!
 //! A fourth one needs no forgery at all: a **far-future leader**
 //! ([`crate::adversary::FarFutureLeader`]) signs one `LogEntries` wire
@@ -97,36 +97,29 @@
 //! replica settling it (`first ≤ slots.len()`), and no instance a dense
 //! log can reach lies beyond the number of values a takeover scan
 //! returned. Batches outside those bounds are ignored — no receipt, no
-//! settle, no allocation — and counted ([`ByzSmrNode::entries_rejected`]).
+//! settle, no allocation — and counted ([`ReplicaState::entries_rejected`]).
 
 use std::collections::{BTreeMap, VecDeque};
 
-use rdma_sim::{LegalChange, MemoryActor, MemoryClient};
+use rdma_sim::{Completion, LegalChange, MemoryActor};
 use sigsim::{SigVerifier, Signer};
-use simnet::{Actor, ActorId, Context, Duration, EventKind};
+use simnet::{ActorId, Context, Duration};
 use swmr::{RepEngine, RepId, RepResult};
 
+use super::{ByzSmrNode, Engine, Replica, ReplicaState, Round, Shell};
 use crate::nebcast::{self, NebEngine, RECEIPT_BIT};
-use crate::trusted::RbPayload;
-use crate::types::{Instance, Msg, Pid, RegVal, Value};
-
-use super::core::{LogCore, ReplicaState};
-#[allow(unused_imports)] // rustdoc link target
-use super::SmrNode;
-
-const POLL_TAG: u64 = 60;
+use crate::paxos::Dest;
+use crate::spans::STAGE_DELIVER;
+use crate::trusted::{RbPayload, TWire};
+use crate::types::{Msg, Pid, RegVal, Value};
 
 /// The broadcast wire shape of one replicated-log batch: `values[j]`
 /// proposed for instance `first + j` under `epoch`. One constructor for
 /// the protocol, the adversaries, and the tests, so the signed shape can
 /// never drift apart between them.
-pub(crate) fn log_entries_wire(
-    first: u64,
-    epoch: u64,
-    values: Vec<Value>,
-) -> crate::trusted::TWire {
-    crate::trusted::TWire {
-        dest: crate::paxos::Dest::All,
+pub(crate) fn log_entries_wire(first: u64, epoch: u64, values: Vec<Value>) -> TWire {
+    TWire {
+        dest: Dest::All,
         payload: RbPayload::LogEntries {
             first,
             epoch,
@@ -177,44 +170,28 @@ impl Candidate {
 
 /// One in-flight pipelined broadcast: a batch the leader has broadcast
 /// and not yet retired (see the module docs' pipeline section).
+#[derive(Debug)]
 struct PipeSlot {
     /// The broadcast sequence number carrying this batch.
     k: u64,
-    /// First instance of the batch.
-    first: u64,
-    /// The batch's values (kept for the fast path's write-ack settle).
-    values: Vec<Value>,
-    /// `(consumed, suppressed)` workload accounting taken from
-    /// [`LogCore::take_own_round`] for a fresh-command round; `None` for
-    /// recovery re-broadcasts.
-    own: Option<(usize, u64)>,
+    /// The batch (its values are kept for the fast path's write-ack
+    /// settle) and its workload accounting.
+    round: Round,
     /// Whether the batch has settled at this leader (self-delivery, or
     /// the fast path's write ack). Slots retire from the front of the
     /// pipeline only once delivered, in broadcast order.
     delivered: bool,
 }
 
-/// A replica serving a totally-ordered command log under Byzantine
-/// failures (see the module docs for the protocol).
-pub struct ByzSmrNode {
-    me: Pid,
-    procs: Vec<Pid>,
-    /// Actors outside the replica ring (the sharded router) notified of
-    /// this replica's settles. Byzantine mode notifies from *every*
-    /// replica — the router confirms a commit only at `f + 1` matching
-    /// reports, so a lying leader cannot fake one.
-    observers: Vec<ActorId>,
-    batch: usize,
-    poll_every: Duration,
-    client: MemoryClient<RegVal, Msg>,
+/// The Byzantine-mode engine (see the module docs for the protocol).
+#[derive(Debug)]
+pub struct NebLog {
     neb: NebEngine,
     verifier: SigVerifier,
     /// Dedicated replication engine for takeover scans (the broadcast
     /// engine's operations stay untouched by a scan in flight).
     scan_rep: RepEngine<RegVal, Msg>,
-    core: LogCore,
     current_leader: Pid,
-    is_leader: bool,
     /// This leadership term's epoch (takeover count, carried in wires).
     epoch: u64,
     /// The broadcasts in flight, in broadcast order: up to `window`
@@ -234,8 +211,6 @@ pub struct ByzSmrNode {
     scanning: Option<RepId>,
     /// Scan needed (set on promotion, retried if a scan fails).
     need_scan: bool,
-    /// Adopted values awaiting re-broadcast, dense by instance.
-    recover: BTreeMap<u64, Value>,
     /// Deliveries from senders Ω has not (or no longer) designated
     /// leader, in delivery order (kept whole so a later replay can still
     /// acknowledge them). Replayed if the sender is announced leader.
@@ -244,21 +219,6 @@ pub struct ByzSmrNode {
     /// receipt crediting a broadcast the claimed broadcaster's self-slot
     /// never made — forged, or racing an equivocation rewrite).
     receipts_rejected: u64,
-    /// Validly signed batches ignored because they started beyond any
-    /// dense log: deliveries past this replica's settled frontier, and
-    /// scanned wires past the scan's own size (see the module docs).
-    entries_rejected: u64,
-}
-
-impl std::fmt::Debug for ByzSmrNode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ByzSmrNode")
-            .field("me", &self.me)
-            .field("leader", &self.current_leader)
-            .field("epoch", &self.epoch)
-            .field("log_len", &self.core.log_len())
-            .finish()
-    }
 }
 
 impl ByzSmrNode {
@@ -275,20 +235,11 @@ impl ByzSmrNode {
         verifier: SigVerifier,
         poll_every: Duration,
     ) -> ByzSmrNode {
-        let neb = NebEngine::new(me, procs.clone(), mems.clone(), signer, verifier.clone());
-        ByzSmrNode {
-            me,
-            procs,
-            observers: Vec::new(),
-            batch: 1,
-            poll_every,
-            client: MemoryClient::new(),
-            neb,
+        let engine = NebLog {
+            neb: NebEngine::new(me, procs.clone(), mems.clone(), signer, verifier.clone()),
             verifier,
             scan_rep: RepEngine::new(mems),
-            core: LogCore::new(workload),
             current_leader: initial_leader,
-            is_leader: me == initial_leader,
             epoch: 0,
             pipeline: VecDeque::new(),
             window: 1,
@@ -297,26 +248,10 @@ impl ByzSmrNode {
             next_instance: 0,
             scanning: None,
             need_scan: false,
-            recover: BTreeMap::new(),
             parked: Vec::new(),
             receipts_rejected: 0,
-            entries_rejected: 0,
-        }
-    }
-
-    /// Sets how many log entries the leader packs per broadcast (≥ 1) —
-    /// the same amortization lever as [`SmrNode::with_batch`], applied to
-    /// the broadcast write and the delivery pipeline alike.
-    pub fn with_batch(mut self, batch: usize) -> ByzSmrNode {
-        self.batch = batch.max(1);
-        self
-    }
-
-    /// Enables client-session dedup (see [`SmrNode::with_session_dedup`];
-    /// identical semantics, shared implementation in [`LogCore`]).
-    pub fn with_session_dedup(mut self) -> ByzSmrNode {
-        self.core.dedup = true;
-        self
+        };
+        Replica::over(engine, me, procs, initial_leader, workload, poll_every)
     }
 
     /// Sets the leader's pipeline window: up to `window` broadcasts kept
@@ -325,9 +260,10 @@ impl ByzSmrNode {
     /// behaviour). The broadcast engine probes the current leader's row
     /// the same `window` slots ahead on every replica.
     pub fn with_pipeline_window(mut self, window: usize) -> ByzSmrNode {
-        self.window = window.max(1);
-        self.neb.set_pipeline_depth(self.window);
-        self.neb.set_focus(Some(self.current_leader));
+        let e = &mut self.engine;
+        e.window = window.max(1);
+        e.neb.set_pipeline_depth(e.window);
+        e.neb.set_focus(Some(e.current_leader));
         self
     }
 
@@ -336,192 +272,104 @@ impl ByzSmrNode {
     /// self-delivery (see the module docs for why this is sound; every
     /// follower still runs the full audited delivery path).
     pub fn with_fast_path(mut self, on: bool) -> ByzSmrNode {
-        self.fast_path = on;
-        self.neb.set_observe_writes(on);
-        self.neb.set_self_delivery(!on);
+        self.engine.fast_path = on;
+        self.engine.neb.set_observe_writes(on);
+        self.engine.neb.set_self_delivery(!on);
         self
     }
+}
 
-    /// Registers an observer notified of this replica's settles.
-    pub fn with_observer(mut self, observer: ActorId) -> ByzSmrNode {
-        self.observers.push(observer);
-        self
-    }
-
-    /// The contiguous decided prefix of the log.
-    pub fn log(&self) -> Vec<Value> {
-        self.core.log()
-    }
-
-    /// This replica's state for a run report.
-    pub fn replica_state(&self) -> ReplicaState {
-        ReplicaState {
-            log: self.log(),
-            duplicates_suppressed: self.duplicates_suppressed(),
-            equivocations_blocked: self.equivocations_blocked(),
-            receipts_rejected: self.receipts_rejected(),
-            entries_rejected: self.entries_rejected(),
-            fast_commits: self.fast_commits(),
-        }
-    }
-
-    /// Length of the contiguous decided prefix (O(1)).
-    pub fn log_len(&self) -> usize {
-        self.core.log_len()
-    }
-
-    /// The decided value of `instance`, if any (including beyond a hole).
-    pub fn decided(&self, instance: u64) -> Option<Value> {
-        self.core.decided(instance)
-    }
-
-    /// Duplicate proposals suppressed so far (see [`LogCore`]).
-    pub fn duplicates_suppressed(&self) -> u64 {
-        self.core.duplicates_suppressed
-    }
-
-    /// Peers this replica's broadcast layer has caught equivocating (and
-    /// blocked forever) — the Byzantine-suppression counter surfaced per
-    /// group by the sharded report.
-    pub fn equivocations_blocked(&self) -> u64 {
-        self.procs
-            .iter()
-            .filter(|&&q| self.neb.blocked_at(q).is_some())
-            .count() as u64
-    }
-
-    /// Receipts rejected by the takeover scan's provenance check so far
-    /// (see the module docs; 0 without a receipt-forging adversary or an
-    /// equivocation rewrite racing a scan).
-    pub fn receipts_rejected(&self) -> u64 {
-        self.receipts_rejected
-    }
-
-    /// Validly signed batches this replica ignored because they started
-    /// beyond any dense log (see the module docs; 0 unless a Byzantine
-    /// leader signs a far-future `first`).
-    pub fn entries_rejected(&self) -> u64 {
-        self.entries_rejected
-    }
-
-    /// Batches this node settled via the fast path's write ack (0 unless
-    /// [`ByzSmrNode::with_fast_path`] is on and this node led).
-    pub fn fast_commits(&self) -> u64 {
-        self.fast_commits
-    }
-
-    /// `(instance, time)` of each settle at this replica, in settle order.
-    pub fn decided_at(&self) -> &[(u64, simnet::Time)] {
-        &self.core.decided_at
-    }
-
-    /// Settles a delivered (or replayed) batch from the current leader
-    /// and notifies observers of anything newly decided.
-    fn apply_entries(&mut self, ctx: &mut Context<'_, Msg>, first: u64, values: &[Value]) {
-        if self.core.settle_many(ctx.now(), first, values) {
-            for (j, v) in values.iter().enumerate() {
-                ctx.obs_mark(v.0, crate::spans::STAGE_DECIDE, first + j as u64);
-            }
-            ctx.mark_decided();
-            for i in 0..self.observers.len() {
-                let obs = self.observers[i];
-                if values.len() == 1 {
-                    ctx.send(
-                        obs,
-                        Msg::Decided {
-                            instance: Instance(first),
-                            value: values[0],
-                        },
-                    );
-                } else {
-                    ctx.send(
-                        obs,
-                        Msg::DecidedMany {
-                            first: Instance(first),
-                            values: values.to_vec(),
-                        },
-                    );
-                }
-            }
-        }
+impl NebLog {
+    /// Whether a batch starting at `first` lies beyond this replica's
+    /// settled frontier. Every correct leader's wires are dense and reach
+    /// a replica in per-sender order, so only a Byzantine leader signs
+    /// one, and settling it would size the log by a number the attacker
+    /// chose.
+    fn past_frontier(sh: &Shell, first: u64) -> bool {
+        first > sh.core.slots.len() as u64
     }
 
     /// Settles one delivered batch from the Ω-current leader and
     /// acknowledges it with a receipt — the durable mark a correct process
-    /// *accepted* the wire. A batch starting beyond this replica's settled
-    /// frontier is neither: every correct leader's wires are dense and
-    /// reach here in per-sender order, so only a Byzantine leader signs
-    /// one, and settling it would size the log by a number the attacker
-    /// chose. It is counted and otherwise ignored. Returns whether the
-    /// batch was accepted.
+    /// *accepted* the wire. A batch [`NebLog::past_frontier`] is neither:
+    /// it is counted and otherwise ignored. Returns whether the batch was
+    /// accepted.
     fn accept(
         &mut self,
+        sh: &mut Shell,
         ctx: &mut Context<'_, Msg>,
         d: &nebcast::Delivery,
-        first: u64,
-        values: &[Value],
     ) -> bool {
-        if first > self.core.slots.len() as u64 {
-            debug_assert!(d.from != self.me, "own wire k={} is not dense", d.k);
-            self.entries_rejected += 1;
-            ctx.note_with(|| format!("byz-smr: ignored {}'s batch at far-future {first}", d.from));
-            return false;
-        }
-        self.neb.acknowledge(ctx, &mut self.client, d);
-        self.apply_entries(ctx, first, values);
-        true
-    }
-
-    /// Handles one broadcast delivery: entries from the Ω-current leader
-    /// settle (see [`ByzSmrNode::accept`]); everything else is parked
-    /// unacknowledged (a deposed leader's stragglers, or a new leader's
-    /// wires arriving before its announcement).
-    fn on_delivery(&mut self, ctx: &mut Context<'_, Msg>, d: nebcast::Delivery) {
         let RbPayload::LogEntries {
             first, ref values, ..
         } = d.wire.payload
         else {
-            return; // single-decree traffic from another protocol: not ours
+            return false; // single-decree traffic from another protocol: not ours
+        };
+        if Self::past_frontier(sh, first) {
+            debug_assert!(d.from != sh.me, "own wire k={} is not dense", d.k);
+            sh.entries_rejected += 1;
+            ctx.note_with(|| format!("byz-smr: ignored {}'s batch at far-future {first}", d.from));
+            return false;
+        }
+        self.neb.acknowledge(ctx, &mut sh.client, d);
+        sh.decide(ctx, first, values);
+        true
+    }
+
+    /// The pipeline's overlap, per stage: the leader's own wire came back
+    /// around (read-only mark; see [`crate::spans`]).
+    fn mark_delivered(ctx: &mut Context<'_, Msg>, first: u64, values: &[Value]) {
+        for (j, v) in values.iter().enumerate() {
+            ctx.obs_mark(v.0, STAGE_DELIVER, first + j as u64);
+        }
+    }
+
+    /// Handles one broadcast delivery: entries from the Ω-current leader
+    /// settle (see [`NebLog::accept`]); everything else is parked
+    /// unacknowledged (a deposed leader's stragglers, or a new leader's
+    /// wires arriving before its announcement).
+    fn on_delivery(&mut self, sh: &mut Shell, ctx: &mut Context<'_, Msg>, d: nebcast::Delivery) {
+        let RbPayload::LogEntries {
+            first, ref values, ..
+        } = d.wire.payload
+        else {
+            return; // not ours: not even parked
         };
         if d.from != self.current_leader {
             self.parked.push(d);
             return;
         }
-        if d.from == self.me {
-            // The pipeline's overlap, per stage: the leader's own wire
-            // came back around (read-only mark; see `crate::spans`).
-            for (j, v) in values.iter().enumerate() {
-                ctx.obs_mark(v.0, crate::spans::STAGE_DELIVER, first + j as u64);
-            }
+        if d.from == sh.me {
+            Self::mark_delivered(ctx, first, values);
         }
-        if !self.accept(ctx, &d, first, values) {
+        if !self.accept(sh, ctx, &d) {
             return;
         }
         // Self-delivery completes the slot's proposal: the batch is
         // committed (any correct replica's audit now intersects ours).
         // Retirement stays in broadcast order behind earlier slots.
-        if d.from == self.me {
-            if let Some(slot) = self
-                .pipeline
-                .iter_mut()
-                .find(|s| s.k == d.k && !s.delivered)
-            {
+        if d.from == sh.me {
+            if let Some(slot) = self.undelivered(d.k) {
                 slot.delivered = true;
-                self.retire_ready();
-                self.drive(ctx);
+                self.retire_ready(sh);
+                self.drive(sh, ctx);
             }
         }
+    }
+
+    /// The in-flight slot broadcast as `k`, if it has not settled yet.
+    fn undelivered(&mut self, k: u64) -> Option<&mut PipeSlot> {
+        (self.pipeline.iter_mut()).find(|s| s.k == k && !s.delivered)
     }
 
     /// Retires delivered slots from the pipeline's front, banking their
     /// dedup accounting. Slots retire strictly in broadcast order, so a
     /// later batch's settle never outruns an earlier batch's bookkeeping.
-    fn retire_ready(&mut self) {
+    fn retire_ready(&mut self, sh: &mut Shell) {
         while self.pipeline.front().is_some_and(|s| s.delivered) {
             let slot = self.pipeline.pop_front().expect("front checked");
-            if let Some((_, suppressed)) = slot.own {
-                self.core.bank_suppressed(suppressed);
-            }
+            sh.commit(slot.round);
         }
     }
 
@@ -530,14 +378,12 @@ impl ByzSmrNode {
     /// in the log — while undelivered slots roll the workload cursor
     /// back so the commands are re-proposed (or dedup-suppressed) later,
     /// exactly as the one-slot protocol abandoned its in-flight round.
-    fn clear_pipeline(&mut self) {
+    fn clear_pipeline(&mut self, sh: &mut Shell) {
         for slot in std::mem::take(&mut self.pipeline) {
-            if let Some((consumed, suppressed)) = slot.own {
-                if slot.delivered {
-                    self.core.bank_suppressed(suppressed);
-                } else {
-                    self.core.unconsume(consumed);
-                }
+            if slot.delivered {
+                sh.commit(slot.round);
+            } else {
+                sh.abandon(slot.round);
             }
         }
     }
@@ -546,105 +392,36 @@ impl ByzSmrNode {
     /// batch settles at the 2-delay write-commit point instead of its
     /// ≈6-delay self-delivery (see the module docs for the soundness
     /// argument — commitment evidence still comes from follower quorums).
-    fn on_written(&mut self, ctx: &mut Context<'_, Msg>, k: u64) {
-        if !self.fast_path || !self.is_leader {
+    fn on_written(&mut self, sh: &mut Shell, ctx: &mut Context<'_, Msg>, k: u64) {
+        if !self.fast_path || !sh.is_leader {
             return; // stale ack from before a demotion: slot already cleared
         }
-        let Some(slot) = self.pipeline.iter_mut().find(|s| s.k == k && !s.delivered) else {
+        let Some(slot) = self.undelivered(k) else {
             return;
         };
         slot.delivered = true;
-        let (first, values) = (slot.first, slot.values.clone());
+        let (first, values) = (slot.round.first, slot.round.values.clone());
         debug_assert!(
-            first <= self.core.slots.len() as u64,
+            !Self::past_frontier(sh, first),
             "own wire k={k} is not dense"
         );
         self.fast_commits += 1;
-        for (j, v) in values.iter().enumerate() {
-            ctx.obs_mark(v.0, crate::spans::STAGE_DELIVER, first + j as u64);
-        }
-        self.apply_entries(ctx, first, &values);
-        self.retire_ready();
-        self.drive(ctx);
+        Self::mark_delivered(ctx, first, &values);
+        sh.decide(ctx, first, &values);
+        self.retire_ready(sh);
+        self.drive(sh, ctx);
     }
 
     /// Replays parked deliveries from the (new) current leader, in their
     /// original delivery order (acknowledging them as they settle).
-    fn replay_parked(&mut self, ctx: &mut Context<'_, Msg>) {
+    fn replay_parked(&mut self, sh: &mut Shell, ctx: &mut Context<'_, Msg>) {
         let mut parked = std::mem::take(&mut self.parked);
         for d in parked.drain(..) {
             if d.from == self.current_leader {
-                let RbPayload::LogEntries {
-                    first, ref values, ..
-                } = d.wire.payload
-                else {
-                    continue;
-                };
-                self.accept(ctx, &d, first, values);
+                self.accept(sh, ctx, &d);
             } else {
                 self.parked.push(d);
             }
-        }
-    }
-
-    /// Proposes batches until the pipeline window is full (leader only):
-    /// adopted recovery values first (re-broadcast under the new epoch),
-    /// then fresh workload.
-    fn drive(&mut self, ctx: &mut Context<'_, Msg>) {
-        if !self.is_leader || self.scanning.is_some() || self.need_scan {
-            return;
-        }
-        while self.pipeline.len() < self.window {
-            let mut values = Vec::new();
-            let (first, own) = if let Some((&first, _)) = self.recover.iter().next() {
-                // Recovery re-broadcast: a run of consecutive adopted values.
-                for i in first..first + self.batch as u64 {
-                    match self.recover.remove(&i) {
-                        Some(v) => values.push(v),
-                        None => break,
-                    }
-                }
-                (first, None)
-            } else {
-                if self.core.workload_drained() {
-                    return;
-                }
-                // A deep pipeline overlaps fresh fills with rounds whose
-                // values have not settled yet — bar their ids (and the
-                // adopted recovery plan's) so a router re-submission
-                // can't ride into a second instance.
-                let pipeline = &self.pipeline;
-                let recover = &self.recover;
-                self.core.fill_own(
-                    self.batch,
-                    self.next_instance,
-                    |_| false,
-                    |v| {
-                        pipeline.iter().any(|s| s.values.contains(&v))
-                            || recover.values().any(|&rv| rv == v)
-                    },
-                    &mut values,
-                );
-                // Take the round's accounting now so the next loop
-                // iteration fills fresh workload; the slot carries it
-                // until retirement (or rollback on abandonment).
-                let own = Some(self.core.take_own_round());
-                let first = self.next_instance;
-                self.next_instance += values.len() as u64;
-                (first, own)
-            };
-            for (j, v) in values.iter().enumerate() {
-                ctx.obs_mark(v.0, crate::spans::STAGE_PROPOSE, first + j as u64);
-            }
-            let wire = log_entries_wire(first, self.epoch, values.clone());
-            let k = self.neb.broadcast(ctx, &mut self.client, wire);
-            self.pipeline.push_back(PipeSlot {
-                k,
-                first,
-                values,
-                own,
-                delivered: false,
-            });
         }
     }
 
@@ -652,19 +429,16 @@ impl ByzSmrNode {
     /// broadcast space. Completing at a memory majority is enough — every
     /// delivered value's receipt (and audit copy) was itself written to a
     /// majority, so the scan's read quorum intersects it.
-    fn start_scan(&mut self, ctx: &mut Context<'_, Msg>) {
-        self.clear_pipeline();
-        self.recover.clear();
-        self.scanning =
-            Some(
-                self.scan_rep
-                    .read_range(ctx, &mut self.client, nebcast::ALL_REGION, None),
-            );
+    fn start_scan(&mut self, sh: &mut Shell, ctx: &mut Context<'_, Msg>) {
+        self.clear_pipeline(sh);
+        sh.recover.clear();
+        let all = nebcast::ALL_REGION;
+        self.scanning = Some(self.scan_rep.read_range(ctx, &mut sh.client, all, None));
     }
 
     /// Folds the scan result into an adoption map and opens the new
     /// epoch (see the module docs for the adoption rule).
-    fn adopt(&mut self, rows: BTreeMap<rdma_sim::RegId, RegVal>) {
+    fn adopt(&mut self, sh: &mut Shell, rows: BTreeMap<rdma_sim::RegId, RegVal>) {
         self.need_scan = false;
         // Receipt provenance pre-pass: a broadcaster's *self-slot* — its
         // own sequence number in its own exclusive-writer row, the one
@@ -683,7 +457,7 @@ impl ByzSmrNode {
         // `first` cannot exceed the values the scan returned plus what is
         // settled here. A Byzantine leader's far-future `first` does, and
         // would otherwise size the recovery plan below.
-        let settled_top = self.core.slots.len() as u64;
+        let settled_top = sh.core.slots.len() as u64;
         let mut dense_cap = settled_top;
         for (reg, val) in &rows {
             let RegVal::Neb(slot) = val else { continue };
@@ -694,7 +468,7 @@ impl ByzSmrNode {
                 continue;
             }
             let sender = ActorId(reg.c as u32);
-            if slot.k != reg.b || !self.procs.contains(&sender) {
+            if slot.k != reg.b || !sh.procs.contains(&sender) {
                 continue;
             }
             if self
@@ -712,7 +486,7 @@ impl ByzSmrNode {
             let k = reg.b & !RECEIPT_BIT;
             let sender = ActorId(reg.c as u32);
             let row_owner = ActorId(reg.a as u32);
-            if slot.k != k || !self.procs.contains(&sender) {
+            if slot.k != k || !sh.procs.contains(&sender) {
                 continue;
             }
             // A broadcaster's receipt for its own wire proves nothing —
@@ -747,7 +521,7 @@ impl ByzSmrNode {
                 continue;
             };
             if *first > dense_cap || first.checked_add(values.len() as u64).is_none() {
-                self.entries_rejected += 1;
+                sh.entries_rejected += 1;
                 continue;
             }
             max_epoch = max_epoch.max(*epoch);
@@ -776,108 +550,122 @@ impl ByzSmrNode {
         // prefixes can always close.
         let scanned_top = best.keys().next_back().map_or(0, |&i| i + 1);
         let top = settled_top.max(scanned_top);
-        self.recover.clear();
-        for i in 0..top {
-            let v = self
-                .core
-                .decided(i)
+        sh.recover.clear();
+        sh.recover.extend((0..top).map(|i| {
+            let v = (sh.core.decided(i))
                 .or_else(|| best.get(&i).map(|c| c.value))
                 .unwrap_or(Value(u64::MAX));
-            self.recover.insert(i, v);
-        }
+            (i, v)
+        }));
         self.next_instance = top;
         // Saturating: a scanned wire may carry any epoch its signer chose.
         self.epoch = max_epoch.saturating_add(1);
     }
 }
 
-impl Actor<Msg> for ByzSmrNode {
-    fn on_event(&mut self, ctx: &mut Context<'_, Msg>, ev: EventKind<Msg>) {
-        match ev {
-            EventKind::Start => {
-                self.neb.poll(ctx, &mut self.client);
-                self.drive(ctx);
-                ctx.set_timer(self.poll_every, POLL_TAG);
-            }
-            EventKind::Timer { tag: POLL_TAG, .. } => {
-                self.neb.poll(ctx, &mut self.client);
-                for d in self.neb.take_deliveries() {
-                    self.on_delivery(ctx, d);
-                }
-                if self.is_leader && self.need_scan && self.scanning.is_none() {
-                    self.start_scan(ctx);
-                }
-                self.drive(ctx);
-                ctx.set_timer(self.poll_every, POLL_TAG);
-            }
-            EventKind::Timer { .. } => {}
-            EventKind::LeaderChange { leader } => {
-                let was = self.is_leader;
-                self.current_leader = leader;
-                self.is_leader = leader == self.me;
-                // Pipelined delivery follows the leadership: the new
-                // leader's row is the one worth probing ahead.
-                self.neb.set_focus(Some(leader));
-                if self.is_leader && !was {
-                    self.need_scan = true;
-                    self.start_scan(ctx);
-                } else if !self.is_leader {
-                    self.clear_pipeline();
-                    self.scanning = None;
-                    self.need_scan = false;
-                    self.recover.clear();
-                }
-                self.replay_parked(ctx);
-            }
-            EventKind::Msg {
-                from,
-                msg: Msg::Mem(wire),
-            } => {
-                let Some(c) = self.client.on_wire(ctx, from, wire) else {
-                    return;
-                };
-                if self.neb.on_completion(ctx, &mut self.client, c.clone()) {
-                    for k in self.neb.take_broadcast_written() {
-                        self.on_written(ctx, k);
-                    }
-                    for d in self.neb.take_deliveries() {
-                        self.on_delivery(ctx, d);
-                    }
-                    self.drive(ctx);
-                    return;
-                }
-                if let Some(ev) = self.scan_rep.on_completion(c) {
-                    if Some(ev.id) == self.scanning {
-                        self.scanning = None;
-                        match ev.result {
-                            RepResult::RangeOk(rows) => {
-                                self.adopt(rows);
-                                self.drive(ctx);
-                            }
-                            // Scan failed (memory churn): retry at the
-                            // next poll tick.
-                            _ => self.need_scan = true,
-                        }
-                    }
-                }
-            }
-            EventKind::Msg {
-                msg: Msg::Submit { mut cmds },
-                ..
-            } => {
-                self.core.submit(&mut cmds);
-                self.drive(ctx);
-            }
-            EventKind::Msg {
-                msg: Msg::InstallSnapshot { seen, .. },
-                ..
-            } => {
-                self.core.install_snapshot(seen);
-            }
-            // Byzantine mode trusts nothing it did not deliver itself:
-            // `Decided` claims from peers are ignored.
-            EventKind::Msg { .. } => {}
+impl Engine for NebLog {
+    const TICK_TAG: u64 = 60;
+    const PEERS_DECIDE: bool = false;
+
+    /// Proposes batches until the pipeline window is full: adopted
+    /// recovery values first (re-broadcast under the new epoch), then
+    /// fresh workload.
+    fn drive(&mut self, sh: &mut Shell, ctx: &mut Context<'_, Msg>) {
+        if !sh.is_leader || self.scanning.is_some() || self.need_scan {
+            return;
         }
+        while self.pipeline.len() < self.window {
+            let recovering = sh.recover.front().map(|&(i, _)| i);
+            let at = recovering.unwrap_or(self.next_instance);
+            // A deep pipeline overlaps fresh fills with rounds whose
+            // values have not settled yet — bar their ids so a router
+            // re-submission can't ride into a second instance.
+            let pipeline = &self.pipeline;
+            let in_flight = |v| pipeline.iter().any(|s| s.round.values.contains(&v));
+            let Some(round) = sh.next_round(ctx, at, false, in_flight) else {
+                return;
+            };
+            if recovering.is_none() {
+                self.next_instance += round.values.len() as u64;
+            }
+            let wire = log_entries_wire(round.first, self.epoch, round.values.clone());
+            let k = self.neb.broadcast(ctx, &mut sh.client, wire);
+            self.pipeline.push_back(PipeSlot {
+                k,
+                round,
+                delivered: false,
+            });
+        }
+    }
+
+    fn on_tick(&mut self, sh: &mut Shell, ctx: &mut Context<'_, Msg>) {
+        self.neb.poll(ctx, &mut sh.client);
+        for d in self.neb.take_deliveries() {
+            self.on_delivery(sh, ctx, d);
+        }
+        // A failed scan (memory churn) retries here.
+        if sh.is_leader && self.need_scan && self.scanning.is_none() {
+            self.start_scan(sh, ctx);
+        }
+    }
+
+    fn on_leader_change(
+        &mut self,
+        sh: &mut Shell,
+        ctx: &mut Context<'_, Msg>,
+        leader: Pid,
+        promoted: bool,
+    ) {
+        self.current_leader = leader;
+        // Pipelined delivery follows the leadership: the new leader's
+        // row is the one worth probing ahead.
+        self.neb.set_focus(Some(leader));
+        if promoted {
+            self.need_scan = true;
+            self.start_scan(sh, ctx);
+        } else if !sh.is_leader {
+            self.clear_pipeline(sh);
+            self.scanning = None;
+            self.need_scan = false;
+            sh.recover.clear();
+        }
+        self.replay_parked(sh, ctx);
+    }
+
+    fn on_completion(&mut self, sh: &mut Shell, ctx: &mut Context<'_, Msg>, c: Completion<RegVal>) {
+        if self.neb.on_completion(ctx, &mut sh.client, c.clone()) {
+            for k in self.neb.take_broadcast_written() {
+                self.on_written(sh, ctx, k);
+            }
+            for d in self.neb.take_deliveries() {
+                self.on_delivery(sh, ctx, d);
+            }
+            self.drive(sh, ctx);
+            return;
+        }
+        let Some(ev) = self.scan_rep.on_completion(c) else {
+            return;
+        };
+        if Some(ev.id) == self.scanning {
+            self.scanning = None;
+            match ev.result {
+                RepResult::RangeOk(rows) => {
+                    self.adopt(sh, rows);
+                    self.drive(sh, ctx);
+                }
+                // Scan failed (memory churn): retry at the next tick.
+                _ => self.need_scan = true,
+            }
+        }
+    }
+
+    fn report(&self, sh: &Shell, state: &mut ReplicaState) {
+        // Peers the broadcast layer has caught equivocating (and blocked
+        // forever).
+        let blocked = |&&q: &&Pid| self.neb.blocked_at(q).is_some();
+        state.equivocations_blocked = sh.procs.iter().filter(blocked).count() as u64;
+        state.receipts_rejected = self.receipts_rejected;
+        state.fast_commits = self.fast_commits;
     }
 }
 
@@ -886,6 +674,7 @@ mod tests {
     use super::*;
     use sigsim::SigAuthority;
     use simnet::{Simulation, Time};
+    use std::collections::VecDeque;
 
     fn build(
         n: u32,
@@ -934,6 +723,17 @@ mod tests {
         sim.actor_as::<ByzSmrNode>(p).unwrap().log()
     }
 
+    /// Runs the takeover scan's fold over `rows` on a bare replica.
+    fn adopt(node: &mut ByzSmrNode, rows: BTreeMap<rdma_sim::RegId, RegVal>) {
+        node.engine.adopt(&mut node.sh, rows);
+    }
+
+    /// What the recovery plan holds for `instance`.
+    fn recovered(node: &ByzSmrNode, instance: u64) -> Option<Value> {
+        let plan: &VecDeque<(u64, Value)> = &node.sh.recover;
+        plan.iter().find(|r| r.0 == instance).map(|r| r.1)
+    }
+
     /// Builds a validly-signed broadcast slot for `sender`.
     fn log_wire(
         signer: &sigsim::Signer,
@@ -979,31 +779,31 @@ mod tests {
         let mut rows = BTreeMap::new();
         rows.insert(nebcast::slot_reg(ActorId(0), 2, ActorId(0)), a.clone());
         rows.insert(nebcast::slot_reg(ActorId(1), 1, ActorId(1)), c.clone());
-        node.adopt(rows.clone());
+        adopt(&mut node, rows.clone());
         assert_eq!(
-            node.recover.get(&1),
-            Some(&Value(200)),
+            recovered(&node, 1),
+            Some(Value(200)),
             "highest epoch must win among unreceipted candidates"
         );
-        assert_eq!(node.epoch, 2, "new epoch opens above the max seen");
+        assert_eq!(node.engine.epoch, 2, "new epoch opens above the max seen");
 
         // A delivery receipt for A from a third replica flips the
         // preference: a provably-delivered value beats any epoch.
         rows.insert(nebcast::receipt_reg(ActorId(2), 2, ActorId(0)), a);
-        node.adopt(rows.clone());
+        adopt(&mut node, rows.clone());
         assert_eq!(
-            node.recover.get(&1),
-            Some(&Value(100)),
+            recovered(&node, 1),
+            Some(Value(100)),
             "a receipted value must outrank higher unreceipted epochs"
         );
 
         // A broadcaster's receipt for its OWN wire proves nothing.
         rows.remove(&nebcast::receipt_reg(ActorId(2), 2, ActorId(0)));
         rows.insert(nebcast::receipt_reg(ActorId(0), 2, ActorId(0)), c);
-        node.adopt(rows);
+        adopt(&mut node, rows);
         assert_eq!(
-            node.recover.get(&1),
-            Some(&Value(200)),
+            recovered(&node, 1),
+            Some(Value(200)),
             "self-receipts must stay ignored"
         );
     }
@@ -1043,15 +843,15 @@ mod tests {
         // 0 never used — validly signed with 0's key (collusion).
         let forged = log_wire(&s0, 9, 0, 5, vec![Value(666)]);
         rows.insert(nebcast::receipt_reg(ActorId(1), 9, ActorId(0)), forged);
-        node.adopt(rows);
+        adopt(&mut node, rows);
         assert_eq!(
-            node.receipts_rejected(),
+            node.replica_state().receipts_rejected,
             1,
             "exactly the forged receipt must be rejected (not the real one)"
         );
         assert_eq!(
-            node.recover.get(&0),
-            Some(&Value(100)),
+            recovered(&node, 0),
+            Some(Value(100)),
             "the genuinely receipted value must keep instance 0"
         );
     }
@@ -1091,16 +891,20 @@ mod tests {
         put(2, 1 << 40, 0, vec![666]);
         put(3, u64::MAX, 0, vec![666, 667]);
         put(4, 2, u64::MAX, vec![102]);
-        node.adopt(rows);
-        assert_eq!(node.entries_rejected(), 2, "exactly the two bogus wires");
-        let plan: Vec<(u64, Value)> = node.recover.iter().map(|(&i, &v)| (i, v)).collect();
+        adopt(&mut node, rows);
+        assert_eq!(
+            node.replica_state().entries_rejected,
+            2,
+            "exactly the two bogus wires"
+        );
+        let plan = Vec::from(node.sh.recover.clone());
         assert_eq!(
             plan,
             vec![(0, Value(100)), (1, Value(101)), (2, Value(102))]
         );
-        assert_eq!(node.next_instance, 3);
+        assert_eq!(node.engine.next_instance, 3);
         assert_eq!(
-            node.epoch,
+            node.engine.epoch,
             u64::MAX,
             "epoch saturates instead of overflowing"
         );
@@ -1136,95 +940,5 @@ mod tests {
         for &p in &correct {
             assert_eq!(log_of(&sim, p), expected, "replica {p}");
         }
-    }
-
-    #[test]
-    fn takeover_preserves_committed_prefix() {
-        // The leader commits a few batches and crashes; Ω promotes
-        // replica 1, whose scan must adopt the decided prefix before its
-        // own (empty) workload — then a Submit drives fresh commands.
-        let (mut sim, procs) = build(3, 3, 3, 4, 2, &[]);
-        sim.crash_at(ActorId(0), Time::from_delays(40));
-        sim.announce_leader(Time::from_delays(60), &procs, ActorId(1));
-        sim.schedule(
-            Time::from_delays(61),
-            procs[1],
-            EventKind::Msg {
-                from: ActorId(99),
-                msg: Msg::Submit {
-                    cmds: vec![Value(7), Value(8)],
-                },
-            },
-        );
-        sim.run_until(Time::from_delays(2_000), |s| {
-            s.actor_as::<ByzSmrNode>(procs[1]).unwrap().log_len() >= 6
-        });
-        let l1 = log_of(&sim, procs[1]);
-        let l2 = log_of(&sim, procs[2]);
-        assert!(l1.len() >= 6, "no progress after takeover: {l1:?}");
-        // The crashed leader's entries survived, in order, without
-        // duplication, and the successor's commands follow.
-        let client: Vec<u64> = l1.iter().map(|v| v.0).filter(|&v| v != u64::MAX).collect();
-        assert_eq!(client, vec![1000, 1001, 1002, 1003, 7, 8]);
-        // Correct replicas agree on the shared prefix.
-        let common = l1.len().min(l2.len());
-        assert_eq!(l1[..common], l2[..common]);
-    }
-
-    #[test]
-    fn session_dedup_suppresses_resubmitted_commands() {
-        // Replica 1 takes over and is (re-)submitted a command the old
-        // leader already committed: dedup must suppress the duplicate.
-        let mut sim = Simulation::new(5);
-        let procs: Vec<Pid> = (0..3).map(ActorId).collect();
-        let mems: Vec<ActorId> = (3..6).map(ActorId).collect();
-        let mut auth = SigAuthority::new(5 ^ 0xB12A);
-        for i in 0..3u32 {
-            let signer = auth.register(ActorId(i));
-            let workload = if i == 0 { vec![Value(41)] } else { Vec::new() };
-            sim.add(
-                ByzSmrNode::new(
-                    ActorId(i),
-                    procs.clone(),
-                    mems.clone(),
-                    ActorId(0),
-                    workload,
-                    signer,
-                    auth.verifier(),
-                    Duration::from_delays(1),
-                )
-                .with_session_dedup(),
-            );
-        }
-        for _ in 0..3 {
-            sim.add(byz_memory_actor(&procs));
-        }
-        sim.crash_at(ActorId(0), Time::from_delays(40));
-        sim.announce_leader(Time::from_delays(60), &procs, ActorId(1));
-        // The "router" re-submits the already-committed 41 plus a new 42.
-        sim.schedule(
-            Time::from_delays(61),
-            procs[1],
-            EventKind::Msg {
-                from: ActorId(99),
-                msg: Msg::Submit {
-                    cmds: vec![Value(41), Value(42)],
-                },
-            },
-        );
-        sim.run_until(Time::from_delays(2_000), |s| {
-            s.actor_as::<ByzSmrNode>(procs[1])
-                .unwrap()
-                .log()
-                .contains(&Value(42))
-        });
-        let node = sim.actor_as::<ByzSmrNode>(procs[1]).unwrap();
-        let log = node.log();
-        assert_eq!(
-            log.iter().filter(|&&v| v == Value(41)).count(),
-            1,
-            "duplicate not suppressed: {log:?}"
-        );
-        assert_eq!(node.duplicates_suppressed(), 1);
     }
 }

@@ -1,15 +1,13 @@
-//! The protocol-independent half of a replicated-log node.
+//! The log and workload state of a replicated-log node.
 //!
-//! [`SmrNode`](super::SmrNode) (crash PMP) and
-//! [`ByzSmrNode`](super::ByzSmrNode) (Byzantine, non-equivocating
-//! broadcast) decide log entries through very different wire protocols,
-//! but everything *around* the decision is identical: the dense decided
-//! log with its contiguous prefix, client-session dedup, the run-time
-//! workload queue ([`crate::types::Msg::Submit`]), write batching's
-//! fill-a-batch bookkeeping, and migration-snapshot folding
-//! ([`crate::types::Msg::InstallSnapshot`]). [`LogCore`] is that shared
-//! half, extracted so the sharded service's per-group [`GroupMode`]
-//! switch changes the consensus protocol and nothing else.
+//! [`LogCore`] is the data half of the replica shell
+//! ([`Replica`](super::Replica)): the dense decided log with its
+//! contiguous prefix, client-session dedup, the run-time workload queue
+//! ([`crate::types::Msg::Submit`]), write batching's fill-a-batch
+//! bookkeeping, and migration-snapshot folding
+//! ([`crate::types::Msg::InstallSnapshot`]). It is the same under both
+//! engines, so the sharded service's per-group [`GroupMode`] switch
+//! changes the consensus protocol and nothing else.
 //!
 //! [`GroupMode`]: crate::sharded::GroupMode
 
@@ -20,10 +18,10 @@ use simnet::Time;
 use crate::types::Value;
 
 /// One replica's post-run state as run reports read it: the decided log
-/// and the suppression counters, filled by the `replica_state` method of
-/// [`SmrNode`](super::SmrNode) and [`ByzSmrNode`](super::ByzSmrNode).
-/// The `Default` is what a slot occupied by an adversary reports;
-/// counters a protocol does not have stay 0.
+/// and the suppression counters, filled by
+/// [`Replica::replica_state`](super::Replica::replica_state). The
+/// `Default` is what a slot occupied by an adversary reports; counters an
+/// engine does not have stay 0.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ReplicaState {
     /// The contiguous decided prefix of the log.
@@ -34,8 +32,9 @@ pub struct ReplicaState {
     pub equivocations_blocked: u64,
     /// Receipts that failed the takeover provenance check (Byzantine mode).
     pub receipts_rejected: u64,
-    /// Validly signed batches ignored because they started beyond any
-    /// dense log (Byzantine mode; see `ByzSmrNode::entries_rejected`).
+    /// Wire input refused unapplied: validly signed batches that started
+    /// beyond any dense log (Byzantine mode; see [`super::byz`]'s threat
+    /// model) and `Decided*` claims from outside the group (crash mode).
     pub entries_rejected: u64,
     /// Batches settled at the fast path's write ack (Byzantine mode).
     pub fast_commits: u64,
@@ -43,11 +42,12 @@ pub struct ReplicaState {
 
 /// The log + workload state machine shared by every SMR protocol.
 ///
-/// Nothing here touches the network: the owning node calls
-/// [`LogCore::settle`] / [`LogCore::settle_many`] when its protocol
-/// decides instances, and [`LogCore::fill_own`] /
-/// [`LogCore::commit_own_round`] around each proposal round. Both return
-/// enough for the owner to drive notifications and metrics.
+/// Nothing here touches the network: the shell calls
+/// [`LogCore::settle_many`] when its engine decides instances, and
+/// [`LogCore::fill_own`] + [`LogCore::take_own_round`] to build each
+/// proposal round, closed by [`LogCore::bank_suppressed`] (committed) or
+/// [`LogCore::unconsume`] (abandoned). Both halves return enough for the
+/// shell to drive notifications and metrics.
 #[derive(Debug)]
 pub struct LogCore {
     /// Commands this node wants committed (its client workload).
@@ -179,23 +179,14 @@ impl LogCore {
         }
     }
 
-    /// Commits the accounting of a round that proposed its own commands:
-    /// every consumed workload slot advances the cursor (proposed values
-    /// equal consumed slots minus dedup-suppressed ones — without dedup
-    /// the two counts coincide).
-    pub fn commit_own_round(&mut self) {
-        self.next_cmd += self.own_consumed;
-        self.duplicates_suppressed += self.own_suppressed;
-        self.own_consumed = 0;
-        self.own_suppressed = 0;
-    }
-
-    /// Takes ownership of the in-flight round's accounting so another
-    /// round can start while this one is still replicating (the pipelined
-    /// leader's per-slot bookkeeping): advances the workload cursor past
-    /// the consumed slots — the next [`LogCore::fill_own`] reads fresh
-    /// commands — and returns `(consumed, suppressed)` for the slot to
-    /// carry. On commit the owner banks the suppression count
+    /// Takes ownership of the just-filled round's accounting so another
+    /// round can start while this one is still replicating: advances the
+    /// workload cursor past the consumed slots — the next
+    /// [`LogCore::fill_own`] reads fresh commands — and returns
+    /// `(consumed, suppressed)` for the round to carry. Every consumed
+    /// slot advances the cursor: proposed values equal consumed slots
+    /// minus dedup-suppressed ones (without dedup the two coincide). On
+    /// commit the owner banks the suppression count
     /// ([`LogCore::bank_suppressed`]); on abandonment it rolls the cursor
     /// back ([`LogCore::unconsume`]).
     pub fn take_own_round(&mut self) -> (usize, u64) {
@@ -206,39 +197,23 @@ impl LogCore {
         taken
     }
 
-    /// Banks a committed pipelined round's dedup-suppression count (the
-    /// cursor already advanced in [`LogCore::take_own_round`]).
+    /// Banks a committed round's dedup-suppression count (the cursor
+    /// already advanced in [`LogCore::take_own_round`]).
     pub fn bank_suppressed(&mut self, suppressed: u64) {
         self.duplicates_suppressed += suppressed;
     }
 
-    /// Rolls the workload cursor back over an abandoned pipelined round's
-    /// consumed slots, so a later round re-proposes them.
+    /// Rolls the workload cursor back over an abandoned round's consumed
+    /// slots, so a later round re-proposes them.
     pub fn unconsume(&mut self, consumed: usize) {
         debug_assert!(consumed <= self.next_cmd, "rollback past the cursor");
         self.next_cmd -= consumed.min(self.next_cmd);
     }
 
-    /// Marks `instance` decided as `v` (first decision wins). Returns
-    /// true if the slot was newly decided — the owner then records the
-    /// kernel decision mark and notifies its observers.
+    /// Marks `instance` decided as `v` (first decision wins): the
+    /// one-value case of [`LogCore::settle_many`], with its guard.
     pub fn settle(&mut self, now: Time, instance: u64, v: Value) -> bool {
-        let idx = instance as usize;
-        if idx >= self.slots.len() {
-            self.slots.resize(idx + 1, None);
-        }
-        if self.slots[idx].is_some() {
-            return false;
-        }
-        self.slots[idx] = Some(v);
-        if self.dedup && v != Value(u64::MAX) {
-            self.seen_cmds.insert(v.0);
-        }
-        while self.prefix_len < self.slots.len() && self.slots[self.prefix_len].is_some() {
-            self.prefix_len += 1;
-        }
-        self.decided_at.push((instance, now));
-        true
+        self.settle_many(now, instance, &[v])
     }
 
     /// Applies a contiguous decided run `first .. first + values.len()`
@@ -246,8 +221,9 @@ impl LogCore {
     /// batch. Slots already decided are skipped, exactly as per-entry
     /// [`LogCore::settle`] would. Returns true if anything was new. A run
     /// whose end is not a representable index settles nothing (`first`
-    /// may come off the wire; Byzantine-mode callers bound it before they
-    /// get here, see [`ByzSmrNode`](super::ByzSmrNode)).
+    /// may come off the wire; the shell admits it only from group members
+    /// and the Byzantine engine bounds it by the settled frontier before
+    /// it gets here, see [`super::byz`]).
     pub fn settle_many(&mut self, now: Time, first: u64, values: &[Value]) -> bool {
         let Some(end) = (usize::try_from(first).ok()).and_then(|f| f.checked_add(values.len()))
         else {
@@ -300,6 +276,7 @@ mod tests {
     fn settle_many_refuses_an_unrepresentable_run() {
         let mut c = LogCore::new(Vec::new());
         assert!(!c.settle_many(Time(1), u64::MAX, &[Value(1), Value(2)]));
+        assert!(!c.settle(Time(1), u64::MAX, Value(1)), "same guard");
         assert!(c.slots.is_empty() && c.decided_at.is_empty());
         assert!(c.settle_many(Time(2), 0, &[Value(1), Value(2)]));
         assert_eq!(c.log(), vec![Value(1), Value(2)]);
@@ -317,8 +294,9 @@ mod tests {
         assert_eq!(out, vec![Value(u64::MAX)], "all duplicates -> filler");
         assert_eq!(c.own_consumed, 3);
         assert_eq!(c.own_suppressed, 3);
-        c.commit_own_round();
-        assert_eq!(c.next_cmd, 3);
+        let (consumed, suppressed) = c.take_own_round();
+        assert_eq!((consumed, c.next_cmd), (3, 3));
+        c.bank_suppressed(suppressed);
         assert_eq!(c.duplicates_suppressed, 3);
         assert!(c.workload_drained());
     }

@@ -2,7 +2,7 @@
 //! replicated-log workload, the sharded multi-group log service at
 //! G ∈ {1, 4, 16, 64}, the RDMA cost-model sweep (verb-cost grid ×
 //! doorbell batch size), and a kernel queue-stress microbench, then writes
-//! machine-readable `BENCH_PR15.json` at the repo root — and gates against
+//! machine-readable `BENCH_PR<PR>.json` at the repo root — and gates against
 //! the newest prior `BENCH_PR*.json` (same workload size): >10% worsening
 //! of a deterministic virtual-time metric or >50% wall-clock entries/sec
 //! drop exits non-zero; wall-clock drops of 10–50% warn in every mode
@@ -54,7 +54,7 @@ use simnet::{
 };
 
 /// This snapshot's PR number (names the output file and anchors the gate).
-const PR: u32 = 15;
+const PR: u32 = 16;
 
 /// Allocation-counting wrapper around the system allocator.
 struct CountingAlloc;
