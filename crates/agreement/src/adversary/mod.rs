@@ -36,6 +36,66 @@ use crate::paxos::{Dest, PaxosMsg};
 use crate::trusted::{HistEntry, RbPayload, TWire};
 use crate::types::{sigtags, Ballot, CqSigned, Msg, Pid, RegVal, Value};
 
+/// The adversaries a sharded scenario can install in a Byzantine-mode
+/// group ([`crate::harness::ShardedScenario::adversaries`] lists
+/// `(group, replica, kind)`), with the placement rules every reader of
+/// that list shares: harness validation and placement, the fuzzer's
+/// generator, shrinker and repro printer. A new scripted villain is one
+/// arm here plus its actor.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum AdversaryKind {
+    /// [`SilentActor`]: a replica that never takes a step.
+    Silent,
+    /// [`LogEquivocator`]: rewrite-equivocates its broadcast slot and
+    /// fabricates commit claims; blocked by the broadcast audit and the
+    /// router's `f + 1` confirmation quorum.
+    Equivocator,
+    /// [`ReceiptForger`]: a follower that writes a delivery receipt for a
+    /// value its group's initial leader never broadcast; blocked by the
+    /// takeover scan's receipt-provenance check
+    /// ([`crate::harness::ShardedRunReport::byz_receipts_rejected`]).
+    ReceiptForger,
+    /// [`FarFutureLeader`]: signs batches for far-future log positions;
+    /// every audit passes, the replicas' density bounds ignore them
+    /// ([`crate::harness::ShardedRunReport::byz_entries_rejected`]).
+    FarFutureLeader,
+}
+
+impl AdversaryKind {
+    /// Whether this kind may sit at its group's initial-leader slot
+    /// (replica 0). The receipt forger may not: it colludes with that
+    /// leader — holds a copy of its signer — so it cannot *be* it.
+    pub fn may_lead(self) -> bool {
+        self != AdversaryKind::ReceiptForger
+    }
+
+    /// Whether this kind *is* its group's lying initial leader: it must
+    /// sit at replica 0, it never commits a client command, so the
+    /// scenario scripts an Ω announcement electing a correct successor —
+    /// and removing the adversary takes the group's announcements with it.
+    pub fn must_lead(self) -> bool {
+        matches!(
+            self,
+            AdversaryKind::Equivocator | AdversaryKind::FarFutureLeader
+        )
+    }
+
+    /// Base of the junk command ids this kind signs in group `g`: far
+    /// above any client command id and below the control-entry bit (so a
+    /// group that settles one corrupts nobody's accounting), one band per
+    /// kind so a leaked value is attributable. [`AdversaryKind::Silent`]
+    /// signs nothing.
+    pub fn junk_base(self, g: usize) -> u64 {
+        let band = match self {
+            AdversaryKind::Silent => return 0,
+            AdversaryKind::Equivocator => 40,
+            AdversaryKind::ReceiptForger => 41,
+            AdversaryKind::FarFutureLeader => 42,
+        };
+        1u64 << band | (g as u64) << 8
+    }
+}
+
 /// A Byzantine process that never takes a step (pure omission).
 #[derive(Debug)]
 pub struct SilentActor;

@@ -14,6 +14,7 @@
 use simnet::{DelayModel, Duration, RdmaCost};
 
 use super::SplitMix64;
+use crate::adversary::AdversaryKind;
 use crate::harness::ShardedScenario;
 use crate::sharded::{GroupMode, KeyRange, RebalanceConfig, ScriptedMigration, WorkloadSpec};
 
@@ -103,19 +104,20 @@ pub fn generate(case_seed: u64) -> ShardedScenario {
                 // At most one adversary per group — two can push a
                 // 3-replica group below its correctness threshold,
                 // which would be a liveness non-finding.
-                match rng.below(100) {
-                    0..=24 => sc.byz_silent.push((g, rng.range(1, n as u64 - 1) as usize)),
-                    25..=39 => {
-                        // Equivocating initial leader; Ω later elects an
-                        // honest successor.
-                        sc.byz_equivocators.push((g, 0));
-                        sc.announce.push((g, 1, rng.range(60, 120)));
-                    }
-                    40..=54 => {
-                        sc.byz_receipt_forgers
-                            .push((g, rng.range(1, n as u64 - 1) as usize));
-                    }
-                    _ => {}
+                let kind = match rng.below(100) {
+                    0..=24 => AdversaryKind::Silent,
+                    25..=39 => AdversaryKind::Equivocator,
+                    40..=54 => AdversaryKind::ReceiptForger,
+                    _ => continue,
+                };
+                if kind.must_lead() {
+                    // A lying initial leader; Ω later elects an honest
+                    // successor.
+                    sc.adversaries.push((g, 0, kind));
+                    sc.announce.push((g, 1, rng.range(60, 120)));
+                } else {
+                    let follower = rng.range(1, n as u64 - 1) as usize;
+                    sc.adversaries.push((g, follower, kind));
                 }
             }
         }
@@ -172,15 +174,11 @@ pub fn generate(case_seed: u64) -> ShardedScenario {
 }
 
 /// A generous virtual-time budget for `sc`: enough that any stall within
-/// it indicates a liveness defect rather than a tight clock.
+/// it indicates a liveness defect rather than a tight clock. Scales with
+/// the scenario's fault count — each failover or migration may cost a
+/// retry round — and with the span of a paced arrival schedule.
 pub fn budget(sc: &ShardedScenario) -> u64 {
-    let faults = sc.crash_leaders.len()
-        + sc.byz_silent.len()
-        + sc.byz_equivocators.len()
-        + sc.byz_receipt_forgers.len()
-        + sc.byz_far_future_leaders.len()
-        + sc.migrations.len()
-        + usize::from(sc.rebalance.is_some());
+    let faults = sc.fault_count();
     let pacing = if sc.arrival_rate_per_delay > 0.0 {
         (sc.total_cmds as f64 / sc.arrival_rate_per_delay) as u64
     } else {
@@ -211,20 +209,13 @@ mod tests {
     fn generated_scenarios_respect_harness_preconditions() {
         for seed in 0..512 {
             let sc = generate(seed);
+            // Everything the harness itself insists on (adversary slots,
+            // lookahead under partitioning, closed loop under pacing).
+            if let Err(broken) = sc.validate() {
+                panic!("seed {seed}: {broken}");
+            }
+            // The generator's own policy on top of that.
             assert!(sc.window > 0, "seed {seed}: open loop generated");
-            for &(g, i) in sc
-                .byz_silent
-                .iter()
-                .chain(&sc.byz_equivocators)
-                .chain(&sc.byz_receipt_forgers)
-                .chain(&sc.byz_far_future_leaders)
-            {
-                assert_eq!(sc.group_modes[g], GroupMode::Byzantine, "seed {seed}");
-                assert!(i < sc.n, "seed {seed}");
-            }
-            for &(g, i) in &sc.byz_receipt_forgers {
-                assert!(i != 0, "seed {seed}: forger at leader slot of {g}");
-            }
             assert!(
                 [1, 2, 4, 8].contains(&sc.byz_pipeline_window),
                 "seed {seed}: bad pipeline window {}",
@@ -241,10 +232,10 @@ mod tests {
                     "seed {seed}: crash without announcement in group {g}"
                 );
             }
-            if sc.partitions > 1 {
+            for &(g, _, kind) in &sc.adversaries {
                 assert!(
-                    sc.delay.min_delay() > Duration::ZERO,
-                    "seed {seed}: partitioned case without lookahead"
+                    !kind.must_lead() || sc.announce.iter().any(|&(ag, _, _)| ag == g),
+                    "seed {seed}: {kind:?} without a successor announcement in group {g}"
                 );
             }
             if sc.adaptive_batch > 0 {

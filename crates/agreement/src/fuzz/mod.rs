@@ -187,16 +187,8 @@ pub fn run_campaign(cfg: &FuzzConfig) -> CampaignReport {
         let sc = generate(case_seed);
         report.cases += 1;
         report.crash_cases += u64::from(!sc.crash_leaders.is_empty());
-        report.byz_cases += u64::from(
-            sc.group_modes
-                .contains(&crate::sharded::GroupMode::Byzantine),
-        );
-        report.adversary_cases += u64::from(
-            !sc.byz_silent.is_empty()
-                || !sc.byz_equivocators.is_empty()
-                || !sc.byz_receipt_forgers.is_empty()
-                || !sc.byz_far_future_leaders.is_empty(),
-        );
+        report.byz_cases += u64::from(sc.has_byzantine());
+        report.adversary_cases += u64::from(!sc.adversaries.is_empty());
         report.migration_cases += u64::from(!sc.migrations.is_empty());
         report.rebalance_cases += u64::from(sc.rebalance.is_some());
         report.paced_cases += u64::from(sc.arrival_rate_per_delay > 0.0);

@@ -5,12 +5,16 @@
 //! so experiment definitions stay in one place (DESIGN.md's per-experiment
 //! index points here).
 
+pub mod scenario;
+
+pub use scenario::ShardedScenario;
+
 use std::collections::BTreeMap;
 
 use sigsim::SigAuthority;
 use simnet::{Actor, ActorId, DelayModel, Duration, Metrics, ParSimulation, Simulation, Time};
 
-use crate::adversary::LogEquivocator;
+use crate::adversary::{self, AdversaryKind};
 use crate::aligned::{self, AlignedPaxosActor, MemoryMode};
 use crate::cheap_quorum::{self, CheapQuorumActor};
 use crate::disk_paxos::{self, DiskPaxosActor};
@@ -20,10 +24,7 @@ use crate::nebcast;
 use crate::paxos::PaxosActor;
 use crate::protected::{self, ProtectedPaxosActor};
 use crate::robust_backup::RobustPaxosActor;
-use crate::sharded::{
-    self, GroupMode, GroupTopology, RebalanceConfig, RebalancePolicy, RouterActor, RoutingTable,
-    ScriptedMigration, WorkloadSpec,
-};
+use crate::sharded::{self, GroupMode, GroupTopology, RebalancePolicy, RouterActor, RoutingTable};
 use crate::smr::{byz_memory_actor, ByzSmrNode, ReplicaState, SmrNode};
 use crate::types::{Instance, Msg, Pid, Value};
 
@@ -487,218 +488,6 @@ pub fn run_smr(scenario: &Scenario, cmds_per_node: usize) -> SmrRunReport {
     }
 }
 
-/// A scripted sharded-service run: `groups` independent SMR groups over a
-/// hash-partitioned key space, fronted by one router
-/// (see [`crate::sharded`] for the architecture). Mirrors [`Scenario`]:
-/// build one, tweak fields, hand it to [`run_sharded`].
-#[derive(Clone, Debug, PartialEq)]
-pub struct ShardedScenario {
-    /// Number of groups (shards).
-    pub groups: usize,
-    /// Replicas per group.
-    pub n: usize,
-    /// Memories per group.
-    pub m: usize,
-    /// Simulation seed (also seeds the workload's key stream).
-    pub seed: u64,
-    /// Link behaviour.
-    pub delay: DelayModel,
-    /// Total client commands across all groups.
-    pub total_cmds: usize,
-    /// Key distribution of the command stream.
-    pub workload: WorkloadSpec,
-    /// Per-group closed-loop window (commands in flight). `0` switches to
-    /// open loop: every backlog is preloaded into its group's initial
-    /// leader and the router only observes — the max-throughput
-    /// configuration, wire-identical per group to [`run_smr`].
-    pub window: usize,
-    /// Log entries per replicated write (as [`Scenario::batch`]).
-    pub batch: usize,
-    /// Adaptive doorbell-batch cap for crash-mode group leaders (`0` =
-    /// off, fixed `batch` applies). Each round packs the pending backlog
-    /// up to this many work requests into one doorbell-batched WRITE
-    /// burst; meaningful under [`DelayModel::Rdma`]. See
-    /// [`SmrNode::with_adaptive_batch`].
-    pub adaptive_batch: usize,
-    /// `(group, crash time in delays)`: crash that group's initial leader.
-    pub crash_leaders: Vec<(usize, u64)>,
-    /// `(group, replica index, time in delays)`: Ω announces that replica
-    /// as the group's leader, to the group and the router.
-    pub announce: Vec<(usize, usize, u64)>,
-    /// Virtual-time budget, in delays.
-    pub max_delays: u64,
-    /// Kernel partitions the deployment is split into. `1` (the default)
-    /// runs the monolithic kernel exactly as before. `> 1` runs the
-    /// partitioned parallel kernel ([`simnet::ParSimulation`]): groups are
-    /// placed in contiguous blocks via
-    /// [`GroupTopology::partition_of_group`] (each group's replicas and
-    /// memories co-located), the router on partition 0. The partition
-    /// count is part of the determinism contract — `(seed, partitions)`
-    /// pins the run bit-for-bit; `threads` never affects results.
-    pub partitions: usize,
-    /// Worker threads executing the partitioned kernel (ignored when
-    /// `partitions == 1`). Changes wall-clock time only, never the run.
-    pub threads: usize,
-    /// Route by the versioned key-range table
-    /// ([`sharded::RoutingTable::even`]) instead of the static key hash.
-    /// Implied by `migrations` / `rebalance`; set it alone to measure
-    /// static range routing (the rebalancer's baseline). Requires a
-    /// closed-loop `window`.
-    pub range_routing: bool,
-    /// Scripted one-shot key-range migrations (each fires at its virtual
-    /// time; implies `range_routing`).
-    pub migrations: Vec<ScriptedMigration>,
-    /// Automatic rebalancing policy: watch per-group/per-key load and
-    /// migrate hot ranges (implies `range_routing`).
-    pub rebalance: Option<RebalanceConfig>,
-    /// Offered load, in commands per delay. `0.0` (the default) is the
-    /// classic drain-the-backlog run: every command is eligible at time
-    /// zero and latency starts at submission. `> 0.0` paces arrivals:
-    /// command `i` arrives at `i / rate` and its latency clock starts at
-    /// *arrival* — router-queue wait counts, so a hot shard's growing
-    /// backlog shows up in the latency tail, as it would for real
-    /// clients. Requires a closed-loop `window`.
-    pub arrival_rate_per_delay: f64,
-    /// Per-group failure mode (index = group; missing entries default to
-    /// [`GroupMode::CrashPmp`]). Empty — the default — is the all-crash
-    /// service, bit-identical to the pre-Byzantine harness. A
-    /// [`GroupMode::Byzantine`] group replicates through signed
-    /// non-equivocating broadcast and the router confirms its commits at
-    /// `f + 1` distinct replica reports.
-    pub group_modes: Vec<GroupMode>,
-    /// Adversary injection: `(group, replica index)` slots replaced by a
-    /// silent Byzantine replica ([`crate::adversary::SilentActor`]).
-    /// Placements must land in Byzantine-mode groups.
-    pub byz_silent: Vec<(usize, usize)>,
-    /// Adversary injection: `(group, replica index)` slots replaced by an
-    /// equivocating Byzantine leader
-    /// ([`crate::adversary::LogEquivocator`] — rewrite-equivocates its
-    /// broadcast slot and fabricates commit claims). Install it at a
-    /// group's initial-leader slot (index 0) and script an Ω announcement
-    /// to a correct replica to restore the group's liveness. Placements
-    /// must land in Byzantine-mode groups.
-    pub byz_equivocators: Vec<(usize, usize)>,
-    /// Adversary injection: `(group, replica index)` slots replaced by a
-    /// receipt-forging Byzantine follower
-    /// ([`crate::adversary::ReceiptForger`] — writes a delivery receipt
-    /// for a value its group's initial leader never broadcast, colluding
-    /// with that leader for the signature). Blocked by the takeover
-    /// scan's receipt-provenance check and counted in
-    /// [`ShardedRunReport::byz_receipts_rejected`]. Placements must land
-    /// in Byzantine-mode groups, not at the initial-leader slot.
-    pub byz_receipt_forgers: Vec<(usize, usize)>,
-    /// Adversary injection: `(group, replica index)` slots replaced by a
-    /// leader that signs batches for far-future log positions
-    /// ([`crate::adversary::FarFutureLeader`]). Every audit passes; the
-    /// replicas' density bounds ignore the batches and count them in
-    /// [`ShardedRunReport::byz_entries_rejected`]. Install it at a group's
-    /// initial-leader slot (index 0) and script an Ω announcement to a
-    /// correct replica. Placements must land in Byzantine-mode groups.
-    pub byz_far_future_leaders: Vec<(usize, usize)>,
-    /// Record typed observability events ([`simnet::obs::Event`]) during
-    /// the run: [`run_sharded_with_events`] returns the merged,
-    /// deterministically ordered stream (ready for the exporters in
-    /// [`simnet::obs`]). Off — the default — records nothing and is
-    /// bit-identical to the pre-observability harness. Recording is
-    /// strictly read-only: enabling it never changes a run's schedule,
-    /// metrics or report.
-    pub record_events: bool,
-    /// Aggregate command-lifecycle spans
-    /// ([`crate::spans::aggregate_spans`]) into
-    /// [`ShardedRunReport::span_stats`]: per-group, per-stage latency
-    /// histograms (submit → route → propose → decide → confirm). Implies
-    /// event recording for the duration of the run. Off by default.
-    pub record_spans: bool,
-    /// Byzantine pipeline window: how many signed broadcasts each
-    /// Byzantine-mode leader keeps in flight before stalling on
-    /// self-delivery ([`ByzSmrNode::with_pipeline_window`]). `1` — the
-    /// default — is the classic one-slot protocol, bit-identical to the
-    /// pre-pipeline harness. Ignored by crash-mode groups.
-    pub byz_pipeline_window: usize,
-    /// Speculative fast path for Byzantine-mode leaders: settle own
-    /// batches at the broadcast write ack instead of self-delivery
-    /// ([`ByzSmrNode::with_fast_path`]); the router counts the commits
-    /// whose confirmation quorum the early report completed
-    /// ([`ShardedRunReport::byz_fast_confirms`]). Off by default.
-    pub byz_fast_path: bool,
-    /// **Fault-injection switch for the fuzzer's oracle demo**: when set,
-    /// replicas are built *without* client-session dedup, reintroducing
-    /// the pre-dedup bug where the router's at-least-once re-submission
-    /// after a failover duplicates committed commands in the log. Never
-    /// set outside tests — it exists so the checker can prove it catches
-    /// (and the shrinker minimizes) a real safety violation.
-    pub disable_session_dedup: bool,
-}
-
-impl ShardedScenario {
-    /// A failure-free closed-loop run with synchronous links and a window
-    /// sized to keep batched pipelines full.
-    pub fn common_case(groups: usize, n: usize, m: usize, seed: u64) -> ShardedScenario {
-        ShardedScenario {
-            groups,
-            n,
-            m,
-            seed,
-            delay: DelayModel::synchronous(),
-            total_cmds: 1_000,
-            workload: WorkloadSpec::uniform(),
-            window: 16,
-            batch: 1,
-            adaptive_batch: 0,
-            crash_leaders: Vec::new(),
-            announce: Vec::new(),
-            max_delays: 50_000,
-            partitions: 1,
-            threads: 1,
-            range_routing: false,
-            migrations: Vec::new(),
-            rebalance: None,
-            arrival_rate_per_delay: 0.0,
-            group_modes: Vec::new(),
-            byz_silent: Vec::new(),
-            byz_equivocators: Vec::new(),
-            byz_receipt_forgers: Vec::new(),
-            byz_far_future_leaders: Vec::new(),
-            byz_pipeline_window: 1,
-            byz_fast_path: false,
-            record_events: false,
-            record_spans: false,
-            disable_session_dedup: false,
-        }
-    }
-
-    /// Whether this scenario records typed observability events (either
-    /// flag turns the recorder on; span aggregation needs the events).
-    pub fn obs_enabled(&self) -> bool {
-        self.record_events || self.record_spans
-    }
-
-    /// Group `g`'s failure mode (missing entries are crash-mode).
-    pub fn mode_of(&self, g: usize) -> GroupMode {
-        self.group_modes.get(g).copied().unwrap_or_default()
-    }
-
-    /// Whether any group runs in Byzantine mode.
-    pub fn has_byzantine(&self) -> bool {
-        self.group_modes.contains(&GroupMode::Byzantine)
-    }
-
-    /// The deployment's actor-id layout.
-    pub fn topology(&self) -> GroupTopology {
-        GroupTopology {
-            groups: self.groups,
-            n: self.n,
-            m: self.m,
-        }
-    }
-
-    /// Whether this scenario routes by the versioned range table (and may
-    /// therefore migrate ranges at run time).
-    pub fn dynamic_routing(&self) -> bool {
-        self.range_routing || !self.migrations.is_empty() || self.rebalance.is_some()
-    }
-}
-
 /// What one group of a sharded run produced.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ShardGroupReport {
@@ -859,19 +648,8 @@ pub fn run_sharded_with_events(
     if scenario.partitions <= 1 {
         return run_sharded_instrumented(scenario, |_| {});
     }
-    let lookahead = scenario.delay.min_delay();
-    assert!(
-        lookahead > Duration::ZERO,
-        "partitioned execution needs links with a positive minimum delay"
-    );
     let parts = scenario.partitions.clamp(1, scenario.groups.max(1));
-    let mut sim: ParSimulation<Msg> = ParSimulation::new(scenario.seed, parts, lookahead);
-    sim.set_threads(scenario.threads);
-    sim.set_default_delay(scenario.delay.clone());
-    if scenario.obs_enabled() {
-        sim.enable_obs();
-    }
-    run_sharded_on(sim, parts, scenario, |_| {})
+    run_sharded_on::<ParSimulation<Msg>>(parts, scenario, |_| {})
 }
 
 /// [`run_sharded_with_events`] on the monolithic kernel, with pre-run
@@ -887,51 +665,11 @@ pub fn run_sharded_instrumented(
         scenario.partitions <= 1,
         "instrumented runs use the monolithic kernel (partitions must be 1)"
     );
-    let mut sim: Simulation<Msg> = Simulation::new(scenario.seed);
-    sim.set_default_delay(scenario.delay.clone());
-    if scenario.obs_enabled() {
-        sim.enable_obs();
-    }
-    run_sharded_on(sim, 1, scenario, setup)
+    run_sharded_on::<Simulation<Msg>>(1, scenario, setup)
 }
 
-/// Validates a scenario's adversary placements and builds its per-group
-/// workload partition (shared by every run entry point).
-fn validated_workload(scenario: &ShardedScenario) -> sharded::PartitionedWorkload {
-    for &(g, i) in scenario
-        .byz_silent
-        .iter()
-        .chain(&scenario.byz_equivocators)
-        .chain(&scenario.byz_receipt_forgers)
-        .chain(&scenario.byz_far_future_leaders)
-    {
-        assert_eq!(
-            scenario.mode_of(g),
-            GroupMode::Byzantine,
-            "adversary placement (group {g}, replica {i}) outside a Byzantine-mode group"
-        );
-        assert!(i < scenario.n, "adversary replica index {i} out of range");
-        // Open loop preloads each backlog into the initial-leader slot;
-        // an adversary there would silently discard the group's whole
-        // workload and the run would just burn its budget.
-        assert!(
-            scenario.window > 0 || i != 0,
-            "adversary at the initial-leader slot of group {g} needs a closed-loop \
-             window (open loop would preload the backlog into the adversary)"
-        );
-    }
-    for &(g, i) in &scenario.byz_receipt_forgers {
-        // The forger colludes with the initial leader (holds its signer);
-        // it cannot *be* that leader.
-        assert!(
-            i != 0,
-            "receipt forger cannot occupy group {g}'s initial-leader slot"
-        );
-    }
-    assert!(
-        scenario.byz_pipeline_window >= 1,
-        "the Byzantine pipeline window is 1-based (1 = the classic one-slot protocol)"
-    );
+/// Builds a scenario's per-group workload partition.
+fn partitioned_workload(scenario: &ShardedScenario) -> sharded::PartitionedWorkload {
     if scenario.dynamic_routing() {
         let table = RoutingTable::even(scenario.workload.key_space(), scenario.groups);
         sharded::partition_with_table(
@@ -959,12 +697,6 @@ fn build_router(
     workload: sharded::PartitionedWorkload,
 ) -> RouterActor {
     let paced = scenario.arrival_rate_per_delay > 0.0;
-    if paced {
-        assert!(
-            scenario.window > 0,
-            "paced arrivals need a closed-loop window (router-mediated submission)"
-        );
-    }
     let interval_ticks = (simnet::TICKS_PER_DELAY as f64
         / scenario.arrival_rate_per_delay.max(f64::MIN_POSITIVE))
     .round()
@@ -1037,53 +769,46 @@ fn place_sharded_replica<K: ShardedKernel>(
     let procs = topo.procs(g);
     let mems = topo.mems(g);
     let leader = topo.initial_leader(g);
-    if scenario.byz_silent.contains(&(g, i)) {
-        return kernel.place(part, crate::adversary::SilentActor);
-    }
-    if scenario.byz_receipt_forgers.contains(&(g, i)) {
-        let byz = byz.expect("receipt forger outside a Byzantine deployment");
-        // Forged value: junk id above any client command id, distinct
-        // from the equivocator band so a leaked forgery is attributable.
-        let junk = 1u64 << 41 | (g as u64) << 8;
-        let forger = crate::adversary::ReceiptForger::new(
-            procs[i],
-            mems,
-            Value(junk | 1),
-            Duration::from_delays(3),
-            byz.signers[&leader].clone(),
-            leader,
-        );
-        return kernel.place(part, forger);
-    }
-    if scenario.byz_equivocators.contains(&(g, i)) {
-        let byz = byz.expect("equivocator outside a Byzantine deployment");
-        // Junk ids far above any client command id (and below the
-        // control-entry bit): visibly not a client command, so a group
-        // that settles one corrupts nobody's accounting.
-        let junk = 1u64 << 40 | (g as u64) << 8;
-        let equivocator = LogEquivocator::new(
-            procs[i],
-            mems,
-            topo.router(),
-            Value(junk | 1),
-            Value(junk | 2),
-            Duration::from_delays(4),
-            byz.signers[&procs[i]].clone(),
-        );
-        return kernel.place(part, equivocator);
-    }
-    if scenario.byz_far_future_leaders.contains(&(g, i)) {
-        let byz = byz.expect("far-future leader outside a Byzantine deployment");
-        // Junk id in its own band above the client ids (see above).
-        let junk = 1u64 << 42 | (g as u64) << 8;
-        let far_future = crate::adversary::FarFutureLeader::new(
-            procs[i],
-            mems,
-            topo.router(),
-            Value(junk | 1),
-            byz.signers[&procs[i]].clone(),
-        );
-        return kernel.place(part, far_future);
+    if let Some(kind) = scenario.adversary_at(g, i) {
+        let byz = byz.expect("validated: adversaries sit in Byzantine-mode groups");
+        let own_signer = || byz.signers[&procs[i]].clone();
+        let junk = kind.junk_base(g);
+        return match kind {
+            AdversaryKind::Silent => kernel.place(part, adversary::SilentActor),
+            AdversaryKind::Equivocator => {
+                let equivocator = adversary::LogEquivocator::new(
+                    procs[i],
+                    mems,
+                    topo.router(),
+                    Value(junk | 1),
+                    Value(junk | 2),
+                    Duration::from_delays(4),
+                    own_signer(),
+                );
+                kernel.place(part, equivocator)
+            }
+            AdversaryKind::ReceiptForger => {
+                let forger = adversary::ReceiptForger::new(
+                    procs[i],
+                    mems,
+                    Value(junk | 1),
+                    Duration::from_delays(3),
+                    byz.signers[&leader].clone(),
+                    leader,
+                );
+                kernel.place(part, forger)
+            }
+            AdversaryKind::FarFutureLeader => {
+                let far_future = adversary::FarFutureLeader::new(
+                    procs[i],
+                    mems,
+                    topo.router(),
+                    Value(junk | 1),
+                    own_signer(),
+                );
+                kernel.place(part, far_future)
+            }
+        };
     }
     // Open loop preloads the whole backlog into the initial leader;
     // closed loop starts everyone empty and the router submits.
@@ -1170,6 +895,9 @@ impl KernelTotals {
 /// monolithic [`Simulation`] (one partition, whatever index is asked for)
 /// and the partitioned [`ParSimulation`].
 trait ShardedKernel {
+    /// An empty kernel for `scenario` (seed, links, event recording) split
+    /// into `parts` partitions.
+    fn for_scenario(scenario: &ShardedScenario, parts: usize) -> Self;
     /// Registers `actor` on `partition`; ids are dense in call order.
     fn place<T: Actor<Msg> + Send>(&mut self, partition: usize, actor: T) -> ActorId;
     fn crash_at(&mut self, actor: ActorId, at: Time);
@@ -1184,6 +912,14 @@ trait ShardedKernel {
 }
 
 impl ShardedKernel for Simulation<Msg> {
+    fn for_scenario(scenario: &ShardedScenario, _parts: usize) -> Self {
+        let mut sim = Simulation::new(scenario.seed);
+        sim.set_default_delay(scenario.delay.clone());
+        if scenario.obs_enabled() {
+            sim.enable_obs();
+        }
+        sim
+    }
     fn place<T: Actor<Msg> + Send>(&mut self, _partition: usize, actor: T) -> ActorId {
         self.add(actor)
     }
@@ -1209,6 +945,15 @@ impl ShardedKernel for Simulation<Msg> {
 }
 
 impl ShardedKernel for ParSimulation<Msg> {
+    fn for_scenario(scenario: &ShardedScenario, parts: usize) -> Self {
+        let mut sim = ParSimulation::new(scenario.seed, parts, scenario.delay.min_delay());
+        sim.set_threads(scenario.threads);
+        sim.set_default_delay(scenario.delay.clone());
+        if scenario.obs_enabled() {
+            sim.enable_obs();
+        }
+        sim
+    }
     fn place<T: Actor<Msg> + Send>(&mut self, partition: usize, actor: T) -> ActorId {
         self.add_to(partition, actor)
     }
@@ -1233,20 +978,25 @@ impl ShardedKernel for ParSimulation<Msg> {
     }
 }
 
-/// The one sharded run path: builds the deployment on `kernel` (each
-/// group's replicas and memories on the partition
-/// [`GroupTopology::partition_of_group`] assigns it out of `parts`, the
-/// router on partition 0), scripts the leader crashes and Ω
-/// announcements, lets `setup` instrument the built kernel before the
-/// first dispatch, runs until the router is done, and reduces.
+/// The one sharded run path: checks the scenario's preconditions
+/// ([`ShardedScenario::validate`]; a violated one panics with its
+/// message), builds the deployment on a kernel `K` (each group's replicas
+/// and memories on the partition [`GroupTopology::partition_of_group`]
+/// assigns it out of `parts`, the router on partition 0), scripts the
+/// leader crashes and Ω announcements, lets `setup` instrument the built
+/// kernel before the first dispatch, runs until the router is done, and
+/// reduces.
 fn run_sharded_on<K: ShardedKernel>(
-    mut kernel: K,
     parts: usize,
     scenario: &ShardedScenario,
     setup: impl FnOnce(&mut K),
 ) -> (ShardedRunReport, Vec<simnet::obs::Event>) {
+    scenario
+        .validate()
+        .unwrap_or_else(|broken| panic!("{broken}"));
+    let mut kernel = K::for_scenario(scenario, parts);
     let topo = &scenario.topology();
-    let workload = validated_workload(scenario);
+    let workload = partitioned_workload(scenario);
     let byz = byz_auth(scenario, topo);
     for g in 0..scenario.groups {
         let part = topo.partition_of_group(g, parts);

@@ -23,9 +23,9 @@
 //! [`aggregate_spans`] reduces a run's merged event stream to per-group,
 //! per-stage latency histograms ([`GroupSpanStats`]), surfaced by the
 //! harness as [`crate::harness::ShardedRunReport::span_stats`]. The
-//! histograms use fixed power-of-two buckets, so aggregation is
-//! deterministic and replay/thread-count invariant like everything else
-//! in a run report.
+//! histograms keep their samples and answer percentiles exactly;
+//! aggregation is deterministic and replay/thread-count invariant like
+//! everything else in a run report.
 
 use simnet::obs::{Event, EventBody};
 
@@ -49,21 +49,15 @@ pub const STAGE_DELIVER: u8 = 5;
 /// Number of distinct stage codes.
 const STAGES: usize = 6;
 
-/// Log2 bucket count: bucket `b` holds durations in
-/// `[2^(b-1), 2^b)` ticks (bucket 0 holds 0-tick durations); the last
-/// bucket absorbs everything larger.
-const BUCKETS: usize = 32;
-
-/// A deterministic fixed-bucket latency histogram (power-of-two bucket
-/// bounds, see [`LatencyHistogram::record`]). Identical inputs produce
-/// identical histograms regardless of arrival order, so span statistics
-/// stay replay- and thread-count-invariant.
+/// The latency sample of one stage transition. Keeps every duration, so
+/// percentiles are exact nearest-rank values (a protocol step that takes
+/// exactly two delays reads 2.0, not a bucket bound). Samples are kept in
+/// recording order; [`aggregate_spans`] records in command-id order, so
+/// span statistics stay replay- and thread-count-invariant.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct LatencyHistogram {
-    /// Bucket `b` counts durations in `[2^(b-1), 2^b)` ticks.
-    buckets: [u64; BUCKETS],
-    /// Total durations recorded.
-    count: u64,
+    /// Recorded durations, in ticks.
+    samples: Vec<u64>,
 }
 
 impl LatencyHistogram {
@@ -72,57 +66,29 @@ impl LatencyHistogram {
         LatencyHistogram::default()
     }
 
-    /// The bucket index of a duration.
-    fn bucket_of(ticks: u64) -> usize {
-        (u64::BITS - ticks.leading_zeros()).min(BUCKETS as u32 - 1) as usize
-    }
-
-    /// The representative (upper-bound) duration of bucket `b`, in ticks.
-    fn bucket_bound(b: usize) -> u64 {
-        if b == 0 {
-            0
-        } else {
-            1u64 << b.min(63)
-        }
-    }
-
     /// Records one duration.
     pub fn record(&mut self, ticks: u64) {
-        self.buckets[Self::bucket_of(ticks)] += 1;
-        self.count += 1;
+        self.samples.push(ticks);
     }
 
     /// Total durations recorded.
     pub fn count(&self) -> u64 {
-        self.count
+        self.samples.len() as u64
     }
 
-    /// The `p`-th percentile (0.0 ..= 100.0) by nearest rank over the
-    /// bucket upper bounds (0 when empty). Bucketed, so an approximation
-    /// within a factor of two — deterministic and cheap, which is what a
-    /// run report needs.
+    /// The `p`-th percentile (0.0 ..= 100.0) by nearest rank, in ticks (0
+    /// when empty) — the service latencies' own
+    /// [`percentile_ticks`](crate::sharded::metrics::percentile_ticks).
     pub fn percentile(&self, p: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let rank = ((p / 100.0) * self.count as f64).ceil() as u64;
-        let rank = rank.clamp(1, self.count);
-        let mut seen = 0u64;
-        for (b, &n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if seen >= rank {
-                return Self::bucket_bound(b);
-            }
-        }
-        Self::bucket_bound(BUCKETS - 1)
+        crate::sharded::metrics::percentile_ticks(&self.samples, p)
     }
 
-    /// Median duration, in ticks (bucket upper bound).
+    /// Median duration, in ticks.
     pub fn p50(&self) -> u64 {
         self.percentile(50.0)
     }
 
-    /// 99th-percentile duration, in ticks (bucket upper bound).
+    /// 99th-percentile duration, in ticks.
     pub fn p99(&self) -> u64 {
         self.percentile(99.0)
     }
@@ -256,24 +222,28 @@ mod tests {
     }
 
     #[test]
-    fn histogram_percentiles_are_bucketed() {
+    fn histogram_percentiles_are_exact() {
         let mut h = LatencyHistogram::new();
-        for _ in 0..99 {
-            h.record(100); // bucket [64, 128) → bound 128
+        h.record(10_000);
+        for _ in 0..98 {
+            h.record(100);
         }
-        h.record(10_000); // bucket [8192, 16384) → bound 16384
+        h.record(0);
         assert_eq!(h.count(), 100);
-        assert_eq!(h.p50(), 128);
-        assert_eq!(h.p99(), 128);
-        assert_eq!(h.percentile(100.0), 16_384);
+        assert_eq!(h.percentile(1.0), 0);
+        assert_eq!(h.p50(), 100);
+        assert_eq!(h.p99(), 100);
+        assert_eq!(h.percentile(100.0), 10_000);
         assert_eq!(LatencyHistogram::new().p50(), 0);
     }
 
     #[test]
-    fn zero_ticks_land_in_bucket_zero() {
+    fn two_point_distribution_separates_p50_from_p99() {
         let mut h = LatencyHistogram::new();
-        h.record(0);
-        assert_eq!(h.p50(), 0);
+        for ticks in [1_000, 1_000, 1_000, 4_000, 4_000] {
+            h.record(ticks);
+        }
+        assert_eq!((h.p50(), h.p99()), (1_000, 4_000));
     }
 
     #[test]
@@ -297,8 +267,8 @@ mod tests {
         assert_eq!(stats[1].spans, 1);
         assert_eq!(stats[1].stage("total").unwrap().count(), 1);
         assert_eq!(stats[1].stage("decide").unwrap().count(), 1);
-        // Decide took 10 ticks → bucket bound 16.
-        assert_eq!(stats[1].stage("decide").unwrap().p50(), 16);
+        // Decide took 10 ticks, and reads 10.
+        assert_eq!(stats[1].stage("decide").unwrap().p50(), 10);
         // Command 2 stayed in group 0 and only routed.
         assert_eq!(stats[0].spans, 0);
         assert_eq!(stats[0].stage("route").unwrap().count(), 1);

@@ -4,6 +4,11 @@
 //! DESIGN.md §4, experiments E1–E10): it *prints* the paper-style table
 //! (virtual-time delay metrics, resilience outcomes, signature counts) and
 //! registers Criterion wall-clock measurements for the simulation runs.
+//! `perf_snapshot` builds its `BENCH_PR<n>.json` from the [`Row`] /
+//! [`Section`] values below — the one place a BENCH row is written — and
+//! gates it with [`gate`].
+
+use std::fmt::Write as _;
 
 /// Prints a section header in the bench output.
 pub fn section(title: &str) {
@@ -27,9 +32,156 @@ pub fn tick(b: bool) -> &'static str {
     }
 }
 
+/// How a value prints in a snapshot. A BENCH value *is* its printed form:
+/// the gate and the PR-to-PR diffs compare text, so a float's precision is
+/// part of the value ([`Fixed`]).
+pub trait Json {
+    /// The value as JSON (also how table cells print it).
+    fn json(&self) -> String;
+}
+
+/// A float printed with this many decimals.
+#[derive(Clone, Copy, Debug)]
+pub struct Fixed(pub f64, pub usize);
+
+macro_rules! json {
+    ($($ty:ty => |$v:ident| $text:expr;)*) => {$(
+        impl Json for $ty {
+            fn json(&self) -> String {
+                let $v = self;
+                $text
+            }
+        }
+    )*};
+}
+json! {
+    u64 => |n| n.to_string();
+    usize => |n| n.to_string();
+    bool => |b| b.to_string();
+    &str => |s| format!("\"{s}\"");
+    Fixed => |x| format!("{:.*}", x.1, x.0);
+    Option<Fixed> => |x| x.map_or("null".to_string(), |x| x.json());
+    Vec<u64> => |counts| format!("{counts:?}");
+    Row => |row| row.to_json();
+}
+
+/// An ordered list of named values: one measured configuration (its first
+/// field the `label` the gate keys on), or a section's summary. Renders as
+/// one flat JSON object and as one line of an aligned text table.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct Row(Vec<(String, String)>);
+
+impl Row {
+    /// An empty row.
+    pub fn new() -> Row {
+        Row::default()
+    }
+
+    /// A row whose first field is `"label": label`.
+    pub fn labeled(label: &str) -> Row {
+        Row::new().with("label", label)
+    }
+
+    /// The row with `key: value` appended.
+    pub fn with(mut self, key: impl Into<String>, value: impl Json) -> Row {
+        self.0.push((key.into(), value.json()));
+        self
+    }
+
+    /// The row as one flat JSON object on one line.
+    pub fn to_json(&self) -> String {
+        let fields: Vec<String> = (self.0.iter())
+            .map(|(key, value)| format!("\"{key}\": {value}"))
+            .collect();
+        format!("{{ {} }}", fields.join(", "))
+    }
+}
+
+/// `rows` as an aligned text table, two spaces in: a header of the first
+/// row's keys, then one line per row (first column left-aligned, the rest
+/// right-aligned). Columns that read zero in every row are left out: they
+/// say the section does not exercise that counter.
+pub fn text_table(rows: &[Row]) -> String {
+    let Some(first) = rows.first() else {
+        return String::new();
+    };
+    let mut lines: Vec<Vec<String>> = vec![first.0.iter().map(|(key, _)| key.clone()).collect()];
+    let cell = |(_, value): &(String, String)| value.trim_matches('"').to_string();
+    lines.extend(rows.iter().map(|row| row.0.iter().map(cell).collect()));
+    let column = |c: usize| lines.iter().filter_map(move |line| line.get(c));
+    let shown = |&c: &usize| c == 0 || column(c).skip(1).any(|cell| cell.parse() != Ok(0.0));
+    let mut out = String::new();
+    for line in &lines {
+        out.push(' ');
+        for c in (0..line.len()).filter(shown) {
+            let (cell, w) = (&line[c], column(c).map(String::len).max().unwrap_or(0));
+            let _ = match c {
+                0 => write!(out, " {cell:<w$}"),
+                _ => write!(out, "  {cell:>w$}"),
+            };
+        }
+        out.push('\n');
+    }
+    out
+}
+
+/// One section of a BENCH snapshot: what a `perf_snapshot` section
+/// function returns after building its scenarios, measuring them and
+/// asserting its headline.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Section {
+    /// The section's key in the snapshot.
+    pub name: &'static str,
+    /// Section-level values: workload sizes, headline ratios.
+    pub summary: Row,
+    /// The measured rows, as named lists.
+    pub tables: Vec<(&'static str, Vec<Row>)>,
+}
+
+impl Section {
+    /// The section for the console: name, one aligned table per row list,
+    /// the summary.
+    pub fn to_text(&self) -> String {
+        let mut out = format!("\nperf_snapshot: {}\n", self.name);
+        for (_, rows) in &self.tables {
+            out.push_str(&text_table(rows));
+        }
+        for (key, value) in &self.summary.0 {
+            let _ = writeln!(out, "  {key}: {value}");
+        }
+        out
+    }
+
+    /// The section as the body of its JSON object, one row per line.
+    fn to_json(&self) -> String {
+        let mut members: Vec<String> = (self.summary.0.iter())
+            .map(|(key, value)| format!("    \"{key}\": {value}"))
+            .collect();
+        for (key, rows) in &self.tables {
+            let rows: Vec<String> = (rows.iter())
+                .map(|row| format!("      {}", row.to_json()))
+                .collect();
+            members.push(format!("    \"{key}\": [\n{}\n    ]", rows.join(",\n")));
+        }
+        format!("  \"{}\": {{\n{}\n  }}", self.name, members.join(",\n"))
+    }
+}
+
+/// A whole `BENCH_PR<pr>.json`: the header the gate reads
+/// (`workload_commands` decides comparability), then every section.
+pub fn snapshot_json(pr: u32, workload_commands: usize, sections: &[Section]) -> String {
+    let sections: Vec<String> = sections.iter().map(Section::to_json).collect();
+    format!(
+        "{{\n  \"schema\": \"bench-snapshot-v2\",\n  \"pr\": {pr},\n  \
+         \"workload_commands\": {workload_commands},\n{}\n}}\n",
+        sections.join(",\n")
+    )
+}
+
 /// The per-PR perf regression gate: compares the snapshot a `perf_snapshot`
 /// run just produced against the newest prior `BENCH_PR<k>.json` at the
-/// repo root and reports any throughput drop beyond a threshold.
+/// repo root and reports any virtual-time or exact-count metric that
+/// worsened beyond a threshold, and any label that disappeared.
 ///
 /// The snapshots are this workspace's own generated JSON, so the extractor
 /// is a purpose-built string scanner rather than a JSON parser (the
@@ -121,16 +273,16 @@ pub mod gate {
         pub drop_frac: f64,
     }
 
-    /// The gated metrics: `(field, higher_is_better)`. `entries_per_sec`
-    /// is wall-clock (noisy across machines; measured configs keep their
-    /// best-of-N trial to compare noise floors). `committed_per_delay` and
-    /// `delays_per_entry` are *virtual-time* quantities — deterministic
+    /// The gated metrics: `(field, higher_is_better)`. `committed_per_delay`
+    /// and `delays_per_entry` are *virtual-time* quantities — deterministic
     /// per seed and identical on every machine — so any change there is a
     /// real schedule regression, never noise. `range_rows_per_cmd` (rows
     /// returned by range reads per committed command) is an exact count
     /// of the same kind: it moves only when a read starts fetching more.
-    const GATED_METRICS: [(&str, bool); 4] = [
-        ("entries_per_sec", true),
+    /// Nothing wall-clock is gated here: host time is the repository
+    /// benchmark's job (`benchmark/`, calibrated reference seconds); a
+    /// row's `wall_secs` is for diagnosis only.
+    const GATED_METRICS: [(&str, bool); 3] = [
         ("committed_per_delay", true),
         ("delays_per_entry", false),
         ("range_rows_per_cmd", false),
@@ -198,36 +350,39 @@ pub mod gate {
 
         const PRIOR: &str = r#"{
   "workload_commands": 1000,
-  "a": { "label": "cfg_one", "entries": 10, "entries_per_sec": 1000, "x": 1 },
-  "b": { "label": "cfg_two", "entries_per_sec": 500.5 }
+  "a": { "label": "cfg_one", "entries": 10, "committed_per_delay": 1000, "x": 1 },
+  "b": { "label": "cfg_two", "committed_per_delay": 500.5 }
 }"#;
 
         #[test]
         fn extracts_labeled_and_top_fields() {
             assert_eq!(top_field(PRIOR, "workload_commands"), Some(1000.0));
             assert_eq!(
-                labeled_field(PRIOR, "cfg_one", "entries_per_sec"),
+                labeled_field(PRIOR, "cfg_one", "committed_per_delay"),
                 Some(1000.0)
             );
             assert_eq!(
-                labeled_field(PRIOR, "cfg_two", "entries_per_sec"),
+                labeled_field(PRIOR, "cfg_two", "committed_per_delay"),
                 Some(500.5)
             );
-            assert_eq!(labeled_field(PRIOR, "cfg_missing", "entries_per_sec"), None);
+            assert_eq!(
+                labeled_field(PRIOR, "cfg_missing", "committed_per_delay"),
+                None
+            );
             assert_eq!(labels(PRIOR), vec!["cfg_one", "cfg_two"]);
         }
 
         #[test]
         fn missing_field_does_not_read_the_next_object() {
-            // cfg_gap has no entries_per_sec; the scan must stop at its
+            // cfg_gap has no committed_per_delay; the scan must stop at its
             // closing brace instead of returning cfg_after's value.
             let json = r#"{
   "a": { "label": "cfg_gap", "entries": 10 },
-  "b": { "label": "cfg_after", "entries_per_sec": 999 }
+  "b": { "label": "cfg_after", "committed_per_delay": 999 }
 }"#;
-            assert_eq!(labeled_field(json, "cfg_gap", "entries_per_sec"), None);
+            assert_eq!(labeled_field(json, "cfg_gap", "committed_per_delay"), None);
             assert_eq!(
-                labeled_field(json, "cfg_after", "entries_per_sec"),
+                labeled_field(json, "cfg_after", "committed_per_delay"),
                 Some(999.0)
             );
         }
@@ -235,16 +390,16 @@ pub mod gate {
         #[test]
         fn flags_only_drops_beyond_threshold() {
             let current = r#"{
-  "a": { "label": "cfg_one", "entries_per_sec": 950 },
-  "b": { "label": "cfg_two", "entries_per_sec": 200 },
-  "c": { "label": "cfg_new", "entries_per_sec": 1 }
+  "a": { "label": "cfg_one", "committed_per_delay": 950 },
+  "b": { "label": "cfg_two", "committed_per_delay": 200 },
+  "c": { "label": "cfg_new", "committed_per_delay": 1 }
 }"#;
             let regs = regressions(PRIOR, current, 0.10);
             // cfg_one dropped 5% (within threshold); cfg_new is unknown to
             // the prior snapshot; only cfg_two's 60% drop is flagged.
             assert_eq!(regs.len(), 1);
             assert_eq!(regs[0].label, "cfg_two");
-            assert_eq!(regs[0].metric, "entries_per_sec");
+            assert_eq!(regs[0].metric, "committed_per_delay");
             assert!((regs[0].drop_frac - 0.6004).abs() < 0.001);
         }
 
@@ -264,7 +419,7 @@ pub mod gate {
 
         #[test]
         fn improvements_never_flag() {
-            let current = r#"{ "a": { "label": "cfg_one", "entries_per_sec": 5000 } }"#;
+            let current = r#"{ "a": { "label": "cfg_one", "committed_per_delay": 5000 } }"#;
             assert!(regressions(PRIOR, current, 0.10).is_empty());
         }
 
@@ -273,8 +428,8 @@ pub mod gate {
             // cfg_two vanished (renamed to cfg_2): regressions() is blind
             // to it, retired_labels() is not.
             let current = r#"{
-  "a": { "label": "cfg_one", "entries_per_sec": 1000 },
-  "b": { "label": "cfg_2", "entries_per_sec": 1 }
+  "a": { "label": "cfg_one", "committed_per_delay": 1000 },
+  "b": { "label": "cfg_2", "committed_per_delay": 1 }
 }"#;
             assert!(regressions(PRIOR, current, 0.10).is_empty());
             assert_eq!(retired_labels(PRIOR, current), vec!["cfg_two"]);
@@ -286,6 +441,51 @@ pub mod gate {
   "b": { "label": "cfg_gone", "x": 2 }
 }"#;
             assert_eq!(retired_labels(dup, "{}"), vec!["cfg_gone"]);
+        }
+
+        #[test]
+        fn rendered_sections_are_what_the_gate_reads() {
+            use crate::{snapshot_json, text_table, Fixed, Row, Section};
+            let rows = vec![
+                Row::labeled("cfg_one")
+                    .with("entries", 10usize)
+                    .with("committed_per_delay", Fixed(15.84, 3))
+                    .with("peaks", vec![16u64, 9]),
+                Row::labeled("cfg_two").with("delays_per_entry", Fixed(0.0631, 3)),
+            ];
+            assert_eq!(
+                rows[0].to_json(),
+                r#"{ "label": "cfg_one", "entries": 10, "committed_per_delay": 15.840, "peaks": [16, 9] }"#
+            );
+            let section = Section {
+                name: "demo",
+                summary: Row::new()
+                    .with("total_commands", 10usize)
+                    .with("ratio", Row::new().with("g4", Fixed(3.96, 3))),
+                tables: vec![("configs", rows.clone())],
+            };
+            let json = snapshot_json(17, 1000, std::slice::from_ref(&section));
+            assert_eq!(top_field(&json, "workload_commands"), Some(1000.0));
+            assert_eq!(labels(&json), vec!["cfg_one", "cfg_two"]);
+            assert_eq!(
+                labeled_field(&json, "cfg_one", "committed_per_delay"),
+                Some(15.84)
+            );
+            // A field of the next row is not read into this one.
+            assert_eq!(labeled_field(&json, "cfg_one", "delays_per_entry"), None);
+            assert_eq!(
+                labeled_field(&json, "cfg_two", "delays_per_entry"),
+                Some(0.063)
+            );
+            assert!(json.contains(r#""ratio": { "g4": 3.960 }"#), "{json}");
+            // The console table: header from the first row, columns aligned.
+            assert_eq!(
+                text_table(&rows[..1]),
+                "  label    entries  committed_per_delay    peaks\n\
+                 \x20 cfg_one       10               15.840  [16, 9]\n"
+            );
+            assert!(section.to_text().contains("perf_snapshot: demo"));
+            assert!(section.to_text().contains("  total_commands: 10"));
         }
 
         #[test]

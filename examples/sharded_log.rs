@@ -12,6 +12,7 @@
 //! cargo run --example sharded_log
 //! ```
 
+use agreement::adversary::AdversaryKind;
 use agreement::harness::{run_sharded, ShardedScenario};
 use agreement::sharded::WorkloadSpec;
 use simnet::TICKS_PER_DELAY;
@@ -159,8 +160,10 @@ fn main() {
     byz.window = 4;
     byz.batch = 2;
     byz.max_delays = 40_000;
-    byz.byz_silent = vec![(0, 2)];
-    byz.byz_equivocators = vec![(1, 0)];
+    byz.adversaries = vec![
+        (0, 2, AdversaryKind::Silent),
+        (1, 0, AdversaryKind::Equivocator),
+    ];
     byz.announce = vec![(1, 1, 80)];
     let r_byz = run_sharded(&byz);
     println!("  group  mode       entries  committed  p99(d)  logs-agree");
@@ -232,7 +235,7 @@ fn main() {
     // leaves the invented commands unconfirmed, and fails over.
     let mut pipe_adv = pipe.clone();
     pipe_adv.max_delays = 60_000;
-    pipe_adv.byz_equivocators = vec![(1, 0)];
+    pipe_adv.adversaries = vec![(1, 0, AdversaryKind::Equivocator)];
     pipe_adv.announce = vec![(1, 1, 80)];
     let r_adv = run_sharded(&pipe_adv);
     println!(

@@ -15,6 +15,7 @@
 //!    group is Byzantine-mode — including a seal submitted to a lying
 //!    leader and recovered through failover re-submission.
 
+use agreement::adversary::AdversaryKind;
 use agreement::harness::{run_sharded, ShardedRunReport, ShardedScenario};
 use agreement::sharded::{GroupMode, KeyRange, ScriptedMigration};
 
@@ -35,8 +36,10 @@ fn adversarial_scenario(seed: u64) -> ShardedScenario {
     sc.window = 4;
     sc.batch = 2;
     sc.max_delays = 40_000;
-    sc.byz_silent = vec![(0, 2)];
-    sc.byz_equivocators = vec![(1, 0)];
+    sc.adversaries = vec![
+        (0, 2, AdversaryKind::Silent),
+        (1, 0, AdversaryKind::Equivocator),
+    ];
     sc.announce = vec![(1, 1, 80)];
     // Group 1 owns [1024, 2048) under the even version-0 table; move a
     // slice of it to group 3 while group 1's leader is still the liar.
@@ -254,7 +257,7 @@ fn windowed_takeover_adopts_receipted_prefix_exactly_once() {
         sc.byz_fast_path = fast;
         // Replica 2 forges receipts for wires it never delivered; the
         // scan's provenance check must strip their adoption preference.
-        sc.byz_receipt_forgers = vec![(0, 2)];
+        sc.adversaries = vec![(0, 2, AdversaryKind::ReceiptForger)];
         // Demote the (honest, pipelining) initial leader mid-stream.
         sc.announce = vec![(0, 1, 120)];
         let r = run_sharded(&sc);
@@ -294,7 +297,7 @@ fn far_future_first_is_ignored_counted_and_failed_over() {
         sc.max_delays = 40_000;
         sc.byz_pipeline_window = window;
         sc.byz_fast_path = fast;
-        sc.byz_far_future_leaders = vec![(0, 0)];
+        sc.adversaries = vec![(0, 0, AdversaryKind::FarFutureLeader)];
         sc.announce = vec![(0, 1, 80)];
         let r = run_sharded(&sc);
         assert!(r.all_committed, "window {window}: {r:?}");

@@ -17,6 +17,7 @@
 //!    scenario of at most 3 faults, proving the loop finds and
 //!    minimizes real violations rather than vacuously passing.
 
+use agreement::adversary::AdversaryKind;
 use agreement::fuzz::{
     self, check, check_deep, fault_count, generate, run_campaign, to_literal, DeepChecks,
     FuzzConfig, Violation,
@@ -71,8 +72,10 @@ fn corpus_equivocating_leader_races_migration() {
     sc.window = 4;
     sc.batch = 2;
     sc.group_modes = vec![GroupMode::Byzantine; 4];
-    sc.byz_silent = vec![(0, 2)];
-    sc.byz_equivocators = vec![(1, 0)];
+    sc.adversaries = vec![
+        (0, 2, AdversaryKind::Silent),
+        (1, 0, AdversaryKind::Equivocator),
+    ];
     sc.announce = vec![(1, 1, 80)];
     sc.migrations = vec![ScriptedMigration {
         at_delays: 40,
@@ -96,7 +99,7 @@ fn corpus_forged_receipt_blocked_at_takeover() {
     sc.total_cmds = 80;
     sc.window = 4;
     sc.group_modes = vec![GroupMode::Byzantine, GroupMode::Byzantine];
-    sc.byz_receipt_forgers = vec![(0, 2)];
+    sc.adversaries = vec![(0, 2, AdversaryKind::ReceiptForger)];
     sc.announce = vec![(0, 1, 60)];
     sc.max_delays = 40_000;
     let r = check_deep(&sc, DEEP).expect("corpus scenario regressed");

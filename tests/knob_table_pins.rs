@@ -9,6 +9,7 @@
 //! budgeted or shrunk that moves one of them has changed what a seed
 //! means or where a failing scenario shrinks to — not just the code.
 
+use agreement::adversary::AdversaryKind;
 use agreement::fuzz::{self, fault_count, generate, run_campaign, FuzzConfig};
 use agreement::harness::ShardedScenario;
 use agreement::sharded::WorkloadSpec;
@@ -21,14 +22,14 @@ fn fnv(h: u64, bytes: &[u8]) -> u64 {
 /// kind-code)`: silent 0, equivocator 1, receipt forger 2, far-future
 /// leader 3. The one projection the refactor may re-spell.
 fn adversary_placements(sc: &ShardedScenario) -> Vec<(usize, usize, u8)> {
-    let kinds = [
-        (&sc.byz_silent, 0),
-        (&sc.byz_equivocators, 1),
-        (&sc.byz_receipt_forgers, 2),
-        (&sc.byz_far_future_leaders, 3),
-    ];
-    let mut placed: Vec<(usize, usize, u8)> = (kinds.iter())
-        .flat_map(|&(slots, code)| slots.iter().map(move |&(g, i)| (g, i, code)))
+    let code = |kind| match kind {
+        AdversaryKind::Silent => 0,
+        AdversaryKind::Equivocator => 1,
+        AdversaryKind::ReceiptForger => 2,
+        AdversaryKind::FarFutureLeader => 3,
+    };
+    let mut placed: Vec<(usize, usize, u8)> = (sc.adversaries.iter())
+        .map(|&(g, i, kind)| (g, i, code(kind)))
         .collect();
     placed.sort_unstable();
     placed

@@ -138,6 +138,7 @@ fn aligned_survives_what_would_kill_either_side() {
 // equivocating actors per group.
 // ---------------------------------------------------------------------
 
+use agreement::adversary::AdversaryKind::{Equivocator, Silent};
 use agreement::harness::{run_sharded, ShardedScenario};
 use agreement::sharded::GroupMode;
 
@@ -165,7 +166,7 @@ fn sharded_byzantine_matrix_f_silent_per_group() {
         let mut sc = byz_sharded(groups, 3, 100 + groups as u64);
         // f = 1 of n = 3, in every group (a different replica slot per
         // group so the sweep covers follower positions).
-        sc.byz_silent = (0..groups).map(|g| (g, 1 + g % 2)).collect();
+        sc.adversaries = (0..groups).map(|g| (g, 1 + g % 2, Silent)).collect();
         let r = run_sharded(&sc);
         assert!(r.all_committed, "G={groups}: {r:?}");
         assert!(r.all_logs_agree, "G={groups}: replica logs diverged");
@@ -183,7 +184,12 @@ fn sharded_byzantine_matrix_f_silent_per_group() {
 #[test]
 fn sharded_byzantine_five_replicas_two_silent() {
     let mut sc = byz_sharded(2, 5, 131);
-    sc.byz_silent = vec![(0, 3), (0, 4), (1, 1), (1, 2)];
+    sc.adversaries = vec![
+        (0, 3, Silent),
+        (0, 4, Silent),
+        (1, 1, Silent),
+        (1, 2, Silent),
+    ];
     let r = run_sharded(&sc);
     assert!(r.all_committed, "{r:?}");
     assert!(r.all_logs_agree && r.no_cross_group_leak);
@@ -202,7 +208,7 @@ fn sharded_byzantine_matrix_equivocating_leaders() {
         // The last group's initial leader is the adversary; Ω promotes
         // its second replica after the lies have been told.
         let g = groups - 1;
-        sc.byz_equivocators = vec![(g, 0)];
+        sc.adversaries = vec![(g, 0, Equivocator)];
         sc.announce = vec![(g, 1, 80)];
         let r = run_sharded(&sc);
         assert!(r.all_committed, "G={groups}: {r:?}");
@@ -230,7 +236,7 @@ fn sharded_byzantine_matrix_equivocating_leaders() {
 #[test]
 fn fully_byzantine_group_never_corrupts_sibling_groups() {
     let mut sc = byz_sharded(4, 3, 300);
-    sc.byz_silent = (0..3).map(|i| (2usize, i)).collect();
+    sc.adversaries = (0..3).map(|i| (2usize, i, Silent)).collect();
     sc.max_delays = 2_500; // the dead group holds the run open; cap it
     let r = run_sharded(&sc);
     assert!(!r.all_committed, "a dead group cannot commit its share");
@@ -266,7 +272,7 @@ fn mixed_mode_deployment_commits_everything() {
         GroupMode::CrashPmp,
         GroupMode::Byzantine,
     ];
-    sc.byz_silent = vec![(1, 2)];
+    sc.adversaries = vec![(1, 2, Silent)];
     // A crash-mode leader failure rides along: both failure models in
     // one deployment, each handled by its own protocol.
     sc.crash_leaders = vec![(2, 15)];
