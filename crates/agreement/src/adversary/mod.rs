@@ -26,7 +26,7 @@
 //!   trying to make followers decide differently. Unanimity (all `n`
 //!   matching copies + `n` proofs) must prevent any split decision.
 
-use rdma_sim::{MemWire, MemoryClient, OpId};
+use rdma_sim::{MemoryClient, OpId};
 use sigsim::Signer;
 use simnet::{Actor, ActorId, Context, EventKind};
 
@@ -755,6 +755,3 @@ impl std::fmt::Debug for ReceiptForger {
         write!(f, "ReceiptForger({})", self.me)
     }
 }
-
-/// Re-export used by tests that only need a type name.
-pub type Wire = MemWire<RegVal>;

@@ -6,65 +6,35 @@
 //! majority or a memory majority separately.
 //!
 //! Structure (Algorithm 9): a classic two-phase proposer whose
-//! communicate / hear-back / analyze steps are implemented per agent kind:
+//! communicate / hear-back / analyze steps are implemented per agent kind —
+//! the crate's one proposer and single-decree actor ([`crate::protected`],
+//! "Algorithm 9 once"), here with both kinds of agent at once:
 //!
-//! * **Process agents** speak Paxos: `Prepare`/`Promise`,
-//!   `Accept`/`Accepted` ([`AlMsg`]).
-//! * **Memory agents** hold one slot per process. Two implementations of
-//!   the memory leg are provided, mirroring the paper's footnote 4:
+//! * **Process agents** speak Paxos: every process runs the one
+//!   [`Acceptor`] and answers `Prepare` / `Accept` in
+//!   [`crate::paxos::PaxosMsg`].
+//! * **Memory agents** hold one slot per process. Both implementations of
+//!   the memory leg are available, mirroring the paper's footnote 4:
 //!   * [`MemoryMode::Protected`] — Algorithm 10's `changePermission` then
 //!     write; a successful phase-2 write needs no read-back (dynamic
-//!     permissions, as in Protected Memory Paxos).
+//!     permissions, the [`Protected`] leg and memories of Protected Memory
+//!     Paxos).
 //!   * [`MemoryMode::DiskStyle`] — write own slot then read all slots
-//!     (Disk-Paxos style, **no permissions needed**); phase 2 re-reads to
-//!     verify no interference.
+//!     (the [`Static`] leg and disks of Disk Paxos, **no permissions
+//!     needed**); phase 2 re-reads to verify no interference.
 //!
-//! A phase completes when a majority of all agents answered successfully;
-//! any `Nack`, higher `minProp`, or failed write aborts the attempt.
+//! A phase completes when a majority of all agents answered, and is judged
+//! then: any `Nack`, higher `minProp`, or failed write aborts the attempt.
+//! Every attempt runs both phases — no process pre-owns a ballot at its
+//! peers' acceptors.
 
-use std::collections::BTreeMap;
+use rdma_sim::MemoryActor;
+use simnet::{ActorId, Duration};
 
-use rdma_sim::{
-    LegalChange, MemResponse, MemoryActor, MemoryClient, Permission, RegId, RegionId, RegionSpec,
-    Window,
-};
-use simnet::{Actor, ActorId, Context, Duration, EventKind, Time};
-
-use crate::types::{spaces, Ballot, Instance, Msg, PaxSlot, Pid, RegVal, Value};
-
-/// Process-agent messages.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
-pub enum AlMsg {
-    /// Phase-1 communicate to a process agent.
-    Prepare {
-        /// The ballot.
-        b: Ballot,
-    },
-    /// Phase-1 hear-back from a process agent.
-    Promise {
-        /// The promised ballot.
-        b: Ballot,
-        /// The agent's accepted pair, if any.
-        acc: Option<(Ballot, Value)>,
-    },
-    /// Phase-2 communicate to a process agent.
-    Accept {
-        /// The ballot.
-        b: Ballot,
-        /// The value.
-        v: Value,
-    },
-    /// Phase-2 hear-back from a process agent.
-    Accepted {
-        /// The ballot.
-        b: Ballot,
-    },
-    /// Rejection (the agent promised a higher ballot).
-    Nack {
-        /// The rejected ballot.
-        b: Ballot,
-    },
-}
+use crate::disk_paxos::{self, Static};
+use crate::paxos::Acceptor;
+use crate::protected::{self, Layout, MemoryLeg, Proposer, Protected, SingleDecree};
+use crate::types::{Instance, Msg, Pid, RegVal, Value};
 
 /// How the memory leg is implemented (footnote 4 of the paper).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -77,20 +47,13 @@ pub enum MemoryMode {
     DiskStyle,
 }
 
-/// Region id for the exclusive whole-space region (Protected mode).
-pub const EXCL_REGION: RegionId = RegionId(0x6000);
-
-/// Region id of process `p`'s slot row (DiskStyle mode).
-pub fn row_region(p: Pid) -> RegionId {
-    RegionId(0x6100 + p.0)
-}
-
-/// Region id of the read-only whole-space region.
-pub const ALL_REGION: RegionId = RegionId(0x61FF);
-
-/// The slot of process `p` in `instance`.
-pub fn slot_reg(instance: Instance, p: Pid) -> RegId {
-    RegId::two(spaces::ALN, instance.0, p.0 as u64)
+impl MemoryLeg for MemoryMode {
+    fn layout(self, me: Pid) -> Layout {
+        match self {
+            MemoryMode::Protected => Protected.layout(me),
+            MemoryMode::DiskStyle => Static.layout(me),
+        }
+    }
 }
 
 /// Builds one Aligned Paxos memory for the given mode.
@@ -100,94 +63,14 @@ pub fn memory_actor(
     initial_leader: Pid,
 ) -> MemoryActor<RegVal, Msg> {
     match mode {
-        MemoryMode::Protected => {
-            MemoryActor::new(LegalChange::Policy(crate::protected::legal_change)).with_region(
-                EXCL_REGION,
-                RegionSpec::Space(spaces::ALN),
-                Permission::exclusive_writer(initial_leader),
-            )
-        }
-        MemoryMode::DiskStyle => {
-            let mut mem = MemoryActor::new(LegalChange::Static);
-            for &p in procs {
-                mem.add_region(
-                    row_region(p),
-                    RegionSpec::Pattern {
-                        space: spaces::ALN,
-                        a: None,
-                        b: Some(Window::exact(p.0 as u64)),
-                        c: None,
-                    },
-                    Permission::exclusive_writer(p),
-                );
-            }
-            mem.add_region(
-                ALL_REGION,
-                RegionSpec::Space(spaces::ALN),
-                Permission::read_only(),
-            );
-            mem
-        }
+        MemoryMode::Protected => protected::memory_actor(initial_leader),
+        MemoryMode::DiskStyle => disk_paxos::disk_actor(procs),
     }
-}
-
-const RETRY_TAG: u64 = 1;
-
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum Phase {
-    Idle,
-    One,
-    Two,
-}
-
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum StepKind {
-    Perm,
-    Write,
-    Scan,
-}
-
-#[derive(Clone, Debug, Default)]
-struct MemAgent {
-    wrote: Option<bool>,
-    slots: Option<Vec<PaxSlot>>,
-    /// DiskStyle phase 2 verification scan outcome.
-    verify: Option<Vec<PaxSlot>>,
 }
 
 /// An Aligned Paxos process: always an acceptor agent; a proposer when Ω
 /// nominates it.
-#[derive(Debug)]
-pub struct AlignedPaxosActor {
-    me: Pid,
-    procs: Vec<Pid>,
-    mems: Vec<ActorId>,
-    instance: Instance,
-    input: Value,
-    initial_leader: Pid,
-    mode: MemoryMode,
-    retry_every: Duration,
-    client: MemoryClient<RegVal, Msg>,
-    // Acceptor agent state.
-    promised: Option<Ballot>,
-    accepted: Option<(Ballot, Value)>,
-    // Proposer state.
-    is_leader: bool,
-    attempt: u64,
-    round: u64,
-    max_round_seen: u64,
-    ballot: Option<Ballot>,
-    phase: Phase,
-    value: Option<Value>,
-    promises: BTreeMap<Pid, Option<(Ballot, Value)>>,
-    accepteds: BTreeMap<Pid, ()>,
-    nacked: bool,
-    mem_agents: BTreeMap<ActorId, MemAgent>,
-    op_map: BTreeMap<rdma_sim::OpId, (u64, ActorId, StepKind)>,
-    decided: Option<Value>,
-    /// When this process decided, if it has.
-    pub decided_at: Option<Time>,
-}
+pub type AlignedPaxosActor = SingleDecree<MemoryMode>;
 
 impl AlignedPaxosActor {
     /// Creates a process.
@@ -202,427 +85,19 @@ impl AlignedPaxosActor {
         mode: MemoryMode,
         retry_every: Duration,
     ) -> AlignedPaxosActor {
-        AlignedPaxosActor {
-            me,
-            procs,
-            mems,
-            instance,
-            input,
-            initial_leader,
-            mode,
-            retry_every,
-            client: MemoryClient::new(),
-            promised: None,
-            accepted: None,
-            is_leader: false,
-            attempt: 0,
-            round: 0,
-            max_round_seen: 0,
-            ballot: None,
-            phase: Phase::Idle,
-            value: None,
-            promises: BTreeMap::new(),
-            accepteds: BTreeMap::new(),
-            nacked: false,
-            mem_agents: BTreeMap::new(),
-            op_map: BTreeMap::new(),
-            decided: None,
-            decided_at: None,
-        }
-    }
-
-    /// This process's decision, if reached.
-    pub fn decision(&self) -> Option<Value> {
-        self.decided
-    }
-
-    /// Majority of the combined agent set (processes + memories).
-    fn agent_majority(&self) -> usize {
-        (self.procs.len() + self.mems.len()) / 2 + 1
-    }
-
-    fn write_region(&self) -> RegionId {
-        match self.mode {
-            MemoryMode::Protected => EXCL_REGION,
-            MemoryMode::DiskStyle => row_region(self.me),
-        }
-    }
-
-    fn scan_region(&self) -> RegionId {
-        match self.mode {
-            MemoryMode::Protected => EXCL_REGION,
-            MemoryMode::DiskStyle => ALL_REGION,
-        }
-    }
-
-    fn instance_pattern(&self) -> RegionSpec {
-        RegionSpec::Pattern {
-            space: spaces::ALN,
-            a: Some(self.instance.0),
-            b: None,
-            c: None,
-        }
-    }
-
-    fn start_attempt(&mut self, ctx: &mut Context<'_, Msg>) {
-        if !self.is_leader || self.decided.is_some() {
-            return;
-        }
-        self.attempt += 1;
-        self.round = self.round.max(self.max_round_seen) + 1;
-        let b = Ballot {
-            round: self.round,
-            pid: self.me,
-        };
-        self.ballot = Some(b);
-        self.phase = Phase::One;
-        self.promises.clear();
-        self.accepteds.clear();
-        self.nacked = false;
-        self.mem_agents.clear();
-        // Communicate phase 1 to process agents (including ourselves,
-        // locally and instantaneously).
-        for &q in &self.procs.clone() {
-            if q != self.me {
-                ctx.send(q, Msg::Aligned(AlMsg::Prepare { b }));
-            }
-        }
-        if let Some(reply) = self.acceptor_on(AlMsg::Prepare { b }) {
-            self.proposer_on(ctx, self.me, reply);
-        }
-        // Communicate phase 1 to memory agents.
-        let reg = slot_reg(self.instance, self.me);
-        for &mem in &self.mems.clone() {
-            self.mem_agents.insert(mem, MemAgent::default());
-            if self.mode == MemoryMode::Protected {
-                let p = self.client.change_perm(
-                    ctx,
-                    mem,
-                    EXCL_REGION,
-                    Permission::exclusive_writer(self.me),
-                );
-                self.op_map.insert(p, (self.attempt, mem, StepKind::Perm));
-            }
-            let w = self.client.write(
-                ctx,
-                mem,
-                self.write_region(),
-                reg,
-                RegVal::Slot(PaxSlot::phase1(b)),
-            );
-            self.op_map.insert(w, (self.attempt, mem, StepKind::Write));
-            let r =
-                self.client
-                    .read_range(ctx, mem, self.scan_region(), Some(self.instance_pattern()));
-            self.op_map.insert(r, (self.attempt, mem, StepKind::Scan));
-        }
-    }
-
-    /// The acceptor-agent half (runs on every process).
-    fn acceptor_on(&mut self, m: AlMsg) -> Option<AlMsg> {
-        match m {
-            AlMsg::Prepare { b } => {
-                self.max_round_seen = self.max_round_seen.max(b.round);
-                if self.promised.is_none_or(|p| b >= p) {
-                    self.promised = Some(b);
-                    Some(AlMsg::Promise {
-                        b,
-                        acc: self.accepted,
-                    })
-                } else {
-                    Some(AlMsg::Nack { b })
-                }
-            }
-            AlMsg::Accept { b, v } => {
-                self.max_round_seen = self.max_round_seen.max(b.round);
-                if self.promised.is_none_or(|p| b >= p) {
-                    self.promised = Some(b);
-                    self.accepted = Some((b, v));
-                    Some(AlMsg::Accepted { b })
-                } else {
-                    Some(AlMsg::Nack { b })
-                }
-            }
-            _ => None,
-        }
-    }
-
-    /// The proposer half: absorbs hear-backs from process agents.
-    fn proposer_on(&mut self, ctx: &mut Context<'_, Msg>, from: Pid, m: AlMsg) {
-        let Some(ballot) = self.ballot else { return };
-        match m {
-            AlMsg::Promise { b, acc } if b == ballot && self.phase == Phase::One => {
-                self.promises.insert(from, acc);
-                self.phase1_step(ctx);
-            }
-            AlMsg::Accepted { b } if b == ballot && self.phase == Phase::Two => {
-                self.accepteds.insert(from, ());
-                self.phase2_step(ctx);
-            }
-            AlMsg::Nack { b } if b == ballot => {
-                self.max_round_seen = self.max_round_seen.max(b.round);
-                self.nacked = true;
-                self.abandon();
-            }
-            _ => {}
-        }
-    }
-
-    fn abandon(&mut self) {
-        self.phase = Phase::Idle;
-    }
-
-    fn completed_mem_agents_phase1(&self) -> Vec<&MemAgent> {
-        self.mem_agents
-            .values()
-            .filter(|a| a.wrote.is_some() && a.slots.is_some())
-            .collect()
-    }
-
-    fn phase1_step(&mut self, ctx: &mut Context<'_, Msg>) {
-        if self.phase != Phase::One {
-            return;
-        }
-        let ballot = self.ballot.expect("phase without ballot");
-        let mems = self.completed_mem_agents_phase1();
-        let ok_mems: Vec<_> = mems.iter().filter(|a| a.wrote == Some(true)).collect();
-        // Analyze 1 (Algorithm 12): any failed write or higher minProp
-        // aborts; otherwise adopt the highest accepted value.
-        let mut max_seen = 0;
-        let mut higher = false;
-        let mut best: Option<(Ballot, Value)> = None;
-        for a in &ok_mems {
-            for s in a.slots.as_ref().expect("completed") {
-                max_seen = max_seen.max(s.min_prop.round);
-                if s.min_prop > ballot {
-                    higher = true;
-                }
-                if let (Some(ap), Some(v)) = (s.acc_prop, s.value) {
-                    if best.is_none_or(|(bb, _)| ap > bb) {
-                        best = Some((ap, v));
-                    }
-                }
-            }
-        }
-        let any_failed_write = mems.iter().any(|a| a.wrote == Some(false));
-        let responded = self.promises.len() + mems.len();
-        if responded < self.agent_majority() {
-            self.max_round_seen = self.max_round_seen.max(max_seen);
-            return;
-        }
-        self.max_round_seen = self.max_round_seen.max(max_seen);
-        if higher || any_failed_write {
-            self.abandon();
-            return;
-        }
-        // Merge process promises into the adoption rule.
-        for acc in self.promises.values().flatten() {
-            if best.is_none_or(|(bb, _)| acc.0 > bb) {
-                best = Some(*acc);
-            }
-        }
-        let v = best.map(|(_, v)| v).unwrap_or(self.input);
-        self.value = Some(v);
-        self.phase = Phase::Two;
-        self.attempt += 1;
-        self.accepteds.clear();
-        // Communicate phase 2.
-        for &q in &self.procs.clone() {
-            if q != self.me {
-                ctx.send(q, Msg::Aligned(AlMsg::Accept { b: ballot, v }));
-            }
-        }
-        if let Some(reply) = self.acceptor_on(AlMsg::Accept { b: ballot, v }) {
-            self.proposer_on(ctx, self.me, reply);
-        }
-        let reg = slot_reg(self.instance, self.me);
-        for &mem in &self.mems.clone() {
-            self.mem_agents.insert(mem, MemAgent::default());
-            let w = self.client.write(
-                ctx,
-                mem,
-                self.write_region(),
-                reg,
-                RegVal::Slot(PaxSlot::phase2(ballot, v)),
-            );
-            self.op_map.insert(w, (self.attempt, mem, StepKind::Write));
-            if self.mode == MemoryMode::DiskStyle {
-                let r = self.client.read_range(
-                    ctx,
-                    mem,
-                    self.scan_region(),
-                    Some(self.instance_pattern()),
-                );
-                self.op_map.insert(r, (self.attempt, mem, StepKind::Scan));
-            }
-        }
-    }
-
-    fn phase2_step(&mut self, ctx: &mut Context<'_, Msg>) {
-        if self.phase != Phase::Two {
-            return;
-        }
-        let ballot = self.ballot.expect("phase without ballot");
-        let complete: Vec<&MemAgent> = self
-            .mem_agents
-            .values()
-            .filter(|a| match self.mode {
-                MemoryMode::Protected => a.wrote.is_some(),
-                MemoryMode::DiskStyle => a.wrote.is_some() && a.verify.is_some(),
-            })
-            .collect();
-        let mut ok_mems = 0;
-        let mut failed = false;
-        for a in &complete {
-            if a.wrote != Some(true) {
-                failed = true;
-                continue;
-            }
-            match self.mode {
-                MemoryMode::Protected => ok_mems += 1,
-                MemoryMode::DiskStyle => {
-                    let slots = a.verify.as_ref().expect("completed");
-                    if slots.iter().any(|s| s.min_prop > ballot) {
-                        failed = true;
-                    } else {
-                        ok_mems += 1;
-                    }
-                }
-            }
-        }
-        if failed {
-            self.abandon();
-            return;
-        }
-        if self.accepteds.len() + ok_mems < self.agent_majority() {
-            return;
-        }
-        let v = self.value.expect("phase 2 without value");
-        self.decided = Some(v);
-        self.decided_at = Some(ctx.now());
-        self.phase = Phase::Idle;
-        ctx.mark_decided();
-        for &q in &self.procs.clone() {
-            if q != self.me {
-                ctx.send(
-                    q,
-                    Msg::Decided {
-                        instance: self.instance,
-                        value: v,
-                    },
-                );
-            }
-        }
-    }
-}
-
-impl Actor<Msg> for AlignedPaxosActor {
-    fn on_event(&mut self, ctx: &mut Context<'_, Msg>, ev: EventKind<Msg>) {
-        match ev {
-            EventKind::Start => {
-                self.is_leader = self.initial_leader == self.me;
-                if self.is_leader {
-                    self.start_attempt(ctx);
-                }
-                ctx.set_timer(self.retry_every, RETRY_TAG);
-            }
-            EventKind::Timer { tag: RETRY_TAG, .. } => {
-                if self.decided.is_none() {
-                    if self.is_leader && self.phase == Phase::Idle {
-                        self.start_attempt(ctx);
-                    }
-                    ctx.set_timer(self.retry_every, RETRY_TAG);
-                }
-            }
-            EventKind::Timer { .. } => {}
-            EventKind::LeaderChange { leader } => {
-                let was = self.is_leader;
-                self.is_leader = leader == self.me;
-                if self.is_leader && !was && self.phase == Phase::Idle {
-                    self.start_attempt(ctx);
-                }
-            }
-            EventKind::Msg {
-                from,
-                msg: Msg::Aligned(m),
-            } => {
-                // Acceptor-agent half first (Prepare/Accept), proposer half
-                // for hear-backs.
-                match m {
-                    AlMsg::Prepare { .. } | AlMsg::Accept { .. } => {
-                        if let Some(reply) = self.acceptor_on(m) {
-                            ctx.send(from, Msg::Aligned(reply));
-                        }
-                    }
-                    _ => self.proposer_on(ctx, from, m),
-                }
-            }
-            EventKind::Msg {
-                from,
-                msg: Msg::Mem(wire),
-            } => {
-                let Some(c) = self.client.on_wire(ctx, from, wire) else {
-                    return;
-                };
-                let Some((attempt, mem, step)) = self.op_map.remove(&c.op) else {
-                    return;
-                };
-                if attempt != self.attempt || self.phase == Phase::Idle {
-                    return;
-                }
-                let phase = self.phase;
-                let Some(agent) = self.mem_agents.get_mut(&mem) else {
-                    return;
-                };
-                match (step, c.resp) {
-                    (StepKind::Perm, _) => {} // advisory; write outcome decides
-                    (StepKind::Write, MemResponse::Ack) => agent.wrote = Some(true),
-                    (StepKind::Write, _) => agent.wrote = Some(false),
-                    (StepKind::Scan, MemResponse::Range(rows)) => {
-                        let slots: Vec<PaxSlot> = rows
-                            .into_iter()
-                            .filter_map(|(_, v)| match v {
-                                RegVal::Slot(s) => Some(s),
-                                _ => None,
-                            })
-                            .collect();
-                        match phase {
-                            Phase::One => agent.slots = Some(slots),
-                            Phase::Two => agent.verify = Some(slots),
-                            Phase::Idle => {}
-                        }
-                    }
-                    (StepKind::Scan, _) => match phase {
-                        Phase::One => agent.slots = Some(Vec::new()),
-                        Phase::Two => agent.verify = Some(Vec::new()),
-                        Phase::Idle => {}
-                    },
-                }
-                match self.phase {
-                    Phase::One => self.phase1_step(ctx),
-                    Phase::Two => self.phase2_step(ctx),
-                    Phase::Idle => {}
-                }
-            }
-            EventKind::Msg {
-                msg: Msg::Decided { instance, value },
-                ..
-            } => {
-                if instance == self.instance && self.decided.is_none() {
-                    self.decided = Some(value);
-                    self.decided_at = Some(ctx.now());
-                    ctx.mark_decided();
-                }
-            }
-            EventKind::Msg { .. } => {}
-        }
+        // Majority of the combined agent set (processes + memories).
+        let majority = (procs.len() + mems.len()) / 2 + 1;
+        let peers = procs.iter().copied().filter(|&q| q != me).collect();
+        let proposer = Proposer::new(mode, me, peers, mems, majority, false);
+        let (agent, leader) = (Some(Acceptor::default()), Some(initial_leader));
+        SingleDecree::over(proposer, agent, procs, instance, input, leader, retry_every)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simnet::Simulation;
+    use simnet::{Simulation, Time};
 
     fn build(
         n: u32,
@@ -729,6 +204,29 @@ mod tests {
             assert!(!got.is_empty(), "{mode:?}: nobody decided");
             assert!(got.iter().all(|v| *v == got[0]), "{mode:?}: {got:?}");
         }
+    }
+
+    #[test]
+    fn protected_mode_decides_only_on_a_phase_two_quorum() {
+        // p1 takes over at 3: late enough that p0's phase 1 still passes
+        // (its ballot write and scan reach every memory before p1's
+        // permission grab and ballot do), early enough that p0's phase 2
+        // is refused by every memory and nacked by p1 and p2. p0 neither
+        // hears p1's ballot in time nor gets a verdict of its own out, so
+        // nothing but the phase-2 quorum rule stands between p0 and a
+        // decision no other agent ever accepted.
+        let (mut sim, procs, _) = build(3, 3, 7, MemoryMode::Protected);
+        sim.set_delay_hook(Box::new(|_, from, to, m| match m {
+            Msg::Paxos(_) if (from, to) == (ActorId(1), ActorId(0)) => {
+                Some(Duration::from_delays(20))
+            }
+            Msg::Decided { .. } if from == ActorId(0) => Some(Duration::from_delays(50)),
+            _ => None,
+        }));
+        sim.announce_leader(Time::from_delays(3), &procs[1..2], ActorId(1));
+        sim.run_to_quiescence(Time::from_delays(400));
+        let ds = decisions(&sim, &procs);
+        assert!(ds.iter().all(|d| *d == Some(Value(101))), "{ds:?}");
     }
 
     #[test]

@@ -7,11 +7,14 @@
 //! better than four. Protected Memory Paxos (same resilience) beats it to
 //! two delays using dynamic permissions; that gap is Experiment E2.
 //!
-//! Implementation: each process `p` owns one block per disk,
-//! `block[d, p] = (mbal, bal, inp)`, writable only by `p` (static SWMR
-//! permissions — the disk model's "single region that always permits all
-//! processes" is refined to per-row regions, which only strengthens the
-//! baseline). A ballot attempt runs two phases; each phase writes the
+//! Implementation: the crate's one two-phase proposer and single-decree
+//! actor ([`crate::protected`], "Algorithm 9 once") over the [`Static`]
+//! memory leg. Each process `p` owns one block per disk,
+//! `block[d, p] = (mbal, bal, inp)` — the same record as Protected Memory
+//! Paxos's slot `(minProp, accProp, value)` — writable only by `p` (static
+//! SWMR permissions — the disk model's "single region that always permits
+//! all processes" is refined to per-row regions, which only strengthens
+//! the baseline). A ballot attempt runs two phases; each phase writes the
 //! process's block to every disk and reads *all* blocks from a majority of
 //! disks (one range read per disk). Seeing a higher `mbal` aborts the
 //! attempt. Phase 1 adopts the value of the highest `bal`; phase 2 commits
@@ -21,14 +24,11 @@
 //! phase 2, but — lacking a permission signal — it still must read back to
 //! check for interference: write (2 delays) + read (2 delays) = 4 delays.
 
-use std::collections::BTreeMap;
+use rdma_sim::{LegalChange, MemoryActor, Permission, RegionId, RegionSpec, Window};
+use simnet::{ActorId, Duration};
 
-use rdma_sim::{
-    LegalChange, MemoryActor, MemoryClient, Permission, RegId, RegionId, RegionSpec, Window,
-};
-use simnet::{Actor, ActorId, Context, Duration, EventKind, Time};
-
-use crate::types::{spaces, Ballot, DiskBlock, Instance, Msg, Pid, RegVal, Value};
+use crate::protected::{Layout, MemoryLeg, Proposer, SingleDecree};
+use crate::types::{spaces, Instance, Msg, Pid, RegVal, Value};
 
 /// Region id of process `p`'s row of blocks on each disk.
 pub fn row_region(p: Pid) -> RegionId {
@@ -38,14 +38,26 @@ pub fn row_region(p: Pid) -> RegionId {
 /// Region id of the read-everything region on each disk.
 pub const ALL_REGION: RegionId = RegionId(0x4FFF);
 
-/// The block register of process `p` in `instance`.
-pub fn block_reg(instance: Instance, p: Pid) -> RegId {
-    RegId::two(spaces::DISK, instance.0, p.0 as u64)
+/// The static-permission leg: every process writes its own row and reads
+/// everyone's back, in both phases; permissions never change.
+#[derive(Clone, Copy, Debug)]
+pub struct Static;
+
+impl MemoryLeg for Static {
+    fn layout(self, me: Pid) -> Layout {
+        Layout {
+            dynamic: false,
+            space: spaces::DISK,
+            write: row_region(me),
+            scan: ALL_REGION,
+        }
+    }
 }
 
-/// Configures one disk (memory) for Disk Paxos: per-process write rows plus
-/// a global read region.
-pub fn configure_disk(mem: &mut MemoryActor<RegVal, Msg>, procs: &[Pid]) {
+/// Builds a ready-to-add disk (memory): per-process write rows plus a
+/// global read region.
+pub fn disk_actor(procs: &[Pid]) -> MemoryActor<RegVal, Msg> {
+    let mut mem = MemoryActor::new(LegalChange::Static);
     for &p in procs {
         mem.add_region(
             row_region(p),
@@ -63,60 +75,15 @@ pub fn configure_disk(mem: &mut MemoryActor<RegVal, Msg>, procs: &[Pid]) {
         RegionSpec::Space(spaces::DISK),
         Permission::read_only(),
     );
-}
-
-/// Builds a ready-to-add disk actor.
-pub fn disk_actor(procs: &[Pid]) -> MemoryActor<RegVal, Msg> {
-    let mut mem = MemoryActor::new(LegalChange::Static);
-    configure_disk(&mut mem, procs);
     mem
 }
 
-const RETRY_TAG: u64 = 1;
-
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum Phase {
-    Idle,
-    One,
-    Two,
-}
-
-#[derive(Clone, Debug, Default)]
-struct DiskProgress {
-    wrote: bool,
-    blocks: Option<Vec<(RegId, DiskBlock)>>,
-}
-
 /// A Disk Paxos process.
-#[derive(Debug)]
-pub struct DiskPaxosActor {
-    me: Pid,
-    procs: Vec<Pid>,
-    disks: Vec<ActorId>,
-    instance: Instance,
-    input: Value,
-    initial_leader: Option<Pid>,
-    retry_every: Duration,
-    client: MemoryClient<RegVal, Msg>,
-    is_leader: bool,
-    used_initial: bool,
-    attempt: u64,
-    round: u64,
-    max_round_seen: u64,
-    ballot: Option<Ballot>,
-    phase: Phase,
-    value: Option<Value>,
-    progress: BTreeMap<ActorId, DiskProgress>,
-    op_map: BTreeMap<rdma_sim::OpId, (u64, ActorId, bool /* is_write */)>,
-    decided: Option<Value>,
-    /// When this process decided, if it has.
-    pub decided_at: Option<Time>,
-}
+pub type DiskPaxosActor = SingleDecree<Static>;
 
 impl DiskPaxosActor {
     /// Creates a Disk Paxos process. `initial_leader` seeds Ω and owns the
     /// phase-1-free first ballot.
-    #[allow(clippy::too_many_arguments)]
     pub fn new(
         me: Pid,
         procs: Vec<Pid>,
@@ -126,256 +93,24 @@ impl DiskPaxosActor {
         initial_leader: Option<Pid>,
         retry_every: Duration,
     ) -> DiskPaxosActor {
-        DiskPaxosActor {
-            me,
+        let (majority, owns) = (disks.len() / 2 + 1, initial_leader == Some(me));
+        let proposer = Proposer::new(Static, me, Vec::new(), disks, majority, owns);
+        SingleDecree::over(
+            proposer,
+            None,
             procs,
-            disks,
             instance,
             input,
             initial_leader,
             retry_every,
-            client: MemoryClient::new(),
-            is_leader: false,
-            used_initial: false,
-            attempt: 0,
-            round: 0,
-            max_round_seen: 0,
-            ballot: None,
-            phase: Phase::Idle,
-            value: None,
-            progress: BTreeMap::new(),
-            op_map: BTreeMap::new(),
-            decided: None,
-            decided_at: None,
-        }
-    }
-
-    /// This process's decision, if reached.
-    pub fn decision(&self) -> Option<Value> {
-        self.decided
-    }
-
-    fn majority(&self) -> usize {
-        self.disks.len() / 2 + 1
-    }
-
-    fn start_attempt(&mut self, ctx: &mut Context<'_, Msg>) {
-        if !self.is_leader || self.decided.is_some() {
-            return;
-        }
-        self.attempt += 1;
-        self.progress.clear();
-        let (ballot, phase) = if self.initial_leader == Some(self.me) && !self.used_initial {
-            // Ballot (0, me) is pre-owned: start in phase 2 with own input.
-            self.used_initial = true;
-            self.value = Some(self.input);
-            (Ballot::initial(self.me), Phase::Two)
-        } else {
-            self.round = self.round.max(self.max_round_seen) + 1;
-            (
-                Ballot {
-                    round: self.round,
-                    pid: self.me,
-                },
-                Phase::One,
-            )
-        };
-        self.ballot = Some(ballot);
-        self.phase = phase;
-        let block = match phase {
-            Phase::One => DiskBlock {
-                mbal: ballot,
-                bal: None,
-                inp: None,
-            },
-            Phase::Two => DiskBlock {
-                mbal: ballot,
-                bal: Some(ballot),
-                inp: self.value,
-            },
-            Phase::Idle => unreachable!(),
-        };
-        self.write_and_scan(ctx, block);
-    }
-
-    /// One phase's disk traffic: write own block to every disk, then read
-    /// the whole block array back (the reads queue FIFO behind the writes).
-    fn write_and_scan(&mut self, ctx: &mut Context<'_, Msg>, block: DiskBlock) {
-        let reg = block_reg(self.instance, self.me);
-        for &d in &self.disks.clone() {
-            self.progress.insert(d, DiskProgress::default());
-            let w = self
-                .client
-                .write(ctx, d, row_region(self.me), reg, RegVal::Disk(block));
-            self.op_map.insert(w, (self.attempt, d, true));
-            let r = self.client.read_range(
-                ctx,
-                d,
-                ALL_REGION,
-                Some(RegionSpec::Pattern {
-                    space: spaces::DISK,
-                    a: Some(self.instance.0),
-                    b: None,
-                    c: None,
-                }),
-            );
-            self.op_map.insert(r, (self.attempt, d, false));
-        }
-    }
-
-    fn phase_step(&mut self, ctx: &mut Context<'_, Msg>) {
-        let complete: Vec<_> = self
-            .progress
-            .values()
-            .filter(|p| p.wrote && p.blocks.is_some())
-            .collect();
-        if complete.len() < self.majority() {
-            return;
-        }
-        let ballot = self.ballot.expect("phase without ballot");
-        // Abort if any disk shows a higher mbal (someone else is trying).
-        let mut all_blocks: Vec<DiskBlock> = Vec::new();
-        for p in &complete {
-            for (_, b) in p.blocks.as_ref().expect("filtered above") {
-                all_blocks.push(*b);
-            }
-        }
-        for b in &all_blocks {
-            self.max_round_seen = self.max_round_seen.max(b.mbal.round);
-        }
-        if all_blocks.iter().any(|b| b.mbal > ballot) {
-            // Abandoned: retry via the timer (if still leader).
-            self.phase = Phase::Idle;
-            return;
-        }
-        match self.phase {
-            Phase::One => {
-                // Adopt the committed value of the highest bal, else own input.
-                let adopted = all_blocks
-                    .iter()
-                    .filter_map(|b| b.bal.map(|bal| (bal, b.inp)))
-                    .max_by_key(|(bal, _)| *bal)
-                    .and_then(|(_, inp)| inp)
-                    .unwrap_or(self.input);
-                self.value = Some(adopted);
-                self.phase = Phase::Two;
-                self.attempt += 1;
-                self.progress.clear();
-                let block = DiskBlock {
-                    mbal: ballot,
-                    bal: Some(ballot),
-                    inp: Some(adopted),
-                };
-                self.write_and_scan(ctx, block);
-            }
-            Phase::Two => {
-                let v = self.value.expect("phase 2 without value");
-                self.decided = Some(v);
-                self.decided_at = Some(ctx.now());
-                self.phase = Phase::Idle;
-                ctx.mark_decided();
-                // Outside the pure disk model: tell everyone (the paper's
-                // "easy to extend it so all correct processes decide").
-                for &q in &self.procs.clone() {
-                    if q != self.me {
-                        ctx.send(
-                            q,
-                            Msg::Decided {
-                                instance: self.instance,
-                                value: v,
-                            },
-                        );
-                    }
-                }
-            }
-            Phase::Idle => {}
-        }
-    }
-}
-
-impl Actor<Msg> for DiskPaxosActor {
-    fn on_event(&mut self, ctx: &mut Context<'_, Msg>, ev: EventKind<Msg>) {
-        match ev {
-            EventKind::Start => {
-                self.is_leader = self.initial_leader == Some(self.me);
-                if self.is_leader {
-                    self.start_attempt(ctx);
-                }
-                ctx.set_timer(self.retry_every, RETRY_TAG);
-            }
-            EventKind::Timer { tag: RETRY_TAG, .. } => {
-                if self.decided.is_none() {
-                    if self.is_leader && self.phase == Phase::Idle {
-                        self.start_attempt(ctx);
-                    }
-                    ctx.set_timer(self.retry_every, RETRY_TAG);
-                }
-            }
-            EventKind::Timer { .. } => {}
-            EventKind::LeaderChange { leader } => {
-                let was = self.is_leader;
-                self.is_leader = leader == self.me;
-                if self.is_leader && !was && self.phase == Phase::Idle {
-                    self.start_attempt(ctx);
-                }
-            }
-            EventKind::Msg {
-                from,
-                msg: Msg::Mem(wire),
-            } => {
-                let Some(c) = self.client.on_wire(ctx, from, wire) else {
-                    return;
-                };
-                let Some((attempt, disk, is_write)) = self.op_map.remove(&c.op) else {
-                    return;
-                };
-                if attempt != self.attempt || self.phase == Phase::Idle {
-                    return; // stale response from an abandoned attempt
-                }
-                let Some(prog) = self.progress.get_mut(&disk) else {
-                    return;
-                };
-                if is_write {
-                    match c.resp {
-                        rdma_sim::MemResponse::Ack => prog.wrote = true,
-                        _ => return, // nak impossible under static SWMR; ignore
-                    }
-                } else {
-                    match c.resp {
-                        rdma_sim::MemResponse::Range(rows) => {
-                            let blocks = rows
-                                .into_iter()
-                                .filter_map(|(r, v)| match v {
-                                    RegVal::Disk(b) => Some((r, b)),
-                                    _ => None,
-                                })
-                                .collect();
-                            prog.blocks = Some(blocks);
-                        }
-                        _ => return,
-                    }
-                }
-                self.phase_step(ctx);
-            }
-            EventKind::Msg {
-                msg: Msg::Decided { instance, value },
-                ..
-            } => {
-                if instance == self.instance && self.decided.is_none() {
-                    self.decided = Some(value);
-                    self.decided_at = Some(ctx.now());
-                    ctx.mark_decided();
-                }
-            }
-            EventKind::Msg { .. } => {}
-        }
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simnet::Simulation;
+    use simnet::{Simulation, Time};
 
     fn build(n: u32, m: u32, seed: u64) -> (Simulation<Msg>, Vec<Pid>, Vec<ActorId>) {
         let mut sim = Simulation::new(seed);

@@ -2,8 +2,8 @@
 //! scripted failure scenario, and report the paper's metrics.
 //!
 //! Every benchmark, example and integration test goes through this module,
-//! so experiment definitions stay in one place (DESIGN.md's per-experiment
-//! index points here).
+//! so experiment definitions stay in one place (ARCHITECTURE.md's
+//! experiment index, E1–E10, points here).
 
 pub mod scenario;
 
@@ -16,7 +16,6 @@ use simnet::{Actor, ActorId, DelayModel, Duration, Metrics, ParSimulation, Simul
 
 use crate::adversary::{self, AdversaryKind};
 use crate::aligned::{self, AlignedPaxosActor, MemoryMode};
-use crate::cheap_quorum::{self, CheapQuorumActor};
 use crate::disk_paxos::{self, DiskPaxosActor};
 use crate::fast_paxos::FastPaxosActor;
 use crate::fast_robust::{self, FastRobustActor};
@@ -26,7 +25,7 @@ use crate::protected::{self, ProtectedPaxosActor};
 use crate::robust_backup::RobustPaxosActor;
 use crate::sharded::{self, GroupMode, GroupTopology, RebalancePolicy, RouterActor, RoutingTable};
 use crate::smr::{byz_memory_actor, ByzSmrNode, ReplicaState, SmrNode};
-use crate::types::{Instance, Msg, Pid, Value};
+use crate::types::{Instance, Msg, Pid, RegVal, Value};
 
 /// A scripted run: cluster shape, failures, leadership and timing.
 #[derive(Clone, Debug)]
@@ -151,29 +150,53 @@ pub struct RunReport {
     pub elapsed_delays: f64,
 }
 
-fn finish<A: 'static>(
-    mut sim: Simulation<Msg>,
+/// The memory actor of every protocol in this crate.
+type Memory = rdma_sim::MemoryActor<RegVal, Msg>;
+
+/// The `scenario.m` memories of a single-shot run, each built by `one`
+/// for the scenario's processes.
+fn memories(scenario: &Scenario, one: impl Fn(&[Pid]) -> Memory) -> Vec<Memory> {
+    let procs = scenario.procs();
+    (0..scenario.m).map(|_| one(&procs)).collect()
+}
+
+/// The one single-shot run path under every `run_*` below: places the
+/// processes (`process(i, procs, mems)`; a [`adversary::SilentActor`] at
+/// the [`Scenario::byz_silent`] indices, which is also what "crashed from
+/// the start" means to a crash protocol), then the `memories` (none for
+/// a message-passing protocol), scripts the failures, runs until every
+/// process expected to decide has (or the budget ends), and reports.
+fn run_single_shot<A: Actor<Msg>>(
     scenario: &Scenario,
     auth: Option<&SigAuthority>,
+    mut process: impl FnMut(usize, Vec<Pid>, Vec<ActorId>) -> A,
+    memories: Vec<Memory>,
     decision_of: impl Fn(&A) -> Option<Value>,
 ) -> RunReport {
-    let expected: Vec<Pid> = scenario
-        .correct_procs()
-        .iter()
-        .map(|&i| ActorId(i as u32))
-        .collect();
-    let deadline = Time::from_delays(scenario.max_delays);
-    sim.run_until(deadline, |s| {
-        expected
-            .iter()
-            .all(|&p| s.actor_as::<A>(p).is_some_and(|a| decision_of(a).is_some()))
-    });
-    let mut decisions = BTreeMap::new();
-    for &p in &expected {
-        if let Some(v) = sim.actor_as::<A>(p).and_then(&decision_of) {
-            decisions.insert(p, v);
+    let mut sim = scenario.simulation();
+    let (procs, mems) = (scenario.procs(), scenario.mems());
+    for i in 0..scenario.n {
+        if scenario.byz_silent.contains(&i) {
+            sim.add(adversary::SilentActor);
+        } else {
+            sim.add(process(i, procs.clone(), mems.clone()));
         }
     }
+    for memory in memories {
+        sim.add(memory);
+    }
+    scenario.apply_failures(&mut sim);
+
+    let expected: Vec<Pid> = (scenario.correct_procs().iter())
+        .map(|&i| ActorId(i as u32))
+        .collect();
+    let decision = |s: &Simulation<Msg>, p: Pid| s.actor_as::<A>(p).and_then(&decision_of);
+    sim.run_until(Time::from_delays(scenario.max_delays), |s| {
+        expected.iter().all(|&p| decision(s, p).is_some())
+    });
+    let decisions: BTreeMap<Pid, Value> = (expected.iter())
+        .filter_map(|&p| Some((p, decision(&sim, p)?)))
+        .collect();
     let vals: Vec<Value> = decisions.values().copied().collect();
     let valid_inputs: Vec<Value> = (0..scenario.n).map(Scenario::input).collect();
     RunReport {
@@ -189,213 +212,130 @@ fn finish<A: 'static>(
     }
 }
 
+/// Process 0: the initial leader of every single-shot run.
+const LEADER: Pid = ActorId(0);
+
 /// Runs message-passing Paxos (baseline; memories unused).
 pub fn run_mp_paxos(scenario: &Scenario) -> RunReport {
-    let mut sim = scenario.simulation();
-    let procs = scenario.procs();
-    for i in 0..scenario.n {
-        sim.add(PaxosActor::new(
+    let retry = Duration::from_delays(25);
+    let process = |i, procs, _| {
+        PaxosActor::new(
             ActorId(i as u32),
-            procs.clone(),
+            procs,
             Scenario::input(i),
-            Some(ActorId(0)),
-            Duration::from_delays(25),
-        ));
-    }
-    scenario.apply_failures(&mut sim);
-    finish::<PaxosActor>(sim, scenario, None, |a| a.decision())
+            Some(LEADER),
+            retry,
+        )
+    };
+    run_single_shot(scenario, None, process, Vec::new(), PaxosActor::decision)
 }
 
 /// Runs Fast Paxos (baseline; `proposer` proposes at start).
 pub fn run_fast_paxos(scenario: &Scenario, proposer: usize) -> RunReport {
-    let mut sim = scenario.simulation();
-    let procs = scenario.procs();
-    for i in 0..scenario.n {
-        sim.add(FastPaxosActor::new(
-            ActorId(i as u32),
-            procs.clone(),
-            Scenario::input(i),
-            i == proposer,
-            ActorId(0),
-            Duration::from_delays(30),
-        ));
-    }
-    scenario.apply_failures(&mut sim);
-    finish::<FastPaxosActor>(sim, scenario, None, |a| a.decision())
+    let retry = Duration::from_delays(30);
+    let process = |i, procs, _| {
+        let (me, input) = (ActorId(i as u32), Scenario::input(i));
+        FastPaxosActor::new(me, procs, input, i == proposer, LEADER, retry)
+    };
+    run_single_shot(
+        scenario,
+        None,
+        process,
+        Vec::new(),
+        FastPaxosActor::decision,
+    )
 }
 
 /// Runs Disk Paxos (baseline).
 pub fn run_disk_paxos(scenario: &Scenario) -> RunReport {
-    let mut sim = scenario.simulation();
-    let procs = scenario.procs();
-    let mems = scenario.mems();
-    for i in 0..scenario.n {
-        sim.add(DiskPaxosActor::new(
-            ActorId(i as u32),
-            procs.clone(),
-            mems.clone(),
-            Instance(0),
-            Scenario::input(i),
-            Some(ActorId(0)),
-            Duration::from_delays(25),
-        ));
-    }
-    for _ in 0..scenario.m {
-        sim.add(disk_paxos::disk_actor(&procs));
-    }
-    scenario.apply_failures(&mut sim);
-    finish::<DiskPaxosActor>(sim, scenario, None, |a| a.decision())
+    let retry = Duration::from_delays(25);
+    let process = |i, procs, mems| {
+        let (me, input) = (ActorId(i as u32), Scenario::input(i));
+        DiskPaxosActor::new(me, procs, mems, Instance(0), input, Some(LEADER), retry)
+    };
+    let disks = memories(scenario, disk_paxos::disk_actor);
+    run_single_shot(scenario, None, process, disks, DiskPaxosActor::decision)
 }
 
 /// Runs Protected Memory Paxos (Theorem 5.1).
 pub fn run_protected(scenario: &Scenario) -> RunReport {
-    let mut sim = scenario.simulation();
-    let procs = scenario.procs();
-    let mems = scenario.mems();
-    let f_m = (scenario.m.max(1) - 1) / 2;
-    for i in 0..scenario.n {
-        sim.add(ProtectedPaxosActor::new(
-            ActorId(i as u32),
-            procs.clone(),
-            mems.clone(),
-            Instance(0),
-            Scenario::input(i),
-            ActorId(0),
-            f_m,
-            Duration::from_delays(25),
-        ));
-    }
-    for _ in 0..scenario.m {
-        sim.add(protected::memory_actor(ActorId(0)));
-    }
-    scenario.apply_failures(&mut sim);
-    finish::<ProtectedPaxosActor>(sim, scenario, None, |a| a.decision())
+    let (f_m, retry) = ((scenario.m.max(1) - 1) / 2, Duration::from_delays(25));
+    let process = |i, procs, mems| {
+        let (me, input) = (ActorId(i as u32), Scenario::input(i));
+        ProtectedPaxosActor::new(me, procs, mems, Instance(0), input, LEADER, f_m, retry)
+    };
+    let mems = memories(scenario, |_| protected::memory_actor(LEADER));
+    run_single_shot(scenario, None, process, mems, ProtectedPaxosActor::decision)
 }
 
 /// Runs Aligned Paxos (§5.2) in the given memory mode.
 pub fn run_aligned(scenario: &Scenario, mode: MemoryMode) -> RunReport {
-    let mut sim = scenario.simulation();
-    let procs = scenario.procs();
-    let mems = scenario.mems();
-    for i in 0..scenario.n {
-        sim.add(AlignedPaxosActor::new(
-            ActorId(i as u32),
-            procs.clone(),
-            mems.clone(),
-            Instance(0),
-            Scenario::input(i),
-            ActorId(0),
-            mode,
-            Duration::from_delays(30),
-        ));
-    }
-    for _ in 0..scenario.m {
-        sim.add(aligned::memory_actor(mode, &procs, ActorId(0)));
-    }
-    scenario.apply_failures(&mut sim);
-    finish::<AlignedPaxosActor>(sim, scenario, None, |a| a.decision())
+    let retry = Duration::from_delays(30);
+    let process = |i, procs, mems| {
+        let (me, input) = (ActorId(i as u32), Scenario::input(i));
+        AlignedPaxosActor::new(me, procs, mems, Instance(0), input, LEADER, mode, retry)
+    };
+    let mems = memories(scenario, |procs| aligned::memory_actor(mode, procs, LEADER));
+    run_single_shot(scenario, None, process, mems, AlignedPaxosActor::decision)
 }
 
-/// Runs standalone Cheap Quorum with the given timeout (in delays). Note:
-/// Cheap Quorum may abort; `all_decided` then reports false and callers
-/// inspect aborts through their own builds — the composed protocol is
-/// [`run_fast_robust`].
-pub fn run_cheap_quorum(scenario: &Scenario, timeout: u64) -> (RunReport, SigAuthority) {
-    let mut sim = scenario.simulation();
-    let procs = scenario.procs();
-    let mems = scenario.mems();
-    let mut auth = SigAuthority::new(scenario.seed ^ 0xCAFE);
-    for i in 0..scenario.n {
-        let signer = auth.register(ActorId(i as u32));
-        if scenario.byz_silent.contains(&i) {
-            sim.add(crate::adversary::SilentActor);
-            continue;
-        }
-        sim.add(CheapQuorumActor::new(
-            ActorId(i as u32),
-            procs.clone(),
-            mems.clone(),
-            ActorId(0),
-            Scenario::input(i),
-            signer,
-            auth.verifier(),
-            Duration::from_delays(1),
-            Duration::from_delays(timeout),
-        ));
-    }
-    for _ in 0..scenario.m {
-        sim.add(cheap_quorum::memory_actor(&procs, ActorId(0)));
-    }
-    scenario.apply_failures(&mut sim);
-    let report = finish::<CheapQuorumActor>(sim, scenario, Some(&auth), |a| a.decision());
-    (report, auth)
+/// A signing authority with every process of `scenario` registered, in id
+/// order (Byzantine stand-ins included: they hold a key and stay silent).
+fn signers(scenario: &Scenario, salt: u64) -> (SigAuthority, Vec<sigsim::Signer>) {
+    let mut auth = SigAuthority::new(scenario.seed ^ salt);
+    let signers = (scenario.procs().iter())
+        .map(|&p| auth.register(p))
+        .collect();
+    (auth, signers)
 }
 
 /// Runs the composed Fast & Robust protocol (Theorem 4.9).
 pub fn run_fast_robust(scenario: &Scenario, timeout: u64) -> (RunReport, SigAuthority) {
-    let mut sim = scenario.simulation();
-    let procs = scenario.procs();
-    let mems = scenario.mems();
-    let mut auth = SigAuthority::new(scenario.seed ^ 0xBEEF);
-    for i in 0..scenario.n {
-        let signer = auth.register(ActorId(i as u32));
-        if scenario.byz_silent.contains(&i) {
-            sim.add(crate::adversary::SilentActor);
-            continue;
-        }
-        sim.add(FastRobustActor::new(
+    let (auth, signers) = signers(scenario, 0xBEEF);
+    let process = |i: usize, procs, mems| {
+        FastRobustActor::new(
             ActorId(i as u32),
-            procs.clone(),
-            mems.clone(),
-            ActorId(0),
+            procs,
+            mems,
+            LEADER,
             Scenario::input(i),
-            signer,
+            signers[i].clone(),
             auth.verifier(),
             Duration::from_delays(1),
             Duration::from_delays(timeout),
             Duration::from_delays(120),
-        ));
-    }
-    for _ in 0..scenario.m {
-        sim.add(fast_robust::memory_actor(&procs, ActorId(0)));
-    }
-    scenario.apply_failures(&mut sim);
-    let report = finish::<FastRobustActor>(sim, scenario, Some(&auth), |a| a.decision());
+        )
+    };
+    let mems = memories(scenario, |procs| fast_robust::memory_actor(procs, LEADER));
+    let decision_of = FastRobustActor::decision;
+    let report = run_single_shot(scenario, Some(&auth), process, mems, decision_of);
     (report, auth)
 }
 
 /// Runs the slow path alone: Robust Backup over trusted channels
 /// (Theorem 4.4).
 pub fn run_robust_backup(scenario: &Scenario) -> (RunReport, SigAuthority) {
-    let mut sim = scenario.simulation();
-    let procs = scenario.procs();
-    let mems = scenario.mems();
-    let mut auth = SigAuthority::new(scenario.seed ^ 0xD00D);
-    for i in 0..scenario.n {
-        let signer = auth.register(ActorId(i as u32));
-        if scenario.byz_silent.contains(&i) {
-            sim.add(crate::adversary::SilentActor);
-            continue;
-        }
-        sim.add(RobustPaxosActor::new(
+    let (auth, signers) = signers(scenario, 0xD00D);
+    let process = |i: usize, procs, mems| {
+        RobustPaxosActor::new(
             ActorId(i as u32),
-            procs.clone(),
-            mems.clone(),
+            procs,
+            mems,
             Scenario::input(i),
-            Some(ActorId(0)),
-            signer,
+            Some(LEADER),
+            signers[i].clone(),
             auth.verifier(),
             Duration::from_delays(1),
             Duration::from_delays(80),
-        ));
-    }
-    for _ in 0..scenario.m {
+        )
+    };
+    let mems = memories(scenario, |procs| {
         let mut mem = rdma_sim::MemoryActor::new(rdma_sim::LegalChange::Static);
-        nebcast::configure_memory(&mut mem, &procs);
-        sim.add(mem);
-    }
-    scenario.apply_failures(&mut sim);
-    let report = finish::<RobustPaxosActor>(sim, scenario, Some(&auth), |a| a.decision());
+        nebcast::configure_memory(&mut mem, procs);
+        mem
+    });
+    let decision_of = RobustPaxosActor::decision;
+    let report = run_single_shot(scenario, Some(&auth), process, mems, decision_of);
     (report, auth)
 }
 
@@ -855,11 +795,7 @@ fn place_sharded_replica<K: ShardedKernel>(
 /// Builds group `g`'s memory actor for its failure mode: the PMP
 /// permission-protected region (crash) or the non-equivocating broadcast
 /// rows (Byzantine).
-fn sharded_memory(
-    scenario: &ShardedScenario,
-    topo: &GroupTopology,
-    g: usize,
-) -> rdma_sim::MemoryActor<crate::types::RegVal, Msg> {
+fn sharded_memory(scenario: &ShardedScenario, topo: &GroupTopology, g: usize) -> Memory {
     match scenario.mode_of(g) {
         GroupMode::CrashPmp => protected::memory_actor(topo.initial_leader(g)),
         GroupMode::Byzantine => byz_memory_actor(&topo.procs(g)),
@@ -1192,6 +1128,37 @@ mod tests {
             assert!(report.agreement, "{report:?}");
             assert!(report.validity, "{report:?}");
         }
+    }
+
+    #[test]
+    fn crash_runners_treat_byz_silent_as_crashed_from_the_start() {
+        // Every crash runner reports a silenced pair exactly as it reports
+        // the same pair crashed at time zero...
+        let fingerprint = |r: RunReport| {
+            let counts = (r.messages, r.mem_ops, r.elapsed_delays);
+            (r.decisions, r.first_decision_delays, counts)
+        };
+        let mut silent = Scenario::common_case(3, 3, 9);
+        silent.max_delays = 200;
+        let mut crashed = silent.clone();
+        silent.byz_silent = vec![1, 2];
+        crashed.crash_procs = vec![(1, 0), (2, 0)];
+        let runners: [fn(&Scenario) -> RunReport; 6] = [
+            run_mp_paxos,
+            |s| run_fast_paxos(s, 0),
+            run_disk_paxos,
+            run_protected,
+            |s| run_aligned(s, MemoryMode::Protected),
+            |s| run_aligned(s, MemoryMode::DiskStyle),
+        ];
+        for (i, run) in runners.into_iter().enumerate() {
+            let (silent, crashed) = (run(&silent), run(&crashed));
+            assert_eq!(fingerprint(silent), fingerprint(crashed), "runner {i}");
+        }
+        // ... so message-passing Paxos, left without a majority, blocks —
+        // it used to decide, with the "silent" processes voting.
+        assert!(run_mp_paxos(&silent).decisions.is_empty());
+        assert_eq!(run_protected(&silent).decisions.len(), 1);
     }
 
     #[test]

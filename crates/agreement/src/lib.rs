@@ -11,7 +11,7 @@
 //! | Cheap Quorum (Alg. 4/5, Lemmas 4.5/4.6, B.6) | [`cheap_quorum`] |
 //! | Preferential Paxos (Alg. 8, Lemma 4.7) | [`pref_paxos`] |
 //! | Fast & Robust composition (§4.3, Thm 4.9) | [`fast_robust`] |
-//! | Protected Memory Paxos (Alg. 7, Thm 5.1) | [`protected`] |
+//! | Protected Memory Paxos (Alg. 7, Thm 5.1); the one two-phase proposer of the crash side (Alg. 9) | [`protected`] |
 //! | Aligned Paxos (§5.2, Algs. 9–15) | [`aligned`] |
 //! | Lower bound (Thm 6.1) | [`lower_bound`] |
 //! | Replicated log on PMP (multi-instance) | [`smr`] |

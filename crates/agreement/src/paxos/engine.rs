@@ -22,7 +22,7 @@
 //!
 //! [`PaxosActor`]: crate::paxos::PaxosActor
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use crate::types::{Ballot, Pid, Value};
 
@@ -104,6 +104,39 @@ impl PaxosConfig {
     }
 }
 
+/// The acceptor role of one process: what it promised and what it
+/// accepted, and the answer either request gets. The one acceptor in the
+/// crate — [`PaxosEngine`] runs it for the message-passing protocol, and
+/// Aligned Paxos ([`crate::aligned`]) runs it as the *process agent* its
+/// proposer counts beside the memories.
+#[derive(Clone, Debug, Default)]
+pub struct Acceptor {
+    promised: Option<Ballot>,
+    accepted: Option<(Ballot, Value)>,
+}
+
+impl Acceptor {
+    /// Phase 1b: promises `b` unless something higher was promised.
+    pub fn on_prepare(&mut self, b: Ballot) -> PaxosMsg {
+        if self.promised.is_some_and(|p| b < p) {
+            return PaxosMsg::Nack { b };
+        }
+        self.promised = Some(b);
+        let accepted = self.accepted;
+        PaxosMsg::Promise { b, accepted }
+    }
+
+    /// Phase 2b: accepts `v` at `b` unless something higher was promised.
+    pub fn on_accept(&mut self, b: Ballot, v: Value) -> PaxosMsg {
+        if self.promised.is_some_and(|p| b < p) {
+            return PaxosMsg::Nack { b };
+        }
+        self.promised = Some(b);
+        self.accepted = Some((b, v));
+        PaxosMsg::Accepted { b, v }
+    }
+}
+
 #[derive(Clone, Debug)]
 enum Proposer {
     Idle,
@@ -127,8 +160,7 @@ pub struct PaxosEngine {
     round: u64,
     max_round_seen: u64,
     proposer: Proposer,
-    promised: Option<Ballot>,
-    accepted: Option<(Ballot, Value)>,
+    acceptor: Acceptor,
     learner: BTreeMap<Ballot, BTreeMap<Pid, Value>>,
     decided: Option<Value>,
 }
@@ -145,8 +177,7 @@ impl PaxosEngine {
             round: 0,
             max_round_seen: 0,
             proposer: Proposer::Idle,
-            promised: None,
-            accepted: None,
+            acceptor: Acceptor::default(),
             learner: BTreeMap::new(),
             decided: None,
         }
@@ -223,18 +254,7 @@ impl PaxosEngine {
         match msg {
             PaxosMsg::Prepare { b } => {
                 self.max_round_seen = self.max_round_seen.max(b.round);
-                if self.promised.is_none_or(|p| b >= p) {
-                    self.promised = Some(b);
-                    out.push((
-                        Dest::One(b.pid),
-                        PaxosMsg::Promise {
-                            b,
-                            accepted: self.accepted,
-                        },
-                    ));
-                } else {
-                    out.push((Dest::One(b.pid), PaxosMsg::Nack { b }));
-                }
+                out.push((Dest::One(b.pid), self.acceptor.on_prepare(b)));
             }
             PaxosMsg::Promise { b, accepted } => {
                 let majority = self.cfg.majority();
@@ -267,18 +287,14 @@ impl PaxosEngine {
             }
             PaxosMsg::Accept { b, v } => {
                 self.max_round_seen = self.max_round_seen.max(b.round);
-                if self.promised.is_none_or(|p| b >= p) {
-                    self.promised = Some(b);
-                    self.accepted = Some((b, v));
-                    let dest = if self.cfg.broadcast_accepted {
-                        Dest::All
-                    } else {
-                        Dest::One(b.pid)
-                    };
-                    out.push((dest, PaxosMsg::Accepted { b, v }));
+                let reply = self.acceptor.on_accept(b, v);
+                let accepted = matches!(reply, PaxosMsg::Accepted { .. });
+                let dest = if accepted && self.cfg.broadcast_accepted {
+                    Dest::All
                 } else {
-                    out.push((Dest::One(b.pid), PaxosMsg::Nack { b }));
-                }
+                    Dest::One(b.pid)
+                };
+                out.push((dest, reply));
             }
             PaxosMsg::Accepted { b, v } => {
                 self.max_round_seen = self.max_round_seen.max(b.round);
@@ -300,16 +316,6 @@ impl PaxosEngine {
                 }
             }
         }
-    }
-
-    /// The processes whose `Accepted` votes have been observed for the
-    /// highest tallied ballot (diagnostic).
-    pub fn observed_acceptors(&self) -> BTreeSet<Pid> {
-        self.learner
-            .iter()
-            .next_back()
-            .map(|(_, t)| t.keys().copied().collect())
-            .unwrap_or_default()
     }
 }
 

@@ -12,4 +12,4 @@ mod actor;
 mod engine;
 
 pub use actor::PaxosActor;
-pub use engine::{Dest, PaxosConfig, PaxosEngine, PaxosMsg};
+pub use engine::{Acceptor, Dest, PaxosConfig, PaxosEngine, PaxosMsg};

@@ -1,4 +1,6 @@
-//! Protected Memory Paxos (Algorithm 7, Theorem 5.1).
+//! Protected Memory Paxos (Algorithm 7, Theorem 5.1) — and the one
+//! two-phase proposer and single-decree actor every crash-side
+//! shared-memory protocol in the crate runs on (Algorithm 9).
 //!
 //! The paper's headline crash-failure result: consensus with `n ≥ f_P + 1`
 //! processes and `m ≥ 2·f_M + 1` memories that decides in **two delays** in
@@ -17,19 +19,43 @@
 //! each memory grants write access to the *most recent* acquirer (Lemma
 //! D.3's premise).
 //!
-//! # One proposer, two drivers
+//! # Algorithm 9 once
 //!
-//! `PmpProposer` is Algorithm 7's proposer and nothing else: the
-//! three-step acquisition (permission grab, ballot write, slot scan), the
-//! phase-1 quorum rule, the phase-2 write (or one `WriteMany` burst) and
-//! the phase-2 quorum rule, driven in the repo's `(ctx, client)` engine
-//! idiom and reporting a `PmpOutcome` per memory completion. It knows
-//! neither what is being decided nor who leads. [`ProtectedPaxosActor`]
-//! drives it for one instance (instance-pattern scan, one value); the
-//! crash-mode replicated log ([`crate::smr::SmrNode`]) drives the same
-//! proposer over the whole log (whole-region scan, batched writes) — the
-//! paper's closing remark that "the leader terminates one instance and
-//! becomes the default leader in the next" is one proposer, not two.
+//! §5.2 presents the crash-side algorithms as one two-phase proposer whose
+//! communicate / hear-back / analyze steps are implemented per agent kind,
+//! "processes and memories being equivalent agents". `Proposer` is that
+//! proposer, driven in the repo's `(ctx, client)` engine idiom: one ballot
+//! per acquisition, every operation stamped with its attempt, and each
+//! phase judged **once**, when the quorum-th agent has answered — any
+//! refused write, `Nack` or higher `minProp` abandons, otherwise phase 1
+//! hands the driver every accepted `(instance, accProp, value)` to adopt
+//! the highest of. It knows neither what is being decided nor who leads.
+//!
+//! * A **memory agent** is spoken to through a [`MemoryLeg`]:
+//!   [`Protected`] (`changePermission` → ballot write → scan; a successful
+//!   phase-2 write alone certifies) or [`crate::disk_paxos::Static`]
+//!   (own-row write + read-back in both phases, no permissions).
+//! * A **process agent** is another process's [`Acceptor`], asked in
+//!   [`PaxosMsg`]; its `Promise` / `Accepted` / `Nack` counts toward the
+//!   same quorum.
+//!
+//! [`SingleDecree`] is the one actor over it — Ω, the retry timer, the
+//! acceptor role, `Decided` fan-out and adoption — and the three
+//! single-decree protocols are what they *declare*:
+//!
+//! | | agents | leg | quorum | pre-owned first ballot skips phase 1 |
+//! |---|---|---|---|---|
+//! | [`crate::disk_paxos::DiskPaxosActor`] | memories | `Static` | `⌊m/2⌋+1` | yes |
+//! | [`ProtectedPaxosActor`] | memories | `Protected` | `m − f_M` | yes |
+//! | [`crate::aligned::AlignedPaxosActor`] | processes + memories | by [`crate::aligned::MemoryMode`] | `⌊(n+m)/2⌋+1` | no |
+//!
+//! The crash-mode replicated log ([`crate::smr::SmrNode`]) drives the same
+//! proposer over the whole log (`Protected` leg, no process agents,
+//! whole-region scan, batched writes) — the paper's closing remark that
+//! "the leader terminates one instance and becomes the default leader in
+//! the next" is one proposer, not two.
+
+use std::fmt;
 
 use rdma_sim::{
     Completion, LegalChange, MemResponse, MemoryActor, MemoryClient, OpId, Permission, RegId,
@@ -37,6 +63,7 @@ use rdma_sim::{
 };
 use simnet::{Actor, ActorId, Context, Duration, EventKind, Time};
 
+use crate::paxos::{Acceptor, PaxosMsg};
 use crate::types::{spaces, Ballot, Instance, Msg, PaxSlot, Pid, RegVal, Value};
 
 /// The single per-memory region of Protected Memory Paxos.
@@ -68,15 +95,60 @@ pub fn memory_actor(initial_leader: Pid) -> MemoryActor<RegVal, Msg> {
     )
 }
 
+/// Where a memory leg keeps the proposers' slots `slot[instance, p]`, and
+/// how a write to one is certified.
+#[derive(Clone, Copy, Debug)]
+pub struct Layout {
+    /// Dynamic permissions: phase 1 opens with a `changePermission`, and a
+    /// write that succeeds proves nobody took over since. Without them
+    /// every write is followed by a read-back of all slots.
+    pub dynamic: bool,
+    /// Register namespace of the slots.
+    pub space: u16,
+    /// The region a process writes its own slot through.
+    pub write: RegionId,
+    /// The region scans read every process's slot through.
+    pub scan: RegionId,
+}
+
+/// How the proposer speaks to a memory agent (the paper's footnote 4: the
+/// memory half of Algorithm 9 has a dynamic-permission and a static
+/// implementation).
+pub trait MemoryLeg: Copy + fmt::Debug + 'static {
+    /// The layout as process `me` uses it.
+    fn layout(self, me: Pid) -> Layout;
+}
+
+/// The dynamic-permission leg (Algorithm 10): one region per memory,
+/// writable by the latest process to acquire it.
+#[derive(Clone, Copy, Debug)]
+pub struct Protected;
+
+impl MemoryLeg for Protected {
+    fn layout(self, _me: Pid) -> Layout {
+        Layout {
+            dynamic: true,
+            space: spaces::PMP,
+            write: REGION,
+            scan: REGION,
+        }
+    }
+}
+
 const RETRY_TAG: u64 = 1;
 
-/// The tracked operations of a proposal (a permission grab's outcome
-/// shows in the writes queued behind it, so it is not).
+/// The tracked memory operations of a phase (a permission grab's outcome
+/// shows in the write queued behind it, so it is not).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum StepKind {
-    Write1,
+    /// A write with a scan queued behind it on the same memory.
+    Write,
+    /// The scan that completes its memory for the phase.
     Scan,
-    Write2,
+    /// That scan, once the write before it was refused.
+    ScanAfterRefusal,
+    /// A `Protected` phase-2 write: completes its memory by itself.
+    LoneWrite,
 }
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -86,71 +158,73 @@ enum Phase {
     Two,
 }
 
-/// What a memory completion meant for the proposal in flight.
+/// What an agent's answer meant for the proposal in flight.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) enum PmpOutcome {
+pub(crate) enum Outcome {
     /// Phase 1 passed its quorum rule: the driver picks what to propose
-    /// (the scan's accepted values were handed to it as they arrived) and
-    /// calls [`PmpProposer::accept`].
+    /// (the accepted values were handed to it as they arrived) and calls
+    /// [`Proposer::accept`].
     Acquired,
     /// Phase 2 passed its quorum rule: the proposed values are decided.
     Accepted,
-    /// A write was refused or a higher ballot was seen: the proposal is
-    /// dead and the proposer idle; the driver retries with
-    /// [`PmpProposer::acquire`] when it still leads.
+    /// An agent refused or a higher ballot was seen: the proposal is dead
+    /// and the proposer idle; the driver retries with
+    /// [`Proposer::acquire`] when it still leads.
     Abandoned,
 }
 
-/// Algorithm 7's proposer (see the module docs): one proposal in flight
-/// over `mems`, acks counted in place.
+/// Algorithm 9's proposer (see the module docs): one proposal in flight
+/// over `peers` and `mems`, answers counted in place.
 #[derive(Debug)]
-pub(crate) struct PmpProposer {
+pub(crate) struct Proposer<L> {
+    leg: L,
     me: Pid,
+    /// The other processes, when processes are agents too.
+    peers: Vec<Pid>,
     mems: Vec<ActorId>,
-    /// Tolerated memory crashes (quorum is `m - f_M` completed memories).
-    f_m: usize,
+    /// Answered agents that complete a phase.
+    quorum: usize,
     /// Bumped per phase started; completions of older ones are stale.
     attempt: u64,
     phase: Phase,
-    /// Whether this process holds the write permission as far as it
-    /// knows: it owned it from the start or acquired it, and no write of
-    /// its own has been refused since. Holding it, a driver may
-    /// [`PmpProposer::accept`] without acquiring — a successful write
-    /// proves nobody took over.
+    /// Whether phase 1 can be skipped: the ballot was pre-owned or
+    /// acquired, and no agent has refused it since. Under the `Protected`
+    /// leg this is holding the write permission as far as this process
+    /// knows — a successful write proves nobody took over.
     holds_permission: bool,
     /// The current ballot `(round, me)`; one round per acquisition, so a
     /// deposed leader's in-flight writes sit below every later term.
     ballot: Ballot,
     max_round_seen: u64,
-    /// Memories that completed the current phase, and whether any of
-    /// them refused a write.
+    /// Agents that answered the current phase, and whether any refused.
     done: usize,
     nack: bool,
-    /// Phase 1, over the memories counted in `done`: the highest
-    /// `minProp` scanned (starting from our own ballot).
+    /// Over the memories counted in `done`: the highest `minProp` scanned
+    /// (starting from our own ballot).
     seen: Ballot,
-    /// Phase 1: memories that refused the ballot write, remembered until
-    /// the scan queued behind it on the same memory completes the memory.
-    refused: Vec<ActorId>,
     /// In-flight op → (attempt, memory, step). Linear small-vec: a few
     /// entries per memory, capacity kept across rounds.
     op_map: Vec<(OpId, (u64, ActorId, StepKind))>,
 }
 
-impl PmpProposer {
-    /// A proposer for `me` over `mems`, idle, at ballot `(0, me)` — the
-    /// lowest possible, which is why the process that owns the permission
-    /// from the start (`holds_permission`) needs no phase 1.
+impl<L: MemoryLeg> Proposer<L> {
+    /// A proposer for `me`, idle, at ballot `(0, me)` — the lowest
+    /// possible, which is why a process that owns it from the start
+    /// (`holds_permission`) needs no phase 1.
     pub(crate) fn new(
+        leg: L,
         me: Pid,
+        peers: Vec<Pid>,
         mems: Vec<ActorId>,
-        f_m: usize,
+        quorum: usize,
         holds_permission: bool,
-    ) -> PmpProposer {
-        PmpProposer {
+    ) -> Proposer<L> {
+        Proposer {
+            leg,
             me,
+            peers,
             mems,
-            f_m,
+            quorum,
             attempt: 0,
             phase: Phase::Idle,
             holds_permission,
@@ -159,7 +233,6 @@ impl PmpProposer {
             done: 0,
             nack: false,
             seen: Ballot::initial(me),
-            refused: Vec::new(),
             op_map: Vec::new(),
         }
     }
@@ -181,19 +254,29 @@ impl PmpProposer {
         self.holds_permission = false;
     }
 
+    /// A ballot another proposer is running: the next acquisition goes
+    /// above it.
+    fn observe(&mut self, b: Ballot) {
+        self.max_round_seen = self.max_round_seen.max(b.round);
+    }
+
+    /// The registers of `instance` (every process's slot).
+    fn row(&self, instance: u64) -> RegionSpec {
+        RegionSpec::row(self.leg.layout(self.me).space, instance)
+    }
+
     fn begin(&mut self, phase: Phase) {
         self.attempt += 1;
         self.phase = phase;
         self.done = 0;
         self.nack = false;
         self.seen = self.ballot;
-        self.refused.clear();
     }
 
-    /// Starts phase 1 under a fresh ballot: on every memory, acquire the
-    /// exclusive write permission, stamp the ballot into `instance`'s
-    /// slot, and scan the registers `within` the region (`None`: all of
-    /// it) for what earlier leaders accepted.
+    /// Starts phase 1 under a fresh ballot: `Prepare` to every peer, and
+    /// on every memory (acquire the write permission,) stamp the ballot
+    /// into `instance`'s slot and scan the registers `within` the region
+    /// (`None`: all of it) for what earlier leaders accepted.
     pub(crate) fn acquire(
         &mut self,
         ctx: &mut Context<'_, Msg>,
@@ -203,14 +286,21 @@ impl PmpProposer {
     ) {
         self.ballot.round = self.ballot.round.max(self.max_round_seen) + 1;
         self.begin(Phase::One);
-        let slot = RegVal::Slot(PaxSlot::phase1(self.ballot));
-        let reg = slot_reg(instance, self.me);
+        let b = self.ballot;
+        for &q in &self.peers {
+            ctx.send(q, Msg::Paxos(PaxosMsg::Prepare { b }));
+        }
+        let lay = self.leg.layout(self.me);
+        let slot = RegVal::Slot(PaxSlot::phase1(b));
+        let reg = RegId::two(lay.space, instance.0, self.me.0 as u64);
         for i in 0..self.mems.len() {
             let mem = self.mems[i];
-            client.change_perm(ctx, mem, REGION, Permission::exclusive_writer(self.me));
-            let w = client.write(ctx, mem, REGION, reg, slot.clone());
-            let r = client.read_range(ctx, mem, REGION, within);
-            self.op_map.push((w, (self.attempt, mem, StepKind::Write1)));
+            if lay.dynamic {
+                client.change_perm(ctx, mem, lay.write, Permission::exclusive_writer(self.me));
+            }
+            let w = client.write(ctx, mem, lay.write, reg, slot.clone());
+            let r = client.read_range(ctx, mem, lay.scan, within);
+            self.op_map.push((w, (self.attempt, mem, StepKind::Write)));
             self.op_map.push((r, (self.attempt, mem, StepKind::Scan)));
         }
     }
@@ -218,6 +308,8 @@ impl PmpProposer {
     /// Starts phase 2 under the current ballot: `values[j]` into instance
     /// `first + j`, one write per memory — a plain `Write` for a single
     /// value (the paper's wire), one scatter-gather `WriteMany` otherwise.
+    /// Peers are single-decree acceptors and a static leg reads one
+    /// instance back: either carries `values[0]` alone.
     pub(crate) fn accept(
         &mut self,
         ctx: &mut Context<'_, Msg>,
@@ -228,34 +320,45 @@ impl PmpProposer {
         assert!(!values.is_empty(), "phase 2 without values");
         self.begin(Phase::Two);
         let b = self.ballot;
+        for &q in &self.peers {
+            ctx.send(q, Msg::Paxos(PaxosMsg::Accept { b, v: values[0] }));
+        }
+        let lay = self.leg.layout(self.me);
+        let read_back = Some(RegionSpec::row(lay.space, first));
         let write = |j: usize, v: Value| {
-            let reg = slot_reg(Instance(first + j as u64), self.me);
+            let reg = RegId::two(lay.space, first + j as u64, self.me.0 as u64);
             (reg, RegVal::Slot(PaxSlot::phase2(b, v)))
         };
         for i in 0..self.mems.len() {
             let mem = self.mems[i];
             let w = if let [v] = values {
                 let (reg, slot) = write(0, *v);
-                client.write(ctx, mem, REGION, reg, slot)
+                client.write(ctx, mem, lay.write, reg, slot)
             } else {
                 let writes = values.iter().enumerate().map(|(j, &v)| write(j, v));
-                client.write_many(ctx, mem, REGION, writes.collect())
+                client.write_many(ctx, mem, lay.write, writes.collect())
             };
-            self.op_map.push((w, (self.attempt, mem, StepKind::Write2)));
+            if lay.dynamic {
+                self.op_map
+                    .push((w, (self.attempt, mem, StepKind::LoneWrite)));
+                continue;
+            }
+            let r = client.read_range(ctx, mem, lay.scan, read_back);
+            self.op_map.push((w, (self.attempt, mem, StepKind::Write)));
+            self.op_map.push((r, (self.attempt, mem, StepKind::Scan)));
         }
     }
 
-    /// Feeds one memory completion to the proposal in flight. A phase-1
-    /// scan hands every accepted `(instance, ballot, value)` it returned
-    /// to `accepted` as it arrives — the driver folds them by highest
-    /// ballot and discards the fold unless this phase ends
-    /// [`PmpOutcome::Acquired`]. Each phase is judged once, when the
-    /// `m - f_M`-th memory completes it.
+    /// Feeds one memory completion to the proposal in flight. A scan hands
+    /// every accepted `(instance, ballot, value)` it returned to
+    /// `accepted` as it arrives — the driver folds them by highest ballot
+    /// and discards the fold unless this phase ends
+    /// [`Outcome::Acquired`].
     pub(crate) fn on_completion(
         &mut self,
         c: Completion<RegVal>,
         mut accepted: impl FnMut(u64, Ballot, Value),
-    ) -> Option<PmpOutcome> {
+    ) -> Option<Outcome> {
         let ix = self.op_map.iter().position(|&(op, _)| op == c.op)?;
         let (_, (attempt, mem, step)) = self.op_map.swap_remove(ix);
         if attempt != self.attempt || self.phase == Phase::Idle {
@@ -263,18 +366,20 @@ impl PmpProposer {
         }
         let acked = matches!(c.resp, MemResponse::Ack);
         match step {
-            StepKind::Write1 => {
+            StepKind::Write => {
                 if !acked {
-                    self.refused.push(mem);
+                    // The client runs one operation per memory at a time,
+                    // in order: this memory's scan is still queued behind
+                    // us, and is what completes the memory.
+                    let scan = (attempt, mem, StepKind::Scan);
+                    if let Some(e) = self.op_map.iter_mut().find(|e| e.1 == scan) {
+                        e.1 .2 = StepKind::ScanAfterRefusal;
+                    }
                 }
                 return None;
             }
             StepKind::Scan => {
-                // The client runs one operation per memory at a time, in
-                // order: this memory's ballot write has already answered.
-                let wrote = !self.refused.contains(&mem);
-                self.nack |= !wrote;
-                if let (true, MemResponse::Range(rows)) = (wrote, c.resp) {
+                if let MemResponse::Range(rows) = c.resp {
                     for (reg, v) in rows {
                         let RegVal::Slot(s) = v else { continue };
                         self.seen = self.seen.max(s.min_prop);
@@ -284,14 +389,43 @@ impl PmpProposer {
                     }
                 }
             }
-            StepKind::Write2 => self.nack |= !acked,
+            StepKind::ScanAfterRefusal => self.nack = true,
+            StepKind::LoneWrite => self.nack |= !acked,
         }
+        self.answered()
+    }
+
+    /// Feeds one process agent's answer to the proposal in flight; a
+    /// `Promise`'s accepted pair goes to `accepted`.
+    fn on_answer(
+        &mut self,
+        answer: PaxosMsg,
+        accepted: impl FnOnce(Ballot, Value),
+    ) -> Option<Outcome> {
+        match (self.phase, answer) {
+            (Phase::One, PaxosMsg::Promise { b, accepted: acc }) if b == self.ballot => {
+                if let Some((ap, v)) = acc {
+                    accepted(ap, v);
+                }
+            }
+            (Phase::Two, PaxosMsg::Accepted { b, .. }) if b == self.ballot => {}
+            (Phase::One | Phase::Two, PaxosMsg::Nack { b }) if b == self.ballot => {
+                self.nack = true;
+            }
+            _ => return None, // stale, or not an answer
+        }
+        self.answered()
+    }
+
+    /// One more agent answered the phase in flight, which is judged once,
+    /// when the quorum-th does.
+    fn answered(&mut self) -> Option<Outcome> {
         self.done += 1;
-        if self.done < self.mems.len() - self.f_m {
+        if self.done < self.quorum {
             return None;
         }
         let phase = std::mem::replace(&mut self.phase, Phase::Idle);
-        if phase == Phase::One && !self.nack {
+        if !self.nack {
             self.max_round_seen = self.max_round_seen.max(self.seen.round);
         }
         // "if (!writeSuccess[i] for some i) then continue"; "if
@@ -299,39 +433,53 @@ impl PmpProposer {
         // Either way be conservative: re-acquire.
         if self.nack || self.seen > self.ballot {
             self.holds_permission = false;
-            return Some(PmpOutcome::Abandoned);
+            return Some(Outcome::Abandoned);
         }
-        // A quorum took the acquisition; the phase-2 writes will tell if
-        // anyone raced us.
+        // A quorum took the phase; the phase-2 answers will tell if anyone
+        // raced us.
         self.holds_permission = true;
         Some(match phase {
-            Phase::One => PmpOutcome::Acquired,
-            _ => PmpOutcome::Accepted,
+            Phase::One => Outcome::Acquired,
+            _ => Outcome::Accepted,
         })
     }
 }
 
-/// A Protected Memory Paxos process: one instance, one input.
+impl Proposer<Protected> {
+    /// Algorithm 7's proposer: memories are the only agents, and all but
+    /// the `f_m` that may have crashed must answer.
+    pub(crate) fn pmp(me: Pid, mems: Vec<ActorId>, f_m: usize, owns_permission: bool) -> Self {
+        let quorum = mems.len() - f_m;
+        Proposer::new(Protected, me, Vec::new(), mems, quorum, owns_permission)
+    }
+}
+
+/// The one single-decree actor over the proposer: one instance, one
+/// input. See the module docs for the three protocols it is.
 #[derive(Debug)]
-pub struct ProtectedPaxosActor {
-    me: Pid,
+pub struct SingleDecree<L> {
     procs: Vec<Pid>,
     instance: Instance,
     input: Value,
-    initial_leader: Pid,
+    initial_leader: Option<Pid>,
     retry_every: Duration,
     client: MemoryClient<RegVal, Msg>,
-    pmp: PmpProposer,
+    proposer: Proposer<L>,
+    /// This process's own agent role, when processes are agents.
+    acceptor: Option<Acceptor>,
     is_leader: bool,
-    /// The accepted value of the highest `accProp` the phase-1 scan in
-    /// flight has returned so far.
+    /// The accepted value of the highest `accProp` phase 1 has heard back
+    /// so far.
     adopted: Option<(Ballot, Value)>,
-    /// The value phase 2 is writing.
+    /// The value phase 2 is proposing.
     value: Option<Value>,
     decided: Option<Value>,
     /// When this process decided, if it has.
     pub decided_at: Option<Time>,
 }
+
+/// A Protected Memory Paxos process.
+pub type ProtectedPaxosActor = SingleDecree<Protected>;
 
 impl ProtectedPaxosActor {
     /// Creates a process. `f_m` is the assumed bound on memory crashes
@@ -348,15 +496,33 @@ impl ProtectedPaxosActor {
         retry_every: Duration,
     ) -> ProtectedPaxosActor {
         assert!(mems.len() > 2 * f_m, "m >= 2 f_M + 1 required");
-        ProtectedPaxosActor {
-            me,
+        let proposer = Proposer::pmp(me, mems, f_m, me == initial_leader);
+        let leader = Some(initial_leader);
+        SingleDecree::over(proposer, None, procs, instance, input, leader, retry_every)
+    }
+}
+
+impl<L: MemoryLeg> SingleDecree<L> {
+    /// The actor driving `proposer` for `instance`; with an `acceptor`,
+    /// this process answers its peers' proposers as an agent too.
+    pub(crate) fn over(
+        proposer: Proposer<L>,
+        acceptor: Option<Acceptor>,
+        procs: Vec<Pid>,
+        instance: Instance,
+        input: Value,
+        initial_leader: Option<Pid>,
+        retry_every: Duration,
+    ) -> SingleDecree<L> {
+        SingleDecree {
             procs,
             instance,
             input,
             initial_leader,
             retry_every,
             client: MemoryClient::new(),
-            pmp: PmpProposer::new(me, mems, f_m, me == initial_leader),
+            proposer,
+            acceptor,
             is_leader: false,
             adopted: None,
             value: None,
@@ -374,28 +540,73 @@ impl ProtectedPaxosActor {
         if !self.is_leader || self.decided.is_some() {
             return;
         }
-        if self.pmp.holds_permission() {
-            // Fast path (the initial leader's first attempt): permission
-            // is pre-owned and ballot (0, me) is the lowest possible, so
-            // phase 1 is unnecessary — write and decide.
+        if self.proposer.holds_permission() {
+            // Fast path (the initial leader's first attempt): ballot
+            // (0, me) is pre-owned and the lowest possible, so phase 1 is
+            // unnecessary.
             self.propose(ctx, self.input);
             return;
         }
         self.adopted = None;
-        let this_instance = RegionSpec::Pattern {
-            space: spaces::PMP,
-            a: Some(self.instance.0),
-            b: None,
-            c: None,
-        };
-        self.pmp
+        let this_instance = self.proposer.row(self.instance.0);
+        self.proposer
             .acquire(ctx, &mut self.client, self.instance, Some(this_instance));
+        let b = self.proposer.ballot;
+        self.ask_self(ctx, |a| a.on_prepare(b));
     }
 
     fn propose(&mut self, ctx: &mut Context<'_, Msg>, v: Value) {
         self.value = Some(v);
-        self.pmp
+        self.proposer
             .accept(ctx, &mut self.client, self.instance.0, &[v]);
+        let b = self.proposer.ballot;
+        self.ask_self(ctx, |a| a.on_accept(b, v));
+    }
+
+    /// This process is an agent of its own proposer: its answer is local
+    /// and instantaneous.
+    fn ask_self(
+        &mut self,
+        ctx: &mut Context<'_, Msg>,
+        ask: impl FnOnce(&mut Acceptor) -> PaxosMsg,
+    ) {
+        if let Some(answer) = self.acceptor.as_mut().map(ask) {
+            self.on_answer(ctx, answer);
+        }
+    }
+
+    fn on_answer(&mut self, ctx: &mut Context<'_, Msg>, answer: PaxosMsg) {
+        let adopted = &mut self.adopted;
+        let outcome = self
+            .proposer
+            .on_answer(answer, |ap, v| adopt(adopted, ap, v));
+        self.on_outcome(ctx, outcome);
+    }
+
+    fn on_outcome(&mut self, ctx: &mut Context<'_, Msg>, outcome: Option<Outcome>) {
+        match outcome {
+            // Adopt the accepted value of the highest accProp, else our
+            // input.
+            Some(Outcome::Acquired) => {
+                let v = self.adopted.map_or(self.input, |(_, v)| v);
+                self.propose(ctx, v);
+            }
+            Some(Outcome::Accepted) => {
+                let value = self.value.expect("phase 2 without value");
+                self.decide(ctx, value);
+                // Outside the pure shared-memory model: tell everyone (the
+                // paper's "easy to extend it so all correct processes
+                // decide").
+                let instance = self.instance;
+                let me = self.proposer.me;
+                for &q in self.procs.iter().filter(|&&q| q != me) {
+                    ctx.send(q, Msg::Decided { instance, value });
+                }
+            }
+            // An abandoned proposal retries on the timer (with a higher
+            // ballot), provided Ω still nominates us.
+            Some(Outcome::Abandoned) | None => {}
+        }
     }
 
     fn decide(&mut self, ctx: &mut Context<'_, Msg>, v: Value) {
@@ -405,21 +616,24 @@ impl ProtectedPaxosActor {
     }
 }
 
-impl Actor<Msg> for ProtectedPaxosActor {
+/// Folds one accepted pair into the highest seen so far.
+fn adopt(best: &mut Option<(Ballot, Value)>, ap: Ballot, v: Value) {
+    if best.is_none_or(|(b, _)| ap > b) {
+        *best = Some((ap, v));
+    }
+}
+
+impl<L: MemoryLeg> Actor<Msg> for SingleDecree<L> {
     fn on_event(&mut self, ctx: &mut Context<'_, Msg>, ev: EventKind<Msg>) {
         match ev {
             EventKind::Start => {
-                self.is_leader = self.initial_leader == self.me;
-                if self.is_leader {
-                    self.start_attempt(ctx);
-                }
+                self.is_leader = self.initial_leader == Some(self.proposer.me);
+                self.start_attempt(ctx);
                 ctx.set_timer(self.retry_every, RETRY_TAG);
             }
             EventKind::Timer { tag: RETRY_TAG, .. } => {
                 if self.decided.is_none() {
-                    // An abandoned proposal retries here (with a higher
-                    // ballot), provided Ω still nominates us.
-                    if self.is_leader && self.pmp.is_idle() {
+                    if self.proposer.is_idle() {
                         self.start_attempt(ctx);
                     }
                     ctx.set_timer(self.retry_every, RETRY_TAG);
@@ -428,8 +642,8 @@ impl Actor<Msg> for ProtectedPaxosActor {
             EventKind::Timer { .. } => {}
             EventKind::LeaderChange { leader } => {
                 let was = self.is_leader;
-                self.is_leader = leader == self.me;
-                if self.is_leader && !was && self.pmp.is_idle() {
+                self.is_leader = leader == self.proposer.me;
+                if !was && self.proposer.is_idle() {
                     self.start_attempt(ctx);
                 }
             }
@@ -441,36 +655,40 @@ impl Actor<Msg> for ProtectedPaxosActor {
                     return;
                 };
                 let adopted = &mut self.adopted;
-                let outcome = self.pmp.on_completion(c, |_, ap, v| {
-                    if adopted.is_none_or(|(best, _)| ap > best) {
-                        *adopted = Some((ap, v));
-                    }
-                });
-                match outcome {
-                    // Adopt the accepted value of the highest accProp,
-                    // else our input.
-                    Some(PmpOutcome::Acquired) => {
-                        let v = self.adopted.map_or(self.input, |(_, v)| v);
-                        self.propose(ctx, v);
-                    }
-                    Some(PmpOutcome::Accepted) => {
-                        let v = self.value.expect("phase 2 without value");
-                        self.decide(ctx, v);
-                        for &q in &self.procs {
-                            if q != self.me {
-                                let instance = self.instance;
-                                ctx.send(q, Msg::Decided { instance, value: v });
-                            }
-                        }
-                    }
-                    Some(PmpOutcome::Abandoned) | None => {}
-                }
+                let outcome = self
+                    .proposer
+                    .on_completion(c, |_, ap, v| adopt(adopted, ap, v));
+                self.on_outcome(ctx, outcome);
             }
             EventKind::Msg {
-                msg: Msg::Decided { instance, value },
-                ..
+                from,
+                msg: Msg::Paxos(m),
             } => {
-                if instance == self.instance && self.decided.is_none() {
+                let Some(acceptor) = &mut self.acceptor else {
+                    return;
+                };
+                // The agent half answers requests; everything else is an
+                // answer to our own proposer.
+                let reply = match m {
+                    PaxosMsg::Prepare { b } => {
+                        self.proposer.observe(b);
+                        acceptor.on_prepare(b)
+                    }
+                    PaxosMsg::Accept { b, v } => {
+                        self.proposer.observe(b);
+                        acceptor.on_accept(b, v)
+                    }
+                    answer => return self.on_answer(ctx, answer),
+                };
+                ctx.send(from, Msg::Paxos(reply));
+            }
+            EventKind::Msg {
+                from,
+                msg: Msg::Decided { instance, value },
+            } => {
+                // Only a member of the group can have decided for it.
+                let known = self.procs.contains(&from);
+                if known && instance == self.instance && self.decided.is_none() {
                     self.decide(ctx, value);
                 }
             }
@@ -586,6 +804,27 @@ mod tests {
         let ds = decisions(&sim, &procs);
         // Everyone agrees (p1's value wins; p0's blocked write naks).
         assert!(ds.iter().all(|d| *d == Some(Value(101))), "{ds:?}");
+    }
+
+    #[test]
+    fn decided_from_outside_the_group_is_refused() {
+        // Nobody leads, so only a `Decided` can make p1 decide: a memory's
+        // (not a member of `procs`) is refused, p0's is adopted.
+        let (mut sim, procs, mems) = build(2, 3, 8);
+        sim.crash_at(ActorId(0), Time::ZERO);
+        let decided = |from, v| EventKind::Msg {
+            from,
+            msg: Msg::Decided {
+                instance: Instance(0),
+                value: Value(v),
+            },
+        };
+        sim.schedule(Time::from_delays(1), procs[1], decided(mems[0], 999));
+        sim.run_to_quiescence(Time::from_delays(10));
+        assert_eq!(decisions(&sim, &procs)[1], None);
+        sim.schedule(Time::from_delays(11), procs[1], decided(procs[0], 100));
+        sim.run_to_quiescence(Time::from_delays(20));
+        assert_eq!(decisions(&sim, &procs)[1], Some(Value(100)));
     }
 
     #[test]

@@ -94,11 +94,6 @@ impl RobustCore {
         &self.setups
     }
 
-    /// Senders caught cheating by the trusted layer.
-    pub fn distrusted_len(&self) -> usize {
-        self.peer.distrusted().len()
-    }
-
     /// T-sends this process's set-up value (Algorithm 8 line 2).
     pub fn send_setup(
         &mut self,

@@ -1,11 +1,11 @@
 //! The crash-mode replication engine: the log over Protected Memory Paxos.
 //!
-//! [`PmpLog`] drives the one `protected::PmpProposer` over the
-//! whole log. Slot registers are instance-indexed, the permission grab
-//! covers the whole region (i.e. all instances), and the decider of
-//! instance `i` starts instance `i + 1` phase-1-free: a stable leader's
-//! round is one phase-2 write per memory — a plain write at batch 1, one
-//! scatter-gather [`rdma_sim::MemRequest::WriteMany`] (and one
+//! [`PmpLog`] drives the one `protected::Proposer` (the `Protected` leg,
+//! memories only) over the whole log. Slot registers are instance-indexed,
+//! the permission grab covers the whole region (all instances), and the
+//! decider of instance `i` starts instance `i + 1` phase-1-free: a stable
+//! leader's round is one phase-2 write per memory — a plain write at batch
+//! 1, one scatter-gather [`rdma_sim::MemRequest::WriteMany`] (and one
 //! `DecidedMany` per follower) for a batch.
 //!
 //! Failure handling: when Ω nominates a new leader it runs the full
@@ -25,13 +25,13 @@ use rdma_sim::Completion;
 use simnet::{ActorId, Context, Duration};
 
 use super::{Engine, Replica, Round, Shell, SmrNode};
-use crate::protected::{PmpOutcome, PmpProposer};
+use crate::protected::{Outcome, Proposer, Protected};
 use crate::types::{Ballot, Instance, Msg, Pid, RegVal, Value};
 
 /// The crash-mode engine (see the module docs).
 #[derive(Debug)]
 pub struct PmpLog {
-    pmp: PmpProposer,
+    pmp: Proposer<Protected>,
     /// The next instance to propose at (decided ones are skipped).
     instance: u64,
     /// The round phase 2 is writing, if any: crash mode is a window-1
@@ -58,7 +58,7 @@ impl SmrNode {
         retry_every: Duration,
     ) -> SmrNode {
         let engine = PmpLog {
-            pmp: PmpProposer::new(me, mems, f_m, me == initial_leader),
+            pmp: Proposer::pmp(me, mems, f_m, me == initial_leader),
             instance: 0,
             round: None,
             scanned: BTreeMap::new(),
@@ -162,13 +162,13 @@ impl Engine for PmpLog {
         });
         match outcome {
             None => {}
-            Some(PmpOutcome::Abandoned) => self.abandon(sh),
-            Some(PmpOutcome::Acquired) => {
+            Some(Outcome::Abandoned) => self.abandon(sh),
+            Some(Outcome::Acquired) => {
                 sh.recover = (self.scanned.iter().map(|(&i, &(_, v))| (i, v))).collect();
                 self.scanned.clear();
                 self.propose(sh, ctx, true);
             }
-            Some(PmpOutcome::Accepted) => {
+            Some(Outcome::Accepted) => {
                 let round = self.round.take().expect("phase 2 without a round");
                 sh.decide(ctx, round.first, &round.values);
                 sh.commit(round);

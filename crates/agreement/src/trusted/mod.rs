@@ -490,11 +490,6 @@ impl TrustedPeer {
         self.checker.conforms(from, &wire.history, &wire.payload)
     }
 
-    /// Number of distrusted (caught-cheating) senders.
-    pub fn distrusted(&self) -> &BTreeSet<Pid> {
-        &self.distrusted
-    }
-
     /// The local history length (diagnostic).
     pub fn history_len(&self) -> usize {
         self.history.len()

@@ -77,18 +77,19 @@ pub mod spaces {
     pub const CQ: u16 = 2;
     /// Cheap Quorum leader proposal register.
     pub const CQ_LEADER: u16 = 3;
-    /// Protected Memory Paxos slots `slot[instance, p]`.
+    /// Protected Memory Paxos slots `slot[instance, p]` (and Aligned
+    /// Paxos's in protected mode).
     pub const PMP: u16 = 4;
-    /// Disk Paxos blocks `block[instance, p]`.
+    /// Disk Paxos blocks `block[instance, p]` (and Aligned Paxos's in
+    /// disk mode).
     pub const DISK: u16 = 5;
-    /// Aligned Paxos memory slots `slot[instance, p]`.
-    pub const ALN: u16 = 6;
     /// Lower-bound strawman flags `flag[p]`.
     pub const LB: u16 = 7;
 }
 
-/// The slot record of Protected Memory Paxos and Aligned Paxos
-/// (Algorithm 7: `(minProp, accProp, value)`).
+/// The slot record of Protected Memory Paxos, Aligned Paxos and Disk Paxos
+/// (Algorithm 7: `(minProp, accProp, value)`; Gafni–Lamport's block
+/// `(mbal, bal, inp)`).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
 pub struct PaxSlot {
     /// Highest proposal number written in phase 1.
@@ -117,17 +118,6 @@ impl PaxSlot {
             value: Some(value),
         }
     }
-}
-
-/// The block record of Disk Paxos (Gafni–Lamport): `(mbal, bal, inp)`.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
-pub struct DiskBlock {
-    /// The ballot the process is currently trying.
-    pub mbal: Ballot,
-    /// The ballot at which `inp` was committed to, if any.
-    pub bal: Option<Ballot>,
-    /// The value carried, if any.
-    pub inp: Option<Value>,
 }
 
 /// A value signed for Cheap Quorum: carries the leader's signature (class-M
@@ -196,10 +186,8 @@ pub enum RegVal {
     CqPanic(bool),
     /// A Cheap Quorum Proof register.
     CqProof(UnanimityProof),
-    /// A Protected Memory Paxos / Aligned Paxos slot.
+    /// A Protected Memory Paxos / Disk Paxos / Aligned Paxos slot.
     Slot(PaxSlot),
-    /// A Disk Paxos block.
-    Disk(DiskBlock),
     /// A lower-bound strawman flag.
     LbFlag(Value),
 }
@@ -209,12 +197,11 @@ pub enum RegVal {
 pub enum Msg {
     /// Memory wire protocol (requests/responses to [`rdma_sim::MemoryActor`]).
     Mem(MemWire<RegVal>),
-    /// Message-passing Paxos (baseline).
+    /// Message-passing Paxos (baseline), and Aligned Paxos's
+    /// process-agent traffic.
     Paxos(crate::paxos::PaxosMsg),
     /// Fast Paxos (baseline).
     FastPaxos(crate::fast_paxos::FpMsg),
-    /// Aligned Paxos process-acceptor traffic.
-    Aligned(crate::aligned::AlMsg),
     /// Cheap Quorum panic relay ("Panic messages can be relayed using RDMA
     /// message sends", §7).
     Panic {

@@ -1,7 +1,7 @@
 //! Shared helpers for the benchmark harnesses.
 //!
 //! Each bench target regenerates one of the paper's tables/figures (see
-//! DESIGN.md §4, experiments E1–E10): it *prints* the paper-style table
+//! ARCHITECTURE.md, "Experiment index (E1–E10)"): it *prints* the paper-style table
 //! (virtual-time delay metrics, resilience outcomes, signature counts) and
 //! registers Criterion wall-clock measurements for the simulation runs.
 //! `perf_snapshot` builds its `BENCH_PR<n>.json` from the [`Row`] /

@@ -219,11 +219,6 @@ where
     pub fn is_busy(&self, mem: ActorId) -> bool {
         self.busy.iter().any(|&(m, _)| m == mem)
     }
-
-    /// Number of queued (not yet sent) operations across all memories.
-    pub fn queued_len(&self) -> usize {
-        self.queues.iter().map(|(_, q)| q.len()).sum()
-    }
 }
 
 #[cfg(test)]

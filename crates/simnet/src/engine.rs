@@ -5,7 +5,7 @@
 //! actors, crash flags, calendar queue, scheduling-sequence counter, clock
 //! and dispatch [`Core`], and its single [`Engine::step`] is the only place
 //! in the crate an event is applied (crash / drop / timer-retire / metrics
-//! / trace / obs / handler). The two drivers supply the rest:
+//! / obs / handler). The two drivers supply the rest:
 //!
 //! * [`crate::Simulation`] — one engine; its `pop` consults the schedule
 //!   choice hook, and every emitted event re-enters the engine's own queue.
@@ -161,7 +161,6 @@ impl<M, A: ?Sized + AnyActor<M>> Engine<M, A> {
             Payload::Crash => {
                 self.mark_crashed(to);
                 self.core.metrics.dispatches.crash += 1;
-                self.core.trace.push(now, to, "CRASH");
                 self.core.obs.record(now, to, || EventBody::Crash);
                 return true;
             }
@@ -171,9 +170,6 @@ impl<M, A: ?Sized + AnyActor<M>> Engine<M, A> {
             self.core.metrics.dispatches.dropped += 1;
             let kind = ev.kind_name();
             self.core
-                .trace
-                .push_with(now, to, || format!("dropped {kind} (crashed)"));
-            self.core
                 .obs
                 .record(now, to, || EventBody::Dropped { kind });
             // Never-delivered timers still release their slot.
@@ -182,16 +178,15 @@ impl<M, A: ?Sized + AnyActor<M>> Engine<M, A> {
             }
             return true;
         }
-        // Static text per event kind: tracing a dispatch never allocates.
-        let (line, body): (&'static str, EventBody) = match &ev {
+        let body = match &ev {
             EventKind::Start => {
                 self.core.metrics.dispatches.start += 1;
-                ("deliver start", EventBody::Dispatch { kind: "start" })
+                EventBody::Dispatch { kind: "start" }
             }
             EventKind::Msg { from, .. } => {
                 self.core.metrics.dispatches.msg += 1;
                 self.core.metrics.messages_delivered += 1;
-                ("deliver msg", EventBody::Deliver { from: *from })
+                EventBody::Deliver { from: *from }
             }
             EventKind::Timer { id, tag } => {
                 self.core.metrics.dispatches.timer += 1;
@@ -199,17 +194,13 @@ impl<M, A: ?Sized + AnyActor<M>> Engine<M, A> {
                     return true; // cancelled
                 }
                 self.core.metrics.timers_fired += 1;
-                ("deliver timer", EventBody::TimerFired { tag: *tag })
+                EventBody::TimerFired { tag: *tag }
             }
             EventKind::LeaderChange { leader } => {
                 self.core.metrics.dispatches.leader += 1;
-                (
-                    "deliver leader",
-                    EventBody::LeaderChange { leader: *leader },
-                )
+                EventBody::LeaderChange { leader: *leader }
             }
         };
-        self.core.trace.push(now, to, line);
         self.core.obs.record(now, to, || body);
         let mut actor = self.actors[to.index()]
             .take()

@@ -50,8 +50,8 @@
 //!   `BENCH_PR1.json`'s `kernel_queue_stress`).
 //! * **Allocation rules.** Steady-state dispatch performs no heap
 //!   allocation: link delays are sampled by reference (no per-send model
-//!   clone), kernel trace lines are `&'static str` and actor notes are
-//!   lazy ([`Context::note_with`]) so disabled tracing costs nothing,
+//!   clone), recorded event bodies are built lazily (kernel events and
+//!   [`Context::note_with`] alike) so disabled recording costs one branch,
 //!   timers use generation-stamped slots (O(1) arm/cancel/fire, bounded
 //!   memory — the old cancelled-timer tombstone set grew forever), the
 //!   per-dispatch pending buffer is recycled, and crash flags live in a
@@ -111,7 +111,6 @@ mod partition;
 mod queue;
 mod sim;
 mod time;
-mod trace;
 
 pub use actor::{Actor, AnyActor};
 pub use delay::{CostClass, DelayModel, RdmaCost, Verb};
@@ -121,4 +120,3 @@ pub use metrics::Metrics;
 pub use partition::{ParActors, ParSimulation, Partitioning};
 pub use sim::{Choice, ChoiceHook, ChoicePayload, Context, DelayHook, RunOutcome, Simulation};
 pub use time::{Duration, Time, TICKS_PER_DELAY};
-pub use trace::{Trace, TraceEntry};

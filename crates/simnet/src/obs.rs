@@ -1,12 +1,11 @@
 //! Structured observability: typed trace events, sinks, and exporters.
 //!
-//! The string [`Trace`](crate::Trace) is a debugging aid for humans; this
-//! module is the machine-readable counterpart the analysis tooling builds
-//! on. When recording is enabled the kernel emits one typed [`Event`] per
-//! interesting occurrence — dispatches, sends, deliveries, timers,
-//! crashes, memory operations, leader changes, plus actor-authored notes
-//! and span marks — each stamped with virtual time, the executing actor,
-//! and (on the partitioned kernel) the partition it was recorded on.
+//! The one trace stream of a run. When recording is enabled the kernel
+//! emits one typed [`Event`] per interesting occurrence — dispatches,
+//! sends, deliveries, timers, crashes, memory operations, leader changes,
+//! plus actor-authored notes and span marks — each stamped with virtual
+//! time, the executing actor, and (on the partitioned kernel) the
+//! partition it was recorded on.
 //!
 //! Recording is **strictly read-only**: it draws no randomness, schedules
 //! nothing, and never perturbs dispatch order, so a traced run is
@@ -15,8 +14,10 @@
 //! per would-be event; every event body is built lazily behind that
 //! branch.
 //!
-//! Three exporters turn a recorded event stream into artifacts:
+//! Four exporters turn a recorded event stream into artifacts:
 //!
+//! * [`to_text`] — one line per event, for reading and for golden
+//!   fixtures.
 //! * [`to_jsonl`] — one JSON object per line, for ad-hoc scripting.
 //! * [`to_chrome_trace`] — Chrome trace-event JSON, loadable in Perfetto
 //!   (`ui.perfetto.dev`) or `chrome://tracing`; per-actor tracks plus one
@@ -316,6 +317,37 @@ fn event_json(e: &Event) -> String {
     }
     s.push('}');
     s
+}
+
+/// Renders events as text, one `[time] actor what` line per event, in
+/// stream order.
+pub fn to_text(events: &[Event]) -> String {
+    let mut out = String::new();
+    for e in events {
+        let _ = write!(
+            out,
+            "[{:>10}] {:<4} ",
+            e.at.to_string(),
+            e.actor.to_string()
+        );
+        let _ = match &e.body {
+            EventBody::Dispatch { kind } => write!(out, "deliver {kind}"),
+            EventBody::Send { to, deliver_at } => write!(out, "send to {to}, due {deliver_at}"),
+            EventBody::Deliver { from } => write!(out, "deliver msg from {from}"),
+            EventBody::TimerSet { tag, fire_at } => write!(out, "timer {tag} set for {fire_at}"),
+            EventBody::TimerFired { tag } => write!(out, "deliver timer {tag}"),
+            EventBody::Crash => write!(out, "CRASH"),
+            EventBody::Dropped { kind } => write!(out, "dropped {kind} (crashed)"),
+            EventBody::MemOp { op } => write!(out, "mem op {op}"),
+            EventBody::LeaderChange { leader } => write!(out, "deliver leader {leader}"),
+            EventBody::Note { text } => write!(out, "{text}"),
+            EventBody::Mark { span, stage, data } => {
+                write!(out, "mark span {span} stage {stage} data {data}")
+            }
+        };
+        out.push('\n');
+    }
+    out
 }
 
 /// Exports events as JSON Lines: one object per event, in stream order.

@@ -322,9 +322,9 @@ enum Ctl {
 ///   monolithic kernel's for the same seed. What is guaranteed is
 ///   invariance in the thread count: for a fixed seed and partitioning,
 ///   runs with 1, 2, or any number of worker threads are bit-identical.
-/// * Delay hooks are unsupported (they could undercut the lookahead);
-///   the string trace and the schedule-choice hook are likewise
-///   monolithic-kernel instruments with no counterpart here.
+/// * Delay hooks are unsupported (they could undercut the lookahead),
+///   and the schedule-choice hook is a monolithic-kernel instrument with
+///   no counterpart here.
 pub struct ParSimulation<M> {
     parts: Vec<Mutex<SubKernel<M>>>,
     plan: Partitioning,
@@ -415,25 +415,13 @@ impl<M: Send + 'static> ParSimulation<M> {
         id
     }
 
-    /// Number of registered actors, across all partitions.
-    pub fn actor_count(&self) -> usize {
-        self.plan.len()
-    }
-
-    /// Sets the delay model used by links with no per-link override, on
-    /// every partition. Cross-partition links must never sample below the
-    /// lookahead; that is checked per message at staging time.
+    /// Sets the delay model of every link, on every partition.
+    /// Cross-partition links must never sample below the lookahead; that
+    /// is checked per message at staging time.
     pub fn set_default_delay(&mut self, model: DelayModel) {
         for engine in self.engines() {
             engine.core.default_delay = model.clone();
         }
-    }
-
-    /// Overrides the delay model of the directed link `from -> to` (the
-    /// model is sampled by the *sender's* partition).
-    pub fn set_link_delay(&mut self, from: ActorId, to: ActorId, model: DelayModel) {
-        let overrides = &mut self.engine_of(from).core.link_overrides;
-        overrides.insert((from, to), model);
     }
 
     /// Schedules an event for delivery to `to` at `at` (clamped to the

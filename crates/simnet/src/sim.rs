@@ -1,7 +1,7 @@
 //! The simulation kernel: event queue, dispatch loop, and the [`Context`]
 //! through which actors act on the world.
 
-use std::collections::BTreeMap;
+use std::borrow::Cow;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -15,7 +15,6 @@ use crate::metrics::Metrics;
 use crate::obs::{Event, EventBody, ObsRecorder, TraceSink};
 use crate::queue::{Payload, Scheduled, WheelQueue};
 use crate::time::{Duration, Time};
-use crate::trace::Trace;
 
 /// A hook that can override the sampled delay of a specific message.
 ///
@@ -124,15 +123,13 @@ impl TimerTable {
 
 /// The per-kernel dispatch state shared by [`Simulation`] (one instance)
 /// and the partitioned kernel (one instance per partition, each with its
-/// own RNG stream): randomness, metrics, trace, link models, timers, and
-/// the pending-effects buffer a [`Context`] writes into.
+/// own RNG stream): randomness, metrics, the event recorder, the link
+/// model, timers, and the pending-effects buffer a [`Context`] writes into.
 pub(crate) struct Core<M> {
     pub(crate) rng: StdRng,
     pub(crate) metrics: Metrics,
-    pub(crate) trace: Trace,
     pub(crate) obs: ObsRecorder,
     pub(crate) default_delay: DelayModel,
-    pub(crate) link_overrides: BTreeMap<(ActorId, ActorId), DelayModel>,
     pub(crate) delay_hook: Option<DelayHook<M>>,
     pub(crate) timers: TimerTable,
     /// Events emitted by the currently-dispatching actor, applied afterwards.
@@ -145,10 +142,8 @@ impl<M> Core<M> {
         Core {
             rng,
             metrics: Metrics::new(),
-            trace: Trace::new(),
             obs: ObsRecorder::new(),
             default_delay: DelayModel::synchronous(),
-            link_overrides: BTreeMap::new(),
             delay_hook: None,
             timers: TimerTable::default(),
             pending: Vec::new(),
@@ -209,17 +204,9 @@ impl<'a, M> Context<'a, M> {
                 // Split borrows: the model is read from one field while the
                 // RNG (a different field) advances — no per-send clone.
                 let Core {
-                    link_overrides,
-                    default_delay,
-                    rng,
-                    ..
+                    default_delay, rng, ..
                 } = &mut *self.core;
-                let model = if link_overrides.is_empty() {
-                    &*default_delay
-                } else {
-                    link_overrides.get(&(self.me, to)).unwrap_or(default_delay)
-                };
-                model.sample_classed(self.now, class, rng)
+                default_delay.sample_classed(self.now, class, rng)
             }
         };
         self.core.metrics.messages_sent += 1;
@@ -281,27 +268,6 @@ impl<'a, M> Context<'a, M> {
         &mut self.core.metrics
     }
 
-    /// Whether trace recording is active (so callers can skip building
-    /// expensive note strings).
-    pub fn trace_enabled(&self) -> bool {
-        self.core.trace.is_enabled()
-    }
-
-    /// Appends a line to the trace, if tracing is enabled. Prefer
-    /// [`Context::note_with`] on hot paths: this variant's argument is
-    /// built by the caller even when tracing is off.
-    pub fn note(&mut self, text: impl Into<String>) {
-        let (me, now) = (self.me, self.now);
-        self.core.trace.push(now, me, text.into());
-    }
-
-    /// Appends a lazily-built line to the trace; `f` runs only when
-    /// tracing is enabled.
-    pub fn note_with(&mut self, f: impl FnOnce() -> String) {
-        let (me, now) = (self.me, self.now);
-        self.core.trace.push_with(now, me, f);
-    }
-
     /// Whether structured event recording ([`crate::obs`]) is active, so
     /// layers can skip building expensive observation payloads.
     pub fn obs_enabled(&self) -> bool {
@@ -319,13 +285,20 @@ impl<'a, M> Context<'a, M> {
             .record(now, me, || EventBody::Mark { span, stage, data });
     }
 
-    /// Records a lazily-built structured note ([`EventBody::Note`]); `f`
-    /// runs only when structured recording is enabled.
-    pub fn obs_note_with(&mut self, f: impl FnOnce() -> String) {
+    /// Records a free-form note ([`EventBody::Note`]) — the escape hatch
+    /// for layer-specific happenings. Prefer [`Context::note_with`] on hot
+    /// paths: this variant's argument is built by the caller even when
+    /// recording is off.
+    pub fn note(&mut self, text: impl Into<Cow<'static, str>>) {
+        self.note_with(|| text);
+    }
+
+    /// Records a lazily-built note; `f` runs only when structured
+    /// recording is enabled.
+    pub fn note_with<T: Into<Cow<'static, str>>>(&mut self, f: impl FnOnce() -> T) {
         let (me, now) = (self.me, self.now);
-        self.core.obs.record(now, me, || EventBody::Note {
-            text: std::borrow::Cow::Owned(f()),
-        });
+        let body = || EventBody::Note { text: f().into() };
+        self.core.obs.record(now, me, body);
     }
 
     /// Records a memory-operation observation ([`EventBody::MemOp`]);
@@ -423,19 +396,9 @@ impl<M: 'static> Simulation<M> {
         id
     }
 
-    /// Number of registered actors.
-    pub fn actor_count(&self) -> usize {
-        self.engine.slots()
-    }
-
-    /// Sets the delay model used by links with no per-link override.
+    /// Sets the delay model of every link.
     pub fn set_default_delay(&mut self, model: DelayModel) {
         self.engine.core.default_delay = model;
-    }
-
-    /// Overrides the delay model of the directed link `from -> to`.
-    pub fn set_link_delay(&mut self, from: ActorId, to: ActorId, model: DelayModel) {
-        self.engine.core.link_overrides.insert((from, to), model);
     }
 
     /// Installs a per-message delay override hook (see [`DelayHook`]).
@@ -450,22 +413,6 @@ impl<M: 'static> Simulation<M> {
     /// time-ordered — so a hook enumerates exactly the legal schedules.
     pub fn set_choice_hook(&mut self, hook: ChoiceHook<M>) {
         self.choice_hook = Some(hook);
-    }
-
-    /// Removes the schedule-choice hook, restoring plain `(time, seq)`
-    /// dispatch order.
-    pub fn clear_choice_hook(&mut self) {
-        self.choice_hook = None;
-    }
-
-    /// Enables event tracing with the given entry cap.
-    pub fn enable_trace(&mut self, cap: usize) {
-        self.engine.core.trace.enable(cap);
-    }
-
-    /// The recorded trace.
-    pub fn trace(&self) -> &Trace {
-        &self.engine.core.trace
     }
 
     /// Enables structured event recording (see [`crate::obs`]). Strictly
@@ -1043,7 +990,7 @@ mod tests {
     }
 
     fn fan_outcome(sim: &mut Simulation<TMsg>, collector: ActorId) -> (Vec<u32>, Time, u64, u64) {
-        sim.enable_trace(10_000);
+        sim.enable_obs();
         sim.run_to_quiescence(Time::from_delays(1_000));
         let arrivals = sim
             .actor_as::<FanCollector>(collector)
@@ -1051,8 +998,8 @@ mod tests {
             .arrivals
             .clone();
         let mut h = 0xcbf29ce484222325u64;
-        for line in sim.trace().dump().bytes() {
-            h = (h ^ line as u64).wrapping_mul(0x100000001b3);
+        for byte in crate::obs::to_text(&sim.take_obs_events()).bytes() {
+            h = (h ^ byte as u64).wrapping_mul(0x100000001b3);
         }
         (arrivals, sim.now(), sim.metrics().events_dispatched, h)
     }
@@ -1129,10 +1076,10 @@ mod tests {
     fn trace_records_crash_and_dropped_delivery() {
         let run = || {
             let (mut sim, ponger, _) = build(4);
-            sim.enable_trace(10_000);
+            sim.enable_obs();
             sim.crash_at(ponger, Time::from_delays(3));
             sim.run_to_quiescence(Time::from_delays(100));
-            sim.trace().dump()
+            crate::obs::to_text(&sim.take_obs_events())
         };
         let a = run();
         assert_eq!(a, run(), "trace is part of the determinism contract");

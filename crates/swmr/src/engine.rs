@@ -328,11 +328,6 @@ where
             }
         }
     }
-
-    /// Number of logical operations still in flight.
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
-    }
 }
 
 /// The paper's read rule: exactly one distinct non-⊥ value, else ⊥.

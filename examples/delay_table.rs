@@ -1,6 +1,7 @@
 //! Regenerates the paper's headline trade-off as a table: common-case
 //! decision latency (network delays) versus failure resilience, for every
-//! protocol in the repository (experiment E2 of DESIGN.md).
+//! protocol in the repository (experiment E2 of ARCHITECTURE.md's
+//! experiment index).
 //!
 //! ```sh
 //! cargo run --example delay_table

@@ -169,7 +169,7 @@ fn golden_smr_trace_fixture() {
         let n = 3u32;
         let m = 3u32;
         let mut sim: Simulation<Msg> = Simulation::new(11);
-        sim.enable_trace(100_000);
+        sim.enable_obs();
         let procs: Vec<ActorId> = (0..n).map(ActorId).collect();
         let mems: Vec<ActorId> = (n..n + m).map(ActorId).collect();
         for i in 0..n {
@@ -191,13 +191,14 @@ fn golden_smr_trace_fixture() {
         // trace path.
         sim.crash_at(mems[2], Time::from_delays(9));
         sim.run_to_quiescence(Time::from_delays(60));
+        let trace = simnet::obs::to_text(&sim.take_obs_events());
         let leader = sim.actor_as::<SmrNode>(ActorId(0)).unwrap();
         (
             leader.log(),
             leader.decided_at().to_vec(),
             sim.metrics().messages_sent,
             sim.metrics().mem_ops(),
-            sim.trace().dump(),
+            trace,
         )
     };
     let (log, decided, msgs, ops, trace) = run();

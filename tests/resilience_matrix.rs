@@ -139,7 +139,7 @@ fn aligned_survives_what_would_kill_either_side() {
 // ---------------------------------------------------------------------
 
 use agreement::adversary::AdversaryKind::{Equivocator, Silent};
-use agreement::harness::{run_sharded, ShardedScenario};
+use agreement::harness::{run_sharded, run_sharded_with_events, ShardedScenario};
 use agreement::sharded::GroupMode;
 
 #[path = "byz_support.rs"]
@@ -210,7 +210,8 @@ fn sharded_byzantine_matrix_equivocating_leaders() {
         let g = groups - 1;
         sc.adversaries = vec![(g, 0, Equivocator)];
         sc.announce = vec![(g, 1, 80)];
-        let r = run_sharded(&sc);
+        sc.record_events = true;
+        let (r, events) = run_sharded_with_events(&sc);
         assert!(r.all_committed, "G={groups}: {r:?}");
         assert!(r.all_logs_agree, "G={groups}: replica logs diverged");
         assert!(r.no_cross_group_leak, "G={groups}: partition violated");
@@ -227,6 +228,12 @@ fn sharded_byzantine_matrix_equivocating_leaders() {
             r.equivocations_blocked > 0,
             "G={groups}: nobody caught the rewrite equivocation: {r:?}"
         );
+        // ... and whoever caught it said so in the run's one trace stream.
+        let noted = events.iter().any(|e| match &e.body {
+            simnet::obs::EventBody::Note { text } => text.contains("equivocated at k="),
+            _ => false,
+        });
+        assert!(noted, "G={groups}: the catch left no note in the events");
     }
 }
 
