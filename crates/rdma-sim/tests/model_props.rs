@@ -245,9 +245,11 @@ mod data_path {
 }
 
 mod range_reads {
-    //! Every `ReadRange` answer equals `sort(filter(all registers))`,
-    //! whether the memory scans its hash map or walks the ordered key
-    //! index it builds on the first windowed read.
+    //! Every answer of a memory equals a `BTreeMap<RegId, u64>` model's:
+    //! `ReadRange` is `sort(filter(all registers))` whether the memory
+    //! scans its store or walks the ordered key index it builds on the
+    //! first windowed read, point reads see exactly the acked writes, and
+    //! a refused `WriteMany` leaves none of its rows behind.
 
     use std::collections::BTreeMap;
 
@@ -273,10 +275,13 @@ mod range_reads {
         }
     }
 
-    /// Everything, open to all: the region writes go through.
+    /// Everything, open to all: the region single writes go through.
     const WHOLE: RegionId = RegionId(0);
-    /// One row of space 1, so a read's region filter is not always trivial.
+    /// One row of space 1, so a read's region filter is not always
+    /// trivial and a batch can hold a register outside its region.
     const ROW: RegionId = RegionId(1);
+    /// Everything again, writable by nobody: a writer without permission.
+    const LOCKED: RegionId = RegionId(2);
     const ROW_SPEC: RegionSpec = RegionSpec::Pattern {
         space: 1,
         a: Some(2),
@@ -284,22 +289,52 @@ mod range_reads {
         c: None,
     };
 
+    fn spec_of(region: RegionId) -> RegionSpec {
+        if region == ROW {
+            ROW_SPEC
+        } else {
+            RegionSpec::All
+        }
+    }
+
+    /// Rows per page of a log-shaped register space: `a` is drawn on both
+    /// sides of the first page boundary.
+    const PAGE: u64 = 4096;
+
     #[derive(Clone, Debug)]
     enum Step {
         Write(RegId, u64),
-        Read(RegionId, Option<RegionSpec>),
+        /// One batch, then a point read of each of its rows: acked or
+        /// refused, every row must read as the model says.
+        WriteMany(RegionId, Vec<(RegId, u64)>),
+        Read(RegId),
+        ReadRange(RegionId, Option<RegionSpec>),
     }
 
-    /// Registers over two spaces and a few rows, with `b` either a small
-    /// sequence number or one carrying the high (receipt-style) bit.
+    /// First coordinates: mostly a few small rows (so patterns hit and
+    /// writes overwrite), then a spread of instances, the first page
+    /// boundary, and numbers no allocation may be sized by.
+    fn arb_a() -> impl Strategy<Value = u64> {
+        prop_oneof![
+            0u64..4,
+            0u64..4,
+            0u64..300,
+            (0u64..3).prop_map(|d| PAGE - 1 + d),
+            Just(1 << 40),
+            Just(u64::MAX),
+        ]
+    }
+
+    /// Registers over two spaces, with `b` either a small sequence number
+    /// or one carrying the high (receipt-style) bit.
     fn arb_reg() -> impl Strategy<Value = RegId> {
-        (1u16..3, 0u64..4, (0u64..12, any::<bool>()), 0u64..3).prop_map(
+        (1u16..3, arb_a(), (0u64..12, any::<bool>()), 0u64..3).prop_map(
             |(space, a, (k, high), c)| RegId::new(space, a, if high { k | 1 << 63 } else { k }, c),
         )
     }
 
-    fn arb_opt(range: std::ops::Range<u64>) -> impl Strategy<Value = Option<u64>> {
-        prop_oneof![Just(None), range.prop_map(Some)]
+    fn arb_opt<S: Strategy<Value = u64> + 'static>(some: S) -> impl Strategy<Value = Option<u64>> {
+        prop_oneof![Just(None), some.prop_map(Some)]
     }
 
     fn arb_window() -> impl Strategy<Value = Window> {
@@ -315,7 +350,7 @@ mod range_reads {
             Just(None),
             (1u16..3).prop_map(|s| Some(RegionSpec::Space(s))),
             // Un-windowed pattern: served by the scan.
-            (1u16..3, arb_opt(0..4), arb_opt(0..3)).prop_map(|(space, a, c)| Some(
+            (1u16..3, arb_opt(arb_a()), arb_opt(0u64..3)).prop_map(|(space, a, c)| Some(
                 RegionSpec::Pattern {
                     space,
                     a,
@@ -324,7 +359,7 @@ mod range_reads {
                 }
             )),
             // Windowed patterns (twice as likely): served by the index.
-            (1u16..3, arb_opt(0..4), arb_window(), arb_opt(0..3)).prop_map(
+            (1u16..3, arb_opt(arb_a()), arb_window(), arb_opt(0u64..3)).prop_map(
                 |(space, a, b, c)| Some(RegionSpec::Pattern {
                     space,
                     a,
@@ -332,7 +367,7 @@ mod range_reads {
                     c
                 })
             ),
-            (1u16..3, arb_opt(0..4), arb_window(), arb_opt(0..3)).prop_map(
+            (1u16..3, arb_opt(arb_a()), arb_window(), arb_opt(0u64..3)).prop_map(
                 |(space, a, b, c)| Some(RegionSpec::Pattern {
                     space,
                     a,
@@ -340,6 +375,23 @@ mod range_reads {
                     c
                 })
             ),
+        ]
+    }
+
+    /// A batch through the whole memory (acked, rows in both spaces),
+    /// through the locked region (refused: no permission), through the
+    /// row region with arbitrary rows (refused unless all happen to lie
+    /// in it) or with every row moved into it (acked).
+    fn arb_batch() -> impl Strategy<Value = Step> {
+        let rows = || proptest::collection::vec((arb_reg(), 0u64..1000), 1..6);
+        prop_oneof![
+            rows().prop_map(|rows| Step::WriteMany(WHOLE, rows)),
+            rows().prop_map(|rows| Step::WriteMany(LOCKED, rows)),
+            rows().prop_map(|rows| Step::WriteMany(ROW, rows)),
+            rows().prop_map(|rows| {
+                let into_row = |(r, v): (RegId, u64)| (RegId::new(1, 2, r.b, r.c), v);
+                Step::WriteMany(ROW, rows.into_iter().map(into_row).collect())
+            }),
         ]
     }
 
@@ -347,18 +399,70 @@ mod range_reads {
         prop_oneof![
             (arb_reg(), 0u64..1000).prop_map(|(r, v)| Step::Write(r, v)),
             (arb_reg(), 0u64..1000).prop_map(|(r, v)| Step::Write(r, v)),
+            arb_batch(),
+            arb_reg().prop_map(Step::Read),
             (any::<bool>(), arb_within())
-                .prop_map(|(row, w)| Step::Read(if row { ROW } else { WHOLE }, w)),
+                .prop_map(|(row, w)| Step::ReadRange(if row { ROW } else { WHOLE }, w)),
+            (any::<bool>(), arb_within())
+                .prop_map(|(row, w)| Step::ReadRange(if row { ROW } else { WHOLE }, w)),
         ]
     }
 
-    /// Fires the script at one memory (FIFO per memory, so it is applied
-    /// in script order) and keeps each range read's rows.
+    /// Turns the steps into the requests they stand for and, applying
+    /// them to the naive model in the same order, the response each must
+    /// get.
+    fn expand(steps: &[Step]) -> Vec<(MemRequest<u64>, MemResponse<u64>)> {
+        let mut model: BTreeMap<RegId, u64> = BTreeMap::new();
+        let mut script = Vec::new();
+        let read = |model: &BTreeMap<RegId, u64>, reg: RegId| {
+            let req = MemRequest::Read { region: WHOLE, reg };
+            (req, MemResponse::Value(model.get(&reg).copied()))
+        };
+        for step in steps {
+            match step.clone() {
+                Step::Write(reg, value) => {
+                    model.insert(reg, value);
+                    let region = WHOLE;
+                    script.push((MemRequest::Write { region, reg, value }, MemResponse::Ack));
+                }
+                Step::WriteMany(region, writes) => {
+                    let spec = spec_of(region);
+                    let ok = region != LOCKED && writes.iter().all(|(r, _)| spec.contains(*r));
+                    if ok {
+                        model.extend(writes.iter().copied());
+                    }
+                    let resp = if ok {
+                        MemResponse::Ack
+                    } else {
+                        MemResponse::Nak
+                    };
+                    let regs: Vec<RegId> = writes.iter().map(|(r, _)| *r).collect();
+                    script.push((MemRequest::WriteMany { region, writes }, resp));
+                    script.extend(regs.into_iter().map(|reg| read(&model, reg)));
+                }
+                Step::Read(reg) => script.push(read(&model, reg)),
+                Step::ReadRange(region, within) => {
+                    let spec = spec_of(region);
+                    let hit = |r: RegId| spec.contains(r) && within.is_none_or(|w| w.contains(r));
+                    let rows = model.iter().filter(|(r, _)| hit(**r));
+                    let rows = rows.map(|(r, v)| (*r, *v)).collect();
+                    script.push((
+                        MemRequest::ReadRange { region, within },
+                        MemResponse::Range(rows),
+                    ));
+                }
+            }
+        }
+        script
+    }
+
+    /// Fires the requests at one memory (FIFO per memory, so they are
+    /// applied in script order) and keeps every response.
     struct Driver {
         mem: ActorId,
-        script: Vec<Step>,
+        script: Vec<MemRequest<u64>>,
         client: MemoryClient<u64, TMsg>,
-        answers: BTreeMap<OpId, Vec<(RegId, u64)>>,
+        answers: BTreeMap<OpId, MemResponse<u64>>,
         ops: Vec<OpId>,
     }
 
@@ -366,15 +470,7 @@ mod range_reads {
         fn on_event(&mut self, ctx: &mut Context<'_, TMsg>, ev: EventKind<TMsg>) {
             match ev {
                 EventKind::Start => {
-                    for step in self.script.clone() {
-                        let req = match step {
-                            Step::Write(reg, value) => MemRequest::Write {
-                                region: WHOLE,
-                                reg,
-                                value,
-                            },
-                            Step::Read(region, within) => MemRequest::ReadRange { region, within },
-                        };
+                    for req in std::mem::take(&mut self.script) {
                         let op = self.client.submit(ctx, self.mem, req);
                         self.ops.push(op);
                     }
@@ -384,9 +480,7 @@ mod range_reads {
                     msg: TMsg::Mem(wire),
                 } => {
                     if let Some(c) = self.client.on_wire(ctx, from, wire) {
-                        if let MemResponse::Range(rows) = c.resp {
-                            self.answers.insert(c.op, rows);
-                        }
+                        self.answers.insert(c.op, c.resp);
                     }
                 }
                 _ => {}
@@ -394,22 +488,27 @@ mod range_reads {
         }
     }
 
+    /// The memory under test.
+    fn memory() -> MemoryActor<u64, TMsg> {
+        MemoryActor::new(LegalChange::Static)
+            .with_region(WHOLE, RegionSpec::All, Permission::open())
+            .with_region(ROW, ROW_SPEC, Permission::open())
+            .with_region(LOCKED, RegionSpec::All, Permission::read_only())
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
         #[test]
         fn every_range_read_is_the_sorted_naive_filter(
-            script in proptest::collection::vec(arb_step(), 1..60),
+            steps in proptest::collection::vec(arb_step(), 1..60),
         ) {
+            let script = expand(&steps);
             let mut sim: Simulation<TMsg> = Simulation::new(7);
-            let mem = sim.add(
-                MemoryActor::<u64, TMsg>::new(LegalChange::Static)
-                    .with_region(WHOLE, RegionSpec::All, Permission::open())
-                    .with_region(ROW, ROW_SPEC, Permission::open()),
-            );
+            let mem = sim.add(memory());
             let d = sim.add(Driver {
                 mem,
-                script: script.clone(),
+                script: script.iter().map(|(req, _)| req.clone()).collect(),
                 client: MemoryClient::new(),
                 answers: BTreeMap::new(),
                 ops: Vec::new(),
@@ -417,24 +516,11 @@ mod range_reads {
             sim.run_to_quiescence(Time::from_delays(10_000));
             let driver = sim.actor_as::<Driver>(d).unwrap();
             prop_assert_eq!(driver.ops.len(), script.len());
-            // The naive model: an ordered map, filtered per read.
-            let mut model: BTreeMap<RegId, u64> = BTreeMap::new();
             let mut rows_expected = 0;
-            for (step, op) in script.iter().zip(&driver.ops) {
-                match step {
-                    Step::Write(reg, v) => {
-                        model.insert(*reg, *v);
-                    }
-                    Step::Read(region, within) => {
-                        let spec = if *region == ROW { ROW_SPEC } else { RegionSpec::All };
-                        let expected: Vec<(RegId, u64)> = model
-                            .iter()
-                            .filter(|(r, _)| spec.contains(**r) && within.is_none_or(|w| w.contains(**r)))
-                            .map(|(r, v)| (*r, *v))
-                            .collect();
-                        rows_expected += expected.len() as u64;
-                        prop_assert_eq!(driver.answers.get(op), Some(&expected), "{:?}", step);
-                    }
+            for ((req, expected), op) in script.iter().zip(&driver.ops) {
+                prop_assert_eq!(driver.answers.get(op), Some(expected), "{:?}", req);
+                if let MemResponse::Range(rows) = expected {
+                    rows_expected += rows.len() as u64;
                 }
             }
             // The rows counter is bumped beside every range response.
