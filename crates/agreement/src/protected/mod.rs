@@ -86,13 +86,16 @@ pub fn legal_change(
 }
 
 /// Builds one Protected Memory Paxos memory with `initial_leader` owning
-/// the write permission.
+/// the write permission. [`slot_reg`] makes the space a log along the
+/// instance, one column per proposer, and the memory is told so.
 pub fn memory_actor(initial_leader: Pid) -> MemoryActor<RegVal, Msg> {
-    MemoryActor::new(LegalChange::Policy(legal_change)).with_region(
-        REGION,
-        RegionSpec::Space(spaces::PMP),
-        Permission::exclusive_writer(initial_leader),
-    )
+    MemoryActor::new(LegalChange::Policy(legal_change))
+        .with_log_space(spaces::PMP)
+        .with_region(
+            REGION,
+            RegionSpec::Space(spaces::PMP),
+            Permission::exclusive_writer(initial_leader),
+        )
 }
 
 /// Where a memory leg keeps the proposers' slots `slot[instance, p]`, and

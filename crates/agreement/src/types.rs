@@ -263,6 +263,19 @@ impl MemEmbed<RegVal> for Msg {
 mod tests {
     use super::*;
 
+    /// `size_of::<RegVal>()` is a priced quantity, not a layout detail:
+    /// `rdma_sim`'s wire costs one `(RegId, RegVal)` entry per register
+    /// carried, so under `DelayModel::Rdma` these sizes move virtual time.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn register_and_message_sizes_are_what_the_wire_prices() {
+        use std::mem::size_of;
+        assert_eq!(size_of::<RegVal>(), 144);
+        assert_eq!(size_of::<Option<RegVal>>(), 144);
+        assert_eq!(size_of::<rdma_sim::MemRequest<RegVal>>(), 184);
+        assert_eq!(size_of::<Msg>(), 192);
+    }
+
     #[test]
     fn ballot_ordering() {
         let p0 = ActorId(0);

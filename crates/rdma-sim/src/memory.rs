@@ -20,26 +20,145 @@ use crate::reg::RegId;
 use crate::region::{RegionId, RegionSpec, Window};
 use crate::wire::{MemEmbed, MemRequest, MemResponse, MemWire};
 
+/// Rows per page of a log-shaped register space
+/// ([`MemoryActor::with_log_space`]).
+///
+/// A constant, never derived from a coordinate: one write allocates at
+/// most one page whether its `a` is 7 or `u64::MAX`. Sized by the exact
+/// allocation counts of the repository benchmark — a page is one
+/// allocation, so 4 096 rows keep the pages of a 200 000-entry log under
+/// 0.2 % of the run's allocations (64-row pages would add 12 %).
+pub const LOG_PAGE_ROWS: usize = 4096;
+
+/// `LOG_PAGE_ROWS` consecutive `a` of one `(b, c)` column of a log space.
+struct Page<V> {
+    /// The register of row 0. Pages of one column never overlap, so
+    /// `RegId` order on `first` is page order.
+    first: RegId,
+    /// Allocated once at `LOG_PAGE_ROWS` and never regrown; its length is
+    /// the highest row written plus one, so a short log neither
+    /// initialises nor scans the rest of its page.
+    rows: Vec<Option<V>>,
+}
+
+/// The first register of `reg`'s page, and `reg`'s row in that page.
+fn page_of(reg: RegId) -> (RegId, usize) {
+    let off = reg.a % LOG_PAGE_ROWS as u64;
+    let a = reg.a - off;
+    (RegId { a, ..reg }, off as usize)
+}
+
+/// The paged store of the log-shaped register space.
+struct PagedLog<V> {
+    /// The space declared a log: one at most, until a second layout is
+    /// one.
+    space: Option<u16>,
+    /// Sorted by first register: a miss of the last-page cache is a
+    /// binary search.
+    pages: Vec<Page<V>>,
+    /// The page last written — where a leader filling one instance after
+    /// the other writes next.
+    last: usize,
+}
+
+impl<V> PagedLog<V> {
+    fn holds(&self, space: u16) -> bool {
+        self.space == Some(space)
+    }
+
+    fn find(&self, first: RegId) -> Result<usize, usize> {
+        match self.pages.get(self.last) {
+            Some(page) if page.first == first => Ok(self.last),
+            _ => self.pages.binary_search_by_key(&first, |page| page.first),
+        }
+    }
+
+    fn get(&self, reg: RegId) -> Option<&V> {
+        let (first, off) = page_of(reg);
+        let page = &self.pages[self.find(first).ok()?];
+        page.rows.get(off)?.as_ref()
+    }
+
+    fn insert(&mut self, reg: RegId, value: V) {
+        let (first, off) = page_of(reg);
+        self.last = self.find(first).unwrap_or_else(|at| {
+            let rows = Vec::with_capacity(LOG_PAGE_ROWS);
+            self.pages.insert(at, Page { first, rows });
+            at
+        });
+        let rows = &mut self.pages[self.last].rows;
+        if off >= rows.len() {
+            rows.resize_with(off + 1, || None);
+        }
+        rows[off] = Some(value);
+    }
+
+    /// The written registers, a page at a time.
+    fn iter(&self) -> impl Iterator<Item = (RegId, &V)> {
+        self.pages.iter().flat_map(|page| {
+            let first = page.first;
+            let rows = page.rows.iter().enumerate();
+            rows.filter_map(move |(off, v)| {
+                let a = first.a + off as u64;
+                Some((RegId { a, ..first }, v.as_ref()?))
+            })
+        })
+    }
+}
+
+/// The registers of a memory. Which of the two stores holds a register is
+/// a function of its space alone; [`Store::get`] is the one lookup and
+/// [`Store::insert`] the one store every operation goes through.
+/// ARCHITECTURE.md, "Which register space lives where", has the sizes and
+/// the measurements.
+struct Store<V> {
+    /// Every space not declared a log: sparse coordinates (a broadcast
+    /// slot's `b` carries the receipt plane at bit 63), so they are
+    /// hashed.
+    sparse: HashMap<RegId, V>,
+    /// The space declared a log ([`MemoryActor::with_log_space`]): an
+    /// in-order slot write is an indexed store into the page written
+    /// last — no hash, no rehash, no copy-on-grow.
+    log: PagedLog<V>,
+}
+
+impl<V> Store<V> {
+    fn get(&self, reg: RegId) -> Option<&V> {
+        if self.log.holds(reg.space) {
+            self.log.get(reg)
+        } else {
+            self.sparse.get(&reg)
+        }
+    }
+
+    fn insert(&mut self, reg: RegId, value: V) {
+        if self.log.holds(reg.space) {
+            self.log.insert(reg, value);
+        } else {
+            self.sparse.insert(reg, value);
+        }
+    }
+
+    /// The written registers of both stores, in no particular order.
+    fn iter(&self) -> impl Iterator<Item = (RegId, &V)> {
+        let sparse = self.sparse.iter().map(|(r, v)| (*r, v));
+        sparse.chain(self.log.iter())
+    }
+}
+
 /// A simulated memory with registers, regions and permissions.
 ///
 /// Type parameters: `V` is the register value type; `M` the simulation
 /// message type embedding [`MemWire<V>`].
 pub struct MemoryActor<V, M> {
     regions: BTreeMap<RegionId, (RegionSpec, Permission)>,
-    /// Hash-indexed register store: writes are the per-log-entry hot path,
-    /// so O(1) insert beats ordered storage (an ordered store costs the
-    /// crash path a node allocation every few writes; ARCHITECTURE.md has
-    /// the numbers). Un-windowed range reads (takeover scans, the
-    /// single-shot protocols' instance scans) filter the whole map, clone
-    /// each matching row once and sort, so responses come back in `RegId`
-    /// order.
-    registers: HashMap<RegId, V>,
-    /// Ordered index of the written keys, serving *windowed* range reads
-    /// (`within` pins a `b` window) in O(matches · log n) instead of a
-    /// full-table scan. Absent until this memory answers its first
-    /// windowed read, which builds it from `registers`; every write after
-    /// that keeps it current. A memory that is never asked (the crash
-    /// path) never pays for it.
+    store: Store<V>,
+    /// Ordered index of the written keys of both stores, serving
+    /// *windowed* range reads (`within` pins a `b` window) in
+    /// O(matches · log n) instead of a full scan. Absent until this
+    /// memory answers its first windowed read, which builds it; every
+    /// write after that keeps it current. A memory that is never asked
+    /// (the crash path) never pays for it.
     index: Option<BTreeSet<RegId>>,
     legal: LegalChange,
     _msg: PhantomData<M>,
@@ -49,7 +168,7 @@ impl<V, M> fmt::Debug for MemoryActor<V, M> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("MemoryActor")
             .field("regions", &self.regions.len())
-            .field("registers", &self.registers.len())
+            .field("registers", &self.store.iter().count())
             .field("legal", &self.legal)
             .finish()
     }
@@ -65,7 +184,14 @@ where
     pub fn new(legal: LegalChange) -> MemoryActor<V, M> {
         MemoryActor {
             regions: BTreeMap::new(),
-            registers: HashMap::new(),
+            store: Store {
+                sparse: HashMap::new(),
+                log: PagedLog {
+                    space: None,
+                    pages: Vec::new(),
+                    last: 0,
+                },
+            },
             index: None,
             legal,
             _msg: PhantomData,
@@ -86,6 +212,21 @@ where
         self
     }
 
+    /// Declares `space` a log along `a`: an array of slots filled one `a`
+    /// after the other by few writers (Algorithm 7's `slot[instance, p]`).
+    /// Its registers are kept in pages of [`LOG_PAGE_ROWS`] consecutive
+    /// `a` per `(b, c)` column instead of the hash map, which changes what
+    /// a write costs and nothing any operation answers. Declared where the
+    /// space's layout is defined, by someone who knows its writers: a
+    /// write far from every other still costs a whole page (and never
+    /// more), so a space whose dense coordinate an adversary picks stays
+    /// undeclared. A memory has at most one.
+    pub fn with_log_space(mut self, space: u16) -> Self {
+        let prev = self.store.log.space.replace(space);
+        assert!(prev.is_none(), "a memory has one log space");
+        self
+    }
+
     /// Current permission of a region (for tests and assertions).
     pub fn permission(&self, id: RegionId) -> Option<&Permission> {
         self.regions.get(&id).map(|(_, p)| p)
@@ -93,14 +234,14 @@ where
 
     /// Direct register inspection (for tests and assertions).
     pub fn register(&self, reg: RegId) -> Option<&V> {
-        self.registers.get(&reg)
+        self.store.get(reg)
     }
 
     fn handle(&mut self, from: ActorId, req: MemRequest<V>) -> MemResponse<V> {
         match req {
             MemRequest::Read { region, reg } => match self.regions.get(&region) {
                 Some((spec, perm)) if spec.contains(reg) && perm.allows_read(from) => {
-                    MemResponse::Value(self.registers.get(&reg).cloned())
+                    MemResponse::Value(self.register(reg).cloned())
                 }
                 _ => MemResponse::Nak,
             },
@@ -109,7 +250,7 @@ where
                     if let Some(index) = &mut self.index {
                         index.insert(reg);
                     }
-                    self.registers.insert(reg, value);
+                    self.store.insert(reg, value);
                     MemResponse::Ack
                 }
                 _ => MemResponse::Nak,
@@ -118,14 +259,15 @@ where
                 Some((spec, perm))
                     if perm.allows_write(from) && writes.iter().all(|(r, _)| spec.contains(*r)) =>
                 {
-                    // The index is brought up to date before the insert
-                    // loop, not inside it: a branch in that loop costs the
-                    // crash path's batched writes ~15 % of a whole run.
+                    // The index is brought up to date before the loop, not
+                    // inside it: this is the crash path's hottest loop, and
+                    // an `if let Some(index)` per row cost `smr_b32` ~15 %
+                    // of a whole run when the loop was the hash map's.
                     if let Some(index) = &mut self.index {
                         index.extend(writes.iter().map(|(reg, _)| *reg));
                     }
                     for (reg, value) in writes {
-                        self.registers.insert(reg, value);
+                        self.store.insert(reg, value);
                     }
                     MemResponse::Ack
                 }
@@ -134,35 +276,34 @@ where
             MemRequest::ReadRange { region, within } => match self.regions.get(&region) {
                 Some((spec, perm)) if perm.allows_read(from) => {
                     let hit = |r: RegId| spec.contains(r) && within.is_none_or(|w| w.contains(r));
-                    let rows = match within {
+                    let store = &self.store;
+                    let mut rows = Vec::new();
+                    match within {
                         Some(RegionSpec::Pattern {
                             space,
                             a,
                             b: Some(window),
                             ..
                         }) => {
-                            let registers = &self.registers;
                             let index = self
                                 .index
-                                .get_or_insert_with(|| registers.keys().copied().collect());
+                                .get_or_insert_with(|| store.iter().map(|(r, _)| r).collect());
                             // Index order is `RegId` order: no sort.
-                            let mut rows = Vec::new();
                             scan_window(index, space, a, window, |r| {
-                                if hit(r) {
-                                    rows.push((r, registers[&r].clone()));
+                                if !hit(r) {
+                                    return;
+                                }
+                                if let Some(v) = store.get(r) {
+                                    rows.push((r, v.clone()));
                                 }
                             });
-                            rows
                         }
                         _ => {
-                            let mut rows: Vec<(RegId, V)> = (self.registers.iter())
-                                .filter(|(r, _)| hit(**r))
-                                .map(|(r, v)| (*r, v.clone()))
-                                .collect();
+                            let hits = store.iter().filter(|(r, _)| hit(*r));
+                            rows.extend(hits.map(|(r, v)| (r, v.clone())));
                             rows.sort_unstable_by_key(|(r, _)| *r);
-                            rows
                         }
-                    };
+                    }
                     MemResponse::Range(rows)
                 }
                 _ => MemResponse::Nak,
@@ -465,6 +606,39 @@ mod tests {
             panic!("expected range")
         };
         assert_eq!(rows, &vec![(RegId::one(1, 1), 10), (RegId::one(1, 3), 30)]);
+    }
+
+    /// A log space's pages are sized by a constant, not by the coordinate
+    /// written: the far end of the coordinate space costs one page.
+    #[test]
+    fn a_log_space_write_allocates_at_most_one_page_wherever_it_lands() {
+        let mut mem = MemoryActor::<u64, TMsg>::new(LegalChange::Static)
+            .with_log_space(1)
+            .with_region(REGION, RegionSpec::All, Permission::open());
+        let me = ActorId(1);
+        let far = [RegId::one(1, 1 << 40), RegId::one(1, u64::MAX)];
+        for (pages, reg) in far.into_iter().enumerate() {
+            let (region, value) = (REGION, reg.a);
+            let resp = mem.handle(me, MemRequest::Write { region, reg, value });
+            assert_eq!(resp, MemResponse::Ack);
+            let log = &mem.store.log;
+            assert_eq!(log.pages.len(), pages + 1);
+            assert_eq!(log.pages[log.last].rows.capacity(), LOG_PAGE_ROWS);
+            let resp = mem.handle(me, MemRequest::Read { region, reg });
+            assert_eq!(resp, MemResponse::Value(Some(value)));
+        }
+        // A sparse register beside them: `Debug` counts both stores.
+        let (region, reg) = (REGION, RegId::one(2, 0));
+        mem.handle(
+            me,
+            MemRequest::Write {
+                region,
+                reg,
+                value: 9,
+            },
+        );
+        assert!(mem.store.sparse.len() == 1 && mem.store.log.pages.len() == 2);
+        assert!(format!("{mem:?}").contains("registers: 3"), "{mem:?}");
     }
 
     #[test]

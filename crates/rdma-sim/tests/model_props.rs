@@ -247,9 +247,10 @@ mod data_path {
 mod range_reads {
     //! Every answer of a memory equals a `BTreeMap<RegId, u64>` model's:
     //! `ReadRange` is `sort(filter(all registers))` whether the memory
-    //! scans its store or walks the ordered key index it builds on the
+    //! scans its stores or walks the ordered key index it builds on the
     //! first windowed read, point reads see exactly the acked writes, and
-    //! a refused `WriteMany` leaves none of its rows behind.
+    //! a refused `WriteMany` leaves none of its rows behind — in the
+    //! paged store of a log space and in the hash map alike.
 
     use std::collections::BTreeMap;
 
@@ -297,9 +298,8 @@ mod range_reads {
         }
     }
 
-    /// Rows per page of a log-shaped register space: `a` is drawn on both
-    /// sides of the first page boundary.
-    const PAGE: u64 = 4096;
+    /// `a` is drawn on both sides of the log space's first page boundary.
+    const PAGE: u64 = rdma_sim::LOG_PAGE_ROWS as u64;
 
     #[derive(Clone, Debug)]
     enum Step {
@@ -488,9 +488,10 @@ mod range_reads {
         }
     }
 
-    /// The memory under test.
+    /// The memory under test: space 1 is paged, space 2 hashed.
     fn memory() -> MemoryActor<u64, TMsg> {
         MemoryActor::new(LegalChange::Static)
+            .with_log_space(1)
             .with_region(WHOLE, RegionSpec::All, Permission::open())
             .with_region(ROW, ROW_SPEC, Permission::open())
             .with_region(LOCKED, RegionSpec::All, Permission::read_only())
