@@ -56,6 +56,7 @@
 //! the next" is one proposer, not two.
 
 use std::fmt;
+use std::sync::Arc;
 
 use rdma_sim::{
     Completion, LegalChange, MemResponse, MemoryActor, MemoryClient, OpId, Permission, RegId,
@@ -310,7 +311,8 @@ impl<L: MemoryLeg> Proposer<L> {
 
     /// Starts phase 2 under the current ballot: `values[j]` into instance
     /// `first + j`, one write per memory — a plain `Write` for a single
-    /// value (the paper's wire), one scatter-gather `WriteMany` otherwise.
+    /// value (the paper's wire), one scatter-gather `WriteMany` otherwise,
+    /// whose rows are built once and shared by the memories' requests.
     /// Peers are single-decree acceptors and a static leg reads one
     /// instance back: either carries `values[0]` alone.
     pub(crate) fn accept(
@@ -332,14 +334,19 @@ impl<L: MemoryLeg> Proposer<L> {
             let reg = RegId::two(lay.space, first + j as u64, self.me.0 as u64);
             (reg, RegVal::Slot(PaxSlot::phase2(b, v)))
         };
+        // A batch's rows are built once, whatever the number of memories.
+        let batch: Option<Arc<[(RegId, RegVal)]>> = (values.len() > 1).then(|| {
+            let rows = values.iter().enumerate().map(|(j, &v)| write(j, v));
+            rows.collect()
+        });
         for i in 0..self.mems.len() {
             let mem = self.mems[i];
-            let w = if let [v] = values {
-                let (reg, slot) = write(0, *v);
-                client.write(ctx, mem, lay.write, reg, slot)
-            } else {
-                let writes = values.iter().enumerate().map(|(j, &v)| write(j, v));
-                client.write_many(ctx, mem, lay.write, writes.collect())
+            let w = match &batch {
+                Some(rows) => client.write_many(ctx, mem, lay.write, rows.clone()),
+                None => {
+                    let (reg, slot) = write(0, values[0]);
+                    client.write(ctx, mem, lay.write, reg, slot)
+                }
             };
             if lay.dynamic {
                 self.op_map
@@ -807,6 +814,71 @@ mod tests {
         let ds = decisions(&sim, &procs);
         // Everyone agrees (p1's value wins; p0's blocked write naks).
         assert!(ds.iter().all(|d| *d == Some(Value(101))), "{ds:?}");
+    }
+
+    /// Drives one `Proposer::accept` at `Start`; the "memories" it writes
+    /// to only keep what they were sent.
+    struct Accepts(Proposer<Protected>, MemoryClient<RegVal, Msg>, Vec<Value>);
+    impl Actor<Msg> for Accepts {
+        fn on_event(&mut self, ctx: &mut Context<'_, Msg>, ev: EventKind<Msg>) {
+            if let EventKind::Start = ev {
+                self.0.accept(ctx, &mut self.1, 7, &self.2);
+            }
+        }
+    }
+    #[derive(Default)]
+    struct Inbox(Vec<rdma_sim::MemRequest<RegVal>>);
+    impl Actor<Msg> for Inbox {
+        fn on_event(&mut self, _ctx: &mut Context<'_, Msg>, ev: EventKind<Msg>) {
+            if let EventKind::Msg {
+                msg: Msg::Mem(rdma_sim::MemWire::Req { req, .. }),
+                ..
+            } = ev
+            {
+                self.0.push(req);
+            }
+        }
+    }
+
+    /// What `accept` sent each of three memories for `values`.
+    fn accepted_requests(values: &[u64]) -> Vec<rdma_sim::MemRequest<RegVal>> {
+        let mut sim = Simulation::new(1);
+        let mems: Vec<ActorId> = (1..4).map(ActorId).collect();
+        let values = values.iter().map(|&v| Value(v)).collect();
+        let pmp = Proposer::pmp(ActorId(0), mems.clone(), 1, true);
+        sim.add(Accepts(pmp, MemoryClient::new(), values));
+        for _ in &mems {
+            sim.add(Inbox::default());
+        }
+        sim.run_to_quiescence(Time::from_delays(5));
+        let inbox = |&m| sim.actor_as::<Inbox>(m).unwrap().0.clone();
+        let reqs: Vec<_> = mems.iter().flat_map(inbox).collect();
+        assert_eq!(reqs.len(), 3, "one request per memory");
+        reqs
+    }
+
+    #[test]
+    fn a_batched_round_s_rows_are_one_allocation_shared_by_the_memories() {
+        use rdma_sim::MemRequest::{Write, WriteMany};
+        let reqs = accepted_requests(&[10, 11, 12]);
+        let [WriteMany { writes: a, .. }, WriteMany { writes: b, .. }, WriteMany { writes: c, .. }] =
+            &reqs[..]
+        else {
+            panic!("a batch is one WriteMany per memory: {reqs:?}");
+        };
+        assert!(Arc::ptr_eq(a, b) && Arc::ptr_eq(b, c));
+        let b0 = Ballot::initial(ActorId(0));
+        for (j, (reg, slot)) in a.iter().enumerate() {
+            assert_eq!(*reg, slot_reg(Instance(7 + j as u64), ActorId(0)));
+            let value = Value(10 + j as u64);
+            assert_eq!(*slot, RegVal::Slot(PaxSlot::phase2(b0, value)));
+        }
+        // Batch 1 stays the paper's wire: a plain write of the one slot.
+        for req in accepted_requests(&[10]) {
+            let (region, reg) = (REGION, slot_reg(Instance(7), ActorId(0)));
+            let value = RegVal::Slot(PaxSlot::phase2(b0, Value(10)));
+            assert_eq!(req, Write { region, reg, value });
+        }
     }
 
     #[test]

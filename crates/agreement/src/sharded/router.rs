@@ -869,7 +869,7 @@ impl Actor<Msg> for RouterActor {
                         self.refill(ctx, g);
                     }
                     Msg::DecidedMany { values, .. } => {
-                        for v in values {
+                        for &v in values.iter() {
                             if self.confirm(g, from, v) {
                                 self.observe_value(ctx, g, v);
                             }

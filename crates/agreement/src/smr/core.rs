@@ -11,11 +11,72 @@
 //!
 //! [`GroupMode`]: crate::sharded::GroupMode
 
-use std::collections::HashSet;
-
 use simnet::Time;
 
 use crate::types::Value;
+
+/// Ids per page of an [`IdSet`]: one bit each, 512 bytes a page.
+const ID_PAGE_BITS: u64 = 4096;
+
+/// [`ID_PAGE_BITS`] consecutive ids, one bit each.
+#[derive(Debug)]
+struct IdPage {
+    /// `id / ID_PAGE_BITS` of every id in the page.
+    number: u64,
+    bits: [u64; (ID_PAGE_BITS / 64) as usize],
+}
+
+/// The page `id` falls in, and its word and bit there.
+fn id_bit(id: u64) -> (u64, usize, u64) {
+    let bit = id % ID_PAGE_BITS;
+    (id / ID_PAGE_BITS, (bit / 64) as usize, 1 << (bit % 64))
+}
+
+/// A set of command ids, shaped for what the ids are: the sharded
+/// router's dense 1-based sequence, inserted roughly in order — so a
+/// bitmap, in pages (the page list of `rdma-sim`'s paged log store). A
+/// page is a constant size and added by the first id that falls in it,
+/// never sized by the id: a sparse id (a migration control entry at bit
+/// 63, whatever a Byzantine leader got decided) costs one page and no
+/// more.
+#[derive(Debug, Default)]
+struct IdSet {
+    /// Sorted by page number: a miss of the last-page cache is a binary
+    /// search. Pages sit in the list itself, so the set's only allocations
+    /// are the list's doublings (five for 200 000 dense ids).
+    pages: Vec<IdPage>,
+    /// The page last inserted into — where the next id of a dense sequence
+    /// falls.
+    last: usize,
+}
+
+impl IdSet {
+    fn find(&self, number: u64) -> Result<usize, usize> {
+        match self.pages.get(self.last) {
+            Some(page) if page.number == number => Ok(self.last),
+            _ => self.pages.binary_search_by_key(&number, |page| page.number),
+        }
+    }
+
+    fn contains(&self, id: u64) -> bool {
+        let (number, word, mask) = id_bit(id);
+        (self.find(number)).is_ok_and(|at| self.pages[at].bits[word] & mask != 0)
+    }
+
+    fn insert(&mut self, id: u64) {
+        let (number, word, mask) = id_bit(id);
+        self.last = self.find(number).unwrap_or_else(|at| {
+            let bits = [0; (ID_PAGE_BITS / 64) as usize];
+            self.pages.insert(at, IdPage { number, bits });
+            at
+        });
+        self.pages[self.last].bits[word] |= mask;
+    }
+
+    fn extend(&mut self, ids: impl IntoIterator<Item = u64>) {
+        ids.into_iter().for_each(|id| self.insert(id));
+    }
+}
 
 /// One replica's post-run state as run reports read it: the decided log
 /// and the suppression counters, filled by
@@ -60,7 +121,7 @@ pub struct LogCore {
     /// re-submitting in-flight commands on failover.
     pub dedup: bool,
     /// Ids observed decided (populated only when `dedup` is on).
-    pub seen_cmds: HashSet<u64>,
+    seen_cmds: IdSet,
     /// Workload slots consumed by the in-flight round (proposed + skipped).
     pub own_consumed: usize,
     /// Duplicates skipped by the in-flight round.
@@ -86,7 +147,7 @@ impl LogCore {
             workload,
             next_cmd: 0,
             dedup: false,
-            seen_cmds: HashSet::new(),
+            seen_cmds: IdSet::default(),
             own_consumed: 0,
             own_suppressed: 0,
             duplicates_suppressed: 0,
@@ -166,7 +227,7 @@ impl LogCore {
             // router's at-least-once failover re-submissions). The
             // skipped slot is still consumed from the workload — on
             // commit, `next_cmd` advances past it.
-            if self.dedup && v != Value(u64::MAX) && (self.seen_cmds.contains(&v.0) || pending(v)) {
+            if self.dedup && v != Value(u64::MAX) && (self.seen_cmds.contains(v.0) || pending(v)) {
                 self.own_suppressed += 1;
                 continue;
             }
@@ -280,6 +341,54 @@ mod tests {
         assert!(c.slots.is_empty() && c.decided_at.is_empty());
         assert!(c.settle_many(Time(2), 0, &[Value(1), Value(2)]));
         assert_eq!(c.log(), vec![Value(1), Value(2)]);
+    }
+
+    /// The seen-set's pages are a constant size, allocated by the ids
+    /// that fall in them and never sized by an id — the ids are values a
+    /// Byzantine leader can get decided. The top of the id space neither
+    /// panics (debug) nor wraps onto another id (release).
+    #[test]
+    fn id_set_allocates_a_page_per_4096_dense_ids_and_one_per_far_id() {
+        let mut dense = IdSet::default();
+        dense.extend(1..=3 * ID_PAGE_BITS);
+        assert_eq!(dense.pages.len(), 4, "ids 1..=12288 span pages 0..=3");
+        assert!((1..=3 * ID_PAGE_BITS).all(|id| dense.contains(id)));
+        assert!(!dense.contains(0) && !dense.contains(3 * ID_PAGE_BITS + 1));
+
+        let far = [
+            u64::MAX,
+            1 << 40,
+            u64::MAX - ID_PAGE_BITS,
+            1 << 63,
+            1 << 63 | 1 << 62,
+            7,
+        ];
+        let mut sparse = IdSet::default();
+        for (k, &id) in far.iter().enumerate() {
+            assert!(!sparse.contains(id), "{id} before its insert");
+            sparse.insert(id);
+            sparse.insert(id); // idempotent
+            assert_eq!(sparse.pages.len(), k + 1, "one page for {id}");
+            assert!(
+                sparse.pages.capacity() <= (2 * k).max(4),
+                "room for {k} ids"
+            );
+        }
+        assert!(sparse.pages.windows(2).all(|w| w[0].number < w[1].number));
+        assert!(far.iter().all(|&id| sparse.contains(id)));
+        // Neighbours in a far id's page, and the ids it would alias if
+        // page or bit arithmetic wrapped, are absent.
+        for absent in [
+            u64::MAX - 1,
+            0,
+            ID_PAGE_BITS - 1,
+            (1 << 40) + 1,
+            (1 << 63) - 1,
+        ] {
+            assert!(!sparse.contains(absent), "{absent}");
+        }
+        let bytes = std::mem::size_of_val(&sparse.pages[0].bits);
+        assert_eq!(bytes as u64, ID_PAGE_BITS / 8);
     }
 
     #[test]

@@ -185,7 +185,14 @@ impl Shell {
         while self.recover.front().is_some_and(|&(i, _)| i < at) {
             self.recover.pop_front(); // decided meanwhile through another path
         }
-        let mut values = Vec::new();
+        if !force && self.core.workload_drained() && self.recover.is_empty() {
+            return None;
+        }
+        // The round's values are built once, so sized once: by what there
+        // is to propose (a recovered run or the backlog), up to `batch`.
+        let backlog = (self.core.workload.len()).saturating_sub(self.core.next_cmd);
+        let room = self.batch.min(self.recover.len().max(backlog)).max(1);
+        let mut values = Vec::with_capacity(room);
         let (mut consumed, mut suppressed) = (0, 0);
         while values.len() < self.batch {
             match self.recover.front() {
@@ -195,9 +202,6 @@ impl Shell {
             self.recover.pop_front();
         }
         if values.is_empty() {
-            if !force && self.core.workload_drained() && self.recover.is_empty() {
-                return None;
-            }
             let plan = &self.recover;
             let barred = |i: u64| plan.binary_search_by_key(&i, |r| r.0).is_ok();
             self.core
@@ -250,21 +254,21 @@ impl Shell {
             (false, true) => &[],
             (false, false) => return,
         };
+        // One payload, however many recipients.
+        let msg = match *values {
+            [value] => Msg::Decided {
+                instance: Instance(first),
+                value,
+            },
+            _ => Msg::DecidedMany {
+                first: Instance(first),
+                values: values.into(),
+            },
+        };
         for &q in peers.iter().chain(&self.observers) {
-            if q == self.me {
-                continue;
+            if q != self.me {
+                ctx.send(q, msg.clone());
             }
-            let msg = match *values {
-                [value] => Msg::Decided {
-                    instance: Instance(first),
-                    value,
-                },
-                _ => Msg::DecidedMany {
-                    first: Instance(first),
-                    values: values.to_vec(),
-                },
-            };
-            ctx.send(q, msg);
         }
     }
 }
@@ -634,7 +638,7 @@ mod tests {
                 EventKind::Msg {
                     from,
                     msg: Msg::DecidedMany { first, values },
-                } => self.decided.push((from, first.0, values)),
+                } => self.decided.push((from, first.0, values.to_vec())),
                 _ => {}
             }
         }
@@ -742,7 +746,7 @@ mod tests {
             },
             Msg::DecidedMany {
                 first: far,
-                values: vec![Value(666), Value(667)],
+                values: [Value(666), Value(667)].into(),
             },
         ];
         for msg in claims {

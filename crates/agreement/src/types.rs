@@ -2,6 +2,7 @@
 //! ballots, register layouts and the unified simulation message type.
 
 use std::fmt;
+use std::sync::Arc;
 
 use rdma_sim::{MemEmbed, MemWire};
 use sigsim::Signature;
@@ -222,8 +223,9 @@ pub enum Msg {
     DecidedMany {
         /// First instance of the contiguous decided range.
         first: Instance,
-        /// The decided values, in instance order.
-        values: Vec<Value>,
+        /// The decided values, in instance order: one payload, shared by
+        /// every recipient of the notification.
+        values: Arc<[Value]>,
     },
     /// A batch of client commands routed to a group leader by the sharded
     /// service's router ([`crate::sharded`]). The receiving replica appends
@@ -263,17 +265,25 @@ impl MemEmbed<RegVal> for Msg {
 mod tests {
     use super::*;
 
-    /// `size_of::<RegVal>()` is a priced quantity, not a layout detail:
-    /// `rdma_sim`'s wire costs one `(RegId, RegVal)` entry per register
-    /// carried, so under `DelayModel::Rdma` these sizes move virtual time.
+    /// One size here is priced and the rest are watched. Priced:
+    /// `rdma_sim`'s wire charges `size_of::<RegId>() + size_of::<RegVal>()`
+    /// per register carried (`wire::entry_bytes`), so under
+    /// `DelayModel::Rdma` that sum moves virtual time — and nothing else
+    /// below does. Watched: `Option<RegVal>` is a row of the memory's paged
+    /// log store, and `MemRequest<RegVal>` / `Msg` are what the kernel
+    /// moves per event — host time and `peak_live_bytes`, never a delay.
+    /// (A `WriteMany`'s shared rows and a `DecidedMany`'s shared values are
+    /// thin behind their `Arc`s; `Write` carrying a `RegVal` inline is
+    /// what sizes both enums.)
     #[test]
     #[cfg(target_pointer_width = "64")]
     fn register_and_message_sizes_are_what_the_wire_prices() {
         use std::mem::size_of;
-        assert_eq!(size_of::<RegVal>(), 144);
-        assert_eq!(size_of::<Option<RegVal>>(), 144);
-        assert_eq!(size_of::<rdma_sim::MemRequest<RegVal>>(), 184);
-        assert_eq!(size_of::<Msg>(), 192);
+        assert_eq!(size_of::<RegVal>(), 144, "priced");
+        assert_eq!(size_of::<rdma_sim::RegId>() + size_of::<RegVal>(), 176);
+        assert_eq!(size_of::<Option<RegVal>>(), 144, "watched: a log row");
+        assert_eq!(size_of::<rdma_sim::MemRequest<RegVal>>(), 184, "watched");
+        assert_eq!(size_of::<Msg>(), 192, "watched");
     }
 
     #[test]

@@ -8,6 +8,7 @@
 use std::collections::VecDeque;
 use std::fmt;
 use std::marker::PhantomData;
+use std::sync::Arc;
 
 use simnet::{ActorId, Context};
 
@@ -146,13 +147,14 @@ where
     }
 
     /// Sugar for [`MemoryClient::submit`] with a batched multi-register
-    /// write (one round trip covering all of `writes`).
+    /// write (one round trip covering all of `writes`, which the caller
+    /// may share between the memories it posts the batch to).
     pub fn write_many(
         &mut self,
         ctx: &mut Context<'_, M>,
         mem: ActorId,
         region: RegionId,
-        writes: Vec<(RegId, V)>,
+        writes: Arc<[(RegId, V)]>,
     ) -> OpId {
         self.submit(ctx, mem, MemRequest::WriteMany { region, writes })
     }

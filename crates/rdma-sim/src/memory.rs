@@ -266,8 +266,8 @@ where
                     if let Some(index) = &mut self.index {
                         index.extend(writes.iter().map(|(reg, _)| *reg));
                     }
-                    for (reg, value) in writes {
-                        self.store.insert(reg, value);
+                    for (reg, value) in writes.iter() {
+                        self.store.insert(*reg, value.clone());
                     }
                     MemResponse::Ack
                 }
@@ -557,7 +557,7 @@ mod tests {
             vec![
                 MemRequest::WriteMany {
                     region: REGION,
-                    writes: vec![(RegId::one(1, 0), 1), (RegId::one(1, 1), 2)],
+                    writes: [(RegId::one(1, 0), 1), (RegId::one(1, 1), 2)].into(),
                 },
                 MemRequest::Read {
                     region: REGION,
@@ -566,7 +566,7 @@ mod tests {
                 // One register outside the region: nothing is applied.
                 MemRequest::WriteMany {
                     region: REGION,
-                    writes: vec![(RegId::one(1, 2), 3), (RegId::one(2, 0), 4)],
+                    writes: [(RegId::one(1, 2), 3), (RegId::one(2, 0), 4)].into(),
                 },
                 MemRequest::Read {
                     region: REGION,

@@ -7,6 +7,7 @@
 //! their own message enums through [`MemEmbed`].
 
 use std::fmt;
+use std::sync::Arc;
 
 use simnet::{CostClass, Verb};
 
@@ -56,8 +57,11 @@ pub enum MemRequest<V> {
     WriteMany {
         /// Region through which access is claimed.
         region: RegionId,
-        /// `(register, value)` pairs, applied atomically in order.
-        writes: Vec<(RegId, V)>,
+        /// `(register, value)` pairs, applied atomically in order. Shared:
+        /// a process posting one batch to several memories builds the
+        /// rows once (one registered buffer, several remotes) and each
+        /// memory copies out what it stores.
+        writes: Arc<[(RegId, V)]>,
     },
     /// Reads every currently-written register of `region` in one round trip,
     /// optionally restricted to a sub-pattern.

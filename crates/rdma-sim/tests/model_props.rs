@@ -253,6 +253,7 @@ mod range_reads {
     //! paged store of a log space and in the hash map alike.
 
     use std::collections::BTreeMap;
+    use std::sync::Arc;
 
     use rdma_sim::{
         LegalChange, MemEmbed, MemRequest, MemResponse, MemWire, MemoryActor, MemoryClient, OpId,
@@ -436,9 +437,13 @@ mod range_reads {
                     } else {
                         MemResponse::Nak
                     };
-                    let regs: Vec<RegId> = writes.iter().map(|(r, _)| *r).collect();
-                    script.push((MemRequest::WriteMany { region, writes }, resp));
-                    script.extend(regs.into_iter().map(|reg| read(&model, reg)));
+                    let writes: Arc<[(RegId, u64)]> = writes.into();
+                    let batch = MemRequest::WriteMany {
+                        region,
+                        writes: writes.clone(),
+                    };
+                    script.push((batch, resp));
+                    script.extend(writes.iter().map(|(reg, _)| read(&model, *reg)));
                 }
                 Step::Read(reg) => script.push(read(&model, reg)),
                 Step::ReadRange(region, within) => {

@@ -172,14 +172,15 @@ fn decode(kind: usize, space: u16, x: u64, y: u64, z: u64, val: u64) -> MemReque
         },
         2 => MemRequest::WriteMany {
             region: REGION,
-            writes: vec![
+            writes: [
                 (reg, RegVal::LbFlag(Value(val))),
                 // A second register in the same row.
                 (
                     RegId::new(space, x, y, (z + 1) % 3),
                     RegVal::LbFlag(Value(val + 1)),
                 ),
-            ],
+            ]
+            .into(),
         },
         3 => MemRequest::ReadRange {
             region: REGION,
