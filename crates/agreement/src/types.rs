@@ -270,8 +270,10 @@ mod tests {
     /// per register carried (`wire::entry_bytes`), so under
     /// `DelayModel::Rdma` that sum moves virtual time — and nothing else
     /// below does. Watched: `Option<RegVal>` is a row of the memory's paged
-    /// log store, and `MemRequest<RegVal>` / `Msg` are what the kernel
-    /// moves per event — host time and `peak_live_bytes`, never a delay.
+    /// log store, `MemRequest<RegVal>` / `Msg` are what a handler builds
+    /// and matches on per event, and `EventKind<Msg>` is what a slot of the
+    /// kernel's event slab holds — host time and `peak_live_bytes`, never
+    /// a delay.
     /// (A `WriteMany`'s shared rows and a `DecidedMany`'s shared values are
     /// thin behind their `Arc`s; `Write` carrying a `RegVal` inline is
     /// what sizes both enums.)
@@ -284,6 +286,16 @@ mod tests {
         assert_eq!(size_of::<Option<RegVal>>(), 144, "watched: a log row");
         assert_eq!(size_of::<rdma_sim::MemRequest<RegVal>>(), 184, "watched");
         assert_eq!(size_of::<Msg>(), 192, "watched");
+        assert_eq!(
+            size_of::<simnet::EventKind<Msg>>(),
+            200,
+            "watched: what a slab slot holds, copied once in and once out per event"
+        );
+        assert_eq!(
+            size_of::<Option<simnet::EventKind<Msg>>>(),
+            200,
+            "the slot itself"
+        );
     }
 
     #[test]

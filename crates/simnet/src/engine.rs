@@ -8,13 +8,23 @@
 //! / obs / handler). The two drivers supply the rest:
 //!
 //! * [`crate::Simulation`] — one engine; its `pop` consults the schedule
-//!   choice hook, and every emitted event re-enters the engine's own queue.
+//!   choice hook, and every emitted key re-enters the engine's own queue.
 //! * [`crate::ParSimulation`] — one engine per partition; plain `pop`
-//!   inside a conservative window, and emitted events addressed to another
-//!   partition are staged into an outbox instead of the local queue.
+//!   inside a conservative window, and an emitted event addressed to
+//!   another partition is taken out of the slab and staged into an outbox
+//!   instead of the local queue.
 //!
 //! Both closures are generic parameters of `step`, so each driver gets its
 //! own monomorphised copy of the loop body with no indirection.
+//!
+//! ## Where an event is between send and dispatch
+//!
+//! In one slot of the engine's [`EventSlab`] (`core.slab`), from the
+//! `Context::send` / `set_timer` / [`Engine::push`] that wrote it there to
+//! the `step` that takes it out and hands it to its handler — also when
+//! the step drops it at a crashed target or finds its timer cancelled.
+//! What `pending`, the queue and the drivers' closures pass around is its
+//! [`Key`].
 
 use rand::rngs::StdRng;
 
@@ -22,12 +32,9 @@ use crate::actor::AnyActor;
 use crate::event::EventKind;
 use crate::ids::ActorId;
 use crate::obs::EventBody;
-use crate::queue::{Payload, Scheduled, WheelQueue};
+use crate::queue::{EventSlab, Key, WheelQueue};
 use crate::sim::{Context, Core};
 use crate::time::Time;
-
-/// An event emitted by a handler: `(arrival time, target, event)`.
-pub(crate) type Emitted<M> = (Time, ActorId, EventKind<M>);
 
 /// Per-kernel state plus the dispatch body, generic over the actor box
 /// `A` (`dyn AnyActor<M>` for the monolithic kernel, `dyn AnyActor<M> +
@@ -38,12 +45,9 @@ pub(crate) struct Engine<M, A: ?Sized> {
     actors: Vec<Option<Box<A>>>,
     /// Crash flags, indexed densely by actor.
     crashed: Vec<bool>,
-    queue: WheelQueue<M>,
+    queue: WheelQueue,
     seq: u64,
     now: Time,
-    /// Recycled buffer that `core.pending` swaps with during dispatch, so
-    /// dispatch never reallocates it.
-    pending_scratch: Vec<Emitted<M>>,
     pub(crate) core: Core<M>,
 }
 
@@ -56,7 +60,6 @@ impl<M, A: ?Sized + AnyActor<M>> Engine<M, A> {
             queue: WheelQueue::new(),
             seq: 0,
             now: Time::ZERO,
-            pending_scratch: Vec::new(),
             core: Core::new(rng),
         }
     }
@@ -72,15 +75,22 @@ impl<M, A: ?Sized + AnyActor<M>> Engine<M, A> {
         self.actors.len()
     }
 
-    /// Enqueues `payload` for `to` at `at` under the next sequence number.
-    pub(crate) fn push(&mut self, at: Time, to: ActorId, payload: Payload<M>) {
+    /// Enqueues `ev` for `to` at `at` under the next sequence number.
+    pub(crate) fn push(&mut self, at: Time, to: ActorId, ev: EventKind<M>) {
+        let slot = self.core.slab.insert(ev);
+        self.push_key(Key::new(at, to, slot));
+    }
+
+    /// Enqueues a crash of `to` at `at` under the next sequence number.
+    pub(crate) fn push_crash(&mut self, at: Time, to: ActorId) {
+        self.push_key(Key::new(at, to, Key::CRASH));
+    }
+
+    /// Enqueues `key` under the next sequence number.
+    pub(crate) fn push_key(&mut self, mut key: Key) {
         self.seq += 1;
-        self.queue.push(Scheduled {
-            at,
-            seq: self.seq,
-            to,
-            payload,
-        });
+        key.seq = self.seq;
+        self.queue.push(key);
     }
 
     /// Time of the last dispatched event.
@@ -136,37 +146,36 @@ impl<M, A: ?Sized + AnyActor<M>> Engine<M, A> {
             .downcast_mut::<T>()
     }
 
-    /// Dispatches one event: `pop` takes it off the queue (returning
-    /// `None` ends the step with `false`), and every event the handler
-    /// emits is handed, in emission order, to `emit` along with the
-    /// engine (to `push` it locally) and the emitting actor.
+    /// Dispatches one event: `pop` takes its key off the queue (it may
+    /// read the queued events through the slab; returning `None` ends the
+    /// step with `false`), and the key of every event the handler emits
+    /// is handed, in emission order, to `emit` along with the engine (to
+    /// [`Engine::push_key`] it locally, or to take the event out of
+    /// `core.slab` and send it elsewhere) and the emitting actor.
     pub(crate) fn step(
         &mut self,
-        pop: impl FnOnce(&mut WheelQueue<M>) -> Option<Scheduled<M>>,
-        mut emit: impl FnMut(&mut Self, ActorId, Emitted<M>),
+        pop: impl FnOnce(&mut WheelQueue, &EventSlab<M>) -> Option<Key>,
+        mut emit: impl FnMut(&mut Self, ActorId, Key),
     ) -> bool {
         let depth = self.queue.len() as u64;
         if depth > self.core.metrics.peak_queue_len {
             self.core.metrics.peak_queue_len = depth;
         }
-        let Some(sched) = pop(&mut self.queue) else {
+        let Some(key) = pop(&mut self.queue, &self.core.slab) else {
             return false;
         };
-        debug_assert!(sched.at >= self.now, "event queue went backwards");
-        self.now = sched.at;
+        debug_assert!(key.at >= self.now, "event queue went backwards");
+        self.now = key.at;
         self.core.metrics.events_dispatched += 1;
-        self.core.metrics.sample_queue_depth(self.now, depth);
-        let (now, to) = (self.now, sched.to);
-        let ev = match sched.payload {
-            Payload::Crash => {
-                self.mark_crashed(to);
-                self.core.metrics.dispatches.crash += 1;
-                self.core.obs.record(now, to, || EventBody::Crash);
-                return true;
-            }
-            Payload::Deliver(ev) => ev,
-        };
+        let (now, to) = (self.now, key.to);
+        if key.slot == Key::CRASH {
+            self.mark_crashed(to);
+            self.core.metrics.dispatches.crash += 1;
+            self.core.obs.record(now, to, || EventBody::Crash);
+            return true;
+        }
         if self.is_crashed(to) {
+            let ev = self.core.slab.take(key.slot);
             self.core.metrics.dispatches.dropped += 1;
             let kind = ev.kind_name();
             self.core
@@ -178,7 +187,10 @@ impl<M, A: ?Sized + AnyActor<M>> Engine<M, A> {
             }
             return true;
         }
-        let body = match &ev {
+        // Counted and recorded through a reference into the slab; the
+        // event itself is read out once, as the handler's argument.
+        let queued = self.core.slab.get(key.slot);
+        let body = match queued.expect("a queued key names an occupied slot") {
             EventKind::Start => {
                 self.core.metrics.dispatches.start += 1;
                 EventBody::Dispatch { kind: "start" }
@@ -188,13 +200,14 @@ impl<M, A: ?Sized + AnyActor<M>> Engine<M, A> {
                 self.core.metrics.messages_delivered += 1;
                 EventBody::Deliver { from: *from }
             }
-            EventKind::Timer { id, tag } => {
+            &EventKind::Timer { id, tag } => {
                 self.core.metrics.dispatches.timer += 1;
-                if !self.core.timers.retire(*id) {
-                    return true; // cancelled
+                if !self.core.timers.retire(id) {
+                    self.core.slab.take(key.slot); // cancelled
+                    return true;
                 }
                 self.core.metrics.timers_fired += 1;
-                EventBody::TimerFired { tag: *tag }
+                EventBody::TimerFired { tag }
             }
             EventKind::LeaderChange { leader } => {
                 self.core.metrics.dispatches.leader += 1;
@@ -205,18 +218,19 @@ impl<M, A: ?Sized + AnyActor<M>> Engine<M, A> {
         let mut actor = self.actors[to.index()]
             .take()
             .expect("actor dispatched on the wrong engine or re-entrantly");
+        // Taken right at the call (a local that is inspected first gets
+        // copied again into the argument): the slot is vacant before the
+        // handler can send, so its first send reuses it.
+        let ev = self.core.slab.take(key.slot);
         actor.on_event(&mut Context::new(to, now, &mut self.core), ev);
         self.actors[to.index()] = Some(actor);
-        // Swap the pending buffer out, drain it, swap it back: its
-        // capacity is reused across every dispatch.
-        let mut batch = std::mem::replace(
-            &mut self.core.pending,
-            std::mem::take(&mut self.pending_scratch),
-        );
-        for emitted in batch.drain(..) {
-            emit(self, to, emitted);
+        // Keys are `Copy`: read each out by index, so `emit` can have the
+        // whole engine and the buffer keeps its capacity across dispatches.
+        for i in 0..self.core.pending.len() {
+            let key = self.core.pending[i];
+            emit(self, to, key);
         }
-        self.pending_scratch = batch;
+        self.core.pending.clear();
         true
     }
 }

@@ -42,24 +42,31 @@
 //!   ("timing wheel"): one bucket per virtual tick over a 2^15-tick
 //!   near-future window, a two-level occupancy bitmap to find the next
 //!   non-empty tick in a few word operations, and a binary-heap fallback
-//!   for far-future events that migrate into the wheel as time approaches
-//!   them. Push and pop are O(1) in the common case, with no
-//!   sift-up/sift-down moves of event payloads; the win over the old
-//!   `BinaryHeap` kernel grows with the number of in-flight events
-//!   (≈2x events/sec with tens of thousands queued — see
-//!   `BENCH_PR1.json`'s `kernel_queue_stress`).
+//!   for far-future entries that migrate into the wheel as time approaches
+//!   them. Buckets and heap hold 24-byte keys `(time, seq, target, slot)`;
+//!   the event a key stands for sits in one slot of a per-kernel slab from
+//!   the moment it is sent to the moment it is dispatched — written once,
+//!   read once — so queueing a 192-byte service message moves 24 bytes
+//!   (a cross-partition send moves the event itself, out of one kernel's
+//!   slab and into another's). Push and pop are O(1) in the common case;
+//!   the win over the old `BinaryHeap` kernel grows with the number of
+//!   in-flight events (≈2x events/sec with tens of thousands queued — see
+//!   `BENCH_PR1.json`'s `kernel_queue_stress`), the win of keys over
+//!   queued payloads with the size of the message (`BENCH_PR22_benchmark.txt`).
 //! * **Allocation rules.** Steady-state dispatch performs no heap
 //!   allocation: link delays are sampled by reference (no per-send model
 //!   clone), recorded event bodies are built lazily (kernel events and
 //!   [`Context::note_with`] alike) so disabled recording costs one branch,
 //!   timers use generation-stamped slots (O(1) arm/cancel/fire, bounded
-//!   memory — the old cancelled-timer tombstone set grew forever), the
-//!   per-dispatch pending buffer is recycled, and crash flags live in a
-//!   dense bitvector.
+//!   memory — the old cancelled-timer tombstone set grew forever), event
+//!   slots are recycled last-vacated-first (the slab stays the size of
+//!   the queue's depth), the per-dispatch pending buffer is reused, and
+//!   crash flags live in a dense bitvector.
 //! * **Determinism contract.** Events dispatch in strictly ascending
 //!   `(time, seq)` order, where `seq` is the kernel-assigned scheduling
 //!   sequence number; RNG draws happen in dispatch order. Any conforming
-//!   queue implementation is therefore observationally identical; the
+//!   queue implementation is therefore observationally identical (which
+//!   slab slot an event occupies is not observable at all); the
 //!   golden-schedule suite pins recorded decisions, metrics, and traces
 //!   so any schedule drift fails loudly. (The pre-overhaul heap kernel,
 //!   once kept as a `Legacy` profile for differential testing, is

@@ -10,11 +10,6 @@ use std::collections::BTreeMap;
 use crate::ids::ActorId;
 use crate::time::Time;
 
-/// Cap on the sampled queue-depth series: when reached, every other
-/// sample is discarded and the sampling stride doubles, so memory stays
-/// bounded on arbitrarily long runs while coverage stays uniform.
-const QUEUE_SAMPLE_CAP: usize = 256;
-
 /// Dispatch counts broken out by event kind — `peak_queue_len`'s
 /// companion: *what* the kernel was dispatching, not just how deep the
 /// queue got. The fields sum to [`Metrics::events_dispatched`].
@@ -75,15 +70,6 @@ pub struct Metrics {
     /// where queue depth — and the calendar queue's O(1) advantage over the
     /// legacy heap — shows up; this exposes it to the perf snapshots.
     pub peak_queue_len: u64,
-    /// Deterministically sampled `(ticks, queue depth)` series: one
-    /// sample every `queue_sample_stride` dispatches, decimated (stride
-    /// doubled, every other sample dropped) whenever the series would
-    /// exceed its cap. Purely a function of the dispatch sequence, so it
-    /// is identical across replays and worker-thread counts.
-    queue_depth_samples: Vec<(u64, u64)>,
-    /// Current sampling stride in dispatches (starts at 1, doubles on
-    /// decimation).
-    queue_sample_stride: u64,
     /// When each actor first reported a decision, in event order.
     decisions: BTreeMap<ActorId, Time>,
     /// When each actor reported aborting (Cheap Quorum panic path).
@@ -140,36 +126,6 @@ impl Metrics {
         self.mem_reads + self.mem_writes + self.mem_range_reads + self.perm_changes
     }
 
-    /// Offers one queue-depth observation (taken by the kernel at every
-    /// dispatch, *before* the pop). Kept only if the current dispatch
-    /// count lands on the sampling stride; the series decimates itself to
-    /// stay under a fixed cap.
-    pub fn sample_queue_depth(&mut self, at: Time, depth: u64) {
-        let stride = self.queue_sample_stride.max(1);
-        if !self.events_dispatched.is_multiple_of(stride) {
-            return;
-        }
-        self.queue_depth_samples.push((at.0, depth));
-        if self.queue_depth_samples.len() >= QUEUE_SAMPLE_CAP {
-            let mut keep = false;
-            self.queue_depth_samples.retain(|_| {
-                keep = !keep;
-                keep
-            });
-            self.queue_sample_stride = stride * 2;
-        }
-    }
-
-    /// The sampled `(ticks, queue depth)` series, in time order.
-    pub fn queue_depth_samples(&self) -> &[(u64, u64)] {
-        &self.queue_depth_samples
-    }
-
-    /// The current queue-depth sampling stride, in dispatches.
-    pub fn queue_sample_stride(&self) -> u64 {
-        self.queue_sample_stride.max(1)
-    }
-
     /// Folds another partition's metrics into this record (the partitioned
     /// kernel keeps one [`Metrics`] per sub-kernel and merges at the end):
     /// event/message/memory counters sum; `peak_queue_len` takes the max —
@@ -194,39 +150,6 @@ impl Metrics {
         self.perm_changes += other.perm_changes;
         self.mem_range_rows += other.mem_range_rows;
         self.peak_queue_len = self.peak_queue_len.max(other.peak_queue_len);
-        // Queue-depth series: merge-sort by time (each series is already
-        // time-ordered; partition index is immaterial after the merge)
-        // and re-decimate to the cap. Deterministic because absorb is
-        // called in fixed partition order.
-        let mut merged =
-            Vec::with_capacity(self.queue_depth_samples.len() + other.queue_depth_samples.len());
-        {
-            let (a, b) = (&self.queue_depth_samples, &other.queue_depth_samples);
-            let (mut i, mut j) = (0, 0);
-            while i < a.len() && j < b.len() {
-                if a[i] <= b[j] {
-                    merged.push(a[i]);
-                    i += 1;
-                } else {
-                    merged.push(b[j]);
-                    j += 1;
-                }
-            }
-            merged.extend_from_slice(&a[i..]);
-            merged.extend_from_slice(&b[j..]);
-        }
-        while merged.len() >= QUEUE_SAMPLE_CAP {
-            let mut keep = false;
-            merged.retain(|_| {
-                keep = !keep;
-                keep
-            });
-        }
-        self.queue_depth_samples = merged;
-        self.queue_sample_stride = self
-            .queue_sample_stride
-            .max(other.queue_sample_stride)
-            .max(1);
         for (&actor, &at) in &other.decisions {
             self.decisions
                 .entry(actor)
@@ -287,48 +210,5 @@ mod tests {
         a.absorb(&b);
         assert_eq!(a.dispatches.total(), 7);
         assert_eq!(a.dispatches.total(), a.events_dispatched);
-    }
-
-    #[test]
-    fn queue_samples_decimate_under_cap() {
-        let mut m = Metrics::new();
-        for i in 0..10_000u64 {
-            m.events_dispatched = i;
-            m.sample_queue_depth(Time(i * 10), i % 97);
-        }
-        assert!(m.queue_depth_samples().len() < QUEUE_SAMPLE_CAP);
-        assert!(m.queue_sample_stride() > 1, "stride doubled at least once");
-        // Series stays time-ordered.
-        let s = m.queue_depth_samples();
-        assert!(s.windows(2).all(|w| w[0].0 <= w[1].0));
-    }
-
-    #[test]
-    fn queue_samples_are_replay_identical() {
-        let run = || {
-            let mut m = Metrics::new();
-            for i in 0..5_000u64 {
-                m.events_dispatched = i;
-                m.sample_queue_depth(Time(i * 3), (i * 7) % 31);
-            }
-            m.queue_depth_samples().to_vec()
-        };
-        assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn absorb_merges_queue_series_in_time_order() {
-        let mut a = Metrics::new();
-        let mut b = Metrics::new();
-        for i in 0..50u64 {
-            a.events_dispatched = i;
-            a.sample_queue_depth(Time(i * 4), i);
-            b.events_dispatched = i;
-            b.sample_queue_depth(Time(i * 4 + 2), 100 + i);
-        }
-        a.absorb(&b);
-        let s = a.queue_depth_samples();
-        assert_eq!(s.len(), 100);
-        assert!(s.windows(2).all(|w| w[0].0 <= w[1].0));
     }
 }

@@ -22,14 +22,16 @@
 //!    cross-partition link delay. Each partition independently dispatches
 //!    all of its events with time `< T + L`. Sends to co-located actors go
 //!    straight into the local queue (any delay, including sub-lookahead
-//!    timers and same-tick messages, is fine); sends to remote actors are
-//!    staged into a per-destination **outbox** in emission order.
+//!    timers and same-tick messages, is fine; the event stays in the
+//!    partition's slab and only its key is queued); sends to remote
+//!    actors are taken out of the slab and staged into a per-destination
+//!    **outbox** in emission order.
 //! 2. **Barrier merge.** After every partition reaches the window end, the
 //!    coordinator drains all outboxes into the destination partitions'
-//!    queues in a fixed order (source partition 0..P, emission order within
-//!    each), assigning destination-local sequence numbers; then the next
-//!    window is computed, the caller's stop predicate is evaluated, and the
-//!    cycle repeats.
+//!    queues (and slabs) in a fixed order (source partition 0..P, emission
+//!    order within each), assigning destination-local sequence numbers;
+//!    then the next window is computed, the caller's stop predicate is
+//!    evaluated, and the cycle repeats.
 //!
 //! # Why the result is thread-count-invariant
 //!
@@ -85,12 +87,11 @@ use rand::SeedableRng;
 
 use crate::actor::{Actor, AnyActor};
 use crate::delay::DelayModel;
-use crate::engine::{Emitted, Engine};
+use crate::engine::Engine;
 use crate::event::EventKind;
 use crate::ids::ActorId;
 use crate::metrics::Metrics;
 use crate::obs;
-use crate::queue::{Payload, WheelQueue};
 use crate::sim::RunOutcome;
 use crate::time::{Duration, Time};
 
@@ -151,6 +152,12 @@ impl Partitioning {
     }
 }
 
+/// An event on its way to another partition: `(arrival time, target,
+/// event)`. Crossing is the one place an event leaves its slab between
+/// send and dispatch — taken out of the sender's, written into the
+/// destination's at the barrier merge.
+type Staged<M> = (Time, ActorId, EventKind<M>);
+
 /// One partition: a complete dispatch [`Engine`] (queue, sequence counter,
 /// timers, RNG stream, metrics, trace, actors) plus the per-destination
 /// outboxes its cross-partition sends are staged into.
@@ -159,7 +166,7 @@ struct SubKernel<M> {
     engine: Engine<M, dyn AnyActor<M> + Send>,
     /// Events staged for other partitions during the current window, in
     /// emission order, one queue per destination partition.
-    outbox: Vec<Vec<Emitted<M>>>,
+    outbox: Vec<Vec<Staged<M>>>,
 }
 
 impl<M: 'static> SubKernel<M> {
@@ -185,20 +192,24 @@ impl<M: 'static> SubKernel<M> {
             outbox,
         } = self;
         while engine.next_time().is_some_and(|t| t < window_end) {
-            engine.step(WheelQueue::pop, |engine, from, (at, to, ev)| {
-                let dest = placement[to.index()] as usize;
-                if dest == *part {
-                    engine.push(at, to, Payload::Deliver(ev));
-                } else {
-                    assert!(
-                        at >= engine.now() + lookahead,
-                        "cross-partition send {from} -> {to} at {at:?} beats the \
-                         lookahead {lookahead:?}: the partitioning is unsound for \
-                         this delay model",
-                    );
-                    outbox[dest].push((at, to, ev));
-                }
-            });
+            engine.step(
+                |queue, _| queue.pop(),
+                |engine, from, key| {
+                    let (at, to) = (key.at, key.to);
+                    let dest = placement[to.index()] as usize;
+                    if dest == *part {
+                        engine.push_key(key);
+                    } else {
+                        assert!(
+                            at >= engine.now() + lookahead,
+                            "cross-partition send {from} -> {to} at {at:?} beats the \
+                             lookahead {lookahead:?}: the partitioning is unsound for \
+                             this delay model",
+                        );
+                        outbox[dest].push((at, to, engine.core.slab.take(key.slot)));
+                    }
+                },
+            );
         }
     }
 }
@@ -333,7 +344,7 @@ pub struct ParSimulation<M> {
     started: bool,
     reached: Time,
     /// Merge scratch: staged events collected per destination partition.
-    inbound: Vec<Vec<Emitted<M>>>,
+    inbound: Vec<Vec<Staged<M>>>,
 }
 
 impl<M: Send + 'static> ParSimulation<M> {
@@ -428,7 +439,7 @@ impl<M: Send + 'static> ParSimulation<M> {
     /// time the run has reached), e.g. scripted Ω announcements.
     pub fn schedule(&mut self, at: Time, to: ActorId, ev: EventKind<M>) {
         let at = at.max(self.reached);
-        self.engine_of(to).push(at, to, Payload::Deliver(ev));
+        self.engine_of(to).push(at, to, ev);
     }
 
     /// Schedules `actor` to crash at `at`: from that instant it receives
@@ -436,7 +447,7 @@ impl<M: Send + 'static> ParSimulation<M> {
     /// [`crate::Simulation::crash_at`]).
     pub fn crash_at(&mut self, actor: ActorId, at: Time) {
         let at = at.max(self.reached);
-        self.engine_of(actor).push(at, actor, Payload::Crash);
+        self.engine_of(actor).push_crash(at, actor);
     }
 
     /// Announces `leader` to every actor in `targets` at time `at`,
@@ -504,8 +515,7 @@ impl<M: Send + 'static> ParSimulation<M> {
         self.started = true;
         for i in 0..self.plan.len() {
             let to = ActorId(i as u32);
-            self.engine_of(to)
-                .push(Time::ZERO, to, Payload::Deliver(EventKind::Start));
+            self.engine_of(to).push(Time::ZERO, to, EventKind::Start);
         }
     }
 
@@ -611,7 +621,7 @@ impl<M: Send + 'static> ParSimulation<M> {
     fn control<F>(
         parts: &[Mutex<SubKernel<M>>],
         plan_of: &[u32],
-        inbound: &mut [Vec<Emitted<M>>],
+        inbound: &mut [Vec<Staged<M>>],
         reached: &mut Time,
         max: Time,
         lookahead: Duration,
@@ -637,7 +647,7 @@ impl<M: Send + 'static> ParSimulation<M> {
         for (dest, kernel) in parts.iter().enumerate() {
             let engine = &mut kernel.lock().expect(UNPOISONED).engine;
             for (at, to, ev) in inbound[dest].drain(..) {
-                engine.push(at, to, Payload::Deliver(ev));
+                engine.push(at, to, ev);
             }
             if let Some(t) = engine.next_time() {
                 next = Some(next.map_or(t, |n: Time| n.min(t)));

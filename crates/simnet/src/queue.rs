@@ -1,26 +1,44 @@
 //! The event queue of the simulation kernel.
 //!
+//! Two structures, one per job. [`WheelQueue`] *orders*: it holds one
+//! 24-byte [`Key`] `(at, seq, to, slot)` per queued entry and nothing of
+//! the event itself. [`EventSlab`] *stores*: the event a key stands for
+//! sits in slab slot `key.slot` from the moment it is sent until the
+//! moment it is dispatched — written once, read once — while only the key
+//! moves through `pending`, buckets, the far heap, the arrival sort and
+//! the choice hook's pop-and-push-back. (The queue used to carry the
+//! events themselves: a service message is 192 bytes, and every queued
+//! event was copied six to seven times on its way to its handler.) A
+//! scheduled crash has no event: its key carries the sentinel slot
+//! [`Key::CRASH`].
+//!
 //! [`WheelQueue`] is a bucketed calendar queue ("timing wheel") of
 //! one-tick buckets over a 2^15-tick near-future window, with a two-level
 //! occupancy bitmap to find the next non-empty tick in a handful of word
-//! operations, and a [`BinaryHeap`] fallback for far-future events (they
+//! operations, and a [`BinaryHeap`] fallback for far-future entries (they
 //! migrate into the wheel as virtual time approaches them). Push and pop
-//! are O(1) in the common case — no sift-up/sift-down moves of event
-//! payloads. (The pre-overhaul kernel used a plain [`BinaryHeap`]; the
-//! tests below still pop one against the wheel to pin the identical
-//! `(time, seq)` order.)
+//! are O(1) in the common case. (The pre-overhaul kernel used a plain
+//! [`BinaryHeap`]; the tests below still pop one against the wheel to pin
+//! the identical `(time, seq)` order.)
+//!
+//! [`EventSlab`] is a `Vec` of optional events plus a LIFO list of vacant
+//! slots: the slot a dispatch just emptied is the one the handler's first
+//! send fills, so the slab never grows past the deepest the queue got
+//! plus one dispatch's emissions, and the hot slots stay in cache.
 //!
 //! ## Determinism contract
 //!
-//! Events pop in strictly ascending `(at, seq)` order, where `seq` is the
+//! Keys pop in strictly ascending `(at, seq)` order, where `seq` is the
 //! kernel-assigned scheduling sequence number. The wheel guarantees this
 //! by (a) advancing its cursor tick-to-tick through the occupancy bitmaps,
 //! and (b) sorting each bucket by `seq` when the cursor arrives on it
-//! (buckets can receive events out of sequence order when far-future
-//! events drain in next to directly-scheduled ones; the sort is O(k log k)
-//! over tiny, mostly-sorted buckets). Events scheduled for the tick
-//! currently being dispatched always carry a higher `seq` than anything
-//! already in the bucket, so appends preserve sortedness.
+//! (buckets can receive keys out of sequence order when far-future
+//! entries drain in next to directly-scheduled ones; the sort is
+//! O(k log k) over tiny, mostly-sorted buckets). Keys scheduled for the
+//! tick currently being dispatched always carry a higher `seq` than
+//! anything already in the bucket, so appends preserve sortedness. Which
+//! slot an event occupies is never observable: no order, sequence number
+//! or RNG draw depends on it.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
@@ -29,38 +47,132 @@ use crate::event::EventKind;
 use crate::ids::ActorId;
 use crate::time::Time;
 
-/// What a scheduled entry does on delivery.
-pub(crate) enum Payload<M> {
-    /// Deliver an event to the target actor.
-    Deliver(EventKind<M>),
-    /// Crash the target actor.
-    Crash,
-}
-
-/// One entry in the event queue.
-pub(crate) struct Scheduled<M> {
+/// One queued entry: when, in which order, for whom, and where its event
+/// is kept.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Key {
     pub(crate) at: Time,
+    /// Scheduling sequence number; 0 until the engine enqueues the key.
     pub(crate) seq: u64,
     pub(crate) to: ActorId,
-    pub(crate) payload: Payload<M>,
+    /// Slab slot of the event to deliver, or [`Key::CRASH`].
+    pub(crate) slot: u32,
 }
 
-impl<M> PartialEq for Scheduled<M> {
+impl Key {
+    /// A key not yet enqueued (the engine assigns `seq` when it is).
+    #[inline]
+    pub(crate) fn new(at: Time, to: ActorId, slot: u32) -> Key {
+        Key {
+            at,
+            seq: 0,
+            to,
+            slot,
+        }
+    }
+
+    /// The slot of an entry that crashes its target instead of delivering
+    /// an event. Never a real slot: [`EventSlab::insert`] stops short of it.
+    pub(crate) const CRASH: u32 = u32::MAX;
+}
+
+impl PartialEq for Key {
     fn eq(&self, other: &Self) -> bool {
         self.at == other.at && self.seq == other.seq
     }
 }
-impl<M> Eq for Scheduled<M> {}
-impl<M> PartialOrd for Scheduled<M> {
+impl Eq for Key {}
+impl PartialOrd for Key {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl<M> Ord for Scheduled<M> {
+impl Ord for Key {
     fn cmp(&self, other: &Self) -> Ordering {
         // BinaryHeap is a max-heap; invert so the earliest (time, seq) pops
         // first. seq breaks ties deterministically in scheduling order.
         (other.at, other.seq).cmp(&(self.at, self.seq))
+    }
+}
+
+/// Slots the slab and its vacancy list are sized for at construction:
+/// twice the deepest queue of any benchmark workload (9 / 9 / 57 / 21
+/// entries), so a service run pays no growth step for either vector.
+const SLAB_SLOTS: usize = 128;
+
+/// Where queued events live between send and dispatch (see the module
+/// docs).
+pub(crate) struct EventSlab<M> {
+    slots: Vec<Option<EventKind<M>>>,
+    /// Vacant slots, most recently vacated last.
+    free: Vec<u32>,
+}
+
+impl<M> EventSlab<M> {
+    pub(crate) fn new() -> EventSlab<M> {
+        EventSlab {
+            slots: Vec::with_capacity(SLAB_SLOTS),
+            free: Vec::with_capacity(SLAB_SLOTS),
+        }
+    }
+
+    /// Appends a vacant slot.
+    #[cold]
+    fn grow(&mut self) -> u32 {
+        let slot = self.slots.len();
+        assert!(slot < Key::CRASH as usize, "event slab is full");
+        self.slots.push(None);
+        slot as u32
+    }
+
+    /// A vacant slot for the caller to fill, and its index. Everything
+    /// that can call out or panic happens in here, so that a caller
+    /// writing `*cell = Some(EventKind::Msg { from, msg })` next builds
+    /// the event in the slot instead of on its stack.
+    #[inline(always)]
+    pub(crate) fn vacancy(&mut self) -> (u32, &mut Option<EventKind<M>>) {
+        let slot = match self.free.pop() {
+            Some(slot) => slot,
+            None => self.grow(),
+        };
+        let cell = &mut self.slots[slot as usize];
+        assert!(cell.is_none(), "the vacancy list named an occupied slot");
+        (slot, cell)
+    }
+
+    /// Stores `ev` in a vacant slot and returns the slot.
+    pub(crate) fn insert(&mut self, ev: EventKind<M>) -> u32 {
+        let (slot, cell) = self.vacancy();
+        *cell = Some(ev);
+        slot
+    }
+
+    /// The event in `slot`; `None` for [`Key::CRASH`].
+    pub(crate) fn get(&self, slot: u32) -> Option<&EventKind<M>> {
+        self.slots.get(slot as usize)?.as_ref()
+    }
+
+    /// Moves the event out of `slot` and vacates it.
+    #[inline(always)]
+    pub(crate) fn take(&mut self, slot: u32) -> EventKind<M> {
+        // Listed as vacant first: nothing may sit between reading the
+        // event out and handing it on, or it is copied twice.
+        self.free.push(slot);
+        self.slots[slot as usize]
+            .take()
+            .expect("a queued key names an occupied slot")
+    }
+
+    /// Occupied slots.
+    #[cfg(test)]
+    pub(crate) fn live(&self) -> usize {
+        self.slots.len() - self.free.len()
+    }
+
+    /// Slots ever created: the most that were occupied at once.
+    #[cfg(test)]
+    pub(crate) fn slots(&self) -> usize {
+        self.slots.len()
     }
 }
 
@@ -75,10 +187,10 @@ const WORDS: usize = RING / 64;
 const SUMMARY_WORDS: usize = WORDS / 64;
 
 /// Bucketed calendar queue with far-future heap fallback.
-pub(crate) struct WheelQueue<M> {
+pub(crate) struct WheelQueue {
     /// One bucket per tick of the window `[cursor, cursor + RING)`,
     /// indexed by `tick & RING_MASK`.
-    buckets: Box<[VecDeque<Scheduled<M>>]>,
+    buckets: Box<[VecDeque<Key>]>,
     /// Bit per bucket: bucket may be non-empty. Only the cursor's own bit
     /// can be stale (cleared lazily when the cursor advances).
     occupied: Box<[u64]>,
@@ -86,8 +198,8 @@ pub(crate) struct WheelQueue<M> {
     summary: [u64; SUMMARY_WORDS],
     /// Current tick: every event before it has been popped.
     cursor: u64,
-    /// Events at `cursor + RING` or later, ordered like the legacy heap.
-    far: BinaryHeap<Scheduled<M>>,
+    /// Entries at `cursor + RING` or later, ordered like the legacy heap.
+    far: BinaryHeap<Key>,
     /// Memoized [`WheelQueue::next_time`] result; invalidated by any push
     /// or pop. The run loop peeks before every step, so this halves the
     /// bitmap scans.
@@ -95,8 +207,8 @@ pub(crate) struct WheelQueue<M> {
     len: usize,
 }
 
-impl<M> WheelQueue<M> {
-    pub(crate) fn new() -> WheelQueue<M> {
+impl WheelQueue {
+    pub(crate) fn new() -> WheelQueue {
         WheelQueue {
             buckets: (0..RING).map(|_| VecDeque::new()).collect(),
             occupied: vec![0u64; WORDS].into_boxed_slice(),
@@ -175,7 +287,7 @@ impl<M> WheelQueue<M> {
         Some((w << 6) + self.occupied[w].trailing_zeros() as usize)
     }
 
-    fn ring_insert(&mut self, ev: Scheduled<M>) {
+    fn ring_insert(&mut self, ev: Key) {
         let slot = (ev.at.0 & RING_MASK) as usize;
         self.buckets[slot].push_back(ev);
         self.set_bit(slot);
@@ -192,7 +304,7 @@ impl<M> WheelQueue<M> {
         }
     }
 
-    pub(crate) fn push(&mut self, ev: Scheduled<M>) {
+    pub(crate) fn push(&mut self, ev: Key) {
         debug_assert!(
             ev.at.0 >= self.cursor,
             "event scheduled behind the wheel cursor"
@@ -212,7 +324,7 @@ impl<M> WheelQueue<M> {
         }
     }
 
-    pub(crate) fn pop(&mut self) -> Option<Scheduled<M>> {
+    pub(crate) fn pop(&mut self) -> Option<Key> {
         if self.len == 0 {
             return None;
         }
@@ -278,13 +390,56 @@ impl<M> WheelQueue<M> {
 mod tests {
     use super::*;
 
-    fn ev(at: u64, seq: u64) -> Scheduled<u8> {
-        Scheduled {
+    fn ev(at: u64, seq: u64) -> Key {
+        Key {
             at: Time(at),
             seq,
             to: ActorId(0),
-            payload: Payload::Crash,
+            slot: Key::CRASH,
         }
+    }
+
+    #[test]
+    fn a_key_is_three_words() {
+        // What every bucket, the far heap and `pending` hold per entry,
+        // whatever the message type.
+        assert_eq!(std::mem::size_of::<Key>(), 24);
+    }
+
+    #[test]
+    fn slab_recycles_the_last_vacated_slot_first() {
+        let msg = |n: u8| EventKind::Msg {
+            from: ActorId(0),
+            msg: n,
+        };
+        let mut slab: EventSlab<u8> = EventSlab::new();
+        let (a, b, c) = (
+            slab.insert(msg(1)),
+            slab.insert(msg(2)),
+            slab.insert(msg(3)),
+        );
+        assert_eq!((a, b, c), (0, 1, 2));
+        assert_eq!((slab.live(), slab.slots()), (3, 3));
+        assert!(matches!(slab.get(b), Some(EventKind::Msg { msg: 2, .. })));
+        assert!(slab.get(Key::CRASH).is_none(), "a crash has no event");
+        assert!(matches!(slab.take(a), EventKind::Msg { msg: 1, .. }));
+        assert!(matches!(slab.take(c), EventKind::Msg { msg: 3, .. }));
+        assert_eq!((slab.live(), slab.slots()), (1, 3));
+        // Vacated a then c: c is reused first, then a; only then growth.
+        assert_eq!(slab.insert(msg(4)), c);
+        assert_eq!(slab.insert(msg(5)), a);
+        assert_eq!(slab.insert(msg(6)), 3);
+        assert_eq!((slab.live(), slab.slots()), (4, 4));
+        assert!(matches!(slab.take(c), EventKind::Msg { msg: 4, .. }));
+    }
+
+    #[test]
+    #[should_panic(expected = "names an occupied slot")]
+    fn taking_a_vacant_slot_is_a_kernel_bug() {
+        let mut slab: EventSlab<u8> = EventSlab::new();
+        let slot = slab.insert(EventKind::Start);
+        slab.take(slot);
+        slab.take(slot);
     }
 
     #[test]
@@ -306,7 +461,7 @@ mod tests {
             (40_000, 10),
         ];
         let mut wheel = WheelQueue::new();
-        let mut heap: BinaryHeap<Scheduled<u8>> = BinaryHeap::new();
+        let mut heap: BinaryHeap<Key> = BinaryHeap::new();
         for &(at, seq) in &script {
             wheel.push(ev(at, seq));
             heap.push(ev(at, seq));

@@ -8,12 +8,12 @@ use rand::SeedableRng;
 
 use crate::actor::{Actor, AnyActor};
 use crate::delay::{CostClass, DelayModel};
-use crate::engine::{Emitted, Engine};
+use crate::engine::Engine;
 use crate::event::EventKind;
 use crate::ids::{ActorId, TimerId};
 use crate::metrics::Metrics;
 use crate::obs::{Event, EventBody, ObsRecorder, TraceSink};
-use crate::queue::{Payload, Scheduled, WheelQueue};
+use crate::queue::{EventSlab, Key, WheelQueue};
 use crate::time::{Duration, Time};
 
 /// A hook that can override the sampled delay of a specific message.
@@ -124,7 +124,8 @@ impl TimerTable {
 /// The per-kernel dispatch state shared by [`Simulation`] (one instance)
 /// and the partitioned kernel (one instance per partition, each with its
 /// own RNG stream): randomness, metrics, the event recorder, the link
-/// model, timers, and the pending-effects buffer a [`Context`] writes into.
+/// model, timers, the slab every queued event lives in, and the
+/// pending-effects buffer a [`Context`] writes into.
 pub(crate) struct Core<M> {
     pub(crate) rng: StdRng,
     pub(crate) metrics: Metrics,
@@ -132,8 +133,11 @@ pub(crate) struct Core<M> {
     pub(crate) default_delay: DelayModel,
     pub(crate) delay_hook: Option<DelayHook<M>>,
     pub(crate) timers: TimerTable,
-    /// Events emitted by the currently-dispatching actor, applied afterwards.
-    pub(crate) pending: Vec<Emitted<M>>,
+    /// Home of every event between its send and its dispatch.
+    pub(crate) slab: EventSlab<M>,
+    /// Keys of the events emitted by the currently-dispatching actor (the
+    /// events are already in `slab`), enqueued after it returns.
+    pub(crate) pending: Vec<Key>,
 }
 
 impl<M> Core<M> {
@@ -146,6 +150,7 @@ impl<M> Core<M> {
             default_delay: DelayModel::synchronous(),
             delay_hook: None,
             timers: TimerTable::default(),
+            slab: EventSlab::new(),
             pending: Vec::new(),
         }
     }
@@ -218,9 +223,10 @@ impl<'a, M> Context<'a, M> {
         self.core
             .obs
             .record(now, me, || EventBody::Send { to, deliver_at });
-        self.core
-            .pending
-            .push((deliver_at, to, EventKind::Msg { from, msg }));
+        let Core { slab, pending, .. } = &mut *self.core;
+        let (slot, cell) = slab.vacancy();
+        *cell = Some(EventKind::Msg { from, msg });
+        pending.push(Key::new(deliver_at, to, slot));
     }
 
     /// Arms a one-shot timer firing after `after`; `tag` distinguishes
@@ -233,9 +239,8 @@ impl<'a, M> Context<'a, M> {
         self.core
             .obs
             .record(now, me, || EventBody::TimerSet { tag, fire_at });
-        self.core
-            .pending
-            .push((fire_at, self.me, EventKind::Timer { id, tag }));
+        let slot = self.core.slab.insert(EventKind::Timer { id, tag });
+        self.core.pending.push(Key::new(fire_at, self.me, slot));
         id
     }
 
@@ -361,9 +366,9 @@ pub enum RunOutcome {
 pub struct Simulation<M> {
     engine: Engine<M, dyn AnyActor<M>>,
     started: bool,
-    /// Recycled buffer holding the current tick's ripe events while a
-    /// choice hook picks among them.
-    ripe_scratch: Vec<Scheduled<M>>,
+    /// Recycled buffer holding the keys of the current tick's ripe events
+    /// while a choice hook picks among them.
+    ripe_scratch: Vec<Key>,
     choice_hook: Option<ChoiceHook<M>>,
 }
 
@@ -437,7 +442,7 @@ impl<M: 'static> Simulation<M> {
     /// scripted stimulus.
     pub fn schedule(&mut self, at: Time, to: ActorId, ev: EventKind<M>) {
         let at = at.max(self.now());
-        self.engine.push(at, to, Payload::Deliver(ev));
+        self.engine.push(at, to, ev);
     }
 
     /// Schedules `actor` to crash at `at`. From that instant the actor
@@ -446,7 +451,7 @@ impl<M: 'static> Simulation<M> {
     /// complete) — exactly the paper's failure semantics.
     pub fn crash_at(&mut self, actor: ActorId, at: Time) {
         let at = at.max(self.now());
-        self.engine.push(at, actor, Payload::Crash);
+        self.engine.push_crash(at, actor);
     }
 
     /// Announces `leader` to every actor in `targets` at time `at`,
@@ -494,8 +499,7 @@ impl<M: 'static> Simulation<M> {
         self.started = true;
         for i in 0..self.engine.slots() {
             let now = self.now();
-            self.engine
-                .push(now, ActorId(i as u32), Payload::Deliver(EventKind::Start));
+            self.engine.push(now, ActorId(i as u32), EventKind::Start);
         }
     }
 
@@ -509,11 +513,11 @@ impl<M: 'static> Simulation<M> {
             ..
         } = self;
         engine.step(
-            |queue| match choice_hook {
-                Some(hook) => pop_chosen(queue, ripe_scratch, hook),
+            |queue, slab| match choice_hook {
+                Some(hook) => pop_chosen(queue, slab, ripe_scratch, hook),
                 None => queue.pop(),
             },
-            |engine, _, (at, to, ev)| engine.push(at, to, Payload::Deliver(ev)),
+            |engine, _, key| engine.push_key(key),
         )
     }
 
@@ -545,17 +549,19 @@ impl<M: 'static> Simulation<M> {
     }
 }
 
-/// Pops the event a [`ChoiceHook`] selects among everything ripe at the
-/// next tick. Unchosen alternatives are pushed straight back: their
-/// bucket is empty, the cursor has already arrived, and they are
-/// re-inserted in ascending `seq` order, so the bucket stays sorted and
-/// future pops (and any same-tick events the dispatch emits, which get
+/// Pops the key of the event a [`ChoiceHook`] selects among everything
+/// ripe at the next tick; the hook reads the events themselves through
+/// `slab`, where they stay. Unchosen alternatives are pushed straight
+/// back: their bucket is empty, the cursor has already arrived, and they
+/// are re-inserted in ascending `seq` order, so the bucket stays sorted
+/// and future pops (and any same-tick events the dispatch emits, which get
 /// strictly larger seqs) keep the canonical order.
 fn pop_chosen<M>(
-    queue: &mut WheelQueue<M>,
-    ripe: &mut Vec<Scheduled<M>>,
+    queue: &mut WheelQueue,
+    slab: &EventSlab<M>,
+    ripe: &mut Vec<Key>,
     hook: &mut ChoiceHook<M>,
-) -> Option<Scheduled<M>> {
+) -> Option<Key> {
     let t = queue.next_time()?;
     debug_assert!(ripe.is_empty());
     while queue.next_time() == Some(t) {
@@ -563,13 +569,13 @@ fn pop_chosen<M>(
     }
     let choices: Vec<Choice<'_, M>> = ripe
         .iter()
-        .map(|s| Choice {
-            at: s.at,
-            seq: s.seq,
-            to: s.to,
-            payload: match &s.payload {
-                Payload::Deliver(ev) => ChoicePayload::Deliver(ev),
-                Payload::Crash => ChoicePayload::Crash,
+        .map(|key| Choice {
+            at: key.at,
+            seq: key.seq,
+            to: key.to,
+            payload: match slab.get(key.slot) {
+                Some(ev) => ChoicePayload::Deliver(ev),
+                None => ChoicePayload::Crash,
             },
         })
         .collect();
@@ -796,6 +802,172 @@ mod tests {
         assert_eq!(sim.live_timers(), 0, "timer slots leaked");
     }
 
+    /// A 192-byte message, the size of the service's.
+    type Wide = [u64; 24];
+
+    /// Spends a budget of seeded actions, one per event it is handed:
+    /// up to three sends (same tick, or 1–40 delays: the long ones cross
+    /// the wheel window into the far heap), and a timer set, set and
+    /// cancelled, or an old one — live or already fired — cancelled.
+    struct Churn {
+        peers: u32,
+        rng: u64,
+        budget: u32,
+        timers: Vec<TimerId>,
+        /// Most events one dispatch of this actor emitted.
+        max_emitted: usize,
+    }
+    impl Churn {
+        fn draw(&mut self) -> u64 {
+            self.rng ^= self.rng << 13;
+            self.rng ^= self.rng >> 7;
+            self.rng ^= self.rng << 17;
+            self.rng
+        }
+        fn after(&mut self) -> Duration {
+            match self.draw() % 4 {
+                0 => Duration::ZERO,
+                _ => Duration::from_delays(1 + self.draw() % 40),
+            }
+        }
+    }
+    impl Actor<Wide> for Churn {
+        fn on_event(&mut self, ctx: &mut Context<'_, Wide>, _ev: EventKind<Wide>) {
+            if self.budget == 0 {
+                return;
+            }
+            self.budget -= 1;
+            let mut emitted = 0;
+            for _ in 0..self.draw() % 4 {
+                let to = ActorId((self.draw() % self.peers as u64) as u32);
+                let mut msg = [0u64; 24];
+                msg[0] = self.after().0;
+                ctx.send(to, msg);
+                emitted += 1;
+            }
+            match self.draw() % 4 {
+                0 => {}
+                1 => {
+                    let after = self.after();
+                    self.timers.push(ctx.set_timer(after, 0));
+                    emitted += 1;
+                }
+                2 => {
+                    let after = self.after();
+                    let id = ctx.set_timer(after, 1);
+                    ctx.cancel_timer(id);
+                    emitted += 1;
+                }
+                _ => {
+                    if !self.timers.is_empty() {
+                        let i = (self.draw() % self.timers.len() as u64) as usize;
+                        ctx.cancel_timer(self.timers.swap_remove(i));
+                    }
+                }
+            }
+            self.max_emitted = self.max_emitted.max(emitted);
+        }
+    }
+
+    const CHURN_CRASHES: [(u32, u64); 2] = [(1, 25), (2, 90)];
+
+    fn build_churn(seed: u64) -> Simulation<Wide> {
+        let n = 6;
+        let mut sim: Simulation<Wide> = Simulation::new(seed);
+        sim.set_delay_hook(Box::new(|_, _, _, m: &Wide| Some(Duration(m[0]))));
+        for id in 0..n {
+            sim.add(Churn {
+                peers: n,
+                rng: (seed ^ (id as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)) | 1,
+                budget: 300,
+                timers: Vec::new(),
+                max_emitted: 0,
+            });
+        }
+        for (actor, at) in CHURN_CRASHES {
+            sim.crash_at(ActorId(actor), Time::from_delays(at));
+        }
+        for (i, at) in [0u64, 5, 25, 33, 70, 200].into_iter().enumerate() {
+            let to = ActorId(i as u32 % n);
+            sim.schedule(
+                Time::from_delays(at),
+                to,
+                EventKind::Msg {
+                    from: to,
+                    msg: [0; 24],
+                },
+            );
+        }
+        sim
+    }
+
+    /// Every queued entry but a crash owns exactly one slot.
+    fn assert_slots_match_queue(sim: &Simulation<Wide>) {
+        let queued_crashes = (CHURN_CRASHES.iter())
+            .filter(|c| !sim.is_crashed(ActorId(c.0)))
+            .count();
+        assert_eq!(
+            sim.engine.core.slab.live(),
+            sim.engine.queued() - queued_crashes,
+            "at {:?}",
+            sim.now()
+        );
+    }
+
+    #[test]
+    fn slab_slots_track_the_queue_at_every_step_and_drain_to_zero() {
+        let mut sim = build_churn(7);
+        assert_slots_match_queue(&sim);
+        let mut stimulated = false;
+        while sim.step() {
+            assert_slots_match_queue(&sim);
+            if !stimulated && sim.now() >= Time::from_delays(20) {
+                stimulated = true;
+                sim.announce_leader(Time::from_delays(3), &[ActorId(0), ActorId(1)], ActorId(0));
+                sim.announce_leader(Time::from_delays(60), &[ActorId(3)], ActorId(0));
+                assert_slots_match_queue(&sim);
+            }
+        }
+        let m = sim.metrics();
+        assert!(m.dispatches.dropped > 100, "few drops at crashed targets");
+        assert!(
+            m.dispatches.timer > m.timers_fired,
+            "no cancelled timer popped"
+        );
+        assert!(m.events_dispatched > 2_000);
+        // Quiescent: events dropped at a crashed target and cancelled
+        // timers gave their slots back too.
+        assert_eq!(sim.engine.queued(), 0);
+        assert_eq!(sim.engine.core.slab.live(), 0, "event slots leaked");
+        assert_eq!(sim.live_timers(), 0);
+        // Bounded memory: last-vacated-first reuse means the slab never
+        // held more slots than the deepest queue plus what one dispatch
+        // emitted on top of it — not one per event ever sent.
+        let max_emitted = (0..6)
+            .map(|id| sim.actor_as::<Churn>(ActorId(id)).unwrap().max_emitted)
+            .max()
+            .unwrap();
+        let bound = sim.metrics().peak_queue_len as usize + max_emitted;
+        assert!(
+            sim.engine.core.slab.slots() <= bound,
+            "{} slots for a peak queue of {} (+{max_emitted})",
+            sim.engine.core.slab.slots(),
+            sim.metrics().peak_queue_len
+        );
+    }
+
+    #[test]
+    fn events_left_past_the_time_limit_keep_their_slots() {
+        let mut sim = build_churn(7);
+        let out = sim.run_to_quiescence(Time::from_delays(30));
+        assert_eq!(out, RunOutcome::TimeLimit);
+        assert!(sim.engine.queued() > 10);
+        assert_slots_match_queue(&sim);
+        // And they are still delivered when the run resumes.
+        assert_eq!(sim.run_to_quiescence(Time(u64::MAX)), RunOutcome::Quiescent);
+        assert_eq!(sim.engine.core.slab.live(), 0);
+    }
+
     #[test]
     fn timer_ids_are_reused_without_confusion() {
         // Arm/cancel churn: generation stamps must keep stale ids inert.
@@ -932,7 +1104,6 @@ mod tests {
         assert!(m.dispatches.msg > 0);
         assert_eq!(m.dispatches.crash, 1);
         assert!(m.dispatches.dropped > 0);
-        assert!(!m.queue_depth_samples().is_empty());
     }
 
     /// Two peers ping a shared collector at the same tick every round, so

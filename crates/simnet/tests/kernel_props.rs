@@ -652,15 +652,11 @@ fn fat_par(seed: u64, n: u32, parts: usize, threads: usize) -> FatOutcome {
     })
 }
 
-#[test]
-fn fat_message_is_at_least_as_big_as_the_services() {
-    assert!(std::mem::size_of::<Fat>() >= 192);
-}
-
 /// The workload really takes every road: the pins below would be weak if
 /// a configuration stopped dropping, cancelling or crossing the window.
 #[test]
 fn fat_workload_covers_the_queue() {
+    assert!(std::mem::size_of::<Fat>() >= 192, "as big as the service's");
     let out = fat_mono(7, 6, None);
     out.check().unwrap();
     assert!(out.dropped > 0, "nothing was dropped at a crashed target");
