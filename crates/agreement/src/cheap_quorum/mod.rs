@@ -1,4 +1,4 @@
-//! Cheap Quorum (Algorithms 4 and 5, §4.2).
+//! Cheap Quorum (Algorithms 4 and 5, §4.2): the fast stage of Figure 6.
 //!
 //! The 2-deciding Byzantine fast path. In synchronous, failure-free
 //! executions the leader signs its value, writes it to the leader region
@@ -31,7 +31,7 @@ use rdma_sim::{
     Completion, LegalChange, MemoryActor, MemoryClient, Permission, RegId, RegionId, RegionSpec,
 };
 use sigsim::{SigVerifier, Signature, Signer};
-use simnet::{Actor, ActorId, Context, Duration, EventKind, Time};
+use simnet::{ActorId, Context};
 
 use crate::trusted::SetupEvidence;
 use crate::types::{
@@ -190,7 +190,12 @@ enum PanicStep {
     Done,
 }
 
-/// The embeddable Cheap Quorum state machine.
+/// Cheap Quorum alone under the one Byzantine single-decree actor: the
+/// fast stage with no backup, so an abort is the outcome.
+pub type CheapQuorumActor = crate::fast_robust::FastRobustActor;
+
+/// The Cheap Quorum state machine (the fast stage of
+/// [`crate::fast_robust::FastRobustActor`]).
 pub struct CqCore {
     me: Pid,
     procs: Vec<Pid>,
@@ -212,8 +217,6 @@ pub struct CqCore {
     proofs: BTreeMap<Pid, UnanimityProof>,
     proof_reads_out: BTreeMap<Pid, ()>,
     decided: Option<Value>,
-    /// Whether this process decided as the leader (on its own write).
-    pub decided_as_leader: bool,
     panicked: bool,
     panic_step: PanicStep,
     panic_own_value: Option<CqSigned>,
@@ -263,13 +266,18 @@ impl CqCore {
             proofs: BTreeMap::new(),
             proof_reads_out: BTreeMap::new(),
             decided: None,
-            decided_as_leader: false,
             panicked: false,
             panic_step: PanicStep::Flag,
             panic_own_value: None,
             panic_own_proof: None,
             abort: None,
         }
+    }
+
+    /// The leader whose region the fast path writes and whose signature
+    /// certifies class M downstream.
+    pub fn leader(&self) -> Pid {
+        self.leader
     }
 
     /// The decision, if reached.
@@ -448,7 +456,6 @@ impl CqCore {
                 self.v = Some(self.input);
                 if self.decided.is_none() {
                     self.decided = Some(self.input);
-                    self.decided_as_leader = true;
                 }
             }
             (Tag::LeaderWrite, _) => self.panic(ctx, client),
@@ -589,136 +596,11 @@ impl CqCore {
     }
 }
 
-const POLL_TAG: u64 = 20;
-const TIMEOUT_TAG: u64 = 21;
-
-/// Standalone Cheap Quorum actor (for unit tests and the fast-path
-/// experiments; production use composes it in `fast_robust`).
-#[derive(Debug)]
-pub struct CheapQuorumActor {
-    core: CqCore,
-    procs: Vec<Pid>,
-    client: MemoryClient<RegVal, Msg>,
-    poll_every: Duration,
-    timeout: Duration,
-    relayed_panic: bool,
-    /// When this process decided, if it has.
-    pub decided_at: Option<Time>,
-    /// When this process aborted, if it did.
-    pub aborted_at: Option<Time>,
-}
-
-impl CheapQuorumActor {
-    /// Creates the actor.
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        me: Pid,
-        procs: Vec<Pid>,
-        memories: Vec<ActorId>,
-        leader: Pid,
-        input: Value,
-        signer: Signer,
-        verifier: SigVerifier,
-        poll_every: Duration,
-        timeout: Duration,
-    ) -> CheapQuorumActor {
-        CheapQuorumActor {
-            core: CqCore::new(me, procs.clone(), memories, leader, input, signer, verifier),
-            procs,
-            client: MemoryClient::new(),
-            poll_every,
-            timeout,
-            relayed_panic: false,
-            decided_at: None,
-            aborted_at: None,
-        }
-    }
-
-    /// The decision, if reached.
-    pub fn decision(&self) -> Option<Value> {
-        self.core.decision()
-    }
-
-    /// The abort outcome, if panic mode completed.
-    pub fn abort(&self) -> Option<&AbortOutcome> {
-        self.core.abort()
-    }
-
-    fn after_step(&mut self, ctx: &mut Context<'_, Msg>) {
-        if self.core.decision().is_some() && self.decided_at.is_none() {
-            self.decided_at = Some(ctx.now());
-            ctx.mark_decided();
-        }
-        if self.core.abort().is_some() && self.aborted_at.is_none() {
-            self.aborted_at = Some(ctx.now());
-            ctx.mark_aborted();
-        }
-        if self.core.panicked() && !self.relayed_panic {
-            self.relayed_panic = true;
-            let me = self.core.me;
-            for &q in &self.procs.clone() {
-                if q != me {
-                    ctx.send(q, Msg::Panic { who: me });
-                }
-            }
-        }
-    }
-}
-
-impl Actor<Msg> for CheapQuorumActor {
-    fn on_event(&mut self, ctx: &mut Context<'_, Msg>, ev: EventKind<Msg>) {
-        match ev {
-            EventKind::Start => {
-                self.core.start(ctx, &mut self.client);
-                self.core.poll(ctx, &mut self.client);
-                ctx.set_timer(self.poll_every, POLL_TAG);
-                ctx.set_timer(self.timeout, TIMEOUT_TAG);
-            }
-            EventKind::Timer { tag: POLL_TAG, .. } => {
-                if !self.core.settled() {
-                    self.core.poll(ctx, &mut self.client);
-                    ctx.set_timer(self.poll_every, POLL_TAG);
-                }
-                self.after_step(ctx);
-            }
-            EventKind::Timer {
-                tag: TIMEOUT_TAG, ..
-            } => {
-                // The paper's timeout: an upper bound on common-case
-                // delays; expiry without a decision means panic.
-                if self.core.decision().is_none() && !self.core.panicked() {
-                    self.core.panic(ctx, &mut self.client);
-                    self.after_step(ctx);
-                }
-            }
-            EventKind::Timer { .. } => {}
-            EventKind::Msg {
-                msg: Msg::Panic { .. },
-                ..
-            } => {
-                self.core.panic(ctx, &mut self.client);
-                self.after_step(ctx);
-            }
-            EventKind::Msg {
-                from,
-                msg: Msg::Mem(wire),
-            } => {
-                if let Some(c) = self.client.on_wire(ctx, from, wire) {
-                    self.core.on_completion(ctx, &mut self.client, c);
-                    self.after_step(ctx);
-                }
-            }
-            EventKind::Msg { .. } => {}
-            EventKind::LeaderChange { .. } => {}
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use sigsim::SigAuthority;
-    use simnet::Simulation;
+    use simnet::{Duration, Simulation, Time};
 
     struct Built {
         sim: Simulation<Msg>,
@@ -733,7 +615,7 @@ mod tests {
         let mut auth = SigAuthority::new(seed ^ 0x77);
         for i in 0..n {
             let signer = auth.register(ActorId(i));
-            sim.add(CheapQuorumActor::new(
+            sim.add(CheapQuorumActor::cheap_quorum(
                 ActorId(i),
                 procs.clone(),
                 mems.clone(),
@@ -788,7 +670,7 @@ mod tests {
         let mut auth = SigAuthority::new(5);
         let signers: Vec<_> = procs.iter().map(|&p| auth.register(p)).collect();
         for i in 0..3u32 {
-            sim.add(CheapQuorumActor::new(
+            sim.add(CheapQuorumActor::cheap_quorum(
                 ActorId(i),
                 procs.clone(),
                 mems.clone(),

@@ -317,7 +317,7 @@ pub fn run_fast_robust(scenario: &Scenario, timeout: u64) -> (RunReport, SigAuth
 pub fn run_robust_backup(scenario: &Scenario) -> (RunReport, SigAuthority) {
     let (auth, signers) = signers(scenario, 0xD00D);
     let process = |i: usize, procs, mems| {
-        RobustPaxosActor::new(
+        RobustPaxosActor::robust_backup(
             ActorId(i as u32),
             procs,
             mems,

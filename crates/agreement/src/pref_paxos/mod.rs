@@ -1,4 +1,5 @@
-//! Preferential Paxos (Algorithm 8, Lemma 4.7).
+//! Preferential Paxos (Algorithm 8, Lemma 4.7): the arrow of Figure 6
+//! that carries Cheap Quorum's abort values into Robust Backup.
 //!
 //! The wrapper that makes Robust Backup composable with Cheap Quorum: a
 //! set-up phase in which every process T-sends its prioritized input, waits
@@ -11,265 +12,33 @@
 //! `f` of the `n − f` collected set-ups can come from Byzantine processes,
 //! every correct process adopts one of the `f + 1` highest-priority inputs
 //! — which is exactly what the composition lemma (Lemma 4.8) needs.
+//!
+//! This module holds the adoption rule ([`adopt`]) and its Lemma 4.7
+//! tests. Sending the set-up and waiting for `n − f` happen where the
+//! deliveries are processed, in [`crate::robust_backup::RobustCore`];
+//! [`PrefPaxosActor`] is the one Byzantine single-decree actor with the
+//! backup stage only, entered at Start through the set-up phase.
 
-use rdma_sim::{Completion, MemoryClient};
 use sigsim::SigVerifier;
-use simnet::{Actor, ActorId, Context, Duration, EventKind, Time};
 
 use crate::cheap_quorum::AbortOutcome;
-use crate::robust_backup::RobustCore;
-use crate::trusted::SetupEvidence;
-use crate::types::{Msg, Pid, PriorityClass, RegVal, Value};
+use crate::types::{Pid, Value};
 
-/// The embeddable Preferential Paxos machinery.
-pub struct PrefCore {
-    rb: RobustCore,
-    procs: Vec<Pid>,
-    /// The Cheap Quorum leader (whose signature certifies class M).
+/// Preferential Paxos under the one Byzantine single-decree actor.
+pub type PrefPaxosActor = crate::fast_robust::FastRobustActor;
+
+/// Algorithm 8 line 4: the value to adopt from the collected `setups` —
+/// the greatest by (Definition-3 class, value), each class recomputed from
+/// the attached evidence as `procs`, the Cheap Quorum leader's signature
+/// and `verifier` support it. `None` only for no set-ups.
+pub fn adopt(
+    setups: &[AbortOutcome],
+    procs: &[Pid],
     cq_leader: Pid,
-    verifier: SigVerifier,
-    /// `n − f` — how many set-ups to await before adopting.
-    needed: usize,
-    sent_setup: bool,
-    proposed: bool,
-}
-
-impl std::fmt::Debug for PrefCore {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PrefCore")
-            .field("sent_setup", &self.sent_setup)
-            .field("proposed", &self.proposed)
-            .field("decision", &self.rb.decision())
-            .finish()
-    }
-}
-
-impl PrefCore {
-    /// Creates the machinery for process `me`. `backup_leader` seeds Ω for
-    /// the inner Paxos; `cq_leader` anchors class-M verification.
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        me: Pid,
-        procs: Vec<Pid>,
-        memories: Vec<ActorId>,
-        backup_leader: Option<Pid>,
-        cq_leader: Pid,
-        signer: sigsim::Signer,
-        verifier: SigVerifier,
-    ) -> PrefCore {
-        let n = procs.len();
-        let f = (n - 1) / 2;
-        PrefCore {
-            rb: RobustCore::new(
-                me,
-                procs.clone(),
-                memories,
-                backup_leader,
-                signer,
-                verifier.clone(),
-            ),
-            procs,
-            cq_leader,
-            verifier,
-            needed: n - f,
-            sent_setup: false,
-            proposed: false,
-        }
-    }
-
-    /// The decision, if reached.
-    pub fn decision(&self) -> Option<Value> {
-        self.rb.decision()
-    }
-
-    /// Whether the set-up value has been sent.
-    pub fn started(&self) -> bool {
-        self.sent_setup
-    }
-
-    /// Enters the protocol with a prioritized input (Algorithm 8 line 2).
-    pub fn start(
-        &mut self,
-        ctx: &mut Context<'_, Msg>,
-        client: &mut MemoryClient<RegVal, Msg>,
-        value: Value,
-        evidence: SetupEvidence,
-    ) {
-        if self.sent_setup {
-            return;
-        }
-        self.sent_setup = true;
-        self.rb.send_setup(ctx, client, value, evidence);
-    }
-
-    /// Ω announcement for the inner Paxos.
-    pub fn set_leader(
-        &mut self,
-        ctx: &mut Context<'_, Msg>,
-        client: &mut MemoryClient<RegVal, Msg>,
-        leader: Pid,
-    ) {
-        self.rb.set_leader(ctx, client, leader);
-    }
-
-    /// Retry hook for the inner Paxos.
-    pub fn poke(&mut self, ctx: &mut Context<'_, Msg>, client: &mut MemoryClient<RegVal, Msg>) {
-        self.rb.poke(ctx, client);
-    }
-
-    /// Drives broadcast deliveries; adopts and proposes once `n − f`
-    /// set-ups are in.
-    pub fn poll(&mut self, ctx: &mut Context<'_, Msg>, client: &mut MemoryClient<RegVal, Msg>) {
-        self.rb.poll(ctx, client);
-        self.maybe_adopt(ctx, client);
-    }
-
-    /// Routes a memory completion. Returns true if consumed.
-    pub fn on_completion(
-        &mut self,
-        ctx: &mut Context<'_, Msg>,
-        client: &mut MemoryClient<RegVal, Msg>,
-        completion: Completion<RegVal>,
-    ) -> bool {
-        let consumed = self.rb.on_completion(ctx, client, completion);
-        if consumed {
-            self.maybe_adopt(ctx, client);
-        }
-        consumed
-    }
-
-    /// Algorithm 8 lines 3–5: wait for `n − f` set-ups, adopt the best.
-    fn maybe_adopt(&mut self, ctx: &mut Context<'_, Msg>, client: &mut MemoryClient<RegVal, Msg>) {
-        if self.proposed || !self.sent_setup || self.rb.setups().len() < self.needed {
-            return;
-        }
-        let mut best: Option<(PriorityClass, Value)> = None;
-        for s in self.rb.setups() {
-            let outcome = AbortOutcome {
-                value: s.value,
-                evidence: s.evidence.clone(),
-            };
-            let class = outcome.class(&self.procs, self.cq_leader, &self.verifier);
-            let key = (class, s.value);
-            if best.is_none_or(|b| key > b) {
-                best = Some(key);
-            }
-        }
-        let (_, adopted) = best.expect("needed >= 1 setups collected");
-        self.proposed = true;
-        self.rb.propose(ctx, client, adopted);
-    }
-}
-
-const POLL_TAG: u64 = 30;
-const RETRY_TAG: u64 = 31;
-
-/// Standalone Preferential Paxos actor (used by the Lemma 4.7 tests; the
-/// Fast & Robust composition embeds [`PrefCore`] instead).
-#[derive(Debug)]
-pub struct PrefPaxosActor {
-    core: PrefCore,
-    input: Value,
-    evidence: SetupEvidence,
-    backup_leader: Option<Pid>,
-    client: MemoryClient<RegVal, Msg>,
-    poll_every: Duration,
-    retry_every: Duration,
-    /// When this process decided, if it has.
-    pub decided_at: Option<Time>,
-}
-
-impl PrefPaxosActor {
-    /// Creates the actor.
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        me: Pid,
-        procs: Vec<Pid>,
-        memories: Vec<ActorId>,
-        input: Value,
-        evidence: SetupEvidence,
-        backup_leader: Option<Pid>,
-        cq_leader: Pid,
-        signer: sigsim::Signer,
-        verifier: SigVerifier,
-        poll_every: Duration,
-        retry_every: Duration,
-    ) -> PrefPaxosActor {
-        PrefPaxosActor {
-            core: PrefCore::new(
-                me,
-                procs,
-                memories,
-                backup_leader,
-                cq_leader,
-                signer,
-                verifier,
-            ),
-            input,
-            evidence,
-            backup_leader,
-            client: MemoryClient::new(),
-            poll_every,
-            retry_every,
-            decided_at: None,
-        }
-    }
-
-    /// The decision, if reached.
-    pub fn decision(&self) -> Option<Value> {
-        self.core.decision()
-    }
-
-    fn check_decided(&mut self, ctx: &mut Context<'_, Msg>) {
-        if self.core.decision().is_some() && self.decided_at.is_none() {
-            self.decided_at = Some(ctx.now());
-            ctx.mark_decided();
-        }
-    }
-}
-
-impl Actor<Msg> for PrefPaxosActor {
-    fn on_event(&mut self, ctx: &mut Context<'_, Msg>, ev: EventKind<Msg>) {
-        match ev {
-            EventKind::Start => {
-                if let Some(l) = self.backup_leader {
-                    self.core.set_leader(ctx, &mut self.client, l);
-                }
-                let (input, evidence) = (self.input, self.evidence.clone());
-                self.core.start(ctx, &mut self.client, input, evidence);
-                self.core.poll(ctx, &mut self.client);
-                ctx.set_timer(self.poll_every, POLL_TAG);
-                ctx.set_timer(self.retry_every, RETRY_TAG);
-            }
-            EventKind::Timer { tag: POLL_TAG, .. } => {
-                if self.decided_at.is_none() {
-                    self.core.poll(ctx, &mut self.client);
-                    self.check_decided(ctx);
-                    ctx.set_timer(self.poll_every, POLL_TAG);
-                }
-            }
-            EventKind::Timer { tag: RETRY_TAG, .. } => {
-                if self.decided_at.is_none() {
-                    self.core.poke(ctx, &mut self.client);
-                    ctx.set_timer(self.retry_every, RETRY_TAG);
-                }
-            }
-            EventKind::Timer { .. } => {}
-            EventKind::LeaderChange { leader } => {
-                self.core.set_leader(ctx, &mut self.client, leader);
-            }
-            EventKind::Msg {
-                from,
-                msg: Msg::Mem(wire),
-            } => {
-                if let Some(c) = self.client.on_wire(ctx, from, wire) {
-                    self.core.on_completion(ctx, &mut self.client, c);
-                    self.check_decided(ctx);
-                }
-            }
-            EventKind::Msg { .. } => {}
-        }
-    }
+    verifier: &SigVerifier,
+) -> Option<Value> {
+    let ranked = (setups.iter()).map(|s| (s.class(procs, cq_leader, verifier), s.value));
+    ranked.max().map(|(_, value)| value)
 }
 
 #[cfg(test)]
@@ -277,10 +46,13 @@ mod tests {
     use super::*;
     use crate::cheap_quorum::verify_unanimity;
     use crate::nebcast;
+    use crate::trusted::SetupEvidence;
+    use crate::types::Msg;
     use crate::types::{sigtags, UnanimityProof};
     use rdma_sim::{LegalChange, MemoryActor};
     use sigsim::SigAuthority;
     use simnet::Simulation;
+    use simnet::{ActorId, Duration, Time};
 
     /// Builds PP with per-process (value, evidence) inputs.
     fn build(
@@ -295,7 +67,7 @@ mod tests {
         let mut auth = SigAuthority::new(seed ^ 0x1234);
         let signers: Vec<_> = procs.iter().map(|&p| auth.register(p)).collect();
         for (i, (v, e)) in inputs.into_iter().enumerate() {
-            sim.add(PrefPaxosActor::new(
+            sim.add(PrefPaxosActor::pref_paxos(
                 ActorId(i as u32),
                 procs.clone(),
                 mems.clone(),
@@ -369,7 +141,7 @@ mod tests {
                 } else {
                     (Value(100 + i as u64), SetupEvidence::default())
                 };
-                sim.add(PrefPaxosActor::new(
+                sim.add(PrefPaxosActor::pref_paxos(
                     ActorId(i),
                     procs.clone(),
                     mems.clone(),
@@ -457,7 +229,7 @@ mod tests {
                 ),
                 _ => (real, m_evidence.clone()),
             };
-            sim.add(PrefPaxosActor::new(
+            sim.add(PrefPaxosActor::pref_paxos(
                 ActorId(i),
                 procs.clone(),
                 mems.clone(),

@@ -1,4 +1,5 @@
-//! Robust Backup (Definition 2, Theorems 4.2 / 4.4).
+//! Robust Backup (Definition 2, Theorems 4.2 / 4.4): the backup stage of
+//! Figure 6.
 //!
 //! `RobustBackup(A)`: take a message-passing consensus algorithm `A` that
 //! tolerates crash failures (here: single-decree Paxos), and replace every
@@ -12,35 +13,40 @@
 //! `trust_decide = false` (decisions only from self-observed `Accepted`
 //! quorums) and `broadcast_accepted = true` (everyone is a learner).
 //!
-//! [`RobustCore`] is embeddable (Fast & Robust drives it after a Cheap
-//! Quorum abort); [`RobustPaxosActor`] is the standalone actor used by the
-//! resilience experiments.
+//! [`RobustCore`] is the whole stage: the wrapped Paxos, its trusted
+//! channel, and — for the configurations that enter through one —
+//! Algorithm 8's set-up phase (T-send a prioritized value, wait for
+//! `n − f`, adopt by [`pref_paxos::adopt`], propose). It is driven by
+//! [`crate::fast_robust::FastRobustActor`].
 
 use rdma_sim::{Completion, MemoryClient};
-use simnet::{Actor, ActorId, Context, Duration, EventKind, Time};
+use sigsim::SigVerifier;
+use simnet::{ActorId, Context};
 
+use crate::cheap_quorum::AbortOutcome;
 use crate::nebcast::NebEngine;
 use crate::paxos::{Dest, PaxosConfig, PaxosEngine, PaxosMsg};
-use crate::trusted::{PaxosChecker, RbPayload, SetupEvidence, TrustedPeer};
+use crate::pref_paxos;
+use crate::trusted::{PaxosChecker, RbPayload, TrustedPeer};
 use crate::types::{Msg, Pid, RegVal, Value};
 
-/// A received set-up value (Preferential Paxos phase), with evidence.
-#[derive(Clone, Debug)]
-pub struct SetupMsg {
-    /// Who sent it.
-    pub from: Pid,
-    /// The value.
-    pub value: Value,
-    /// The attached evidence (validated by the consumer).
-    pub evidence: SetupEvidence,
-}
+/// Robust Backup under the one Byzantine single-decree actor: Definition 2
+/// alone, entered at Start by proposing the input.
+pub type RobustPaxosActor = crate::fast_robust::FastRobustActor;
 
-/// The embeddable Robust Backup machinery: a Paxos engine speaking through
-/// a [`TrustedPeer`].
+/// The Robust Backup machinery: a Paxos engine speaking through a
+/// [`TrustedPeer`], optionally entered through Algorithm 8's set-up phase.
 pub struct RobustCore {
     engine: PaxosEngine,
     peer: TrustedPeer,
-    setups: Vec<SetupMsg>,
+    verifier: SigVerifier,
+    /// Set-ups received so far, each with the evidence that ranks it.
+    setups: Vec<AbortOutcome>,
+    /// Set once this process T-sent its own set-up (Algorithm 8 line 2): the
+    /// Cheap Quorum leader whose signature certifies class M in the ranking.
+    adopt_against: Option<Pid>,
+    /// The wrapped Paxos has been given a value.
+    proposed: bool,
 }
 
 impl std::fmt::Debug for RobustCore {
@@ -60,7 +66,7 @@ impl RobustCore {
         memories: Vec<ActorId>,
         initial_leader: Option<Pid>,
         signer: sigsim::Signer,
-        verifier: sigsim::SigVerifier,
+        verifier: SigVerifier,
     ) -> RobustCore {
         let engine = PaxosEngine::new(PaxosConfig {
             me,
@@ -76,11 +82,14 @@ impl RobustCore {
             procs,
             initial_leader,
         };
-        let peer = TrustedPeer::new(me, verifier, checker, neb);
+        let peer = TrustedPeer::new(me, verifier.clone(), checker, neb);
         RobustCore {
             engine,
             peer,
+            verifier,
             setups: Vec::new(),
+            adopt_against: None,
+            proposed: false,
         }
     }
 
@@ -89,19 +98,24 @@ impl RobustCore {
         self.engine.decision()
     }
 
-    /// Set-up messages received so far (Preferential Paxos phase).
-    pub fn setups(&self) -> &[SetupMsg] {
-        &self.setups
+    /// Whether this process has entered the stage (sent its set-up or
+    /// proposed); until then it only receives.
+    pub fn entered(&self) -> bool {
+        self.adopt_against.is_some() || self.proposed
     }
 
-    /// T-sends this process's set-up value (Algorithm 8 line 2).
+    /// Enters through the set-up phase, once: T-sends this process's
+    /// prioritized value (Algorithm 8 line 2). When `n − f` set-ups are in,
+    /// the best — class M judged against `cq_leader`'s signature — is
+    /// proposed.
     pub fn send_setup(
         &mut self,
         ctx: &mut Context<'_, Msg>,
         client: &mut MemoryClient<RegVal, Msg>,
-        value: Value,
-        evidence: SetupEvidence,
+        AbortOutcome { value, evidence }: AbortOutcome,
+        cq_leader: Pid,
     ) {
+        self.adopt_against = Some(cq_leader);
         self.peer
             .t_send(ctx, client, Dest::All, RbPayload::Setup { value, evidence });
     }
@@ -113,9 +127,18 @@ impl RobustCore {
         client: &mut MemoryClient<RegVal, Msg>,
         v: Value,
     ) {
+        self.proposed = true;
         let mut out = Vec::new();
         self.engine.propose(v, &mut out);
         self.pump(ctx, client, out);
+    }
+
+    /// Announces the configured initial leader (Ω's seed) to the wrapped
+    /// Paxos; call at Start.
+    pub fn start(&mut self, ctx: &mut Context<'_, Msg>, client: &mut MemoryClient<RegVal, Msg>) {
+        if let Some(l) = self.engine.config().initial_leader {
+            self.set_leader(ctx, client, l);
+        }
     }
 
     /// Feeds an Ω announcement.
@@ -165,11 +188,7 @@ impl RobustCore {
         for d in self.peer.drain() {
             match d.payload {
                 RbPayload::Setup { value, evidence } => {
-                    self.setups.push(SetupMsg {
-                        from: d.from,
-                        value,
-                        evidence,
-                    });
+                    self.setups.push(AbortOutcome { value, evidence });
                 }
                 RbPayload::Paxos(m) => {
                     let mut out = Vec::new();
@@ -181,6 +200,22 @@ impl RobustCore {
                 RbPayload::LogEntries { .. } => {}
             }
         }
+        self.maybe_adopt(ctx, client);
+    }
+
+    /// Algorithm 8 lines 3–5: once `n − f` set-ups are in (own one sent),
+    /// adopt the highest-priority value and propose it.
+    fn maybe_adopt(&mut self, ctx: &mut Context<'_, Msg>, client: &mut MemoryClient<RegVal, Msg>) {
+        let Some(cq_leader) = self.adopt_against else {
+            return;
+        };
+        let procs = &self.engine.config().procs;
+        if self.proposed || self.setups.len() < procs.len() - (procs.len() - 1) / 2 {
+            return;
+        }
+        let best = pref_paxos::adopt(&self.setups, procs, cq_leader, &self.verifier)
+            .expect("n − f ≥ 1 set-ups collected");
+        self.propose(ctx, client, best);
     }
 
     fn pump(
@@ -195,105 +230,6 @@ impl RobustCore {
     }
 }
 
-const POLL_TAG: u64 = 10;
-const RETRY_TAG: u64 = 11;
-
-/// Standalone Robust Backup consensus actor (weak Byzantine agreement with
-/// `n ≥ 2·f_P + 1`).
-#[derive(Debug)]
-pub struct RobustPaxosActor {
-    core: RobustCore,
-    input: Value,
-    initial_leader: Option<Pid>,
-    client: MemoryClient<RegVal, Msg>,
-    poll_every: Duration,
-    retry_every: Duration,
-    /// When this process decided, if it has.
-    pub decided_at: Option<Time>,
-}
-
-impl RobustPaxosActor {
-    /// Creates the actor.
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        me: Pid,
-        procs: Vec<Pid>,
-        memories: Vec<ActorId>,
-        input: Value,
-        initial_leader: Option<Pid>,
-        signer: sigsim::Signer,
-        verifier: sigsim::SigVerifier,
-        poll_every: Duration,
-        retry_every: Duration,
-    ) -> RobustPaxosActor {
-        RobustPaxosActor {
-            core: RobustCore::new(me, procs, memories, initial_leader, signer, verifier),
-            input,
-            initial_leader,
-            client: MemoryClient::new(),
-            poll_every,
-            retry_every,
-            decided_at: None,
-        }
-    }
-
-    /// This process's decision, if reached.
-    pub fn decision(&self) -> Option<Value> {
-        self.core.decision()
-    }
-
-    fn check_decided(&mut self, ctx: &mut Context<'_, Msg>) {
-        if self.core.decision().is_some() && self.decided_at.is_none() {
-            self.decided_at = Some(ctx.now());
-            ctx.mark_decided();
-        }
-    }
-}
-
-impl Actor<Msg> for RobustPaxosActor {
-    fn on_event(&mut self, ctx: &mut Context<'_, Msg>, ev: EventKind<Msg>) {
-        match ev {
-            EventKind::Start => {
-                if let Some(l) = self.initial_leader {
-                    self.core.set_leader(ctx, &mut self.client, l);
-                }
-                let input = self.input;
-                self.core.propose(ctx, &mut self.client, input);
-                self.core.poll(ctx, &mut self.client);
-                ctx.set_timer(self.poll_every, POLL_TAG);
-                ctx.set_timer(self.retry_every, RETRY_TAG);
-            }
-            EventKind::Timer { tag: POLL_TAG, .. } => {
-                if self.decided_at.is_none() {
-                    self.core.poll(ctx, &mut self.client);
-                    self.check_decided(ctx);
-                    ctx.set_timer(self.poll_every, POLL_TAG);
-                }
-            }
-            EventKind::Timer { tag: RETRY_TAG, .. } => {
-                if self.decided_at.is_none() {
-                    self.core.poke(ctx, &mut self.client);
-                    ctx.set_timer(self.retry_every, RETRY_TAG);
-                }
-            }
-            EventKind::Timer { .. } => {}
-            EventKind::LeaderChange { leader } => {
-                self.core.set_leader(ctx, &mut self.client, leader);
-            }
-            EventKind::Msg {
-                from,
-                msg: Msg::Mem(wire),
-            } => {
-                if let Some(c) = self.client.on_wire(ctx, from, wire) {
-                    self.core.on_completion(ctx, &mut self.client, c);
-                    self.check_decided(ctx);
-                }
-            }
-            EventKind::Msg { .. } => {}
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -301,6 +237,7 @@ mod tests {
     use rdma_sim::{LegalChange, MemoryActor};
     use sigsim::SigAuthority;
     use simnet::Simulation;
+    use simnet::{Duration, Time};
 
     /// Builds n processes + m memories; returns (sim, procs, mems, auth).
     fn build(
@@ -321,7 +258,7 @@ mod tests {
                 sim.add(crate::adversary::SilentActor);
                 continue;
             }
-            sim.add(RobustPaxosActor::new(
+            sim.add(RobustPaxosActor::robust_backup(
                 ActorId(i),
                 procs.clone(),
                 mems.clone(),

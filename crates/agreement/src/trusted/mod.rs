@@ -489,11 +489,6 @@ impl TrustedPeer {
         // message.
         self.checker.conforms(from, &wire.history, &wire.payload)
     }
-
-    /// The local history length (diagnostic).
-    pub fn history_len(&self) -> usize {
-        self.history.len()
-    }
 }
 
 #[cfg(test)]

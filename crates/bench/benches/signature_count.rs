@@ -22,7 +22,7 @@ fn count_signatures(n: u32, seed: u64) -> (u64, u64, f64) {
     let mut auth = SigAuthority::new(seed);
     for i in 0..n {
         let signer = auth.register(ActorId(i));
-        sim.add(CheapQuorumActor::new(
+        sim.add(CheapQuorumActor::cheap_quorum(
             ActorId(i),
             procs.clone(),
             mems.clone(),

@@ -72,8 +72,6 @@ pub struct Metrics {
     pub peak_queue_len: u64,
     /// When each actor first reported a decision, in event order.
     decisions: BTreeMap<ActorId, Time>,
-    /// When each actor reported aborting (Cheap Quorum panic path).
-    aborts: BTreeMap<ActorId, Time>,
 }
 
 impl Metrics {
@@ -86,11 +84,6 @@ impl Metrics {
     /// actor are ignored (decisions are irrevocable).
     pub fn record_decision(&mut self, actor: ActorId, at: Time) {
         self.decisions.entry(actor).or_insert(at);
-    }
-
-    /// Records that `actor` aborted (gave up on a fast path) at `at`.
-    pub fn record_abort(&mut self, actor: ActorId, at: Time) {
-        self.aborts.entry(actor).or_insert(at);
     }
 
     /// The instant of the earliest decision, if any.
@@ -116,11 +109,6 @@ impl Metrics {
         &self.decisions
     }
 
-    /// All recorded abort instants, keyed by actor.
-    pub fn aborts(&self) -> &BTreeMap<ActorId, Time> {
-        &self.aborts
-    }
-
     /// Total memory operations of all kinds.
     pub fn mem_ops(&self) -> u64 {
         self.mem_reads + self.mem_writes + self.mem_range_reads + self.perm_changes
@@ -131,7 +119,7 @@ impl Metrics {
     /// event/message/memory counters sum; `peak_queue_len` takes the max —
     /// under partitioning there is no single global queue, so the merged
     /// value means "deepest any partition's queue got" and the per-partition
-    /// peaks are reported alongside it; decision and abort instants union,
+    /// peaks are reported alongside it; decision instants union,
     /// keeping the earliest per actor (decisions are irrevocable).
     pub fn absorb(&mut self, other: &Metrics) {
         self.events_dispatched += other.events_dispatched;
@@ -152,12 +140,6 @@ impl Metrics {
         self.peak_queue_len = self.peak_queue_len.max(other.peak_queue_len);
         for (&actor, &at) in &other.decisions {
             self.decisions
-                .entry(actor)
-                .and_modify(|t| *t = (*t).min(at))
-                .or_insert(at);
-        }
-        for (&actor, &at) in &other.aborts {
-            self.aborts
                 .entry(actor)
                 .and_modify(|t| *t = (*t).min(at))
                 .or_insert(at);

@@ -464,7 +464,7 @@ impl<M: Send + 'static> ParSimulation<M> {
     }
 
     /// All partitions' metrics merged into one record: counters summed,
-    /// queue peaks maxed, decision/abort instants unioned (earliest wins).
+    /// queue peaks maxed, decision instants unioned (earliest wins).
     pub fn merged_metrics(&mut self) -> Metrics {
         let mut merged = Metrics::new();
         for engine in self.engines() {

@@ -256,12 +256,6 @@ impl<'a, M> Context<'a, M> {
         self.core.metrics.record_decision(me, now);
     }
 
-    /// Records that this actor aborted a fast path.
-    pub fn mark_aborted(&mut self) {
-        let (me, now) = (self.me, self.now);
-        self.core.metrics.record_abort(me, now);
-    }
-
     /// The run's deterministic random source.
     pub fn rng(&mut self) -> &mut StdRng {
         &mut self.core.rng

@@ -51,7 +51,7 @@ fn drill_equivocating_leader() {
     ));
     for i in 1..n {
         let signer = auth.register(ActorId(i));
-        sim.add(CheapQuorumActor::new(
+        sim.add(CheapQuorumActor::cheap_quorum(
             ActorId(i),
             procs.clone(),
             mems.clone(),
@@ -122,7 +122,7 @@ fn drill_bad_history() {
             ));
             continue;
         }
-        sim.add(RobustPaxosActor::new(
+        sim.add(RobustPaxosActor::robust_backup(
             ActorId(i),
             procs.clone(),
             mems.clone(),

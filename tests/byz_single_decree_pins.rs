@@ -40,7 +40,6 @@ const CHEAP: &str = "cheap_quorum";
 const FAST_ROBUST: &str = "fast_robust";
 
 /// One scripted run; process 0 is the leader of every stage.
-#[derive(Clone)]
 struct Spec {
     n: u32,
     m: u32,
@@ -179,7 +178,7 @@ fn fingerprint(protocol: &str, spec: &Spec) -> String {
             signers,
             |i, procs, mems, signer, verifier| {
                 let me = ActorId(i as u32);
-                RobustPaxosActor::new(
+                RobustPaxosActor::robust_backup(
                     me,
                     procs,
                     mems,
@@ -213,7 +212,7 @@ fn fingerprint(protocol: &str, spec: &Spec) -> String {
                     } else {
                         (input(i), SetupEvidence::default())
                     };
-                    PrefPaxosActor::new(
+                    PrefPaxosActor::pref_paxos(
                         ActorId(i as u32),
                         procs,
                         mems,
@@ -237,7 +236,7 @@ fn fingerprint(protocol: &str, spec: &Spec) -> String {
             signers,
             |i, procs, mems, signer, verifier| {
                 let me = ActorId(i as u32);
-                CheapQuorumActor::new(
+                CheapQuorumActor::cheap_quorum(
                     me,
                     procs,
                     mems,

@@ -38,7 +38,7 @@ fn rewritten_history_is_rejected_and_sender_distrusted() {
             ));
             continue;
         }
-        sim.add(RobustPaxosActor::new(
+        sim.add(RobustPaxosActor::robust_backup(
             ActorId(i),
             procs.clone(),
             mems.clone(),
@@ -91,7 +91,7 @@ fn attack_runs_are_deterministic() {
                 ));
                 continue;
             }
-            sim.add(RobustPaxosActor::new(
+            sim.add(RobustPaxosActor::robust_backup(
                 ActorId(i),
                 procs.clone(),
                 mems.clone(),
@@ -133,7 +133,7 @@ fn silent_third_process_control_group() {
             sim.add(SilentActor);
             continue;
         }
-        sim.add(RobustPaxosActor::new(
+        sim.add(RobustPaxosActor::robust_backup(
             ActorId(i),
             procs.clone(),
             mems.clone(),
