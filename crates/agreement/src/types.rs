@@ -298,6 +298,73 @@ mod tests {
         );
     }
 
+    /// What every leg of the memory wire is charged under
+    /// `DelayModel::Rdma`, in bytes and work requests, with a register of
+    /// each shape in it: a signed broadcast slot, a Paxos slot and a Cheap
+    /// Quorum proof all cost one 176-byte entry (a 32-byte `RegId` and a
+    /// 144-byte value), so the kind of register never moves virtual time.
+    /// (The slot goes into its register through `.into()`, which holds
+    /// whatever the register keeps a slot behind.)
+    #[test]
+    #[allow(clippy::useless_conversion)]
+    fn every_register_is_priced_as_one_176_byte_entry_on_every_leg() {
+        use crate::paxos::Dest;
+        use crate::trusted::{RbPayload, TWire};
+        use rdma_sim::{MemRequest, MemResponse, OpId, RegId, RegionId};
+        use sigsim::Signature;
+        use simnet::{CostClass, Verb};
+
+        let sig = Signature::forged(ActorId(0), 7);
+        let wire = TWire {
+            dest: Dest::All,
+            payload: RbPayload::LogEntries {
+                first: 0,
+                epoch: 0,
+                values: vec![Value(1), Value(2), Value(3)],
+            },
+            history: Vec::new(),
+        };
+        let b = Ballot::initial(ActorId(0));
+        let values = [
+            RegVal::Neb(crate::nebcast::NebSlot { k: 1, wire, sig }.into()),
+            RegVal::Slot(PaxSlot::phase2(b, Value(9))),
+            RegVal::CqProof(UnanimityProof {
+                value: Value(9),
+                shares: vec![(ActorId(0), sig), (ActorId(1), sig), (ActorId(2), sig)],
+                assembler: ActorId(1),
+                outer_sig: sig,
+            }),
+        ];
+        let (region, reg, op) = (RegionId(0), RegId::scalar(0), OpId(1));
+        let priced = |wire: MemWire<RegVal>| {
+            let c = wire.cost_class();
+            (c.verb, c.bytes, c.wrs)
+        };
+        let req = |req| priced(MemWire::Req { op, req });
+        let resp = |resp| priced(MemWire::Resp { op, resp });
+        for value in values {
+            let row = (reg, value.clone());
+            assert_eq!(req(MemRequest::Read { region, reg }), (Verb::Read, 176, 1));
+            let write = MemRequest::Write {
+                region,
+                reg,
+                value: value.clone(),
+            };
+            assert_eq!(req(write), (Verb::Write, 176, 1), "{value:?}");
+            let writes = vec![row.clone(); 5].into();
+            let many = MemRequest::WriteMany { region, writes };
+            assert_eq!(req(many), (Verb::Write, 880, 5), "{value:?}");
+            let within = None;
+            let range = MemRequest::ReadRange { region, within };
+            assert_eq!(req(range), (Verb::Read, 176, 1));
+            let one = MemResponse::Value(Some(value.clone()));
+            assert_eq!(resp(one), (Verb::Send, 176, 1), "{value:?}");
+            let rows = MemResponse::Range(vec![row; 4]);
+            assert_eq!(resp(rows), (Verb::Send, 704, 1), "{value:?}");
+        }
+        assert_eq!(MemResponse::<RegVal>::Ack.cost_class(), CostClass::SEND);
+    }
+
     #[test]
     fn ballot_ordering() {
         let p0 = ActorId(0);
