@@ -115,8 +115,7 @@ fn broadcast_signed(
     k: u64,
     wire: TWire,
 ) {
-    let sig = signer.sign(&wire.sign_view(k));
-    let slot = RegVal::Neb(NebSlot { k, wire, sig });
+    let slot = RegVal::Neb(NebSlot::signed(signer, k, wire));
     let reg = nebcast::slot_reg(me, k, me);
     for &mem in mems {
         client.write(ctx, mem, nebcast::row_region(me), reg, slot.clone());
@@ -166,8 +165,7 @@ impl NebEquivocator {
             },
             history: Vec::new(),
         };
-        let sig = self.signer.sign(&wire.sign_view(1));
-        RegVal::Neb(NebSlot { k: 1, wire, sig })
+        RegVal::Neb(NebSlot::signed(&self.signer, 1, wire))
     }
 }
 
@@ -242,8 +240,7 @@ impl Actor<Msg> for BadHistoryActor {
                     }),
                     history: Vec::<HistEntry>::new(),
                 };
-                let sig = self.signer.sign(&wire.sign_view(1));
-                let slot = RegVal::Neb(NebSlot { k: 1, wire, sig });
+                let slot = RegVal::Neb(NebSlot::signed(&self.signer, 1, wire));
                 let reg = nebcast::slot_reg(self.me, 1, self.me);
                 let region = nebcast::row_region(self.me);
                 for mem in self.mems.clone() {
@@ -509,8 +506,7 @@ impl LogEquivocator {
 
     fn log_slot(&self, v: Value) -> RegVal {
         let wire = crate::smr::byz::log_entries_wire(0, 0, vec![v]);
-        let sig = self.signer.sign(&wire.sign_view(1));
-        RegVal::Neb(NebSlot { k: 1, wire, sig })
+        RegVal::Neb(NebSlot::signed(&self.signer, 1, wire))
     }
 
     fn write_everywhere(&mut self, ctx: &mut Context<'_, Msg>, val: RegVal) {
@@ -727,12 +723,7 @@ impl Actor<Msg> for ReceiptForger {
                 // broadcast `forged` at instance 0 — signed with the
                 // leader's key, so every signature check passes.
                 let wire = crate::smr::byz::log_entries_wire(0, 0, vec![self.forged]);
-                let sig = self.leader_signer.sign(&wire.sign_view(FORGED_K));
-                let slot = RegVal::Neb(NebSlot {
-                    k: FORGED_K,
-                    wire,
-                    sig,
-                });
+                let slot = RegVal::Neb(NebSlot::signed(&self.leader_signer, FORGED_K, wire));
                 let reg = nebcast::receipt_reg(self.me, FORGED_K, self.leader);
                 let region = nebcast::row_region(self.me);
                 for mem in self.mems.clone() {

@@ -70,6 +70,7 @@
 //!   (followers never broadcast) stop consuming FIFO slots.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 
 use rdma_sim::{MemoryClient, Permission, RegId, RegionId, RegionSpec, Window};
 use sigsim::{SigVerifier, Signature, Signer};
@@ -137,17 +138,25 @@ pub struct NebSlot {
     pub sig: Signature,
 }
 
+impl NebSlot {
+    /// `wire` signed by `signer` as its `k`-th broadcast: the one
+    /// allocation that every memory's row, read, audit copy and receipt of
+    /// this broadcast shares.
+    pub fn signed(signer: &Signer, k: u64, wire: TWire) -> Arc<NebSlot> {
+        let sig = signer.sign(&wire.sign_view(k));
+        Arc::new(NebSlot { k, wire, sig })
+    }
+}
+
 /// A delivered broadcast.
 #[derive(Clone, Debug)]
 pub struct Delivery {
     /// The broadcaster.
     pub from: Pid,
-    /// Its sequence number.
-    pub k: u64,
-    /// The content.
-    pub wire: TWire,
-    /// The broadcaster's signature (evidence for trusted histories).
-    pub sig: Signature,
+    /// The audited slot — its sequence number, content and the
+    /// broadcaster's signature (evidence for trusted histories) — shared
+    /// with the memories' rows and, once acknowledged, the receipt.
+    pub slot: Arc<NebSlot>,
 }
 
 /// One in-flight shared column audit.
@@ -157,13 +166,13 @@ struct ColAudit {
     head: u64,
     /// The slots it covers; each one's copy completed before the read
     /// was issued, preserving Algorithm 2's copy-then-audit order.
-    covered: Vec<(u64, NebSlot)>,
+    covered: Vec<(u64, Arc<NebSlot>)>,
 }
 
 enum Attempt {
     ReadSlot(RepId),
-    Copy { slot: NebSlot, rep: RepId },
-    Audit { slot: NebSlot, rep: RepId },
+    Copy { slot: Arc<NebSlot>, rep: RepId },
+    Audit { slot: Arc<NebSlot>, rep: RepId },
 }
 
 /// The non-equivocating broadcast state machine for one process.
@@ -213,7 +222,7 @@ pub struct NebEngine {
     /// window started at).
     row_probe: BTreeMap<Pid, (RepId, u64)>,
     /// Completed copies awaiting the next shared column audit.
-    await_audit: BTreeMap<(Pid, u64), NebSlot>,
+    await_audit: BTreeMap<(Pid, u64), Arc<NebSlot>>,
     /// At most one in-flight shared column audit per sender.
     col_audit: BTreeMap<Pid, ColAudit>,
     /// Idle-row backoff (pipelined mode only): earliest poll tick at
@@ -306,7 +315,8 @@ impl NebEngine {
     }
 
     /// Writes this process's delivery receipt for `d` (a fire-and-forget
-    /// replicated write of the delivered slot into [`receipt_reg`]).
+    /// replicated write of the delivered slot — the same shared slot —
+    /// into [`receipt_reg`]).
     ///
     /// Deliberately *not* automatic: a receipt asserts "a correct process
     /// accepted this broadcast", so the application must acknowledge only
@@ -324,12 +334,8 @@ impl NebEngine {
             ctx,
             client,
             row_region(self.me),
-            receipt_reg(self.me, d.k, d.from),
-            RegVal::Neb(NebSlot {
-                k: d.k,
-                wire: d.wire.clone(),
-                sig: d.sig,
-            }),
+            receipt_reg(self.me, d.slot.k, d.from),
+            RegVal::Neb(d.slot.clone()),
         );
     }
 
@@ -347,14 +353,12 @@ impl NebEngine {
     ) -> u64 {
         let k = self.next_k;
         self.next_k += 1;
-        let sig = self.signer.sign(&wire.sign_view(k));
-        let slot = NebSlot { k, wire, sig };
         let rep = self.rep.write(
             ctx,
             client,
             row_region(self.me),
             slot_reg(self.me, k, self.me),
-            RegVal::Neb(slot),
+            RegVal::Neb(NebSlot::signed(&self.signer, k, wire)),
         );
         if self.observe_writes {
             self.bcast_writes.insert(rep, k);
@@ -487,11 +491,7 @@ impl NebEngine {
                 continue;
             }
             let RegVal::Neb(slot) = val else { continue };
-            if slot.k != k
-                || !self
-                    .verifier
-                    .valid(q, &slot.wire.sign_view(slot.k), &slot.sig)
-            {
+            if !self.signed_by(q, k, &slot) {
                 continue;
             }
             let rep = self.rep.write(
@@ -525,7 +525,7 @@ impl NebEngine {
         if keys.is_empty() {
             return;
         }
-        let covered: Vec<(u64, NebSlot)> = keys
+        let covered: Vec<(u64, Arc<NebSlot>)> = keys
             .into_iter()
             .map(|k| (k, self.await_audit.remove(&(q, k)).expect("listed above")))
             .collect();
@@ -568,6 +568,20 @@ impl NebEngine {
             released = true;
         }
         released
+    }
+
+    /// Step 1's check: `slot` is keyed `k` and validly signed by `q`.
+    fn signed_by(&self, q: Pid, k: u64, slot: &NebSlot) -> bool {
+        slot.k == k && self.verifier.valid(q, &slot.wire.sign_view(k), &slot.sig)
+    }
+
+    /// The audit's check: `other`, a copy read from the `(k, q)` column,
+    /// convicts `q` of equivocating against `slot` — validly signed by `q`
+    /// for the same `k`, a different wire. Compared by value: a copy
+    /// convicts by what it says, never by which allocation holds it (every
+    /// memory may hold its own).
+    fn convicts(&self, q: Pid, k: u64, slot: &NebSlot, other: &NebSlot) -> bool {
+        other.k == k && other.wire != slot.wire && self.signed_by(q, k, other)
     }
 
     /// Whether `q` has been caught equivocating (at which sequence number).
@@ -631,11 +645,7 @@ impl NebEngine {
         match (attempt, ev.result) {
             (Attempt::ReadSlot(_), RepResult::ReadOk(Some(RegVal::Neb(slot)))) => {
                 // Step 1 checks: signed by q, keyed k.
-                if slot.k != k
-                    || !self
-                        .verifier
-                        .valid(q, &slot.wire.sign_view(slot.k), &slot.sig)
-                {
+                if !self.signed_by(q, k, &slot) {
                     return; // pretend we saw nothing; retry next poll
                 }
                 if self.depth > 1 {
@@ -684,12 +694,7 @@ impl NebEngine {
             (Attempt::Audit { slot, .. }, RepResult::RangeOk(column)) => {
                 for (_, other) in column {
                     let RegVal::Neb(other) = other else { continue };
-                    if other.k == k
-                        && other.wire != slot.wire
-                        && self
-                            .verifier
-                            .valid(q, &other.wire.sign_view(other.k), &other.sig)
-                    {
+                    if self.convicts(q, k, &slot, &other) {
                         // q signed two different messages for k: equivocation.
                         ctx.note_with(|| format!("nebcast: {q} equivocated at k={k}"));
                         self.blocked.insert(q, k);
@@ -701,15 +706,7 @@ impl NebEngine {
                 }
                 // Audited out-of-order slots wait in the ready buffer;
                 // deliveries are released strictly in sequence order.
-                self.ready.insert(
-                    (q, k),
-                    Delivery {
-                        from: q,
-                        k,
-                        wire: slot.wire,
-                        sig: slot.sig,
-                    },
-                );
+                self.ready.insert((q, k), Delivery { from: q, slot });
                 let released = self.release_ready(q);
                 // Per-slot completion chaining: a released head frees
                 // window room — probe q's next slots now instead of
@@ -752,27 +749,14 @@ impl NebEngine {
                 let Some(RegVal::Neb(other)) = all.get(&slot_reg(i, k, q)) else {
                     continue;
                 };
-                if other.k == k
-                    && other.wire != slot.wire
-                    && self
-                        .verifier
-                        .valid(q, &other.wire.sign_view(other.k), &other.sig)
-                {
+                if self.convicts(q, k, &slot, other) {
                     ctx.note_with(|| format!("nebcast: {q} equivocated at k={k}"));
                     self.blocked.insert(q, k);
                     self.purge(q);
                     return;
                 }
             }
-            self.ready.insert(
-                (q, k),
-                Delivery {
-                    from: q,
-                    k,
-                    wire: slot.wire,
-                    sig: slot.sig,
-                },
-            );
+            self.ready.insert((q, k), Delivery { from: q, slot });
         }
         self.release_ready(q);
         // The audit read covered the window of q's whole column space,

@@ -100,6 +100,7 @@
 //! settle, no allocation — and counted ([`ReplicaState::entries_rejected`]).
 
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 
 use rdma_sim::{Completion, LegalChange, MemoryActor};
 use sigsim::{SigVerifier, Signer};
@@ -302,12 +303,12 @@ impl NebLog {
     ) -> bool {
         let RbPayload::LogEntries {
             first, ref values, ..
-        } = d.wire.payload
+        } = d.slot.wire.payload
         else {
             return false; // single-decree traffic from another protocol: not ours
         };
         if Self::past_frontier(sh, first) {
-            debug_assert!(d.from != sh.me, "own wire k={} is not dense", d.k);
+            debug_assert!(d.from != sh.me, "own wire k={} is not dense", d.slot.k);
             sh.entries_rejected += 1;
             ctx.note_with(|| format!("byz-smr: ignored {}'s batch at far-future {first}", d.from));
             return false;
@@ -332,7 +333,7 @@ impl NebLog {
     fn on_delivery(&mut self, sh: &mut Shell, ctx: &mut Context<'_, Msg>, d: nebcast::Delivery) {
         let RbPayload::LogEntries {
             first, ref values, ..
-        } = d.wire.payload
+        } = d.slot.wire.payload
         else {
             return; // not ours: not even parked
         };
@@ -350,7 +351,7 @@ impl NebLog {
         // committed (any correct replica's audit now intersects ours).
         // Retirement stays in broadcast order behind earlier slots.
         if d.from == sh.me {
-            if let Some(slot) = self.undelivered(d.k) {
+            if let Some(slot) = self.undelivered(d.slot.k) {
                 slot.delivered = true;
                 self.retire_ready(sh);
                 self.drive(sh, ctx);
@@ -448,7 +449,7 @@ impl NebLog {
         // claimed broadcaster's self-slot holds. This blocks a follower
         // forging receipts with a colluding leader's double-signature:
         // the signature verifies, but no matching self-slot exists.
-        let mut self_slots: BTreeMap<(u32, u64), nebcast::NebSlot> = BTreeMap::new();
+        let mut self_slots: BTreeMap<(u32, u64), Arc<nebcast::NebSlot>> = BTreeMap::new();
         // The same pass bounds how far a dense log can reach: every
         // instance below a genuine wire's `first` was settled by a correct
         // replica (this one, or one whose majority-written audit copy or
@@ -742,9 +743,11 @@ mod tests {
         epoch: u64,
         values: Vec<Value>,
     ) -> RegVal {
-        let wire = log_entries_wire(first, epoch, values);
-        let sig = signer.sign(&wire.sign_view(k));
-        RegVal::Neb(nebcast::NebSlot { k, wire, sig })
+        RegVal::Neb(nebcast::NebSlot::signed(
+            signer,
+            k,
+            log_entries_wire(first, epoch, values),
+        ))
     }
 
     /// The takeover-scan adoption rule, pinned directly: among
@@ -853,6 +856,52 @@ mod tests {
             recovered(&node, 0),
             Some(Value(100)),
             "the genuinely receipted value must keep instance 0"
+        );
+    }
+
+    /// The provenance check compares slots by value: a receipt holding the
+    /// self-slot rebuilt field by field into a fresh allocation — as a
+    /// memory keeping its own copy would hold it — is credited exactly like
+    /// one sharing the self-slot's `Arc`, and keeps its instance against a
+    /// higher-epoch rival that only an uncredited receipt would lose to.
+    #[test]
+    fn provenance_credits_a_receipt_equal_by_value_in_a_fresh_allocation() {
+        let procs: Vec<Pid> = (0..3).map(ActorId).collect();
+        let mems: Vec<ActorId> = (3..6).map(ActorId).collect();
+        let mut auth = SigAuthority::new(21 ^ 0xB12A);
+        let s0 = auth.register(ActorId(0));
+        let s1 = auth.register(ActorId(1));
+        let s2 = auth.register(ActorId(2));
+        let mut node = ByzSmrNode::new(
+            ActorId(2),
+            procs,
+            mems,
+            ActorId(0),
+            Vec::new(),
+            s2,
+            auth.verifier(),
+            Duration::from_delays(1),
+        );
+        let real = log_wire(&s0, 1, 0, 0, vec![Value(100)]);
+        let RegVal::Neb(slot) = &real else {
+            unreachable!("log_wire builds a broadcast slot")
+        };
+        let rebuilt = RegVal::Neb(Arc::new(nebcast::NebSlot {
+            k: slot.k,
+            wire: slot.wire.clone(),
+            sig: slot.sig,
+        }));
+        let rival = log_wire(&s1, 1, 0, 1, vec![Value(200)]);
+        let mut rows = BTreeMap::new();
+        rows.insert(nebcast::slot_reg(ActorId(0), 1, ActorId(0)), real);
+        rows.insert(nebcast::receipt_reg(ActorId(2), 1, ActorId(0)), rebuilt);
+        rows.insert(nebcast::slot_reg(ActorId(1), 1, ActorId(1)), rival);
+        adopt(&mut node, rows);
+        assert_eq!(node.replica_state().receipts_rejected, 0);
+        assert_eq!(
+            recovered(&node, 0),
+            Some(Value(100)),
+            "the receipted value must outrank the higher unreceipted epoch"
         );
     }
 

@@ -34,7 +34,7 @@ use rdma_sim::MemoryClient;
 use sigsim::{SigVerifier, Signature};
 use simnet::Context;
 
-use crate::nebcast::NebEngine;
+use crate::nebcast::{NebEngine, NebSlot};
 use crate::paxos::{Dest, PaxosMsg};
 use crate::types::{sigtags, Msg, Pid, RegVal, UnanimityProof, Value};
 
@@ -401,18 +401,19 @@ impl TrustedPeer {
         let mut out = Vec::new();
         for d in self.neb.take_deliveries() {
             let from = d.from;
+            let NebSlot { k, ref wire, sig } = *d.slot;
             // Record what the sender actually broadcast regardless of
             // validity: later history cross-checks need it.
             self.got
-                .insert((from, d.k), (d.wire.dest, d.wire.payload.clone()));
+                .insert((from, k), (wire.dest, wire.payload.clone()));
             if self.distrusted.contains(&from) {
                 continue;
             }
-            if !self.validate(from, d.k, &d.wire) {
+            if !self.validate(from, k, wire) {
                 self.distrusted.insert(from);
                 continue;
             }
-            let addressed_to_me = match d.wire.dest {
+            let addressed_to_me = match wire.dest {
                 Dest::All => true,
                 Dest::One(p) => p == self.me,
             };
@@ -420,16 +421,16 @@ impl TrustedPeer {
             // history must justify counting quorums of broadcast votes).
             self.history.push(HistEntry::Recv {
                 from,
-                k: d.k,
-                dest: d.wire.dest,
-                payload: d.wire.payload.clone(),
-                hd: hist_digest(&d.wire.history),
-                sig: d.sig,
+                k,
+                dest: wire.dest,
+                payload: wire.payload.clone(),
+                hd: hist_digest(&wire.history),
+                sig,
             });
             if addressed_to_me {
                 out.push(TDelivery {
                     from,
-                    payload: d.wire.payload,
+                    payload: wire.payload.clone(),
                 });
             }
         }

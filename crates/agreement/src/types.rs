@@ -4,7 +4,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use rdma_sim::{MemEmbed, MemWire};
+use rdma_sim::{MemEmbed, MemWire, WireSize};
 use sigsim::Signature;
 use simnet::ActorId;
 
@@ -176,11 +176,16 @@ pub struct UnanimityProof {
 ///
 /// A register holds whatever its writer put there; readers pattern-match and
 /// treat unexpected variants the way they treat garbage from a Byzantine
-/// writer (ignore / nak-equivalent).
+/// writer (ignore / nak-equivalent). Equality is by value for every
+/// variant, the shared broadcast slot included: a register is evidence by
+/// what it holds, never by which allocation holds it.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum RegVal {
-    /// A non-equivocating broadcast slot (signed `(k, body)`).
-    Neb(crate::nebcast::NebSlot),
+    /// A non-equivocating broadcast slot (signed `(k, body)`), built once
+    /// by its broadcaster and shared by every memory row, read, copy and
+    /// receipt of it (ARCHITECTURE.md, "What a register costs on the wire
+    /// and what it occupies, and why").
+    Neb(Arc<crate::nebcast::NebSlot>),
     /// A Cheap Quorum Value register.
     CqValue(CqSigned),
     /// A Cheap Quorum Panic register.
@@ -191,6 +196,17 @@ pub enum RegVal {
     Slot(PaxSlot),
     /// A lower-bound strawman flag.
     LbFlag(Value),
+}
+
+/// Every register is priced as one 144-byte value, whatever it holds —
+/// the inline size of the largest one, a broadcast slot with its wire and
+/// signature. The price is declared, not read off the host layout: a slot
+/// behind its `Arc` is charged as the slot it stands for, and a Paxos slot
+/// as much as a broadcast slot, so no charge under `DelayModel::Rdma` (and
+/// no virtual time) depends on how or by which protocol a register is
+/// held.
+impl WireSize for RegVal {
+    const WIRE_BYTES: u32 = 144;
 }
 
 /// The unified simulation message type for every protocol in this crate.
@@ -265,15 +281,17 @@ impl MemEmbed<RegVal> for Msg {
 mod tests {
     use super::*;
 
-    /// One size here is priced and the rest are watched. Priced:
-    /// `rdma_sim`'s wire charges `size_of::<RegId>() + size_of::<RegVal>()`
-    /// per register carried (`wire::entry_bytes`), so under
-    /// `DelayModel::Rdma` that sum moves virtual time — and nothing else
-    /// below does. Watched: `Option<RegVal>` is a row of the memory's paged
-    /// log store, `MemRequest<RegVal>` / `Msg` are what a handler builds
-    /// and matches on per event, and `EventKind<Msg>` is what a slot of the
-    /// kernel's event slab holds — host time and `peak_live_bytes`, never
-    /// a delay.
+    /// One size here is priced and the rest are watched. Priced: the
+    /// declared `RegVal::WIRE_BYTES`, so `rdma_sim`'s wire charges
+    /// `size_of::<RegId>() + 144` per register carried
+    /// (`wire::entry_bytes`) — under `DelayModel::Rdma` that sum moves
+    /// virtual time, and nothing else below does. Watched: `size_of`, the
+    /// host layout — `RegVal` (a broadcast slot is one `Arc` pointer, so a
+    /// Paxos slot or a Cheap Quorum proof sizes the enum), `Option<RegVal>`
+    /// as a row of the memory's paged log store, `MemRequest<RegVal>` /
+    /// `Msg` as what a handler builds and matches on per event, and
+    /// `EventKind<Msg>` as what a slot of the kernel's event slab holds —
+    /// host time and `peak_live_bytes`, never a delay.
     /// (A `WriteMany`'s shared rows and a `DecidedMany`'s shared values are
     /// thin behind their `Arc`s; `Write` carrying a `RegVal` inline is
     /// what sizes both enums.)
@@ -281,19 +299,23 @@ mod tests {
     #[cfg(target_pointer_width = "64")]
     fn register_and_message_sizes_are_what_the_wire_prices() {
         use std::mem::size_of;
-        assert_eq!(size_of::<RegVal>(), 144, "priced");
-        assert_eq!(size_of::<rdma_sim::RegId>() + size_of::<RegVal>(), 176);
-        assert_eq!(size_of::<Option<RegVal>>(), 144, "watched: a log row");
-        assert_eq!(size_of::<rdma_sim::MemRequest<RegVal>>(), 184, "watched");
-        assert_eq!(size_of::<Msg>(), 192, "watched");
+        assert_eq!(RegVal::WIRE_BYTES, 144, "priced");
+        assert_eq!(
+            size_of::<rdma_sim::RegId>() as u32 + RegVal::WIRE_BYTES,
+            176
+        );
+        assert_eq!(size_of::<RegVal>(), 64, "watched");
+        assert_eq!(size_of::<Option<RegVal>>(), 64, "watched: a log row");
+        assert_eq!(size_of::<rdma_sim::MemRequest<RegVal>>(), 104, "watched");
+        assert_eq!(size_of::<Msg>(), 112, "watched");
         assert_eq!(
             size_of::<simnet::EventKind<Msg>>(),
-            200,
+            120,
             "watched: what a slab slot holds, copied once in and once out per event"
         );
         assert_eq!(
             size_of::<Option<simnet::EventKind<Msg>>>(),
-            200,
+            120,
             "the slot itself"
         );
     }

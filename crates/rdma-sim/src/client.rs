@@ -15,7 +15,7 @@ use simnet::{ActorId, Context};
 use crate::perm::Permission;
 use crate::reg::RegId;
 use crate::region::RegionId;
-use crate::wire::{MemEmbed, MemRequest, MemResponse, MemWire, OpId};
+use crate::wire::{MemEmbed, MemRequest, MemResponse, MemWire, OpId, WireSize};
 
 /// Per-memory FIFO of operations waiting for the in-flight one.
 type WaitQueue<V> = VecDeque<(OpId, MemRequest<V>)>;
@@ -77,7 +77,7 @@ impl<V, M> MemoryClient<V, M> {
 
 impl<V, M> MemoryClient<V, M>
 where
-    V: Clone + fmt::Debug + 'static,
+    V: Clone + fmt::Debug + WireSize + 'static,
     M: MemEmbed<V>,
 {
     /// Submits an operation to `mem`. If the memory is busy the operation is

@@ -41,4 +41,4 @@ pub use memory::{MemoryActor, LOG_PAGE_ROWS};
 pub use perm::{LegalChange, LegalChangeFn, PermSet, Permission};
 pub use reg::RegId;
 pub use region::{RegionId, RegionSpec, Window};
-pub use wire::{MemEmbed, MemRequest, MemResponse, MemWire, OpId};
+pub use wire::{MemEmbed, MemRequest, MemResponse, MemWire, OpId, WireSize};

@@ -18,7 +18,7 @@ use simnet::{Actor, ActorId, Context, EventKind};
 use crate::perm::{LegalChange, Permission};
 use crate::reg::RegId;
 use crate::region::{RegionId, RegionSpec, Window};
-use crate::wire::{MemEmbed, MemRequest, MemResponse, MemWire};
+use crate::wire::{MemEmbed, MemRequest, MemResponse, MemWire, WireSize};
 
 /// Rows per page of a log-shaped register space
 /// ([`MemoryActor::with_log_space`]).
@@ -362,7 +362,7 @@ fn scan_window(
 
 impl<V, M> Actor<M> for MemoryActor<V, M>
 where
-    V: Clone + fmt::Debug + 'static,
+    V: Clone + fmt::Debug + WireSize + 'static,
     M: MemEmbed<V>,
 {
     fn on_event(&mut self, ctx: &mut Context<'_, M>, ev: EventKind<M>) {

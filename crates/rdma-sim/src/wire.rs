@@ -103,13 +103,15 @@ impl<V> MemRequest<V> {
             MemRequest::ChangePerm { .. } => "change_perm",
         }
     }
+}
 
+impl<V: WireSize> MemRequest<V> {
     /// Cost classification of the request leg under
     /// [`simnet::DelayModel::Rdma`]: reads map to the READ verb, writes to
     /// WRITE (a [`MemRequest::WriteMany`] of `k` entries is one doorbell
     /// batch of `k` work requests), and permission changes to the atomic
-    /// CAS verb. Payload bytes are approximated from the in-memory sizes
-    /// of the register ids and values carried.
+    /// CAS verb. Each register carried costs its id plus the size its
+    /// value type declares ([`WireSize`]), however the host holds it.
     pub fn cost_class(&self) -> CostClass {
         let entry = entry_bytes::<V>();
         match self {
@@ -129,9 +131,23 @@ impl<V> MemRequest<V> {
     }
 }
 
-/// Approximate serialized size of one `(register, value)` entry.
-fn entry_bytes<V>() -> u32 {
-    (std::mem::size_of::<RegId>() + std::mem::size_of::<V>()) as u32
+/// What one register value adds to a verb's payload under
+/// [`simnet::DelayModel::Rdma`]: a size the value type declares, not the
+/// size of the host object that holds it. A value kept behind a shared
+/// handle costs on the wire what it would cost inline, so how a value is
+/// held never moves virtual time.
+pub trait WireSize {
+    /// Bytes one value occupies on the wire.
+    const WIRE_BYTES: u32;
+}
+
+impl WireSize for u64 {
+    const WIRE_BYTES: u32 = 8;
+}
+
+/// Serialized size of one `(register, value)` entry.
+fn entry_bytes<V: WireSize>() -> u32 {
+    std::mem::size_of::<RegId>() as u32 + V::WIRE_BYTES
 }
 
 /// A memory operation response.
@@ -157,7 +173,9 @@ impl<V> MemResponse<V> {
     pub fn is_ok(&self) -> bool {
         !matches!(self, MemResponse::Nak | MemResponse::PermNak)
     }
+}
 
+impl<V: WireSize> MemResponse<V> {
     /// Cost classification of the response leg: a completion travelling
     /// back as an inline send, sized by the payload it returns (one value
     /// for [`MemResponse::Value`], the whole written slice for
@@ -193,7 +211,7 @@ pub enum MemWire<V> {
     },
 }
 
-impl<V> MemWire<V> {
+impl<V: WireSize> MemWire<V> {
     /// Cost classification of this leg (request or response) under
     /// [`simnet::DelayModel::Rdma`].
     pub fn cost_class(&self) -> CostClass {
@@ -256,6 +274,7 @@ mod tests {
         };
         assert_eq!(w.cost_class().verb, Verb::Write);
         assert_eq!(w.cost_class().wrs, 1);
+        assert_eq!(w.cost_class().bytes, 32 + 8, "a register id and a u64");
 
         let many: MemRequest<u64> = MemRequest::WriteMany {
             region: RegionId(0),

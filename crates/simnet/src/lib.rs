@@ -46,7 +46,7 @@
 //!   them. Buckets and heap hold 24-byte keys `(time, seq, target, slot)`;
 //!   the event a key stands for sits in one slot of a per-kernel slab from
 //!   the moment it is sent to the moment it is dispatched — written once,
-//!   read once — so queueing a 192-byte service message moves 24 bytes
+//!   read once — so queueing a 112-byte service message moves 24 bytes
 //!   (a cross-partition send moves the event itself, out of one kernel's
 //!   slab and into another's). Push and pop are O(1) in the common case;
 //!   the win over the old `BinaryHeap` kernel grows with the number of

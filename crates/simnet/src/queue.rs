@@ -7,8 +7,8 @@
 //! moment it is dispatched — written once, read once — while only the key
 //! moves through `pending`, buckets, the far heap, the arrival sort and
 //! the choice hook's pop-and-push-back. (The queue used to carry the
-//! events themselves: a service message is 192 bytes, and every queued
-//! event was copied six to seven times on its way to its handler.) A
+//! events themselves: a service message was 192 bytes then, and every
+//! queued event was copied six to seven times on its way to its handler.) A
 //! scheduled crash has no event: its key carries the sentinel slot
 //! [`Key::CRASH`].
 //!

@@ -796,7 +796,7 @@ mod tests {
         assert_eq!(sim.live_timers(), 0, "timer slots leaked");
     }
 
-    /// A 192-byte message, the size of the service's.
+    /// A 192-byte message, bigger than the service's (112 bytes).
     type Wide = [u64; 24];
 
     /// Spends a budget of seeded actions, one per event it is handed:

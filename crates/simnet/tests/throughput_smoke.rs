@@ -1,6 +1,6 @@
 //! Kernel throughput smoke test: the dispatch loop must sustain a floor
 //! of events per wall-clock second, for a one-word message and for one
-//! the size of the service's (192 bytes — what the kernel pays to queue a
+//! the size of the service's (112 bytes — what the kernel pays to queue a
 //! message depends on its size only if it moves the message around).
 //! `#[ignore]`d by default — wall-clock assertions don't belong in CI's
 //! default lane (run with `cargo test -p simnet --release -- --ignored`).
@@ -25,12 +25,12 @@ impl Countdown for u64 {
     }
 }
 
-/// 192 bytes, the size of `agreement::types::Msg`.
-struct Wide([u64; 24]);
+/// 112 bytes, the size of `agreement::types::Msg`.
+struct Wide([u64; 14]);
 
 impl Countdown for Wide {
     fn start(count: u64) -> Wide {
-        let mut words = [0x5a5a_5a5a_5a5a_5a5a; 24];
+        let mut words = [0x5a5a_5a5a_5a5a_5a5a; 14];
         words[0] = count;
         Wide(words)
     }
@@ -109,6 +109,6 @@ fn kernel_sustains_event_rate() {
 #[test]
 #[ignore = "wall-clock sensitive; run explicitly"]
 fn kernel_sustains_event_rate_with_service_sized_messages() {
-    assert_eq!(std::mem::size_of::<Wide>(), 192);
-    assert_sustains_event_rate::<Wide>("192-byte");
+    assert_eq!(std::mem::size_of::<Wide>(), 112);
+    assert_sustains_event_rate::<Wide>("112-byte");
 }

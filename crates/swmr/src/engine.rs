@@ -21,7 +21,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use rdma_sim::{
-    Completion, MemEmbed, MemResponse, MemoryClient, OpId, Permission, RegId, RegionId,
+    Completion, MemEmbed, MemResponse, MemoryClient, OpId, Permission, RegId, RegionId, WireSize,
 };
 use simnet::{ActorId, Context};
 
@@ -119,7 +119,7 @@ impl<V, M> fmt::Debug for RepEngine<V, M> {
 
 impl<V, M> RepEngine<V, M>
 where
-    V: Clone + Eq + fmt::Debug + 'static,
+    V: Clone + Eq + fmt::Debug + WireSize + 'static,
     M: MemEmbed<V>,
 {
     /// An engine replicating over `memories`. For fault tolerance `f_M`,

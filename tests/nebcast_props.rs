@@ -2,13 +2,15 @@
 //! broadcast, under honest broadcasters, an equivocating Byzantine
 //! broadcaster, memory crashes, and randomized schedules (proptest).
 
+use std::sync::Arc;
+
 use agreement::adversary::NebEquivocator;
-use agreement::nebcast::{self, NebEngine};
+use agreement::nebcast::{self, NebEngine, NebSlot};
 use agreement::paxos::Dest;
 use agreement::trusted::{RbPayload, SetupEvidence, TWire};
 use agreement::types::{Msg, Pid, RegVal, Value};
 use proptest::prelude::*;
-use rdma_sim::{LegalChange, MemoryActor, MemoryClient};
+use rdma_sim::{LegalChange, MemoryActor, MemoryClient, RegId};
 use sigsim::{SigAuthority, SigVerifier, Signer};
 use simnet::{Actor, ActorId, Context, DelayModel, Duration, EventKind, Simulation, Time};
 
@@ -40,10 +42,22 @@ impl NebTester {
 
     fn drain(&mut self) {
         for d in self.engine.take_deliveries() {
-            if let RbPayload::Setup { value, .. } = d.wire.payload {
-                self.delivered.push((d.from, d.k, value));
+            if let RbPayload::Setup { value, .. } = d.slot.wire.payload {
+                self.delivered.push((d.from, d.slot.k, value));
             }
         }
+    }
+}
+
+/// The wire a [`NebTester`] broadcasts for `value`.
+fn setup_wire(value: Value) -> TWire {
+    TWire {
+        dest: Dest::All,
+        payload: RbPayload::Setup {
+            value,
+            evidence: SetupEvidence::default(),
+        },
+        history: Vec::new(),
     }
 }
 
@@ -52,15 +66,7 @@ impl Actor<Msg> for NebTester {
         match ev {
             EventKind::Start => {
                 for v in self.to_broadcast.clone() {
-                    let wire = TWire {
-                        dest: Dest::All,
-                        payload: RbPayload::Setup {
-                            value: v,
-                            evidence: SetupEvidence::default(),
-                        },
-                        history: Vec::new(),
-                    };
-                    self.engine.broadcast(ctx, &mut self.client, wire);
+                    self.engine.broadcast(ctx, &mut self.client, setup_wire(v));
                 }
                 self.engine.poll(ctx, &mut self.client);
                 ctx.set_timer(Duration::from_delays(1), 0);
@@ -177,6 +183,89 @@ fn property_three_no_spoofed_deliveries() {
     });
     let t1 = sim.actor_as::<NebTester>(ActorId(1)).unwrap();
     assert_eq!(t1.delivered, vec![(ActorId(0), 1, Value(7))]);
+}
+
+/// Writes one prepared value into one register of its own row on every
+/// memory at Start, and nothing else.
+struct RowWriter {
+    me: Pid,
+    mems: Vec<ActorId>,
+    reg: RegId,
+    val: RegVal,
+    client: MemoryClient<RegVal, Msg>,
+}
+
+impl Actor<Msg> for RowWriter {
+    fn on_event(&mut self, ctx: &mut Context<'_, Msg>, ev: EventKind<Msg>) {
+        match ev {
+            EventKind::Start => {
+                let region = nebcast::row_region(self.me);
+                for &mem in &self.mems {
+                    let val = self.val.clone();
+                    self.client.write(ctx, mem, region, self.reg, val);
+                }
+            }
+            EventKind::Msg {
+                from,
+                msg: Msg::Mem(wire),
+            } => {
+                let _ = self.client.on_wire(ctx, from, wire);
+            }
+            _ => {}
+        }
+    }
+}
+
+/// Slots compare by value: an audit copy holding the broadcaster's slot
+/// rebuilt field by field into a fresh allocation — as a memory keeping
+/// its own copy, or an auditor that re-serialised it, would hold — is the
+/// same slot, not an equivocation, under the per-slot audit (depth 1) and
+/// the shared column audit (pipelined) alike. Auditing by allocation
+/// instead would block an honest broadcaster here.
+#[test]
+fn an_audit_copy_equal_by_value_in_a_fresh_allocation_is_no_equivocation() {
+    for depth in [1, 4] {
+        let (n, m) = (3u32, 3u32);
+        let mut sim: Simulation<Msg> = Simulation::new(11);
+        let procs: Vec<Pid> = (0..n).map(ActorId).collect();
+        let mems: Vec<ActorId> = (n..n + m).map(ActorId).collect();
+        let mut auth = SigAuthority::new(4);
+        let s0 = auth.register(ActorId(0));
+        let s2 = auth.register(ActorId(2));
+        let wire = setup_wire(Value(7));
+        let sig = s0.sign(&wire.sign_view(1));
+        let copy = RegVal::Neb(Arc::new(NebSlot { k: 1, wire, sig }));
+        let verifier = auth.verifier();
+        let (p0, p1, p2) = (ActorId(0), ActorId(1), ActorId(2));
+        sim.add(NebTester::new(
+            p0,
+            procs.clone(),
+            mems.clone(),
+            s0,
+            verifier.clone(),
+            vec![Value(7)],
+        ));
+        sim.add(RowWriter {
+            me: p1,
+            mems: mems.clone(),
+            reg: nebcast::slot_reg(p1, 1, p0),
+            val: copy,
+            client: MemoryClient::new(),
+        });
+        let mut auditor = NebTester::new(p2, procs.clone(), mems.clone(), s2, verifier, vec![]);
+        auditor.engine.set_pipeline_depth(depth);
+        auditor.engine.set_focus(Some(p0));
+        sim.add(auditor);
+        for _ in 0..m {
+            sim.add(neb_memory(&procs));
+        }
+        sim.run_until(Time::from_delays(100), |s| {
+            !s.actor_as::<NebTester>(p2).unwrap().delivered.is_empty()
+        });
+        let t2 = sim.actor_as::<NebTester>(p2).unwrap();
+        assert_eq!(t2.engine.blocked_at(p0), None, "depth {depth}");
+        assert_eq!(t2.delivered, vec![(p0, 1, Value(7))], "depth {depth}");
+    }
 }
 
 proptest! {
