@@ -326,12 +326,22 @@ mod range_reads {
         ]
     }
 
-    /// Registers over two spaces, with `b` either a small sequence number
-    /// or one carrying the high (receipt-style) bit.
+    /// Second coordinates: a small sequence number, one carrying the high
+    /// (receipt-style) bit, or the last coordinate of the space.
+    fn arb_b() -> impl Strategy<Value = u64> {
+        prop_oneof![
+            0u64..12,
+            0u64..12,
+            (0u64..12).prop_map(|k| k | 1 << 63),
+            (0u64..12).prop_map(|k| k | 1 << 63),
+            Just(u64::MAX),
+        ]
+    }
+
+    /// Registers over three spaces, so the paged space 1 sits between two
+    /// that are not paged.
     fn arb_reg() -> impl Strategy<Value = RegId> {
-        (1u16..3, arb_a(), (0u64..12, any::<bool>()), 0u64..3).prop_map(
-            |(space, a, (k, high), c)| RegId::new(space, a, if high { k | 1 << 63 } else { k }, c),
-        )
+        (0u16..3, arb_a(), arb_b(), 0u64..3).prop_map(|(space, a, b, c)| RegId::new(space, a, b, c))
     }
 
     fn arb_opt<S: Strategy<Value = u64> + 'static>(some: S) -> impl Strategy<Value = Option<u64>> {
@@ -343,15 +353,16 @@ mod range_reads {
             (0u64..12, 0u64..8).prop_map(|(start, len)| Window::span(start, len)),
             (0u64..12).prop_map(|k| Window::exact(k | 1 << 63)),
             (0u64..12).prop_map(|k| Window::span(k, u64::MAX)),
+            (0u64..3).prop_map(|k| Window::span(u64::MAX - k, 2)),
         ]
     }
 
     fn arb_within() -> impl Strategy<Value = Option<RegionSpec>> {
         prop_oneof![
             Just(None),
-            (1u16..3).prop_map(|s| Some(RegionSpec::Space(s))),
+            (0u16..3).prop_map(|s| Some(RegionSpec::Space(s))),
             // Un-windowed pattern: served by the scan.
-            (1u16..3, arb_opt(arb_a()), arb_opt(0u64..3)).prop_map(|(space, a, c)| Some(
+            (0u16..3, arb_opt(arb_a()), arb_opt(0u64..3)).prop_map(|(space, a, c)| Some(
                 RegionSpec::Pattern {
                     space,
                     a,
@@ -359,8 +370,8 @@ mod range_reads {
                     c
                 }
             )),
-            // Windowed patterns (twice as likely): served by the index.
-            (1u16..3, arb_opt(arb_a()), arb_window(), arb_opt(0u64..3)).prop_map(
+            // Windowed patterns (twice as likely): the skip-scan's form.
+            (0u16..3, arb_opt(arb_a()), arb_window(), arb_opt(0u64..3)).prop_map(
                 |(space, a, b, c)| Some(RegionSpec::Pattern {
                     space,
                     a,
@@ -368,7 +379,7 @@ mod range_reads {
                     c
                 })
             ),
-            (1u16..3, arb_opt(arb_a()), arb_window(), arb_opt(0u64..3)).prop_map(
+            (0u16..3, arb_opt(arb_a()), arb_window(), arb_opt(0u64..3)).prop_map(
                 |(space, a, b, c)| Some(RegionSpec::Pattern {
                     space,
                     a,
@@ -379,7 +390,7 @@ mod range_reads {
         ]
     }
 
-    /// A batch through the whole memory (acked, rows in both spaces),
+    /// A batch through the whole memory (acked, rows in every space),
     /// through the locked region (refused: no permission), through the
     /// row region with arbitrary rows (refused unless all happen to lie
     /// in it) or with every row moved into it (acked).
@@ -493,7 +504,7 @@ mod range_reads {
         }
     }
 
-    /// The memory under test: space 1 is paged, space 2 hashed.
+    /// The memory under test: space 1 is paged, spaces 0 and 2 are not.
     fn memory() -> MemoryActor<u64, TMsg> {
         MemoryActor::new(LegalChange::Static)
             .with_log_space(1)
