@@ -26,7 +26,7 @@
 pub mod independence;
 
 use std::cell::RefCell;
-use std::collections::{BTreeSet, HashSet};
+use std::collections::BTreeSet;
 use std::rc::Rc;
 
 use simnet::{ActorId, Choice, DelayModel, Simulation};
@@ -336,7 +336,7 @@ pub fn run_schedule(sc: &ShardedScenario, choices: &[usize]) -> ScheduleRun {
 /// independent of the branch event — dependent events *wake*.
 fn child_sleep(pt: &ChoicePoint, branch: usize) -> Vec<ExploredEvent> {
     let b = &pt.options[branch];
-    let mut seen = HashSet::new();
+    let mut seen = BTreeSet::new();
     pt.sleep
         .iter()
         .chain(pt.options[..branch].iter())

@@ -200,7 +200,7 @@ mod tests {
 
     #[test]
     fn seeds_change_scenarios() {
-        let distinct: std::collections::HashSet<String> =
+        let distinct: std::collections::BTreeSet<String> =
             (0..32).map(|s| format!("{:?}", generate(s))).collect();
         assert!(distinct.len() > 16, "generator barely varies");
     }

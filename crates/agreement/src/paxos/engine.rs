@@ -144,10 +144,7 @@ enum Proposer {
         ballot: Ballot,
         promises: BTreeMap<Pid, Option<(Ballot, Value)>>,
     },
-    Phase2 {
-        #[allow(dead_code)]
-        ballot: Ballot,
-    },
+    Phase2,
 }
 
 /// The Paxos state machine. See the module docs for the driving contract.
@@ -231,7 +228,7 @@ impl PaxosEngine {
             // straight to phase 2 with our own input.
             self.used_initial = true;
             let ballot = Ballot::initial(self.cfg.me);
-            self.proposer = Proposer::Phase2 { ballot };
+            self.proposer = Proposer::Phase2;
             let v = self.input.expect("input checked above");
             out.push((Dest::All, PaxosMsg::Accept { b: ballot, v }));
             return;
@@ -275,7 +272,7 @@ impl PaxosEngine {
                         .map(|(_, v)| *v)
                         .unwrap_or_else(|| self.input.expect("proposing without input"));
                     let ballot = *ballot;
-                    self.proposer = Proposer::Phase2 { ballot };
+                    self.proposer = Proposer::Phase2;
                     out.push((
                         Dest::All,
                         PaxosMsg::Accept {

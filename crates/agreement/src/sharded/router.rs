@@ -96,8 +96,6 @@ impl GroupState {
 /// One completed migration, for the run report.
 #[derive(Clone, Copy, Debug)]
 struct MigrationRecord {
-    #[allow(dead_code)]
-    spec: MigrationSpec,
     triggered: Time,
     completed: Time,
 }
@@ -746,7 +744,6 @@ impl RouterActor {
         }
 
         rb.completed.push(MigrationRecord {
-            spec,
             triggered: active.triggered,
             completed: ctx.now(),
         });

@@ -9,7 +9,7 @@
 //!
 //! [`Simulation::crash_at`]: simnet::Simulation::crash_at
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::marker::PhantomData;
 
@@ -108,14 +108,15 @@ impl<V> PagedLog<V> {
 
 /// The registers of a memory. Which of the two stores holds a register is
 /// a function of its space alone; [`Store::get`] is the one lookup and
-/// [`Store::insert`] the one store every operation goes through.
-/// ARCHITECTURE.md, "Which register space lives where", has the sizes and
-/// the measurements.
+/// [`Store::insert`] the one store every operation goes through. Both
+/// stores keep their registers in `RegId` order, so neither needs an index
+/// beside it. ARCHITECTURE.md, "Which register space lives where", has the
+/// sizes and the measurements.
 struct Store<V> {
     /// Every space not declared a log: sparse coordinates (a broadcast
-    /// slot's `b` carries the receipt plane at bit 63), so they are
-    /// hashed.
-    sparse: HashMap<RegId, V>,
+    /// slot's `b` carries the receipt plane at bit 63) in one ordered map,
+    /// which is also what a windowed range read walks ([`scan_window`]).
+    sparse: BTreeMap<RegId, V>,
     /// The space declared a log ([`MemoryActor::with_log_space`]): an
     /// in-order slot write is an indexed store into the page written
     /// last — no hash, no rehash, no copy-on-grow.
@@ -139,7 +140,8 @@ impl<V> Store<V> {
         }
     }
 
-    /// The written registers of both stores, in no particular order.
+    /// The written registers of both stores: each in `RegId` order, the
+    /// two one after the other.
     fn iter(&self) -> impl Iterator<Item = (RegId, &V)> {
         let sparse = self.sparse.iter().map(|(r, v)| (*r, v));
         sparse.chain(self.log.iter())
@@ -148,18 +150,16 @@ impl<V> Store<V> {
 
 /// A simulated memory with registers, regions and permissions.
 ///
+/// Every write is one `Store::insert` per register and keeps nothing
+/// else current: a *windowed* range read (`within` pins a `b` window of a
+/// space that is not a log) walks the ordered sparse store itself, and
+/// every other range read filters both stores and sorts.
+///
 /// Type parameters: `V` is the register value type; `M` the simulation
 /// message type embedding [`MemWire<V>`].
 pub struct MemoryActor<V, M> {
     regions: BTreeMap<RegionId, (RegionSpec, Permission)>,
     store: Store<V>,
-    /// Ordered index of the written keys of both stores, serving
-    /// *windowed* range reads (`within` pins a `b` window) in
-    /// O(matches · log n) instead of a full scan. Absent until this
-    /// memory answers its first windowed read, which builds it; every
-    /// write after that keeps it current. A memory that is never asked
-    /// (the crash path) never pays for it.
-    index: Option<BTreeSet<RegId>>,
     legal: LegalChange,
     _msg: PhantomData<M>,
 }
@@ -185,14 +185,13 @@ where
         MemoryActor {
             regions: BTreeMap::new(),
             store: Store {
-                sparse: HashMap::new(),
+                sparse: BTreeMap::new(),
                 log: PagedLog {
                     space: None,
                     pages: Vec::new(),
                     last: 0,
                 },
             },
-            index: None,
             legal,
             _msg: PhantomData,
         }
@@ -215,9 +214,9 @@ where
     /// Declares `space` a log along `a`: an array of slots filled one `a`
     /// after the other by few writers (Algorithm 7's `slot[instance, p]`).
     /// Its registers are kept in pages of [`LOG_PAGE_ROWS`] consecutive
-    /// `a` per `(b, c)` column instead of the hash map, which changes what
-    /// a write costs and nothing any operation answers. Declared where the
-    /// space's layout is defined, by someone who knows its writers: a
+    /// `a` per `(b, c)` column instead of the ordered map, which changes
+    /// what a write costs and nothing any operation answers. Declared where
+    /// the space's layout is defined, by someone who knows its writers: a
     /// write far from every other still costs a whole page (and never
     /// more), so a space whose dense coordinate an adversary picks stays
     /// undeclared. A memory has at most one.
@@ -247,9 +246,6 @@ where
             },
             MemRequest::Write { region, reg, value } => match self.regions.get(&region) {
                 Some((spec, perm)) if spec.contains(reg) && perm.allows_write(from) => {
-                    if let Some(index) = &mut self.index {
-                        index.insert(reg);
-                    }
                     self.store.insert(reg, value);
                     MemResponse::Ack
                 }
@@ -259,13 +255,6 @@ where
                 Some((spec, perm))
                     if perm.allows_write(from) && writes.iter().all(|(r, _)| spec.contains(*r)) =>
                 {
-                    // The index is brought up to date before the loop, not
-                    // inside it: this is the crash path's hottest loop, and
-                    // an `if let Some(index)` per row cost `smr_b32` ~15 %
-                    // of a whole run when the loop was the hash map's.
-                    if let Some(index) = &mut self.index {
-                        index.extend(writes.iter().map(|(reg, _)| *reg));
-                    }
                     for (reg, value) in writes.iter() {
                         self.store.insert(*reg, value.clone());
                     }
@@ -284,16 +273,10 @@ where
                             a,
                             b: Some(window),
                             ..
-                        }) => {
-                            let index = self
-                                .index
-                                .get_or_insert_with(|| store.iter().map(|(r, _)| r).collect());
-                            // Index order is `RegId` order: no sort.
-                            scan_window(index, space, a, window, |r| {
-                                if !hit(r) {
-                                    return;
-                                }
-                                if let Some(v) = store.get(r) {
+                        }) if !store.log.holds(space) => {
+                            // Map order is `RegId` order: no sort.
+                            scan_window(&store.sparse, space, a, window, |r, v| {
+                                if hit(r) {
                                     rows.push((r, v.clone()));
                                 }
                             });
@@ -323,23 +306,24 @@ where
     }
 }
 
-/// Visits the keys of `index` in `space` whose `b` lies in `window` and
-/// whose `a` is the given one (every `a` when `None`), in `RegId` order —
-/// a skip-scan: one seek per distinct `a`, then a walk over that row's
-/// window, so the cost is O((rows + matches) · log n) however many
-/// registers lie outside the window.
-fn scan_window(
-    index: &BTreeSet<RegId>,
+/// Visits the registers of `sparse` in `space` whose `b` lies in `window`
+/// and whose `a` is the given one (every `a` when `None`), in `RegId`
+/// order, each with its value — a skip-scan: one seek per distinct `a`,
+/// then a walk over that row's window, so the cost is
+/// O((rows + matches) · log n) however many registers lie outside the
+/// window, and no register is looked up a second time.
+fn scan_window<V>(
+    sparse: &BTreeMap<RegId, V>,
     space: u16,
     a: Option<u64>,
     window: Window,
-    mut visit: impl FnMut(RegId),
+    mut visit: impl FnMut(RegId, &V),
 ) {
     let mut row = a.unwrap_or(0);
     loop {
         // Where the walk leaves this row decides the next seek.
         let mut next_row = None;
-        for &r in index.range(RegId::new(space, row, window.start(), 0)..) {
+        for (&r, v) in sparse.range(RegId::new(space, row, window.start(), 0)..) {
             if r.space != space {
                 break;
             }
@@ -351,7 +335,7 @@ fn scan_window(
                 next_row = row.checked_add(1);
                 break;
             }
-            visit(r);
+            visit(r, v);
         }
         match next_row {
             Some(next) if a.is_none() => row = next,

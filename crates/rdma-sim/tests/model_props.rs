@@ -247,10 +247,10 @@ mod data_path {
 mod range_reads {
     //! Every answer of a memory equals a `BTreeMap<RegId, u64>` model's:
     //! `ReadRange` is `sort(filter(all registers))` whether the memory
-    //! scans its stores or walks the ordered key index it builds on the
-    //! first windowed read, point reads see exactly the acked writes, and
-    //! a refused `WriteMany` leaves none of its rows behind — in the
-    //! paged store of a log space and in the hash map alike.
+    //! scans its stores or skip-scans its ordered sparse store for a
+    //! window, point reads see exactly the acked writes, and a refused
+    //! `WriteMany` leaves none of its rows behind — in the paged store of
+    //! a log space and in the ordered map alike.
 
     use std::collections::BTreeMap;
     use std::sync::Arc;

@@ -16,7 +16,7 @@ pub fn is_client_id(v: Value) -> bool {
 /// Service-wide exactly-once: no client command id appears twice across
 /// all groups' logs, and every command landed somewhere.
 pub fn assert_exactly_once(sc: &ShardedScenario, r: &ShardedRunReport) {
-    let mut seen = std::collections::HashSet::new();
+    let mut seen = std::collections::BTreeSet::new();
     for (g, group) in r.groups.iter().enumerate() {
         for &v in &group.log {
             if is_client_id(v) {

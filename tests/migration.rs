@@ -68,7 +68,7 @@ fn assert_flip_safety(
     let keys = keys_of(sc);
 
     // Exactly-once across the whole service.
-    let mut seen = std::collections::HashSet::new();
+    let mut seen = std::collections::BTreeSet::new();
     for group in &r.groups {
         for &v in &group.log {
             if decode_ctrl(v).is_none() && v.0 != u64::MAX {
@@ -303,7 +303,7 @@ fn auto_rebalance_splits_the_hot_range_and_recovers_throughput() {
         static_run.elapsed_delays
     );
     // Exactly-once still holds with policy-triggered migrations.
-    let mut seen = std::collections::HashSet::new();
+    let mut seen = std::collections::BTreeSet::new();
     for group in &r.groups {
         for &v in &group.log {
             if decode_ctrl(v).is_none() && v.0 != u64::MAX {

@@ -257,7 +257,7 @@ fn fully_byzantine_group_never_corrupts_sibling_groups() {
         "per-group commit accounting is inconsistent"
     );
     assert!(r.all_logs_agree && r.no_cross_group_leak, "{r:?}");
-    let mut seen = std::collections::HashSet::new();
+    let mut seen = std::collections::BTreeSet::new();
     for group in &r.groups {
         for &v in &group.log {
             if is_client_id(v) {

@@ -188,7 +188,7 @@ fn session_dedup_suppresses_failover_duplicates() {
         // Exactly-once in the log for this schedule: no client command id
         // appears twice within a group's log (no-op fillers excluded).
         for (g, group) in r.groups.iter().enumerate() {
-            let mut seen = std::collections::HashSet::new();
+            let mut seen = std::collections::BTreeSet::new();
             for v in &group.log {
                 if v.0 != u64::MAX {
                     assert!(
