@@ -388,6 +388,10 @@ impl WheelQueue {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
+    use proptest::prelude::*;
+
     use super::*;
 
     fn ev(at: u64, seq: u64) -> Key {
@@ -482,55 +486,151 @@ mod tests {
         assert_eq!(w, sorted);
     }
 
-    #[test]
-    fn interleaved_push_pop_preserves_order() {
-        let mut q = WheelQueue::new();
-        q.push(ev(10, 1));
-        q.push(ev(20, 2));
-        assert_eq!(q.next_time(), Some(Time(10)));
-        let first = q.pop().unwrap();
-        assert_eq!((first.at.0, first.seq), (10, 1));
-        // Schedule at the current tick (cursor == 10) and far ahead.
-        q.push(ev(10, 3));
-        q.push(ev(100_000, 4));
-        assert_eq!(q.pop().map(|e| (e.at.0, e.seq)), Some((10, 3)));
-        assert_eq!(q.pop().map(|e| (e.at.0, e.seq)), Some((20, 2)));
-        assert_eq!(q.next_time(), Some(Time(100_000)));
-        assert_eq!(q.pop().map(|e| (e.at.0, e.seq)), Some((100_000, 4)));
-        assert_eq!(q.pop().map(|e| (e.at.0, e.seq)), None);
-        assert_eq!(q.len(), 0);
+    // --- The queue against an ordered-set model -------------------------
+
+    /// The queue under test, seen through the three operations the engine
+    /// performs on it.
+    type Queue = WheelQueue;
+
+    fn queue() -> Queue {
+        WheelQueue::new()
     }
 
-    #[test]
-    fn far_events_merge_into_correct_tick_order() {
-        let mut q = WheelQueue::new();
-        // Tick 32768 is one past the initial window: seq 1 starts in the
-        // far heap. After the cursor advances to 1 the window covers it,
-        // so seq 3 goes straight to the ring bucket — which then receives
-        // far-drained seq 1 *after* seq 3. The arrival sort must restore
-        // seq order.
-        q.push(ev(32_768, 1));
-        q.push(ev(1, 2));
-        assert_eq!(q.pop().map(|e| (e.at.0, e.seq)), Some((1, 2)));
-        q.push(ev(32_768, 3));
-        assert_eq!(q.pop().map(|e| (e.at.0, e.seq)), Some((32_768, 1)));
-        assert_eq!(q.pop().map(|e| (e.at.0, e.seq)), Some((32_768, 3)));
+    fn next_time(q: &mut Queue) -> Option<Time> {
+        q.next_time()
     }
 
-    #[test]
-    fn window_revolution_wraps_cleanly() {
-        let mut q = WheelQueue::new();
-        let mut expect = Vec::new();
-        // March the cursor through several full window revolutions.
-        for i in 0..10u64 {
-            let at = i * 20_000;
-            q.push(ev(at, i));
-            expect.push((at, i));
+    /// 2^15 ticks: the wheel's window. Scripts push across its edges,
+    /// both absolute and relative to the last popped tick.
+    const WINDOW: u64 = 1 << 15;
+
+    /// Absolute ticks on the window's edges over three revolutions.
+    const EDGES: [u64; 6] = [
+        WINDOW - 1,
+        WINDOW,
+        2 * WINDOW - 1,
+        2 * WINDOW,
+        3 * WINDOW - 1,
+        3 * WINDOW,
+    ];
+
+    /// One step of a script. `Push(recipe, r)` picks its tick from the
+    /// last popped tick `now` and `r` (see [`tick`]); `PopRipe(r)` is
+    /// `pop_chosen`'s pattern, keeping alternative `r % ripe`.
+    #[derive(Clone, Copy, Debug)]
+    enum Step {
+        Push(u32, u64),
+        Pop,
+        NextTime,
+        PopRipe(u64),
+    }
+
+    /// The tick a push lands on. Never behind `now`: the engine never
+    /// schedules into the past.
+    fn tick(recipe: u32, r: u64, now: u64) -> u64 {
+        match recipe {
+            // Anywhere in the first three revolutions.
+            0 => r.max(now),
+            // The tick just popped.
+            1 => now,
+            // The near future, where same-tick ties pile up.
+            2 => now + r % 64,
+            // One short of, on and one past the window's edge ahead.
+            3 => now + WINDOW - 1 + r % 3,
+            // An absolute window edge.
+            4 => EDGES[(r % EDGES.len() as u64) as usize].max(now),
+            // One to three whole revolutions ahead.
+            _ => now + WINDOW * (1 + r % 3),
         }
-        let mut got = Vec::new();
-        while let Some(e) = q.pop() {
-            got.push((e.at.0, e.seq));
+    }
+
+    fn arb_step() -> impl Strategy<Value = Step> {
+        prop_oneof![
+            (0u32..6, 0u64..3 * WINDOW).prop_map(|(k, r)| Step::Push(k, r)),
+            (0u32..6, 0u64..3 * WINDOW).prop_map(|(k, r)| Step::Push(k, r)),
+            Just(Step::Pop),
+            Just(Step::NextTime),
+            (0u64..8).prop_map(Step::PopRipe),
+        ]
+    }
+
+    /// A key whose `to` and `slot` are derived from its `seq`, so that a
+    /// popped key can be checked whole.
+    fn keyed(at: u64, seq: u64) -> Key {
+        Key {
+            at: Time(at),
+            seq,
+            to: ActorId(seq as u32),
+            slot: seq as u32,
         }
-        assert_eq!(got, expect);
+    }
+
+    fn whole(k: Key) -> (u64, u64, u32, u32) {
+        (k.at.0, k.seq, k.to.0, k.slot)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Any script of pushes, pops, peeks and choice-hook pops sees the
+        /// queue behave like a `BTreeSet` of `(at, seq)`: the same next
+        /// time, the same key popped, the same ripe slate, the same length.
+        #[test]
+        fn queue_pops_like_an_ordered_set(
+            script in proptest::collection::vec(arb_step(), 1..400),
+        ) {
+            let mut q = queue();
+            let mut model: BTreeSet<(u64, u64)> = BTreeSet::new();
+            let (mut now, mut seq) = (0u64, 0u64);
+            for (i, &step) in script.iter().enumerate() {
+                match step {
+                    Step::Push(recipe, r) => {
+                        seq += 1;
+                        let at = tick(recipe, r, now);
+                        q.push(keyed(at, seq));
+                        model.insert((at, seq));
+                    }
+                    Step::Pop => {
+                        let want = model.pop_first().map(|(at, seq)| whole(keyed(at, seq)));
+                        prop_assert_eq!(q.pop().map(whole), want, "step {}: pop", i);
+                        if let Some((at, ..)) = want {
+                            now = at;
+                        }
+                    }
+                    Step::NextTime => {
+                        let want = model.first().map(|&(at, _)| Time(at));
+                        prop_assert_eq!(next_time(&mut q), want, "step {}: next_time", i);
+                    }
+                    Step::PopRipe(r) => {
+                        let Some(t) = next_time(&mut q) else {
+                            prop_assert!(model.is_empty(), "step {}: next_time is None", i);
+                            continue;
+                        };
+                        let mut ripe = Vec::new();
+                        while next_time(&mut q) == Some(t) {
+                            ripe.push(q.pop().expect("next_time promised a key"));
+                        }
+                        let want: Vec<_> = model
+                            .iter()
+                            .take_while(|&&(at, _)| at == t.0)
+                            .map(|&(at, seq)| whole(keyed(at, seq)))
+                            .collect();
+                        let got: Vec<_> = ripe.iter().map(|&k| whole(k)).collect();
+                        prop_assert_eq!(got, want, "step {}: ripe slate at {}", i, t.0);
+                        let chosen = ripe.remove(r as usize % ripe.len());
+                        model.remove(&(chosen.at.0, chosen.seq));
+                        for rest in ripe {
+                            q.push(rest);
+                        }
+                        now = t.0;
+                    }
+                }
+                prop_assert_eq!(q.len(), model.len(), "step {}: len", i);
+            }
+            // Drained, the queue yields the model's remaining order.
+            let rest: Vec<_> = std::iter::from_fn(|| q.pop()).map(whole).collect();
+            let want: Vec<_> = model.iter().map(|&(at, seq)| whole(keyed(at, seq))).collect();
+            prop_assert_eq!(rest, want);
+        }
     }
 }
