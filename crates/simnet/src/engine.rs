@@ -2,8 +2,8 @@
 //!
 //! An [`Engine`] is one complete event-at-a-time kernel minus any policy
 //! about *which* event runs next or *where* emitted events go: it owns the
-//! actors, crash flags, calendar queue, scheduling-sequence counter, clock
-//! and dispatch [`Core`], and its single [`Engine::step`] is the only place
+//! actors, crash flags, key heap, scheduling-sequence counter, clock and
+//! dispatch [`Core`], and its single [`Engine::step`] is the only place
 //! in the crate an event is applied (crash / drop / timer-retire / metrics
 //! / obs / handler). The two drivers supply the rest:
 //!
@@ -23,8 +23,10 @@
 //! `Context::send` / `set_timer` / [`Engine::push`] that wrote it there to
 //! the `step` that takes it out and hands it to its handler — also when
 //! the step drops it at a crashed target or finds its timer cancelled.
-//! What `pending`, the queue and the drivers' closures pass around is its
+//! What `pending`, the heap and the drivers' closures pass around is its
 //! [`Key`].
+
+use std::collections::BinaryHeap;
 
 use rand::rngs::StdRng;
 
@@ -32,7 +34,7 @@ use crate::actor::AnyActor;
 use crate::event::EventKind;
 use crate::ids::ActorId;
 use crate::obs::EventBody;
-use crate::queue::{EventSlab, Key, WheelQueue};
+use crate::queue::{EventSlab, Key, SLAB_SLOTS};
 use crate::sim::{Context, Core};
 use crate::time::Time;
 
@@ -45,7 +47,8 @@ pub(crate) struct Engine<M, A: ?Sized> {
     actors: Vec<Option<Box<A>>>,
     /// Crash flags, indexed densely by actor.
     crashed: Vec<bool>,
-    queue: WheelQueue,
+    /// Every queued key; pops in ascending `(at, seq)` order.
+    queue: BinaryHeap<Key>,
     seq: u64,
     now: Time,
     pub(crate) core: Core<M>,
@@ -57,7 +60,7 @@ impl<M, A: ?Sized + AnyActor<M>> Engine<M, A> {
         Engine {
             actors: Vec::new(),
             crashed: Vec::new(),
-            queue: WheelQueue::new(),
+            queue: BinaryHeap::with_capacity(SLAB_SLOTS),
             seq: 0,
             now: Time::ZERO,
             core: Core::new(rng),
@@ -99,8 +102,8 @@ impl<M, A: ?Sized + AnyActor<M>> Engine<M, A> {
     }
 
     /// Time of the earliest queued event.
-    pub(crate) fn next_time(&mut self) -> Option<Time> {
-        self.queue.next_time()
+    pub(crate) fn next_time(&self) -> Option<Time> {
+        self.queue.peek().map(|key| key.at)
     }
 
     /// Queued events.
@@ -154,7 +157,7 @@ impl<M, A: ?Sized + AnyActor<M>> Engine<M, A> {
     /// `core.slab` and send it elsewhere) and the emitting actor.
     pub(crate) fn step(
         &mut self,
-        pop: impl FnOnce(&mut WheelQueue, &EventSlab<M>) -> Option<Key>,
+        pop: impl FnOnce(&mut BinaryHeap<Key>, &EventSlab<M>) -> Option<Key>,
         mut emit: impl FnMut(&mut Self, ActorId, Key),
     ) -> bool {
         let depth = self.queue.len() as u64;

@@ -38,30 +38,32 @@
 //! Kernel dispatch is the wall-clock floor under every experiment, so the
 //! hot path is engineered around three rules:
 //!
-//! * **Queue structure.** The event queue is a bucketed calendar queue
-//!   ("timing wheel"): one bucket per virtual tick over a 2^15-tick
-//!   near-future window, a two-level occupancy bitmap to find the next
-//!   non-empty tick in a few word operations, and a binary-heap fallback
-//!   for far-future entries that migrate into the wheel as time approaches
-//!   them. Buckets and heap hold 24-byte keys `(time, seq, target, slot)`;
-//!   the event a key stands for sits in one slot of a per-kernel slab from
-//!   the moment it is sent to the moment it is dispatched — written once,
-//!   read once — so queueing a 112-byte service message moves 24 bytes
-//!   (a cross-partition send moves the event itself, out of one kernel's
-//!   slab and into another's). Push and pop are O(1) in the common case;
-//!   the win over the old `BinaryHeap` kernel grows with the number of
-//!   in-flight events (≈2x events/sec with tens of thousands queued — see
-//!   `BENCH_PR1.json`'s `kernel_queue_stress`), the win of keys over
-//!   queued payloads with the size of the message (`BENCH_PR22_benchmark.txt`).
+//! * **Queue structure.** The event queue is one `std` binary heap of
+//!   24-byte keys `(time, seq, target, slot)`; the event a key stands for
+//!   sits in one slot of a per-kernel slab from the moment it is sent to
+//!   the moment it is dispatched — written once, read once — so queueing
+//!   a 112-byte service message moves 24 bytes (a cross-partition send
+//!   moves the event itself, out of one kernel's slab and into another's).
+//!   The queue is shallow: at most 57 keys on the repository benchmark's
+//!   workloads and 576 on any `perf_snapshot` row, where a heap is ten
+//!   levels of cache-resident compares. A timing wheel (one bucket per
+//!   tick over a 2^15-tick window) ordered the keys before: built for tens
+//!   of thousands of queued events, at these depths its 1 MB bucket array
+//!   cost more in cache misses, first-touch allocations and per-engine
+//!   setup than it saved, and the heap runs the kernel-bound `smr_b1`
+//!   workload about 1.3x as fast.
 //! * **Allocation rules.** Steady-state dispatch performs no heap
-//!   allocation: link delays are sampled by reference (no per-send model
-//!   clone), recorded event bodies are built lazily (kernel events and
-//!   [`Context::note_with`] alike) so disabled recording costs one branch,
-//!   timers use generation-stamped slots (O(1) arm/cancel/fire, bounded
-//!   memory — the old cancelled-timer tombstone set grew forever), event
-//!   slots are recycled last-vacated-first (the slab stays the size of
-//!   the queue's depth), the per-dispatch pending buffer is reused, and
-//!   crash flags live in a dense bitvector.
+//!   allocation (`tests/dispatch_alloc.rs` counts them: none over ~56 000
+//!   events of a warmed relay workload): the key heap, the slab and its
+//!   vacancy list are sized up front and keep their capacity, link delays
+//!   are sampled by reference (no per-send model clone), recorded event
+//!   bodies are built lazily (kernel events and [`Context::note_with`]
+//!   alike) so disabled recording costs one branch, timers use
+//!   generation-stamped slots (O(1) arm/cancel/fire, bounded memory — the
+//!   old cancelled-timer tombstone set grew forever), event slots are
+//!   recycled last-vacated-first (the slab stays the size of the queue's
+//!   depth), the per-dispatch pending buffer is reused, and crash flags
+//!   live in a dense bitvector.
 //! * **Determinism contract.** Events dispatch in strictly ascending
 //!   `(time, seq)` order, where `seq` is the kernel-assigned scheduling
 //!   sequence number; RNG draws happen in dispatch order. Any conforming
@@ -76,8 +78,8 @@
 //!
 //! For workloads made of loosely-coupled actor clusters (the sharded SMR
 //! service's disjoint replication groups), [`ParSimulation`] splits the
-//! kernel into per-partition sub-kernels — each with its own calendar
-//! queue, timer table, metrics, and RNG stream — executed on a scoped
+//! kernel into per-partition sub-kernels — each with its own key heap,
+//! timer table, metrics, and RNG stream — executed on a scoped
 //! thread pool under conservative window synchronization: partitions run
 //! independently for one *lookahead* (the minimum cross-partition link
 //! delay) of virtual time, then exchange staged cross-partition messages

@@ -65,10 +65,10 @@ pub struct Metrics {
     /// range read fetched — the deterministic proxy for the bytes a scan
     /// moves, flat in the log length when reads are window-bounded.
     pub mem_range_rows: u64,
-    /// Deepest the kernel event queue ever got, in scheduled events. Large
-    /// multi-group workloads (many actors, many in-flight messages) are
-    /// where queue depth — and the calendar queue's O(1) advantage over the
-    /// legacy heap — shows up; this exposes it to the perf snapshots.
+    /// Deepest the kernel event queue ever got, in keys in its heap (one
+    /// per scheduled event or crash). Large multi-group
+    /// workloads (many actors, many in-flight messages) are where it grows;
+    /// this exposes it to the perf snapshots.
     pub peak_queue_len: u64,
     /// When each actor first reported a decision, in event order.
     decisions: BTreeMap<ActorId, Time>,

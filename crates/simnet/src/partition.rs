@@ -12,8 +12,8 @@
 //!
 //! Actors are placed onto `P` partitions (the [`Partitioning`] map). Each
 //! partition is a complete sub-kernel — an instance of the same dispatch
-//! engine [`Simulation`] runs on (`engine.rs`): its own bucketed calendar
-//! queue, its own scheduling-sequence counter, its own generation-stamped
+//! engine [`Simulation`] runs on (`engine.rs`): its own key heap, its own
+//! scheduling-sequence counter, its own generation-stamped
 //! timer table, its own metrics and trace, and its own RNG stream (split
 //! from the run seed by partition index). The run alternates two phases:
 //!

@@ -1,47 +1,51 @@
 //! The event queue of the simulation kernel.
 //!
-//! Two structures, one per job. [`WheelQueue`] *orders*: it holds one
-//! 24-byte [`Key`] `(at, seq, to, slot)` per queued entry and nothing of
-//! the event itself. [`EventSlab`] *stores*: the event a key stands for
-//! sits in slab slot `key.slot` from the moment it is sent until the
-//! moment it is dispatched — written once, read once — while only the key
-//! moves through `pending`, buckets, the far heap, the arrival sort and
-//! the choice hook's pop-and-push-back. (The queue used to carry the
-//! events themselves: a service message was 192 bytes then, and every
-//! queued event was copied six to seven times on its way to its handler.) A
+//! Two structures, one per job. A `BinaryHeap` of [`Key`]s, held by the
+//! engine, *orders*: one 24-byte key `(at, seq, to, slot)` per queued
+//! entry and nothing of the event itself. [`EventSlab`] *stores*: the
+//! event a key stands for sits in slab slot `key.slot` from the moment it
+//! is sent until the moment it is dispatched — written once, read once —
+//! while only the key moves through `pending`, the heap and the choice
+//! hook's pop-and-push-back. (The queue used to carry the events
+//! themselves: a service message was 192 bytes then, and every queued
+//! event was copied six to seven times on its way to its handler.) A
 //! scheduled crash has no event: its key carries the sentinel slot
 //! [`Key::CRASH`].
-//!
-//! [`WheelQueue`] is a bucketed calendar queue ("timing wheel") of
-//! one-tick buckets over a 2^15-tick near-future window, with a two-level
-//! occupancy bitmap to find the next non-empty tick in a handful of word
-//! operations, and a [`BinaryHeap`] fallback for far-future entries (they
-//! migrate into the wheel as virtual time approaches them). Push and pop
-//! are O(1) in the common case. (The pre-overhaul kernel used a plain
-//! [`BinaryHeap`]; the tests below still pop one against the wheel to pin
-//! the identical `(time, seq)` order.)
 //!
 //! [`EventSlab`] is a `Vec` of optional events plus a LIFO list of vacant
 //! slots: the slot a dispatch just emptied is the one the handler's first
 //! send fills, so the slab never grows past the deepest the queue got
 //! plus one dispatch's emissions, and the hot slots stay in cache.
 //!
+//! ## Why a heap
+//!
+//! The queue is shallow. Its deepest point is 9 / 9 / 57 / 21 keys on the
+//! repository benchmark's four workloads and 576 on any `perf_snapshot`
+//! row (`sharded_g64`). A heap of 576 keys is 14 kB and ten levels deep,
+//! so a push or a pop is a few compares in cache, and the heap is sized
+//! once, with the slab ([`SLAB_SLOTS`]). The kernel used to order its keys
+//! in a timing wheel instead: one bucket per tick over a 2^15-tick window,
+//! an occupancy bitmap to find the next non-empty tick, and a far-future
+//! heap. It was built for tens of thousands of queued events, and at these
+//! depths it cost more than it saved. Every insert touched a bucket header
+//! in a 1 MB array before the bucket itself (11 % of the kernel-bound
+//! `smr_b1` workload's sampled host time), a bucket allocated the first
+//! time its tick was used, and every engine built and dropped the array.
+//! With the heap, `smr_b1` runs about 1.3x as many commands per reference
+//! second.
+//!
 //! ## Determinism contract
 //!
 //! Keys pop in strictly ascending `(at, seq)` order, where `seq` is the
-//! kernel-assigned scheduling sequence number. The wheel guarantees this
-//! by (a) advancing its cursor tick-to-tick through the occupancy bitmaps,
-//! and (b) sorting each bucket by `seq` when the cursor arrives on it
-//! (buckets can receive keys out of sequence order when far-future
-//! entries drain in next to directly-scheduled ones; the sort is
-//! O(k log k) over tiny, mostly-sorted buckets). Keys scheduled for the
-//! tick currently being dispatched always carry a higher `seq` than
-//! anything already in the bucket, so appends preserve sortedness. Which
-//! slot an event occupies is never observable: no order, sequence number
-//! or RNG draw depends on it.
+//! kernel-assigned scheduling sequence number. [`Key`]'s `Ord` is that
+//! order inverted, for `std`'s max-heap. `seq` is unique within an engine,
+//! so no two queued keys compare equal and the pop order is total,
+//! whatever order the keys were pushed in — including the choice hook's
+//! push-back of the alternatives it did not pick. Which slot an event
+//! occupies is never observable: no order, sequence number or RNG draw
+//! depends on it.
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
 
 use crate::event::EventKind;
 use crate::ids::ActorId;
@@ -95,10 +99,11 @@ impl Ord for Key {
     }
 }
 
-/// Slots the slab and its vacancy list are sized for at construction:
-/// twice the deepest queue of any benchmark workload (9 / 9 / 57 / 21
-/// entries), so a service run pays no growth step for either vector.
-const SLAB_SLOTS: usize = 128;
+/// Slots the slab, its vacancy list and the engine's key heap are sized
+/// for at construction: twice the deepest queue of any benchmark workload
+/// (9 / 9 / 57 / 21 entries), so a service run pays no growth step for any
+/// of the three.
+pub(crate) const SLAB_SLOTS: usize = 128;
 
 /// Where queued events live between send and dispatch (see the module
 /// docs).
@@ -176,237 +181,18 @@ impl<M> EventSlab<M> {
     }
 }
 
-/// log2 of the wheel window, in ticks. 2^15 = 32768 ticks ≈ 32 network
-/// delays: every common-case message (1–4 delays) and retry timer (20–30
-/// delays) lands in the wheel; only long failure-detection timeouts and
-/// scripted far-future stimuli take the heap detour.
-const RING_BITS: u32 = 15;
-const RING: usize = 1 << RING_BITS;
-const RING_MASK: u64 = (RING - 1) as u64;
-const WORDS: usize = RING / 64;
-const SUMMARY_WORDS: usize = WORDS / 64;
-
-/// Bucketed calendar queue with far-future heap fallback.
-pub(crate) struct WheelQueue {
-    /// One bucket per tick of the window `[cursor, cursor + RING)`,
-    /// indexed by `tick & RING_MASK`.
-    buckets: Box<[VecDeque<Key>]>,
-    /// Bit per bucket: bucket may be non-empty. Only the cursor's own bit
-    /// can be stale (cleared lazily when the cursor advances).
-    occupied: Box<[u64]>,
-    /// Bit per `occupied` word: word is non-zero.
-    summary: [u64; SUMMARY_WORDS],
-    /// Current tick: every event before it has been popped.
-    cursor: u64,
-    /// Entries at `cursor + RING` or later, ordered like the legacy heap.
-    far: BinaryHeap<Key>,
-    /// Memoized [`WheelQueue::next_time`] result; invalidated by any push
-    /// or pop. The run loop peeks before every step, so this halves the
-    /// bitmap scans.
-    cached_next: Option<Option<Time>>,
-    len: usize,
-}
-
-impl WheelQueue {
-    pub(crate) fn new() -> WheelQueue {
-        WheelQueue {
-            buckets: (0..RING).map(|_| VecDeque::new()).collect(),
-            occupied: vec![0u64; WORDS].into_boxed_slice(),
-            summary: [0; SUMMARY_WORDS],
-            cursor: 0,
-            far: BinaryHeap::new(),
-            cached_next: None,
-            len: 0,
-        }
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        self.len
-    }
-
-    fn set_bit(&mut self, slot: usize) {
-        let w = slot >> 6;
-        self.occupied[w] |= 1u64 << (slot & 63);
-        self.summary[w >> 6] |= 1u64 << (w & 63);
-    }
-
-    fn clear_bit(&mut self, slot: usize) {
-        let w = slot >> 6;
-        self.occupied[w] &= !(1u64 << (slot & 63));
-        if self.occupied[w] == 0 {
-            self.summary[w >> 6] &= !(1u64 << (w & 63));
-        }
-    }
-
-    /// Absolute tick of an occupied `slot`, given that all ring content
-    /// lies in `[cursor, cursor + RING)`.
-    fn tick_of(&self, slot: usize) -> u64 {
-        let offset = (slot as u64).wrapping_sub(self.cursor) & RING_MASK;
-        self.cursor + offset
-    }
-
-    /// First word index in `w_lo..w_hi` whose occupancy word is non-zero,
-    /// found through the summary bitmap (a handful of word operations
-    /// regardless of gap size).
-    fn scan_words(&self, w_lo: usize, w_hi: usize) -> Option<usize> {
-        if w_lo >= w_hi {
-            return None;
-        }
-        let s0 = w_lo >> 6;
-        let s_end = (w_hi - 1) >> 6;
-        // Partial first summary word.
-        let mut m = self.summary[s0] & (u64::MAX << (w_lo & 63));
-        let mut s = s0;
-        while m == 0 && s < s_end {
-            s += 1;
-            m = self.summary[s];
-        }
-        if m == 0 {
-            return None;
-        }
-        let w = (s << 6) + m.trailing_zeros() as usize;
-        (w < w_hi).then_some(w)
-    }
-
-    /// Next occupied slot strictly after `start` in circular ring order
-    /// (i.e. the nearest future tick's slot).
-    fn next_occupied_after(&self, start: usize) -> Option<usize> {
-        let w0 = start >> 6;
-        let b0 = start & 63;
-        // Remaining bits of the start word, excluding `start` itself.
-        let mask = if b0 == 63 { 0 } else { u64::MAX << (b0 + 1) };
-        let m = self.occupied[w0] & mask;
-        if m != 0 {
-            return Some((w0 << 6) + m.trailing_zeros() as usize);
-        }
-        // Later words, then wrap around; rechecking w0 on the wrapped pass
-        // picks up bits below b0 (ticks in the next window revolution).
-        let w = self
-            .scan_words(w0 + 1, WORDS)
-            .or_else(|| self.scan_words(0, w0 + 1))?;
-        Some((w << 6) + self.occupied[w].trailing_zeros() as usize)
-    }
-
-    fn ring_insert(&mut self, ev: Key) {
-        let slot = (ev.at.0 & RING_MASK) as usize;
-        self.buckets[slot].push_back(ev);
-        self.set_bit(slot);
-    }
-
-    /// Moves far-future events that have come inside the window into the
-    /// ring. Heap pops arrive in `(at, seq)` order, so same-tick runs land
-    /// in a bucket already sorted relative to each other.
-    fn drain_far(&mut self) {
-        let horizon = self.cursor + RING as u64;
-        while self.far.peek().is_some_and(|top| top.at.0 < horizon) {
-            let ev = self.far.pop().expect("peeked");
-            self.ring_insert(ev);
-        }
-    }
-
-    pub(crate) fn push(&mut self, ev: Key) {
-        debug_assert!(
-            ev.at.0 >= self.cursor,
-            "event scheduled behind the wheel cursor"
-        );
-        self.len += 1;
-        // Cheap cache maintenance: a known next time only improves; an
-        // unknown one (None) stays unknown.
-        match self.cached_next {
-            Some(Some(t)) if ev.at < t => self.cached_next = Some(Some(ev.at)),
-            Some(None) => self.cached_next = Some(Some(ev.at)),
-            _ => {}
-        }
-        if ev.at.0 >= self.cursor + RING as u64 {
-            self.far.push(ev);
-        } else {
-            self.ring_insert(ev);
-        }
-    }
-
-    pub(crate) fn pop(&mut self) -> Option<Key> {
-        if self.len == 0 {
-            return None;
-        }
-        self.cached_next = None;
-        self.drain_far();
-        loop {
-            let cslot = (self.cursor & RING_MASK) as usize;
-            if let Some(ev) = self.buckets[cslot].pop_front() {
-                self.len -= 1;
-                return Some(ev);
-            }
-            // Current tick exhausted: retire its (possibly stale) bit and
-            // advance the cursor to the next occupied tick.
-            self.clear_bit(cslot);
-            match self.next_occupied_after(cslot) {
-                Some(slot) => {
-                    self.cursor = self.tick_of(slot);
-                    let bucket = &mut self.buckets[slot];
-                    if bucket.len() > 1 {
-                        bucket.make_contiguous().sort_unstable_by_key(|e| e.seq);
-                    }
-                }
-                None => {
-                    // Ring empty; jump to the far heap (non-empty, since
-                    // len > 0) and pull its head tick in.
-                    self.cursor = self.far.peek()?.at.0;
-                    self.drain_far();
-                }
-            }
-        }
-    }
-
-    /// Virtual time of the next event, without consuming it or moving the
-    /// cursor. Memoized between mutations.
-    pub(crate) fn next_time(&mut self) -> Option<Time> {
-        if let Some(cached) = self.cached_next {
-            return cached;
-        }
-        let next = self.compute_next_time();
-        self.cached_next = Some(next);
-        next
-    }
-
-    fn compute_next_time(&mut self) -> Option<Time> {
-        if self.len == 0 {
-            return None;
-        }
-        self.drain_far();
-        let cslot = (self.cursor & RING_MASK) as usize;
-        if !self.buckets[cslot].is_empty() {
-            return Some(Time(self.cursor));
-        }
-        if let Some(slot) = self.next_occupied_after(cslot) {
-            if !self.buckets[slot].is_empty() {
-                return Some(Time(self.tick_of(slot)));
-            }
-        }
-        self.far.peek().map(|ev| ev.at)
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use std::collections::BTreeSet;
+    use std::collections::{BTreeSet, BinaryHeap};
 
     use proptest::prelude::*;
 
     use super::*;
 
-    fn ev(at: u64, seq: u64) -> Key {
-        Key {
-            at: Time(at),
-            seq,
-            to: ActorId(0),
-            slot: Key::CRASH,
-        }
-    }
-
     #[test]
     fn a_key_is_three_words() {
-        // What every bucket, the far heap and `pending` hold per entry,
-        // whatever the message type.
+        // What the heap and `pending` hold per entry, whatever the message
+        // type.
         assert_eq!(std::mem::size_of::<Key>(), 24);
     }
 
@@ -446,62 +232,23 @@ mod tests {
         slab.take(slot);
     }
 
-    #[test]
-    fn wheel_matches_heap_on_scattered_schedule() {
-        // Ticks spanning in-window, boundary, and far-future ranges,
-        // deliberately inserted out of order with seq ties on equal ticks.
-        // A plain binary heap (the pre-overhaul queue) is the ordering
-        // reference: both must pop in identical ascending (at, seq) order.
-        let script: Vec<(u64, u64)> = vec![
-            (5, 1),
-            (0, 2),
-            (5, 3),
-            (40_000, 4), // beyond the 32768-tick window: heap fallback
-            (32_767, 5), // last in-window tick
-            (32_768, 6), // first out-of-window tick
-            (1_000, 7),
-            (0, 8),
-            (999_999, 9),
-            (40_000, 10),
-        ];
-        let mut wheel = WheelQueue::new();
-        let mut heap: BinaryHeap<Key> = BinaryHeap::new();
-        for &(at, seq) in &script {
-            wheel.push(ev(at, seq));
-            heap.push(ev(at, seq));
-        }
-        assert_eq!(wheel.len(), script.len());
-        let mut w = Vec::new();
-        while let Some(e) = wheel.pop() {
-            w.push((e.at.0, e.seq));
-        }
-        let mut h = Vec::new();
-        while let Some(e) = heap.pop() {
-            h.push((e.at.0, e.seq));
-        }
-        assert_eq!(w, h);
-        // And the order really is ascending (at, seq).
-        let mut sorted = w.clone();
-        sorted.sort();
-        assert_eq!(w, sorted);
-    }
-
     // --- The queue against an ordered-set model -------------------------
 
     /// The queue under test, seen through the three operations the engine
     /// performs on it.
-    type Queue = WheelQueue;
+    type Queue = BinaryHeap<Key>;
 
     fn queue() -> Queue {
-        WheelQueue::new()
+        BinaryHeap::with_capacity(SLAB_SLOTS)
     }
 
     fn next_time(q: &mut Queue) -> Option<Time> {
-        q.next_time()
+        q.peek().map(|k| k.at)
     }
 
-    /// 2^15 ticks: the wheel's window. Scripts push across its edges,
-    /// both absolute and relative to the last popped tick.
+    /// 2^15 ticks: the window of the timing wheel the heap replaced.
+    /// Scripts push across its edges, both absolute and relative to the
+    /// last popped tick.
     const WINDOW: u64 = 1 << 15;
 
     /// Absolute ticks on the window's edges over three revolutions.

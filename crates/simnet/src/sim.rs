@@ -2,6 +2,7 @@
 //! through which actors act on the world.
 
 use std::borrow::Cow;
+use std::collections::BinaryHeap;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -13,7 +14,7 @@ use crate::event::EventKind;
 use crate::ids::{ActorId, TimerId};
 use crate::metrics::Metrics;
 use crate::obs::{Event, EventBody, ObsRecorder, TraceSink};
-use crate::queue::{EventSlab, Key, WheelQueue};
+use crate::queue::{EventSlab, Key};
 use crate::time::{Duration, Time};
 
 /// A hook that can override the sampled delay of a specific message.
@@ -546,20 +547,19 @@ impl<M: 'static> Simulation<M> {
 /// Pops the key of the event a [`ChoiceHook`] selects among everything
 /// ripe at the next tick; the hook reads the events themselves through
 /// `slab`, where they stay. Unchosen alternatives are pushed straight
-/// back: their bucket is empty, the cursor has already arrived, and they
-/// are re-inserted in ascending `seq` order, so the bucket stays sorted
-/// and future pops (and any same-tick events the dispatch emits, which get
-/// strictly larger seqs) keep the canonical order.
+/// back with the seqs they had, so future pops (and any same-tick events
+/// the dispatch emits, which get strictly larger seqs) keep the canonical
+/// order.
 fn pop_chosen<M>(
-    queue: &mut WheelQueue,
+    queue: &mut BinaryHeap<Key>,
     slab: &EventSlab<M>,
     ripe: &mut Vec<Key>,
     hook: &mut ChoiceHook<M>,
 ) -> Option<Key> {
-    let t = queue.next_time()?;
+    let t = queue.peek()?.at;
     debug_assert!(ripe.is_empty());
-    while queue.next_time() == Some(t) {
-        ripe.push(queue.pop().expect("next_time promised an event"));
+    while queue.peek().is_some_and(|key| key.at == t) {
+        ripe.push(queue.pop().expect("peeked"));
     }
     let choices: Vec<Choice<'_, M>> = ripe
         .iter()
@@ -800,8 +800,8 @@ mod tests {
     type Wide = [u64; 24];
 
     /// Spends a budget of seeded actions, one per event it is handed:
-    /// up to three sends (same tick, or 1–40 delays: the long ones cross
-    /// the wheel window into the far heap), and a timer set, set and
+    /// up to three sends (same tick, or 1–40 delays, so that the queue
+    /// holds ticks far apart), and a timer set, set and
     /// cancelled, or an old one — live or already fired — cancelled.
     struct Churn {
         peers: u32,

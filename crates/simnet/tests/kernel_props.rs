@@ -125,8 +125,9 @@ proptest! {
 // sends a self-checking 192-byte message (bigger than the service's, and
 // kept at the size the transcripts below were captured with) through
 // every road an event can take — same-tick sends, 1–40-delay sends (the
-// wheel window is ~32.8 delays, so the long ones detour through the far
-// heap and drain back), timers set / cancelled / cancelled after firing,
+// long ones reach past 2^15 ticks ≈ 32.8 delays, the window of the timing
+// wheel the kernel once ordered its keys in, where they detoured through a
+// far-future heap), timers set / cancelled / cancelled after firing,
 // scheduled crashes (one of them far-future) and `schedule()` stimuli
 // before and in the middle of the run — and checks that each message
 // arrives exactly once and intact, or is dropped at a crashed target; on
@@ -387,8 +388,9 @@ impl Kernel for ParSimulation<Fat> {
     }
 }
 
-/// The two scheduled crashes: one mid-run inside the wheel window, one
-/// scheduled past it (so the crash entry itself takes the far heap).
+/// The two scheduled crashes: one mid-run within 2^15 ticks, one
+/// scheduled past them (on the timing wheel, the crash entry itself took
+/// the far-future heap).
 const CRASHES: [(u32, u64); 2] = [(1, 25), (2, 90)];
 /// Where the run is paused to inject the second batch of stimuli.
 const PAUSE_DELAYS: u64 = 20;
@@ -666,7 +668,7 @@ fn fat_workload_covers_the_queue() {
     let far = (out.logs.iter().flatten())
         .filter(|(t, s)| matches!(s, Seen::Msg { sent_at, .. } if t.0 - sent_at > 32_768))
         .count();
-    assert!(far > 10, "only {far} messages crossed the wheel window");
+    assert!(far > 10, "only {far} messages crossed 2^15 ticks");
     let same_tick = (out.logs.iter().flatten())
         .filter(|(t, s)| matches!(s, Seen::Msg { sent_at, .. } if t.0 == *sent_at))
         .count();
@@ -697,7 +699,8 @@ fn fat_transcripts_are_pinned() {
     }
 }
 
-// Captured at commit a333e49 (the payload-carrying `WheelQueue<M>`).
+// Captured at commit a333e49 (the payload-carrying `WheelQueue<M>`); every
+// queue since, the wheel of keys and then the key heap, reproduces them.
 const PIN_PLAIN: u64 = 0xfeca_15b0_bbfc_b5ca;
 const PIN_HOOKED: u64 = 0x7136_9641_0020_be41;
 const PIN_PAR2: u64 = 0x40f7_7ef6_1638_26ee;

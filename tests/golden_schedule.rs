@@ -86,7 +86,8 @@ fn pins_for(s: &Scenario) -> [Fingerprint; 3] {
 fn golden_jittered_schedules_are_pinned() {
     // Uniform link jitter drives the seeded RNG on every send, so these
     // pins freeze dispatch order AND RNG draw order. Recorded on the
-    // wheel kernel; `[mp_paxos, protected, fast_robust]` per seed.
+    // timing-wheel kernel and reproduced unchanged by the key heap;
+    // `[mp_paxos, protected, fast_robust]` per seed.
     let recorded: [(u64, [Fingerprint; 3]); 3] = [
         (
             3,
