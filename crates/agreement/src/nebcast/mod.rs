@@ -589,9 +589,18 @@ impl NebEngine {
         self.blocked.get(&q).copied()
     }
 
+    /// Whether `completion` answers a memory operation this engine issued
+    /// (and has not been fed yet): lets an owner that shares one memory
+    /// client between engines route the completion by value.
+    pub fn owns(&self, completion: &rdma_sim::Completion<RegVal>) -> bool {
+        self.rep.owns(completion.op)
+    }
+
     /// Feeds a memory completion through the replication layer. Returns
-    /// true if the completion belonged to this engine (deliveries, if any,
-    /// are queued — drain with [`NebEngine::take_deliveries`]).
+    /// true if it finished one of this engine's logical operations
+    /// (deliveries, if any, are queued — drain with
+    /// [`NebEngine::take_deliveries`]); false if it did not, including
+    /// when the completion is not this engine's.
     pub fn on_completion(
         &mut self,
         ctx: &mut Context<'_, Msg>,

@@ -634,14 +634,18 @@ impl Engine for NebLog {
     }
 
     fn on_completion(&mut self, sh: &mut Shell, ctx: &mut Context<'_, Msg>, c: Completion<RegVal>) {
-        if self.neb.on_completion(ctx, &mut sh.client, c.clone()) {
-            for k in self.neb.take_broadcast_written() {
-                self.on_written(sh, ctx, k);
+        // Both engines issue through `sh.client`, so an op id is the one
+        // engine's or the other's: the completion moves to its owner.
+        if self.neb.owns(&c) {
+            if self.neb.on_completion(ctx, &mut sh.client, c) {
+                for k in self.neb.take_broadcast_written() {
+                    self.on_written(sh, ctx, k);
+                }
+                for d in self.neb.take_deliveries() {
+                    self.on_delivery(sh, ctx, d);
+                }
+                self.drive(sh, ctx);
             }
-            for d in self.neb.take_deliveries() {
-                self.on_delivery(sh, ctx, d);
-            }
-            self.drive(sh, ctx);
             return;
         }
         let Some(ev) = self.scan_rep.on_completion(c) else {

@@ -239,6 +239,12 @@ where
         id
     }
 
+    /// Whether `op` is a memory operation this engine issued and has not
+    /// been fed the completion of yet.
+    pub fn owns(&self, op: OpId) -> bool {
+        self.child_to_parent.contains_key(&op)
+    }
+
     /// Feeds one memory completion. Returns the logical completion if this
     /// response finished a logical operation.
     pub fn on_completion(&mut self, c: Completion<V>) -> Option<RepEvent<V>> {

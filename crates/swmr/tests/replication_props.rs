@@ -58,7 +58,13 @@ impl Actor<TMsg> for SeqWriter {
                     return;
                 };
                 let engine = self.engine.as_mut().expect("started");
-                let Some(done) = engine.on_completion(c) else {
+                // Every op on this client is the engine's, and is its until
+                // the completion is fed.
+                let op = c.op;
+                assert!(engine.owns(op), "{op:?} not owned before its completion");
+                let done = engine.on_completion(c);
+                assert!(!engine.owns(op), "{op:?} still owned after its completion");
+                let Some(done) = done else {
                     return;
                 };
                 match done.result {
