@@ -46,16 +46,12 @@
 //!   moves the event itself, out of one kernel's slab and into another's).
 //!   The queue is shallow: at most 57 keys on the repository benchmark's
 //!   workloads and 576 on any `perf_snapshot` row, where a heap is ten
-//!   levels of cache-resident compares. A timing wheel (one bucket per
-//!   tick over a 2^15-tick window) ordered the keys before: built for tens
-//!   of thousands of queued events, at these depths its 1 MB bucket array
-//!   cost more in cache misses, first-touch allocations and per-engine
-//!   setup than it saved, and the heap runs the kernel-bound `smr_b1`
-//!   workload about 1.3x as fast.
+//!   levels of cache-resident compares (the queue module says why not a
+//!   timing wheel).
 //! * **Allocation rules.** Steady-state dispatch performs no heap
 //!   allocation (`tests/dispatch_alloc.rs` counts them: none over ~56 000
 //!   events of a warmed relay workload): the key heap, the slab and its
-//!   vacancy list are sized up front and keep their capacity, link delays
+//!   vacancy list are sized up front and keep what they grow to, link delays
 //!   are sampled by reference (no per-send model clone), recorded event
 //!   bodies are built lazily (kernel events and [`Context::note_with`]
 //!   alike) so disabled recording costs one branch, timers use

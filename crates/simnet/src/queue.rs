@@ -23,16 +23,14 @@
 //! repository benchmark's four workloads and 576 on any `perf_snapshot`
 //! row (`sharded_g64`). A heap of 576 keys is 14 kB and ten levels deep,
 //! so a push or a pop is a few compares in cache, and the heap is sized
-//! once, with the slab ([`SLAB_SLOTS`]). The kernel used to order its keys
-//! in a timing wheel instead: one bucket per tick over a 2^15-tick window,
-//! an occupancy bitmap to find the next non-empty tick, and a far-future
-//! heap. It was built for tens of thousands of queued events, and at these
-//! depths it cost more than it saved. Every insert touched a bucket header
-//! in a 1 MB array before the bucket itself (11 % of the kernel-bound
-//! `smr_b1` workload's sampled host time), a bucket allocated the first
-//! time its tick was used, and every engine built and dropped the array.
-//! With the heap, `smr_b1` runs about 1.3x as many commands per reference
-//! second.
+//! once, with the slab ([`SLAB_SLOTS`]). A timing wheel (one bucket per
+//! tick over a 2^15-tick window, an occupancy bitmap, a far-future heap)
+//! is built for tens of thousands of queued events, and at these depths
+//! it costs more than it saves: its 1 MB of bucket headers plus a buffer
+//! per touched tick outgrow a 2 MiB L2 and evict every actor's data, a
+//! bucket allocates the first time its tick is used, and every engine
+//! builds and drops the array. Replacing one with this heap ran the
+//! kernel-bound `smr_b1` workload 1.37x as fast.
 //!
 //! ## Determinism contract
 //!

@@ -31,25 +31,32 @@ fn count() {
     }
 }
 
-// SAFETY: every call is forwarded unchanged to the system allocator.
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the wrapper only bumps a counter, and `count`
+// allocates nothing (a `const`-initialised thread local and an atomic).
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count();
-        System.alloc(layout)
+        // SAFETY: the caller's layout, handed on unchanged.
+        unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         count();
-        System.alloc_zeroed(layout)
+        // SAFETY: the caller's layout, handed on unchanged.
+        unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count();
-        System.realloc(ptr, layout, new_size)
+        // SAFETY: `ptr` came from `System` with `layout` (every allocation
+        // above is `System`'s).
+        unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
+        // SAFETY: as for `realloc`.
+        unsafe { System.dealloc(ptr, layout) }
     }
 }
 
