@@ -66,9 +66,9 @@ pub struct Metrics {
     /// moves, flat in the log length when reads are window-bounded.
     pub mem_range_rows: u64,
     /// Deepest the kernel event queue ever got, in keys in its heap (one
-    /// per scheduled event or crash). Large multi-group
-    /// workloads (many actors, many in-flight messages) are where it grows;
-    /// this exposes it to the perf snapshots.
+    /// per scheduled event or crash). Large multi-group workloads (many
+    /// actors, many in-flight messages) are where it grows; this exposes
+    /// it to the perf snapshots.
     pub peak_queue_len: u64,
     /// When each actor first reported a decision, in event order.
     decisions: BTreeMap<ActorId, Time>,

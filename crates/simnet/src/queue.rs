@@ -290,6 +290,7 @@ mod tests {
     }
 
     fn arb_step() -> impl Strategy<Value = Step> {
+        // Pushes are listed twice, so that the queue grows over a script.
         prop_oneof![
             (0u32..6, 0u64..3 * WINDOW).prop_map(|(k, r)| Step::Push(k, r)),
             (0u32..6, 0u64..3 * WINDOW).prop_map(|(k, r)| Step::Push(k, r)),
