@@ -315,6 +315,84 @@ mod tests {
         (k.at.0, k.seq, k.to.0, k.slot)
     }
 
+    fn pop_at_seq(q: &mut Queue) -> Option<(u64, u64)> {
+        q.pop().map(|k| (k.at.0, k.seq))
+    }
+
+    // --- Hand-scripted schedules on the window's edges ------------------
+
+    #[test]
+    fn wheel_matches_heap_on_scattered_schedule() {
+        // Ticks inside, on and past the window's edge and far beyond it,
+        // pushed out of order with ties on equal ticks. The queue must pop
+        // them in ascending (at, seq) order: the script sorted.
+        let script: Vec<(u64, u64)> = vec![
+            (5, 1),
+            (0, 2),
+            (5, 3),
+            (40_000, 4),
+            (WINDOW - 1, 5),
+            (WINDOW, 6),
+            (1_000, 7),
+            (0, 8),
+            (999_999, 9),
+            (40_000, 10),
+        ];
+        let mut q = queue();
+        for &(at, seq) in &script {
+            q.push(keyed(at, seq));
+        }
+        assert_eq!(q.len(), script.len());
+        let got: Vec<_> = std::iter::from_fn(|| pop_at_seq(&mut q)).collect();
+        let mut sorted = script.clone();
+        sorted.sort();
+        assert_eq!(got, sorted);
+    }
+
+    #[test]
+    fn interleaved_push_pop_preserves_order() {
+        let mut q = queue();
+        q.push(keyed(10, 1));
+        q.push(keyed(20, 2));
+        assert_eq!(next_time(&mut q), Some(Time(10)));
+        assert_eq!(pop_at_seq(&mut q), Some((10, 1)));
+        // Schedule at the tick just popped and far ahead.
+        q.push(keyed(10, 3));
+        q.push(keyed(100_000, 4));
+        assert_eq!(pop_at_seq(&mut q), Some((10, 3)));
+        assert_eq!(pop_at_seq(&mut q), Some((20, 2)));
+        assert_eq!(next_time(&mut q), Some(Time(100_000)));
+        assert_eq!(pop_at_seq(&mut q), Some((100_000, 4)));
+        assert_eq!(pop_at_seq(&mut q), None);
+        assert_eq!(q.len(), 0);
+    }
+
+    #[test]
+    fn far_events_merge_into_correct_tick_order() {
+        // Two keys on the tick one past the first window, one pushed
+        // before and one after the queue has moved on to tick 1: they
+        // still pop in seq order.
+        let mut q = queue();
+        q.push(keyed(WINDOW, 1));
+        q.push(keyed(1, 2));
+        assert_eq!(pop_at_seq(&mut q), Some((1, 2)));
+        q.push(keyed(WINDOW, 3));
+        assert_eq!(pop_at_seq(&mut q), Some((WINDOW, 1)));
+        assert_eq!(pop_at_seq(&mut q), Some((WINDOW, 3)));
+    }
+
+    #[test]
+    fn window_revolution_wraps_cleanly() {
+        // Ticks 20 000 apart march through several whole windows.
+        let mut q = queue();
+        let expect: Vec<(u64, u64)> = (0..10u64).map(|i| (i * 20_000, i)).collect();
+        for &(at, seq) in &expect {
+            q.push(keyed(at, seq));
+        }
+        let got: Vec<_> = std::iter::from_fn(|| pop_at_seq(&mut q)).collect();
+        assert_eq!(got, expect);
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
