@@ -664,35 +664,38 @@ mod tests {
 
     #[test]
     fn one_signature_on_the_leader_fast_path() {
-        let mut sim = Simulation::new(9);
-        let procs: Vec<Pid> = (0..3).map(ActorId).collect();
-        let mems: Vec<ActorId> = (3..6).map(ActorId).collect();
-        let mut auth = SigAuthority::new(5);
-        let signers: Vec<_> = procs.iter().map(|&p| auth.register(p)).collect();
-        for i in 0..3u32 {
-            sim.add(CheapQuorumActor::cheap_quorum(
-                ActorId(i),
-                procs.clone(),
-                mems.clone(),
-                ActorId(0),
-                Value(7),
-                signers[i as usize].clone(),
-                auth.verifier(),
-                Duration::from_delays(1),
-                Duration::from_delays(60),
-            ));
+        for n in [3u32, 5, 7] {
+            let mut sim = Simulation::new(9);
+            let procs: Vec<Pid> = (0..n).map(ActorId).collect();
+            let mems: Vec<ActorId> = (n..n + 3).map(ActorId).collect();
+            let mut auth = SigAuthority::new(5);
+            let signers: Vec<_> = procs.iter().map(|&p| auth.register(p)).collect();
+            for i in 0..n {
+                sim.add(CheapQuorumActor::cheap_quorum(
+                    ActorId(i),
+                    procs.clone(),
+                    mems.clone(),
+                    ActorId(0),
+                    Value(7),
+                    signers[i as usize].clone(),
+                    auth.verifier(),
+                    Duration::from_delays(1),
+                    Duration::from_delays(60),
+                ));
+            }
+            for _ in 0..3 {
+                sim.add(memory_actor(&procs, ActorId(0)));
+            }
+            // Run only until the leader decides.
+            sim.run_until(Time::from_delays(1000), |s| {
+                s.metrics().first_decision().is_some()
+            });
+            // The fast decision required exactly one signature (the
+            // leader's sign(v)) whatever n — the §4.2 claim versus 6f+2
+            // for prior protocols.
+            assert_eq!(auth.signatures_created(), 1, "n={n}");
+            assert_eq!(sim.metrics().first_decision_delays(), Some(2.0), "n={n}");
         }
-        for _ in 0..3 {
-            sim.add(memory_actor(&procs, ActorId(0)));
-        }
-        // Run only until the leader decides.
-        sim.run_until(Time::from_delays(1000), |s| {
-            s.metrics().first_decision().is_some()
-        });
-        // The fast decision required exactly one signature (the leader's
-        // sign(v)) — the §4.2 claim versus 6f+2 for prior protocols.
-        assert_eq!(auth.signatures_created(), 1);
-        assert_eq!(sim.metrics().first_decision_delays(), Some(2.0));
     }
 
     #[test]

@@ -53,9 +53,9 @@ pub struct Scenario {
     /// ([`run_smr`] only; single-decree protocols ignore it). `1` is the
     /// paper's unbatched protocol.
     pub batch: usize,
-    /// Adaptive doorbell-batch cap for the SMR leader (`0` = off,
-    /// fixed `batch` applies). See [`SmrNode::with_adaptive_batch`];
-    /// meaningful under [`DelayModel::Rdma`].
+    /// The SMR batch, overriding `batch` ([`run_smr`] only; `0` = no
+    /// override). Like every batch, each round packs `min(backlog, batch)`
+    /// commands. See [`SmrNode::with_adaptive_batch`].
     pub adaptive_batch: usize,
 }
 

@@ -76,10 +76,9 @@ pub struct ShardedScenario {
     pub window: usize,
     /// Log entries per replicated write (as [`super::Scenario::batch`]).
     pub batch: usize,
-    /// Adaptive doorbell-batch cap for crash-mode group leaders (`0` =
-    /// off, fixed `batch` applies). Each round packs the pending backlog
-    /// up to this many work requests into one doorbell-batched WRITE
-    /// burst; meaningful under [`DelayModel::Rdma`]. See
+    /// The crash-mode groups' batch, overriding `batch` there (`0` = no
+    /// override). Like every batch, each round packs `min(backlog, batch)`
+    /// commands; Byzantine groups keep `batch`. See
     /// [`crate::smr::SmrNode::with_adaptive_batch`].
     pub adaptive_batch: usize,
     /// `(group, crash time in delays)`: crash that group's initial leader.
@@ -519,8 +518,8 @@ knob_table! {
             sc.partitions <= 1 || sc.delay.min_delay() > Duration::ZERO,
             || "partitioned execution needs links with a positive minimum delay".into(),
         );
-    // Synchronous links take adaptive doorbell batching with them: it
-    // means something only under an RDMA cost model.
+    // Synchronous links take the crash groups' batch override with them:
+    // `fuzz::gen` draws it only beside an RDMA cost model.
     delay = DelayModel::synchronous() => Tuning,
         steps: |sc, base, out| {
             if sc.delay != base.delay {

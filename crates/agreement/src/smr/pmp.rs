@@ -66,14 +66,13 @@ impl SmrNode {
         Replica::over(engine, me, procs, initial_leader, workload, retry_every)
     }
 
-    /// Enables adaptive doorbell batching: each round packs however many
-    /// commands are actually pending, up to `cap` work requests per
-    /// posting, replacing the [`SmrNode::with_batch`] size set before it.
-    /// A shallow backlog commits immediately in a small burst (latency);
-    /// a deep one fills the cap and amortizes the doorbell (throughput).
-    /// Only meaningful under [`simnet::DelayModel::Rdma`], where a burst
-    /// of `k` writes is charged one doorbell plus `k` per-WR increments;
-    /// `0` (the default) leaves the batch size alone.
+    /// Replaces the [`SmrNode::with_batch`] size set before it with `cap`;
+    /// `0` (the default) leaves the batch size alone. It is a batch like
+    /// any other: [`crate::smr::LogCore::fill_own`] packs
+    /// `min(backlog, batch)` commands into every round, so a shallow
+    /// backlog commits at once in a small burst and a deep one fills it.
+    /// The separate knob lets a sharded deployment give its crash-mode
+    /// groups their own batch ([`crate::harness::ShardedScenario::adaptive_batch`]).
     pub fn with_adaptive_batch(mut self, cap: usize) -> SmrNode {
         if cap > 0 {
             self.sh.batch = cap;

@@ -679,8 +679,9 @@ fn cost_model(cmds: usize) -> Section {
         e10b.extend([e1, e8]);
         g4.extend([g1, g8]);
     }
-    // Adaptive doorbell batching at the headline preset: a closed loop
-    // whose backlog depth varies, so rounds pack min(backlog, cap) slots.
+    // The crash groups' batch raised to 16 at the headline preset, in a
+    // closed loop whose backlog depth varies: like every batch, each round
+    // packs min(backlog, 16) slots.
     let adaptive = ShardedScenario {
         adaptive_batch: 16,
         ..rdma(&presets[0].1, service(4, 1, 16, cmds))

@@ -1,36 +1,13 @@
-//! Shared helpers for the benchmark harnesses.
+//! The BENCH snapshot's renderers and its regression gate.
 //!
-//! Each bench target regenerates one of the paper's tables/figures (see
-//! ARCHITECTURE.md, "Experiment index (E1–E10)"): it *prints* the paper-style table
-//! (virtual-time delay metrics, resilience outcomes, signature counts) and
-//! registers Criterion wall-clock measurements for the simulation runs.
 //! `perf_snapshot` builds its `BENCH_PR<n>.json` from the [`Row`] /
 //! [`Section`] values below — the one place a BENCH row is written — and
-//! gates it with [`gate`].
+//! gates it with [`gate`]. The crate's other binaries are the scenario
+//! fuzzer, the schedule explorer and the timeline exporter. The paper's
+//! own tables (E1–E7 of ARCHITECTURE.md's experiment index) are printed by
+//! the `paper_tables` example.
 
 use std::fmt::Write as _;
-
-/// Prints a section header in the bench output.
-pub fn section(title: &str) {
-    println!("\n=== {title} ===");
-}
-
-/// Formats an `Option<f64>` delay for table cells.
-pub fn fmt_delay(d: Option<f64>) -> String {
-    match d {
-        Some(x) => format!("{x:.1}"),
-        None => "-".to_string(),
-    }
-}
-
-/// Formats a boolean for table cells.
-pub fn tick(b: bool) -> &'static str {
-    if b {
-        "yes"
-    } else {
-        "no"
-    }
-}
 
 /// How a value prints in a snapshot. A BENCH value *is* its printed form:
 /// the gate and the PR-to-PR diffs compare text, so a float's precision is

@@ -46,5 +46,5 @@ fn main() {
     );
     println!("  memory ops  : {}", report.mem_ops);
 
-    println!("\nSee `cargo run --example delay_table` for the full comparison.");
+    println!("\nSee `cargo run --example paper_tables` for the paper's full tables.");
 }

@@ -144,8 +144,9 @@ fn equivocating_leader_cannot_split_the_composition() {
 }
 
 /// Failover latency curve (recovery delay as a function of crash time):
-/// used by the failover bench; here we just pin the shape — later crashes
-/// never make recovery *faster* than the timeout.
+/// the `paper_tables` example prints it as E7; here we just pin one point
+/// — a crash before the leader's write lands never lets recovery beat the
+/// timeout.
 #[test]
 fn failover_costs_at_least_the_timeout() {
     let timeout = 18u64;

@@ -36,7 +36,8 @@ fn protected_memory_paxos_survives_every_seed() {
     }
 }
 
-/// The two sides of the theorem, juxtaposed (the bench prints this).
+/// The two sides of the theorem, juxtaposed (the `paper_tables` example
+/// prints this as E5).
 #[test]
 fn the_contrast_in_one_place() {
     let broken = run_strawman_demo(1);
