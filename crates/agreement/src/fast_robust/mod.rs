@@ -623,7 +623,7 @@ mod tests {
         for i in 0..n {
             let signer = auth.register(ActorId(i));
             if i == 2 {
-                sim.add(crate::adversary::SilentActor);
+                sim.add(crate::adversary::Scripted::silent());
                 continue;
             }
             sim.add(FastRobustActor::new(

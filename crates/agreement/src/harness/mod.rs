@@ -14,7 +14,7 @@ use std::collections::BTreeMap;
 use sigsim::SigAuthority;
 use simnet::{Actor, ActorId, DelayModel, Duration, Metrics, ParSimulation, Simulation, Time};
 
-use crate::adversary::{self, AdversaryKind};
+use crate::adversary;
 use crate::aligned::{self, AlignedPaxosActor, MemoryMode};
 use crate::disk_paxos::{self, DiskPaxosActor};
 use crate::fast_paxos::FastPaxosActor;
@@ -53,10 +53,6 @@ pub struct Scenario {
     /// ([`run_smr`] only; single-decree protocols ignore it). `1` is the
     /// paper's unbatched protocol.
     pub batch: usize,
-    /// The SMR batch, overriding `batch` ([`run_smr`] only; `0` = no
-    /// override). Like every batch, each round packs `min(backlog, batch)`
-    /// commands. See [`SmrNode::with_adaptive_batch`].
-    pub adaptive_batch: usize,
 }
 
 impl Scenario {
@@ -73,7 +69,6 @@ impl Scenario {
             announce: Vec::new(),
             max_delays: 5_000,
             batch: 1,
-            adaptive_batch: 0,
         }
     }
 
@@ -161,7 +156,7 @@ fn memories(scenario: &Scenario, one: impl Fn(&[Pid]) -> Memory) -> Vec<Memory> 
 }
 
 /// The one single-shot run path under every `run_*` below: places the
-/// processes (`process(i, procs, mems)`; a [`adversary::SilentActor`] at
+/// processes (`process(i, procs, mems)`; a [`adversary::Scripted::silent`] at
 /// the [`Scenario::byz_silent`] indices, which is also what "crashed from
 /// the start" means to a crash protocol), then the `memories` (none for
 /// a message-passing protocol), scripts the failures, runs until every
@@ -177,7 +172,7 @@ fn run_single_shot<A: Actor<Msg>>(
     let (procs, mems) = (scenario.procs(), scenario.mems());
     for i in 0..scenario.n {
         if scenario.byz_silent.contains(&i) {
-            sim.add(adversary::SilentActor);
+            sim.add(adversary::Scripted::silent());
         } else {
             sim.add(process(i, procs.clone(), mems.clone()));
         }
@@ -390,9 +385,7 @@ pub fn run_smr(scenario: &Scenario, cmds_per_node: usize) -> SmrRunReport {
         let workload: Vec<Value> = (0..cmds_per_node)
             .map(|c| Value(1000 * (i as u64 + 1) + c as u64))
             .collect();
-        let node = crash_replica(&procs, &mems, i, workload)
-            .with_batch(scenario.batch)
-            .with_adaptive_batch(scenario.adaptive_batch);
+        let node = crash_replica(&procs, &mems, i, workload).with_batch(scenario.batch);
         sim.add(node);
     }
     for _ in 0..scenario.m {
@@ -711,44 +704,16 @@ fn place_sharded_replica<K: ShardedKernel>(
     let leader = topo.initial_leader(g);
     if let Some(kind) = scenario.adversary_at(g, i) {
         let byz = byz.expect("validated: adversaries sit in Byzantine-mode groups");
-        let own_signer = || byz.signers[&procs[i]].clone();
-        let junk = kind.junk_base(g);
-        return match kind {
-            AdversaryKind::Silent => kernel.place(part, adversary::SilentActor),
-            AdversaryKind::Equivocator => {
-                let equivocator = adversary::LogEquivocator::new(
-                    procs[i],
-                    mems,
-                    topo.router(),
-                    Value(junk | 1),
-                    Value(junk | 2),
-                    Duration::from_delays(4),
-                    own_signer(),
-                );
-                kernel.place(part, equivocator)
-            }
-            AdversaryKind::ReceiptForger => {
-                let forger = adversary::ReceiptForger::new(
-                    procs[i],
-                    mems,
-                    Value(junk | 1),
-                    Duration::from_delays(3),
-                    byz.signers[&leader].clone(),
-                    leader,
-                );
-                kernel.place(part, forger)
-            }
-            AdversaryKind::FarFutureLeader => {
-                let far_future = adversary::FarFutureLeader::new(
-                    procs[i],
-                    mems,
-                    topo.router(),
-                    Value(junk | 1),
-                    own_signer(),
-                );
-                kernel.place(part, far_future)
-            }
-        };
+        let signer = |p: Pid| &byz.signers[&p];
+        let villain = kind.villain(
+            g,
+            procs[i],
+            mems,
+            topo.router(),
+            signer(procs[i]),
+            (leader, signer(leader)),
+        );
+        return kernel.place(part, villain);
     }
     // Open loop preloads the whole backlog into the initial leader;
     // closed loop starts everyone empty and the router submits.

@@ -302,7 +302,7 @@ mod tests {
             Value(0),
             Duration::ZERO,
         ));
-        sim.add(crate::adversary::SilentActor);
+        sim.add(crate::adversary::Scripted::silent());
         sim.add(flag_memory(&procs));
         sim.add(flag_memory(&procs));
         sim.run_to_quiescence(Time::from_delays(50));

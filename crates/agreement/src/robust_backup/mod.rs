@@ -185,7 +185,7 @@ impl RobustCore {
         ctx: &mut Context<'_, Msg>,
         client: &mut MemoryClient<RegVal, Msg>,
     ) {
-        for d in self.peer.drain() {
+        for d in self.peer.drain(ctx) {
             match d.payload {
                 RbPayload::Setup { value, evidence } => {
                     self.setups.push(AbortOutcome { value, evidence });
@@ -255,7 +255,7 @@ mod tests {
             if skip.contains(&i) {
                 // Placeholder slot for an adversary added by the caller:
                 // a silent process.
-                sim.add(crate::adversary::SilentActor);
+                sim.add(crate::adversary::Scripted::silent());
                 continue;
             }
             sim.add(RobustPaxosActor::robust_backup(

@@ -76,7 +76,7 @@
 //! **equivocating leaders** (split or rewritten broadcast slots,
 //! fabricated commit notifications — suppressed by the audit and by the
 //! router's `f + 1` confirmation quorum), and **receipt-forging
-//! followers** ([`crate::adversary::ReceiptForger`] — a delivery receipt
+//! followers** ([`crate::adversary::Scripted::receipt_forger`] — a delivery receipt
 //! for a wire the claimed broadcaster never sent, signed by a colluding
 //! leader). The takeover scan closes the latter with a *provenance
 //! check*: a receipt is credited only when the claimed broadcaster's own
@@ -87,7 +87,7 @@
 //! ([`ReplicaState::receipts_rejected`]).
 //!
 //! A fourth one needs no forgery at all: a **far-future leader**
-//! ([`crate::adversary::FarFutureLeader`]) signs one `LogEntries` wire
+//! ([`crate::adversary::Scripted::far_future_leader`]) signs one `LogEntries` wire
 //! whose `first` is astronomically large. It equivocated nothing, so the
 //! broadcast audit passes and every follower delivers it; taken at face
 //! value it would size the log (and a successor's dense recovery plan) by
@@ -696,7 +696,7 @@ mod tests {
         for i in 0..n {
             let signer = auth.register(ActorId(i));
             if silent.contains(&i) {
-                sim.add(crate::adversary::SilentActor);
+                sim.add(crate::adversary::Scripted::silent());
                 continue;
             }
             let workload: Vec<Value> = if i == 0 {

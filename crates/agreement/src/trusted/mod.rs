@@ -396,8 +396,9 @@ impl TrustedPeer {
 
     /// T-receive: validates and returns newly delivered messages addressed
     /// to this process. Also appends matching `Recv` entries to the local
-    /// history, in delivery order.
-    pub fn drain(&mut self) -> Vec<TDelivery> {
+    /// history, in delivery order, and notes each sender it starts to
+    /// distrust in the run's event stream.
+    pub fn drain(&mut self, ctx: &mut Context<'_, Msg>) -> Vec<TDelivery> {
         let mut out = Vec::new();
         for d in self.neb.take_deliveries() {
             let from = d.from;
@@ -410,6 +411,7 @@ impl TrustedPeer {
                 continue;
             }
             if !self.validate(from, k, wire) {
+                ctx.note_with(|| format!("trusted: distrust {from} at k={k}"));
                 self.distrusted.insert(from);
                 continue;
             }

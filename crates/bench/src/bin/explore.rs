@@ -35,6 +35,7 @@ use agreement::explore::{
 };
 use agreement::harness::ShardedScenario;
 use agreement::sharded::{GroupMode, KeyRange, ScriptedMigration};
+use bench::write_timeline;
 
 /// What strict mode requires of a target's sweep.
 #[derive(Clone, Copy, PartialEq)]
@@ -186,23 +187,9 @@ fn print_report(name: &str, r: &ExploreReport) {
 /// reported, never fatal — the violation itself already counted.
 fn write_artifacts(dir: &Path, name: &str, sc: &ShardedScenario, choices: &[usize], title: &str) {
     let art = render_schedule_timeline(sc, choices, title);
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        eprintln!("  (could not create {}: {e})", dir.display());
-        return;
+    if let Err(e) = write_timeline(dir, name, &art) {
+        eprintln!("  ({e})");
     }
-    let stem = dir.join(name);
-    for (ext, body) in [
-        ("jsonl", &art.jsonl),
-        ("trace.json", &art.chrome),
-        ("html", &art.html),
-    ] {
-        let path = stem.with_extension(ext);
-        match std::fs::write(&path, body) {
-            Ok(()) => println!("  timeline: {}", path.display()),
-            Err(e) => eprintln!("  (could not write {}: {e})", path.display()),
-        }
-    }
-    println!("  ({} events traced)", art.events);
 }
 
 fn main() -> ExitCode {

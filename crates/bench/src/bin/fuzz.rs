@@ -27,6 +27,7 @@ use std::process::ExitCode;
 use agreement::fuzz::{
     campaign_exit_code, fault_count, render_timeline, run_campaign, CaseFailure, FuzzConfig,
 };
+use bench::write_timeline;
 
 /// Writes the shrunk scenario's timeline exports for one failure.
 /// Artifact I/O must never mask the violation itself, so errors are
@@ -37,23 +38,10 @@ fn write_artifacts(dir: &Path, failure: &CaseFailure) {
         failure.case_seed, failure.shrunk_violation
     );
     let art = render_timeline(&failure.shrunk, &title);
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        eprintln!("  (could not create {}: {e})", dir.display());
-        return;
+    let name = format!("seed-{}", failure.case_seed);
+    if let Err(e) = write_timeline(dir, &name, &art) {
+        eprintln!("  ({e})");
     }
-    let stem = dir.join(format!("seed-{}", failure.case_seed));
-    for (ext, body) in [
-        ("jsonl", &art.jsonl),
-        ("trace.json", &art.chrome),
-        ("html", &art.html),
-    ] {
-        let path = stem.with_extension(ext);
-        match std::fs::write(&path, body) {
-            Ok(()) => println!("  timeline: {}", path.display()),
-            Err(e) => eprintln!("  (could not write {}: {e})", path.display()),
-        }
-    }
-    println!("  ({} events traced)", art.events);
 }
 
 fn main() -> ExitCode {

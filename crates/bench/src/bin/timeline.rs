@@ -26,6 +26,7 @@ use std::process::ExitCode;
 use agreement::fuzz::render_timeline;
 use agreement::harness::{run_sharded_with_events, ShardedScenario};
 use agreement::sharded::WorkloadSpec;
+use bench::write_timeline;
 use simnet::TICKS_PER_DELAY;
 
 /// The `sharded_log` example schedule: crash + failover on group 1.
@@ -104,24 +105,10 @@ fn main() -> ExitCode {
     );
     let title = format!("{name}: {} groups, {} commands", sc.groups, sc.total_cmds);
     let art = render_timeline(&sc, &title);
-    if let Err(e) = std::fs::create_dir_all(&out) {
-        eprintln!("could not create {}: {e}", out.display());
+    if let Err(e) = write_timeline(&out, &name, &art) {
+        eprintln!("{e}");
         return ExitCode::FAILURE;
     }
-    let stem = out.join(&name);
-    for (ext, body) in [
-        ("jsonl", &art.jsonl),
-        ("trace.json", &art.chrome),
-        ("html", &art.html),
-    ] {
-        let path = stem.with_extension(ext);
-        if let Err(e) = std::fs::write(&path, body) {
-            eprintln!("could not write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-        println!("  wrote {}", path.display());
-    }
-    println!("  {} events traced", art.events);
 
     // The same traced run's per-stage span histograms, per group.
     let mut traced = sc.clone();

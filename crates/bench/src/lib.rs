@@ -3,11 +3,15 @@
 //! `perf_snapshot` builds its `BENCH_PR<n>.json` from the [`Row`] /
 //! [`Section`] values below — the one place a BENCH row is written — and
 //! gates it with [`gate`]. The crate's other binaries are the scenario
-//! fuzzer, the schedule explorer and the timeline exporter. The paper's
+//! fuzzer, the schedule explorer and the timeline exporter, which all
+//! write a traced run's exports through [`write_timeline`]. The paper's
 //! own tables (E1–E7 of ARCHITECTURE.md's experiment index) are printed by
 //! the `paper_tables` example.
 
 use std::fmt::Write as _;
+use std::path::Path;
+
+use agreement::fuzz::TimelineArtifacts;
 
 /// How a value prints in a snapshot. A BENCH value *is* its printed form:
 /// the gate and the PR-to-PR diffs compare text, so a float's precision is
@@ -153,6 +157,27 @@ pub fn snapshot_json(pr: u32, workload_commands: usize, sections: &[Section]) ->
          \"workload_commands\": {workload_commands},\n{}\n}}\n",
         sections.join(",\n")
     )
+}
+
+/// Writes one traced run's exports as `<dir>/<name>.jsonl`,
+/// `<name>.trace.json` and `<name>.html`, creating `dir` first, and prints
+/// each file written, then how many events were traced. Stops at the first
+/// I/O error and returns it, naming the path.
+pub fn write_timeline(dir: &Path, name: &str, art: &TimelineArtifacts) -> Result<(), String> {
+    std::fs::create_dir_all(dir).map_err(|e| format!("could not create {}: {e}", dir.display()))?;
+    let stem = dir.join(name);
+    for (ext, body) in [
+        ("jsonl", &art.jsonl),
+        ("trace.json", &art.chrome),
+        ("html", &art.html),
+    ] {
+        let path = stem.with_extension(ext);
+        std::fs::write(&path, body)
+            .map_err(|e| format!("could not write {}: {e}", path.display()))?;
+        println!("  timeline: {}", path.display());
+    }
+    println!("  ({} events traced)", art.events);
+    Ok(())
 }
 
 /// The per-PR perf regression gate: compares the snapshot a `perf_snapshot`

@@ -16,7 +16,7 @@
 //! cargo run --example byzantine_drill
 //! ```
 
-use agreement::adversary::{BadHistoryActor, CqEquivocatingLeader};
+use agreement::adversary::Scripted;
 use agreement::cheap_quorum::{memory_actor as cq_memory, CheapQuorumActor};
 use agreement::harness::{run_fast_robust, Scenario};
 use agreement::nebcast;
@@ -24,6 +24,7 @@ use agreement::robust_backup::RobustPaxosActor;
 use agreement::types::{Msg, Value};
 use rdma_sim::{LegalChange, MemoryActor};
 use sigsim::SigAuthority;
+use simnet::obs::EventBody;
 use simnet::{ActorId, Duration, Simulation, Time};
 
 fn main() {
@@ -41,7 +42,7 @@ fn drill_equivocating_leader() {
     let mut auth = SigAuthority::new(99);
     let leader_signer = auth.register(ActorId(0));
     // The Byzantine leader writes v=111 to one replica, v=222 to the rest.
-    sim.add(CqEquivocatingLeader::new(
+    sim.add(Scripted::cq_equivocating_leader(
         ActorId(0),
         mems.clone(),
         1,
@@ -114,7 +115,7 @@ fn drill_bad_history() {
         let signer = auth.register(ActorId(i));
         if i == 2 {
             // Broadcasts Accept{b=(1,p2)} with an empty history: illegal.
-            sim.add(BadHistoryActor::new(
+            sim.add(Scripted::bad_history(
                 ActorId(2),
                 mems.clone(),
                 Value(666),
@@ -139,6 +140,7 @@ fn drill_bad_history() {
         nebcast::configure_memory(&mut mem, &procs);
         sim.add(mem);
     }
+    sim.enable_obs();
     sim.run_until(Time::from_delays(2_000), |s| {
         [0u32, 1].iter().all(|&i| {
             s.actor_as::<RobustPaxosActor>(ActorId(i))
@@ -152,6 +154,21 @@ fn drill_bad_history() {
         println!("  correct process {}: decision={:?}", i, a.decision());
         assert_eq!(a.decision(), Some(Value(100)));
     }
+    // Let the forged Accept reach everyone, then read who distrusted whom.
+    sim.run_to_quiescence(Time::from_delays(2_000));
+    let lie = "trusted: distrust a2 at k=1";
+    let mut noted: Vec<(ActorId, String)> = (sim.take_obs_events().into_iter())
+        .filter_map(|e| match e.body {
+            EventBody::Note { text } if text.starts_with("trusted:") => {
+                Some((e.actor, text.into_owned()))
+            }
+            _ => None,
+        })
+        .collect();
+    noted.sort();
+    let both = [(ActorId(0), lie.to_string()), (ActorId(1), lie.to_string())];
+    assert_eq!(noted, both, "the forged Accept was not rejected everywhere");
+    println!("  both correct processes noted \"{lie}\"");
     println!("  -> the forged Accept was rejected everywhere; Byzantine == crashed");
     println!("     (its value 666 never appears)");
 }

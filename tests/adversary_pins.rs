@@ -16,9 +16,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use agreement::adversary::{
-    AdversaryKind, BadHistoryActor, CqEquivocatingLeader, HistoryRewriter, NebEquivocator,
-};
+use agreement::adversary::{AdversaryKind, Scripted};
 use agreement::cheap_quorum::{self, CheapQuorumActor};
 use agreement::harness::{run_sharded, run_sharded_instrumented, ShardedScenario};
 use agreement::nebcast;
@@ -132,8 +130,9 @@ fn neb_memory(procs: &[Pid]) -> MemoryActor<agreement::RegVal, Msg> {
 
 #[test]
 fn neb_equivocator_transcript() {
-    let villain =
-        |signer, mems| NebEquivocator::new(ActorId(2), mems, 1, Value(666), Value(777), signer);
+    let villain = |signer, mems| {
+        Scripted::neb_equivocator(ActorId(2), mems, 1, Value(666), Value(777), signer)
+    };
     let lines = single_decree(31, 2, villain, robust_backup, neb_memory);
     assert_eq!(
         fingerprint("neb_equivocator", &lines),
@@ -143,7 +142,7 @@ fn neb_equivocator_transcript() {
 
 #[test]
 fn bad_history_transcript() {
-    let villain = |signer, mems| BadHistoryActor::new(ActorId(2), mems, Value(666), signer);
+    let villain = |signer, mems| Scripted::bad_history(ActorId(2), mems, Value(666), signer);
     let lines = single_decree(32, 2, villain, robust_backup, neb_memory);
     assert_eq!(fingerprint("bad_history", &lines), (3, 6793116633575241360));
 }
@@ -151,7 +150,7 @@ fn bad_history_transcript() {
 #[test]
 fn history_rewriter_transcript() {
     let villain =
-        |signer, mems| HistoryRewriter::new(ActorId(2), mems, Value(666), Value(777), signer);
+        |signer, mems| Scripted::history_rewriter(ActorId(2), mems, Value(666), Value(777), signer);
     let lines = single_decree(33, 2, villain, robust_backup, neb_memory);
     assert_eq!(
         fingerprint("history_rewriter", &lines),
@@ -162,7 +161,7 @@ fn history_rewriter_transcript() {
 #[test]
 fn cq_equivocating_leader_transcript() {
     let villain = |signer, mems| {
-        CqEquivocatingLeader::new(ActorId(0), mems, 1, Value(111), Value(222), signer)
+        Scripted::cq_equivocating_leader(ActorId(0), mems, 1, Value(111), Value(222), signer)
     };
     let follower = |i: u32, procs, mems, signer, auth: &SigAuthority| {
         CheapQuorumActor::cheap_quorum(

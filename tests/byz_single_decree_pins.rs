@@ -114,7 +114,7 @@ fn run<A: Actor<Msg>>(
     let mems: Vec<ActorId> = (spec.n..spec.n + spec.m).map(ActorId).collect();
     for i in 0..spec.n {
         if spec.silent.contains(&i) {
-            sim.add(agreement::adversary::SilentActor);
+            sim.add(agreement::adversary::Scripted::silent());
         } else {
             let signer = signers[i as usize].clone();
             sim.add(process(

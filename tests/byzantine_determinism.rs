@@ -103,9 +103,10 @@ fn byzantine_run_is_reproducible_and_seed_sensitive() {
     assert_ne!(a, c, "Byzantine runs ignored the seed");
 }
 
-/// The golden pin: the exact numbers of one fixed Byzantine run. If this
-/// fails after an intentional protocol change, re-record the constants;
-/// if it fails otherwise, the broadcast/adversary schedule drifted.
+/// The golden pin: the exact numbers of one fixed Byzantine run. The
+/// constants are never re-recorded: a moved pin means the
+/// broadcast/adversary schedule drifted, and a change that moves it on
+/// purpose is its own issue, named with the reason.
 #[test]
 fn byzantine_golden_schedule_pin() {
     let sc = adversarial_scenario(59);

@@ -4,13 +4,13 @@
 
 use std::sync::Arc;
 
-use agreement::adversary::NebEquivocator;
+use agreement::adversary::{Act, Scripted};
 use agreement::nebcast::{self, NebEngine, NebSlot};
 use agreement::paxos::Dest;
 use agreement::trusted::{RbPayload, SetupEvidence, TWire};
 use agreement::types::{Msg, Pid, RegVal, Value};
 use proptest::prelude::*;
-use rdma_sim::{LegalChange, MemoryActor, MemoryClient, RegId};
+use rdma_sim::{LegalChange, MemoryActor, MemoryClient};
 use sigsim::{SigAuthority, SigVerifier, Signer};
 use simnet::{Actor, ActorId, Context, DelayModel, Duration, EventKind, Simulation, Time};
 
@@ -185,37 +185,6 @@ fn property_three_no_spoofed_deliveries() {
     assert_eq!(t1.delivered, vec![(ActorId(0), 1, Value(7))]);
 }
 
-/// Writes one prepared value into one register of its own row on every
-/// memory at Start, and nothing else.
-struct RowWriter {
-    me: Pid,
-    mems: Vec<ActorId>,
-    reg: RegId,
-    val: RegVal,
-    client: MemoryClient<RegVal, Msg>,
-}
-
-impl Actor<Msg> for RowWriter {
-    fn on_event(&mut self, ctx: &mut Context<'_, Msg>, ev: EventKind<Msg>) {
-        match ev {
-            EventKind::Start => {
-                let region = nebcast::row_region(self.me);
-                for &mem in &self.mems {
-                    let val = self.val.clone();
-                    self.client.write(ctx, mem, region, self.reg, val);
-                }
-            }
-            EventKind::Msg {
-                from,
-                msg: Msg::Mem(wire),
-            } => {
-                let _ = self.client.on_wire(ctx, from, wire);
-            }
-            _ => {}
-        }
-    }
-}
-
 /// Slots compare by value: an audit copy holding the broadcaster's slot
 /// rebuilt field by field into a fresh allocation — as a memory keeping
 /// its own copy, or an auditor that re-serialised it, would hold — is the
@@ -245,13 +214,15 @@ fn an_audit_copy_equal_by_value_in_a_fresh_allocation_is_no_equivocation() {
             verifier.clone(),
             vec![Value(7)],
         ));
-        sim.add(RowWriter {
-            me: p1,
-            mems: mems.clone(),
-            reg: nebcast::slot_reg(p1, 1, p0),
-            val: copy,
-            client: MemoryClient::new(),
-        });
+        // p1 writes the copy into its audit slot for p0's k = 1 on every
+        // memory at Start, and does nothing else.
+        let audit_copy = Act::write_all(
+            &mems,
+            nebcast::row_region(p1),
+            nebcast::slot_reg(p1, 1, p0),
+            copy,
+        );
+        sim.add(Scripted::new("RowWriter", p1, audit_copy, Vec::new()));
         let mut auditor = NebTester::new(p2, procs.clone(), mems.clone(), s2, verifier, vec![]);
         auditor.engine.set_pipeline_depth(depth);
         auditor.engine.set_focus(Some(p0));
@@ -292,7 +263,7 @@ proptest! {
         let mut auth = SigAuthority::new(seed ^ 0xE0);
         let byz_signer = auth.register(ActorId(0));
         // Process 0 is the equivocator; 1 and 2 are honest listeners.
-        sim.add(NebEquivocator::new(
+        sim.add(Scripted::neb_equivocator(
             ActorId(0),
             mems.clone(),
             split,

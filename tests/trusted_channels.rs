@@ -3,13 +3,14 @@
 //! the end-to-end effect on Robust Backup. Complements the conformance
 //! checker's unit suite in `agreement::trusted`.
 
-use agreement::adversary::{HistoryRewriter, SilentActor};
+use agreement::adversary::Scripted;
 use agreement::nebcast;
 use agreement::robust_backup::RobustPaxosActor;
 use agreement::types::{Msg, Pid, Value};
 use rdma_sim::{LegalChange, MemoryActor};
 use sigsim::SigAuthority;
-use simnet::{ActorId, Duration, Simulation, Time};
+use simnet::obs::{Event, EventBody};
+use simnet::{ActorId, Duration, RunOutcome, Simulation, Time};
 
 fn neb_memory(procs: &[Pid]) -> MemoryActor<agreement::RegVal, Msg> {
     let mut mem = MemoryActor::new(LegalChange::Static);
@@ -29,7 +30,7 @@ fn rewritten_history_is_rejected_and_sender_distrusted() {
     for i in 0..n {
         let signer = auth.register(ActorId(i));
         if i == 2 {
-            sim.add(HistoryRewriter::new(
+            sim.add(Scripted::history_rewriter(
                 ActorId(2),
                 mems.clone(),
                 Value(666), // actually broadcast at k=1
@@ -53,6 +54,7 @@ fn rewritten_history_is_rejected_and_sender_distrusted() {
     for _ in 0..m {
         sim.add(neb_memory(&procs));
     }
+    sim.enable_obs();
     sim.run_until(Time::from_delays(3_000), |s| {
         [0u32, 1].iter().all(|&i| {
             s.actor_as::<RobustPaxosActor>(ActorId(i))
@@ -66,7 +68,30 @@ fn rewritten_history_is_rejected_and_sender_distrusted() {
         // Consensus completed on a correct value...
         assert_eq!(a.decision(), Some(Value(100)), "process {i}");
     }
-    // ...and the liar's junk values never decided anywhere.
+    // ...and the lying k = 2 wire, delivered only after the decisions,
+    // is where both correct processes stop trusting the liar: its claimed
+    // k = 1 send does not match what it actually broadcast.
+    let outcome = sim.run_to_quiescence(Time::from_delays(3_000));
+    assert_eq!(outcome, RunOutcome::Quiescent);
+    let lie = "trusted: distrust a2 at k=2";
+    assert_eq!(
+        trusted_notes(&sim.take_obs_events()),
+        [(ActorId(0), lie.to_string()), (ActorId(1), lie.to_string())]
+    );
+}
+
+/// Every `trusted:` note in `events`, as `(actor, text)` sorted by actor.
+fn trusted_notes(events: &[Event]) -> Vec<(ActorId, String)> {
+    let mut notes: Vec<(ActorId, String)> = (events.iter())
+        .filter_map(|e| match &e.body {
+            EventBody::Note { text } if text.starts_with("trusted:") => {
+                Some((e.actor, text.to_string()))
+            }
+            _ => None,
+        })
+        .collect();
+    notes.sort();
+    notes
 }
 
 /// Under the same attack, determinism holds: re-running yields identical
@@ -82,7 +107,7 @@ fn attack_runs_are_deterministic() {
         for i in 0..n {
             let signer = auth.register(ActorId(i));
             if i == 2 {
-                sim.add(HistoryRewriter::new(
+                sim.add(Scripted::history_rewriter(
                     ActorId(2),
                     mems.clone(),
                     Value(1),
@@ -130,7 +155,7 @@ fn silent_third_process_control_group() {
     for i in 0..n {
         let signer = auth.register(ActorId(i));
         if i == 2 {
-            sim.add(SilentActor);
+            sim.add(Scripted::silent());
             continue;
         }
         sim.add(RobustPaxosActor::robust_backup(
