@@ -180,16 +180,6 @@ enum Tag {
     PanicReadLeader,
 }
 
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum PanicStep {
-    Flag,
-    Revoke,
-    ReadOwnValue,
-    ReadOwnProof,
-    ReadLeader,
-    Done,
-}
-
 /// Cheap Quorum alone under the one Byzantine single-decree actor: the
 /// fast stage with no backup, so an abort is the outcome.
 pub type CheapQuorumActor = crate::fast_robust::FastRobustActor;
@@ -218,9 +208,7 @@ pub struct CqCore {
     proof_reads_out: BTreeMap<Pid, ()>,
     decided: Option<Value>,
     panicked: bool,
-    panic_step: PanicStep,
     panic_own_value: Option<CqSigned>,
-    panic_own_proof: Option<UnanimityProof>,
     abort: Option<AbortOutcome>,
 }
 
@@ -267,9 +255,7 @@ impl CqCore {
             proof_reads_out: BTreeMap::new(),
             decided: None,
             panicked: false,
-            panic_step: PanicStep::Flag,
             panic_own_value: None,
-            panic_own_proof: None,
             abort: None,
         }
     }
@@ -374,7 +360,6 @@ impl CqCore {
             return;
         }
         self.panicked = true;
-        self.panic_step = PanicStep::Flag;
         let rep = self.rep.write(
             ctx,
             client,
@@ -385,66 +370,25 @@ impl CqCore {
         self.tags.insert(rep, Tag::PanicFlagWrite);
     }
 
-    fn panic_advance(
-        &mut self,
-        ctx: &mut Context<'_, Msg>,
-        client: &mut MemoryClient<RegVal, Msg>,
-    ) {
-        match self.panic_step {
-            PanicStep::Flag => {
-                self.panic_step = PanicStep::Revoke;
-                let rep = self
-                    .rep
-                    .change_perm(ctx, client, LEADER_REGION, Permission::read_only());
-                self.tags.insert(rep, Tag::PanicRevoke);
-            }
-            PanicStep::Revoke => {
-                self.panic_step = PanicStep::ReadOwnValue;
-                let rep = self
-                    .rep
-                    .read(ctx, client, proc_region(self.me), value_reg(self.me));
-                self.tags.insert(rep, Tag::PanicReadOwnValue);
-            }
-            PanicStep::ReadOwnValue => {
-                self.panic_step = PanicStep::ReadOwnProof;
-                let rep = self
-                    .rep
-                    .read(ctx, client, proc_region(self.me), proof_reg(self.me));
-                self.tags.insert(rep, Tag::PanicReadOwnProof);
-            }
-            PanicStep::ReadOwnProof => {
-                if let Some(own) = self.panic_own_value {
-                    // Abort with our replicated value (+ proof if present).
-                    self.panic_step = PanicStep::Done;
-                    self.abort = Some(AbortOutcome {
-                        value: own.value,
-                        evidence: SetupEvidence {
-                            proof: self.panic_own_proof.clone(),
-                            leader_sig: Some(own.leader_sig),
-                        },
-                    });
-                } else {
-                    self.panic_step = PanicStep::ReadLeader;
-                    let rep = self.rep.read(ctx, client, LEADER_REGION, VALUE_L);
-                    self.tags.insert(rep, Tag::PanicReadLeader);
-                }
-            }
-            PanicStep::ReadLeader | PanicStep::Done => {}
-        }
+    /// Whether `completion` answers a memory operation this core issued
+    /// (and has not been fed yet): lets an owner that shares one memory
+    /// client with another stage route the completion by value.
+    pub(crate) fn owns(&self, completion: &Completion<RegVal>) -> bool {
+        self.rep.owns(completion.op)
     }
 
-    /// Routes a memory completion. Returns true if consumed.
+    /// Feeds a memory completion answering an operation this core issued.
     pub fn on_completion(
         &mut self,
         ctx: &mut Context<'_, Msg>,
         client: &mut MemoryClient<RegVal, Msg>,
         completion: Completion<RegVal>,
-    ) -> bool {
+    ) {
         let Some(done) = self.rep.on_completion(completion) else {
-            return false;
+            return;
         };
         let Some(tag) = self.tags.remove(&done.id) else {
-            return true;
+            return;
         };
         match (tag, done.result) {
             (Tag::LeaderWrite, RepResult::WriteOk) => {
@@ -505,22 +449,49 @@ impl CqCore {
             (Tag::ProofRead(q), _) => {
                 self.proof_reads_out.remove(&q);
             }
-            (Tag::PanicFlagWrite, _) => self.panic_advance(ctx, client),
-            (Tag::PanicRevoke, _) => self.panic_advance(ctx, client),
+            // Panic mode (Algorithm 5) is one chain: each step is issued
+            // when the one before it completes, whatever its result.
+            (Tag::PanicFlagWrite, _) => {
+                let rep = self
+                    .rep
+                    .change_perm(ctx, client, LEADER_REGION, Permission::read_only());
+                self.tags.insert(rep, Tag::PanicRevoke);
+            }
+            (Tag::PanicRevoke, _) => {
+                let rep = self
+                    .rep
+                    .read(ctx, client, proc_region(self.me), value_reg(self.me));
+                self.tags.insert(rep, Tag::PanicReadOwnValue);
+            }
             (Tag::PanicReadOwnValue, r) => {
                 if let RepResult::ReadOk(Some(RegVal::CqValue(cs))) = r {
                     self.panic_own_value = Some(cs);
                 }
-                self.panic_advance(ctx, client);
+                let rep = self
+                    .rep
+                    .read(ctx, client, proc_region(self.me), proof_reg(self.me));
+                self.tags.insert(rep, Tag::PanicReadOwnProof);
             }
             (Tag::PanicReadOwnProof, r) => {
-                if let RepResult::ReadOk(Some(RegVal::CqProof(pf))) = r {
-                    self.panic_own_proof = Some(pf);
+                if let Some(own) = self.panic_own_value {
+                    // Abort with our replicated value (+ proof if present).
+                    let proof = match r {
+                        RepResult::ReadOk(Some(RegVal::CqProof(pf))) => Some(pf),
+                        _ => None,
+                    };
+                    self.abort = Some(AbortOutcome {
+                        value: own.value,
+                        evidence: SetupEvidence {
+                            proof,
+                            leader_sig: Some(own.leader_sig),
+                        },
+                    });
+                } else {
+                    let rep = self.rep.read(ctx, client, LEADER_REGION, VALUE_L);
+                    self.tags.insert(rep, Tag::PanicReadLeader);
                 }
-                self.panic_advance(ctx, client);
             }
             (Tag::PanicReadLeader, r) => {
-                self.panic_step = PanicStep::Done;
                 if let RepResult::ReadOk(Some(RegVal::CqValue(cs))) = r {
                     if self.verifier.valid(
                         self.leader,
@@ -534,7 +505,7 @@ impl CqCore {
                                 leader_sig: Some(cs.leader_sig),
                             },
                         });
-                        return true;
+                        return;
                     }
                 }
                 self.abort = Some(AbortOutcome {
@@ -543,7 +514,6 @@ impl CqCore {
                 });
             }
         }
-        true
     }
 
     fn write_copy(&mut self, ctx: &mut Context<'_, Msg>, client: &mut MemoryClient<RegVal, Msg>) {

@@ -261,7 +261,6 @@ fn normalize(sc: &ShardedScenario) -> ShardedScenario {
     norm.partitions = 1;
     norm.threads = 1;
     norm.record_events = false;
-    norm.record_spans = false;
     norm
 }
 
@@ -537,7 +536,6 @@ pub fn render_schedule_timeline(
 ) -> crate::fuzz::TimelineArtifacts {
     let mut traced = normalize(sc);
     traced.record_events = true;
-    traced.record_spans = true;
     let mems = memory_ids(&traced);
     let cfg = ExploreConfig {
         max_depth: usize::MAX,

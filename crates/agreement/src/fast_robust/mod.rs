@@ -428,12 +428,14 @@ impl Actor<Msg> for FastRobustActor {
                 msg: Msg::Mem(wire),
             } => {
                 if let Some(c) = self.client.on_wire(ctx, from, wire) {
-                    let taken = match &mut self.fast {
-                        Some(cq) => cq.on_completion(ctx, &mut self.client, c.clone()),
-                        None => false,
-                    };
-                    if let (false, Some(rb)) = (taken, &mut self.backup) {
-                        rb.on_completion(ctx, &mut self.client, c);
+                    // Both stages issue through `self.client`: the
+                    // completion moves to the stage whose op it answers.
+                    match (&mut self.fast, &mut self.backup) {
+                        (Some(cq), _) if cq.owns(&c) => cq.on_completion(ctx, &mut self.client, c),
+                        (_, Some(rb)) => {
+                            rb.on_completion(ctx, &mut self.client, c);
+                        }
+                        _ => {}
                     }
                     self.after_step(ctx);
                 }

@@ -31,13 +31,12 @@ pub struct TimelineArtifacts {
     pub events: usize,
 }
 
-/// Re-runs `sc` with event and span recording enabled and renders the
+/// Re-runs `sc` with event recording enabled and renders the
 /// run's timeline in all three export formats. `title` labels the HTML
 /// viewer (use the case seed and violation).
 pub fn render_timeline(sc: &ShardedScenario, title: &str) -> TimelineArtifacts {
     let mut traced = sc.clone();
     traced.record_events = true;
-    traced.record_spans = true;
     let (_report, events) = run_sharded_with_events(&traced);
     render_events(&events, title)
 }

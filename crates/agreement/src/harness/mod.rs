@@ -551,11 +551,6 @@ pub struct ShardedRunReport {
     /// fast-path leader's speculative write-ack report completed (0
     /// unless [`ShardedScenario::byz_fast_path`] is set).
     pub byz_fast_confirms: u64,
-    /// Per-group command-lifecycle span statistics (empty unless the
-    /// scenario set [`ShardedScenario::record_spans`]). Deterministic
-    /// like everything else here: a run's span stats are identical
-    /// across replays and worker-thread counts.
-    pub span_stats: Vec<crate::spans::GroupSpanStats>,
 }
 
 /// Runs the sharded multi-group replicated-log service.
@@ -570,11 +565,11 @@ pub fn run_sharded(scenario: &ShardedScenario) -> ShardedRunReport {
 }
 
 /// [`run_sharded`], also returning the run's typed observability events
-/// (empty unless the scenario set [`ShardedScenario::record_events`] or
-/// [`ShardedScenario::record_spans`]). The stream is merged across
-/// kernel partitions in deterministic `(time, partition, seq)` order,
-/// ready for [`simnet::obs::to_jsonl`], [`simnet::obs::to_chrome_trace`]
-/// or [`simnet::obs::to_html_timeline`].
+/// (empty unless the scenario set [`ShardedScenario::record_events`]). The
+/// stream is merged across kernel partitions in deterministic
+/// `(time, partition, seq)` order, ready for [`simnet::obs::to_jsonl`],
+/// [`simnet::obs::to_chrome_trace`], [`simnet::obs::to_html_timeline`] or
+/// [`crate::spans::aggregate_spans`].
 pub fn run_sharded_with_events(
     scenario: &ShardedScenario,
 ) -> (ShardedRunReport, Vec<simnet::obs::Event>) {
@@ -724,9 +719,12 @@ fn place_sharded_replica<K: ShardedKernel>(
     };
     match scenario.mode_of(g) {
         GroupMode::CrashPmp => {
+            let batch = match scenario.adaptive_batch {
+                0 => scenario.batch,
+                cap => cap,
+            };
             let mut node = crash_replica(&procs, &mems, i, preload)
-                .with_batch(scenario.batch)
-                .with_adaptive_batch(scenario.adaptive_batch)
+                .with_batch(batch)
                 .with_observer(topo.router());
             if !scenario.disable_session_dedup {
                 node = node.with_session_dedup();
@@ -816,7 +814,7 @@ impl ShardedKernel for Simulation<Msg> {
     fn for_scenario(scenario: &ShardedScenario, _parts: usize) -> Self {
         let mut sim = Simulation::new(scenario.seed);
         sim.set_default_delay(scenario.delay.clone());
-        if scenario.obs_enabled() {
+        if scenario.record_events {
             sim.enable_obs();
         }
         sim
@@ -850,7 +848,7 @@ impl ShardedKernel for ParSimulation<Msg> {
         let mut sim = ParSimulation::new(scenario.seed, parts, scenario.delay.min_delay());
         sim.set_threads(scenario.threads);
         sim.set_default_delay(scenario.delay.clone());
-        if scenario.obs_enabled() {
+        if scenario.record_events {
             sim.enable_obs();
         }
         sim
@@ -950,15 +948,11 @@ fn run_sharded_on<K: ShardedKernel>(
         })
         .collect();
     let totals = kernel.totals();
-    let mut report = kernel
+    let report = kernel
         .read(router_id, |router| {
             reduce_sharded(scenario, router, &replicas, totals)
         })
         .expect("router exists");
-    if scenario.record_spans {
-        report.span_stats =
-            crate::spans::aggregate_spans(&events, scenario.groups, scenario.total_cmds);
-    }
     (report, events)
 }
 
@@ -1056,9 +1050,6 @@ fn reduce_sharded(
         byz_withheld_reports: router.byz_withheld_reports(),
         byz_fast_commits: sum_over_replicas(|r| r.fast_commits),
         byz_fast_confirms: router.byz_fast_confirms(),
-        // Filled by `run_sharded_on` when the scenario records spans
-        // (aggregation needs the merged event stream).
-        span_stats: Vec::new(),
         groups,
     }
 }
@@ -1213,27 +1204,26 @@ mod tests {
     }
 
     #[test]
-    fn span_stats_cover_the_lifecycle_and_leave_the_run_untouched() {
+    fn event_stream_spans_cover_the_lifecycle_and_leave_the_run_untouched() {
         let mut sc = ShardedScenario::common_case(2, 3, 3, 21);
         sc.total_cmds = 60;
         sc.window = 8;
         sc.group_modes = vec![GroupMode::CrashPmp, GroupMode::Byzantine];
-        let base = run_sharded(&sc);
+        let (base, untraced) = run_sharded_with_events(&sc);
         assert!(base.all_committed, "{base:?}");
-        assert!(base.span_stats.is_empty(), "spans off by default");
+        assert!(untraced.is_empty(), "recording off by default");
 
         let mut traced = sc.clone();
-        traced.record_spans = true;
+        traced.record_events = true;
         let (r, events) = run_sharded_with_events(&traced);
         assert!(!events.is_empty(), "recording produced events");
-        // Observation is read-only: the traced run's report matches the
-        // untraced one field-for-field (span_stats aside).
-        let mut stripped = r.clone();
-        stripped.span_stats = Vec::new();
-        assert_eq!(stripped, base);
+        // Observation is read-only: the traced run's report equals the
+        // untraced one.
+        assert_eq!(r, base);
+        let spans = crate::spans::aggregate_spans(&events, sc.groups, sc.total_cmds);
         // Both groups' commands traversed every stage.
-        assert_eq!(r.span_stats.len(), 2);
-        for (g, stats) in r.span_stats.iter().enumerate() {
+        assert_eq!(spans.len(), 2);
+        for (g, stats) in spans.iter().enumerate() {
             assert_eq!(stats.group, g);
             assert_eq!(
                 stats.spans as usize, r.groups[g].committed,
@@ -1251,8 +1241,8 @@ mod tests {
         }
         // The Byzantine group's confirm stage carries the f + 1 quorum
         // wait; the crash group's confirm is one observer notification.
-        let byz_confirm = r.span_stats[1].stage("confirm").unwrap().p50();
-        let crash_confirm = r.span_stats[0].stage("confirm").unwrap().p50();
+        let byz_confirm = spans[1].stage("confirm").unwrap().p50();
+        let crash_confirm = spans[0].stage("confirm").unwrap().p50();
         assert!(
             byz_confirm >= crash_confirm,
             "byz confirm {byz_confirm} < crash confirm {crash_confirm}"

@@ -77,9 +77,11 @@ pub struct ShardedScenario {
     /// Log entries per replicated write (as [`super::Scenario::batch`]).
     pub batch: usize,
     /// The crash-mode groups' batch, overriding `batch` there (`0` = no
-    /// override). Like every batch, each round packs `min(backlog, batch)`
-    /// commands; Byzantine groups keep `batch`. See
-    /// [`crate::smr::SmrNode::with_adaptive_batch`].
+    /// override): the harness passes it to
+    /// [`crate::smr::Replica::with_batch`] in place of `batch`. Like every
+    /// batch, each round packs `min(backlog, batch)` commands, so a
+    /// shallow backlog commits at once in a small burst and a deep one
+    /// fills it; Byzantine groups keep `batch`.
     pub adaptive_batch: usize,
     /// `(group, crash time in delays)`: crash that group's initial leader.
     pub crash_leaders: Vec<(usize, u64)>,
@@ -139,18 +141,13 @@ pub struct ShardedScenario {
     /// Record typed observability events ([`simnet::obs::Event`]) during
     /// the run: [`super::run_sharded_with_events`] returns the merged,
     /// deterministically ordered stream (ready for the exporters in
-    /// [`simnet::obs`]). Off — the default — records nothing and is
+    /// [`simnet::obs`], and for [`crate::spans::aggregate_spans`], which
+    /// reduces it to per-group, per-stage command-lifecycle latency
+    /// histograms). Off — the default — records nothing and is
     /// bit-identical to the pre-observability harness. Recording is
     /// strictly read-only: enabling it never changes a run's schedule,
     /// metrics or report.
     pub record_events: bool,
-    /// Aggregate command-lifecycle spans
-    /// ([`crate::spans::aggregate_spans`]) into
-    /// [`super::ShardedRunReport::span_stats`]: per-group, per-stage
-    /// latency histograms (submit → route → propose → decide → confirm).
-    /// Implies event recording for the duration of the run. Off by
-    /// default.
-    pub record_spans: bool,
     /// Byzantine pipeline window: how many signed broadcasts each
     /// Byzantine-mode leader keeps in flight before stalling on
     /// self-delivery ([`crate::smr::ByzSmrNode::with_pipeline_window`]).
@@ -173,12 +170,6 @@ pub struct ShardedScenario {
 }
 
 impl ShardedScenario {
-    /// Whether this scenario records typed observability events (either
-    /// flag turns the recorder on; span aggregation needs the events).
-    pub fn obs_enabled(&self) -> bool {
-        self.record_events || self.record_spans
-    }
-
     /// Group `g`'s failure mode (missing entries are crash-mode).
     pub fn mode_of(&self, g: usize) -> GroupMode {
         self.group_modes.get(g).copied().unwrap_or_default()
@@ -562,7 +553,6 @@ knob_table! {
 
     threads = 1 => Observation;
     record_events = false => Observation;
-    record_spans = false => Observation;
 }
 
 #[cfg(test)]
@@ -657,7 +647,6 @@ mod tests {
         // Observation-only knobs: not printed, not shrunk, not faults.
         sc.threads = 4;
         sc.record_events = true;
-        sc.record_spans = true;
         assert!(sc.assignments().is_empty());
         assert_eq!(sc.simplifications().len(), 1, "halving the commands");
         // Shape is printed and left alone.

@@ -197,16 +197,14 @@ pub struct NebEngine {
     /// followers' rows stay at depth 1 to avoid read amplification on
     /// rows that are idle in steady state).
     focus: Option<Pid>,
-    /// Whether this process runs delivery attempts on its *own* row.
-    /// On (the default) is Algorithm 2 verbatim. A fast-path leader
-    /// turns it off: it settles own broadcasts at the write ack instead
-    /// ([`NebEngine::take_broadcast_written`]), and its self-audit is
-    /// vacuous — the copy target `slots[p, k, p]` *is* the broadcast
-    /// register, and a correct process never equivocates against itself.
-    self_delivery: bool,
-    /// Whether [`NebEngine::broadcast`] write acks are tracked and
-    /// surfaced through [`NebEngine::take_broadcast_written`].
-    observe_writes: bool,
+    /// The leader fast path. Off (the default) is Algorithm 2 verbatim.
+    /// On, [`NebEngine::broadcast`] write acks are tracked and surfaced
+    /// through [`NebEngine::take_broadcast_written`] — the owner settles
+    /// own broadcasts at the write ack — and this process runs no
+    /// delivery attempts on its *own* row: its self-audit is vacuous, as
+    /// the copy target `slots[p, k, p]` *is* the broadcast register, and
+    /// a correct process never equivocates against itself.
+    fast_path: bool,
     /// Outstanding broadcast writes being tracked: completion id → k.
     bcast_writes: BTreeMap<RepId, u64>,
     /// Sequence numbers whose broadcast write has been acknowledged by a
@@ -270,8 +268,7 @@ impl NebEngine {
             deliveries: VecDeque::new(),
             depth: 1,
             focus: None,
-            self_delivery: true,
-            observe_writes: false,
+            fast_path: false,
             bcast_writes: BTreeMap::new(),
             written: Vec::new(),
             ready: BTreeMap::new(),
@@ -296,20 +293,16 @@ impl NebEngine {
         self.focus = focus;
     }
 
-    /// Enables or disables delivery attempts on this process's own row
-    /// (see the `self_delivery` field; a fast-path leader disables it).
-    pub fn set_self_delivery(&mut self, on: bool) {
-        self.self_delivery = on;
-    }
-
-    /// Enables or disables broadcast write-ack tracking
-    /// ([`NebEngine::take_broadcast_written`]).
-    pub fn set_observe_writes(&mut self, on: bool) {
-        self.observe_writes = on;
+    /// Enables or disables the leader fast path (see the `fast_path`
+    /// field): broadcast write acks surface through
+    /// [`NebEngine::take_broadcast_written`] in place of delivery
+    /// attempts on this process's own row.
+    pub(crate) fn set_fast_path(&mut self, on: bool) {
+        self.fast_path = on;
     }
 
     /// Drains the sequence numbers whose broadcast write has completed
-    /// since the last call (empty unless write observation is on).
+    /// since the last call (empty unless the fast path is on).
     pub fn take_broadcast_written(&mut self) -> Vec<u64> {
         std::mem::take(&mut self.written)
     }
@@ -360,7 +353,7 @@ impl NebEngine {
             slot_reg(self.me, k, self.me),
             RegVal::Neb(NebSlot::signed(&self.signer, k, wire)),
         );
-        if self.observe_writes {
+        if self.fast_path {
             self.bcast_writes.insert(rep, k);
         }
         k
@@ -386,7 +379,7 @@ impl NebEngine {
         client: &mut MemoryClient<RegVal, Msg>,
         q: Pid,
     ) {
-        if self.blocked.contains_key(&q) || (!self.self_delivery && q == self.me) {
+        if self.blocked.contains_key(&q) || (self.fast_path && q == self.me) {
             return;
         }
         if self.depth > 1 && self.focus == Some(q) {

@@ -79,17 +79,21 @@ struct GroupState {
     /// and not yet observed committed; re-sent on failover like any
     /// in-flight command.
     ctrl_in_flight: Vec<Value>,
-    /// Unique commands observed committed.
-    committed: usize,
     /// Decision latency of each command, in ticks, first-commit order.
     latencies_ticks: Vec<u64>,
-    /// When each unique commit was observed (the group's commit timeline).
+    /// When each unique commit was observed (the group's commit timeline):
+    /// one entry per unique command observed committed.
     commit_times: Vec<Time>,
 }
 
 impl GroupState {
+    /// Unique commands observed committed.
+    fn committed(&self) -> usize {
+        self.commit_times.len()
+    }
+
     fn in_flight(&self) -> usize {
-        self.submitted.len() - self.committed
+        self.submitted.len() - self.committed()
     }
 }
 
@@ -219,7 +223,6 @@ impl RouterActor {
                 backlog: backlog.iter().copied().collect(),
                 submitted: Vec::new(),
                 ctrl_in_flight: Vec::new(),
-                committed: 0,
                 latencies_ticks: Vec::new(),
                 commit_times: Vec::new(),
             })
@@ -405,7 +408,7 @@ impl RouterActor {
 
     /// Unique commands group `g` has committed.
     pub fn group_committed(&self, g: usize) -> usize {
-        self.groups[g].committed
+        self.groups[g].committed()
     }
 
     /// Decision latencies of group `g`'s commands, in ticks, in
@@ -575,7 +578,6 @@ impl RouterActor {
         self.committed_total += 1;
         ctx.obs_mark(v.0, crate::spans::STAGE_CONFIRM, g as u64);
         let state = &mut self.groups[g];
-        state.committed += 1;
         state
             .latencies_ticks
             .push(now.0.saturating_sub(self.submit_ticks[id]));

@@ -201,9 +201,6 @@ pub struct NebLog {
     /// How many broadcasts the leader keeps in flight (1 = the classic
     /// stall-on-self-delivery protocol, bit-identical to pre-pipeline).
     window: usize,
-    /// Whether the leader settles own batches at the broadcast write ack
-    /// (see the module docs' fast-path section).
-    fast_path: bool,
     /// Batches settled via the fast path's write ack over the run.
     fast_commits: u64,
     /// Next instance fresh commands are proposed at.
@@ -244,7 +241,6 @@ impl ByzSmrNode {
             epoch: 0,
             pipeline: VecDeque::new(),
             window: 1,
-            fast_path: false,
             fast_commits: 0,
             next_instance: 0,
             scanning: None,
@@ -273,9 +269,7 @@ impl ByzSmrNode {
     /// self-delivery (see the module docs for why this is sound; every
     /// follower still runs the full audited delivery path).
     pub fn with_fast_path(mut self, on: bool) -> ByzSmrNode {
-        self.engine.fast_path = on;
-        self.engine.neb.set_observe_writes(on);
-        self.engine.neb.set_self_delivery(!on);
+        self.engine.neb.set_fast_path(on);
         self
     }
 }
@@ -393,8 +387,9 @@ impl NebLog {
     /// batch settles at the 2-delay write-commit point instead of its
     /// ≈6-delay self-delivery (see the module docs for the soundness
     /// argument — commitment evidence still comes from follower quorums).
+    /// Only a fast-path broadcast engine surfaces write acks.
     fn on_written(&mut self, sh: &mut Shell, ctx: &mut Context<'_, Msg>, k: u64) {
-        if !self.fast_path || !sh.is_leader {
+        if !sh.is_leader {
             return; // stale ack from before a demotion: slot already cleared
         }
         let Some(slot) = self.undelivered(k) else {

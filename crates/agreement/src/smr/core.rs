@@ -9,6 +9,13 @@
 //! engines, so the sharded service's per-group [`GroupMode`] switch
 //! changes the consensus protocol and nothing else.
 //!
+//! The workload cursor has one owner: [`LogCore::fill_own`] advances it
+//! past the slots a round consumes and hands the round its
+//! `(consumed, suppressed)` pair, which the round carries until it is
+//! banked ([`LogCore::bank_suppressed`]) or rolled back
+//! ([`LogCore::unconsume`]). Nothing about an in-flight round is kept
+//! here.
+//!
 //! [`GroupMode`]: crate::sharded::GroupMode
 
 use simnet::Time;
@@ -105,10 +112,10 @@ pub struct ReplicaState {
 ///
 /// Nothing here touches the network: the shell calls
 /// [`LogCore::settle_many`] when its engine decides instances, and
-/// [`LogCore::fill_own`] + [`LogCore::take_own_round`] to build each
-/// proposal round, closed by [`LogCore::bank_suppressed`] (committed) or
-/// [`LogCore::unconsume`] (abandoned). Both halves return enough for the
-/// shell to drive notifications and metrics.
+/// [`LogCore::fill_own`] to build each proposal round, closed by
+/// [`LogCore::bank_suppressed`] (committed) or [`LogCore::unconsume`]
+/// (abandoned). Both halves return enough for the shell to drive
+/// notifications and metrics.
 #[derive(Debug)]
 pub struct LogCore {
     /// Commands this node wants committed (its client workload).
@@ -122,10 +129,6 @@ pub struct LogCore {
     pub dedup: bool,
     /// Ids observed decided (populated only when `dedup` is on).
     seen_cmds: IdSet,
-    /// Workload slots consumed by the in-flight round (proposed + skipped).
-    pub own_consumed: usize,
-    /// Duplicates skipped by the in-flight round.
-    pub own_suppressed: u64,
     /// Total duplicate proposals suppressed over the run (committed
     /// rounds only; abandoned rounds re-evaluate from scratch).
     pub duplicates_suppressed: u64,
@@ -148,8 +151,6 @@ impl LogCore {
             next_cmd: 0,
             dedup: false,
             seen_cmds: IdSet::default(),
-            own_consumed: 0,
-            own_suppressed: 0,
             duplicates_suppressed: 0,
             slots: Vec::new(),
             prefix_len: 0,
@@ -205,6 +206,15 @@ impl LogCore {
     /// value settles into `seen_cmds` before a fresh fill can observe
     /// it. When everything available was a duplicate, a no-op filler is
     /// emitted so the round still advances the log.
+    ///
+    /// The round takes what it consumed, so another round can start while
+    /// this one is still replicating: the workload cursor advances past
+    /// every consumed slot — the next fill reads fresh commands — and
+    /// `(consumed, suppressed)` is returned for the round to carry.
+    /// Proposed values equal consumed slots minus dedup-suppressed ones
+    /// (without dedup the two coincide). On commit the owner banks the
+    /// suppression count ([`LogCore::bank_suppressed`]); on abandonment it
+    /// rolls the cursor back ([`LogCore::unconsume`]).
     pub fn fill_own(
         &mut self,
         batch: usize,
@@ -212,23 +222,21 @@ impl LogCore {
         barred: impl Fn(u64) -> bool,
         pending: impl Fn(Value) -> bool,
         out: &mut Vec<Value>,
-    ) {
-        self.own_consumed = 0;
-        self.own_suppressed = 0;
-        while out.len() < batch && self.next_cmd + self.own_consumed < self.workload.len() {
+    ) -> (usize, u64) {
+        let (mut consumed, mut suppressed) = (0, 0);
+        while out.len() < batch && self.next_cmd + consumed < self.workload.len() {
             // A recovered value downstream ends the batch: it must
             // head its own round.
             if barred(first_instance + out.len() as u64) {
                 break;
             }
-            let v = self.workload[self.next_cmd + self.own_consumed];
-            self.own_consumed += 1;
+            let v = self.workload[self.next_cmd + consumed];
+            consumed += 1;
             // Session dedup: skip commands already seen decided (the
             // router's at-least-once failover re-submissions). The
-            // skipped slot is still consumed from the workload — on
-            // commit, `next_cmd` advances past it.
+            // skipped slot is still consumed from the workload.
             if self.dedup && v != Value(u64::MAX) && (self.seen_cmds.contains(v.0) || pending(v)) {
-                self.own_suppressed += 1;
+                suppressed += 1;
                 continue;
             }
             out.push(v);
@@ -238,28 +246,12 @@ impl LogCore {
             // duplicates): commit a no-op filler.
             out.push(Value(u64::MAX));
         }
-    }
-
-    /// Takes ownership of the just-filled round's accounting so another
-    /// round can start while this one is still replicating: advances the
-    /// workload cursor past the consumed slots — the next
-    /// [`LogCore::fill_own`] reads fresh commands — and returns
-    /// `(consumed, suppressed)` for the round to carry. Every consumed
-    /// slot advances the cursor: proposed values equal consumed slots
-    /// minus dedup-suppressed ones (without dedup the two coincide). On
-    /// commit the owner banks the suppression count
-    /// ([`LogCore::bank_suppressed`]); on abandonment it rolls the cursor
-    /// back ([`LogCore::unconsume`]).
-    pub fn take_own_round(&mut self) -> (usize, u64) {
-        let taken = (self.own_consumed, self.own_suppressed);
-        self.next_cmd += self.own_consumed;
-        self.own_consumed = 0;
-        self.own_suppressed = 0;
-        taken
+        self.next_cmd += consumed;
+        (consumed, suppressed)
     }
 
     /// Banks a committed round's dedup-suppression count (the cursor
-    /// already advanced in [`LogCore::take_own_round`]).
+    /// already advanced in [`LogCore::fill_own`]).
     pub fn bank_suppressed(&mut self, suppressed: u64) {
         self.duplicates_suppressed += suppressed;
     }
@@ -399,12 +391,10 @@ mod tests {
         c.seen_cmds.insert(2);
         c.seen_cmds.insert(3);
         let mut out = Vec::new();
-        c.fill_own(4, 0, |_| false, |_| false, &mut out);
+        let (consumed, suppressed) = c.fill_own(4, 0, |_| false, |_| false, &mut out);
         assert_eq!(out, vec![Value(u64::MAX)], "all duplicates -> filler");
-        assert_eq!(c.own_consumed, 3);
-        assert_eq!(c.own_suppressed, 3);
-        let (consumed, suppressed) = c.take_own_round();
-        assert_eq!((consumed, c.next_cmd), (3, 3));
+        assert_eq!((consumed, suppressed), (3, 3));
+        assert_eq!(c.next_cmd, 3);
         c.bank_suppressed(suppressed);
         assert_eq!(c.duplicates_suppressed, 3);
         assert!(c.workload_drained());
@@ -414,8 +404,8 @@ mod tests {
     fn fill_own_stops_at_barred_instance() {
         let mut c = LogCore::new(vec![Value(1), Value(2), Value(3)]);
         let mut out = Vec::new();
-        c.fill_own(4, 10, |i| i == 12, |_| false, &mut out);
+        let (consumed, _) = c.fill_own(4, 10, |i| i == 12, |_| false, &mut out);
         assert_eq!(out, vec![Value(1), Value(2)]);
-        assert_eq!(c.own_consumed, 2);
+        assert_eq!((consumed, c.next_cmd), (2, 2));
     }
 }

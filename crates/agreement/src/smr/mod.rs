@@ -42,7 +42,7 @@
 //!   mark, then `Decided` (one value) or `DecidedMany` goes out.
 //! * `Shell::commit` / `Shell::abandon` close a round's workload
 //!   accounting. There is **one** accounting: a round takes its consumed
-//!   workload slots when it is built ([`LogCore::take_own_round`]), banks
+//!   workload slots when it is built ([`LogCore::fill_own`]), banks
 //!   its dedup suppressions when it commits and rolls the cursor back
 //!   when it is abandoned — crash mode is simply a window-1 pipeline.
 //!
@@ -134,7 +134,7 @@ pub(crate) struct Round {
     pub(crate) first: u64,
     pub(crate) values: Vec<Value>,
     /// Workload slots consumed and duplicates suppressed building the
-    /// round ([`LogCore::take_own_round`]); both 0 for a recovery
+    /// round ([`LogCore::fill_own`]); both 0 for a recovery
     /// re-proposal, which takes nothing from the workload.
     consumed: usize,
     suppressed: u64,
@@ -204,9 +204,8 @@ impl Shell {
         if values.is_empty() {
             let plan = &self.recover;
             let barred = |i: u64| plan.binary_search_by_key(&i, |r| r.0).is_ok();
-            self.core
-                .fill_own(self.batch, at, barred, pending, &mut values);
-            (consumed, suppressed) = self.core.take_own_round();
+            let core = &mut self.core;
+            (consumed, suppressed) = core.fill_own(self.batch, at, barred, pending, &mut values);
         }
         for (j, v) in values.iter().enumerate() {
             ctx.obs_mark(v.0, STAGE_PROPOSE, at + j as u64);

@@ -66,20 +66,6 @@ impl SmrNode {
         Replica::over(engine, me, procs, initial_leader, workload, retry_every)
     }
 
-    /// Replaces the [`SmrNode::with_batch`] size set before it with `cap`;
-    /// `0` (the default) leaves the batch size alone. It is a batch like
-    /// any other: [`crate::smr::LogCore::fill_own`] packs
-    /// `min(backlog, batch)` commands into every round, so a shallow
-    /// backlog commits at once in a small burst and a deep one fills it.
-    /// The separate knob lets a sharded deployment give its crash-mode
-    /// groups their own batch ([`crate::harness::ShardedScenario::adaptive_batch`]).
-    pub fn with_adaptive_batch(mut self, cap: usize) -> SmrNode {
-        if cap > 0 {
-            self.sh.batch = cap;
-        }
-        self
-    }
-
     /// Number of own commands committed so far.
     pub fn committed_own(&self) -> usize {
         let in_flight = self.engine.round.as_ref().map_or(0, |r| r.consumed);

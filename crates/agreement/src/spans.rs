@@ -21,11 +21,14 @@
 //! untraced runs are bit-identical.
 //!
 //! [`aggregate_spans`] reduces a run's merged event stream to per-group,
-//! per-stage latency histograms ([`GroupSpanStats`]), surfaced by the
-//! harness as [`crate::harness::ShardedRunReport::span_stats`]. The
+//! per-stage latency histograms ([`GroupSpanStats`]). Span statistics are
+//! a function of the event stream and nothing else: set
+//! [`crate::harness::ShardedScenario::record_events`], run
+//! [`crate::harness::run_sharded_with_events`], and aggregate the events
+//! it returns — the run report itself is the same, traced or not. The
 //! histograms keep their samples and answer percentiles exactly;
 //! aggregation is deterministic and replay/thread-count invariant like
-//! everything else in a run report.
+//! the stream it reads.
 
 use simnet::obs::{Event, EventBody};
 

@@ -32,14 +32,16 @@ use std::time::Instant;
 use agreement::adversary::AdversaryKind;
 use agreement::harness::{
     run_disk_paxos, run_fast_robust, run_mp_paxos, run_protected, run_robust_backup, run_sharded,
-    run_smr, RunReport, Scenario, ShardedRunReport, ShardedScenario, SmrRunReport,
+    run_sharded_with_events, run_smr, RunReport, Scenario, ShardedRunReport, ShardedScenario,
+    SmrRunReport,
 };
 use agreement::sharded::{group_of_key, GroupMode, RebalanceConfig, WorkloadSpec};
+use agreement::spans::aggregate_spans;
 use bench::{Fixed, Row, Section};
 use simnet::{DelayModel, RdmaCost, TICKS_PER_DELAY};
 
 /// This snapshot's PR number (names the output file and anchors the gate).
-const PR: u32 = 27;
+const PR: u32 = 32;
 
 /// Allocation-counting wrapper around the system allocator.
 struct CountingAlloc;
@@ -570,11 +572,11 @@ fn byz_log_scaling(_cmds: usize) -> Section {
     }
 }
 
-/// Observability: the G=4 crash and Byzantine services with
-/// command-lifecycle span recording switched on. The per-stage latency
-/// percentiles show where the Byzantine broadcast price lands, stage by
-/// stage. Tracing is read-only, so the fully traced run (events + spans
-/// recorded) stripped of its span stats must equal the untraced report
+/// Observability: the G=4 crash and Byzantine services with event
+/// recording switched on and their command-lifecycle spans aggregated
+/// from the recorded stream. The per-stage latency percentiles show where
+/// the Byzantine broadcast price lands, stage by stage. Tracing is
+/// read-only, so the traced run's report must equal the untraced report
 /// bit-for-bit; that is asserted on every snapshot.
 fn observability(cmds: usize) -> Section {
     let cmds = tenth(cmds);
@@ -582,40 +584,39 @@ fn observability(cmds: usize) -> Section {
     let untraced = measure_sharded("observability_g4_crash_untraced".to_string(), &crash);
     let traced = ShardedScenario {
         record_events: true,
-        record_spans: true,
         ..crash
     };
-    let traced = measure_sharded("observability_g4_crash_traced".to_string(), &traced);
-    let stripped = ShardedRunReport {
-        span_stats: Vec::new(),
-        ..traced.report.clone()
-    };
-    let unperturbed = stripped == untraced.report;
+    let mut crash_spans = Vec::new();
+    let label = "observability_g4_crash_traced".to_string();
+    let traced = measure(label, traced.threads, || {
+        let (report, events) = run_sharded_with_events(&traced);
+        crash_spans = aggregate_spans(&events, traced.groups, traced.total_cmds);
+        report
+    });
+    let unperturbed = traced.report == untraced.report;
     assert!(unperturbed, "observability: tracing perturbed the run");
-    let byz_spans = ShardedScenario {
-        record_spans: true,
+    let byz = ShardedScenario {
+        record_events: true,
         ..g4_service(cmds, 16, GroupMode::Byzantine)
     };
-    let byz_spans = run_sharded(&byz_spans).span_stats;
+    let (_, byz_events) = run_sharded_with_events(&byz);
+    let byz_spans = aggregate_spans(&byz_events, byz.groups, byz.total_cmds);
 
-    let span_rows = [
-        ("crash", &traced.report.span_stats),
-        ("byzantine", &byz_spans),
-    ]
-    .into_iter()
-    .flat_map(|(config, groups)| {
-        groups.iter().map(move |g| {
-            let row = Row::labeled(&format!("spans_{config}_g{}", g.group))
-                .with("config", config)
-                .with("group", g.group)
-                .with("spans", g.spans);
-            g.stages.iter().fold(row, |row, stage| {
-                let (name, hist) = (stage.stage, &stage.hist);
-                row.with(format!("{name}_p50_delays"), Fixed(delays(hist.p50()), 2))
-                    .with(format!("{name}_p99_delays"), Fixed(delays(hist.p99()), 2))
+    let span_rows = [("crash", &crash_spans), ("byzantine", &byz_spans)]
+        .into_iter()
+        .flat_map(|(config, groups)| {
+            groups.iter().map(move |g| {
+                let row = Row::labeled(&format!("spans_{config}_g{}", g.group))
+                    .with("config", config)
+                    .with("group", g.group)
+                    .with("spans", g.spans);
+                g.stages.iter().fold(row, |row, stage| {
+                    let (name, hist) = (stage.stage, &stage.hist);
+                    row.with(format!("{name}_p50_delays"), Fixed(delays(hist.p50()), 2))
+                        .with(format!("{name}_p99_delays"), Fixed(delays(hist.p99()), 2))
+                })
             })
-        })
-    });
+        });
     let configs = [&untraced, &traced].map(sharded_row);
     Section {
         name: "observability",

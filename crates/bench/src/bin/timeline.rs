@@ -23,9 +23,10 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use agreement::fuzz::render_timeline;
+use agreement::fuzz::render_events;
 use agreement::harness::{run_sharded_with_events, ShardedScenario};
 use agreement::sharded::WorkloadSpec;
+use agreement::spans::aggregate_spans;
 use bench::write_timeline;
 use simnet::TICKS_PER_DELAY;
 
@@ -104,18 +105,17 @@ fn main() -> ExitCode {
         sc.groups, sc.n, sc.m, sc.total_cmds, sc.partitions
     );
     let title = format!("{name}: {} groups, {} commands", sc.groups, sc.total_cmds);
-    let art = render_timeline(&sc, &title);
+    sc.record_events = true;
+    let (_report, events) = run_sharded_with_events(&sc);
+    let art = render_events(&events, &title);
     if let Err(e) = write_timeline(&out, &name, &art) {
         eprintln!("{e}");
         return ExitCode::FAILURE;
     }
 
     // The same traced run's per-stage span histograms, per group.
-    let mut traced = sc.clone();
-    traced.record_spans = true;
-    let (report, _events) = run_sharded_with_events(&traced);
     println!("\n  group  spans  stage      p50(d)  p99(d)");
-    for stats in &report.span_stats {
+    for stats in &aggregate_spans(&events, sc.groups, sc.total_cmds) {
         for stage in &stats.stages {
             println!(
                 "  {:>5}  {:>5}  {:<9}  {:>6.2}  {:>6.2}",

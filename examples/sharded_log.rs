@@ -13,8 +13,9 @@
 //! ```
 
 use agreement::adversary::AdversaryKind;
-use agreement::harness::{run_sharded, ShardedScenario};
+use agreement::harness::{run_sharded, run_sharded_with_events, ShardedScenario};
 use agreement::sharded::WorkloadSpec;
+use agreement::spans::aggregate_spans;
 use simnet::TICKS_PER_DELAY;
 
 fn main() {
@@ -250,7 +251,7 @@ fn main() {
     );
     println!("  pipelined demo: ≤3x of crash with the audit + confirmation quorum intact");
 
-    // Command-lifecycle spans: the same service with span recording on —
+    // Command-lifecycle spans, aggregated from the recorded event stream —
     // one crash-PMP group next to one Byzantine group, so the broadcast
     // price (the paper's footnote 2: one non-equivocating delivery is ~6
     // delays) becomes visible stage by stage instead of hiding in an
@@ -266,11 +267,12 @@ fn main() {
     spans_sc.window = 6;
     spans_sc.batch = 2;
     spans_sc.max_delays = 40_000;
-    spans_sc.record_spans = true;
-    let r_spans = run_sharded(&spans_sc);
+    spans_sc.record_events = true;
+    let (r_spans, events) = run_sharded_with_events(&spans_sc);
     assert!(r_spans.all_committed && r_spans.all_logs_agree);
+    let spans = aggregate_spans(&events, spans_sc.groups, spans_sc.total_cmds);
     println!("  group  mode       spans  stage    p50(d)  p99(d)");
-    for (stats, mode) in r_spans.span_stats.iter().zip(["crash", "byzantine"]) {
+    for (stats, mode) in spans.iter().zip(["crash", "byzantine"]) {
         for stage in &stats.stages {
             println!(
                 "  {:>5}  {:<9}  {:>5}  {:<8} {:>6.2}  {:>6.2}",
@@ -283,8 +285,8 @@ fn main() {
             );
         }
     }
-    let crash_total = r_spans.span_stats[0].stage("total").expect("crash total");
-    let byz_total = r_spans.span_stats[1].stage("total").expect("byz total");
+    let crash_total = spans[0].stage("total").expect("crash total");
+    let byz_total = spans[1].stage("total").expect("byz total");
     assert!(crash_total.count() > 0 && byz_total.count() > 0);
     println!(
         "  footnote-2 price, per command end to end: {:.1}x (byzantine p50 {:.1}d vs crash {:.1}d)",

@@ -104,9 +104,9 @@ proptest! {
                     core.submit(&mut ids.iter().map(|&id| Value(id)).collect());
                     let mut out = Vec::new();
                     let is_pending = |v: Value| pending.contains(&v.0);
-                    core.fill_own(ids.len(), frontier, |_| false, is_pending, &mut out);
+                    let taken = core.fill_own(ids.len(), frontier, |_| false, is_pending, &mut out);
                     prop_assert_eq!(&out, &expected, "seen {:?}", seen);
-                    prop_assert_eq!(core.take_own_round(), (ids.len(), suppressed));
+                    prop_assert_eq!(taken, (ids.len(), suppressed));
                     core.bank_suppressed(suppressed);
                     consumed_total += ids.len();
                     suppressed_total += suppressed;
