@@ -892,3 +892,127 @@ impl RouterActor {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use simnet::ActorId;
+
+    /// Two groups of 5 replicas + 3 memories: group 0 crash-mode, group 1
+    /// Byzantine (`f + 1` = 3), so group 1's replicas are actors 8..13 and
+    /// its initial leader is actor 8.
+    fn router(fast_path: bool) -> RouterActor {
+        let topo = GroupTopology {
+            groups: 2,
+            n: 5,
+            m: 3,
+        };
+        let workload = PartitionedWorkload {
+            backlogs: vec![Vec::new(), Vec::new()],
+            group_of: vec![0],
+            keys: vec![0],
+        };
+        let r = RouterActor::new(topo, workload, 4)
+            .with_group_modes(vec![GroupMode::CrashPmp, GroupMode::Byzantine], 5);
+        if fast_path {
+            r.with_byz_fast_path()
+        } else {
+            r
+        }
+    }
+
+    fn replica(i: u32) -> Pid {
+        ActorId(8 + i)
+    }
+
+    #[test]
+    fn crash_group_reports_pass_straight_through() {
+        let mut r = router(false);
+        assert!(r.confirm(0, ActorId(1), Value(7)));
+        assert!(r.confirm(0, ActorId(1), Value(7)));
+        assert_eq!(r.byz_withheld_reports(), 0);
+        assert_eq!(r.byz_unconfirmed_claims(), 0);
+    }
+
+    #[test]
+    fn one_replica_reporting_twice_never_completes_a_quorum() {
+        let mut r = router(false);
+        for _ in 0..4 {
+            assert!(!r.confirm(1, replica(1), Value(7)));
+        }
+        assert!(!r.confirm(1, replica(2), Value(7)));
+        assert!(!r.confirm(1, replica(2), Value(7)));
+        assert_eq!(r.byz_unconfirmed_claims(), 1);
+        assert!(
+            r.confirm(1, replica(3), Value(7)),
+            "third distinct reporter"
+        );
+        assert_eq!(r.byz_unconfirmed_claims(), 0);
+    }
+
+    #[test]
+    fn a_report_after_the_quorum_stays_dropped() {
+        let mut r = router(false);
+        for q in 0..2 {
+            assert!(!r.confirm(1, replica(q), Value(9)));
+        }
+        assert!(r.confirm(1, replica(2), Value(9)));
+        for q in [0, 2, 3, 4, 4] {
+            assert!(!r.confirm(1, replica(q), Value(9)), "tombstone reopened");
+        }
+        assert_eq!(r.byz_withheld_reports(), 2);
+        assert_eq!(r.byz_unconfirmed_claims(), 0);
+        // Another value of the same group is untouched by the tombstone.
+        assert!(!r.confirm(1, replica(4), Value(10)));
+        assert_eq!(r.byz_unconfirmed_claims(), 1);
+    }
+
+    #[test]
+    fn withheld_counts_only_new_reporters() {
+        let mut r = router(false);
+        for q in [1, 1, 1, 2, 1, 2] {
+            assert!(!r.confirm(1, replica(q), Value(5)));
+        }
+        assert_eq!(r.byz_withheld_reports(), 2);
+        for q in [0, 0] {
+            assert!(!r.confirm(1, replica(q), Value(6)));
+        }
+        assert_eq!(r.byz_withheld_reports(), 3);
+        assert_eq!(r.byz_unconfirmed_claims(), 2);
+    }
+
+    #[test]
+    fn fast_confirms_count_a_leader_report_that_came_first() {
+        let mut r = router(true);
+        // Leader first, then two followers: the follower closing the
+        // quorum finds the leader's report banked.
+        for (q, closes) in [(0, false), (1, false), (2, true)] {
+            assert_eq!(r.confirm(1, replica(q), Value(1)), closes);
+        }
+        assert_eq!(r.byz_fast_confirms(), 1);
+        // Followers first, the leader's report closes the quorum itself.
+        for (q, closes) in [(1, false), (2, false), (0, true)] {
+            assert_eq!(r.confirm(1, replica(q), Value(2)), closes);
+        }
+        assert_eq!(r.byz_fast_confirms(), 1);
+        // No leader report at all.
+        for (q, closes) in [(3, false), (1, false), (4, true)] {
+            assert_eq!(r.confirm(1, replica(q), Value(3)), closes);
+        }
+        assert_eq!(r.byz_fast_confirms(), 1);
+        // The leader between two followers still came first.
+        for (q, closes) in [(4, false), (0, false), (3, true)] {
+            assert_eq!(r.confirm(1, replica(q), Value(4)), closes);
+        }
+        assert_eq!(r.byz_fast_confirms(), 2);
+    }
+
+    #[test]
+    fn fast_confirms_stay_zero_without_the_fast_path() {
+        let mut r = router(false);
+        for (q, closes) in [(0, false), (1, false), (2, true)] {
+            assert_eq!(r.confirm(1, replica(q), Value(1)), closes);
+        }
+        assert_eq!(r.byz_fast_confirms(), 0);
+    }
+}
