@@ -228,13 +228,13 @@ struct Claims {
 }
 
 impl Claims {
-    fn answer(&mut self, ctx: &mut Context<'_, Msg>, cmds: Vec<Value>) {
+    fn answer(&mut self, ctx: &mut Context<'_, Msg>, cmds: &[Value]) {
         // The invented id is a counter in bits disjoint from the junk
         // base's set bits, well above any client id, which no honest
         // replica can ever corroborate.
         self.batches += 1;
         let invented = Value((self.base.0 | 1 << 50) + (self.batches << 16));
-        for value in cmds.into_iter().chain([invented]) {
+        for value in cmds.iter().copied().chain([invented]) {
             let instance = Instance(self.next_instance);
             self.next_instance += 1;
             ctx.send(self.router, Msg::Decided { instance, value });
@@ -536,7 +536,7 @@ impl Actor<Msg> for Scripted {
                 ..
             } => {
                 if let Some(claims) = &mut self.claims {
-                    claims.answer(ctx, cmds);
+                    claims.answer(ctx, &cmds);
                 }
             }
             EventKind::Msg {

@@ -748,7 +748,11 @@ impl NebEngine {
         for (k, slot) in covered {
             // The `(k, q)` column: one register per process's row.
             for &i in &self.procs {
-                let Some(RegVal::Neb(other)) = all.get(&slot_reg(i, k, q)) else {
+                let reg = slot_reg(i, k, q);
+                let Ok(at) = all.binary_search_by_key(&reg, |(r, _)| *r) else {
+                    continue;
+                };
+                let RegVal::Neb(other) = &all[at].1 else {
                     continue;
                 };
                 if self.convicts(q, k, &slot, other) {

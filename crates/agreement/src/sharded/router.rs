@@ -40,11 +40,11 @@
 //! application. Off by default: without it the router is bit-identical to
 //! the static-hash service.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use simnet::{Actor, Context, Duration, EventKind, Time};
 
-use crate::types::{Msg, Pid, Value};
+use crate::types::{Cmds, Msg, Pid, Value};
 
 use super::rebalance::{
     self, CtrlEntry, KeyRange, MigrationSpec, RebalancePolicy, RoutingTable, ScriptedMigration,
@@ -156,12 +156,15 @@ struct ByzConfirm {
     /// Per-group failure mode (index = group).
     modes: Vec<GroupMode>,
     /// Reports needed before an observation counts (`f + 1`).
-    quorum: usize,
-    /// `(group, value) → distinct reporters`, `None` once confirmed (the
-    /// tombstone keeps a straggling post-quorum report from re-opening
-    /// the entry). What remains `Some` at the end of a run is exactly
-    /// the unconfirmed claims.
-    pending: BTreeMap<(usize, u64), Option<BTreeSet<u32>>>,
+    quorum: u32,
+    /// Actors per group block (`n + m`): a replica's bit in a reporter
+    /// mask is its position in its block, `ActorId % block`.
+    block: u32,
+    /// `(group, value) → distinct reporters` as a bitmask over replica
+    /// positions, `None` once confirmed (the tombstone keeps a straggling
+    /// post-quorum report from re-opening the entry). What remains `Some`
+    /// at the end of a run is exactly the unconfirmed claims.
+    pending: BTreeMap<(usize, u64), Option<u64>>,
     /// Reports withheld from the commit path pending their quorum (the
     /// cumulative work the confirmation layer did; every fabricated
     /// claim lands here at least once).
@@ -247,11 +250,22 @@ impl RouterActor {
     /// groups are held until `f + 1 = (n - 1) / 2 + 1` distinct replicas
     /// of the group report the same value; `n` is the per-group replica
     /// count. A no-op when every group is crash-mode.
+    ///
+    /// # Panics
+    ///
+    /// If a Byzantine group has more than 64 replicas: reporters are kept
+    /// as one bit per replica position in a `u64`, and a wider group would
+    /// alias two replicas onto one bit.
     pub fn with_group_modes(mut self, modes: Vec<GroupMode>, n: usize) -> RouterActor {
         if modes.contains(&GroupMode::Byzantine) {
+            assert!(
+                n <= u64::BITS as usize,
+                "a Byzantine group's reporters are a 64-bit mask: n = {n} replicas do not fit"
+            );
             self.byz = Some(ByzConfirm {
                 modes,
-                quorum: (n - 1) / 2 + 1,
+                quorum: ((n - 1) / 2 + 1) as u32,
+                block: self.topo.block() as u32,
                 pending: BTreeMap::new(),
                 withheld: 0,
                 fast_path: false,
@@ -294,16 +308,16 @@ impl RouterActor {
         }
         let leader = self.groups[g].leader;
         let byz = self.byz.as_mut().expect("byz_group implies state");
-        let entry = byz
-            .pending
-            .entry((g, v.0))
-            .or_insert_with(|| Some(BTreeSet::new()));
+        let block = byz.block;
+        let bit = |p: Pid| 1u64 << (p.0 % block);
+        let entry = byz.pending.entry((g, v.0)).or_insert(Some(0));
         let Some(reporters) = entry else {
             return false; // already confirmed; stale re-report
         };
-        let new_reporter = reporters.insert(from.0);
-        if reporters.len() >= byz.quorum {
-            if byz.fast_path && from != leader && reporters.contains(&leader.0) {
+        let new_reporter = *reporters & bit(from) == 0;
+        *reporters |= bit(from);
+        if reporters.count_ones() >= byz.quorum {
+            if byz.fast_path && from != leader && *reporters & bit(leader) != 0 {
                 // The leader's speculative write-ack report was already
                 // banked when this follower corroboration closed the
                 // quorum: the fast path bought this commit its headroom.
@@ -483,7 +497,7 @@ impl RouterActor {
             return;
         }
         let now = ctx.now().0;
-        let mut cmds = Vec::with_capacity(room.min(state.backlog.len()));
+        let mut cmds = Cmds::with_capacity(room.min(state.backlog.len()));
         while cmds.len() < room {
             // Paced arrivals: the backlog is released front-gated — the
             // group submits nothing past its first not-yet-arrived
@@ -532,7 +546,7 @@ impl RouterActor {
         // `state` was reborrowed away by the hold path; fetch it again.
         let state = &mut self.groups[g];
         if !cmds.is_empty() {
-            for v in &cmds {
+            for v in cmds.iter() {
                 ctx.obs_mark(v.0, crate::spans::STAGE_ROUTE, g as u64);
             }
             let leader = state.leader;
@@ -589,15 +603,12 @@ impl RouterActor {
     /// entries ride along, after the commands they were queued behind.
     fn resubmit_in_flight(&mut self, ctx: &mut Context<'_, Msg>, g: usize) {
         let state = &self.groups[g];
-        let mut cmds: Vec<Value> = state
-            .submitted
-            .iter()
-            .copied()
+        let cmds: Cmds = (state.submitted.iter().copied())
             .filter(|v| !self.committed[v.0 as usize])
+            .chain(state.ctrl_in_flight.iter().copied())
             .collect();
-        cmds.extend(state.ctrl_in_flight.iter().copied());
         if !cmds.is_empty() {
-            for v in &cmds {
+            for v in cmds.iter() {
                 ctx.obs_mark(v.0, crate::spans::STAGE_ROUTE, g as u64);
             }
             let leader = state.leader;
@@ -609,7 +620,8 @@ impl RouterActor {
     fn send_ctrl(&mut self, ctx: &mut Context<'_, Msg>, g: usize, v: Value) {
         self.groups[g].ctrl_in_flight.push(v);
         let leader = self.groups[g].leader;
-        ctx.send(leader, Msg::Submit { cmds: vec![v] });
+        let cmds = Cmds::from_iter([v]);
+        ctx.send(leader, Msg::Submit { cmds });
     }
 
     /// Starts (or queues) a migration of `range` to group `to`. Silently
@@ -923,6 +935,52 @@ mod tests {
 
     fn replica(i: u32) -> Pid {
         ActorId(8 + i)
+    }
+
+    #[test]
+    #[should_panic(expected = "do not fit")]
+    fn a_byzantine_group_wider_than_the_mask_is_refused() {
+        let topo = GroupTopology {
+            groups: 1,
+            n: 65,
+            m: 1,
+        };
+        let workload = PartitionedWorkload {
+            backlogs: vec![Vec::new()],
+            group_of: vec![0],
+            keys: vec![0],
+        };
+        let _ =
+            RouterActor::new(topo, workload, 4).with_group_modes(vec![GroupMode::Byzantine], 65);
+    }
+
+    #[test]
+    fn sixty_four_replicas_fill_the_mask_without_aliasing() {
+        let topo = GroupTopology {
+            groups: 2,
+            n: 64,
+            m: 3,
+        };
+        let workload = PartitionedWorkload {
+            backlogs: vec![Vec::new(), Vec::new()],
+            group_of: vec![0],
+            keys: vec![0],
+        };
+        let mut r = RouterActor::new(topo, workload, 4)
+            .with_group_modes(vec![GroupMode::Byzantine, GroupMode::Byzantine], 64);
+        // Group 1's replicas are actors 67..131; f + 1 = 32.
+        for q in 0..31 {
+            assert!(!r.confirm(1, ActorId(67 + 33 + q), Value(1)));
+        }
+        assert!(
+            !r.confirm(1, ActorId(67 + 63), Value(1)),
+            "position 63 repeated"
+        );
+        assert!(
+            r.confirm(1, ActorId(67), Value(1)),
+            "position 0 is distinct"
+        );
+        assert_eq!(r.byz_withheld_reports(), 31);
     }
 
     #[test]

@@ -396,14 +396,14 @@ impl NebLog {
             return;
         };
         slot.delivered = true;
-        let (first, values) = (slot.round.first, slot.round.values.clone());
+        let (first, values) = (slot.round.first, &slot.round.values);
         debug_assert!(
             !Self::past_frontier(sh, first),
             "own wire k={k} is not dense"
         );
+        Self::mark_delivered(ctx, first, values);
+        sh.decide(ctx, first, values);
         self.fast_commits += 1;
-        Self::mark_delivered(ctx, first, &values);
-        sh.decide(ctx, first, &values);
         self.retire_ready(sh);
         self.drive(sh, ctx);
     }
@@ -434,7 +434,7 @@ impl NebLog {
 
     /// Folds the scan result into an adoption map and opens the new
     /// epoch (see the module docs for the adoption rule).
-    fn adopt(&mut self, sh: &mut Shell, rows: BTreeMap<rdma_sim::RegId, RegVal>) {
+    fn adopt(&mut self, sh: &mut Shell, rows: Vec<(rdma_sim::RegId, RegVal)>) {
         self.need_scan = false;
         // Receipt provenance pre-pass: a broadcaster's *self-slot* — its
         // own sequence number in its own exclusive-writer row, the one
@@ -725,7 +725,7 @@ mod tests {
 
     /// Runs the takeover scan's fold over `rows` on a bare replica.
     fn adopt(node: &mut ByzSmrNode, rows: BTreeMap<rdma_sim::RegId, RegVal>) {
-        node.engine.adopt(&mut node.sh, rows);
+        node.engine.adopt(&mut node.sh, rows.into_iter().collect());
     }
 
     /// What the recovery plan holds for `instance`.

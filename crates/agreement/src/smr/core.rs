@@ -182,8 +182,8 @@ impl LogCore {
     }
 
     /// Appends run-time routed commands to the proposal workload.
-    pub fn submit(&mut self, cmds: &mut Vec<Value>) {
-        self.workload.append(cmds);
+    pub fn submit(&mut self, cmds: &[Value]) {
+        self.workload.extend_from_slice(cmds);
     }
 
     /// Folds a key-range migration snapshot into the dedup seen-set (the

@@ -128,6 +128,10 @@ pub trait Engine: Sized + 'static {
     fn report(&self, _sh: &Shell, _state: &mut ReplicaState) {}
 }
 
+/// How many finished rounds' value buffers a shell keeps for reuse: a
+/// Byzantine pipeline holds at most 8 rounds in flight, crash mode one.
+const SPARE_ROUNDS_CAP: usize = 8;
+
 /// One proposal round: `values[j]` proposed for instance `first + j`.
 #[derive(Debug)]
 pub(crate) struct Round {
@@ -165,6 +169,9 @@ pub struct Shell {
     /// Wire input refused: a `Decided*` from outside the group, or (set by
     /// the Byzantine engine) a validly signed batch beyond any dense log.
     pub(crate) entries_rejected: u64,
+    /// Value buffers of committed and abandoned rounds, empty, for
+    /// `next_round` to fill again: a warm replica allocates no round.
+    spare_rounds: Vec<Vec<Value>>,
 }
 
 impl Shell {
@@ -189,10 +196,12 @@ impl Shell {
             return None;
         }
         // The round's values are built once, so sized once: by what there
-        // is to propose (a recovered run or the backlog), up to `batch`.
+        // is to propose (a recovered run or the backlog), up to `batch`,
+        // in a finished round's buffer when there is one.
         let backlog = (self.core.workload.len()).saturating_sub(self.core.next_cmd);
         let room = self.batch.min(self.recover.len().max(backlog)).max(1);
-        let mut values = Vec::with_capacity(room);
+        let mut values = self.spare_rounds.pop().unwrap_or_default();
+        values.reserve_exact(room);
         let (mut consumed, mut suppressed) = (0, 0);
         while values.len() < self.batch {
             match self.recover.front() {
@@ -221,12 +230,22 @@ impl Shell {
     /// Banks a committed round's accounting (its values are in the log).
     pub(crate) fn commit(&mut self, round: Round) {
         self.core.bank_suppressed(round.suppressed);
+        self.recycle(round.values);
     }
 
     /// Rolls an abandoned round's workload slots back, so its commands
     /// are re-proposed (or dedup-suppressed) by a later round.
     pub(crate) fn abandon(&mut self, round: Round) {
         self.core.unconsume(round.consumed);
+        self.recycle(round.values);
+    }
+
+    /// Keeps a finished round's buffer for the next one.
+    fn recycle(&mut self, mut values: Vec<Value>) {
+        if self.spare_rounds.len() < SPARE_ROUNDS_CAP {
+            values.clear();
+            self.spare_rounds.push(values);
+        }
     }
 
     /// Applies the decided run `first .. first + values.len()` (slots
@@ -300,6 +319,7 @@ impl<E: Engine> Replica<E> {
             peers_decide: E::PEERS_DECIDE,
             recover: VecDeque::new(),
             entries_rejected: 0,
+            spare_rounds: Vec::new(),
         };
         Replica { sh, engine }
     }
@@ -450,12 +470,12 @@ impl<E: Engine> Actor<Msg> for Replica<E> {
                 sh.core.install_snapshot(seen);
             }
             EventKind::Msg {
-                msg: Msg::Submit { mut cmds },
+                msg: Msg::Submit { cmds },
                 ..
             } => {
                 // Routed client commands (sharded service): append to the
                 // proposal workload and propose if there is room.
-                sh.core.submit(&mut cmds);
+                sh.core.submit(&cmds);
                 engine.drive(sh, ctx);
             }
             EventKind::Msg { .. } => {}

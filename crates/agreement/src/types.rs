@@ -209,6 +209,86 @@ impl WireSize for RegVal {
     const WIRE_BYTES: u32 = 144;
 }
 
+/// The commands of one [`Msg::Submit`], in submission order: a run of up
+/// to [`Cmds::INLINE`] is held in the message itself, so routing it
+/// allocates nothing; a longer run is one `Vec`. Reads as a slice and
+/// prints as one (`[v1, v2]`), whichever way it is held.
+#[derive(Clone)]
+pub struct Cmds(CmdsRepr);
+
+#[derive(Clone)]
+enum CmdsRepr {
+    Inline {
+        len: u8,
+        values: [Value; Cmds::INLINE],
+    },
+    Spilled(Vec<Value>),
+}
+
+impl Cmds {
+    /// The longest run held inline.
+    pub const INLINE: usize = 8;
+
+    /// An empty run with room for `n` commands: inline up to
+    /// [`Cmds::INLINE`], else one `Vec` of exactly that capacity.
+    pub fn with_capacity(n: usize) -> Cmds {
+        Cmds(if n <= Cmds::INLINE {
+            CmdsRepr::Inline {
+                len: 0,
+                values: [Value(0); Cmds::INLINE],
+            }
+        } else {
+            CmdsRepr::Spilled(Vec::with_capacity(n))
+        })
+    }
+
+    /// Appends `v`, moving the run to a `Vec` when it outgrows the inline
+    /// room.
+    pub fn push(&mut self, v: Value) {
+        match &mut self.0 {
+            CmdsRepr::Inline { len, values } if (*len as usize) < Cmds::INLINE => {
+                values[*len as usize] = v;
+                *len += 1;
+            }
+            CmdsRepr::Inline { values, .. } => {
+                let mut spilled = Vec::with_capacity(2 * Cmds::INLINE);
+                spilled.extend_from_slice(values);
+                spilled.push(v);
+                self.0 = CmdsRepr::Spilled(spilled);
+            }
+            CmdsRepr::Spilled(values) => values.push(v),
+        }
+    }
+}
+
+impl std::ops::Deref for Cmds {
+    type Target = [Value];
+
+    fn deref(&self) -> &[Value] {
+        match &self.0 {
+            CmdsRepr::Inline { len, values } => &values[..*len as usize],
+            CmdsRepr::Spilled(values) => values,
+        }
+    }
+}
+
+impl FromIterator<Value> for Cmds {
+    fn from_iter<I: IntoIterator<Item = Value>>(iter: I) -> Cmds {
+        let iter = iter.into_iter();
+        let mut cmds = Cmds::with_capacity(iter.size_hint().0);
+        for v in iter {
+            cmds.push(v);
+        }
+        cmds
+    }
+}
+
+impl fmt::Debug for Cmds {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
+}
+
 /// The unified simulation message type for every protocol in this crate.
 #[derive(Clone, Debug)]
 pub enum Msg {
@@ -249,7 +329,7 @@ pub enum Msg {
     /// (the router re-submits in-flight commands on failover).
     Submit {
         /// The routed commands, in submission order.
-        cmds: Vec<Value>,
+        cmds: Cmds,
     },
     /// A key-range migration's state snapshot, sent by the router to every
     /// replica of the *destination* group once the source group committed
@@ -385,6 +465,39 @@ mod tests {
             assert_eq!(resp(rows), (Verb::Send, 704, 1), "{value:?}");
         }
         assert_eq!(MemResponse::<RegVal>::Ack.cost_class(), CostClass::SEND);
+    }
+
+    /// A `Submit` reads and prints exactly as it did while its commands
+    /// were a `Vec`, held inline or spilled, so every transcript that
+    /// prints one reads the same.
+    #[test]
+    fn submit_commands_read_and_print_as_the_vec_they_replace() {
+        /// `Msg::Submit` as it was declared (read by its `Debug` alone).
+        #[derive(Debug)]
+        #[allow(dead_code)]
+        enum Was {
+            Submit { cmds: Vec<Value> },
+        }
+        for n in [0, 1, 7, 8, 9, 16, 17, 40] {
+            let want: Vec<Value> = (1..=n).map(Value).collect();
+            let mut pushed = Cmds::with_capacity(3);
+            want.iter().for_each(|&v| pushed.push(v));
+            let filtered: Cmds = want.iter().copied().filter(|_| true).collect();
+            let sized: Cmds = want.iter().copied().collect();
+            let was = Was::Submit { cmds: want.clone() };
+            for cmds in [pushed, filtered, sized] {
+                assert_eq!(&*cmds, &want[..]);
+                let is = Msg::Submit { cmds };
+                assert_eq!(format!("{is:?}"), format!("{was:?}"));
+                assert_eq!(format!("{is:#?}"), format!("{was:#?}"));
+            }
+        }
+        // A run stays inline up to its room, and a run sized past it is
+        // one exact `Vec`.
+        let inline: Cmds = (1..=8).map(Value).collect();
+        assert!(matches!(inline.0, CmdsRepr::Inline { len: 8, .. }));
+        let spilled = Cmds::with_capacity(32);
+        assert!(matches!(&spilled.0, CmdsRepr::Spilled(v) if v.capacity() == 32));
     }
 
     #[test]

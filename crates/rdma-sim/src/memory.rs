@@ -266,27 +266,35 @@ where
                 Some((spec, perm)) if perm.allows_read(from) => {
                     let hit = |r: RegId| spec.contains(r) && within.is_none_or(|w| w.contains(r));
                     let store = &self.store;
-                    let mut rows = Vec::new();
-                    match within {
+                    let rows = match within {
                         Some(RegionSpec::Pattern {
                             space,
                             a,
                             b: Some(window),
                             ..
                         }) if !store.log.holds(space) => {
-                            // Map order is `RegId` order: no sort.
+                            // Map order is `RegId` order: no sort. A first
+                            // walk counts the hits, so the response is
+                            // allocated once, at its final length.
+                            let mut len = 0;
+                            scan_window(&store.sparse, space, a, window, |r, _| {
+                                len += usize::from(hit(r));
+                            });
+                            let mut rows = Vec::with_capacity(len);
                             scan_window(&store.sparse, space, a, window, |r, v| {
                                 if hit(r) {
                                     rows.push((r, v.clone()));
                                 }
                             });
+                            rows
                         }
                         _ => {
                             let hits = store.iter().filter(|(r, _)| hit(*r));
-                            rows.extend(hits.map(|(r, v)| (r, v.clone())));
+                            let mut rows: Vec<_> = hits.map(|(r, v)| (r, v.clone())).collect();
                             rows.sort_unstable_by_key(|(r, _)| *r);
+                            rows
                         }
-                    }
+                    };
                     MemResponse::Range(rows)
                 }
                 _ => MemResponse::Nak,

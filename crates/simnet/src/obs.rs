@@ -204,10 +204,6 @@ impl ObsRecorder {
         self.enabled = true;
     }
 
-    pub(crate) fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     pub(crate) fn set_partition(&mut self, partition: u32) {
         self.partition = partition;
     }

@@ -268,12 +268,6 @@ impl<'a, M> Context<'a, M> {
         &mut self.core.metrics
     }
 
-    /// Whether structured event recording ([`crate::obs`]) is active, so
-    /// layers can skip building expensive observation payloads.
-    pub fn obs_enabled(&self) -> bool {
-        self.core.obs.is_enabled()
-    }
-
     /// Records a span lifecycle mark ([`EventBody::Mark`]) if structured
     /// recording is enabled: `span` identifies the span (e.g. a client
     /// command id), `stage` the lifecycle stage, `data` one

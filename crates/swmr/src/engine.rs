@@ -16,9 +16,8 @@
 //! feed it every memory completion, and receive [`RepEvent`]s when logical
 //! operations finish.
 
-use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
-use std::fmt;
+use std::{fmt, vec};
 
 use rdma_sim::{
     Completion, MemEmbed, MemResponse, MemoryClient, OpId, Permission, RegId, RegionId, WireSize,
@@ -50,10 +49,11 @@ pub enum RepResult<V> {
     ReadOk(Option<V>),
     /// A majority of read responses is no longer possible.
     ReadFailed,
-    /// Range read completed: per-register values that were unique across
-    /// the majority (registers with conflicting replicas are omitted, i.e.
-    /// read as ⊥).
-    RangeOk(BTreeMap<RegId, V>),
+    /// Range read completed: the registers whose value was unique across
+    /// the majority, as rows sorted strictly ascending by `RegId`
+    /// (registers with conflicting replicas are omitted, i.e. read as ⊥;
+    /// look one up with `binary_search_by_key`).
+    RangeOk(Vec<(RegId, V)>),
     /// A majority of range-read responses is no longer possible.
     RangeFailed,
     /// The permission change was applied by a majority of memories.
@@ -79,7 +79,7 @@ enum Pending<V> {
     },
     Range {
         tracker: QuorumTracker,
-        snapshots: Vec<Vec<(RegId, V)>>,
+        snapshots: Vec<vec::IntoIter<(RegId, V)>>,
     },
 }
 
@@ -104,7 +104,7 @@ pub struct RepEngine<V, M> {
     /// once warm.
     spare_values: Vec<Vec<Option<V>>>,
     /// Recycled range-snapshot buffers.
-    spare_snapshots: Vec<Vec<Vec<(RegId, V)>>>,
+    spare_snapshots: Vec<Vec<vec::IntoIter<(RegId, V)>>>,
     _msg: std::marker::PhantomData<M>,
 }
 
@@ -289,11 +289,9 @@ where
             },
             Pending::Range { tracker, snapshots } => match c.resp {
                 MemResponse::Range(rows) => {
-                    snapshots.push(rows);
+                    snapshots.push(rows.into_iter());
                     match tracker.vote_yes() {
-                        QuorumStatus::Reached => {
-                            Some(RepResult::RangeOk(merge_ranges(snapshots.drain(..))))
-                        }
+                        QuorumStatus::Reached => Some(RepResult::RangeOk(merge_ranges(snapshots))),
                         QuorumStatus::Impossible => Some(RepResult::RangeFailed),
                         QuorumStatus::Pending => None,
                     }
@@ -324,8 +322,8 @@ where
             }
             Pending::Range { mut snapshots, .. } => {
                 if self.spare_snapshots.len() < SCRATCH_POOL_CAP {
-                    // The per-replica row vectors came off the wire and
-                    // were consumed by the merge (or are dropped here on
+                    // The per-replica rows came off the wire and were
+                    // consumed by the merge (or are dropped here on
                     // failure); the outer buffer's capacity is what
                     // recurs every slot.
                     snapshots.clear();
@@ -350,27 +348,42 @@ fn unique_value<V: Eq>(values: impl Iterator<Item = Option<V>>) -> Option<V> {
 }
 
 /// Applies the unique-value rule per register across replica snapshots,
-/// consuming them: each value is moved off the wire into the result, never
-/// cloned. A register absent from a snapshot counts as ⊥ there (and ⊥
+/// each sorted strictly ascending by `RegId` (a memory answers a range
+/// read in register order): a k-way merge that moves every value off the
+/// wire into the result, never cloning one, and returns rows in the same
+/// order. A register absent from a snapshot counts as ⊥ there (and ⊥
 /// never conflicts); a register with two distinct replica values is
-/// dropped.
-fn merge_ranges<V: Eq>(snapshots: impl Iterator<Item = Vec<(RegId, V)>>) -> BTreeMap<RegId, V> {
-    let mut out: BTreeMap<RegId, Option<V>> = BTreeMap::new();
-    for (reg, v) in snapshots.flatten() {
-        match out.entry(reg) {
-            Entry::Vacant(slot) => {
-                slot.insert(Some(v));
+/// dropped, however many replicas agree with either.
+fn merge_ranges<V: Eq>(snapshots: &mut [vec::IntoIter<(RegId, V)>]) -> Vec<(RegId, V)> {
+    let head = |s: &vec::IntoIter<(RegId, V)>| s.as_slice().first().map(|(r, _)| *r);
+    // Replicas that agree hold the same rows: the largest snapshot is the
+    // exact size of the merge unless a register is missing from it.
+    let widest = snapshots.iter().map(|s| s.len()).max().unwrap_or(0);
+    let mut out = Vec::with_capacity(widest);
+    while let Some(reg) = snapshots.iter().filter_map(head).min() {
+        // `None` until a replica holds `reg`; `Some(None)` once two
+        // replicas disagree.
+        let mut unique: Option<Option<V>> = None;
+        for s in snapshots.iter_mut() {
+            if head(s) != Some(reg) {
+                continue;
             }
-            Entry::Occupied(mut slot) => {
-                if slot.get().as_ref().is_some_and(|u| *u != v) {
-                    slot.insert(None); // conflicting replicas: reads as ⊥
-                }
+            let (_, v) = s.next().expect("a head was peeked");
+            match &unique {
+                None => unique = Some(Some(v)),
+                Some(Some(u)) if *u != v => unique = Some(None),
+                Some(_) => {}
             }
         }
+        debug_assert!(
+            snapshots.iter().filter_map(head).all(|r| r > reg),
+            "a range snapshot is not strictly ascending"
+        );
+        if let Some(Some(v)) = unique {
+            out.push((reg, v));
+        }
     }
-    out.into_iter()
-        .filter_map(|(k, v)| v.map(|v| (k, v)))
-        .collect()
+    out
 }
 
 #[cfg(test)]
@@ -385,6 +398,18 @@ mod tests {
         assert_eq!(unique_value([None, Some(3)].into_iter()), Some(3));
     }
 
+    /// Runs the merge over whole snapshots.
+    fn merge<V: Eq>(snaps: Vec<Vec<(RegId, V)>>) -> Vec<(RegId, V)> {
+        let mut snaps: Vec<_> = snaps.into_iter().map(Vec::into_iter).collect();
+        merge_ranges(&mut snaps)
+    }
+
+    /// Looks a register up in merged rows.
+    fn get<V>(rows: &[(RegId, V)], reg: RegId) -> Option<&V> {
+        let at = rows.binary_search_by_key(&reg, |(r, _)| *r).ok()?;
+        Some(&rows[at].1)
+    }
+
     #[test]
     fn merge_ranges_unique_per_register() {
         let r1 = RegId::one(1, 1);
@@ -394,9 +419,9 @@ mod tests {
             vec![(r1, 10)],
             vec![(r1, 11), (r2, 20)], // r1 conflicts here
         ];
-        let merged = merge_ranges(snaps.into_iter());
-        assert_eq!(merged.get(&r1), None);
-        assert_eq!(merged.get(&r2), Some(&20));
+        let merged = merge(snaps);
+        assert_eq!(get(&merged, r1), None);
+        assert_eq!(get(&merged, r2), Some(&20));
     }
 
     /// The merge takes the snapshots by value, so it works for values
@@ -414,18 +439,67 @@ mod tests {
             vec![(r1, NoClone(9)), (r2, NoClone(2))],
             vec![(r1, NoClone(1)), (r3, NoClone(3))],
         ];
-        let merged = merge_ranges(snaps.into_iter());
+        let merged = merge(snaps);
         assert_eq!(
-            merged.get(&r1),
+            get(&merged, r1),
             None,
             "9 conflicted; a third vote cannot revive it"
         );
         assert_eq!(
-            merged.get(&r2),
+            get(&merged, r2),
             Some(&NoClone(2)),
             "absent replicas are ⊥, never a conflict"
         );
-        assert_eq!(merged.get(&r3), Some(&NoClone(3)));
+        assert_eq!(get(&merged, r3), Some(&NoClone(3)));
         assert_eq!(merged.len(), 2);
+    }
+
+    /// The merge as it was written over ordered maps: the reference the
+    /// k-way merge is checked against.
+    fn reference_merge<V: Eq>(
+        snapshots: impl Iterator<Item = Vec<(RegId, V)>>,
+    ) -> BTreeMap<RegId, V> {
+        use std::collections::btree_map::Entry;
+        let mut out: BTreeMap<RegId, Option<V>> = BTreeMap::new();
+        for (reg, v) in snapshots.flatten() {
+            match out.entry(reg) {
+                Entry::Vacant(slot) => {
+                    slot.insert(Some(v));
+                }
+                Entry::Occupied(mut slot) => {
+                    if slot.get().as_ref().is_some_and(|u| *u != v) {
+                        slot.insert(None); // conflicting replicas: reads as ⊥
+                    }
+                }
+            }
+        }
+        out.into_iter()
+            .filter_map(|(k, v)| v.map(|v| (k, v)))
+            .collect()
+    }
+
+    use proptest::collection::{btree_map, vec};
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Up to five replica snapshots over twelve registers in two
+        /// spaces, three values each: registers every replica agrees on,
+        /// registers some replicas lack, and registers replicas disagree
+        /// on all occur.
+        #[test]
+        fn merge_ranges_matches_the_ordered_map_merge(
+            snaps in vec(btree_map((1u16..3, 0u64..2, 0u64..3), 0u32..3, 0..12), 1..6),
+        ) {
+            let snaps: Vec<Vec<(RegId, u32)>> = snaps
+                .into_iter()
+                .map(|m| m.into_iter().map(|((s, a, b), v)| (RegId::new(s, a, b, 0), v)).collect())
+                .collect();
+            let want: Vec<(RegId, u32)> = reference_merge(snaps.clone().into_iter()).into_iter().collect();
+            let got = merge(snaps);
+            prop_assert!(got.windows(2).all(|w| w[0].0 < w[1].0), "not strictly ascending: {got:?}");
+            prop_assert_eq!(got, want);
+        }
     }
 }

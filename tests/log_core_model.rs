@@ -101,7 +101,7 @@ proptest! {
                     if expected.is_empty() {
                         expected.push(Value(FILLER));
                     }
-                    core.submit(&mut ids.iter().map(|&id| Value(id)).collect());
+                    core.submit(&ids.iter().map(|&id| Value(id)).collect::<Vec<_>>());
                     let mut out = Vec::new();
                     let is_pending = |v: Value| pending.contains(&v.0);
                     let taken = core.fill_own(ids.len(), frontier, |_| false, is_pending, &mut out);
