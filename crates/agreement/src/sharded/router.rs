@@ -157,13 +157,11 @@ struct ByzConfirm {
     modes: Vec<GroupMode>,
     /// Reports needed before an observation counts (`f + 1`).
     quorum: u32,
-    /// Actors per group block (`n + m`): a replica's bit in a reporter
-    /// mask is its position in its block, `ActorId % block`.
-    block: u32,
-    /// `(group, value) → distinct reporters` as a bitmask over replica
-    /// positions, `None` once confirmed (the tombstone keeps a straggling
-    /// post-quorum report from re-opening the entry). What remains `Some`
-    /// at the end of a run is exactly the unconfirmed claims.
+    /// `(group, value) → distinct reporters` as a bitmask with bit `i` for
+    /// the replica at position `i` of the group's id block, `None` once
+    /// confirmed (the tombstone keeps a straggling post-quorum report
+    /// from re-opening the entry). What remains `Some` at the end of a
+    /// run is exactly the unconfirmed claims.
     pending: BTreeMap<(usize, u64), Option<u64>>,
     /// Reports withheld from the commit path pending their quorum (the
     /// cumulative work the confirmation layer did; every fabricated
@@ -265,7 +263,6 @@ impl RouterActor {
             self.byz = Some(ByzConfirm {
                 modes,
                 quorum: ((n - 1) / 2 + 1) as u32,
-                block: self.topo.block() as u32,
                 pending: BTreeMap::new(),
                 withheld: 0,
                 fast_path: false,
@@ -307,9 +304,9 @@ impl RouterActor {
             return true;
         }
         let leader = self.groups[g].leader;
-        let byz = self.byz.as_mut().expect("byz_group implies state");
-        let block = byz.block;
+        let block = self.topo.block() as u32;
         let bit = |p: Pid| 1u64 << (p.0 % block);
+        let byz = self.byz.as_mut().expect("byz_group implies state");
         let entry = byz.pending.entry((g, v.0)).or_insert(Some(0));
         let Some(reporters) = entry else {
             return false; // already confirmed; stale re-report
@@ -603,7 +600,8 @@ impl RouterActor {
     /// entries ride along, after the commands they were queued behind.
     fn resubmit_in_flight(&mut self, ctx: &mut Context<'_, Msg>, g: usize) {
         let state = &self.groups[g];
-        let cmds: Cmds = (state.submitted.iter().copied())
+        let submitted = state.submitted.iter().copied();
+        let cmds: Cmds = submitted
             .filter(|v| !self.committed[v.0 as usize])
             .chain(state.ctrl_in_flight.iter().copied())
             .collect();

@@ -161,6 +161,9 @@ pub struct MemoryActor<V, M> {
     regions: BTreeMap<RegionId, (RegionSpec, Permission)>,
     store: Store<V>,
     legal: LegalChange,
+    /// A windowed range read's rows, gathered before its response is
+    /// allocated; empty between operations.
+    hits: Vec<(RegId, V)>,
     _msg: PhantomData<M>,
 }
 
@@ -193,6 +196,7 @@ where
                 },
             },
             legal,
+            hits: Vec::new(),
             _msg: PhantomData,
         }
     }
@@ -273,19 +277,17 @@ where
                             b: Some(window),
                             ..
                         }) if !store.log.holds(space) => {
-                            // Map order is `RegId` order: no sort. A first
-                            // walk counts the hits, so the response is
-                            // allocated once, at its final length.
-                            let mut len = 0;
-                            scan_window(&store.sparse, space, a, window, |r, _| {
-                                len += usize::from(hit(r));
-                            });
-                            let mut rows = Vec::with_capacity(len);
+                            // Map order is `RegId` order: no sort. The hits
+                            // gather in the reused buffer, so the response
+                            // is allocated once, at its final length.
+                            let hits = &mut self.hits;
                             scan_window(&store.sparse, space, a, window, |r, v| {
                                 if hit(r) {
-                                    rows.push((r, v.clone()));
+                                    hits.push((r, v.clone()));
                                 }
                             });
+                            let mut rows = Vec::with_capacity(hits.len());
+                            rows.append(hits);
                             rows
                         }
                         _ => {
