@@ -597,20 +597,45 @@ impl FatOutcome {
 const FAT_BUDGET: u32 = 300;
 const FAT_HORIZON: Time = Time(u64::MAX / 2);
 
-fn fat_link() -> DelayModel {
-    DelayModel::Uniform {
-        lo: Duration::from_delays(1),
-        hi: Duration::from_delays(40),
+/// How the links of a fat run price a message.
+#[derive(Clone, Copy, Debug)]
+enum Link {
+    /// 1–40 delays, uniform; on the monolithic kernel a message's own
+    /// `hop` overrides the draw. Sends arrive in any order.
+    Jittered,
+    /// Exactly one delay, `hop` ignored: every send arrives in the order
+    /// it was sent, while timers of 0–40 delays land among and behind the
+    /// sends — the service's common case.
+    Constant,
+}
+
+impl Link {
+    fn model(self) -> DelayModel {
+        match self {
+            Link::Jittered => DelayModel::Uniform {
+                lo: Duration::from_delays(1),
+                hi: Duration::from_delays(40),
+            },
+            Link::Constant => DelayModel::synchronous(),
+        }
     }
 }
 
-/// One monolithic run; `hook_seed` installs a seeded choice hook.
+/// One monolithic run on jittered links; `hook_seed` installs a seeded
+/// choice hook.
 fn fat_mono(seed: u64, n: u32, hook_seed: Option<u64>) -> FatOutcome {
+    fat_mono_on(Link::Jittered, seed, n, hook_seed)
+}
+
+/// One monolithic run on `link`.
+fn fat_mono_on(link: Link, seed: u64, n: u32, hook_seed: Option<u64>) -> FatOutcome {
     let mut sim: Simulation<Fat> = Simulation::new(seed);
-    sim.set_default_delay(fat_link());
-    sim.set_delay_hook(Box::new(|_, _, _, m: &Fat| {
-        (m.hop != u64::MAX).then_some(Duration(m.hop))
-    }));
+    sim.set_default_delay(link.model());
+    if let Link::Jittered = link {
+        sim.set_delay_hook(Box::new(|_, _, _, m: &Fat| {
+            (m.hop != u64::MAX).then_some(Duration(m.hop))
+        }));
+    }
     for id in 0..n {
         sim.add(Node::new(seed, id, n, FAT_BUDGET));
     }
@@ -636,10 +661,16 @@ fn fat_mono(seed: u64, n: u32, hook_seed: Option<u64>) -> FatOutcome {
     FatOutcome::gather(nodes, stimuli, sim.now(), sim.metrics())
 }
 
-/// One partitioned run (actor `i` on partition `i % parts`).
+/// One partitioned run on jittered links (actor `i` on partition
+/// `i % parts`).
 fn fat_par(seed: u64, n: u32, parts: usize, threads: usize) -> FatOutcome {
+    fat_par_on(Link::Jittered, seed, n, parts, threads)
+}
+
+/// One partitioned run on `link`.
+fn fat_par_on(link: Link, seed: u64, n: u32, parts: usize, threads: usize) -> FatOutcome {
     let mut sim: ParSimulation<Fat> = ParSimulation::new(seed, parts, Duration::from_delays(1));
-    sim.set_default_delay(fat_link());
+    sim.set_default_delay(link.model());
     for id in 0..n {
         sim.add_to(id as usize % parts, Node::new(seed, id, n, FAT_BUDGET));
     }
@@ -699,12 +730,53 @@ fn fat_transcripts_are_pinned() {
     }
 }
 
+/// On constant links the sends reach the queue in the order they are due,
+/// with timers of every length from 0 to 40 delays mixed in: the path a
+/// queue may take for in-order traffic, pinned on its own.
+#[test]
+fn fat_constant_delay_transcripts_are_pinned() {
+    let plain = fat_mono_on(Link::Constant, 7, 6, None);
+    plain.check().unwrap();
+    assert_eq!(
+        plain,
+        fat_mono_on(Link::Constant, 7, 6, None),
+        "replay diverged"
+    );
+    assert!(
+        plain.timers_fired > 20,
+        "{} timers fired",
+        plain.timers_fired
+    );
+    assert!(plain.dropped > 0, "nothing was dropped at a crashed target");
+    assert_eq!(plain.transcript_hash(), PIN_CONST_PLAIN);
+
+    let hooked = fat_mono_on(Link::Constant, 7, 6, Some(11));
+    hooked.check().unwrap();
+    assert_ne!(hooked.logs, plain.logs, "the hook reordered nothing");
+    assert_eq!(hooked.transcript_hash(), PIN_CONST_HOOKED);
+
+    let one = fat_par_on(Link::Constant, 7, 6, 2, 1);
+    one.check().unwrap();
+    assert_eq!(
+        one,
+        fat_par_on(Link::Constant, 7, 6, 2, 2),
+        "threads differ"
+    );
+    assert_eq!(one.transcript_hash(), PIN_CONST_PAR2);
+}
+
 // Captured at commit a333e49 (the payload-carrying `WheelQueue<M>`); every
 // queue since, the wheel of keys and then the key heap, reproduces them.
 const PIN_PLAIN: u64 = 0xfeca_15b0_bbfc_b5ca;
 const PIN_HOOKED: u64 = 0x7136_9641_0020_be41;
 const PIN_PAR2: u64 = 0x40f7_7ef6_1638_26ee;
 const PIN_PAR4: u64 = 0xac58_12b9_b817_fb1f;
+
+// Captured on the single key heap, before in-order sends had a queue
+// path of their own.
+const PIN_CONST_PLAIN: u64 = 0x4cdc_1f34_2e8d_572d;
+const PIN_CONST_HOOKED: u64 = 0x7c1e_ab9e_200f_2861;
+const PIN_CONST_PAR2: u64 = 0xd8e9_63e7_e5f9_366c;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
@@ -721,5 +793,18 @@ proptest! {
             prop_assert_eq!(one.check(), Ok(()));
             prop_assert_eq!(&one, &fat_par(seed, n, parts, 2));
         }
+    }
+
+    /// The same contract on constant links, where sends arrive in order.
+    #[test]
+    fn fat_payloads_on_constant_links_arrive_once_and_intact(
+        seed in 0u64..10_000, n in 3u32..8, hook in 0u64..1_000,
+    ) {
+        let plain = fat_mono_on(Link::Constant, seed, n, None);
+        prop_assert_eq!(plain.check(), Ok(()));
+        prop_assert_eq!(fat_mono_on(Link::Constant, seed, n, Some(hook)).check(), Ok(()));
+        let one = fat_par_on(Link::Constant, seed, n, 2, 1);
+        prop_assert_eq!(one.check(), Ok(()));
+        prop_assert_eq!(&one, &fat_par_on(Link::Constant, seed, n, 2, 2));
     }
 }
