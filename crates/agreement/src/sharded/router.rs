@@ -494,7 +494,15 @@ impl RouterActor {
             return;
         }
         let now = ctx.now().0;
-        let mut cmds = Cmds::with_capacity(room.min(state.backlog.len()));
+        // Unpaced, the whole room is sent: size the run exactly. Paced,
+        // the pump comes by every quarter delay and most visits release
+        // none to two commands, so the run starts inline and grows with
+        // what is taken.
+        let mut cmds = Cmds::with_capacity(if self.arrival_interval_ticks > 0 {
+            0
+        } else {
+            room.min(state.backlog.len())
+        });
         while cmds.len() < room {
             // Paced arrivals: the backlog is released front-gated — the
             // group submits nothing past its first not-yet-arrived

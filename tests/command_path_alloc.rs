@@ -9,14 +9,15 @@
 //! the router → replica → memory → router path fails here before any
 //! benchmark is run. It is its own test binary because it installs a
 //! counting `#[global_allocator]`; each thread counts its own allocations
-//! while it has armed the count, so the two tests, running side by side,
+//! while it has armed the count, so the tests, running side by side,
 //! and the test harness's own threads do not disturb each other.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use agreement::harness::{run_sharded, ShardedScenario};
-use agreement::sharded::GroupMode;
+use agreement::sharded::{GroupMode, WorkloadSpec};
+use simnet::{DelayModel, RdmaCost};
 
 struct Counting;
 
@@ -103,6 +104,25 @@ fn byzantine_pipelined(cmds: usize) -> ShardedScenario {
     sc
 }
 
+/// The benchmark's `failover_paced` shape without its leader crashes:
+/// four groups behind the router, Zipf keys, RDMA-priced links, and
+/// arrivals on a schedule that the router's pump releases every quarter
+/// delay.
+fn paced_g4(cmds: usize) -> ShardedScenario {
+    let mut sc = ShardedScenario::common_case(4, 3, 3, 5);
+    sc.total_cmds = cmds;
+    sc.batch = 8;
+    sc.window = 64;
+    sc.workload = WorkloadSpec::Zipf {
+        keys: 4096,
+        s: 0.99,
+    };
+    sc.delay = DelayModel::Rdma(RdmaCost::write_optimized());
+    sc.arrival_rate_per_delay = 8.0;
+    sc.max_delays = cmds as u64 + 10_000;
+    sc
+}
+
 /// A warm crash replica, its memories and the router route, propose,
 /// write, decide and confirm a command without one allocation: the
 /// router's `Submit` holds its commands inline, and the leader refills a
@@ -123,4 +143,15 @@ fn a_batch_1_crash_command_allocates_nothing_at_the_margin() {
 fn a_pipelined_byzantine_command_allocates_only_protocol_data() {
     let per_cmd = marginal_allocs_per_cmd(byzantine_pipelined, 600);
     assert!(per_cmd <= 2.40, "{per_cmd:.4} allocations per command");
+}
+
+/// A paced router visits each group on every pump tick and sends only the
+/// commands that arrived since, so a refill holds what it takes: nothing
+/// when nothing is due, inline up to eight. Sizing it for the whole
+/// window of 64 instead cost 2.705 allocations per command. Measured
+/// 0.461; headroom to 0.55.
+#[test]
+fn a_paced_refill_allocates_only_what_it_sends() {
+    let per_cmd = marginal_allocs_per_cmd(paced_g4, 4_000);
+    assert!(per_cmd <= 0.55, "{per_cmd:.4} allocations per command");
 }
