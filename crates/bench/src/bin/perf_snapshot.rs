@@ -41,7 +41,7 @@ use bench::{Fixed, Row, Section};
 use simnet::{DelayModel, RdmaCost, TICKS_PER_DELAY};
 
 /// This snapshot's PR number (names the output file and anchors the gate).
-const PR: u32 = 33;
+const PR: u32 = 34;
 
 /// Allocation-counting wrapper around the system allocator.
 struct CountingAlloc;

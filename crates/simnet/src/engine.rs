@@ -2,7 +2,7 @@
 //!
 //! An [`Engine`] is one complete event-at-a-time kernel minus any policy
 //! about *which* event runs next or *where* emitted events go: it owns the
-//! actors, crash flags, key heap, scheduling-sequence counter, clock and
+//! actors, crash flags, key queue, scheduling-sequence counter, clock and
 //! dispatch [`Core`], and its single [`Engine::step`] is the only place
 //! in the crate an event is applied (crash / drop / timer-retire / metrics
 //! / obs / handler). The two drivers supply the rest:
@@ -23,10 +23,18 @@
 //! `Context::send` / `set_timer` / [`Engine::push`] that wrote it there to
 //! the `step` that takes it out and hands it to its handler — also when
 //! the step drops it at a crashed target or finds its timer cancelled.
-//! What `pending`, the heap and the drivers' closures pass around is its
-//! [`Key`].
-
-use std::collections::BinaryHeap;
+//! What `pending`, the [`KeyQueue`] and the drivers' closures pass around
+//! is its [`Key`].
+//!
+//! ## Which part of the queue a key joins
+//!
+//! The key of a send a handler emitted may take the queue's FIFO lane
+//! ([`Engine::push_key`]); every other key goes to its heap — a timer
+//! (marked by [`Key::timer`] when it is armed), a harness-scheduled event
+//! or cross-partition arrival ([`Engine::push`]), a crash, and a choice
+//! hook's push-back (`pop_chosen`). Which part holds a key changes
+//! nothing but the host time: the queue pops in `(at, seq)` order either
+//! way.
 
 use rand::rngs::StdRng;
 
@@ -34,7 +42,7 @@ use crate::actor::AnyActor;
 use crate::event::EventKind;
 use crate::ids::ActorId;
 use crate::obs::EventBody;
-use crate::queue::{EventSlab, Key, SLAB_SLOTS};
+use crate::queue::{EventSlab, Key, KeyQueue};
 use crate::sim::{Context, Core};
 use crate::time::Time;
 
@@ -48,7 +56,7 @@ pub(crate) struct Engine<M, A: ?Sized> {
     /// Crash flags, indexed densely by actor.
     crashed: Vec<bool>,
     /// Every queued key; pops in ascending `(at, seq)` order.
-    queue: BinaryHeap<Key>,
+    queue: KeyQueue,
     seq: u64,
     now: Time,
     pub(crate) core: Core<M>,
@@ -60,7 +68,7 @@ impl<M, A: ?Sized + AnyActor<M>> Engine<M, A> {
         Engine {
             actors: Vec::new(),
             crashed: Vec::new(),
-            queue: BinaryHeap::with_capacity(SLAB_SLOTS),
+            queue: KeyQueue::new(),
             seq: 0,
             now: Time::ZERO,
             core: Core::new(rng),
@@ -78,22 +86,41 @@ impl<M, A: ?Sized + AnyActor<M>> Engine<M, A> {
         self.actors.len()
     }
 
-    /// Enqueues `ev` for `to` at `at` under the next sequence number.
+    /// Enqueues `ev` for `to` at `at` under the next sequence number: a
+    /// harness-scheduled event or a cross-partition arrival, queued in the
+    /// heap.
     pub(crate) fn push(&mut self, at: Time, to: ActorId, ev: EventKind<M>) {
         let slot = self.core.slab.insert(ev);
-        self.push_key(Key::new(at, to, slot));
+        let key = self.sequenced(Key::new(at, to, slot));
+        self.queue.push(key);
     }
 
     /// Enqueues a crash of `to` at `at` under the next sequence number.
     pub(crate) fn push_crash(&mut self, at: Time, to: ActorId) {
-        self.push_key(Key::new(at, to, Key::CRASH));
+        let key = self.sequenced(Key::new(at, to, Key::CRASH));
+        self.queue.push(key);
     }
 
-    /// Enqueues `key` under the next sequence number.
-    pub(crate) fn push_key(&mut self, mut key: Key) {
+    /// Enqueues the key of an event a handler emitted under the next
+    /// sequence number: a send may take the lane, a timer
+    /// ([`Key::timer`]) goes to the heap.
+    #[inline]
+    pub(crate) fn push_key(&mut self, key: Key) {
+        let timer = key.seq == Key::TIMER;
+        let key = self.sequenced(key);
+        if timer {
+            self.queue.push(key);
+        } else {
+            self.queue.push_send(key);
+        }
+    }
+
+    /// `key` under the next sequence number.
+    #[inline(always)]
+    fn sequenced(&mut self, mut key: Key) -> Key {
         self.seq += 1;
         key.seq = self.seq;
-        self.queue.push(key);
+        key
     }
 
     /// Time of the last dispatched event.
@@ -109,6 +136,12 @@ impl<M, A: ?Sized + AnyActor<M>> Engine<M, A> {
     /// Queued events.
     pub(crate) fn queued(&self) -> usize {
         self.queue.len()
+    }
+
+    /// Queued keys in the lane and in the heap.
+    #[cfg(test)]
+    pub(crate) fn queued_parts(&self) -> (usize, usize) {
+        self.queue.parts()
     }
 
     /// Whether `actor` has crashed.
@@ -157,7 +190,7 @@ impl<M, A: ?Sized + AnyActor<M>> Engine<M, A> {
     /// `core.slab` and send it elsewhere) and the emitting actor.
     pub(crate) fn step(
         &mut self,
-        pop: impl FnOnce(&mut BinaryHeap<Key>, &EventSlab<M>) -> Option<Key>,
+        pop: impl FnOnce(&mut KeyQueue, &EventSlab<M>) -> Option<Key>,
         mut emit: impl FnMut(&mut Self, ActorId, Key),
     ) -> bool {
         let depth = self.queue.len() as u64;

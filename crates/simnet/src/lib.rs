@@ -38,19 +38,22 @@
 //! Kernel dispatch is the wall-clock floor under every experiment, so the
 //! hot path is engineered around three rules:
 //!
-//! * **Queue structure.** The event queue is one `std` binary heap of
-//!   24-byte keys `(time, seq, target, slot)`; the event a key stands for
+//! * **Queue structure.** The event queue orders 24-byte keys `(time,
+//!   seq, target, slot)` in two parts: a FIFO lane, held inline, for the
+//!   sends that arrive already in order (on a constant-delay link, all of
+//!   them), and a `std` binary heap for timers and everything else; a pop
+//!   takes the earlier of the two fronts. The event a key stands for
 //!   sits in one slot of a per-kernel slab from the moment it is sent to
 //!   the moment it is dispatched — written once, read once — so queueing
 //!   a 112-byte service message moves 24 bytes (a cross-partition send
 //!   moves the event itself, out of one kernel's slab and into another's).
 //!   The queue is shallow: at most 57 keys on the repository benchmark's
 //!   workloads and 576 on any `perf_snapshot` row, where a heap is ten
-//!   levels of cache-resident compares (the queue module says why not a
-//!   timing wheel).
+//!   levels of cache-resident compares (the queue module says why timers
+//!   stay out of the lane, and why not a timing wheel).
 //! * **Allocation rules.** Steady-state dispatch performs no heap
 //!   allocation (`tests/dispatch_alloc.rs` counts them: none over ~56 000
-//!   events of a warmed relay workload): the key heap, the slab and its
+//!   events of a warmed relay workload): the key queue, the slab and its
 //!   vacancy list are sized up front and keep what they grow to, link delays
 //!   are sampled by reference (no per-send model clone), recorded event
 //!   bodies are built lazily (kernel events and [`Context::note_with`]
@@ -74,7 +77,7 @@
 //!
 //! For workloads made of loosely-coupled actor clusters (the sharded SMR
 //! service's disjoint replication groups), [`ParSimulation`] splits the
-//! kernel into per-partition sub-kernels — each with its own key heap,
+//! kernel into per-partition sub-kernels — each with its own key queue,
 //! timer table, metrics, and RNG stream — executed on a scoped
 //! thread pool under conservative window synchronization: partitions run
 //! independently for one *lookahead* (the minimum cross-partition link

@@ -12,7 +12,7 @@
 //!
 //! Actors are placed onto `P` partitions (the [`Partitioning`] map). Each
 //! partition is a complete sub-kernel — an instance of the same dispatch
-//! engine [`Simulation`] runs on (`engine.rs`): its own key heap, its own
+//! engine [`Simulation`] runs on (`engine.rs`): its own key queue, its own
 //! scheduling-sequence counter, its own generation-stamped
 //! timer table, its own metrics and trace, and its own RNG stream (split
 //! from the run seed by partition index). The run alternates two phases:

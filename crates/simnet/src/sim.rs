@@ -2,7 +2,6 @@
 //! through which actors act on the world.
 
 use std::borrow::Cow;
-use std::collections::BinaryHeap;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -14,7 +13,7 @@ use crate::event::EventKind;
 use crate::ids::{ActorId, TimerId};
 use crate::metrics::Metrics;
 use crate::obs::{Event, EventBody, ObsRecorder, TraceSink};
-use crate::queue::{EventSlab, Key};
+use crate::queue::{EventSlab, Key, KeyQueue};
 use crate::time::{Duration, Time};
 
 /// A hook that can override the sampled delay of a specific message.
@@ -241,7 +240,7 @@ impl<'a, M> Context<'a, M> {
             .obs
             .record(now, me, || EventBody::TimerSet { tag, fire_at });
         let slot = self.core.slab.insert(EventKind::Timer { id, tag });
-        self.core.pending.push(Key::new(fire_at, self.me, slot));
+        self.core.pending.push(Key::timer(fire_at, self.me, slot));
         id
     }
 
@@ -545,7 +544,7 @@ impl<M: 'static> Simulation<M> {
 /// the dispatch emits, which get strictly larger seqs) keep the canonical
 /// order.
 fn pop_chosen<M>(
-    queue: &mut BinaryHeap<Key>,
+    queue: &mut KeyQueue,
     slab: &EventSlab<M>,
     ripe: &mut Vec<Key>,
     hook: &mut ChoiceHook<M>,
@@ -987,6 +986,39 @@ mod tests {
         sim.run_to_quiescence(Time::from_delays(10));
         assert_eq!(sim.actor_as::<Churn>(a).unwrap().fired, 1);
         assert_eq!(sim.live_timers(), 0);
+    }
+
+    #[test]
+    fn sends_take_the_lane_and_timers_wait_in_the_heap() {
+        // On a constant link every send is due in the order it was sent.
+        // The timer armed first is due long after all of them: queued in
+        // the lane, it would turn every later send away.
+        struct Chatter {
+            left: u32,
+        }
+        impl Actor<TMsg> for Chatter {
+            fn on_event(&mut self, ctx: &mut Context<'_, TMsg>, ev: EventKind<TMsg>) {
+                if let EventKind::Start = ev {
+                    ctx.set_timer(Duration::from_delays(100), 0);
+                }
+                if self.left > 0 {
+                    self.left -= 1;
+                    let me = ctx.me();
+                    ctx.send(me, TMsg::Ping(self.left));
+                }
+            }
+        }
+        let mut sim: Simulation<TMsg> = Simulation::new(1);
+        sim.add(Chatter { left: 10 });
+        for _ in 0..10 {
+            assert!(sim.step());
+            assert_eq!(sim.engine.queued_parts(), (1, 1));
+        }
+        assert!(sim.step());
+        assert_eq!(sim.engine.queued_parts(), (0, 1));
+        sim.run_to_quiescence(Time::from_delays(1_000));
+        assert_eq!(sim.metrics().timers_fired, 1);
+        assert_eq!(sim.now(), Time::from_delays(100));
     }
 
     #[test]
