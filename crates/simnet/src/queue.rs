@@ -40,12 +40,15 @@
 //! it 1.25x as fast as that heap. Neither do harness-scheduled events,
 //! crashes, cross-partition arrivals (the barrier merge delivers a
 //! window's worth at once, from several sources) and a choice hook's
-//! push-backs (due before the lane's back by construction). The lane's
-//! share of all queued keys is 97 % on the repository benchmark's
-//! `smr_b1` and `smr_b32` (constant links; the rest are timers), 67 % on
-//! `failover_paced` (RDMA-priced links cost each verb and payload
-//! differently, so 17 % of its keys are sends due before the lane's
-//! back; 16 % are timers) and 74 % on `byz_pipeline` (26 % timers).
+//! push-backs (due at the earliest queued tick, so before anything left
+//! in the lane).
+//!
+//! The lane's share of all queued keys is 97 % on the repository
+//! benchmark's `smr_b1` and `smr_b32` (constant links; the rest are
+//! timers), 67 % on `failover_paced` (RDMA-priced links cost each verb
+//! and payload differently, so 17 % of its keys are sends due before the
+//! lane's back; 16 % are timers) and 74 % on `byz_pipeline` (26 %
+//! timers).
 //!
 //! The queue is shallow. Its deepest point is 9 / 9 / 57 / 21 keys on
 //! the benchmark's four workloads and 576 on any `perf_snapshot` row
@@ -192,7 +195,8 @@ impl KeyQueue {
     /// Enqueues any other key in the heap: timers (a long one at the
     /// lane's back would turn every shorter send after it away),
     /// harness-scheduled events, crashes, cross-partition arrivals and a
-    /// choice hook's push-backs, which are due before the lane's back.
+    /// choice hook's push-backs, which are due before anything left in the
+    /// lane.
     #[inline]
     pub(crate) fn push(&mut self, key: Key) {
         self.heap.push(key);
