@@ -176,6 +176,18 @@ impl LogCore {
         self.slots.get(instance as usize).copied().flatten()
     }
 
+    /// One past the highest instance a settle has reached — the settled
+    /// frontier a dense wire may start at or below.
+    pub fn settled_top(&self) -> u64 {
+        self.slots.len() as u64
+    }
+
+    /// `(instance, time)` each instance was first decided at this node, in
+    /// decision order (instance order under a stable leader).
+    pub fn decided_at(&self) -> Vec<(u64, Time)> {
+        self.decided_at.clone()
+    }
+
     /// Whether the proposal workload has been fully consumed.
     pub fn workload_drained(&self) -> bool {
         self.next_cmd >= self.workload.len()
