@@ -94,7 +94,7 @@
 //! an attacker-chosen number. The protocol's own shape closes it — **a
 //! correct leader's wires are dense and delivered in per-sender order**,
 //! so a genuine batch never starts beyond the settled frontier of the
-//! replica settling it (`first ≤ slots.len()`), and no instance a dense
+//! replica settling it (`first ≤ settled_top()`), and no instance a dense
 //! log can reach lies beyond the number of values a takeover scan
 //! returned. Batches outside those bounds are ignored — no receipt, no
 //! settle, no allocation — and counted ([`ReplicaState::entries_rejected`]).
@@ -281,7 +281,7 @@ impl NebLog {
     /// one, and settling it would size the log by a number the attacker
     /// chose.
     fn past_frontier(sh: &Shell, first: u64) -> bool {
-        first > sh.core.slots.len() as u64
+        first > sh.core.settled_top()
     }
 
     /// Settles one delivered batch from the Ω-current leader and
@@ -453,7 +453,7 @@ impl NebLog {
         // `first` cannot exceed the values the scan returned plus what is
         // settled here. A Byzantine leader's far-future `first` does, and
         // would otherwise size the recovery plan below.
-        let settled_top = sh.core.slots.len() as u64;
+        let settled_top = sh.core.settled_top();
         let mut dense_cap = settled_top;
         for (reg, val) in &rows {
             let RegVal::Neb(slot) = val else { continue };

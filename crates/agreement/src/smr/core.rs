@@ -1,10 +1,9 @@
 //! The log and workload state of a replicated-log node.
 //!
 //! [`LogCore`] is the data half of the replica shell
-//! ([`Replica`](super::Replica)): the dense decided log with its
-//! contiguous prefix, client-session dedup, the run-time workload queue
-//! ([`crate::types::Msg::Submit`]), write batching's fill-a-batch
-//! bookkeeping, and migration-snapshot folding
+//! ([`Replica`](super::Replica)): the decided log, client-session dedup,
+//! the run-time workload queue ([`crate::types::Msg::Submit`]), write
+//! batching's fill-a-batch bookkeeping, and migration-snapshot folding
 //! ([`crate::types::Msg::InstallSnapshot`]). It is the same under both
 //! engines, so the sharded service's per-group [`GroupMode`] switch
 //! changes the consensus protocol and nothing else.
@@ -16,7 +15,16 @@
 //! ([`LogCore::unconsume`]). Nothing about an in-flight round is kept
 //! here.
 //!
+//! The decided log is stored as what it is in steady state, one dense
+//! run from instance 0: a settle that reaches the end of that run appends
+//! its undecided tail in one copy and records one `(first, len, time)`
+//! run, never an entry at a time. What a settle decides past a hole waits
+//! in an ordered map until the hole closes, and an instance far past the
+//! log costs its own entries, not its index.
+//!
 //! [`GroupMode`]: crate::sharded::GroupMode
+
+use std::collections::BTreeMap;
 
 use simnet::Time;
 
@@ -132,15 +140,16 @@ pub struct LogCore {
     /// Total duplicate proposals suppressed over the run (committed
     /// rounds only; abandoned rounds re-evaluate from scratch).
     pub duplicates_suppressed: u64,
-    /// Decided log entries, dense by instance (`None` = hole). Instances
-    /// are contiguous from 0 in steady state, so a vector beats a map on
-    /// the per-entry hot path; the log is the `Some`-prefix.
-    pub slots: Vec<Option<Value>>,
-    /// Length of the contiguous decided prefix (maintained incrementally).
-    pub prefix_len: usize,
-    /// `(instance, time)` each log slot was decided at this node, in
-    /// decision order (instance order under a stable leader).
-    pub decided_at: Vec<(u64, Time)>,
+    /// The contiguous decided prefix of the log: instance `i` at index `i`.
+    prefix: Vec<Value>,
+    /// Instances decided past the first hole, drained onto `prefix` as the
+    /// hole closes. Empty in steady state.
+    beyond: BTreeMap<u64, Value>,
+    /// One past the highest instance a settle has reached.
+    top: u64,
+    /// `(first, len, time)` of each run of instances a settle newly
+    /// decided, in decision order: one record per settle in steady state.
+    runs: Vec<(u64, u64, Time)>,
 }
 
 impl LogCore {
@@ -152,40 +161,43 @@ impl LogCore {
             dedup: false,
             seen_cmds: IdSet::default(),
             duplicates_suppressed: 0,
-            slots: Vec::new(),
-            prefix_len: 0,
-            decided_at: Vec::new(),
+            prefix: Vec::new(),
+            beyond: BTreeMap::new(),
+            top: 0,
+            runs: Vec::new(),
         }
     }
 
     /// The contiguous decided prefix of the log.
     pub fn log(&self) -> Vec<Value> {
-        self.slots[..self.prefix_len]
-            .iter()
-            .map(|s| s.expect("prefix is decided"))
-            .collect()
+        self.prefix.clone()
     }
 
     /// Length of the contiguous decided prefix (O(1)).
     pub fn log_len(&self) -> usize {
-        self.prefix_len
+        self.prefix.len()
     }
 
     /// The decided value of `instance`, if any (including beyond a hole).
     pub fn decided(&self, instance: u64) -> Option<Value> {
-        self.slots.get(instance as usize).copied().flatten()
+        match usize::try_from(instance) {
+            Ok(at) if at < self.prefix.len() => Some(self.prefix[at]),
+            _ => self.beyond.get(&instance).copied(),
+        }
     }
 
     /// One past the highest instance a settle has reached — the settled
     /// frontier a dense wire may start at or below.
     pub fn settled_top(&self) -> u64 {
-        self.slots.len() as u64
+        self.top
     }
 
     /// `(instance, time)` each instance was first decided at this node, in
     /// decision order (instance order under a stable leader).
     pub fn decided_at(&self) -> Vec<(u64, Time)> {
-        self.decided_at.clone()
+        let runs = self.runs.iter();
+        runs.flat_map(|&(first, len, t)| (first..first + len).map(move |i| (i, t)))
+            .collect()
     }
 
     /// Whether the proposal workload has been fully consumed.
@@ -281,41 +293,72 @@ impl LogCore {
         self.settle_many(now, instance, &[v])
     }
 
-    /// Applies a contiguous decided run `first .. first + values.len()`
-    /// in one pass: one log resize, one decided-prefix walk for the whole
-    /// batch. Slots already decided are skipped, exactly as per-entry
+    /// Applies a contiguous decided run `first .. first + values.len()`.
+    /// Instances already decided are skipped, exactly as per-entry
     /// [`LogCore::settle`] would. Returns true if anything was new. A run
     /// whose end is not a representable index settles nothing (`first`
     /// may come off the wire; the shell admits it only from group members
     /// and the Byzantine engine bounds it by the settled frontier before
     /// it gets here, see [`super::byz`]).
+    ///
+    /// While no hole is open, a run that starts at or below the end of the
+    /// log appends its undecided tail in one copy and records one run;
+    /// every other run goes entry by entry.
     pub fn settle_many(&mut self, now: Time, first: u64, values: &[Value]) -> bool {
         let Some(end) = (usize::try_from(first).ok()).and_then(|f| f.checked_add(values.len()))
         else {
             return false;
         };
-        if end > self.slots.len() {
-            self.slots.resize(end, None);
+        self.top = self.top.max(end as u64);
+        let len = self.prefix.len();
+        if self.beyond.is_empty() && first as usize <= len {
+            let tail = &values[(len - first as usize).min(values.len())..];
+            if tail.is_empty() {
+                return false;
+            }
+            self.prefix.extend_from_slice(tail);
+            self.see(tail);
+            self.record(now, len as u64, tail.len() as u64);
+            return true;
         }
-        self.decided_at.reserve(values.len());
         let mut any_new = false;
-        for (j, &v) in values.iter().enumerate() {
-            let idx = first as usize + j;
-            if self.slots[idx].is_none() {
-                self.slots[idx] = Some(v);
-                if self.dedup && v != Value(u64::MAX) {
-                    self.seen_cmds.insert(v.0);
+        for (instance, &v) in (first..).zip(values) {
+            if self.decided(instance).is_some() {
+                continue;
+            }
+            if instance == self.prefix.len() as u64 {
+                self.prefix.push(v);
+                // What waited past the hole joins the prefix as it closes.
+                while let Some(w) = self.beyond.remove(&(self.prefix.len() as u64)) {
+                    self.prefix.push(w);
                 }
-                self.decided_at.push((idx as u64, now));
-                any_new = true;
+            } else {
+                self.beyond.insert(instance, v);
             }
-        }
-        if any_new {
-            while self.prefix_len < self.slots.len() && self.slots[self.prefix_len].is_some() {
-                self.prefix_len += 1;
-            }
+            self.see(&[v]);
+            self.record(now, instance, 1);
+            any_new = true;
         }
         any_new
+    }
+
+    /// Records `first .. first + len` as decided at `now`, extending the
+    /// last run when this one continues it at the same time (the
+    /// per-instance list reads the same either way).
+    fn record(&mut self, now: Time, first: u64, len: u64) {
+        match self.runs.last_mut() {
+            Some((start, n, at)) if *at == now && *start + *n == first => *n += len,
+            _ => self.runs.push((first, len, now)),
+        }
+    }
+
+    /// Records newly decided values in the dedup seen-set (the no-op
+    /// filler is no command).
+    fn see(&mut self, values: &[Value]) {
+        if self.dedup {
+            let ids = values.iter().filter(|&&v| v != Value(u64::MAX));
+            self.seen_cmds.extend(ids.map(|v| v.0));
+        }
     }
 }
 
@@ -342,9 +385,41 @@ mod tests {
         let mut c = LogCore::new(Vec::new());
         assert!(!c.settle_many(Time(1), u64::MAX, &[Value(1), Value(2)]));
         assert!(!c.settle(Time(1), u64::MAX, Value(1)), "same guard");
-        assert!(c.slots.is_empty() && c.decided_at.is_empty());
+        assert_eq!((c.settled_top(), c.decided_at()), (0, Vec::new()));
         assert!(c.settle_many(Time(2), 0, &[Value(1), Value(2)]));
         assert_eq!(c.log(), vec![Value(1), Value(2)]);
+    }
+
+    /// A run far past the log costs its own entries, not its index: on a
+    /// log indexed by instance, this settle asked for 16 TiB.
+    #[test]
+    fn a_run_far_past_the_log_costs_its_entries_not_its_index() {
+        let mut c = LogCore::new(Vec::new());
+        let far = 1 << 40;
+        assert!(c.settle(Time(1), far, Value(7)));
+        assert_eq!(c.log_len(), 0);
+        assert_eq!(c.decided(far), Some(Value(7)));
+        assert_eq!(c.settled_top(), far + 1);
+        assert_eq!(c.decided_at(), vec![(far, Time(1))]);
+        assert!(c.settle_many(Time(2), 0, &[Value(1), Value(2)]));
+        assert_eq!(
+            (c.log(), c.decided(far)),
+            (vec![Value(1), Value(2)], Some(Value(7)))
+        );
+    }
+
+    /// In steady state a settle is one copy and one record, however long
+    /// its run; re-settling decided instances records nothing.
+    #[test]
+    fn a_dense_settle_appends_its_undecided_tail_as_one_run() {
+        let mut c = LogCore::new(Vec::new());
+        let batch: Vec<Value> = (0..32).map(Value).collect();
+        assert!(c.settle_many(Time(1), 0, &batch));
+        assert!(c.settle_many(Time(2), 16, &batch));
+        assert!(!c.settle_many(Time(3), 8, &batch[..8]));
+        assert_eq!(c.runs, vec![(0, 32, Time(1)), (32, 16, Time(2))]);
+        assert!(c.beyond.is_empty());
+        assert_eq!((c.log_len(), c.decided(47)), (48, Some(Value(31))));
     }
 
     /// The seen-set's pages are a constant size, allocated by the ids

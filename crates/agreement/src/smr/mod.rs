@@ -376,10 +376,12 @@ impl<E: Engine> Replica<E> {
         self.sh.core.decided(instance)
     }
 
-    /// `(instance, time)` each log slot was decided at this node, in
-    /// decision order (instance order under a stable leader).
-    pub fn decided_at(&self) -> &[(u64, Time)] {
-        &self.sh.core.decided_at
+    /// `(instance, time)` each instance was first decided at this node,
+    /// in decision order (instance order under a stable leader). The core
+    /// keeps one record per decided run, so this builds the per-instance
+    /// list on each call; run reports and tests read it once, at the end.
+    pub fn decided_at(&self) -> Vec<(u64, Time)> {
+        self.sh.core.decided_at()
     }
 
     /// Duplicate proposals suppressed so far (see

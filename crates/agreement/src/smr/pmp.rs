@@ -298,8 +298,9 @@ mod tests {
             &[Value(1000), Value(1001), Value(1002), Value(1003)],
             "crashed leader's batch survived"
         );
+        let decided_at = l1.decided_at();
         let at = |inst: u64| {
-            let decided = l1.decided_at().iter().find(|&&(i, _)| i == inst);
+            let decided = decided_at.iter().find(|&&(i, _)| i == inst);
             decided.expect("instance decided").1
         };
         // A single decision timestamp covers instances 0..4 on the new
