@@ -195,9 +195,12 @@ impl LogCore {
     /// `(instance, time)` each instance was first decided at this node, in
     /// decision order (instance order under a stable leader).
     pub fn decided_at(&self) -> Vec<(u64, Time)> {
-        let runs = self.runs.iter();
-        runs.flat_map(|&(first, len, t)| (first..first + len).map(move |i| (i, t)))
-            .collect()
+        let entries = self.runs.iter().map(|&(_, len, _)| len as usize).sum();
+        let mut out = Vec::with_capacity(entries);
+        for &(first, len, t) in &self.runs {
+            out.extend((first..first + len).map(|i| (i, t)));
+        }
+        out
     }
 
     /// Whether the proposal workload has been fully consumed.

@@ -156,7 +156,7 @@ pub struct Shell {
     batch: usize,
     tick_every: Duration,
     pub(crate) client: MemoryClient<RegVal, Msg>,
-    /// Decided slots, session dedup, workload queue. Commands carry their
+    /// Decided log, session dedup, workload queue. Commands carry their
     /// session tag in the value itself (the sharded router's dense 1-based
     /// command id), so the dedup seen-set is just the decided ids.
     pub(crate) core: LogCore,

@@ -17,6 +17,7 @@
 //! instance once, at the time of the settle that first decided it, in
 //! decision order.
 
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 
 use agreement::smr::LogCore;
@@ -114,8 +115,8 @@ impl Model {
     fn settle(&mut self, now: Time, first: u64, ids: &[u64]) -> bool {
         let mut new = false;
         for (at, &id) in (first..).zip(ids) {
-            if !self.decided.contains_key(&at) {
-                self.decided.insert(at, id);
+            if let Entry::Vacant(slot) = self.decided.entry(at) {
+                slot.insert(id);
                 self.decided_at.push((at, now));
                 if id != FILLER {
                     self.seen.insert(id);
