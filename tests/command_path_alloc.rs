@@ -9,8 +9,9 @@
 //! the router → replica → memory → router path fails here before any
 //! benchmark is run. It is its own test binary because it installs a
 //! counting `#[global_allocator]`; each thread counts its own allocations
-//! and the bytes they ask for while it has armed the count, so the tests, running side by side,
-//! and the test harness's own threads do not disturb each other.
+//! and the bytes they ask for while it has armed the count, so the tests,
+//! running side by side, and the test harness's own threads do not
+//! disturb each other.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -99,12 +100,6 @@ fn marginal_per_cmd(shape: impl Fn(usize) -> ShardedScenario, cmds: usize) -> (f
     )
 }
 
-/// Allocations per committed command at the margin (see
-/// [`marginal_per_cmd`]).
-fn marginal_allocs_per_cmd(shape: impl Fn(usize) -> ShardedScenario, cmds: usize) -> f64 {
-    marginal_per_cmd(shape, cmds).0
-}
-
 /// The benchmark's `smr_b1` shape: one PMP write per command, window 4.
 fn crash_batch_1(cmds: usize) -> ShardedScenario {
     let mut sc = ShardedScenario::common_case(1, 3, 3, 5);
@@ -162,7 +157,7 @@ fn paced_g4(cmds: usize) -> ShardedScenario {
 /// headroom to 0.05.
 #[test]
 fn a_batch_1_crash_command_allocates_nothing_at_the_margin() {
-    let per_cmd = marginal_allocs_per_cmd(crash_batch_1, 4_000);
+    let (per_cmd, _) = marginal_per_cmd(crash_batch_1, 4_000);
     assert!(per_cmd <= 0.05, "{per_cmd:.4} allocations per command");
 }
 
@@ -173,7 +168,7 @@ fn a_batch_1_crash_command_allocates_nothing_at_the_margin() {
 /// 2.25; headroom to 2.40.
 #[test]
 fn a_pipelined_byzantine_command_allocates_only_protocol_data() {
-    let per_cmd = marginal_allocs_per_cmd(byzantine_pipelined, 600);
+    let (per_cmd, _) = marginal_per_cmd(byzantine_pipelined, 600);
     assert!(per_cmd <= 2.40, "{per_cmd:.4} allocations per command");
 }
 
@@ -184,7 +179,7 @@ fn a_pipelined_byzantine_command_allocates_only_protocol_data() {
 /// 0.461; headroom to 0.55.
 #[test]
 fn a_paced_refill_allocates_only_what_it_sends() {
-    let per_cmd = marginal_allocs_per_cmd(paced_g4, 4_000);
+    let (per_cmd, _) = marginal_per_cmd(paced_g4, 4_000);
     assert!(per_cmd <= 0.55, "{per_cmd:.4} allocations per command");
 }
 
