@@ -81,19 +81,18 @@ impl AdversaryKind {
         )
     }
 
-    /// Base of the junk command ids this kind signs in group `g`: far
-    /// above any client command id and below the control-entry bit (so a
-    /// group that settles one corrupts nobody's accounting), one band per
-    /// kind so a leaked value is attributable. [`AdversaryKind::Silent`]
-    /// signs nothing.
+    /// Base of the junk command ids this kind signs in group `g`: one
+    /// band `Value::JUNK_FLOOR << band` per kind, so a leaked value is
+    /// attributable (see [`Value`] for the id space).
+    /// [`AdversaryKind::Silent`] signs nothing.
     pub fn junk_base(self, g: usize) -> u64 {
         let band = match self {
             AdversaryKind::Silent => return 0,
-            AdversaryKind::Equivocator => 40,
-            AdversaryKind::ReceiptForger => 41,
-            AdversaryKind::FarFutureLeader => 42,
+            AdversaryKind::Equivocator => 0,
+            AdversaryKind::ReceiptForger => 1,
+            AdversaryKind::FarFutureLeader => 2,
         };
-        1u64 << band | (g as u64) << 8
+        Value::JUNK_FLOOR << band | (g as u64) << 8
     }
 
     /// This kind's villain at replica `me` of group `g` (memories `mems`,

@@ -30,6 +30,7 @@
 
 use rdma_sim::MemoryActor;
 use simnet::{ActorId, Duration};
+use swmr::quorum::majority;
 
 use crate::disk_paxos::{self, Static};
 use crate::paxos::Acceptor;
@@ -86,7 +87,7 @@ impl AlignedPaxosActor {
         retry_every: Duration,
     ) -> AlignedPaxosActor {
         // Majority of the combined agent set (processes + memories).
-        let majority = (procs.len() + mems.len()) / 2 + 1;
+        let majority = majority(procs.len() + mems.len());
         let peers = procs.iter().copied().filter(|&q| q != me).collect();
         let proposer = Proposer::new(mode, me, peers, mems, majority, false);
         let (agent, leader) = (Some(Acceptor::default()), Some(initial_leader));

@@ -25,7 +25,7 @@
 //!   carries a correct unanimity proof when p is a follower).
 //! * Lemma B.6 — Cheap Quorum is 2-deciding.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use rdma_sim::{
     Completion, LegalChange, MemoryActor, MemoryClient, Permission, RegId, RegionId, RegionSpec,
@@ -202,10 +202,10 @@ pub struct CqCore {
     wrote_copy: bool,
     waiting_leader_read: bool,
     copies: BTreeMap<Pid, CqSigned>,
-    copy_reads_out: BTreeMap<Pid, ()>,
+    copy_reads_out: BTreeSet<Pid>,
     my_proof: Option<UnanimityProof>,
     proofs: BTreeMap<Pid, UnanimityProof>,
-    proof_reads_out: BTreeMap<Pid, ()>,
+    proof_reads_out: BTreeSet<Pid>,
     decided: Option<Value>,
     panicked: bool,
     panic_own_value: Option<CqSigned>,
@@ -249,10 +249,10 @@ impl CqCore {
             wrote_copy: false,
             waiting_leader_read: false,
             copies: BTreeMap::new(),
-            copy_reads_out: BTreeMap::new(),
+            copy_reads_out: BTreeSet::new(),
             my_proof: None,
             proofs: BTreeMap::new(),
-            proof_reads_out: BTreeMap::new(),
+            proof_reads_out: BTreeSet::new(),
             decided: None,
             panicked: false,
             panic_own_value: None,
@@ -334,8 +334,7 @@ impl CqCore {
         if self.my_proof.is_none() {
             // Collect Value[q] from everyone we have not yet matched.
             for q in self.procs.clone() {
-                if !self.copies.contains_key(&q) && !self.copy_reads_out.contains_key(&q) {
-                    self.copy_reads_out.insert(q, ());
+                if !self.copies.contains_key(&q) && self.copy_reads_out.insert(q) {
                     let rep = self.rep.read(ctx, client, proc_region(q), value_reg(q));
                     self.tags.insert(rep, Tag::CopyRead(q));
                 }
@@ -344,8 +343,7 @@ impl CqCore {
         }
         if self.proofs.len() < self.procs.len() {
             for q in self.procs.clone() {
-                if !self.proofs.contains_key(&q) && !self.proof_reads_out.contains_key(&q) {
-                    self.proof_reads_out.insert(q, ());
+                if !self.proofs.contains_key(&q) && self.proof_reads_out.insert(q) {
                     let rep = self.rep.read(ctx, client, proc_region(q), proof_reg(q));
                     self.tags.insert(rep, Tag::ProofRead(q));
                 }

@@ -26,6 +26,7 @@
 
 use rdma_sim::{LegalChange, MemoryActor, Permission, RegionId, RegionSpec, Window};
 use simnet::{ActorId, Duration};
+use swmr::quorum::majority;
 
 use crate::protected::{Layout, MemoryLeg, Proposer, SingleDecree};
 use crate::types::{spaces, Instance, Msg, Pid, RegVal, Value};
@@ -93,7 +94,7 @@ impl DiskPaxosActor {
         initial_leader: Option<Pid>,
         retry_every: Duration,
     ) -> DiskPaxosActor {
-        let (majority, owns) = (disks.len() / 2 + 1, initial_leader == Some(me));
+        let (majority, owns) = (majority(disks.len()), initial_leader == Some(me));
         let proposer = Proposer::new(Static, me, Vec::new(), disks, majority, owns);
         SingleDecree::over(
             proposer,

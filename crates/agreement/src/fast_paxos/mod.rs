@@ -23,6 +23,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use simnet::{Actor, Context, Duration, EventKind, Time};
+use swmr::quorum::majority;
 
 use crate::types::{Ballot, Msg, Pid, Value};
 
@@ -75,14 +76,10 @@ pub enum FpMsg {
     },
 }
 
-/// Classic quorum size.
-fn q_classic(n: usize) -> usize {
-    n / 2 + 1
-}
-
-/// Fast quorum size: smallest `q_f` with `q_c + 2 q_f ≥ 2n + 1`.
+/// Fast quorum size: smallest `q_f` with `q_c + 2 q_f ≥ 2n + 1`, where the
+/// classic quorum `q_c` is a majority.
 fn q_fast(n: usize) -> usize {
-    let need = 2 * n + 1 - q_classic(n);
+    let need = 2 * n + 1 - majority(n);
     need / 2 + (need % 2)
 }
 
@@ -214,7 +211,7 @@ impl FastPaxosActor {
                     return;
                 }
                 self.promises.insert(from, (fast, classic));
-                if self.promises.len() == q_classic(self.n()) {
+                if self.promises.len() == majority(self.n()) {
                     let v = self.pick_recovery_value();
                     let accept = FpMsg::Accept { b, v };
                     self.broadcast(ctx, accept);
@@ -232,7 +229,7 @@ impl FastPaxosActor {
             }
             FpMsg::Accepted { b, v } => {
                 self.classic_tally.entry((b, v)).or_default().insert(from);
-                if self.classic_tally[&(b, v)].len() >= q_classic(self.n()) {
+                if self.classic_tally[&(b, v)].len() >= majority(self.n()) {
                     self.decide(ctx, v);
                 }
             }
@@ -259,7 +256,7 @@ impl FastPaxosActor {
         }
         // Fast-vote counting: a value with ≥ q_c + q_f − n votes among the
         // quorum may have been fast-chosen and must be picked.
-        let threshold = q_classic(self.n()) + q_fast(self.n()) - self.n();
+        let threshold = majority(self.n()) + q_fast(self.n()) - self.n();
         let mut counts: BTreeMap<Value, usize> = BTreeMap::new();
         for (fast, _) in self.promises.values() {
             if let Some(v) = fast {
@@ -356,7 +353,7 @@ mod tests {
     #[test]
     fn quorum_sizes_satisfy_intersection() {
         for n in 3..=12usize {
-            let qc = q_classic(n);
+            let qc = majority(n);
             let qf = q_fast(n);
             assert!(qc + 2 * qf > 2 * n, "n={n}");
             assert!(qf <= n, "n={n}");

@@ -41,9 +41,10 @@ pub use shrink::{fault_count, shrink, shrink_with_budget, ShrinkOutcome};
 
 use crate::harness::ShardedScenario;
 
-/// SplitMix64, the fuzzer's deterministic bit source. Self-contained so
-/// generator draws can never be perturbed by changes to the workload
-/// module's private stream.
+/// SplitMix64, the fuzzer's deterministic bit source. It takes the
+/// workload generator's step (`sharded::workload::splitmix64`) over its
+/// own state and seeding, so generator draws can never be perturbed by
+/// changes to the workload's stream.
 #[derive(Clone, Debug)]
 pub struct SplitMix64 {
     state: u64,
@@ -59,11 +60,7 @@ impl SplitMix64 {
 
     /// The next 64 uniform bits.
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        crate::sharded::workload::splitmix64(&mut self.state)
     }
 
     /// A uniform draw in `[0, n)`; `n = 0` returns 0.

@@ -167,13 +167,6 @@ pub fn check_deep(sc: &ShardedScenario, deep: DeepChecks) -> Result<ShardedRunRe
     Ok(r)
 }
 
-/// Whether `v` is a client command id of this run (ids are dense from 1;
-/// no-op fillers, migration control entries, and Byzantine junk values
-/// all live far outside the dense range).
-fn is_client_id(v: u64, total: usize) -> bool {
-    v >= 1 && v <= total as u64
-}
-
 /// Audits one report against the safety contract without re-running
 /// anything — the single-run half of [`check`], exposed so callers that
 /// already hold a report (the schedule explorer audits every explored
@@ -189,7 +182,7 @@ pub fn audit_report(sc: &ShardedScenario, r: &ShardedRunReport) -> Result<(), Vi
     let mut seen: BTreeMap<u64, usize> = BTreeMap::new();
     for (g, group) in r.groups.iter().enumerate() {
         for &v in &group.log {
-            if is_client_id(v.0, sc.total_cmds) && seen.insert(v.0, g).is_some() {
+            if v.client_id(sc.total_cmds).is_some() && seen.insert(v.0, g).is_some() {
                 return Err(Violation::Duplicated { id: v.0, group: g });
             }
         }
@@ -245,8 +238,8 @@ fn per_key_order(sc: &ShardedScenario, r: &ShardedRunReport) -> Result<(), Viola
         // Per key, the ids committed in log order.
         let mut by_key: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
         for &v in &group.log {
-            if is_client_id(v.0, sc.total_cmds) {
-                by_key.entry(keys[v.0 as usize - 1]).or_default().push(v.0);
+            if let Some(id) = v.client_id(sc.total_cmds) {
+                by_key.entry(keys[id - 1]).or_default().push(v.0);
             }
         }
         for (key, ids) in by_key {

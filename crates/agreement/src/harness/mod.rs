@@ -13,6 +13,7 @@ use std::collections::BTreeMap;
 
 use sigsim::SigAuthority;
 use simnet::{Actor, ActorId, DelayModel, Duration, Metrics, ParSimulation, Simulation, Time};
+use swmr::quorum::tolerated;
 
 use crate::adversary;
 use crate::aligned::{self, AlignedPaxosActor, MemoryMode};
@@ -254,7 +255,7 @@ pub fn run_disk_paxos(scenario: &Scenario) -> RunReport {
 
 /// Runs Protected Memory Paxos (Theorem 5.1).
 pub fn run_protected(scenario: &Scenario) -> RunReport {
-    let (f_m, retry) = ((scenario.m.max(1) - 1) / 2, Duration::from_delays(25));
+    let (f_m, retry) = (tolerated(scenario.m), Duration::from_delays(25));
     let process = |i, procs, mems| {
         let (me, input) = (ActorId(i as u32), Scenario::input(i));
         ProtectedPaxosActor::new(me, procs, mems, Instance(0), input, LEADER, f_m, retry)
@@ -361,8 +362,7 @@ pub struct SmrRunReport {
 /// by `procs[0]` — the one constructor path of [`run_smr`] and the
 /// sharded crash arm.
 fn crash_replica(procs: &[Pid], mems: &[ActorId], i: usize, workload: Vec<Value>) -> SmrNode {
-    let f_m = (mems.len().max(1) - 1) / 2;
-    let retry = Duration::from_delays(20);
+    let (f_m, retry) = (tolerated(mems.len()), Duration::from_delays(20));
     SmrNode::new(
         procs[i],
         procs.to_vec(),
@@ -981,11 +981,8 @@ fn reduce_sharded(
         let longest = logs().max_by_key(|l| l.len()).cloned().unwrap_or_default();
         let logs_agree = logs().all(|l| longest[..l.len()] == l[..]);
         for v in &longest {
-            let id = v.0 as usize;
-            if sharded::rebalance::decode_ctrl(*v).is_some() {
-                continue; // migration seal/install entries live off-partition
-            }
-            if id != 0 && id < group_of.len() && group_of[id] as usize != g {
+            let id = v.client_id(scenario.total_cmds);
+            if id.is_some_and(|id| group_of[id] as usize != g) {
                 assignment_mismatches += 1;
             }
         }

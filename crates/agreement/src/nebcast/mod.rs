@@ -74,7 +74,7 @@ use std::sync::Arc;
 
 use rdma_sim::{MemoryClient, Permission, RegId, RegionId, RegionSpec, Window};
 use sigsim::{SigVerifier, Signature, Signer};
-use simnet::Context;
+use simnet::{ActorId, Context};
 use swmr::{RepEngine, RepEvent, RepId, RepResult};
 
 use crate::trusted::TWire;
@@ -107,6 +107,38 @@ pub const RECEIPT_BIT: u64 = 1 << 63;
 /// process actually settled over values that were merely written.
 pub fn receipt_reg(i: Pid, k: u64, q: Pid) -> RegId {
     RegId::new(spaces::NEB, i.0 as u64, k | RECEIPT_BIT, q.0 as u64)
+}
+
+/// A register of the broadcast space decoded: the inverse of
+/// [`slot_reg`] and [`receipt_reg`].
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct Cell {
+    /// The row's owner, the one process that can write the register.
+    pub row: Pid,
+    /// The broadcast's sequence number.
+    pub k: u64,
+    /// The broadcaster.
+    pub sender: Pid,
+    /// Whether the register is a delivery receipt rather than a slot.
+    pub receipt: bool,
+}
+
+impl Cell {
+    /// Decodes `reg`, a register of the broadcast space.
+    pub fn of(reg: RegId) -> Cell {
+        Cell {
+            row: ActorId(reg.a as u32),
+            k: reg.b & !RECEIPT_BIT,
+            sender: ActorId(reg.c as u32),
+            receipt: reg.b & RECEIPT_BIT != 0,
+        }
+    }
+
+    /// Whether this is a broadcaster's self-slot: its own broadcast in its
+    /// own row, the one register that records what it actually sent.
+    pub fn is_self_slot(self) -> bool {
+        !self.receipt && self.row == self.sender
+    }
 }
 
 /// Declares the broadcast regions on a memory actor (row regions overlap
@@ -470,10 +502,10 @@ impl NebEngine {
                 .is_some_and(|audit| audit.covered.iter().any(|&(ck, _)| ck == k))
         };
         for (reg, val) in rows {
-            if reg.b & RECEIPT_BIT != 0 {
+            let Cell { k, receipt, .. } = Cell::of(reg);
+            if receipt {
                 continue; // q's self-receipts share the row; not slots
             }
-            let k = reg.b;
             if k < head
                 || k >= head + depth
                 || self.attempts.contains_key(&(q, k))
@@ -768,8 +800,10 @@ impl NebEngine {
         // The audit read covered the window of q's whole column space,
         // including q's own row — adopt any newly written in-window slots
         // from it directly (audit doubles as discovery).
-        let own_row =
-            (all.into_iter()).filter(|(reg, _)| reg.a == q.0 as u64 && reg.c == q.0 as u64);
+        let own_row = (all.into_iter()).filter(|(reg, _)| {
+            let cell = Cell::of(*reg);
+            cell.is_self_slot() && cell.row == q
+        });
         self.adopt_row(ctx, client, q, head, own_row);
         // Chain the next round of work for q (the row probe if the
         // pipeline drained, and an audit for any copies that completed

@@ -35,8 +35,7 @@ impl PaxosActor {
                 me,
                 procs,
                 initial_leader,
-                trust_decide: true,
-                broadcast_accepted: false,
+                confined: false,
             }),
             input,
             initial_leader,

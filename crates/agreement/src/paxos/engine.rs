@@ -11,11 +11,12 @@
 //! Robust Backup (`crate::robust_backup`).
 //!
 //! Design notes:
-//! * Every process is proposer + acceptor + learner. `Accepted` messages are
-//!   broadcast, so every process observes phase-2 quorums directly and
-//!   decides without trusting anyone's `Decide` announcement — essential
-//!   under the Byzantine-confinement wrapper, where `Decide` shortcuts are
-//!   disabled ([`PaxosConfig::trust_decide`]).
+//! * Every process is proposer + acceptor + learner. How it learns is one
+//!   rule ([`PaxosConfig::confined`]): the crash baseline sends `Accepted`
+//!   to the ballot leader, which announces the decision; under the
+//!   Byzantine-confinement wrapper `Accepted` is broadcast, so every
+//!   process observes phase-2 quorums directly and decides without
+//!   trusting anyone's `Decide` announcement.
 //! * The configured initial leader owns ballot `(0, leader)` and skips
 //!   phase 1 on its first attempt (the standard steady-state optimization);
 //!   every other attempt runs both phases.
@@ -23,6 +24,8 @@
 //! [`PaxosActor`]: crate::paxos::PaxosActor
 
 use std::collections::BTreeMap;
+
+use swmr::quorum::majority;
 
 use crate::types::{Ballot, Pid, Value};
 
@@ -85,23 +88,13 @@ pub struct PaxosConfig {
     pub procs: Vec<Pid>,
     /// Owner of ballot `(0, leader)`, entitled to skip phase 1 once.
     pub initial_leader: Option<Pid>,
-    /// Whether to adopt decisions from `Decide` messages. True for the
-    /// crash-only baseline; false under Byzantine confinement (decisions
-    /// must come from an observed `Accepted` quorum).
-    pub trust_decide: bool,
-    /// Where phase-2b votes go. The crash baseline sends them to the ballot
-    /// leader only (textbook flow: leader decides after one round trip and
-    /// announces). Robust Backup broadcasts them so *every* process
-    /// observes the quorum itself — a Byzantine leader then cannot announce
-    /// a wrong decision.
-    pub broadcast_accepted: bool,
-}
-
-impl PaxosConfig {
-    /// Majority quorum size.
-    pub fn majority(&self) -> usize {
-        self.procs.len() / 2 + 1
-    }
+    /// The learner rule. Unconfined (the crash-only baseline): phase-2b
+    /// votes go to the ballot leader only, which decides after one round
+    /// trip and announces, and `Decide` is adopted. Confined (Robust
+    /// Backup): votes are broadcast so *every* process observes the quorum
+    /// itself, and `Decide` is ignored — a Byzantine leader then cannot
+    /// announce a wrong decision.
+    pub confined: bool,
 }
 
 /// The acceptor role of one process: what it promised and what it
@@ -254,7 +247,7 @@ impl PaxosEngine {
                 out.push((Dest::One(b.pid), self.acceptor.on_prepare(b)));
             }
             PaxosMsg::Promise { b, accepted } => {
-                let majority = self.cfg.majority();
+                let majority = majority(self.cfg.procs.len());
                 let Proposer::Phase1 { ballot, promises } = &mut self.proposer else {
                     return;
                 };
@@ -286,7 +279,7 @@ impl PaxosEngine {
                 self.max_round_seen = self.max_round_seen.max(b.round);
                 let reply = self.acceptor.on_accept(b, v);
                 let accepted = matches!(reply, PaxosMsg::Accepted { .. });
-                let dest = if accepted && self.cfg.broadcast_accepted {
+                let dest = if accepted && self.cfg.confined {
                     Dest::All
                 } else {
                     Dest::One(b.pid)
@@ -298,7 +291,7 @@ impl PaxosEngine {
                 let tally = self.learner.entry(b).or_default();
                 tally.insert(from, v);
                 let votes = tally.values().filter(|x| **x == v).count();
-                if votes >= self.cfg.majority() && self.decided.is_none() {
+                if votes >= majority(self.cfg.procs.len()) && self.decided.is_none() {
                     self.decided = Some(v);
                     out.push((Dest::All, PaxosMsg::Decide { v }));
                 }
@@ -308,7 +301,7 @@ impl PaxosEngine {
                 // Stay put; the retry timer will start a higher ballot.
             }
             PaxosMsg::Decide { v } => {
-                if self.cfg.trust_decide && self.decided.is_none() {
+                if !self.cfg.confined && self.decided.is_none() {
                     self.decided = Some(v);
                 }
             }
@@ -326,8 +319,7 @@ mod tests {
             me: ActorId(me),
             procs: (0..n).map(ActorId).collect(),
             initial_leader: initial_leader.map(ActorId),
-            trust_decide: true,
-            broadcast_accepted: true,
+            confined: true,
         }
     }
 
@@ -474,12 +466,24 @@ mod tests {
 
     #[test]
     fn untrusted_decide_is_ignored() {
-        let mut c = cfg(0, 3, None);
-        c.trust_decide = false;
-        let mut e = PaxosEngine::new(c);
+        let mut e = PaxosEngine::new(cfg(0, 3, None));
         let mut out = Vec::new();
         e.on_msg(ActorId(1), PaxosMsg::Decide { v: Value(3) }, &mut out);
         assert_eq!(e.decision(), None);
+    }
+
+    #[test]
+    fn unconfined_learner_adopts_decide_and_votes_to_the_leader() {
+        let mut e = PaxosEngine::new(PaxosConfig {
+            confined: false,
+            ..cfg(1, 3, None)
+        });
+        let mut out = Vec::new();
+        let b = Ballot::initial(ActorId(0));
+        e.on_msg(ActorId(0), PaxosMsg::Accept { b, v: Value(3) }, &mut out);
+        assert!(matches!(out[0], (Dest::One(p), PaxosMsg::Accepted { .. }) if p == ActorId(0)));
+        e.on_msg(ActorId(0), PaxosMsg::Decide { v: Value(3) }, &mut out);
+        assert_eq!(e.decision(), Some(Value(3)));
     }
 
     #[test]

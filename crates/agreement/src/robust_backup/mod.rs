@@ -9,9 +9,9 @@
 //! passing, where even with signatures asynchronous Byzantine agreement
 //! needs `n ≥ 3·f_P + 1` \[15\].
 //!
-//! Everything here rides on the `trusted` layer; the Paxos engine runs with
-//! `trust_decide = false` (decisions only from self-observed `Accepted`
-//! quorums) and `broadcast_accepted = true` (everyone is a learner).
+//! Everything here rides on the `trusted` layer; the Paxos engine runs
+//! `confined` (everyone is a learner, and decisions come only from
+//! self-observed `Accepted` quorums).
 //!
 //! [`RobustCore`] is the whole stage: the wrapped Paxos, its trusted
 //! channel, and — for the configurations that enter through one —
@@ -22,6 +22,7 @@
 use rdma_sim::{Completion, MemoryClient};
 use sigsim::SigVerifier;
 use simnet::{ActorId, Context};
+use swmr::quorum::tolerated;
 
 use crate::cheap_quorum::AbortOutcome;
 use crate::nebcast::NebEngine;
@@ -72,10 +73,9 @@ impl RobustCore {
             me,
             procs: procs.clone(),
             initial_leader,
-            // A Byzantine process must not be able to announce a decision.
-            trust_decide: false,
-            // Everyone observes phase-2 quorums directly.
-            broadcast_accepted: true,
+            // Everyone observes phase-2 quorums directly: a Byzantine
+            // process must not be able to announce a decision.
+            confined: true,
         });
         let neb = NebEngine::new(me, procs.clone(), memories, signer, verifier.clone());
         let checker = PaxosChecker {
@@ -210,7 +210,7 @@ impl RobustCore {
             return;
         };
         let procs = &self.engine.config().procs;
-        if self.proposed || self.setups.len() < procs.len() - (procs.len() - 1) / 2 {
+        if self.proposed || self.setups.len() < procs.len() - tolerated(procs.len()) {
             return;
         }
         let best = pref_paxos::adopt(&self.setups, procs, cq_leader, &self.verifier)

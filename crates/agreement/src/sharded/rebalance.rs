@@ -232,14 +232,14 @@ pub struct ScriptedMigration {
 
 // ---------------------------------------------------------------------
 // Control entries: migrations ride the replicated logs as ordinary
-// values, tagged in the id space the workload generator never uses.
+// values tagged by `Value::CTRL_BIT` (see `Value` for the id space).
 // ---------------------------------------------------------------------
 
-/// Top bit marks a control entry (client command ids are dense from 1 and
-/// the no-op filler is `u64::MAX`, which is *not* a control entry).
-const CTRL_BIT: u64 = 1 << 63;
 /// Second bit distinguishes INSTALL from SEAL.
 const CTRL_INSTALL_BIT: u64 = 1 << 62;
+/// Migration ids lie below this: the install entry of the next id would
+/// be every bit set, which is [`Value::NOOP`].
+const MIG_LIMIT: u64 = CTRL_INSTALL_BIT - 1;
 
 /// A decoded control entry (see [`decode_ctrl`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -258,23 +258,23 @@ pub enum CtrlEntry {
 
 /// The source group's seal entry for migration `mig`.
 pub fn seal_value(mig: u64) -> Value {
-    debug_assert!(mig < CTRL_INSTALL_BIT);
-    Value(CTRL_BIT | mig)
+    debug_assert!(mig < MIG_LIMIT);
+    Value(Value::CTRL_BIT | mig)
 }
 
 /// The destination group's install entry for migration `mig`.
 pub fn install_value(mig: u64) -> Value {
-    debug_assert!(mig < CTRL_INSTALL_BIT);
-    Value(CTRL_BIT | CTRL_INSTALL_BIT | mig)
+    debug_assert!(mig < MIG_LIMIT);
+    Value(Value::CTRL_BIT | CTRL_INSTALL_BIT | mig)
 }
 
 /// Decodes a log value as a control entry; `None` for client commands and
-/// the `u64::MAX` no-op filler.
+/// [`Value::NOOP`].
 pub fn decode_ctrl(v: Value) -> Option<CtrlEntry> {
-    if v.0 & CTRL_BIT == 0 || v == Value(u64::MAX) {
+    if v.0 & Value::CTRL_BIT == 0 || v == Value::NOOP {
         return None;
     }
-    let mig = v.0 & !(CTRL_BIT | CTRL_INSTALL_BIT);
+    let mig = v.0 & !(Value::CTRL_BIT | CTRL_INSTALL_BIT);
     Some(if v.0 & CTRL_INSTALL_BIT != 0 {
         CtrlEntry::Install { mig }
     } else {

@@ -43,6 +43,7 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use simnet::{Actor, Context, Duration, EventKind, Time};
+use swmr::quorum::tolerated;
 
 use crate::types::{Cmds, Msg, Pid, Value};
 
@@ -245,9 +246,9 @@ impl RouterActor {
 
     /// Declares per-group failure modes (index = group; missing entries
     /// default to [`GroupMode::CrashPmp`]). Observations from Byzantine
-    /// groups are held until `f + 1 = (n - 1) / 2 + 1` distinct replicas
-    /// of the group report the same value; `n` is the per-group replica
-    /// count. A no-op when every group is crash-mode.
+    /// groups are held until `f + 1` distinct replicas of the group report
+    /// the same value, where `n ≥ 2f + 1` is the per-group replica count
+    /// (`swmr::quorum::tolerated`). A no-op when every group is crash-mode.
     ///
     /// # Panics
     ///
@@ -262,7 +263,7 @@ impl RouterActor {
             );
             self.byz = Some(ByzConfirm {
                 modes,
-                quorum: ((n - 1) / 2 + 1) as u32,
+                quorum: (tolerated(n) + 1) as u32,
                 pending: BTreeMap::new(),
                 withheld: 0,
                 fast_path: false,
@@ -562,11 +563,10 @@ impl RouterActor {
     /// Marks `v` committed by group `g` (first observation only).
     fn observe_commit(&mut self, ctx: &mut Context<'_, Msg>, g: usize, v: Value) {
         let now = ctx.now();
-        let id = v.0 as usize;
-        // No-op fillers and unknown ids carry no client command.
-        if id == 0 || id >= self.committed.len() || self.committed[id] {
+        // Fillers, control entries and junk carry no client command.
+        let Some(id) = v.client_id(self.total).filter(|&id| !self.committed[id]) else {
             return;
-        }
+        };
         match &mut self.rebalance {
             None => debug_assert_eq!(
                 self.group_of[id] as usize, g,

@@ -4,8 +4,8 @@
 //! three distributions — uniform, Zipf-skewed, or hot-shard — and each key
 //! is mapped to a group by a fixed hash, so the same `(spec, seed, total)`
 //! triple always produces the same per-group command backlogs. Commands
-//! themselves are dense ids packed into [`Value`] (ids start at 1; id 0 and
-//! the `u64::MAX` no-op filler are reserved), which keeps the router's
+//! themselves are dense ids packed into [`Value`] (client ids `1..=total`;
+//! `Value` declares the rest of the id space), which keeps the router's
 //! bookkeeping flat arrays.
 //!
 //! The generator is self-contained (SplitMix64 for bits, inverse-CDF for
@@ -84,8 +84,9 @@ impl WorkloadSpec {
     }
 }
 
-/// SplitMix64: the workload generator's deterministic bit source.
-fn splitmix64(state: &mut u64) -> u64 {
+/// One SplitMix64 step: the workload generator's deterministic bit source
+/// (and the fuzzer's, over its own state).
+pub(crate) fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

@@ -108,7 +108,7 @@ use simnet::{ActorId, Context, Duration};
 use swmr::{RepEngine, RepId, RepResult};
 
 use super::{ByzSmrNode, Engine, Replica, ReplicaState, Round, Shell};
-use crate::nebcast::{self, NebEngine, RECEIPT_BIT};
+use crate::nebcast::{self, Cell, NebEngine};
 use crate::paxos::Dest;
 use crate::spans::STAGE_DELIVER;
 use crate::trusted::{RbPayload, TWire};
@@ -444,7 +444,7 @@ impl NebLog {
         // claimed broadcaster's self-slot holds. This blocks a follower
         // forging receipts with a colluding leader's double-signature:
         // the signature verifies, but no matching self-slot exists.
-        let mut self_slots: BTreeMap<(u32, u64), Arc<nebcast::NebSlot>> = BTreeMap::new();
+        let mut self_slots: BTreeMap<(Pid, u64), Arc<nebcast::NebSlot>> = BTreeMap::new();
         // The same pass bounds how far a dense log can reach: every
         // instance below a genuine wire's `first` was settled by a correct
         // replica (this one, or one whose majority-written audit copy or
@@ -460,34 +460,33 @@ impl NebLog {
             if let RbPayload::LogEntries { values, .. } = &slot.wire.payload {
                 dense_cap = dense_cap.saturating_add(values.len() as u64);
             }
-            if reg.b & RECEIPT_BIT != 0 || reg.a != reg.c {
-                continue;
-            }
-            let sender = ActorId(reg.c as u32);
-            if slot.k != reg.b || !sh.procs.contains(&sender) {
+            let cell = Cell::of(*reg);
+            if !cell.is_self_slot() || slot.k != cell.k || !sh.procs.contains(&cell.sender) {
                 continue;
             }
             if self
                 .verifier
-                .valid(sender, &slot.wire.sign_view(slot.k), &slot.sig)
+                .valid(cell.sender, &slot.wire.sign_view(slot.k), &slot.sig)
             {
-                self_slots.insert((reg.c as u32, reg.b), slot.clone());
+                self_slots.insert((cell.sender, cell.k), slot.clone());
             }
         }
         let mut best: BTreeMap<u64, Candidate> = BTreeMap::new();
         let mut max_epoch = self.epoch;
         for (reg, val) in rows {
             let RegVal::Neb(slot) = val else { continue };
-            let mut receipted = reg.b & RECEIPT_BIT != 0;
-            let k = reg.b & !RECEIPT_BIT;
-            let sender = ActorId(reg.c as u32);
-            let row_owner = ActorId(reg.a as u32);
+            let Cell {
+                row,
+                k,
+                sender,
+                receipt: mut receipted,
+            } = Cell::of(reg);
             if slot.k != k || !sh.procs.contains(&sender) {
                 continue;
             }
             // A broadcaster's receipt for its own wire proves nothing —
             // only other rows' receipts witness a delivery.
-            if receipted && row_owner == sender {
+            if receipted && row == sender {
                 continue;
             }
             if !self
@@ -496,11 +495,7 @@ impl NebLog {
             {
                 continue;
             }
-            if receipted
-                && !self_slots
-                    .get(&(reg.c as u32, k))
-                    .is_some_and(|own| *own == slot)
-            {
+            if receipted && !self_slots.get(&(sender, k)).is_some_and(|own| *own == slot) {
                 // Provenance failed: demote rather than discard — the
                 // value still competes as an (audit-grade) unreceipted
                 // candidate, it just loses the adoption *preference* a
@@ -550,7 +545,7 @@ impl NebLog {
         sh.recover.extend((0..top).map(|i| {
             let v = (sh.core.decided(i))
                 .or_else(|| best.get(&i).map(|c| c.value))
-                .unwrap_or(Value(u64::MAX));
+                .unwrap_or(Value::NOOP);
             (i, v)
         }));
         self.next_instance = top;

@@ -262,7 +262,7 @@ impl LogCore {
             // Session dedup: skip commands already seen decided (the
             // router's at-least-once failover re-submissions). The
             // skipped slot is still consumed from the workload.
-            if self.dedup && v != Value(u64::MAX) && (self.seen_cmds.contains(v.0) || pending(v)) {
+            if self.dedup && v != Value::NOOP && (self.seen_cmds.contains(v.0) || pending(v)) {
                 suppressed += 1;
                 continue;
             }
@@ -271,7 +271,7 @@ impl LogCore {
         if out.is_empty() {
             // No command of our own (or all remaining were
             // duplicates): commit a no-op filler.
-            out.push(Value(u64::MAX));
+            out.push(Value::NOOP);
         }
         self.next_cmd += consumed;
         (consumed, suppressed)
@@ -355,11 +355,12 @@ impl LogCore {
         }
     }
 
-    /// Records newly decided values in the dedup seen-set (the no-op
-    /// filler is no command).
+    /// Records newly decided values in the dedup seen-set: every value
+    /// but [`Value::NOOP`], control entries included, so a control entry
+    /// re-sent after a failover is suppressed like a command.
     fn see(&mut self, values: &[Value]) {
         if self.dedup {
-            let ids = values.iter().filter(|&&v| v != Value(u64::MAX));
+            let ids = values.iter().filter(|&&v| v != Value::NOOP);
             self.seen_cmds.extend(ids.map(|v| v.0));
         }
     }

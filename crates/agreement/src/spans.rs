@@ -32,6 +32,8 @@
 
 use simnet::obs::{Event, EventBody};
 
+use crate::types::Value;
+
 /// Stage code of a command's first submission (router, latency stamp).
 pub const STAGE_SUBMIT: u8 = 0;
 /// Stage code of a router → leader `Submit` send (first or re-route).
@@ -174,8 +176,10 @@ pub fn aggregate_spans(events: &[Event], groups: usize, total_cmds: usize) -> Ve
         let EventBody::Mark { span, stage, data } = ev.body else {
             continue;
         };
-        let (id, stage) = (span as usize, stage as usize);
-        if id == 0 || id > total_cmds || stage >= STAGES {
+        let (Some(id), stage) = (Value(span).client_id(total_cmds), stage as usize) else {
+            continue;
+        };
+        if stage >= STAGES {
             continue;
         }
         if first_mark[id][stage].is_none() {

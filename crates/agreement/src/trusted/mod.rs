@@ -33,6 +33,7 @@ use std::hash::{Hash, Hasher};
 use rdma_sim::MemoryClient;
 use sigsim::{SigVerifier, Signature};
 use simnet::Context;
+use swmr::quorum::majority;
 
 use crate::nebcast::{NebEngine, NebSlot};
 use crate::paxos::{Dest, PaxosMsg};
@@ -187,10 +188,6 @@ struct CheckState {
 }
 
 impl PaxosChecker {
-    fn majority(&self) -> usize {
-        self.procs.len() / 2 + 1
-    }
-
     /// Validates that `history` followed by a send of `next` is a legal
     /// behaviour of the wrapped crash-tolerant protocol for `sender`.
     pub fn conforms(&self, sender: Pid, history: &[HistEntry], next: &RbPayload) -> bool {
@@ -285,7 +282,7 @@ impl PaxosChecker {
                             let Some(promises) = st.promises_recv.get(&b) else {
                                 return false;
                             };
-                            if promises.len() < self.majority() {
+                            if promises.len() < majority(self.procs.len()) {
                                 return false;
                             }
                             let forced = promises

@@ -16,8 +16,36 @@ pub type Pid = ActorId;
 /// Protocols are agnostic to payload semantics, so a compact numeric id
 /// keeps simulations deterministic and cheap; applications (see the
 /// `replicated_log` example) map ids to real commands out of band.
+///
+/// A replicated log's values split the id space four ways, declared
+/// here and nowhere else:
+/// * client command ids, dense from 1 ([`Value::client_id`]; 0 is none);
+/// * adversary junk, in `[JUNK_FLOOR, CTRL_BIT)`
+///   ([`crate::adversary::AdversaryKind::junk_base`]);
+/// * migration control entries, tagged by [`Value::CTRL_BIT`]
+///   ([`crate::sharded::rebalance::decode_ctrl`]);
+/// * the no-op filler [`Value::NOOP`], which is none of the above.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Value(pub u64);
+
+impl Value {
+    /// The no-op filler a log leader commits when it has no command of
+    /// its own. It carries no command and is no control entry.
+    pub const NOOP: Value = Value(u64::MAX);
+    /// The bit tagging a migration control entry.
+    pub const CTRL_BIT: u64 = 1 << 63;
+    /// The lowest adversary junk value: far above any client command id,
+    /// and below [`Value::CTRL_BIT`].
+    pub const JUNK_FLOOR: u64 = 1 << 40;
+
+    /// The client command id this value carries in a run of `total`
+    /// commands (`1..=total`), or `None` for everything else.
+    pub fn client_id(self, total: usize) -> Option<usize> {
+        (1..=total as u64)
+            .contains(&self.0)
+            .then_some(self.0 as usize)
+    }
+}
 
 impl fmt::Debug for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -535,5 +563,54 @@ mod tests {
         }
         let non_wire = Msg::Panic { who: ActorId(0) };
         assert!(non_wire.into_wire().is_err());
+    }
+
+    /// Every producer of log values stays in its own band of the id
+    /// space: workload ids, migration control entries, the no-op filler
+    /// and every adversary kind's junk cannot be mistaken for each other.
+    #[test]
+    fn log_value_producers_never_collide() {
+        use crate::adversary::AdversaryKind;
+        use crate::sharded::rebalance::{decode_ctrl, install_value, seal_value};
+        use crate::sharded::{partition, WorkloadSpec};
+
+        let total = 500;
+        let w = partition(&WorkloadSpec::Uniform { keys: 64 }, 7, total, 4);
+        let mut ids: Vec<u64> = w.backlogs.concat().iter().map(|v| v.0).collect();
+        ids.sort_unstable();
+        assert_eq!(ids, (1..=total as u64).collect::<Vec<_>>());
+        for id in ids {
+            assert_eq!(Value(id).client_id(total), Some(id as usize));
+            assert_eq!(decode_ctrl(Value(id)), None);
+        }
+        assert_eq!(Value(0).client_id(total), None);
+        assert_eq!(Value(total as u64 + 1).client_id(total), None);
+
+        // Any total the junk floor leaves room for.
+        let widest = Value::JUNK_FLOOR as usize - 1;
+        for mig in [0, 1, 7, (1 << 62) - 2] {
+            for v in [seal_value(mig), install_value(mig)] {
+                assert!(decode_ctrl(v).is_some(), "{v:?}");
+                assert_eq!(v.client_id(widest), None);
+            }
+        }
+        assert_eq!(Value::NOOP.client_id(widest), None);
+        assert_eq!(decode_ctrl(Value::NOOP), None);
+
+        let kinds = [
+            AdversaryKind::Equivocator,
+            AdversaryKind::ReceiptForger,
+            AdversaryKind::FarFutureLeader,
+        ];
+        for kind in kinds {
+            for g in 0..256 {
+                for low in 0..256 {
+                    let v = Value(kind.junk_base(g) | low);
+                    assert!((Value::JUNK_FLOOR..Value::CTRL_BIT).contains(&v.0), "{v:?}");
+                    assert_eq!(v.client_id(widest), None);
+                    assert_eq!(decode_ctrl(v), None);
+                }
+            }
+        }
     }
 }

@@ -67,12 +67,6 @@ pub struct Signature {
 }
 
 impl Signature {
-    /// The identity this signature claims to come from. Claims are only
-    /// meaningful after [`SigVerifier::valid`] succeeds.
-    pub fn claimed_signer(&self) -> ActorId {
-        self.signer
-    }
-
     /// A syntactically well-formed but invalid signature, as a Byzantine
     /// process might fabricate. Useful in adversary implementations and
     /// tests; verification always rejects it (up to 64-bit digest collision,
@@ -239,11 +233,6 @@ impl SigVerifier {
         }
         ok
     }
-
-    /// Convenience: checks that `sig` is valid for the signer it claims.
-    pub fn valid_claimed<T: Hash + ?Sized>(&self, value: &T, sig: &Signature) -> bool {
-        self.valid(sig.claimed_signer(), value, sig)
-    }
 }
 
 impl fmt::Debug for SigVerifier {
@@ -273,7 +262,6 @@ mod tests {
         let (a, _, v, _) = setup();
         let sig = a.sign(&(1u64, "x"));
         assert!(v.valid(ActorId(0), &(1u64, "x"), &sig));
-        assert!(v.valid_claimed(&(1u64, "x"), &sig));
     }
 
     #[test]

@@ -26,15 +26,10 @@ pub trait Actor<M>: 'static {
 pub trait AnyActor<M>: Actor<M> {
     /// Upcasts to [`Any`] for downcasting by concrete type.
     fn as_any(&self) -> &dyn Any;
-    /// Mutable variant of [`AnyActor::as_any`].
-    fn as_any_mut(&mut self) -> &mut dyn Any;
 }
 
 impl<M, T: Actor<M> + Any> AnyActor<M> for T {
     fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
         self
     }
 }

@@ -173,15 +173,6 @@ impl<M, A: ?Sized + AnyActor<M>> Engine<M, A> {
             .downcast_ref::<T>()
     }
 
-    /// Mutable variant of [`Engine::actor_as`].
-    pub(crate) fn actor_as_mut<T: 'static>(&mut self, id: ActorId) -> Option<&mut T> {
-        self.actors
-            .get_mut(id.index())?
-            .as_mut()?
-            .as_any_mut()
-            .downcast_mut::<T>()
-    }
-
     /// Dispatches one event: `pop` takes its key off the queue (it may
     /// read the queued events through the slab; returning `None` ends the
     /// step with `false`), and the key of every event the handler emits

@@ -99,11 +99,6 @@ impl Metrics {
         self.first_decision().map(Time::as_delays)
     }
 
-    /// When `actor` first decided, if it has.
-    pub fn decision_time(&self, actor: ActorId) -> Option<Time> {
-        self.decisions.get(&actor).copied()
-    }
-
     /// All recorded decision instants, keyed by actor.
     pub fn decisions(&self) -> &BTreeMap<ActorId, Time> {
         &self.decisions
@@ -166,7 +161,7 @@ mod tests {
         let mut m = Metrics::new();
         m.record_decision(ActorId(0), Time::from_delays(2));
         m.record_decision(ActorId(0), Time::from_delays(9));
-        assert_eq!(m.decision_time(ActorId(0)), Some(Time::from_delays(2)));
+        assert_eq!(m.decisions()[&ActorId(0)], Time::from_delays(2));
     }
 
     #[test]

@@ -406,11 +406,6 @@ impl<M: Send + 'static> ParSimulation<M> {
         self.lookahead
     }
 
-    /// The actor placement built so far.
-    pub fn partitioning(&self) -> &Partitioning {
-        &self.plan
-    }
-
     /// Registers `actor` on `partition`, returning its (global, dense)
     /// id. Ids are assigned in registration order across all partitions,
     /// exactly as in [`crate::Simulation::add`]; every sub-kernel keeps a

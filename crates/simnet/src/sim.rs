@@ -475,11 +475,6 @@ impl<M: 'static> Simulation<M> {
         self.engine.actor_as(id)
     }
 
-    /// Mutable variant of [`Simulation::actor_as`].
-    pub fn actor_as_mut<T: 'static>(&mut self, id: ActorId) -> Option<&mut T> {
-        self.engine.actor_as_mut(id)
-    }
-
     fn ensure_started(&mut self) {
         if self.started {
             return;

@@ -35,11 +35,6 @@ impl Time {
     pub fn as_delays(self) -> f64 {
         self.0 as f64 / TICKS_PER_DELAY as f64
     }
-
-    /// Saturating difference between two instants.
-    pub fn since(self, earlier: Time) -> Duration {
-        Duration(self.0.saturating_sub(earlier.0))
-    }
 }
 
 impl fmt::Debug for Time {
@@ -68,19 +63,6 @@ impl Duration {
     /// Constructs a duration from a whole number of network delays.
     pub fn from_delays(delays: u64) -> Duration {
         Duration(delays * TICKS_PER_DELAY)
-    }
-
-    /// Constructs a duration from a fractional number of network delays.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `delays` is negative or not finite.
-    pub fn from_delays_f64(delays: f64) -> Duration {
-        assert!(
-            delays.is_finite() && delays >= 0.0,
-            "invalid delay: {delays}"
-        );
-        Duration((delays * TICKS_PER_DELAY as f64).round() as u64)
     }
 
     /// This span expressed in (possibly fractional) network delays.
@@ -130,7 +112,6 @@ mod tests {
     fn delay_round_trip() {
         assert_eq!(Time::from_delays(3).as_delays(), 3.0);
         assert_eq!(Duration::from_delays(5).as_delays(), 5.0);
-        assert_eq!(Duration::from_delays_f64(0.5).0, TICKS_PER_DELAY / 2);
     }
 
     #[test]
@@ -138,15 +119,5 @@ mod tests {
         let t = Time::from_delays(2) + Duration::from_delays(3);
         assert_eq!(t, Time::from_delays(5));
         assert_eq!(t - Time::from_delays(2), Duration::from_delays(3));
-        assert_eq!(
-            Time::from_delays(1).since(Time::from_delays(4)),
-            Duration::ZERO
-        );
-    }
-
-    #[test]
-    #[should_panic]
-    fn negative_delay_panics() {
-        let _ = Duration::from_delays_f64(-1.0);
     }
 }

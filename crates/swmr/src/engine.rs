@@ -146,11 +146,6 @@ where
         &self.memories
     }
 
-    /// Majority size of the replica set.
-    pub fn majority(&self) -> usize {
-        self.memories.len() / 2 + 1
-    }
-
     fn fresh(&mut self) -> RepId {
         self.next += 1;
         RepId(self.next)

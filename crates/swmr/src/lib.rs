@@ -13,13 +13,15 @@
 //! [`RepEngine`] packages that construction as a sub-state-machine usable
 //! from any actor: start logical writes/reads/permission changes, feed it
 //! every memory completion, consume [`RepEvent`]s. [`QuorumTracker`] is the
-//! underlying vote counter, also used directly by the consensus protocols.
+//! underlying vote counter. [`quorum::majority`] and [`quorum::tolerated`]
+//! are the one statement of the quorum sizes every protocol in the
+//! workspace counts to.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 mod engine;
-mod quorum;
+pub mod quorum;
 
 pub use engine::{RepEngine, RepEvent, RepId, RepResult};
 pub use quorum::{QuorumStatus, QuorumTracker};

@@ -1,4 +1,20 @@
-//! Counting votes toward a quorum.
+//! Quorum sizes and counting votes toward a quorum.
+//!
+//! The paper's resilience bounds — `n ≥ 2·f_P + 1` Byzantine processes,
+//! `m ≥ 2·f_M + 1` memories — are one arithmetic, stated here once:
+//! [`majority`] is the smallest set any two of which intersect, and
+//! [`tolerated`] is the `f` such a deployment survives.
+
+/// The majority quorum of `n` voters: `⌊n/2⌋ + 1`.
+pub fn majority(n: usize) -> usize {
+    n / 2 + 1
+}
+
+/// The failures `n` voters tolerate with a majority left standing: the
+/// largest `f` with `n ≥ 2f + 1`, and 0 for `n = 0`.
+pub fn tolerated(n: usize) -> usize {
+    n.saturating_sub(1) / 2
+}
 
 /// Progress of a yes/no vote toward a threshold.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -45,7 +61,7 @@ impl QuorumTracker {
 
     /// A majority-of-`total` tracker.
     pub fn majority(total: usize) -> QuorumTracker {
-        QuorumTracker::new(total / 2 + 1, total)
+        QuorumTracker::new(majority(total), total)
     }
 
     /// Registers a yes vote and returns the new status.
@@ -97,6 +113,28 @@ impl QuorumTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The one statement of the quorum sizes against every spelling it
+    /// replaced across the workspace.
+    #[test]
+    fn quorum_sizes_match_every_spelling_they_replace() {
+        for n in 0..=65usize {
+            let (q, f) = (majority(n), tolerated(n));
+            assert_eq!(q, n / 2 + 1, "a majority, n = {n}");
+            assert_eq!(f, (n.max(1) - 1) / 2, "the harness's f_M, n = {n}");
+            if n >= 1 {
+                assert_eq!(QuorumTracker::majority(n).needed(), q);
+                assert_eq!(f, (n - 1) / 2, "a group's f, n = {n}");
+                assert!(
+                    (2 * f + 1..2 * f + 3).contains(&n),
+                    "largest f with n ≥ 2f + 1"
+                );
+                assert!(n - f >= q, "n − f set-ups are a majority, n = {n}");
+                assert!(2 * q > n, "two majorities meet, n = {n}");
+            }
+        }
+        assert_eq!(tolerated(0), 0, "the harness's `.max(1)` guard");
+    }
 
     #[test]
     fn majority_sizes() {

@@ -3,14 +3,12 @@
 //! which are separate test crates).
 
 use agreement::harness::{ShardedRunReport, ShardedScenario};
-use agreement::sharded::rebalance::decode_ctrl;
 use agreement::types::Value;
 
-/// Whether a log value is a client command (not a no-op filler, not a
-/// migration control entry, not Byzantine junk — adversaries commit ids
-/// far above the dense client range).
+/// Whether a log value is a client command: below adversary junk, and so
+/// below every control entry and the no-op filler (see [`Value`]).
 pub fn is_client_id(v: Value) -> bool {
-    v.0 != u64::MAX && v.0 < (1 << 40) && decode_ctrl(v).is_none()
+    v.0 < Value::JUNK_FLOOR
 }
 
 /// Service-wide exactly-once: no client command id appears twice across

@@ -18,6 +18,7 @@
 use agreement::adversary::AdversaryKind;
 use agreement::harness::{run_sharded, ShardedRunReport, ShardedScenario};
 use agreement::sharded::{GroupMode, KeyRange, ScriptedMigration};
+use agreement::types::Value;
 
 #[path = "byz_support.rs"]
 mod byz_support;
@@ -324,7 +325,7 @@ fn far_future_first_is_ignored_counted_and_failed_over() {
             log.len()
         );
         assert!(
-            log.iter().all(|&v| is_client_id(v) || v.0 == u64::MAX),
+            log.iter().all(|&v| is_client_id(v) || v == Value::NOOP),
             "window {window}: junk settled: {log:?}"
         );
         assert_eq!(

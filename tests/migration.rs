@@ -20,6 +20,7 @@ use agreement::sharded::rebalance::{decode_ctrl, CtrlEntry};
 use agreement::sharded::{
     sample_keys, KeyRange, RebalanceConfig, RoutingTable, ScriptedMigration, WorkloadSpec,
 };
+use agreement::types::Value;
 
 /// The per-id key map of a scenario's command stream (index 0 unused).
 fn keys_of(sc: &ShardedScenario) -> Vec<u64> {
@@ -30,10 +31,7 @@ fn keys_of(sc: &ShardedScenario) -> Vec<u64> {
 
 /// Client command ids of one group log, in log order, with the positions
 /// of the seal/install entries of migration `mig`.
-fn log_ids_and_ctrl(
-    log: &[agreement::types::Value],
-    mig: u64,
-) -> (Vec<u64>, Option<usize>, Option<usize>) {
+fn log_ids_and_ctrl(log: &[Value], mig: u64) -> (Vec<u64>, Option<usize>, Option<usize>) {
     let mut ids = Vec::new();
     let (mut seal_pos, mut install_pos) = (None, None);
     for (pos, &v) in log.iter().enumerate() {
@@ -42,7 +40,7 @@ fn log_ids_and_ctrl(
             Some(CtrlEntry::Install { mig: m }) if m == mig => install_pos = Some(pos),
             Some(_) => {}
             None => {
-                if v.0 != u64::MAX {
+                if v != Value::NOOP {
                     ids.push(v.0);
                 }
             }
@@ -71,7 +69,7 @@ fn assert_flip_safety(
     let mut seen = std::collections::BTreeSet::new();
     for group in &r.groups {
         for &v in &group.log {
-            if decode_ctrl(v).is_none() && v.0 != u64::MAX {
+            if decode_ctrl(v).is_none() && v != Value::NOOP {
                 assert!(seen.insert(v.0), "command {} committed twice", v.0);
             }
         }
@@ -85,12 +83,12 @@ fn assert_flip_safety(
     let seal = seal.expect("seal entry missing from the source log");
     let install = install.expect("install entry missing from the destination log");
     for (pos, &v) in r.groups[from].log.iter().enumerate() {
-        if decode_ctrl(v).is_none() && v.0 != u64::MAX && range.contains(keys[v.0 as usize]) {
+        if decode_ctrl(v).is_none() && v != Value::NOOP && range.contains(keys[v.0 as usize]) {
             assert!(pos < seal, "range command {} committed after the seal", v.0);
         }
     }
     for (pos, &v) in r.groups[to].log.iter().enumerate() {
-        if decode_ctrl(v).is_none() && v.0 != u64::MAX && range.contains(keys[v.0 as usize]) {
+        if decode_ctrl(v).is_none() && v != Value::NOOP && range.contains(keys[v.0 as usize]) {
             assert!(
                 pos > install,
                 "range command {} committed before the install",
@@ -251,7 +249,7 @@ fn static_range_routing_follows_the_table() {
     let keys = keys_of(&sc);
     for (g, group) in r.groups.iter().enumerate() {
         for &v in &group.log {
-            if decode_ctrl(v).is_none() && v.0 != u64::MAX {
+            if decode_ctrl(v).is_none() && v != Value::NOOP {
                 assert_eq!(
                     table.group_of(keys[v.0 as usize]),
                     g,
@@ -306,7 +304,7 @@ fn auto_rebalance_splits_the_hot_range_and_recovers_throughput() {
     let mut seen = std::collections::BTreeSet::new();
     for group in &r.groups {
         for &v in &group.log {
-            if decode_ctrl(v).is_none() && v.0 != u64::MAX {
+            if decode_ctrl(v).is_none() && v != Value::NOOP {
                 assert!(seen.insert(v.0), "command {} committed twice", v.0);
             }
         }
