@@ -98,40 +98,36 @@ impl AlignedPaxosActor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::{decisions, Scenario};
     use simnet::{Simulation, Time};
 
     fn build(
-        n: u32,
-        m: u32,
+        n: usize,
+        m: usize,
         seed: u64,
         mode: MemoryMode,
     ) -> (Simulation<Msg>, Vec<Pid>, Vec<ActorId>) {
-        let mut sim = Simulation::new(seed);
-        let procs: Vec<Pid> = (0..n).map(ActorId).collect();
-        let mems: Vec<ActorId> = (n..n + m).map(ActorId).collect();
-        for i in 0..n {
-            sim.add(AlignedPaxosActor::new(
-                ActorId(i),
-                procs.clone(),
-                mems.clone(),
-                Instance(0),
-                Value(100 + i as u64),
-                ActorId(0),
-                mode,
-                Duration::from_delays(30),
-            ));
-        }
-        for _ in 0..m {
-            sim.add(memory_actor(mode, &procs, ActorId(0)));
-        }
-        (sim, procs, mems)
-    }
-
-    fn decisions(sim: &Simulation<Msg>, procs: &[Pid]) -> Vec<Option<Value>> {
-        procs
-            .iter()
-            .map(|&p| sim.actor_as::<AlignedPaxosActor>(p).unwrap().decision())
-            .collect()
+        let s = Scenario::common_case(n, m, seed);
+        let sim = s.cluster(
+            |i, procs, mems| {
+                let (me, input) = (ActorId(i as u32), Scenario::input(i));
+                let retry = Duration::from_delays(30);
+                let leader = ActorId(0);
+                let a = AlignedPaxosActor::new(
+                    me,
+                    procs,
+                    mems,
+                    Instance(0),
+                    input,
+                    leader,
+                    mode,
+                    retry,
+                );
+                Box::new(a)
+            },
+            s.memories(|procs| memory_actor(mode, procs, ActorId(0))),
+        );
+        (sim, s.procs(), s.mems())
     }
 
     #[test]
@@ -139,7 +135,7 @@ mod tests {
         for mode in [MemoryMode::Protected, MemoryMode::DiskStyle] {
             let (mut sim, procs, _) = build(3, 2, 1, mode);
             sim.run_to_quiescence(Time::from_delays(60));
-            let ds = decisions(&sim, &procs);
+            let ds = decisions(&sim, &procs, AlignedPaxosActor::decision);
             assert!(
                 ds.iter().all(|d| *d == Some(Value(100))),
                 "{mode:?}: {ds:?}"
@@ -154,7 +150,7 @@ mod tests {
         sim.crash_at(ActorId(2), Time::ZERO);
         sim.crash_at(mems[1], Time::ZERO);
         sim.run_to_quiescence(Time::from_delays(200));
-        let ds = decisions(&sim, &procs[..2]);
+        let ds = decisions(&sim, &procs[..2], AlignedPaxosActor::decision);
         assert!(ds.iter().all(|d| *d == Some(Value(100))), "{ds:?}");
     }
 
@@ -166,7 +162,7 @@ mod tests {
             sim.crash_at(d, Time::ZERO);
         }
         sim.run_to_quiescence(Time::from_delays(200));
-        let ds = decisions(&sim, &procs);
+        let ds = decisions(&sim, &procs, AlignedPaxosActor::decision);
         assert!(ds.iter().all(|d| *d == Some(Value(100))), "{ds:?}");
     }
 
@@ -179,7 +175,10 @@ mod tests {
         sim.crash_at(mems[0], Time::ZERO);
         sim.crash_at(mems[1], Time::ZERO);
         sim.run_to_quiescence(Time::from_delays(200));
-        assert_eq!(decisions(&sim, &procs)[0], Some(Value(100)));
+        assert_eq!(
+            decisions(&sim, &procs, AlignedPaxosActor::decision)[0],
+            Some(Value(100))
+        );
     }
 
     #[test]
@@ -190,7 +189,10 @@ mod tests {
         sim.crash_at(ActorId(2), Time::ZERO);
         sim.crash_at(mems[0], Time::ZERO);
         sim.run_to_quiescence(Time::from_delays(800));
-        assert_eq!(decisions(&sim, &procs)[0], None);
+        assert_eq!(
+            decisions(&sim, &procs, AlignedPaxosActor::decision)[0],
+            None
+        );
     }
 
     #[test]
@@ -200,7 +202,7 @@ mod tests {
             sim.crash_at(ActorId(0), Time::from_delays(8));
             sim.announce_leader(Time::from_delays(15), &procs, ActorId(1));
             sim.run_to_quiescence(Time::from_delays(400));
-            let ds = decisions(&sim, &procs[1..]);
+            let ds = decisions(&sim, &procs[1..], AlignedPaxosActor::decision);
             let got: Vec<Value> = ds.iter().flatten().copied().collect();
             assert!(!got.is_empty(), "{mode:?}: nobody decided");
             assert!(got.iter().all(|v| *v == got[0]), "{mode:?}: {got:?}");
@@ -226,7 +228,7 @@ mod tests {
         }));
         sim.announce_leader(Time::from_delays(3), &procs[1..2], ActorId(1));
         sim.run_to_quiescence(Time::from_delays(400));
-        let ds = decisions(&sim, &procs);
+        let ds = decisions(&sim, &procs, AlignedPaxosActor::decision);
         assert!(ds.iter().all(|d| *d == Some(Value(101))), "{ds:?}");
     }
 
@@ -239,7 +241,10 @@ mod tests {
                 sim.announce_leader(Time::from_delays(4), &procs[2..3], ActorId(2));
                 sim.announce_leader(Time::from_delays(100), &procs, ActorId(1));
                 sim.run_to_quiescence(Time::from_delays(3000));
-                let got: Vec<Value> = decisions(&sim, &procs).into_iter().flatten().collect();
+                let got: Vec<Value> = decisions(&sim, &procs, AlignedPaxosActor::decision)
+                    .into_iter()
+                    .flatten()
+                    .collect();
                 assert!(!got.is_empty(), "{mode:?} seed {seed}: nobody decided");
                 assert!(
                     got.windows(2).all(|w| w[0] == w[1]),

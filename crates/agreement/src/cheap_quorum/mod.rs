@@ -567,6 +567,7 @@ impl CqCore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::{decisions, Scenario};
     use sigsim::SigAuthority;
     use simnet::{Duration, Simulation, Time};
 
@@ -576,29 +577,42 @@ mod tests {
         mems: Vec<ActorId>,
     }
 
-    fn build(n: u32, m: u32, seed: u64, timeout_delays: u64) -> Built {
-        let mut sim = Simulation::new(seed);
-        let procs: Vec<Pid> = (0..n).map(ActorId).collect();
-        let mems: Vec<ActorId> = (n..n + m).map(ActorId).collect();
+    /// `n` processes with signers from `auth`, proposing `input(i)` with
+    /// a `timeout` before panicking, over `s.m` Cheap Quorum memories.
+    fn cluster(
+        s: &Scenario,
+        auth: &mut SigAuthority,
+        input: impl Fn(usize) -> Value,
+        timeout: u64,
+    ) -> Simulation<Msg> {
+        s.cluster(
+            |i, procs, mems| {
+                let (me, signer) = (procs[i], auth.register(procs[i]));
+                Box::new(CheapQuorumActor::cheap_quorum(
+                    me,
+                    procs,
+                    mems,
+                    ActorId(0),
+                    input(i),
+                    signer,
+                    auth.verifier(),
+                    Duration::from_delays(1),
+                    Duration::from_delays(timeout),
+                ))
+            },
+            s.memories(|procs| memory_actor(procs, ActorId(0))),
+        )
+    }
+
+    fn build(n: usize, m: usize, seed: u64, timeout: u64) -> Built {
+        let s = Scenario::common_case(n, m, seed);
         let mut auth = SigAuthority::new(seed ^ 0x77);
-        for i in 0..n {
-            let signer = auth.register(ActorId(i));
-            sim.add(CheapQuorumActor::cheap_quorum(
-                ActorId(i),
-                procs.clone(),
-                mems.clone(),
-                ActorId(0),
-                Value(100 + i as u64),
-                signer,
-                auth.verifier(),
-                Duration::from_delays(1),
-                Duration::from_delays(timeout_delays),
-            ));
+        let sim = cluster(&s, &mut auth, Scenario::input, timeout);
+        Built {
+            sim,
+            procs: s.procs(),
+            mems: s.mems(),
         }
-        for _ in 0..m {
-            sim.add(memory_actor(&procs, ActorId(0)));
-        }
-        Built { sim, procs, mems }
     }
 
     fn outcomes(b: &Built) -> Vec<(Option<Value>, Option<Value>)> {
@@ -615,12 +629,8 @@ mod tests {
     fn leader_decides_in_two_delays_everyone_decides() {
         let mut b = build(3, 3, 1, 60);
         b.sim.run_until(Time::from_delays(50), |s| {
-            (0..3).all(|i| {
-                s.actor_as::<CheapQuorumActor>(ActorId(i))
-                    .unwrap()
-                    .decision()
-                    .is_some()
-            })
+            let decided = decisions(s, &b.procs, CheapQuorumActor::decision);
+            decided.iter().all(Option::is_some)
         });
         let out = outcomes(&b);
         assert!(out.iter().all(|(d, _)| *d == Some(Value(100))), "{out:?}");
@@ -632,28 +642,10 @@ mod tests {
 
     #[test]
     fn one_signature_on_the_leader_fast_path() {
-        for n in [3u32, 5, 7] {
-            let mut sim = Simulation::new(9);
-            let procs: Vec<Pid> = (0..n).map(ActorId).collect();
-            let mems: Vec<ActorId> = (n..n + 3).map(ActorId).collect();
+        for n in [3, 5, 7] {
             let mut auth = SigAuthority::new(5);
-            let signers: Vec<_> = procs.iter().map(|&p| auth.register(p)).collect();
-            for i in 0..n {
-                sim.add(CheapQuorumActor::cheap_quorum(
-                    ActorId(i),
-                    procs.clone(),
-                    mems.clone(),
-                    ActorId(0),
-                    Value(7),
-                    signers[i as usize].clone(),
-                    auth.verifier(),
-                    Duration::from_delays(1),
-                    Duration::from_delays(60),
-                ));
-            }
-            for _ in 0..3 {
-                sim.add(memory_actor(&procs, ActorId(0)));
-            }
+            let s = Scenario::common_case(n, 3, 9);
+            let mut sim = cluster(&s, &mut auth, |_| Value(7), 60);
             // Run only until the leader decides.
             sim.run_until(Time::from_delays(1000), |s| {
                 s.metrics().first_decision().is_some()
@@ -721,12 +713,8 @@ mod tests {
         let mut b = build(3, 3, 5, 18);
         // Let the run go: all three decide (followers via proofs).
         b.sim.run_until(Time::from_delays(17), |s| {
-            (0..3).all(|i| {
-                s.actor_as::<CheapQuorumActor>(ActorId(i))
-                    .unwrap()
-                    .decision()
-                    .is_some()
-            })
+            let decided = decisions(s, &b.procs, CheapQuorumActor::decision);
+            decided.iter().all(Option::is_some)
         });
         let followers_decided = (1..3)
             .filter(|&i| {
@@ -783,12 +771,8 @@ mod tests {
         b.sim.crash_at(m0, Time::ZERO);
         b.sim.crash_at(m4, Time::ZERO);
         b.sim.run_until(Time::from_delays(59), |s| {
-            (0..3).all(|i| {
-                s.actor_as::<CheapQuorumActor>(ActorId(i))
-                    .unwrap()
-                    .decision()
-                    .is_some()
-            })
+            let decided = decisions(s, &b.procs, CheapQuorumActor::decision);
+            decided.iter().all(Option::is_some)
         });
         let out = outcomes(&b);
         assert!(out.iter().all(|(d, _)| *d == Some(Value(100))), "{out:?}");

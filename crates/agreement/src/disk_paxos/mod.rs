@@ -111,41 +111,28 @@ impl DiskPaxosActor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::{decisions, Scenario};
     use simnet::{Simulation, Time};
 
-    fn build(n: u32, m: u32, seed: u64) -> (Simulation<Msg>, Vec<Pid>, Vec<ActorId>) {
-        let mut sim = Simulation::new(seed);
-        let procs: Vec<Pid> = (0..n).map(ActorId).collect();
-        for i in 0..n {
-            // Actors 0..n-1 are processes; disks come after.
-            let disks: Vec<ActorId> = (n..n + m).map(ActorId).collect();
-            sim.add(DiskPaxosActor::new(
-                ActorId(i),
-                procs.clone(),
-                disks,
-                Instance(0),
-                Value(100 + i as u64),
-                Some(ActorId(0)),
-                Duration::from_delays(25),
-            ));
-        }
-        let disks: Vec<ActorId> = (0..m).map(|_| sim.add(disk_actor(&procs))).collect();
-        assert_eq!(disks, (n..n + m).map(ActorId).collect::<Vec<_>>());
-        (sim, procs, disks)
-    }
-
-    fn decisions(sim: &Simulation<Msg>, procs: &[Pid]) -> Vec<Option<Value>> {
-        procs
-            .iter()
-            .map(|&p| sim.actor_as::<DiskPaxosActor>(p).unwrap().decision())
-            .collect()
+    fn build(n: usize, m: usize, seed: u64) -> (Simulation<Msg>, Vec<Pid>, Vec<ActorId>) {
+        let s = Scenario::common_case(n, m, seed);
+        let sim = s.cluster(
+            |i, procs, disks| {
+                let (me, input) = (ActorId(i as u32), Scenario::input(i));
+                let (leader, retry) = (Some(ActorId(0)), Duration::from_delays(25));
+                let a = DiskPaxosActor::new(me, procs, disks, Instance(0), input, leader, retry);
+                Box::new(a)
+            },
+            s.memories(disk_actor),
+        );
+        (sim, s.procs(), s.mems())
     }
 
     #[test]
     fn common_case_decides_in_four_delays() {
         let (mut sim, procs, _) = build(3, 3, 1);
         sim.run_to_quiescence(Time::from_delays(30));
-        let ds = decisions(&sim, &procs);
+        let ds = decisions(&sim, &procs, DiskPaxosActor::decision);
         assert!(ds.iter().all(|d| *d == Some(Value(100))), "{ds:?}");
         // write (2) + verification read (2): Disk Paxos cannot skip the
         // read-back — this is the paper's "at least four delays".
@@ -159,7 +146,10 @@ mod tests {
         sim.crash_at(ActorId(1), Time::ZERO);
         sim.crash_at(ActorId(2), Time::ZERO);
         sim.run_to_quiescence(Time::from_delays(100));
-        assert_eq!(decisions(&sim, &procs)[0], Some(Value(100)));
+        assert_eq!(
+            decisions(&sim, &procs, DiskPaxosActor::decision)[0],
+            Some(Value(100))
+        );
     }
 
     #[test]
@@ -168,7 +158,7 @@ mod tests {
         sim.crash_at(disks[1], Time::ZERO);
         sim.crash_at(disks[3], Time::ZERO);
         sim.run_to_quiescence(Time::from_delays(100));
-        let ds = decisions(&sim, &procs);
+        let ds = decisions(&sim, &procs, DiskPaxosActor::decision);
         assert!(ds.iter().all(|d| *d == Some(Value(100))), "{ds:?}");
     }
 
@@ -178,7 +168,10 @@ mod tests {
         sim.crash_at(disks[0], Time::ZERO);
         sim.crash_at(disks[1], Time::ZERO);
         sim.run_to_quiescence(Time::from_delays(500));
-        assert_eq!(decisions(&sim, &procs), vec![None, None]);
+        assert_eq!(
+            decisions(&sim, &procs, DiskPaxosActor::decision),
+            vec![None, None]
+        );
     }
 
     #[test]
@@ -189,7 +182,7 @@ mod tests {
         sim.crash_at(ActorId(0), Time::from_delays(5));
         sim.announce_leader(Time::from_delays(10), &procs, ActorId(1));
         sim.run_to_quiescence(Time::from_delays(300));
-        let ds = decisions(&sim, &procs);
+        let ds = decisions(&sim, &procs, DiskPaxosActor::decision);
         assert_eq!(ds[1], Some(Value(100)), "{ds:?}");
         assert_eq!(ds[2], Some(Value(100)), "{ds:?}");
     }
@@ -203,7 +196,10 @@ mod tests {
             sim.announce_leader(Time::from_delays(6), &procs[2..3], ActorId(2));
             sim.announce_leader(Time::from_delays(60), &procs, ActorId(3));
             sim.run_to_quiescence(Time::from_delays(2000));
-            let got: Vec<Value> = decisions(&sim, &procs).into_iter().flatten().collect();
+            let got: Vec<Value> = decisions(&sim, &procs, DiskPaxosActor::decision)
+                .into_iter()
+                .flatten()
+                .collect();
             assert!(!got.is_empty(), "seed {seed}: nobody decided");
             assert!(got.windows(2).all(|w| w[0] == w[1]), "seed {seed}: {got:?}");
         }

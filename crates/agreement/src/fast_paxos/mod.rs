@@ -12,7 +12,10 @@
 //!   `Prepare` / `Promise` (promises report fast votes), then picks the only
 //!   possibly-chosen value: any `v` with at least `q_c + q_f − n` votes among
 //!   a classic quorum `q_c` of promises must be chosen; otherwise the choice
-//!   is free. `Accept` / `Accepted` with classic majority completes.
+//!   is free. `Accept` / `Accepted` with classic majority completes. The
+//!   classic round's acceptor is [`crate::paxos::Acceptor`], the crate's
+//!   one; a ballot it refuses gets no answer. The fast vote is Fast
+//!   Paxos's own, and is not cast once the acceptor has promised.
 //!
 //! Quorum sizes: `q_c = ⌊n/2⌋ + 1` (crash resilience `n ≥ 2·f_P + 1`) and
 //! the smallest `q_f` with `q_c + 2·q_f ≥ 2n + 1`, so any two fast quorums
@@ -22,9 +25,10 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use simnet::{Actor, Context, Duration, EventKind, Time};
+use simnet::{Actor, Context, Duration, EventKind};
 use swmr::quorum::majority;
 
+use crate::paxos::{Acceptor, PaxosMsg};
 use crate::types::{Ballot, Msg, Pid, Value};
 
 /// Fast Paxos wire messages.
@@ -103,8 +107,7 @@ pub struct FastPaxosActor {
     recovery_after: Duration,
     // Acceptor state.
     fast_vote: Option<Value>,
-    promised: Option<Ballot>,
-    accepted: Option<(Ballot, Value)>,
+    acceptor: Acceptor,
     // Learner state.
     fast_tally: BTreeMap<Value, BTreeSet<Pid>>,
     classic_tally: BTreeMap<(Ballot, Value), BTreeSet<Pid>>,
@@ -113,8 +116,6 @@ pub struct FastPaxosActor {
     promises: BTreeMap<Pid, PromiseInfo>,
     recovery_ballot: Option<Ballot>,
     decided: Option<Value>,
-    /// When this process decided, if it has.
-    pub decided_at: Option<Time>,
 }
 
 impl FastPaxosActor {
@@ -135,15 +136,13 @@ impl FastPaxosActor {
             coordinator,
             recovery_after,
             fast_vote: None,
-            promised: None,
-            accepted: None,
+            acceptor: Acceptor::default(),
             fast_tally: BTreeMap::new(),
             classic_tally: BTreeMap::new(),
             round: 0,
             promises: BTreeMap::new(),
             recovery_ballot: None,
             decided: None,
-            decided_at: None,
         }
     }
 
@@ -167,7 +166,6 @@ impl FastPaxosActor {
     fn decide(&mut self, ctx: &mut Context<'_, Msg>, v: Value) {
         if self.decided.is_none() {
             self.decided = Some(v);
-            self.decided_at = Some(ctx.now());
             ctx.mark_decided();
             self.broadcast(ctx, FpMsg::Decide { v });
         }
@@ -179,7 +177,7 @@ impl FastPaxosActor {
             FpMsg::FastPropose { v } => {
                 // Cast at most one fast vote, and none after joining a
                 // classic round.
-                if self.fast_vote.is_none() && self.promised.is_none() {
+                if self.fast_vote.is_none() && self.acceptor.promised().is_none() {
                     self.fast_vote = Some(v);
                     self.broadcast(ctx, FpMsg::FastAccepted { v });
                     self.handle(ctx, self.me, FpMsg::FastAccepted { v });
@@ -192,12 +190,11 @@ impl FastPaxosActor {
                 }
             }
             FpMsg::Prepare { b } => {
-                if self.promised.is_none_or(|p| b >= p) {
-                    self.promised = Some(b);
+                if let PaxosMsg::Promise { b, accepted } = self.acceptor.on_prepare(b) {
                     let reply = FpMsg::Promise {
                         b,
                         fast: self.fast_vote,
-                        classic: self.accepted,
+                        classic: accepted,
                     };
                     if b.pid == self.me {
                         self.handle(ctx, self.me, reply);
@@ -219,9 +216,7 @@ impl FastPaxosActor {
                 }
             }
             FpMsg::Accept { b, v } => {
-                if self.promised.is_none_or(|p| b >= p) {
-                    self.promised = Some(b);
-                    self.accepted = Some((b, v));
+                if let PaxosMsg::Accepted { b, v } = self.acceptor.on_accept(b, v) {
                     let vote = FpMsg::Accepted { b, v };
                     self.broadcast(ctx, vote);
                     self.handle(ctx, self.me, vote);
@@ -236,7 +231,6 @@ impl FastPaxosActor {
             FpMsg::Decide { v } => {
                 if self.decided.is_none() {
                     self.decided = Some(v);
-                    self.decided_at = Some(ctx.now());
                     ctx.mark_decided();
                 }
             }
@@ -325,29 +319,29 @@ impl Actor<Msg> for FastPaxosActor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simnet::{ActorId, DelayModel, Simulation};
+    use crate::harness::{decisions, Scenario};
+    use simnet::{ActorId, DelayModel, Simulation, Time};
 
-    fn build(n: u32, seed: u64, proposers: &[u32]) -> (Simulation<Msg>, Vec<Pid>) {
-        let mut sim = Simulation::new(seed);
-        let procs: Vec<Pid> = (0..n).map(ActorId).collect();
-        for i in 0..n {
-            sim.add(FastPaxosActor::new(
-                ActorId(i),
-                procs.clone(),
-                Value(100 + i as u64),
-                proposers.contains(&i),
-                ActorId(0),
-                Duration::from_delays(30),
-            ));
-        }
-        (sim, procs)
-    }
-
-    fn decisions(sim: &Simulation<Msg>, procs: &[Pid]) -> Vec<Option<Value>> {
-        procs
-            .iter()
-            .map(|&p| sim.actor_as::<FastPaxosActor>(p).unwrap().decision())
-            .collect()
+    /// `n` processes coordinated by process 0; the `proposers` propose at
+    /// start.
+    fn build(n: usize, seed: u64, proposers: &[usize]) -> (Simulation<Msg>, Vec<Pid>) {
+        let s = Scenario::common_case(n, 0, seed);
+        let sim = s.cluster(
+            |i, procs, _| {
+                let (me, input) = (ActorId(i as u32), Scenario::input(i));
+                let (proposes, retry) = (proposers.contains(&i), Duration::from_delays(30));
+                Box::new(FastPaxosActor::new(
+                    me,
+                    procs,
+                    input,
+                    proposes,
+                    ActorId(0),
+                    retry,
+                ))
+            },
+            Vec::new(),
+        );
+        (sim, s.procs())
     }
 
     #[test]
@@ -368,7 +362,7 @@ mod tests {
     fn uncontended_fast_path_decides_in_two_delays() {
         let (mut sim, procs) = build(3, 1, &[1]);
         sim.run_to_quiescence(Time::from_delays(20));
-        let ds = decisions(&sim, &procs);
+        let ds = decisions(&sim, &procs, FastPaxosActor::decision);
         assert!(ds.iter().all(|d| *d == Some(Value(101))), "{ds:?}");
         // Propose (1 delay) + FastAccepted (1 delay): the proposer itself
         // needs votes back from the other acceptors, so 2 delays.
@@ -379,7 +373,7 @@ mod tests {
     fn collision_recovers_through_coordinator() {
         let (mut sim, procs) = build(5, 2, &[1, 2, 3]);
         sim.run_to_quiescence(Time::from_delays(500));
-        let ds = decisions(&sim, &procs);
+        let ds = decisions(&sim, &procs, FastPaxosActor::decision);
         assert!(ds.iter().all(|d| d.is_some()), "{ds:?}");
         let v0 = ds[0].unwrap();
         assert!(ds.iter().all(|d| *d == Some(v0)), "{ds:?}");
@@ -396,7 +390,7 @@ mod tests {
                 hi: Duration::from_delays(5),
             });
             sim.run_to_quiescence(Time::from_delays(3000));
-            let ds = decisions(&sim, &procs);
+            let ds = decisions(&sim, &procs, FastPaxosActor::decision);
             let got: Vec<Value> = ds.iter().flatten().copied().collect();
             assert_eq!(got.len(), 5, "seed {seed}: {ds:?}");
             assert!(got.windows(2).all(|w| w[0] == w[1]), "seed {seed}: {ds:?}");
@@ -409,10 +403,7 @@ mod tests {
         let (mut sim, procs) = build(3, 3, &[1]);
         sim.crash_at(ActorId(2), Time::ZERO);
         sim.run_to_quiescence(Time::from_delays(500));
-        let ds: Vec<_> = procs[..2]
-            .iter()
-            .map(|&p| sim.actor_as::<FastPaxosActor>(p).unwrap().decision())
-            .collect();
+        let ds = decisions(&sim, &procs[..2], FastPaxosActor::decision);
         assert!(ds.iter().all(|d| d.is_some()), "{ds:?}");
         assert_eq!(ds[0], ds[1]);
         // Decided later than the 2-delay fast path.
@@ -432,7 +423,7 @@ mod tests {
             hi: Duration::from_delays(40),
         });
         sim.run_to_quiescence(Time::from_delays(5000));
-        let ds = decisions(&sim, &procs);
+        let ds = decisions(&sim, &procs, FastPaxosActor::decision);
         let got: Vec<Value> = ds.iter().flatten().copied().collect();
         assert!(!got.is_empty());
         assert!(got.iter().all(|v| *v == Value(101)), "{ds:?}");

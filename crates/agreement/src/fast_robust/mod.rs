@@ -454,6 +454,7 @@ impl Actor<Msg> for FastRobustActor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::{decisions, Scenario};
     use sigsim::SigAuthority;
     use simnet::Simulation;
 
@@ -463,42 +464,45 @@ mod tests {
         pub mems: Vec<ActorId>,
     }
 
-    /// `n` processes built by `make(i, procs, mems, signer, verifier)` over
-    /// `m` Fast & Robust memories (both region sets, whatever the stages).
-    fn build_with(
-        n: u32,
-        m: u32,
-        seed: u64,
-        make: impl Fn(u32, Vec<Pid>, Vec<ActorId>, Signer, SigVerifier) -> FastRobustActor,
-    ) -> Built {
-        let mut sim = Simulation::new(seed);
-        let procs: Vec<Pid> = (0..n).map(ActorId).collect();
-        let mems: Vec<ActorId> = (n..n + m).map(ActorId).collect();
-        let mut auth = SigAuthority::new(seed ^ 0xF00D);
-        for i in 0..n {
-            let signer = auth.register(ActorId(i));
-            sim.add(make(
-                i,
-                procs.clone(),
-                mems.clone(),
-                signer,
-                auth.verifier(),
-            ));
-        }
-        for _ in 0..m {
-            sim.add(memory_actor(&procs, ActorId(0)));
-        }
-        Built { sim, procs, mems }
+    /// Runs until every one of `procs` decided (or `max` delays), and
+    /// reads their decisions.
+    fn run_until_decided(sim: &mut Simulation<Msg>, procs: &[Pid], max: u64) -> Vec<Option<Value>> {
+        let decided = |sim: &_| decisions(sim, procs, FastRobustActor::decision);
+        sim.run_until(Time::from_delays(max), |sim| {
+            decided(sim).iter().all(Option::is_some)
+        });
+        decided(sim)
     }
 
-    fn build(n: u32, m: u32, seed: u64, timeout: u64) -> Built {
-        build_with(n, m, seed, |i, procs, mems, signer, verifier| {
+    /// `s`'s processes built by `make(i, procs, mems, signer, verifier)`
+    /// over `s.m` Fast & Robust memories (both region sets, whatever the
+    /// stages). Every slot holds a key, silent stand-ins included.
+    fn build_with(
+        s: &Scenario,
+        make: impl Fn(usize, Vec<Pid>, Vec<ActorId>, Signer, SigVerifier) -> FastRobustActor,
+    ) -> Built {
+        let mut auth = SigAuthority::new(s.seed ^ 0xF00D);
+        let signers: Vec<_> = s.procs().iter().map(|&p| auth.register(p)).collect();
+        let sim = s.cluster(
+            |i, procs, mems| Box::new(make(i, procs, mems, signers[i].clone(), auth.verifier())),
+            s.memories(|procs| memory_actor(procs, ActorId(0))),
+        );
+        Built {
+            sim,
+            procs: s.procs(),
+            mems: s.mems(),
+        }
+    }
+
+    /// Fast & Robust over `s`, the fast path panicking after `timeout`.
+    fn build_on(s: &Scenario, timeout: u64) -> Built {
+        build_with(s, |i, procs, mems, signer, verifier| {
             FastRobustActor::new(
-                ActorId(i),
+                ActorId(i as u32),
                 procs,
                 mems,
                 ActorId(0),
-                Value(100 + i as u64),
+                Scenario::input(i),
                 signer,
                 verifier,
                 Duration::from_delays(1),
@@ -508,25 +512,14 @@ mod tests {
         })
     }
 
-    fn decisions(sim: &Simulation<Msg>, procs: &[Pid]) -> Vec<Option<Value>> {
-        procs
-            .iter()
-            .map(|&p| sim.actor_as::<FastRobustActor>(p).unwrap().decision())
-            .collect()
+    fn build(n: usize, m: usize, seed: u64, timeout: u64) -> Built {
+        build_on(&Scenario::common_case(n, m, seed), timeout)
     }
 
     #[test]
     fn common_case_two_delays_no_backup() {
         let mut b = build(3, 3, 1, 60);
-        b.sim.run_until(Time::from_delays(59), |s| {
-            (0..3).all(|i| {
-                s.actor_as::<FastRobustActor>(ActorId(i))
-                    .unwrap()
-                    .decision()
-                    .is_some()
-            })
-        });
-        let ds = decisions(&b.sim, &b.procs);
+        let ds = run_until_decided(&mut b.sim, &b.procs, 59);
         assert!(ds.iter().all(|d| *d == Some(Value(100))), "{ds:?}");
         assert_eq!(b.sim.metrics().first_decision_delays(), Some(2.0));
         // Everyone decided on the fast path.
@@ -546,18 +539,7 @@ mod tests {
         // assumption for the backup's Paxos).
         b.sim
             .announce_leader(Time::from_delays(60), &tail, ActorId(1));
-        b.sim.run_until(Time::from_delays(3000), |s| {
-            tail.iter().all(|&p| {
-                s.actor_as::<FastRobustActor>(p)
-                    .unwrap()
-                    .decision()
-                    .is_some()
-            })
-        });
-        let ds: Vec<_> = tail
-            .iter()
-            .map(|&p| b.sim.actor_as::<FastRobustActor>(p).unwrap().decision())
-            .collect();
+        let ds = run_until_decided(&mut b.sim, &tail, 3000);
         assert!(ds.iter().all(|d| d.is_some()), "{ds:?}");
         assert_eq!(ds[0], ds[1], "agreement across backup deciders");
         for &p in &tail {
@@ -578,18 +560,7 @@ mod tests {
         let tail = [ActorId(1), ActorId(2)];
         b.sim
             .announce_leader(Time::from_delays(60), &tail, ActorId(1));
-        b.sim.run_until(Time::from_delays(4000), |s| {
-            tail.iter().all(|&p| {
-                s.actor_as::<FastRobustActor>(p)
-                    .unwrap()
-                    .decision()
-                    .is_some()
-            })
-        });
-        let ds: Vec<_> = tail
-            .iter()
-            .map(|&p| b.sim.actor_as::<FastRobustActor>(p).unwrap().decision())
-            .collect();
+        let ds = run_until_decided(&mut b.sim, &tail, 4000);
         assert!(ds.iter().all(|d| *d == Some(Value(100))), "{ds:?}");
     }
 
@@ -600,51 +571,15 @@ mod tests {
         // backup confirms the leader's value.
         let mut b = build_with_byzantine(4, 17);
         let correct = [ActorId(0), ActorId(1)];
-        b.sim.run_until(Time::from_delays(5000), |s| {
-            correct.iter().all(|&p| {
-                s.actor_as::<FastRobustActor>(p)
-                    .unwrap()
-                    .decision()
-                    .is_some()
-            })
-        });
-        let ds: Vec<_> = correct
-            .iter()
-            .map(|&p| b.sim.actor_as::<FastRobustActor>(p).unwrap().decision())
-            .collect();
+        let ds = run_until_decided(&mut b.sim, &correct, 5000);
         assert!(ds.iter().all(|d| *d == Some(Value(100))), "{ds:?}");
     }
 
     /// n=3 with process 2 replaced by a silent Byzantine.
     fn build_with_byzantine(seed: u64, timeout: u64) -> Built {
-        let (n, m) = (3u32, 3u32);
-        let mut sim = Simulation::new(seed);
-        let procs: Vec<Pid> = (0..n).map(ActorId).collect();
-        let mems: Vec<ActorId> = (n..n + m).map(ActorId).collect();
-        let mut auth = SigAuthority::new(seed ^ 0xF00D);
-        for i in 0..n {
-            let signer = auth.register(ActorId(i));
-            if i == 2 {
-                sim.add(crate::adversary::Scripted::silent());
-                continue;
-            }
-            sim.add(FastRobustActor::new(
-                ActorId(i),
-                procs.clone(),
-                mems.clone(),
-                ActorId(0),
-                Value(100 + i as u64),
-                signer,
-                auth.verifier(),
-                Duration::from_delays(1),
-                Duration::from_delays(timeout),
-                Duration::from_delays(120),
-            ));
-        }
-        for _ in 0..m {
-            sim.add(memory_actor(&procs, ActorId(0)));
-        }
-        Built { sim, procs, mems }
+        let mut s = Scenario::common_case(3, 3, seed);
+        s.byz_silent = vec![2];
+        build_on(&s, timeout)
     }
 
     #[test]
@@ -656,15 +591,7 @@ mod tests {
                 lo: Duration::from_delays(1),
                 hi: Duration::from_delays(6),
             });
-            b.sim.run_until(Time::from_delays(30_000), |s| {
-                (0..3).all(|i| {
-                    s.actor_as::<FastRobustActor>(ActorId(i))
-                        .unwrap()
-                        .decision()
-                        .is_some()
-                })
-            });
-            let ds = decisions(&b.sim, &b.procs);
+            let ds = run_until_decided(&mut b.sim, &b.procs, 30_000);
             let got: Vec<Value> = ds.iter().flatten().copied().collect();
             assert_eq!(got.len(), 3, "seed {seed}: {ds:?}");
             assert!(got.windows(2).all(|w| w[0] == w[1]), "seed {seed}: {ds:?}");
@@ -679,15 +606,7 @@ mod tests {
         let (m0, m3) = (b.mems[0], b.mems[3]);
         b.sim.crash_at(m0, Time::ZERO);
         b.sim.crash_at(m3, Time::ZERO);
-        b.sim.run_until(Time::from_delays(59), |s| {
-            (0..3).all(|i| {
-                s.actor_as::<FastRobustActor>(ActorId(i))
-                    .unwrap()
-                    .decision()
-                    .is_some()
-            })
-        });
-        let ds = decisions(&b.sim, &b.procs);
+        let ds = run_until_decided(&mut b.sim, &b.procs, 59);
         assert!(ds.iter().all(|d| *d == Some(Value(100))), "{ds:?}");
         assert_eq!(b.sim.metrics().first_decision_delays(), Some(2.0));
     }
@@ -733,7 +652,7 @@ mod tests {
         // The poll chain had ended and is the one that restarts.
         let (polls, _) = timers(&events, ActorId(0), POLL_TAG);
         assert!(polls.contains(&(50.0, 51.0)), "{polls:?}");
-        let ds = decisions(&b.sim, &b.procs);
+        let ds = decisions(&b.sim, &b.procs, FastRobustActor::decision);
         assert!(ds.iter().all(|d| *d == Some(Value(100))), "{ds:?}");
     }
 
@@ -759,7 +678,7 @@ mod tests {
         b.sim.run_to_quiescence(Time::from_delays(5000));
         let a = b.sim.actor_as::<FastRobustActor>(ActorId(2)).unwrap();
         assert!(a.panicked());
-        let ds = decisions(&b.sim, &b.procs);
+        let ds = decisions(&b.sim, &b.procs, FastRobustActor::decision);
         assert!(ds.iter().all(|d| *d == Some(Value(100))), "{ds:?}");
     }
 
@@ -770,7 +689,7 @@ mod tests {
         let tags_armed = |mut b: Built| {
             b.sim.enable_obs();
             b.sim.run_to_quiescence(Time::from_delays(2000));
-            let ds = decisions(&b.sim, &b.procs);
+            let ds = decisions(&b.sim, &b.procs, FastRobustActor::decision);
             assert!(ds.iter().all(|d| *d == Some(Value(100))), "{ds:?}");
             let mut tags: Vec<u64> = (b.sim.take_obs_events().iter())
                 .filter_map(|e| match e.body {
@@ -783,8 +702,9 @@ mod tests {
             tags
         };
         let (leader, delays) = (ActorId(0), Duration::from_delays);
-        let fast_only = build_with(3, 3, 7, |i, procs, mems, signer, verifier| {
-            let (me, input) = (ActorId(i), Value(100 + i as u64));
+        let common = Scenario::common_case(3, 3, 7);
+        let fast_only = build_with(&common, |i, procs, mems, signer, verifier| {
+            let (me, input) = (ActorId(i as u32), Scenario::input(i));
             FastRobustActor::cheap_quorum(
                 me,
                 procs,
@@ -798,8 +718,8 @@ mod tests {
             )
         });
         assert_eq!(tags_armed(fast_only), [POLL_TAG, TIMEOUT_TAG]);
-        let backup_only = build_with(3, 3, 7, |i, procs, mems, signer, verifier| {
-            let (me, input) = (ActorId(i), Value(100 + i as u64));
+        let backup_only = build_with(&common, |i, procs, mems, signer, verifier| {
+            let (me, input) = (ActorId(i as u32), Scenario::input(i));
             FastRobustActor::robust_backup(
                 me,
                 procs,

@@ -12,7 +12,9 @@ pub use scenario::ShardedScenario;
 use std::collections::BTreeMap;
 
 use sigsim::SigAuthority;
-use simnet::{Actor, ActorId, DelayModel, Duration, Metrics, ParSimulation, Simulation, Time};
+use simnet::{
+    Actor, ActorId, AnyActor, DelayModel, Duration, Metrics, ParSimulation, Simulation, Time,
+};
 use swmr::quorum::tolerated;
 
 use crate::adversary;
@@ -25,7 +27,7 @@ use crate::paxos::PaxosActor;
 use crate::protected::{self, ProtectedPaxosActor};
 use crate::robust_backup::RobustPaxosActor;
 use crate::sharded::{self, GroupMode, GroupTopology, RebalancePolicy, RouterActor, RoutingTable};
-use crate::smr::{byz_memory_actor, ByzSmrNode, ReplicaState, SmrNode};
+use crate::smr::{ByzSmrNode, ReplicaState, SmrNode};
 use crate::types::{Instance, Msg, Pid, RegVal, Value};
 
 /// A scripted run: cluster shape, failures, leadership and timing.
@@ -73,13 +75,6 @@ impl Scenario {
         }
     }
 
-    /// Builds the simulation this scenario runs on.
-    fn simulation(&self) -> Simulation<Msg> {
-        let mut sim = Simulation::new(self.seed);
-        sim.set_default_delay(self.delay.clone());
-        sim
-    }
-
     /// Process ids `0..n`.
     pub fn procs(&self) -> Vec<Pid> {
         (0..self.n as u32).map(ActorId).collect()
@@ -106,19 +101,61 @@ impl Scenario {
         Value(100 + i as u64)
     }
 
-    fn apply_failures(&self, sim: &mut Simulation<Msg>) {
+    /// `m` memories, each built by `one` for the processes.
+    pub fn memories(&self, one: impl Fn(&[Pid]) -> Memory) -> Vec<Memory> {
+        let procs = self.procs();
+        (0..self.m).map(|_| one(&procs)).collect()
+    }
+
+    /// The one single-shot deployment (§3's M&M model), built and not yet
+    /// run: the simulation from the seed and link model; the processes at
+    /// `0..n`, each `process(i, procs, mems)` — any actor, a scripted
+    /// villain included — except an [`adversary::Scripted::silent`] at
+    /// every [`Scenario::byz_silent`] index (which is also what "crashed
+    /// from the start" means to a crash protocol); the `memories` at
+    /// `n..n+m` (none for a message-passing protocol); then the scripted
+    /// process crashes, memory crashes and Ω announcements, in that order.
+    pub fn cluster(
+        &self,
+        mut process: impl FnMut(usize, Vec<Pid>, Vec<ActorId>) -> Box<dyn AnyActor<Msg>>,
+        memories: Vec<Memory>,
+    ) -> Simulation<Msg> {
+        let mut sim = Simulation::new(self.seed);
+        sim.set_default_delay(self.delay.clone());
+        let (procs, mems) = (self.procs(), self.mems());
+        for i in 0..self.n {
+            if self.byz_silent.contains(&i) {
+                sim.add(adversary::Scripted::silent());
+            } else {
+                sim.add_boxed(process(i, procs.clone(), mems.clone()));
+            }
+        }
+        for memory in memories {
+            sim.add(memory);
+        }
         for &(i, t) in &self.crash_procs {
-            sim.crash_at(ActorId(i as u32), Time::from_delays(t));
+            sim.crash_at(procs[i], Time::from_delays(t));
         }
         for &(j, t) in &self.crash_mems {
-            let mem = self.mems()[j];
-            sim.crash_at(mem, Time::from_delays(t));
+            sim.crash_at(mems[j], Time::from_delays(t));
         }
-        let procs = self.procs();
         for &(t, l) in &self.announce {
-            sim.announce_leader(Time::from_delays(t), &procs, ActorId(l as u32));
+            sim.announce_leader(Time::from_delays(t), &procs, procs[l]);
         }
+        sim
     }
+}
+
+/// The decision of each of `procs`, read through `decision` off its `A`
+/// (`None`: undecided, or not an `A` — a silent stand-in, say).
+pub fn decisions<A: 'static>(
+    sim: &Simulation<Msg>,
+    procs: &[Pid],
+    decision: impl Fn(&A) -> Option<Value>,
+) -> Vec<Option<Value>> {
+    (procs.iter())
+        .map(|&p| sim.actor_as::<A>(p).and_then(&decision))
+        .collect()
 }
 
 /// Metrics extracted from one run — the quantities the paper reports.
@@ -147,20 +184,10 @@ pub struct RunReport {
 }
 
 /// The memory actor of every protocol in this crate.
-type Memory = rdma_sim::MemoryActor<RegVal, Msg>;
+pub type Memory = rdma_sim::MemoryActor<RegVal, Msg>;
 
-/// The `scenario.m` memories of a single-shot run, each built by `one`
-/// for the scenario's processes.
-fn memories(scenario: &Scenario, one: impl Fn(&[Pid]) -> Memory) -> Vec<Memory> {
-    let procs = scenario.procs();
-    (0..scenario.m).map(|_| one(&procs)).collect()
-}
-
-/// The one single-shot run path under every `run_*` below: places the
-/// processes (`process(i, procs, mems)`; a [`adversary::Scripted::silent`] at
-/// the [`Scenario::byz_silent`] indices, which is also what "crashed from
-/// the start" means to a crash protocol), then the `memories` (none for
-/// a message-passing protocol), scripts the failures, runs until every
+/// The one single-shot run path under every `run_*` below: builds the
+/// [`Scenario::cluster`] of `process`es and `memories`, runs until every
 /// process expected to decide has (or the budget ends), and reports.
 fn run_single_shot<A: Actor<Msg>>(
     scenario: &Scenario,
@@ -169,20 +196,7 @@ fn run_single_shot<A: Actor<Msg>>(
     memories: Vec<Memory>,
     decision_of: impl Fn(&A) -> Option<Value>,
 ) -> RunReport {
-    let mut sim = scenario.simulation();
-    let (procs, mems) = (scenario.procs(), scenario.mems());
-    for i in 0..scenario.n {
-        if scenario.byz_silent.contains(&i) {
-            sim.add(adversary::Scripted::silent());
-        } else {
-            sim.add(process(i, procs.clone(), mems.clone()));
-        }
-    }
-    for memory in memories {
-        sim.add(memory);
-    }
-    scenario.apply_failures(&mut sim);
-
+    let mut sim = scenario.cluster(|i, procs, mems| Box::new(process(i, procs, mems)), memories);
     let expected: Vec<Pid> = (scenario.correct_procs().iter())
         .map(|&i| ActorId(i as u32))
         .collect();
@@ -249,7 +263,7 @@ pub fn run_disk_paxos(scenario: &Scenario) -> RunReport {
         let (me, input) = (ActorId(i as u32), Scenario::input(i));
         DiskPaxosActor::new(me, procs, mems, Instance(0), input, Some(LEADER), retry)
     };
-    let disks = memories(scenario, disk_paxos::disk_actor);
+    let disks = scenario.memories(disk_paxos::disk_actor);
     run_single_shot(scenario, None, process, disks, DiskPaxosActor::decision)
 }
 
@@ -260,7 +274,7 @@ pub fn run_protected(scenario: &Scenario) -> RunReport {
         let (me, input) = (ActorId(i as u32), Scenario::input(i));
         ProtectedPaxosActor::new(me, procs, mems, Instance(0), input, LEADER, f_m, retry)
     };
-    let mems = memories(scenario, |_| protected::memory_actor(LEADER));
+    let mems = scenario.memories(|_| protected::memory_actor(LEADER));
     run_single_shot(scenario, None, process, mems, ProtectedPaxosActor::decision)
 }
 
@@ -271,7 +285,7 @@ pub fn run_aligned(scenario: &Scenario, mode: MemoryMode) -> RunReport {
         let (me, input) = (ActorId(i as u32), Scenario::input(i));
         AlignedPaxosActor::new(me, procs, mems, Instance(0), input, LEADER, mode, retry)
     };
-    let mems = memories(scenario, |procs| aligned::memory_actor(mode, procs, LEADER));
+    let mems = scenario.memories(|procs| aligned::memory_actor(mode, procs, LEADER));
     run_single_shot(scenario, None, process, mems, AlignedPaxosActor::decision)
 }
 
@@ -302,7 +316,7 @@ pub fn run_fast_robust(scenario: &Scenario, timeout: u64) -> (RunReport, SigAuth
             Duration::from_delays(120),
         )
     };
-    let mems = memories(scenario, |procs| fast_robust::memory_actor(procs, LEADER));
+    let mems = scenario.memories(|procs| fast_robust::memory_actor(procs, LEADER));
     let decision_of = FastRobustActor::decision;
     let report = run_single_shot(scenario, Some(&auth), process, mems, decision_of);
     (report, auth)
@@ -325,11 +339,7 @@ pub fn run_robust_backup(scenario: &Scenario) -> (RunReport, SigAuthority) {
             Duration::from_delays(80),
         )
     };
-    let mems = memories(scenario, |procs| {
-        let mut mem = rdma_sim::MemoryActor::new(rdma_sim::LegalChange::Static);
-        nebcast::configure_memory(&mut mem, procs);
-        mem
-    });
+    let mems = scenario.memories(nebcast::memory_actor);
     let decision_of = RobustPaxosActor::decision;
     let report = run_single_shot(scenario, Some(&auth), process, mems, decision_of);
     (report, auth)
@@ -360,38 +370,36 @@ pub struct SmrRunReport {
 
 /// Builds crash-mode replica `i` of the group `procs` over `mems`, led
 /// by `procs[0]` — the one constructor path of [`run_smr`] and the
-/// sharded crash arm.
-fn crash_replica(procs: &[Pid], mems: &[ActorId], i: usize, workload: Vec<Value>) -> SmrNode {
+/// sharded crash arm. Either list may be handed over or lent (a slice is
+/// copied).
+fn crash_replica(
+    procs: impl Into<Vec<Pid>>,
+    mems: impl Into<Vec<ActorId>>,
+    i: usize,
+    workload: Vec<Value>,
+) -> SmrNode {
+    let (procs, mems) = (procs.into(), mems.into());
+    let (me, leader) = (procs[i], procs[0]);
     let (f_m, retry) = (tolerated(mems.len()), Duration::from_delays(20));
-    SmrNode::new(
-        procs[i],
-        procs.to_vec(),
-        mems.to_vec(),
-        procs[0],
-        workload,
-        f_m,
-        retry,
-    )
+    SmrNode::new(me, procs, mems, leader, workload, f_m, retry)
 }
 
 /// Runs the replicated log (SMR over Protected Memory Paxos): every node
 /// wants `cmds_per_node` commands committed; process 0 leads. Honours
 /// [`Scenario::batch`].
 pub fn run_smr(scenario: &Scenario, cmds_per_node: usize) -> SmrRunReport {
-    let mut sim = scenario.simulation();
-    let procs = scenario.procs();
-    let mems = scenario.mems();
-    for i in 0..scenario.n {
-        let workload: Vec<Value> = (0..cmds_per_node)
-            .map(|c| Value(1000 * (i as u64 + 1) + c as u64))
-            .collect();
-        let node = crash_replica(&procs, &mems, i, workload).with_batch(scenario.batch);
-        sim.add(node);
-    }
-    for _ in 0..scenario.m {
-        sim.add(protected::memory_actor(ActorId(0)));
-    }
-    scenario.apply_failures(&mut sim);
+    let memories = (0..scenario.m)
+        .map(|_| protected::memory_actor(LEADER))
+        .collect();
+    let mut sim = scenario.cluster(
+        |i, procs, mems| {
+            let workload: Vec<Value> = (0..cmds_per_node)
+                .map(|c| Value(1000 * (i as u64 + 1) + c as u64))
+                .collect();
+            Box::new(crash_replica(procs, mems, i, workload).with_batch(scenario.batch))
+        },
+        memories,
+    );
     sim.run_to_quiescence(Time::from_delays(scenario.max_delays));
 
     let leader = sim.actor_as::<SmrNode>(ActorId(0)).expect("leader exists");
@@ -723,7 +731,7 @@ fn place_sharded_replica<K: ShardedKernel>(
                 0 => scenario.batch,
                 cap => cap,
             };
-            let mut node = crash_replica(&procs, &mems, i, preload)
+            let mut node = crash_replica(&procs[..], &mems[..], i, preload)
                 .with_batch(batch)
                 .with_observer(topo.router());
             if !scenario.disable_session_dedup {
@@ -761,7 +769,7 @@ fn place_sharded_replica<K: ShardedKernel>(
 fn sharded_memory(scenario: &ShardedScenario, topo: &GroupTopology, g: usize) -> Memory {
     match scenario.mode_of(g) {
         GroupMode::CrashPmp => protected::memory_actor(topo.initial_leader(g)),
-        GroupMode::Byzantine => byz_memory_actor(&topo.procs(g)),
+        GroupMode::Byzantine => nebcast::memory_actor(&topo.procs(g)),
     }
 }
 
@@ -1244,6 +1252,117 @@ mod tests {
             byz_confirm >= crash_confirm,
             "byz confirm {byz_confirm} < crash confirm {crash_confirm}"
         );
+    }
+
+    #[test]
+    fn cluster_builds_the_deployment_and_queues_its_script_unrun() {
+        use simnet::obs::EventBody;
+        let mut s = Scenario::common_case(3, 2, 4);
+        s.byz_silent = vec![1];
+        s.crash_procs = vec![(2, 0)];
+        s.crash_mems = vec![(1, 0)];
+        s.announce = vec![(0, 0)];
+        let mut sim = s.cluster(
+            |i, procs, mems| {
+                assert_eq!((procs.clone(), mems), (s.procs(), s.mems()));
+                let retry = Duration::from_delays(25);
+                Box::new(PaxosActor::new(
+                    procs[i],
+                    procs,
+                    Scenario::input(i),
+                    None,
+                    retry,
+                ))
+            },
+            s.memories(|_| protected::memory_actor(LEADER)),
+        );
+        // Processes at 0..n, a silent stand-in at every `byz_silent`
+        // slot, memories at n..n+m, and nothing else.
+        let is_paxos = |p| sim.actor_as::<PaxosActor>(p).is_some();
+        assert!(is_paxos(ActorId(0)) && is_paxos(ActorId(2)));
+        assert!(sim.actor_as::<adversary::Scripted>(ActorId(1)).is_some());
+        assert_eq!(s.mems(), [ActorId(3), ActorId(4)]);
+        assert!(s
+            .mems()
+            .iter()
+            .all(|&m| sim.actor_as::<Memory>(m).is_some()));
+        assert!(sim.actor_as::<Memory>(ActorId(5)).is_none());
+        // Built, not run.
+        assert_eq!(
+            (sim.now(), sim.metrics().events_dispatched),
+            (Time::ZERO, 0)
+        );
+        // The script is queued ahead of every start, in `crash_procs`,
+        // `crash_mems`, `announce` order: all at time zero, so the queue's
+        // own order is what dispatches them.
+        sim.enable_obs();
+        sim.run_to_quiescence(Time::ZERO);
+        let script: Vec<(u32, EventBody)> = (sim.take_obs_events().into_iter())
+            .map(|e| (e.actor.0, e.body))
+            .take(5)
+            .collect();
+        let elected = || EventBody::LeaderChange { leader: LEADER };
+        let dropped = EventBody::Dropped { kind: "leader" };
+        let (crashed, mem_crashed) = ((2, EventBody::Crash), (4, EventBody::Crash));
+        let want = [
+            crashed,
+            mem_crashed,
+            (0, elected()),
+            (1, elected()),
+            (2, dropped),
+        ];
+        assert_eq!(script, want);
+    }
+
+    #[test]
+    fn a_cluster_run_by_hand_reports_what_its_run_function_does() {
+        // A failover: the leader crashes mid-write, a memory dies, Ω moves.
+        let mut s = Scenario::common_case(3, 3, 12);
+        s.crash_procs = vec![(0, 1)];
+        s.crash_mems = vec![(2, 1)];
+        s.announce = vec![(20, 1)];
+        let mut sim = s.cluster(
+            |i, procs, mems| {
+                let (input, retry) = (Scenario::input(i), Duration::from_delays(25));
+                let f_m = tolerated(mems.len());
+                let a = ProtectedPaxosActor::new(
+                    procs[i],
+                    procs,
+                    mems,
+                    Instance(0),
+                    input,
+                    LEADER,
+                    f_m,
+                    retry,
+                );
+                Box::new(a)
+            },
+            s.memories(|_| protected::memory_actor(LEADER)),
+        );
+        let correct = [ActorId(1), ActorId(2)];
+        let decided = |sim: &_| decisions(sim, &correct, ProtectedPaxosActor::decision);
+        sim.run_until(Time::from_delays(s.max_delays), |sim| {
+            decided(sim).iter().all(Option::is_some)
+        });
+        let report = run_protected(&s);
+        assert!(report.all_decided && report.agreement, "{report:?}");
+        let by_hand = (
+            correct
+                .into_iter()
+                .zip(decided(&sim).into_iter().flatten())
+                .collect(),
+            sim.metrics().first_decision_delays(),
+            (sim.metrics().messages_sent, sim.metrics().mem_ops()),
+            sim.now().as_delays(),
+        );
+        let counts = (report.messages, report.mem_ops);
+        let reported = (
+            report.decisions,
+            report.first_decision_delays,
+            counts,
+            report.elapsed_delays,
+        );
+        assert_eq!(by_hand, reported);
     }
 
     #[test]

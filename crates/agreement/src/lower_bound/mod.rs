@@ -33,6 +33,7 @@ use rdma_sim::{
 };
 use simnet::{Actor, ActorId, Context, Duration, EventKind, Simulation, Time};
 
+use crate::harness::{self, Scenario};
 use crate::protected::{self, ProtectedPaxosActor};
 use crate::types::{spaces, Instance, Msg, Pid, RegVal, Value};
 
@@ -83,8 +84,6 @@ pub struct StrawmanActor {
     saw_nonbot: bool,
     /// The decision, if reached.
     pub decided: Option<Value>,
-    /// When the decision happened.
-    pub decided_at: Option<Time>,
 }
 
 impl StrawmanActor {
@@ -106,7 +105,6 @@ impl StrawmanActor {
             reads_pending: 0,
             saw_nonbot: false,
             decided: None,
-            decided_at: None,
         }
     }
 }
@@ -154,7 +152,6 @@ impl Actor<Msg> for StrawmanActor {
                         // All ⊥: uncontended, decide own value — the
                         // only way any algorithm can be 2-deciding.
                         self.decided = Some(self.input);
-                        self.decided_at = Some(ctx.now());
                         ctx.mark_decided();
                     }
                 }
@@ -191,44 +188,53 @@ fn delayed_writes_hook(victim: Pid, delay: Duration) -> simnet::DelayHook<Msg> {
     })
 }
 
+/// Process `i` of the scenario's strawman pair proposes `Value(i)`, `10·i`
+/// delays after its start (so `p′` starts after `p` has decided), its
+/// flag on memory `i`.
+fn strawman_cluster(scenario: &Scenario) -> Simulation<Msg> {
+    let memory_of: BTreeMap<Pid, ActorId> =
+        scenario.procs().into_iter().zip(scenario.mems()).collect();
+    scenario.cluster(
+        |i, procs, _| {
+            let (me, input) = (procs[i], Value(i as u64));
+            let start_after = Duration::from_delays(10 * i as u64);
+            Box::new(StrawmanActor::new(
+                me,
+                procs,
+                memory_of.clone(),
+                input,
+                start_after,
+            ))
+        },
+        scenario.memories(flag_memory),
+    )
+}
+
+/// What a finished demo run decided, read off each process's `A`.
+fn demo_report<A: 'static>(
+    sim: &Simulation<Msg>,
+    procs: &[Pid],
+    decision: impl Fn(&A) -> Option<Value>,
+) -> DemoReport {
+    let decided = harness::decisions(sim, procs, decision);
+    let reached: Vec<Value> = decided.iter().flatten().copied().collect();
+    DemoReport {
+        agreement_violated: reached.windows(2).any(|w| w[0] != w[1]),
+        first_decision_delays: sim.metrics().first_decision_delays(),
+        decisions: procs.iter().copied().zip(decided).collect(),
+    }
+}
+
 /// Executes the Theorem 6.1 schedule against the strawman: returns a report
 /// in which **agreement is violated** — as it must be for any 2-deciding
 /// static-permission algorithm.
 pub fn run_strawman_demo(seed: u64) -> DemoReport {
-    let mut sim: Simulation<Msg> = Simulation::new(seed);
-    let p0 = ActorId(0);
-    let p1 = ActorId(1);
-    let procs = vec![p0, p1];
-    let memory_of: BTreeMap<Pid, ActorId> = [(p0, ActorId(2)), (p1, ActorId(3))].into();
-    sim.add(StrawmanActor::new(
-        p0,
-        procs.clone(),
-        memory_of.clone(),
-        Value(0),
-        Duration::ZERO,
-    ));
-    sim.add(StrawmanActor::new(
-        p1,
-        procs.clone(),
-        memory_of.clone(),
-        Value(1),
-        Duration::from_delays(10), // p′ starts after p has decided
-    ));
-    sim.add(flag_memory(&procs));
-    sim.add(flag_memory(&procs));
+    let s = Scenario::common_case(2, 2, seed);
+    let mut sim = strawman_cluster(&s);
     // The adversary: p0's writes hang in the network for a long time.
-    sim.set_delay_hook(delayed_writes_hook(p0, Duration::from_delays(100)));
+    sim.set_delay_hook(delayed_writes_hook(ActorId(0), Duration::from_delays(100)));
     sim.run_to_quiescence(Time::from_delays(300));
-    let decisions: Vec<(Pid, Option<Value>)> = [p0, p1]
-        .iter()
-        .map(|&p| (p, sim.actor_as::<StrawmanActor>(p).unwrap().decided))
-        .collect();
-    let reached: Vec<Value> = decisions.iter().filter_map(|(_, d)| *d).collect();
-    DemoReport {
-        agreement_violated: reached.len() == 2 && reached[0] != reached[1],
-        first_decision_delays: sim.metrics().first_decision_delays(),
-        decisions,
-    }
+    demo_report(&sim, &s.procs(), |a: &StrawmanActor| a.decided)
 }
 
 /// Replays the same adversarial write-delay against Protected Memory Paxos:
@@ -236,43 +242,21 @@ pub fn run_strawman_demo(seed: u64) -> DemoReport {
 /// nak'd, so agreement holds — dynamic permissions close the Theorem 6.1
 /// gap exactly as §5.1 claims.
 pub fn run_protected_contrast(seed: u64) -> DemoReport {
-    let mut sim: Simulation<Msg> = Simulation::new(seed);
-    let procs: Vec<Pid> = vec![ActorId(0), ActorId(1)];
-    let mems: Vec<ActorId> = vec![ActorId(2), ActorId(3), ActorId(4)];
-    for i in 0..2u32 {
-        sim.add(ProtectedPaxosActor::new(
-            ActorId(i),
-            procs.clone(),
-            mems.clone(),
-            Instance(0),
-            Value(i as u64),
-            ActorId(0),
-            1,
-            Duration::from_delays(25),
-        ));
-    }
-    for _ in 0..3 {
-        sim.add(protected::memory_actor(ActorId(0)));
-    }
+    let s = Scenario::common_case(2, 3, seed);
+    let mut sim = s.cluster(
+        |i, procs, mems| {
+            let (me, input, retry) = (procs[i], Value(i as u64), Duration::from_delays(25));
+            let leader = ActorId(0);
+            let a = ProtectedPaxosActor::new(me, procs, mems, Instance(0), input, leader, 1, retry);
+            Box::new(a)
+        },
+        s.memories(|_| protected::memory_actor(ActorId(0))),
+    );
     sim.set_delay_hook(delayed_writes_hook(ActorId(0), Duration::from_delays(100)));
     // p1 takes over while p0's (delayed) fast-path write is in flight.
-    sim.announce_leader(Time::from_delays(5), &procs, ActorId(1));
+    sim.announce_leader(Time::from_delays(5), &s.procs(), ActorId(1));
     sim.run_to_quiescence(Time::from_delays(1000));
-    let decisions: Vec<(Pid, Option<Value>)> = procs
-        .iter()
-        .map(|&p| {
-            (
-                p,
-                sim.actor_as::<ProtectedPaxosActor>(p).unwrap().decision(),
-            )
-        })
-        .collect();
-    let reached: Vec<Value> = decisions.iter().filter_map(|(_, d)| *d).collect();
-    DemoReport {
-        agreement_violated: reached.windows(2).any(|w| w[0] != w[1]),
-        first_decision_delays: sim.metrics().first_decision_delays(),
-        decisions,
-    }
+    demo_report(&sim, &s.procs(), ProtectedPaxosActor::decision)
 }
 
 #[cfg(test)]
@@ -290,25 +274,16 @@ mod tests {
     #[test]
     fn strawman_decides_correctly_without_adversary() {
         // Sanity: solo proposer, no delay hook → decides own value in 2.
-        let mut sim: Simulation<Msg> = Simulation::new(1);
-        let p0 = ActorId(0);
-        let p1 = ActorId(1);
-        let procs = vec![p0, p1];
-        let memory_of: BTreeMap<Pid, ActorId> = [(p0, ActorId(2)), (p1, ActorId(3))].into();
-        sim.add(StrawmanActor::new(
-            p0,
-            procs.clone(),
-            memory_of.clone(),
-            Value(0),
-            Duration::ZERO,
-        ));
-        sim.add(crate::adversary::Scripted::silent());
-        sim.add(flag_memory(&procs));
-        sim.add(flag_memory(&procs));
+        let mut s = Scenario::common_case(2, 2, 1);
+        s.byz_silent = vec![1];
+        let mut sim = strawman_cluster(&s);
         sim.run_to_quiescence(Time::from_delays(50));
-        let a = sim.actor_as::<StrawmanActor>(p0).unwrap();
-        assert_eq!(a.decided, Some(Value(0)));
-        assert_eq!(a.decided_at, Some(Time::from_delays(2)));
+        let p0 = ActorId(0);
+        assert_eq!(
+            sim.actor_as::<StrawmanActor>(p0).unwrap().decided,
+            Some(Value(0))
+        );
+        assert_eq!(sim.metrics().decisions()[&p0], Time::from_delays(2));
     }
 
     #[test]

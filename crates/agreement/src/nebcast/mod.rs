@@ -141,6 +141,15 @@ impl Cell {
     }
 }
 
+/// Builds a ready-to-add broadcast memory: the broadcast regions with
+/// static permissions — nothing over this memory ever revokes, a
+/// Byzantine-mode replica out-audits instead.
+pub fn memory_actor(procs: &[Pid]) -> rdma_sim::MemoryActor<RegVal, Msg> {
+    let mut mem = rdma_sim::MemoryActor::new(rdma_sim::LegalChange::Static);
+    configure_memory(&mut mem, procs);
+    mem
+}
+
 /// Declares the broadcast regions on a memory actor (row regions overlap
 /// the all-region, as §7's protection-domain construction does).
 pub fn configure_memory(mem: &mut rdma_sim::MemoryActor<RegVal, Msg>, procs: &[Pid]) {

@@ -1,7 +1,7 @@
 //! The message-passing Paxos actor: the classic crash-tolerant baseline
 //! (`n ≥ 2·f_P + 1`, no memories), driven over plain links.
 
-use simnet::{Actor, Context, Duration, EventKind, Time};
+use simnet::{Actor, Context, Duration, EventKind};
 
 use crate::paxos::{Dest, PaxosConfig, PaxosEngine, PaxosMsg};
 use crate::types::{Msg, Pid, Value};
@@ -16,8 +16,6 @@ pub struct PaxosActor {
     input: Value,
     initial_leader: Option<Pid>,
     retry_every: Duration,
-    /// When this process decided, if it has.
-    pub decided_at: Option<Time>,
 }
 
 impl PaxosActor {
@@ -40,7 +38,6 @@ impl PaxosActor {
             input,
             initial_leader,
             retry_every,
-            decided_at: None,
         }
     }
 
@@ -74,8 +71,7 @@ impl PaxosActor {
                 Dest::One(p) => ctx.send(p, Msg::Paxos(msg)),
             }
         }
-        if self.engine.decision().is_some() && self.decided_at.is_none() {
-            self.decided_at = Some(ctx.now());
+        if self.engine.decision().is_some() {
             ctx.mark_decided();
         }
     }
@@ -123,36 +119,28 @@ impl Actor<Msg> for PaxosActor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simnet::{ActorId, DelayModel, Simulation};
+    use crate::harness::{decisions, Scenario};
+    use simnet::{ActorId, DelayModel, Simulation, Time};
 
-    fn build(n: u32, seed: u64, initial_leader: Option<u32>) -> (Simulation<Msg>, Vec<Pid>) {
-        let mut sim = Simulation::new(seed);
-        let procs: Vec<Pid> = (0..n).map(ActorId).collect();
-        for i in 0..n {
-            let a = PaxosActor::new(
-                ActorId(i),
-                procs.clone(),
-                Value(100 + i as u64),
-                initial_leader.map(ActorId),
-                Duration::from_delays(20),
-            );
-            sim.add(a);
-        }
-        (sim, procs)
-    }
-
-    fn decisions(sim: &Simulation<Msg>, procs: &[Pid]) -> Vec<Option<Value>> {
-        procs
-            .iter()
-            .map(|&p| sim.actor_as::<PaxosActor>(p).unwrap().decision())
-            .collect()
+    /// `n` processes led by process 0.
+    fn build(n: usize, seed: u64) -> (Simulation<Msg>, Vec<Pid>) {
+        let s = Scenario::common_case(n, 0, seed);
+        let sim = s.cluster(
+            |i, procs, _| {
+                let (me, input) = (ActorId(i as u32), Scenario::input(i));
+                let retry = Duration::from_delays(20);
+                Box::new(PaxosActor::new(me, procs, input, Some(ActorId(0)), retry))
+            },
+            Vec::new(),
+        );
+        (sim, s.procs())
     }
 
     #[test]
     fn common_case_decides_in_two_delays() {
-        let (mut sim, procs) = build(3, 1, Some(0));
+        let (mut sim, procs) = build(3, 1);
         sim.run_to_quiescence(Time::from_delays(15));
-        let ds = decisions(&sim, &procs);
+        let ds = decisions(&sim, &procs, PaxosActor::decision);
         assert!(ds.iter().all(|d| *d == Some(Value(100))), "{ds:?}");
         // The leader observes an Accepted majority two delays after Start.
         assert_eq!(sim.metrics().first_decision_delays(), Some(2.0));
@@ -160,14 +148,11 @@ mod tests {
 
     #[test]
     fn survives_leader_crash_with_new_leader() {
-        let (mut sim, procs) = build(3, 2, Some(0));
+        let (mut sim, procs) = build(3, 2);
         sim.crash_at(ActorId(0), Time::from_delays(1)); // mid-broadcast
         sim.announce_leader(Time::from_delays(30), &procs, ActorId(1));
         sim.run_to_quiescence(Time::from_delays(500));
-        let ds: Vec<_> = procs[1..]
-            .iter()
-            .map(|&p| sim.actor_as::<PaxosActor>(p).unwrap().decision())
-            .collect();
+        let ds = decisions(&sim, &procs[1..], PaxosActor::decision);
         assert!(ds.iter().all(|d| d.is_some()), "{ds:?}");
         assert_eq!(ds[0], ds[1]);
     }
@@ -176,11 +161,11 @@ mod tests {
     fn value_accepted_by_old_leader_survives_takeover() {
         // Crash the leader after its Accept lands: the value may be chosen;
         // the new leader must not decide anything else.
-        let (mut sim, procs) = build(5, 3, Some(0));
+        let (mut sim, procs) = build(5, 3);
         sim.crash_at(ActorId(0), Time::from_delays(3));
         sim.announce_leader(Time::from_delays(40), &procs, ActorId(2));
         sim.run_to_quiescence(Time::from_delays(500));
-        let ds = decisions(&sim, &procs);
+        let ds = decisions(&sim, &procs, PaxosActor::decision);
         let reached: Vec<Value> = ds.iter().flatten().copied().collect();
         assert!(!reached.is_empty());
         assert!(reached.iter().all(|v| *v == Value(100)), "{ds:?}");
@@ -189,7 +174,7 @@ mod tests {
     #[test]
     fn agreement_under_random_delays_and_dueling_leaders() {
         for seed in 0..20 {
-            let (mut sim, procs) = build(5, seed, Some(0));
+            let (mut sim, procs) = build(5, seed);
             sim.set_default_delay(DelayModel::Uniform {
                 lo: Duration::from_delays(1),
                 hi: Duration::from_delays(8),
@@ -199,7 +184,7 @@ mod tests {
             sim.announce_leader(Time::from_delays(9), &procs[2..], ActorId(3));
             sim.announce_leader(Time::from_delays(120), &procs, ActorId(3));
             sim.run_to_quiescence(Time::from_delays(3000));
-            let ds = decisions(&sim, &procs);
+            let ds = decisions(&sim, &procs, PaxosActor::decision);
             let reached: Vec<Value> = ds.iter().flatten().copied().collect();
             assert_eq!(
                 reached.len(),
@@ -217,23 +202,20 @@ mod tests {
 
     #[test]
     fn tolerates_minority_crashes() {
-        let (mut sim, procs) = build(5, 4, Some(0));
+        let (mut sim, procs) = build(5, 4);
         sim.crash_at(ActorId(3), Time::ZERO);
         sim.crash_at(ActorId(4), Time::ZERO);
         sim.run_to_quiescence(Time::from_delays(100));
-        let ds: Vec<_> = procs[..3]
-            .iter()
-            .map(|&p| sim.actor_as::<PaxosActor>(p).unwrap().decision())
-            .collect();
+        let ds = decisions(&sim, &procs[..3], PaxosActor::decision);
         assert!(ds.iter().all(|d| *d == Some(Value(100))), "{ds:?}");
     }
 
     #[test]
     fn blocks_without_majority_but_stays_safe() {
-        let (mut sim, procs) = build(3, 5, Some(0));
+        let (mut sim, procs) = build(3, 5);
         sim.crash_at(ActorId(1), Time::ZERO);
         sim.crash_at(ActorId(2), Time::ZERO);
         sim.run_to_quiescence(Time::from_delays(2000));
-        assert_eq!(decisions(&sim, &procs)[0], None);
+        assert_eq!(decisions(&sim, &procs, PaxosActor::decision)[0], None);
     }
 }

@@ -99,9 +99,10 @@ pub struct PaxosConfig {
 
 /// The acceptor role of one process: what it promised and what it
 /// accepted, and the answer either request gets. The one acceptor in the
-/// crate — [`PaxosEngine`] runs it for the message-passing protocol, and
+/// crate — [`PaxosEngine`] runs it for the message-passing protocol,
 /// Aligned Paxos ([`crate::aligned`]) runs it as the *process agent* its
-/// proposer counts beside the memories.
+/// proposer counts beside the memories, and Fast Paxos
+/// ([`crate::fast_paxos`]) runs its classic recovery round on it.
 #[derive(Clone, Debug, Default)]
 pub struct Acceptor {
     promised: Option<Ballot>,
@@ -109,6 +110,11 @@ pub struct Acceptor {
 }
 
 impl Acceptor {
+    /// The highest ballot promised, if any.
+    pub fn promised(&self) -> Option<Ballot> {
+        self.promised
+    }
+
     /// Phase 1b: promises `b` unless something higher was promised.
     pub fn on_prepare(&mut self, b: Ballot) -> PaxosMsg {
         if self.promised.is_some_and(|p| b < p) {

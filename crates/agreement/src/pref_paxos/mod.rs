@@ -45,55 +45,55 @@ pub fn adopt(
 mod tests {
     use super::*;
     use crate::cheap_quorum::verify_unanimity;
+    use crate::harness::{decisions, Scenario};
     use crate::nebcast;
     use crate::trusted::SetupEvidence;
     use crate::types::Msg;
     use crate::types::{sigtags, UnanimityProof};
-    use rdma_sim::{LegalChange, MemoryActor};
-    use sigsim::SigAuthority;
+    use sigsim::{SigAuthority, Signer};
     use simnet::Simulation;
     use simnet::{ActorId, Duration, Time};
 
-    /// Builds PP with per-process (value, evidence) inputs.
+    /// PP over one process per input, process `i` proposing `inputs[i]`
+    /// and signing with `signers[i]`, over three broadcast memories.
     fn build(
         seed: u64,
-        inputs: Vec<(Value, SetupEvidence)>,
-        m: u32,
+        auth: &SigAuthority,
+        signers: &[Signer],
+        inputs: &[(Value, SetupEvidence)],
     ) -> (Simulation<Msg>, Vec<Pid>) {
-        let n = inputs.len() as u32;
-        let mut sim = Simulation::new(seed);
-        let procs: Vec<Pid> = (0..n).map(ActorId).collect();
-        let mems: Vec<ActorId> = (n..n + m).map(ActorId).collect();
-        let mut auth = SigAuthority::new(seed ^ 0x1234);
-        let signers: Vec<_> = procs.iter().map(|&p| auth.register(p)).collect();
-        for (i, (v, e)) in inputs.into_iter().enumerate() {
-            sim.add(PrefPaxosActor::pref_paxos(
-                ActorId(i as u32),
-                procs.clone(),
-                mems.clone(),
-                v,
-                e,
-                Some(ActorId(0)),
-                ActorId(0),
-                signers[i].clone(),
-                auth.verifier(),
-                Duration::from_delays(1),
-                Duration::from_delays(80),
-            ));
-        }
-        for _ in 0..m {
-            let mut mem = MemoryActor::new(LegalChange::Static);
-            nebcast::configure_memory(&mut mem, &procs);
-            sim.add(mem);
-        }
-        (sim, procs)
+        let s = Scenario::common_case(inputs.len(), 3, seed);
+        let sim = s.cluster(
+            |i, procs, mems| {
+                let (v, e) = inputs[i].clone();
+                Box::new(PrefPaxosActor::pref_paxos(
+                    procs[i],
+                    procs,
+                    mems,
+                    v,
+                    e,
+                    Some(ActorId(0)),
+                    ActorId(0),
+                    signers[i].clone(),
+                    auth.verifier(),
+                    Duration::from_delays(1),
+                    Duration::from_delays(80),
+                ))
+            },
+            s.memories(nebcast::memory_actor),
+        );
+        (sim, s.procs())
     }
 
-    fn decisions(sim: &Simulation<Msg>, procs: &[Pid]) -> Vec<Option<Value>> {
-        procs
-            .iter()
-            .map(|&p| sim.actor_as::<PrefPaxosActor>(p).unwrap().decision())
-            .collect()
+    /// Runs until every process decided (or `max` delays), and reads the
+    /// decisions.
+    fn run(sim: &mut Simulation<Msg>, procs: &[Pid], max: u64) -> Vec<Option<Value>> {
+        sim.run_until(Time::from_delays(max), |s| {
+            decisions(s, procs, PrefPaxosActor::decision)
+                .iter()
+                .all(Option::is_some)
+        });
+        decisions(sim, procs, PrefPaxosActor::decision)
     }
 
     #[test]
@@ -101,11 +101,10 @@ mod tests {
         let inputs: Vec<_> = (0..3)
             .map(|i| (Value(100 + i), SetupEvidence::default()))
             .collect();
-        let (mut sim, procs) = build(1, inputs, 3);
-        sim.run_until(Time::from_delays(600), |s| {
-            decisions(s, &procs).iter().all(|d| d.is_some())
-        });
-        let ds = decisions(&sim, &procs);
+        let mut auth = SigAuthority::new(1 ^ 0x1234);
+        let signers: Vec<_> = (0..3).map(|p| auth.register(ActorId(p))).collect();
+        let (mut sim, procs) = build(1, &auth, &signers, &inputs);
+        let ds = run(&mut sim, &procs, 600);
         let v = ds[0].expect("decided");
         assert!(ds.iter().all(|d| *d == Some(v)), "{ds:?}");
         assert!((100..103).contains(&v.0));
@@ -121,57 +120,21 @@ mod tests {
         // lemma's guarantee is membership in the top-2 set.
         for seed in 0..5 {
             let mut auth = SigAuthority::new(99);
-            let s0 = auth.register(ActorId(0)); // CQ leader signer
-            let _s1 = auth.register(ActorId(1));
-            let _s2 = auth.register(ActorId(2));
+            let signers: Vec<_> = (0..3).map(|p| auth.register(ActorId(p))).collect();
+            let s0 = &signers[0]; // CQ leader signer
             let signed = Value(7);
             let evidence = SetupEvidence {
                 proof: None,
                 leader_sig: Some(s0.sign(&(sigtags::CQ_VALUE, signed))),
             };
-            // Rebuild the same authority inside build(): instead, pass the
-            // evidence through a custom build that reuses this authority.
-            let mut sim = Simulation::new(seed);
-            let procs: Vec<Pid> = (0..3).map(ActorId).collect();
-            let mems: Vec<ActorId> = (3..6).map(ActorId).collect();
-            let signers = [s0.clone(), _s1.clone(), _s2.clone()];
-            for i in 0..3u32 {
-                let (v, e) = if i == 1 {
-                    (signed, evidence.clone())
-                } else {
-                    (Value(100 + i as u64), SetupEvidence::default())
-                };
-                sim.add(PrefPaxosActor::pref_paxos(
-                    ActorId(i),
-                    procs.clone(),
-                    mems.clone(),
-                    v,
-                    e,
-                    Some(ActorId(0)),
-                    ActorId(0),
-                    signers[i as usize].clone(),
-                    auth.verifier(),
-                    Duration::from_delays(1),
-                    Duration::from_delays(80),
-                ));
-            }
-            for _ in 0..3 {
-                let mut mem = MemoryActor::new(LegalChange::Static);
-                nebcast::configure_memory(&mut mem, &procs);
-                sim.add(mem);
-            }
-            sim.run_until(Time::from_delays(800), |s| {
-                procs.iter().all(|&p| {
-                    s.actor_as::<PrefPaxosActor>(p)
-                        .unwrap()
-                        .decision()
-                        .is_some()
+            let inputs: Vec<_> = (0..3)
+                .map(|i| match i {
+                    1 => (signed, evidence.clone()),
+                    _ => (Value(100 + i), SetupEvidence::default()),
                 })
-            });
-            let ds: Vec<_> = procs
-                .iter()
-                .map(|&p| sim.actor_as::<PrefPaxosActor>(p).unwrap().decision())
                 .collect();
+            let (mut sim, procs) = build(seed, &auth, &signers, &inputs);
+            let ds = run(&mut sim, &procs, 800);
             let v = ds[0].expect("decided");
             assert!(ds.iter().all(|d| *d == Some(v)), "seed {seed}: {ds:?}");
             // Top-2 priority set = {signed (M), max bare}: the bare values
@@ -214,52 +177,17 @@ mod tests {
             proof: None,
             leader_sig: Some(s0.sign(&(sigtags::CQ_VALUE, real))),
         };
-        let mut sim = Simulation::new(3);
-        let procs: Vec<Pid> = (0..3).map(ActorId).collect();
-        let mems: Vec<ActorId> = (3..6).map(ActorId).collect();
-        let signers = [s0, s1, s2];
-        for i in 0..3u32 {
-            let (v, e) = match i {
-                2 => (
-                    junk,
-                    SetupEvidence {
-                        proof: Some(fake_proof.clone()),
-                        leader_sig: None,
-                    },
-                ),
-                _ => (real, m_evidence.clone()),
-            };
-            sim.add(PrefPaxosActor::pref_paxos(
-                ActorId(i),
-                procs.clone(),
-                mems.clone(),
-                v,
-                e,
-                Some(ActorId(0)),
-                ActorId(0),
-                signers[i as usize].clone(),
-                auth.verifier(),
-                Duration::from_delays(1),
-                Duration::from_delays(80),
-            ));
-        }
-        for _ in 0..3 {
-            let mut mem = MemoryActor::new(LegalChange::Static);
-            nebcast::configure_memory(&mut mem, &procs);
-            sim.add(mem);
-        }
-        sim.run_until(Time::from_delays(800), |s| {
-            procs.iter().all(|&p| {
-                s.actor_as::<PrefPaxosActor>(p)
-                    .unwrap()
-                    .decision()
-                    .is_some()
-            })
-        });
-        let ds: Vec<_> = procs
-            .iter()
-            .map(|&p| sim.actor_as::<PrefPaxosActor>(p).unwrap().decision())
-            .collect();
+        let junk_evidence = SetupEvidence {
+            proof: Some(fake_proof),
+            leader_sig: None,
+        };
+        let inputs = [
+            (real, m_evidence.clone()),
+            (real, m_evidence),
+            (junk, junk_evidence),
+        ];
+        let (mut sim, procs) = build(3, &auth, &[s0, s1, s2], &inputs);
+        let ds = run(&mut sim, &procs, 800);
         // The forged proof is class B; the genuine class-M value must win
         // any (class, value) comparison it appears in. Decision ∈ top-2 =
         // {real (M, from two processes), junk (B)}: with two M entries, at

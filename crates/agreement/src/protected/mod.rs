@@ -62,7 +62,7 @@ use rdma_sim::{
     Completion, LegalChange, MemResponse, MemoryActor, MemoryClient, OpId, Permission, RegId,
     RegionId, RegionSpec,
 };
-use simnet::{Actor, ActorId, Context, Duration, EventKind, Time};
+use simnet::{Actor, ActorId, Context, Duration, EventKind};
 
 use crate::paxos::{Acceptor, PaxosMsg};
 use crate::types::{spaces, Ballot, Instance, Msg, PaxSlot, Pid, RegVal, Value};
@@ -484,8 +484,6 @@ pub struct SingleDecree<L> {
     /// The value phase 2 is proposing.
     value: Option<Value>,
     decided: Option<Value>,
-    /// When this process decided, if it has.
-    pub decided_at: Option<Time>,
 }
 
 /// A Protected Memory Paxos process.
@@ -537,7 +535,6 @@ impl<L: MemoryLeg> SingleDecree<L> {
             adopted: None,
             value: None,
             decided: None,
-            decided_at: None,
         }
     }
 
@@ -621,7 +618,6 @@ impl<L: MemoryLeg> SingleDecree<L> {
 
     fn decide(&mut self, ctx: &mut Context<'_, Msg>, v: Value) {
         self.decided = Some(v);
-        self.decided_at = Some(ctx.now());
         ctx.mark_decided();
     }
 }
@@ -710,41 +706,30 @@ impl<L: MemoryLeg> Actor<Msg> for SingleDecree<L> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simnet::Simulation;
+    use crate::harness::{decisions, Scenario};
+    use simnet::{Simulation, Time};
 
-    fn build(n: u32, m: u32, seed: u64) -> (Simulation<Msg>, Vec<Pid>, Vec<ActorId>) {
-        let mut sim = Simulation::new(seed);
-        let procs: Vec<Pid> = (0..n).map(ActorId).collect();
-        let mems: Vec<ActorId> = (n..n + m).map(ActorId).collect();
-        for i in 0..n {
-            sim.add(ProtectedPaxosActor::new(
-                ActorId(i),
-                procs.clone(),
-                mems.clone(),
-                Instance(0),
-                Value(100 + i as u64),
-                ActorId(0),
-                (m as usize - 1) / 2,
-                Duration::from_delays(25),
-            ));
-        }
-        let added: Vec<ActorId> = (0..m).map(|_| sim.add(memory_actor(ActorId(0)))).collect();
-        assert_eq!(added, mems);
-        (sim, procs, mems)
-    }
-
-    fn decisions(sim: &Simulation<Msg>, procs: &[Pid]) -> Vec<Option<Value>> {
-        procs
-            .iter()
-            .map(|&p| sim.actor_as::<ProtectedPaxosActor>(p).unwrap().decision())
-            .collect()
+    fn build(n: usize, m: usize, seed: u64) -> (Simulation<Msg>, Vec<Pid>, Vec<ActorId>) {
+        let s = Scenario::common_case(n, m, seed);
+        let sim = s.cluster(
+            |i, procs, mems| {
+                let (me, input) = (ActorId(i as u32), Scenario::input(i));
+                let (f_m, retry) = ((m - 1) / 2, Duration::from_delays(25));
+                let inst = Instance(0);
+                let a =
+                    ProtectedPaxosActor::new(me, procs, mems, inst, input, ActorId(0), f_m, retry);
+                Box::new(a)
+            },
+            s.memories(|_| memory_actor(ActorId(0))),
+        );
+        (sim, s.procs(), s.mems())
     }
 
     #[test]
     fn common_case_decides_in_two_delays() {
         let (mut sim, procs, _) = build(3, 3, 1);
         sim.run_to_quiescence(Time::from_delays(30));
-        let ds = decisions(&sim, &procs);
+        let ds = decisions(&sim, &procs, ProtectedPaxosActor::decision);
         assert!(ds.iter().all(|d| *d == Some(Value(100))), "{ds:?}");
         // One parallel slot write: 2 delays — the Theorem 5.1 headline.
         assert_eq!(sim.metrics().first_decision_delays(), Some(2.0));
@@ -756,7 +741,10 @@ mod tests {
         sim.crash_at(ActorId(1), Time::ZERO);
         sim.crash_at(ActorId(2), Time::ZERO);
         sim.run_to_quiescence(Time::from_delays(100));
-        assert_eq!(decisions(&sim, &procs)[0], Some(Value(100)));
+        assert_eq!(
+            decisions(&sim, &procs, ProtectedPaxosActor::decision)[0],
+            Some(Value(100))
+        );
     }
 
     #[test]
@@ -765,7 +753,7 @@ mod tests {
         sim.crash_at(mems[0], Time::ZERO);
         sim.crash_at(mems[2], Time::ZERO);
         sim.run_to_quiescence(Time::from_delays(100));
-        let ds = decisions(&sim, &procs);
+        let ds = decisions(&sim, &procs, ProtectedPaxosActor::decision);
         assert!(ds.iter().all(|d| *d == Some(Value(100))), "{ds:?}");
     }
 
@@ -775,7 +763,10 @@ mod tests {
         sim.crash_at(mems[0], Time::ZERO);
         sim.crash_at(mems[1], Time::ZERO);
         sim.run_to_quiescence(Time::from_delays(500));
-        assert_eq!(decisions(&sim, &procs), vec![None, None]);
+        assert_eq!(
+            decisions(&sim, &procs, ProtectedPaxosActor::decision),
+            vec![None, None]
+        );
     }
 
     #[test]
@@ -785,7 +776,7 @@ mod tests {
         sim.crash_at(ActorId(0), Time::from_delays(3));
         sim.announce_leader(Time::from_delays(10), &procs, ActorId(1));
         sim.run_to_quiescence(Time::from_delays(300));
-        let ds = decisions(&sim, &procs);
+        let ds = decisions(&sim, &procs, ProtectedPaxosActor::decision);
         assert_eq!(ds[1], Some(Value(100)), "{ds:?}");
         assert_eq!(ds[2], Some(Value(100)), "{ds:?}");
     }
@@ -811,7 +802,7 @@ mod tests {
         }));
         sim.announce_leader(Time::from_delays(5), &procs, ActorId(1));
         sim.run_to_quiescence(Time::from_delays(1000));
-        let ds = decisions(&sim, &procs);
+        let ds = decisions(&sim, &procs, ProtectedPaxosActor::decision);
         // Everyone agrees (p1's value wins; p0's blocked write naks).
         assert!(ds.iter().all(|d| *d == Some(Value(101))), "{ds:?}");
     }
@@ -896,10 +887,16 @@ mod tests {
         };
         sim.schedule(Time::from_delays(1), procs[1], decided(mems[0], 999));
         sim.run_to_quiescence(Time::from_delays(10));
-        assert_eq!(decisions(&sim, &procs)[1], None);
+        assert_eq!(
+            decisions(&sim, &procs, ProtectedPaxosActor::decision)[1],
+            None
+        );
         sim.schedule(Time::from_delays(11), procs[1], decided(procs[0], 100));
         sim.run_to_quiescence(Time::from_delays(20));
-        assert_eq!(decisions(&sim, &procs)[1], Some(Value(100)));
+        assert_eq!(
+            decisions(&sim, &procs, ProtectedPaxosActor::decision)[1],
+            Some(Value(100))
+        );
     }
 
     #[test]
@@ -910,7 +907,10 @@ mod tests {
             sim.announce_leader(Time::from_delays(2), &procs[2..3], ActorId(2));
             sim.announce_leader(Time::from_delays(80), &procs, ActorId(2));
             sim.run_to_quiescence(Time::from_delays(2000));
-            let got: Vec<Value> = decisions(&sim, &procs).into_iter().flatten().collect();
+            let got: Vec<Value> = decisions(&sim, &procs, ProtectedPaxosActor::decision)
+                .into_iter()
+                .flatten()
+                .collect();
             assert!(!got.is_empty(), "seed {seed}: nobody decided");
             assert!(got.windows(2).all(|w| w[0] == w[1]), "seed {seed}: {got:?}");
         }

@@ -233,67 +233,53 @@ impl RobustCore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::{decisions, Scenario};
     use crate::nebcast;
-    use rdma_sim::{LegalChange, MemoryActor};
     use sigsim::SigAuthority;
     use simnet::Simulation;
     use simnet::{Duration, Time};
 
-    /// Builds n processes + m memories; returns (sim, procs, mems, auth).
+    /// Builds n processes (silent stand-ins at `silent`) + m memories;
+    /// returns (sim, procs, mems, auth).
     fn build(
-        n: u32,
-        m: u32,
+        n: usize,
+        m: usize,
         seed: u64,
-        skip: &[u32],
+        silent: &[usize],
     ) -> (Simulation<Msg>, Vec<Pid>, Vec<ActorId>, SigAuthority) {
-        let mut sim = Simulation::new(seed);
-        let procs: Vec<Pid> = (0..n).map(ActorId).collect();
-        let mems: Vec<ActorId> = (n..n + m).map(ActorId).collect();
+        let mut s = Scenario::common_case(n, m, seed);
+        s.byz_silent = silent.to_vec();
         let mut auth = SigAuthority::new(seed ^ 0xABCD);
-        let signers: Vec<_> = procs.iter().map(|&p| auth.register(p)).collect();
-        for i in 0..n {
-            if skip.contains(&i) {
-                // Placeholder slot for an adversary added by the caller:
-                // a silent process.
-                sim.add(crate::adversary::Scripted::silent());
-                continue;
-            }
-            sim.add(RobustPaxosActor::robust_backup(
-                ActorId(i),
-                procs.clone(),
-                mems.clone(),
-                Value(100 + i as u64),
-                Some(ActorId(0)),
-                signers[i as usize].clone(),
-                auth.verifier(),
-                Duration::from_delays(1),
-                Duration::from_delays(80),
-            ));
-        }
-        for _ in 0..m {
-            let mut mem = MemoryActor::new(LegalChange::Static);
-            nebcast::configure_memory(&mut mem, &procs);
-            sim.add(mem);
-        }
-        (sim, procs, mems, auth)
-    }
-
-    fn decisions(sim: &Simulation<Msg>, procs: &[Pid]) -> Vec<Option<Value>> {
-        procs
-            .iter()
-            .map(|&p| {
-                sim.actor_as::<RobustPaxosActor>(p)
-                    .and_then(|a| a.decision())
-            })
-            .collect()
+        let signers: Vec<_> = s.procs().iter().map(|&p| auth.register(p)).collect();
+        let sim = s.cluster(
+            |i, procs, mems| {
+                Box::new(RobustPaxosActor::robust_backup(
+                    procs[i],
+                    procs,
+                    mems,
+                    Scenario::input(i),
+                    Some(ActorId(0)),
+                    signers[i].clone(),
+                    auth.verifier(),
+                    Duration::from_delays(1),
+                    Duration::from_delays(80),
+                ))
+            },
+            s.memories(nebcast::memory_actor),
+        );
+        (sim, s.procs(), s.mems(), auth)
     }
 
     #[test]
     fn all_correct_decide_leader_value() {
         let (mut sim, procs, _, _) = build(3, 3, 1, &[]);
-        let done = |s: &Simulation<Msg>| decisions(s, &procs).iter().all(|d| d.is_some());
+        let done = |s: &Simulation<Msg>| {
+            decisions(s, &procs, RobustPaxosActor::decision)
+                .iter()
+                .all(|d| d.is_some())
+        };
         sim.run_until(Time::from_delays(400), done);
-        let ds = decisions(&sim, &procs);
+        let ds = decisions(&sim, &procs, RobustPaxosActor::decision);
         assert!(ds.iter().all(|d| *d == Some(Value(100))), "{ds:?}");
         // The trusted path is slow: strictly more than 2 delays (nebcast
         // costs ≥ 6 per hop — footnote 2 of the paper).
@@ -306,9 +292,11 @@ mod tests {
         let (mut sim, procs, _, _) = build(3, 3, 2, &[2]);
         let correct = [procs[0], procs[1]];
         sim.run_until(Time::from_delays(600), |s| {
-            decisions(s, &correct).iter().all(|d| d.is_some())
+            decisions(s, &correct, RobustPaxosActor::decision)
+                .iter()
+                .all(|d| d.is_some())
         });
-        let ds = decisions(&sim, &correct);
+        let ds = decisions(&sim, &correct, RobustPaxosActor::decision);
         assert!(ds.iter().all(|d| *d == Some(Value(100))), "{ds:?}");
     }
 
@@ -318,9 +306,11 @@ mod tests {
         sim.crash_at(mems[0], Time::ZERO);
         sim.crash_at(mems[3], Time::ZERO);
         sim.run_until(Time::from_delays(600), |s| {
-            decisions(s, &procs).iter().all(|d| d.is_some())
+            decisions(s, &procs, RobustPaxosActor::decision)
+                .iter()
+                .all(|d| d.is_some())
         });
-        let ds = decisions(&sim, &procs);
+        let ds = decisions(&sim, &procs, RobustPaxosActor::decision);
         assert!(ds.iter().all(|d| *d == Some(Value(100))), "{ds:?}");
     }
 
@@ -331,9 +321,11 @@ mod tests {
         sim.announce_leader(Time::from_delays(150), &procs, ActorId(1));
         let tail = [procs[1], procs[2]];
         sim.run_until(Time::from_delays(2500), |s| {
-            decisions(s, &tail).iter().all(|d| d.is_some())
+            decisions(s, &tail, RobustPaxosActor::decision)
+                .iter()
+                .all(|d| d.is_some())
         });
-        let ds = decisions(&sim, &tail);
+        let ds = decisions(&sim, &tail, RobustPaxosActor::decision);
         assert!(ds.iter().all(|d| d.is_some()), "{ds:?}");
         assert_eq!(ds[0], ds[1]);
     }
@@ -344,9 +336,11 @@ mod tests {
         let (mut sim, procs, _, _) = build(5, 3, 5, &[3, 4]);
         let correct = [procs[0], procs[1], procs[2]];
         sim.run_until(Time::from_delays(900), |s| {
-            decisions(s, &correct).iter().all(|d| d.is_some())
+            decisions(s, &correct, RobustPaxosActor::decision)
+                .iter()
+                .all(|d| d.is_some())
         });
-        let ds = decisions(&sim, &correct);
+        let ds = decisions(&sim, &correct, RobustPaxosActor::decision);
         assert!(ds.iter().all(|d| *d == Some(Value(100))), "{ds:?}");
     }
 }

@@ -102,7 +102,7 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
-use rdma_sim::{Completion, LegalChange, MemoryActor};
+use rdma_sim::Completion;
 use sigsim::{SigVerifier, Signer};
 use simnet::{ActorId, Context, Duration};
 use swmr::{RepEngine, RepId, RepResult};
@@ -128,16 +128,6 @@ pub(crate) fn log_entries_wire(first: u64, epoch: u64, values: Vec<Value>) -> TW
         },
         history: Vec::new(),
     }
-}
-
-/// Builds one memory for a Byzantine-mode replication group: the
-/// non-equivocating broadcast regions (per-replica SWMR rows plus the
-/// read-only whole-array region) with static permissions — Byzantine mode
-/// never revokes, it out-audits.
-pub fn byz_memory_actor(procs: &[Pid]) -> MemoryActor<RegVal, Msg> {
-    let mut mem = MemoryActor::new(LegalChange::Static);
-    nebcast::configure_memory(&mut mem, procs);
-    mem
 }
 
 /// One candidate value for an instance, collected by the takeover scan.
@@ -667,51 +657,48 @@ impl Engine for NebLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::Scenario;
     use sigsim::SigAuthority;
     use simnet::{Simulation, Time};
     use std::collections::VecDeque;
 
+    /// Three replicas over three broadcast memories, silent stand-ins at
+    /// `silent`; replica 0 leads with `cmds_leader` commands.
     fn build(
-        n: u32,
-        m: u32,
         seed: u64,
         cmds_leader: usize,
         batch: usize,
-        silent: &[u32],
+        silent: &[usize],
     ) -> (Simulation<Msg>, Vec<Pid>) {
-        let mut sim = Simulation::new(seed);
-        let procs: Vec<Pid> = (0..n).map(ActorId).collect();
-        let mems: Vec<ActorId> = (n..n + m).map(ActorId).collect();
+        let mut s = Scenario::common_case(3, 3, seed);
+        s.byz_silent = silent.to_vec();
+        // Every slot holds a key, stand-ins included, issued in id order.
         let mut auth = SigAuthority::new(seed ^ 0xB12A);
-        for i in 0..n {
-            let signer = auth.register(ActorId(i));
-            if silent.contains(&i) {
-                sim.add(crate::adversary::Scripted::silent());
-                continue;
-            }
-            let workload: Vec<Value> = if i == 0 {
-                (0..cmds_leader).map(|c| Value(1000 + c as u64)).collect()
-            } else {
-                Vec::new()
-            };
-            sim.add(
-                ByzSmrNode::new(
-                    ActorId(i),
-                    procs.clone(),
-                    mems.clone(),
+        let signers: Vec<_> = s.procs().iter().map(|&p| auth.register(p)).collect();
+        let sim = s.cluster(
+            |i, procs, mems| {
+                let workload: Vec<Value> = if i == 0 {
+                    (0..cmds_leader).map(|c| Value(1000 + c as u64)).collect()
+                } else {
+                    Vec::new()
+                };
+                let (me, signer) = (ActorId(i as u32), signers[i].clone());
+                let tick = Duration::from_delays(1);
+                let node = ByzSmrNode::new(
+                    me,
+                    procs,
+                    mems,
                     ActorId(0),
                     workload,
                     signer,
                     auth.verifier(),
-                    Duration::from_delays(1),
-                )
-                .with_batch(batch),
-            );
-        }
-        for _ in 0..m {
-            sim.add(byz_memory_actor(&procs));
-        }
-        (sim, procs)
+                    tick,
+                );
+                Box::new(node.with_batch(batch))
+            },
+            s.memories(nebcast::memory_actor),
+        );
+        (sim, s.procs())
     }
 
     fn log_of(sim: &Simulation<Msg>, p: Pid) -> Vec<Value> {
@@ -955,7 +942,7 @@ mod tests {
 
     #[test]
     fn failure_free_log_replicates_in_order() {
-        let (mut sim, procs) = build(3, 3, 1, 6, 2, &[]);
+        let (mut sim, procs) = build(1, 6, 2, &[]);
         sim.run_until(Time::from_delays(400), |s| {
             procs
                 .iter()
@@ -972,7 +959,7 @@ mod tests {
         // n = 3 = 2f+1 with f = 1 silent Byzantine replica: the log only
         // needs the memories, so the leader and the one correct follower
         // still commit everything.
-        let (mut sim, procs) = build(3, 3, 2, 5, 1, &[2]);
+        let (mut sim, procs) = build(2, 5, 1, &[2]);
         let correct = [procs[0], procs[1]];
         sim.run_until(Time::from_delays(600), |s| {
             correct

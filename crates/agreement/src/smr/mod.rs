@@ -86,7 +86,7 @@ pub mod byz;
 pub mod core;
 pub mod pmp;
 
-pub use byz::{byz_memory_actor, NebLog};
+pub use byz::NebLog;
 pub use core::{LogCore, ReplicaState};
 pub use pmp::PmpLog;
 
@@ -491,9 +491,10 @@ mod tests {
     //! behaviour is tested once, over a table of the two.
 
     use super::*;
+    use crate::harness::Scenario;
     use crate::protected::memory_actor;
     use sigsim::SigAuthority;
-    use simnet::Simulation;
+    use simnet::{AnyActor, Simulation};
 
     #[derive(Clone, Copy, Debug, PartialEq)]
     enum Mode {
@@ -515,7 +516,7 @@ mod tests {
     /// Three replicas over three memories under `mode`'s engine (ids
     /// 0..3 and 3..6; the observer, if any, must be added next as 6).
     fn cluster(mode: Mode, spec: &Spec) -> (Simulation<Msg>, Vec<Pid>) {
-        fn finish<E: Engine>(spec: &Spec, node: Replica<E>) -> Replica<E> {
+        fn finish<E: Engine>(spec: &Spec, node: Replica<E>) -> Box<dyn AnyActor<Msg>> {
             let node = node.with_batch(spec.batch);
             let node = if spec.dedup {
                 node.with_session_dedup()
@@ -523,47 +524,35 @@ mod tests {
                 node
             };
             if spec.observer {
-                node.with_observer(ActorId(6))
+                Box::new(node.with_observer(ActorId(6)))
             } else {
-                node
+                Box::new(node)
             }
         }
-        let mut sim = Simulation::new(spec.seed);
-        let procs: Vec<Pid> = (0..3).map(ActorId).collect();
-        let mems: Vec<ActorId> = (3..6).map(ActorId).collect();
+        let s = Scenario::common_case(3, 3, spec.seed);
         let mut auth = SigAuthority::new(spec.seed ^ 0xB12A);
-        for i in 0..3 {
-            let (me, procs, mems, w) =
-                (ActorId(i), procs.clone(), mems.clone(), (spec.workload)(i));
+        let process = |i, procs, mems| {
+            let (me, w) = (ActorId(i as u32), (spec.workload)(i as u32));
             match mode {
                 Mode::Crash => {
                     let tick = Duration::from_delays(25);
                     let node = SmrNode::new(me, procs, mems, ActorId(0), w, 1, tick);
-                    sim.add(finish(spec, node));
+                    finish(spec, node)
                 }
                 Mode::Byz => {
                     let (signer, tick) = (auth.register(me), Duration::from_delays(1));
-                    let node = ByzSmrNode::new(
-                        me,
-                        procs,
-                        mems,
-                        ActorId(0),
-                        w,
-                        signer,
-                        auth.verifier(),
-                        tick,
-                    );
-                    sim.add(finish(spec, node));
+                    let verifier = auth.verifier();
+                    let node =
+                        ByzSmrNode::new(me, procs, mems, ActorId(0), w, signer, verifier, tick);
+                    finish(spec, node)
                 }
             }
-        }
-        for _ in 0..3 {
-            match mode {
-                Mode::Crash => sim.add(memory_actor(ActorId(0))),
-                Mode::Byz => sim.add(byz_memory_actor(&procs)),
-            };
-        }
-        (sim, procs)
+        };
+        let memories = s.memories(|procs| match mode {
+            Mode::Crash => memory_actor(ActorId(0)),
+            Mode::Byz => crate::nebcast::memory_actor(procs),
+        });
+        (s.cluster(process, memories), s.procs())
     }
 
     /// Replica `p`'s report state and settle times, whichever engine.

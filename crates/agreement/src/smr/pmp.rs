@@ -167,41 +167,26 @@ impl Engine for PmpLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::Scenario;
     use crate::protected::memory_actor;
     use simnet::{Simulation, Time};
 
-    /// `n` replicas over `m` memories; replica `i` wants `cmds_per_node`
-    /// commands `1000·(i+1) + c` committed; replica 0 leads.
-    fn build(
-        n: u32,
-        m: u32,
-        seed: u64,
-        cmds_per_node: usize,
-        batch: usize,
-    ) -> (Simulation<Msg>, Vec<Pid>) {
-        let mut sim = Simulation::new(seed);
-        let procs: Vec<Pid> = (0..n).map(ActorId).collect();
-        let mems: Vec<ActorId> = (n..n + m).map(ActorId).collect();
-        for i in 0..n {
-            let workload: Vec<Value> = (0..cmds_per_node)
-                .map(|c| Value(1000 * (i as u64 + 1) + c as u64))
-                .collect();
-            let (f_m, retry) = ((m as usize - 1) / 2, Duration::from_delays(25));
-            let node = SmrNode::new(
-                ActorId(i),
-                procs.clone(),
-                mems.clone(),
-                procs[0],
-                workload,
-                f_m,
-                retry,
-            );
-            sim.add(node.with_batch(batch));
-        }
-        for _ in 0..m {
-            sim.add(memory_actor(ActorId(0)));
-        }
-        (sim, procs)
+    /// Three replicas over three memories; replica `i` wants
+    /// `cmds_per_node` commands `1000·(i+1) + c` committed; replica 0 leads.
+    fn build(seed: u64, cmds_per_node: usize, batch: usize) -> (Simulation<Msg>, Vec<Pid>) {
+        let s = Scenario::common_case(3, 3, seed);
+        let sim = s.cluster(
+            |i, procs, mems| {
+                let workload: Vec<Value> = (0..cmds_per_node)
+                    .map(|c| Value(1000 * (i as u64 + 1) + c as u64))
+                    .collect();
+                let (me, retry) = (ActorId(i as u32), Duration::from_delays(25));
+                let node = SmrNode::new(me, procs, mems, ActorId(0), workload, 1, retry);
+                Box::new(node.with_batch(batch))
+            },
+            s.memories(|_| memory_actor(ActorId(0))),
+        );
+        (sim, s.procs())
     }
 
     fn node(sim: &Simulation<Msg>, p: Pid) -> &SmrNode {
@@ -210,7 +195,7 @@ mod tests {
 
     #[test]
     fn stable_leader_commits_at_two_delays_per_entry() {
-        let (mut sim, procs) = build(3, 3, 1, 5, 1);
+        let (mut sim, procs) = build(1, 5, 1);
         sim.run_until(Time::from_delays(200), |s| node(s, procs[0]).log_len() >= 5);
         let leader = node(&sim, procs[0]);
         assert_eq!(leader.log_len(), 5);
@@ -225,7 +210,7 @@ mod tests {
 
     #[test]
     fn batched_leader_amortizes_one_write_over_k_entries() {
-        let (mut sim, procs) = build(3, 3, 1, 8, 4);
+        let (mut sim, procs) = build(1, 8, 4);
         sim.run_until(Time::from_delays(200), |s| node(s, procs[0]).log_len() >= 8);
         let leader = node(&sim, procs[0]);
         assert_eq!(leader.log_len(), 8);
@@ -246,7 +231,7 @@ mod tests {
     #[test]
     fn followers_learn_the_same_log() {
         for (batch, cmds) in [(1, 4), (3, 10)] {
-            let (mut sim, procs) = build(3, 3, 2, cmds, batch);
+            let (mut sim, procs) = build(2, cmds, batch);
             sim.run_until(Time::from_delays(300), |s| {
                 procs.iter().all(|&p| node(s, p).log_len() >= cmds)
             });
@@ -261,7 +246,7 @@ mod tests {
     fn leader_crash_preserves_log_prefix_and_new_leader_continues() {
         // Unbatched with ~3 entries in, and batched one batch in.
         for (batch, cmds, crash_at, want) in [(1, 10, 7, 8), (4, 12, 3, 10)] {
-            let (mut sim, procs) = build(3, 3, 3, cmds, batch);
+            let (mut sim, procs) = build(3, cmds, batch);
             sim.crash_at(ActorId(0), Time::from_delays(crash_at));
             sim.announce_leader(Time::from_delays(20), &procs, ActorId(1));
             sim.run_until(Time::from_delays(2000), |s| {
@@ -285,7 +270,7 @@ mod tests {
         // The leader's first batch lands on the memories but the leader
         // crashes before learning; the successor's takeover scan recovers
         // all four entries and re-commits them as ONE scatter-gather round.
-        let (mut sim, procs) = build(3, 3, 4, 4, 4);
+        let (mut sim, procs) = build(4, 4, 4);
         sim.crash_at(ActorId(0), Time::from_delays(2));
         sim.announce_leader(Time::from_delays(20), &procs, ActorId(1));
         sim.run_until(Time::from_delays(2000), |s| {
@@ -317,7 +302,7 @@ mod tests {
     #[test]
     fn competing_leaders_never_fork_the_log() {
         for seed in 0..10 {
-            let (mut sim, procs) = build(3, 3, seed, 6, 1);
+            let (mut sim, procs) = build(seed, 6, 1);
             sim.announce_leader(Time::from_delays(4), &procs[1..2], ActorId(1));
             sim.announce_leader(Time::from_delays(9), &procs[..1], ActorId(0));
             sim.announce_leader(Time::from_delays(40), &procs, ActorId(1));

@@ -18,14 +18,13 @@
 
 use agreement::adversary::Scripted;
 use agreement::cheap_quorum::{memory_actor as cq_memory, CheapQuorumActor};
-use agreement::harness::{run_fast_robust, Scenario};
+use agreement::harness::{decisions, run_fast_robust, Scenario};
 use agreement::nebcast;
 use agreement::robust_backup::RobustPaxosActor;
-use agreement::types::{Msg, Value};
-use rdma_sim::{LegalChange, MemoryActor};
+use agreement::types::Value;
 use sigsim::SigAuthority;
 use simnet::obs::EventBody;
-use simnet::{ActorId, Duration, Simulation, Time};
+use simnet::{ActorId, Duration, Time};
 
 fn main() {
     drill_equivocating_leader();
@@ -35,41 +34,37 @@ fn main() {
 
 fn drill_equivocating_leader() {
     println!("== drill 1: equivocating Cheap Quorum leader ==");
-    let (n, m) = (3u32, 3u32);
-    let mut sim: Simulation<Msg> = Simulation::new(7);
-    let procs: Vec<ActorId> = (0..n).map(ActorId).collect();
-    let mems: Vec<ActorId> = (n..n + m).map(ActorId).collect();
+    let s = Scenario::common_case(3, 3, 7);
     let mut auth = SigAuthority::new(99);
-    let leader_signer = auth.register(ActorId(0));
-    // The Byzantine leader writes v=111 to one replica, v=222 to the rest.
-    sim.add(Scripted::cq_equivocating_leader(
-        ActorId(0),
-        mems.clone(),
-        1,
-        Value(111),
-        Value(222),
-        leader_signer,
-    ));
-    for i in 1..n {
-        let signer = auth.register(ActorId(i));
-        sim.add(CheapQuorumActor::cheap_quorum(
-            ActorId(i),
-            procs.clone(),
-            mems.clone(),
-            ActorId(0),
-            Value(100 + i as u64),
-            signer,
-            auth.verifier(),
-            Duration::from_delays(1),
-            Duration::from_delays(25),
-        ));
-    }
-    for _ in 0..m {
-        sim.add(cq_memory(&procs, ActorId(0)));
-    }
+    let signers: Vec<_> = s.procs().iter().map(|&p| auth.register(p)).collect();
+    let mut sim = s.cluster(
+        |i, procs, mems| match i {
+            // The Byzantine leader writes v=111 to one replica, v=222 to the rest.
+            0 => Box::new(Scripted::cq_equivocating_leader(
+                procs[0],
+                mems,
+                1,
+                Value(111),
+                Value(222),
+                signers[0].clone(),
+            )),
+            _ => Box::new(CheapQuorumActor::cheap_quorum(
+                procs[i],
+                procs,
+                mems,
+                ActorId(0),
+                Scenario::input(i),
+                signers[i].clone(),
+                auth.verifier(),
+                Duration::from_delays(1),
+                Duration::from_delays(25),
+            )),
+        },
+        s.memories(|procs| cq_memory(procs, ActorId(0))),
+    );
     sim.run_to_quiescence(Time::from_delays(400));
     let mut decisions = Vec::new();
-    for i in 1..n {
+    for i in 1..s.n as u32 {
         let a = sim.actor_as::<CheapQuorumActor>(ActorId(i)).unwrap();
         println!(
             "  follower {}: decision={:?} abort={:?}",
@@ -106,48 +101,37 @@ fn drill_silent_follower() {
 
 fn drill_bad_history() {
     println!("== drill 3: protocol-violating sender vs. history checking ==");
-    let (n, m) = (3u32, 3u32);
-    let mut sim: Simulation<Msg> = Simulation::new(13);
-    let procs: Vec<ActorId> = (0..n).map(ActorId).collect();
-    let mems: Vec<ActorId> = (n..n + m).map(ActorId).collect();
+    let s = Scenario::common_case(3, 3, 13);
     let mut auth = SigAuthority::new(5);
-    for i in 0..n {
-        let signer = auth.register(ActorId(i));
-        if i == 2 {
+    let signers: Vec<_> = s.procs().iter().map(|&p| auth.register(p)).collect();
+    let mut sim = s.cluster(
+        |i, procs, mems| match i {
             // Broadcasts Accept{b=(1,p2)} with an empty history: illegal.
-            sim.add(Scripted::bad_history(
-                ActorId(2),
-                mems.clone(),
+            2 => Box::new(Scripted::bad_history(
+                procs[2],
+                mems,
                 Value(666),
-                signer,
-            ));
-            continue;
-        }
-        sim.add(RobustPaxosActor::robust_backup(
-            ActorId(i),
-            procs.clone(),
-            mems.clone(),
-            Value(100 + i as u64),
-            Some(ActorId(0)),
-            signer,
-            auth.verifier(),
-            Duration::from_delays(1),
-            Duration::from_delays(80),
-        ));
-    }
-    for _ in 0..m {
-        let mut mem = MemoryActor::new(LegalChange::Static);
-        nebcast::configure_memory(&mut mem, &procs);
-        sim.add(mem);
-    }
+                signers[2].clone(),
+            )),
+            _ => Box::new(RobustPaxosActor::robust_backup(
+                procs[i],
+                procs,
+                mems,
+                Scenario::input(i),
+                Some(ActorId(0)),
+                signers[i].clone(),
+                auth.verifier(),
+                Duration::from_delays(1),
+                Duration::from_delays(80),
+            )),
+        },
+        s.memories(nebcast::memory_actor),
+    );
     sim.enable_obs();
-    sim.run_until(Time::from_delays(2_000), |s| {
-        [0u32, 1].iter().all(|&i| {
-            s.actor_as::<RobustPaxosActor>(ActorId(i))
-                .unwrap()
-                .decision()
-                .is_some()
-        })
+    let correct = [ActorId(0), ActorId(1)];
+    sim.run_until(Time::from_delays(2_000), |sim| {
+        let decided = decisions(sim, &correct, RobustPaxosActor::decision);
+        decided.iter().all(Option::is_some)
     });
     for i in [0u32, 1] {
         let a = sim.actor_as::<RobustPaxosActor>(ActorId(i)).unwrap();

@@ -21,13 +21,13 @@
 use agreement::aligned::MemoryMode;
 use agreement::cheap_quorum::{memory_actor, CheapQuorumActor};
 use agreement::harness::{
-    run_aligned, run_disk_paxos, run_fast_paxos, run_fast_robust, run_mp_paxos, run_protected,
-    run_robust_backup, RunReport, Scenario,
+    decisions, run_aligned, run_disk_paxos, run_fast_paxos, run_fast_robust, run_mp_paxos,
+    run_protected, run_robust_backup, RunReport, Scenario,
 };
 use agreement::lower_bound::{run_protected_contrast, run_strawman_demo};
-use agreement::types::{Msg, Pid, Value};
+use agreement::types::Value;
 use sigsim::SigAuthority;
-use simnet::{ActorId, Duration, Simulation, Time};
+use simnet::{ActorId, Duration, Time};
 
 fn main() {
     table1_resilience();
@@ -371,39 +371,34 @@ fn lower_bound() {
 
 /// Runs Cheap Quorum until the first (leader) decision and reports
 /// signatures created by then, then runs to full completion.
-fn count_signatures(n: u32, seed: u64) -> (u64, u64, f64) {
-    let m = 3u32;
-    let mut sim: Simulation<Msg> = Simulation::new(seed);
-    let procs: Vec<Pid> = (0..n).map(ActorId).collect();
-    let mems: Vec<ActorId> = (n..n + m).map(ActorId).collect();
+fn count_signatures(n: usize, seed: u64) -> (u64, u64, f64) {
+    let s = Scenario::common_case(n, 3, seed);
     let mut auth = SigAuthority::new(seed);
-    for i in 0..n {
-        let signer = auth.register(ActorId(i));
-        sim.add(CheapQuorumActor::cheap_quorum(
-            ActorId(i),
-            procs.clone(),
-            mems.clone(),
-            ActorId(0),
-            Value(100),
-            signer,
-            auth.verifier(),
-            Duration::from_delays(1),
-            Duration::from_delays(200),
-        ));
-    }
-    for _ in 0..m {
-        sim.add(memory_actor(&procs, ActorId(0)));
-    }
+    let mut sim = s.cluster(
+        |i, procs, mems| {
+            let signer = auth.register(procs[i]);
+            Box::new(CheapQuorumActor::cheap_quorum(
+                procs[i],
+                procs,
+                mems,
+                ActorId(0),
+                Value(100),
+                signer,
+                auth.verifier(),
+                Duration::from_delays(1),
+                Duration::from_delays(200),
+            ))
+        },
+        s.memories(|procs| memory_actor(procs, ActorId(0))),
+    );
     sim.run_until(Time::from_delays(5_000), |s| {
         s.metrics().first_decision().is_some()
     });
     let at_first_decision = auth.signatures_created();
     let first_delay = sim.metrics().first_decision_delays().unwrap_or(f64::NAN);
-    sim.run_until(Time::from_delays(5_000), |s| {
-        (0..n).all(|i| {
-            s.actor_as::<CheapQuorumActor>(ActorId(i))
-                .is_some_and(|a| a.decision().is_some())
-        })
+    sim.run_until(Time::from_delays(5_000), |sim| {
+        let decided = decisions(sim, &s.procs(), CheapQuorumActor::decision);
+        decided.iter().all(Option::is_some)
     });
     (at_first_decision, auth.signatures_created(), first_delay)
 }
@@ -420,7 +415,7 @@ fn signature_count() {
     );
     for n in [3u32, 5, 7] {
         let f = (n - 1) / 2_u32;
-        let (first, full, delay) = count_signatures(n, 11);
+        let (first, full, delay) = count_signatures(n as usize, 11);
         println!(
             "{:<4} {:>18} {:>16} {:>14} {:>12.1}",
             n,

@@ -13,10 +13,11 @@
 
 use std::collections::BTreeMap;
 
+use agreement::harness::Scenario;
 use agreement::protected::memory_actor;
 use agreement::smr::SmrNode;
-use agreement::types::{Msg, Value};
-use simnet::{ActorId, Duration, Simulation, Time};
+use agreement::types::Value;
+use simnet::{ActorId, Duration, Time};
 
 /// A tiny command codec: `set(key, val)` packed into the `Value` id space.
 fn cmd(key: u8, val: u8) -> Value {
@@ -28,28 +29,24 @@ fn decode(v: Value) -> Option<(u8, u8)> {
 }
 
 fn main() {
-    let n = 3u32;
-    let m = 3u32;
-    let mut sim: Simulation<Msg> = Simulation::new(2026);
-    let procs: Vec<ActorId> = (0..n).map(ActorId).collect();
-    let mems: Vec<ActorId> = (n..n + m).map(ActorId).collect();
-
-    // Each replica has its own client workload of set() commands.
-    for i in 0..n {
-        let workload: Vec<Value> = (0..6).map(|c| cmd(c, 10 * (i as u8 + 1) + c)).collect();
-        sim.add(SmrNode::new(
-            ActorId(i),
-            procs.clone(),
-            mems.clone(),
-            ActorId(0),
-            workload,
-            1, // f_M
-            Duration::from_delays(20),
-        ));
-    }
-    for _ in 0..m {
-        sim.add(memory_actor(ActorId(0)));
-    }
+    let s = Scenario::common_case(3, 3, 2026);
+    let procs = s.procs();
+    let mut sim = s.cluster(
+        |i, procs, mems| {
+            // Each replica has its own client workload of set() commands.
+            let workload: Vec<Value> = (0..6).map(|c| cmd(c, 10 * (i as u8 + 1) + c)).collect();
+            Box::new(SmrNode::new(
+                procs[i],
+                procs,
+                mems,
+                ActorId(0),
+                workload,
+                1, // f_M
+                Duration::from_delays(20),
+            ))
+        },
+        s.memories(|_| memory_actor(ActorId(0))),
+    );
 
     // Let the initial leader commit a few entries, then kill it.
     sim.crash_at(ActorId(0), Time::from_delays(9));

@@ -3,10 +3,10 @@
 //! against, plus cross-protocol sanity on common scenarios.
 
 use agreement::harness::{run_disk_paxos, run_fast_paxos, run_mp_paxos, run_protected, Scenario};
-use agreement::protected::ProtectedPaxosActor;
+use agreement::protected::{memory_actor, ProtectedPaxosActor};
 use agreement::smr::SmrNode;
-use agreement::types::{Msg, Value};
-use simnet::{ActorId, DelayModel, Duration, Simulation, Time};
+use agreement::types::Value;
+use simnet::{ActorId, DelayModel, Duration, Time};
 
 /// PMP: every subset of processes containing the (eventual) leader decides.
 #[test]
@@ -103,27 +103,26 @@ fn permission_ablation_delay_gap() {
 /// the module tests, at integration scale.
 #[test]
 fn smr_long_run_with_two_takeovers() {
-    let (n, m) = (3u32, 3u32);
-    let mut sim: Simulation<Msg> = Simulation::new(77);
-    let procs: Vec<ActorId> = (0..n).map(ActorId).collect();
-    let mems: Vec<ActorId> = (n..n + m).map(ActorId).collect();
-    for i in 0..n {
-        let workload: Vec<Value> = (0..20)
-            .map(|c| Value(10_000 * (i as u64 + 1) + c))
-            .collect();
-        sim.add(SmrNode::new(
-            ActorId(i),
-            procs.clone(),
-            mems.clone(),
-            ActorId(0),
-            workload,
-            1,
-            Duration::from_delays(20),
-        ));
-    }
-    for _ in 0..m {
-        sim.add(agreement::protected::memory_actor(ActorId(0)));
-    }
+    let s = Scenario::common_case(3, 3, 77);
+    let procs = s.procs();
+    let mut sim = s.cluster(
+        |i, procs, mems| {
+            let workload: Vec<Value> = (0..20)
+                .map(|c| Value(10_000 * (i as u64 + 1) + c))
+                .collect();
+            let retry = Duration::from_delays(20);
+            Box::new(SmrNode::new(
+                procs[i],
+                procs,
+                mems,
+                ActorId(0),
+                workload,
+                1,
+                retry,
+            ))
+        },
+        s.memories(|_| memory_actor(ActorId(0))),
+    );
     sim.crash_at(ActorId(0), Time::from_delays(11));
     sim.announce_leader(Time::from_delays(30), &procs, ActorId(1));
     sim.crash_at(ActorId(1), Time::from_delays(90));
@@ -167,31 +166,24 @@ fn protected_memory_crash_mid_run() {
     }
 }
 
-/// Direct use of the actor API (not the harness) still gives 2 delays —
-/// guards the public API surface the examples rely on.
+/// The actor API over a cluster of the caller's own making (inputs and
+/// retry period that no `run_*` uses) still gives 2 delays — guards the
+/// public API surface the examples rely on.
 #[test]
 fn direct_actor_api_contract() {
-    let (n, m) = (2u32, 3u32);
-    let mut sim: Simulation<Msg> = Simulation::new(1);
-    let procs: Vec<ActorId> = (0..n).map(ActorId).collect();
-    let mems: Vec<ActorId> = (n..n + m).map(ActorId).collect();
-    for i in 0..n {
-        sim.add(ProtectedPaxosActor::new(
-            ActorId(i),
-            procs.clone(),
-            mems.clone(),
-            agreement::Instance(0),
-            Value(5 + i as u64),
-            ActorId(0),
-            1,
-            Duration::from_delays(20),
-        ));
-    }
-    for _ in 0..m {
-        sim.add(agreement::protected::memory_actor(ActorId(0)));
-    }
+    let s = Scenario::common_case(2, 3, 1);
+    let mut sim = s.cluster(
+        |i, procs, mems| {
+            let (input, retry) = (Value(5 + i as u64), Duration::from_delays(20));
+            let inst = agreement::Instance(0);
+            let a =
+                ProtectedPaxosActor::new(procs[i], procs, mems, inst, input, ActorId(0), 1, retry);
+            Box::new(a)
+        },
+        s.memories(|_| memory_actor(ActorId(0))),
+    );
     sim.run_to_quiescence(Time::from_delays(100));
     let a0 = sim.actor_as::<ProtectedPaxosActor>(ActorId(0)).unwrap();
     assert_eq!(a0.decision(), Some(Value(5)));
-    assert_eq!(a0.decided_at.unwrap().as_delays(), 2.0);
+    assert_eq!(sim.metrics().decisions()[&ActorId(0)].as_delays(), 2.0);
 }

@@ -9,9 +9,9 @@
 //! moved pin means the actor now votes, promises or decides differently.
 
 use agreement::fast_paxos::FastPaxosActor;
-use agreement::harness::{run_fast_paxos, RunReport, Scenario};
-use agreement::types::{Msg, Pid};
-use simnet::{ActorId, DelayModel, Duration, Simulation, Time};
+use agreement::harness::{decisions, run_fast_paxos, RunReport, Scenario};
+use agreement::types::Pid;
+use simnet::{ActorId, DelayModel, Duration, Time};
 
 /// `(first decision, messages, elapsed, decisions)`, times in tenths of a
 /// delay so the pins are integers; decisions are the decided value of
@@ -37,40 +37,33 @@ fn check(what: &str, got: Fingerprint, want: Pin) {
 /// Runs `s` with every process in `proposers` proposing its input at
 /// start, process 0 coordinating, until every correct process decided.
 fn run(s: &Scenario, proposers: &[usize]) -> Fingerprint {
-    let mut sim: Simulation<Msg> = Simulation::new(s.seed);
-    sim.set_default_delay(s.delay.clone());
-    let procs: Vec<Pid> = s.procs();
-    for i in 0..s.n {
-        sim.add(FastPaxosActor::new(
-            ActorId(i as u32),
-            procs.clone(),
-            Scenario::input(i),
-            proposers.contains(&i),
-            ActorId(0),
-            Duration::from_delays(30),
-        ));
-    }
-    for &(i, t) in &s.crash_procs {
-        sim.crash_at(ActorId(i as u32), Time::from_delays(t));
-    }
-    for &(t, l) in &s.announce {
-        sim.announce_leader(Time::from_delays(t), &procs, ActorId(l as u32));
-    }
-    let decision = |sim: &Simulation<Msg>, p: Pid| {
-        sim.actor_as::<FastPaxosActor>(p)
-            .and_then(FastPaxosActor::decision)
-    };
-    let correct: Vec<Pid> = s.correct_procs().iter().map(|&i| procs[i]).collect();
+    let mut sim = s.cluster(
+        |i, procs, _| {
+            let (me, input) = (procs[i], Scenario::input(i));
+            let (proposes, retry) = (proposers.contains(&i), Duration::from_delays(30));
+            Box::new(FastPaxosActor::new(
+                me,
+                procs,
+                input,
+                proposes,
+                ActorId(0),
+                retry,
+            ))
+        },
+        Vec::new(),
+    );
+    let (procs, correct) = (s.procs(), s.correct_procs());
+    let correct: Vec<Pid> = correct.iter().map(|&i| procs[i]).collect();
     sim.run_until(Time::from_delays(s.max_delays), |sim| {
-        correct.iter().all(|&p| decision(sim, p).is_some())
+        (decisions(sim, &correct, FastPaxosActor::decision).iter()).all(Option::is_some)
     });
-    let decisions = procs.iter().map(|&p| decision(&sim, p).map_or(0, |v| v.0));
+    let decided = decisions(&sim, &procs, FastPaxosActor::decision);
     let metrics = sim.metrics();
     (
         metrics.first_decision_delays().map(tenths),
         metrics.messages_sent,
         tenths(sim.now().as_delays()),
-        decisions.collect(),
+        decided.iter().map(|d| d.map_or(0, |v| v.0)).collect(),
     )
 }
 

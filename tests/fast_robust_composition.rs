@@ -6,10 +6,10 @@
 
 use agreement::adversary::Scripted;
 use agreement::fast_robust::{memory_actor, FastRobustActor};
-use agreement::harness::{run_fast_robust, Scenario};
-use agreement::types::{Msg, Pid, Value};
+use agreement::harness::{decisions, run_fast_robust, Scenario};
+use agreement::types::Value;
 use sigsim::SigAuthority;
-use simnet::{ActorId, DelayModel, Duration, Simulation, Time};
+use simnet::{ActorId, DelayModel, Duration, Time};
 
 /// Crash the leader at every instant around the fast path's critical
 /// window: before the write, mid-write, after decide, after helping.
@@ -88,55 +88,42 @@ fn partial_synchrony_recovers() {
 #[test]
 fn equivocating_leader_cannot_split_the_composition() {
     for seed in 0..6u64 {
-        let (n, m) = (3u32, 3u32);
-        let mut sim: Simulation<Msg> = Simulation::new(seed);
-        let procs: Vec<Pid> = (0..n).map(ActorId).collect();
-        let mems: Vec<ActorId> = (n..n + m).map(ActorId).collect();
+        let s = Scenario::common_case(3, 3, seed);
         let mut auth = SigAuthority::new(seed ^ 0xAB);
-        let byz = auth.register(ActorId(0));
-        sim.add(Scripted::cq_equivocating_leader(
-            ActorId(0),
-            mems.clone(),
-            1 + (seed as usize % 2),
-            Value(111),
-            Value(222),
-            byz,
-        ));
-        for i in 1..n {
-            let signer = auth.register(ActorId(i));
-            sim.add(FastRobustActor::new(
-                ActorId(i),
-                procs.clone(),
-                mems.clone(),
-                ActorId(0),
-                Value(100 + i as u64),
-                signer,
-                auth.verifier(),
-                Duration::from_delays(1),
-                Duration::from_delays(15),
-                Duration::from_delays(120),
-            ));
-        }
-        for _ in 0..m {
-            sim.add(memory_actor(&procs, ActorId(0)));
-        }
+        let signers: Vec<_> = s.procs().iter().map(|&p| auth.register(p)).collect();
+        let mut sim = s.cluster(
+            |i, procs, mems| match i {
+                0 => Box::new(Scripted::cq_equivocating_leader(
+                    procs[0],
+                    mems,
+                    1 + (seed as usize % 2),
+                    Value(111),
+                    Value(222),
+                    signers[0].clone(),
+                )),
+                _ => Box::new(FastRobustActor::new(
+                    procs[i],
+                    procs,
+                    mems,
+                    ActorId(0),
+                    Scenario::input(i),
+                    signers[i].clone(),
+                    auth.verifier(),
+                    Duration::from_delays(1),
+                    Duration::from_delays(15),
+                    Duration::from_delays(120),
+                )),
+            },
+            s.memories(|procs| memory_actor(procs, ActorId(0))),
+        );
         // Ω settles on a correct process for the backup.
-        sim.announce_leader(Time::from_delays(80), &procs[1..], ActorId(1));
-        sim.run_until(Time::from_delays(40_000), |s| {
-            (1..n).all(|i| {
-                s.actor_as::<FastRobustActor>(ActorId(i))
-                    .unwrap()
-                    .decision()
-                    .is_some()
-            })
+        let correct = &s.procs()[1..];
+        sim.announce_leader(Time::from_delays(80), correct, ActorId(1));
+        let decided = |sim: &_| decisions(sim, correct, FastRobustActor::decision);
+        sim.run_until(Time::from_delays(40_000), |sim| {
+            decided(sim).iter().all(Option::is_some)
         });
-        let ds: Vec<Option<Value>> = (1..n)
-            .map(|i| {
-                sim.actor_as::<FastRobustActor>(ActorId(i))
-                    .unwrap()
-                    .decision()
-            })
-            .collect();
+        let ds = decided(&sim);
         let got: Vec<Value> = ds.iter().flatten().copied().collect();
         assert_eq!(got.len(), 2, "seed {seed}: {ds:?}");
         assert_eq!(got[0], got[1], "seed {seed}: SPLIT! {ds:?}");

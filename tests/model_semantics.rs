@@ -193,8 +193,7 @@ fn pmp_permission_handoff_semantics() {
 fn nebcast_overlapping_regions() {
     let probe_id = ActorId(1);
     let procs = vec![probe_id, ActorId(2)];
-    let mut mem = MemoryActor::new(rdma_sim::LegalChange::Static);
-    nebcast::configure_memory(&mut mem, &procs);
+    let mem = nebcast::memory_actor(&procs);
     let my_slot = nebcast::slot_reg(probe_id, 1, probe_id);
     let their_slot = nebcast::slot_reg(ActorId(2), 1, ActorId(2));
     let out = run_probe(
@@ -246,8 +245,7 @@ fn nebcast_overlapping_regions() {
 fn region_confinement() {
     let probe_id = ActorId(1);
     let procs = vec![probe_id];
-    let mut mem = MemoryActor::new(rdma_sim::LegalChange::Static);
-    nebcast::configure_memory(&mut mem, &procs);
+    let mem = nebcast::memory_actor(&procs);
     // A CQ register accessed through a nebcast row region: nak.
     let out = run_probe(
         mem,

@@ -10,7 +10,7 @@ use agreement::paxos::Dest;
 use agreement::trusted::{RbPayload, SetupEvidence, TWire};
 use agreement::types::{Msg, Pid, RegVal, Value};
 use proptest::prelude::*;
-use rdma_sim::{LegalChange, MemoryActor, MemoryClient};
+use rdma_sim::MemoryClient;
 use sigsim::{SigAuthority, SigVerifier, Signer};
 use simnet::{Actor, ActorId, Context, DelayModel, Duration, EventKind, Simulation, Time};
 
@@ -90,12 +90,6 @@ impl Actor<Msg> for NebTester {
     }
 }
 
-fn neb_memory(procs: &[Pid]) -> MemoryActor<RegVal, Msg> {
-    let mut mem = MemoryActor::new(LegalChange::Static);
-    nebcast::configure_memory(&mut mem, procs);
-    mem
-}
-
 /// Property 1: a correct broadcaster's messages are delivered by every
 /// correct process, in sequence order.
 #[test]
@@ -118,7 +112,7 @@ fn property_one_correct_broadcasts_reach_everyone() {
         ));
     }
     for _ in 0..m {
-        sim.add(neb_memory(&procs));
+        sim.add(nebcast::memory_actor(&procs));
     }
     sim.run_until(Time::from_delays(400), |s| {
         (0..n).all(|i| s.actor_as::<NebTester>(ActorId(i)).unwrap().delivered.len() >= 12)
@@ -173,7 +167,7 @@ fn property_three_no_spoofed_deliveries() {
         vec![],
     ));
     for _ in 0..m {
-        sim.add(neb_memory(&procs));
+        sim.add(nebcast::memory_actor(&procs));
     }
     sim.run_until(Time::from_delays(100), |s| {
         !s.actor_as::<NebTester>(ActorId(1))
@@ -228,7 +222,7 @@ fn an_audit_copy_equal_by_value_in_a_fresh_allocation_is_no_equivocation() {
         auditor.engine.set_focus(Some(p0));
         sim.add(auditor);
         for _ in 0..m {
-            sim.add(neb_memory(&procs));
+            sim.add(nebcast::memory_actor(&procs));
         }
         sim.run_until(Time::from_delays(100), |s| {
             !s.actor_as::<NebTester>(p2).unwrap().delivered.is_empty()
@@ -283,7 +277,7 @@ proptest! {
             ));
         }
         for _ in 0..m {
-            sim.add(neb_memory(&procs));
+            sim.add(nebcast::memory_actor(&procs));
         }
         sim.run_to_quiescence(Time::from_delays(150));
         // Collect what the two honest processes delivered from the
@@ -322,7 +316,7 @@ proptest! {
             ));
         }
         for _ in 0..m {
-            sim.add(neb_memory(&procs));
+            sim.add(nebcast::memory_actor(&procs));
         }
         // Crash up to f_M = 2 memories, chosen by the seed.
         for k in 0..=dead {

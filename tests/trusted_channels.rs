@@ -4,70 +4,70 @@
 //! checker's unit suite in `agreement::trusted`.
 
 use agreement::adversary::Scripted;
+use agreement::harness::{decisions, Scenario};
 use agreement::nebcast;
 use agreement::robust_backup::RobustPaxosActor;
 use agreement::types::{Msg, Pid, Value};
-use rdma_sim::{LegalChange, MemoryActor};
-use sigsim::SigAuthority;
+use sigsim::{SigAuthority, Signer};
 use simnet::obs::{Event, EventBody};
-use simnet::{ActorId, Duration, RunOutcome, Simulation, Time};
+use simnet::{ActorId, AnyActor, Duration, RunOutcome, Simulation, Time};
 
-fn neb_memory(procs: &[Pid]) -> MemoryActor<agreement::RegVal, Msg> {
-    let mut mem = MemoryActor::new(LegalChange::Static);
-    nebcast::configure_memory(&mut mem, procs);
-    mem
+/// Robust Backup at processes 0 and 1 (keys from `auth`, seed `seed`),
+/// process 2 built by `third(procs, mems, signer)`, over three broadcast
+/// memories.
+fn cluster(
+    seed: u64,
+    auth: &mut SigAuthority,
+    third: impl Fn(Vec<Pid>, Vec<ActorId>, Signer) -> Box<dyn AnyActor<Msg>>,
+) -> Simulation<Msg> {
+    let s = Scenario::common_case(3, 3, seed);
+    let signers: Vec<_> = s.procs().iter().map(|&p| auth.register(p)).collect();
+    s.cluster(
+        |i, procs, mems| match i {
+            2 => third(procs, mems, signers[2].clone()),
+            _ => Box::new(RobustPaxosActor::robust_backup(
+                procs[i],
+                procs,
+                mems,
+                Scenario::input(i),
+                Some(ActorId(0)),
+                signers[i].clone(),
+                auth.verifier(),
+                Duration::from_delays(1),
+                Duration::from_delays(80),
+            )),
+        },
+        s.memories(nebcast::memory_actor),
+    )
+}
+
+/// Runs until processes 0 and 1 decided (or `max` delays), and reads
+/// their decisions.
+fn run_correct(sim: &mut Simulation<Msg>, max: u64) -> Vec<Option<Value>> {
+    let correct = [ActorId(0), ActorId(1)];
+    let decided = |sim: &Simulation<Msg>| decisions(sim, &correct, RobustPaxosActor::decision);
+    sim.run_until(Time::from_delays(max), |sim| {
+        decided(sim).iter().all(Option::is_some)
+    });
+    decided(sim)
 }
 
 /// A sender that lies about its own past broadcast is distrusted from the
 /// lying message on; correct processes still reach consensus without it.
 #[test]
 fn rewritten_history_is_rejected_and_sender_distrusted() {
-    let (n, m) = (3u32, 3u32);
-    let mut sim: Simulation<Msg> = Simulation::new(3);
-    let procs: Vec<Pid> = (0..n).map(ActorId).collect();
-    let mems: Vec<ActorId> = (n..n + m).map(ActorId).collect();
-    let mut auth = SigAuthority::new(17);
-    for i in 0..n {
-        let signer = auth.register(ActorId(i));
-        if i == 2 {
-            sim.add(Scripted::history_rewriter(
-                ActorId(2),
-                mems.clone(),
-                Value(666), // actually broadcast at k=1
-                Value(777), // claimed in the k=2 history
-                signer,
-            ));
-            continue;
-        }
-        sim.add(RobustPaxosActor::robust_backup(
-            ActorId(i),
-            procs.clone(),
-            mems.clone(),
-            Value(100 + i as u64),
-            Some(ActorId(0)),
+    let mut sim = cluster(3, &mut SigAuthority::new(17), |_, mems, signer| {
+        Box::new(Scripted::history_rewriter(
+            ActorId(2),
+            mems,
+            Value(666), // actually broadcast at k=1
+            Value(777), // claimed in the k=2 history
             signer,
-            auth.verifier(),
-            Duration::from_delays(1),
-            Duration::from_delays(80),
-        ));
-    }
-    for _ in 0..m {
-        sim.add(neb_memory(&procs));
-    }
-    sim.enable_obs();
-    sim.run_until(Time::from_delays(3_000), |s| {
-        [0u32, 1].iter().all(|&i| {
-            s.actor_as::<RobustPaxosActor>(ActorId(i))
-                .unwrap()
-                .decision()
-                .is_some()
-        })
+        ))
     });
-    for i in [0u32, 1] {
-        let a = sim.actor_as::<RobustPaxosActor>(ActorId(i)).unwrap();
-        // Consensus completed on a correct value...
-        assert_eq!(a.decision(), Some(Value(100)), "process {i}");
-    }
+    sim.enable_obs();
+    // Consensus completed on a correct value...
+    assert_eq!(run_correct(&mut sim, 3_000), [Some(Value(100)); 2]);
     // ...and the lying k = 2 wire, delivered only after the decisions,
     // is where both correct processes stop trusting the liar: its claimed
     // k = 1 send does not match what it actually broadcast.
@@ -99,38 +99,15 @@ fn trusted_notes(events: &[Event]) -> Vec<(ActorId, String)> {
 #[test]
 fn attack_runs_are_deterministic() {
     let run = |seed: u64| {
-        let (n, m) = (3u32, 3u32);
-        let mut sim: Simulation<Msg> = Simulation::new(seed);
-        let procs: Vec<Pid> = (0..n).map(ActorId).collect();
-        let mems: Vec<ActorId> = (n..n + m).map(ActorId).collect();
-        let mut auth = SigAuthority::new(seed);
-        for i in 0..n {
-            let signer = auth.register(ActorId(i));
-            if i == 2 {
-                sim.add(Scripted::history_rewriter(
-                    ActorId(2),
-                    mems.clone(),
-                    Value(1),
-                    Value(2),
-                    signer,
-                ));
-                continue;
-            }
-            sim.add(RobustPaxosActor::robust_backup(
-                ActorId(i),
-                procs.clone(),
-                mems.clone(),
-                Value(100 + i as u64),
-                Some(ActorId(0)),
+        let mut sim = cluster(seed, &mut SigAuthority::new(seed), |_, mems, signer| {
+            Box::new(Scripted::history_rewriter(
+                ActorId(2),
+                mems,
+                Value(1),
+                Value(2),
                 signer,
-                auth.verifier(),
-                Duration::from_delays(1),
-                Duration::from_delays(80),
-            ));
-        }
-        for _ in 0..m {
-            sim.add(neb_memory(&procs));
-        }
+            ))
+        });
         sim.run_to_quiescence(Time::from_delays(2_500));
         (
             sim.actor_as::<RobustPaxosActor>(ActorId(0))
@@ -147,44 +124,8 @@ fn attack_runs_are_deterministic() {
 /// the first test is about the *lie*, not about having a third process.
 #[test]
 fn silent_third_process_control_group() {
-    let (n, m) = (3u32, 3u32);
-    let mut sim: Simulation<Msg> = Simulation::new(3);
-    let procs: Vec<Pid> = (0..n).map(ActorId).collect();
-    let mems: Vec<ActorId> = (n..n + m).map(ActorId).collect();
-    let mut auth = SigAuthority::new(17);
-    for i in 0..n {
-        let signer = auth.register(ActorId(i));
-        if i == 2 {
-            sim.add(Scripted::silent());
-            continue;
-        }
-        sim.add(RobustPaxosActor::robust_backup(
-            ActorId(i),
-            procs.clone(),
-            mems.clone(),
-            Value(100 + i as u64),
-            Some(ActorId(0)),
-            signer,
-            auth.verifier(),
-            Duration::from_delays(1),
-            Duration::from_delays(80),
-        ));
-    }
-    for _ in 0..m {
-        sim.add(neb_memory(&procs));
-    }
-    sim.run_until(Time::from_delays(3_000), |s| {
-        [0u32, 1].iter().all(|&i| {
-            s.actor_as::<RobustPaxosActor>(ActorId(i))
-                .unwrap()
-                .decision()
-                .is_some()
-        })
+    let mut sim = cluster(3, &mut SigAuthority::new(17), |_, _, _| {
+        Box::new(Scripted::silent())
     });
-    assert_eq!(
-        sim.actor_as::<RobustPaxosActor>(ActorId(0))
-            .unwrap()
-            .decision(),
-        Some(Value(100))
-    );
+    assert_eq!(run_correct(&mut sim, 3_000)[0], Some(Value(100)));
 }
