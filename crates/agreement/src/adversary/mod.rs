@@ -407,7 +407,7 @@ impl Scripted {
         rewrite_after: Duration,
         signer: Signer,
     ) -> Scripted {
-        let commit = |v| broadcast(&signer, (me, &mems), 1, log_entries_wire(0, 0, vec![v]));
+        let commit = |v| broadcast(&signer, (me, &mems), 1, log_entries_wire(0, 0, [v].into()));
         let start = commit(a);
         // The rewrite: same sequence number, different signed value.
         // Anyone who audits from then on sees the earlier copies and
@@ -446,8 +446,13 @@ impl Scripted {
         junk: Value,
         signer: Signer,
     ) -> Scripted {
-        let batch = |k, first, values| {
-            broadcast(&signer, (me, &mems), k, log_entries_wire(first, 0, values))
+        let batch = |k, first, values: Vec<Value>| {
+            broadcast(
+                &signer,
+                (me, &mems),
+                k,
+                log_entries_wire(first, 0, values.into()),
+            )
         };
         let mut start = batch(1, FAR_FUTURE_FIRST, vec![junk]);
         start.extend(batch(2, u64::MAX, vec![junk, junk]));
@@ -484,7 +489,7 @@ impl Scripted {
         leader_signer: Signer,
         leader: Pid,
     ) -> Scripted {
-        let wire = log_entries_wire(0, 0, vec![forged]);
+        let wire = log_entries_wire(0, 0, [forged].into());
         let slot = RegVal::Neb(NebSlot::signed(&leader_signer, FORGED_K, wire));
         let reg = nebcast::receipt_reg(me, FORGED_K, leader);
         let forgery = Act::write_all(&mems, nebcast::row_region(me), reg, slot);

@@ -240,7 +240,7 @@ pub struct NebEngine {
     focus: Option<Pid>,
     /// The leader fast path. Off (the default) is Algorithm 2 verbatim.
     /// On, [`NebEngine::broadcast`] write acks are tracked and surfaced
-    /// through [`NebEngine::take_broadcast_written`] — the owner settles
+    /// through [`NebEngine::next_written`] — the owner settles
     /// own broadcasts at the write ack — and this process runs no
     /// delivery attempts on its *own* row: its self-audit is vacuous, as
     /// the copy target `slots[p, k, p]` *is* the broadcast register, and
@@ -250,7 +250,7 @@ pub struct NebEngine {
     bcast_writes: BTreeMap<RepId, u64>,
     /// Sequence numbers whose broadcast write has been acknowledged by a
     /// replication quorum, not yet drained by the owner.
-    written: Vec<u64>,
+    written: VecDeque<u64>,
     /// Audited-but-unreleased deliveries: slots that passed their audit
     /// out of order, waiting for `Last[q]` to reach them.
     ready: BTreeMap<(Pid, u64), Delivery>,
@@ -264,6 +264,8 @@ pub struct NebEngine {
     await_audit: BTreeMap<(Pid, u64), Arc<NebSlot>>,
     /// At most one in-flight shared column audit per sender.
     col_audit: BTreeMap<Pid, ColAudit>,
+    /// Emptied `ColAudit::covered` buffers, for the next audit to fill.
+    spare_covered: Vec<Vec<(u64, Arc<NebSlot>)>>,
     /// Idle-row backoff (pipelined mode only): earliest poll tick at
     /// which a sender's row may be probed again, and the current backoff.
     idle_until: BTreeMap<Pid, u64>,
@@ -274,6 +276,10 @@ pub struct NebEngine {
 /// the extra discovery latency on a cold row (e.g. a brand-new leader's
 /// first broadcast) while keeping steady-state waste negligible.
 const IDLE_BACKOFF_CAP: u64 = 16;
+
+/// How many emptied audit buffers an engine keeps: one audit is in flight
+/// per sender, and only the focused sender's run back to back.
+const SPARE_COVERED_CAP: usize = 4;
 
 impl std::fmt::Debug for NebEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -311,12 +317,13 @@ impl NebEngine {
             focus: None,
             fast_path: false,
             bcast_writes: BTreeMap::new(),
-            written: Vec::new(),
+            written: VecDeque::new(),
             ready: BTreeMap::new(),
             polls: 0,
             row_probe: BTreeMap::new(),
             await_audit: BTreeMap::new(),
             col_audit: BTreeMap::new(),
+            spare_covered: Vec::new(),
             idle_until: BTreeMap::new(),
             idle_backoff: BTreeMap::new(),
         }
@@ -336,16 +343,16 @@ impl NebEngine {
 
     /// Enables or disables the leader fast path (see the `fast_path`
     /// field): broadcast write acks surface through
-    /// [`NebEngine::take_broadcast_written`] in place of delivery
+    /// [`NebEngine::next_written`] in place of delivery
     /// attempts on this process's own row.
     pub(crate) fn set_fast_path(&mut self, on: bool) {
         self.fast_path = on;
     }
 
-    /// Drains the sequence numbers whose broadcast write has completed
-    /// since the last call (empty unless the fast path is on).
-    pub fn take_broadcast_written(&mut self) -> Vec<u64> {
-        std::mem::take(&mut self.written)
+    /// The oldest sequence number whose broadcast write has completed and
+    /// that has not been taken yet (never any unless the fast path is on).
+    pub fn next_written(&mut self) -> Option<u64> {
+        self.written.pop_front()
     }
 
     /// Writes this process's delivery receipt for `d` (a fire-and-forget
@@ -548,21 +555,13 @@ impl NebEngine {
         client: &mut MemoryClient<RegVal, Msg>,
         q: Pid,
     ) {
-        if self.col_audit.contains_key(&q) {
+        let row = (q, 0)..=(q, u64::MAX);
+        if self.col_audit.contains_key(&q) || self.await_audit.range(row.clone()).next().is_none() {
             return;
         }
-        let keys: Vec<u64> = self
-            .await_audit
-            .range((q, 0)..=(q, u64::MAX))
-            .map(|(&(_, k), _)| k)
-            .collect();
-        if keys.is_empty() {
-            return;
-        }
-        let covered: Vec<(u64, Arc<NebSlot>)> = keys
-            .into_iter()
-            .map(|k| (k, self.await_audit.remove(&(q, k)).expect("listed above")))
-            .collect();
+        let mut covered = self.spare_covered.pop().unwrap_or_default();
+        let waiting = self.await_audit.extract_if(row, |_, _| true);
+        covered.extend(waiting.map(|((_, k), slot)| (k, slot)));
         let head = self.last[&q];
         let rep = self.rep.read_range(
             ctx,
@@ -633,7 +632,7 @@ impl NebEngine {
     /// Feeds a memory completion through the replication layer. Returns
     /// true if it finished one of this engine's logical operations
     /// (deliveries, if any, are queued — drain with
-    /// [`NebEngine::take_deliveries`]); false if it did not, including
+    /// [`NebEngine::next_delivery`]); false if it did not, including
     /// when the completion is not this engine's.
     pub fn on_completion(
         &mut self,
@@ -658,7 +657,7 @@ impl NebEngine {
         // the default — makes this a no-op).
         if let Some(k) = self.bcast_writes.remove(&ev.id) {
             if matches!(ev.result, RepResult::WriteOk) {
-                self.written.push(k);
+                self.written.push_back(k);
             }
             return;
         }
@@ -672,8 +671,14 @@ impl NebEngine {
         }
         // Shared column-audit completions.
         if let Some((&q, _)) = self.col_audit.iter().find(|(_, a)| a.rep == ev.id) {
-            let audit = self.col_audit.remove(&q).expect("found above");
-            self.on_col_audit(ctx, client, q, audit, ev.result);
+            let ColAudit {
+                head, mut covered, ..
+            } = self.col_audit.remove(&q).expect("found above");
+            self.on_col_audit(ctx, client, q, head, &mut covered, ev.result);
+            if self.spare_covered.len() < SPARE_COVERED_CAP {
+                covered.clear();
+                self.spare_covered.push(covered);
+            }
             return;
         }
         // Find which delivery attempt this event advances.
@@ -766,19 +771,20 @@ impl NebEngine {
     /// Resolves a completed shared column audit (issued at `Last[q] =
     /// head`): checks every covered slot's column for a validly signed
     /// conflicting copy, then releases the survivors in sequence order.
+    /// Takes the slots out of `covered`.
     fn on_col_audit(
         &mut self,
         ctx: &mut Context<'_, Msg>,
         client: &mut MemoryClient<RegVal, Msg>,
         q: Pid,
-        audit: ColAudit,
+        head: u64,
+        covered: &mut Vec<(u64, Arc<NebSlot>)>,
         result: RepResult<RegVal>,
     ) {
-        let ColAudit { head, covered, .. } = audit;
         let RepResult::RangeOk(all) = result else {
             // Audit read failed: the covered slots rejoin the queue and
             // the next poll retries.
-            for (k, slot) in covered {
+            for (k, slot) in covered.drain(..) {
                 self.await_audit.insert((q, k), slot);
             }
             return;
@@ -786,7 +792,7 @@ impl NebEngine {
         if self.blocked.contains_key(&q) {
             return;
         }
-        for (k, slot) in covered {
+        for (k, slot) in covered.drain(..) {
             // The `(k, q)` column: one register per process's row.
             for &i in &self.procs {
                 let reg = slot_reg(i, k, q);
@@ -821,8 +827,9 @@ impl NebEngine {
         self.maybe_launch_audit(ctx, client, q);
     }
 
-    /// Drains queued deliveries (in per-sender sequence order).
-    pub fn take_deliveries(&mut self) -> Vec<Delivery> {
-        self.deliveries.drain(..).collect()
+    /// The oldest queued delivery (deliveries come in per-sender
+    /// sequence order).
+    pub fn next_delivery(&mut self) -> Option<Delivery> {
+        self.deliveries.pop_front()
     }
 }

@@ -70,6 +70,8 @@ const ARRIVAL_PUMP_TICKS: u64 = simnet::TICKS_PER_DELAY / 4;
 struct GroupState {
     /// The replica the router currently believes leads this group.
     leader: Pid,
+    /// The group's failure mode ([`RouterActor::with_group_modes`]).
+    mode: GroupMode,
     /// Commands assigned to this group, not yet submitted.
     backlog: VecDeque<Value>,
     /// Commands submitted at least once, in first-submission order
@@ -152,18 +154,28 @@ struct RebalanceState {
 /// the router buffers per-value reporter sets and forwards an observation
 /// to the normal commit path only once `f + 1` *distinct* replicas of the
 /// group have reported it — at least one of them is then correct.
+///
+/// A `(group, value)` pair's reporters live in one of two places. The
+/// pairs the service produces by the thousand — a client command reported
+/// by the group it is currently assigned to — sit in `own`, one mask per
+/// command id, sized by the workload. Everything else a replica may
+/// report (fillers, control entries, junk, ids above the workload, another
+/// group's commands) sits in the ordered `other` map. An epoch flip moves
+/// a re-assigned id's entries between the two ([`reassign`]), so
+/// every pair always has exactly one home.
 #[derive(Debug)]
 struct ByzConfirm {
-    /// Per-group failure mode (index = group).
-    modes: Vec<GroupMode>,
     /// Reports needed before an observation counts (`f + 1`).
     quorum: u32,
-    /// `(group, value) → distinct reporters` as a bitmask with bit `i` for
-    /// the replica at position `i` of the group's id block, `None` once
-    /// confirmed (the tombstone keeps a straggling post-quorum report
-    /// from re-opening the entry). What remains `Some` at the end of a
-    /// run is exactly the unconfirmed claims.
-    pending: BTreeMap<(usize, u64), Option<u64>>,
+    /// `own[id]`: the distinct reporters of command `id` from the group
+    /// `group_of[id]` names, as a bitmask with bit `i` for the replica at
+    /// position `i` of the group's id block; 0 before any report,
+    /// [`CONFIRMED`] once confirmed (which keeps a straggling post-quorum
+    /// report from re-opening the entry). Index 0 is unused.
+    own: Vec<u64>,
+    /// `(group, value) → reporters`, in the same encoding, for every pair
+    /// `own` does not hold.
+    other: BTreeMap<(usize, u64), u64>,
     /// Reports withheld from the commit path pending their quorum (the
     /// cumulative work the confirmation layer did; every fabricated
     /// claim lands here at least once).
@@ -181,6 +193,10 @@ struct ByzConfirm {
     /// earliest sound point.
     fast_confirms: u64,
 }
+
+/// A reporter mask that has been confirmed. No open mask equals it: an
+/// open mask has fewer than `f + 1 ≤ 32` bits set in a group of at most 64.
+const CONFIRMED: u64 = u64::MAX;
 
 /// The router actor. Build with [`RouterActor::new`], register it *after*
 /// all group replicas and memories so its id matches
@@ -222,6 +238,7 @@ impl RouterActor {
             .enumerate()
             .map(|(g, backlog)| GroupState {
                 leader: topo.initial_leader(g),
+                mode: GroupMode::CrashPmp,
                 backlog: backlog.iter().copied().collect(),
                 submitted: Vec::new(),
                 ctrl_in_flight: Vec::new(),
@@ -256,15 +273,18 @@ impl RouterActor {
     /// as one bit per replica position in a `u64`, and a wider group would
     /// alias two replicas onto one bit.
     pub fn with_group_modes(mut self, modes: Vec<GroupMode>, n: usize) -> RouterActor {
+        for (state, &mode) in self.groups.iter_mut().zip(&modes) {
+            state.mode = mode;
+        }
         if modes.contains(&GroupMode::Byzantine) {
             assert!(
                 n <= u64::BITS as usize,
                 "a Byzantine group's reporters are a 64-bit mask: n = {n} replicas do not fit"
             );
             self.byz = Some(ByzConfirm {
-                modes,
                 quorum: (tolerated(n) + 1) as u32,
-                pending: BTreeMap::new(),
+                own: vec![0; self.total + 1],
+                other: BTreeMap::new(),
                 withheld: 0,
                 fast_path: false,
                 fast_confirms: 0,
@@ -290,9 +310,7 @@ impl RouterActor {
 
     /// Whether group `g`'s observations need Byzantine confirmation.
     fn byz_group(&self, g: usize) -> bool {
-        self.byz
-            .as_ref()
-            .is_some_and(|b| b.modes.get(g).copied().unwrap_or_default() == GroupMode::Byzantine)
+        self.groups[g].mode == GroupMode::Byzantine
     }
 
     /// Runs one raw observation through Byzantine confirmation. Returns
@@ -307,11 +325,18 @@ impl RouterActor {
         let leader = self.groups[g].leader;
         let block = self.topo.block() as u32;
         let bit = |p: Pid| 1u64 << (p.0 % block);
+        let total = self.total;
+        let own = v
+            .client_id(total)
+            .filter(|&id| self.group_of[id] as usize == g);
         let byz = self.byz.as_mut().expect("byz_group implies state");
-        let entry = byz.pending.entry((g, v.0)).or_insert(Some(0));
-        let Some(reporters) = entry else {
-            return false; // already confirmed; stale re-report
+        let reporters = match own {
+            Some(id) => &mut byz.own[id],
+            None => byz.other.entry((g, v.0)).or_insert(0),
         };
+        if *reporters == CONFIRMED {
+            return false; // already confirmed; stale re-report
+        }
         let new_reporter = *reporters & bit(from) == 0;
         *reporters |= bit(from);
         if reporters.count_ones() >= byz.quorum {
@@ -321,7 +346,7 @@ impl RouterActor {
                 // quorum: the fast path bought this commit its headroom.
                 byz.fast_confirms += 1;
             }
-            *entry = None;
+            *reporters = CONFIRMED;
             return true;
         }
         if new_reporter {
@@ -337,7 +362,8 @@ impl RouterActor {
     /// corroboration was still in flight; completed runs drain those.)
     pub fn byz_unconfirmed_claims(&self) -> u64 {
         self.byz.as_ref().map_or(0, |b| {
-            b.pending.values().filter(|r| r.is_some()).count() as u64
+            let open = |&&r: &&u64| r != 0 && r != CONFIRMED;
+            (b.own.iter().filter(open).count() + b.other.values().filter(open).count()) as u64
         })
     }
 
@@ -749,7 +775,7 @@ impl RouterActor {
             .chain(active.held.iter())
             .chain(moved.iter())
         {
-            self.group_of[v.0 as usize] = spec.to as u32;
+            reassign(&mut self.group_of, &mut self.byz, v.0 as usize, spec.to);
             rb.rerouted += 1;
             dest.backlog.push_back(*v);
         }
@@ -774,6 +800,22 @@ impl RouterActor {
             self.trigger_migration(ctx, range, to);
         }
     }
+}
+
+/// Assigns command `id` to group `to` at an epoch flip. Its reports from
+/// the group it leaves move from `own` to `other`, and any reports `to`
+/// already made move the other way.
+fn reassign(group_of: &mut [u32], byz: &mut Option<ByzConfirm>, id: usize, to: usize) {
+    if let Some(byz) = byz {
+        let was = std::mem::take(&mut byz.own[id]);
+        if was != 0 {
+            byz.other.insert((group_of[id] as usize, id as u64), was);
+        }
+        if let Some(reporters) = byz.other.remove(&(to, id as u64)) {
+            byz.own[id] = reporters;
+        }
+    }
+    group_of[id] = to as u32;
 }
 
 impl Actor<Msg> for RouterActor {
@@ -1069,6 +1111,189 @@ mod tests {
             assert_eq!(r.confirm(1, replica(q), Value(4)), closes);
         }
         assert_eq!(r.byz_fast_confirms(), 2);
+    }
+
+    /// The confirmation as it was written over one ordered map keyed by
+    /// `(group, value)`, confirmed entries kept as `None` tombstones: the
+    /// reference the dense per-id masks are checked against.
+    struct OrderedConfirm {
+        modes: Vec<GroupMode>,
+        quorum: u32,
+        fast_path: bool,
+        pending: BTreeMap<(usize, u64), Option<u64>>,
+        withheld: u64,
+        fast_confirms: u64,
+    }
+
+    impl OrderedConfirm {
+        fn confirm(&mut self, r: &RouterActor, g: usize, from: Pid, v: Value) -> bool {
+            if self.modes.get(g).copied().unwrap_or_default() != GroupMode::Byzantine {
+                return true;
+            }
+            let leader = r.groups[g].leader;
+            let block = r.topo.block() as u32;
+            let bit = |p: Pid| 1u64 << (p.0 % block);
+            let entry = self.pending.entry((g, v.0)).or_insert(Some(0));
+            let Some(reporters) = entry else {
+                return false;
+            };
+            let new_reporter = *reporters & bit(from) == 0;
+            *reporters |= bit(from);
+            if reporters.count_ones() >= self.quorum {
+                if self.fast_path && from != leader && *reporters & bit(leader) != 0 {
+                    self.fast_confirms += 1;
+                }
+                *entry = None;
+                return true;
+            }
+            if new_reporter {
+                self.withheld += 1;
+            }
+            false
+        }
+
+        fn unconfirmed(&self) -> u64 {
+            self.pending.values().filter(|r| r.is_some()).count() as u64
+        }
+    }
+
+    /// Random report streams through both confirmations: two Byzantine
+    /// groups and a crash group of five replicas, twelve commands spread
+    /// over them, reports of own-group ids, other groups' ids, fillers,
+    /// control entries, junk and ids above the workload, each value
+    /// reported by a burst of replicas with repeats and the leader first,
+    /// last or absent, the fast path on and off, leaders changing and
+    /// commands moving between groups at epoch flips. Every verdict and
+    /// every counter must match the ordered map's.
+    #[test]
+    fn dense_confirmation_matches_the_ordered_map() {
+        use crate::sharded::workload::splitmix64;
+        const TOTAL: usize = 12;
+        for seed in 0..300u64 {
+            let mut rng = seed;
+            let mut draw = |bound: u64| splitmix64(&mut rng) % bound;
+            let topo = GroupTopology {
+                groups: 3,
+                n: 5,
+                m: 3,
+            };
+            let group_of: Vec<u32> = (0..=TOTAL).map(|_| draw(3) as u32).collect();
+            let workload = PartitionedWorkload {
+                backlogs: vec![Vec::new(); 3],
+                group_of,
+                keys: vec![0; TOTAL + 1],
+            };
+            let modes = vec![
+                GroupMode::Byzantine,
+                GroupMode::Byzantine,
+                GroupMode::CrashPmp,
+            ];
+            let fast_path = seed % 2 == 1;
+            let mut r = RouterActor::new(topo, workload, 4).with_group_modes(modes.clone(), 5);
+            if fast_path {
+                r = r.with_byz_fast_path();
+            }
+            let mut model = OrderedConfirm {
+                modes,
+                quorum: 3,
+                fast_path,
+                pending: BTreeMap::new(),
+                withheld: 0,
+                fast_confirms: 0,
+            };
+            let mut flips = 0;
+            for _ in 0..120 {
+                match draw(16) {
+                    0 => {
+                        // An epoch flip moves one command to another group.
+                        let id = 1 + draw(TOTAL as u64) as usize;
+                        let to = (r.group_of[id] as usize + 1 + draw(2) as usize) % 3;
+                        reassign(&mut r.group_of, &mut r.byz, id, to);
+                        flips += 1;
+                        continue;
+                    }
+                    1 => {
+                        // Ω moves a group's leadership.
+                        let g = draw(3) as usize;
+                        r.groups[g].leader = topo.procs(g)[draw(5) as usize];
+                        continue;
+                    }
+                    _ => {}
+                }
+                let g = draw(3) as usize;
+                let own: Vec<u64> = (1..=TOTAL as u64)
+                    .filter(|&id| r.group_of[id as usize] as usize == g)
+                    .collect();
+                let v = Value(match draw(8) {
+                    0..=3 if !own.is_empty() => own[draw(own.len() as u64) as usize],
+                    0..=4 => 1 + draw(TOTAL as u64),
+                    5 => [0, Value::NOOP.0][draw(2) as usize],
+                    6 => Value::CTRL_BIT | draw(3),
+                    _ => {
+                        [Value::JUNK_FLOOR + draw(3), TOTAL as u64 + 1 + draw(3)][draw(2) as usize]
+                    }
+                });
+                let procs = topo.procs(g);
+                let leader = r.groups[g].leader;
+                let mut burst: Vec<Pid> =
+                    (0..1 + draw(5)).map(|_| procs[draw(5) as usize]).collect();
+                match draw(3) {
+                    0 => burst.insert(0, leader),
+                    1 => burst.push(leader),
+                    _ => burst.retain(|&p| p != leader),
+                }
+                for from in burst {
+                    let want = model.confirm(&r, g, from, v);
+                    assert_eq!(
+                        r.confirm(g, from, v),
+                        want,
+                        "seed {seed}: {from} reports {v:?} to group {g}"
+                    );
+                    assert_eq!(r.byz_withheld_reports(), model.withheld, "seed {seed}");
+                    assert_eq!(r.byz_fast_confirms(), model.fast_confirms, "seed {seed}");
+                    assert_eq!(
+                        r.byz_unconfirmed_claims(),
+                        model.unconfirmed(),
+                        "seed {seed}"
+                    );
+                }
+            }
+            assert!(flips > 0, "seed {seed} never flipped an epoch");
+        }
+    }
+
+    /// A command that moves at an epoch flip keeps its reports from the
+    /// group it left, and the group it joined starts from the reports it
+    /// had already made.
+    #[test]
+    fn an_epoch_flip_carries_a_commands_reports_to_its_new_home() {
+        let topo = GroupTopology {
+            groups: 2,
+            n: 5,
+            m: 3,
+        };
+        let workload = PartitionedWorkload {
+            backlogs: vec![Vec::new(), Vec::new()],
+            group_of: vec![0, 0],
+            keys: vec![0, 0],
+        };
+        let modes = vec![GroupMode::Byzantine, GroupMode::Byzantine];
+        let mut r = RouterActor::new(topo, workload, 4).with_group_modes(modes, 5);
+        let (a, b) = (topo.procs(0), topo.procs(1));
+        assert!(!r.confirm(0, a[1], Value(1)));
+        assert!(!r.confirm(1, b[1], Value(1)), "a cross-group claim");
+        reassign(&mut r.group_of, &mut r.byz, 1, 1);
+        assert_eq!(r.byz_unconfirmed_claims(), 2);
+        assert!(!r.confirm(0, a[2], Value(1)), "group 0 holds two reports");
+        assert!(!r.confirm(1, b[2], Value(1)), "group 1 holds two reports");
+        assert!(
+            r.confirm(0, a[3], Value(1)),
+            "the old group confirms at f + 1"
+        );
+        assert!(r.confirm(1, b[3], Value(1)), "so does the new one");
+        assert!(!r.confirm(1, b[4], Value(1)), "confirmed once");
+        assert_eq!(r.byz_unconfirmed_claims(), 0);
+        assert_eq!(r.byz_withheld_reports(), 4);
     }
 
     #[test]

@@ -118,7 +118,7 @@ use crate::types::{Msg, Pid, RegVal, Value};
 /// proposed for instance `first + j` under `epoch`. One constructor for
 /// the protocol, the adversaries, and the tests, so the signed shape can
 /// never drift apart between them.
-pub(crate) fn log_entries_wire(first: u64, epoch: u64, values: Vec<Value>) -> TWire {
+pub(crate) fn log_entries_wire(first: u64, epoch: u64, values: Arc<[Value]>) -> TWire {
     TWire {
         dest: Dest::All,
         payload: RbPayload::LogEntries {
@@ -165,9 +165,11 @@ impl Candidate {
 struct PipeSlot {
     /// The broadcast sequence number carrying this batch.
     k: u64,
-    /// The batch (its values are kept for the fast path's write-ack
-    /// settle) and its workload accounting.
+    /// The batch and its workload accounting.
     round: Round,
+    /// The batch's values as the wire carries them: the fast path's
+    /// write-ack settle notifies from this run.
+    values: Arc<[Value]>,
     /// Whether the batch has settled at this leader (self-delivery, or
     /// the fast path's write ack). Slots retire from the front of the
     /// pipeline only once delivered, in broadcast order.
@@ -298,7 +300,7 @@ impl NebLog {
             return false;
         }
         self.neb.acknowledge(ctx, &mut sh.client, d);
-        sh.decide(ctx, first, values);
+        sh.decide(ctx, first, values.clone());
         true
     }
 
@@ -386,12 +388,12 @@ impl NebLog {
             return;
         };
         slot.delivered = true;
-        let (first, values) = (slot.round.first, &slot.round.values);
+        let (first, values) = (slot.round.first, slot.values.clone());
         debug_assert!(
             !Self::past_frontier(sh, first),
             "own wire k={k} is not dense"
         );
-        Self::mark_delivered(ctx, first, values);
+        Self::mark_delivered(ctx, first, &values);
         sh.decide(ctx, first, values);
         self.fast_commits += 1;
         self.retire_ready(sh);
@@ -569,11 +571,13 @@ impl Engine for NebLog {
             if recovering.is_none() {
                 self.next_instance += round.values.len() as u64;
             }
-            let wire = log_entries_wire(round.first, self.epoch, round.values.clone());
+            let values: Arc<[Value]> = round.values.as_slice().into();
+            let wire = log_entries_wire(round.first, self.epoch, values.clone());
             let k = self.neb.broadcast(ctx, &mut sh.client, wire);
             self.pipeline.push_back(PipeSlot {
                 k,
                 round,
+                values,
                 delivered: false,
             });
         }
@@ -581,7 +585,7 @@ impl Engine for NebLog {
 
     fn on_tick(&mut self, sh: &mut Shell, ctx: &mut Context<'_, Msg>) {
         self.neb.poll(ctx, &mut sh.client);
-        for d in self.neb.take_deliveries() {
+        while let Some(d) = self.neb.next_delivery() {
             self.on_delivery(sh, ctx, d);
         }
         // A failed scan (memory churn) retries here.
@@ -618,10 +622,10 @@ impl Engine for NebLog {
         // engine's or the other's: the completion moves to its owner.
         if self.neb.owns(&c) {
             if self.neb.on_completion(ctx, &mut sh.client, c) {
-                for k in self.neb.take_broadcast_written() {
+                while let Some(k) = self.neb.next_written() {
                     self.on_written(sh, ctx, k);
                 }
-                for d in self.neb.take_deliveries() {
+                while let Some(d) = self.neb.next_delivery() {
                     self.on_delivery(sh, ctx, d);
                 }
                 self.drive(sh, ctx);
@@ -727,7 +731,7 @@ mod tests {
         RegVal::Neb(nebcast::NebSlot::signed(
             signer,
             k,
-            log_entries_wire(first, epoch, values),
+            log_entries_wire(first, epoch, values.into()),
         ))
     }
 

@@ -75,6 +75,7 @@
 //! at the destination.
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use rdma_sim::{Completion, MemoryClient};
 use simnet::{Actor, ActorId, Context, Duration, EventKind, Time};
@@ -264,16 +265,22 @@ impl Shell {
 
     /// Settles a run this replica's engine decided and notifies: peers
     /// then observers, unconditionally, under [`Engine::PEERS_DECIDE`];
-    /// observers alone, and only of something new, otherwise.
-    pub(crate) fn decide(&mut self, ctx: &mut Context<'_, Msg>, first: u64, values: &[Value]) {
-        let new = self.settle(ctx, first, values);
+    /// observers alone, and only of something new, otherwise. A run of
+    /// several values is notified as one shared `Arc<[Value]>`: `values`
+    /// is one already when the engine holds it so (the Byzantine wire's),
+    /// and is copied into one otherwise.
+    pub(crate) fn decide<R>(&mut self, ctx: &mut Context<'_, Msg>, first: u64, values: R)
+    where
+        R: AsRef<[Value]> + Into<Arc<[Value]>>,
+    {
+        let new = self.settle(ctx, first, values.as_ref());
         let peers: &[Pid] = match (self.peers_decide, new) {
             (true, _) => &self.procs,
             (false, true) => &[],
             (false, false) => return,
         };
         // One payload, however many recipients.
-        let msg = match *values {
+        let msg = match *values.as_ref() {
             [value] => Msg::Decided {
                 instance: Instance(first),
                 value,

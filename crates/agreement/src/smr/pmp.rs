@@ -155,7 +155,7 @@ impl Engine for PmpLog {
             }
             Some(Outcome::Accepted) => {
                 let round = self.round.take().expect("phase 2 without a round");
-                sh.decide(ctx, round.first, &round.values);
+                sh.decide(ctx, round.first, round.values.as_slice());
                 sh.commit(round);
                 // Steady state: next instance immediately.
                 self.drive(sh, ctx);

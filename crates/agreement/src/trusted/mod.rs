@@ -29,6 +29,7 @@
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, BTreeSet};
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 use rdma_sim::MemoryClient;
 use sigsim::{SigVerifier, Signature};
@@ -75,8 +76,9 @@ pub enum RbPayload {
         first: u64,
         /// The proposing leader's epoch (its takeover count).
         epoch: u64,
-        /// The proposed values, in instance order.
-        values: Vec<Value>,
+        /// The proposed values, in instance order: one run, shared by every
+        /// copy of the wire and every decision notification made from it.
+        values: Arc<[Value]>,
     },
 }
 
@@ -397,7 +399,7 @@ impl TrustedPeer {
     /// distrust in the run's event stream.
     pub fn drain(&mut self, ctx: &mut Context<'_, Msg>) -> Vec<TDelivery> {
         let mut out = Vec::new();
-        for d in self.neb.take_deliveries() {
+        while let Some(d) = self.neb.next_delivery() {
             let from = d.from;
             let NebSlot { k, ref wire, sig } = *d.slot;
             // Record what the sender actually broadcast regardless of

@@ -450,7 +450,7 @@ mod tests {
             payload: RbPayload::LogEntries {
                 first: 0,
                 epoch: 0,
-                values: vec![Value(1), Value(2), Value(3)],
+                values: vec![Value(1), Value(2), Value(3)].into(),
             },
             history: Vec::new(),
         };

@@ -16,9 +16,13 @@
 //! (`python3 benchmark/run.py`: calibrated reference seconds, medians with
 //! quartiles).
 //!
-//! The gate ([`gate`]) has two tiers: a gated metric more than 10 % worse
-//! than the prior snapshot exits non-zero, and under `PERF_GATE=strict` so
-//! does a label the prior snapshot measured that this run no longer emits.
+//! The gate ([`gate`]) has three tiers: a gated metric more than 10 % worse
+//! than the prior snapshot exits non-zero; so does an exact count
+//! (`bench::gate::EXACT_COUNTS`: allocations, events, messages, memory
+//! ops) that rose at all, unless `PERF_GATE_MOVED_OK=label.field,…` names
+//! it — allocation counts only when the prior snapshot's `rustc` header
+//! matches this build's; and under `PERF_GATE=strict` so does a label the
+//! prior snapshot measured that this run no longer emits.
 //!
 //! ```sh
 //! cargo run --release -p bench --bin perf_snapshot
@@ -40,8 +44,11 @@ use agreement::spans::aggregate_spans;
 use bench::{Fixed, Row, Section};
 use simnet::{DelayModel, RdmaCost, TICKS_PER_DELAY};
 
+/// The compiler that built this binary (`build.rs`), as `rustc -V` prints it.
+const RUSTC: &str = env!("BENCH_RUSTC_VERSION");
+
 /// This snapshot's PR number (names the output file and anchors the gate).
-const PR: u32 = 40;
+const PR: u32 = 41;
 
 /// Allocation-counting wrapper around the system allocator.
 struct CountingAlloc;
@@ -720,7 +727,7 @@ const SECTIONS: [fn(usize) -> Section; 10] = [
     cost_model,
 ];
 
-/// Compares `json` against the newest prior snapshot under `root` (the two
+/// Compares `json` against the newest prior snapshot under `root` (the three
 /// tiers of the module docs); returns whether the gate failed.
 fn gate(root: &str, cmds: usize, json: &str) -> bool {
     let mode = std::env::var("PERF_GATE").unwrap_or_default();
@@ -750,6 +757,25 @@ fn gate(root: &str, cmds: usize, json: &str) -> bool {
         let worse = 100.0 * r.drop_frac;
         println!(
             "perf gate: REGRESSION {label} {metric}: {was:.3} -> {now:.3} ({worse:.1}% worse)"
+        );
+    }
+    // Exact counts repeat to the unit: any rise is a change, moved on
+    // purpose only if named.
+    let moved_env = std::env::var("PERF_GATE_MOVED_OK").unwrap_or_default();
+    let moved: Vec<&str> = moved_env.split(',').map(str::trim).collect();
+    let rustc = bench::gate::top_string(&prior, "rustc");
+    if rustc != Some(RUSTC) {
+        println!(
+            "perf gate: BENCH_PR{k}.json was built by {rustc:?}, this run by {RUSTC:?}; \
+             allocation counts are not compared"
+        );
+    }
+    for r in bench::gate::count_rises(&prior, json, &moved) {
+        failed |= mode != "warn";
+        let (label, field, was, now) = (&r.label, r.field, r.prior, r.current);
+        println!(
+            "perf gate: REGRESSION {label} {field}: {was} -> {now} (an exact count rose; name \
+             a move on purpose in PERF_GATE_MOVED_OK as {label}.{field})"
         );
     }
     // Retired labels: `regressions` only compares shared labels, so a
@@ -783,7 +809,7 @@ fn main() {
         .map(|run| run(cmds))
         .inspect(|section| print!("{}", section.to_text()))
         .collect();
-    let json = bench::snapshot_json(PR, cmds, &sections);
+    let json = bench::snapshot_json(PR, cmds, RUSTC, &sections);
     let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
     let out = format!("{root}/BENCH_PR{PR}.json");
     std::fs::write(&out, &json).expect("write bench snapshot");

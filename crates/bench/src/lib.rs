@@ -149,12 +149,19 @@ impl Section {
 }
 
 /// A whole `BENCH_PR<pr>.json`: the header the gate reads
-/// (`workload_commands` decides comparability), then every section.
-pub fn snapshot_json(pr: u32, workload_commands: usize, sections: &[Section]) -> String {
+/// (`workload_commands` decides comparability, `rustc` whether allocation
+/// counts are), then every section.
+pub fn snapshot_json(
+    pr: u32,
+    workload_commands: usize,
+    rustc: &str,
+    sections: &[Section],
+) -> String {
     let sections: Vec<String> = sections.iter().map(Section::to_json).collect();
     format!(
         "{{\n  \"schema\": \"bench-snapshot-v2\",\n  \"pr\": {pr},\n  \
-         \"workload_commands\": {workload_commands},\n{}\n}}\n",
+         \"workload_commands\": {workload_commands},\n  \"rustc\": {},\n{}\n}}\n",
+        rustc.json(),
         sections.join(",\n")
     )
 }
@@ -183,7 +190,9 @@ pub fn write_timeline(dir: &Path, name: &str, art: &TimelineArtifacts) -> Result
 /// The per-PR perf regression gate: compares the snapshot a `perf_snapshot`
 /// run just produced against the newest prior `BENCH_PR<k>.json` at the
 /// repo root and reports any virtual-time or exact-count metric that
-/// worsened beyond a threshold, and any label that disappeared.
+/// worsened beyond a threshold ([`gate::regressions`]), any count that rose at
+/// all ([`gate::count_rises`]), and any label that disappeared
+/// ([`gate::retired_labels`]).
 ///
 /// The snapshots are this workspace's own generated JSON, so the extractor
 /// is a purpose-built string scanner rather than a JSON parser (the
@@ -232,6 +241,14 @@ pub mod gate {
     /// A top-level (first-occurrence) numeric field.
     pub fn top_field(json: &str, field: &str) -> Option<f64> {
         field_after(json, 0, field)
+    }
+
+    /// A top-level (first-occurrence) string field, unescaped only as far
+    /// as snapshots need: a value holds no `"`.
+    pub fn top_string<'a>(json: &'a str, field: &str) -> Option<&'a str> {
+        let needle = format!("\"{field}\": \"");
+        let at = json.find(&needle)? + needle.len();
+        Some(&json[at..at + json[at..].find('"')?])
     }
 
     /// The value of `field` inside the measured object labeled `label`.
@@ -289,6 +306,78 @@ pub mod gate {
         ("delays_per_entry", false),
         ("range_rows_per_cmd", false),
     ];
+
+    /// The exact counts: fields that repeat to the unit on every run of
+    /// the same code, so a count may not rise at all — the 10 % tier of
+    /// [`regressions`] let 7 extra allocations per row through. The first
+    /// three are counted by the allocator, and compared only between
+    /// snapshots built by the same compiler ([`count_rises`]).
+    pub const EXACT_COUNTS: [&str; 6] = [
+        "allocations",
+        "allocs_per_cmd",
+        "allocs_per_event",
+        "events",
+        "messages",
+        "mem_ops",
+    ];
+
+    /// How many of [`EXACT_COUNTS`], from the front, the allocator counts.
+    const ALLOCATION_COUNTS: usize = 3;
+
+    /// One exact count that rose.
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct Rise {
+        /// The measured configuration.
+        pub label: String,
+        /// Which of [`EXACT_COUNTS`] rose.
+        pub field: &'static str,
+        /// Prior value.
+        pub prior: f64,
+        /// Current value.
+        pub current: f64,
+    }
+
+    /// Every [`EXACT_COUNTS`] field that is higher in `current` than in
+    /// `prior`, for every label both measure, except those `moved_ok` names
+    /// as `label.field` (a change that moves a count on purpose says so).
+    /// A fall never counts. Allocation counts are compared only when both
+    /// snapshots' `rustc` headers are present and equal; the other counts
+    /// always are.
+    pub fn count_rises(prior: &str, current: &str, moved_ok: &[&str]) -> Vec<Rise> {
+        let same_rustc =
+            top_string(prior, "rustc").is_some_and(|p| top_string(current, "rustc") == Some(p));
+        let fields = if same_rustc {
+            &EXACT_COUNTS[..]
+        } else {
+            &EXACT_COUNTS[ALLOCATION_COUNTS..]
+        };
+        let mut out = Vec::new();
+        for label in labels(prior) {
+            for &field in fields {
+                let (Some(p), Some(c)) = (
+                    labeled_field(prior, &label, field),
+                    labeled_field(current, &label, field),
+                ) else {
+                    continue;
+                };
+                let named = moved_ok.contains(&format!("{label}.{field}").as_str());
+                if c > p
+                    && !named
+                    && !out
+                        .iter()
+                        .any(|r: &Rise| r.label == label && r.field == field)
+                {
+                    out.push(Rise {
+                        label: label.clone(),
+                        field,
+                        prior: p,
+                        current: c,
+                    });
+                }
+            }
+        }
+        out
+    }
 
     /// Labels present in `prior` but missing from `current`: measured
     /// configurations that silently lost regression coverage (renamed or
@@ -466,7 +555,7 @@ pub mod gate {
                     .with("ratio", Row::new().with("g4", Fixed(3.96, 3))),
                 tables: vec![("configs", rows.clone())],
             };
-            let json = snapshot_json(17, 1000, std::slice::from_ref(&section));
+            let json = snapshot_json(17, 1000, "rustc 1.95.0", std::slice::from_ref(&section));
             assert_eq!(top_field(&json, "workload_commands"), Some(1000.0));
             assert_eq!(labels(&json), vec!["cfg_one", "cfg_two"]);
             assert_eq!(
@@ -488,6 +577,77 @@ pub mod gate {
             );
             assert!(section.to_text().contains("perf_snapshot: demo"));
             assert!(section.to_text().contains("  total_commands: 10"));
+        }
+
+        /// A snapshot of one row under the `"rustc"` header given, if any.
+        fn counted(rustc: Option<&str>, allocations: u64, events: u64) -> String {
+            let header = rustc.map_or(String::new(), |r| format!("\"rustc\": \"{r}\",\n"));
+            format!(
+                "{{\n{header}\"a\": {{ \"label\": \"cfg\", \"allocations\": {allocations}, \
+                 \"allocs_per_cmd\": {:.3}, \"events\": {events}, \"messages\": 9 }}\n}}",
+                allocations as f64 / 1000.0
+            )
+        }
+
+        #[test]
+        fn one_more_allocation_fails_the_exact_tier() {
+            let v = Some("rustc 1.95.0");
+            let prior = counted(v, 148, 500);
+            let rises = count_rises(&prior, &counted(v, 149, 500), &[]);
+            let fields: Vec<&str> = rises.iter().map(|r| r.field).collect();
+            assert_eq!(fields, ["allocations", "allocs_per_cmd"]);
+            assert_eq!((rises[0].prior, rises[0].current), (148.0, 149.0));
+            // The 10 % tier does not see it.
+            assert!(regressions(&prior, &counted(v, 149, 500), 0.10).is_empty());
+        }
+
+        #[test]
+        fn a_count_that_falls_or_holds_never_flags() {
+            let v = Some("rustc 1.95.0");
+            let prior = counted(v, 148, 500);
+            assert!(count_rises(&prior, &prior, &[]).is_empty());
+            assert!(count_rises(&prior, &counted(v, 20, 400), &[]).is_empty());
+        }
+
+        #[test]
+        fn event_counts_rise_whatever_the_toolchain() {
+            let prior = counted(Some("rustc 1.95.0"), 148, 500);
+            for now in [Some("rustc 1.96.0"), None] {
+                let rises = count_rises(&prior, &counted(now, 999, 501), &[]);
+                let fields: Vec<&str> = rises.iter().map(|r| r.field).collect();
+                assert_eq!(
+                    fields,
+                    ["events"],
+                    "allocations need the same rustc: {now:?}"
+                );
+            }
+            // A prior snapshot without a header compares no allocations.
+            let rises = count_rises(&counted(None, 148, 500), &counted(None, 149, 500), &[]);
+            assert!(rises.is_empty());
+        }
+
+        #[test]
+        fn a_named_move_passes_and_only_that_one() {
+            let v = Some("rustc 1.95.0");
+            let (prior, now) = (counted(v, 148, 500), counted(v, 149, 501));
+            let rises = count_rises(
+                &prior,
+                &now,
+                &["cfg.allocations", "cfg.events", "other.allocs_per_cmd"],
+            );
+            let fields: Vec<&str> = rises.iter().map(|r| r.field).collect();
+            assert_eq!(fields, ["allocs_per_cmd"]);
+        }
+
+        #[test]
+        fn the_rustc_header_reads_back() {
+            let json = crate::snapshot_json(41, 1000, "rustc 1.95.0 (abc 2026-01-01)", &[]);
+            assert_eq!(
+                top_string(&json, "rustc"),
+                Some("rustc 1.95.0 (abc 2026-01-01)")
+            );
+            assert_eq!(top_field(&json, "workload_commands"), Some(1000.0));
+            assert_eq!(top_string(&json, "missing"), None);
         }
 
         #[test]

@@ -16,7 +16,6 @@
 //! feed it every memory completion, and receive [`RepEvent`]s when logical
 //! operations finish.
 
-use std::collections::BTreeMap;
 use std::{fmt, vec};
 
 use rdma_sim::{
@@ -25,6 +24,7 @@ use rdma_sim::{
 use simnet::{ActorId, Context};
 
 use crate::quorum::{QuorumStatus, QuorumTracker};
+use crate::window::{Window, WINDOW_SPAN};
 
 /// Identifies a logical (replicated) operation.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -98,8 +98,13 @@ const SCRATCH_POOL_CAP: usize = 16;
 pub struct RepEngine<V, M> {
     memories: Vec<ActorId>,
     next: u64,
-    child_to_parent: BTreeMap<OpId, RepId>,
-    pending: BTreeMap<RepId, Pending<V>>,
+    /// The logical operation of each memory operation not yet answered,
+    /// by `OpId`: the client numbers its operations in order, whoever
+    /// issues them, so this engine's ids rise with gaps.
+    child_to_parent: Window<RepId>,
+    /// Unfinished logical operations, by `RepId` (dense: this engine
+    /// numbers them).
+    pending: Window<Pending<V>>,
     /// Recycled read-value buffers: replication allocates nothing per slot
     /// once warm.
     spare_values: Vec<Vec<Option<V>>>,
@@ -129,12 +134,17 @@ where
     ///
     /// Panics if `memories` is empty.
     pub fn new(memories: Vec<ActorId>) -> RepEngine<V, M> {
+        RepEngine::with_span(memories, WINDOW_SPAN)
+    }
+
+    /// [`RepEngine::new`] with tables whose rings span `span` ids.
+    pub(crate) fn with_span(memories: Vec<ActorId>, span: usize) -> RepEngine<V, M> {
         assert!(!memories.is_empty(), "need at least one memory");
         RepEngine {
             memories,
             next: 0,
-            child_to_parent: BTreeMap::new(),
-            pending: BTreeMap::new(),
+            child_to_parent: Window::new(span),
+            pending: Window::new(span),
             spare_values: Vec::new(),
             spare_snapshots: Vec::new(),
             _msg: std::marker::PhantomData,
@@ -163,11 +173,11 @@ where
         let id = self.fresh();
         let tracker = QuorumTracker::majority(self.memories.len());
         self.pending
-            .insert(id, Pending::Vote(tracker, VoteKind::Write));
+            .insert(id.0, Pending::Vote(tracker, VoteKind::Write));
         for i in 0..self.memories.len() {
             let mem = self.memories[i];
             let op = client.write(ctx, mem, region, reg, value.clone());
-            self.child_to_parent.insert(op, id);
+            self.child_to_parent.insert(op.0, id);
         }
         id
     }
@@ -183,11 +193,11 @@ where
         let id = self.fresh();
         let tracker = QuorumTracker::majority(self.memories.len());
         let values = self.spare_values.pop().unwrap_or_default();
-        self.pending.insert(id, Pending::Read { tracker, values });
+        self.pending.insert(id.0, Pending::Read { tracker, values });
         for i in 0..self.memories.len() {
             let mem = self.memories[i];
             let op = client.read(ctx, mem, region, reg);
-            self.child_to_parent.insert(op, id);
+            self.child_to_parent.insert(op.0, id);
         }
         id
     }
@@ -205,11 +215,11 @@ where
         let tracker = QuorumTracker::majority(self.memories.len());
         let snapshots = self.spare_snapshots.pop().unwrap_or_default();
         self.pending
-            .insert(id, Pending::Range { tracker, snapshots });
+            .insert(id.0, Pending::Range { tracker, snapshots });
         for i in 0..self.memories.len() {
             let mem = self.memories[i];
             let op = client.read_range(ctx, mem, region, within);
-            self.child_to_parent.insert(op, id);
+            self.child_to_parent.insert(op.0, id);
         }
         id
     }
@@ -225,26 +235,32 @@ where
         let id = self.fresh();
         let tracker = QuorumTracker::majority(self.memories.len());
         self.pending
-            .insert(id, Pending::Vote(tracker, VoteKind::Perm));
+            .insert(id.0, Pending::Vote(tracker, VoteKind::Perm));
         for i in 0..self.memories.len() {
             let mem = self.memories[i];
             let op = client.change_perm(ctx, mem, region, new.clone());
-            self.child_to_parent.insert(op, id);
+            self.child_to_parent.insert(op.0, id);
         }
         id
+    }
+
+    /// Logical operations started and not finished yet.
+    #[cfg(test)]
+    pub(crate) fn in_flight(&self) -> usize {
+        self.pending.len()
     }
 
     /// Whether `op` is a memory operation this engine issued and has not
     /// been fed the completion of yet.
     pub fn owns(&self, op: OpId) -> bool {
-        self.child_to_parent.contains_key(&op)
+        self.child_to_parent.contains(op.0)
     }
 
     /// Feeds one memory completion. Returns the logical completion if this
     /// response finished a logical operation.
     pub fn on_completion(&mut self, c: Completion<V>) -> Option<RepEvent<V>> {
-        let id = self.child_to_parent.remove(&c.op)?;
-        let pending = self.pending.get_mut(&id)?;
+        let id = self.child_to_parent.remove(c.op.0)?;
+        let pending = self.pending.get_mut(id.0)?;
         let event = match pending {
             Pending::Vote(tracker, kind) => {
                 let ok = c.resp.is_ok();
@@ -298,7 +314,7 @@ where
             },
         };
         event.map(|result| {
-            if let Some(done) = self.pending.remove(&id) {
+            if let Some(done) = self.pending.remove(id.0) {
                 self.recycle(done);
             }
             RepEvent { id, result }
@@ -384,6 +400,7 @@ fn merge_ranges<V: Eq>(snapshots: &mut [vec::IntoIter<(RegId, V)>]) -> Vec<(RegI
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     #[test]
     fn unique_value_rule() {

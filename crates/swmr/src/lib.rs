@@ -22,6 +22,7 @@
 
 mod engine;
 pub mod quorum;
+mod window;
 
 pub use engine::{RepEngine, RepEvent, RepId, RepResult};
 pub use quorum::{QuorumStatus, QuorumTracker};
@@ -34,6 +35,7 @@ mod tests {
         RegionId, RegionSpec,
     };
     use simnet::{Actor, ActorId, Context, EventKind, Simulation, Time};
+    use std::collections::{BTreeMap, BTreeSet};
 
     #[derive(Clone, Debug, PartialEq, Eq)]
     enum TMsg {
@@ -292,5 +294,137 @@ mod tests {
             got.is_none() || got == Some(2) || got == Some(1),
             "impossible value {got:?}"
         );
+    }
+
+    /// Drives two engines over one shared memory client — so each sees
+    /// gaps in the op ids it gets — against three memories, one of them
+    /// crashed, and checks engine `a` against ordered maps after every
+    /// completion: `owns` answers for every op it issued, each logical op
+    /// finishes once, and `in_flight` counts what has not. A ring of 8
+    /// ids makes the crashed memory's never-answered ops age into the
+    /// side map all the time.
+    struct SharedClient {
+        client: MemoryClient<u64, TMsg>,
+        a: RepEngine<u64, TMsg>,
+        b: RepEngine<u64, TMsg>,
+        rng: u64,
+        /// Memory ops issued through the client so far (its op ids are
+        /// `1..=issued`).
+        issued: u64,
+        /// `a`'s memory ops not yet answered, and their logical op.
+        children: BTreeMap<u64, RepId>,
+        /// `a`'s logical ops not yet finished.
+        pending: BTreeSet<RepId>,
+        started: usize,
+        finished: usize,
+    }
+
+    impl SharedClient {
+        fn draw(&mut self, bound: u64) -> u64 {
+            self.rng ^= self.rng << 13;
+            self.rng ^= self.rng >> 7;
+            self.rng ^= self.rng << 17;
+            self.rng % bound
+        }
+
+        /// Starts one or two logical ops on either engine.
+        fn issue(&mut self, ctx: &mut Context<'_, TMsg>) {
+            for _ in 0..1 + self.draw(2) {
+                if self.started >= 400 {
+                    return;
+                }
+                let on_a = self.draw(3) > 0;
+                let write = self.draw(2) == 0;
+                let engine = if on_a { &mut self.a } else { &mut self.b };
+                let id = if write {
+                    engine.write(ctx, &mut self.client, REGION, REG, 7)
+                } else {
+                    engine.read(ctx, &mut self.client, REGION, REG)
+                };
+                let m = engine.memories().len() as u64;
+                if on_a {
+                    self.started += 1;
+                    self.pending.insert(id);
+                    for op in self.issued + 1..=self.issued + m {
+                        self.children.insert(op, id);
+                    }
+                }
+                self.issued += m;
+            }
+        }
+
+        fn check(&self) {
+            assert_eq!(self.a.in_flight(), self.pending.len());
+            // Every op still owed an answer, and the newest ops either side.
+            let recent = self.issued.saturating_sub(24)..=self.issued + 3;
+            for op in self.children.keys().copied().chain(recent) {
+                let owned = self.children.contains_key(&op);
+                assert_eq!(self.a.owns(rdma_sim::OpId(op)), owned, "op {op}");
+            }
+        }
+    }
+
+    impl Actor<TMsg> for SharedClient {
+        fn on_event(&mut self, ctx: &mut Context<'_, TMsg>, ev: EventKind<TMsg>) {
+            match ev {
+                EventKind::Start => self.issue(ctx),
+                EventKind::Msg {
+                    from,
+                    msg: TMsg::Mem(wire),
+                } => {
+                    let Some(c) = self.client.on_wire(ctx, from, wire) else {
+                        return;
+                    };
+                    if self.a.owns(c.op) {
+                        let parent = self.children.remove(&c.op.0).expect("a's op");
+                        if let Some(done) = self.a.on_completion(c) {
+                            assert_eq!(done.id, parent);
+                            assert!(
+                                self.pending.remove(&done.id),
+                                "{:?} finished twice",
+                                done.id
+                            );
+                            self.finished += 1;
+                        }
+                    } else {
+                        assert!(!self.children.contains_key(&c.op.0));
+                        assert!(self.b.owns(c.op));
+                        self.b.on_completion(c);
+                    }
+                    self.check();
+                    self.issue(ctx);
+                }
+                _ => {}
+            }
+        }
+    }
+
+    #[test]
+    fn windowed_tables_answer_as_ordered_maps_over_a_shared_client() {
+        for seed in 1..=8u64 {
+            let mut sim: Simulation<TMsg> = Simulation::new(seed);
+            let mems = memories(&mut sim, 3, Permission::open());
+            sim.crash_at(mems[2], Time::ZERO);
+            let actor = sim.add(SharedClient {
+                client: MemoryClient::new(),
+                a: RepEngine::with_span(mems.clone(), 8),
+                b: RepEngine::with_span(mems, 8),
+                rng: seed.wrapping_mul(0x9E37_79B9_7F4A_7C15),
+                issued: 0,
+                children: BTreeMap::new(),
+                pending: BTreeSet::new(),
+                started: 0,
+                finished: 0,
+            });
+            sim.run_to_quiescence(Time::from_delays(100_000));
+            let run = sim.actor_as::<SharedClient>(actor).unwrap();
+            assert_eq!(run.started, 400, "seed {seed}");
+            assert_eq!(run.finished, 400, "a majority answers every op");
+            assert!(run.pending.is_empty() && run.a.in_flight() == 0);
+            // What is left is exactly the crashed memory's ops: one per
+            // logical op.
+            assert_eq!(run.children.len(), 400);
+            run.check();
+        }
     }
 }

@@ -41,7 +41,7 @@ impl NebTester {
     }
 
     fn drain(&mut self) {
-        for d in self.engine.take_deliveries() {
+        while let Some(d) = self.engine.next_delivery() {
             if let RbPayload::Setup { value, .. } = d.slot.wire.payload {
                 self.delivered.push((d.from, d.slot.k, value));
             }
