@@ -34,6 +34,15 @@
 //! `Last[q]` reaches them. At the default depth 1 the engine is
 //! move-for-move identical to the classic head-of-line loop.
 //!
+//! State is kept per sender: one `Row` for each process, at its position
+//! in the group, holding `Last[q]`, whether `q` was caught equivocating,
+//! its idle backoff, its one row probe and one column audit in flight, and
+//! its slots in each stage — attempts, copies waiting for an audit,
+//! audited slots waiting for release — as small vectors sorted by `k`
+//! (a stage holds at most a window's worth). A completion is routed by
+//! looking through the rows for the operation it answers, and catching an
+//! equivocator clears its row and no other.
+//!
 //! Pipelining must respect the model's scarcest resource: a process may
 //! have **one outstanding operation per memory** (§3), and replicated
 //! operations go to *all* memories, so every logical op — useful or not —
@@ -205,8 +214,8 @@ struct ColAudit {
     rep: RepId,
     /// `Last[q]` when the read was issued: where its `k` window starts.
     head: u64,
-    /// The slots it covers; each one's copy completed before the read
-    /// was issued, preserving Algorithm 2's copy-then-audit order.
+    /// The slots it covers, in `k` order; each one's copy completed before
+    /// the read was issued, preserving Algorithm 2's copy-then-audit order.
     covered: Vec<(u64, Arc<NebSlot>)>,
 }
 
@@ -214,6 +223,100 @@ enum Attempt {
     ReadSlot(RepId),
     Copy { slot: Arc<NebSlot>, rep: RepId },
     Audit { slot: Arc<NebSlot>, rep: RepId },
+}
+
+impl Attempt {
+    fn rep(&self) -> RepId {
+        match self {
+            Attempt::ReadSlot(rep) | Attempt::Copy { rep, .. } | Attempt::Audit { rep, .. } => *rep,
+        }
+    }
+}
+
+/// One sender's slots in some stage, by sequence number: a sorted vector,
+/// as few are ever held at once (the pipeline depth, plus what a focus
+/// change strands).
+struct Slots<T>(Vec<(u64, T)>);
+
+impl<T> Slots<T> {
+    fn new() -> Slots<T> {
+        Slots(Vec::new())
+    }
+
+    fn find(&self, k: u64) -> Result<usize, usize> {
+        self.0.binary_search_by_key(&k, |&(x, _)| x)
+    }
+
+    fn contains(&self, k: u64) -> bool {
+        self.find(k).is_ok()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// Holds `value` at `k`, in place of any value there.
+    fn insert(&mut self, k: u64, value: T) {
+        match self.find(k) {
+            Ok(at) => self.0[at].1 = value,
+            Err(at) => self.0.insert(at, (k, value)),
+        }
+    }
+
+    fn remove(&mut self, k: u64) -> Option<T> {
+        Some(self.0.remove(self.find(k).ok()?).1)
+    }
+}
+
+/// Everything the engine keeps about one sender `q`: its delivery
+/// frontier and the slots of its broadcasts in flight through
+/// read → copy → audit → release.
+struct Row {
+    /// `Last[q]`: the next sequence number to deliver.
+    last: u64,
+    /// The sequence number at which `q` was caught equivocating; no further
+    /// deliveries are attempted.
+    blocked: Option<u64>,
+    /// In-flight delivery attempts — up to `depth` concurrent slots for
+    /// the focused sender, one for the rest.
+    attempts: Slots<Attempt>,
+    /// Audited-but-unreleased deliveries: slots that passed their audit
+    /// out of order, waiting for `Last[q]` to reach them.
+    ready: Slots<Delivery>,
+    /// Completed copies awaiting the next shared column audit.
+    await_audit: Slots<Arc<NebSlot>>,
+    /// Pipelined discovery: the one in-flight windowed read of `q`'s row,
+    /// replacing per-slot probes, with the `Last[q]` its window started at.
+    probe: Option<(RepId, u64)>,
+    /// The one in-flight shared column audit.
+    audit: Option<ColAudit>,
+    /// Idle-row backoff (pipelined mode only): the earliest poll tick at
+    /// which the row may be probed again, and the current backoff.
+    idle_until: u64,
+    idle_backoff: u64,
+}
+
+impl Row {
+    fn new() -> Row {
+        Row {
+            last: 1,
+            blocked: None,
+            attempts: Slots::new(),
+            ready: Slots::new(),
+            await_audit: Slots::new(),
+            probe: None,
+            audit: None,
+            idle_until: 0,
+            idle_backoff: 1,
+        }
+    }
+}
+
+/// Which of a row's operations a replication event completes.
+enum Stage {
+    Probe { head: u64 },
+    Audit,
+    Attempt { k: u64 },
 }
 
 /// The non-equivocating broadcast state machine for one process.
@@ -224,12 +327,8 @@ pub struct NebEngine {
     verifier: SigVerifier,
     rep: RepEngine<RegVal, Msg>,
     next_k: u64,
-    last: BTreeMap<Pid, u64>,
-    /// In-flight delivery attempts, keyed `(sender, k)` — up to
-    /// `depth` concurrent slots for the focused sender, one for the rest.
-    attempts: BTreeMap<(Pid, u64), Attempt>,
-    /// Senders caught equivocating; no further deliveries are attempted.
-    blocked: BTreeMap<Pid, u64>,
+    /// One per sender, at the sender's position in `procs`.
+    rows: Vec<Row>,
     deliveries: VecDeque<Delivery>,
     /// How many of the focused sender's slots to probe concurrently
     /// (1 = the classic head-of-line loop).
@@ -251,25 +350,10 @@ pub struct NebEngine {
     /// Sequence numbers whose broadcast write has been acknowledged by a
     /// replication quorum, not yet drained by the owner.
     written: VecDeque<u64>,
-    /// Audited-but-unreleased deliveries: slots that passed their audit
-    /// out of order, waiting for `Last[q]` to reach them.
-    ready: BTreeMap<(Pid, u64), Delivery>,
     /// Poll ticks seen (the idle-row backoff clock).
     polls: u64,
-    /// Pipelined discovery: at most one in-flight windowed row read per
-    /// focused sender, replacing per-slot probes (with the `Last[q]` its
-    /// window started at).
-    row_probe: BTreeMap<Pid, (RepId, u64)>,
-    /// Completed copies awaiting the next shared column audit.
-    await_audit: BTreeMap<(Pid, u64), Arc<NebSlot>>,
-    /// At most one in-flight shared column audit per sender.
-    col_audit: BTreeMap<Pid, ColAudit>,
     /// Emptied `ColAudit::covered` buffers, for the next audit to fill.
     spare_covered: Vec<Vec<(u64, Arc<NebSlot>)>>,
-    /// Idle-row backoff (pipelined mode only): earliest poll tick at
-    /// which a sender's row may be probed again, and the current backoff.
-    idle_until: BTreeMap<Pid, u64>,
-    idle_backoff: BTreeMap<Pid, u64>,
 }
 
 /// Longest the idle-row backoff may defer a probe, in poll ticks. Bounds
@@ -283,11 +367,16 @@ const SPARE_COVERED_CAP: usize = 4;
 
 impl std::fmt::Debug for NebEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let senders = || self.procs.iter().zip(&self.rows);
+        let last: BTreeMap<Pid, u64> = senders().map(|(&q, row)| (q, row.last)).collect();
+        let blocked: BTreeMap<Pid, u64> = senders()
+            .filter_map(|(&q, row)| Some((q, row.blocked?)))
+            .collect();
         f.debug_struct("NebEngine")
             .field("me", &self.me)
             .field("next_k", &self.next_k)
-            .field("last", &self.last)
-            .field("blocked", &self.blocked)
+            .field("last", &last)
+            .field("blocked", &blocked)
             .finish()
     }
 }
@@ -301,7 +390,7 @@ impl NebEngine {
         signer: Signer,
         verifier: SigVerifier,
     ) -> NebEngine {
-        let last = procs.iter().map(|&q| (q, 1)).collect();
+        let rows = procs.iter().map(|_| Row::new()).collect();
         NebEngine {
             me,
             procs,
@@ -309,23 +398,15 @@ impl NebEngine {
             verifier,
             rep: RepEngine::new(memories),
             next_k: 1,
-            last,
-            attempts: BTreeMap::new(),
-            blocked: BTreeMap::new(),
+            rows,
             deliveries: VecDeque::new(),
             depth: 1,
             focus: None,
             fast_path: false,
             bcast_writes: BTreeMap::new(),
             written: VecDeque::new(),
-            ready: BTreeMap::new(),
             polls: 0,
-            row_probe: BTreeMap::new(),
-            await_audit: BTreeMap::new(),
-            col_audit: BTreeMap::new(),
             spare_covered: Vec::new(),
-            idle_until: BTreeMap::new(),
-            idle_backoff: BTreeMap::new(),
         }
     }
 
@@ -412,22 +493,24 @@ impl NebEngine {
     /// `while true` loop, paced by the caller's timer).
     pub fn poll(&mut self, ctx: &mut Context<'_, Msg>, client: &mut MemoryClient<RegVal, Msg>) {
         self.polls += 1;
-        for i in 0..self.procs.len() {
-            self.launch_attempts(ctx, client, self.procs[i]);
+        for i in 0..self.rows.len() {
+            self.launch_attempts(ctx, client, i);
         }
     }
 
-    /// Launches missing delivery attempts on `q`'s row. In pipelined mode
-    /// the focused sender's row is discovered by a single range read (see
-    /// the module docs); everyone else gets the classic head-slot probe,
-    /// deferred by the idle backoff when the row keeps reading ⊥.
+    /// Launches missing delivery attempts on the row of sender `i` (its
+    /// position in `procs`). In pipelined mode the focused sender's row is
+    /// discovered by a single range read (see the module docs); everyone
+    /// else gets the classic head-slot probe, deferred by the idle backoff
+    /// when the row keeps reading ⊥.
     fn launch_attempts(
         &mut self,
         ctx: &mut Context<'_, Msg>,
         client: &mut MemoryClient<RegVal, Msg>,
-        q: Pid,
+        i: usize,
     ) {
-        if self.blocked.contains_key(&q) || (self.fast_path && q == self.me) {
+        let q = self.procs[i];
+        if self.rows[i].blocked.is_some() || (self.fast_path && q == self.me) {
             return;
         }
         if self.depth > 1 && self.focus == Some(q) {
@@ -435,15 +518,11 @@ impl NebEngine {
             // row, so it doubles as discovery; the dedicated row probe
             // only runs when q's pipeline is completely dry (nothing in
             // flight whose completion would discover new slots).
-            let busy = self.col_audit.contains_key(&q)
-                || self.attempts.range((q, 0)..=(q, u64::MAX)).next().is_some()
-                || self
-                    .await_audit
-                    .range((q, 0)..=(q, u64::MAX))
-                    .next()
-                    .is_some();
-            if !busy && !self.row_probe.contains_key(&q) {
-                let head = self.last[&q];
+            let row = &self.rows[i];
+            let busy =
+                row.audit.is_some() || !row.attempts.is_empty() || !row.await_audit.is_empty();
+            if !busy && row.probe.is_none() {
+                let head = row.last;
                 let rep = self.rep.read_range(
                     ctx,
                     client,
@@ -455,29 +534,28 @@ impl NebEngine {
                         c: Some(q.0 as u64),
                     }),
                 );
-                self.row_probe.insert(q, (rep, head));
+                self.rows[i].probe = Some((rep, head));
             }
-            self.maybe_launch_audit(ctx, client, q);
+            self.maybe_launch_audit(ctx, client, i);
             return;
         }
         if self.depth > 1 {
             // Copies orphaned by a focus change still need their audit.
-            if self.await_audit.keys().any(|&(aq, _)| aq == q) {
-                self.maybe_launch_audit(ctx, client, q);
+            if !self.rows[i].await_audit.is_empty() {
+                self.maybe_launch_audit(ctx, client, i);
             }
-            if self.polls < self.idle_until.get(&q).copied().unwrap_or(0) {
+            if self.polls < self.rows[i].idle_until {
                 return;
             }
         }
-        let head = self.last[&q];
-        if self.attempts.contains_key(&(q, head))
-            || self.ready.contains_key(&(q, head))
-            || self.await_audit.contains_key(&(q, head))
+        let row = &self.rows[i];
+        let head = row.last;
+        if row.attempts.contains(head) || row.ready.contains(head) || row.await_audit.contains(head)
         {
             return;
         }
         let rep = self.rep.read(ctx, client, ALL_REGION, slot_reg(q, head, q));
-        self.attempts.insert((q, head), Attempt::ReadSlot(rep));
+        self.rows[i].attempts.insert(head, Attempt::ReadSlot(rep));
     }
 
     /// The `k` window a pipelined range read issued at `Last[q] = head`
@@ -486,19 +564,20 @@ impl NebEngine {
         Window::span(head, (self.depth as u64).saturating_mul(2))
     }
 
-    /// Adopts the slots of `q`'s own row returned by a range read whose
-    /// window started at `issued_head`: every validly signed, in-window,
-    /// not-yet-attempted slot goes straight to the copy step (the read
-    /// already fetched its value).
+    /// Adopts the slots of sender `i`'s own row returned by a range read
+    /// whose window started at `issued_head`: every validly signed,
+    /// in-window, not-yet-attempted slot goes straight to the copy step
+    /// (the read already fetched its value).
     fn adopt_row(
         &mut self,
         ctx: &mut Context<'_, Msg>,
         client: &mut MemoryClient<RegVal, Msg>,
-        q: Pid,
+        i: usize,
         issued_head: u64,
         rows: impl IntoIterator<Item = (RegId, RegVal)>,
     ) {
-        if self.blocked.contains_key(&q) {
+        let q = self.procs[i];
+        if self.rows[i].blocked.is_some() {
             return;
         }
         let depth = if self.depth > 1 && self.focus == Some(q) {
@@ -506,28 +585,25 @@ impl NebEngine {
         } else {
             1
         };
-        let head = self.last[&q];
+        let head = self.rows[i].last;
         debug_assert!(
             issued_head <= head && head - issued_head <= self.depth as u64,
             "the read's window [{issued_head}, +2·{}) no longer covers Last[{q}] = {head}",
             self.depth
         );
-        let covered = |s: &Self, k: u64| {
-            s.col_audit
-                .get(&q)
-                .is_some_and(|audit| audit.covered.iter().any(|&(ck, _)| ck == k))
-        };
         for (reg, val) in rows {
             let Cell { k, receipt, .. } = Cell::of(reg);
             if receipt {
                 continue; // q's self-receipts share the row; not slots
             }
+            let row = &self.rows[i];
+            let covered = |audit: &ColAudit| audit.covered.iter().any(|&(ck, _)| ck == k);
             if k < head
                 || k >= head + depth
-                || self.attempts.contains_key(&(q, k))
-                || self.ready.contains_key(&(q, k))
-                || self.await_audit.contains_key(&(q, k))
-                || covered(self, k)
+                || row.attempts.contains(k)
+                || row.ready.contains(k)
+                || row.await_audit.contains(k)
+                || row.audit.as_ref().is_some_and(covered)
             {
                 continue;
             }
@@ -542,27 +618,27 @@ impl NebEngine {
                 slot_reg(self.me, k, q),
                 RegVal::Neb(slot.clone()),
             );
-            self.attempts.insert((q, k), Attempt::Copy { slot, rep });
+            self.rows[i].attempts.insert(k, Attempt::Copy { slot, rep });
         }
     }
 
-    /// Issues the shared column audit for `q` if none is in flight and
-    /// copies are waiting: one range read over the window of `q`'s columns
-    /// covers every pending slot at once.
+    /// Issues the shared column audit for sender `i` if none is in flight
+    /// and copies are waiting: one range read over the window of `q`'s
+    /// columns covers every pending slot at once.
     fn maybe_launch_audit(
         &mut self,
         ctx: &mut Context<'_, Msg>,
         client: &mut MemoryClient<RegVal, Msg>,
-        q: Pid,
+        i: usize,
     ) {
-        let row = (q, 0)..=(q, u64::MAX);
-        if self.col_audit.contains_key(&q) || self.await_audit.range(row.clone()).next().is_none() {
+        let q = self.procs[i];
+        let window = self.read_window(self.rows[i].last);
+        let row = &mut self.rows[i];
+        if row.audit.is_some() || row.await_audit.is_empty() {
             return;
         }
         let mut covered = self.spare_covered.pop().unwrap_or_default();
-        let waiting = self.await_audit.extract_if(row, |_, _| true);
-        covered.extend(waiting.map(|((_, k), slot)| (k, slot)));
-        let head = self.last[&q];
+        covered.append(&mut row.await_audit.0);
         let rep = self.rep.read_range(
             ctx,
             client,
@@ -570,34 +646,36 @@ impl NebEngine {
             Some(RegionSpec::Pattern {
                 space: spaces::NEB,
                 a: None,
-                b: Some(self.read_window(head)),
+                b: Some(window),
                 c: Some(q.0 as u64),
             }),
         );
-        self.col_audit.insert(q, ColAudit { rep, head, covered });
+        let head = row.last;
+        row.audit = Some(ColAudit { rep, head, covered });
     }
 
-    /// Drops every in-flight structure for `q` after it was caught
-    /// equivocating — nothing from an equivocator is ever delivered.
-    fn purge(&mut self, q: Pid) {
-        self.attempts.retain(|&(aq, _), _| aq != q);
-        self.ready.retain(|&(rq, _), _| rq != q);
-        self.await_audit.retain(|&(aq, _), _| aq != q);
-        self.row_probe.remove(&q);
-        self.col_audit.remove(&q);
+    /// Drops every in-flight structure of sender `i` after it was caught
+    /// equivocating at `k` — nothing from an equivocator is ever
+    /// delivered.
+    fn block(&mut self, ctx: &mut Context<'_, Msg>, i: usize, k: u64) {
+        let q = self.procs[i];
+        ctx.note_with(|| format!("nebcast: {q} equivocated at k={k}"));
+        let last = self.rows[i].last;
+        self.rows[i] = Row {
+            last,
+            blocked: Some(k),
+            ..Row::new()
+        };
     }
 
-    /// Moves `ready` slots at the head of `q`'s sequence into the delivery
-    /// queue; returns whether anything was released.
-    fn release_ready(&mut self, q: Pid) -> bool {
+    /// Moves `ready` slots at the head of sender `i`'s sequence into the
+    /// delivery queue; returns whether anything was released.
+    fn release_ready(&mut self, i: usize) -> bool {
+        let row = &mut self.rows[i];
         let mut released = false;
-        loop {
-            let head = self.last[&q];
-            let Some(d) = self.ready.remove(&(q, head)) else {
-                break;
-            };
+        while let Some(d) = row.ready.remove(row.last) {
             self.deliveries.push_back(d);
-            *self.last.get_mut(&q).expect("known sender") += 1;
+            row.last += 1;
             released = true;
         }
         released
@@ -617,9 +695,11 @@ impl NebEngine {
         other.k == k && other.wire != slot.wire && self.signed_by(q, k, other)
     }
 
-    /// Whether `q` has been caught equivocating (at which sequence number).
+    /// Whether `q` has been caught equivocating (at which sequence number);
+    /// `None` for a process this engine does not know.
     pub fn blocked_at(&self, q: Pid) -> Option<u64> {
-        self.blocked.get(&q).copied()
+        let i = self.procs.iter().position(|&p| p == q)?;
+        self.rows[i].blocked
     }
 
     /// Whether `completion` answers a memory operation this engine issued
@@ -647,6 +727,24 @@ impl NebEngine {
         true
     }
 
+    /// The sender whose row issued operation `id`, and the stage it
+    /// completes; `None` for an operation no row still waits for (the
+    /// rows of a blocked sender drop theirs).
+    fn route(&self, id: RepId) -> Option<(usize, Stage)> {
+        self.rows.iter().enumerate().find_map(|(i, row)| {
+            let stage = match row.probe {
+                Some((rep, head)) if rep == id => Stage::Probe { head },
+                _ if row.audit.as_ref().is_some_and(|a| a.rep == id) => Stage::Audit,
+                _ => {
+                    let attempts = row.attempts.0.iter();
+                    let &(k, _) = attempts.into_iter().find(|(_, a)| a.rep() == id)?;
+                    Stage::Attempt { k }
+                }
+            };
+            Some((i, stage))
+        })
+    }
+
     fn on_rep_event(
         &mut self,
         ctx: &mut Context<'_, Msg>,
@@ -661,35 +759,34 @@ impl NebEngine {
             }
             return;
         }
-        // Row-probe completions (pipelined discovery).
-        if let Some((&q, &(_, head))) = self.row_probe.iter().find(|(_, &(r, _))| r == ev.id) {
-            self.row_probe.remove(&q);
-            if let RepResult::RangeOk(rows) = ev.result {
-                self.adopt_row(ctx, client, q, head, rows);
-            }
-            return; // the next poll tick relaunches the probe
-        }
-        // Shared column-audit completions.
-        if let Some((&q, _)) = self.col_audit.iter().find(|(_, a)| a.rep == ev.id) {
-            let ColAudit {
-                head, mut covered, ..
-            } = self.col_audit.remove(&q).expect("found above");
-            self.on_col_audit(ctx, client, q, head, &mut covered, ev.result);
-            if self.spare_covered.len() < SPARE_COVERED_CAP {
-                covered.clear();
-                self.spare_covered.push(covered);
-            }
-            return;
-        }
-        // Find which delivery attempt this event advances.
-        let Some((&(q, k), _)) = self.attempts.iter().find(|(_, a)| match a {
-            Attempt::ReadSlot(r) | Attempt::Copy { rep: r, .. } | Attempt::Audit { rep: r, .. } => {
-                *r == ev.id
-            }
-        }) else {
+        let Some((i, stage)) = self.route(ev.id) else {
             return;
         };
-        let attempt = self.attempts.remove(&(q, k)).expect("found above");
+        let k = match stage {
+            // Row-probe completions (pipelined discovery).
+            Stage::Probe { head } => {
+                self.rows[i].probe = None;
+                if let RepResult::RangeOk(rows) = ev.result {
+                    self.adopt_row(ctx, client, i, head, rows);
+                }
+                return; // the next poll tick relaunches the probe
+            }
+            // Shared column-audit completions.
+            Stage::Audit => {
+                let ColAudit {
+                    head, mut covered, ..
+                } = self.rows[i].audit.take().expect("routed above");
+                self.on_col_audit(ctx, client, i, head, &mut covered, ev.result);
+                if self.spare_covered.len() < SPARE_COVERED_CAP {
+                    covered.clear();
+                    self.spare_covered.push(covered);
+                }
+                return;
+            }
+            Stage::Attempt { k } => k,
+        };
+        let q = self.procs[i];
+        let attempt = self.rows[i].attempts.remove(k).expect("routed above");
         match (attempt, ev.result) {
             (Attempt::ReadSlot(_), RepResult::ReadOk(Some(RegVal::Neb(slot)))) => {
                 // Step 1 checks: signed by q, keyed k.
@@ -697,7 +794,7 @@ impl NebEngine {
                     return; // pretend we saw nothing; retry next poll
                 }
                 if self.depth > 1 {
-                    self.idle_backoff.insert(q, 1); // the row woke up
+                    self.rows[i].idle_backoff = 1; // the row woke up
                 }
                 let rep = self.rep.write(
                     ctx,
@@ -706,23 +803,23 @@ impl NebEngine {
                     slot_reg(self.me, k, q),
                     RegVal::Neb(slot.clone()),
                 );
-                self.attempts.insert((q, k), Attempt::Copy { slot, rep });
+                self.rows[i].attempts.insert(k, Attempt::Copy { slot, rep });
             }
             (Attempt::ReadSlot(_), _) => {
                 // ⊥ / junk / failed: retry later. In pipelined mode an
                 // idle row backs off exponentially — speculative reads
                 // compete with useful ops for the per-memory FIFO slots.
                 if self.depth > 1 && self.focus != Some(q) {
-                    let b = self.idle_backoff.entry(q).or_insert(1);
-                    self.idle_until.insert(q, self.polls + *b);
-                    *b = (*b * 2).min(IDLE_BACKOFF_CAP);
+                    let row = &mut self.rows[i];
+                    row.idle_until = self.polls + row.idle_backoff;
+                    row.idle_backoff = (row.idle_backoff * 2).min(IDLE_BACKOFF_CAP);
                 }
             }
             (Attempt::Copy { slot, .. }, RepResult::WriteOk) => {
                 if self.depth > 1 && self.focus == Some(q) {
                     // Pipelined: join the next shared column audit.
-                    self.await_audit.insert((q, k), slot);
-                    self.maybe_launch_audit(ctx, client, q);
+                    self.rows[i].await_audit.insert(k, slot);
+                    self.maybe_launch_audit(ctx, client, i);
                     return;
                 }
                 let rep = self.rep.read_range(
@@ -736,7 +833,9 @@ impl NebEngine {
                         c: Some(q.0 as u64),
                     }),
                 );
-                self.attempts.insert((q, k), Attempt::Audit { slot, rep });
+                self.rows[i]
+                    .attempts
+                    .insert(k, Attempt::Audit { slot, rep });
             }
             (Attempt::Copy { .. }, _) => {} // copy failed: retry later
             (Attempt::Audit { slot, .. }, RepResult::RangeOk(column)) => {
@@ -744,74 +843,69 @@ impl NebEngine {
                     let RegVal::Neb(other) = other else { continue };
                     if self.convicts(q, k, &slot, &other) {
                         // q signed two different messages for k: equivocation.
-                        ctx.note_with(|| format!("nebcast: {q} equivocated at k={k}"));
-                        self.blocked.insert(q, k);
                         // Abandon the rest of q's window: nothing from an
                         // equivocator is ever delivered (no-ops at depth 1).
-                        self.purge(q);
+                        self.block(ctx, i, k);
                         return;
                     }
                 }
                 // Audited out-of-order slots wait in the ready buffer;
                 // deliveries are released strictly in sequence order.
-                self.ready.insert((q, k), Delivery { from: q, slot });
-                let released = self.release_ready(q);
+                self.rows[i].ready.insert(k, Delivery { from: q, slot });
+                let released = self.release_ready(i);
                 // Per-slot completion chaining: a released head frees
                 // window room — probe q's next slots now instead of
                 // waiting for the timer (classic depth keeps the timer
                 // cadence, bit-identical to the head-of-line loop).
                 if released && self.depth > 1 {
-                    self.launch_attempts(ctx, client, q);
+                    self.launch_attempts(ctx, client, i);
                 }
             }
             (Attempt::Audit { .. }, _) => {} // audit failed: retry later
         }
     }
 
-    /// Resolves a completed shared column audit (issued at `Last[q] =
-    /// head`): checks every covered slot's column for a validly signed
-    /// conflicting copy, then releases the survivors in sequence order.
-    /// Takes the slots out of `covered`.
+    /// Resolves a completed shared column audit of sender `i` (issued at
+    /// `Last[q] = head`): checks every covered slot's column for a validly
+    /// signed conflicting copy, then releases the survivors in sequence
+    /// order. Takes the slots out of `covered`.
     fn on_col_audit(
         &mut self,
         ctx: &mut Context<'_, Msg>,
         client: &mut MemoryClient<RegVal, Msg>,
-        q: Pid,
+        i: usize,
         head: u64,
         covered: &mut Vec<(u64, Arc<NebSlot>)>,
         result: RepResult<RegVal>,
     ) {
+        let q = self.procs[i];
         let RepResult::RangeOk(all) = result else {
             // Audit read failed: the covered slots rejoin the queue and
             // the next poll retries.
             for (k, slot) in covered.drain(..) {
-                self.await_audit.insert((q, k), slot);
+                self.rows[i].await_audit.insert(k, slot);
             }
             return;
         };
-        if self.blocked.contains_key(&q) {
+        if self.rows[i].blocked.is_some() {
             return;
         }
         for (k, slot) in covered.drain(..) {
             // The `(k, q)` column: one register per process's row.
-            for &i in &self.procs {
-                let reg = slot_reg(i, k, q);
+            let convicted = self.procs.iter().any(|&p| {
+                let reg = slot_reg(p, k, q);
                 let Ok(at) = all.binary_search_by_key(&reg, |(r, _)| *r) else {
-                    continue;
+                    return false;
                 };
-                let RegVal::Neb(other) = &all[at].1 else {
-                    continue;
-                };
-                if self.convicts(q, k, &slot, other) {
-                    ctx.note_with(|| format!("nebcast: {q} equivocated at k={k}"));
-                    self.blocked.insert(q, k);
-                    self.purge(q);
-                    return;
-                }
+                matches!(&all[at].1, RegVal::Neb(other) if self.convicts(q, k, &slot, other))
+            });
+            if convicted {
+                self.block(ctx, i, k);
+                return;
             }
-            self.ready.insert((q, k), Delivery { from: q, slot });
+            self.rows[i].ready.insert(k, Delivery { from: q, slot });
         }
-        self.release_ready(q);
+        self.release_ready(i);
         // The audit read covered the window of q's whole column space,
         // including q's own row — adopt any newly written in-window slots
         // from it directly (audit doubles as discovery).
@@ -819,17 +913,252 @@ impl NebEngine {
             let cell = Cell::of(*reg);
             cell.is_self_slot() && cell.row == q
         });
-        self.adopt_row(ctx, client, q, head, own_row);
+        self.adopt_row(ctx, client, i, head, own_row);
         // Chain the next round of work for q (the row probe if the
         // pipeline drained, and an audit for any copies that completed
         // while this one was in flight).
-        self.launch_attempts(ctx, client, q);
-        self.maybe_launch_audit(ctx, client, q);
+        self.launch_attempts(ctx, client, i);
+        self.maybe_launch_audit(ctx, client, i);
     }
 
     /// The oldest queued delivery (deliveries come in per-sender
     /// sequence order).
     pub fn next_delivery(&mut self) -> Option<Delivery> {
         self.deliveries.pop_front()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::adversary::{Act, Scripted};
+    use crate::paxos::Dest;
+    use crate::trusted::{RbPayload, SetupEvidence};
+    use crate::types::Value;
+    use sigsim::SigAuthority;
+    use simnet::{Actor, AnyActor, Duration, EventKind, Simulation, Time};
+
+    /// An honest participant: broadcasts its values at start, polls every
+    /// delay, records what it delivers and, once a copy of `watch`'s row
+    /// waits for an audit, moves its focus to `refocus` and records how
+    /// many copies were waiting.
+    struct Tester {
+        engine: NebEngine,
+        client: MemoryClient<RegVal, Msg>,
+        to_broadcast: Vec<Value>,
+        delivered: Vec<(Pid, u64, Value)>,
+        watch: Option<(Pid, Option<Pid>)>,
+        waiting_at_refocus: usize,
+    }
+
+    fn wire(value: Value) -> TWire {
+        let evidence = SetupEvidence::default();
+        let payload = RbPayload::Setup { value, evidence };
+        TWire {
+            dest: Dest::All,
+            payload,
+            history: Vec::new(),
+        }
+    }
+
+    impl Tester {
+        fn row(&self, q: Pid) -> &Row {
+            let i = self.engine.procs.iter().position(|&p| p == q).unwrap();
+            &self.engine.rows[i]
+        }
+
+        fn after_event(&mut self) {
+            while let Some(d) = self.engine.next_delivery() {
+                if let RbPayload::Setup { value, .. } = d.slot.wire.payload {
+                    self.delivered.push((d.from, d.slot.k, value));
+                }
+            }
+            if let Some((watched, refocus)) = self.watch {
+                let waiting = self.row(watched).await_audit.0.len();
+                if waiting > 0 {
+                    self.engine.set_focus(refocus);
+                    self.waiting_at_refocus = waiting;
+                    self.watch = None;
+                }
+            }
+        }
+
+        fn from(&self, q: Pid) -> Vec<(u64, Value)> {
+            let from_q = self.delivered.iter().filter(|(f, _, _)| *f == q);
+            from_q.map(|&(_, k, v)| (k, v)).collect()
+        }
+    }
+
+    impl Actor<Msg> for Tester {
+        fn on_event(&mut self, ctx: &mut Context<'_, Msg>, ev: EventKind<Msg>) {
+            match ev {
+                EventKind::Start => {
+                    for v in std::mem::take(&mut self.to_broadcast) {
+                        self.engine.broadcast(ctx, &mut self.client, wire(v));
+                    }
+                    self.engine.poll(ctx, &mut self.client);
+                    ctx.set_timer(Duration::from_delays(1), 0);
+                }
+                EventKind::Timer { .. } => {
+                    self.engine.poll(ctx, &mut self.client);
+                    ctx.set_timer(Duration::from_delays(1), 0);
+                }
+                EventKind::Msg {
+                    from,
+                    msg: Msg::Mem(wire),
+                } => {
+                    if let Some(c) = self.client.on_wire(ctx, from, wire) {
+                        self.engine.on_completion(ctx, &mut self.client, c);
+                    }
+                }
+                _ => {}
+            }
+            self.after_event();
+        }
+    }
+
+    /// What builds process `me` of a cluster: it sees the group, the
+    /// memories, every process's signer (a villain signs for its
+    /// accomplices) and the verifier.
+    type Build<'a> =
+        dyn FnMut(Pid, &[Pid], &[ActorId], &[Signer], SigVerifier) -> Box<dyn AnyActor<Msg>> + 'a;
+
+    /// A cluster of `n` processes, each built by `build`, and three
+    /// broadcast memories.
+    fn cluster(n: u32, build: &mut Build<'_>) -> Simulation<Msg> {
+        let mut sim = Simulation::new(17);
+        let procs: Vec<Pid> = (0..n).map(ActorId).collect();
+        let mems: Vec<ActorId> = (n..n + 3).map(ActorId).collect();
+        let mut auth = SigAuthority::new(5);
+        let signers: Vec<Signer> = procs.iter().map(|&p| auth.register(p)).collect();
+        for &p in &procs {
+            sim.add_boxed(build(p, &procs, &mems, &signers, auth.verifier()));
+        }
+        for _ in &mems {
+            sim.add(memory_actor(&procs));
+        }
+        sim
+    }
+
+    fn tester(
+        me: Pid,
+        procs: &[Pid],
+        mems: &[ActorId],
+        signer: &Signer,
+        verifier: SigVerifier,
+    ) -> Tester {
+        let engine = NebEngine::new(me, procs.to_vec(), mems.to_vec(), signer.clone(), verifier);
+        Tester {
+            engine,
+            client: MemoryClient::new(),
+            to_broadcast: Vec::new(),
+            delivered: Vec::new(),
+            watch: None,
+            waiting_at_refocus: 0,
+        }
+    }
+
+    /// Copies that joined the focused sender's next shared audit are
+    /// orphaned when the focus moves away (to another sender, or to none)
+    /// while an audit is in flight. They still get their audit and every
+    /// slot is delivered once, in order, with no one blocked.
+    #[test]
+    fn a_focus_change_with_copies_waiting_for_their_audit_delivers_everything_in_order() {
+        let (p0, p1, p2) = (ActorId(0), ActorId(1), ActorId(2));
+        let values = |base: u64, n: u64| (1..=n).map(|k| Value(base + k)).collect::<Vec<_>>();
+        for refocus in [Some(p1), None] {
+            let mut sim = cluster(3, &mut |me, procs, mems, signers, verifier| {
+                let mut t = tester(me, procs, mems, &signers[me.0 as usize], verifier);
+                if me == p0 {
+                    t.to_broadcast = values(100, 6);
+                } else if me == p1 {
+                    t.to_broadcast = values(200, 2);
+                } else {
+                    t.engine.set_pipeline_depth(4);
+                    t.engine.set_focus(Some(p0));
+                    t.watch = Some((p0, refocus));
+                }
+                Box::new(t)
+            });
+            sim.run_until(Time::from_delays(400), |s| {
+                let t = s.actor_as::<Tester>(p2).unwrap();
+                t.from(p0).len() == 6 && t.from(p1).len() == 2
+            });
+            let t = sim.actor_as::<Tester>(p2).unwrap();
+            assert!(t.waiting_at_refocus > 0, "the focus never moved");
+            let expect = |base, n| (1..=n).zip(values(base, n)).collect::<Vec<_>>();
+            assert_eq!(t.from(p0), expect(100, 6), "refocus {refocus:?}");
+            assert_eq!(t.from(p1), expect(200, 2), "refocus {refocus:?}");
+            assert!(procs_unblocked(&t.engine), "refocus {refocus:?}");
+            assert!(t.row(p0).await_audit.is_empty() && t.row(p0).audit.is_none());
+        }
+    }
+
+    fn procs_unblocked(engine: &NebEngine) -> bool {
+        engine.rows.iter().all(|row| row.blocked.is_none())
+    }
+
+    /// An equivocator caught in the middle of its pipelined window loses
+    /// its whole row — and only its row: another sender's attempt in
+    /// flight at that instant goes on, and all its slots are delivered.
+    #[test]
+    fn an_equivocator_caught_mid_window_purges_only_its_own_row() {
+        let (p0, p1, p2, p3) = (ActorId(0), ActorId(1), ActorId(2), ActorId(3));
+        let mut sim = cluster(4, &mut |me, procs, mems, signers, verifier| {
+            // p0 broadcasts k = 1, 2, 3 identically on every memory, and
+            // signs a second value for k = 2, which its accomplice p1
+            // plants as its audit copy.
+            let signed = |k, v| RegVal::Neb(NebSlot::signed(&signers[0], k, wire(Value(v))));
+            if me == p0 {
+                let row = row_region(p0);
+                let writes = (1..=3)
+                    .flat_map(|k| Act::write_all(mems, row, slot_reg(p0, k, p0), signed(k, k)));
+                return Box::new(Scripted::new(
+                    "Equivocator",
+                    p0,
+                    writes.collect(),
+                    Vec::new(),
+                ));
+            }
+            if me == p1 {
+                let copy = Act::write_all(mems, row_region(p1), slot_reg(p1, 2, p0), signed(2, 99));
+                return Box::new(Scripted::new("Accomplice", p1, copy, Vec::new()));
+            }
+            let mut t = tester(me, procs, mems, &signers[me.0 as usize], verifier);
+            if me == p2 {
+                t.engine.set_pipeline_depth(4);
+                t.engine.set_focus(Some(p0));
+            } else {
+                t.to_broadcast = (1..=6).map(|k| Value(300 + k)).collect();
+            }
+            Box::new(t)
+        });
+        sim.run_until(Time::from_delays(400), |s| {
+            let t = s.actor_as::<Tester>(p2).unwrap();
+            t.engine.blocked_at(p0).is_some()
+        });
+        let t = sim.actor_as::<Tester>(p2).unwrap();
+        assert_eq!(t.engine.blocked_at(p0), Some(2));
+        let purged = t.row(p0);
+        assert!(purged.attempts.is_empty() && purged.ready.is_empty());
+        assert!(purged.await_audit.is_empty() && purged.probe.is_none() && purged.audit.is_none());
+        // The instant p0 was blocked, p3's row had an attempt in flight.
+        let in_flight: Vec<u64> = t.row(p3).attempts.0.iter().map(|&(k, _)| k).collect();
+        assert!(
+            !in_flight.is_empty(),
+            "p3's row was idle when p0 was caught"
+        );
+        // Nothing of p0's past k = 1 was delivered, and p3's row goes on.
+        assert!(t.from(p0).iter().all(|&(k, _)| k == 1), "{:?}", t.from(p0));
+        sim.run_until(Time::from_delays(400), |s| {
+            s.actor_as::<Tester>(p2).unwrap().from(p3).len() == 6
+        });
+        let t = sim.actor_as::<Tester>(p2).unwrap();
+        let expect: Vec<(u64, Value)> = (1..=6).map(|k| (k, Value(300 + k))).collect();
+        assert_eq!(t.from(p3), expect);
+        assert_eq!(t.engine.blocked_at(p3), None);
+        assert_eq!(t.engine.blocked_at(p0), Some(2));
+        // A process outside the broadcast group was never blocked.
+        assert_eq!(t.engine.blocked_at(ActorId(99)), None);
     }
 }

@@ -16,13 +16,17 @@
 //! (`python3 benchmark/run.py`: calibrated reference seconds, medians with
 //! quartiles).
 //!
-//! The gate ([`gate`]) has three tiers: a gated metric more than 10 % worse
+//! The gate ([`gate`]) has four tiers: a gated metric more than 10 % worse
 //! than the prior snapshot exits non-zero; so does an exact count
 //! (`bench::gate::EXACT_COUNTS`: allocations, events, messages, memory
 //! ops) that rose at all, unless `PERF_GATE_MOVED_OK=label.field,…` names
 //! it — allocation counts only when the prior snapshot's `rustc` header
-//! matches this build's; and under `PERF_GATE=strict` so does a label the
-//! prior snapshot measured that this run no longer emits.
+//! matches this build's; and under `PERF_GATE=strict` so does a simulated
+//! count or gated metric (`bench::gate::EXACT_BOTH_WAYS`: events,
+//! messages, memory ops, committed per delay, delays per entry, range
+//! rows per command) that moved at all, in either direction, unless
+//! `PERF_GATE_MOVED_OK` names it, and a label the prior snapshot measured
+//! that this run no longer emits.
 //!
 //! ```sh
 //! cargo run --release -p bench --bin perf_snapshot
@@ -48,7 +52,7 @@ use simnet::{DelayModel, RdmaCost, TICKS_PER_DELAY};
 const RUSTC: &str = env!("BENCH_RUSTC_VERSION");
 
 /// This snapshot's PR number (names the output file and anchors the gate).
-const PR: u32 = 41;
+const PR: u32 = 42;
 
 /// Allocation-counting wrapper around the system allocator.
 struct CountingAlloc;
@@ -749,9 +753,32 @@ fn gate(root: &str, cmds: usize, json: &str) -> bool {
         return false;
     }
     let mut failed = false;
+    let moved_env = std::env::var("PERF_GATE_MOVED_OK").unwrap_or_default();
+    let moved: Vec<&str> = moved_env.split(',').map(str::trim).collect();
+    // Under strict, the simulation's counts and the virtual-time metrics
+    // may not move at all, either way: each is reported once, here.
+    let exact = if mode == "strict" {
+        bench::gate::exact_moves(&prior, json, &moved)
+    } else {
+        Vec::new()
+    };
+    for m in &exact {
+        failed = true;
+        let (label, field, was, now) = (&m.label, m.field, m.prior, m.current);
+        println!(
+            "perf gate: REGRESSION {label} {field}: {was} -> {now} (exact in both directions \
+             under PERF_GATE=strict; name a move on purpose in PERF_GATE_MOVED_OK as \
+             {label}.{field})"
+        );
+    }
+    let reported =
+        |label: &str, field: &str| exact.iter().any(|m| m.label == label && m.field == field);
     // Virtual-time and exact-count metrics are deterministic per seed and
     // machine-independent: any worsening beyond 10% is real.
     for r in bench::gate::regressions(&prior, json, 0.10) {
+        if reported(&r.label, r.metric) {
+            continue;
+        }
         failed |= mode != "warn";
         let (label, metric, was, now) = (&r.label, r.metric, r.prior, r.current);
         let worse = 100.0 * r.drop_frac;
@@ -761,8 +788,6 @@ fn gate(root: &str, cmds: usize, json: &str) -> bool {
     }
     // Exact counts repeat to the unit: any rise is a change, moved on
     // purpose only if named.
-    let moved_env = std::env::var("PERF_GATE_MOVED_OK").unwrap_or_default();
-    let moved: Vec<&str> = moved_env.split(',').map(str::trim).collect();
     let rustc = bench::gate::top_string(&prior, "rustc");
     if rustc != Some(RUSTC) {
         println!(
@@ -771,6 +796,9 @@ fn gate(root: &str, cmds: usize, json: &str) -> bool {
         );
     }
     for r in bench::gate::count_rises(&prior, json, &moved) {
+        if reported(&r.label, r.field) {
+            continue;
+        }
         failed |= mode != "warn";
         let (label, field, was, now) = (&r.label, r.field, r.prior, r.current);
         println!(

@@ -191,8 +191,9 @@ pub fn write_timeline(dir: &Path, name: &str, art: &TimelineArtifacts) -> Result
 /// run just produced against the newest prior `BENCH_PR<k>.json` at the
 /// repo root and reports any virtual-time or exact-count metric that
 /// worsened beyond a threshold ([`gate::regressions`]), any count that rose at
-/// all ([`gate::count_rises`]), and any label that disappeared
-/// ([`gate::retired_labels`]).
+/// all ([`gate::count_rises`]), any simulated count or virtual-time metric
+/// that moved at all, either way ([`gate::exact_moves`]), and any label that
+/// disappeared ([`gate::retired_labels`]).
 ///
 /// The snapshots are this workspace's own generated JSON, so the extractor
 /// is a purpose-built string scanner rather than a JSON parser (the
@@ -324,12 +325,27 @@ pub mod gate {
     /// How many of [`EXACT_COUNTS`], from the front, the allocator counts.
     const ALLOCATION_COUNTS: usize = 3;
 
-    /// One exact count that rose.
+    /// The fields exact in both directions: the simulation's own counts
+    /// and the [`GATED_METRICS`]. They repeat to the last digit on every
+    /// machine and compiler, so a fall is as much a change as a rise — a
+    /// memory operation that stops being issued lowers `mem_ops`, and a
+    /// schedule that moves at all moves `committed_per_delay`. Allocation
+    /// counts are not here: a change may lower them without saying so.
+    pub const EXACT_BOTH_WAYS: [&str; 6] = [
+        "events",
+        "messages",
+        "mem_ops",
+        "committed_per_delay",
+        "delays_per_entry",
+        "range_rows_per_cmd",
+    ];
+
+    /// One exact field that moved.
     #[derive(Clone, Debug, PartialEq)]
-    pub struct Rise {
+    pub struct Move {
         /// The measured configuration.
         pub label: String,
-        /// Which of [`EXACT_COUNTS`] rose.
+        /// Which field moved.
         pub field: &'static str,
         /// Prior value.
         pub prior: f64,
@@ -337,20 +353,17 @@ pub mod gate {
         pub current: f64,
     }
 
-    /// Every [`EXACT_COUNTS`] field that is higher in `current` than in
-    /// `prior`, for every label both measure, except those `moved_ok` names
-    /// as `label.field` (a change that moves a count on purpose says so).
-    /// A fall never counts. Allocation counts are compared only when both
-    /// snapshots' `rustc` headers are present and equal; the other counts
-    /// always are.
-    pub fn count_rises(prior: &str, current: &str, moved_ok: &[&str]) -> Vec<Rise> {
-        let same_rustc =
-            top_string(prior, "rustc").is_some_and(|p| top_string(current, "rustc") == Some(p));
-        let fields = if same_rustc {
-            &EXACT_COUNTS[..]
-        } else {
-            &EXACT_COUNTS[ALLOCATION_COUNTS..]
-        };
+    /// Every `fields` value that `moved(prior, current)` flags, for every
+    /// label both snapshots measure, except those `moved_ok` names as
+    /// `label.field` (a change that moves a field on purpose says so);
+    /// once per label and field, in prior-snapshot order.
+    fn moves_of(
+        prior: &str,
+        current: &str,
+        fields: &[&'static str],
+        moved_ok: &[&str],
+        moved: impl Fn(f64, f64) -> bool,
+    ) -> Vec<Move> {
         let mut out = Vec::new();
         for label in labels(prior) {
             for &field in fields {
@@ -361,13 +374,13 @@ pub mod gate {
                     continue;
                 };
                 let named = moved_ok.contains(&format!("{label}.{field}").as_str());
-                if c > p
+                if moved(p, c)
                     && !named
                     && !out
                         .iter()
-                        .any(|r: &Rise| r.label == label && r.field == field)
+                        .any(|m: &Move| m.label == label && m.field == field)
                 {
-                    out.push(Rise {
+                    out.push(Move {
                         label: label.clone(),
                         field,
                         prior: p,
@@ -377,6 +390,28 @@ pub mod gate {
             }
         }
         out
+    }
+
+    /// Every [`EXACT_COUNTS`] field that is higher in `current` than in
+    /// `prior`, except those `moved_ok` names. A fall never counts.
+    /// Allocation counts are compared only when both snapshots' `rustc`
+    /// headers are present and equal; the other counts always are.
+    pub fn count_rises(prior: &str, current: &str, moved_ok: &[&str]) -> Vec<Move> {
+        let same_rustc =
+            top_string(prior, "rustc").is_some_and(|p| top_string(current, "rustc") == Some(p));
+        let fields = if same_rustc {
+            &EXACT_COUNTS[..]
+        } else {
+            &EXACT_COUNTS[ALLOCATION_COUNTS..]
+        };
+        moves_of(prior, current, fields, moved_ok, |p, c| c > p)
+    }
+
+    /// Every [`EXACT_BOTH_WAYS`] field that differs between `prior` and
+    /// `current`, in either direction, except those `moved_ok` names: what
+    /// `PERF_GATE=strict` fails on beside the one-sided tiers.
+    pub fn exact_moves(prior: &str, current: &str, moved_ok: &[&str]) -> Vec<Move> {
+        moves_of(prior, current, &EXACT_BOTH_WAYS, moved_ok, |p, c| c != p)
     }
 
     /// Labels present in `prior` but missing from `current`: measured
@@ -637,6 +672,61 @@ pub mod gate {
             );
             let fields: Vec<&str> = rises.iter().map(|r| r.field).collect();
             assert_eq!(fields, ["allocs_per_cmd"]);
+        }
+
+        /// A snapshot of one row with every two-sided field, at the values
+        /// given, beside 148 allocations.
+        fn simulated(events: u64, mem_ops: u64, committed_per_delay: &str) -> String {
+            format!(
+                "{{\n\"rustc\": \"rustc 1.95.0\",\n\"a\": {{ \"label\": \"cfg\", \
+                 \"allocations\": 148, \"events\": {events}, \"messages\": 9, \
+                 \"mem_ops\": {mem_ops}, \"committed_per_delay\": {committed_per_delay}, \
+                 \"delays_per_entry\": 0.631, \"range_rows_per_cmd\": 2.000 }}\n}}"
+            )
+        }
+
+        #[test]
+        fn a_simulated_count_that_falls_moves_the_two_sided_tier_only() {
+            let prior = simulated(500, 300, "15.840");
+            let fewer_ops = simulated(500, 299, "15.840");
+            assert!(count_rises(&prior, &fewer_ops, &[]).is_empty());
+            let moves = exact_moves(&prior, &fewer_ops, &[]);
+            let fields: Vec<&str> = moves.iter().map(|m| m.field).collect();
+            assert_eq!(fields, ["mem_ops"]);
+            assert_eq!((moves[0].prior, moves[0].current), (300.0, 299.0));
+            // A rise moves it too, and so do both together.
+            let both = simulated(499, 301, "15.840");
+            let fields: Vec<&str> = (exact_moves(&prior, &both, &[]).iter())
+                .map(|m| m.field)
+                .collect();
+            assert_eq!(fields, ["events", "mem_ops"]);
+            assert!(exact_moves(&prior, &prior, &[]).is_empty());
+        }
+
+        #[test]
+        fn a_virtual_time_move_inside_the_ten_percent_tier_moves_the_two_sided_tier() {
+            let prior = simulated(500, 300, "15.840");
+            // Better by one part in 15 840, then worse by as much: the
+            // 10 % tier sees neither, the two-sided tier both.
+            for now in ["15.841", "15.839"] {
+                let current = simulated(500, 300, now);
+                assert!(regressions(&prior, &current, 0.10).is_empty());
+                let moves = exact_moves(&prior, &current, &[]);
+                let fields: Vec<&str> = moves.iter().map(|m| m.field).collect();
+                assert_eq!(fields, ["committed_per_delay"], "{now}");
+            }
+        }
+
+        #[test]
+        fn allocation_counts_stay_one_sided_and_a_named_move_passes() {
+            let prior = simulated(500, 300, "15.840");
+            let fewer_allocs = prior.replace("\"allocations\": 148", "\"allocations\": 100");
+            assert!(exact_moves(&prior, &fewer_allocs, &[]).is_empty());
+            assert!(count_rises(&prior, &fewer_allocs, &[]).is_empty());
+            let now = simulated(500, 299, "15.841");
+            let moves = exact_moves(&prior, &now, &["cfg.mem_ops", "other.committed_per_delay"]);
+            let fields: Vec<&str> = moves.iter().map(|m| m.field).collect();
+            assert_eq!(fields, ["committed_per_delay"]);
         }
 
         #[test]

@@ -37,7 +37,7 @@ mod region;
 mod wire;
 
 pub use client::{Completion, MemoryClient};
-pub use memory::{MemoryActor, LOG_PAGE_ROWS};
+pub use memory::{MemoryActor, LOG_PAGE_ROWS, SPARSE_PAGE_ROWS};
 pub use perm::{LegalChange, LegalChangeFn, PermSet, Permission};
 pub use reg::RegId;
 pub use region::{RegionId, RegionSpec, Window};

@@ -30,15 +30,51 @@ use crate::wire::{MemEmbed, MemRequest, MemResponse, MemWire, WireSize};
 /// 0.2 % of the run's allocations (64-row pages would add 12 %).
 pub const LOG_PAGE_ROWS: usize = 4096;
 
+/// Rows per page of every other register space: consecutive `b` of one
+/// `(space, a, c)` column, such as one row's copies of one broadcaster's
+/// slots (`slots[p, k, q]` for 32 consecutive `k`).
+///
+/// A constant, never derived from a coordinate: one write allocates at
+/// most one page (2 kB of 64-byte register values) whether its `b` is 7,
+/// a receipt's `1 << 63 | 7` or `u64::MAX`, so a writer that picks its
+/// own coordinates — a Byzantine broadcaster in its row — costs a memory
+/// no more per write than an honest one.
+pub const SPARSE_PAGE_ROWS: usize = 32;
+
+/// Consecutive rows of one column. Allocated once at its page size and
+/// never regrown; its length is the highest row written plus one, so a
+/// short column neither initialises nor scans the rest of its page.
+struct Rows<V>(Vec<Option<V>>);
+
+impl<V> Rows<V> {
+    fn new(page_rows: usize) -> Rows<V> {
+        Rows(Vec::with_capacity(page_rows))
+    }
+
+    fn get(&self, off: usize) -> Option<&V> {
+        self.0.get(off)?.as_ref()
+    }
+
+    fn put(&mut self, off: usize, value: V) {
+        if off >= self.0.len() {
+            self.0.resize_with(off + 1, || None);
+        }
+        self.0[off] = Some(value);
+    }
+
+    /// The written rows, in order, each with its offset in the page.
+    fn iter(&self) -> impl Iterator<Item = (u64, &V)> {
+        let rows = self.0.iter().enumerate();
+        rows.filter_map(|(off, v)| Some((off as u64, v.as_ref()?)))
+    }
+}
+
 /// `LOG_PAGE_ROWS` consecutive `a` of one `(b, c)` column of a log space.
 struct Page<V> {
     /// The register of row 0. Pages of one column never overlap, so
     /// `RegId` order on `first` is page order.
     first: RegId,
-    /// Allocated once at `LOG_PAGE_ROWS` and never regrown; its length is
-    /// the highest row written plus one, so a short log neither
-    /// initialises nor scans the rest of its page.
-    rows: Vec<Option<V>>,
+    rows: Rows<V>,
 }
 
 /// The first register of `reg`'s page, and `reg`'s row in that page.
@@ -75,48 +111,65 @@ impl<V> PagedLog<V> {
 
     fn get(&self, reg: RegId) -> Option<&V> {
         let (first, off) = page_of(reg);
-        let page = &self.pages[self.find(first).ok()?];
-        page.rows.get(off)?.as_ref()
+        self.pages[self.find(first).ok()?].rows.get(off)
     }
 
     fn insert(&mut self, reg: RegId, value: V) {
         let (first, off) = page_of(reg);
         self.last = self.find(first).unwrap_or_else(|at| {
-            let rows = Vec::with_capacity(LOG_PAGE_ROWS);
+            let rows = Rows::new(LOG_PAGE_ROWS);
             self.pages.insert(at, Page { first, rows });
             at
         });
-        let rows = &mut self.pages[self.last].rows;
-        if off >= rows.len() {
-            rows.resize_with(off + 1, || None);
-        }
-        rows[off] = Some(value);
+        self.pages[self.last].rows.put(off, value);
     }
 
     /// The written registers, a page at a time.
     fn iter(&self) -> impl Iterator<Item = (RegId, &V)> {
         self.pages.iter().flat_map(|page| {
             let first = page.first;
-            let rows = page.rows.iter().enumerate();
-            rows.filter_map(move |(off, v)| {
-                let a = first.a + off as u64;
-                Some((RegId { a, ..first }, v.as_ref()?))
+            (page.rows.iter()).map(move |(off, v)| {
+                (
+                    RegId {
+                        a: first.a + off,
+                        ..first
+                    },
+                    v,
+                )
             })
         })
     }
 }
 
+/// Where a sparse register's page lies: `(space, a, c, b / SPARSE_PAGE_ROWS)`.
+/// In this order a column's pages are adjacent and in `b` order, so with
+/// `c` fixed, key order is `RegId` order.
+type SparseKey = (u16, u64, u64, u64);
+
+/// The key of `reg`'s sparse page, and `reg`'s row in that page.
+fn sparse_page_of(reg: RegId) -> (SparseKey, usize) {
+    let page_rows = SPARSE_PAGE_ROWS as u64;
+    let key = (reg.space, reg.a, reg.c, reg.b / page_rows);
+    (key, (reg.b % page_rows) as usize)
+}
+
+/// The register a sparse page's row `off` stands for.
+fn sparse_reg((space, a, c, page): SparseKey, off: u64) -> RegId {
+    RegId::new(space, a, page * SPARSE_PAGE_ROWS as u64 + off, c)
+}
+
 /// The registers of a memory. Which of the two stores holds a register is
 /// a function of its space alone; [`Store::get`] is the one lookup and
 /// [`Store::insert`] the one store every operation goes through. Both
-/// stores keep their registers in `RegId` order, so neither needs an index
-/// beside it. ARCHITECTURE.md, "Which register space lives where", has the
-/// sizes and the measurements.
+/// stores are pages of one constant size each, kept in order, so neither
+/// needs an index beside it. ARCHITECTURE.md, "Which register space lives
+/// where", has the sizes and the measurements.
 struct Store<V> {
-    /// Every space not declared a log: sparse coordinates (a broadcast
-    /// slot's `b` carries the receipt plane at bit 63) in one ordered map,
-    /// which is also what a windowed range read walks ([`scan_window`]).
-    sparse: BTreeMap<RegId, V>,
+    /// Every space not declared a log: pages of [`SPARSE_PAGE_ROWS`]
+    /// consecutive `b` (a broadcast slot's `b` is its sequence number, a
+    /// receipt's carries bit 63) of one `(space, a, c)` column, in one
+    /// ordered map that a windowed range read walks ([`scan_window`]).
+    sparse: BTreeMap<SparseKey, Rows<V>>,
     /// The space declared a log ([`MemoryActor::with_log_space`]): an
     /// in-order slot write is an indexed store into the page written
     /// last — no hash, no rehash, no copy-on-grow.
@@ -128,7 +181,8 @@ impl<V> Store<V> {
         if self.log.holds(reg.space) {
             self.log.get(reg)
         } else {
-            self.sparse.get(&reg)
+            let (key, off) = sparse_page_of(reg);
+            self.sparse.get(&key)?.get(off)
         }
     }
 
@@ -136,14 +190,17 @@ impl<V> Store<V> {
         if self.log.holds(reg.space) {
             self.log.insert(reg, value);
         } else {
-            self.sparse.insert(reg, value);
+            let (key, off) = sparse_page_of(reg);
+            let page = self.sparse.entry(key);
+            page.or_insert_with(|| Rows::new(SPARSE_PAGE_ROWS))
+                .put(off, value);
         }
     }
 
-    /// The written registers of both stores: each in `RegId` order, the
-    /// two one after the other.
+    /// The written registers of both stores, in no particular order.
     fn iter(&self) -> impl Iterator<Item = (RegId, &V)> {
-        let sparse = self.sparse.iter().map(|(r, v)| (*r, v));
+        let sparse = (self.sparse.iter())
+            .flat_map(|(&key, rows)| rows.iter().map(move |(off, v)| (sparse_reg(key, off), v)));
         sparse.chain(self.log.iter())
     }
 }
@@ -151,9 +208,9 @@ impl<V> Store<V> {
 /// A simulated memory with registers, regions and permissions.
 ///
 /// Every write is one `Store::insert` per register and keeps nothing
-/// else current: a *windowed* range read (`within` pins a `b` window of a
-/// space that is not a log) walks the ordered sparse store itself, and
-/// every other range read filters both stores and sorts.
+/// else current: a *windowed* range read (`within` pins a `b` window and
+/// a `c` of a space that is not a log) walks the sparse store's pages
+/// itself, and every other range read filters both stores and sorts.
 ///
 /// Type parameters: `V` is the register value type; `M` the simulation
 /// message type embedding [`MemWire<V>`].
@@ -218,12 +275,13 @@ where
     /// Declares `space` a log along `a`: an array of slots filled one `a`
     /// after the other by few writers (Algorithm 7's `slot[instance, p]`).
     /// Its registers are kept in pages of [`LOG_PAGE_ROWS`] consecutive
-    /// `a` per `(b, c)` column instead of the ordered map, which changes
-    /// what a write costs and nothing any operation answers. Declared where
-    /// the space's layout is defined, by someone who knows its writers: a
-    /// write far from every other still costs a whole page (and never
-    /// more), so a space whose dense coordinate an adversary picks stays
-    /// undeclared. A memory has at most one.
+    /// `a` per `(b, c)` column instead of the sparse store's short pages
+    /// along `b`, which changes what a write costs and nothing any
+    /// operation answers. Declared where the space's layout is defined, by
+    /// someone who knows its writers: a write far from every other still
+    /// costs a whole page (and never more), so a space whose dense
+    /// coordinate an adversary picks stays undeclared. A memory has at most
+    /// one.
     pub fn with_log_space(mut self, space: u16) -> Self {
         let prev = self.store.log.space.replace(space);
         assert!(prev.is_none(), "a memory has one log space");
@@ -275,13 +333,13 @@ where
                             space,
                             a,
                             b: Some(window),
-                            ..
+                            c: Some(c),
                         }) if !store.log.holds(space) => {
-                            // Map order is `RegId` order: no sort. The hits
+                            // Page order is `RegId` order: no sort. The hits
                             // gather in the reused buffer, so the response
                             // is allocated once, at its final length.
                             let hits = &mut self.hits;
-                            scan_window(&store.sparse, space, a, window, |r, v| {
+                            scan_window(&store.sparse, (space, a, c), window, |r, v| {
                                 if hit(r) {
                                     hits.push((r, v.clone()));
                                 }
@@ -316,36 +374,47 @@ where
     }
 }
 
-/// Visits the registers of `sparse` in `space` whose `b` lies in `window`
-/// and whose `a` is the given one (every `a` when `None`), in `RegId`
-/// order, each with its value — a skip-scan: one seek per distinct `a`,
-/// then a walk over that row's window, so the cost is
-/// O((rows + matches) · log n) however many registers lie outside the
-/// window, and no register is looked up a second time.
+/// Visits the registers of `sparse` in column `(space, a, c)` whose `b`
+/// lies in `window` (every `a` when `a` is `None`), in `RegId` order, each
+/// with its value. A column's pages are adjacent in the map and in `b`
+/// order, so each row costs one seek, then a walk over the pages the
+/// window touches that steps over the first page's rows below the window
+/// and stops at the first row past it: no register is looked up.
 fn scan_window<V>(
-    sparse: &BTreeMap<RegId, V>,
-    space: u16,
-    a: Option<u64>,
+    sparse: &BTreeMap<SparseKey, Rows<V>>,
+    (space, a, c): (u16, Option<u64>, u64),
     window: Window,
     mut visit: impl FnMut(RegId, &V),
 ) {
+    let first_page = window.start() / SPARSE_PAGE_ROWS as u64;
     let mut row = a.unwrap_or(0);
     loop {
         // Where the walk leaves this row decides the next seek.
         let mut next_row = None;
-        for (&r, v) in sparse.range(RegId::new(space, row, window.start(), 0)..) {
-            if r.space != space {
+        'pages: for (&key, rows) in sparse.range((space, row, c, first_page)..) {
+            let (s, pa, pc, _) = key;
+            if s != space {
                 break;
             }
-            if r.a != row {
-                next_row = Some(r.a);
+            if pa != row {
+                next_row = Some(pa);
                 break;
             }
-            if !window.contains(r.b) {
+            if pc != c {
                 next_row = row.checked_add(1);
                 break;
             }
-            visit(r, v);
+            for (off, v) in rows.iter() {
+                let r = sparse_reg(key, off);
+                if r.b < window.start() {
+                    continue;
+                }
+                if !window.contains(r.b) {
+                    next_row = row.checked_add(1);
+                    break 'pages;
+                }
+                visit(r, v);
+            }
         }
         match next_row {
             Some(next) if a.is_none() => row = next,
@@ -617,7 +686,7 @@ mod tests {
             assert_eq!(resp, MemResponse::Ack);
             let log = &mem.store.log;
             assert_eq!(log.pages.len(), pages + 1);
-            assert_eq!(log.pages[log.last].rows.capacity(), LOG_PAGE_ROWS);
+            assert_eq!(log.pages[log.last].rows.0.capacity(), LOG_PAGE_ROWS);
             let resp = mem.handle(me, MemRequest::Read { region, reg });
             assert_eq!(resp, MemResponse::Value(Some(value)));
         }
@@ -633,6 +702,49 @@ mod tests {
         );
         assert!(mem.store.sparse.len() == 1 && mem.store.log.pages.len() == 2);
         assert!(format!("{mem:?}").contains("registers: 3"), "{mem:?}");
+    }
+
+    /// A sparse space's pages are sized by a constant too: a write at the
+    /// first `b`, in the receipt plane or at the last `b` of the space
+    /// costs one page of `SPARSE_PAGE_ROWS` rows, never one sized by `b`.
+    #[test]
+    fn a_sparse_write_allocates_at_most_one_page_wherever_it_lands() {
+        let mut mem = MemoryActor::<u64, TMsg>::new(LegalChange::Static).with_region(
+            REGION,
+            RegionSpec::All,
+            Permission::open(),
+        );
+        let me = ActorId(1);
+        let far = [7, 1 << 63 | 7, u64::MAX].map(|b| RegId::new(2, 3, b, 4));
+        for (pages, reg) in far.into_iter().enumerate() {
+            let (region, value) = (REGION, reg.b);
+            let resp = mem.handle(me, MemRequest::Write { region, reg, value });
+            assert_eq!(resp, MemResponse::Ack);
+            let sparse = &mem.store.sparse;
+            assert_eq!(sparse.len(), pages + 1);
+            let page = &sparse[&sparse_page_of(reg).0];
+            assert_eq!(page.0.capacity(), SPARSE_PAGE_ROWS);
+            assert!(page.0.len() <= SPARSE_PAGE_ROWS);
+            let resp = mem.handle(me, MemRequest::Read { region, reg });
+            assert_eq!(resp, MemResponse::Value(Some(value)));
+        }
+        // A windowed read walks the pages in `b` order; `[0, u64::MAX)`
+        // ends one short of the last `b`.
+        let within = Some(RegionSpec::Pattern {
+            space: 2,
+            a: None,
+            b: Some(Window::span(0, u64::MAX)),
+            c: Some(4),
+        });
+        let resp = mem.handle(
+            me,
+            MemRequest::ReadRange {
+                region: REGION,
+                within,
+            },
+        );
+        let rows: Vec<_> = far[..2].iter().map(|r| (*r, r.b)).collect();
+        assert_eq!(resp, MemResponse::Range(rows));
     }
 
     #[test]

@@ -247,10 +247,10 @@ mod data_path {
 mod range_reads {
     //! Every answer of a memory equals a `BTreeMap<RegId, u64>` model's:
     //! `ReadRange` is `sort(filter(all registers))` whether the memory
-    //! scans its stores or skip-scans its ordered sparse store for a
-    //! window, point reads see exactly the acked writes, and a refused
-    //! `WriteMany` leaves none of its rows behind — in the paged store of
-    //! a log space and in the ordered map alike.
+    //! scans its stores or walks its sparse pages for a window, point
+    //! reads see exactly the acked writes, and a refused `WriteMany` leaves
+    //! none of its rows behind — in the paged store of a log space and in
+    //! the sparse pages alike.
 
     use std::collections::BTreeMap;
     use std::sync::Arc;
@@ -326,15 +326,21 @@ mod range_reads {
         ]
     }
 
-    /// Second coordinates: a small sequence number, one carrying the high
-    /// (receipt-style) bit, or the last coordinate of the space.
+    /// `b` is drawn on both sides of the sparse spaces' page boundaries.
+    const SPARSE_PAGE: u64 = rdma_sim::SPARSE_PAGE_ROWS as u64;
+
+    /// Second coordinates: a small sequence number, one next to the first
+    /// or second sparse page boundary, one carrying the high
+    /// (receipt-style) bit, or one of the last coordinates of the space.
     fn arb_b() -> impl Strategy<Value = u64> {
         prop_oneof![
             0u64..12,
             0u64..12,
+            (0u64..4).prop_map(|d| SPARSE_PAGE - 2 + d),
+            (0u64..4).prop_map(|d| 2 * SPARSE_PAGE - 2 + d),
             (0u64..12).prop_map(|k| k | 1 << 63),
-            (0u64..12).prop_map(|k| k | 1 << 63),
-            Just(u64::MAX),
+            (0u64..4).prop_map(|d| (SPARSE_PAGE - 2 + d) | 1 << 63),
+            (0u64..2).prop_map(|d| u64::MAX - d),
         ]
     }
 
@@ -348,10 +354,18 @@ mod range_reads {
         prop_oneof![Just(None), some.prop_map(Some)]
     }
 
+    /// Windows inside the first page, starting on either side of a page
+    /// boundary, spanning a whole page and more, in the receipt plane, and
+    /// at the top of the space.
     fn arb_window() -> impl Strategy<Value = Window> {
         prop_oneof![
             (0u64..12, 0u64..8).prop_map(|(start, len)| Window::span(start, len)),
+            (0u64..4, 0u64..8).prop_map(|(d, len)| Window::span(SPARSE_PAGE - 2 + d, len)),
+            (0u64..12, 0u64..3).prop_map(|(start, d)| Window::span(start, SPARSE_PAGE - 1 + d)),
+            (0u64..4, 0u64..40).prop_map(|(d, len)| Window::span(2 * SPARSE_PAGE - 2 + d, len)),
             (0u64..12).prop_map(|k| Window::exact(k | 1 << 63)),
+            (0u64..4, 0u64..6)
+                .prop_map(|(d, len)| Window::span((SPARSE_PAGE - 2 + d) | 1 << 63, len)),
             (0u64..12).prop_map(|k| Window::span(k, u64::MAX)),
             (0u64..3).prop_map(|k| Window::span(u64::MAX - k, 2)),
         ]
@@ -370,7 +384,9 @@ mod range_reads {
                     c
                 }
             )),
-            // Windowed patterns (twice as likely): the skip-scan's form.
+            // Windowed patterns (twice as likely): with `c` pinned, the
+            // form the memory serves by walking its sparse pages; with `c`
+            // wild, the filter-and-sort form.
             (0u16..3, arb_opt(arb_a()), arb_window(), arb_opt(0u64..3)).prop_map(
                 |(space, a, b, c)| Some(RegionSpec::Pattern {
                     space,
@@ -390,14 +406,34 @@ mod range_reads {
         ]
     }
 
-    /// A batch through the whole memory (acked, rows in every space),
-    /// through the locked region (refused: no permission), through the
-    /// row region with arbitrary rows (refused unless all happen to lie
-    /// in it) or with every row moved into it (acked).
+    /// A run of consecutive `b` in one `(space, a, c)` column, as a
+    /// broadcaster or an auditor fills its row: from a small sequence
+    /// number, from just below a sparse page boundary, or in the receipt
+    /// plane, so windows see several rows and pages of one column.
+    fn arb_run() -> impl Strategy<Value = Vec<(RegId, u64)>> {
+        let start = prop_oneof![
+            0u64..4,
+            (0u64..6).prop_map(|d| SPARSE_PAGE - 4 + d),
+            (0u64..4).prop_map(|d| (SPARSE_PAGE - 4 + d) | 1 << 63),
+        ];
+        let column = (0u16..3, 0u64..4, 0u64..3);
+        (column, start, 1u64..12, 0u64..1000).prop_map(|((space, a, c), start, len, v)| {
+            let row = |i: u64| (RegId::new(space, a, start + i, c), v + i);
+            (0..len).map(row).collect()
+        })
+    }
+
+    /// A batch through the whole memory (acked, rows in every space,
+    /// scattered or one column's run), through the locked region
+    /// (refused: no permission), through the row region with arbitrary
+    /// rows (refused unless all happen to lie in it) or with every row
+    /// moved into it (acked).
     fn arb_batch() -> impl Strategy<Value = Step> {
         let rows = || proptest::collection::vec((arb_reg(), 0u64..1000), 1..6);
         prop_oneof![
             rows().prop_map(|rows| Step::WriteMany(WHOLE, rows)),
+            arb_run().prop_map(|rows| Step::WriteMany(WHOLE, rows)),
+            arb_run().prop_map(|rows| Step::WriteMany(WHOLE, rows)),
             rows().prop_map(|rows| Step::WriteMany(LOCKED, rows)),
             rows().prop_map(|rows| Step::WriteMany(ROW, rows)),
             rows().prop_map(|rows| {
@@ -513,6 +549,59 @@ mod range_reads {
             .with_region(LOCKED, RegionSpec::All, Permission::read_only())
     }
 
+    /// Runs `steps` against one memory and checks every answer against
+    /// the model's, and the range-rows counter against the rows the
+    /// model's range answers hold.
+    fn answers_match_the_model(steps: &[Step]) -> TestCaseResult {
+        let script = expand(steps);
+        let mut sim: Simulation<TMsg> = Simulation::new(7);
+        let mem = sim.add(memory());
+        let d = sim.add(Driver {
+            mem,
+            script: script.iter().map(|(req, _)| req.clone()).collect(),
+            client: MemoryClient::new(),
+            answers: BTreeMap::new(),
+            ops: Vec::new(),
+        });
+        sim.run_to_quiescence(Time::from_delays(10_000));
+        let driver = sim.actor_as::<Driver>(d).unwrap();
+        prop_assert_eq!(driver.ops.len(), script.len());
+        let mut rows_expected = 0;
+        for ((req, expected), op) in script.iter().zip(&driver.ops) {
+            prop_assert_eq!(driver.answers.get(op), Some(expected), "{:?}", req);
+            if let MemResponse::Range(rows) = expected {
+                rows_expected += rows.len() as u64;
+            }
+        }
+        // The rows counter is bumped beside every range response.
+        prop_assert_eq!(sim.metrics().mem_range_rows, rows_expected);
+        Ok(())
+    }
+
+    /// Column runs, scattered writes and `c`-pinned windowed reads over a
+    /// few columns only, so most windows hold rows of several `a` and
+    /// pages: the form the memory answers by walking its sparse pages.
+    fn arb_column_step() -> impl Strategy<Value = Step> {
+        let windowed = || {
+            (0u16..3, arb_opt(0u64..4), arb_window(), 0u64..3).prop_map(|(space, a, b, c)| {
+                let within = RegionSpec::Pattern {
+                    space,
+                    a,
+                    b: Some(b),
+                    c: Some(c),
+                };
+                Step::ReadRange(WHOLE, Some(within))
+            })
+        };
+        prop_oneof![
+            arb_run().prop_map(|rows| Step::WriteMany(WHOLE, rows)),
+            arb_run().prop_map(|rows| Step::WriteMany(WHOLE, rows)),
+            (arb_reg(), 0u64..1000).prop_map(|(r, v)| Step::Write(r, v)),
+            windowed(),
+            windowed(),
+        ]
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -520,28 +609,14 @@ mod range_reads {
         fn every_range_read_is_the_sorted_naive_filter(
             steps in proptest::collection::vec(arb_step(), 1..60),
         ) {
-            let script = expand(&steps);
-            let mut sim: Simulation<TMsg> = Simulation::new(7);
-            let mem = sim.add(memory());
-            let d = sim.add(Driver {
-                mem,
-                script: script.iter().map(|(req, _)| req.clone()).collect(),
-                client: MemoryClient::new(),
-                answers: BTreeMap::new(),
-                ops: Vec::new(),
-            });
-            sim.run_to_quiescence(Time::from_delays(10_000));
-            let driver = sim.actor_as::<Driver>(d).unwrap();
-            prop_assert_eq!(driver.ops.len(), script.len());
-            let mut rows_expected = 0;
-            for ((req, expected), op) in script.iter().zip(&driver.ops) {
-                prop_assert_eq!(driver.answers.get(op), Some(expected), "{:?}", req);
-                if let MemResponse::Range(rows) = expected {
-                    rows_expected += rows.len() as u64;
-                }
-            }
-            // The rows counter is bumped beside every range response.
-            prop_assert_eq!(sim.metrics().mem_range_rows, rows_expected);
+            answers_match_the_model(&steps)?;
+        }
+
+        #[test]
+        fn every_windowed_read_of_a_column_is_the_sorted_naive_filter(
+            steps in proptest::collection::vec(arb_column_step(), 1..40),
+        ) {
+            answers_match_the_model(&steps)?;
         }
     }
 }

@@ -40,6 +40,13 @@ impl NebTester {
         }
     }
 
+    /// The tester probing `focus`'s row `depth` slots ahead.
+    fn pipelined(mut self, depth: usize, focus: Pid) -> NebTester {
+        self.engine.set_pipeline_depth(depth);
+        self.engine.set_focus(Some(focus));
+        self
+    }
+
     fn drain(&mut self) {
         while let Some(d) = self.engine.next_delivery() {
             if let RbPayload::Setup { value, .. } = d.slot.wire.payload {
@@ -217,10 +224,8 @@ fn an_audit_copy_equal_by_value_in_a_fresh_allocation_is_no_equivocation() {
             copy,
         );
         sim.add(Scripted::new("RowWriter", p1, audit_copy, Vec::new()));
-        let mut auditor = NebTester::new(p2, procs.clone(), mems.clone(), s2, verifier, vec![]);
-        auditor.engine.set_pipeline_depth(depth);
-        auditor.engine.set_focus(Some(p0));
-        sim.add(auditor);
+        let auditor = NebTester::new(p2, procs.clone(), mems.clone(), s2, verifier, vec![]);
+        sim.add(auditor.pipelined(depth, p0));
         for _ in 0..m {
             sim.add(nebcast::memory_actor(&procs));
         }
@@ -233,101 +238,116 @@ fn an_audit_copy_equal_by_value_in_a_fresh_allocation_is_no_equivocation() {
     }
 }
 
+/// The pipeline depths the properties run at, each with the broadcaster
+/// focused: 1 is the classic head-of-line loop, 4 and 8 the shared row
+/// probe and column audit.
+const DEPTHS: [usize; 3] = [1, 4, 8];
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Property 2 under attack: an equivocator split-writes two signed
     /// values across replicas; no two correct processes may ever deliver
     /// different values for the same (sender, k) — under any seed, split
-    /// point, and link jitter.
+    /// point, link jitter and pipeline depth.
     #[test]
     fn property_two_no_divergent_deliveries(
         seed in 0u64..1000,
         split in 1usize..3,
         jitter in 1u64..4,
     ) {
-        let (n, m) = (3u32, 3u32);
-        let mut sim: Simulation<Msg> = Simulation::new(seed);
-        sim.set_default_delay(DelayModel::Uniform {
-            lo: Duration::from_delays(1),
-            hi: Duration::from_delays(jitter),
-        });
-        let procs: Vec<Pid> = (0..n).map(ActorId).collect();
-        let mems: Vec<ActorId> = (n..n + m).map(ActorId).collect();
-        let mut auth = SigAuthority::new(seed ^ 0xE0);
-        let byz_signer = auth.register(ActorId(0));
-        // Process 0 is the equivocator; 1 and 2 are honest listeners.
-        sim.add(Scripted::neb_equivocator(
-            ActorId(0),
-            mems.clone(),
-            split,
-            Value(111),
-            Value(222),
-            byz_signer,
-        ));
-        for i in 1..n {
-            let signer = auth.register(ActorId(i));
-            sim.add(NebTester::new(
-                ActorId(i),
-                procs.clone(),
+        for depth in DEPTHS {
+            let (n, m) = (3u32, 3u32);
+            let mut sim: Simulation<Msg> = Simulation::new(seed);
+            sim.set_default_delay(DelayModel::Uniform {
+                lo: Duration::from_delays(1),
+                hi: Duration::from_delays(jitter),
+            });
+            let procs: Vec<Pid> = (0..n).map(ActorId).collect();
+            let mems: Vec<ActorId> = (n..n + m).map(ActorId).collect();
+            let mut auth = SigAuthority::new(seed ^ 0xE0);
+            let byz_signer = auth.register(ActorId(0));
+            // Process 0 is the equivocator; 1 and 2 are honest listeners.
+            sim.add(Scripted::neb_equivocator(
+                ActorId(0),
                 mems.clone(),
-                signer,
-                auth.verifier(),
-                vec![],
+                split,
+                Value(111),
+                Value(222),
+                byz_signer,
             ));
-        }
-        for _ in 0..m {
-            sim.add(nebcast::memory_actor(&procs));
-        }
-        sim.run_to_quiescence(Time::from_delays(150));
-        // Collect what the two honest processes delivered from the
-        // equivocator at k = 1.
-        let mut seen = Vec::new();
-        for i in 1..n {
-            let t = sim.actor_as::<NebTester>(ActorId(i)).unwrap();
-            for (f, k, v) in &t.delivered {
-                if *f == ActorId(0) && *k == 1 {
-                    seen.push(*v);
+            for i in 1..n {
+                let signer = auth.register(ActorId(i));
+                let tester = NebTester::new(
+                    ActorId(i),
+                    procs.clone(),
+                    mems.clone(),
+                    signer,
+                    auth.verifier(),
+                    vec![],
+                );
+                sim.add(tester.pipelined(depth, ActorId(0)));
+            }
+            for _ in 0..m {
+                sim.add(nebcast::memory_actor(&procs));
+            }
+            sim.run_to_quiescence(Time::from_delays(150));
+            // Collect what the two honest processes delivered from the
+            // equivocator at k = 1.
+            let mut seen = Vec::new();
+            for i in 1..n {
+                let t = sim.actor_as::<NebTester>(ActorId(i)).unwrap();
+                for (f, k, v) in &t.delivered {
+                    if *f == ActorId(0) && *k == 1 {
+                        seen.push(*v);
+                    }
                 }
             }
+            // Lemma 4.1 property 2: all deliveries (if any) agree.
+            prop_assert!(seen.windows(2).all(|w| w[0] == w[1]), "depth {}: diverged: {:?}", depth, seen);
         }
-        // Lemma 4.1 property 2: all deliveries (if any) agree.
-        prop_assert!(seen.windows(2).all(|w| w[0] == w[1]), "diverged: {seen:?}");
     }
 
     /// Property 1 resilience: minority memory crashes never block honest
-    /// broadcast delivery.
+    /// broadcast delivery, at any pipeline depth.
     #[test]
     fn property_one_with_memory_crashes(seed in 0u64..500, dead in 0usize..2) {
-        let (n, m) = (2u32, 5u32);
-        let mut sim: Simulation<Msg> = Simulation::new(seed);
-        let procs: Vec<Pid> = (0..n).map(ActorId).collect();
-        let mems: Vec<ActorId> = (n..n + m).map(ActorId).collect();
-        let mut auth = SigAuthority::new(seed);
-        for i in 0..n {
-            let signer = auth.register(ActorId(i));
-            sim.add(NebTester::new(
-                ActorId(i),
-                procs.clone(),
-                mems.clone(),
-                signer,
-                auth.verifier(),
-                vec![Value(10 + i as u64)],
-            ));
-        }
-        for _ in 0..m {
-            sim.add(nebcast::memory_actor(&procs));
-        }
-        // Crash up to f_M = 2 memories, chosen by the seed.
-        for k in 0..=dead {
-            sim.crash_at(mems[(seed as usize + k) % m as usize], Time::ZERO);
-        }
-        sim.run_until(Time::from_delays(300), |s| {
-            (0..n).all(|i| s.actor_as::<NebTester>(ActorId(i)).unwrap().delivered.len() >= 2)
-        });
-        for i in 0..n {
-            let t = sim.actor_as::<NebTester>(ActorId(i)).unwrap();
-            prop_assert_eq!(t.delivered.len(), 2, "process {} delivered {:?}", i, &t.delivered);
+        for depth in DEPTHS {
+            let (n, m) = (2u32, 5u32);
+            let mut sim: Simulation<Msg> = Simulation::new(seed);
+            let procs: Vec<Pid> = (0..n).map(ActorId).collect();
+            let mems: Vec<ActorId> = (n..n + m).map(ActorId).collect();
+            let mut auth = SigAuthority::new(seed);
+            for i in 0..n {
+                let signer = auth.register(ActorId(i));
+                let tester = NebTester::new(
+                    ActorId(i),
+                    procs.clone(),
+                    mems.clone(),
+                    signer,
+                    auth.verifier(),
+                    vec![Value(10 + i as u64)],
+                );
+                // Each focuses on process 0's row; process 1's row takes
+                // the head-slot path beside it.
+                sim.add(tester.pipelined(depth, ActorId(0)));
+            }
+            for _ in 0..m {
+                sim.add(nebcast::memory_actor(&procs));
+            }
+            // Crash up to f_M = 2 memories, chosen by the seed.
+            for k in 0..=dead {
+                sim.crash_at(mems[(seed as usize + k) % m as usize], Time::ZERO);
+            }
+            sim.run_until(Time::from_delays(300), |s| {
+                (0..n).all(|i| s.actor_as::<NebTester>(ActorId(i)).unwrap().delivered.len() >= 2)
+            });
+            for i in 0..n {
+                let t = sim.actor_as::<NebTester>(ActorId(i)).unwrap();
+                prop_assert_eq!(
+                    t.delivered.len(), 2, "depth {}: process {} delivered {:?}", depth, i, &t.delivered
+                );
+            }
         }
     }
 }
