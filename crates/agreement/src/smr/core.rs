@@ -26,6 +26,7 @@
 
 use std::collections::BTreeMap;
 
+use rdma_sim::PageList;
 use simnet::Time;
 
 use crate::types::Value;
@@ -34,14 +35,10 @@ use crate::types::Value;
 const ID_PAGE_BITS: u64 = 4096;
 
 /// [`ID_PAGE_BITS`] consecutive ids, one bit each.
-#[derive(Debug)]
-struct IdPage {
-    /// `id / ID_PAGE_BITS` of every id in the page.
-    number: u64,
-    bits: [u64; (ID_PAGE_BITS / 64) as usize],
-}
+type IdPage = [u64; (ID_PAGE_BITS / 64) as usize];
 
-/// The page `id` falls in, and its word and bit there.
+/// The page `id` falls in (`id / ID_PAGE_BITS`), and its word and bit
+/// there.
 fn id_bit(id: u64) -> (u64, usize, u64) {
     let bit = id % ID_PAGE_BITS;
     (id / ID_PAGE_BITS, (bit / 64) as usize, 1 << (bit % 64))
@@ -49,43 +46,25 @@ fn id_bit(id: u64) -> (u64, usize, u64) {
 
 /// A set of command ids, shaped for what the ids are: the sharded
 /// router's dense 1-based sequence, inserted roughly in order — so a
-/// bitmap, in pages (the page list of `rdma-sim`'s paged log store). A
-/// page is a constant size and added by the first id that falls in it,
-/// never sized by the id: a sparse id (a migration control entry at bit
-/// 63, whatever a Byzantine leader got decided) costs one page and no
-/// more.
+/// bitmap, in the pages of a [`PageList`] (the list under `rdma-sim`'s
+/// paged log store too). A page is a constant size and added by the first
+/// id that falls in it, never sized by the id: a sparse id (a migration
+/// control entry at bit 63, whatever a Byzantine leader got decided) costs
+/// one page and no more. Pages sit in the list itself, so the set's only
+/// allocations are the list's doublings (five for 200 000 dense ids).
 #[derive(Debug, Default)]
-struct IdSet {
-    /// Sorted by page number: a miss of the last-page cache is a binary
-    /// search. Pages sit in the list itself, so the set's only allocations
-    /// are the list's doublings (five for 200 000 dense ids).
-    pages: Vec<IdPage>,
-    /// The page last inserted into — where the next id of a dense sequence
-    /// falls.
-    last: usize,
-}
+struct IdSet(PageList<u64, IdPage>);
 
 impl IdSet {
-    fn find(&self, number: u64) -> Result<usize, usize> {
-        match self.pages.get(self.last) {
-            Some(page) if page.number == number => Ok(self.last),
-            _ => self.pages.binary_search_by_key(&number, |page| page.number),
-        }
-    }
-
     fn contains(&self, id: u64) -> bool {
         let (number, word, mask) = id_bit(id);
-        (self.find(number)).is_ok_and(|at| self.pages[at].bits[word] & mask != 0)
+        (self.0.get(number)).is_some_and(|bits| bits[word] & mask != 0)
     }
 
     fn insert(&mut self, id: u64) {
         let (number, word, mask) = id_bit(id);
-        self.last = self.find(number).unwrap_or_else(|at| {
-            let bits = [0; (ID_PAGE_BITS / 64) as usize];
-            self.pages.insert(at, IdPage { number, bits });
-            at
-        });
-        self.pages[self.last].bits[word] |= mask;
+        self.0
+            .get_or_insert_with(number, || [0; (ID_PAGE_BITS / 64) as usize])[word] |= mask;
     }
 
     fn extend(&mut self, ids: impl IntoIterator<Item = u64>) {
@@ -434,7 +413,7 @@ mod tests {
     fn id_set_allocates_a_page_per_4096_dense_ids_and_one_per_far_id() {
         let mut dense = IdSet::default();
         dense.extend(1..=3 * ID_PAGE_BITS);
-        assert_eq!(dense.pages.len(), 4, "ids 1..=12288 span pages 0..=3");
+        assert_eq!(dense.0.iter().count(), 4, "ids 1..=12288 span pages 0..=3");
         assert!((1..=3 * ID_PAGE_BITS).all(|id| dense.contains(id)));
         assert!(!dense.contains(0) && !dense.contains(3 * ID_PAGE_BITS + 1));
 
@@ -451,13 +430,11 @@ mod tests {
             assert!(!sparse.contains(id), "{id} before its insert");
             sparse.insert(id);
             sparse.insert(id); // idempotent
-            assert_eq!(sparse.pages.len(), k + 1, "one page for {id}");
-            assert!(
-                sparse.pages.capacity() <= (2 * k).max(4),
-                "room for {k} ids"
-            );
+            assert_eq!(sparse.0.iter().count(), k + 1, "one page for {id}");
+            assert!(sparse.0.capacity() <= (2 * k).max(4), "room for {k} ids");
         }
-        assert!(sparse.pages.windows(2).all(|w| w[0].number < w[1].number));
+        let numbers: Vec<u64> = sparse.0.iter().map(|(number, _)| number).collect();
+        assert!(numbers.windows(2).all(|w| w[0] < w[1]));
         assert!(far.iter().all(|&id| sparse.contains(id)));
         // Neighbours in a far id's page, and the ids it would alias if
         // page or bit arithmetic wrapped, are absent.
@@ -470,7 +447,7 @@ mod tests {
         ] {
             assert!(!sparse.contains(absent), "{absent}");
         }
-        let bytes = std::mem::size_of_val(&sparse.pages[0].bits);
+        let bytes = std::mem::size_of::<IdPage>();
         assert_eq!(bytes as u64, ID_PAGE_BITS / 8);
     }
 

@@ -16,17 +16,15 @@
 //! (`python3 benchmark/run.py`: calibrated reference seconds, medians with
 //! quartiles).
 //!
-//! The gate ([`gate`]) has four tiers: a gated metric more than 10 % worse
-//! than the prior snapshot exits non-zero; so does an exact count
-//! (`bench::gate::EXACT_COUNTS`: allocations, events, messages, memory
-//! ops) that rose at all, unless `PERF_GATE_MOVED_OK=label.field,…` names
-//! it — allocation counts only when the prior snapshot's `rustc` header
-//! matches this build's; and under `PERF_GATE=strict` so does a simulated
-//! count or gated metric (`bench::gate::EXACT_BOTH_WAYS`: events,
-//! messages, memory ops, committed per delay, delays per entry, range
-//! rows per command) that moved at all, in either direction, unless
-//! `PERF_GATE_MOVED_OK` names it, and a label the prior snapshot measured
-//! that this run no longer emits.
+//! The gate ([`gate`]) has one rule: every field the prior snapshot
+//! recorded under a label comes back with the same value, or the run exits
+//! non-zero, printing each move on one line. A prior label this run no
+//! longer measures is one move. Two exceptions are declared once, in
+//! `bench::gate`: `wall_secs` is never compared, and the allocator's three
+//! counts may fall and are compared only when both snapshots' `rustc`
+//! headers match. A change that moves a field on purpose names it in
+//! `PERF_GATE_MOVED_OK=label.field,…`, or a bare `label` for a retirement
+//! or any move of that label; `PERF_GATE=off` skips the gate.
 //!
 //! ```sh
 //! cargo run --release -p bench --bin perf_snapshot
@@ -52,7 +50,7 @@ use simnet::{DelayModel, RdmaCost, TICKS_PER_DELAY};
 const RUSTC: &str = env!("BENCH_RUSTC_VERSION");
 
 /// This snapshot's PR number (names the output file and anchors the gate).
-const PR: u32 = 42;
+const PR: u32 = 43;
 
 /// Allocation-counting wrapper around the system allocator.
 struct CountingAlloc;
@@ -254,8 +252,7 @@ fn e10_common_case(_cmds: usize) -> Section {
     ];
     let row = |(name, r): &(&str, RunReport)| {
         let first_decision = r.first_decision_delays.map(|d| Fixed(d, 1));
-        Row::new()
-            .with("protocol", *name)
+        Row::labeled(&format!("e10_{name}"))
             .with("first_decision_delays", first_decision)
             .with("messages", r.messages)
             .with("mem_ops", r.mem_ops)
@@ -731,11 +728,10 @@ const SECTIONS: [fn(usize) -> Section; 10] = [
     cost_model,
 ];
 
-/// Compares `json` against the newest prior snapshot under `root` (the three
-/// tiers of the module docs); returns whether the gate failed.
-fn gate(root: &str, cmds: usize, json: &str) -> bool {
-    let mode = std::env::var("PERF_GATE").unwrap_or_default();
-    if mode == "off" {
+/// Compares `json` against the newest prior snapshot under `root` (the one
+/// rule of the module docs); returns whether the gate failed.
+fn gate(root: &str, json: &str) -> bool {
+    if std::env::var("PERF_GATE").is_ok_and(|mode| mode == "off") {
         println!("perf gate: PERF_GATE=off, skipping");
         return false;
     }
@@ -744,88 +740,33 @@ fn gate(root: &str, cmds: usize, json: &str) -> bool {
         return false;
     };
     let prior = std::fs::read_to_string(&path).expect("read prior snapshot");
-    let prior_cmds = bench::gate::top_field(&prior, "workload_commands");
-    if prior_cmds != Some(cmds as f64) {
+    let header = |field| [&*prior, json].map(|s| bench::gate::header(s, field).unwrap_or("none"));
+    let [was, now] = header("workload_commands");
+    if was != now {
         println!(
-            "perf gate: BENCH_PR{k}.json measured {prior_cmds:?} commands, this run {cmds}; \
+            "perf gate: BENCH_PR{k}.json measured {was} commands, this run {now}; \
              snapshots are incomparable, skipping"
         );
         return false;
     }
-    let mut failed = false;
-    let moved_env = std::env::var("PERF_GATE_MOVED_OK").unwrap_or_default();
-    let moved: Vec<&str> = moved_env.split(',').map(str::trim).collect();
-    // Under strict, the simulation's counts and the virtual-time metrics
-    // may not move at all, either way: each is reported once, here.
-    let exact = if mode == "strict" {
-        bench::gate::exact_moves(&prior, json, &moved)
-    } else {
-        Vec::new()
-    };
-    for m in &exact {
-        failed = true;
-        let (label, field, was, now) = (&m.label, m.field, m.prior, m.current);
+    let [was, now] = header("rustc");
+    if was != now {
         println!(
-            "perf gate: REGRESSION {label} {field}: {was} -> {now} (exact in both directions \
-             under PERF_GATE=strict; name a move on purpose in PERF_GATE_MOVED_OK as \
-             {label}.{field})"
-        );
-    }
-    let reported =
-        |label: &str, field: &str| exact.iter().any(|m| m.label == label && m.field == field);
-    // Virtual-time and exact-count metrics are deterministic per seed and
-    // machine-independent: any worsening beyond 10% is real.
-    for r in bench::gate::regressions(&prior, json, 0.10) {
-        if reported(&r.label, r.metric) {
-            continue;
-        }
-        failed |= mode != "warn";
-        let (label, metric, was, now) = (&r.label, r.metric, r.prior, r.current);
-        let worse = 100.0 * r.drop_frac;
-        println!(
-            "perf gate: REGRESSION {label} {metric}: {was:.3} -> {now:.3} ({worse:.1}% worse)"
-        );
-    }
-    // Exact counts repeat to the unit: any rise is a change, moved on
-    // purpose only if named.
-    let rustc = bench::gate::top_string(&prior, "rustc");
-    if rustc != Some(RUSTC) {
-        println!(
-            "perf gate: BENCH_PR{k}.json was built by {rustc:?}, this run by {RUSTC:?}; \
+            "perf gate: BENCH_PR{k}.json was built by {was}, this run by {now}; \
              allocation counts are not compared"
         );
     }
-    for r in bench::gate::count_rises(&prior, json, &moved) {
-        if reported(&r.label, r.field) {
-            continue;
-        }
-        failed |= mode != "warn";
-        let (label, field, was, now) = (&r.label, r.field, r.prior, r.current);
-        println!(
-            "perf gate: REGRESSION {label} {field}: {was} -> {now} (an exact count rose; name \
-             a move on purpose in PERF_GATE_MOVED_OK as {label}.{field})"
-        );
+    let moved_env = std::env::var("PERF_GATE_MOVED_OK").unwrap_or_default();
+    let moved: Vec<&str> = moved_env.split(',').map(str::trim).collect();
+    let moves = bench::gate::moves(&prior, json, &moved);
+    for m in &moves {
+        println!("perf gate: MOVED {m}");
     }
-    // Retired labels: `regressions` only compares shared labels, so a
-    // rename or drop would silently lose gate coverage. Warn loudly always;
-    // under strict, fail unless the retirement is explicitly allowlisted.
-    let allow_env = std::env::var("PERF_GATE_RETIRED_OK").unwrap_or_default();
-    let allowed: Vec<&str> = allow_env.split(',').map(str::trim).collect();
-    for label in bench::gate::retired_labels(&prior, json) {
-        let allowlisted = allowed.contains(&label.as_str());
-        let hard = mode == "strict" && !allowlisted;
-        failed |= hard;
-        println!(
-            "perf gate: {} label \"{label}\" of BENCH_PR{k}.json has DISAPPEARED from this \
-             snapshot — its regression coverage is lost (allowlisted: {allowlisted}; name an \
-             intentional retirement in PERF_GATE_RETIRED_OK)",
-            if hard { "REGRESSION" } else { "warning" },
-        );
+    match moves.len() {
+        0 => println!("perf gate: every field of BENCH_PR{k}.json came back exact"),
+        n => println!("perf gate: {n} move(s); name each made on purpose in PERF_GATE_MOVED_OK"),
     }
-    if !failed {
-        println!("perf gate: no hard regression vs BENCH_PR{k}.json");
-    }
-    failed
+    !moves.is_empty()
 }
 
 fn main() {
@@ -844,7 +785,7 @@ fn main() {
     println!("\nwrote {out}");
     // The snapshot is on disk before the gate runs, so a failing run still
     // leaves BENCH_PR*.json behind for diagnosis.
-    if gate(root, cmds, &json) {
+    if gate(root, &json) {
         std::process::exit(1);
     }
 }

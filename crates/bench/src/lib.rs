@@ -189,281 +189,147 @@ pub fn write_timeline(dir: &Path, name: &str, art: &TimelineArtifacts) -> Result
 
 /// The per-PR perf regression gate: compares the snapshot a `perf_snapshot`
 /// run just produced against the newest prior `BENCH_PR<k>.json` at the
-/// repo root and reports any virtual-time or exact-count metric that
-/// worsened beyond a threshold ([`gate::regressions`]), any count that rose at
-/// all ([`gate::count_rises`]), any simulated count or virtual-time metric
-/// that moved at all, either way ([`gate::exact_moves`]), and any label that
-/// disappeared ([`gate::retired_labels`]).
+/// repo root under one rule — every field the prior snapshot recorded under
+/// a label comes back with the same value ([`gate::moves`]).
 ///
-/// The snapshots are this workspace's own generated JSON, so the extractor
-/// is a purpose-built string scanner rather than a JSON parser (the
-/// container has no serde); every measured object carries a unique
-/// `"label"` and flat numeric fields.
+/// The snapshots are this workspace's own generated JSON, so the reader is
+/// a purpose-built scanner rather than a JSON parser (the workspace builds
+/// offline, without serde): every measured row is one flat object with a
+/// unique `"label"`, and no string in a snapshot holds a `"`.
 pub mod gate {
+    use std::collections::BTreeMap;
     use std::path::{Path, PathBuf};
+
+    /// Never compared: one run's wall clock on a shared host, kept per row
+    /// for diagnosis only. Host time is the repository benchmark's job
+    /// (`benchmark/`, calibrated reference seconds).
+    const WALL_CLOCK: &str = "wall_secs";
+
+    /// Counted by the allocator, so another release of the standard
+    /// library may move them: compared only between snapshots whose
+    /// `"rustc"` headers are equal, and only a rise is a move — a change
+    /// may lower them without saying so.
+    const ALLOCATOR_COUNTS: [&str; 3] = ["allocations", "allocs_per_cmd", "allocs_per_event"];
 
     /// Finds the newest `BENCH_PR<k>.json` with `k < current_pr` in `dir`.
     pub fn latest_prior_snapshot(dir: &Path, current_pr: u32) -> Option<(u32, PathBuf)> {
-        let mut best: Option<(u32, PathBuf)> = None;
-        for entry in std::fs::read_dir(dir).ok()?.flatten() {
+        let snapshots = std::fs::read_dir(dir).ok()?.flatten().filter_map(|entry| {
             let name = entry.file_name();
-            let Some(name) = name.to_str() else { continue };
-            let Some(k) = name
-                .strip_prefix("BENCH_PR")
-                .and_then(|rest| rest.strip_suffix(".json"))
-                .and_then(|num| num.parse::<u32>().ok())
-            else {
+            let k = name
+                .to_str()?
+                .strip_prefix("BENCH_PR")?
+                .strip_suffix(".json")?;
+            Some((k.parse::<u32>().ok()?, entry.path()))
+        });
+        snapshots
+            .filter(|(k, _)| *k < current_pr)
+            .max_by_key(|(k, _)| *k)
+    }
+
+    /// The JSON value at the front of `text`, as written: a string to its
+    /// closing quote, an array to its `]`, anything else to the next `,`,
+    /// `}` or line end.
+    fn value_at(text: &str) -> Option<&str> {
+        let end = match text.as_bytes().first()? {
+            b'"' => text[1..].find('"')? + 2,
+            b'[' => text.find(']')? + 1,
+            _ => text.find([',', '}', '\n']).unwrap_or(text.len()),
+        };
+        Some(text[..end].trim_end())
+    }
+
+    /// The value of the first `"field"` in `json`, as written (a string
+    /// with its quotes): the snapshot header's fields come before any row.
+    pub fn header<'a>(json: &'a str, field: &str) -> Option<&'a str> {
+        let needle = format!("\"{field}\":");
+        let at = json.find(&needle)? + needle.len();
+        value_at(json[at..].trim_start())
+    }
+
+    /// The members of a flat object's body (the text between its braces),
+    /// each value as written; `None` if the body is not one.
+    fn members(mut body: &str) -> Option<BTreeMap<String, String>> {
+        let mut out = BTreeMap::new();
+        loop {
+            body = body.trim_start();
+            if body.is_empty() {
+                return Some(out);
+            }
+            let (key, rest) = body.strip_prefix('"')?.split_once('"')?;
+            let rest = rest.trim_start().strip_prefix(':')?.trim_start();
+            let value = value_at(rest)?;
+            out.insert(key.to_string(), value.to_string());
+            body = rest[value.len()..].trim_start().trim_start_matches(',');
+        }
+    }
+
+    /// A snapshot's measured rows: label → (field → value as written).
+    type Rows = BTreeMap<String, BTreeMap<String, String>>;
+
+    /// Every labeled row of `json`, read in one pass. A row is an object
+    /// that holds no other, so one row's fields are never read into
+    /// another's; an unlabeled object (a section summary) is no row. A
+    /// label measured twice keeps its first row.
+    fn rows(json: &str) -> Rows {
+        let mut out = Rows::new();
+        let (mut open, mut quoted) = (None, false);
+        for (at, c) in json.char_indices() {
+            match c {
+                '"' => quoted = !quoted,
+                '{' if !quoted => open = Some(at + 1),
+                '}' if !quoted => {
+                    let body = open.take().and_then(|from| members(&json[from..at]));
+                    let Some(mut fields) = body else { continue };
+                    if let Some(label) = fields.remove("label") {
+                        let label = label.trim_matches('"').to_string();
+                        out.entry(label).or_insert(fields);
+                    }
+                }
+                _ => {}
+            }
+        }
+        out
+    }
+
+    /// Whether a prior value `was` of `field` came back as `now`: exactly,
+    /// but for [`WALL_CLOCK`] and [`ALLOCATOR_COUNTS`].
+    fn moved(field: &str, was: &str, now: Option<&str>, same_rustc: bool) -> bool {
+        match now {
+            _ if field == WALL_CLOCK => false,
+            None => true,
+            Some(now) if ALLOCATOR_COUNTS.contains(&field) => {
+                same_rustc && now.parse::<f64>().ok() > was.parse::<f64>().ok()
+            }
+            Some(now) => was != now,
+        }
+    }
+
+    /// Every field `prior` recorded under a label that `current` does not
+    /// bring back with the same value, and every prior label `current`
+    /// lacks, in label and field order — one line each, `label.field: was
+    /// -> now` (`now` is `missing` for a dropped field) or `label: label
+    /// missing` — except those `moved_ok` names as `label.field`, or as a
+    /// bare `label` for any move of that label. Labels and fields new in
+    /// `current` gate from the next snapshot on.
+    pub fn moves(prior: &str, current: &str, moved_ok: &[&str]) -> Vec<String> {
+        let rustc = header(prior, "rustc");
+        let same_rustc = rustc.is_some() && header(current, "rustc") == rustc;
+        let now = rows(current);
+        let mut out = Vec::new();
+        for (label, fields) in rows(prior) {
+            if moved_ok.contains(&label.as_str()) {
+                continue;
+            }
+            let Some(row) = now.get(&label) else {
+                out.push(format!("{label}: label missing"));
                 continue;
             };
-            if k < current_pr && best.as_ref().is_none_or(|(b, _)| k > *b) {
-                best = Some((k, entry.path()));
-            }
-        }
-        best
-    }
-
-    /// Parses the number starting at `json[at..]` (optionally signed,
-    /// decimal point allowed), ending at `,`, `}`, or whitespace.
-    fn parse_number_at(json: &str, at: usize) -> Option<f64> {
-        let rest = json[at..].trim_start();
-        let end = rest
-            .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == '+'))
-            .unwrap_or(rest.len());
-        rest[..end].parse().ok()
-    }
-
-    /// The value of the first `"field": <number>` at or after `from`.
-    fn field_after(json: &str, from: usize, field: &str) -> Option<f64> {
-        let needle = format!("\"{field}\":");
-        let at = json[from..].find(&needle)? + from + needle.len();
-        parse_number_at(json, at)
-    }
-
-    /// A top-level (first-occurrence) numeric field.
-    pub fn top_field(json: &str, field: &str) -> Option<f64> {
-        field_after(json, 0, field)
-    }
-
-    /// A top-level (first-occurrence) string field, unescaped only as far
-    /// as snapshots need: a value holds no `"`.
-    pub fn top_string<'a>(json: &'a str, field: &str) -> Option<&'a str> {
-        let needle = format!("\"{field}\": \"");
-        let at = json.find(&needle)? + needle.len();
-        Some(&json[at..at + json[at..].find('"')?])
-    }
-
-    /// The value of `field` inside the measured object labeled `label`.
-    /// The search is bounded at the object's closing `}` (measured objects
-    /// are flat), so a label missing the field yields `None` rather than
-    /// silently reading the next object's value.
-    pub fn labeled_field(json: &str, label: &str, field: &str) -> Option<f64> {
-        let needle = format!("\"label\": \"{label}\"");
-        let at = json.find(&needle)? + needle.len();
-        let end = at + json[at..].find('}')?;
-        field_after(&json[..end], at, field)
-    }
-
-    /// Every `"label"` value appearing in a snapshot, in order.
-    pub fn labels(json: &str) -> Vec<String> {
-        let mut out = Vec::new();
-        let mut from = 0;
-        while let Some(hit) = json[from..].find("\"label\": \"") {
-            let start = from + hit + "\"label\": \"".len();
-            let Some(len) = json[start..].find('"') else {
-                break;
-            };
-            out.push(json[start..start + len].to_string());
-            from = start + len;
-        }
-        out
-    }
-
-    /// One detected regression.
-    #[derive(Clone, Debug, PartialEq)]
-    pub struct Regression {
-        /// The measured configuration that got worse.
-        pub label: String,
-        /// Which gated metric worsened.
-        pub metric: &'static str,
-        /// Prior value.
-        pub prior: f64,
-        /// Current value.
-        pub current: f64,
-        /// Fractional worsening (`0.25` = 25% worse).
-        pub drop_frac: f64,
-    }
-
-    /// The gated metrics: `(field, higher_is_better)`. `committed_per_delay`
-    /// and `delays_per_entry` are *virtual-time* quantities — deterministic
-    /// per seed and identical on every machine — so any change there is a
-    /// real schedule regression, never noise. `range_rows_per_cmd` (rows
-    /// returned by range reads per committed command) is an exact count
-    /// of the same kind: it moves only when a read starts fetching more.
-    /// Nothing wall-clock is gated here: host time is the repository
-    /// benchmark's job (`benchmark/`, calibrated reference seconds); a
-    /// row's `wall_secs` is for diagnosis only.
-    const GATED_METRICS: [(&str, bool); 3] = [
-        ("committed_per_delay", true),
-        ("delays_per_entry", false),
-        ("range_rows_per_cmd", false),
-    ];
-
-    /// The exact counts: fields that repeat to the unit on every run of
-    /// the same code, so a count may not rise at all — the 10 % tier of
-    /// [`regressions`] let 7 extra allocations per row through. The first
-    /// three are counted by the allocator, and compared only between
-    /// snapshots built by the same compiler ([`count_rises`]).
-    pub const EXACT_COUNTS: [&str; 6] = [
-        "allocations",
-        "allocs_per_cmd",
-        "allocs_per_event",
-        "events",
-        "messages",
-        "mem_ops",
-    ];
-
-    /// How many of [`EXACT_COUNTS`], from the front, the allocator counts.
-    const ALLOCATION_COUNTS: usize = 3;
-
-    /// The fields exact in both directions: the simulation's own counts
-    /// and the [`GATED_METRICS`]. They repeat to the last digit on every
-    /// machine and compiler, so a fall is as much a change as a rise — a
-    /// memory operation that stops being issued lowers `mem_ops`, and a
-    /// schedule that moves at all moves `committed_per_delay`. Allocation
-    /// counts are not here: a change may lower them without saying so.
-    pub const EXACT_BOTH_WAYS: [&str; 6] = [
-        "events",
-        "messages",
-        "mem_ops",
-        "committed_per_delay",
-        "delays_per_entry",
-        "range_rows_per_cmd",
-    ];
-
-    /// One exact field that moved.
-    #[derive(Clone, Debug, PartialEq)]
-    pub struct Move {
-        /// The measured configuration.
-        pub label: String,
-        /// Which field moved.
-        pub field: &'static str,
-        /// Prior value.
-        pub prior: f64,
-        /// Current value.
-        pub current: f64,
-    }
-
-    /// Every `fields` value that `moved(prior, current)` flags, for every
-    /// label both snapshots measure, except those `moved_ok` names as
-    /// `label.field` (a change that moves a field on purpose says so);
-    /// once per label and field, in prior-snapshot order.
-    fn moves_of(
-        prior: &str,
-        current: &str,
-        fields: &[&'static str],
-        moved_ok: &[&str],
-        moved: impl Fn(f64, f64) -> bool,
-    ) -> Vec<Move> {
-        let mut out = Vec::new();
-        for label in labels(prior) {
-            for &field in fields {
-                let (Some(p), Some(c)) = (
-                    labeled_field(prior, &label, field),
-                    labeled_field(current, &label, field),
-                ) else {
-                    continue;
-                };
+            for (field, was) in fields {
+                let is = row.get(&field).map(String::as_str);
                 let named = moved_ok.contains(&format!("{label}.{field}").as_str());
-                if moved(p, c)
-                    && !named
-                    && !out
-                        .iter()
-                        .any(|m: &Move| m.label == label && m.field == field)
-                {
-                    out.push(Move {
-                        label: label.clone(),
-                        field,
-                        prior: p,
-                        current: c,
-                    });
-                }
-            }
-        }
-        out
-    }
-
-    /// Every [`EXACT_COUNTS`] field that is higher in `current` than in
-    /// `prior`, except those `moved_ok` names. A fall never counts.
-    /// Allocation counts are compared only when both snapshots' `rustc`
-    /// headers are present and equal; the other counts always are.
-    pub fn count_rises(prior: &str, current: &str, moved_ok: &[&str]) -> Vec<Move> {
-        let same_rustc =
-            top_string(prior, "rustc").is_some_and(|p| top_string(current, "rustc") == Some(p));
-        let fields = if same_rustc {
-            &EXACT_COUNTS[..]
-        } else {
-            &EXACT_COUNTS[ALLOCATION_COUNTS..]
-        };
-        moves_of(prior, current, fields, moved_ok, |p, c| c > p)
-    }
-
-    /// Every [`EXACT_BOTH_WAYS`] field that differs between `prior` and
-    /// `current`, in either direction, except those `moved_ok` names: what
-    /// `PERF_GATE=strict` fails on beside the one-sided tiers.
-    pub fn exact_moves(prior: &str, current: &str, moved_ok: &[&str]) -> Vec<Move> {
-        moves_of(prior, current, &EXACT_BOTH_WAYS, moved_ok, |p, c| c != p)
-    }
-
-    /// Labels present in `prior` but missing from `current`: measured
-    /// configurations that silently lost regression coverage (renamed or
-    /// dropped). [`regressions`] skips them by design — new benchmarks
-    /// gate from their next PR on — so retirements must be surfaced
-    /// separately: the snapshot gate warns on every one and, under
-    /// `PERF_GATE=strict`, fails unless `PERF_GATE_RETIRED_OK` explicitly
-    /// allowlists it. Deduplicated, in prior-snapshot order.
-    pub fn retired_labels(prior: &str, current: &str) -> Vec<String> {
-        let current_labels: std::collections::BTreeSet<String> =
-            labels(current).into_iter().collect();
-        let mut seen = std::collections::BTreeSet::new();
-        labels(prior)
-            .into_iter()
-            .filter(|l| !current_labels.contains(l) && seen.insert(l.clone()))
-            .collect()
-    }
-
-    /// Compares every gated metric for every label present in **both**
-    /// snapshots; returns the configurations that worsened by more than
-    /// `threshold` (e.g. `0.10`). Labels or fields only one side knows are
-    /// skipped — new benchmarks gate from their next PR on; labels the
-    /// prior snapshot knew but the current one dropped are reported by
-    /// [`retired_labels`] so the gate can refuse to lose coverage
-    /// silently.
-    pub fn regressions(prior: &str, current: &str, threshold: f64) -> Vec<Regression> {
-        let mut out = Vec::new();
-        for label in labels(prior) {
-            for (metric, higher_is_better) in GATED_METRICS {
-                let Some(p) = labeled_field(prior, &label, metric) else {
-                    continue;
-                };
-                let Some(c) = labeled_field(current, &label, metric) else {
-                    continue;
-                };
-                if p <= 0.0 {
-                    continue;
-                }
-                let drop_frac = if higher_is_better {
-                    (p - c) / p
-                } else {
-                    (c - p) / p
-                };
-                if drop_frac > threshold {
-                    out.push(Regression {
-                        label: label.clone(),
-                        metric,
-                        prior: p,
-                        current: c,
-                        drop_frac,
-                    });
+                if moved(&field, &was, is, same_rustc) && !named {
+                    let is = is.unwrap_or("missing");
+                    out.push(format!("{label}.{field}: {was} -> {is}"));
                 }
             }
         }
@@ -480,93 +346,176 @@ pub mod gate {
   "b": { "label": "cfg_two", "committed_per_delay": 500.5 }
 }"#;
 
+        /// The names of `moves`, in order.
+        fn names(moves: &[String]) -> Vec<&str> {
+            (moves.iter())
+                .map(|m| m.split(':').next().unwrap())
+                .collect()
+        }
+
+        /// The names of the moves from `prior` to `current`, none named.
+        fn names_moved(prior: &str, current: &str) -> Vec<String> {
+            let moves = moves(prior, current, &[]);
+            names(&moves).into_iter().map(str::to_string).collect()
+        }
+
         #[test]
         fn extracts_labeled_and_top_fields() {
-            assert_eq!(top_field(PRIOR, "workload_commands"), Some(1000.0));
-            assert_eq!(
-                labeled_field(PRIOR, "cfg_one", "committed_per_delay"),
-                Some(1000.0)
-            );
-            assert_eq!(
-                labeled_field(PRIOR, "cfg_two", "committed_per_delay"),
-                Some(500.5)
-            );
-            assert_eq!(
-                labeled_field(PRIOR, "cfg_missing", "committed_per_delay"),
-                None
-            );
-            assert_eq!(labels(PRIOR), vec!["cfg_one", "cfg_two"]);
+            assert_eq!(header(PRIOR, "workload_commands"), Some("1000"));
+            assert_eq!(header(PRIOR, "missing"), None);
+            let rows = rows(PRIOR);
+            assert_eq!(rows.keys().collect::<Vec<_>>(), ["cfg_one", "cfg_two"]);
+            let one = &rows["cfg_one"];
+            assert_eq!(one.len(), 3, "the label is the key, not a field");
+            assert_eq!(one["committed_per_delay"], "1000");
+            assert_eq!(one["x"], "1");
+            assert_eq!(rows["cfg_two"]["committed_per_delay"], "500.5");
+            // A label measured twice keeps its first row.
+            let dup = r#"{ "a": { "label": "cfg", "x": 1 }, "b": { "label": "cfg", "x": 2 } }"#;
+            assert_eq!(super::rows(dup)["cfg"]["x"], "1");
         }
 
         #[test]
         fn missing_field_does_not_read_the_next_object() {
-            // cfg_gap has no committed_per_delay; the scan must stop at its
-            // closing brace instead of returning cfg_after's value.
+            // cfg_gap has no committed_per_delay; the reader must stop at its
+            // closing brace instead of taking cfg_after's value.
             let json = r#"{
   "a": { "label": "cfg_gap", "entries": 10 },
   "b": { "label": "cfg_after", "committed_per_delay": 999 }
 }"#;
-            assert_eq!(labeled_field(json, "cfg_gap", "committed_per_delay"), None);
-            assert_eq!(
-                labeled_field(json, "cfg_after", "committed_per_delay"),
-                Some(999.0)
+            let rows = rows(json);
+            assert_eq!(rows["cfg_gap"].get("committed_per_delay"), None);
+            assert_eq!(rows["cfg_after"]["committed_per_delay"], "999");
+            // So a field cfg_gap used to record is missing, whatever follows.
+            let prior = json.replace(
+                "\"entries\": 10",
+                "\"entries\": 10, \"committed_per_delay\": 999",
             );
+            let moves = moves(&prior, json, &[]);
+            assert_eq!(names(&moves), ["cfg_gap.committed_per_delay"]);
+            assert_eq!(moves[0], "cfg_gap.committed_per_delay: 999 -> missing");
         }
 
         #[test]
-        fn flags_only_drops_beyond_threshold() {
+        fn flags_every_move_however_small() {
             let current = r#"{
-  "a": { "label": "cfg_one", "committed_per_delay": 950 },
-  "b": { "label": "cfg_two", "committed_per_delay": 200 },
+  "a": { "label": "cfg_one", "entries": 10, "committed_per_delay": 950, "x": 1 },
+  "b": { "label": "cfg_two", "committed_per_delay": 500.4 },
   "c": { "label": "cfg_new", "committed_per_delay": 1 }
 }"#;
-            let regs = regressions(PRIOR, current, 0.10);
-            // cfg_one dropped 5% (within threshold); cfg_new is unknown to
-            // the prior snapshot; only cfg_two's 60% drop is flagged.
-            assert_eq!(regs.len(), 1);
-            assert_eq!(regs[0].label, "cfg_two");
-            assert_eq!(regs[0].metric, "committed_per_delay");
-            assert!((regs[0].drop_frac - 0.6004).abs() < 0.001);
+            // 5 % and 0.02 % are moves; cfg_new gates from the next snapshot on.
+            let moves = moves(PRIOR, current, &[]);
+            assert_eq!(
+                names(&moves),
+                ["cfg_one.committed_per_delay", "cfg_two.committed_per_delay"]
+            );
+            assert_eq!(moves[1], "cfg_two.committed_per_delay: 500.5 -> 500.4");
+            assert!(names_moved(PRIOR, PRIOR).is_empty());
         }
 
         #[test]
-        fn lower_is_better_metrics_gate_in_the_right_direction() {
-            let prior = r#"{ "a": { "label": "cfg", "delays_per_entry": 2.0 } }"#;
-            // Fewer delays per entry is an improvement, never flagged.
-            let faster = r#"{ "a": { "label": "cfg", "delays_per_entry": 0.25 } }"#;
-            assert!(regressions(prior, faster, 0.10).is_empty());
-            // More delays per entry is a (machine-independent) regression.
-            let slower = r#"{ "a": { "label": "cfg", "delays_per_entry": 2.5 } }"#;
-            let regs = regressions(prior, slower, 0.10);
-            assert_eq!(regs.len(), 1);
-            assert_eq!(regs[0].metric, "delays_per_entry");
-            assert!((regs[0].drop_frac - 0.25).abs() < 1e-9);
+        fn moves_flag_in_either_direction() {
+            let prior = r#"{ "a": { "label": "cfg", "delays_per_entry": 2.000 } }"#;
+            for now in ["0.250", "2.500"] {
+                let current = prior.replace("2.000", now);
+                assert_eq!(
+                    names_moved(prior, &current),
+                    ["cfg.delays_per_entry"],
+                    "{now}"
+                );
+            }
         }
 
         #[test]
-        fn improvements_never_flag() {
-            let current = r#"{ "a": { "label": "cfg_one", "committed_per_delay": 5000 } }"#;
-            assert!(regressions(PRIOR, current, 0.10).is_empty());
+        fn an_improvement_moves_too() {
+            // Five times the commands per delay is a change the PR names.
+            let current = PRIOR.replace(
+                "\"committed_per_delay\": 1000",
+                "\"committed_per_delay\": 5000",
+            );
+            assert_eq!(
+                names_moved(PRIOR, &current),
+                ["cfg_one.committed_per_delay"]
+            );
+            let allowed = moves(PRIOR, &current, &["cfg_one.committed_per_delay"]);
+            assert!(allowed.is_empty());
         }
 
         #[test]
         fn retired_labels_surface_lost_coverage() {
-            // cfg_two vanished (renamed to cfg_2): regressions() is blind
-            // to it, retired_labels() is not.
+            // cfg_two vanished (renamed to cfg_2): one move for the label,
+            // none for its fields.
             let current = r#"{
-  "a": { "label": "cfg_one", "committed_per_delay": 1000 },
-  "b": { "label": "cfg_2", "committed_per_delay": 1 }
+  "a": { "label": "cfg_one", "entries": 10, "committed_per_delay": 1000, "x": 1 },
+  "b": { "label": "cfg_2", "committed_per_delay": 500.5 }
 }"#;
-            assert!(regressions(PRIOR, current, 0.10).is_empty());
-            assert_eq!(retired_labels(PRIOR, current), vec!["cfg_two"]);
-            // Nothing retired when every prior label is still measured.
-            assert!(retired_labels(PRIOR, PRIOR).is_empty());
-            // Duplicated prior labels report once.
-            let dup = r#"{
-  "a": { "label": "cfg_gone", "x": 1 },
-  "b": { "label": "cfg_gone", "x": 2 }
+            let moves = moves(PRIOR, current, &[]);
+            assert_eq!(names(&moves), ["cfg_two"]);
+            assert_eq!(moves[0], "cfg_two: label missing");
+            // A bare label names the retirement; a field of it does not.
+            assert!(super::moves(PRIOR, current, &["cfg_two"]).is_empty());
+            let field = super::moves(PRIOR, current, &["cfg_two.committed_per_delay"]);
+            assert_eq!(names(&field), ["cfg_two"]);
+            // A label measured twice retires once.
+            let dup =
+                r#"{ "a": { "label": "cfg_gone", "x": 1 }, "b": { "label": "cfg_gone", "x": 2 } }"#;
+            assert_eq!(names_moved(dup, "{}"), ["cfg_gone"]);
+        }
+
+        #[test]
+        fn a_bare_label_names_every_move_of_that_label() {
+            let current = r#"{
+  "a": { "label": "cfg_one", "entries": 11, "committed_per_delay": 999 },
+  "b": { "label": "cfg_two", "committed_per_delay": 500.4 }
 }"#;
-            assert_eq!(retired_labels(dup, "{}"), vec!["cfg_gone"]);
+            assert_eq!(
+                names_moved(PRIOR, current),
+                [
+                    "cfg_one.committed_per_delay",
+                    "cfg_one.entries",
+                    "cfg_one.x",
+                    "cfg_two.committed_per_delay"
+                ]
+            );
+            // A moved value, a changed one and a dropped field, all of
+            // cfg_one; cfg_two is not named.
+            let moves = moves(PRIOR, current, &["cfg_one"]);
+            assert_eq!(names(&moves), ["cfg_two.committed_per_delay"]);
+            // A name is matched whole: no prefix of a label names it.
+            let moves = super::moves(PRIOR, current, &["cfg", "cfg_one.x", "cfg_two.committed"]);
+            assert_eq!(moves.len(), 3);
+        }
+
+        #[test]
+        fn wall_secs_never_moves_the_gate() {
+            let prior = r#"{ "a": { "label": "cfg", "wall_secs": 0.106809, "messages": 9 } }"#;
+            let slower = prior.replace("0.106809", "3.000000");
+            assert!(names_moved(prior, &slower).is_empty());
+            let dropped = r#"{ "a": { "label": "cfg", "messages": 9 } }"#;
+            assert!(names_moved(prior, dropped).is_empty());
+        }
+
+        #[test]
+        fn booleans_null_and_arrays_compare_as_written() {
+            let prior = r#"{
+  "a": { "label": "cfg", "agreement": true, "first_decision_delays": null, "peaks": [16, 9], "config": "crash" }
+}"#;
+            assert!(names_moved(prior, prior).is_empty());
+            let fields = &rows(prior)["cfg"];
+            assert_eq!(fields["peaks"], "[16, 9]");
+            assert_eq!(fields["config"], "\"crash\"");
+            for (was, now, name) in [
+                ("true", "false", "cfg.agreement"),
+                ("null", "2.0", "cfg.first_decision_delays"),
+                ("[16, 9]", "[16, 10]", "cfg.peaks"),
+                ("[16, 9]", "[16]", "cfg.peaks"),
+                ("\"crash\"", "\"byzantine\"", "cfg.config"),
+            ] {
+                let current = prior.replace(was, now);
+                let moves = moves(prior, &current, &[]);
+                assert_eq!(names(&moves), [name], "{was} -> {now}");
+                assert_eq!(moves[0], format!("{name}: {was} -> {now}"));
+            }
         }
 
         #[test]
@@ -591,18 +540,14 @@ pub mod gate {
                 tables: vec![("configs", rows.clone())],
             };
             let json = snapshot_json(17, 1000, "rustc 1.95.0", std::slice::from_ref(&section));
-            assert_eq!(top_field(&json, "workload_commands"), Some(1000.0));
-            assert_eq!(labels(&json), vec!["cfg_one", "cfg_two"]);
-            assert_eq!(
-                labeled_field(&json, "cfg_one", "committed_per_delay"),
-                Some(15.84)
-            );
+            assert_eq!(header(&json, "workload_commands"), Some("1000"));
+            let read = super::rows(&json);
+            assert_eq!(read.keys().collect::<Vec<_>>(), ["cfg_one", "cfg_two"]);
+            assert_eq!(read["cfg_one"]["committed_per_delay"], "15.840");
+            assert_eq!(read["cfg_one"]["peaks"], "[16, 9]");
             // A field of the next row is not read into this one.
-            assert_eq!(labeled_field(&json, "cfg_one", "delays_per_entry"), None);
-            assert_eq!(
-                labeled_field(&json, "cfg_two", "delays_per_entry"),
-                Some(0.063)
-            );
+            assert_eq!(read["cfg_one"].get("delays_per_entry"), None);
+            assert_eq!(read["cfg_two"]["delays_per_entry"], "0.063");
             assert!(json.contains(r#""ratio": { "g4": 3.960 }"#), "{json}");
             // The console table: header from the first row, columns aligned.
             assert_eq!(
@@ -619,7 +564,7 @@ pub mod gate {
             let header = rustc.map_or(String::new(), |r| format!("\"rustc\": \"{r}\",\n"));
             format!(
                 "{{\n{header}\"a\": {{ \"label\": \"cfg\", \"allocations\": {allocations}, \
-                 \"allocs_per_cmd\": {:.3}, \"events\": {events}, \"messages\": 9 }}\n}}",
+                 \"allocs_per_cmd\": {:.3}, \"events_dispatched\": {events}, \"messages\": 9 }}\n}}",
                 allocations as f64 / 1000.0
             )
         }
@@ -628,92 +573,90 @@ pub mod gate {
         fn one_more_allocation_fails_the_exact_tier() {
             let v = Some("rustc 1.95.0");
             let prior = counted(v, 148, 500);
-            let rises = count_rises(&prior, &counted(v, 149, 500), &[]);
-            let fields: Vec<&str> = rises.iter().map(|r| r.field).collect();
-            assert_eq!(fields, ["allocations", "allocs_per_cmd"]);
-            assert_eq!((rises[0].prior, rises[0].current), (148.0, 149.0));
-            // The 10 % tier does not see it.
-            assert!(regressions(&prior, &counted(v, 149, 500), 0.10).is_empty());
+            let moves = moves(&prior, &counted(v, 149, 500), &[]);
+            assert_eq!(names(&moves), ["cfg.allocations", "cfg.allocs_per_cmd"]);
+            assert_eq!(moves[0], "cfg.allocations: 148 -> 149");
         }
 
         #[test]
         fn a_count_that_falls_or_holds_never_flags() {
+            // Of the allocator's counts; the simulation's move both ways.
             let v = Some("rustc 1.95.0");
             let prior = counted(v, 148, 500);
-            assert!(count_rises(&prior, &prior, &[]).is_empty());
-            assert!(count_rises(&prior, &counted(v, 20, 400), &[]).is_empty());
+            assert!(names_moved(&prior, &prior).is_empty());
+            assert!(names_moved(&prior, &counted(v, 20, 500)).is_empty());
         }
 
         #[test]
         fn event_counts_rise_whatever_the_toolchain() {
             let prior = counted(Some("rustc 1.95.0"), 148, 500);
             for now in [Some("rustc 1.96.0"), None] {
-                let rises = count_rises(&prior, &counted(now, 999, 501), &[]);
-                let fields: Vec<&str> = rises.iter().map(|r| r.field).collect();
                 assert_eq!(
-                    fields,
-                    ["events"],
+                    names_moved(&prior, &counted(now, 999, 501)),
+                    ["cfg.events_dispatched"],
                     "allocations need the same rustc: {now:?}"
                 );
             }
             // A prior snapshot without a header compares no allocations.
-            let rises = count_rises(&counted(None, 148, 500), &counted(None, 149, 500), &[]);
-            assert!(rises.is_empty());
+            assert!(names_moved(&counted(None, 148, 500), &counted(None, 149, 500)).is_empty());
+            // A dropped allocation field is missing whatever the toolchain.
+            let dropped =
+                counted(Some("rustc 1.96.0"), 148, 500).replace("\"allocations\": 148, ", "");
+            assert_eq!(names_moved(&prior, &dropped), ["cfg.allocations"]);
         }
 
         #[test]
         fn a_named_move_passes_and_only_that_one() {
             let v = Some("rustc 1.95.0");
             let (prior, now) = (counted(v, 148, 500), counted(v, 149, 501));
-            let rises = count_rises(
+            let moves = moves(
                 &prior,
                 &now,
-                &["cfg.allocations", "cfg.events", "other.allocs_per_cmd"],
+                &[
+                    "cfg.allocations",
+                    "cfg.events_dispatched",
+                    "other.allocs_per_cmd",
+                ],
             );
-            let fields: Vec<&str> = rises.iter().map(|r| r.field).collect();
-            assert_eq!(fields, ["allocs_per_cmd"]);
+            assert_eq!(names(&moves), ["cfg.allocs_per_cmd"]);
         }
 
-        /// A snapshot of one row with every two-sided field, at the values
-        /// given, beside 148 allocations.
+        /// A snapshot of one row of simulated fields, at the values given,
+        /// beside 148 allocations.
         fn simulated(events: u64, mem_ops: u64, committed_per_delay: &str) -> String {
             format!(
                 "{{\n\"rustc\": \"rustc 1.95.0\",\n\"a\": {{ \"label\": \"cfg\", \
-                 \"allocations\": 148, \"events\": {events}, \"messages\": 9, \
+                 \"allocations\": 148, \"events_dispatched\": {events}, \"messages\": 9, \
                  \"mem_ops\": {mem_ops}, \"committed_per_delay\": {committed_per_delay}, \
                  \"delays_per_entry\": 0.631, \"range_rows_per_cmd\": 2.000 }}\n}}"
             )
         }
 
         #[test]
-        fn a_simulated_count_that_falls_moves_the_two_sided_tier_only() {
+        fn a_simulated_count_that_falls_moves() {
             let prior = simulated(500, 300, "15.840");
-            let fewer_ops = simulated(500, 299, "15.840");
-            assert!(count_rises(&prior, &fewer_ops, &[]).is_empty());
-            let moves = exact_moves(&prior, &fewer_ops, &[]);
-            let fields: Vec<&str> = moves.iter().map(|m| m.field).collect();
-            assert_eq!(fields, ["mem_ops"]);
-            assert_eq!((moves[0].prior, moves[0].current), (300.0, 299.0));
+            let moves = moves(&prior, &simulated(500, 299, "15.840"), &[]);
+            assert_eq!(names(&moves), ["cfg.mem_ops"]);
+            assert_eq!(moves[0], "cfg.mem_ops: 300 -> 299");
             // A rise moves it too, and so do both together.
             let both = simulated(499, 301, "15.840");
-            let fields: Vec<&str> = (exact_moves(&prior, &both, &[]).iter())
-                .map(|m| m.field)
-                .collect();
-            assert_eq!(fields, ["events", "mem_ops"]);
-            assert!(exact_moves(&prior, &prior, &[]).is_empty());
+            assert_eq!(
+                names_moved(&prior, &both),
+                ["cfg.events_dispatched", "cfg.mem_ops"]
+            );
         }
 
         #[test]
-        fn a_virtual_time_move_inside_the_ten_percent_tier_moves_the_two_sided_tier() {
+        fn a_virtual_time_move_inside_ten_percent_moves() {
             let prior = simulated(500, 300, "15.840");
-            // Better by one part in 15 840, then worse by as much: the
-            // 10 % tier sees neither, the two-sided tier both.
+            // Better by one part in 15 840, then worse by as much.
             for now in ["15.841", "15.839"] {
                 let current = simulated(500, 300, now);
-                assert!(regressions(&prior, &current, 0.10).is_empty());
-                let moves = exact_moves(&prior, &current, &[]);
-                let fields: Vec<&str> = moves.iter().map(|m| m.field).collect();
-                assert_eq!(fields, ["committed_per_delay"], "{now}");
+                assert_eq!(
+                    names_moved(&prior, &current),
+                    ["cfg.committed_per_delay"],
+                    "{now}"
+                );
             }
         }
 
@@ -721,23 +664,27 @@ pub mod gate {
         fn allocation_counts_stay_one_sided_and_a_named_move_passes() {
             let prior = simulated(500, 300, "15.840");
             let fewer_allocs = prior.replace("\"allocations\": 148", "\"allocations\": 100");
-            assert!(exact_moves(&prior, &fewer_allocs, &[]).is_empty());
-            assert!(count_rises(&prior, &fewer_allocs, &[]).is_empty());
+            assert!(names_moved(&prior, &fewer_allocs).is_empty());
             let now = simulated(500, 299, "15.841");
-            let moves = exact_moves(&prior, &now, &["cfg.mem_ops", "other.committed_per_delay"]);
-            let fields: Vec<&str> = moves.iter().map(|m| m.field).collect();
-            assert_eq!(fields, ["committed_per_delay"]);
+            let moves = moves(&prior, &now, &["cfg.mem_ops", "other.committed_per_delay"]);
+            assert_eq!(names(&moves), ["cfg.committed_per_delay"]);
+            // Another compiler may allocate more without moving the gate.
+            let other = now.replace("1.95.0", "1.96.0").replace("148", "149");
+            assert_eq!(
+                names_moved(&prior, &other),
+                ["cfg.committed_per_delay", "cfg.mem_ops"]
+            );
         }
 
         #[test]
         fn the_rustc_header_reads_back() {
             let json = crate::snapshot_json(41, 1000, "rustc 1.95.0 (abc 2026-01-01)", &[]);
             assert_eq!(
-                top_string(&json, "rustc"),
-                Some("rustc 1.95.0 (abc 2026-01-01)")
+                header(&json, "rustc"),
+                Some("\"rustc 1.95.0 (abc 2026-01-01)\"")
             );
-            assert_eq!(top_field(&json, "workload_commands"), Some(1000.0));
-            assert_eq!(top_string(&json, "missing"), None);
+            assert_eq!(header(&json, "workload_commands"), Some("1000"));
+            assert_eq!(header(&json, "missing"), None);
         }
 
         #[test]
@@ -753,6 +700,46 @@ pub mod gate {
             assert!(path.ends_with("BENCH_PR3.json"));
             assert!(latest_prior_snapshot(&dir, 1).is_none());
             std::fs::remove_dir_all(&dir).unwrap();
+        }
+
+        /// The repository root, where the committed snapshots live.
+        fn root() -> PathBuf {
+            Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
+        }
+
+        #[test]
+        fn the_exceptions_name_fields_of_the_newest_snapshot() {
+            let (k, path) = latest_prior_snapshot(&root(), u32::MAX).expect("a BENCH_PR*.json");
+            let rows = rows(&std::fs::read_to_string(path).unwrap());
+            for field in std::iter::once(WALL_CLOCK).chain(ALLOCATOR_COUNTS) {
+                let rows_with = rows.values().filter(|row| row.contains_key(field)).count();
+                assert!(rows_with > 0, "no row of BENCH_PR{k}.json records {field}");
+            }
+        }
+
+        #[test]
+        fn the_event_count_of_a_committed_row_is_gated() {
+            // The log and sharded rows write `events_dispatched`: a gate of
+            // hand-listed fields that names `events` compares it nowhere.
+            let prior = std::fs::read_to_string(root().join("BENCH_PR42.json")).unwrap();
+            let (was, now) = (
+                "\"events_dispatched\": 830012,",
+                "\"events_dispatched\": 830013,",
+            );
+            assert!(prior.contains(was));
+            let current = prior.replacen(was, now, 1);
+            assert_eq!(
+                moves(&prior, &current, &[]),
+                ["optimized_kernel_batch1.events_dispatched: 830012 -> 830013"]
+            );
+        }
+
+        #[test]
+        fn no_field_moved_from_bench_pr41_to_pr42() {
+            let read = |k: u32| std::fs::read_to_string(root().join(format!("BENCH_PR{k}.json")));
+            let (prior, current) = (read(41).unwrap(), read(42).unwrap());
+            assert_eq!(rows(&prior).len(), 67);
+            assert!(moves(&prior, &current, &[]).is_empty());
         }
     }
 }

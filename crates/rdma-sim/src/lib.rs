@@ -31,6 +31,7 @@
 
 mod client;
 mod memory;
+mod page_list;
 mod perm;
 mod reg;
 mod region;
@@ -38,6 +39,7 @@ mod wire;
 
 pub use client::{Completion, MemoryClient};
 pub use memory::{MemoryActor, LOG_PAGE_ROWS, SPARSE_PAGE_ROWS};
+pub use page_list::PageList;
 pub use perm::{LegalChange, LegalChangeFn, PermSet, Permission};
 pub use reg::RegId;
 pub use region::{RegionId, RegionSpec, Window};

@@ -15,6 +15,7 @@ use std::marker::PhantomData;
 
 use simnet::{Actor, ActorId, Context, EventKind};
 
+use crate::page_list::PageList;
 use crate::perm::{LegalChange, Permission};
 use crate::reg::RegId;
 use crate::region::{RegionId, RegionSpec, Window};
@@ -69,14 +70,6 @@ impl<V> Rows<V> {
     }
 }
 
-/// `LOG_PAGE_ROWS` consecutive `a` of one `(b, c)` column of a log space.
-struct Page<V> {
-    /// The register of row 0. Pages of one column never overlap, so
-    /// `RegId` order on `first` is page order.
-    first: RegId,
-    rows: Rows<V>,
-}
-
 /// The first register of `reg`'s page, and `reg`'s row in that page.
 fn page_of(reg: RegId) -> (RegId, usize) {
     let off = reg.a % LOG_PAGE_ROWS as u64;
@@ -89,12 +82,11 @@ struct PagedLog<V> {
     /// The space declared a log: one at most, until a second layout is
     /// one.
     space: Option<u16>,
-    /// Sorted by first register: a miss of the last-page cache is a
-    /// binary search.
-    pages: Vec<Page<V>>,
-    /// The page last written — where a leader filling one instance after
-    /// the other writes next.
-    last: usize,
+    /// `LOG_PAGE_ROWS` consecutive `a` of one `(b, c)` column each, keyed
+    /// by the register of row 0. Pages of one column never overlap, so
+    /// `RegId` order on that key is page order; the page written last is
+    /// where a leader filling one instance after the other writes next.
+    pages: PageList<RegId, Rows<V>>,
 }
 
 impl<V> PagedLog<V> {
@@ -102,33 +94,23 @@ impl<V> PagedLog<V> {
         self.space == Some(space)
     }
 
-    fn find(&self, first: RegId) -> Result<usize, usize> {
-        match self.pages.get(self.last) {
-            Some(page) if page.first == first => Ok(self.last),
-            _ => self.pages.binary_search_by_key(&first, |page| page.first),
-        }
-    }
-
     fn get(&self, reg: RegId) -> Option<&V> {
         let (first, off) = page_of(reg);
-        self.pages[self.find(first).ok()?].rows.get(off)
+        self.pages.get(first)?.get(off)
     }
 
     fn insert(&mut self, reg: RegId, value: V) {
         let (first, off) = page_of(reg);
-        self.last = self.find(first).unwrap_or_else(|at| {
-            let rows = Rows::new(LOG_PAGE_ROWS);
-            self.pages.insert(at, Page { first, rows });
-            at
-        });
-        self.pages[self.last].rows.put(off, value);
+        let page = self
+            .pages
+            .get_or_insert_with(first, || Rows::new(LOG_PAGE_ROWS));
+        page.put(off, value);
     }
 
     /// The written registers, a page at a time.
     fn iter(&self) -> impl Iterator<Item = (RegId, &V)> {
-        self.pages.iter().flat_map(|page| {
-            let first = page.first;
-            (page.rows.iter()).map(move |(off, v)| {
+        self.pages.iter().flat_map(|(first, rows)| {
+            (rows.iter()).map(move |(off, v)| {
                 (
                     RegId {
                         a: first.a + off,
@@ -248,8 +230,7 @@ where
                 sparse: BTreeMap::new(),
                 log: PagedLog {
                     space: None,
-                    pages: Vec::new(),
-                    last: 0,
+                    pages: PageList::default(),
                 },
             },
             legal,
@@ -684,9 +665,11 @@ mod tests {
             let (region, value) = (REGION, reg.a);
             let resp = mem.handle(me, MemRequest::Write { region, reg, value });
             assert_eq!(resp, MemResponse::Ack);
-            let log = &mem.store.log;
-            assert_eq!(log.pages.len(), pages + 1);
-            assert_eq!(log.pages[log.last].rows.0.capacity(), LOG_PAGE_ROWS);
+            let log = &mem.store.log.pages;
+            assert_eq!(log.iter().count(), pages + 1);
+            assert!(log
+                .iter()
+                .all(|(_, rows)| rows.0.capacity() == LOG_PAGE_ROWS));
             let resp = mem.handle(me, MemRequest::Read { region, reg });
             assert_eq!(resp, MemResponse::Value(Some(value)));
         }
@@ -700,7 +683,7 @@ mod tests {
                 value: 9,
             },
         );
-        assert!(mem.store.sparse.len() == 1 && mem.store.log.pages.len() == 2);
+        assert!(mem.store.sparse.len() == 1 && mem.store.log.pages.iter().count() == 2);
         assert!(format!("{mem:?}").contains("registers: 3"), "{mem:?}");
     }
 
