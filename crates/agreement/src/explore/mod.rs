@@ -441,13 +441,8 @@ pub fn explore(sc: &ShardedScenario, cfg: &ExploreConfig) -> ExploreReport {
 /// latencies or queue depths. Two schedules with equal fingerprints
 /// reached the same observable outcome.
 pub fn fingerprint(r: &ShardedRunReport) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut put = |v: u64| {
-        for b in v.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x1_0000_01b3);
-        }
-    };
+    let mut h = simnet::FNV1A_BASIS;
+    let mut put = |v: u64| h = simnet::fnv1a(h, v.to_le_bytes());
     for g in &r.groups {
         put(g.entries as u64);
         put(g.committed as u64);

@@ -30,17 +30,19 @@
 //! *window* of a sender's upcoming slots concurrently
 //! ([`NebEngine::set_pipeline_depth`] / [`NebEngine::set_focus`]) while
 //! still releasing deliveries strictly in per-sender sequence order —
-//! audited slots that complete out of order wait in a ready buffer until
+//! audited slots that complete out of order wait in their row until
 //! `Last[q]` reaches them. At the default depth 1 the engine is
 //! move-for-move identical to the classic head-of-line loop.
 //!
 //! State is kept per sender: one `Row` for each process, at its position
 //! in the group, holding `Last[q]`, whether `q` was caught equivocating,
 //! its idle backoff, its one row probe and one column audit in flight, and
-//! its slots in each stage — attempts, copies waiting for an audit,
-//! audited slots waiting for release — as small vectors sorted by `k`
-//! (a stage holds at most a window's worth). A completion is routed by
-//! looking through the rows for the operation it answers, and catching an
+//! one table of its slots in flight, sorted by `k`, each in the one
+//! `Stage` of Algorithm 2 it has reached: reading, copying, audited alone,
+//! waiting for the shared audit, covered by it, or audited and waiting
+//! for release. A slot is in the table once, so "is `k` in flight?" is
+//! one lookup wherever it is asked. A completion is routed by looking
+//! through the rows for the operation it answers, and catching an
 //! equivocator clears its row and no other.
 //!
 //! Pipelining must respect the model's scarcest resource: a process may
@@ -209,40 +211,45 @@ pub struct Delivery {
     pub slot: Arc<NebSlot>,
 }
 
-/// One in-flight shared column audit.
-struct ColAudit {
-    rep: RepId,
-    /// `Last[q]` when the read was issued: where its `k` window starts.
-    head: u64,
-    /// The slots it covers, in `k` order; each one's copy completed before
-    /// the read was issued, preserving Algorithm 2's copy-then-audit order.
-    covered: Vec<(u64, Arc<NebSlot>)>,
-}
-
-enum Attempt {
-    ReadSlot(RepId),
+/// The Algorithm 2 step one of a sender's slots is in. A slot enters its
+/// sender's table when a read of it is issued (or a range read fetched it)
+/// and leaves when it is released as a delivery, when an operation on it
+/// fails (a later poll starts it again), or when its sender is blocked.
+enum Stage {
+    /// Step 1: reading `slots[q, k, q]`.
+    Read(RepId),
+    /// Step 2: copying the signed value into this process's audit slot
+    /// `slots[p, k, q]`.
     Copy { slot: Arc<NebSlot>, rep: RepId },
+    /// Step 3, alone: reading the `(k, q)` column.
     Audit { slot: Arc<NebSlot>, rep: RepId },
+    /// Copied; waiting for the sender's next shared column audit.
+    Await(Arc<NebSlot>),
+    /// Covered by the sender's shared column audit in flight, which was
+    /// issued after this copy completed (Algorithm 2's copy-then-audit
+    /// order).
+    Covered(Arc<NebSlot>),
+    /// Audited; waiting for `Last[q]` to reach it.
+    Ready(Arc<NebSlot>),
 }
 
-impl Attempt {
-    fn rep(&self) -> RepId {
+impl Stage {
+    /// The operation of this slot's own that the stage waits for.
+    fn rep(&self) -> Option<RepId> {
         match self {
-            Attempt::ReadSlot(rep) | Attempt::Copy { rep, .. } | Attempt::Audit { rep, .. } => *rep,
+            Stage::Read(rep) | Stage::Copy { rep, .. } | Stage::Audit { rep, .. } => Some(*rep),
+            Stage::Await(_) | Stage::Covered(_) | Stage::Ready(_) => None,
         }
     }
 }
 
-/// One sender's slots in some stage, by sequence number: a sorted vector,
-/// as few are ever held at once (the pipeline depth, plus what a focus
-/// change strands).
-struct Slots<T>(Vec<(u64, T)>);
+/// One sender's slots in flight, each in its stage, sorted by sequence
+/// number: few are ever held at once (every one lies in `[Last[q],
+/// Last[q] + depth)`), and each `k` is held once, so "is `k` in flight?"
+/// is one lookup.
+struct Slots(Vec<(u64, Stage)>);
 
-impl<T> Slots<T> {
-    fn new() -> Slots<T> {
-        Slots(Vec::new())
-    }
-
+impl Slots {
     fn find(&self, k: u64) -> Result<usize, usize> {
         self.0.binary_search_by_key(&k, |&(x, _)| x)
     }
@@ -251,45 +258,35 @@ impl<T> Slots<T> {
         self.find(k).is_ok()
     }
 
-    fn is_empty(&self) -> bool {
-        self.0.is_empty()
+    /// Holds `k`, which is not in flight, in `stage`.
+    fn insert(&mut self, k: u64, stage: Stage) {
+        let at = self.find(k).expect_err("a slot is in flight once");
+        self.0.insert(at, (k, stage));
     }
 
-    /// Holds `value` at `k`, in place of any value there.
-    fn insert(&mut self, k: u64, value: T) {
-        match self.find(k) {
-            Ok(at) => self.0[at].1 = value,
-            Err(at) => self.0.insert(at, (k, value)),
-        }
-    }
-
-    fn remove(&mut self, k: u64) -> Option<T> {
+    fn remove(&mut self, k: u64) -> Option<Stage> {
         Some(self.0.remove(self.find(k).ok()?).1)
     }
 }
 
 /// Everything the engine keeps about one sender `q`: its delivery
-/// frontier and the slots of its broadcasts in flight through
-/// read → copy → audit → release.
+/// frontier and its broadcasts in flight through read → copy → audit →
+/// release.
 struct Row {
     /// `Last[q]`: the next sequence number to deliver.
     last: u64,
     /// The sequence number at which `q` was caught equivocating; no further
     /// deliveries are attempted.
     blocked: Option<u64>,
-    /// In-flight delivery attempts — up to `depth` concurrent slots for
-    /// the focused sender, one for the rest.
-    attempts: Slots<Attempt>,
-    /// Audited-but-unreleased deliveries: slots that passed their audit
-    /// out of order, waiting for `Last[q]` to reach them.
-    ready: Slots<Delivery>,
-    /// Completed copies awaiting the next shared column audit.
-    await_audit: Slots<Arc<NebSlot>>,
+    /// Every slot in flight, in its stage — up to `depth` for the focused
+    /// sender, one for the rest (plus what a focus change leaves).
+    slots: Slots,
     /// Pipelined discovery: the one in-flight windowed read of `q`'s row,
     /// replacing per-slot probes, with the `Last[q]` its window started at.
     probe: Option<(RepId, u64)>,
-    /// The one in-flight shared column audit.
-    audit: Option<ColAudit>,
+    /// The one in-flight shared column audit, with the `Last[q]` its
+    /// window started at. It covers the slots in [`Stage::Covered`].
+    audit: Option<(RepId, u64)>,
     /// Idle-row backoff (pipelined mode only): the earliest poll tick at
     /// which the row may be probed again, and the current backoff.
     idle_until: u64,
@@ -301,9 +298,7 @@ impl Row {
         Row {
             last: 1,
             blocked: None,
-            attempts: Slots::new(),
-            ready: Slots::new(),
-            await_audit: Slots::new(),
+            slots: Slots(Vec::new()),
             probe: None,
             audit: None,
             idle_until: 0,
@@ -313,10 +308,10 @@ impl Row {
 }
 
 /// Which of a row's operations a replication event completes.
-enum Stage {
+enum Op {
     Probe { head: u64 },
-    Audit,
-    Attempt { k: u64 },
+    Audit { head: u64 },
+    Slot { k: u64 },
 }
 
 /// The non-equivocating broadcast state machine for one process.
@@ -352,18 +347,12 @@ pub struct NebEngine {
     written: VecDeque<u64>,
     /// Poll ticks seen (the idle-row backoff clock).
     polls: u64,
-    /// Emptied `ColAudit::covered` buffers, for the next audit to fill.
-    spare_covered: Vec<Vec<(u64, Arc<NebSlot>)>>,
 }
 
 /// Longest the idle-row backoff may defer a probe, in poll ticks. Bounds
 /// the extra discovery latency on a cold row (e.g. a brand-new leader's
 /// first broadcast) while keeping steady-state waste negligible.
 const IDLE_BACKOFF_CAP: u64 = 16;
-
-/// How many emptied audit buffers an engine keeps: one audit is in flight
-/// per sender, and only the focused sender's run back to back.
-const SPARE_COVERED_CAP: usize = 4;
 
 impl std::fmt::Debug for NebEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -406,7 +395,6 @@ impl NebEngine {
             bcast_writes: BTreeMap::new(),
             written: VecDeque::new(),
             polls: 0,
-            spare_covered: Vec::new(),
         }
     }
 
@@ -416,10 +404,20 @@ impl NebEngine {
         self.depth = depth.max(1);
     }
 
+    /// How many of the focused sender's slots are probed concurrently.
+    pub(crate) fn pipeline_depth(&self) -> usize {
+        self.depth
+    }
+
     /// Sets the one sender probed `depth` slots ahead (the group's
     /// current leader; everyone else stays at depth 1).
     pub fn set_focus(&mut self, focus: Option<Pid>) {
         self.focus = focus;
+    }
+
+    /// The one sender probed `depth` slots ahead, if any.
+    pub(crate) fn focus(&self) -> Option<Pid> {
+        self.focus
     }
 
     /// Enables or disables the leader fast path (see the `fast_path`
@@ -519,8 +517,8 @@ impl NebEngine {
             // only runs when q's pipeline is completely dry (nothing in
             // flight whose completion would discover new slots).
             let row = &self.rows[i];
-            let busy =
-                row.audit.is_some() || !row.attempts.is_empty() || !row.await_audit.is_empty();
+            let busy = row.audit.is_some()
+                || (row.slots.0.iter()).any(|(_, stage)| !matches!(stage, Stage::Ready(_)));
             if !busy && row.probe.is_none() {
                 let head = row.last;
                 let rep = self.rep.read_range(
@@ -541,21 +539,17 @@ impl NebEngine {
         }
         if self.depth > 1 {
             // Copies orphaned by a focus change still need their audit.
-            if !self.rows[i].await_audit.is_empty() {
-                self.maybe_launch_audit(ctx, client, i);
-            }
+            self.maybe_launch_audit(ctx, client, i);
             if self.polls < self.rows[i].idle_until {
                 return;
             }
         }
-        let row = &self.rows[i];
-        let head = row.last;
-        if row.attempts.contains(head) || row.ready.contains(head) || row.await_audit.contains(head)
-        {
+        let head = self.rows[i].last;
+        if self.rows[i].slots.contains(head) {
             return;
         }
         let rep = self.rep.read(ctx, client, ALL_REGION, slot_reg(q, head, q));
-        self.rows[i].attempts.insert(head, Attempt::ReadSlot(rep));
+        self.rows[i].slots.insert(head, Stage::Read(rep));
     }
 
     /// The `k` window a pipelined range read issued at `Last[q] = head`
@@ -596,15 +590,7 @@ impl NebEngine {
             if receipt {
                 continue; // q's self-receipts share the row; not slots
             }
-            let row = &self.rows[i];
-            let covered = |audit: &ColAudit| audit.covered.iter().any(|&(ck, _)| ck == k);
-            if k < head
-                || k >= head + depth
-                || row.attempts.contains(k)
-                || row.ready.contains(k)
-                || row.await_audit.contains(k)
-                || row.audit.as_ref().is_some_and(covered)
-            {
+            if k < head || k >= head + depth || self.rows[i].slots.contains(k) {
                 continue;
             }
             let RegVal::Neb(slot) = val else { continue };
@@ -618,13 +604,13 @@ impl NebEngine {
                 slot_reg(self.me, k, q),
                 RegVal::Neb(slot.clone()),
             );
-            self.rows[i].attempts.insert(k, Attempt::Copy { slot, rep });
+            self.rows[i].slots.insert(k, Stage::Copy { slot, rep });
         }
     }
 
     /// Issues the shared column audit for sender `i` if none is in flight
     /// and copies are waiting: one range read over the window of `q`'s
-    /// columns covers every pending slot at once.
+    /// columns covers every waiting slot at once.
     fn maybe_launch_audit(
         &mut self,
         ctx: &mut Context<'_, Msg>,
@@ -632,13 +618,22 @@ impl NebEngine {
         i: usize,
     ) {
         let q = self.procs[i];
-        let window = self.read_window(self.rows[i].last);
+        let head = self.rows[i].last;
+        let window = self.read_window(head);
         let row = &mut self.rows[i];
-        if row.audit.is_some() || row.await_audit.is_empty() {
+        if row.audit.is_some() {
             return;
         }
-        let mut covered = self.spare_covered.pop().unwrap_or_default();
-        covered.append(&mut row.await_audit.0);
+        let mut covered = false;
+        for (_, stage) in &mut row.slots.0 {
+            if let Stage::Await(slot) = stage {
+                *stage = Stage::Covered(slot.clone());
+                covered = true;
+            }
+        }
+        if !covered {
+            return;
+        }
         let rep = self.rep.read_range(
             ctx,
             client,
@@ -650,8 +645,7 @@ impl NebEngine {
                 c: Some(q.0 as u64),
             }),
         );
-        let head = row.last;
-        row.audit = Some(ColAudit { rep, head, covered });
+        row.audit = Some((rep, head));
     }
 
     /// Drops every in-flight structure of sender `i` after it was caught
@@ -668,17 +662,22 @@ impl NebEngine {
         };
     }
 
-    /// Moves `ready` slots at the head of sender `i`'s sequence into the
-    /// delivery queue; returns whether anything was released.
+    /// Moves the run of [`Stage::Ready`] slots at the head of sender `i`'s
+    /// sequence into the delivery queue; returns whether anything was
+    /// released.
     fn release_ready(&mut self, i: usize) -> bool {
+        let q = self.procs[i];
         let row = &mut self.rows[i];
-        let mut released = false;
-        while let Some(d) = row.ready.remove(row.last) {
-            self.deliveries.push_back(d);
-            row.last += 1;
-            released = true;
+        let run = (row.slots.0.iter().zip(row.last..))
+            .take_while(|((k, stage), next)| k == next && matches!(stage, Stage::Ready(_)))
+            .count();
+        for (_, stage) in row.slots.0.drain(..run) {
+            if let Stage::Ready(slot) = stage {
+                self.deliveries.push_back(Delivery { from: q, slot });
+            }
         }
-        released
+        row.last += run as u64;
+        run > 0
     }
 
     /// Step 1's check: `slot` is keyed `k` and validly signed by `q`.
@@ -686,13 +685,20 @@ impl NebEngine {
         slot.k == k && self.verifier.valid(q, &slot.wire.sign_view(k), &slot.sig)
     }
 
-    /// The audit's check: `other`, a copy read from the `(k, q)` column,
-    /// convicts `q` of equivocating against `slot` — validly signed by `q`
-    /// for the same `k`, a different wire. Compared by value: a copy
-    /// convicts by what it says, never by which allocation holds it (every
-    /// memory may hold its own).
-    fn convicts(&self, q: Pid, k: u64, slot: &NebSlot, other: &NebSlot) -> bool {
-        other.k == k && other.wire != slot.wire && self.signed_by(q, k, other)
+    /// The audit's verdict on `slot`, `q`'s `k`-th broadcast, from `read`
+    /// — rows sorted by register that span the `(k, q)` column, one
+    /// register per process's row: whether some process's copy convicts
+    /// `q` of equivocating, validly signed by `q` for the same `k` with a
+    /// different wire. Compared by value: a copy convicts by what it says,
+    /// never by which allocation holds it (every memory may hold its own).
+    fn convicted(&self, q: Pid, k: u64, slot: &NebSlot, read: &[(RegId, RegVal)]) -> bool {
+        self.procs.iter().any(|&p| {
+            let Ok(at) = read.binary_search_by_key(&slot_reg(p, k, q), |(r, _)| *r) else {
+                return false;
+            };
+            matches!(&read[at].1, RegVal::Neb(other)
+                if other.k == k && other.wire != slot.wire && self.signed_by(q, k, other))
+        })
     }
 
     /// Whether `q` has been caught equivocating (at which sequence number);
@@ -727,21 +733,20 @@ impl NebEngine {
         true
     }
 
-    /// The sender whose row issued operation `id`, and the stage it
-    /// completes; `None` for an operation no row still waits for (the
-    /// rows of a blocked sender drop theirs).
-    fn route(&self, id: RepId) -> Option<(usize, Stage)> {
+    /// The sender whose row issued operation `id`, and which operation
+    /// it is; `None` for an operation no row still waits for (the rows of
+    /// a blocked sender drop theirs).
+    fn route(&self, id: RepId) -> Option<(usize, Op)> {
         self.rows.iter().enumerate().find_map(|(i, row)| {
-            let stage = match row.probe {
-                Some((rep, head)) if rep == id => Stage::Probe { head },
-                _ if row.audit.as_ref().is_some_and(|a| a.rep == id) => Stage::Audit,
+            let op = match (row.probe, row.audit) {
+                (Some((rep, head)), _) if rep == id => Op::Probe { head },
+                (_, Some((rep, head))) if rep == id => Op::Audit { head },
                 _ => {
-                    let attempts = row.attempts.0.iter();
-                    let &(k, _) = attempts.into_iter().find(|(_, a)| a.rep() == id)?;
-                    Stage::Attempt { k }
+                    let &(k, _) = (row.slots.0.iter()).find(|(_, s)| s.rep() == Some(id))?;
+                    Op::Slot { k }
                 }
             };
-            Some((i, stage))
+            Some((i, op))
         })
     }
 
@@ -759,12 +764,12 @@ impl NebEngine {
             }
             return;
         }
-        let Some((i, stage)) = self.route(ev.id) else {
+        let Some((i, op)) = self.route(ev.id) else {
             return;
         };
-        let k = match stage {
+        let k = match op {
             // Row-probe completions (pipelined discovery).
-            Stage::Probe { head } => {
+            Op::Probe { head } => {
                 self.rows[i].probe = None;
                 if let RepResult::RangeOk(rows) = ev.result {
                     self.adopt_row(ctx, client, i, head, rows);
@@ -772,23 +777,17 @@ impl NebEngine {
                 return; // the next poll tick relaunches the probe
             }
             // Shared column-audit completions.
-            Stage::Audit => {
-                let ColAudit {
-                    head, mut covered, ..
-                } = self.rows[i].audit.take().expect("routed above");
-                self.on_col_audit(ctx, client, i, head, &mut covered, ev.result);
-                if self.spare_covered.len() < SPARE_COVERED_CAP {
-                    covered.clear();
-                    self.spare_covered.push(covered);
-                }
+            Op::Audit { head } => {
+                self.rows[i].audit = None;
+                self.on_col_audit(ctx, client, i, head, ev.result);
                 return;
             }
-            Stage::Attempt { k } => k,
+            Op::Slot { k } => k,
         };
         let q = self.procs[i];
-        let attempt = self.rows[i].attempts.remove(k).expect("routed above");
-        match (attempt, ev.result) {
-            (Attempt::ReadSlot(_), RepResult::ReadOk(Some(RegVal::Neb(slot)))) => {
+        let stage = self.rows[i].slots.remove(k).expect("routed above");
+        match (stage, ev.result) {
+            (Stage::Read(_), RepResult::ReadOk(Some(RegVal::Neb(slot)))) => {
                 // Step 1 checks: signed by q, keyed k.
                 if !self.signed_by(q, k, &slot) {
                     return; // pretend we saw nothing; retry next poll
@@ -803,22 +802,20 @@ impl NebEngine {
                     slot_reg(self.me, k, q),
                     RegVal::Neb(slot.clone()),
                 );
-                self.rows[i].attempts.insert(k, Attempt::Copy { slot, rep });
+                self.rows[i].slots.insert(k, Stage::Copy { slot, rep });
             }
-            (Attempt::ReadSlot(_), _) => {
-                // ⊥ / junk / failed: retry later. In pipelined mode an
-                // idle row backs off exponentially — speculative reads
-                // compete with useful ops for the per-memory FIFO slots.
-                if self.depth > 1 && self.focus != Some(q) {
-                    let row = &mut self.rows[i];
-                    row.idle_until = self.polls + row.idle_backoff;
-                    row.idle_backoff = (row.idle_backoff * 2).min(IDLE_BACKOFF_CAP);
-                }
+            // ⊥ / junk / failed: retry later. In pipelined mode an idle
+            // row backs off exponentially — speculative reads compete with
+            // useful ops for the per-memory FIFO slots.
+            (Stage::Read(_), _) if self.depth > 1 && self.focus != Some(q) => {
+                let row = &mut self.rows[i];
+                row.idle_until = self.polls + row.idle_backoff;
+                row.idle_backoff = (row.idle_backoff * 2).min(IDLE_BACKOFF_CAP);
             }
-            (Attempt::Copy { slot, .. }, RepResult::WriteOk) => {
+            (Stage::Copy { slot, .. }, RepResult::WriteOk) => {
                 if self.depth > 1 && self.focus == Some(q) {
                     // Pipelined: join the next shared column audit.
-                    self.rows[i].await_audit.insert(k, slot);
+                    self.rows[i].slots.insert(k, Stage::Await(slot));
                     self.maybe_launch_audit(ctx, client, i);
                     return;
                 }
@@ -833,25 +830,19 @@ impl NebEngine {
                         c: Some(q.0 as u64),
                     }),
                 );
-                self.rows[i]
-                    .attempts
-                    .insert(k, Attempt::Audit { slot, rep });
+                self.rows[i].slots.insert(k, Stage::Audit { slot, rep });
             }
-            (Attempt::Copy { .. }, _) => {} // copy failed: retry later
-            (Attempt::Audit { slot, .. }, RepResult::RangeOk(column)) => {
-                for (_, other) in column {
-                    let RegVal::Neb(other) = other else { continue };
-                    if self.convicts(q, k, &slot, &other) {
-                        // q signed two different messages for k: equivocation.
-                        // Abandon the rest of q's window: nothing from an
-                        // equivocator is ever delivered (no-ops at depth 1).
-                        self.block(ctx, i, k);
-                        return;
-                    }
+            (Stage::Audit { slot, .. }, RepResult::RangeOk(column)) => {
+                if self.convicted(q, k, &slot, &column) {
+                    // q signed two different messages for k: equivocation.
+                    // Abandon the rest of q's window: nothing from an
+                    // equivocator is ever delivered (no-ops at depth 1).
+                    self.block(ctx, i, k);
+                    return;
                 }
-                // Audited out-of-order slots wait in the ready buffer;
+                // Audited out-of-order slots wait in the table;
                 // deliveries are released strictly in sequence order.
-                self.rows[i].ready.insert(k, Delivery { from: q, slot });
+                self.rows[i].slots.insert(k, Stage::Ready(slot));
                 let released = self.release_ready(i);
                 // Per-slot completion chaining: a released head frees
                 // window room — probe q's next slots now instead of
@@ -861,49 +852,45 @@ impl NebEngine {
                     self.launch_attempts(ctx, client, i);
                 }
             }
-            (Attempt::Audit { .. }, _) => {} // audit failed: retry later
+            // Any other failed read, copy or audit: the slot leaves the
+            // table, and a later poll starts it again.
+            _ => {}
         }
     }
 
     /// Resolves a completed shared column audit of sender `i` (issued at
     /// `Last[q] = head`): checks every covered slot's column for a validly
     /// signed conflicting copy, then releases the survivors in sequence
-    /// order. Takes the slots out of `covered`.
+    /// order.
     fn on_col_audit(
         &mut self,
         ctx: &mut Context<'_, Msg>,
         client: &mut MemoryClient<RegVal, Msg>,
         i: usize,
         head: u64,
-        covered: &mut Vec<(u64, Arc<NebSlot>)>,
         result: RepResult<RegVal>,
     ) {
         let q = self.procs[i];
         let RepResult::RangeOk(all) = result else {
-            // Audit read failed: the covered slots rejoin the queue and
-            // the next poll retries.
-            for (k, slot) in covered.drain(..) {
-                self.rows[i].await_audit.insert(k, slot);
+            // Audit read failed: the covered slots wait for the next
+            // audit, which the next poll issues.
+            for (_, stage) in &mut self.rows[i].slots.0 {
+                if let Stage::Covered(slot) = stage {
+                    *stage = Stage::Await(slot.clone());
+                }
             }
             return;
         };
-        if self.rows[i].blocked.is_some() {
-            return;
-        }
-        for (k, slot) in covered.drain(..) {
-            // The `(k, q)` column: one register per process's row.
-            let convicted = self.procs.iter().any(|&p| {
-                let reg = slot_reg(p, k, q);
-                let Ok(at) = all.binary_search_by_key(&reg, |(r, _)| *r) else {
-                    return false;
-                };
-                matches!(&all[at].1, RegVal::Neb(other) if self.convicts(q, k, &slot, other))
-            });
-            if convicted {
+        for at in 0..self.rows[i].slots.0.len() {
+            let (k, Stage::Covered(slot)) = &self.rows[i].slots.0[at] else {
+                continue;
+            };
+            let (k, slot) = (*k, slot.clone());
+            if self.convicted(q, k, &slot, &all) {
                 self.block(ctx, i, k);
                 return;
             }
-            self.rows[i].ready.insert(k, Delivery { from: q, slot });
+            self.rows[i].slots.0[at].1 = Stage::Ready(slot);
         }
         self.release_ready(i);
         // The audit read covered the window of q's whole column space,
@@ -935,20 +922,47 @@ mod tests {
     use crate::paxos::Dest;
     use crate::trusted::{RbPayload, SetupEvidence};
     use crate::types::Value;
+    use rdma_sim::{MemRequest, MemWire};
     use sigsim::SigAuthority;
     use simnet::{Actor, AnyActor, Duration, EventKind, Simulation, Time};
+    use std::sync::Mutex;
 
     /// An honest participant: broadcasts its values at start, polls every
     /// delay, records what it delivers and, once a copy of `watch`'s row
-    /// waits for an audit, moves its focus to `refocus` and records how
-    /// many copies were waiting.
+    /// waits for an audit, moves its focus to `refocus` and records the
+    /// slots of that row left in the shared audit's care: covered by the
+    /// audit in flight, or waiting for the next.
     struct Tester {
         engine: NebEngine,
         client: MemoryClient<RegVal, Msg>,
         to_broadcast: Vec<Value>,
         delivered: Vec<(Pid, u64, Value)>,
         watch: Option<(Pid, Option<Pid>)>,
-        waiting_at_refocus: usize,
+        shared_at_refocus: Vec<u64>,
+    }
+
+    impl Row {
+        /// The sequence numbers of the slots in a stage `is` accepts.
+        fn ks(&self, is: impl Fn(&Stage) -> bool) -> Vec<u64> {
+            (self.slots.0.iter())
+                .filter(|(_, s)| is(s))
+                .map(|&(k, _)| k)
+                .collect()
+        }
+
+        /// Slots with an operation of their own in flight: a read, a copy
+        /// or an audit alone.
+        fn attempts(&self) -> Vec<u64> {
+            self.ks(|s| s.rep().is_some())
+        }
+
+        fn awaiting_audit(&self) -> Vec<u64> {
+            self.ks(|s| matches!(s, Stage::Await(_)))
+        }
+
+        fn ready(&self) -> Vec<u64> {
+            self.ks(|s| matches!(s, Stage::Ready(_)))
+        }
     }
 
     fn wire(value: Value) -> TWire {
@@ -974,10 +988,11 @@ mod tests {
                 }
             }
             if let Some((watched, refocus)) = self.watch {
-                let waiting = self.row(watched).await_audit.0.len();
-                if waiting > 0 {
+                let row = self.row(watched);
+                if !row.awaiting_audit().is_empty() {
+                    self.shared_at_refocus =
+                        row.ks(|s| matches!(s, Stage::Await(_) | Stage::Covered(_)));
                     self.engine.set_focus(refocus);
-                    self.waiting_at_refocus = waiting;
                     self.watch = None;
                 }
             }
@@ -1054,14 +1069,70 @@ mod tests {
             to_broadcast: Vec::new(),
             delivered: Vec::new(),
             watch: None,
-            waiting_at_refocus: 0,
+            shared_at_refocus: Vec::new(),
         }
+    }
+
+    /// What `reader` asked of one memory about `q`'s slots, by `k`: its
+    /// single-slot reads of `slots[q, k, q]`, its copies into
+    /// `slots[reader, k, q]` and its single-column audits of `(k, q)`.
+    #[derive(Default)]
+    struct SlotOps {
+        reads: BTreeMap<u64, usize>,
+        copies: BTreeMap<u64, usize>,
+        audits: BTreeMap<u64, usize>,
+    }
+
+    /// Counts [`SlotOps`] from the requests `reader` sends to `mem`: each
+    /// replicated operation sends one request to every memory.
+    fn count_slot_ops(
+        sim: &mut Simulation<Msg>,
+        reader: Pid,
+        q: Pid,
+        mem: ActorId,
+    ) -> Arc<Mutex<SlotOps>> {
+        let ops = Arc::new(Mutex::new(SlotOps::default()));
+        let sink = Arc::clone(&ops);
+        sim.set_delay_hook(Box::new(move |_, from, to, msg| {
+            let Msg::Mem(MemWire::Req { req, .. }) = msg else {
+                return None;
+            };
+            if from != reader || to != mem {
+                return None;
+            }
+            let mut ops = sink.lock().unwrap();
+            match req {
+                MemRequest::Read { reg, .. } if *reg == slot_reg(q, Cell::of(*reg).k, q) => {
+                    *ops.reads.entry(Cell::of(*reg).k).or_default() += 1;
+                }
+                MemRequest::Write { reg, .. } if *reg == slot_reg(reader, Cell::of(*reg).k, q) => {
+                    *ops.copies.entry(Cell::of(*reg).k).or_default() += 1;
+                }
+                MemRequest::ReadRange {
+                    within:
+                        Some(RegionSpec::Pattern {
+                            a: None,
+                            b: Some(w),
+                            c,
+                            ..
+                        }),
+                    ..
+                } if *c == Some(q.0 as u64) && *w == Window::exact(w.start()) => {
+                    *ops.audits.entry(w.start()).or_default() += 1;
+                }
+                _ => {}
+            }
+            None
+        }));
+        ops
     }
 
     /// Copies that joined the focused sender's next shared audit are
     /// orphaned when the focus moves away (to another sender, or to none)
     /// while an audit is in flight. They still get their audit and every
-    /// slot is delivered once, in order, with no one blocked.
+    /// slot is delivered once, in order, with no one blocked; a slot in the
+    /// shared audit's care is neither read, copied nor audited again, and
+    /// no slot is left behind below `Last[q]`.
     #[test]
     fn a_focus_change_with_copies_waiting_for_their_audit_delivers_everything_in_order() {
         let (p0, p1, p2) = (ActorId(0), ActorId(1), ActorId(2));
@@ -1080,17 +1151,37 @@ mod tests {
                 }
                 Box::new(t)
             });
+            let ops = count_slot_ops(&mut sim, p2, p0, ActorId(3));
             sim.run_until(Time::from_delays(400), |s| {
                 let t = s.actor_as::<Tester>(p2).unwrap();
                 t.from(p0).len() == 6 && t.from(p1).len() == 2
             });
             let t = sim.actor_as::<Tester>(p2).unwrap();
-            assert!(t.waiting_at_refocus > 0, "the focus never moved");
+            assert!(!t.shared_at_refocus.is_empty(), "the focus never moved");
             let expect = |base, n| (1..=n).zip(values(base, n)).collect::<Vec<_>>();
             assert_eq!(t.from(p0), expect(100, 6), "refocus {refocus:?}");
             assert_eq!(t.from(p1), expect(200, 2), "refocus {refocus:?}");
             assert!(procs_unblocked(&t.engine), "refocus {refocus:?}");
-            assert!(t.row(p0).await_audit.is_empty() && t.row(p0).audit.is_none());
+            assert!(t.row(p0).awaiting_audit().is_empty() && t.row(p0).audit.is_none());
+            for (&q, row) in t.engine.procs.iter().zip(&t.engine.rows) {
+                let below = row.ks(|_| true).into_iter().filter(|&k| k < row.last);
+                assert_eq!(
+                    below.collect::<Vec<_>>(),
+                    [],
+                    "{q}'s row at Last = {}",
+                    row.last
+                );
+            }
+            // Every slot of p0's was copied once; those in the shared
+            // audit's care at the refocus were read by the row probe and
+            // audited by the shared audit, never again one by one.
+            let ops = ops.lock().unwrap();
+            let once: BTreeMap<u64, usize> = (1..=6).map(|k| (k, 1)).collect();
+            assert_eq!(ops.copies, once, "refocus {refocus:?}");
+            for k in &t.shared_at_refocus {
+                let again = (ops.reads.get(k), ops.audits.get(k));
+                assert_eq!(again, (None, None), "refocus {refocus:?}: k = {k}");
+            }
         }
     }
 
@@ -1140,10 +1231,12 @@ mod tests {
         let t = sim.actor_as::<Tester>(p2).unwrap();
         assert_eq!(t.engine.blocked_at(p0), Some(2));
         let purged = t.row(p0);
-        assert!(purged.attempts.is_empty() && purged.ready.is_empty());
-        assert!(purged.await_audit.is_empty() && purged.probe.is_none() && purged.audit.is_none());
+        assert!(purged.attempts().is_empty() && purged.ready().is_empty());
+        assert!(
+            purged.awaiting_audit().is_empty() && purged.probe.is_none() && purged.audit.is_none()
+        );
         // The instant p0 was blocked, p3's row had an attempt in flight.
-        let in_flight: Vec<u64> = t.row(p3).attempts.0.iter().map(|&(k, _)| k).collect();
+        let in_flight = t.row(p3).attempts();
         assert!(
             !in_flight.is_empty(),
             "p3's row was idle when p0 was caught"

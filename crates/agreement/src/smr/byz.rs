@@ -179,20 +179,20 @@ struct PipeSlot {
 /// The Byzantine-mode engine (see the module docs for the protocol).
 #[derive(Debug)]
 pub struct NebLog {
+    /// The broadcast engine. Its focus is the Ω-current leader, and its
+    /// pipeline depth is how many broadcasts the leader keeps in flight
+    /// (1 = the classic stall-on-self-delivery protocol, bit-identical to
+    /// pre-pipeline).
     neb: NebEngine,
     verifier: SigVerifier,
     /// Dedicated replication engine for takeover scans (the broadcast
     /// engine's operations stay untouched by a scan in flight).
     scan_rep: RepEngine<RegVal, Msg>,
-    current_leader: Pid,
     /// This leadership term's epoch (takeover count, carried in wires).
     epoch: u64,
-    /// The broadcasts in flight, in broadcast order: up to `window`
-    /// unretired slots (the pipeline ring).
+    /// The broadcasts in flight, in broadcast order: up to the pipeline
+    /// depth of unretired slots (the pipeline ring).
     pipeline: VecDeque<PipeSlot>,
-    /// How many broadcasts the leader keeps in flight (1 = the classic
-    /// stall-on-self-delivery protocol, bit-identical to pre-pipeline).
-    window: usize,
     /// Batches settled via the fast path's write ack over the run.
     fast_commits: u64,
     /// Next instance fresh commands are proposed at.
@@ -225,14 +225,14 @@ impl ByzSmrNode {
         verifier: SigVerifier,
         poll_every: Duration,
     ) -> ByzSmrNode {
+        let mut neb = NebEngine::new(me, procs.clone(), mems.clone(), signer, verifier.clone());
+        neb.set_focus(Some(initial_leader));
         let engine = NebLog {
-            neb: NebEngine::new(me, procs.clone(), mems.clone(), signer, verifier.clone()),
+            neb,
             verifier,
             scan_rep: RepEngine::new(mems),
-            current_leader: initial_leader,
             epoch: 0,
             pipeline: VecDeque::new(),
-            window: 1,
             fast_commits: 0,
             next_instance: 0,
             scanning: None,
@@ -249,10 +249,7 @@ impl ByzSmrNode {
     /// behaviour). The broadcast engine probes the current leader's row
     /// the same `window` slots ahead on every replica.
     pub fn with_pipeline_window(mut self, window: usize) -> ByzSmrNode {
-        let e = &mut self.engine;
-        e.window = window.max(1);
-        e.neb.set_pipeline_depth(e.window);
-        e.neb.set_focus(Some(e.current_leader));
+        self.engine.neb.set_pipeline_depth(window);
         self
     }
 
@@ -323,7 +320,7 @@ impl NebLog {
         else {
             return; // not ours: not even parked
         };
-        if d.from != self.current_leader {
+        if self.neb.focus() != Some(d.from) {
             self.parked.push(d);
             return;
         }
@@ -405,7 +402,7 @@ impl NebLog {
     fn replay_parked(&mut self, sh: &mut Shell, ctx: &mut Context<'_, Msg>) {
         let mut parked = std::mem::take(&mut self.parked);
         for d in parked.drain(..) {
-            if d.from == self.current_leader {
+            if self.neb.focus() == Some(d.from) {
                 self.accept(sh, ctx, &d);
             } else {
                 self.parked.push(d);
@@ -557,7 +554,7 @@ impl Engine for NebLog {
         if !sh.is_leader || self.scanning.is_some() || self.need_scan {
             return;
         }
-        while self.pipeline.len() < self.window {
+        while self.pipeline.len() < self.neb.pipeline_depth() {
             let recovering = sh.recover.front().map(|&(i, _)| i);
             let at = recovering.unwrap_or(self.next_instance);
             // A deep pipeline overlaps fresh fills with rounds whose
@@ -601,9 +598,8 @@ impl Engine for NebLog {
         leader: Pid,
         promoted: bool,
     ) {
-        self.current_leader = leader;
-        // Pipelined delivery follows the leadership: the new leader's
-        // row is the one worth probing ahead.
+        // The broadcast engine's focus is the Ω-current leader: its
+        // deliveries settle, and its row is the one worth probing ahead.
         self.neb.set_focus(Some(leader));
         if promoted {
             self.need_scan = true;

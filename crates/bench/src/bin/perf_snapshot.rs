@@ -50,7 +50,7 @@ use simnet::{DelayModel, RdmaCost, TICKS_PER_DELAY};
 const RUSTC: &str = env!("BENCH_RUSTC_VERSION");
 
 /// This snapshot's PR number (names the output file and anchors the gate).
-const PR: u32 = 43;
+const PR: u32 = 45;
 
 /// Allocation-counting wrapper around the system allocator.
 struct CountingAlloc;

@@ -128,3 +128,34 @@ pub use metrics::Metrics;
 pub use partition::{ParActors, ParSimulation, Partitioning};
 pub use sim::{Choice, ChoiceHook, ChoicePayload, Context, DelayHook, RunOutcome, Simulation};
 pub use time::{Duration, Time, TICKS_PER_DELAY};
+
+/// FNV-1a's 64-bit offset basis: the hash of no bytes, where a hash
+/// starts.
+pub const FNV1A_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Continues the 64-bit FNV-1a hash `h` over `bytes` (start from
+/// [`FNV1A_BASIS`]). The one hash behind the repository's pins and
+/// fingerprints: unlike `std`'s `DefaultHasher`, its output is fixed by
+/// its definition, the same on every build and release.
+pub fn fnv1a(h: u64, bytes: impl IntoIterator<Item = u8>) -> u64 {
+    (bytes.into_iter()).fold(h, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+#[cfg(test)]
+mod fnv1a_tests {
+    use super::*;
+
+    /// The published FNV-1a 64-bit test vectors.
+    #[test]
+    fn fnv1a_matches_the_reference_vectors() {
+        assert_eq!(fnv1a(FNV1A_BASIS, []), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(FNV1A_BASIS, *b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(FNV1A_BASIS, *b"foobar"), 0x8594_4171_f739_67e8);
+        assert_eq!(
+            fnv1a(fnv1a(FNV1A_BASIS, *b"foo"), *b"bar"),
+            0x8594_4171_f739_67e8
+        );
+    }
+}

@@ -1183,10 +1183,8 @@ mod tests {
             .unwrap()
             .arrivals
             .clone();
-        let mut h = 0xcbf29ce484222325u64;
-        for byte in crate::obs::to_text(&sim.take_obs_events()).bytes() {
-            h = (h ^ byte as u64).wrapping_mul(0x100000001b3);
-        }
+        let text = crate::obs::to_text(&sim.take_obs_events());
+        let h = crate::fnv1a(crate::FNV1A_BASIS, text.bytes());
         (arrivals, sim.now(), sim.metrics().events_dispatched, h)
     }
 

@@ -486,12 +486,8 @@ impl FatOutcome {
 
     /// FNV-1a over the per-actor logs and the run's counters.
     fn transcript_hash(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mut eat = |x: u64| {
-            for b in x.to_le_bytes() {
-                h = (h ^ b as u64).wrapping_mul(0x0100_0000_01b3);
-            }
-        };
+        let mut h = simnet::FNV1A_BASIS;
+        let mut eat = |x: u64| h = simnet::fnv1a(h, x.to_le_bytes());
         for (actor, log) in self.logs.iter().enumerate() {
             eat(actor as u64);
             eat(log.len() as u64);

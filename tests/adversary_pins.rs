@@ -25,7 +25,9 @@ use agreement::sharded::GroupMode;
 use agreement::types::{Msg, Pid, Value};
 use rdma_sim::{LegalChange, MemoryActor};
 use sigsim::{SigAuthority, Signer};
-use simnet::{Actor, ActorId, DelayHook, DelayModel, Duration, Simulation, Time};
+use simnet::{
+    fnv1a, Actor, ActorId, DelayHook, DelayModel, Duration, Simulation, Time, FNV1A_BASIS,
+};
 
 /// The lines one villain sent, in send order.
 type Transcript = Arc<Mutex<Vec<String>>>;
@@ -47,9 +49,8 @@ fn recorder(villain: Pid) -> (Transcript, DelayHook<Msg>) {
 /// `(line count, FNV-1a over the lines, each newline-terminated)`.
 fn fingerprint(name: &str, lines: &Transcript) -> (usize, u64) {
     let lines = lines.lock().unwrap();
-    let hash = (lines.iter()).fold(0xcbf2_9ce4_8422_2325u64, |h, line| {
-        (line.bytes().chain([b'\n'])).fold(h, |h, b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3))
-    });
+    let bytes = (lines.iter()).flat_map(|line| line.bytes().chain([b'\n']));
+    let hash = fnv1a(FNV1A_BASIS, bytes);
     for line in lines.iter() {
         println!("{name} {line}");
     }

@@ -9,6 +9,7 @@
 
 use agreement::harness::{run_sharded, ShardedRunReport, ShardedScenario};
 use agreement::sharded::GroupMode;
+use simnet::{fnv1a, FNV1A_BASIS};
 
 /// The repository benchmark's `byz_pipeline` workload shape (G = 1
 /// Byzantine group of n = 3 over m = 3 memories, batch 8, router window
@@ -37,9 +38,10 @@ fn rows_per_cmd(r: &ShardedRunReport) -> f64 {
 
 /// FNV-1a over the group's log, in order.
 fn log_hash(r: &ShardedRunReport) -> u64 {
-    r.groups[0].log.iter().fold(0xcbf2_9ce4_8422_2325, |h, v| {
-        (v.0.to_le_bytes().iter()).fold(h, |h, &b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3))
-    })
+    fnv1a(
+        FNV1A_BASIS,
+        r.groups[0].log.iter().flat_map(|v| v.0.to_le_bytes()),
+    )
 }
 
 /// Four times the log, the same rows per command (within 10 %: the run's

@@ -9,7 +9,7 @@
 
 use agreement::harness::{run_sharded_with_events, ShardedScenario};
 use agreement::types::Value;
-use simnet::{DelayModel, Duration};
+use simnet::{fnv1a, DelayModel, Duration, FNV1A_BASIS};
 
 /// Everything in a run a schedule shift would move, as integers.
 #[derive(Debug, PartialEq, Eq)]
@@ -24,12 +24,8 @@ struct Fingerprint {
     obs_events: usize,
 }
 
-fn fnv1a(log: &[Value]) -> u64 {
-    log.iter()
-        .flat_map(|v| v.0.to_le_bytes())
-        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
-            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
-        })
+fn log_hash(log: &[Value]) -> u64 {
+    fnv1a(FNV1A_BASIS, log.iter().flat_map(|v| v.0.to_le_bytes()))
 }
 
 /// Runs `sc` at 1 and 2 worker threads, asserts both are safe and equal,
@@ -47,7 +43,7 @@ fn pinned(sc: &ShardedScenario) -> Fingerprint {
             events_dispatched: r.events_dispatched,
             messages: r.messages,
             partition_peak_queue_lens: r.partition_peak_queue_lens,
-            log_hashes: r.groups.iter().map(|g| fnv1a(&g.log)).collect(),
+            log_hashes: r.groups.iter().map(|g| log_hash(&g.log)).collect(),
             obs_events: events.len(),
         }
     });

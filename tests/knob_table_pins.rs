@@ -13,10 +13,7 @@ use agreement::adversary::AdversaryKind;
 use agreement::fuzz::{self, fault_count, generate, run_campaign, FuzzConfig};
 use agreement::harness::ShardedScenario;
 use agreement::sharded::WorkloadSpec;
-
-fn fnv(h: u64, bytes: &[u8]) -> u64 {
-    (bytes.iter()).fold(h, |h, &b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3))
-}
+use simnet::{fnv1a, FNV1A_BASIS};
 
 /// A scenario's adversary placements as sorted `(group, replica,
 /// kind-code)`: silent 0, equivocator 1, receipt forger 2, far-future
@@ -56,8 +53,8 @@ fn drawn(sc: &ShardedScenario) -> String {
 fn generator_seed_to_scenario_map() {
     let blocks: Vec<u64> = (0..4u64)
         .map(|b| {
-            (b * 128..(b + 1) * 128).fold(0xcbf2_9ce4_8422_2325, |h, seed| {
-                fnv(h, drawn(&generate(seed)).as_bytes())
+            (b * 128..(b + 1) * 128).fold(FNV1A_BASIS, |h, seed| {
+                fnv1a(h, drawn(&generate(seed)).into_bytes())
             })
         })
         .collect();

@@ -11,7 +11,7 @@
 
 use agreement::harness::{run_sharded, ShardedRunReport, ShardedScenario};
 use agreement::sharded::{GroupMode, WorkloadSpec};
-use simnet::{DelayModel, RdmaCost, TICKS_PER_DELAY};
+use simnet::{fnv1a, DelayModel, RdmaCost, FNV1A_BASIS, TICKS_PER_DELAY};
 
 const SEED: u64 = 5;
 
@@ -22,9 +22,8 @@ type Fingerprint = (u64, u64, u64, u64, u64, u64, u64, u64);
 
 /// FNV-1a over every group's log, in group then log order.
 fn log_hash(r: &ShardedRunReport) -> u64 {
-    (r.groups.iter().flat_map(|g| &g.log)).fold(0xcbf2_9ce4_8422_2325, |h, v| {
-        (v.0.to_le_bytes().iter()).fold(h, |h, &b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3))
-    })
+    let log = r.groups.iter().flat_map(|g| &g.log);
+    fnv1a(FNV1A_BASIS, log.flat_map(|v| v.0.to_le_bytes()))
 }
 
 fn fingerprint(name: &str, sc: &ShardedScenario) -> Fingerprint {
