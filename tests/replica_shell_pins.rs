@@ -140,3 +140,20 @@ fn mixed_modes_with_a_takeover_each() {
         )
     );
 }
+
+/// A Byzantine group at pipeline window 1 (the classic one-slot
+/// protocol, no fast path) whose initial leader crashes mid-run and is
+/// replaced by Ω: every broadcast write, copy and receipt goes out the
+/// moment it is issued, so batching a pipelined follower's writes leaves
+/// this schedule, takeover scan included, as it was.
+#[test]
+fn byzantine_window_1_with_a_takeover() {
+    let mut sc = scenario(1, 300, 8, 64);
+    sc.group_modes = vec![GroupMode::Byzantine];
+    sc.crash_leaders = vec![(0, 120)];
+    sc.announce = vec![(0, 1, 150)];
+    assert_eq!(
+        fingerprint("byz_w1_takeover", &sc),
+        (11682051553599326978, 8579, 6460, 3198, 714, 997000, 0, 0)
+    );
+}
