@@ -314,6 +314,7 @@ mod tests {
             &MemRequest::ReadRange {
                 region: MR,
                 within: Some(RegionSpec::row(2, 4)),
+                into: Vec::new(),
             },
         );
         let hit = mem_req(2, 7, &write(RegId::new(2, 4, 9, 0)));
@@ -329,6 +330,7 @@ mod tests {
             &MemRequest::ReadRange {
                 region: MR,
                 within: None,
+                into: Vec::new(),
             },
         );
         assert!(!independent(&full, &miss_space));
@@ -348,6 +350,7 @@ mod tests {
             &MemRequest::ReadRange {
                 region: MR,
                 within: Some(windowed(10, 4)),
+                into: Vec::new(),
             },
         );
         assert!(!independent(

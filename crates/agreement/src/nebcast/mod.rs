@@ -79,6 +79,32 @@
 //! * **Idle-row backoff** — rows that read ⊥ are re-probed with
 //!   exponential backoff (capped), so rows that are idle in steady state
 //!   (followers never broadcast) stop consuming FIFO slots.
+//! * **One write per memory per handler** — every write into this
+//!   process's own row that one handler issues (the copies of every slot
+//!   `adopt_row` takes in, and the receipts [`NebEngine::acknowledge`]
+//!   writes) joins one batch, which the owner sends with
+//!   [`NebEngine::post`] after draining deliveries: one
+//!   [`swmr::RepEngine::write_many`] — a `WriteMany` per memory, one
+//!   round trip whatever it carries, complete at a majority — or a plain
+//!   write for a batch of one. All copies of a batch move to the shared
+//!   audit together, and one audit covers them; a slot is still covered
+//!   only by an audit issued after its copy completed.
+//!
+//! So a pipelined burst — every slot of the focused sender's window that
+//! one read found — costs three round trips per memory whatever its size:
+//! the read that found it (a row probe, or the previous audit), the batch
+//! of copies (with the receipts of what the previous audit released), and
+//! the shared audit, which finds the next burst. Issued one by one, those
+//! copies and receipts would queue behind one another at every memory
+//! (§3's one outstanding operation per memory): up to six writes, 12
+//! delays, between the read and the audit. The rows a range read returns
+//! land in buffers the replication engine recycles, and the engine hands
+//! each result back after use ([`swmr::RepEngine::recycle_rows`]), so a
+//! burst allocates nothing once warm but a batch buffer when none of its
+//! length is free to reuse.
+//!
+//! At depth 1 every write goes out the moment it is issued, and
+//! [`NebEngine::post`] has nothing to send: the classic loop is unchanged.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
@@ -219,7 +245,8 @@ enum Stage {
     /// Step 1: reading `slots[q, k, q]`.
     Read(RepId),
     /// Step 2: copying the signed value into this process's audit slot
-    /// `slots[p, k, q]`.
+    /// `slots[p, k, q]` — in pipelined mode as one row of the handler's
+    /// batch, whose id is [`QUEUED`] until [`NebEngine::post`] sends it.
     Copy { slot: Arc<NebSlot>, rep: RepId },
     /// Step 3, alone: reading the `(k, q)` column.
     Audit { slot: Arc<NebSlot>, rep: RepId },
@@ -307,12 +334,22 @@ impl Row {
     }
 }
 
-/// Which of a row's operations a replication event completes.
+/// Which of a row's operations a replication event completes: its probe,
+/// its audit, a write of copies (one slot's, or a whole batch's), or
+/// another operation of one slot's.
 enum Op {
     Probe { head: u64 },
     Audit { head: u64 },
+    Copies,
     Slot { k: u64 },
 }
+
+/// The operation id of a copy in this handler's batch, not yet posted:
+/// the replication engine numbers its operations from 1.
+const QUEUED: RepId = RepId(0);
+
+/// How many posted batch buffers an engine keeps for reuse, by length.
+const SPARE_BATCHES_CAP: usize = 8;
 
 /// The non-equivocating broadcast state machine for one process.
 pub struct NebEngine {
@@ -347,6 +384,12 @@ pub struct NebEngine {
     written: VecDeque<u64>,
     /// Poll ticks seen (the idle-row backoff clock).
     polls: u64,
+    /// Pipelined mode: this handler's writes into this process's own row
+    /// — copies and receipts — waiting for [`NebEngine::post`].
+    batch: Vec<(RegId, RegVal)>,
+    /// Batch buffers posted before, each reused for a batch of its length
+    /// once every memory has dropped its share.
+    spare_batches: Vec<Arc<[(RegId, RegVal)]>>,
 }
 
 /// Longest the idle-row backoff may defer a probe, in poll ticks. Bounds
@@ -395,11 +438,15 @@ impl NebEngine {
             bcast_writes: BTreeMap::new(),
             written: VecDeque::new(),
             polls: 0,
+            batch: Vec::new(),
+            spare_batches: Vec::new(),
         }
     }
 
     /// Sets how many of the focused sender's slots are probed
-    /// concurrently (clamped to at least 1; 1 is the classic loop).
+    /// concurrently (clamped to at least 1; 1 is the classic loop). Above
+    /// 1 the owner sends each handler's own-row writes with
+    /// [`NebEngine::post`].
     pub fn set_pipeline_depth(&mut self, depth: usize) {
         self.depth = depth.max(1);
     }
@@ -436,7 +483,8 @@ impl NebEngine {
 
     /// Writes this process's delivery receipt for `d` (a fire-and-forget
     /// replicated write of the delivered slot — the same shared slot —
-    /// into [`receipt_reg`]).
+    /// into [`receipt_reg`]; in pipelined mode a row of the handler's
+    /// batch, sent by [`NebEngine::post`]).
     ///
     /// Deliberately *not* automatic: a receipt asserts "a correct process
     /// accepted this broadcast", so the application must acknowledge only
@@ -450,13 +498,77 @@ impl NebEngine {
         client: &mut MemoryClient<RegVal, Msg>,
         d: &Delivery,
     ) {
-        self.rep.write(
-            ctx,
-            client,
-            row_region(self.me),
-            receipt_reg(self.me, d.slot.k, d.from),
-            RegVal::Neb(d.slot.clone()),
-        );
+        let reg = receipt_reg(self.me, d.slot.k, d.from);
+        self.own_write(ctx, client, reg, RegVal::Neb(d.slot.clone()));
+    }
+
+    /// Writes `val` to `reg` of this process's own row: at once at depth 1,
+    /// or as a row of the handler's batch in pipelined mode ([`QUEUED`]
+    /// until posted).
+    fn own_write(
+        &mut self,
+        ctx: &mut Context<'_, Msg>,
+        client: &mut MemoryClient<RegVal, Msg>,
+        reg: RegId,
+        val: RegVal,
+    ) -> RepId {
+        if self.depth > 1 {
+            self.batch.push((reg, val));
+            return QUEUED;
+        }
+        self.rep.write(ctx, client, row_region(self.me), reg, val)
+    }
+
+    /// Sends the handler's batch of own-row writes (pipelined mode; a
+    /// no-op when nothing is queued): one write per memory, a plain write
+    /// for a batch of one. Every copy in it moves on when the one write
+    /// completes. The owner calls this once per handler, after draining
+    /// deliveries and acknowledging the ones it acts on.
+    pub fn post(&mut self, ctx: &mut Context<'_, Msg>, client: &mut MemoryClient<RegVal, Msg>) {
+        let region = row_region(self.me);
+        let rep = match self.batch.len() {
+            0 => return,
+            1 => {
+                let (reg, val) = self.batch.pop().expect("one row");
+                self.rep.write(ctx, client, region, reg, val)
+            }
+            _ => {
+                let writes = self.batch_buffer();
+                self.rep.write_many(ctx, client, region, writes)
+            }
+        };
+        for row in &mut self.rows {
+            for (_, stage) in &mut row.slots.0 {
+                if let Stage::Copy { rep: queued, .. } = stage {
+                    if *queued == QUEUED {
+                        *queued = rep;
+                    }
+                }
+            }
+        }
+    }
+
+    /// The batch's rows as one shared buffer, emptying the batch: a
+    /// posted buffer of the same length that no memory holds any more is
+    /// overwritten in place, and a fresh one is kept for later batches.
+    fn batch_buffer(&mut self) -> Arc<[(RegId, RegVal)]> {
+        let len = self.batch.len();
+        let free = |b: &&mut Arc<[_]>| Arc::strong_count(b) == 1;
+        let spare = (self.spare_batches.iter_mut()).find(|b| b.len() == len && free(b));
+        if let Some(buffer) = spare {
+            let rows = Arc::get_mut(buffer).expect("no other holder");
+            for (row, write) in rows.iter_mut().zip(self.batch.drain(..)) {
+                *row = write;
+            }
+            return buffer.clone();
+        }
+        let fresh: Arc<[(RegId, RegVal)]> = self.batch.drain(..).collect();
+        if self.spare_batches.len() < SPARE_BATCHES_CAP {
+            self.spare_batches.push(fresh.clone());
+        } else if let Some(old) = self.spare_batches.iter_mut().find(free) {
+            *old = fresh.clone();
+        }
+        fresh
     }
 
     /// The next sequence number this process will broadcast with.
@@ -562,13 +674,13 @@ impl NebEngine {
     /// whose window started at `issued_head`: every validly signed,
     /// in-window, not-yet-attempted slot goes straight to the copy step
     /// (the read already fetched its value).
-    fn adopt_row(
+    fn adopt_row<'a>(
         &mut self,
         ctx: &mut Context<'_, Msg>,
         client: &mut MemoryClient<RegVal, Msg>,
         i: usize,
         issued_head: u64,
-        rows: impl IntoIterator<Item = (RegId, RegVal)>,
+        rows: impl IntoIterator<Item = &'a (RegId, RegVal)>,
     ) {
         let q = self.procs[i];
         if self.rows[i].blocked.is_some() {
@@ -586,7 +698,7 @@ impl NebEngine {
             self.depth
         );
         for (reg, val) in rows {
-            let Cell { k, receipt, .. } = Cell::of(reg);
+            let Cell { k, receipt, .. } = Cell::of(*reg);
             if receipt {
                 continue; // q's self-receipts share the row; not slots
             }
@@ -594,18 +706,26 @@ impl NebEngine {
                 continue;
             }
             let RegVal::Neb(slot) = val else { continue };
-            if !self.signed_by(q, k, &slot) {
+            if !self.signed_by(q, k, slot) {
                 continue;
             }
-            let rep = self.rep.write(
-                ctx,
-                client,
-                row_region(self.me),
-                slot_reg(self.me, k, q),
-                RegVal::Neb(slot.clone()),
-            );
-            self.rows[i].slots.insert(k, Stage::Copy { slot, rep });
+            self.copy(ctx, client, i, k, slot.clone());
         }
+    }
+
+    /// Step 2 for `slot`, sender `i`'s `k`-th broadcast: copies it into
+    /// this process's audit slot (see [`NebEngine::own_write`]).
+    fn copy(
+        &mut self,
+        ctx: &mut Context<'_, Msg>,
+        client: &mut MemoryClient<RegVal, Msg>,
+        i: usize,
+        k: u64,
+        slot: Arc<NebSlot>,
+    ) {
+        let reg = slot_reg(self.me, k, self.procs[i]);
+        let rep = self.own_write(ctx, client, reg, RegVal::Neb(slot.clone()));
+        self.rows[i].slots.insert(k, Stage::Copy { slot, rep });
     }
 
     /// Issues the shared column audit for sender `i` if none is in flight
@@ -741,10 +861,10 @@ impl NebEngine {
             let op = match (row.probe, row.audit) {
                 (Some((rep, head)), _) if rep == id => Op::Probe { head },
                 (_, Some((rep, head))) if rep == id => Op::Audit { head },
-                _ => {
-                    let &(k, _) = (row.slots.0.iter()).find(|(_, s)| s.rep() == Some(id))?;
-                    Op::Slot { k }
-                }
+                _ => match (row.slots.0.iter()).find(|(_, s)| s.rep() == Some(id))? {
+                    (_, Stage::Copy { .. }) => Op::Copies,
+                    &(k, _) => Op::Slot { k },
+                },
             };
             Some((i, op))
         })
@@ -772,7 +892,8 @@ impl NebEngine {
             Op::Probe { head } => {
                 self.rows[i].probe = None;
                 if let RepResult::RangeOk(rows) = ev.result {
-                    self.adopt_row(ctx, client, i, head, rows);
+                    self.adopt_row(ctx, client, i, head, &rows);
+                    self.rep.recycle_rows(rows);
                 }
                 return; // the next poll tick relaunches the probe
             }
@@ -780,6 +901,11 @@ impl NebEngine {
             Op::Audit { head } => {
                 self.rows[i].audit = None;
                 self.on_col_audit(ctx, client, i, head, ev.result);
+                return;
+            }
+            Op::Copies => {
+                let ok = matches!(ev.result, RepResult::WriteOk);
+                self.on_copied(ctx, client, ev.id, ok);
                 return;
             }
             Op::Slot { k } => k,
@@ -795,14 +921,7 @@ impl NebEngine {
                 if self.depth > 1 {
                     self.rows[i].idle_backoff = 1; // the row woke up
                 }
-                let rep = self.rep.write(
-                    ctx,
-                    client,
-                    row_region(self.me),
-                    slot_reg(self.me, k, q),
-                    RegVal::Neb(slot.clone()),
-                );
-                self.rows[i].slots.insert(k, Stage::Copy { slot, rep });
+                self.copy(ctx, client, i, k, slot);
             }
             // ⊥ / junk / failed: retry later. In pipelined mode an idle
             // row backs off exponentially — speculative reads compete with
@@ -812,28 +931,10 @@ impl NebEngine {
                 row.idle_until = self.polls + row.idle_backoff;
                 row.idle_backoff = (row.idle_backoff * 2).min(IDLE_BACKOFF_CAP);
             }
-            (Stage::Copy { slot, .. }, RepResult::WriteOk) => {
-                if self.depth > 1 && self.focus == Some(q) {
-                    // Pipelined: join the next shared column audit.
-                    self.rows[i].slots.insert(k, Stage::Await(slot));
-                    self.maybe_launch_audit(ctx, client, i);
-                    return;
-                }
-                let rep = self.rep.read_range(
-                    ctx,
-                    client,
-                    ALL_REGION,
-                    Some(RegionSpec::Pattern {
-                        space: spaces::NEB,
-                        a: None,
-                        b: Some(Window::exact(k)),
-                        c: Some(q.0 as u64),
-                    }),
-                );
-                self.rows[i].slots.insert(k, Stage::Audit { slot, rep });
-            }
             (Stage::Audit { slot, .. }, RepResult::RangeOk(column)) => {
-                if self.convicted(q, k, &slot, &column) {
+                let convicted = self.convicted(q, k, &slot, &column);
+                self.rep.recycle_rows(column);
+                if convicted {
                     // q signed two different messages for k: equivocation.
                     // Abandon the rest of q's window: nothing from an
                     // equivocator is ever delivered (no-ops at depth 1).
@@ -855,6 +956,60 @@ impl NebEngine {
             // Any other failed read, copy or audit: the slot leaves the
             // table, and a later poll starts it again.
             _ => {}
+        }
+    }
+
+    /// Moves every copy written by operation `id` on, in every row: on
+    /// failure out of the table (a later poll starts it again); else the
+    /// focused sender's copies join its next shared column audit
+    /// together, and any other sender's copy is audited alone.
+    fn on_copied(
+        &mut self,
+        ctx: &mut Context<'_, Msg>,
+        client: &mut MemoryClient<RegVal, Msg>,
+        id: RepId,
+        ok: bool,
+    ) {
+        for i in 0..self.rows.len() {
+            let q = self.procs[i];
+            let shared = self.depth > 1 && self.focus == Some(q);
+            let mut joined = false;
+            let mut at = 0;
+            while let Some((k, stage)) = self.rows[i].slots.0.get(at) {
+                let (k, slot) = match stage {
+                    Stage::Copy { slot, rep } if *rep == id => (*k, slot.clone()),
+                    _ => {
+                        at += 1;
+                        continue;
+                    }
+                };
+                if !ok {
+                    self.rows[i].slots.0.remove(at);
+                    continue;
+                }
+                let next = if shared {
+                    joined = true;
+                    Stage::Await(slot)
+                } else {
+                    let rep = self.rep.read_range(
+                        ctx,
+                        client,
+                        ALL_REGION,
+                        Some(RegionSpec::Pattern {
+                            space: spaces::NEB,
+                            a: None,
+                            b: Some(Window::exact(k)),
+                            c: Some(q.0 as u64),
+                        }),
+                    );
+                    Stage::Audit { slot, rep }
+                };
+                self.rows[i].slots.0[at].1 = next;
+                at += 1;
+            }
+            if joined {
+                self.maybe_launch_audit(ctx, client, i);
+            }
         }
     }
 
@@ -887,6 +1042,7 @@ impl NebEngine {
             };
             let (k, slot) = (*k, slot.clone());
             if self.convicted(q, k, &slot, &all) {
+                self.rep.recycle_rows(all);
                 self.block(ctx, i, k);
                 return;
             }
@@ -896,11 +1052,12 @@ impl NebEngine {
         // The audit read covered the window of q's whole column space,
         // including q's own row — adopt any newly written in-window slots
         // from it directly (audit doubles as discovery).
-        let own_row = (all.into_iter()).filter(|(reg, _)| {
+        let own_row = all.iter().filter(|(reg, _)| {
             let cell = Cell::of(*reg);
             cell.is_self_slot() && cell.row == q
         });
         self.adopt_row(ctx, client, i, head, own_row);
+        self.rep.recycle_rows(all);
         // Chain the next round of work for q (the row probe if the
         // pipeline drained, and an audit for any copies that completed
         // while this one was in flight).
@@ -928,10 +1085,11 @@ mod tests {
     use std::sync::Mutex;
 
     /// An honest participant: broadcasts its values at start, polls every
-    /// delay, records what it delivers and, once a copy of `watch`'s row
-    /// waits for an audit, moves its focus to `refocus` and records the
-    /// slots of that row left in the shared audit's care: covered by the
-    /// audit in flight, or waiting for the next.
+    /// delay, records what it delivers, posts its batched copies and,
+    /// once copies of `watch`'s row wait for the shared audit — covered by
+    /// the one in flight, or waiting for the next —, moves its focus to
+    /// `refocus` and records the slots of that row left in the shared
+    /// audit's care.
     struct Tester {
         engine: NebEngine,
         client: MemoryClient<RegVal, Msg>,
@@ -981,17 +1139,23 @@ mod tests {
             &self.engine.rows[i]
         }
 
-        fn after_event(&mut self) {
+        fn after_event(&mut self, ctx: &mut Context<'_, Msg>) {
             while let Some(d) = self.engine.next_delivery() {
                 if let RbPayload::Setup { value, .. } = d.slot.wire.payload {
                     self.delivered.push((d.from, d.slot.k, value));
                 }
             }
+            self.engine.post(ctx, &mut self.client);
             if let Some((watched, refocus)) = self.watch {
-                let row = self.row(watched);
-                if !row.awaiting_audit().is_empty() {
-                    self.shared_at_refocus =
-                        row.ks(|s| matches!(s, Stage::Await(_) | Stage::Covered(_)));
+                // A batch's copies join the shared audit together, and the
+                // audit leaves at once when none is in flight: between
+                // handlers they wait for it as covered, or (when an audit
+                // was in flight) as awaiting.
+                let shared = self
+                    .row(watched)
+                    .ks(|s| matches!(s, Stage::Await(_) | Stage::Covered(_)));
+                if !shared.is_empty() {
+                    self.shared_at_refocus = shared;
                     self.engine.set_focus(refocus);
                     self.watch = None;
                 }
@@ -1028,7 +1192,7 @@ mod tests {
                 }
                 _ => {}
             }
-            self.after_event();
+            self.after_event(ctx);
         }
     }
 
@@ -1183,6 +1347,85 @@ mod tests {
                 assert_eq!(again, (None, None), "refocus {refocus:?}: k = {k}");
             }
         }
+    }
+
+    /// A pipelined reader's batch of copies torn by a memory crash — it
+    /// lands on one memory of three, which then crashes, while the other
+    /// two receive it 1 000 delays later — is a write no majority
+    /// acknowledged: none of its slots is audited or delivered until the
+    /// other two memories hold it, and then all of them are, in order.
+    #[test]
+    fn a_multi_slot_copy_torn_by_a_memory_crash_is_never_delivered_from_a_minority() {
+        let (p0, p2) = (ActorId(0), ActorId(2));
+        let (mem_a, slow) = (ActorId(3), [ActorId(4), ActorId(5)]);
+        let values: Vec<Value> = (1..=4).map(|k| Value(100 + k)).collect();
+        let mut sim = cluster(3, &mut |me, procs, mems, signers, verifier| {
+            let mut t = tester(me, procs, mems, &signers[me.0 as usize], verifier);
+            if me == p0 {
+                t.to_broadcast = values.clone();
+            } else if me == p2 {
+                t.engine.set_pipeline_depth(4);
+                t.engine.set_focus(Some(p0));
+            }
+            Box::new(t)
+        });
+        // The first batch of two or more of p2's copies of p0's slots:
+        // its first register, once seen.
+        let torn: Arc<Mutex<Option<RegId>>> = Arc::default();
+        let seen = Arc::clone(&torn);
+        sim.set_delay_hook(Box::new(move |_, from, to, msg| {
+            let Msg::Mem(MemWire::Req {
+                req: MemRequest::WriteMany { writes, .. },
+                ..
+            }) = msg
+            else {
+                return None;
+            };
+            let copy = |reg: &RegId| {
+                let cell = Cell::of(*reg);
+                !cell.receipt && cell.row == p2 && cell.sender == p0
+            };
+            if from != p2 || writes.len() < 2 || !writes.iter().all(|(r, _)| copy(r)) {
+                return None;
+            }
+            let first = *seen.lock().unwrap().get_or_insert(writes[0].0);
+            (first == writes[0].0 && slow.contains(&to)).then(|| Duration::from_delays(1000))
+        }));
+        sim.run_until(Time::from_delays(200), |s| {
+            let first = *torn.lock().unwrap();
+            let mem = s
+                .actor_as::<rdma_sim::MemoryActor<RegVal, Msg>>(mem_a)
+                .unwrap();
+            first.is_some_and(|r| mem.register(r).is_some())
+        });
+        let first = torn.lock().unwrap().expect("p2 batched two copies or more");
+        sim.crash_at(mem_a, sim.now());
+        let k0 = Cell::of(first).k;
+        let copied_at = |s: &Simulation<Msg>, mem: ActorId| {
+            let mem = s
+                .actor_as::<rdma_sim::MemoryActor<RegVal, Msg>>(mem)
+                .unwrap();
+            mem.register(first).is_some()
+        };
+        // Torn: the copy is at one memory of three, and stays so.
+        sim.run_until(Time::from_delays(900), |_| false);
+        assert!(copied_at(&sim, mem_a) && !slow.iter().any(|&m| copied_at(&sim, m)));
+        let t = sim.actor_as::<Tester>(p2).unwrap();
+        assert!(
+            t.from(p0).iter().all(|&(k, _)| k < k0),
+            "delivered from a minority's copy: {:?}",
+            t.from(p0)
+        );
+        assert_eq!(t.row(p0).last, k0);
+        // Once the other two memories hold the batch, everything is
+        // delivered, in order.
+        sim.run_until(Time::from_delays(1200), |s| {
+            s.actor_as::<Tester>(p2).unwrap().from(p0).len() == 4
+        });
+        let t = sim.actor_as::<Tester>(p2).unwrap();
+        assert!(sim.now() >= Time::from_delays(1000));
+        assert_eq!(t.from(p0), (1..=4).zip(values).collect::<Vec<_>>());
+        assert!(procs_unblocked(&t.engine));
     }
 
     fn procs_unblocked(engine: &NebEngine) -> bool {

@@ -303,7 +303,7 @@ impl<L: MemoryLeg> Proposer<L> {
                 client.change_perm(ctx, mem, lay.write, Permission::exclusive_writer(self.me));
             }
             let w = client.write(ctx, mem, lay.write, reg, slot.clone());
-            let r = client.read_range(ctx, mem, lay.scan, within);
+            let r = client.read_range(ctx, mem, lay.scan, within, Vec::new());
             self.op_map.push((w, (self.attempt, mem, StepKind::Write)));
             self.op_map.push((r, (self.attempt, mem, StepKind::Scan)));
         }
@@ -353,7 +353,7 @@ impl<L: MemoryLeg> Proposer<L> {
                     .push((w, (self.attempt, mem, StepKind::LoneWrite)));
                 continue;
             }
-            let r = client.read_range(ctx, mem, lay.scan, read_back);
+            let r = client.read_range(ctx, mem, lay.scan, read_back, Vec::new());
             self.op_map.push((w, (self.attempt, mem, StepKind::Write)));
             self.op_map.push((r, (self.attempt, mem, StepKind::Scan)));
         }

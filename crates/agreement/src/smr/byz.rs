@@ -585,6 +585,7 @@ impl Engine for NebLog {
         while let Some(d) = self.neb.next_delivery() {
             self.on_delivery(sh, ctx, d);
         }
+        self.neb.post(ctx, &mut sh.client);
         // A failed scan (memory churn) retries here.
         if sh.is_leader && self.need_scan && self.scanning.is_none() {
             self.start_scan(sh, ctx);
@@ -611,6 +612,7 @@ impl Engine for NebLog {
             sh.recover.clear();
         }
         self.replay_parked(sh, ctx);
+        self.neb.post(ctx, &mut sh.client);
     }
 
     fn on_completion(&mut self, sh: &mut Shell, ctx: &mut Context<'_, Msg>, c: Completion<RegVal>) {
@@ -624,6 +626,9 @@ impl Engine for NebLog {
                 while let Some(d) = self.neb.next_delivery() {
                     self.on_delivery(sh, ctx, d);
                 }
+                // This handler's copies and receipts, in one write per
+                // memory.
+                self.neb.post(ctx, &mut sh.client);
                 self.drive(sh, ctx);
             }
             return;

@@ -485,7 +485,11 @@ mod tests {
             let many = MemRequest::WriteMany { region, writes };
             assert_eq!(req(many), (Verb::Write, 880, 5), "{value:?}");
             let within = None;
-            let range = MemRequest::ReadRange { region, within };
+            let range = MemRequest::ReadRange {
+                region,
+                within,
+                into: Vec::new(),
+            };
             assert_eq!(req(range), (Verb::Read, 176, 1));
             let one = MemResponse::Value(Some(value.clone()));
             assert_eq!(resp(one), (Verb::Send, 176, 1), "{value:?}");

@@ -16,15 +16,18 @@
 //! (`python3 benchmark/run.py`: calibrated reference seconds, medians with
 //! quartiles).
 //!
-//! The gate ([`gate`]) has one rule: every field the prior snapshot
-//! recorded under a label comes back with the same value, or the run exits
-//! non-zero, printing each move on one line. A prior label this run no
-//! longer measures is one move. Two exceptions are declared once, in
-//! `bench::gate`: `wall_secs` is never compared, and the allocator's three
-//! counts may fall and are compared only when both snapshots' `rustc`
-//! headers match. A change that moves a field on purpose names it in
-//! `PERF_GATE_MOVED_OK=label.field,…`, or a bare `label` for a retirement
-//! or any move of that label; `PERF_GATE=off` skips the gate.
+//! The gate ([`gate`]) has one rule: every value the prior snapshot
+//! recorded comes back the same — a row's field under its label, a
+//! section's summary under its path (`byz_pipeline.headline_…`,
+//! `rebalance.hotset_auto_vs_static_hash.service_p99`) — or the run exits
+//! non-zero, printing each move on one line. A prior label or section
+//! this run no longer measures is one move. Two exceptions are declared
+//! once, in `bench::gate`: `wall_secs` is never compared, and the
+//! allocator's three counts may fall and are compared only when both
+//! snapshots' `rustc` headers match. A change that moves a value on
+//! purpose names it in `PERF_GATE_MOVED_OK=label.field,…` (or
+//! `section.path`), or a bare `label` or section for a retirement or any
+//! move of it; `PERF_GATE=off` skips the gate.
 //!
 //! ```sh
 //! cargo run --release -p bench --bin perf_snapshot
@@ -50,7 +53,7 @@ use simnet::{DelayModel, RdmaCost, TICKS_PER_DELAY};
 const RUSTC: &str = env!("BENCH_RUSTC_VERSION");
 
 /// This snapshot's PR number (names the output file and anchors the gate).
-const PR: u32 = 45;
+const PR: u32 = 46;
 
 /// Allocation-counting wrapper around the system allocator.
 struct CountingAlloc;
@@ -321,10 +324,9 @@ fn parallel_kernel(cmds: usize) -> Section {
         runs.push(measure_sharded(format!("mono_g{groups}"), &open_loop));
         runs.extend(thread_sweep(&format!("par_g{groups}"), 8, &open_loop));
     }
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     Section {
         name: "parallel_kernel",
-        summary: Row::new().with("available_parallelism", cores),
+        summary: Row::new(),
         tables: vec![("configs", runs.iter().map(sharded_row).collect())],
     }
 }
@@ -762,9 +764,16 @@ fn gate(root: &str, json: &str) -> bool {
     for m in &moves {
         println!("perf gate: MOVED {m}");
     }
-    match moves.len() {
-        0 => println!("perf gate: every field of BENCH_PR{k}.json came back exact"),
-        n => println!("perf gate: {n} move(s); name each made on purpose in PERF_GATE_MOVED_OK"),
+    let named = bench::gate::moves(&prior, json, &[]).len() - moves.len();
+    match (moves.len(), named) {
+        (0, 0) => println!("perf gate: every field of BENCH_PR{k}.json came back exact"),
+        (0, named) => println!(
+            "perf gate: every field of BENCH_PR{k}.json came back exact \
+             but the {named} move(s) PERF_GATE_MOVED_OK names"
+        ),
+        (n, _) => {
+            println!("perf gate: {n} move(s); name each made on purpose in PERF_GATE_MOVED_OK")
+        }
     }
     !moves.is_empty()
 }
@@ -778,7 +787,8 @@ fn main() {
         .map(|run| run(cmds))
         .inspect(|section| print!("{}", section.to_text()))
         .collect();
-    let json = bench::snapshot_json(PR, cmds, RUSTC, &sections);
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let json = bench::snapshot_json(PR, cmds, RUSTC, cores, &sections);
     let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
     let out = format!("{root}/BENCH_PR{PR}.json");
     std::fs::write(&out, &json).expect("write bench snapshot");

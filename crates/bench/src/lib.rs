@@ -150,17 +150,21 @@ impl Section {
 
 /// A whole `BENCH_PR<pr>.json`: the header the gate reads
 /// (`workload_commands` decides comparability, `rustc` whether allocation
-/// counts are), then every section.
+/// counts are) and the host's core count (which the partitioned kernel's
+/// `wall_secs` depend on; a fact of the machine, so in the header, which
+/// the gate does not compare), then every section.
 pub fn snapshot_json(
     pr: u32,
     workload_commands: usize,
     rustc: &str,
+    cores: usize,
     sections: &[Section],
 ) -> String {
     let sections: Vec<String> = sections.iter().map(Section::to_json).collect();
     format!(
         "{{\n  \"schema\": \"bench-snapshot-v2\",\n  \"pr\": {pr},\n  \
-         \"workload_commands\": {workload_commands},\n  \"rustc\": {},\n{}\n}}\n",
+         \"workload_commands\": {workload_commands},\n  \"rustc\": {},\n  \
+         \"available_parallelism\": {cores},\n{}\n}}\n",
         rustc.json(),
         sections.join(",\n")
     )
@@ -189,13 +193,14 @@ pub fn write_timeline(dir: &Path, name: &str, art: &TimelineArtifacts) -> Result
 
 /// The per-PR perf regression gate: compares the snapshot a `perf_snapshot`
 /// run just produced against the newest prior `BENCH_PR<k>.json` at the
-/// repo root under one rule — every field the prior snapshot recorded under
-/// a label comes back with the same value ([`gate::moves`]).
+/// repo root under one rule — every value the prior snapshot recorded,
+/// in a labeled row or in a section's summary, comes back the same
+/// ([`gate::moves`]).
 ///
-/// The snapshots are this workspace's own generated JSON, so the reader is
-/// a purpose-built scanner rather than a JSON parser (the workspace builds
-/// offline, without serde): every measured row is one flat object with a
-/// unique `"label"`, and no string in a snapshot holds a `"`.
+/// The snapshots are this workspace's own generated JSON, read by a small
+/// reader of its own (the workspace builds offline, without serde) that
+/// keeps every scalar as written: a measured row is one object with a
+/// unique `"label"`, and every other value is named by its path.
 pub mod gate {
     use std::collections::BTreeMap;
     use std::path::{Path, PathBuf};
@@ -226,69 +231,181 @@ pub mod gate {
             .max_by_key(|(k, _)| *k)
     }
 
-    /// The JSON value at the front of `text`, as written: a string to its
-    /// closing quote, an array to its `]`, anything else to the next `,`,
-    /// `}` or line end.
-    fn value_at(text: &str) -> Option<&str> {
-        let end = match text.as_bytes().first()? {
-            b'"' => text[1..].find('"')? + 2,
-            b'[' => text.find(']')? + 1,
-            _ => text.find([',', '}', '\n']).unwrap_or(text.len()),
-        };
-        Some(text[..end].trim_end())
-    }
-
     /// The value of the first `"field"` in `json`, as written (a string
     /// with its quotes): the snapshot header's fields come before any row.
     pub fn header<'a>(json: &'a str, field: &str) -> Option<&'a str> {
         let needle = format!("\"{field}\":");
         let at = json.find(&needle)? + needle.len();
-        value_at(json[at..].trim_start())
-    }
-
-    /// The members of a flat object's body (the text between its braces),
-    /// each value as written; `None` if the body is not one.
-    fn members(mut body: &str) -> Option<BTreeMap<String, String>> {
-        let mut out = BTreeMap::new();
-        loop {
-            body = body.trim_start();
-            if body.is_empty() {
-                return Some(out);
-            }
-            let (key, rest) = body.strip_prefix('"')?.split_once('"')?;
-            let rest = rest.trim_start().strip_prefix(':')?.trim_start();
-            let value = value_at(rest)?;
-            out.insert(key.to_string(), value.to_string());
-            body = rest[value.len()..].trim_start().trim_start_matches(',');
+        let mut reader = Reader {
+            text: json,
+            at: at + (json[at..].len() - json[at..].trim_start().len()),
+        };
+        match reader.node()? {
+            Node::Written(value) => Some(value),
+            Node::Object(_) | Node::Array(_) => None,
         }
     }
 
-    /// A snapshot's measured rows: label → (field → value as written).
-    type Rows = BTreeMap<String, BTreeMap<String, String>>;
+    /// A JSON value read from a snapshot. A scalar, or an array holding no
+    /// object, is kept as written; the rest is read member by member.
+    enum Node<'a> {
+        Written(&'a str),
+        Object(Vec<(&'a str, Node<'a>)>),
+        Array(Vec<Node<'a>>),
+    }
 
-    /// Every labeled row of `json`, read in one pass. A row is an object
-    /// that holds no other, so one row's fields are never read into
-    /// another's; an unlabeled object (a section summary) is no row. A
-    /// label measured twice keeps its first row.
-    fn rows(json: &str) -> Rows {
-        let mut out = Rows::new();
-        let (mut open, mut quoted) = (None, false);
-        for (at, c) in json.char_indices() {
-            match c {
-                '"' => quoted = !quoted,
-                '{' if !quoted => open = Some(at + 1),
-                '}' if !quoted => {
-                    let body = open.take().and_then(|from| members(&json[from..at]));
-                    let Some(mut fields) = body else { continue };
-                    if let Some(label) = fields.remove("label") {
-                        let label = label.trim_matches('"').to_string();
-                        out.entry(label).or_insert(fields);
+    /// Reads [`Node`]s from `text`, starting at byte `at`.
+    struct Reader<'a> {
+        text: &'a str,
+        at: usize,
+    }
+
+    impl<'a> Reader<'a> {
+        fn skip_space(&mut self) {
+            let rest = &self.text[self.at..];
+            self.at += rest.len() - rest.trim_start().len();
+        }
+
+        fn eat(&mut self, byte: u8) -> Option<()> {
+            self.skip_space();
+            (self.text.as_bytes().get(self.at) == Some(&byte)).then(|| self.at += 1)
+        }
+
+        /// The string at the cursor, without its quotes.
+        fn string(&mut self) -> Option<&'a str> {
+            self.eat(b'"')?;
+            let from = self.at;
+            let mut escaped = false;
+            for (i, c) in self.text[from..].char_indices() {
+                match c {
+                    '\\' if !escaped => escaped = true,
+                    '"' if !escaped => {
+                        self.at = from + i + 1;
+                        return Some(&self.text[from..from + i]);
+                    }
+                    _ => escaped = false,
+                }
+            }
+            None
+        }
+
+        /// The value at the cursor; `None` if it is not one.
+        fn node(&mut self) -> Option<Node<'a>> {
+            self.skip_space();
+            let from = self.at;
+            match self.text.as_bytes().get(from)? {
+                b'{' => {
+                    self.at += 1;
+                    let mut members = Vec::new();
+                    if self.eat(b'}').is_some() {
+                        return Some(Node::Object(members));
+                    }
+                    loop {
+                        let key = self.string()?;
+                        self.eat(b':')?;
+                        members.push((key, self.node()?));
+                        if self.eat(b',').is_none() {
+                            self.eat(b'}')?;
+                            return Some(Node::Object(members));
+                        }
                     }
                 }
-                _ => {}
+                b'[' => {
+                    self.at += 1;
+                    let mut items = Vec::new();
+                    if self.eat(b']').is_none() {
+                        loop {
+                            items.push(self.node()?);
+                            if self.eat(b',').is_none() {
+                                self.eat(b']')?;
+                                break;
+                            }
+                        }
+                    }
+                    if items.iter().all(|n| matches!(n, Node::Written(_))) {
+                        return Some(Node::Written(&self.text[from..self.at]));
+                    }
+                    Some(Node::Array(items))
+                }
+                b'"' => {
+                    self.string()?;
+                    Some(Node::Written(&self.text[from..self.at]))
+                }
+                _ => {
+                    let rest = &self.text[from..];
+                    let len = rest.find([',', '}', ']', '\n']).unwrap_or(rest.len());
+                    self.at += len;
+                    let value = rest[..len].trim_end();
+                    (!value.is_empty()).then_some(Node::Written(value))
+                }
             }
         }
-        out
+    }
+
+    /// A snapshot's measured values: group → (field → value as written).
+    /// A group is a labeled row, under its label, or a section's summary,
+    /// under the section's name, with nested fields named by their path
+    /// (`ratio.g4`).
+    type Rows = BTreeMap<String, BTreeMap<String, String>>;
+
+    /// Every measured value of `json`, in one pass: each labeled row's
+    /// fields under its label, and every other value under its path —
+    /// `section.field`, or `section.field.member` inside an unlabeled
+    /// object. The top level's own values are the snapshot's header (its
+    /// schema, number, workload size and toolchain), which say what was
+    /// measured, not what it measured. A label measured twice keeps its
+    /// first row. `None` if `json` is not one JSON object.
+    fn rows(json: &str) -> Option<Rows> {
+        let mut reader = Reader { text: json, at: 0 };
+        let Some(Node::Object(sections)) = reader.node() else {
+            return None;
+        };
+        let mut out = Rows::new();
+        for (name, node) in sections {
+            if !matches!(node, Node::Written(_)) {
+                collect(&node, name, "", &mut out);
+            }
+        }
+        Some(out)
+    }
+
+    /// Adds `node`, found at `field` of `group`, to `out` (see [`rows`]).
+    fn collect(node: &Node<'_>, group: &str, field: &str, out: &mut Rows) {
+        let join = |key: &str| match field {
+            "" => key.to_string(),
+            _ => format!("{field}.{key}"),
+        };
+        match node {
+            Node::Written(value) => {
+                let fields = out.entry(group.to_string()).or_default();
+                fields.entry(field.to_string()).or_insert(value.to_string());
+            }
+            Node::Object(members) => {
+                let label = members.iter().find_map(|(key, node)| match node {
+                    Node::Written(label) if *key == "label" => Some(label.trim_matches('"')),
+                    _ => None,
+                });
+                match label {
+                    Some(label) if !out.contains_key(label) => {
+                        out.insert(label.to_string(), BTreeMap::new());
+                        for (key, node) in members.iter().filter(|(key, _)| *key != "label") {
+                            collect(node, label, key, out);
+                        }
+                    }
+                    Some(_) => {} // measured twice: the first row stands
+                    None => {
+                        for (key, node) in members {
+                            collect(node, group, &join(key), out);
+                        }
+                    }
+                }
+            }
+            Node::Array(items) => {
+                for (i, item) in items.iter().enumerate() {
+                    collect(item, group, &join(&i.to_string()), out);
+                }
+            }
+        }
     }
 
     /// Whether a prior value `was` of `field` came back as `now`: exactly,
@@ -304,19 +421,25 @@ pub mod gate {
         }
     }
 
-    /// Every field `prior` recorded under a label that `current` does not
-    /// bring back with the same value, and every prior label `current`
-    /// lacks, in label and field order — one line each, `label.field: was
-    /// -> now` (`now` is `missing` for a dropped field) or `label: label
-    /// missing` — except those `moved_ok` names as `label.field`, or as a
-    /// bare `label` for any move of that label. Labels and fields new in
-    /// `current` gate from the next snapshot on.
+    /// Every value `prior` recorded — under a row's label or a section's
+    /// name — that `current` does not bring back the same, and
+    /// every prior label or section `current` lacks, in name and field
+    /// order — one line each, `label.field: was -> now` (`now` is
+    /// `missing` for a dropped field) or `label: label missing` — except
+    /// those `moved_ok` names as `label.field`, or as a bare `label` for
+    /// any move of that label (a section's name, for its summary). Labels
+    /// and fields new in `current` gate from the next snapshot on. A
+    /// prior snapshot that does not parse is one move, and a current one
+    /// that does not parse has lost every label.
     pub fn moves(prior: &str, current: &str, moved_ok: &[&str]) -> Vec<String> {
         let rustc = header(prior, "rustc");
         let same_rustc = rustc.is_some() && header(current, "rustc") == rustc;
-        let now = rows(current);
+        let Some(was) = rows(prior) else {
+            return vec!["prior snapshot: does not parse".to_string()];
+        };
+        let now = rows(current).unwrap_or_default();
         let mut out = Vec::new();
-        for (label, fields) in rows(prior) {
+        for (label, fields) in was {
             if moved_ok.contains(&label.as_str()) {
                 continue;
             }
@@ -363,7 +486,7 @@ pub mod gate {
         fn extracts_labeled_and_top_fields() {
             assert_eq!(header(PRIOR, "workload_commands"), Some("1000"));
             assert_eq!(header(PRIOR, "missing"), None);
-            let rows = rows(PRIOR);
+            let rows = rows(PRIOR).unwrap();
             assert_eq!(rows.keys().collect::<Vec<_>>(), ["cfg_one", "cfg_two"]);
             let one = &rows["cfg_one"];
             assert_eq!(one.len(), 3, "the label is the key, not a field");
@@ -372,7 +495,7 @@ pub mod gate {
             assert_eq!(rows["cfg_two"]["committed_per_delay"], "500.5");
             // A label measured twice keeps its first row.
             let dup = r#"{ "a": { "label": "cfg", "x": 1 }, "b": { "label": "cfg", "x": 2 } }"#;
-            assert_eq!(super::rows(dup)["cfg"]["x"], "1");
+            assert_eq!(super::rows(dup).unwrap()["cfg"]["x"], "1");
         }
 
         #[test]
@@ -383,7 +506,7 @@ pub mod gate {
   "a": { "label": "cfg_gap", "entries": 10 },
   "b": { "label": "cfg_after", "committed_per_delay": 999 }
 }"#;
-            let rows = rows(json);
+            let rows = rows(json).unwrap();
             assert_eq!(rows["cfg_gap"].get("committed_per_delay"), None);
             assert_eq!(rows["cfg_after"]["committed_per_delay"], "999");
             // So a field cfg_gap used to record is missing, whatever follows.
@@ -501,7 +624,7 @@ pub mod gate {
   "a": { "label": "cfg", "agreement": true, "first_decision_delays": null, "peaks": [16, 9], "config": "crash" }
 }"#;
             assert!(names_moved(prior, prior).is_empty());
-            let fields = &rows(prior)["cfg"];
+            let fields = &rows(prior).unwrap()["cfg"];
             assert_eq!(fields["peaks"], "[16, 9]");
             assert_eq!(fields["config"], "\"crash\"");
             for (was, now, name) in [
@@ -539,10 +662,18 @@ pub mod gate {
                     .with("ratio", Row::new().with("g4", Fixed(3.96, 3))),
                 tables: vec![("configs", rows.clone())],
             };
-            let json = snapshot_json(17, 1000, "rustc 1.95.0", std::slice::from_ref(&section));
+            let json = snapshot_json(17, 1000, "rustc 1.95.0", 2, std::slice::from_ref(&section));
             assert_eq!(header(&json, "workload_commands"), Some("1000"));
-            let read = super::rows(&json);
-            assert_eq!(read.keys().collect::<Vec<_>>(), ["cfg_one", "cfg_two"]);
+            let read = super::rows(&json).unwrap();
+            assert_eq!(
+                read.keys().collect::<Vec<_>>(),
+                ["cfg_one", "cfg_two", "demo"]
+            );
+            // The section's summary, by path; its rows are under their
+            // labels, not in it.
+            assert_eq!(read["demo"]["total_commands"], "10");
+            assert_eq!(read["demo"]["ratio.g4"], "3.960");
+            assert_eq!(read["demo"].len(), 2);
             assert_eq!(read["cfg_one"]["committed_per_delay"], "15.840");
             assert_eq!(read["cfg_one"]["peaks"], "[16, 9]");
             // A field of the next row is not read into this one.
@@ -678,7 +809,7 @@ pub mod gate {
 
         #[test]
         fn the_rustc_header_reads_back() {
-            let json = crate::snapshot_json(41, 1000, "rustc 1.95.0 (abc 2026-01-01)", &[]);
+            let json = crate::snapshot_json(41, 1000, "rustc 1.95.0 (abc 2026-01-01)", 2, &[]);
             assert_eq!(
                 header(&json, "rustc"),
                 Some("\"rustc 1.95.0 (abc 2026-01-01)\"")
@@ -710,7 +841,7 @@ pub mod gate {
         #[test]
         fn the_exceptions_name_fields_of_the_newest_snapshot() {
             let (k, path) = latest_prior_snapshot(&root(), u32::MAX).expect("a BENCH_PR*.json");
-            let rows = rows(&std::fs::read_to_string(path).unwrap());
+            let rows = rows(&std::fs::read_to_string(path).unwrap()).unwrap();
             for field in std::iter::once(WALL_CLOCK).chain(ALLOCATOR_COUNTS) {
                 let rows_with = rows.values().filter(|row| row.contains_key(field)).count();
                 assert!(rows_with > 0, "no row of BENCH_PR{k}.json records {field}");
@@ -734,12 +865,71 @@ pub mod gate {
             );
         }
 
+        /// No labeled field moved from PR 41 to PR 42. One section
+        /// summary did, unseen while the gate read labeled rows alone: PR
+        /// 42's paged store and per-sender rows lowered the allocation
+        /// ratio of the 6 000- and the 1 500-command run.
         #[test]
         fn no_field_moved_from_bench_pr41_to_pr42() {
             let read = |k: u32| std::fs::read_to_string(root().join(format!("BENCH_PR{k}.json")));
             let (prior, current) = (read(41).unwrap(), read(42).unwrap());
-            assert_eq!(rows(&prior).len(), 67);
-            assert!(moves(&prior, &current, &[]).is_empty());
+            let groups = rows(&prior).unwrap();
+            let summaries = groups
+                .keys()
+                .filter(|g| prior.contains(&format!("\"{g}\": {{")));
+            assert_eq!(
+                (groups.len(), summaries.count()),
+                (76, 9),
+                "67 rows, 9 summaries"
+            );
+            let ratio = "byz_log_scaling.allocs_per_cmd_6000_over_1500";
+            assert_eq!(
+                moves(&prior, &current, &[]),
+                [format!("{ratio}: 0.844 -> 0.798")]
+            );
+            assert!(moves(&prior, &current, &[ratio]).is_empty());
+        }
+
+        /// A section summary is gated like a row's field, under its path:
+        /// moving one by the last digit it is written with fails the gate,
+        /// naming it (or the section, bare) passes it, and a summary
+        /// dropped is missing.
+        #[test]
+        fn a_moved_section_summary_fails_the_gate() {
+            let prior = std::fs::read_to_string(root().join("BENCH_PR45.json")).unwrap();
+            let (was, now) = (
+                "\"headline_w8_fast_gap_vs_crash\": 2.508",
+                "\"headline_w8_fast_gap_vs_crash\": 2.509",
+            );
+            assert!(prior.contains(was));
+            let current = prior.replacen(was, now, 1);
+            let path = "byz_pipeline.headline_w8_fast_gap_vs_crash";
+            assert_eq!(
+                moves(&prior, &current, &[]),
+                [format!("{path}: 2.508 -> 2.509")]
+            );
+            assert!(moves(&prior, &current, &[path]).is_empty());
+            assert!(moves(&prior, &current, &["byz_pipeline"]).is_empty());
+            // A nested summary, by its whole path.
+            let nested = "\"service_p99\": 1.688";
+            assert!(prior.contains(nested));
+            let current = prior.replacen(nested, "\"service_p99\": 1.689", 1);
+            assert_eq!(
+                moves(&prior, &current, &[]),
+                ["rebalance.hotset_auto_vs_static_hash.service_p99: 1.688 -> 1.689"]
+            );
+            let dropped = prior.replacen(&format!("{was},"), "", 1);
+            assert_eq!(
+                moves(&prior, &dropped, &[]),
+                [format!("{path}: 2.508 -> missing")]
+            );
+            // The header says what was measured: a new PR number is no move.
+            let renumbered = prior.replacen("\"pr\": 45", "\"pr\": 46", 1);
+            assert!(moves(&prior, &renumbered, &[]).is_empty());
+            assert_eq!(
+                moves("{ \"a\": ", &prior, &[]),
+                ["prior snapshot: does not parse"]
+            );
         }
     }
 }

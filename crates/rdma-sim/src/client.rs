@@ -159,15 +159,23 @@ where
         self.submit(ctx, mem, MemRequest::WriteMany { region, writes })
     }
 
-    /// Sugar for [`MemoryClient::submit`] with a range read.
+    /// Sugar for [`MemoryClient::submit`] with a range read whose rows
+    /// come back in `into` (cleared first; pass `Vec::new()` for a fresh
+    /// buffer).
     pub fn read_range(
         &mut self,
         ctx: &mut Context<'_, M>,
         mem: ActorId,
         region: RegionId,
         within: Option<crate::RegionSpec>,
+        into: Vec<(RegId, V)>,
     ) -> OpId {
-        self.submit(ctx, mem, MemRequest::ReadRange { region, within })
+        let req = MemRequest::ReadRange {
+            region,
+            within,
+            into,
+        };
+        self.submit(ctx, mem, req)
     }
 
     /// Sugar for [`MemoryClient::submit`] with a permission change.

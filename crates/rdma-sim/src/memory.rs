@@ -200,9 +200,6 @@ pub struct MemoryActor<V, M> {
     regions: BTreeMap<RegionId, (RegionSpec, Permission)>,
     store: Store<V>,
     legal: LegalChange,
-    /// A windowed range read's rows, gathered before its response is
-    /// allocated; empty between operations.
-    hits: Vec<(RegId, V)>,
     _msg: PhantomData<M>,
 }
 
@@ -234,7 +231,6 @@ where
                 },
             },
             legal,
-            hits: Vec::new(),
             _msg: PhantomData,
         }
     }
@@ -305,37 +301,37 @@ where
                 }
                 _ => MemResponse::Nak,
             },
-            MemRequest::ReadRange { region, within } => match self.regions.get(&region) {
+            MemRequest::ReadRange {
+                region,
+                within,
+                into: mut rows,
+            } => match self.regions.get(&region) {
                 Some((spec, perm)) if perm.allows_read(from) => {
                     let hit = |r: RegId| spec.contains(r) && within.is_none_or(|w| w.contains(r));
                     let store = &self.store;
-                    let rows = match within {
+                    // The reader's buffer: whatever it held is not part of
+                    // the answer.
+                    rows.clear();
+                    match within {
                         Some(RegionSpec::Pattern {
                             space,
                             a,
                             b: Some(window),
                             c: Some(c),
                         }) if !store.log.holds(space) => {
-                            // Page order is `RegId` order: no sort. The hits
-                            // gather in the reused buffer, so the response
-                            // is allocated once, at its final length.
-                            let hits = &mut self.hits;
+                            // Page order is `RegId` order: no sort.
                             scan_window(&store.sparse, (space, a, c), window, |r, v| {
                                 if hit(r) {
-                                    hits.push((r, v.clone()));
+                                    rows.push((r, v.clone()));
                                 }
                             });
-                            let mut rows = Vec::with_capacity(hits.len());
-                            rows.append(hits);
-                            rows
                         }
                         _ => {
                             let hits = store.iter().filter(|(r, _)| hit(*r));
-                            let mut rows: Vec<_> = hits.map(|(r, v)| (r, v.clone())).collect();
+                            rows.extend(hits.map(|(r, v)| (r, v.clone())));
                             rows.sort_unstable_by_key(|(r, _)| *r);
-                            rows
                         }
-                    };
+                    }
                     MemResponse::Range(rows)
                 }
                 _ => MemResponse::Nak,
@@ -643,6 +639,7 @@ mod tests {
                 MemRequest::ReadRange {
                     region: REGION,
                     within: None,
+                    into: Vec::new(),
                 },
             ],
         );
@@ -724,6 +721,7 @@ mod tests {
             MemRequest::ReadRange {
                 region: REGION,
                 within,
+                into: Vec::new(),
             },
         );
         let rows: Vec<_> = far[..2].iter().map(|r| (*r, r.b)).collect();

@@ -81,6 +81,12 @@ pub enum MemRequest<V> {
         /// Optional extra filter: only registers also matching this pattern
         /// are returned.
         within: Option<crate::region::RegionSpec>,
+        /// The reader's buffer the rows land in, as an RDMA READ names its
+        /// local scatter-gather target: the memory clears it, fills it and
+        /// sends it back as the [`MemResponse::Range`], so a reader that
+        /// hands back the buffers of earlier reads allocates nothing per
+        /// read. What it held before is never part of the answer.
+        into: Vec<(RegId, V)>,
     },
     /// `changePermission(mr, new_perm)`, subject to the memory's
     /// `legalChange` policy.
@@ -261,6 +267,7 @@ mod tests {
         let r: MemRequest<u8> = MemRequest::ReadRange {
             region: RegionId(0),
             within: None,
+            into: Vec::new(),
         };
         assert_eq!(r.kind_name(), "read_range");
     }

@@ -498,8 +498,15 @@ mod range_reads {
                     let hit = |r: RegId| spec.contains(r) && within.is_none_or(|w| w.contains(r));
                     let rows = model.iter().filter(|(r, _)| hit(**r));
                     let rows = rows.map(|(r, v)| (*r, *v)).collect();
+                    // The reader's buffer still holds an earlier read's
+                    // row: the answer is the memory's rows alone.
+                    let into = vec![(RegId::new(9, 9, 9, 9), 999)];
                     script.push((
-                        MemRequest::ReadRange { region, within },
+                        MemRequest::ReadRange {
+                            region,
+                            within,
+                            into,
+                        },
                         MemResponse::Range(rows),
                     ));
                 }

@@ -16,7 +16,8 @@
 //! feed it every memory completion, and receive [`RepEvent`]s when logical
 //! operations finish.
 
-use std::{fmt, vec};
+use std::fmt;
+use std::sync::Arc;
 
 use rdma_sim::{
     Completion, MemEmbed, MemResponse, MemoryClient, OpId, Permission, RegId, RegionId, WireSize,
@@ -79,7 +80,7 @@ enum Pending<V> {
     },
     Range {
         tracker: QuorumTracker,
-        snapshots: Vec<vec::IntoIter<(RegId, V)>>,
+        snapshots: Vec<Vec<(RegId, V)>>,
     },
 }
 
@@ -93,6 +94,11 @@ enum VoteKind {
 /// steady state a protocol has a handful of logical operations in flight
 /// per engine; the cap only bounds pathological bursts.
 const SCRATCH_POOL_CAP: usize = 16;
+
+/// The most rows a range buffer may hold room for and still be kept for
+/// reuse: a windowed read fetches a few dozen, while a whole-space scan's
+/// buffers are dropped rather than held for the engine's lifetime.
+const SPARE_ROWS_MAX: usize = 1024;
 
 /// Replicates register operations across a fixed set of memories.
 pub struct RepEngine<V, M> {
@@ -109,7 +115,12 @@ pub struct RepEngine<V, M> {
     /// once warm.
     spare_values: Vec<Vec<Option<V>>>,
     /// Recycled range-snapshot buffers.
-    spare_snapshots: Vec<Vec<vec::IntoIter<(RegId, V)>>>,
+    spare_snapshots: Vec<Vec<Vec<(RegId, V)>>>,
+    /// Recycled rows: each range read sends one to every memory as its
+    /// `into` buffer, and replica snapshots, merged results the caller
+    /// hands back ([`RepEngine::recycle_rows`]) and answers that arrive
+    /// after the quorum return here.
+    spare_rows: Vec<Vec<(RegId, V)>>,
     _msg: std::marker::PhantomData<M>,
 }
 
@@ -147,6 +158,7 @@ where
             pending: Window::new(span),
             spare_values: Vec::new(),
             spare_snapshots: Vec::new(),
+            spare_rows: Vec::new(),
             _msg: std::marker::PhantomData,
         }
     }
@@ -161,6 +173,28 @@ where
         RepId(self.next)
     }
 
+    /// Starts a logical operation waiting on `pending`: one memory
+    /// operation per memory, each issued by `issue`.
+    fn start(
+        &mut self,
+        ctx: &mut Context<'_, M>,
+        client: &mut MemoryClient<V, M>,
+        pending: Pending<V>,
+        mut issue: impl FnMut(&mut Context<'_, M>, &mut MemoryClient<V, M>, ActorId) -> OpId,
+    ) -> RepId {
+        let id = self.fresh();
+        self.pending.insert(id.0, pending);
+        for i in 0..self.memories.len() {
+            let op = issue(ctx, client, self.memories[i]);
+            self.child_to_parent.insert(op.0, id);
+        }
+        id
+    }
+
+    fn tracker(&self) -> QuorumTracker {
+        QuorumTracker::majority(self.memories.len())
+    }
+
     /// Starts a logical write of `value` to `reg` (through `region`).
     pub fn write(
         &mut self,
@@ -170,16 +204,28 @@ where
         reg: RegId,
         value: V,
     ) -> RepId {
-        let id = self.fresh();
-        let tracker = QuorumTracker::majority(self.memories.len());
-        self.pending
-            .insert(id.0, Pending::Vote(tracker, VoteKind::Write));
-        for i in 0..self.memories.len() {
-            let mem = self.memories[i];
-            let op = client.write(ctx, mem, region, reg, value.clone());
-            self.child_to_parent.insert(op.0, id);
-        }
-        id
+        let pending = Pending::Vote(self.tracker(), VoteKind::Write);
+        self.start(ctx, client, pending, |ctx, client, mem| {
+            client.write(ctx, mem, region, reg, value.clone())
+        })
+    }
+
+    /// Starts a logical write of every `(register, value)` of `writes`
+    /// (through `region`): one batched write per memory — one round trip
+    /// whatever it carries, all or nothing at each memory — sharing the
+    /// one buffer, and complete at a majority of acks like
+    /// [`RepEngine::write`].
+    pub fn write_many(
+        &mut self,
+        ctx: &mut Context<'_, M>,
+        client: &mut MemoryClient<V, M>,
+        region: RegionId,
+        writes: Arc<[(RegId, V)]>,
+    ) -> RepId {
+        let pending = Pending::Vote(self.tracker(), VoteKind::Write);
+        self.start(ctx, client, pending, |ctx, client, mem| {
+            client.write_many(ctx, mem, region, writes.clone())
+        })
     }
 
     /// Starts a logical read of `reg` (through `region`).
@@ -190,16 +236,12 @@ where
         region: RegionId,
         reg: RegId,
     ) -> RepId {
-        let id = self.fresh();
-        let tracker = QuorumTracker::majority(self.memories.len());
+        let tracker = self.tracker();
         let values = self.spare_values.pop().unwrap_or_default();
-        self.pending.insert(id.0, Pending::Read { tracker, values });
-        for i in 0..self.memories.len() {
-            let mem = self.memories[i];
-            let op = client.read(ctx, mem, region, reg);
-            self.child_to_parent.insert(op.0, id);
-        }
-        id
+        let pending = Pending::Read { tracker, values };
+        self.start(ctx, client, pending, |ctx, client, mem| {
+            client.read(ctx, mem, region, reg)
+        })
     }
 
     /// Starts a logical range read of `region`, optionally filtered to a
@@ -212,13 +254,13 @@ where
         within: Option<rdma_sim::RegionSpec>,
     ) -> RepId {
         let id = self.fresh();
-        let tracker = QuorumTracker::majority(self.memories.len());
+        let tracker = self.tracker();
         let snapshots = self.spare_snapshots.pop().unwrap_or_default();
         self.pending
             .insert(id.0, Pending::Range { tracker, snapshots });
         for i in 0..self.memories.len() {
-            let mem = self.memories[i];
-            let op = client.read_range(ctx, mem, region, within);
+            let into = self.spare_rows.pop().unwrap_or_default();
+            let op = client.read_range(ctx, self.memories[i], region, within, into);
             self.child_to_parent.insert(op.0, id);
         }
         id
@@ -232,16 +274,17 @@ where
         region: RegionId,
         new: Permission,
     ) -> RepId {
-        let id = self.fresh();
-        let tracker = QuorumTracker::majority(self.memories.len());
-        self.pending
-            .insert(id.0, Pending::Vote(tracker, VoteKind::Perm));
-        for i in 0..self.memories.len() {
-            let mem = self.memories[i];
-            let op = client.change_perm(ctx, mem, region, new.clone());
-            self.child_to_parent.insert(op.0, id);
-        }
-        id
+        let pending = Pending::Vote(self.tracker(), VoteKind::Perm);
+        self.start(ctx, client, pending, |ctx, client, mem| {
+            client.change_perm(ctx, mem, region, new.clone())
+        })
+    }
+
+    /// Takes back a range read's rows once the caller is done with them
+    /// (a [`RepResult::RangeOk`]'s): the next range read sends the buffer
+    /// to a memory to fill, so a steady stream of reads allocates nothing.
+    pub fn recycle_rows(&mut self, rows: Vec<(RegId, V)>) {
+        keep_rows(&mut self.spare_rows, rows);
     }
 
     /// Logical operations started and not finished yet.
@@ -260,7 +303,13 @@ where
     /// response finished a logical operation.
     pub fn on_completion(&mut self, c: Completion<V>) -> Option<RepEvent<V>> {
         let id = self.child_to_parent.remove(c.op.0)?;
-        let pending = self.pending.get_mut(id.0)?;
+        let Some(pending) = self.pending.get_mut(id.0) else {
+            // An answer after the quorum: only its buffer is of use.
+            if let MemResponse::Range(rows) = c.resp {
+                keep_rows(&mut self.spare_rows, rows);
+            }
+            return None;
+        };
         let event = match pending {
             Pending::Vote(tracker, kind) => {
                 let ok = c.resp.is_ok();
@@ -300,9 +349,12 @@ where
             },
             Pending::Range { tracker, snapshots } => match c.resp {
                 MemResponse::Range(rows) => {
-                    snapshots.push(rows.into_iter());
+                    snapshots.push(rows);
                     match tracker.vote_yes() {
-                        QuorumStatus::Reached => Some(RepResult::RangeOk(merge_ranges(snapshots))),
+                        QuorumStatus::Reached => {
+                            let rows = merged(snapshots, &mut self.spare_rows);
+                            Some(RepResult::RangeOk(rows))
+                        }
                         QuorumStatus::Impossible => Some(RepResult::RangeFailed),
                         QuorumStatus::Pending => None,
                     }
@@ -332,12 +384,10 @@ where
                 }
             }
             Pending::Range { mut snapshots, .. } => {
+                for rows in snapshots.drain(..) {
+                    keep_rows(&mut self.spare_rows, rows);
+                }
                 if self.spare_snapshots.len() < SCRATCH_POOL_CAP {
-                    // The per-replica rows came off the wire and were
-                    // consumed by the merge (or are dropped here on
-                    // failure); the outer buffer's capacity is what
-                    // recurs every slot.
-                    snapshots.clear();
                     self.spare_snapshots.push(snapshots);
                 }
             }
@@ -358,28 +408,61 @@ fn unique_value<V: Eq>(values: impl Iterator<Item = Option<V>>) -> Option<V> {
     unique
 }
 
+/// Keeps `rows`' buffer in `spare` for a later range read, emptied, unless
+/// the pool is full or the buffer is too large to be worth holding.
+fn keep_rows<V>(spare: &mut Vec<Vec<(RegId, V)>>, mut rows: Vec<(RegId, V)>) {
+    if spare.len() < SCRATCH_POOL_CAP && (1..=SPARE_ROWS_MAX).contains(&rows.capacity()) {
+        rows.clear();
+        spare.push(rows);
+    }
+}
+
+/// The unique-value rule over a quorum's range snapshots. Replicas that
+/// agree answer with the same rows, so the first replica's buffer is the
+/// result as it stands; otherwise the rows are merged into a spare buffer.
+/// Either way every other snapshot's buffer goes back to `spare`, and
+/// `snapshots` is left empty.
+fn merged<V: Eq>(
+    snapshots: &mut Vec<Vec<(RegId, V)>>,
+    spare: &mut Vec<Vec<(RegId, V)>>,
+) -> Vec<(RegId, V)> {
+    let out = if snapshots.iter().all(|s| *s == snapshots[0]) {
+        std::mem::take(&mut snapshots[0])
+    } else {
+        let mut out = spare.pop().unwrap_or_default();
+        merge_ranges(snapshots, &mut out);
+        out
+    };
+    for rows in snapshots.drain(..) {
+        keep_rows(spare, rows);
+    }
+    out
+}
+
 /// Applies the unique-value rule per register across replica snapshots,
 /// each sorted strictly ascending by `RegId` (a memory answers a range
-/// read in register order): a k-way merge that moves every value off the
-/// wire into the result, never cloning one, and returns rows in the same
-/// order. A register absent from a snapshot counts as ⊥ there (and ⊥
-/// never conflicts); a register with two distinct replica values is
-/// dropped, however many replicas agree with either.
-fn merge_ranges<V: Eq>(snapshots: &mut [vec::IntoIter<(RegId, V)>]) -> Vec<(RegId, V)> {
-    let head = |s: &vec::IntoIter<(RegId, V)>| s.as_slice().first().map(|(r, _)| *r);
+/// read in register order), into `out` (emptied first): a k-way merge
+/// from the top that moves every value off the snapshots into `out`,
+/// never cloning one, and leaves each snapshot empty with its buffer
+/// intact. `out` ends in the snapshots' ascending order. A register
+/// absent from a snapshot counts as ⊥ there (and ⊥ never conflicts); a
+/// register with two distinct replica values is dropped, however many
+/// replicas agree with either.
+fn merge_ranges<V: Eq>(snapshots: &mut [Vec<(RegId, V)>], out: &mut Vec<(RegId, V)>) {
+    let tail = |s: &Vec<(RegId, V)>| s.last().map(|(r, _)| *r);
+    out.clear();
     // Replicas that agree hold the same rows: the largest snapshot is the
     // exact size of the merge unless a register is missing from it.
-    let widest = snapshots.iter().map(|s| s.len()).max().unwrap_or(0);
-    let mut out = Vec::with_capacity(widest);
-    while let Some(reg) = snapshots.iter().filter_map(head).min() {
+    out.reserve(snapshots.iter().map(Vec::len).max().unwrap_or(0));
+    while let Some(reg) = snapshots.iter().filter_map(tail).max() {
         // `None` until a replica holds `reg`; `Some(None)` once two
         // replicas disagree.
         let mut unique: Option<Option<V>> = None;
         for s in snapshots.iter_mut() {
-            if head(s) != Some(reg) {
+            if tail(s) != Some(reg) {
                 continue;
             }
-            let (_, v) = s.next().expect("a head was peeked");
+            let (_, v) = s.pop().expect("a tail was peeked");
             match &unique {
                 None => unique = Some(Some(v)),
                 Some(Some(u)) if *u != v => unique = Some(None),
@@ -387,14 +470,14 @@ fn merge_ranges<V: Eq>(snapshots: &mut [vec::IntoIter<(RegId, V)>]) -> Vec<(RegI
             }
         }
         debug_assert!(
-            snapshots.iter().filter_map(head).all(|r| r > reg),
+            snapshots.iter().filter_map(tail).all(|r| r < reg),
             "a range snapshot is not strictly ascending"
         );
         if let Some(Some(v)) = unique {
             out.push((reg, v));
         }
     }
-    out
+    out.reverse();
 }
 
 #[cfg(test)]
@@ -410,10 +493,13 @@ mod tests {
         assert_eq!(unique_value([None, Some(3)].into_iter()), Some(3));
     }
 
-    /// Runs the merge over whole snapshots.
-    fn merge<V: Eq>(snaps: Vec<Vec<(RegId, V)>>) -> Vec<(RegId, V)> {
-        let mut snaps: Vec<_> = snaps.into_iter().map(Vec::into_iter).collect();
-        merge_ranges(&mut snaps)
+    /// Runs the merge over whole snapshots, and checks that it moved
+    /// every row out of them.
+    fn merge<V: Eq>(mut snaps: Vec<Vec<(RegId, V)>>) -> Vec<(RegId, V)> {
+        let mut out = Vec::new();
+        merge_ranges(&mut snaps, &mut out);
+        assert!(snaps.iter().all(Vec::is_empty));
+        out
     }
 
     /// Looks a register up in merged rows.

@@ -296,6 +296,192 @@ mod tests {
         );
     }
 
+    /// One step of a [`Steps`] script.
+    enum Step {
+        /// A replicated batched write.
+        WriteMany(Vec<(RegId, u64)>),
+        /// A replicated range read over `REGION`.
+        Range(Option<RegionSpec>),
+        /// A range read of the first memory alone, straight through the
+        /// client, whose buffer already holds these rows.
+        RawRange(Vec<(RegId, u64)>),
+    }
+
+    /// Runs `steps` one after the other, each once the one before it has
+    /// finished, and records every outcome with its instant. A range
+    /// read's rows are recorded, then handed back to the engine, so the
+    /// next range read fills the same buffers.
+    struct Steps {
+        client: MemoryClient<u64, TMsg>,
+        engine: RepEngine<u64, TMsg>,
+        steps: std::collections::VecDeque<Step>,
+        results: Vec<(Time, RepResult<u64>)>,
+    }
+
+    impl Steps {
+        fn new(memories: Vec<ActorId>, steps: Vec<Step>) -> Steps {
+            Steps {
+                client: MemoryClient::new(),
+                engine: RepEngine::new(memories),
+                steps: steps.into(),
+                results: Vec::new(),
+            }
+        }
+
+        fn next(&mut self, ctx: &mut Context<'_, TMsg>) {
+            let (client, engine) = (&mut self.client, &mut self.engine);
+            match self.steps.pop_front() {
+                Some(Step::WriteMany(writes)) => {
+                    engine.write_many(ctx, client, REGION, writes.into());
+                }
+                Some(Step::Range(within)) => {
+                    engine.read_range(ctx, client, REGION, within);
+                }
+                Some(Step::RawRange(into)) => {
+                    let mem = engine.memories()[0];
+                    client.read_range(ctx, mem, REGION, None, into);
+                }
+                None => {}
+            }
+        }
+    }
+
+    impl Actor<TMsg> for Steps {
+        fn on_event(&mut self, ctx: &mut Context<'_, TMsg>, ev: EventKind<TMsg>) {
+            match ev {
+                EventKind::Start => self.next(ctx),
+                EventKind::Msg {
+                    from,
+                    msg: TMsg::Mem(wire),
+                } => {
+                    let Some(c) = self.client.on_wire(ctx, from, wire) else {
+                        return;
+                    };
+                    let result = if self.engine.owns(c.op) {
+                        match self.engine.on_completion(c) {
+                            Some(done) => done.result,
+                            None => return,
+                        }
+                    } else {
+                        let rdma_sim::MemResponse::Range(rows) = c.resp else {
+                            panic!("the raw read was refused")
+                        };
+                        RepResult::RangeOk(rows)
+                    };
+                    self.results.push((ctx.now(), result.clone()));
+                    if let RepResult::RangeOk(rows) = result {
+                        self.engine.recycle_rows(rows);
+                    }
+                    self.next(ctx);
+                }
+                _ => {}
+            }
+        }
+    }
+
+    /// Runs `steps` over `m` memories, crashing those at `crashed` from
+    /// the start, and returns the outcomes.
+    fn run_steps(
+        m: usize,
+        crashed: &[usize],
+        perm: Permission,
+        steps: Vec<Step>,
+    ) -> Vec<(Time, RepResult<u64>)> {
+        let mut sim: Simulation<TMsg> = Simulation::new(11);
+        let mems = memories(&mut sim, m, perm);
+        for &i in crashed {
+            sim.crash_at(mems[i], Time::ZERO);
+        }
+        let a = sim.add(Steps::new(mems, steps));
+        sim.run_to_quiescence(Time::from_delays(100));
+        sim.actor_as::<Steps>(a).unwrap().results.clone()
+    }
+
+    #[test]
+    fn write_many_completes_at_a_majority_in_one_round_trip() {
+        let rows: Vec<(RegId, u64)> = (0..5).map(|b| (RegId::one(1, b), 10 + b)).collect();
+        let out = run_steps(
+            3,
+            &[2],
+            Permission::open(),
+            vec![Step::WriteMany(rows.clone()), Step::Range(None)],
+        );
+        // One round trip whatever the batch carries, although one memory
+        // never answers; every row is there for a majority read.
+        assert_eq!(out[0], (Time::from_delays(2), RepResult::WriteOk));
+        assert_eq!(out[1], (Time::from_delays(4), RepResult::RangeOk(rows)));
+        assert_eq!(out.len(), 2);
+    }
+
+    #[test]
+    fn write_many_fails_at_a_majority_of_naks() {
+        // One row outside the region: every memory refuses the whole
+        // batch, and nothing of it was written.
+        let outside = RegId::one(2, 0);
+        let batch = vec![(RegId::one(1, 0), 1), (outside, 2)];
+        let out = run_steps(
+            3,
+            &[],
+            Permission::open(),
+            vec![Step::WriteMany(batch), Step::Range(None)],
+        );
+        assert_eq!(out[0].1, RepResult::WriteFailed);
+        assert_eq!(out[1].1, RepResult::RangeOk(Vec::new()));
+        // No write permission: the same, with one memory crashed (two
+        // naks are a majority of three).
+        let stranger_only = Permission {
+            read: PermSet::Everybody,
+            write: PermSet::Nobody,
+            rw: PermSet::only([ActorId(99)]),
+        };
+        let out = run_steps(
+            3,
+            &[0],
+            stranger_only,
+            vec![Step::WriteMany(vec![(RegId::one(1, 0), 1); 2])],
+        );
+        assert_eq!(out, vec![(Time::from_delays(2), RepResult::WriteFailed)]);
+    }
+
+    /// A range read's rows land in a buffer an earlier read filled and the
+    /// reader handed back: the answer holds only what the memories hold
+    /// now and what the read asks for — also when the buffer arrives at a
+    /// memory still holding rows.
+    #[test]
+    fn a_recycled_range_buffer_never_returns_rows_from_an_earlier_read() {
+        let all: Vec<(RegId, u64)> = (0..6).map(|b| (RegId::new(1, 0, b, 0), 100 + b)).collect();
+        let first_two = Some(RegionSpec::Pattern {
+            space: 1,
+            a: Some(0),
+            b: Some(rdma_sim::Window::span(0, 2)),
+            c: Some(0),
+        });
+        let junk = vec![(RegId::new(1, 0, 9, 0), 999), (RegId::new(1, 0, 1, 0), 7)];
+        let out = run_steps(
+            3,
+            &[],
+            Permission::open(),
+            vec![
+                Step::WriteMany(all.clone()),
+                Step::Range(None),
+                Step::Range(first_two),
+                Step::Range(Some(RegionSpec::Space(2))),
+                Step::RawRange(junk),
+            ],
+        );
+        let rows: Vec<_> = out.into_iter().map(|(_, r)| r).collect();
+        assert_eq!(
+            rows,
+            vec![
+                RepResult::WriteOk,
+                RepResult::RangeOk(all.clone()),
+                RepResult::RangeOk(all[..2].to_vec()),
+                RepResult::RangeOk(Vec::new()),
+                RepResult::RangeOk(all),
+            ]
+        );
+    }
+
     /// Drives two engines over one shared memory client — so each sees
     /// gaps in the op ids it gets — against three memories, one of them
     /// crashed, and checks engine `a` against ordered maps after every

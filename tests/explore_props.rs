@@ -194,6 +194,7 @@ fn decode(kind: usize, space: u16, x: u64, y: u64, z: u64, val: u64) -> MemReque
                 4 => Some(windowed(space, None, y, z + 1, Some(z))),
                 _ => Some(windowed(space, Some(x), y, z, None)),
             },
+            into: Vec::new(),
         },
         _ => MemRequest::ChangePerm {
             region: REGION,
@@ -237,6 +238,7 @@ fn range_answers(withins: &[RegionSpec]) -> Vec<Vec<RegId>> {
     let reads = withins.iter().map(|&w| MemRequest::ReadRange {
         region: REGION,
         within: Some(w),
+        into: Vec::new(),
     });
     let driver = sim.add(Driver {
         mem,
@@ -372,6 +374,7 @@ fn conflicting_pairs_are_never_classified_independent() {
     let scan_all = MemRequest::ReadRange {
         region: REGION,
         within: None,
+        into: Vec::new(),
     };
     let perm = MemRequest::ChangePerm {
         region: REGION,

@@ -226,6 +226,7 @@ fn nebcast_overlapping_regions() {
             MemRequest::ReadRange {
                 region: nebcast::ALL_REGION,
                 within: None,
+                into: Vec::new(),
             },
         ],
     );

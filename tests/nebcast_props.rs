@@ -47,12 +47,14 @@ impl NebTester {
         self
     }
 
-    fn drain(&mut self) {
+    /// Records the deliveries, then sends the handler's batched copies.
+    fn drain(&mut self, ctx: &mut Context<'_, Msg>) {
         while let Some(d) = self.engine.next_delivery() {
             if let RbPayload::Setup { value, .. } = d.slot.wire.payload {
                 self.delivered.push((d.from, d.slot.k, value));
             }
         }
+        self.engine.post(ctx, &mut self.client);
     }
 }
 
@@ -80,7 +82,7 @@ impl Actor<Msg> for NebTester {
             }
             EventKind::Timer { .. } => {
                 self.engine.poll(ctx, &mut self.client);
-                self.drain();
+                self.drain(ctx);
                 ctx.set_timer(Duration::from_delays(1), 0);
             }
             EventKind::Msg {
@@ -89,7 +91,7 @@ impl Actor<Msg> for NebTester {
             } => {
                 if let Some(c) = self.client.on_wire(ctx, from, wire) {
                     self.engine.on_completion(ctx, &mut self.client, c);
-                    self.drain();
+                    self.drain(ctx);
                 }
             }
             _ => {}
