@@ -1079,17 +1079,16 @@ mod tests {
     use crate::paxos::Dest;
     use crate::trusted::{RbPayload, SetupEvidence};
     use crate::types::Value;
-    use rdma_sim::{MemRequest, MemWire};
+    use rdma_sim::{MemRequest, MemResponse, MemWire};
     use sigsim::SigAuthority;
     use simnet::{Actor, AnyActor, Duration, EventKind, Simulation, Time};
     use std::sync::Mutex;
 
     /// An honest participant: broadcasts its values at start, polls every
     /// delay, records what it delivers, posts its batched copies and,
-    /// once copies of `watch`'s row wait for the shared audit — covered by
-    /// the one in flight, or waiting for the next —, moves its focus to
-    /// `refocus` and records the slots of that row left in the shared
-    /// audit's care.
+    /// once a copy of `watch`'s row waits for the next shared audit, moves
+    /// its focus to `refocus` and records the slots of that row left
+    /// waiting.
     struct Tester {
         engine: NebEngine,
         client: MemoryClient<RegVal, Msg>,
@@ -1147,13 +1146,7 @@ mod tests {
             }
             self.engine.post(ctx, &mut self.client);
             if let Some((watched, refocus)) = self.watch {
-                // A batch's copies join the shared audit together, and the
-                // audit leaves at once when none is in flight: between
-                // handlers they wait for it as covered, or (when an audit
-                // was in flight) as awaiting.
-                let shared = self
-                    .row(watched)
-                    .ks(|s| matches!(s, Stage::Await(_) | Stage::Covered(_)));
+                let shared = self.row(watched).awaiting_audit();
                 if !shared.is_empty() {
                     self.shared_at_refocus = shared;
                     self.engine.set_focus(refocus);
@@ -1202,9 +1195,22 @@ mod tests {
     type Build<'a> =
         dyn FnMut(Pid, &[Pid], &[ActorId], &[Signer], SigVerifier) -> Box<dyn AnyActor<Msg>> + 'a;
 
+    /// What builds a broadcast memory, from its position among the
+    /// memories and the group.
+    type BuildMemory<'a> = dyn FnMut(usize, &[Pid]) -> Box<dyn AnyActor<Msg>> + 'a;
+
     /// A cluster of `n` processes, each built by `build`, and three
     /// broadcast memories.
     fn cluster(n: u32, build: &mut Build<'_>) -> Simulation<Msg> {
+        cluster_with(n, build, &mut |_, procs| Box::new(memory_actor(procs)))
+    }
+
+    /// [`cluster`] with the three memories built by `memory`.
+    fn cluster_with(
+        n: u32,
+        build: &mut Build<'_>,
+        memory: &mut BuildMemory<'_>,
+    ) -> Simulation<Msg> {
         let mut sim = Simulation::new(17);
         let procs: Vec<Pid> = (0..n).map(ActorId).collect();
         let mems: Vec<ActorId> = (n..n + 3).map(ActorId).collect();
@@ -1213,10 +1219,56 @@ mod tests {
         for &p in &procs {
             sim.add_boxed(build(p, &procs, &mems, &signers, auth.verifier()));
         }
-        for _ in &mems {
-            sim.add(memory_actor(&procs));
+        for at in 0..mems.len() {
+            sim.add_boxed(memory(at, &procs));
         }
         sim
+    }
+
+    /// A broadcast memory that naks `reader`'s first shared column audit
+    /// of `q` (a range read of `q`'s columns over more than one `k`) and
+    /// serves every other request as the memory it wraps.
+    struct RefusingMemory {
+        mem: rdma_sim::MemoryActor<RegVal, Msg>,
+        reader: Pid,
+        q: Pid,
+        refused: bool,
+    }
+
+    impl Actor<Msg> for RefusingMemory {
+        fn on_event(&mut self, ctx: &mut Context<'_, Msg>, ev: EventKind<Msg>) {
+            if let EventKind::Msg {
+                from,
+                msg:
+                    Msg::Mem(MemWire::Req {
+                        op,
+                        req:
+                            MemRequest::ReadRange {
+                                within:
+                                    Some(RegionSpec::Pattern {
+                                        a: None,
+                                        b: Some(w),
+                                        c,
+                                        ..
+                                    }),
+                                ..
+                            },
+                    }),
+            } = &ev
+            {
+                let shared = *c == Some(self.q.0 as u64) && *w != Window::exact(w.start());
+                if !self.refused && *from == self.reader && shared {
+                    self.refused = true;
+                    let resp = MemWire::Resp {
+                        op: *op,
+                        resp: MemResponse::Nak,
+                    };
+                    ctx.send(*from, Msg::Mem(resp));
+                    return;
+                }
+            }
+            self.mem.on_event(ctx, ev);
+        }
     }
 
     fn tester(
@@ -1239,7 +1291,8 @@ mod tests {
 
     /// What `reader` asked of one memory about `q`'s slots, by `k`: its
     /// single-slot reads of `slots[q, k, q]`, its copies into
-    /// `slots[reader, k, q]` and its single-column audits of `(k, q)`.
+    /// `slots[reader, k, q]` (alone or in a batch) and its single-column
+    /// audits of `(k, q)`.
     #[derive(Default)]
     struct SlotOps {
         reads: BTreeMap<u64, usize>,
@@ -1265,12 +1318,18 @@ mod tests {
                 return None;
             }
             let mut ops = sink.lock().unwrap();
+            let copy = |reg: &RegId| *reg == slot_reg(reader, Cell::of(*reg).k, q);
             match req {
                 MemRequest::Read { reg, .. } if *reg == slot_reg(q, Cell::of(*reg).k, q) => {
                     *ops.reads.entry(Cell::of(*reg).k).or_default() += 1;
                 }
-                MemRequest::Write { reg, .. } if *reg == slot_reg(reader, Cell::of(*reg).k, q) => {
+                MemRequest::Write { reg, .. } if copy(reg) => {
                     *ops.copies.entry(Cell::of(*reg).k).or_default() += 1;
+                }
+                MemRequest::WriteMany { writes, .. } => {
+                    for (reg, _) in writes.iter().filter(|(reg, _)| copy(reg)) {
+                        *ops.copies.entry(Cell::of(*reg).k).or_default() += 1;
+                    }
                 }
                 MemRequest::ReadRange {
                     within:
@@ -1291,18 +1350,20 @@ mod tests {
         ops
     }
 
-    /// Copies that joined the focused sender's next shared audit are
-    /// orphaned when the focus moves away (to another sender, or to none)
-    /// while an audit is in flight. They still get their audit and every
-    /// slot is delivered once, in order, with no one blocked; a slot in the
-    /// shared audit's care is neither read, copied nor audited again, and
-    /// no slot is left behind below `Last[q]`.
+    /// Copies waiting for the focused sender's next shared audit — as
+    /// they are once an audit that covered them fails: here two memories
+    /// of three nak p2's first shared audit of p0 — are orphaned when the
+    /// focus moves away (to another sender, or to none). They still get
+    /// their audit and every slot is delivered once, in order, with no one
+    /// blocked; a slot waiting for the shared audit at the refocus is
+    /// neither read, copied nor audited alone again, and no slot is left
+    /// behind below `Last[q]`.
     #[test]
     fn a_focus_change_with_copies_waiting_for_their_audit_delivers_everything_in_order() {
         let (p0, p1, p2) = (ActorId(0), ActorId(1), ActorId(2));
         let values = |base: u64, n: u64| (1..=n).map(|k| Value(base + k)).collect::<Vec<_>>();
         for refocus in [Some(p1), None] {
-            let mut sim = cluster(3, &mut |me, procs, mems, signers, verifier| {
+            let mut build = |me, procs: &[Pid], mems: &[ActorId], signers: &[Signer], verifier| {
                 let mut t = tester(me, procs, mems, &signers[me.0 as usize], verifier);
                 if me == p0 {
                     t.to_broadcast = values(100, 6);
@@ -1313,7 +1374,15 @@ mod tests {
                     t.engine.set_focus(Some(p0));
                     t.watch = Some((p0, refocus));
                 }
-                Box::new(t)
+                Box::new(t) as Box<dyn AnyActor<Msg>>
+            };
+            let mut sim = cluster_with(3, &mut build, &mut |at, procs| {
+                Box::new(RefusingMemory {
+                    mem: memory_actor(procs),
+                    reader: p2,
+                    q: p0,
+                    refused: at == 2,
+                })
             });
             let ops = count_slot_ops(&mut sim, p2, p0, ActorId(3));
             sim.run_until(Time::from_delays(400), |s| {
@@ -1336,9 +1405,9 @@ mod tests {
                     row.last
                 );
             }
-            // Every slot of p0's was copied once; those in the shared
-            // audit's care at the refocus were read by the row probe and
-            // audited by the shared audit, never again one by one.
+            // Every slot of p0's was copied once; those waiting for the
+            // shared audit at the refocus were read by the row probe and
+            // audited by a shared audit, never again one by one.
             let ops = ops.lock().unwrap();
             let once: BTreeMap<u64, usize> = (1..=6).map(|k| (k, 1)).collect();
             assert_eq!(ops.copies, once, "refocus {refocus:?}");

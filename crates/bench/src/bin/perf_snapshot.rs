@@ -25,9 +25,9 @@
 //! once, in `bench::gate`: `wall_secs` is never compared, and the
 //! allocator's three counts may fall and are compared only when both
 //! snapshots' `rustc` headers match. A change that moves a value on
-//! purpose names it in `PERF_GATE_MOVED_OK=label.field,…` (or
-//! `section.path`), or a bare `label` or section for a retirement or any
-//! move of it; `PERF_GATE=off` skips the gate.
+//! purpose names it in [`MOVED_OK`], committed beside [`PR`], as
+//! `label.field` (or `section.path`), or as a bare `label` or section for
+//! a retirement or any move of it; `PERF_GATE=off` skips the gate.
 //!
 //! ```sh
 //! cargo run --release -p bench --bin perf_snapshot
@@ -54,6 +54,40 @@ const RUSTC: &str = env!("BENCH_RUSTC_VERSION");
 
 /// This snapshot's PR number (names the output file and anchors the gate).
 const PR: u32 = 46;
+
+/// The snapshot [`MOVED_OK`] names moves against: the list applies only
+/// when the gate compares with `BENCH_PR<MOVED_SINCE>.json`, so a list
+/// left behind by an earlier PR excuses nothing.
+const MOVED_SINCE: u32 = 45;
+
+/// The values this snapshot moves on purpose against
+/// `BENCH_PR<MOVED_SINCE>.json`: the pipelined Byzantine rows and their
+/// two summaries (a follower's burst is one batched write per memory),
+/// and `parallel_kernel`'s summary, whose one value (the host's core
+/// count) moved to the header.
+const MOVED_OK: &[&str] = &[
+    "byz_log_scaling_1500",
+    "byz_log_scaling_3000",
+    "byz_log_scaling_6000",
+    "byz_pipeline_w2_conservative",
+    "byz_pipeline_w2_fast",
+    "byz_pipeline_w4_conservative",
+    "byz_pipeline_w4_fast",
+    "byz_pipeline_w8_conservative",
+    "byz_pipeline_w8_fast",
+    "byz_log_scaling.allocs_per_cmd_6000_over_1500",
+    "byz_pipeline.headline_w8_fast_gap_vs_crash",
+    "parallel_kernel",
+];
+
+/// The moves named on purpose against `BENCH_PR<k>.json`.
+fn moved_ok(k: u32) -> &'static [&'static str] {
+    if k == MOVED_SINCE {
+        MOVED_OK
+    } else {
+        &[]
+    }
+}
 
 /// Allocation-counting wrapper around the system allocator.
 struct CountingAlloc;
@@ -758,22 +792,13 @@ fn gate(root: &str, json: &str) -> bool {
              allocation counts are not compared"
         );
     }
-    let moved_env = std::env::var("PERF_GATE_MOVED_OK").unwrap_or_default();
-    let moved: Vec<&str> = moved_env.split(',').map(str::trim).collect();
-    let moves = bench::gate::moves(&prior, json, &moved);
+    let moves = bench::gate::moves(&prior, json, moved_ok(k));
     for m in &moves {
         println!("perf gate: MOVED {m}");
     }
-    let named = bench::gate::moves(&prior, json, &[]).len() - moves.len();
-    match (moves.len(), named) {
-        (0, 0) => println!("perf gate: every field of BENCH_PR{k}.json came back exact"),
-        (0, named) => println!(
-            "perf gate: every field of BENCH_PR{k}.json came back exact \
-             but the {named} move(s) PERF_GATE_MOVED_OK names"
-        ),
-        (n, _) => {
-            println!("perf gate: {n} move(s); name each made on purpose in PERF_GATE_MOVED_OK")
-        }
+    match moves.len() {
+        0 => println!("perf gate: every field of BENCH_PR{k}.json came back exact"),
+        n => println!("perf gate: {n} move(s); name each made on purpose in MOVED_OK"),
     }
     !moves.is_empty()
 }
@@ -797,5 +822,25 @@ fn main() {
     // leaves BENCH_PR*.json behind for diagnosis.
     if gate(root, &json) {
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The committed `BENCH_PR<PR>.json` passes the gate against the
+    /// snapshot before it: a run that reproduces it passes too, so every
+    /// value this PR moves on purpose is named in [`MOVED_OK`].
+    #[test]
+    fn the_committed_snapshot_moves_only_what_moved_ok_names() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let read = |path| std::fs::read_to_string(path).expect("read a committed snapshot");
+        let (k, prior) = bench::gate::latest_prior_snapshot(&root, PR).expect("a prior snapshot");
+        let current = read(root.join(format!("BENCH_PR{PR}.json")));
+        assert_eq!(
+            bench::gate::moves(&read(prior), &current, moved_ok(k)),
+            Vec::<String>::new()
+        );
     }
 }

@@ -417,22 +417,15 @@ fn keep_rows<V>(spare: &mut Vec<Vec<(RegId, V)>>, mut rows: Vec<(RegId, V)>) {
     }
 }
 
-/// The unique-value rule over a quorum's range snapshots. Replicas that
-/// agree answer with the same rows, so the first replica's buffer is the
-/// result as it stands; otherwise the rows are merged into a spare buffer.
-/// Either way every other snapshot's buffer goes back to `spare`, and
+/// The unique-value rule over a quorum's range snapshots, merged into a
+/// spare buffer; every snapshot's buffer goes back to `spare`, and
 /// `snapshots` is left empty.
 fn merged<V: Eq>(
     snapshots: &mut Vec<Vec<(RegId, V)>>,
     spare: &mut Vec<Vec<(RegId, V)>>,
 ) -> Vec<(RegId, V)> {
-    let out = if snapshots.iter().all(|s| *s == snapshots[0]) {
-        std::mem::take(&mut snapshots[0])
-    } else {
-        let mut out = spare.pop().unwrap_or_default();
-        merge_ranges(snapshots, &mut out);
-        out
-    };
+    let mut out = spare.pop().unwrap_or_default();
+    merge_ranges(snapshots, &mut out);
     for rows in snapshots.drain(..) {
         keep_rows(spare, rows);
     }
