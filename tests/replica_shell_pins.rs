@@ -1,17 +1,19 @@
 //! Absolute pins for the traffic the replica shell carries.
 //!
 //! Scaled-down copies of the four repository-benchmark workload shapes
-//! (`benchmark/src/workloads.rs`) plus one mixed crash/Byzantine
-//! deployment with a takeover in each mode and adaptive batching on. The
-//! fingerprints were captured at the commit *before* `SmrNode` and
-//! `ByzSmrNode` became one `smr::Replica` shell over two engines; like
-//! `byz_log_scaling`'s values they are never re-recorded — a refactor of
-//! the shell, the engines or the PMP proposer that moves one of them has
-//! changed the schedule, not just the code. The two pipelined Byzantine
-//! pins were re-recorded once, on purpose, when a follower's copies and
-//! receipts of one handler became one batched write per memory: the logs
-//! are the ones captured before, and the runs take about half the events,
-//! memory operations and time.
+//! (`benchmark/src/workloads.rs`), the pipelined Byzantine shape without
+//! its fast path, one mixed crash/Byzantine deployment with a takeover in
+//! each mode and adaptive batching on, and a window-1 Byzantine takeover.
+//! The first five fingerprints were captured at the commit *before*
+//! `SmrNode` and `ByzSmrNode` became one `smr::Replica` shell over two
+//! engines, the other two each at the commit before the change they
+//! guard; like `byz_log_scaling`'s values they are never re-recorded — a
+//! refactor of the shell, the engines or the PMP proposer that moves one
+//! of them has changed the schedule, not just the code. The two pipelined
+//! Byzantine pins were re-recorded once, on purpose, when a follower's
+//! copies and receipts of one handler became one batched write per
+//! memory: the logs are the ones captured before, and the runs take about
+//! half the events, memory operations and time.
 
 use agreement::harness::{run_sharded, ShardedRunReport, ShardedScenario};
 use agreement::sharded::{GroupMode, WorkloadSpec};
@@ -114,6 +116,20 @@ fn byzantine_pipeline_fast_path() {
     assert_eq!(
         fingerprint("byz_pipeline", &sc),
         (8266689179345589743, 2576, 2005, 870, 1800, 191000, 0, 75)
+    );
+}
+
+/// `byz_pipeline` at 1/5 without the fast path: window 8, and the leader
+/// settles its own batches at self-delivery, so its broadcast writes and
+/// its reads of its own row share every memory's queue.
+#[test]
+fn byzantine_pipeline_conservative() {
+    let mut sc = scenario(1, 600, 8, 64);
+    sc.group_modes = vec![GroupMode::Byzantine];
+    sc.byz_pipeline_window = 8;
+    assert_eq!(
+        fingerprint("byz_pipeline_conservative", &sc),
+        (8266689179345589743, 3859, 2971, 1347, 2673, 297000, 0, 0)
     );
 }
 
