@@ -53,32 +53,16 @@ use simnet::{DelayModel, RdmaCost, TICKS_PER_DELAY};
 const RUSTC: &str = env!("BENCH_RUSTC_VERSION");
 
 /// This snapshot's PR number (names the output file and anchors the gate).
-const PR: u32 = 46;
+const PR: u32 = 47;
 
 /// The snapshot [`MOVED_OK`] names moves against: the list applies only
 /// when the gate compares with `BENCH_PR<MOVED_SINCE>.json`, so a list
 /// left behind by an earlier PR excuses nothing.
-const MOVED_SINCE: u32 = 45;
+const MOVED_SINCE: u32 = 46;
 
 /// The values this snapshot moves on purpose against
-/// `BENCH_PR<MOVED_SINCE>.json`: the pipelined Byzantine rows and their
-/// two summaries (a follower's burst is one batched write per memory),
-/// and `parallel_kernel`'s summary, whose one value (the host's core
-/// count) moved to the header.
-const MOVED_OK: &[&str] = &[
-    "byz_log_scaling_1500",
-    "byz_log_scaling_3000",
-    "byz_log_scaling_6000",
-    "byz_pipeline_w2_conservative",
-    "byz_pipeline_w2_fast",
-    "byz_pipeline_w4_conservative",
-    "byz_pipeline_w4_fast",
-    "byz_pipeline_w8_conservative",
-    "byz_pipeline_w8_fast",
-    "byz_log_scaling.allocs_per_cmd_6000_over_1500",
-    "byz_pipeline.headline_w8_fast_gap_vs_crash",
-    "parallel_kernel",
-];
+/// `BENCH_PR<MOVED_SINCE>.json`.
+const MOVED_OK: &[&str] = &[];
 
 /// The moves named on purpose against `BENCH_PR<k>.json`.
 fn moved_ok(k: u32) -> &'static [&'static str] {
@@ -535,6 +519,16 @@ fn byzantine(cmds: usize) -> Section {
     }
 }
 
+/// The headline config of [`byz_pipeline`]: the G=4 all-Byzantine
+/// service at router window 64, pipeline window 8, leader fast path.
+fn byz_pipelined_service(cmds: usize) -> ShardedScenario {
+    ShardedScenario {
+        byz_pipeline_window: 8,
+        byz_fast_path: true,
+        ..g4_service(cmds, 64, GroupMode::Byzantine)
+    }
+}
+
 /// Pipelined signed broadcast: the G=4 all-Byzantine service swept across
 /// pipeline windows {1, 2, 4, 8}, conservative versus speculative
 /// fast-path commit, against a crash baseline at the same router window.
@@ -554,7 +548,7 @@ fn byz_pipeline(cmds: usize) -> Section {
             let sc = ShardedScenario {
                 byz_pipeline_window: window,
                 byz_fast_path: fast,
-                ..g4_service(cmds, 64, GroupMode::Byzantine)
+                ..byz_pipelined_service(cmds)
             };
             let label = format!("byz_pipeline_w{window}_{commit}");
             runs.push(measure_sharded(label, &sc));
@@ -616,7 +610,8 @@ fn byz_log_scaling(_cmds: usize) -> Section {
     }
 }
 
-/// Observability: the G=4 crash and Byzantine services with event
+/// Observability: the G=4 crash and Byzantine services, and the
+/// pipelined Byzantine one (`byz_pipeline`'s headline config), with event
 /// recording switched on and their command-lifecycle spans aggregated
 /// from the recorded stream. The per-stage latency percentiles show where
 /// the Byzantine broadcast price lands, stage by stage. Tracing is
@@ -645,22 +640,32 @@ fn observability(cmds: usize) -> Section {
     };
     let (_, byz_events) = run_sharded_with_events(&byz);
     let byz_spans = aggregate_spans(&byz_events, byz.groups, byz.total_cmds);
+    let pipelined = ShardedScenario {
+        record_events: true,
+        ..byz_pipelined_service(cmds)
+    };
+    let (_, pipelined_events) = run_sharded_with_events(&pipelined);
+    let pipelined_spans = aggregate_spans(&pipelined_events, pipelined.groups, cmds);
 
-    let span_rows = [("crash", &crash_spans), ("byzantine", &byz_spans)]
-        .into_iter()
-        .flat_map(|(config, groups)| {
-            groups.iter().map(move |g| {
-                let row = Row::labeled(&format!("spans_{config}_g{}", g.group))
-                    .with("config", config)
-                    .with("group", g.group)
-                    .with("spans", g.spans);
-                g.stages.iter().fold(row, |row, stage| {
-                    let (name, hist) = (stage.stage, &stage.hist);
-                    row.with(format!("{name}_p50_delays"), Fixed(delays(hist.p50()), 2))
-                        .with(format!("{name}_p99_delays"), Fixed(delays(hist.p99()), 2))
-                })
+    let span_rows = [
+        ("crash", &crash_spans),
+        ("byzantine", &byz_spans),
+        ("byz_pipeline_w8_fast", &pipelined_spans),
+    ]
+    .into_iter()
+    .flat_map(|(config, groups)| {
+        groups.iter().map(move |g| {
+            let row = Row::labeled(&format!("spans_{config}_g{}", g.group))
+                .with("config", config)
+                .with("group", g.group)
+                .with("spans", g.spans);
+            g.stages.iter().fold(row, |row, stage| {
+                let (name, hist) = (stage.stage, &stage.hist);
+                row.with(format!("{name}_p50_delays"), Fixed(delays(hist.p50()), 2))
+                    .with(format!("{name}_p99_delays"), Fixed(delays(hist.p99()), 2))
             })
-        });
+        })
+    });
     let configs = [&untraced, &traced].map(sharded_row);
     Section {
         name: "observability",
@@ -683,7 +688,8 @@ fn observability(cmds: usize) -> Section {
 /// asserted per preset, and a 1/2/4-thread partitioned sweep pins
 /// bit-identity under the model (its `min_cost()` is the lookahead the
 /// partitioned kernel synchronizes on, a true lower bound over every
-/// verb/size/batch charge).
+/// verb/size/batch charge). The pipelined Byzantine service
+/// (`byz_pipeline`'s headline config) runs under each preset too.
 fn cost_model(cmds: usize) -> Section {
     let cmds = tenth(cmds);
     let rdma = |cost: &RdmaCost, sc: ShardedScenario| ShardedScenario {
@@ -735,6 +741,13 @@ fn cost_model(cmds: usize) -> Section {
     g4.push(measure_sharded(label, &adaptive));
     let batched_open_loop = rdma(&presets[0].1, service(4, 8, 0, cmds));
     g4.extend(thread_sweep("cost_baseline_b8", 4, &batched_open_loop));
+    // The pipelined Byzantine service under each preset: a batch of
+    // broadcasts, copies or receipts pays one doorbell plus a per-WR
+    // increment and the bytes of every slot it carries.
+    let byz = presets.each_ref().map(|(name, cost)| {
+        let label = format!("cost_{name}_byz_w8_fast_g4");
+        measure_sharded(label, &rdma(cost, byz_pipelined_service(cmds)))
+    });
     Section {
         name: "cost_model",
         summary: Row::new().with("total_commands", cmds).with(
@@ -744,6 +757,10 @@ fn cost_model(cmds: usize) -> Section {
         tables: vec![
             ("e10b_configs", e10b.iter().map(smr_row).collect()),
             ("sharded_g4_configs", g4.iter().map(sharded_row).collect()),
+            (
+                "byz_pipeline_configs",
+                byz.iter().map(sharded_row).collect(),
+            ),
         ],
     }
 }
