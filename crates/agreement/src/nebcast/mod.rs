@@ -78,7 +78,20 @@
 //!   operations whether the log holds ten entries or ten million.
 //! * **Idle-row backoff** — rows that read ⊥ are re-probed with
 //!   exponential backoff (capped), so rows that are idle in steady state
-//!   (followers never broadcast) stop consuming FIFO slots.
+//!   (followers never broadcast) stop consuming FIFO slots. While any of
+//!   this process's broadcasts is held (next bullet), no idle row is
+//!   probed at all: the read would reach every memory's queue ahead of
+//!   the held broadcasts and delay them a round trip.
+//! * **Group commit of the broadcaster's slots** — at most one broadcast
+//!   write is in flight. A broadcast issued meanwhile is signed at once
+//!   and held; when the write completes, acknowledged or not, everything
+//!   held goes out as one write into this process's row (one
+//!   [`swmr::RepEngine::write_many`], or a plain write for one slot). A
+//!   write carries consecutive sequence numbers, so it is tracked as its
+//!   first `k` and a count, and under the fast path its one ack surfaces
+//!   every `k` it carried, in order. Issued one by one, a window of
+//!   broadcasts would queue at every memory: the last of 8 waited 16
+//!   delays for its 2-delay write.
 //! * **One write per memory per handler** — every write into this
 //!   process's own row that one handler issues (the copies of every slot
 //!   `adopt_row` takes in, and the receipts [`NebEngine::acknowledge`]
@@ -103,8 +116,9 @@
 //! burst allocates nothing once warm but a batch buffer when none of its
 //! length is free to reuse.
 //!
-//! At depth 1 every write goes out the moment it is issued, and
-//! [`NebEngine::post`] has nothing to send: the classic loop is unchanged.
+//! At depth 1 every write, broadcasts included, goes out the moment it is
+//! issued, and [`NebEngine::post`] has nothing to send: the classic loop
+//! is unchanged.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
@@ -294,6 +308,12 @@ impl Slots {
     fn remove(&mut self, k: u64) -> Option<Stage> {
         Some(self.0.remove(self.find(k).ok()?).1)
     }
+
+    /// Makes room for a window of `depth` slots at once, rather than
+    /// doubling up to it.
+    fn reserve_window(&mut self, depth: usize) {
+        self.0.reserve_exact(depth.saturating_sub(self.0.len()));
+    }
 }
 
 /// Everything the engine keeps about one sender `q`: its delivery
@@ -351,6 +371,57 @@ const QUEUED: RepId = RepId(0);
 /// How many posted batch buffers an engine keeps for reuse, by length.
 const SPARE_BATCHES_CAP: usize = 8;
 
+/// Writes `rows` into `me`'s own row, emptying `rows`: one write per
+/// memory, a plain write for one row, else one
+/// [`swmr::RepEngine::write_many`] over a buffer from `spares`. `None`
+/// when there is nothing to write.
+fn write_rows(
+    rep: &mut RepEngine<RegVal, Msg>,
+    ctx: &mut Context<'_, Msg>,
+    client: &mut MemoryClient<RegVal, Msg>,
+    me: Pid,
+    rows: &mut Vec<(RegId, RegVal)>,
+    spares: &mut Vec<Arc<[(RegId, RegVal)]>>,
+) -> Option<RepId> {
+    let region = row_region(me);
+    Some(match rows.len() {
+        0 => return None,
+        1 => {
+            let (reg, val) = rows.pop().expect("one row");
+            rep.write(ctx, client, region, reg, val)
+        }
+        _ => rep.write_many(ctx, client, region, shared_buffer(spares, rows)),
+    })
+}
+
+/// `rows` as one shared buffer, emptying `rows`: a buffer of `spares` of
+/// the same length that no memory holds any more is overwritten in place,
+/// and a fresh one is kept among `spares` for later batches.
+fn shared_buffer(
+    spares: &mut Vec<Arc<[(RegId, RegVal)]>>,
+    rows: &mut Vec<(RegId, RegVal)>,
+) -> Arc<[(RegId, RegVal)]> {
+    let len = rows.len();
+    let free = |b: &&mut Arc<[_]>| Arc::strong_count(b) == 1;
+    if let Some(buffer) = spares.iter_mut().find(|b| b.len() == len && free(b)) {
+        let slots = Arc::get_mut(buffer).expect("no other holder");
+        for (slot, write) in slots.iter_mut().zip(rows.drain(..)) {
+            *slot = write;
+        }
+        return buffer.clone();
+    }
+    let fresh: Arc<[(RegId, RegVal)]> = rows.drain(..).collect();
+    if spares.is_empty() {
+        spares.reserve_exact(SPARE_BATCHES_CAP);
+    }
+    if spares.len() < SPARE_BATCHES_CAP {
+        spares.push(fresh.clone());
+    } else if let Some(old) = spares.iter_mut().find(free) {
+        *old = fresh.clone();
+    }
+    fresh
+}
+
 /// The non-equivocating broadcast state machine for one process.
 pub struct NebEngine {
     me: Pid,
@@ -370,18 +441,25 @@ pub struct NebEngine {
     /// rows that are idle in steady state).
     focus: Option<Pid>,
     /// The leader fast path. Off (the default) is Algorithm 2 verbatim.
-    /// On, [`NebEngine::broadcast`] write acks are tracked and surfaced
-    /// through [`NebEngine::next_written`] — the owner settles
-    /// own broadcasts at the write ack — and this process runs no
-    /// delivery attempts on its *own* row: its self-audit is vacuous, as
-    /// the copy target `slots[p, k, p]` *is* the broadcast register, and
-    /// a correct process never equivocates against itself.
+    /// On, [`NebEngine::broadcast`] write acks surface through
+    /// [`NebEngine::next_written`] — the owner settles own broadcasts at
+    /// the write ack — and this process runs no delivery attempts on its
+    /// *own* row: its self-audit is vacuous, as the copy target
+    /// `slots[p, k, p]` *is* the broadcast register, and a correct process
+    /// never equivocates against itself.
     fast_path: bool,
-    /// Outstanding broadcast writes being tracked: completion id → k.
-    bcast_writes: BTreeMap<RepId, u64>,
+    /// Outstanding broadcast writes being tracked (every one in pipelined
+    /// mode, where there is at most one; under the fast path at depth 1):
+    /// the write's id, its first sequence number and how many consecutive
+    /// ones it carries.
+    bcast_writes: Vec<(RepId, u64, u64)>,
+    /// Pipelined mode: broadcasts signed while a broadcast write was in
+    /// flight, in `k` order up to `next_k`, held until it completes.
+    held: Vec<(RegId, RegVal)>,
     /// Sequence numbers whose broadcast write has been acknowledged by a
-    /// replication quorum, not yet drained by the owner.
-    written: VecDeque<u64>,
+    /// replication quorum, not yet drained by the owner: one `[next, end)`
+    /// run per acknowledged write.
+    written: VecDeque<(u64, u64)>,
     /// Poll ticks seen (the idle-row backoff clock).
     polls: u64,
     /// Pipelined mode: this handler's writes into this process's own row
@@ -435,7 +513,8 @@ impl NebEngine {
             depth: 1,
             focus: None,
             fast_path: false,
-            bcast_writes: BTreeMap::new(),
+            bcast_writes: Vec::new(),
+            held: Vec::new(),
             written: VecDeque::new(),
             polls: 0,
             batch: Vec::new(),
@@ -446,7 +525,8 @@ impl NebEngine {
     /// Sets how many of the focused sender's slots are probed
     /// concurrently (clamped to at least 1; 1 is the classic loop). Above
     /// 1 the owner sends each handler's own-row writes with
-    /// [`NebEngine::post`].
+    /// [`NebEngine::post`], and broadcasts wait behind the one broadcast
+    /// write in flight (see [`NebEngine::broadcast`]).
     pub fn set_pipeline_depth(&mut self, depth: usize) {
         self.depth = depth.max(1);
     }
@@ -478,7 +558,13 @@ impl NebEngine {
     /// The oldest sequence number whose broadcast write has completed and
     /// that has not been taken yet (never any unless the fast path is on).
     pub fn next_written(&mut self) -> Option<u64> {
-        self.written.pop_front()
+        let (next, end) = self.written.front_mut()?;
+        let k = *next;
+        *next += 1;
+        if next == end {
+            self.written.pop_front();
+        }
+        Some(k)
     }
 
     /// Writes this process's delivery receipt for `d` (a fire-and-forget
@@ -525,17 +611,9 @@ impl NebEngine {
     /// completes. The owner calls this once per handler, after draining
     /// deliveries and acknowledging the ones it acts on.
     pub fn post(&mut self, ctx: &mut Context<'_, Msg>, client: &mut MemoryClient<RegVal, Msg>) {
-        let region = row_region(self.me);
-        let rep = match self.batch.len() {
-            0 => return,
-            1 => {
-                let (reg, val) = self.batch.pop().expect("one row");
-                self.rep.write(ctx, client, region, reg, val)
-            }
-            _ => {
-                let writes = self.batch_buffer();
-                self.rep.write_many(ctx, client, region, writes)
-            }
+        let (rows, spares) = (&mut self.batch, &mut self.spare_batches);
+        let Some(rep) = write_rows(&mut self.rep, ctx, client, self.me, rows, spares) else {
+            return;
         };
         for row in &mut self.rows {
             for (_, stage) in &mut row.slots.0 {
@@ -548,35 +626,15 @@ impl NebEngine {
         }
     }
 
-    /// The batch's rows as one shared buffer, emptying the batch: a
-    /// posted buffer of the same length that no memory holds any more is
-    /// overwritten in place, and a fresh one is kept for later batches.
-    fn batch_buffer(&mut self) -> Arc<[(RegId, RegVal)]> {
-        let len = self.batch.len();
-        let free = |b: &&mut Arc<[_]>| Arc::strong_count(b) == 1;
-        let spare = (self.spare_batches.iter_mut()).find(|b| b.len() == len && free(b));
-        if let Some(buffer) = spare {
-            let rows = Arc::get_mut(buffer).expect("no other holder");
-            for (row, write) in rows.iter_mut().zip(self.batch.drain(..)) {
-                *row = write;
-            }
-            return buffer.clone();
-        }
-        let fresh: Arc<[(RegId, RegVal)]> = self.batch.drain(..).collect();
-        if self.spare_batches.len() < SPARE_BATCHES_CAP {
-            self.spare_batches.push(fresh.clone());
-        } else if let Some(old) = self.spare_batches.iter_mut().find(free) {
-            *old = fresh.clone();
-        }
-        fresh
-    }
-
     /// The next sequence number this process will broadcast with.
     pub fn next_k(&self) -> u64 {
         self.next_k
     }
 
-    /// Broadcasts `wire`, returning the sequence number used.
+    /// Broadcasts `wire`, returning the sequence number used. In
+    /// pipelined mode a broadcast issued while another broadcast write is
+    /// in flight is signed at once and held: everything held goes out as
+    /// one write when that write completes (see [`NebEngine::send_held`]).
     pub fn broadcast(
         &mut self,
         ctx: &mut Context<'_, Msg>,
@@ -585,17 +643,34 @@ impl NebEngine {
     ) -> u64 {
         let k = self.next_k;
         self.next_k += 1;
-        let rep = self.rep.write(
-            ctx,
-            client,
-            row_region(self.me),
-            slot_reg(self.me, k, self.me),
-            RegVal::Neb(NebSlot::signed(&self.signer, k, wire)),
-        );
-        if self.fast_path {
-            self.bcast_writes.insert(rep, k);
+        let reg = slot_reg(self.me, k, self.me);
+        let val = RegVal::Neb(NebSlot::signed(&self.signer, k, wire));
+        if self.depth == 1 {
+            let rep = self.rep.write(ctx, client, row_region(self.me), reg, val);
+            if self.fast_path {
+                self.bcast_writes.push((rep, k, 1));
+            }
+            return k;
+        }
+        if self.held.is_empty() {
+            self.held.reserve_exact(self.depth); // a window's worth, once
+        }
+        self.held.push((reg, val));
+        if self.bcast_writes.is_empty() {
+            self.send_held(ctx, client);
         }
         k
+    }
+
+    /// Sends every held broadcast (pipelined mode; a no-op when none is
+    /// held) as one write into this process's own row: one
+    /// [`swmr::RepEngine::write_many`], or a plain write for one slot.
+    fn send_held(&mut self, ctx: &mut Context<'_, Msg>, client: &mut MemoryClient<RegVal, Msg>) {
+        let count = self.held.len() as u64;
+        let (rows, spares) = (&mut self.held, &mut self.spare_batches);
+        if let Some(rep) = write_rows(&mut self.rep, ctx, client, self.me, rows, spares) {
+            self.bcast_writes.push((rep, self.next_k - count, count));
+        }
     }
 
     /// Starts delivery attempts for every sender slot in window without
@@ -652,7 +727,9 @@ impl NebEngine {
         if self.depth > 1 {
             // Copies orphaned by a focus change still need their audit.
             self.maybe_launch_audit(ctx, client, i);
-            if self.polls < self.rows[i].idle_until {
+            // A probe issued now would reach every memory's queue ahead
+            // of the held broadcasts.
+            if self.polls < self.rows[i].idle_until || !self.held.is_empty() {
                 return;
             }
         }
@@ -692,6 +769,9 @@ impl NebEngine {
             1
         };
         let head = self.rows[i].last;
+        if depth > 1 {
+            self.rows[i].slots.reserve_window(self.depth);
+        }
         debug_assert!(
             issued_head <= head && head - issued_head <= self.depth as u64,
             "the read's window [{issued_head}, +2·{}) no longer covers Last[{q}] = {head}",
@@ -791,6 +871,9 @@ impl NebEngine {
         let run = (row.slots.0.iter().zip(row.last..))
             .take_while(|((k, stage), next)| k == next && matches!(stage, Stage::Ready(_)))
             .count();
+        if self.depth > 1 && self.deliveries.capacity() == 0 {
+            self.deliveries.reserve_exact(self.depth); // a window's release, once
+        }
         for (_, stage) in row.slots.0.drain(..run) {
             if let Stage::Ready(slot) = stage {
                 self.deliveries.push_back(Delivery { from: q, slot });
@@ -876,12 +959,15 @@ impl NebEngine {
         client: &mut MemoryClient<RegVal, Msg>,
         ev: RepEvent<RegVal>,
     ) {
-        // Tracked broadcast write acks surface to the owner (empty map —
-        // the default — makes this a no-op).
-        if let Some(k) = self.bcast_writes.remove(&ev.id) {
-            if matches!(ev.result, RepResult::WriteOk) {
-                self.written.push_back(k);
+        // A tracked broadcast write: under the fast path its acks surface
+        // to the owner, every `k` it carried in order; in pipelined mode
+        // the broadcasts held behind it go out now, acked or not.
+        if let Some(at) = (self.bcast_writes.iter()).position(|&(id, ..)| id == ev.id) {
+            let (_, first, count) = self.bcast_writes.remove(at);
+            if self.fast_path && matches!(ev.result, RepResult::WriteOk) {
+                self.written.push_back((first, first + count));
             }
+            self.send_held(ctx, client);
             return;
         }
         let Some((i, op)) = self.route(ev.id) else {
@@ -1085,15 +1171,18 @@ mod tests {
     use std::sync::Mutex;
 
     /// An honest participant: broadcasts its values at start, polls every
-    /// delay, records what it delivers, posts its batched copies and,
-    /// once a copy of `watch`'s row waits for the next shared audit, moves
-    /// its focus to `refocus` and records the slots of that row left
-    /// waiting.
+    /// delay, records what it delivers and which of its broadcast writes
+    /// were acknowledged when (the fast path), broadcasts `then_broadcast`
+    /// at its first acknowledgement, posts its batched copies and, once a
+    /// copy of `watch`'s row waits for the next shared audit, moves its
+    /// focus to `refocus` and records the slots of that row left waiting.
     struct Tester {
         engine: NebEngine,
         client: MemoryClient<RegVal, Msg>,
         to_broadcast: Vec<Value>,
+        then_broadcast: Vec<Value>,
         delivered: Vec<(Pid, u64, Value)>,
+        written: Vec<(Time, u64)>,
         watch: Option<(Pid, Option<Pid>)>,
         shared_at_refocus: Vec<u64>,
     }
@@ -1139,6 +1228,14 @@ mod tests {
         }
 
         fn after_event(&mut self, ctx: &mut Context<'_, Msg>) {
+            while let Some(k) = self.engine.next_written() {
+                self.written.push((ctx.now(), k));
+            }
+            if !self.written.is_empty() {
+                for v in std::mem::take(&mut self.then_broadcast) {
+                    self.engine.broadcast(ctx, &mut self.client, wire(v));
+                }
+            }
             while let Some(d) = self.engine.next_delivery() {
                 if let RbPayload::Setup { value, .. } = d.slot.wire.payload {
                     self.delivered.push((d.from, d.slot.k, value));
@@ -1225,13 +1322,12 @@ mod tests {
         sim
     }
 
-    /// A broadcast memory that naks `reader`'s first shared column audit
-    /// of `q` (a range read of `q`'s columns over more than one `k`) and
-    /// serves every other request as the memory it wraps.
+    /// A broadcast memory that naks the first request `refuse` picks out
+    /// (by its sender) and serves every other request as the memory it
+    /// wraps; one that starts `refused` naks nothing.
     struct RefusingMemory {
         mem: rdma_sim::MemoryActor<RegVal, Msg>,
-        reader: Pid,
-        q: Pid,
+        refuse: fn(Pid, &MemRequest<RegVal>) -> bool,
         refused: bool,
     }
 
@@ -1239,25 +1335,10 @@ mod tests {
         fn on_event(&mut self, ctx: &mut Context<'_, Msg>, ev: EventKind<Msg>) {
             if let EventKind::Msg {
                 from,
-                msg:
-                    Msg::Mem(MemWire::Req {
-                        op,
-                        req:
-                            MemRequest::ReadRange {
-                                within:
-                                    Some(RegionSpec::Pattern {
-                                        a: None,
-                                        b: Some(w),
-                                        c,
-                                        ..
-                                    }),
-                                ..
-                            },
-                    }),
+                msg: Msg::Mem(MemWire::Req { op, req }),
             } = &ev
             {
-                let shared = *c == Some(self.q.0 as u64) && *w != Window::exact(w.start());
-                if !self.refused && *from == self.reader && shared {
+                if !self.refused && (self.refuse)(*from, req) {
                     self.refused = true;
                     let resp = MemWire::Resp {
                         op: *op,
@@ -1269,6 +1350,25 @@ mod tests {
             }
             self.mem.on_event(ctx, ev);
         }
+    }
+
+    /// Whether `req` is a shared column audit of `q`: a range read of
+    /// `q`'s columns over more than one `k`.
+    fn shared_audit_of(q: Pid, req: &MemRequest<RegVal>) -> bool {
+        let MemRequest::ReadRange {
+            within:
+                Some(RegionSpec::Pattern {
+                    a: None,
+                    b: Some(w),
+                    c,
+                    ..
+                }),
+            ..
+        } = req
+        else {
+            return false;
+        };
+        *c == Some(q.0 as u64) && *w != Window::exact(w.start())
     }
 
     fn tester(
@@ -1283,7 +1383,9 @@ mod tests {
             engine,
             client: MemoryClient::new(),
             to_broadcast: Vec::new(),
+            then_broadcast: Vec::new(),
             delivered: Vec::new(),
+            written: Vec::new(),
             watch: None,
             shared_at_refocus: Vec::new(),
         }
@@ -1376,11 +1478,12 @@ mod tests {
                 }
                 Box::new(t) as Box<dyn AnyActor<Msg>>
             };
+            // p2's first shared audit of p0.
+            let refuse = |from, req: &_| from == ActorId(2) && shared_audit_of(ActorId(0), req);
             let mut sim = cluster_with(3, &mut build, &mut |at, procs| {
                 Box::new(RefusingMemory {
                     mem: memory_actor(procs),
-                    reader: p2,
-                    q: p0,
+                    refuse,
                     refused: at == 2,
                 })
             });
@@ -1495,6 +1598,230 @@ mod tests {
         assert!(sim.now() >= Time::from_delays(1000));
         assert_eq!(t.from(p0), (1..=4).zip(values).collect::<Vec<_>>());
         assert!(procs_unblocked(&t.engine));
+    }
+
+    /// One request a process sent a memory, by the broadcast cells it
+    /// names.
+    #[derive(Debug, PartialEq)]
+    enum Sent {
+        Write(Cell),
+        WriteMany(Vec<Cell>),
+        Read(Cell),
+        Range,
+    }
+
+    /// Logs every request `from` sends, per memory, in the order each
+    /// memory is sent them.
+    fn log_requests(
+        sim: &mut Simulation<Msg>,
+        from: Pid,
+    ) -> Arc<Mutex<BTreeMap<ActorId, Vec<Sent>>>> {
+        let log = Arc::new(Mutex::new(BTreeMap::new()));
+        let sink = Arc::clone(&log);
+        sim.set_delay_hook(Box::new(move |_, sender, to, msg| {
+            let Msg::Mem(MemWire::Req { req, .. }) = msg else {
+                return None;
+            };
+            if sender == from {
+                let sent = match req {
+                    MemRequest::Write { reg, .. } => Sent::Write(Cell::of(*reg)),
+                    MemRequest::WriteMany { writes, .. } => {
+                        Sent::WriteMany(writes.iter().map(|(reg, _)| Cell::of(*reg)).collect())
+                    }
+                    MemRequest::Read { reg, .. } => Sent::Read(Cell::of(*reg)),
+                    _ => Sent::Range,
+                };
+                sink.lock()
+                    .unwrap()
+                    .entry(to)
+                    .or_insert_with(Vec::new)
+                    .push(sent);
+            }
+            None
+        }));
+        log
+    }
+
+    /// `p`'s `k`-th broadcast slot.
+    fn own(p: Pid, k: u64) -> Cell {
+        Cell::of(slot_reg(p, k, p))
+    }
+
+    /// The broadcast writes among `sent`: the requests that name `p`'s
+    /// own slots.
+    fn broadcasts(p: Pid, sent: &[Sent]) -> Vec<&Sent> {
+        let mine = |cell: &Cell| cell.is_self_slot() && cell.row == p;
+        (sent.iter())
+            .filter(|s| match s {
+                Sent::Write(cell) => mine(cell),
+                Sent::WriteMany(cells) => cells.iter().all(mine),
+                _ => false,
+            })
+            .collect()
+    }
+
+    /// Three processes and three memories: p0 broadcasts `values` at
+    /// start at pipeline `depth`, under the fast path, focused on itself;
+    /// p1 and p2 follow p0's row at depth 4.
+    fn leader_cluster(depth: usize, values: Vec<Value>) -> Simulation<Msg> {
+        cluster(3, &mut |me, procs, mems, signers, verifier| {
+            let mut t = tester(me, procs, mems, &signers[me.0 as usize], verifier);
+            t.engine.set_focus(Some(ActorId(0)));
+            if me == ActorId(0) {
+                t.engine.set_pipeline_depth(depth);
+                t.engine.set_fast_path(true);
+                t.to_broadcast = values.clone();
+            } else {
+                t.engine.set_pipeline_depth(4);
+            }
+            Box::new(t)
+        })
+    }
+
+    fn values(n: u64) -> Vec<Value> {
+        (1..=n).map(|k| Value(100 + k)).collect()
+    }
+
+    /// A pipelined broadcaster whose first broadcast write is in flight
+    /// holds the next ones and sends them, when it completes, as one
+    /// `WriteMany` per memory; every follower delivers all of them, in
+    /// order.
+    #[test]
+    fn broadcasts_held_behind_a_write_in_flight_go_out_as_one_write_per_memory() {
+        let p0 = ActorId(0);
+        let mut sim = leader_cluster(4, values(6));
+        let log = log_requests(&mut sim, p0);
+        sim.run_until(Time::from_delays(200), |s| {
+            (1..3).all(|p| s.actor_as::<Tester>(ActorId(p)).unwrap().from(p0).len() == 6)
+        });
+        let expect: Vec<(u64, Value)> = (1..=6).zip(values(6)).collect();
+        for p in 1..3 {
+            assert_eq!(sim.actor_as::<Tester>(ActorId(p)).unwrap().from(p0), expect);
+        }
+        let log = log.lock().unwrap();
+        assert_eq!(log.len(), 3, "p0 wrote to every memory");
+        for (mem, sent) in log.iter() {
+            let batch = Sent::WriteMany((2..=6).map(|k| own(p0, k)).collect());
+            assert_eq!(
+                broadcasts(p0, sent),
+                [&Sent::Write(own(p0, 1)), &batch],
+                "memory {mem}"
+            );
+        }
+    }
+
+    /// Under the fast path, the ack of a write that carried several
+    /// broadcasts surfaces every one of them at once, in `k` order.
+    #[test]
+    fn one_ack_surfaces_every_k_its_write_carried_in_order() {
+        let mut sim = leader_cluster(4, values(6));
+        sim.run_until(Time::from_delays(200), |s| {
+            s.actor_as::<Tester>(ActorId(0)).unwrap().written.len() == 6
+        });
+        let written = &sim.actor_as::<Tester>(ActorId(0)).unwrap().written;
+        let ks: Vec<u64> = written.iter().map(|&(_, k)| k).collect();
+        assert_eq!(ks, [1, 2, 3, 4, 5, 6]);
+        let batch_acked = written[1].0;
+        assert!(written[0].0 < batch_acked);
+        assert!(
+            written[1..].iter().all(|&(at, _)| at == batch_acked),
+            "{written:?}"
+        );
+    }
+
+    /// A probe of an idle row issued while broadcasts are held would reach
+    /// every memory's queue ahead of them: the broadcaster polls from the
+    /// start, and still no read of another row lies between its first
+    /// write and the batch of the broadcasts held behind it. It does
+    /// probe the idle rows once nothing is held.
+    #[test]
+    fn no_idle_row_read_is_issued_between_a_held_broadcast_and_its_write() {
+        let p0 = ActorId(0);
+        let mut sim = leader_cluster(4, values(6));
+        let log = log_requests(&mut sim, p0);
+        sim.run_until(Time::from_delays(40), |_| false);
+        for (mem, sent) in log.lock().unwrap().iter() {
+            let at = |s: &Sent| sent.iter().position(|x| x == s).expect("sent");
+            let batch = Sent::WriteMany((2..=6).map(|k| own(p0, k)).collect());
+            let (first, held) = (at(&Sent::Write(own(p0, 1))), at(&batch));
+            let idle = |s: &Sent| matches!(s, Sent::Read(cell) if cell.row != p0);
+            assert!(
+                !sent[first..held].iter().any(idle),
+                "memory {mem}: {:?}",
+                &sent[..=held]
+            );
+            assert!(
+                sent[held..].iter().any(idle),
+                "memory {mem}: no idle row probed"
+            );
+        }
+    }
+
+    /// A broadcast batch two of three memories nak fails: none of its
+    /// `k`s surfaces as written, and the broadcasts held behind it still
+    /// go out — as one write — and surface when acknowledged.
+    #[test]
+    fn a_batch_a_majority_naks_surfaces_none_of_its_ks_and_what_it_held_back_still_goes_out() {
+        let p0 = ActorId(0);
+        let mut sim = cluster_with(
+            3,
+            &mut |me, procs, mems, signers, verifier| {
+                let mut t = tester(me, procs, mems, &signers[me.0 as usize], verifier);
+                if me == p0 {
+                    t.engine.set_pipeline_depth(4);
+                    t.engine.set_fast_path(true);
+                    t.to_broadcast = values(3);
+                    t.then_broadcast = vec![Value(201), Value(202)];
+                }
+                Box::new(t)
+            },
+            // p0's first broadcast batch, at two memories of three.
+            &mut |at, procs| {
+                let refuse = |from, req: &MemRequest<RegVal>| {
+                    from == ActorId(0) && matches!(req, MemRequest::WriteMany { .. })
+                };
+                Box::new(RefusingMemory {
+                    mem: memory_actor(procs),
+                    refuse,
+                    refused: at == 2,
+                })
+            },
+        );
+        let log = log_requests(&mut sim, p0);
+        sim.run_until(Time::from_delays(200), |s| {
+            s.actor_as::<Tester>(p0).unwrap().written.len() == 3
+        });
+        let t = sim.actor_as::<Tester>(p0).unwrap();
+        let ks: Vec<u64> = t.written.iter().map(|&(_, k)| k).collect();
+        assert_eq!(ks, [1, 4, 5]);
+        for (mem, sent) in log.lock().unwrap().iter() {
+            let batch = |ks: [u64; 2]| Sent::WriteMany(ks.map(|k| own(p0, k)).to_vec());
+            assert_eq!(
+                broadcasts(p0, sent),
+                [&Sent::Write(own(p0, 1)), &batch([2, 3]), &batch([4, 5])],
+                "memory {mem}"
+            );
+        }
+    }
+
+    /// At depth 1 a broadcast goes out the moment it is issued, each as
+    /// its own write, whatever is in flight.
+    #[test]
+    fn at_depth_1_every_broadcast_is_its_own_write() {
+        let p0 = ActorId(0);
+        let mut sim = leader_cluster(1, values(6));
+        let log = log_requests(&mut sim, p0);
+        sim.run_until(Time::from_delays(200), |s| {
+            s.actor_as::<Tester>(p0).unwrap().written.len() == 6
+        });
+        for (mem, sent) in log.lock().unwrap().iter() {
+            let writes: Vec<Sent> = (1..=6).map(|k| Sent::Write(own(p0, k))).collect();
+            assert_eq!(
+                broadcasts(p0, sent),
+                writes.iter().collect::<Vec<_>>(),
+                "memory {mem}"
+            );
+        }
     }
 
     fn procs_unblocked(engine: &NebEngine) -> bool {

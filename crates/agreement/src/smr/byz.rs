@@ -68,6 +68,12 @@
 //! unretired slots (the scan re-adopts from receipts), so every
 //! adversary drill runs unchanged.
 //!
+//! In a pipeline the broadcast engine keeps one broadcast write in flight
+//! and sends the broadcasts issued meanwhile as one write when it
+//! completes ([`crate::nebcast`]'s group commit), so a write may carry
+//! several batches, and its one ack settles every batch it carried, in
+//! broadcast order.
+//!
 //! # Modeled threat
 //!
 //! The adversaries this node is hardened (and tested) against are the

@@ -9,11 +9,13 @@
 //! engines, the other two each at the commit before the change they
 //! guard; like `byz_log_scaling`'s values they are never re-recorded — a
 //! refactor of the shell, the engines or the PMP proposer that moves one
-//! of them has changed the schedule, not just the code. The two pipelined
-//! Byzantine pins were re-recorded once, on purpose, when a follower's
-//! copies and receipts of one handler became one batched write per
-//! memory: the logs are the ones captured before, and the runs take about
-//! half the events, memory operations and time.
+//! of them has changed the schedule, not just the code. The pipelined
+//! Byzantine pins were re-recorded on purpose, with the logs captured
+//! before, when a follower's copies and receipts of one handler became one
+//! batched write per memory (the fast-path and mixed pins: about half the
+//! events, memory operations and time), and when the leader's broadcasts
+//! held behind its write in flight became one write per memory (all
+//! three: about a third fewer events and memory operations).
 
 use agreement::harness::{run_sharded, ShardedRunReport, ShardedScenario};
 use agreement::sharded::{GroupMode, WorkloadSpec};
@@ -105,8 +107,9 @@ fn crash_paced_failover() {
 
 /// `byz_pipeline` at 1/5: signed pipelined broadcast, window 8, leader
 /// fast path, every replica correct. Before followers batched their
-/// copies and receipts: `(…, 4495, 3335, 1545, 3020, 387000, 0, 75)`,
-/// the same log.
+/// copies and receipts: `(…, 4495, 3335, 1545, 3020, 387000, 0, 75)`;
+/// before the leader sent its held broadcasts as one write: `(…, 2576,
+/// 2005, 870, 1800, 191000, 0, 75)`; the same log.
 #[test]
 fn byzantine_pipeline_fast_path() {
     let mut sc = scenario(1, 600, 8, 64);
@@ -115,13 +118,15 @@ fn byzantine_pipeline_fast_path() {
     sc.byz_fast_path = true;
     assert_eq!(
         fingerprint("byz_pipeline", &sc),
-        (8266689179345589743, 2576, 2005, 870, 1800, 191000, 0, 75)
+        (8266689179345589743, 1793, 1399, 561, 1800, 133000, 0, 75)
     );
 }
 
 /// `byz_pipeline` at 1/5 without the fast path: window 8, and the leader
 /// settles its own batches at self-delivery, so its broadcast writes and
-/// its reads of its own row share every memory's queue.
+/// its reads of its own row share every memory's queue. Before the
+/// leader sent its held broadcasts as one write: `(…, 3859, 2971, 1347,
+/// 2673, 297000, 0, 0)`, the same log.
 #[test]
 fn byzantine_pipeline_conservative() {
     let mut sc = scenario(1, 600, 8, 64);
@@ -129,7 +134,7 @@ fn byzantine_pipeline_conservative() {
     sc.byz_pipeline_window = 8;
     assert_eq!(
         fingerprint("byz_pipeline_conservative", &sc),
-        (8266689179345589743, 3859, 2971, 1347, 2673, 297000, 0, 0)
+        (8266689179345589743, 2612, 2036, 882, 2760, 193000, 0, 0)
     );
 }
 
@@ -139,7 +144,8 @@ fn byzantine_pipeline_conservative() {
 /// permission grab + whole-log scan, nebcast scan + adopt) under one
 /// shell, in one schedule. Before the Byzantine group's followers batched
 /// their copies and receipts: `(…, 6061, 4392, 1995, 2880, 743858, 16,
-/// 118)`, the same log.
+/// 118)`; before its leaders sent their held broadcasts as one write:
+/// `(…, 4290, 3254, 1413, 2415, 440699, 16, 129)`; the same log.
 #[test]
 fn mixed_modes_with_a_takeover_each() {
     let mut sc = scenario(2, 800, 4, 16);
@@ -154,13 +160,13 @@ fn mixed_modes_with_a_takeover_each() {
         fingerprint("mixed", &sc),
         (
             11152018573274302320,
-            4290,
-            3254,
-            1413,
-            2415,
-            440699,
+            3814,
+            2872,
+            1224,
+            2457,
+            396103,
             16,
-            129
+            131
         )
     );
 }
