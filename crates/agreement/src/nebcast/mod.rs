@@ -34,13 +34,28 @@
 //! `Last[q]` reaches them. At the default depth 1 the engine is
 //! move-for-move identical to the classic head-of-line loop.
 //!
+//! **What an engine delivers.** At depth 1 the engine is Algorithm 2's
+//! loop over every sender, and Lemma 4.1 holds whole: a correct sender's
+//! broadcasts reach every correct process (property 1), no two correct
+//! processes deliver different values for one `(q, k)` (property 2), and
+//! nothing is delivered from a correct sender that it did not broadcast
+//! (property 3). A pipelined engine (`depth > 1`) with a focus reads no
+//! row but its focus's: it delivers its focus's broadcasts, and another
+//! sender's broadcasts are delivered once that sender becomes the focus
+//! (the new focus's row is probed at the next poll, and copies a focus
+//! change left waiting still get their audit). So properties 2 and 3 hold
+//! at every depth, and property 1 holds for every sender at depth 1 and
+//! for the focus above it. A pipelined engine with no focus runs the
+//! classic head-slot probe on every row. The Byzantine log
+//! ([`crate::smr::ByzSmrNode`]) focuses on Ω's leader and settles only its
+//! deliveries, so a read of another row never paid for its memory slot.
+//!
 //! State is kept per sender: one `Row` for each process, at its position
 //! in the group, holding `Last[q]`, whether `q` was caught equivocating,
-//! its idle backoff, its one row probe and one column audit in flight, and
-//! one table of its slots in flight, sorted by `k`, each in the one
-//! `Stage` of Algorithm 2 it has reached: reading, copying, audited alone,
-//! waiting for the shared audit, covered by it, or audited and waiting
-//! for release. A slot is in the table once, so "is `k` in flight?" is
+//! its one row probe and one column audit in flight, and one table of its
+//! slots in flight, sorted by `k`, each in the one `Stage` of Algorithm 2
+//! it has reached: reading, copying, audited alone, waiting for the
+//! shared audit, covered by it, or audited and waiting for release. A slot is in the table once, so "is `k` in flight?" is
 //! one lookup wherever it is asked. A completion is routed by looking
 //! through the rows for the operation it answers, and catching an
 //! equivocator clears its row and no other.
@@ -76,12 +91,10 @@
 //!   power is unchanged — an audit still reads every process's copy of
 //!   every `(k, q)` column it covers — and a delivery costs the same
 //!   operations whether the log holds ten entries or ten million.
-//! * **Idle-row backoff** — rows that read ⊥ are re-probed with
-//!   exponential backoff (capped), so rows that are idle in steady state
-//!   (followers never broadcast) stop consuming FIFO slots. While any of
-//!   this process's broadcasts is held (next bullet), no idle row is
-//!   probed at all: the read would reach every memory's queue ahead of
-//!   the held broadcasts and delay them a round trip.
+//! * **The focus's row only** — no other row is read, so rows that are
+//!   idle in steady state (followers never broadcast) take no FIFO slot:
+//!   a read queued ahead of a copy, an audit or a held broadcast delays
+//!   it a round trip.
 //! * **Group commit of the broadcaster's slots** — at most one broadcast
 //!   write is in flight. A broadcast issued meanwhile is signed at once
 //!   and held; when the write completes, acknowledged or not, everything
@@ -326,7 +339,8 @@ struct Row {
     /// deliveries are attempted.
     blocked: Option<u64>,
     /// Every slot in flight, in its stage — up to `depth` for the focused
-    /// sender, one for the rest (plus what a focus change leaves).
+    /// sender; for the rest, one at depth 1 or with no focus, and what a
+    /// focus change leaves.
     slots: Slots,
     /// Pipelined discovery: the one in-flight windowed read of `q`'s row,
     /// replacing per-slot probes, with the `Last[q]` its window started at.
@@ -334,10 +348,6 @@ struct Row {
     /// The one in-flight shared column audit, with the `Last[q]` its
     /// window started at. It covers the slots in [`Stage::Covered`].
     audit: Option<(RepId, u64)>,
-    /// Idle-row backoff (pipelined mode only): the earliest poll tick at
-    /// which the row may be probed again, and the current backoff.
-    idle_until: u64,
-    idle_backoff: u64,
 }
 
 impl Row {
@@ -348,8 +358,6 @@ impl Row {
             slots: Slots(Vec::new()),
             probe: None,
             audit: None,
-            idle_until: 0,
-            idle_backoff: 1,
         }
     }
 }
@@ -436,9 +444,8 @@ pub struct NebEngine {
     /// How many of the focused sender's slots to probe concurrently
     /// (1 = the classic head-of-line loop).
     depth: usize,
-    /// The one sender probed `depth` slots ahead (the group's leader —
-    /// followers' rows stay at depth 1 to avoid read amplification on
-    /// rows that are idle in steady state).
+    /// The one sender probed `depth` slots ahead (the group's leader); in
+    /// pipelined mode no other sender's row is read.
     focus: Option<Pid>,
     /// The leader fast path. Off (the default) is Algorithm 2 verbatim.
     /// On, [`NebEngine::broadcast`] write acks surface through
@@ -460,8 +467,6 @@ pub struct NebEngine {
     /// replication quorum, not yet drained by the owner: one `[next, end)`
     /// run per acknowledged write.
     written: VecDeque<(u64, u64)>,
-    /// Poll ticks seen (the idle-row backoff clock).
-    polls: u64,
     /// Pipelined mode: this handler's writes into this process's own row
     /// — copies and receipts — waiting for [`NebEngine::post`].
     batch: Vec<(RegId, RegVal)>,
@@ -469,11 +474,6 @@ pub struct NebEngine {
     /// once every memory has dropped its share.
     spare_batches: Vec<Arc<[(RegId, RegVal)]>>,
 }
-
-/// Longest the idle-row backoff may defer a probe, in poll ticks. Bounds
-/// the extra discovery latency on a cold row (e.g. a brand-new leader's
-/// first broadcast) while keeping steady-state waste negligible.
-const IDLE_BACKOFF_CAP: u64 = 16;
 
 impl std::fmt::Debug for NebEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -516,7 +516,6 @@ impl NebEngine {
             bcast_writes: Vec::new(),
             held: Vec::new(),
             written: VecDeque::new(),
-            polls: 0,
             batch: Vec::new(),
             spare_batches: Vec::new(),
         }
@@ -537,7 +536,8 @@ impl NebEngine {
     }
 
     /// Sets the one sender probed `depth` slots ahead (the group's
-    /// current leader; everyone else stays at depth 1).
+    /// current leader). In pipelined mode no other row is read, and the
+    /// new focus's row is probed at the next poll.
     pub fn set_focus(&mut self, focus: Option<Pid>) {
         self.focus = focus;
     }
@@ -674,10 +674,10 @@ impl NebEngine {
     }
 
     /// Starts delivery attempts for every sender slot in window without
-    /// one in flight. Call periodically (this is Algorithm 2's outer
-    /// `while true` loop, paced by the caller's timer).
+    /// one in flight (in pipelined mode with a focus, the focus's only).
+    /// Call periodically (this is Algorithm 2's outer `while true` loop,
+    /// paced by the caller's timer).
     pub fn poll(&mut self, ctx: &mut Context<'_, Msg>, client: &mut MemoryClient<RegVal, Msg>) {
-        self.polls += 1;
         for i in 0..self.rows.len() {
             self.launch_attempts(ctx, client, i);
         }
@@ -685,9 +685,9 @@ impl NebEngine {
 
     /// Launches missing delivery attempts on the row of sender `i` (its
     /// position in `procs`). In pipelined mode the focused sender's row is
-    /// discovered by a single range read (see the module docs); everyone
-    /// else gets the classic head-slot probe, deferred by the idle backoff
-    /// when the row keeps reading ⊥.
+    /// discovered by a single range read (see the module docs) and no other
+    /// row is read; at depth 1, or with no focus, every row gets the
+    /// classic head-slot probe.
     fn launch_attempts(
         &mut self,
         ctx: &mut Context<'_, Msg>,
@@ -727,10 +727,8 @@ impl NebEngine {
         if self.depth > 1 {
             // Copies orphaned by a focus change still need their audit.
             self.maybe_launch_audit(ctx, client, i);
-            // A probe issued now would reach every memory's queue ahead
-            // of the held broadcasts.
-            if self.polls < self.rows[i].idle_until || !self.held.is_empty() {
-                return;
+            if self.focus.is_some() {
+                return; // only the focus's row is read
             }
         }
         let head = self.rows[i].last;
@@ -1004,18 +1002,7 @@ impl NebEngine {
                 if !self.signed_by(q, k, &slot) {
                     return; // pretend we saw nothing; retry next poll
                 }
-                if self.depth > 1 {
-                    self.rows[i].idle_backoff = 1; // the row woke up
-                }
                 self.copy(ctx, client, i, k, slot);
-            }
-            // ⊥ / junk / failed: retry later. In pipelined mode an idle
-            // row backs off exponentially — speculative reads compete with
-            // useful ops for the per-memory FIFO slots.
-            (Stage::Read(_), _) if self.depth > 1 && self.focus != Some(q) => {
-                let row = &mut self.rows[i];
-                row.idle_until = self.polls + row.idle_backoff;
-                row.idle_backoff = (row.idle_backoff * 2).min(IDLE_BACKOFF_CAP);
             }
             (Stage::Audit { slot, .. }, RepResult::RangeOk(column)) => {
                 let convicted = self.convicted(q, k, &slot, &column);
@@ -1039,8 +1026,8 @@ impl NebEngine {
                     self.launch_attempts(ctx, client, i);
                 }
             }
-            // Any other failed read, copy or audit: the slot leaves the
-            // table, and a later poll starts it again.
+            // ⊥, junk, or any other failed read, copy or audit: the slot
+            // leaves the table, and a later poll starts it again.
             _ => {}
         }
     }
@@ -1170,12 +1157,16 @@ mod tests {
     use simnet::{Actor, AnyActor, Duration, EventKind, Simulation, Time};
     use std::sync::Mutex;
 
+    /// What moves a [`Tester`]'s focus once it holds.
+    type Trigger = Box<dyn Fn(&Tester) -> bool>;
+
     /// An honest participant: broadcasts its values at start, polls every
     /// delay, records what it delivers and which of its broadcast writes
     /// were acknowledged when (the fast path), broadcasts `then_broadcast`
-    /// at its first acknowledgement, posts its batched copies and, once a
-    /// copy of `watch`'s row waits for the next shared audit, moves its
-    /// focus to `refocus` and records the slots of that row left waiting.
+    /// at its first acknowledgement, posts its batched copies and makes
+    /// the focus changes of `then_focus` in order, each once its trigger
+    /// holds. It records when it made each, and which slots of the old
+    /// focus's row were left waiting for the next shared audit.
     struct Tester {
         engine: NebEngine,
         client: MemoryClient<RegVal, Msg>,
@@ -1183,8 +1174,8 @@ mod tests {
         then_broadcast: Vec<Value>,
         delivered: Vec<(Pid, u64, Value)>,
         written: Vec<(Time, u64)>,
-        watch: Option<(Pid, Option<Pid>)>,
-        shared_at_refocus: Vec<u64>,
+        then_focus: VecDeque<(Trigger, Option<Pid>)>,
+        refocused: Vec<(Time, Vec<u64>)>,
     }
 
     impl Row {
@@ -1242,13 +1233,15 @@ mod tests {
                 }
             }
             self.engine.post(ctx, &mut self.client);
-            if let Some((watched, refocus)) = self.watch {
-                let shared = self.row(watched).awaiting_audit();
-                if !shared.is_empty() {
-                    self.shared_at_refocus = shared;
-                    self.engine.set_focus(refocus);
-                    self.watch = None;
-                }
+            if self
+                .then_focus
+                .front()
+                .is_some_and(|(holds, _)| holds(self))
+            {
+                let (_, focus) = self.then_focus.pop_front().expect("checked");
+                let old = self.engine.focus.map(|q| self.row(q).awaiting_audit());
+                self.engine.set_focus(focus);
+                self.refocused.push((ctx.now(), old.unwrap_or_default()));
             }
         }
 
@@ -1386,20 +1379,21 @@ mod tests {
             then_broadcast: Vec::new(),
             delivered: Vec::new(),
             written: Vec::new(),
-            watch: None,
-            shared_at_refocus: Vec::new(),
+            then_focus: VecDeque::new(),
+            refocused: Vec::new(),
         }
     }
 
     /// What `reader` asked of one memory about `q`'s slots, by `k`: its
     /// single-slot reads of `slots[q, k, q]`, its copies into
     /// `slots[reader, k, q]` (alone or in a batch) and its single-column
-    /// audits of `(k, q)`.
+    /// audits of `(k, q)`; and when it sent each range probe of `q`'s row.
     #[derive(Default)]
     struct SlotOps {
         reads: BTreeMap<u64, usize>,
         copies: BTreeMap<u64, usize>,
         audits: BTreeMap<u64, usize>,
+        probes: Vec<Time>,
     }
 
     /// Counts [`SlotOps`] from the requests `reader` sends to `mem`: each
@@ -1412,7 +1406,7 @@ mod tests {
     ) -> Arc<Mutex<SlotOps>> {
         let ops = Arc::new(Mutex::new(SlotOps::default()));
         let sink = Arc::clone(&ops);
-        sim.set_delay_hook(Box::new(move |_, from, to, msg| {
+        sim.set_delay_hook(Box::new(move |at, from, to, msg| {
             let Msg::Mem(MemWire::Req { req, .. }) = msg else {
                 return None;
             };
@@ -1445,6 +1439,10 @@ mod tests {
                 } if *c == Some(q.0 as u64) && *w == Window::exact(w.start()) => {
                     *ops.audits.entry(w.start()).or_default() += 1;
                 }
+                MemRequest::ReadRange {
+                    within: Some(RegionSpec::Pattern { a, c, .. }),
+                    ..
+                } if *a == Some(q.0 as u64) && *c == Some(q.0 as u64) => ops.probes.push(at),
                 _ => {}
             }
             None
@@ -1459,7 +1457,9 @@ mod tests {
     /// their audit and every slot is delivered once, in order, with no one
     /// blocked; a slot waiting for the shared audit at the refocus is
     /// neither read, copied nor audited alone again, and no slot is left
-    /// behind below `Last[q]`.
+    /// behind below `Last[q]`. A focus moved to p1 comes back to p0 once
+    /// p1's two broadcasts are delivered, and p0's row is never read one
+    /// slot at a time: a pipelined engine with a focus reads no other row.
     #[test]
     fn a_focus_change_with_copies_waiting_for_their_audit_delivers_everything_in_order() {
         let (p0, p1, p2) = (ActorId(0), ActorId(1), ActorId(2));
@@ -1474,7 +1474,13 @@ mod tests {
                 } else {
                     t.engine.set_pipeline_depth(4);
                     t.engine.set_focus(Some(p0));
-                    t.watch = Some((p0, refocus));
+                    let waiting: Trigger =
+                        Box::new(move |t| !t.row(p0).awaiting_audit().is_empty());
+                    t.then_focus.push_back((waiting, refocus));
+                    if refocus.is_some() {
+                        let back: Trigger = Box::new(move |t| t.from(p1).len() == 2);
+                        t.then_focus.push_back((back, Some(p0)));
+                    }
                 }
                 Box::new(t) as Box<dyn AnyActor<Msg>>
             };
@@ -1493,7 +1499,9 @@ mod tests {
                 t.from(p0).len() == 6 && t.from(p1).len() == 2
             });
             let t = sim.actor_as::<Tester>(p2).unwrap();
-            assert!(!t.shared_at_refocus.is_empty(), "the focus never moved");
+            let Some((_, shared_at_refocus)) = t.refocused.first() else {
+                panic!("the focus never moved");
+            };
             let expect = |base, n| (1..=n).zip(values(base, n)).collect::<Vec<_>>();
             assert_eq!(t.from(p0), expect(100, 6), "refocus {refocus:?}");
             assert_eq!(t.from(p1), expect(200, 2), "refocus {refocus:?}");
@@ -1514,9 +1522,13 @@ mod tests {
             let ops = ops.lock().unwrap();
             let once: BTreeMap<u64, usize> = (1..=6).map(|k| (k, 1)).collect();
             assert_eq!(ops.copies, once, "refocus {refocus:?}");
-            for k in &t.shared_at_refocus {
+            for k in shared_at_refocus {
                 let again = (ops.reads.get(k), ops.audits.get(k));
                 assert_eq!(again, (None, None), "refocus {refocus:?}: k = {k}");
+            }
+            if refocus.is_some() {
+                assert_eq!(t.refocused.len(), 2, "the focus never came back");
+                assert_eq!(ops.reads, BTreeMap::new(), "p0's slots read one by one");
             }
         }
     }
@@ -1729,32 +1741,87 @@ mod tests {
         );
     }
 
-    /// A probe of an idle row issued while broadcasts are held would reach
-    /// every memory's queue ahead of them: the broadcaster polls from the
-    /// start, and still no read of another row lies between its first
-    /// write and the batch of the broadcasts held behind it. It does
-    /// probe the idle rows once nothing is held.
+    /// p2 of [`two_senders`].
+    fn tester_of(sim: &Simulation<Msg>) -> &Tester {
+        sim.actor_as::<Tester>(ActorId(2)).unwrap()
+    }
+
+    /// Three processes and three memories: p0 and p1 broadcast six
+    /// values each at start; p2 follows p0's row at depth 4 and moves its
+    /// focus to p1 once `refocus` holds (never, if `None`). The counts are
+    /// p2's requests about p1's row at one memory.
+    fn two_senders(refocus: Option<Trigger>) -> (Simulation<Msg>, Arc<Mutex<SlotOps>>) {
+        let mut refocus = refocus.map(|holds| (holds, Some(ActorId(1))));
+        let mut sim = cluster(3, &mut |me, procs, mems, signers, verifier| {
+            let mut t = tester(me, procs, mems, &signers[me.0 as usize], verifier);
+            if me == ActorId(2) {
+                t.engine.set_pipeline_depth(4);
+                t.engine.set_focus(Some(ActorId(0)));
+                t.then_focus.extend(refocus.take());
+            } else {
+                t.to_broadcast = (1..=6)
+                    .map(|k| Value(100 * (me.0 as u64 + 1) + k))
+                    .collect();
+            }
+            Box::new(t)
+        });
+        let ops = count_slot_ops(&mut sim, ActorId(2), ActorId(1), ActorId(3));
+        (sim, ops)
+    }
+
+    /// A pipelined engine with a focus reads no other sender's row, even
+    /// while that sender broadcasts: p2 delivers p0's six broadcasts and
+    /// sends no request about p1's, which are all written.
     #[test]
-    fn no_idle_row_read_is_issued_between_a_held_broadcast_and_its_write() {
-        let p0 = ActorId(0);
-        let mut sim = leader_cluster(4, values(6));
-        let log = log_requests(&mut sim, p0);
-        sim.run_until(Time::from_delays(40), |_| false);
-        for (mem, sent) in log.lock().unwrap().iter() {
-            let at = |s: &Sent| sent.iter().position(|x| x == s).expect("sent");
-            let batch = Sent::WriteMany((2..=6).map(|k| own(p0, k)).collect());
-            let (first, held) = (at(&Sent::Write(own(p0, 1))), at(&batch));
-            let idle = |s: &Sent| matches!(s, Sent::Read(cell) if cell.row != p0);
-            assert!(
-                !sent[first..held].iter().any(idle),
-                "memory {mem}: {:?}",
-                &sent[..=held]
-            );
-            assert!(
-                sent[held..].iter().any(idle),
-                "memory {mem}: no idle row probed"
-            );
-        }
+    fn a_focused_pipelined_engine_reads_no_other_senders_row() {
+        let (p0, p1) = (ActorId(0), ActorId(1));
+        let (mut sim, ops) = two_senders(None);
+        sim.run_until(Time::from_delays(100), |_| false);
+        let t = tester_of(&sim);
+        let expect: Vec<(u64, Value)> = (1..=6).map(|k| (k, Value(100 + k))).collect();
+        assert_eq!(t.from(p0), expect);
+        assert_eq!(t.from(p1), []);
+        let mem = sim
+            .actor_as::<rdma_sim::MemoryActor<RegVal, Msg>>(ActorId(3))
+            .unwrap();
+        assert!((1..=6).all(|k| mem.register(slot_reg(p1, k, p1)).is_some()));
+        let ops = ops.lock().unwrap();
+        assert_eq!(ops.reads, BTreeMap::new(), "p1's head slots read");
+        assert_eq!(ops.probes, [], "p1's row probed");
+        assert!(ops.copies.is_empty() && ops.audits.is_empty());
+    }
+
+    /// A refocus wakes the new focus's row at once: p1's row, never read
+    /// before, is probed by the next poll after the focus moves to p1, and
+    /// every broadcast of p1's is then copied and delivered once, in
+    /// order.
+    #[test]
+    fn a_refocus_reads_the_new_focuss_row_at_the_next_poll_and_delivers_it_all() {
+        let (p0, p1) = (ActorId(0), ActorId(1));
+        let (mut sim, ops) = two_senders(Some(Box::new(move |t| t.from(p0).len() == 6)));
+        sim.run_until(Time::from_delays(200), |s| {
+            !tester_of(s).refocused.is_empty()
+        });
+        let [(refocused, _)] = tester_of(&sim).refocused[..] else {
+            panic!("never refocused");
+        };
+        assert_eq!(ops.lock().unwrap().probes, [], "p1's row probed before");
+        // The poll after the refocus, one delay later at most.
+        sim.run_until(refocused + Duration::from_delays(1), |_| false);
+        assert!(
+            tester_of(&sim).row(p1).probe.is_some(),
+            "p1's row not probed"
+        );
+        sim.run_until(Time::from_delays(200), |s| tester_of(s).from(p1).len() == 6);
+        let t = tester_of(&sim);
+        let expect = |base| (1..=6).map(|k| (k, Value(base + k))).collect::<Vec<_>>();
+        assert_eq!(t.from(p0), expect(100));
+        assert_eq!(t.from(p1), expect(200));
+        assert_eq!(t.refocused.len(), 1);
+        let ops = ops.lock().unwrap();
+        let once: BTreeMap<u64, usize> = (1..=6).map(|k| (k, 1)).collect();
+        assert_eq!(ops.copies, once);
+        assert_eq!(ops.reads, BTreeMap::new());
     }
 
     /// A broadcast batch two of three memories nak fails: none of its
@@ -1831,6 +1898,9 @@ mod tests {
     /// An equivocator caught in the middle of its pipelined window loses
     /// its whole row — and only its row: another sender's attempt in
     /// flight at that instant goes on, and all its slots are delivered.
+    /// The focus moves from p0 to p3 while p0's copy of k = 2 is in
+    /// flight, so p0's window is audited slot by slot and p3's row is read
+    /// beside it.
     #[test]
     fn an_equivocator_caught_mid_window_purges_only_its_own_row() {
         let (p0, p1, p2, p3) = (ActorId(0), ActorId(1), ActorId(2), ActorId(3));
@@ -1858,6 +1928,8 @@ mod tests {
             if me == p2 {
                 t.engine.set_pipeline_depth(4);
                 t.engine.set_focus(Some(p0));
+                let copying: Trigger = Box::new(move |t| t.row(p0).attempts().contains(&2));
+                t.then_focus.push_back((copying, Some(p3)));
             } else {
                 t.to_broadcast = (1..=6).map(|k| Value(300 + k)).collect();
             }

@@ -53,27 +53,35 @@ use simnet::{DelayModel, RdmaCost, TICKS_PER_DELAY};
 const RUSTC: &str = env!("BENCH_RUSTC_VERSION");
 
 /// This snapshot's PR number (names the output file and anchors the gate).
-const PR: u32 = 47;
+const PR: u32 = 48;
 
 /// The snapshot [`MOVED_OK`] names moves against: the list applies only
 /// when the gate compares with `BENCH_PR<MOVED_SINCE>.json`, so a list
 /// left behind by an earlier PR excuses nothing.
-const MOVED_SINCE: u32 = 46;
+const MOVED_SINCE: u32 = 47;
 
 /// The values this snapshot moves on purpose against
-/// `BENCH_PR<MOVED_SINCE>.json`: the pipelined Byzantine rows and the
-/// headline gap (the leader sends the broadcasts it holds behind its
-/// write in flight as one write per memory).
+/// `BENCH_PR<MOVED_SINCE>.json`: the pipelined Byzantine rows, their span
+/// and byte-priced rows, the log-scaling rows' allocation ratio and the
+/// headline gap (a pipelined engine reads no row but its leader's).
 const MOVED_OK: &[&str] = &[
     "byz_log_scaling_1500",
     "byz_log_scaling_3000",
     "byz_log_scaling_6000",
+    "byz_log_scaling.allocs_per_cmd_6000_over_1500",
     "byz_pipeline_w2_conservative",
     "byz_pipeline_w2_fast",
     "byz_pipeline_w4_conservative",
     "byz_pipeline_w4_fast",
     "byz_pipeline_w8_conservative",
     "byz_pipeline_w8_fast",
+    "spans_byz_pipeline_w8_fast_g0",
+    "spans_byz_pipeline_w8_fast_g1",
+    "spans_byz_pipeline_w8_fast_g2",
+    "spans_byz_pipeline_w8_fast_g3",
+    "cost_baseline_byz_w8_fast_g4",
+    "cost_write_opt_byz_w8_fast_g4",
+    "cost_congested_byz_w8_fast_g4",
     "byz_pipeline.headline_w8_fast_gap_vs_crash",
 ];
 
@@ -548,9 +556,13 @@ fn byz_pipelined_service(cmds: usize) -> ShardedScenario {
 /// The router window is 64 here (not `byzantine`'s 16): a 16-command
 /// window holds only two batches of 8 in flight, which starves any
 /// pipeline deeper than 2 — the sweep would plateau at the router, not the
-/// broadcast engine. Window 1 conservative is the classic one-slot engine;
-/// the headline config (window 8 + fast path) is held to ≤3x the crash
-/// baseline.
+/// broadcast engine. Window 1 conservative is the classic one-slot engine.
+/// The gap is the crash baseline's committed commands per delay over a
+/// config's. The baseline is a crash log that keeps one round in flight
+/// (`smr/pmp.rs`), so against a window-8 Byzantine log the gap is not the
+/// paper's broadcast price: it says the pipelined Byzantine service
+/// commits at least as fast as the one-round crash log of the same shape,
+/// and the headline config (window 8 + fast path) is held to ≤ 1.0.
 fn byz_pipeline(cmds: usize) -> Section {
     let cmds = tenth(cmds);
     let crash = g4_service(cmds, 64, GroupMode::CrashPmp);
@@ -570,8 +582,8 @@ fn byz_pipeline(cmds: usize) -> Section {
     let gap = |m: &MeasuredShard| runs[0].report.committed_per_delay / m.report.committed_per_delay;
     let (w1_conservative, headline) = (&runs[1], &runs[8]);
     assert!(
-        gap(headline) <= 3.0,
-        "byz_pipeline: headline gap {:.2}x exceeds the 3x target",
+        gap(headline) <= 1.0,
+        "byz_pipeline: the headline config commits slower than the one-round crash log ({:.2}x)",
         gap(headline)
     );
     assert!(

@@ -198,9 +198,13 @@ fn main() {
     // with a deep broadcast pipeline (8 concurrent signed broadcasts per
     // leader) and the speculative fast path (leader settles at write-ack,
     // router fast-confirms at f+1 matching reports). The router window is
-    // 64 so the pipeline actually has commands to chew on. Measured
-    // against a crash-PMP baseline of the same shape, the throughput gap
-    // must close to ≤3x — the classic one-slot engine sits near 10x.
+    // 64 so the pipeline actually has commands to chew on. The gap is the
+    // crash-PMP baseline's committed commands per delay over the pipelined
+    // Byzantine service's, at the same shape. That baseline keeps one
+    // round in flight, so the gap is not the broadcast price (the classic
+    // one-slot Byzantine engine sits near 10x): it says the window-8
+    // Byzantine service commits at least as fast as the one-round crash
+    // log, and must stay ≤ 1.0.
     println!("\nsharded_log: pipelined Byzantine broadcast vs crash baseline (G=4)");
     let pipe_base = {
         let mut sc = ShardedScenario::common_case(4, 3, 3, 2026);
@@ -228,8 +232,8 @@ fn main() {
     );
     assert!(r_pipe.all_committed && r_pipe.all_logs_agree && r_pipe.no_cross_group_leak);
     assert!(
-        gap <= 3.0,
-        "pipelined Byzantine gap {gap:.2}x exceeds the 3x target"
+        gap <= 1.0,
+        "pipelined Byzantine service slower than the one-round crash log ({gap:.2}x)"
     );
     // The pipeline does not soften the adversary handling: the same run
     // with an equivocating leader in group 1 still blocks the rewrite,
@@ -249,7 +253,7 @@ fn main() {
         r_adv.equivocations_blocked > 0 && r_adv.byz_unconfirmed_claims > 0,
         "pipelined run: the adversary path was not exercised"
     );
-    println!("  pipelined demo: ≤3x of crash with the audit + confirmation quorum intact");
+    println!("  pipelined demo: ≤1x of crash with the audit + confirmation quorum intact");
 
     // Command-lifecycle spans, aggregated from the recorded event stream —
     // one crash-PMP group next to one Byzantine group, so the broadcast

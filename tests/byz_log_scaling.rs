@@ -61,14 +61,17 @@ fn range_rows_per_command_do_not_grow_with_the_log() {
 
 /// Bounding the reads changes what they return, not what the engine does
 /// with it: schedule, operation counts and logs of the benchmark-sized
-/// run are pinned. Captured with unbounded audits, and re-recorded twice,
-/// on purpose, each time with the same log: when a follower's copies and
-/// receipts of one handler became one batched write per memory (899
-/// delays instead of 1 887; 1.5898 commands per delay, 7 452 memory
-/// operations, 22 002 events and 16 341 messages before), and when the
+/// run are pinned. Captured with unbounded audits, and re-recorded three
+/// times, on purpose, each time with the same log: when a follower's
+/// copies and receipts of one handler became one batched write per memory
+/// (899 delays instead of 1 887; 1.5898 commands per delay, 7 452 memory
+/// operations, 22 002 events and 16 341 messages before), when the
 /// leader's broadcasts held behind its write in flight became one write
 /// per memory (637 delays instead of 899; 3.3370 commands per delay,
-/// 4 044 memory operations, 12 260 events and 9 565 messages before).
+/// 4 044 memory operations, 12 260 events and 9 565 messages before), and
+/// when the pipelined engine stopped reading any row but its leader's
+/// (505 delays instead of 637; 4.7096 commands per delay, 2 619 memory
+/// operations, 8 622 events and 6 715 messages before).
 #[test]
 fn the_3000_command_run_is_the_parent_commits_run() {
     let r = run(3_000);
@@ -93,11 +96,11 @@ fn the_3000_command_run_is_the_parent_commits_run() {
             log_hash(&r),
         ),
         (
-            4.7095761381475665,
-            637.0,
-            2619,
-            8622,
-            6715,
+            5.9405940594059405,
+            505.0,
+            2019,
+            7024,
+            5515,
             3000,
             0x1358_1a9e_18ae_a054
         ),

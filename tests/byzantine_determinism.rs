@@ -245,7 +245,10 @@ fn pipelined_fast_path_run_is_thread_count_invariant() {
 /// Byzantine replica has been forging delivery receipts all along, and
 /// the successor's scan must (a) reject the forged receipts on
 /// provenance, (b) adopt the receipted prefix, and (c) keep the service
-/// exactly-once with agreeing logs.
+/// exactly-once with agreeing logs. The demotion lands at 60 δ, while
+/// commands are still uncommitted: at 120 δ it came after the last commit
+/// (113 δ) once the service read only the leader's row, and tested no
+/// takeover.
 #[test]
 fn windowed_takeover_adopts_receipted_prefix_exactly_once() {
     for fast in [false, true] {
@@ -261,9 +264,14 @@ fn windowed_takeover_adopts_receipted_prefix_exactly_once() {
         // scan's provenance check must strip their adoption preference.
         sc.adversaries = vec![(0, 2, AdversaryKind::ReceiptForger)];
         // Demote the (honest, pipelining) initial leader mid-stream.
-        sc.announce = vec![(0, 1, 120)];
+        let demoted_at = 60;
+        sc.announce = vec![(0, 1, demoted_at)];
         let r = run_sharded(&sc);
         assert!(r.all_committed, "fast={fast}: {r:?}");
+        assert!(
+            r.elapsed_delays > demoted_at as f64,
+            "fast={fast}: everything committed before the demotion: {r:?}"
+        );
         assert!(r.all_logs_agree, "fast={fast}: replica logs diverged");
         assert_exactly_once(&sc, &r);
         assert!(

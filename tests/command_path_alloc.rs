@@ -171,13 +171,16 @@ fn a_batch_1_crash_command_allocates_nothing_at_the_margin() {
 /// pending map, no round buffer, no per-poll vector, no ordered-map node
 /// per stored register or per slot in flight, no entry per `k` of a
 /// broadcast write, and no range buffer — a read's rows land in a buffer
-/// the reader recycles. Measured 0.3200 (0.3233 while the leader sent
-/// every broadcast as its own write; 0.665 while every copy and receipt
-/// was its own write and every range response its own allocation; 0.93
-/// while the memories kept an ordered map of registers and nebcast
-/// ordered maps per `(sender, k)`; 2.25 before the router's dense masks,
-/// the replication engine's windowed tables, the shared value run and
-/// nebcast's reused buffers); headroom to 0.345, about 8 %.
+/// the reader recycles. Measured 0.3267 (0.3200 while the engine also
+/// read rows other than its leader's: more memory operations in all,
+/// fewer allocations per command at the margin; 0.3233 while the leader
+/// sent every broadcast as its own write; 0.665 while every copy and
+/// receipt was its own write and every range response its own
+/// allocation; 0.93 while the memories kept an ordered map of registers
+/// and nebcast ordered maps per `(sender, k)`; 2.25 before the router's
+/// dense masks, the replication engine's windowed tables, the shared
+/// value run and nebcast's reused buffers); headroom to 0.345, about
+/// 5.6 %.
 #[test]
 fn a_pipelined_byzantine_command_allocates_only_protocol_data() {
     let (per_cmd, _) = marginal_per_cmd(byzantine_pipelined, 600);

@@ -15,12 +15,14 @@ use sigsim::{SigAuthority, SigVerifier, Signer};
 use simnet::{Actor, ActorId, Context, DelayModel, Duration, EventKind, Simulation, Time};
 
 /// A minimal honest participant: broadcasts a scripted list of values and
-/// records everything it delivers.
+/// records everything it delivers; once it delivers from the first sender
+/// of `refocus`, it moves its focus to the second.
 struct NebTester {
     engine: NebEngine,
     client: MemoryClient<RegVal, Msg>,
     to_broadcast: Vec<Value>,
     delivered: Vec<(Pid, u64, Value)>,
+    refocus: Option<(Pid, Pid)>,
 }
 
 impl NebTester {
@@ -37,6 +39,7 @@ impl NebTester {
             client: MemoryClient::new(),
             to_broadcast,
             delivered: Vec::new(),
+            refocus: None,
         }
     }
 
@@ -55,6 +58,12 @@ impl NebTester {
             }
         }
         self.engine.post(ctx, &mut self.client);
+        if let Some((from, to)) = self.refocus {
+            if self.delivered.iter().any(|&(f, _, _)| f == from) {
+                self.engine.set_focus(Some(to));
+                self.refocus = None;
+            }
+        }
     }
 }
 
@@ -311,7 +320,10 @@ proptest! {
     }
 
     /// Property 1 resilience: minority memory crashes never block honest
-    /// broadcast delivery, at any pipeline depth.
+    /// broadcast delivery, at any pipeline depth. A pipelined engine
+    /// delivers its focus's broadcasts, so at depths 4 and 8 each process
+    /// moves its focus from process 0 to process 1 once process 0's
+    /// broadcast is delivered.
     #[test]
     fn property_one_with_memory_crashes(seed in 0u64..500, dead in 0usize..2) {
         for depth in DEPTHS {
@@ -330,9 +342,13 @@ proptest! {
                     auth.verifier(),
                     vec![Value(10 + i as u64)],
                 );
-                // Each focuses on process 0's row; process 1's row takes
-                // the head-slot path beside it.
-                sim.add(tester.pipelined(depth, ActorId(0)));
+                // Each focuses on process 0's row; at depth 1 process 1's
+                // row takes the head-slot path beside it.
+                let mut tester = tester.pipelined(depth, ActorId(0));
+                if depth > 1 {
+                    tester.refocus = Some((ActorId(0), ActorId(1)));
+                }
+                sim.add(tester);
             }
             for _ in 0..m {
                 sim.add(nebcast::memory_actor(&procs));

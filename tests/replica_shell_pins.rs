@@ -109,7 +109,9 @@ fn crash_paced_failover() {
 /// fast path, every replica correct. Before followers batched their
 /// copies and receipts: `(…, 4495, 3335, 1545, 3020, 387000, 0, 75)`;
 /// before the leader sent its held broadcasts as one write: `(…, 2576,
-/// 2005, 870, 1800, 191000, 0, 75)`; the same log.
+/// 2005, 870, 1800, 191000, 0, 75)`; before the engine read only its
+/// leader's row: `(…, 1793, 1399, 561, 1800, 133000, 0, 75)`; the same
+/// log.
 #[test]
 fn byzantine_pipeline_fast_path() {
     let mut sc = scenario(1, 600, 8, 64);
@@ -118,7 +120,7 @@ fn byzantine_pipeline_fast_path() {
     sc.byz_fast_path = true;
     assert_eq!(
         fingerprint("byz_pipeline", &sc),
-        (8266689179345589743, 1793, 1399, 561, 1800, 133000, 0, 75)
+        (8266689179345589743, 1471, 1147, 435, 1800, 109000, 0, 75)
     );
 }
 
@@ -126,7 +128,8 @@ fn byzantine_pipeline_fast_path() {
 /// settles its own batches at self-delivery, so its broadcast writes and
 /// its reads of its own row share every memory's queue. Before the
 /// leader sent its held broadcasts as one write: `(…, 3859, 2971, 1347,
-/// 2673, 297000, 0, 0)`, the same log.
+/// 2673, 297000, 0, 0)`; before the engine read only its leader's row:
+/// `(…, 2612, 2036, 882, 2760, 193000, 0, 0)`; the same log.
 #[test]
 fn byzantine_pipeline_conservative() {
     let mut sc = scenario(1, 600, 8, 64);
@@ -134,7 +137,7 @@ fn byzantine_pipeline_conservative() {
     sc.byz_pipeline_window = 8;
     assert_eq!(
         fingerprint("byz_pipeline_conservative", &sc),
-        (8266689179345589743, 2612, 2036, 882, 2760, 193000, 0, 0)
+        (8266689179345589743, 1988, 1568, 645, 2820, 141000, 0, 0)
     );
 }
 
@@ -145,7 +148,9 @@ fn byzantine_pipeline_conservative() {
 /// shell, in one schedule. Before the Byzantine group's followers batched
 /// their copies and receipts: `(…, 6061, 4392, 1995, 2880, 743858, 16,
 /// 118)`; before its leaders sent their held broadcasts as one write:
-/// `(…, 4290, 3254, 1413, 2415, 440699, 16, 129)`; the same log.
+/// `(…, 4290, 3254, 1413, 2415, 440699, 16, 129)`; before its engines
+/// read only the leader's row: `(…, 3814, 2872, 1224, 2457, 396103, 16,
+/// 131)`; the same log.
 #[test]
 fn mixed_modes_with_a_takeover_each() {
     let mut sc = scenario(2, 800, 4, 16);
@@ -158,16 +163,7 @@ fn mixed_modes_with_a_takeover_each() {
     sc.announce = vec![(0, 1, 70), (1, 2, 120)];
     assert_eq!(
         fingerprint("mixed", &sc),
-        (
-            11152018573274302320,
-            3814,
-            2872,
-            1224,
-            2457,
-            396103,
-            16,
-            131
-        )
+        (11152018573274302320, 3143, 2307, 936, 2766, 345979, 16, 136)
     );
 }
 
