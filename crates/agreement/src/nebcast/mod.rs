@@ -34,21 +34,25 @@
 //! `Last[q]` reaches them. At the default depth 1 the engine is
 //! move-for-move identical to the classic head-of-line loop.
 //!
-//! **What an engine delivers.** At depth 1 the engine is Algorithm 2's
-//! loop over every sender, and Lemma 4.1 holds whole: a correct sender's
-//! broadcasts reach every correct process (property 1), no two correct
-//! processes deliver different values for one `(q, k)` (property 2), and
-//! nothing is delivered from a correct sender that it did not broadcast
-//! (property 3). A pipelined engine (`depth > 1`) with a focus reads no
-//! row but its focus's: it delivers its focus's broadcasts, and another
-//! sender's broadcasts are delivered once that sender becomes the focus
-//! (the new focus's row is probed at the next poll, and copies a focus
-//! change left waiting still get their audit). So properties 2 and 3 hold
-//! at every depth, and property 1 holds for every sender at depth 1 and
-//! for the focus above it. A pipelined engine with no focus runs the
-//! classic head-slot probe on every row. The Byzantine log
-//! ([`crate::smr::ByzSmrNode`]) focuses on Ω's leader and settles only its
-//! deliveries, so a read of another row never paid for its memory slot.
+//! **What an engine delivers.** The engine has two modes.
+//!
+//! * **Depth 1** is Algorithm 2's loop over every sender: each row's head
+//!   slot is read, copied and audited alone. Lemma 4.1 holds whole: a
+//!   correct sender's broadcasts reach every correct process (property
+//!   1), no two correct processes deliver different values for one `(q,
+//!   k)` (property 2), and nothing is delivered from a correct sender that
+//!   it did not broadcast (property 3).
+//! * **Depth > 1** reads the focus's row and no other
+//!   ([`NebEngine::set_focus`]; an engine with no focus reads nothing). A
+//!   row that loses the focus finishes the copies it has in flight through
+//!   its shared audit and adopts nothing more; a new focus's row is probed
+//!   at the next poll. So another sender's broadcasts are delivered once
+//!   that sender becomes the focus: properties 2 and 3 hold, and property
+//!   1 holds for the focus.
+//!
+//! The Byzantine log ([`crate::smr::ByzSmrNode`]) focuses on Ω's leader
+//! and settles only its deliveries, so a read of another row never paid
+//! for its memory slot.
 //!
 //! State is kept per sender: one `Row` for each process, at its position
 //! in the group, holding `Last[q]`, whether `q` was caught equivocating,
@@ -91,10 +95,10 @@
 //!   power is unchanged — an audit still reads every process's copy of
 //!   every `(k, q)` column it covers — and a delivery costs the same
 //!   operations whether the log holds ten entries or ten million.
-//! * **The focus's row only** — no other row is read, so rows that are
-//!   idle in steady state (followers never broadcast) take no FIFO slot:
-//!   a read queued ahead of a copy, an audit or a held broadcast delays
-//!   it a round trip.
+//! * **The focus's row only** — no other row is read, copied from or
+//!   audited slot by slot, so rows that are idle in steady state
+//!   (followers never broadcast) take no FIFO slot: a read queued ahead
+//!   of a copy, an audit or a held broadcast delays it a round trip.
 //! * **Group commit of the broadcaster's slots** — at most one broadcast
 //!   write is in flight. A broadcast issued meanwhile is signed at once
 //!   and held; when the write completes, acknowledged or not, everything
@@ -269,15 +273,16 @@ pub struct Delivery {
 /// and leaves when it is released as a delivery, when an operation on it
 /// fails (a later poll starts it again), or when its sender is blocked.
 enum Stage {
-    /// Step 1: reading `slots[q, k, q]`.
+    /// Step 1, at depth 1: reading `slots[q, k, q]`.
     Read(RepId),
     /// Step 2: copying the signed value into this process's audit slot
     /// `slots[p, k, q]` — in pipelined mode as one row of the handler's
     /// batch, whose id is [`QUEUED`] until [`NebEngine::post`] sends it.
     Copy { slot: Arc<NebSlot>, rep: RepId },
-    /// Step 3, alone: reading the `(k, q)` column.
+    /// Step 3, alone, at depth 1: reading the `(k, q)` column.
     Audit { slot: Arc<NebSlot>, rep: RepId },
-    /// Copied; waiting for the sender's next shared column audit.
+    /// Copied, in pipelined mode; waiting for the sender's next shared
+    /// column audit.
     Await(Arc<NebSlot>),
     /// Covered by the sender's shared column audit in flight, which was
     /// issued after this copy completed (Algorithm 2's copy-then-audit
@@ -338,12 +343,13 @@ struct Row {
     /// The sequence number at which `q` was caught equivocating; no further
     /// deliveries are attempted.
     blocked: Option<u64>,
-    /// Every slot in flight, in its stage — up to `depth` for the focused
-    /// sender; for the rest, one at depth 1 or with no focus, and what a
-    /// focus change leaves.
+    /// Every slot in flight, in its stage — one at depth 1; above it, up
+    /// to `depth` for the focused sender and the copies a focus change
+    /// left in flight for the rest.
     slots: Slots,
-    /// Pipelined discovery: the one in-flight windowed read of `q`'s row,
-    /// replacing per-slot probes, with the `Last[q]` its window started at.
+    /// Pipelined discovery: the one in-flight windowed read of the focus's
+    /// row, replacing per-slot probes, with the `Last[q]` its window
+    /// started at.
     probe: Option<(RepId, u64)>,
     /// The one in-flight shared column audit, with the `Last[q]` its
     /// window started at. It covers the slots in [`Stage::Covered`].
@@ -445,7 +451,8 @@ pub struct NebEngine {
     /// (1 = the classic head-of-line loop).
     depth: usize,
     /// The one sender probed `depth` slots ahead (the group's leader); in
-    /// pipelined mode no other sender's row is read.
+    /// pipelined mode no other sender's row is read, and with none set
+    /// no row is.
     focus: Option<Pid>,
     /// The leader fast path. Off (the default) is Algorithm 2 verbatim.
     /// On, [`NebEngine::broadcast`] write acks surface through
@@ -538,8 +545,8 @@ impl NebEngine {
     /// Sets the one sender probed `depth` slots ahead (the group's
     /// current leader). In pipelined mode no other row is read, and the
     /// new focus's row is probed at the next poll.
-    pub fn set_focus(&mut self, focus: Option<Pid>) {
-        self.focus = focus;
+    pub fn set_focus(&mut self, focus: Pid) {
+        self.focus = Some(focus);
     }
 
     /// The one sender probed `depth` slots ahead, if any.
@@ -634,7 +641,7 @@ impl NebEngine {
     /// Broadcasts `wire`, returning the sequence number used. In
     /// pipelined mode a broadcast issued while another broadcast write is
     /// in flight is signed at once and held: everything held goes out as
-    /// one write when that write completes (see [`NebEngine::send_held`]).
+    /// one write when that write completes (see `send_held`).
     pub fn broadcast(
         &mut self,
         ctx: &mut Context<'_, Msg>,
@@ -674,7 +681,7 @@ impl NebEngine {
     }
 
     /// Starts delivery attempts for every sender slot in window without
-    /// one in flight (in pipelined mode with a focus, the focus's only).
+    /// one in flight (in pipelined mode, the focus's only).
     /// Call periodically (this is Algorithm 2's outer `while true` loop,
     /// paced by the caller's timer).
     pub fn poll(&mut self, ctx: &mut Context<'_, Msg>, client: &mut MemoryClient<RegVal, Msg>) {
@@ -684,10 +691,10 @@ impl NebEngine {
     }
 
     /// Launches missing delivery attempts on the row of sender `i` (its
-    /// position in `procs`). In pipelined mode the focused sender's row is
-    /// discovered by a single range read (see the module docs) and no other
-    /// row is read; at depth 1, or with no focus, every row gets the
-    /// classic head-slot probe.
+    /// position in `procs`). At depth 1 every row gets the classic
+    /// head-slot read. In pipelined mode only the focus's row is read, by
+    /// a single range read (see the module docs) when its pipeline is dry,
+    /// and every row's copies waiting for their audit get one.
     fn launch_attempts(
         &mut self,
         ctx: &mut Context<'_, Msg>,
@@ -695,44 +702,29 @@ impl NebEngine {
         i: usize,
     ) {
         let q = self.procs[i];
-        if self.rows[i].blocked.is_some() || (self.fast_path && q == self.me) {
+        let row = &self.rows[i];
+        if row.blocked.is_some() || (self.fast_path && q == self.me) {
             return;
         }
-        if self.depth > 1 && self.focus == Some(q) {
+        if self.depth > 1 {
             // The shared column audit's range read also returns q's own
             // row, so it doubles as discovery; the dedicated row probe
-            // only runs when q's pipeline is completely dry (nothing in
-            // flight whose completion would discover new slots).
-            let row = &self.rows[i];
-            let busy = row.audit.is_some()
-                || (row.slots.0.iter()).any(|(_, stage)| !matches!(stage, Stage::Ready(_)));
-            if !busy && row.probe.is_none() {
+            // only runs when the focus's pipeline is completely dry
+            // (nothing in flight whose completion would discover new
+            // slots).
+            let dry = row.probe.is_none()
+                && row.audit.is_none()
+                && (row.slots.0.iter()).all(|(_, stage)| matches!(stage, Stage::Ready(_)));
+            if dry && self.focus == Some(q) {
                 let head = row.last;
-                let rep = self.rep.read_range(
-                    ctx,
-                    client,
-                    ALL_REGION,
-                    Some(RegionSpec::Pattern {
-                        space: spaces::NEB,
-                        a: Some(q.0 as u64),
-                        b: Some(self.read_window(head)),
-                        c: Some(q.0 as u64),
-                    }),
-                );
+                let rep = self.read_cells(ctx, client, Some(q), q, self.read_window(head));
                 self.rows[i].probe = Some((rep, head));
             }
             self.maybe_launch_audit(ctx, client, i);
             return;
         }
-        if self.depth > 1 {
-            // Copies orphaned by a focus change still need their audit.
-            self.maybe_launch_audit(ctx, client, i);
-            if self.focus.is_some() {
-                return; // only the focus's row is read
-            }
-        }
-        let head = self.rows[i].last;
-        if self.rows[i].slots.contains(head) {
+        let head = row.last;
+        if row.slots.contains(head) {
             return;
         }
         let rep = self.rep.read(ctx, client, ALL_REGION, slot_reg(q, head, q));
@@ -745,10 +737,31 @@ impl NebEngine {
         Window::span(head, (self.depth as u64).saturating_mul(2))
     }
 
-    /// Adopts the slots of sender `i`'s own row returned by a range read
-    /// whose window started at `issued_head`: every validly signed,
-    /// in-window, not-yet-attempted slot goes straight to the copy step
-    /// (the read already fetched its value).
+    /// One range read of sender `q`'s cells `slots[i, k, q]` for every
+    /// `k` in `window`: in one row `i` (a row probe, `owner = Some(q)`), or
+    /// in every process's row (a column audit, `None`).
+    fn read_cells(
+        &mut self,
+        ctx: &mut Context<'_, Msg>,
+        client: &mut MemoryClient<RegVal, Msg>,
+        owner: Option<Pid>,
+        q: Pid,
+        window: Window,
+    ) -> RepId {
+        let cells = RegionSpec::Pattern {
+            space: spaces::NEB,
+            a: owner.map(|i| i.0 as u64),
+            b: Some(window),
+            c: Some(q.0 as u64),
+        };
+        self.rep.read_range(ctx, client, ALL_REGION, Some(cells))
+    }
+
+    /// Adopts the slots of the focus's own row (sender `i`) returned by a
+    /// range read whose window started at `issued_head`: every validly
+    /// signed, in-window, not-yet-attempted slot goes straight to the copy
+    /// step (the read already fetched its value). A row that lost the
+    /// focus adopts nothing.
     fn adopt_row<'a>(
         &mut self,
         ctx: &mut Context<'_, Msg>,
@@ -758,20 +771,14 @@ impl NebEngine {
         rows: impl IntoIterator<Item = &'a (RegId, RegVal)>,
     ) {
         let q = self.procs[i];
-        if self.rows[i].blocked.is_some() {
+        if self.rows[i].blocked.is_some() || self.focus != Some(q) {
             return;
         }
-        let depth = if self.depth > 1 && self.focus == Some(q) {
-            self.depth as u64
-        } else {
-            1
-        };
         let head = self.rows[i].last;
-        if depth > 1 {
-            self.rows[i].slots.reserve_window(self.depth);
-        }
+        let depth = self.depth as u64;
+        self.rows[i].slots.reserve_window(self.depth);
         debug_assert!(
-            issued_head <= head && head - issued_head <= self.depth as u64,
+            issued_head <= head && head - issued_head <= depth,
             "the read's window [{issued_head}, +2·{}) no longer covers Last[{q}] = {head}",
             self.depth
         );
@@ -815,9 +822,6 @@ impl NebEngine {
         client: &mut MemoryClient<RegVal, Msg>,
         i: usize,
     ) {
-        let q = self.procs[i];
-        let head = self.rows[i].last;
-        let window = self.read_window(head);
         let row = &mut self.rows[i];
         if row.audit.is_some() {
             return;
@@ -832,18 +836,9 @@ impl NebEngine {
         if !covered {
             return;
         }
-        let rep = self.rep.read_range(
-            ctx,
-            client,
-            ALL_REGION,
-            Some(RegionSpec::Pattern {
-                space: spaces::NEB,
-                a: None,
-                b: Some(window),
-                c: Some(q.0 as u64),
-            }),
-        );
-        row.audit = Some((rep, head));
+        let head = row.last;
+        let rep = self.read_cells(ctx, client, None, self.procs[i], self.read_window(head));
+        self.rows[i].audit = Some((rep, head));
     }
 
     /// Drops every in-flight structure of sender `i` after it was caught
@@ -861,9 +856,8 @@ impl NebEngine {
     }
 
     /// Moves the run of [`Stage::Ready`] slots at the head of sender `i`'s
-    /// sequence into the delivery queue; returns whether anything was
-    /// released.
-    fn release_ready(&mut self, i: usize) -> bool {
+    /// sequence into the delivery queue.
+    fn release_ready(&mut self, i: usize) {
         let q = self.procs[i];
         let row = &mut self.rows[i];
         let run = (row.slots.0.iter().zip(row.last..))
@@ -878,7 +872,6 @@ impl NebEngine {
             }
         }
         row.last += run as u64;
-        run > 0
     }
 
     /// Step 1's check: `slot` is keyed `k` and validly signed by `q`.
@@ -1008,23 +1001,15 @@ impl NebEngine {
                 let convicted = self.convicted(q, k, &slot, &column);
                 self.rep.recycle_rows(column);
                 if convicted {
-                    // q signed two different messages for k: equivocation.
-                    // Abandon the rest of q's window: nothing from an
-                    // equivocator is ever delivered (no-ops at depth 1).
+                    // q signed two different messages for k: equivocation,
+                    // and nothing from an equivocator is ever delivered.
                     self.block(ctx, i, k);
                     return;
                 }
-                // Audited out-of-order slots wait in the table;
-                // deliveries are released strictly in sequence order.
+                // The next slot is read at the next poll (the timer
+                // cadence of the head-of-line loop).
                 self.rows[i].slots.insert(k, Stage::Ready(slot));
-                let released = self.release_ready(i);
-                // Per-slot completion chaining: a released head frees
-                // window room — probe q's next slots now instead of
-                // waiting for the timer (classic depth keeps the timer
-                // cadence, bit-identical to the head-of-line loop).
-                if released && self.depth > 1 {
-                    self.launch_attempts(ctx, client, i);
-                }
+                self.release_ready(i);
             }
             // ⊥, junk, or any other failed read, copy or audit: the slot
             // leaves the table, and a later poll starts it again.
@@ -1033,9 +1018,9 @@ impl NebEngine {
     }
 
     /// Moves every copy written by operation `id` on, in every row: on
-    /// failure out of the table (a later poll starts it again); else the
-    /// focused sender's copies join its next shared column audit
-    /// together, and any other sender's copy is audited alone.
+    /// failure out of the table (a later poll starts it again); else, in
+    /// pipelined mode, a row's copies join its next shared column audit
+    /// together, and at depth 1 the one copy is audited alone.
     fn on_copied(
         &mut self,
         ctx: &mut Context<'_, Msg>,
@@ -1043,9 +1028,8 @@ impl NebEngine {
         id: RepId,
         ok: bool,
     ) {
+        let shared = self.depth > 1;
         for i in 0..self.rows.len() {
-            let q = self.procs[i];
-            let shared = self.depth > 1 && self.focus == Some(q);
             let mut joined = false;
             let mut at = 0;
             while let Some((k, stage)) = self.rows[i].slots.0.get(at) {
@@ -1064,17 +1048,7 @@ impl NebEngine {
                     joined = true;
                     Stage::Await(slot)
                 } else {
-                    let rep = self.rep.read_range(
-                        ctx,
-                        client,
-                        ALL_REGION,
-                        Some(RegionSpec::Pattern {
-                            space: spaces::NEB,
-                            a: None,
-                            b: Some(Window::exact(k)),
-                            c: Some(q.0 as u64),
-                        }),
-                    );
+                    let rep = self.read_cells(ctx, client, None, self.procs[i], Window::exact(k));
                     Stage::Audit { slot, rep }
                 };
                 self.rows[i].slots.0[at].1 = next;
@@ -1131,11 +1105,10 @@ impl NebEngine {
         });
         self.adopt_row(ctx, client, i, head, own_row);
         self.rep.recycle_rows(all);
-        // Chain the next round of work for q (the row probe if the
-        // pipeline drained, and an audit for any copies that completed
-        // while this one was in flight).
+        // Chain the next round of work for q: the row probe if the
+        // focus's pipeline drained, and an audit for any copies that
+        // completed while this one was in flight.
         self.launch_attempts(ctx, client, i);
-        self.maybe_launch_audit(ctx, client, i);
     }
 
     /// The oldest queued delivery (deliveries come in per-sender
@@ -1174,7 +1147,7 @@ mod tests {
         then_broadcast: Vec<Value>,
         delivered: Vec<(Pid, u64, Value)>,
         written: Vec<(Time, u64)>,
-        then_focus: VecDeque<(Trigger, Option<Pid>)>,
+        then_focus: VecDeque<(Trigger, Pid)>,
         refocused: Vec<(Time, Vec<u64>)>,
     }
 
@@ -1387,13 +1360,22 @@ mod tests {
     /// What `reader` asked of one memory about `q`'s slots, by `k`: its
     /// single-slot reads of `slots[q, k, q]`, its copies into
     /// `slots[reader, k, q]` (alone or in a batch) and its single-column
-    /// audits of `(k, q)`; and when it sent each range probe of `q`'s row.
+    /// audits of `(k, q)`; and when it sent each copy and each range probe
+    /// of `q`'s row.
     #[derive(Default)]
     struct SlotOps {
         reads: BTreeMap<u64, usize>,
         copies: BTreeMap<u64, usize>,
         audits: BTreeMap<u64, usize>,
+        copies_sent: Vec<(Time, u64)>,
         probes: Vec<Time>,
+    }
+
+    impl SlotOps {
+        fn copied(&mut self, at: Time, k: u64) {
+            *self.copies.entry(k).or_default() += 1;
+            self.copies_sent.push((at, k));
+        }
     }
 
     /// Counts [`SlotOps`] from the requests `reader` sends to `mem`: each
@@ -1419,12 +1401,10 @@ mod tests {
                 MemRequest::Read { reg, .. } if *reg == slot_reg(q, Cell::of(*reg).k, q) => {
                     *ops.reads.entry(Cell::of(*reg).k).or_default() += 1;
                 }
-                MemRequest::Write { reg, .. } if copy(reg) => {
-                    *ops.copies.entry(Cell::of(*reg).k).or_default() += 1;
-                }
+                MemRequest::Write { reg, .. } if copy(reg) => ops.copied(at, Cell::of(*reg).k),
                 MemRequest::WriteMany { writes, .. } => {
                     for (reg, _) in writes.iter().filter(|(reg, _)| copy(reg)) {
-                        *ops.copies.entry(Cell::of(*reg).k).or_default() += 1;
+                        ops.copied(at, Cell::of(*reg).k);
                     }
                 }
                 MemRequest::ReadRange {
@@ -1452,85 +1432,78 @@ mod tests {
 
     /// Copies waiting for the focused sender's next shared audit — as
     /// they are once an audit that covered them fails: here two memories
-    /// of three nak p2's first shared audit of p0 — are orphaned when the
-    /// focus moves away (to another sender, or to none). They still get
-    /// their audit and every slot is delivered once, in order, with no one
-    /// blocked; a slot waiting for the shared audit at the refocus is
-    /// neither read, copied nor audited alone again, and no slot is left
-    /// behind below `Last[q]`. A focus moved to p1 comes back to p0 once
-    /// p1's two broadcasts are delivered, and p0's row is never read one
-    /// slot at a time: a pipelined engine with a focus reads no other row.
+    /// of three nak p2's first shared audit of p0 — are left behind when
+    /// the focus moves to p1. They still get their audit and every slot is
+    /// delivered once, in order, with no one blocked; a slot waiting for
+    /// the shared audit at the refocus is neither read, copied nor audited
+    /// alone again, and no slot is left behind below `Last[q]`. The focus
+    /// comes back to p0 once p1's two broadcasts are delivered, and p0's
+    /// row is never read one slot at a time: a pipelined engine reads no
+    /// row but its focus's.
     #[test]
     fn a_focus_change_with_copies_waiting_for_their_audit_delivers_everything_in_order() {
         let (p0, p1, p2) = (ActorId(0), ActorId(1), ActorId(2));
         let values = |base: u64, n: u64| (1..=n).map(|k| Value(base + k)).collect::<Vec<_>>();
-        for refocus in [Some(p1), None] {
-            let mut build = |me, procs: &[Pid], mems: &[ActorId], signers: &[Signer], verifier| {
-                let mut t = tester(me, procs, mems, &signers[me.0 as usize], verifier);
-                if me == p0 {
-                    t.to_broadcast = values(100, 6);
-                } else if me == p1 {
-                    t.to_broadcast = values(200, 2);
-                } else {
-                    t.engine.set_pipeline_depth(4);
-                    t.engine.set_focus(Some(p0));
-                    let waiting: Trigger =
-                        Box::new(move |t| !t.row(p0).awaiting_audit().is_empty());
-                    t.then_focus.push_back((waiting, refocus));
-                    if refocus.is_some() {
-                        let back: Trigger = Box::new(move |t| t.from(p1).len() == 2);
-                        t.then_focus.push_back((back, Some(p0)));
-                    }
-                }
-                Box::new(t) as Box<dyn AnyActor<Msg>>
-            };
-            // p2's first shared audit of p0.
-            let refuse = |from, req: &_| from == ActorId(2) && shared_audit_of(ActorId(0), req);
-            let mut sim = cluster_with(3, &mut build, &mut |at, procs| {
-                Box::new(RefusingMemory {
-                    mem: memory_actor(procs),
-                    refuse,
-                    refused: at == 2,
-                })
-            });
-            let ops = count_slot_ops(&mut sim, p2, p0, ActorId(3));
-            sim.run_until(Time::from_delays(400), |s| {
-                let t = s.actor_as::<Tester>(p2).unwrap();
-                t.from(p0).len() == 6 && t.from(p1).len() == 2
-            });
-            let t = sim.actor_as::<Tester>(p2).unwrap();
-            let Some((_, shared_at_refocus)) = t.refocused.first() else {
-                panic!("the focus never moved");
-            };
-            let expect = |base, n| (1..=n).zip(values(base, n)).collect::<Vec<_>>();
-            assert_eq!(t.from(p0), expect(100, 6), "refocus {refocus:?}");
-            assert_eq!(t.from(p1), expect(200, 2), "refocus {refocus:?}");
-            assert!(procs_unblocked(&t.engine), "refocus {refocus:?}");
-            assert!(t.row(p0).awaiting_audit().is_empty() && t.row(p0).audit.is_none());
-            for (&q, row) in t.engine.procs.iter().zip(&t.engine.rows) {
-                let below = row.ks(|_| true).into_iter().filter(|&k| k < row.last);
-                assert_eq!(
-                    below.collect::<Vec<_>>(),
-                    [],
-                    "{q}'s row at Last = {}",
-                    row.last
-                );
+        let mut build = |me, procs: &[Pid], mems: &[ActorId], signers: &[Signer], verifier| {
+            let mut t = tester(me, procs, mems, &signers[me.0 as usize], verifier);
+            if me == p0 {
+                t.to_broadcast = values(100, 6);
+            } else if me == p1 {
+                t.to_broadcast = values(200, 2);
+            } else {
+                t.engine.set_pipeline_depth(4);
+                t.engine.set_focus(p0);
+                let waiting: Trigger = Box::new(move |t| !t.row(p0).awaiting_audit().is_empty());
+                t.then_focus.push_back((waiting, p1));
+                let back: Trigger = Box::new(move |t| t.from(p1).len() == 2);
+                t.then_focus.push_back((back, p0));
             }
-            // Every slot of p0's was copied once; those waiting for the
-            // shared audit at the refocus were read by the row probe and
-            // audited by a shared audit, never again one by one.
-            let ops = ops.lock().unwrap();
-            let once: BTreeMap<u64, usize> = (1..=6).map(|k| (k, 1)).collect();
-            assert_eq!(ops.copies, once, "refocus {refocus:?}");
-            for k in shared_at_refocus {
-                let again = (ops.reads.get(k), ops.audits.get(k));
-                assert_eq!(again, (None, None), "refocus {refocus:?}: k = {k}");
-            }
-            if refocus.is_some() {
-                assert_eq!(t.refocused.len(), 2, "the focus never came back");
-                assert_eq!(ops.reads, BTreeMap::new(), "p0's slots read one by one");
-            }
+            Box::new(t) as Box<dyn AnyActor<Msg>>
+        };
+        // p2's first shared audit of p0.
+        let refuse = |from, req: &_| from == ActorId(2) && shared_audit_of(ActorId(0), req);
+        let mut sim = cluster_with(3, &mut build, &mut |at, procs| {
+            Box::new(RefusingMemory {
+                mem: memory_actor(procs),
+                refuse,
+                refused: at == 2,
+            })
+        });
+        let ops = count_slot_ops(&mut sim, p2, p0, ActorId(3));
+        sim.run_until(Time::from_delays(400), |s| {
+            let t = s.actor_as::<Tester>(p2).unwrap();
+            t.from(p0).len() == 6 && t.from(p1).len() == 2
+        });
+        let t = sim.actor_as::<Tester>(p2).unwrap();
+        let Some((_, shared_at_refocus)) = t.refocused.first() else {
+            panic!("the focus never moved");
+        };
+        let expect = |base, n| (1..=n).zip(values(base, n)).collect::<Vec<_>>();
+        assert_eq!(t.from(p0), expect(100, 6));
+        assert_eq!(t.from(p1), expect(200, 2));
+        assert!(procs_unblocked(&t.engine));
+        assert!(t.row(p0).awaiting_audit().is_empty() && t.row(p0).audit.is_none());
+        for (&q, row) in t.engine.procs.iter().zip(&t.engine.rows) {
+            let below = row.ks(|_| true).into_iter().filter(|&k| k < row.last);
+            assert_eq!(
+                below.collect::<Vec<_>>(),
+                [],
+                "{q}'s row at Last = {}",
+                row.last
+            );
         }
+        // Every slot of p0's was copied once; those waiting for the
+        // shared audit at the refocus were read by the row probe and
+        // audited by a shared audit, never again one by one.
+        let ops = ops.lock().unwrap();
+        let once: BTreeMap<u64, usize> = (1..=6).map(|k| (k, 1)).collect();
+        assert_eq!(ops.copies, once);
+        for k in shared_at_refocus {
+            let again = (ops.reads.get(k), ops.audits.get(k));
+            assert_eq!(again, (None, None), "k = {k}");
+        }
+        assert_eq!(t.refocused.len(), 2, "the focus never came back");
+        assert_eq!(ops.reads, BTreeMap::new(), "p0's slots read one by one");
     }
 
     /// A pipelined reader's batch of copies torn by a memory crash — it
@@ -1549,7 +1522,7 @@ mod tests {
                 t.to_broadcast = values.clone();
             } else if me == p2 {
                 t.engine.set_pipeline_depth(4);
-                t.engine.set_focus(Some(p0));
+                t.engine.set_focus(p0);
             }
             Box::new(t)
         });
@@ -1678,7 +1651,7 @@ mod tests {
     fn leader_cluster(depth: usize, values: Vec<Value>) -> Simulation<Msg> {
         cluster(3, &mut |me, procs, mems, signers, verifier| {
             let mut t = tester(me, procs, mems, &signers[me.0 as usize], verifier);
-            t.engine.set_focus(Some(ActorId(0)));
+            t.engine.set_focus(ActorId(0));
             if me == ActorId(0) {
                 t.engine.set_pipeline_depth(depth);
                 t.engine.set_fast_path(true);
@@ -1751,12 +1724,12 @@ mod tests {
     /// focus to p1 once `refocus` holds (never, if `None`). The counts are
     /// p2's requests about p1's row at one memory.
     fn two_senders(refocus: Option<Trigger>) -> (Simulation<Msg>, Arc<Mutex<SlotOps>>) {
-        let mut refocus = refocus.map(|holds| (holds, Some(ActorId(1))));
+        let mut refocus = refocus.map(|holds| (holds, ActorId(1)));
         let mut sim = cluster(3, &mut |me, procs, mems, signers, verifier| {
             let mut t = tester(me, procs, mems, &signers[me.0 as usize], verifier);
             if me == ActorId(2) {
                 t.engine.set_pipeline_depth(4);
-                t.engine.set_focus(Some(ActorId(0)));
+                t.engine.set_focus(ActorId(0));
                 t.then_focus.extend(refocus.take());
             } else {
                 t.to_broadcast = (1..=6)
@@ -1899,8 +1872,9 @@ mod tests {
     /// its whole row — and only its row: another sender's attempt in
     /// flight at that instant goes on, and all its slots are delivered.
     /// The focus moves from p0 to p3 while p0's copy of k = 2 is in
-    /// flight, so p0's window is audited slot by slot and p3's row is read
-    /// beside it.
+    /// flight, so p3's row is read beside p0's copies, which p0's shared
+    /// audit covers. A row that lost the focus adopts nothing: p2 sends no
+    /// copy of a p0 slot after the refocus.
     #[test]
     fn an_equivocator_caught_mid_window_purges_only_its_own_row() {
         let (p0, p1, p2, p3) = (ActorId(0), ActorId(1), ActorId(2), ActorId(3));
@@ -1927,20 +1901,33 @@ mod tests {
             let mut t = tester(me, procs, mems, &signers[me.0 as usize], verifier);
             if me == p2 {
                 t.engine.set_pipeline_depth(4);
-                t.engine.set_focus(Some(p0));
+                t.engine.set_focus(p0);
                 let copying: Trigger = Box::new(move |t| t.row(p0).attempts().contains(&2));
-                t.then_focus.push_back((copying, Some(p3)));
+                t.then_focus.push_back((copying, p3));
             } else {
                 t.to_broadcast = (1..=6).map(|k| Value(300 + k)).collect();
             }
             Box::new(t)
         });
+        let ops = count_slot_ops(&mut sim, p2, p0, ActorId(4));
         sim.run_until(Time::from_delays(400), |s| {
             let t = s.actor_as::<Tester>(p2).unwrap();
             t.engine.blocked_at(p0).is_some()
         });
         let t = sim.actor_as::<Tester>(p2).unwrap();
         assert_eq!(t.engine.blocked_at(p0), Some(2));
+        let [(refocused, _)] = t.refocused[..] else {
+            panic!("the focus never moved to p3");
+        };
+        // p0's copies, by when p2 sent them: none after the refocus, and
+        // none audited alone.
+        let ops = ops.lock().unwrap();
+        let copies = &ops.copies_sent;
+        assert!(copies.iter().any(|&(_, k)| k == 2), "{copies:?}");
+        let late = copies.iter().filter(|&&(at, _)| at > refocused);
+        assert_eq!(late.count(), 0, "refocused at {refocused:?}: {copies:?}");
+        assert_eq!(ops.audits, BTreeMap::new(), "p0's slots audited alone");
+        drop(ops);
         let purged = t.row(p0);
         assert!(purged.attempts().is_empty() && purged.ready().is_empty());
         assert!(
@@ -1964,5 +1951,39 @@ mod tests {
         assert_eq!(t.engine.blocked_at(p0), Some(2));
         // A process outside the broadcast group was never blocked.
         assert_eq!(t.engine.blocked_at(ActorId(99)), None);
+    }
+
+    /// A row that loses the focus adopts nothing: p2 moves its focus from
+    /// p0 to p1 while its first probe of p0's row is in flight, and sends
+    /// no copy of any of p0's six broadcasts, although that probe finds
+    /// them; p1's are delivered, in order.
+    #[test]
+    fn a_row_that_lost_the_focus_adopts_nothing_its_probe_finds() {
+        let (p0, p1, p2) = (ActorId(0), ActorId(1), ActorId(2));
+        let mut sim = cluster(3, &mut |me, procs, mems, signers, verifier| {
+            let mut t = tester(me, procs, mems, &signers[me.0 as usize], verifier);
+            if me == p2 {
+                t.engine.set_pipeline_depth(4);
+                t.engine.set_focus(p0);
+                let probing: Trigger = Box::new(move |t| t.row(p0).probe.is_some());
+                t.then_focus.push_back((probing, p1));
+            } else {
+                t.to_broadcast = (1..=6)
+                    .map(|k| Value(100 * (me.0 as u64 + 1) + k))
+                    .collect();
+            }
+            Box::new(t)
+        });
+        let ops = count_slot_ops(&mut sim, p2, p0, ActorId(3));
+        sim.run_until(Time::from_delays(200), |s| tester_of(s).from(p1).len() == 6);
+        let t = tester_of(&sim);
+        assert_eq!(t.refocused.len(), 1);
+        assert_eq!(t.from(p0), []);
+        let expect: Vec<(u64, Value)> = (1..=6).map(|k| (k, Value(200 + k))).collect();
+        assert_eq!(t.from(p1), expect);
+        let ops = ops.lock().unwrap();
+        assert_eq!(ops.probes.len(), 1, "p0's row probed after the refocus");
+        assert_eq!(ops.copies_sent, [], "p0's slots copied after the refocus");
+        assert!(ops.reads.is_empty() && ops.audits.is_empty());
     }
 }

@@ -232,7 +232,7 @@ impl ByzSmrNode {
         poll_every: Duration,
     ) -> ByzSmrNode {
         let mut neb = NebEngine::new(me, procs.clone(), mems.clone(), signer, verifier.clone());
-        neb.set_focus(Some(initial_leader));
+        neb.set_focus(initial_leader);
         let engine = NebLog {
             neb,
             verifier,
@@ -607,7 +607,7 @@ impl Engine for NebLog {
     ) {
         // The broadcast engine's focus is the Ω-current leader: its
         // deliveries settle, and its row is the one worth probing ahead.
-        self.neb.set_focus(Some(leader));
+        self.neb.set_focus(leader);
         if promoted {
             self.need_scan = true;
             self.start_scan(sh, ctx);

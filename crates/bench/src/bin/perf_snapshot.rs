@@ -53,37 +53,16 @@ use simnet::{DelayModel, RdmaCost, TICKS_PER_DELAY};
 const RUSTC: &str = env!("BENCH_RUSTC_VERSION");
 
 /// This snapshot's PR number (names the output file and anchors the gate).
-const PR: u32 = 48;
+const PR: u32 = 49;
 
 /// The snapshot [`MOVED_OK`] names moves against: the list applies only
 /// when the gate compares with `BENCH_PR<MOVED_SINCE>.json`, so a list
 /// left behind by an earlier PR excuses nothing.
-const MOVED_SINCE: u32 = 47;
+const MOVED_SINCE: u32 = 48;
 
 /// The values this snapshot moves on purpose against
-/// `BENCH_PR<MOVED_SINCE>.json`: the pipelined Byzantine rows, their span
-/// and byte-priced rows, the log-scaling rows' allocation ratio and the
-/// headline gap (a pipelined engine reads no row but its leader's).
-const MOVED_OK: &[&str] = &[
-    "byz_log_scaling_1500",
-    "byz_log_scaling_3000",
-    "byz_log_scaling_6000",
-    "byz_log_scaling.allocs_per_cmd_6000_over_1500",
-    "byz_pipeline_w2_conservative",
-    "byz_pipeline_w2_fast",
-    "byz_pipeline_w4_conservative",
-    "byz_pipeline_w4_fast",
-    "byz_pipeline_w8_conservative",
-    "byz_pipeline_w8_fast",
-    "spans_byz_pipeline_w8_fast_g0",
-    "spans_byz_pipeline_w8_fast_g1",
-    "spans_byz_pipeline_w8_fast_g2",
-    "spans_byz_pipeline_w8_fast_g3",
-    "cost_baseline_byz_w8_fast_g4",
-    "cost_write_opt_byz_w8_fast_g4",
-    "cost_congested_byz_w8_fast_g4",
-    "byz_pipeline.headline_w8_fast_gap_vs_crash",
-];
+/// `BENCH_PR<MOVED_SINCE>.json`: none.
+const MOVED_OK: &[&str] = &[];
 
 /// The moves named on purpose against `BENCH_PR<k>.json`.
 fn moved_ok(k: u32) -> &'static [&'static str] {

@@ -2,6 +2,7 @@
 //! broadcast, under honest broadcasters, an equivocating Byzantine
 //! broadcaster, memory crashes, and randomized schedules (proptest).
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use agreement::adversary::{Act, Scripted};
@@ -14,15 +15,24 @@ use rdma_sim::MemoryClient;
 use sigsim::{SigAuthority, SigVerifier, Signer};
 use simnet::{Actor, ActorId, Context, DelayModel, Duration, EventKind, Simulation, Time};
 
+/// When a [`NebTester`] makes one of its focus changes.
+#[derive(Clone, Copy)]
+enum When {
+    /// Once it has delivered from this sender.
+    Delivered(Pid),
+    /// At its first handler at or after this instant.
+    At(Time),
+}
+
 /// A minimal honest participant: broadcasts a scripted list of values and
-/// records everything it delivers; once it delivers from the first sender
-/// of `refocus`, it moves its focus to the second.
+/// records everything it delivers; it makes the focus changes of
+/// `refocus` in order, each once it is due.
 struct NebTester {
     engine: NebEngine,
     client: MemoryClient<RegVal, Msg>,
     to_broadcast: Vec<Value>,
     delivered: Vec<(Pid, u64, Value)>,
-    refocus: Option<(Pid, Pid)>,
+    refocus: VecDeque<(When, Pid)>,
 }
 
 impl NebTester {
@@ -39,14 +49,14 @@ impl NebTester {
             client: MemoryClient::new(),
             to_broadcast,
             delivered: Vec::new(),
-            refocus: None,
+            refocus: VecDeque::new(),
         }
     }
 
     /// The tester probing `focus`'s row `depth` slots ahead.
     fn pipelined(mut self, depth: usize, focus: Pid) -> NebTester {
         self.engine.set_pipeline_depth(depth);
-        self.engine.set_focus(Some(focus));
+        self.engine.set_focus(focus);
         self
     }
 
@@ -58,11 +68,16 @@ impl NebTester {
             }
         }
         self.engine.post(ctx, &mut self.client);
-        if let Some((from, to)) = self.refocus {
-            if self.delivered.iter().any(|&(f, _, _)| f == from) {
-                self.engine.set_focus(Some(to));
-                self.refocus = None;
+        while let Some(&(when, to)) = self.refocus.front() {
+            let due = match when {
+                When::Delivered(from) => self.delivered.iter().any(|&(f, _, _)| f == from),
+                When::At(at) => ctx.now() >= at,
+            };
+            if !due {
+                break;
             }
+            self.engine.set_focus(to);
+            self.refocus.pop_front();
         }
     }
 }
@@ -260,12 +275,18 @@ proptest! {
     /// Property 2 under attack: an equivocator split-writes two signed
     /// values across replicas; no two correct processes may ever deliver
     /// different values for the same (sender, k) — under any seed, split
-    /// point, link jitter and pipeline depth.
+    /// point, link jitter and pipeline depth. At depths 4 and 8 each
+    /// listener moves its focus from the equivocator to process 1 `away`
+    /// delays in, and back `back` delays later, so the copies a refocus
+    /// leaves in flight finish through the shared audit beside a row that
+    /// is read.
     #[test]
     fn property_two_no_divergent_deliveries(
         seed in 0u64..1000,
         split in 1usize..3,
         jitter in 1u64..4,
+        away in 1u64..12,
+        back in 1u64..8,
     ) {
         for depth in DEPTHS {
             let (n, m) = (3u32, 3u32);
@@ -297,7 +318,14 @@ proptest! {
                     auth.verifier(),
                     vec![],
                 );
-                sim.add(tester.pipelined(depth, ActorId(0)));
+                let mut tester = tester.pipelined(depth, ActorId(0));
+                if depth > 1 {
+                    let away = Time::from_delays(away);
+                    tester.refocus.push_back((When::At(away), ActorId(1)));
+                    let back = away + Duration::from_delays(back);
+                    tester.refocus.push_back((When::At(back), ActorId(0)));
+                }
+                sim.add(tester);
             }
             for _ in 0..m {
                 sim.add(nebcast::memory_actor(&procs));
@@ -346,7 +374,8 @@ proptest! {
                 // row takes the head-slot path beside it.
                 let mut tester = tester.pipelined(depth, ActorId(0));
                 if depth > 1 {
-                    tester.refocus = Some((ActorId(0), ActorId(1)));
+                    let delivered = When::Delivered(ActorId(0));
+                    tester.refocus.push_back((delivered, ActorId(1)));
                 }
                 sim.add(tester);
             }
