@@ -195,7 +195,7 @@ pub fn may_overlap(a: RegAccess, b: RegAccess) -> bool {
 }
 
 /// Whether two region specs can share a register. Distinct namespaces,
-/// incompatible fixed coordinates and disjoint `b` windows are provably
+/// different pinned `c`, and disjoint `a` or `b` windows are provably
 /// disjoint; everything else is assumed to overlap.
 fn specs_may_overlap(p: RegionSpec, q: RegionSpec) -> bool {
     use RegionSpec::*;
@@ -225,7 +225,7 @@ fn specs_may_overlap(p: RegionSpec, q: RegionSpec) -> bool {
                 b: b2,
                 c: c2,
             },
-        ) => s1 == s2 && coord(a1, a2) && window(b1, b2) && coord(c1, c2),
+        ) => s1 == s2 && window(a1, a2) && window(b1, b2) && coord(c1, c2),
     }
 }
 
@@ -389,11 +389,63 @@ mod tests {
             Pattern(windowed(10, 4)),
             Pattern(RegionSpec::Pattern {
                 space: 2,
-                a: Some(0),
+                a: Some(Window::exact(0)),
                 b: None,
                 c: None,
             })
         ));
+    }
+
+    #[test]
+    fn a_takeover_s_reads_conflict_with_the_writes_they_can_see_only() {
+        use crate::protected::{ballot_reg, slot_reg, suffix, BALLOTS};
+        use crate::types::{spaces, Ballot, Instance, PaxSlot, Value};
+        let read = |within| MemRequest::ReadRange {
+            region: MR,
+            within: Some(within),
+            into: Vec::new(),
+        };
+        let phase2 = |i, p| MemRequest::Write {
+            region: MR,
+            reg: slot_reg(Instance(i), ActorId(p)),
+            value: RegVal::Slot(PaxSlot::phase2(Ballot::initial(ActorId(p)), Value(i))),
+        };
+        let scan = mem_req(1, 7, &read(suffix(Instance(40))));
+        // Below the suffix: decided, never read again, so free to reorder.
+        for i in [0, 39] {
+            assert!(independent(&scan, &mem_req(2, 7, &phase2(i, 0))), "{i}");
+        }
+        for i in [40, 41, 4096, u64::MAX] {
+            assert!(!independent(&scan, &mem_req(2, 7, &phase2(i, 0))), "{i}");
+        }
+        // A suffix from 0 is the whole log.
+        let all = mem_req(1, 7, &read(suffix(Instance(0))));
+        assert!(!independent(&all, &mem_req(2, 7, &phase2(0, 2))));
+        // A ballot-register write against every acquisition's read of the
+        // ballot registers, whoever's it is and whatever its suffix; the
+        // suffix scans never see it.
+        let ballots = mem_req(3, 7, &read(BALLOTS));
+        for p in 0..3 {
+            let stamp = MemRequest::Write {
+                region: MR,
+                reg: ballot_reg(ActorId(p)),
+                value: RegVal::Slot(PaxSlot::phase1(Ballot::initial(ActorId(p)))),
+            };
+            let stamp = mem_req(4, 7, &stamp);
+            assert!(!independent(&ballots, &stamp), "{p}");
+            assert!(
+                independent(&scan, &stamp) && independent(&all, &stamp),
+                "{p}"
+            );
+        }
+        // Pattern against pattern: `a` windows compare as `b` windows do.
+        use RegAccess::Pattern;
+        let row = |i| Pattern(RegionSpec::row(spaces::PMP, i));
+        let suffix = |at| Pattern(suffix(Instance(at)));
+        assert!(!may_overlap(suffix(40), row(39)));
+        assert!(may_overlap(suffix(40), row(40)) && may_overlap(suffix(40), suffix(7)));
+        assert!(may_overlap(suffix(0), row(0)));
+        assert!(!may_overlap(suffix(0), Pattern(BALLOTS)));
     }
 
     #[test]

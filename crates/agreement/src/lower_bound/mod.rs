@@ -29,7 +29,7 @@ use std::collections::BTreeMap;
 
 use rdma_sim::{
     LegalChange, MemRequest, MemResponse, MemWire, MemoryActor, MemoryClient, Permission, RegId,
-    RegionId, RegionSpec,
+    RegionId, RegionSpec, Window,
 };
 use simnet::{Actor, ActorId, Context, Duration, EventKind, Simulation, Time};
 
@@ -55,7 +55,7 @@ pub fn flag_memory(procs: &[Pid]) -> MemoryActor<RegVal, Msg> {
             flag_region(p),
             RegionSpec::Pattern {
                 space: spaces::LB,
-                a: Some(p.0 as u64),
+                a: Some(Window::exact(p.0 as u64)),
                 b: None,
                 c: None,
             },

@@ -750,7 +750,7 @@ impl NebEngine {
     ) -> RepId {
         let cells = RegionSpec::Pattern {
             space: spaces::NEB,
-            a: owner.map(|i| i.0 as u64),
+            a: owner.map(|i| Window::exact(i.0 as u64)),
             b: Some(window),
             c: Some(q.0 as u64),
         };
@@ -1422,7 +1422,9 @@ mod tests {
                 MemRequest::ReadRange {
                     within: Some(RegionSpec::Pattern { a, c, .. }),
                     ..
-                } if *a == Some(q.0 as u64) && *c == Some(q.0 as u64) => ops.probes.push(at),
+                } if *a == Some(Window::exact(q.0 as u64)) && *c == Some(q.0 as u64) => {
+                    ops.probes.push(at)
+                }
                 _ => {}
             }
             None

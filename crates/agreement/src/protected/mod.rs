@@ -50,17 +50,65 @@
 //! | [`crate::aligned::AlignedPaxosActor`] | processes + memories | by [`crate::aligned::MemoryMode`] | `⌊(n+m)/2⌋+1` | no |
 //!
 //! The crash-mode replicated log ([`crate::smr::SmrNode`]) drives the same
-//! proposer over the whole log (`Protected` leg, no process agents,
-//! whole-region scan, batched writes) — the paper's closing remark that
-//! "the leader terminates one instance and becomes the default leader in
-//! the next" is one proposer, not two.
+//! proposer over the whole log (`Protected` leg, no process agents, a
+//! ballot register plus the undecided suffix on takeover, batched
+//! writes) — the paper's closing remark that "the leader terminates one
+//! instance and becomes the default leader in the next" is one proposer,
+//! not two.
+//!
+//! # The log's acquisition: one ballot register, the undecided suffix
+//!
+//! A single-decree acquisition stamps `{b, ⊥, ⊥}` into its own slot of the
+//! one instance and reads that instance's row, which holds every
+//! competitor's stamp: one read checks `minProp > propNr` and finds what to
+//! adopt. The crash log runs one instance per slot, and a successor only
+//! proposes from `at`, its first instance not known decided: every
+//! instance below is decided and never proposed again, so
+//! `Proposer::acquire_suffix` reads the undecided suffix `[at, ∞)` and
+//! nothing below it — a takeover costs what the log holds above `at`, not
+//! the log's length.
+//!
+//! The stamp cannot stay in slot `(at, me)`: leaders acquire at different
+//! `at`. Take a competitor C with a higher round whose `at` is below ours,
+//! which acquired and then landed one phase-2 write at an instance ≥ our
+//! `at` on a memory outside our quorum. A suffix scan misses C's stamp, we
+//! decide over that write at a lower ballot, and a later leader whose
+//! quorum includes that memory adopts C's value, since its ballot is
+//! higher: the log forks. So each process has one **ballot register** for
+//! the whole log ([`ballot_reg`]), in the spirit of Multi-Paxos's single
+//! prepare. On every memory the acquisition grabs the permission, stamps
+//! its ballot into its ballot register, scans the suffix, and then reads
+//! every process's ballot register.
+//!
+//! Why that is as safe as the whole-log scan it replaces. On one memory,
+//! every slot's `minProp` is at most its writer's ballot register there:
+//! a phase-2 write carries the ballot its writer stamped into its register
+//! on that memory earlier in the same permission tenure (a process's
+//! operations reach a memory in order, and a write acked means no
+//! acquisition came between), or the pre-owned round-0 ballot, which is
+//! below every acquired one; and a register only grows. Reading the
+//! registers *after* the suffix therefore bounds every slot's `minProp` as
+//! of the suffix read. A memory that passes the check here passes it under
+//! a whole-log scan taken at the suffix read's instant, which returns the
+//! same values at `at` and above; below `at` it returns values the
+//! successor never proposes over.
+//!
+//! The single-decree protocols keep their row stamp, though every
+//! Protected Memory Paxos memory covers the ballot registers: for one
+//! instance the row *is* the set of ballot registers, read by the
+//! acquisition's one scan, and moving the stamp would add a read — a round
+//! trip to every memory — to every single-decree takeover and check
+//! nothing more. The registers live in their own sparse space
+//! ([`spaces::PMP_BALLOT`]): in the log space a lone row would reserve a
+//! whole log page. One region covers every register of a memory, so one
+//! permission guards both spaces.
 
 use std::fmt;
 use std::sync::Arc;
 
 use rdma_sim::{
     Completion, LegalChange, MemResponse, MemoryActor, MemoryClient, OpId, Permission, RegId,
-    RegionId, RegionSpec,
+    RegionId, RegionSpec, Window,
 };
 use simnet::{Actor, ActorId, Context, Duration, EventKind};
 
@@ -73,6 +121,26 @@ pub const REGION: RegionId = RegionId(0x5000);
 /// The slot of process `p` in `instance`.
 pub fn slot_reg(instance: Instance, p: Pid) -> RegId {
     RegId::two(spaces::PMP, instance.0, p.0 as u64)
+}
+
+/// Process `p`'s ballot register: where each of its log acquisitions
+/// stamps its ballot (see the module docs).
+pub fn ballot_reg(p: Pid) -> RegId {
+    RegId::two(spaces::PMP_BALLOT, 0, p.0 as u64)
+}
+
+/// Every process's ballot register.
+pub(crate) const BALLOTS: RegionSpec = RegionSpec::Space(spaces::PMP_BALLOT);
+
+/// Every process's slot in every instance from `at` on: the log's
+/// undecided suffix as a takeover scans it.
+pub(crate) fn suffix(at: Instance) -> RegionSpec {
+    RegionSpec::Pattern {
+        space: spaces::PMP,
+        a: Window::suffix(at.0),
+        b: None,
+        c: None,
+    }
 }
 
 /// The `legalChange` policy: any process may acquire exclusive write
@@ -88,13 +156,14 @@ pub fn legal_change(
 
 /// Builds one Protected Memory Paxos memory with `initial_leader` owning
 /// the write permission. [`slot_reg`] makes the space a log along the
-/// instance, one column per proposer, and the memory is told so.
+/// instance, one column per proposer, and the memory is told so. The one
+/// region holds every register, the slots and the [`ballot_reg`]s alike.
 pub fn memory_actor(initial_leader: Pid) -> MemoryActor<RegVal, Msg> {
     MemoryActor::new(LegalChange::Policy(legal_change))
         .with_log_space(spaces::PMP)
         .with_region(
             REGION,
-            RegionSpec::Space(spaces::PMP),
+            RegionSpec::All,
             Permission::exclusive_writer(initial_leader),
         )
 }
@@ -145,8 +214,11 @@ const RETRY_TAG: u64 = 1;
 /// shows in the write queued behind it, so it is not).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum StepKind {
-    /// A write with a scan queued behind it on the same memory.
+    /// A write with scans queued behind it on the same memory.
     Write,
+    /// A scan with the memory's last scan queued behind it: the log's
+    /// suffix scan, which the ballot registers' read follows.
+    LeadingScan,
     /// The scan that completes its memory for the phase.
     Scan,
     /// That scan, once the write before it was refused.
@@ -277,16 +349,31 @@ impl<L: MemoryLeg> Proposer<L> {
         self.seen = self.ballot;
     }
 
-    /// Starts phase 1 under a fresh ballot: `Prepare` to every peer, and
-    /// on every memory (acquire the write permission,) stamp the ballot
-    /// into `instance`'s slot and scan the registers `within` the region
-    /// (`None`: all of it) for what earlier leaders accepted.
+    /// Starts phase 1 of a single-decree proposal for `instance` under a
+    /// fresh ballot: `Prepare` to every peer, and on every memory (acquire
+    /// the write permission,) stamp the ballot into this process's slot of
+    /// `instance` and scan the instance's row for what earlier leaders
+    /// accepted.
     pub(crate) fn acquire(
         &mut self,
         ctx: &mut Context<'_, Msg>,
         client: &mut MemoryClient<RegVal, Msg>,
         instance: Instance,
-        within: Option<RegionSpec>,
+    ) {
+        let stamp = RegId::two(self.leg.layout(self.me).space, instance.0, self.me.0 as u64);
+        self.start_phase_one(ctx, client, stamp, self.row(instance.0), None);
+    }
+
+    /// Phase 1 under a fresh ballot: `Prepare` to every peer, and on every
+    /// memory (acquire the write permission,) stamp the ballot into
+    /// `stamp`, scan the registers `within`, then (if any) `ballots`.
+    fn start_phase_one(
+        &mut self,
+        ctx: &mut Context<'_, Msg>,
+        client: &mut MemoryClient<RegVal, Msg>,
+        stamp: RegId,
+        within: RegionSpec,
+        ballots: Option<RegionSpec>,
     ) {
         self.ballot.round = self.ballot.round.max(self.max_round_seen) + 1;
         self.begin(Phase::One);
@@ -296,16 +383,24 @@ impl<L: MemoryLeg> Proposer<L> {
         }
         let lay = self.leg.layout(self.me);
         let slot = RegVal::Slot(PaxSlot::phase1(b));
-        let reg = RegId::two(lay.space, instance.0, self.me.0 as u64);
+        let first_scan = if ballots.is_some() {
+            StepKind::LeadingScan
+        } else {
+            StepKind::Scan
+        };
         for i in 0..self.mems.len() {
             let mem = self.mems[i];
             if lay.dynamic {
                 client.change_perm(ctx, mem, lay.write, Permission::exclusive_writer(self.me));
             }
-            let w = client.write(ctx, mem, lay.write, reg, slot.clone());
-            let r = client.read_range(ctx, mem, lay.scan, within, Vec::new());
+            let w = client.write(ctx, mem, lay.write, stamp, slot.clone());
+            let r = client.read_range(ctx, mem, lay.scan, Some(within), Vec::new());
             self.op_map.push((w, (self.attempt, mem, StepKind::Write)));
-            self.op_map.push((r, (self.attempt, mem, StepKind::Scan)));
+            self.op_map.push((r, (self.attempt, mem, first_scan)));
+            if let Some(ballots) = ballots {
+                let r = client.read_range(ctx, mem, lay.scan, Some(ballots), Vec::new());
+                self.op_map.push((r, (self.attempt, mem, StepKind::Scan)));
+            }
         }
     }
 
@@ -379,8 +474,8 @@ impl<L: MemoryLeg> Proposer<L> {
             StepKind::Write => {
                 if !acked {
                     // The client runs one operation per memory at a time,
-                    // in order: this memory's scan is still queued behind
-                    // us, and is what completes the memory.
+                    // in order: this memory's last scan is still queued
+                    // behind us, and is what completes the memory.
                     let scan = (attempt, mem, StepKind::Scan);
                     if let Some(e) = self.op_map.iter_mut().find(|e| e.1 == scan) {
                         e.1 .2 = StepKind::ScanAfterRefusal;
@@ -388,7 +483,9 @@ impl<L: MemoryLeg> Proposer<L> {
                 }
                 return None;
             }
-            StepKind::Scan => {
+            StepKind::LeadingScan | StepKind::Scan => {
+                // Slots and ballot registers alike: every `minProp` counts,
+                // and a ballot register holds no accepted value.
                 if let MemResponse::Range(rows) = c.resp {
                     for (reg, v) in rows {
                         let RegVal::Slot(s) = v else { continue };
@@ -397,6 +494,9 @@ impl<L: MemoryLeg> Proposer<L> {
                             accepted(reg.a, ap, v);
                         }
                     }
+                }
+                if step == StepKind::LeadingScan {
+                    return None;
                 }
             }
             StepKind::ScanAfterRefusal => self.nack = true,
@@ -461,6 +561,20 @@ impl Proposer<Protected> {
     pub(crate) fn pmp(me: Pid, mems: Vec<ActorId>, f_m: usize, owns_permission: bool) -> Self {
         let quorum = mems.len() - f_m;
         Proposer::new(Protected, me, Vec::new(), mems, quorum, owns_permission)
+    }
+
+    /// Starts the crash log's phase 1 under a fresh ballot: on every
+    /// memory grab the write permission, stamp the ballot into this
+    /// process's [`ballot_reg`], scan the slots of every instance from
+    /// `at` on, then read every process's ballot register (see the module
+    /// docs for why in that order).
+    pub(crate) fn acquire_suffix(
+        &mut self,
+        ctx: &mut Context<'_, Msg>,
+        client: &mut MemoryClient<RegVal, Msg>,
+        at: Instance,
+    ) {
+        self.start_phase_one(ctx, client, ballot_reg(self.me), suffix(at), Some(BALLOTS));
     }
 }
 
@@ -555,9 +669,7 @@ impl<L: MemoryLeg> SingleDecree<L> {
             return;
         }
         self.adopted = None;
-        let this_instance = self.proposer.row(self.instance.0);
-        self.proposer
-            .acquire(ctx, &mut self.client, self.instance, Some(this_instance));
+        self.proposer.acquire(ctx, &mut self.client, self.instance);
         let b = self.proposer.ballot;
         self.ask_self(ctx, |a| a.on_prepare(b));
     }

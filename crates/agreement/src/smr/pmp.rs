@@ -8,12 +8,21 @@
 //! 1, one scatter-gather [`rdma_sim::MemRequest::WriteMany`] (and one
 //! `DecidedMany` per follower) for a batch.
 //!
-//! Failure handling: when Ω nominates a new leader it runs the full
-//! three-step acquisition (permission grab, ballot write, **whole-log slot
-//! scan**); every value a previous leader may have accepted anywhere in
-//! the log is folded by highest ballot into the shell's recovery plan and
+//! Failure handling: when Ω nominates a new leader it runs the four-step
+//! acquisition (permission grab, a write of its **ballot register**, a
+//! scan of the **undecided suffix** `[at, ∞)` — `at` its first instance
+//! not known decided —, a read of every process's ballot register);
+//! every value a previous leader may have accepted at `at` or above is
+//! folded by highest ballot into the shell's recovery plan and
 //! re-committed under the new leader's epoch before fresh commands
-//! continue, so no decided entry is ever lost. Takeover scans see batched
+//! continue, so no decided entry is ever lost. Below `at` every instance
+//! is decided and never proposed again, so a takeover reads what the log
+//! holds above `at`, whatever the log's length. The ballot registers are
+//! what make the suffix alone safe: a competitor with a higher round and a
+//! lower `at` stamped one on a quorum, so this acquisition sees it
+//! whatever that competitor wrote where (`protected`'s module docs carry
+//! the argument; `a_takeover_sees_a_competitor_that_acquired_below_its_suffix`
+//! below is the run that forks without them). Takeover scans see batched
 //! entries as ordinary per-instance slot registers. Ballots are
 //! `(epoch, pid)` with one epoch per acquisition — the standard
 //! Multi-Paxos discipline that keeps a deposed leader's in-flight writes
@@ -116,11 +125,12 @@ impl Engine for PmpLog {
             self.propose(sh, ctx, false);
             return;
         }
-        // Takeover: acquire permission, stamp the new epoch into this
-        // instance's slot, and scan the WHOLE log for values to recover.
+        // Takeover: acquire permission, stamp the new epoch into our
+        // ballot register, scan the undecided suffix for values to
+        // recover, then read every ballot register.
         self.scanned.clear();
         let at = Instance(self.instance);
-        self.pmp.acquire(ctx, &mut sh.client, at, None);
+        self.pmp.acquire_suffix(ctx, &mut sh.client, at);
     }
 
     fn on_leader_change(
@@ -297,6 +307,112 @@ mod tests {
         let own: Vec<Value> = (0..4).map(|c| Value(2000 + c)).collect();
         assert_eq!(&log[4..8], &own[..]);
         assert_eq!(l1.committed_own(), 4);
+    }
+
+    /// A takeover whose suffix starts above a competitor's `at` still
+    /// sees that competitor through the ballot registers. Four processes
+    /// over three memories `m0 m1 m2`; process 0 leads and commits
+    /// instances 0 to 4, and its write of instance 5 reaches `m0` alone
+    /// before it crashes. B (process 1) hears every decision, so its `at`
+    /// is 5; C (process 2) and D (process 3) hear none, so theirs is 0.
+    /// C takes over twice (round 2), recovers 0..=5 and re-commits them,
+    /// and its write of instance 5 again reaches `m0` alone. Then B takes
+    /// over through `m1` and `m2` only — its suffix holds nothing of C's,
+    /// but both its ballot registers hold C's round 2 —, and later D
+    /// through `m0` and `m1`, where C's write and B's meet at instance 5.
+    /// Reading the suffix without the ballot registers, B decides its own
+    /// command at instance 5 under round 1, below C's round, and D adopts
+    /// C's write over it: the log forks.
+    #[test]
+    fn a_takeover_sees_a_competitor_that_acquired_below_its_suffix() {
+        use crate::protected::{ballot_reg, slot_reg};
+        use crate::types::{spaces, Ballot, PaxSlot};
+        use rdma_sim::{MemRequest, MemWire, MemoryActor};
+
+        const K: u64 = 5;
+        let s = Scenario::common_case(4, 3, 1);
+        let mut sim = s.cluster(
+            |i, procs, mems| {
+                let workload = (0..30).map(|c| Value(1000 * (i as u64 + 1) + c)).collect();
+                let (me, retry) = (ActorId(i as u32), Duration::from_delays(25));
+                Box::new(SmrNode::new(
+                    me,
+                    procs,
+                    mems,
+                    ActorId(0),
+                    workload,
+                    1,
+                    retry,
+                ))
+            },
+            s.memories(|_| memory_actor(ActorId(0))),
+        );
+        let (procs, mems) = (s.procs(), s.mems());
+        let [p0, b, c, d] = procs[..] else {
+            unreachable!()
+        };
+        let [m0, m1, m2] = mems[..] else {
+            unreachable!()
+        };
+        let lost = Some(Duration::from_delays(1_000_000));
+        sim.set_delay_hook(Box::new(move |_, from, to, msg| {
+            let slot_at_or_above_k = match msg {
+                Msg::Mem(MemWire::Req {
+                    req: MemRequest::Write { reg, .. },
+                    ..
+                }) => reg.space == spaces::PMP && reg.a >= K,
+                _ => false,
+            };
+            let lose = (from.0 < 4 && (to == c || to == d))
+                || ((from == p0 || from == c) && (to == m1 || to == m2) && slot_at_or_above_k)
+                || (from == b && to == m0)
+                || (from == d && to == m2);
+            if lose {
+                lost
+            } else {
+                None
+            }
+        }));
+        sim.crash_at(p0, Time::from_delays(12));
+        for (t, leader) in [(14, c), (15, p0), (16, c)] {
+            sim.announce_leader(Time::from_delays(t), &[c], leader);
+        }
+        sim.announce_leader(Time::from_delays(60), &[b], b);
+        sim.announce_leader(Time::from_delays(200), &procs, d);
+        sim.run_until(Time::from_delays(800), |s| {
+            node(s, d).log_len() > K as usize + 2
+        });
+
+        let mem = |m| sim.actor_as::<MemoryActor<RegVal, Msg>>(m).unwrap();
+        let round = |m, p| match mem(m).register(ballot_reg(p)) {
+            Some(RegVal::Slot(slot)) => slot.min_prop.round,
+            other => panic!("no ballot of {p:?} on {m:?}: {other:?}"),
+        };
+        // The setup: C, at round 2, wrote instance K on `m0` alone.
+        let c_round = round(m0, c);
+        assert_eq!(c_round, 2);
+        let c_ballot = Ballot { round: 2, pid: c };
+        assert_eq!(
+            mem(m0).register(slot_reg(Instance(K), c)),
+            Some(&RegVal::Slot(PaxSlot::phase2(c_ballot, Value(1000 + K))))
+        );
+        assert_eq!(mem(m1).register(slot_reg(Instance(K), c)), None);
+        assert_eq!(mem(m2).register(slot_reg(Instance(K), c)), None);
+        // B decided its own command at K, and D keeps it.
+        let (lb, ld) = (node(&sim, b).log(), node(&sim, d).log());
+        assert_eq!(lb[K as usize], Value(2000));
+        assert!(
+            ld.len() > K as usize,
+            "D never reached instance {K}: {ld:?}"
+        );
+        let common = lb.len().min(ld.len());
+        assert_eq!(lb[..common], ld[..common], "the log forked");
+        // B abandoned its first ballot and retried above C's round.
+        assert!(
+            round(m1, b) > c_round,
+            "B decided under round {}",
+            round(m1, b)
+        );
     }
 
     #[test]

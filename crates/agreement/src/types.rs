@@ -109,6 +109,10 @@ pub mod spaces {
     /// Protected Memory Paxos slots `slot[instance, p]` (and Aligned
     /// Paxos's in protected mode).
     pub const PMP: u16 = 4;
+    /// The crash log's ballot registers `ballot[p]`, one per process for
+    /// the whole log (`protected::ballot_reg`). Sparse: a register in the
+    /// log space [`PMP`] would reserve a whole log page.
+    pub const PMP_BALLOT: u16 = 6;
     /// Disk Paxos blocks `block[instance, p]` (and Aligned Paxos's in
     /// disk mode).
     pub const DISK: u16 = 5;

@@ -22,10 +22,11 @@ impl fmt::Debug for RegionId {
 
 /// A half-open window `[start, start + len)` on one register coordinate.
 ///
-/// The one form a [`RegionSpec::Pattern`] pins its `b` coordinate with:
-/// an exact coordinate `k` is the width-1 window `[k, k + 1)`
-/// ([`Window::exact`]). Stored as start and length, so a window reaching
-/// the top of the coordinate space needs no `u64::MAX + 1` end point.
+/// The one form a [`RegionSpec::Pattern`] pins its `a` and `b`
+/// coordinates with: an exact coordinate `k` is the width-1 window
+/// `[k, k + 1)` ([`Window::exact`]). Stored as start and length, so a
+/// window reaching the top of the coordinate space needs no
+/// `u64::MAX + 1` end point.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Window {
     start: u64,
@@ -34,19 +35,32 @@ pub struct Window {
 
 impl Window {
     /// The width-1 window holding exactly `k`.
-    pub fn exact(k: u64) -> Window {
+    pub const fn exact(k: u64) -> Window {
         Window { start: k, len: 1 }
     }
 
     /// The window `[start, start + len)` (empty when `len` is 0; clipped
     /// at the top of the coordinate space).
-    pub fn span(start: u64, len: u64) -> Window {
+    pub const fn span(start: u64, len: u64) -> Window {
         Window { start, len }
+    }
+
+    /// Every coordinate from `start` on, as a pattern pins it: `None`,
+    /// the wildcard, from 0 (a window holds at most `u64::MAX`
+    /// coordinates, one short of the whole space).
+    pub fn suffix(start: u64) -> Option<Window> {
+        (start > 0).then(|| Window::span(start, u64::MAX - start + 1))
     }
 
     /// The window's first coordinate.
     pub fn start(&self) -> u64 {
         self.start
+    }
+
+    /// The window's last coordinate (`None` when it is empty).
+    pub fn last(&self) -> Option<u64> {
+        let width = self.len.checked_sub(1)?;
+        Some(self.start.saturating_add(width))
     }
 
     /// Membership test.
@@ -80,8 +94,8 @@ pub enum RegionSpec {
     Pattern {
         /// Namespace to match.
         space: u16,
-        /// Required first coordinate, or wildcard.
-        a: Option<u64>,
+        /// Required window of the first coordinate, or wildcard.
+        a: Option<Window>,
         /// Required window of the second coordinate, or wildcard.
         b: Option<Window>,
         /// Required third coordinate, or wildcard.
@@ -95,7 +109,7 @@ impl RegionSpec {
     pub fn row(space: u16, a: u64) -> RegionSpec {
         RegionSpec::Pattern {
             space,
-            a: Some(a),
+            a: Some(Window::exact(a)),
             b: None,
             c: None,
         }
@@ -109,7 +123,7 @@ impl RegionSpec {
             RegionSpec::Space(s) => s == reg.space,
             RegionSpec::Pattern { space, a, b, c } => {
                 space == reg.space
-                    && a.is_none_or(|v| v == reg.a)
+                    && a.is_none_or(|w| w.contains(reg.a))
                     && b.is_none_or(|w| w.contains(reg.b))
                     && c.is_none_or(|v| v == reg.c)
             }
@@ -157,6 +171,13 @@ mod tests {
         assert!(Window::exact(u64::MAX).contains(u64::MAX));
         let top = Window::span(u64::MAX - 1, 10);
         assert!(top.contains(u64::MAX) && !top.contains(0));
+        assert_eq!(
+            (w.last(), top.last(), Window::span(4, 0).last()),
+            (Some(6), Some(u64::MAX), None)
+        );
+        let suffix = Window::suffix(5).unwrap();
+        assert!(!suffix.contains(4) && suffix.contains(5) && suffix.contains(u64::MAX));
+        assert_eq!(Window::suffix(0), None, "from 0 on is the wildcard");
         assert!(w.overlaps(&Window::span(6, 9)) && Window::span(6, 9).overlaps(&w));
         assert!(!w.overlaps(&Window::span(7, 9)));
         assert!(
@@ -182,10 +203,24 @@ mod tests {
     }
 
     #[test]
+    fn a_windowed_first_coordinate_matches_its_span_only() {
+        let suffix = RegionSpec::Pattern {
+            space: 4,
+            a: Window::suffix(7),
+            b: None,
+            c: None,
+        };
+        assert!(
+            suffix.contains(RegId::two(4, 7, 0)) && suffix.contains(RegId::two(4, u64::MAX, 2))
+        );
+        assert!(!suffix.contains(RegId::two(4, 6, 0)) && !suffix.contains(RegId::two(5, 9, 0)));
+    }
+
+    #[test]
     fn full_pattern() {
         let spec = RegionSpec::Pattern {
             space: 1,
-            a: Some(2),
+            a: Some(Window::exact(2)),
             b: None,
             c: Some(4),
         };

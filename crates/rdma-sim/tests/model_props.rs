@@ -74,7 +74,7 @@ proptest! {
     fn full_pattern_is_exact(reg in arb_reg(), probe in arb_reg()) {
         let pat = RegionSpec::Pattern {
             space: reg.space,
-            a: Some(reg.a),
+            a: Some(Window::exact(reg.a)),
             b: Some(Window::exact(reg.b)),
             c: Some(reg.c),
         };
@@ -98,7 +98,9 @@ proptest! {
         let in_interval = (start as u128..start as u128 + len as u128).contains(&(x as u128));
         prop_assert_eq!(Window::span(start, len).contains(x), in_interval);
         let probe = RegId::new(probe.space, probe.a, x, probe.c);
-        let spec = |b| RegionSpec::Pattern { space: reg.space, a: Some(reg.a), b: Some(b), c: None };
+        let spec = |b| RegionSpec::Pattern {
+            space: reg.space, a: Some(Window::exact(reg.a)), b: Some(b), c: None,
+        };
         prop_assert_eq!(
             spec(Window::span(start, len)).contains(probe),
             probe.space == reg.space && probe.a == reg.a && in_interval
@@ -109,11 +111,12 @@ proptest! {
     /// the same pattern with that coordinate wild also matches.
     #[test]
     fn wildcard_monotone(reg in arb_reg(), probe in arb_reg()) {
+        let a = Some(Window::exact(reg.a));
         let pinned = RegionSpec::Pattern {
-            space: reg.space, a: Some(reg.a), b: Some(Window::exact(reg.b)), c: Some(reg.c),
+            space: reg.space, a, b: Some(Window::exact(reg.b)), c: Some(reg.c),
         };
         let wild_b = RegionSpec::Pattern {
-            space: reg.space, a: Some(reg.a), b: None, c: Some(reg.c),
+            space: reg.space, a, b: None, c: Some(reg.c),
         };
         if pinned.contains(probe) {
             prop_assert!(wild_b.contains(probe));
@@ -286,7 +289,7 @@ mod range_reads {
     const LOCKED: RegionId = RegionId(2);
     const ROW_SPEC: RegionSpec = RegionSpec::Pattern {
         space: 1,
-        a: Some(2),
+        a: Some(Window::exact(2)),
         b: None,
         c: None,
     };
@@ -354,6 +357,19 @@ mod range_reads {
         prop_oneof![Just(None), some.prop_map(Some)]
     }
 
+    /// First-coordinate windows: the wildcard, one instance, a few from
+    /// any instance or across the log space's first page boundary, or a
+    /// suffix from an instance on — what a takeover scans.
+    fn arb_a_window() -> impl Strategy<Value = Option<Window>> {
+        prop_oneof![
+            Just(None),
+            arb_a().prop_map(|a| Some(Window::exact(a))),
+            (arb_a(), 0u64..6).prop_map(|(a, len)| Some(Window::span(a, len))),
+            (0u64..4, 0u64..8).prop_map(|(d, len)| Some(Window::span(PAGE - 2 + d, len))),
+            arb_a().prop_map(Window::suffix),
+        ]
+    }
+
     /// Windows inside the first page, starting on either side of a page
     /// boundary, spanning a whole page and more, in the receipt plane, and
     /// at the top of the space.
@@ -376,7 +392,7 @@ mod range_reads {
             Just(None),
             (0u16..3).prop_map(|s| Some(RegionSpec::Space(s))),
             // Un-windowed pattern: served by the scan.
-            (0u16..3, arb_opt(arb_a()), arb_opt(0u64..3)).prop_map(|(space, a, c)| Some(
+            (0u16..3, arb_a_window(), arb_opt(0u64..3)).prop_map(|(space, a, c)| Some(
                 RegionSpec::Pattern {
                     space,
                     a,
@@ -387,7 +403,7 @@ mod range_reads {
             // Windowed patterns (twice as likely): with `c` pinned, the
             // form the memory serves by walking its sparse pages; with `c`
             // wild, the filter-and-sort form.
-            (0u16..3, arb_opt(arb_a()), arb_window(), arb_opt(0u64..3)).prop_map(
+            (0u16..3, arb_a_window(), arb_window(), arb_opt(0u64..3)).prop_map(
                 |(space, a, b, c)| Some(RegionSpec::Pattern {
                     space,
                     a,
@@ -395,7 +411,7 @@ mod range_reads {
                     c
                 })
             ),
-            (0u16..3, arb_opt(arb_a()), arb_window(), arb_opt(0u64..3)).prop_map(
+            (0u16..3, arb_a_window(), arb_window(), arb_opt(0u64..3)).prop_map(
                 |(space, a, b, c)| Some(RegionSpec::Pattern {
                     space,
                     a,
@@ -590,7 +606,12 @@ mod range_reads {
     /// pages: the form the memory answers by walking its sparse pages.
     fn arb_column_step() -> impl Strategy<Value = Step> {
         let windowed = || {
-            (0u16..3, arb_opt(0u64..4), arb_window(), 0u64..3).prop_map(|(space, a, b, c)| {
+            let a = prop_oneof![
+                Just(None),
+                (0u64..4).prop_map(|a| Some(Window::exact(a))),
+                (0u64..4, 0u64..4).prop_map(|(a, len)| Some(Window::span(a, len))),
+            ];
+            (0u16..3, a, arb_window(), 0u64..3).prop_map(|(space, a, b, c)| {
                 let within = RegionSpec::Pattern {
                     space,
                     a,
@@ -609,8 +630,69 @@ mod range_reads {
         ]
     }
 
+    /// A leader's run of consecutive instances in one `(b, c)` column of
+    /// the log space, from a small instance or across its first or second
+    /// page boundary.
+    fn arb_log_run() -> impl Strategy<Value = Vec<(RegId, u64)>> {
+        let start = prop_oneof![
+            0u64..8,
+            (0u64..24).prop_map(|d| PAGE - 16 + d),
+            (0u64..8).prop_map(|d| 2 * PAGE - 4 + d),
+        ];
+        ((0u64..3, 0u64..2), start, 1u64..40, 0u64..1000).prop_map(|((b, c), start, len, v)| {
+            let row = |i: u64| (RegId::new(1, start + i, b, c), v + i);
+            (0..len).map(row).collect()
+        })
+    }
+
+    /// A range read confined to one space: the space itself, a pattern
+    /// with any first-coordinate window (suffixes included) and `b` / `c`
+    /// pinned or wild, or one exact register — every form the memory
+    /// answers by walking one space's pages.
+    fn arb_space_read() -> impl Strategy<Value = Step> {
+        let b = arb_opt(0u64..3).prop_map(|b| b.map(Window::exact));
+        let within = prop_oneof![
+            (0u16..3).prop_map(RegionSpec::Space),
+            (0u16..3, arb_a_window(), b, arb_opt(0u64..2))
+                .prop_map(|(space, a, b, c)| { RegionSpec::Pattern { space, a, b, c } }),
+            (0u16..3, arb_a_window()).prop_map(|(space, a)| RegionSpec::Pattern {
+                space,
+                a,
+                b: None,
+                c: None
+            }),
+            arb_reg().prop_map(RegionSpec::Exact),
+        ];
+        (any::<bool>(), within)
+            .prop_map(|(row, w)| Step::ReadRange(if row { ROW } else { WHOLE }, Some(w)))
+    }
+
+    /// Long log runs in several columns, column runs and scattered
+    /// writes of the sparse spaces (several `c` under one `a` among
+    /// them), and reads of one space.
+    fn arb_space_step() -> impl Strategy<Value = Step> {
+        prop_oneof![
+            arb_log_run().prop_map(|rows| Step::WriteMany(WHOLE, rows)),
+            arb_log_run().prop_map(|rows| Step::WriteMany(WHOLE, rows)),
+            arb_run().prop_map(|rows| Step::WriteMany(WHOLE, rows)),
+            (arb_reg(), 0u64..1000).prop_map(|(r, v)| Step::Write(r, v)),
+            arb_space_read(),
+            arb_space_read(),
+        ]
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The windowed walk of the log space and the walk of one sparse
+        /// space answer exactly what filtering every register and sorting
+        /// does, on random contents of both stores.
+        #[test]
+        fn every_read_of_one_space_is_the_sorted_naive_filter(
+            steps in proptest::collection::vec(arb_space_step(), 1..40),
+        ) {
+            answers_match_the_model(&steps)?;
+        }
 
         #[test]
         fn every_range_read_is_the_sorted_naive_filter(

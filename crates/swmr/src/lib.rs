@@ -452,7 +452,7 @@ mod tests {
         let all: Vec<(RegId, u64)> = (0..6).map(|b| (RegId::new(1, 0, b, 0), 100 + b)).collect();
         let first_two = Some(RegionSpec::Pattern {
             space: 1,
-            a: Some(0),
+            a: Some(rdma_sim::Window::exact(0)),
             b: Some(rdma_sim::Window::span(0, 2)),
             c: Some(0),
         });

@@ -4,8 +4,9 @@
 //!
 //! Three replicas order a stream of KV commands; the leader crashes
 //! mid-stream; Ω elects a successor which recovers the log from the
-//! memories (whole-log slot scan) and keeps committing. Every surviving
-//! replica ends with the same log and the same materialized store.
+//! memories (the undecided suffix of the log, behind one ballot register
+//! per process) and keeps committing. Every surviving replica ends with
+//! the same log and the same materialized store.
 //!
 //! ```sh
 //! cargo run --example replicated_log

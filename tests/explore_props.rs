@@ -16,7 +16,7 @@
 //!    conflict, i.e. never pruned.
 //!
 //! 3. **Provably disjoint ⇒ disjoint answers**: for generated pattern
-//!    pairs — windowed `b` coordinates included — whenever the relation
+//!    pairs — windowed `a` and `b` coordinates included — whenever the relation
 //!    calls two patterns disjoint, range reads of a fully populated
 //!    memory through them share no register (and patterns differing only
 //!    in their windows are called disjoint exactly when the answers are).
@@ -184,7 +184,7 @@ fn decode(kind: usize, space: u16, x: u64, y: u64, z: u64, val: u64) -> MemReque
         },
         3 => MemRequest::ReadRange {
             region: REGION,
-            within: match val % 6 {
+            within: match val % 7 {
                 0 => None,
                 1 => Some(RegionSpec::All),
                 2 => Some(RegionSpec::Space(space)),
@@ -192,7 +192,9 @@ fn decode(kind: usize, space: u16, x: u64, y: u64, z: u64, val: u64) -> MemReque
                 // Window-bounded reads: a column window over every row,
                 // and one row's window (`z` widths include the empty one).
                 4 => Some(windowed(space, None, y, z + 1, Some(z))),
-                _ => Some(windowed(space, Some(x), y, z, None)),
+                5 => Some(windowed(space, Some(Window::exact(x)), y, z, None)),
+                // A takeover's suffix scan: every row from `x` on.
+                _ => Some(windowed(space, Window::suffix(x), 0, 3, None)),
             },
             into: Vec::new(),
         },
@@ -208,7 +210,7 @@ fn decode(kind: usize, space: u16, x: u64, y: u64, z: u64, val: u64) -> MemReque
 }
 
 /// A pattern whose `b` coordinate is the window `[start, start + len)`.
-fn windowed(space: u16, a: Option<u64>, start: u64, len: u64, c: Option<u64>) -> RegionSpec {
+fn windowed(space: u16, a: Option<Window>, start: u64, len: u64, c: Option<u64>) -> RegionSpec {
     RegionSpec::Pattern {
         space,
         a,
@@ -328,18 +330,24 @@ proptest! {
     #[test]
     fn disjoint_patterns_read_disjoint_registers(
         space in 1u16..3,
-        p_a in 0u64..4, p_start in 0u64..3, p_len in 0u64..4, p_c in 0u64..4,
-        q_a in 0u64..4, q_start in 0u64..3, q_len in 0u64..4, q_c in 0u64..4,
+        p_a in 0u64..6, p_start in 0u64..3, p_len in 0u64..4, p_c in 0u64..4,
+        q_a in 0u64..6, q_start in 0u64..3, q_len in 0u64..4, q_c in 0u64..4,
         q_other_space in any::<bool>(),
     ) {
         // 3 decodes to the wildcard, 0..3 to that fixed coordinate.
         let opt = |v: u64| (v < 3).then_some(v);
-        let p = windowed(space, opt(p_a), p_start, p_len, opt(p_c));
+        // `a` the same way, and 4, 5 to the suffixes from 1 and 2.
+        let rows = |v: u64| match v {
+            0..3 => Some(Window::exact(v)),
+            3 => None,
+            _ => Window::suffix(v - 3),
+        };
+        let p = windowed(space, rows(p_a), p_start, p_len, opt(p_c));
         let q_space = if q_other_space { 3 - space } else { space };
-        let q = windowed(q_space, opt(q_a), q_start, q_len, opt(q_c));
+        let q = windowed(q_space, rows(q_a), q_start, q_len, opt(q_c));
         // Same rows and columns, different windows: nothing left to
         // over-approximate, so the verdict is the answer.
-        let same_but_window = windowed(space, opt(p_a), q_start, q_len, opt(p_c));
+        let same_but_window = windowed(space, rows(p_a), q_start, q_len, opt(p_c));
         let answers = range_answers(&[p, q, same_but_window]);
         let shares = |other: usize| answers[0].iter().any(|r| answers[other].contains(r));
         let verdict = may_overlap(RegAccess::Pattern(p), RegAccess::Pattern(q));

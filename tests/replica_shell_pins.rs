@@ -15,7 +15,11 @@
 //! batched write per memory (the fast-path and mixed pins: about half the
 //! events, memory operations and time), and when the leader's broadcasts
 //! held behind its write in flight became one write per memory (all
-//! three: about a third fewer events and memory operations).
+//! three: about a third fewer events and memory operations). The two
+//! pins with a crash takeover were re-recorded on purpose, with the same
+//! logs, when a takeover began reading the undecided suffix and every
+//! ballot register instead of the whole log (their doc comments hold the
+//! values before).
 
 use agreement::harness::{run_sharded, ShardedRunReport, ShardedScenario};
 use agreement::sharded::{GroupMode, WorkloadSpec};
@@ -84,8 +88,11 @@ fn crash_steady_state_batch_32() {
 }
 
 /// `failover_paced` at 1/50: four groups, Zipf keys, paced arrivals over
-/// RDMA-shaped links, two leader crashes with whole-log takeover scans,
-/// router re-submission and session dedup.
+/// RDMA-shaped links, two leader crashes whose takeovers read the
+/// undecided suffix and the ballot registers, router re-submission and
+/// session dedup. With whole-log takeover scans: `(…, 6989, 5826, 1380,
+/// 888, 255604, 11, 0)` — 849 more range rows, 12 more events and
+/// messages; the same log and memory operations.
 #[test]
 fn crash_paced_failover() {
     let mut sc = scenario(4, 2_000, 8, 64);
@@ -101,7 +108,7 @@ fn crash_paced_failover() {
     sc.announce = vec![(0, 1, first + 30), (2, 1, second + 30)];
     assert_eq!(
         fingerprint("failover_paced", &sc),
-        (3132409440839141692, 6989, 5826, 1380, 888, 255604, 11, 0)
+        (3132409440839141692, 6977, 5814, 1380, 39, 255604, 11, 0)
     );
 }
 
@@ -144,8 +151,11 @@ fn byzantine_pipeline_conservative() {
 /// One crash-mode and one Byzantine-mode group behind the same router,
 /// adaptive doorbell batching on, each group's initial leader crashed
 /// mid-run and replaced by Ω: both engines' takeover paths (PMP
-/// permission grab + whole-log scan, nebcast scan + adopt) under one
-/// shell, in one schedule. Before the Byzantine group's followers batched
+/// permission grab + ballot register + undecided suffix, nebcast scan +
+/// adopt) under one shell, in one schedule. Before the crash takeover read
+/// the suffix and the ballot registers instead of the whole log: `(…,
+/// 3143, 2307, 936, 2766, 345979, 16, 136)` — one read per memory fewer,
+/// 384 range rows more. Before the Byzantine group's followers batched
 /// their copies and receipts: `(…, 6061, 4392, 1995, 2880, 743858, 16,
 /// 118)`; before its leaders sent their held broadcasts as one write:
 /// `(…, 4290, 3254, 1413, 2415, 440699, 16, 129)`; before its engines
@@ -163,7 +173,7 @@ fn mixed_modes_with_a_takeover_each() {
     sc.announce = vec![(0, 1, 70), (1, 2, 120)];
     assert_eq!(
         fingerprint("mixed", &sc),
-        (11152018573274302320, 3143, 2307, 936, 2766, 345979, 16, 136)
+        (11152018573274302320, 3149, 2313, 939, 2382, 345979, 16, 136)
     );
 }
 
