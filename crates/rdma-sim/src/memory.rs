@@ -107,49 +107,6 @@ impl<V> PagedLog<V> {
         page.put(off, value);
     }
 
-    /// Visits the written registers whose `a` lies in `a` (every `a` for
-    /// `None`), in `RegId` order. The columns of one page range are
-    /// adjacent in the list, so the walk seeks once, then steps through
-    /// each range's offsets inside the window across its columns: a
-    /// suffix of the log costs the rows it holds, whatever lies below it.
-    fn walk(&self, a: Option<Window>, mut visit: impl FnMut(RegId, &V)) {
-        let Some(space) = self.space else { return };
-        let (lo, hi) = match a {
-            None => (0, u64::MAX),
-            Some(w) => match w.last() {
-                Some(last) => (w.start(), last),
-                None => return,
-            },
-        };
-        let first = page_of(RegId::new(space, lo, 0, 0)).0;
-        let mut pages = self.pages.pages_from(first);
-        while let Some(&(head, _)) = pages.first() {
-            if head.a > hi {
-                return;
-            }
-            let columns = pages.iter().take_while(|(key, _)| key.a == head.a).count();
-            let (range, rest) = pages.split_at(columns);
-            pages = rest;
-            let written = range.iter().map(|(_, rows)| rows.0.len()).max();
-            let end = (hi - head.a)
-                .saturating_add(1)
-                .min(written.unwrap_or(0) as u64);
-            for off in lo.saturating_sub(head.a)..end {
-                for (first, rows) in range {
-                    if let Some(v) = rows.get(off as usize) {
-                        visit(
-                            RegId {
-                                a: first.a + off,
-                                ..*first
-                            },
-                            v,
-                        );
-                    }
-                }
-            }
-        }
-    }
-
     /// The written registers, a page at a time.
     fn iter(&self) -> impl Iterator<Item = (RegId, &V)> {
         self.pages.iter().flat_map(|(first, rows)| {
@@ -228,87 +185,14 @@ impl<V> Store<V> {
             .flat_map(|(&key, rows)| rows.iter().map(move |(off, v)| (sparse_reg(key, off), v)));
         sparse.chain(self.log.iter())
     }
-
-    /// Visits the registers of sparse `space` whose `a` lies in `a` (every
-    /// `a` for `None`): one seek, then the space's pages in key order —
-    /// `RegId` order unless one `a` holds several `c`.
-    fn walk_sparse(&self, space: u16, a: Option<Window>, mut visit: impl FnMut(RegId, &V)) {
-        let first = (space, a.map_or(0, |w| w.start()), 0, 0);
-        for (&key, rows) in self.sparse.range(first..) {
-            if key.0 != space || a.is_some_and(|w| !w.contains(key.1)) {
-                return;
-            }
-            for (off, v) in rows.iter() {
-                visit(sparse_reg(key, off), v);
-            }
-        }
-    }
-}
-
-impl<V: Clone> Store<V> {
-    /// Fills `rows` with the registers `within` names (all of them for
-    /// `None`) that `hit` admits, in `RegId` order. A read confined to
-    /// one space — a pattern or the space itself — walks that space's
-    /// pages from its first coordinate's window on, so it costs what the
-    /// space holds there, not what the memory holds: a `c`-pinned `b`
-    /// window of a sparse space walks its column's pages
-    /// ([`scan_window`]), the log space walks the page ranges its `a`
-    /// window touches ([`PagedLog::walk`]), any other sparse read walks
-    /// its space and sorts what it found only when several `c` of one
-    /// `a` left it out of order. Only a read of the whole memory filters
-    /// both stores and sorts.
-    fn read_range(
-        &self,
-        within: Option<RegionSpec>,
-        hit: impl Fn(RegId) -> bool,
-        rows: &mut Vec<(RegId, V)>,
-    ) {
-        let mut push = |r: RegId, v: &V| {
-            if hit(r) {
-                rows.push((r, v.clone()));
-            }
-        };
-        match within {
-            Some(RegionSpec::Exact(reg)) => {
-                if let Some(v) = self.get(reg) {
-                    push(reg, v);
-                }
-            }
-            Some(RegionSpec::Pattern {
-                space,
-                a,
-                b: Some(window),
-                c: Some(c),
-            }) if !self.log.holds(space) => scan_window(&self.sparse, (space, a, c), window, push),
-            Some(RegionSpec::Space(space) | RegionSpec::Pattern { space, .. }) => {
-                let a = match within {
-                    Some(RegionSpec::Pattern { a, .. }) => a,
-                    _ => None,
-                };
-                if self.log.holds(space) {
-                    self.log.walk(a, push);
-                } else {
-                    self.walk_sparse(space, a, push);
-                    if !rows.is_sorted_by_key(|(r, _)| *r) {
-                        rows.sort_unstable_by_key(|(r, _)| *r);
-                    }
-                }
-            }
-            None | Some(RegionSpec::All) => {
-                let hits = self.iter().filter(|(r, _)| hit(*r));
-                rows.extend(hits.map(|(r, v)| (r, v.clone())));
-                rows.sort_unstable_by_key(|(r, _)| *r);
-            }
-        }
-    }
 }
 
 /// A simulated memory with registers, regions and permissions.
 ///
 /// Every write is one `Store::insert` per register and keeps nothing
-/// else current: a range read confined to one space walks that space's
-/// pages itself (`Store::read_range`), and only a read of the whole
-/// memory filters both stores and sorts.
+/// else current: a *windowed* range read (`within` pins a `b` window and
+/// a `c` of a space that is not a log) walks the sparse store's pages
+/// itself, and every other range read filters both stores and sorts.
 ///
 /// Type parameters: `V` is the register value type; `M` the simulation
 /// message type embedding [`MemWire<V>`].
@@ -424,10 +308,30 @@ where
             } => match self.regions.get(&region) {
                 Some((spec, perm)) if perm.allows_read(from) => {
                     let hit = |r: RegId| spec.contains(r) && within.is_none_or(|w| w.contains(r));
+                    let store = &self.store;
                     // The reader's buffer: whatever it held is not part of
                     // the answer.
                     rows.clear();
-                    self.store.read_range(within, hit, &mut rows);
+                    match within {
+                        Some(RegionSpec::Pattern {
+                            space,
+                            a,
+                            b: Some(window),
+                            c: Some(c),
+                        }) if !store.log.holds(space) => {
+                            // Page order is `RegId` order: no sort.
+                            scan_window(&store.sparse, (space, a, c), window, |r, v| {
+                                if hit(r) {
+                                    rows.push((r, v.clone()));
+                                }
+                            });
+                        }
+                        _ => {
+                            let hits = store.iter().filter(|(r, _)| hit(*r));
+                            rows.extend(hits.map(|(r, v)| (r, v.clone())));
+                            rows.sort_unstable_by_key(|(r, _)| *r);
+                        }
+                    }
                     MemResponse::Range(rows)
                 }
                 _ => MemResponse::Nak,

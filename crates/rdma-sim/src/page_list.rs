@@ -57,12 +57,6 @@ impl<K: Copy + Ord, P> PageList<K, P> {
         self.pages.iter().map(|(key, page)| (*key, page))
     }
 
-    /// The pages whose key is `key` or above, in key order: one binary
-    /// search, then a slice to walk.
-    pub fn pages_from(&self, key: K) -> &[(K, P)] {
-        &self.pages[self.pages.partition_point(|&(k, _)| k < key)..]
-    }
-
     /// How many pages fit before the list reallocates.
     pub fn capacity(&self) -> usize {
         self.pages.capacity()
@@ -84,16 +78,6 @@ mod tests {
         assert_eq!(list.get(5), Some(&vec![5, 5]));
         assert_eq!(list.get(4), None);
         assert_eq!((list.find(4), list.find(9)), (Err(2), Ok(3)));
-        let from = |key| {
-            list.pages_from(key)
-                .iter()
-                .map(|&(k, _)| k)
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(
-            (from(3), from(4), from(10)),
-            (vec![3, 5, 9], vec![5, 9], vec![])
-        );
         assert!(list.capacity() >= 4);
     }
 

@@ -630,69 +630,8 @@ mod range_reads {
         ]
     }
 
-    /// A leader's run of consecutive instances in one `(b, c)` column of
-    /// the log space, from a small instance or across its first or second
-    /// page boundary.
-    fn arb_log_run() -> impl Strategy<Value = Vec<(RegId, u64)>> {
-        let start = prop_oneof![
-            0u64..8,
-            (0u64..24).prop_map(|d| PAGE - 16 + d),
-            (0u64..8).prop_map(|d| 2 * PAGE - 4 + d),
-        ];
-        ((0u64..3, 0u64..2), start, 1u64..40, 0u64..1000).prop_map(|((b, c), start, len, v)| {
-            let row = |i: u64| (RegId::new(1, start + i, b, c), v + i);
-            (0..len).map(row).collect()
-        })
-    }
-
-    /// A range read confined to one space: the space itself, a pattern
-    /// with any first-coordinate window (suffixes included) and `b` / `c`
-    /// pinned or wild, or one exact register — every form the memory
-    /// answers by walking one space's pages.
-    fn arb_space_read() -> impl Strategy<Value = Step> {
-        let b = arb_opt(0u64..3).prop_map(|b| b.map(Window::exact));
-        let within = prop_oneof![
-            (0u16..3).prop_map(RegionSpec::Space),
-            (0u16..3, arb_a_window(), b, arb_opt(0u64..2))
-                .prop_map(|(space, a, b, c)| { RegionSpec::Pattern { space, a, b, c } }),
-            (0u16..3, arb_a_window()).prop_map(|(space, a)| RegionSpec::Pattern {
-                space,
-                a,
-                b: None,
-                c: None
-            }),
-            arb_reg().prop_map(RegionSpec::Exact),
-        ];
-        (any::<bool>(), within)
-            .prop_map(|(row, w)| Step::ReadRange(if row { ROW } else { WHOLE }, Some(w)))
-    }
-
-    /// Long log runs in several columns, column runs and scattered
-    /// writes of the sparse spaces (several `c` under one `a` among
-    /// them), and reads of one space.
-    fn arb_space_step() -> impl Strategy<Value = Step> {
-        prop_oneof![
-            arb_log_run().prop_map(|rows| Step::WriteMany(WHOLE, rows)),
-            arb_log_run().prop_map(|rows| Step::WriteMany(WHOLE, rows)),
-            arb_run().prop_map(|rows| Step::WriteMany(WHOLE, rows)),
-            (arb_reg(), 0u64..1000).prop_map(|(r, v)| Step::Write(r, v)),
-            arb_space_read(),
-            arb_space_read(),
-        ]
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
-
-        /// The windowed walk of the log space and the walk of one sparse
-        /// space answer exactly what filtering every register and sorting
-        /// does, on random contents of both stores.
-        #[test]
-        fn every_read_of_one_space_is_the_sorted_naive_filter(
-            steps in proptest::collection::vec(arb_space_step(), 1..40),
-        ) {
-            answers_match_the_model(&steps)?;
-        }
 
         #[test]
         fn every_range_read_is_the_sorted_naive_filter(
