@@ -86,7 +86,7 @@ pub fn legal_change(
 pub fn configure_memory(mem: &mut MemoryActor<RegVal, Msg>, procs: &[Pid], leader: Pid) {
     mem.add_region(
         LEADER_REGION,
-        RegionSpec::Space(spaces::CQ_LEADER),
+        RegionSpec::space(spaces::CQ_LEADER),
         Permission::exclusive_writer(leader),
     );
     for &p in procs {

@@ -62,18 +62,16 @@ pub fn disk_actor(procs: &[Pid]) -> MemoryActor<RegVal, Msg> {
     for &p in procs {
         mem.add_region(
             row_region(p),
-            RegionSpec::Pattern {
-                space: spaces::DISK,
-                a: None,
+            RegionSpec {
                 b: Some(Window::exact(p.0 as u64)),
-                c: None,
+                ..RegionSpec::space(spaces::DISK)
             },
             Permission::exclusive_writer(p),
         );
     }
     mem.add_region(
         ALL_REGION,
-        RegionSpec::Space(spaces::DISK),
+        RegionSpec::space(spaces::DISK),
         Permission::read_only(),
     );
     mem

@@ -24,19 +24,21 @@
 //!   writes, per-process broadcast rows), so this carve-out is where
 //!   the pruning actually bites.
 //!
-//! Footprints over-approximate: a `ReadRange` reads its whole `within`
-//! pattern (the region's own spec is memory-side configuration the wire
-//! does not carry) — for a window-bounded read that is the window, so it
-//! commutes with writes outside it and with reads of disjoint windows —
-//! and `ChangePerm` conflicts with everything on that
-//! memory — permissions gate every other request's Nak-or-apply
-//! outcome.
+//! A footprint is a list of [`RegionSpec`]s, a written register the set
+//! of one ([`RegionSpec::exact`]); whether two of them share a register
+//! is [`RegionSpec::overlaps`], the memory model's own rule. Footprints
+//! over-approximate: a `ReadRange` reads its whole `within` set (the
+//! region's own spec is memory-side configuration the wire does not
+//! carry) — for a window-bounded read that is the window, so it commutes
+//! with writes outside it and with reads of disjoint windows — and
+//! `ChangePerm` conflicts with everything on that memory — permissions
+//! gate every other request's Nak-or-apply outcome.
 //!
 //! [`Context`]: simnet::Context
 
 use std::collections::BTreeSet;
 
-use rdma_sim::{MemRequest, MemWire, RegId, RegionSpec, Window};
+use rdma_sim::{MemRequest, MemWire, RegionSpec};
 use simnet::{ActorId, Choice, ChoicePayload, EventKind};
 
 use crate::types::{Msg, RegVal};
@@ -88,23 +90,13 @@ pub enum EventClass {
 /// The register sets a memory request touches.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Footprint {
-    /// Registers (or register patterns) read.
-    pub reads: Vec<RegAccess>,
-    /// Registers written.
-    pub writes: Vec<RegAccess>,
+    /// Register sets read.
+    pub reads: Vec<RegionSpec>,
+    /// Registers written, each the set of one.
+    pub writes: Vec<RegionSpec>,
     /// Whether the request changes a region's permission — which gates
     /// every other request on the memory, so it conflicts with all.
     pub perm: bool,
-}
-
-/// One element of a footprint: a single register or a pattern of them.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum RegAccess {
-    /// Exactly one register.
-    Exact(RegId),
-    /// Every register a [`RegionSpec`] matches (the `ReadRange`
-    /// over-approximation).
-    Pattern(RegionSpec),
 }
 
 /// Summarizes a kernel [`Choice`] for the independence relation. `mems`
@@ -141,18 +133,15 @@ pub fn summarize_choice(c: &Choice<'_, Msg>, mems: &BTreeSet<ActorId>) -> Explor
 pub fn footprint(req: &MemRequest<RegVal>) -> Footprint {
     let mut fp = Footprint::default();
     match req {
-        MemRequest::Read { reg, .. } => fp.reads.push(RegAccess::Exact(*reg)),
-        MemRequest::Write { reg, .. } => fp.writes.push(RegAccess::Exact(*reg)),
+        MemRequest::Read { reg, .. } => fp.reads.push(RegionSpec::exact(*reg)),
+        MemRequest::Write { reg, .. } => fp.writes.push(RegionSpec::exact(*reg)),
         MemRequest::WriteMany { writes, .. } => {
             fp.writes
-                .extend(writes.iter().map(|(r, _)| RegAccess::Exact(*r)));
+                .extend(writes.iter().map(|(r, _)| RegionSpec::exact(*r)));
         }
-        MemRequest::ReadRange { within, .. } => {
-            // The region's own spec lives memory-side; the wildcard is
-            // the sound over-approximation.
-            fp.reads
-                .push(RegAccess::Pattern(within.unwrap_or(RegionSpec::All)));
-        }
+        // The region's own spec lives memory-side; `within` alone is the
+        // sound over-approximation.
+        MemRequest::ReadRange { within, .. } => fp.reads.push(*within),
         MemRequest::ChangePerm { .. } => fp.perm = true,
     }
     fp
@@ -177,62 +166,15 @@ pub fn conflicts(a: &Footprint, b: &Footprint) -> bool {
     if a.perm || b.perm {
         return true;
     }
-    let hit = |xs: &[RegAccess], ys: &[RegAccess]| {
-        xs.iter().any(|x| ys.iter().any(|y| may_overlap(*x, *y)))
-    };
+    let hit =
+        |xs: &[RegionSpec], ys: &[RegionSpec]| xs.iter().any(|x| ys.iter().any(|y| x.overlaps(y)));
     hit(&a.writes, &b.writes) || hit(&a.writes, &b.reads) || hit(&a.reads, &b.writes)
-}
-
-/// Whether two footprint elements can name a common register
-/// (conservative: `true` unless provably disjoint).
-pub fn may_overlap(a: RegAccess, b: RegAccess) -> bool {
-    match (a, b) {
-        (RegAccess::Exact(r), RegAccess::Exact(s)) => r == s,
-        (RegAccess::Exact(r), RegAccess::Pattern(spec))
-        | (RegAccess::Pattern(spec), RegAccess::Exact(r)) => spec.contains(r),
-        (RegAccess::Pattern(p), RegAccess::Pattern(q)) => specs_may_overlap(p, q),
-    }
-}
-
-/// Whether two region specs can share a register. Distinct namespaces,
-/// different pinned `c`, and disjoint `a` or `b` windows are provably
-/// disjoint; everything else is assumed to overlap.
-fn specs_may_overlap(p: RegionSpec, q: RegionSpec) -> bool {
-    use RegionSpec::*;
-    let coord = |x: Option<u64>, y: Option<u64>| match (x, y) {
-        (Some(a), Some(b)) => a == b,
-        _ => true,
-    };
-    let window = |x: Option<Window>, y: Option<Window>| match (x, y) {
-        (Some(v), Some(w)) => v.overlaps(&w),
-        _ => true,
-    };
-    match (p, q) {
-        (All, _) | (_, All) => true,
-        (Exact(r), other) | (other, Exact(r)) => other.contains(r),
-        (Space(s), Space(t)) => s == t,
-        (Space(s), Pattern { space, .. }) | (Pattern { space, .. }, Space(s)) => s == space,
-        (
-            Pattern {
-                space: s1,
-                a: a1,
-                b: b1,
-                c: c1,
-            },
-            Pattern {
-                space: s2,
-                a: a2,
-                b: b2,
-                c: c2,
-            },
-        ) => s1 == s2 && window(a1, a2) && window(b1, b2) && coord(c1, c2),
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rdma_sim::RegionId;
+    use rdma_sim::{RegId, RegionId, Window};
 
     fn ev(seq: u64, to: u32, kind: EventClass) -> ExploredEvent {
         ExploredEvent {
@@ -313,7 +255,7 @@ mod tests {
             7,
             &MemRequest::ReadRange {
                 region: MR,
-                within: Some(RegionSpec::row(2, 4)),
+                within: RegionSpec::row(2, 4),
                 into: Vec::new(),
             },
         );
@@ -329,7 +271,7 @@ mod tests {
             7,
             &MemRequest::ReadRange {
                 region: MR,
-                within: None,
+                within: RegionSpec::ALL,
                 into: Vec::new(),
             },
         );
@@ -338,18 +280,17 @@ mod tests {
 
     #[test]
     fn windowed_range_read_conflicts_inside_its_window_only() {
-        let windowed = |start, len| RegionSpec::Pattern {
-            space: 2,
-            a: None,
+        let windowed = |start, len| RegionSpec {
             b: Some(Window::span(start, len)),
             c: Some(1),
+            ..RegionSpec::space(2)
         };
         let scan = mem_req(
             1,
             7,
             &MemRequest::ReadRange {
                 region: MR,
-                within: Some(windowed(10, 4)),
+                within: windowed(10, 4),
                 into: Vec::new(),
             },
         );
@@ -374,26 +315,11 @@ mod tests {
             &scan,
             &mem_req(6, 7, &write(RegId::new(2, 0, 12 | 1 << 63, 1)))
         ));
-        // Pattern against pattern: disjoint windows are provably disjoint,
+        // Set against set: disjoint windows are provably disjoint,
         // touching ones are not, and a wildcard `b` overlaps any window.
-        use RegAccess::Pattern;
-        assert!(!may_overlap(
-            Pattern(windowed(10, 4)),
-            Pattern(windowed(14, 4))
-        ));
-        assert!(may_overlap(
-            Pattern(windowed(10, 4)),
-            Pattern(windowed(13, 4))
-        ));
-        assert!(may_overlap(
-            Pattern(windowed(10, 4)),
-            Pattern(RegionSpec::Pattern {
-                space: 2,
-                a: Some(Window::exact(0)),
-                b: None,
-                c: None,
-            })
-        ));
+        assert!(!windowed(10, 4).overlaps(&windowed(14, 4)));
+        assert!(windowed(10, 4).overlaps(&windowed(13, 4)));
+        assert!(windowed(10, 4).overlaps(&RegionSpec::row(2, 0)));
     }
 
     #[test]
@@ -402,7 +328,7 @@ mod tests {
         use crate::types::{spaces, Ballot, Instance, PaxSlot, Value};
         let read = |within| MemRequest::ReadRange {
             region: MR,
-            within: Some(within),
+            within,
             into: Vec::new(),
         };
         let phase2 = |i, p| MemRequest::Write {
@@ -438,14 +364,13 @@ mod tests {
                 "{p}"
             );
         }
-        // Pattern against pattern: `a` windows compare as `b` windows do.
-        use RegAccess::Pattern;
-        let row = |i| Pattern(RegionSpec::row(spaces::PMP, i));
-        let suffix = |at| Pattern(suffix(Instance(at)));
-        assert!(!may_overlap(suffix(40), row(39)));
-        assert!(may_overlap(suffix(40), row(40)) && may_overlap(suffix(40), suffix(7)));
-        assert!(may_overlap(suffix(0), row(0)));
-        assert!(!may_overlap(suffix(0), Pattern(BALLOTS)));
+        // Set against set: `a` windows compare as `b` windows do.
+        let row = |i| RegionSpec::row(spaces::PMP, i);
+        let suffix = |at| suffix(Instance(at));
+        assert!(!suffix(40).overlaps(&row(39)));
+        assert!(suffix(40).overlaps(&row(40)) && suffix(40).overlaps(&suffix(7)));
+        assert!(suffix(0).overlaps(&row(0)));
+        assert!(!suffix(0).overlaps(&BALLOTS));
     }
 
     #[test]
@@ -469,21 +394,11 @@ mod tests {
 
     #[test]
     fn pattern_pattern_overlap_is_conservative() {
-        use RegAccess::Pattern;
         // Same space, compatible coords: may overlap.
-        assert!(may_overlap(
-            Pattern(RegionSpec::row(1, 3)),
-            Pattern(RegionSpec::Space(1))
-        ));
+        assert!(RegionSpec::row(1, 3).overlaps(&RegionSpec::space(1)));
         // Fixed differing coordinate: provably disjoint.
-        assert!(!may_overlap(
-            Pattern(RegionSpec::row(1, 3)),
-            Pattern(RegionSpec::row(1, 4))
-        ));
+        assert!(!RegionSpec::row(1, 3).overlaps(&RegionSpec::row(1, 4)));
         // Different spaces: disjoint.
-        assert!(!may_overlap(
-            Pattern(RegionSpec::Space(1)),
-            Pattern(RegionSpec::Space(2))
-        ));
+        assert!(!RegionSpec::space(1).overlaps(&RegionSpec::space(2)));
     }
 }

@@ -52,10 +52,6 @@ pub struct Scenario {
     pub announce: Vec<(u64, usize)>,
     /// Virtual-time budget, in delays.
     pub max_delays: u64,
-    /// SMR write batching: log entries per replicated write
-    /// ([`run_smr`] only; single-decree protocols ignore it). `1` is the
-    /// paper's unbatched protocol.
-    pub batch: usize,
 }
 
 impl Scenario {
@@ -71,7 +67,6 @@ impl Scenario {
             byz_silent: Vec::new(),
             announce: Vec::new(),
             max_delays: 5_000,
-            batch: 1,
         }
     }
 
@@ -385,9 +380,10 @@ fn crash_replica(
 }
 
 /// Runs the replicated log (SMR over Protected Memory Paxos): every node
-/// wants `cmds_per_node` commands committed; process 0 leads. Honours
-/// [`Scenario::batch`].
-pub fn run_smr(scenario: &Scenario, cmds_per_node: usize) -> SmrRunReport {
+/// wants `cmds_per_node` commands committed; process 0 leads and packs up
+/// to `batch` log entries into each replicated write (`1` is the paper's
+/// unbatched protocol).
+pub fn run_smr(scenario: &Scenario, cmds_per_node: usize, batch: usize) -> SmrRunReport {
     let memories = (0..scenario.m)
         .map(|_| protected::memory_actor(LEADER))
         .collect();
@@ -396,7 +392,7 @@ pub fn run_smr(scenario: &Scenario, cmds_per_node: usize) -> SmrRunReport {
             let workload: Vec<Value> = (0..cmds_per_node)
                 .map(|c| Value(1000 * (i as u64 + 1) + c as u64))
                 .collect();
-            Box::new(crash_replica(procs, mems, i, workload).with_batch(scenario.batch))
+            Box::new(crash_replica(procs, mems, i, workload).with_batch(batch))
         },
         memories,
     );
@@ -1126,12 +1122,11 @@ mod tests {
     fn smr_harness_batching_preserves_log_and_speeds_commit() {
         let mut s = Scenario::common_case(3, 3, 5);
         s.max_delays = 400;
-        let unbatched = run_smr(&s, 40);
+        let unbatched = run_smr(&s, 40, 1);
         assert_eq!(unbatched.entries, 40);
         assert!(unbatched.logs_agree);
 
-        s.batch = 8;
-        let batched = run_smr(&s, 40);
+        let batched = run_smr(&s, 40, 8);
         assert_eq!(batched.entries, 40);
         assert!(batched.logs_agree);
         // Identical committed history; only the commit cadence changes.

@@ -74,7 +74,7 @@ pub struct ShardedScenario {
     /// leader and the router only observes — the max-throughput
     /// configuration, wire-identical per group to [`super::run_smr`].
     pub window: usize,
-    /// Log entries per replicated write (as [`super::Scenario::batch`]).
+    /// Log entries per replicated write (as [`super::run_smr`]'s `batch`).
     pub batch: usize,
     /// The crash-mode groups' batch, overriding `batch` there (`0` = no
     /// override): the harness passes it to

@@ -29,7 +29,7 @@ use std::collections::BTreeMap;
 
 use rdma_sim::{
     LegalChange, MemRequest, MemResponse, MemWire, MemoryActor, MemoryClient, Permission, RegId,
-    RegionId, RegionSpec, Window,
+    RegionId, RegionSpec,
 };
 use simnet::{Actor, ActorId, Context, Duration, EventKind, Simulation, Time};
 
@@ -53,12 +53,7 @@ pub fn flag_memory(procs: &[Pid]) -> MemoryActor<RegVal, Msg> {
     for &p in procs {
         mem.add_region(
             flag_region(p),
-            RegionSpec::Pattern {
-                space: spaces::LB,
-                a: Some(Window::exact(p.0 as u64)),
-                b: None,
-                c: None,
-            },
+            RegionSpec::row(spaces::LB, p.0 as u64),
             Permission::exclusive_writer(p),
         );
     }

@@ -230,7 +230,7 @@ pub fn configure_memory(mem: &mut rdma_sim::MemoryActor<RegVal, Msg>, procs: &[P
     }
     mem.add_region(
         ALL_REGION,
-        RegionSpec::Space(spaces::NEB),
+        RegionSpec::space(spaces::NEB),
         Permission::read_only(),
     );
 }
@@ -748,13 +748,13 @@ impl NebEngine {
         q: Pid,
         window: Window,
     ) -> RepId {
-        let cells = RegionSpec::Pattern {
-            space: spaces::NEB,
+        let cells = RegionSpec {
+            space: Some(spaces::NEB),
             a: owner.map(|i| Window::exact(i.0 as u64)),
             b: Some(window),
             c: Some(q.0 as u64),
         };
-        self.rep.read_range(ctx, client, ALL_REGION, Some(cells))
+        self.rep.read_range(ctx, client, ALL_REGION, cells)
     }
 
     /// Adopts the slots of the focus's own row (sender `i`) returned by a
@@ -1323,12 +1323,12 @@ mod tests {
     fn shared_audit_of(q: Pid, req: &MemRequest<RegVal>) -> bool {
         let MemRequest::ReadRange {
             within:
-                Some(RegionSpec::Pattern {
+                RegionSpec {
                     a: None,
                     b: Some(w),
                     c,
                     ..
-                }),
+                },
             ..
         } = req
         else {
@@ -1409,18 +1409,18 @@ mod tests {
                 }
                 MemRequest::ReadRange {
                     within:
-                        Some(RegionSpec::Pattern {
+                        RegionSpec {
                             a: None,
                             b: Some(w),
                             c,
                             ..
-                        }),
+                        },
                     ..
                 } if *c == Some(q.0 as u64) && *w == Window::exact(w.start()) => {
                     *ops.audits.entry(w.start()).or_default() += 1;
                 }
                 MemRequest::ReadRange {
-                    within: Some(RegionSpec::Pattern { a, c, .. }),
+                    within: RegionSpec { a, c, .. },
                     ..
                 } if *a == Some(Window::exact(q.0 as u64)) && *c == Some(q.0 as u64) => {
                     ops.probes.push(at)

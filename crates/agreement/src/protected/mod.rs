@@ -130,16 +130,14 @@ pub fn ballot_reg(p: Pid) -> RegId {
 }
 
 /// Every process's ballot register.
-pub(crate) const BALLOTS: RegionSpec = RegionSpec::Space(spaces::PMP_BALLOT);
+pub(crate) const BALLOTS: RegionSpec = RegionSpec::space(spaces::PMP_BALLOT);
 
 /// Every process's slot in every instance from `at` on: the log's
 /// undecided suffix as a takeover scans it.
 pub(crate) fn suffix(at: Instance) -> RegionSpec {
-    RegionSpec::Pattern {
-        space: spaces::PMP,
+    RegionSpec {
         a: Window::suffix(at.0),
-        b: None,
-        c: None,
+        ..RegionSpec::space(spaces::PMP)
     }
 }
 
@@ -163,7 +161,7 @@ pub fn memory_actor(initial_leader: Pid) -> MemoryActor<RegVal, Msg> {
         .with_log_space(spaces::PMP)
         .with_region(
             REGION,
-            RegionSpec::All,
+            RegionSpec::ALL,
             Permission::exclusive_writer(initial_leader),
         )
 }
@@ -361,19 +359,18 @@ impl<L: MemoryLeg> Proposer<L> {
         instance: Instance,
     ) {
         let stamp = RegId::two(self.leg.layout(self.me).space, instance.0, self.me.0 as u64);
-        self.start_phase_one(ctx, client, stamp, self.row(instance.0), None);
+        self.start_phase_one(ctx, client, stamp, &[self.row(instance.0)]);
     }
 
     /// Phase 1 under a fresh ballot: `Prepare` to every peer, and on every
     /// memory (acquire the write permission,) stamp the ballot into
-    /// `stamp`, scan the registers `within`, then (if any) `ballots`.
+    /// `stamp`, then scan each of `scans` in turn.
     fn start_phase_one(
         &mut self,
         ctx: &mut Context<'_, Msg>,
         client: &mut MemoryClient<RegVal, Msg>,
         stamp: RegId,
-        within: RegionSpec,
-        ballots: Option<RegionSpec>,
+        scans: &[RegionSpec],
     ) {
         self.ballot.round = self.ballot.round.max(self.max_round_seen) + 1;
         self.begin(Phase::One);
@@ -383,23 +380,21 @@ impl<L: MemoryLeg> Proposer<L> {
         }
         let lay = self.leg.layout(self.me);
         let slot = RegVal::Slot(PaxSlot::phase1(b));
-        let first_scan = if ballots.is_some() {
-            StepKind::LeadingScan
-        } else {
-            StepKind::Scan
-        };
         for i in 0..self.mems.len() {
             let mem = self.mems[i];
             if lay.dynamic {
                 client.change_perm(ctx, mem, lay.write, Permission::exclusive_writer(self.me));
             }
             let w = client.write(ctx, mem, lay.write, stamp, slot.clone());
-            let r = client.read_range(ctx, mem, lay.scan, Some(within), Vec::new());
             self.op_map.push((w, (self.attempt, mem, StepKind::Write)));
-            self.op_map.push((r, (self.attempt, mem, first_scan)));
-            if let Some(ballots) = ballots {
-                let r = client.read_range(ctx, mem, lay.scan, Some(ballots), Vec::new());
-                self.op_map.push((r, (self.attempt, mem, StepKind::Scan)));
+            for (j, &within) in scans.iter().enumerate() {
+                let r = client.read_range(ctx, mem, lay.scan, within, Vec::new());
+                let step = if j + 1 < scans.len() {
+                    StepKind::LeadingScan
+                } else {
+                    StepKind::Scan
+                };
+                self.op_map.push((r, (self.attempt, mem, step)));
             }
         }
     }
@@ -424,7 +419,7 @@ impl<L: MemoryLeg> Proposer<L> {
             ctx.send(q, Msg::Paxos(PaxosMsg::Accept { b, v: values[0] }));
         }
         let lay = self.leg.layout(self.me);
-        let read_back = Some(RegionSpec::row(lay.space, first));
+        let read_back = RegionSpec::row(lay.space, first);
         let write = |j: usize, v: Value| {
             let reg = RegId::two(lay.space, first + j as u64, self.me.0 as u64);
             (reg, RegVal::Slot(PaxSlot::phase2(b, v)))
@@ -574,7 +569,7 @@ impl Proposer<Protected> {
         client: &mut MemoryClient<RegVal, Msg>,
         at: Instance,
     ) {
-        self.start_phase_one(ctx, client, ballot_reg(self.me), suffix(at), Some(BALLOTS));
+        self.start_phase_one(ctx, client, ballot_reg(self.me), &[suffix(at), BALLOTS]);
     }
 }
 

@@ -108,7 +108,7 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
-use rdma_sim::Completion;
+use rdma_sim::{Completion, RegionSpec};
 use sigsim::{SigVerifier, Signer};
 use simnet::{ActorId, Context, Duration};
 use swmr::{RepEngine, RepId, RepResult};
@@ -424,7 +424,8 @@ impl NebLog {
         self.clear_pipeline(sh);
         sh.recover.clear();
         let all = nebcast::ALL_REGION;
-        self.scanning = Some(self.scan_rep.read_range(ctx, &mut sh.client, all, None));
+        let scan = (self.scan_rep).read_range(ctx, &mut sh.client, all, RegionSpec::ALL);
+        self.scanning = Some(scan);
     }
 
     /// Folds the scan result into an adoption map and opens the new

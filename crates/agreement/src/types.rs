@@ -401,7 +401,9 @@ mod tests {
     /// host layout — `RegVal` (a broadcast slot is one `Arc` pointer, so a
     /// Paxos slot or a Cheap Quorum proof sizes the enum), `Option<RegVal>`
     /// as a row of the memory's paged log store, `MemRequest<RegVal>` /
-    /// `Msg` as what a handler builds and matches on per event, and
+    /// `Msg` as what a handler builds and matches on per event,
+    /// `RegionSpec` as every memory's region map entry and every range
+    /// read's filter (8 more bytes there raised `peak_live_bytes`), and
     /// `EventKind<Msg>` as what a slot of the kernel's event slab holds —
     /// host time and `peak_live_bytes`, never a delay.
     /// (A `WriteMany`'s shared rows and a `DecidedMany`'s shared values are
@@ -418,6 +420,11 @@ mod tests {
         );
         assert_eq!(size_of::<RegVal>(), 64, "watched");
         assert_eq!(size_of::<Option<RegVal>>(), 64, "watched: a log row");
+        assert_eq!(
+            size_of::<rdma_sim::RegionSpec>(),
+            56,
+            "watched: a region map's entry and a range read's filter"
+        );
         assert_eq!(size_of::<rdma_sim::MemRequest<RegVal>>(), 104, "watched");
         assert_eq!(size_of::<Msg>(), 112, "watched");
         assert_eq!(
@@ -488,7 +495,7 @@ mod tests {
             let writes = vec![row.clone(); 5].into();
             let many = MemRequest::WriteMany { region, writes };
             assert_eq!(req(many), (Verb::Write, 880, 5), "{value:?}");
-            let within = None;
+            let within = rdma_sim::RegionSpec::ALL;
             let range = MemRequest::ReadRange {
                 region,
                 within,

@@ -53,12 +53,12 @@ use simnet::{DelayModel, RdmaCost, TICKS_PER_DELAY};
 const RUSTC: &str = env!("BENCH_RUSTC_VERSION");
 
 /// This snapshot's PR number (names the output file and anchors the gate).
-const PR: u32 = 50;
+const PR: u32 = 51;
 
 /// The snapshot [`MOVED_OK`] names moves against: the list applies only
 /// when the gate compares with `BENCH_PR<MOVED_SINCE>.json`, so a list
 /// left behind by an earlier PR excuses nothing.
-const MOVED_SINCE: u32 = 49;
+const MOVED_SINCE: u32 = 50;
 
 /// The values this snapshot moves on purpose against
 /// `BENCH_PR<MOVED_SINCE>.json`: none.
@@ -123,8 +123,8 @@ fn measure<R>(label: String, threads: usize, run: impl FnOnce() -> R) -> Measure
 
 /// Measures one E10b-style replicated-log run and checks it committed
 /// everything consistently.
-fn measure_smr(label: String, s: &Scenario, cmds: usize) -> Measured<SmrRunReport> {
-    let m = measure(label, 1, || run_smr(s, cmds));
+fn measure_smr(label: String, s: &Scenario, cmds: usize, batch: usize) -> Measured<SmrRunReport> {
+    let m = measure(label, 1, || run_smr(s, cmds, batch));
     let (label, r) = (&m.label, &m.report);
     assert_eq!(r.entries, cmds, "{label}: workload did not fully commit");
     assert!(r.logs_agree, "{label}: replicas diverged");
@@ -141,14 +141,13 @@ fn measure_sharded(label: String, sc: &ShardedScenario) -> MeasuredShard {
     m
 }
 
-/// The E10b replicated log (n = 3, m = 3) at `batch` entries per write.
-/// `run_smr` never quiesces (retry timers re-arm), so the budget *is* the
+/// The E10b replicated log (n = 3, m = 3), budgeted for `batch` entries
+/// per write. `run_smr` never quiesces (retry timers re-arm), so the budget *is* the
 /// run's length: `round_delays` per batched write round plus a little
 /// slack — just enough to commit everything, so the run measures the
 /// commit pipeline rather than a post-workload timer tail.
 fn smr_log(batch: usize, cmds: usize, round_delays: u64, slack: u64) -> Scenario {
     Scenario {
-        batch,
         max_delays: round_delays * (cmds as u64).div_ceil(batch as u64) + slack,
         ..Scenario::common_case(3, 3, 5)
     }
@@ -291,7 +290,12 @@ fn e10b_replicated_log(cmds: usize) -> Section {
     // Synchronous links: a batched write round is 2 delays.
     let rows = [1usize, 8, 32].map(|batch| {
         let label = format!("optimized_kernel_batch{batch}");
-        smr_row(&measure_smr(label, &smr_log(batch, cmds, 2, 50), cmds))
+        smr_row(&measure_smr(
+            label,
+            &smr_log(batch, cmds, 2, 50),
+            cmds,
+            batch,
+        ))
     });
     Section {
         name: "e10b_replicated_log",
@@ -717,7 +721,7 @@ fn cost_model(cmds: usize) -> Section {
             };
             let open_loop = rdma(cost, service(4, batch, 0, cmds));
             (
-                measure_smr(format!("cost_{name}_b{batch}_e10b"), &log, cmds),
+                measure_smr(format!("cost_{name}_b{batch}_e10b"), &log, cmds, batch),
                 measure_sharded(format!("cost_{name}_b{batch}_g4"), &open_loop),
             )
         });

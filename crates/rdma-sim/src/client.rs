@@ -167,7 +167,7 @@ where
         ctx: &mut Context<'_, M>,
         mem: ActorId,
         region: RegionId,
-        within: Option<crate::RegionSpec>,
+        within: crate::RegionSpec,
         into: Vec<(RegId, V)>,
     ) -> OpId {
         let req = MemRequest::ReadRange {
@@ -291,7 +291,7 @@ mod tests {
         let mem = sim.add(
             MemoryActor::<u64, TMsg>::new(LegalChange::Static).with_region(
                 REGION,
-                RegionSpec::Space(1),
+                RegionSpec::space(1),
                 Permission::open(),
             ),
         );
@@ -354,7 +354,7 @@ mod tests {
                 sim.add(
                     MemoryActor::<u64, TMsg>::new(LegalChange::Static).with_region(
                         REGION,
-                        RegionSpec::Space(1),
+                        RegionSpec::space(1),
                         Permission::open(),
                     ),
                 )

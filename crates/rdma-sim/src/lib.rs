@@ -4,8 +4,12 @@
 //! *The Impact of RDMA on Agreement* (§3, §7):
 //!
 //! * **Memories** ([`MemoryActor`]) hold registers ([`RegId`]) grouped into
-//!   **regions** ([`RegionSpec`]) with **permissions** ([`Permission`]:
-//!   disjoint read / write / read-write process sets).
+//!   **regions** with **permissions** ([`Permission`]: disjoint read /
+//!   write / read-write process sets).
+//! * A set of registers — a region, a range read's filter, a footprint
+//!   the explorer compares — is one [`RegionSpec`]: four optional
+//!   filters, one per coordinate. [`RegionSpec::overlaps`] is the one
+//!   rule for whether two sets can share a register.
 //! * `read` / `write` name the region through which access is claimed; the
 //!   memory naks operations lacking permission. This check is the trusted
 //!   component: Byzantine processes cannot bypass it, just as a real NIC

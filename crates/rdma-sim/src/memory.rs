@@ -190,8 +190,8 @@ impl<V> Store<V> {
 /// A simulated memory with registers, regions and permissions.
 ///
 /// Every write is one `Store::insert` per register and keeps nothing
-/// else current: a *windowed* range read (`within` pins a `b` window and
-/// a `c` of a space that is not a log) walks the sparse store's pages
+/// else current: a *windowed* range read (`within` pins a `b` window, a
+/// `c` and a space that is not a log) walks the sparse store's pages
 /// itself, and every other range read filters both stores and sorts.
 ///
 /// Type parameters: `V` is the register value type; `M` the simulation
@@ -307,18 +307,18 @@ where
                 into: mut rows,
             } => match self.regions.get(&region) {
                 Some((spec, perm)) if perm.allows_read(from) => {
-                    let hit = |r: RegId| spec.contains(r) && within.is_none_or(|w| w.contains(r));
+                    let hit = |r: RegId| spec.contains(r) && within.contains(r);
                     let store = &self.store;
                     // The reader's buffer: whatever it held is not part of
                     // the answer.
                     rows.clear();
                     match within {
-                        Some(RegionSpec::Pattern {
-                            space,
+                        RegionSpec {
+                            space: Some(space),
                             a,
                             b: Some(window),
                             c: Some(c),
-                        }) if !store.log.holds(space) => {
+                        } if !store.log.holds(space) => {
                             // Page order is `RegId` order: no sort.
                             scan_window(&store.sparse, (space, a, c), window, |r, v| {
                                 if hit(r) {
@@ -489,8 +489,8 @@ mod tests {
     ) -> Vec<(OpId, MemResponse<u64>)> {
         let mut sim: Simulation<TMsg> = Simulation::new(3);
         let mem = MemoryActor::<u64, TMsg>::new(legal)
-            .with_region(REGION, RegionSpec::Space(1), perm)
-            .with_region(LOCKED, RegionSpec::Space(2), Permission::read_only());
+            .with_region(REGION, RegionSpec::space(1), perm)
+            .with_region(LOCKED, RegionSpec::space(2), Permission::read_only());
         let mem_id = sim.add(mem);
         let drv = sim.add(Driver {
             mem: mem_id,
@@ -642,7 +642,7 @@ mod tests {
                 },
                 MemRequest::ReadRange {
                     region: REGION,
-                    within: None,
+                    within: RegionSpec::ALL,
                     into: Vec::new(),
                 },
             ],
@@ -659,7 +659,7 @@ mod tests {
     fn a_log_space_write_allocates_at_most_one_page_wherever_it_lands() {
         let mut mem = MemoryActor::<u64, TMsg>::new(LegalChange::Static)
             .with_log_space(1)
-            .with_region(REGION, RegionSpec::All, Permission::open());
+            .with_region(REGION, RegionSpec::ALL, Permission::open());
         let me = ActorId(1);
         let far = [RegId::one(1, 1 << 40), RegId::one(1, u64::MAX)];
         for (pages, reg) in far.into_iter().enumerate() {
@@ -695,7 +695,7 @@ mod tests {
     fn a_sparse_write_allocates_at_most_one_page_wherever_it_lands() {
         let mut mem = MemoryActor::<u64, TMsg>::new(LegalChange::Static).with_region(
             REGION,
-            RegionSpec::All,
+            RegionSpec::ALL,
             Permission::open(),
         );
         let me = ActorId(1);
@@ -714,12 +714,11 @@ mod tests {
         }
         // A windowed read walks the pages in `b` order; `[0, u64::MAX)`
         // ends one short of the last `b`.
-        let within = Some(RegionSpec::Pattern {
-            space: 2,
-            a: None,
+        let within = RegionSpec {
             b: Some(Window::span(0, u64::MAX)),
             c: Some(4),
-        });
+            ..RegionSpec::space(2)
+        };
         let resp = mem.handle(
             me,
             MemRequest::ReadRange {
@@ -786,7 +785,7 @@ mod tests {
         let mut sim: Simulation<TMsg> = Simulation::new(3);
         let mem = MemoryActor::<u64, TMsg>::new(LegalChange::Static).with_region(
             REGION,
-            RegionSpec::Space(1),
+            RegionSpec::space(1),
             Permission::open(),
         );
         let mem_id = sim.add(mem);

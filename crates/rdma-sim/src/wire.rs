@@ -13,7 +13,7 @@ use simnet::{CostClass, Verb};
 
 use crate::perm::Permission;
 use crate::reg::RegId;
-use crate::region::RegionId;
+use crate::region::{RegionId, RegionSpec};
 
 /// Correlates a memory response with its request. Unique per client.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -63,24 +63,24 @@ pub enum MemRequest<V> {
         /// memory copies out what it stores.
         writes: Arc<[(RegId, V)]>,
     },
-    /// Reads every currently-written register of `region` in one round trip,
-    /// optionally restricted to a sub-pattern.
+    /// Reads every currently-written register of `region` in one round trip
+    /// that is also in `within`.
     ///
     /// This models an RDMA read of a registered buffer (one DMA fetch of a
     /// whole slot array — or a strided column of it — as §7 describes: "the
     /// process can register the two dimensional array of values in read-only
     /// mode"). Registers never written (still ⊥) are absent from the
     /// response, which lists the rest in `RegId` order. A `within`
-    /// pattern that pins a `b` window is the (address, length) form of
+    /// that pins a `b` window is the (address, length) form of
     /// the read: the memory answers it from an ordered key index in time
     /// proportional to the window, not to the table
     /// ([`MemoryActor`](crate::MemoryActor)).
     ReadRange {
         /// Region to scan (permission is checked against this region).
         region: RegionId,
-        /// Optional extra filter: only registers also matching this pattern
-        /// are returned.
-        within: Option<crate::region::RegionSpec>,
+        /// Only registers also in this set are returned
+        /// ([`RegionSpec::ALL`] for the whole region).
+        within: RegionSpec,
         /// The reader's buffer the rows land in, as an RDMA READ names its
         /// local scatter-gather target: the memory clears it, fills it and
         /// sends it back as the [`MemResponse::Range`], so a reader that
@@ -127,7 +127,7 @@ impl<V: WireSize> MemRequest<V> {
                 let k = writes.len().max(1) as u32;
                 CostClass::new(Verb::Write, k.saturating_mul(entry), k)
             }
-            // The request leg of a range read carries only the pattern;
+            // The request leg of a range read carries only the filter;
             // the payload comes back on the response leg.
             MemRequest::ReadRange { .. } => CostClass::new(Verb::Read, entry, 1),
             MemRequest::ChangePerm { .. } => {
@@ -266,7 +266,7 @@ mod tests {
         assert_eq!(r.kind_name(), "read");
         let r: MemRequest<u8> = MemRequest::ReadRange {
             region: RegionId(0),
-            within: None,
+            within: RegionSpec::ALL,
             into: Vec::new(),
         };
         assert_eq!(r.kind_name(), "read_range");

@@ -59,26 +59,27 @@ proptest! {
         prop_assert!(open.allows_read(p) && open.allows_write(p));
     }
 
-    /// Region membership laws: All ⊇ Space ⊇ row ⊇ Exact, for matching
+    /// Region membership laws: ALL ⊇ space ⊇ row ⊇ exact, for matching
     /// registers.
     #[test]
     fn region_containment_chain(reg in arb_reg()) {
-        prop_assert!(RegionSpec::All.contains(reg));
-        prop_assert!(RegionSpec::Space(reg.space).contains(reg));
+        prop_assert!(RegionSpec::ALL.contains(reg));
+        prop_assert!(RegionSpec::space(reg.space).contains(reg));
         prop_assert!(RegionSpec::row(reg.space, reg.a).contains(reg));
-        prop_assert!(RegionSpec::Exact(reg).contains(reg));
+        prop_assert!(RegionSpec::exact(reg).contains(reg));
     }
 
-    /// A pattern with all coordinates pinned is equivalent to Exact.
+    /// A set with all coordinates pinned is `exact`: that one register.
     #[test]
     fn full_pattern_is_exact(reg in arb_reg(), probe in arb_reg()) {
-        let pat = RegionSpec::Pattern {
-            space: reg.space,
+        let pat = RegionSpec {
+            space: Some(reg.space),
             a: Some(Window::exact(reg.a)),
             b: Some(Window::exact(reg.b)),
             c: Some(reg.c),
         };
-        prop_assert_eq!(pat.contains(probe), RegionSpec::Exact(reg).contains(probe));
+        prop_assert_eq!(pat, RegionSpec::exact(reg));
+        prop_assert_eq!(pat.contains(probe), probe == reg);
     }
 
     /// The window form at width 1 *is* the exact form, and at any width
@@ -98,9 +99,7 @@ proptest! {
         let in_interval = (start as u128..start as u128 + len as u128).contains(&(x as u128));
         prop_assert_eq!(Window::span(start, len).contains(x), in_interval);
         let probe = RegId::new(probe.space, probe.a, x, probe.c);
-        let spec = |b| RegionSpec::Pattern {
-            space: reg.space, a: Some(Window::exact(reg.a)), b: Some(b), c: None,
-        };
+        let spec = |b| RegionSpec { b: Some(b), ..RegionSpec::row(reg.space, reg.a) };
         prop_assert_eq!(
             spec(Window::span(start, len)).contains(probe),
             probe.space == reg.space && probe.a == reg.a && in_interval
@@ -112,12 +111,10 @@ proptest! {
     #[test]
     fn wildcard_monotone(reg in arb_reg(), probe in arb_reg()) {
         let a = Some(Window::exact(reg.a));
-        let pinned = RegionSpec::Pattern {
-            space: reg.space, a, b: Some(Window::exact(reg.b)), c: Some(reg.c),
+        let pinned = RegionSpec {
+            space: Some(reg.space), a, b: Some(Window::exact(reg.b)), c: Some(reg.c),
         };
-        let wild_b = RegionSpec::Pattern {
-            space: reg.space, a, b: None, c: Some(reg.c),
-        };
+        let wild_b = RegionSpec { b: None, ..pinned };
         if pinned.contains(probe) {
             prop_assert!(wild_b.contains(probe));
         }
@@ -228,8 +225,8 @@ mod data_path {
             let mut sim: Simulation<TMsg> = Simulation::new(seed);
             let mem = sim.add(
                 MemoryActor::<u64, TMsg>::new(LegalChange::Static)
-                    .with_region(OWNED, RegionSpec::Space(0), Permission::exclusive_writer(ActorId(1)))
-                    .with_region(FOREIGN, RegionSpec::Space(1), Permission::exclusive_writer(ActorId(99))),
+                    .with_region(OWNED, RegionSpec::space(0), Permission::exclusive_writer(ActorId(1)))
+                    .with_region(FOREIGN, RegionSpec::space(1), Permission::exclusive_writer(ActorId(99))),
             );
             let f = sim.add(Fuzzer {
                 mem,
@@ -287,18 +284,13 @@ mod range_reads {
     const ROW: RegionId = RegionId(1);
     /// Everything again, writable by nobody: a writer without permission.
     const LOCKED: RegionId = RegionId(2);
-    const ROW_SPEC: RegionSpec = RegionSpec::Pattern {
-        space: 1,
-        a: Some(Window::exact(2)),
-        b: None,
-        c: None,
-    };
+    const ROW_SPEC: RegionSpec = RegionSpec::row(1, 2);
 
     fn spec_of(region: RegionId) -> RegionSpec {
         if region == ROW {
             ROW_SPEC
         } else {
-            RegionSpec::All
+            RegionSpec::ALL
         }
     }
 
@@ -312,7 +304,7 @@ mod range_reads {
         /// refused, every row must read as the model says.
         WriteMany(RegionId, Vec<(RegId, u64)>),
         Read(RegId),
-        ReadRange(RegionId, Option<RegionSpec>),
+        ReadRange(RegionId, RegionSpec),
     }
 
     /// First coordinates: mostly a few small rows (so patterns hit and
@@ -387,38 +379,37 @@ mod range_reads {
         ]
     }
 
-    fn arb_within() -> impl Strategy<Value = Option<RegionSpec>> {
+    /// Range-read filters with a `b` window.
+    fn arb_windowed(
+        space: impl Strategy<Value = Option<u16>> + 'static,
+    ) -> impl Strategy<Value = RegionSpec> {
+        (space, arb_a_window(), arb_window(), arb_opt(0u64..3)).prop_map(|(space, a, b, c)| {
+            RegionSpec {
+                space,
+                a,
+                b: Some(b),
+                c,
+            }
+        })
+    }
+
+    fn arb_within() -> impl Strategy<Value = RegionSpec> {
         prop_oneof![
-            Just(None),
-            (0u16..3).prop_map(|s| Some(RegionSpec::Space(s))),
-            // Un-windowed pattern: served by the scan.
-            (0u16..3, arb_a_window(), arb_opt(0u64..3)).prop_map(|(space, a, c)| Some(
-                RegionSpec::Pattern {
-                    space,
-                    a,
-                    b: None,
-                    c
-                }
-            )),
-            // Windowed patterns (twice as likely): with `c` pinned, the
+            Just(RegionSpec::ALL),
+            (0u16..3).prop_map(RegionSpec::space),
+            // Un-windowed filter: served by the scan.
+            (0u16..3, arb_a_window(), arb_opt(0u64..3)).prop_map(|(space, a, c)| RegionSpec {
+                a,
+                c,
+                ..RegionSpec::space(space)
+            }),
+            // Windowed filters (twice as likely): with `c` pinned, the
             // form the memory serves by walking its sparse pages; with `c`
             // wild, the filter-and-sort form.
-            (0u16..3, arb_a_window(), arb_window(), arb_opt(0u64..3)).prop_map(
-                |(space, a, b, c)| Some(RegionSpec::Pattern {
-                    space,
-                    a,
-                    b: Some(b),
-                    c
-                })
-            ),
-            (0u16..3, arb_a_window(), arb_window(), arb_opt(0u64..3)).prop_map(
-                |(space, a, b, c)| Some(RegionSpec::Pattern {
-                    space,
-                    a,
-                    b: Some(b),
-                    c
-                })
-            ),
+            arb_windowed((0u16..3).prop_map(Some)),
+            arb_windowed((0u16..3).prop_map(Some)),
+            // No space pinned: the filter-and-sort form, whatever else is.
+            arb_windowed(Just(None)),
         ]
     }
 
@@ -511,7 +502,7 @@ mod range_reads {
                 Step::Read(reg) => script.push(read(&model, reg)),
                 Step::ReadRange(region, within) => {
                     let spec = spec_of(region);
-                    let hit = |r: RegId| spec.contains(r) && within.is_none_or(|w| w.contains(r));
+                    let hit = |r: RegId| spec.contains(r) && within.contains(r);
                     let rows = model.iter().filter(|(r, _)| hit(**r));
                     let rows = rows.map(|(r, v)| (*r, *v)).collect();
                     // The reader's buffer still holds an earlier read's
@@ -567,9 +558,9 @@ mod range_reads {
     fn memory() -> MemoryActor<u64, TMsg> {
         MemoryActor::new(LegalChange::Static)
             .with_log_space(1)
-            .with_region(WHOLE, RegionSpec::All, Permission::open())
+            .with_region(WHOLE, RegionSpec::ALL, Permission::open())
             .with_region(ROW, ROW_SPEC, Permission::open())
-            .with_region(LOCKED, RegionSpec::All, Permission::read_only())
+            .with_region(LOCKED, RegionSpec::ALL, Permission::read_only())
     }
 
     /// Runs `steps` against one memory and checks every answer against
@@ -612,13 +603,13 @@ mod range_reads {
                 (0u64..4, 0u64..4).prop_map(|(a, len)| Some(Window::span(a, len))),
             ];
             (0u16..3, a, arb_window(), 0u64..3).prop_map(|(space, a, b, c)| {
-                let within = RegionSpec::Pattern {
-                    space,
+                let within = RegionSpec {
+                    space: Some(space),
                     a,
                     b: Some(b),
                     c: Some(c),
                 };
-                Step::ReadRange(WHOLE, Some(within))
+                Step::ReadRange(WHOLE, within)
             })
         };
         prop_oneof![

@@ -148,36 +148,6 @@ pub trait TraceSink: Send {
     fn record(&mut self, ev: &Event);
 }
 
-/// A [`TraceSink`] that just counts events per kind — handy in tests and
-/// as the trait's reference implementation.
-#[derive(Debug, Default)]
-pub struct CountingSink {
-    counts: BTreeMap<&'static str, u64>,
-}
-
-impl CountingSink {
-    /// Creates an empty counter sink.
-    pub fn new() -> CountingSink {
-        CountingSink::default()
-    }
-
-    /// Events seen with the given kind name.
-    pub fn count(&self, kind: &str) -> u64 {
-        self.counts.get(kind).copied().unwrap_or(0)
-    }
-
-    /// Total events seen.
-    pub fn total(&self) -> u64 {
-        self.counts.values().sum()
-    }
-}
-
-impl TraceSink for CountingSink {
-    fn record(&mut self, ev: &Event) {
-        *self.counts.entry(ev.body.kind()).or_insert(0) += 1;
-    }
-}
-
 /// The kernel-side recorder: a per-core buffer plus an optional sink.
 /// Disabled by default; when disabled, [`ObsRecorder::record`] is a
 /// single branch and the body closure never runs.
@@ -566,8 +536,28 @@ pub fn to_html_timeline(title: &str, events: &[Event]) -> String {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
+
+    /// A sink that counts the events it sees into a counter the test
+    /// keeps.
+    pub(crate) struct CountingSink(pub(crate) Arc<AtomicU64>);
+
+    impl CountingSink {
+        /// The sink, and the counter it counts into.
+        pub(crate) fn new() -> (CountingSink, Arc<AtomicU64>) {
+            let seen = Arc::new(AtomicU64::new(0));
+            (CountingSink(seen.clone()), seen)
+        }
+    }
+
+    impl TraceSink for CountingSink {
+        fn record(&mut self, _: &Event) {
+            self.0.fetch_add(1, Ordering::Relaxed);
+        }
+    }
 
     fn ev(at: u64, partition: u32, seq: u64, actor: u32, body: EventBody) -> Event {
         Event {
@@ -606,11 +596,13 @@ mod tests {
     #[test]
     fn sink_sees_events_in_order() {
         let mut r = ObsRecorder::new();
-        r.attach_sink(Box::new(CountingSink::new()));
+        let (sink, seen) = CountingSink::new();
+        r.attach_sink(Box::new(sink));
         r.record(Time(1), ActorId(0), || EventBody::Crash);
         r.record(Time(2), ActorId(0), || EventBody::Crash);
         // The built-in buffer still fills alongside the sink.
         assert_eq!(r.take().len(), 2);
+        assert_eq!(seen.load(Ordering::Relaxed), 2);
     }
 
     #[test]

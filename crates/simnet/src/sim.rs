@@ -1101,12 +1101,15 @@ mod tests {
 
     #[test]
     fn obs_sink_streams_alongside_buffer() {
-        use crate::obs::CountingSink;
+        use crate::obs::tests::CountingSink;
         let (mut sim, _, _) = build(3);
-        sim.attach_obs_sink(Box::new(CountingSink::new()));
+        let (sink, seen) = CountingSink::new();
+        sim.attach_obs_sink(Box::new(sink));
         sim.run_to_quiescence(Time::from_delays(100));
         let buffered = sim.take_obs_events().len();
         assert!(buffered > 0);
+        let seen = seen.load(std::sync::atomic::Ordering::Relaxed);
+        assert_eq!(seen, buffered as u64);
     }
 
     #[test]

@@ -244,14 +244,14 @@ where
         })
     }
 
-    /// Starts a logical range read of `region`, optionally filtered to a
-    /// sub-pattern of registers.
+    /// Starts a logical range read of the registers of `region` that are
+    /// also in `within`.
     pub fn read_range(
         &mut self,
         ctx: &mut Context<'_, M>,
         client: &mut MemoryClient<V, M>,
         region: RegionId,
-        within: Option<rdma_sim::RegionSpec>,
+        within: rdma_sim::RegionSpec,
     ) -> RepId {
         let id = self.fresh();
         let tracker = self.tracker();

@@ -121,7 +121,7 @@ mod tests {
                 sim.add(
                     MemoryActor::<u64, TMsg>::new(LegalChange::Static).with_region(
                         REGION,
-                        RegionSpec::Space(1),
+                        RegionSpec::space(1),
                         perm.clone(),
                     ),
                 )
@@ -301,7 +301,7 @@ mod tests {
         /// A replicated batched write.
         WriteMany(Vec<(RegId, u64)>),
         /// A replicated range read over `REGION`.
-        Range(Option<RegionSpec>),
+        Range(RegionSpec),
         /// A range read of the first memory alone, straight through the
         /// client, whose buffer already holds these rows.
         RawRange(Vec<(RegId, u64)>),
@@ -339,7 +339,7 @@ mod tests {
                 }
                 Some(Step::RawRange(into)) => {
                     let mem = engine.memories()[0];
-                    client.read_range(ctx, mem, REGION, None, into);
+                    client.read_range(ctx, mem, REGION, RegionSpec::ALL, into);
                 }
                 None => {}
             }
@@ -404,7 +404,7 @@ mod tests {
             3,
             &[2],
             Permission::open(),
-            vec![Step::WriteMany(rows.clone()), Step::Range(None)],
+            vec![Step::WriteMany(rows.clone()), Step::Range(RegionSpec::ALL)],
         );
         // One round trip whatever the batch carries, although one memory
         // never answers; every row is there for a majority read.
@@ -423,7 +423,7 @@ mod tests {
             3,
             &[],
             Permission::open(),
-            vec![Step::WriteMany(batch), Step::Range(None)],
+            vec![Step::WriteMany(batch), Step::Range(RegionSpec::ALL)],
         );
         assert_eq!(out[0].1, RepResult::WriteFailed);
         assert_eq!(out[1].1, RepResult::RangeOk(Vec::new()));
@@ -450,12 +450,11 @@ mod tests {
     #[test]
     fn a_recycled_range_buffer_never_returns_rows_from_an_earlier_read() {
         let all: Vec<(RegId, u64)> = (0..6).map(|b| (RegId::new(1, 0, b, 0), 100 + b)).collect();
-        let first_two = Some(RegionSpec::Pattern {
-            space: 1,
-            a: Some(rdma_sim::Window::exact(0)),
+        let first_two = RegionSpec {
             b: Some(rdma_sim::Window::span(0, 2)),
             c: Some(0),
-        });
+            ..RegionSpec::row(1, 0)
+        };
         let junk = vec![(RegId::new(1, 0, 9, 0), 999), (RegId::new(1, 0, 1, 0), 7)];
         let out = run_steps(
             3,
@@ -463,9 +462,9 @@ mod tests {
             Permission::open(),
             vec![
                 Step::WriteMany(all.clone()),
-                Step::Range(None),
+                Step::Range(RegionSpec::ALL),
                 Step::Range(first_two),
-                Step::Range(Some(RegionSpec::Space(2))),
+                Step::Range(RegionSpec::space(2)),
                 Step::RawRange(junk),
             ],
         );

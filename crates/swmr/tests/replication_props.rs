@@ -121,7 +121,7 @@ proptest! {
         for _ in 0..m {
             sim.add(MemoryActor::<u64, TMsg>::new(LegalChange::Static).with_region(
                 REGION,
-                RegionSpec::Space(0),
+                RegionSpec::space(0),
                 Permission::exclusive_writer(ActorId(0)),
             ));
         }

@@ -26,7 +26,7 @@
 //! changes against everything on the memory.
 
 use agreement::explore::independence::{
-    conflicts, footprint, independent, may_overlap, EventClass, ExploredEvent, RegAccess,
+    conflicts, footprint, independent, EventClass, ExploredEvent,
 };
 use agreement::types::{RegVal, Value};
 use proptest::prelude::*;
@@ -98,7 +98,7 @@ fn run_pair(a_req: &MemRequest<RegVal>, b_req: &MemRequest<RegVal>, swapped: boo
     let mem_id = sim.add(
         MemoryActor::<RegVal, TMsg>::new(LegalChange::AnyChange).with_region(
             REGION,
-            RegionSpec::All,
+            RegionSpec::ALL,
             Permission::open(),
         ),
     );
@@ -185,16 +185,15 @@ fn decode(kind: usize, space: u16, x: u64, y: u64, z: u64, val: u64) -> MemReque
         3 => MemRequest::ReadRange {
             region: REGION,
             within: match val % 7 {
-                0 => None,
-                1 => Some(RegionSpec::All),
-                2 => Some(RegionSpec::Space(space)),
-                3 => Some(RegionSpec::row(space, x)),
+                0 | 1 => RegionSpec::ALL,
+                2 => RegionSpec::space(space),
+                3 => RegionSpec::row(space, x),
                 // Window-bounded reads: a column window over every row,
                 // and one row's window (`z` widths include the empty one).
-                4 => Some(windowed(space, None, y, z + 1, Some(z))),
-                5 => Some(windowed(space, Some(Window::exact(x)), y, z, None)),
+                4 => windowed(space, None, y, z + 1, Some(z)),
+                5 => windowed(space, Some(Window::exact(x)), y, z, None),
                 // A takeover's suffix scan: every row from `x` on.
-                _ => Some(windowed(space, Window::suffix(x), 0, 3, None)),
+                _ => windowed(space, Window::suffix(x), 0, 3, None),
             },
             into: Vec::new(),
         },
@@ -209,10 +208,10 @@ fn decode(kind: usize, space: u16, x: u64, y: u64, z: u64, val: u64) -> MemReque
     }
 }
 
-/// A pattern whose `b` coordinate is the window `[start, start + len)`.
+/// A register set whose `b` coordinate is the window `[start, start + len)`.
 fn windowed(space: u16, a: Option<Window>, start: u64, len: u64, c: Option<u64>) -> RegionSpec {
-    RegionSpec::Pattern {
-        space,
+    RegionSpec {
+        space: Some(space),
         a,
         b: Some(Window::span(start, len)),
         c,
@@ -227,7 +226,7 @@ fn range_answers(withins: &[RegionSpec]) -> Vec<Vec<RegId>> {
     let mem = sim.add(
         MemoryActor::<RegVal, TMsg>::new(LegalChange::Static).with_region(
             REGION,
-            RegionSpec::All,
+            RegionSpec::ALL,
             Permission::open(),
         ),
     );
@@ -239,7 +238,7 @@ fn range_answers(withins: &[RegionSpec]) -> Vec<Vec<RegId>> {
     };
     let reads = withins.iter().map(|&w| MemRequest::ReadRange {
         region: REGION,
-        within: Some(w),
+        within: w,
         into: Vec::new(),
     });
     let driver = sim.add(Driver {
@@ -350,12 +349,12 @@ proptest! {
         let same_but_window = windowed(space, rows(p_a), q_start, q_len, opt(p_c));
         let answers = range_answers(&[p, q, same_but_window]);
         let shares = |other: usize| answers[0].iter().any(|r| answers[other].contains(r));
-        let verdict = may_overlap(RegAccess::Pattern(p), RegAccess::Pattern(q));
+        let verdict = p.overlaps(&q);
         prop_assert!(
             verdict || !shares(1),
             "called disjoint, both read a register:\n  {p:?}\n  {q:?}"
         );
-        let verdict = may_overlap(RegAccess::Pattern(p), RegAccess::Pattern(same_but_window));
+        let verdict = p.overlaps(&same_but_window);
         prop_assert_eq!(verdict, shares(2), "window verdict is not exact:\n  {:?}\n  {:?}", p, same_but_window);
     }
 }
@@ -381,7 +380,7 @@ fn conflicting_pairs_are_never_classified_independent() {
     };
     let scan_all = MemRequest::ReadRange {
         region: REGION,
-        within: None,
+        within: RegionSpec::ALL,
         into: Vec::new(),
     };
     let perm = MemRequest::ChangePerm {

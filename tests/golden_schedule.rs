@@ -48,7 +48,7 @@ fn golden_common_case_fixtures() {
 fn golden_smr_schedule_fixture() {
     let mut s = Scenario::common_case(3, 3, 7);
     s.max_delays = 100;
-    let r = run_smr(&s, 10);
+    let r = run_smr(&s, 10, 1);
     assert_eq!(r.entries, 10);
     assert!(r.logs_agree);
     // One replicated write per entry: slot i decided at 2·(i+1) delays.
@@ -220,7 +220,7 @@ fn smr_batch1_wire_path_is_unchanged() {
     // recorded fixture.
     let mut s = Scenario::common_case(3, 3, 7);
     s.max_delays = 100;
-    let r = run_smr(&s, 10);
+    let r = run_smr(&s, 10, 1);
     assert_eq!(r.entries, 10);
     let expected: Vec<f64> = (1..=10).map(|i| 2.0 * i as f64).collect();
     assert_eq!(r.decided_at_delays, expected);

@@ -9,6 +9,7 @@ use agreement::protected;
 use agreement::types::{sigtags, CqSigned, Msg, PaxSlot, Pid, RegVal, Value};
 use rdma_sim::{
     MemRequest, MemResponse, MemWire, MemoryActor, MemoryClient, OpId, Permission, RegId,
+    RegionSpec,
 };
 use sigsim::SigAuthority;
 use simnet::{Actor, ActorId, Context, EventKind, Simulation, Time};
@@ -225,7 +226,7 @@ fn nebcast_overlapping_regions() {
             // Range-read the whole array: exactly one register written.
             MemRequest::ReadRange {
                 region: nebcast::ALL_REGION,
-                within: None,
+                within: RegionSpec::ALL,
                 into: Vec::new(),
             },
         ],
