@@ -543,7 +543,7 @@ pub(crate) mod tests {
 
     /// A sink that counts the events it sees into a counter the test
     /// keeps.
-    pub(crate) struct CountingSink(pub(crate) Arc<AtomicU64>);
+    pub(crate) struct CountingSink(Arc<AtomicU64>);
 
     impl CountingSink {
         /// The sink, and the counter it counts into.
